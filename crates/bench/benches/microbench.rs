@@ -81,6 +81,75 @@ fn bench_flow_table(c: &mut Criterion) {
     });
 }
 
+/// A full reactive table: 4096 exact rules with the same idle timeout,
+/// installed 1 µs apart — so rule `i` is due `i` µs after rule 0, and the
+/// rule due next is always the one idle longest.
+fn full_idle_table() -> (FlowTable, Vec<FlowRule>, Vec<MatchView>) {
+    let packets: Vec<_> = (0..4096u16)
+        .map(|i| PacketBuilder::udp().src_port(i).build())
+        .collect();
+    let rules: Vec<_> = packets
+        .iter()
+        .map(|p| {
+            FlowRule::new(Match::exact_from_packet(PortNo(1), p), 100)
+                .with_idle_timeout(Nanos::from_secs(5))
+        })
+        .collect();
+    let views = packets
+        .iter()
+        .map(|p| MatchView::of(PortNo(1), p))
+        .collect();
+    let mut table = FlowTable::new(4096);
+    for (i, rule) in rules.iter().enumerate() {
+        table.insert(Nanos::from_micros(i as u64), rule.clone());
+    }
+    (table, rules, views)
+}
+
+/// What the switch does around every frame and on every timer once the
+/// table is full of idle-timeout rules (the Section IV/V steady state).
+fn bench_flow_table_expiry(c: &mut Criterion) {
+    let (mut table, rules, views) = full_idle_table();
+    c.bench_function("flow_table_next_expiry_4096_idle_rules", |b| {
+        b.iter(|| black_box(&table).next_expiry())
+    });
+    // A hit on any rule but the one due next leaves the expiry index alone.
+    let mut now = Nanos::from_millis(5);
+    c.bench_function("flow_table_hit_4096_idle_rules_other", |b| {
+        b.iter(|| {
+            now += Nanos::from_nanos(1);
+            table
+                .match_packet(now, black_box(&views[2048]), 1000)
+                .map(|r| r.priority)
+        })
+    });
+    // Round-robin in install order: every hit lands on the rule due next
+    // and moves its deadline behind all others — the index's worst case.
+    let (mut table, ..) = full_idle_table();
+    let mut turn = 0usize;
+    c.bench_function("flow_table_hit_4096_idle_rules_top", |b| {
+        b.iter(|| {
+            now += Nanos::from_nanos(1);
+            let view = &views[turn];
+            turn = (turn + 1) % views.len();
+            table
+                .match_packet(now, black_box(view), 1000)
+                .map(|r| r.priority)
+        })
+    });
+    // All 4096 rules fall due in one sweep, then the table is refilled.
+    c.bench_function("flow_table_expire_storm_4096", |b| {
+        b.iter(|| {
+            now += Nanos::from_secs(10);
+            let removed = table.expire(now).len();
+            for rule in &rules {
+                table.insert(now, rule.clone());
+            }
+            removed
+        })
+    });
+}
+
 fn bench_buffers(c: &mut Criterion) {
     let pkt = PacketBuilder::udp().frame_size(1000).build();
     c.bench_function("packet_granularity_miss_release", |b| {
@@ -301,6 +370,7 @@ criterion_group!(
     bench_packet_codec,
     bench_openflow_codec,
     bench_flow_table,
+    bench_flow_table_expiry,
     bench_buffers,
     bench_timeout_probes,
     bench_event_sinks,

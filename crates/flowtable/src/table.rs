@@ -3,6 +3,8 @@
 use crate::FlowRule;
 use sdnbuf_openflow::{msg::FlowRemovedReason, Match, MatchView};
 use sdnbuf_sim::{FastHashMap, Nanos};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// What the table does when an insert arrives while full.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -90,8 +92,22 @@ pub struct FlowTable {
     /// unordered. These still need a matches() scan, but reactive tables
     /// hold at most a handful (table-miss, ARP, flow-key rules).
     wild: Vec<usize>,
+    /// Expiry index: a lazy min-heap of `(deadline lower bound, position)`.
+    /// Every live rule with a timeout has an entry at or below its true
+    /// deadline, and after every `&mut self` call the top entry is live
+    /// and exact — so `next_expiry` is a peek. Entries left behind by
+    /// hits (deadline moved later), replacements and removals are
+    /// corrected or discarded when they surface.
+    deadlines: BinaryHeap<Reverse<(Nanos, usize)>>,
+    /// Scratch for `expire`: positions falling due in the current sweep.
+    due: Vec<usize>,
     lookups: u64,
     hits: u64,
+}
+
+/// The moment `rule` expires if it is not hit again.
+fn deadline(rule: &FlowRule) -> Option<Nanos> {
+    rule.expiry_deadline(rule.installed_at.max(rule.last_hit))
 }
 
 /// The concrete field tuple of an exact-match rule — the packet view it
@@ -137,6 +153,8 @@ impl FlowTable {
             exact: FastHashMap::default(),
             exact_dups: Vec::new(),
             wild: Vec::new(),
+            deadlines: BinaryHeap::new(),
+            due: Vec::new(),
             lookups: 0,
             hits: 0,
         }
@@ -211,7 +229,14 @@ impl FlowTable {
             // while the new install is processed: keep the earlier effect
             // time (OVS treats the duplicate as a modify of the live rule).
             rule.installed_at = existing.installed_at.min(rule.installed_at);
+            let old = deadline(existing);
             *existing = rule;
+            // The new timeouts may fall due earlier than any entry the
+            // old rule left in the expiry index.
+            if old.is_none() || deadline(existing) < old {
+                self.push_deadline(i);
+            }
+            self.settle_deadlines();
             return InsertOutcome::Replaced;
         }
         if self.is_full() {
@@ -232,6 +257,7 @@ impl FlowTable {
                     self.live += 1;
                     self.index_rule(idx);
                     self.maybe_compact();
+                    self.settle_deadlines();
                     return InsertOutcome::Evicted(victim);
                 }
             }
@@ -302,8 +328,10 @@ impl FlowTable {
         }
     }
 
-    /// Classifies the rule at `idx` into the lookup index.
+    /// Classifies the rule at `idx` into the lookup index and enters its
+    /// deadline into the expiry index.
     fn index_rule(&mut self, idx: usize) {
+        self.push_deadline(idx);
         if self.rule(idx).match_fields.is_exact() {
             match self.exact.entry(exact_key(&self.rule(idx).match_fields)) {
                 std::collections::hash_map::Entry::Vacant(e) => {
@@ -316,14 +344,51 @@ impl FlowTable {
         }
     }
 
-    /// Recomputes the exact/wildcard index from scratch after a
-    /// compaction shifts positions. All slots are live at that point.
+    /// Recomputes the exact/wildcard and expiry indexes from scratch
+    /// after a compaction shifts positions. All slots are live at that
+    /// point.
     fn rebuild_index(&mut self) {
         self.exact.clear();
         self.exact_dups.clear();
         self.wild.clear();
+        self.deadlines.clear();
         for i in 0..self.rules.len() {
             self.index_rule(i);
+        }
+    }
+
+    /// Enters the current deadline of the live rule at `idx` into the
+    /// expiry index. A rule whose deadline keeps moving backwards would
+    /// pile up superseded entries; once they outnumber the slots two to
+    /// one the heap is rebuilt from the rules instead.
+    fn push_deadline(&mut self, idx: usize) {
+        let Some(at) = deadline(self.rule(idx)) else {
+            return;
+        };
+        if self.deadlines.len() < 2 * self.rules.len() + 8 {
+            self.deadlines.push(Reverse((at, idx)));
+        } else {
+            self.deadlines.clear();
+            let live = self.rules.iter().enumerate();
+            self.deadlines
+                .extend(live.filter_map(|(i, r)| Some(Reverse((deadline(r.as_ref()?)?, i)))));
+        }
+    }
+
+    /// Restores the expiry index's invariant — the top entry belongs to a
+    /// live rule and equals its deadline — by moving entries a hit or
+    /// replacement overtook down to the rule's deadline and discarding
+    /// those of removed rules.
+    fn settle_deadlines(&mut self) {
+        while let Some(mut top) = self.deadlines.peek_mut() {
+            let Reverse((at, idx)) = *top;
+            match self.rules[idx].as_ref().and_then(deadline) {
+                Some(actual) if actual > at => *top = Reverse((actual, idx)),
+                Some(_) => break,
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
         }
     }
 
@@ -344,9 +409,19 @@ impl FlowTable {
         let best = self.best_index(now, view)?;
         self.hits += 1;
         let rule = self.rules[best].as_mut().expect("indexed slot is live");
+        // A hit before a replaced rule's future effect time moves
+        // `last_hit`, and with it the deadline, backwards.
+        let moved_back = now < rule.last_hit;
         rule.last_hit = now;
         rule.packet_count += 1;
         rule.byte_count += packet_bytes as u64;
+        if moved_back {
+            self.push_deadline(best);
+        } else if matches!(self.deadlines.peek(), Some(&Reverse((_, top))) if top == best) {
+            // Later deadlines are left to surface on their own; only the
+            // top entry has to stay exact.
+            self.settle_deadlines();
+        }
         Some(self.rule(best))
     }
 
@@ -389,29 +464,38 @@ impl FlowTable {
     }
 
     /// Removes every rule whose idle or hard timeout has elapsed at `now`;
-    /// returns them with the applicable reason.
+    /// returns them, in insertion order, with the applicable reason.
     pub fn expire(&mut self, now: Nanos) -> Vec<RemovedRule> {
-        let mut removed = Vec::new();
-        // Position order is insertion order, so removals are reported in
-        // the same order the old retain-based sweep produced.
-        for i in 0..self.rules.len() {
-            let Some(r) = self.rules[i].as_ref() else {
-                continue;
-            };
-            let last_activity = r.installed_at.max(r.last_hit);
-            if r.is_expired(now, last_activity) {
-                let reason =
-                    if r.hard_timeout != Nanos::ZERO && now >= r.installed_at + r.hard_timeout {
-                        FlowRemovedReason::HardTimeout
-                    } else {
-                        FlowRemovedReason::IdleTimeout
-                    };
-                let rule = self.remove_at(i);
-                removed.push(RemovedRule { rule, reason });
+        let mut due = std::mem::take(&mut self.due);
+        // The top entry is exact, so nothing is due unless it is.
+        while let Some(&Reverse((at, idx))) = self.deadlines.peek() {
+            if at > now {
+                break;
             }
+            self.deadlines.pop();
+            due.push(idx);
+            self.settle_deadlines();
         }
+        // Position order is insertion order, the order the linear sweep
+        // reported; a rule can have left more than one entry.
+        due.sort_unstable();
+        due.dedup();
+        let mut removed = Vec::with_capacity(due.len());
+        for idx in due.drain(..) {
+            let r = self.rule(idx);
+            let reason = if r.hard_timeout != Nanos::ZERO && now >= r.installed_at + r.hard_timeout
+            {
+                FlowRemovedReason::HardTimeout
+            } else {
+                FlowRemovedReason::IdleTimeout
+            };
+            let rule = self.remove_at(idx);
+            removed.push(RemovedRule { rule, reason });
+        }
+        self.due = due;
         if !removed.is_empty() {
             self.maybe_compact();
+            self.settle_deadlines();
         }
         removed
     }
@@ -419,11 +503,7 @@ impl FlowTable {
     /// The earliest moment any installed rule can expire, for scheduling the
     /// next expiry sweep. `None` when no rule has a timeout.
     pub fn next_expiry(&self) -> Option<Nanos> {
-        self.rules
-            .iter()
-            .flatten()
-            .filter_map(|r| r.expiry_deadline(r.installed_at.max(r.last_hit)))
-            .min()
+        self.deadlines.peek().map(|&Reverse((at, _))| at)
     }
 
     /// Deletes rules matching `pattern` (`OFPFC_DELETE` semantics: a rule is
@@ -453,6 +533,7 @@ impl FlowTable {
         }
         if !removed.is_empty() {
             self.maybe_compact();
+            self.settle_deadlines();
         }
         removed
     }
@@ -607,6 +688,99 @@ mod tests {
         t.insert(Nanos::ZERO, r1.with_idle_timeout(Nanos::from_secs(7)));
         t.insert(Nanos::ZERO, r2.with_hard_timeout(Nanos::from_secs(3)));
         assert_eq!(t.next_expiry(), Some(Nanos::from_secs(3)));
+    }
+
+    /// A re-add keeps the earlier `installed_at` but stamps `last_hit`
+    /// with its own, future, effect time; a hit before that moves the
+    /// idle deadline *backwards*, below every entry the index holds.
+    #[test]
+    fn hit_before_replacement_takes_effect_moves_deadline_back() {
+        let (t0, h, t1) = (
+            Nanos::from_secs(1),
+            Nanos::from_secs(2),
+            Nanos::from_secs(4),
+        );
+        let idle = Nanos::from_secs(5);
+        let mut t = FlowTable::new(10);
+        let (rule, view) = exact_rule(5, 1);
+        let rule = rule.with_idle_timeout(idle);
+        t.insert(t0, rule.clone());
+        assert_eq!(t.insert(t1, rule), InsertOutcome::Replaced);
+        assert_eq!(t.next_expiry(), Some(t1 + idle));
+        assert!(t.match_packet(h, &view, 100).is_some());
+        assert_eq!(t.next_expiry(), Some(h + idle));
+        assert!(t.expire(h + idle - Nanos::from_nanos(1)).is_empty());
+        assert_eq!(t.expire(h + idle).len(), 1);
+        assert_eq!(t.next_expiry(), None);
+    }
+
+    #[test]
+    fn replacement_with_shorter_timeout_moves_deadline_back() {
+        let mut t = FlowTable::new(10);
+        let (rule, _) = exact_rule(5, 1);
+        t.insert(
+            Nanos::ZERO,
+            rule.clone().with_idle_timeout(Nanos::from_secs(9)),
+        );
+        t.insert(
+            Nanos::from_secs(1),
+            rule.clone().with_hard_timeout(Nanos::from_secs(3)),
+        );
+        assert_eq!(t.next_expiry(), Some(Nanos::from_secs(3)));
+        // ... and with none at all, leaves nothing to expire.
+        t.insert(Nanos::from_secs(2), rule);
+        assert_eq!(t.next_expiry(), None);
+        assert!(t.expire(Nanos::from_secs(100)).is_empty());
+    }
+
+    /// Rules falling due in one sweep are reported in insertion order,
+    /// whatever order their deadlines pop in.
+    #[test]
+    fn one_sweep_reports_removals_in_insertion_order() {
+        let mut t = FlowTable::new(10);
+        for (port, idle_s, hard_s) in [(1, 9, 0), (2, 3, 0), (3, 0, 6), (4, 1, 2), (5, 50, 0)] {
+            let (rule, _) = exact_rule(port, 1);
+            t.insert(
+                Nanos::ZERO,
+                rule.with_idle_timeout(Nanos::from_secs(idle_s))
+                    .with_hard_timeout(Nanos::from_secs(hard_s))
+                    .with_removal_notification(),
+            );
+        }
+        let removed = t.expire(Nanos::from_secs(10));
+        let got: Vec<_> = removed
+            .iter()
+            .map(|r| (r.rule.match_fields.tp_src, r.reason))
+            .collect();
+        use FlowRemovedReason::{HardTimeout, IdleTimeout};
+        assert_eq!(
+            got,
+            [
+                (1, IdleTimeout),
+                (2, IdleTimeout),
+                (3, HardTimeout),
+                (4, HardTimeout)
+            ]
+        );
+        assert!(removed.iter().all(|r| r.rule.notify_on_removal));
+        assert_eq!(t.next_expiry(), Some(Nanos::from_secs(50)));
+    }
+
+    /// Every re-add/early-hit cycle enters one more deadline for the same
+    /// rule; the index must not grow with the number of cycles.
+    #[test]
+    fn superseded_deadlines_do_not_accumulate() {
+        let mut t = FlowTable::new(4);
+        let (rule, view) = exact_rule(5, 1);
+        let rule = rule.with_idle_timeout(Nanos::from_secs(3600));
+        t.insert(Nanos::ZERO, rule.clone());
+        for cycle in 1..1000u64 {
+            let now = Nanos::from_millis(cycle);
+            t.insert(now + Nanos::from_millis(1), rule.clone());
+            t.match_packet(now, &view, 100);
+            assert_eq!(t.next_expiry(), Some(now + Nanos::from_secs(3600)));
+            assert!(t.deadlines.len() <= 2 * t.rules.len() + 8);
+        }
     }
 
     #[test]
