@@ -13,12 +13,13 @@
 //! * default — run the scenarios and (re)write `BENCH_6.json`.
 //! * `--check` — run the scenarios and compare against the committed
 //!   `BENCH_6.json`: exit non-zero if the file is missing a field, a
-//!   scenario's determinism check value drifted, allocation counts
-//!   grew, or wall-clock regressed by more than 20%. This is the CI
-//!   smoke gate.
+//!   scenario's determinism check value drifted, or allocation counts
+//!   grew. This is the CI smoke gate; it compares deterministic
+//!   quantities only — wall-clock on these millisecond scenarios is
+//!   noise on a shared runner, so it is printed and written, not gated.
 //!
 //! Repetitions default to 5 (plus one warm-up); set `SDNBUF_BENCH_REPS`
-//! to change. Wall-clock comparisons use the minimum over repetitions,
+//! to change. The reported wall-clock is the minimum over repetitions,
 //! the least noisy figure on a shared machine.
 
 use sdnbuf_core::chaos::{self, ChaosScenario, Sabotage};
@@ -215,7 +216,6 @@ const SCENARIOS: &[Scenario] = &[
 ];
 
 struct Measurement {
-    scenario: &'static Scenario,
     name: &'static str,
     check: u64,
     wall_ms_mean: f64,
@@ -271,7 +271,6 @@ fn measure(sc: &'static Scenario, reps: u32) -> Measurement {
     let wall_ms_mean = wall_ms.iter().sum::<f64>() / wall_ms.len() as f64;
     let wall_ms_min = wall_ms.iter().cloned().fold(f64::INFINITY, f64::min);
     Measurement {
-        scenario: sc,
         name: sc.name,
         check,
         wall_ms_mean,
@@ -377,11 +376,11 @@ fn check(ms: &[Measurement]) -> Result<(), String> {
     for m in ms {
         let sc = scenario_slice(&json, m.name)?;
         let committed_check = field(sc, "check")? as u64;
-        let committed_wall = field(sc, "wall_ms_min")?;
         let committed_allocs = field(sc, "allocs_per_run")? as u64;
         // Schema completeness: every emitted field must be present.
         for key in [
             "wall_ms_mean",
+            "wall_ms_min",
             "events",
             "events_per_sec",
             "speedup_vs_seed",
@@ -401,31 +400,9 @@ fn check(ms: &[Measurement]) -> Result<(), String> {
                 m.name, m.allocs_per_run
             ));
         }
-        // 20% relative budget, with half a millisecond of absolute slack
-        // so sub-millisecond scenarios aren't gated on timer noise. On a
-        // shared single-core runner a whole run can land in a slow
-        // window, so a failing scenario is re-measured before the
-        // verdict; the minimum across attempts is what must fit.
-        let allowed = (committed_wall * 1.2).max(committed_wall + 0.5);
-        let mut wall = m.wall_ms_min;
-        for _ in 0..2 {
-            if wall <= allowed {
-                break;
-            }
-            let retry = measure(m.scenario, reps_from_env());
-            wall = wall.min(retry.wall_ms_min);
-        }
-        if wall > allowed {
-            return Err(format!(
-                "{}: wall-clock regressed >20%: {:.3} ms vs committed {committed_wall:.3} ms \
-                 (allowed {allowed:.3} ms)",
-                m.name, wall
-            ));
-        }
         println!(
-            "check {}: ok (wall {:.3} ms <= {allowed:.3} ms budget over committed \
-             {committed_wall:.3} ms, allocs {} <= {committed_allocs}, check {})",
-            m.name, wall, m.allocs_per_run, m.check
+            "check {}: ok (allocs {} <= {committed_allocs}, check {})",
+            m.name, m.allocs_per_run, m.check
         );
     }
     Ok(())

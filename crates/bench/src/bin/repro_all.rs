@@ -4,8 +4,8 @@
 //! (paper-reported percentages vs measured). Writes all series to
 //! `results/*.tsv`.
 //!
-//! Environment: `SDNBUF_REPS` (default 5; the paper uses 20),
-//! `SDNBUF_RATES=coarse` for a quick smoke run.
+//! Environment: `SDNBUF_REPS` (default 20, as in the paper and the
+//! committed `results/`), `SDNBUF_RATES=coarse` for a quick smoke run.
 
 use sdnbuf_bench::{emit, reps_from_env, section_iv, section_v};
 use sdnbuf_core::{figures, observe, BufferMode, Experiment, ExperimentConfig, WorkloadKind};

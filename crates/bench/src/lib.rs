@@ -1,12 +1,14 @@
 //! Shared driver code for the figure-reproduction binaries.
 //!
-//! Every `fig*` binary runs the appropriate paper sweep (Section IV or V),
-//! renders the figure's data series as an aligned text table on stdout, and
-//! writes the same series as TSV under `results/`.
+//! `repro_all` runs the paper's sweeps (Section IV and V), renders every
+//! figure's data series as an aligned text table on stdout, and writes the
+//! same series as TSV under `results/`; `ablations` and `tcp_udp_mix` do
+//! the same for their studies.
 //!
-//! Repetitions default to 5 for quick runs; set `SDNBUF_REPS=20` for the
-//! paper's full procedure (20 repetitions per rate). `SDNBUF_RATES=coarse`
-//! halves the rate grid for smoke runs. Sweeps run on the parallel
+//! Repetitions default to 20, the paper's procedure (20 repetitions per
+//! rate) and the setting the committed `results/` were generated with; set
+//! `SDNBUF_REPS` lower for quick runs. `SDNBUF_RATES=coarse` halves the
+//! rate grid for smoke runs. Sweeps run on the parallel
 //! executor; `SDNBUF_THREADS=serial|auto|N` picks the worker count
 //! (default: one per CPU — results are identical either way).
 
@@ -17,13 +19,14 @@ use sdnbuf_core::{Parallelism, RateSweep, StderrProgress, SweepResult};
 use sdnbuf_metrics::Table;
 use std::path::PathBuf;
 
-/// Repetitions per (mechanism, rate) cell: `SDNBUF_REPS`, default 5.
+/// Repetitions per (mechanism, rate) cell: `SDNBUF_REPS`, default 20 (the
+/// paper's procedure, and what the committed `results/` use).
 pub fn reps_from_env() -> usize {
     std::env::var("SDNBUF_REPS")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&r| r > 0)
-        .unwrap_or(5)
+        .unwrap_or(20)
 }
 
 /// Rate grid: the paper's 5–100 Mbps in 5 Mbps steps, or 10 Mbps steps

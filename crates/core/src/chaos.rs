@@ -232,8 +232,8 @@ impl ChaosScenario {
     /// it exactly, field for field.
     pub fn to_spec(&self) -> String {
         let mut parts = vec![
-            format!("mech={}", mech_spec(self.mech)),
-            format!("wl={}", wl_spec(&self.workload)),
+            format!("mech={}", self.mech),
+            format!("wl={}", self.workload),
             format!("rate={}", self.rate_mbps),
             format!("seed={}", self.seed),
         ];
@@ -275,8 +275,8 @@ impl ChaosScenario {
                 .split_once('=')
                 .ok_or_else(|| format!("expected key=value, got '{part}'"))?;
             match key {
-                "mech" => mech = Some(parse_mech(value)?),
-                "wl" => workload = Some(parse_wl(value)?),
+                "mech" => mech = Some(value.parse()?),
+                "wl" => workload = Some(value.parse()?),
                 "rate" => {
                     rate_mbps = Some(value.parse().map_err(|_| format!("bad rate '{value}'"))?);
                 }
@@ -369,105 +369,6 @@ fn parse_retry(s: &str) -> Result<RetryPolicy, String> {
 fn window_near_data_phase(rng: &mut SimRng, max_ms: u64) -> Window {
     let from = Nanos::from_millis(48 + rng.gen_range(30));
     Window::new(from, from + Nanos::from_millis(1 + rng.gen_range(max_ms)))
-}
-
-fn mech_spec(mech: BufferMode) -> String {
-    match mech {
-        BufferMode::NoBuffer => "none".to_owned(),
-        BufferMode::PacketGranularity { capacity } => format!("packet:{capacity}"),
-        BufferMode::FlowGranularity { capacity, timeout } => {
-            format!("flow:{capacity}:{}", fmt_dur(timeout))
-        }
-    }
-}
-
-fn parse_mech(s: &str) -> Result<BufferMode, String> {
-    if s == "none" {
-        return Ok(BufferMode::NoBuffer);
-    }
-    if let Some(c) = s.strip_prefix("packet:") {
-        return Ok(BufferMode::PacketGranularity {
-            capacity: c.parse().map_err(|_| format!("bad capacity '{c}'"))?,
-        });
-    }
-    if let Some(rest) = s.strip_prefix("flow:") {
-        let (c, t) = rest
-            .split_once(':')
-            .ok_or_else(|| format!("expected flow:<capacity>:<timeout>, got '{s}'"))?;
-        return Ok(BufferMode::FlowGranularity {
-            capacity: c.parse().map_err(|_| format!("bad capacity '{c}'"))?,
-            timeout: parse_dur(t)?,
-        });
-    }
-    Err(format!(
-        "bad mechanism '{s}' (expected none, packet:<cap> or flow:<cap>:<timeout>)"
-    ))
-}
-
-fn wl_spec(wl: &WorkloadKind) -> String {
-    match *wl {
-        WorkloadKind::SinglePacketFlows { n_flows } => format!("single:{n_flows}"),
-        WorkloadKind::CrossSequenced {
-            n_flows,
-            packets_per_flow,
-            group_size,
-        } => format!("cross:{n_flows}x{packets_per_flow}/{group_size}"),
-        WorkloadKind::TcpEviction {
-            first_burst,
-            idle_gap,
-            second_burst,
-        } => format!("tcp:{first_burst}:{}:{second_burst}", fmt_dur(idle_gap)),
-        WorkloadKind::MixedUdpTcp {
-            n_udp_flows,
-            n_tcp,
-            segments_per_tcp,
-        } => format!("mixed:{n_udp_flows}:{n_tcp}:{segments_per_tcp}"),
-    }
-}
-
-fn parse_wl(s: &str) -> Result<WorkloadKind, String> {
-    let int = |v: &str| -> Result<usize, String> {
-        v.parse().map_err(|_| format!("bad workload number '{v}'"))
-    };
-    let (kind, rest) = s
-        .split_once(':')
-        .ok_or_else(|| format!("bad workload '{s}'"))?;
-    match kind {
-        "single" => Ok(WorkloadKind::SinglePacketFlows {
-            n_flows: int(rest)?,
-        }),
-        "cross" => {
-            let bad = || format!("expected cross:<flows>x<pkts>/<group>, got '{s}'");
-            let (nf, tail) = rest.split_once('x').ok_or_else(bad)?;
-            let (pp, g) = tail.split_once('/').ok_or_else(bad)?;
-            Ok(WorkloadKind::CrossSequenced {
-                n_flows: int(nf)?,
-                packets_per_flow: int(pp)?,
-                group_size: int(g)?,
-            })
-        }
-        "tcp" => {
-            let bad = || format!("expected tcp:<first>:<gap>:<second>, got '{s}'");
-            let (first, tail) = rest.split_once(':').ok_or_else(bad)?;
-            let (gap, second) = tail.split_once(':').ok_or_else(bad)?;
-            Ok(WorkloadKind::TcpEviction {
-                first_burst: int(first)?,
-                idle_gap: parse_dur(gap)?,
-                second_burst: int(second)?,
-            })
-        }
-        "mixed" => {
-            let bad = || format!("expected mixed:<udp>:<tcp>:<segments>, got '{s}'");
-            let (udp, tail) = rest.split_once(':').ok_or_else(bad)?;
-            let (tcp, seg) = tail.split_once(':').ok_or_else(bad)?;
-            Ok(WorkloadKind::MixedUdpTcp {
-                n_udp_flows: int(udp)?,
-                n_tcp: int(tcp)?,
-                segments_per_tcp: int(seg)?,
-            })
-        }
-        _ => Err(format!("bad workload kind '{kind}'")),
-    }
 }
 
 /// Runs `scenario` on a fresh testbed with the recording tracer attached

@@ -8,6 +8,7 @@
 
 use crate::executor::{Executor, NullSink, Parallelism, Progress, ProgressSink};
 use crate::{BufferMode, Metric, RunResult, Testbed, TestbedConfig};
+use sdnbuf_sim::faults::{fmt_dur, parse_dur};
 use sdnbuf_sim::{BitRate, Event, Nanos, Tracer};
 use sdnbuf_workload::{
     cross_sequenced_flows, mixed_udp_tcp, single_packet_flows, tcp_with_idle_gap, Departure,
@@ -15,6 +16,7 @@ use sdnbuf_workload::{
 };
 use std::collections::HashMap;
 use std::fmt;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -100,6 +102,89 @@ impl WorkloadKind {
                 n_tcp,
                 segments_per_tcp,
             } => mixed_udp_tcp(pktgen, n_udp_flows, n_tcp, segments_per_tcp, seed),
+        }
+    }
+}
+
+/// The workload grammar every CLI flag and replay spec shares:
+/// `single:<flows>`, `cross:<flows>x<pkts>/<group>`,
+/// `tcp:<first>:<gap>:<second>`, `mixed:<udp>:<tcp>:<segments>`. Parsing
+/// restores the displayed value exactly.
+impl fmt::Display for WorkloadKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            WorkloadKind::SinglePacketFlows { n_flows } => write!(f, "single:{n_flows}"),
+            WorkloadKind::CrossSequenced {
+                n_flows,
+                packets_per_flow,
+                group_size,
+            } => write!(f, "cross:{n_flows}x{packets_per_flow}/{group_size}"),
+            WorkloadKind::TcpEviction {
+                first_burst,
+                idle_gap,
+                second_burst,
+            } => write!(f, "tcp:{first_burst}:{}:{second_burst}", fmt_dur(idle_gap)),
+            WorkloadKind::MixedUdpTcp {
+                n_udp_flows,
+                n_tcp,
+                segments_per_tcp,
+            } => write!(f, "mixed:{n_udp_flows}:{n_tcp}:{segments_per_tcp}"),
+        }
+    }
+}
+
+/// Accepts what [`WorkloadKind`]'s `Display` prints, plus the aliases `iv`
+/// and `v` for the paper's Section IV and Section V workloads.
+impl FromStr for WorkloadKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<WorkloadKind, String> {
+        let int = |v: &str| -> Result<usize, String> {
+            v.parse().map_err(|_| format!("bad number '{v}' in '{s}'"))
+        };
+        let (kind, rest) = s.split_once(':').unwrap_or((s, ""));
+        let triple = |shape: &str| {
+            let mut fields = rest.splitn(3, ':');
+            match (fields.next(), fields.next(), fields.next()) {
+                (Some(a), Some(b), Some(c)) => Ok((a, b, c)),
+                _ => Err(format!("expected {shape}, got '{s}'")),
+            }
+        };
+        match kind {
+            "iv" if s == kind => Ok(WorkloadKind::paper_section_iv()),
+            "v" if s == kind => Ok(WorkloadKind::paper_section_v()),
+            "single" => Ok(WorkloadKind::SinglePacketFlows {
+                n_flows: int(rest)?,
+            }),
+            "cross" => {
+                let bad = || format!("expected cross:<flows>x<pkts>/<group>, got '{s}'");
+                let (flows, tail) = rest.split_once('x').ok_or_else(bad)?;
+                let (pkts, group) = tail.split_once('/').ok_or_else(bad)?;
+                Ok(WorkloadKind::CrossSequenced {
+                    n_flows: int(flows)?,
+                    packets_per_flow: int(pkts)?,
+                    group_size: int(group)?,
+                })
+            }
+            "tcp" => {
+                let (first, gap, second) = triple("tcp:<first>:<gap>:<second>")?;
+                Ok(WorkloadKind::TcpEviction {
+                    first_burst: int(first)?,
+                    idle_gap: parse_dur(gap)?,
+                    second_burst: int(second)?,
+                })
+            }
+            "mixed" => {
+                let (udp, tcp, segments) = triple("mixed:<udp>:<tcp>:<segments>")?;
+                Ok(WorkloadKind::MixedUdpTcp {
+                    n_udp_flows: int(udp)?,
+                    n_tcp: int(tcp)?,
+                    segments_per_tcp: int(segments)?,
+                })
+            }
+            _ => Err(format!(
+                "bad workload '{s}' (expected iv, v, single:, cross:, tcp: or mixed:)"
+            )),
         }
     }
 }

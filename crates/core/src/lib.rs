@@ -58,7 +58,7 @@ pub use experiment::{
 pub use metric::Metric;
 pub use result::RunResult;
 pub use testbed::{FailoverConfig, PacketTrace, Testbed, TestbedConfig};
-pub use trace::{Direction, MsgDesc, TraceEntry, TraceLog};
+pub use trace::MsgDesc;
 
 /// The structured event layer, re-exported from the simulation engine.
 /// (The event layer's `NullSink` is *not* re-exported flat because this

@@ -1,8 +1,10 @@
-//! The Fig. 1 testbed: two hosts, one switch, one controller, metered
-//! links, and the deterministic event loop that drives them.
+//! The Fig. 1 testbed as a wired topology: a data-port table (two hosts),
+//! one control wire per direction, a controller-slot table (primary and
+//! optional standby) around one switch, and the deterministic event loop
+//! that indexes them.
 
 use crate::trace::MsgDesc;
-use crate::{Direction, RunResult, TraceLog};
+use crate::RunResult;
 use sdnbuf_controller::{Controller, ControllerConfig, ControllerOutput, ParsedHeaders};
 use sdnbuf_metrics::ByteMeter;
 use sdnbuf_net::{FlowKey, Packet, PacketBuilder, Payload};
@@ -47,9 +49,6 @@ pub struct TestbedConfig {
     /// `stats_request` every interval, like Floodlight's statistics
     /// collector.
     pub stats_poll_interval: Option<Nanos>,
-    /// Keep a readable log of up to this many control-channel messages
-    /// (see [`crate::TraceLog`]). 0 = tracing off.
-    pub trace_capacity: usize,
     /// Warm-standby failover for the crash plane (defaults off). Only
     /// meaningful when [`Self::faults`] contains `crash=` windows.
     pub failover: FailoverConfig,
@@ -132,7 +131,6 @@ impl Default for TestbedConfig {
             egress_queues: None,
             keepalive_interval: None,
             stats_poll_interval: None,
-            trace_capacity: 0,
             failover: FailoverConfig::default(),
         }
     }
@@ -144,13 +142,6 @@ impl TestbedConfig {
         let mut cfg = TestbedConfig::default();
         cfg.switch.buffer = buffer;
         cfg
-    }
-
-    /// The fault plan the testbed will execute — [`Self::faults`], the
-    /// only loss-injection API since the `control_loss_one_in` shim was
-    /// retired. Kept for callers that want the plan the run resolved to.
-    pub fn effective_faults(&self) -> FaultPlan {
-        self.faults.clone()
     }
 
     /// Checks the whole testbed configuration — switch, controller, links,
@@ -201,8 +192,8 @@ type MsgHandle = PoolHandle;
 /// cloning frames.
 #[derive(Debug)]
 enum Event {
-    /// A frame leaves a host NIC (1 or 2).
-    FrameFromHost { host: u16, packet: PacketHandle },
+    /// A frame leaves the NIC of the host behind `port`.
+    FrameFromHost { port: PortNo, packet: PacketHandle },
     /// A frame arrives at the switch from a data link.
     FrameAtSwitch {
         in_port: PortNo,
@@ -225,18 +216,15 @@ enum Event {
         frames: Vec<(PortNo, Option<u32>, PacketHandle)>,
     },
     /// A frame arrives at a host.
-    FrameAtHost {
-        /// Receiving host (kept for trace readability in Debug output).
-        #[allow(dead_code)]
-        host: u16,
-        packet: PacketHandle,
+    FrameAtHost { packet: PacketHandle },
+    /// One end of the control channel finishes emitting a message.
+    CtrlSend {
+        dir: ChannelDir,
+        xid: u32,
+        msg: MsgHandle,
     },
-    /// The switch finishes emitting a control message.
-    CtrlFromSwitch { xid: u32, msg: MsgHandle },
     /// A control message arrives at the controller.
     CtrlAtController { xid: u32, msg: MsgHandle },
-    /// The controller finishes emitting a control message.
-    CtrlFromController { xid: u32, msg: MsgHandle },
     /// A control message arrives at the switch.
     CtrlAtSwitch { xid: u32, msg: MsgHandle },
     /// The switch's timer (table expiry / buffer re-request) fires.
@@ -245,12 +233,12 @@ enum Event {
     ControllerKeepalive,
     /// The controller originates a statistics poll.
     ControllerStatsPoll,
-    /// A crash window opens: the named controller loses all volatile
+    /// A crash window opens: the controller in `slot` loses all volatile
     /// state and its control socket goes dead.
-    ControllerCrash { standby: bool },
-    /// A crash window closes: the named controller comes back up and
+    ControllerCrash { slot: usize },
+    /// A crash window closes: the controller in `slot` comes back up and
     /// re-initiates the handshake under a bumped epoch.
-    ControllerRestart { standby: bool },
+    ControllerRestart { slot: usize },
     /// The warm standby finishes its takeover and handshakes in place of
     /// the dead primary.
     FailoverTakeover,
@@ -302,6 +290,50 @@ impl EgressLink {
     }
 }
 
+/// One switch data port and the host behind it: the two unidirectional
+/// links and their trace labels. The port table is indexed by
+/// `PortNo - 1`.
+struct DataPort {
+    to_sw: Link,
+    to_sw_label: &'static str,
+    from_sw: EgressLink,
+    from_sw_label: &'static str,
+}
+
+/// One direction of the control channel: the link and the capture tap on
+/// its sender's NIC. The wire table is indexed by [`ChannelDir`].
+struct CtrlWire {
+    dir: ChannelDir,
+    link: Link,
+    meter: ByteMeter,
+}
+
+/// One controller process. The slot table holds the primary and, when
+/// failover is configured, the standby; `Testbed::serving` indexes the one
+/// the switch currently talks to.
+struct CtrlSlot {
+    ctrl: Controller,
+    /// Liveness of the process. Tracked as explicit state — not derived
+    /// from the fault windows — because with failover the primary stays
+    /// dead past its window's end (the standby serves).
+    dead: bool,
+    /// Trace label of the slot.
+    role: &'static str,
+    /// Whether one of the slot's own crash windows covers an instant.
+    down: fn(&FaultState, Nanos) -> bool,
+}
+
+const PRIMARY: usize = 0;
+const STANDBY: usize = 1;
+
+/// Per-flow delay samples extracted from the packet records.
+struct FlowDelays {
+    setup_ms: Vec<f64>,
+    forwarding_ms: Vec<f64>,
+    switch_ms: Vec<f64>,
+    flows_completed: usize,
+}
+
 /// The assembled testbed of Fig. 1.
 ///
 /// Create one per run, feed it a workload with [`Testbed::run`], read the
@@ -309,18 +341,16 @@ impl EgressLink {
 pub struct Testbed {
     config: TestbedConfig,
     switch: Switch,
-    controller: Controller,
-    /// The warm/cold standby controller (crash plane), when configured.
-    standby: Option<Controller>,
-    /// Whether the standby has taken over as the serving controller.
-    active_standby: bool,
+    /// Data ports 1 and 2 (hosts 1 and 2).
+    ports: [DataPort; 2],
+    /// The control channel, one wire per direction.
+    ctrl: [CtrlWire; 2],
+    /// The controllers: primary, then the standby when configured.
+    slots: Vec<CtrlSlot>,
+    /// Which slot the switch's session is with.
+    serving: usize,
     /// The controller-side session epoch (0 until the crash plane arms).
     ctrl_epoch: u32,
-    /// Liveness of each controller process. Tracked as explicit state —
-    /// not derived from the fault windows — because with failover the
-    /// primary stays dead past its window's end (the standby serves).
-    primary_dead: bool,
-    standby_dead: bool,
     ctrl_crashes: u64,
     failover_takeovers: u64,
     queue: EventQueue<Event>,
@@ -329,23 +359,12 @@ pub struct Testbed {
     pool: PacketPool,
     /// Slab pool for in-flight control messages.
     msgs: Pool<OfpMessage>,
-    // Links (unidirectional).
-    host1_to_sw: Link,
-    host2_to_sw: Link,
-    sw_to_host1: EgressLink,
-    sw_to_host2: EgressLink,
-    sw_to_ctrl: Link,
-    ctrl_to_sw: Link,
-    // Taps.
-    meter_to_controller: ByteMeter,
-    meter_to_switch: ByteMeter,
     ctrl_drops: u64,
     data_drops: u64,
     faults: FaultState,
     /// Whether buffer pressure was on at the last data-frame arrival (to
     /// toggle the mechanism only on window edges).
     pressure_on: bool,
-    trace: TraceLog,
     tracer: Tracer,
     // Measurement state.
     records: FastHashMap<PacketId, PacketTimes>,
@@ -380,45 +399,54 @@ impl Testbed {
     /// panicking — the single validation path for testbed construction.
     pub fn try_new(config: TestbedConfig) -> Result<Testbed, String> {
         config.validate()?;
-        let egress = |data_link: LinkConfig| match &config.egress_queues {
-            None => EgressLink::Fifo(Link::new(data_link)),
-            Some(queues) => {
-                EgressLink::Qos(MultiQueueLink::new(queues.clone(), data_link.propagation))
-            }
+        let port = |to_sw_label, from_sw_label| DataPort {
+            to_sw: Link::new(config.data_link),
+            to_sw_label,
+            from_sw: match &config.egress_queues {
+                None => EgressLink::Fifo(Link::new(config.data_link)),
+                Some(queues) => EgressLink::Qos(MultiQueueLink::new(
+                    queues.clone(),
+                    config.data_link.propagation,
+                )),
+            },
+            from_sw_label,
         };
-        let standby = config.failover.standby.then(|| {
-            let mut sb = Controller::new(config.controller);
+        let wire = |dir| CtrlWire {
+            dir,
+            link: Link::new(config.control_link),
+            meter: ByteMeter::new(),
+        };
+        let slot = |role, down| CtrlSlot {
+            ctrl: Controller::new(config.controller),
+            dead: false,
+            role,
+            down,
+        };
+        let mut slots = Vec::with_capacity(1 + usize::from(config.failover.standby));
+        slots.push(slot("primary", FaultState::primary_down));
+        if config.failover.standby {
+            let mut standby = slot("standby", FaultState::standby_down);
             // A disjoint xid range keeps the standby's messages
             // distinguishable from stale primary traffic.
-            sb.set_xid_base(0xC000_0000);
-            sb
-        });
+            standby.ctrl.set_xid_base(0xC000_0000);
+            slots.push(standby);
+        }
         Ok(Testbed {
             switch: Switch::new(config.switch),
-            controller: Controller::new(config.controller),
-            standby,
-            active_standby: false,
+            ports: [port("h1->sw", "sw->h1"), port("h2->sw", "sw->h2")],
+            ctrl: [wire(ChannelDir::ToController), wire(ChannelDir::ToSwitch)],
+            slots,
+            serving: PRIMARY,
             ctrl_epoch: 0,
-            primary_dead: false,
-            standby_dead: false,
             ctrl_crashes: 0,
             failover_takeovers: 0,
             queue: EventQueue::new(),
             pool: PacketPool::new(),
             msgs: Pool::new(),
-            host1_to_sw: Link::new(config.data_link),
-            host2_to_sw: Link::new(config.data_link),
-            sw_to_host1: egress(config.data_link),
-            sw_to_host2: egress(config.data_link),
-            sw_to_ctrl: Link::new(config.control_link),
-            ctrl_to_sw: Link::new(config.control_link),
-            meter_to_controller: ByteMeter::new(),
-            meter_to_switch: ByteMeter::new(),
             ctrl_drops: 0,
             data_drops: 0,
-            faults: FaultState::new(config.effective_faults()),
+            faults: FaultState::new(config.faults.clone()),
             pressure_on: false,
-            trace: TraceLog::new(config.trace_capacity),
             tracer: Tracer::off(),
             records: FastHashMap::default(),
             pkt_in_sent: FastHashMap::default(),
@@ -442,38 +470,18 @@ impl Testbed {
 
     /// The controller model (for inspection after a run).
     pub fn controller(&self) -> &Controller {
-        &self.controller
+        &self.slots[PRIMARY].ctrl
     }
 
     /// The standby controller, when failover is configured.
     pub fn standby(&self) -> Option<&Controller> {
-        self.standby.as_ref()
+        self.slots.get(STANDBY).map(|slot| &slot.ctrl)
     }
 
     /// Whether the standby is the serving controller (a takeover
     /// happened during the run).
     pub fn standby_active(&self) -> bool {
-        self.active_standby
-    }
-
-    /// The serving controller: the standby after a takeover, the primary
-    /// otherwise.
-    fn active_ctrl_mut(&mut self) -> &mut Controller {
-        if self.active_standby {
-            self.standby.as_mut().expect("takeover without a standby")
-        } else {
-            &mut self.controller
-        }
-    }
-
-    /// Whether the serving controller's process is currently dead (its
-    /// socket is gone; deliveries are lost, probes don't originate).
-    fn active_ctrl_down(&self) -> bool {
-        if self.active_standby {
-            self.standby_dead
-        } else {
-            self.primary_dead
-        }
+        self.serving == STANDBY
     }
 
     /// Mutable access to the switch, for advanced setups that inspect or
@@ -495,28 +503,27 @@ impl Testbed {
         self.process_switch_outputs(outputs, None);
     }
 
-    /// The control-channel trace (empty unless `trace_capacity` was set).
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
-    }
-
     /// Attaches a structured event tracer to the whole testbed: the
-    /// switch (bus, flow table, buffer mechanism), the controller (ingest
+    /// switch (bus, flow table, buffer mechanism), the controllers (ingest
     /// bus, decisions), every data link, and both control-channel
     /// directions. Call before [`Testbed::run`]; tracing is off by default
     /// and costs one branch per potential event when disabled.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.switch.set_tracer(tracer.clone());
-        self.controller.set_tracer(tracer.clone());
-        if let Some(sb) = self.standby.as_mut() {
-            sb.set_tracer(tracer.clone());
+        for slot in &mut self.slots {
+            slot.ctrl.set_tracer(tracer.clone());
         }
-        self.host1_to_sw.set_tracer(tracer.clone(), "h1->sw");
-        self.host2_to_sw.set_tracer(tracer.clone(), "h2->sw");
-        self.sw_to_host1.set_tracer(tracer.clone(), "sw->h1");
-        self.sw_to_host2.set_tracer(tracer.clone(), "sw->h2");
-        self.sw_to_ctrl.set_tracer(tracer.clone(), "sw->ctl");
-        self.ctrl_to_sw.set_tracer(tracer.clone(), "ctl->sw");
+        for port in &mut self.ports {
+            port.to_sw.set_tracer(tracer.clone(), port.to_sw_label);
+            port.from_sw.set_tracer(tracer.clone(), port.from_sw_label);
+        }
+        for wire in &mut self.ctrl {
+            let label = match wire.dir {
+                ChannelDir::ToController => "sw->ctl",
+                ChannelDir::ToSwitch => "ctl->sw",
+            };
+            wire.link.set_tracer(tracer.clone(), label);
+        }
         self.tracer = tracer;
     }
 
@@ -546,42 +553,22 @@ impl Testbed {
         // OpenFlow session handshake: hello, features, config — and the
         // vendor-extension capability announcement when the switch runs
         // the flow-granularity mechanism.
-        let handshake = self
-            .controller
-            .initiate_handshake(Nanos::ZERO, self.config.switch.miss_send_len);
-        for ControllerOutput::ToSwitch { at, xid, msg } in handshake {
-            let msg = self.msgs.insert(msg);
-            self.queue
-                .schedule(at, Event::CtrlFromController { xid, msg });
-        }
+        self.handshake(Nanos::ZERO);
         let announce = self.switch.announce_capabilities(Nanos::ZERO);
         self.process_switch_outputs(announce, None);
 
         // Warm-up: both hosts announce themselves so the controller's
         // learning table knows where Host2 lives (as on the real testbed,
         // where hosts ARP before pktgen starts).
-        let h1 = HostAddr::host1();
-        let h2 = HostAddr::host2();
-        let arp1 = self
-            .pool
-            .insert(PacketBuilder::gratuitous_arp(h1.mac, h1.ip));
-        self.queue.schedule(
-            Nanos::ZERO,
-            Event::FrameFromHost {
-                host: 1,
-                packet: arp1,
-            },
-        );
-        let arp2 = self
-            .pool
-            .insert(PacketBuilder::gratuitous_arp(h2.mac, h2.ip));
-        self.queue.schedule(
-            Nanos::from_millis(1),
-            Event::FrameFromHost {
-                host: 2,
-                packet: arp2,
-            },
-        );
+        for (port, host, at) in [
+            (PortNo(1), HostAddr::host1(), Nanos::ZERO),
+            (PortNo(2), HostAddr::host2(), Nanos::from_millis(1)),
+        ] {
+            let arp = PacketBuilder::gratuitous_arp(host.mac, host.ip);
+            let packet = self.pool.insert(arp);
+            self.queue
+                .schedule(at, Event::FrameFromHost { port, packet });
+        }
 
         // Data: shift departures past the warm-up gap.
         let shift = self.config.warmup_gap;
@@ -602,14 +589,27 @@ impl Testbed {
             // The only copy made of a workload packet: into the pool, once,
             // at schedule time. Everything downstream passes the handle.
             let packet = self.pool.insert(d.packet.clone());
+            let port = PortNo(1);
             self.queue
-                .schedule(shift + d.at, Event::FrameFromHost { host: 1, packet });
+                .schedule(shift + d.at, Event::FrameFromHost { port, packet });
         }
 
-        // Pre-schedule controller-originated probes across the run window
-        // (the event loop must drain, so probes cannot self-reschedule).
         let horizon =
             shift + departures.last().map_or(Nanos::ZERO, |d| d.at) + self.config.warmup_gap;
+        self.schedule_probes(shift, horizon);
+        self.schedule_crash_plane();
+
+        while let Some((now, event)) = self.queue.pop() {
+            self.clock_end = self.clock_end.max(now);
+            self.events_dispatched += 1;
+            self.dispatch(now, event);
+        }
+        self.collect(departures.len() as u64, flows_total)
+    }
+
+    /// Pre-schedules controller-originated probes across the run window
+    /// (the event loop must drain, so probes cannot self-reschedule).
+    fn schedule_probes(&mut self, data_shift: Nanos, horizon: Nanos) {
         // Keepalives run for the whole session (they start with the
         // handshake, not the data phase): the switch's liveness detector
         // must hear the controller during warm-up too.
@@ -621,490 +621,357 @@ impl Testbed {
             }
         }
         if let Some(interval) = self.config.stats_poll_interval {
-            let mut t = shift + interval;
+            let mut t = data_shift + interval;
             while t < horizon {
                 self.queue.schedule(t, Event::ControllerStatsPoll);
                 t += interval;
             }
         }
+    }
 
-        // Crash plane: arm the switch's epoch/liveness machinery and
-        // pre-plan crash / restart / takeover orchestration from the
-        // fault windows. Everything stays off (and runs byte-identical)
-        // without `crash=` windows in the plan.
-        if self.config.faults.has_crashes() {
-            self.switch.arm_crash_plane();
-            self.ctrl_epoch = 1;
-            self.controller.set_epoch(1);
-            let crashes = self.config.faults.crashes.clone();
-            let crashes_standby = self.config.faults.crashes_standby.clone();
-            let failover = self.config.failover;
-            for w in &crashes {
+    /// Crash plane: arms the switch's epoch/liveness machinery and
+    /// pre-plans crash / restart / takeover orchestration from the fault
+    /// windows. Everything stays off (and runs byte-identical) without
+    /// `crash=` windows in the plan.
+    fn schedule_crash_plane(&mut self) {
+        if !self.config.faults.has_crashes() {
+            return;
+        }
+        self.switch.arm_crash_plane();
+        self.ctrl_epoch = 1;
+        self.slots[PRIMARY].ctrl.set_epoch(1);
+        let failover = self.config.failover;
+        for w in &self.config.faults.crashes {
+            let slot = PRIMARY;
+            self.queue.schedule(w.from, Event::ControllerCrash { slot });
+            if failover.standby {
                 self.queue
-                    .schedule(w.from, Event::ControllerCrash { standby: false });
-                if failover.standby {
-                    self.queue
-                        .schedule(w.from + failover.takeover_delay, Event::FailoverTakeover);
-                } else {
-                    self.queue
-                        .schedule(w.until, Event::ControllerRestart { standby: false });
-                }
-            }
-            for w in &crashes_standby {
+                    .schedule(w.from + failover.takeover_delay, Event::FailoverTakeover);
+            } else {
                 self.queue
-                    .schedule(w.from, Event::ControllerCrash { standby: true });
-                self.queue
-                    .schedule(w.until, Event::ControllerRestart { standby: true });
+                    .schedule(w.until, Event::ControllerRestart { slot });
             }
         }
-
-        while let Some((now, event)) = self.queue.pop() {
-            self.clock_end = self.clock_end.max(now);
-            self.events_dispatched += 1;
-            self.dispatch(now, event);
+        for w in &self.config.faults.crashes_standby {
+            let slot = STANDBY;
+            self.queue.schedule(w.from, Event::ControllerCrash { slot });
+            self.queue
+                .schedule(w.until, Event::ControllerRestart { slot });
         }
-        self.collect(departures.len() as u64, flows_total)
     }
 
     fn dispatch(&mut self, now: Nanos, event: Event) {
         match event {
-            Event::FrameFromHost { host, packet } => {
-                let len = self.pool.get(packet).expect("live frame handle").wire_len();
-                if self.faults.data_link_down(now) {
-                    self.data_drops += 1;
-                    self.pool.release(packet);
-                    self.tracer.emit(
-                        now,
-                        EventKind::LinkDrop {
-                            link: if host == 1 { "h1->sw" } else { "h2->sw" },
-                            bytes: len,
-                        },
-                    );
-                    return;
-                }
-                let link = if host == 1 {
-                    &mut self.host1_to_sw
-                } else {
-                    &mut self.host2_to_sw
-                };
-                match link.enqueue(now, len) {
-                    Some(arrival) => self.queue.schedule(
-                        arrival,
-                        Event::FrameAtSwitch {
-                            in_port: PortNo(host),
-                            packet,
-                        },
-                    ),
-                    None => {
-                        self.data_drops += 1;
-                        self.pool.release(packet);
-                    }
-                }
-            }
+            Event::FrameFromHost { port, packet } => self.on_frame_from_host(now, port, packet),
             Event::FrameAtSwitch { in_port, packet } => {
-                let (id, flow) = {
-                    let pk = self.pool.get(packet).expect("live frame handle");
-                    (packet_id(pk), FlowKey::of(pk))
-                };
-                if let Some(id) = id {
-                    if let Some(rec) = self.records.get_mut(&id) {
-                        rec.entered_switch.get_or_insert(now);
-                    }
-                }
-                let pressure = self.faults.pressure_active(now);
-                if pressure != self.pressure_on {
-                    self.pressure_on = pressure;
-                    self.switch.set_buffer_pressure(pressure);
-                }
-                let outputs = self
-                    .switch
-                    .handle_frame(now, in_port, packet, &mut self.pool);
-                self.process_switch_outputs(outputs, flow);
-                self.arm_timer();
+                self.on_frame_at_switch(now, in_port, packet)
             }
             Event::EgressAtSwitch {
                 port,
                 queue,
                 packet,
-            } => {
-                self.egress_frame(now, port, queue, packet);
-            }
+            } => self.egress_frame(now, port, queue, packet),
+            // Frames in a batch left the switch at the same instant and
+            // were adjacent in the event order; handling them in sequence
+            // is observably identical to one event each.
             Event::EgressBatch { frames } => {
-                // Frames in a batch left the switch at the same instant and
-                // were adjacent in the event order; handling them in
-                // sequence is observably identical to one event each.
                 for (port, queue, packet) in frames {
                     self.egress_frame(now, port, queue, packet);
                 }
             }
-            Event::FrameAtHost { packet, .. } => {
-                let id = self.pool.get(packet).and_then(packet_id);
-                if let Some(id) = id {
-                    if let Some(rec) = self.records.get_mut(&id) {
-                        rec.delivered.get_or_insert(now);
-                    }
-                }
-                // End of the packet's life: drop the last pool reference.
+            Event::FrameAtHost { packet } => self.on_frame_at_host(now, packet),
+            Event::CtrlSend { dir, xid, msg } => self.send_ctrl(now, dir, xid, msg),
+            Event::CtrlAtController { xid, msg } => self.on_ctrl_at_controller(now, xid, msg),
+            Event::CtrlAtSwitch { xid, msg } => self.on_ctrl_at_switch(now, xid, msg),
+            Event::SwitchTimer => self.on_switch_timer(now),
+            Event::ControllerKeepalive => self.on_probe(now, Controller::keepalive),
+            Event::ControllerStatsPoll => self.on_probe(now, Controller::poll_flow_stats),
+            Event::ControllerCrash { slot } => self.on_crash(now, slot),
+            Event::ControllerRestart { slot } => self.on_restart(now, slot),
+            Event::FailoverTakeover => self.on_takeover(now),
+        }
+    }
+
+    /// Stamps one field of a workload packet's timeline, first time only.
+    fn stamp(
+        &mut self,
+        id: Option<PacketId>,
+        now: Nanos,
+        field: impl FnOnce(&mut PacketTimes) -> &mut Option<Nanos>,
+    ) {
+        if let Some(rec) = id.and_then(|id| self.records.get_mut(&id)) {
+            field(rec).get_or_insert(now);
+        }
+    }
+
+    fn on_frame_from_host(&mut self, now: Nanos, in_port: PortNo, packet: PacketHandle) {
+        let len = self.pool.get(packet).expect("live frame handle").wire_len();
+        let host = &mut self.ports[usize::from(in_port.0) - 1];
+        if self.faults.data_link_down(now) {
+            self.data_drops += 1;
+            self.pool.release(packet);
+            let link = host.to_sw_label;
+            self.tracer
+                .emit(now, EventKind::LinkDrop { link, bytes: len });
+            return;
+        }
+        match host.to_sw.enqueue(now, len) {
+            Some(arrival) => self
+                .queue
+                .schedule(arrival, Event::FrameAtSwitch { in_port, packet }),
+            None => {
+                self.data_drops += 1;
                 self.pool.release(packet);
             }
-            Event::CtrlFromSwitch { xid, msg } => {
-                let (len, label) = {
-                    let m = self.msgs.get(msg).expect("live ctrl msg handle");
-                    (m.wire_len(), MsgDesc::of(m).label())
-                };
-                self.trace.record(
-                    now,
-                    Direction::ToController,
+        }
+    }
+
+    fn on_frame_at_switch(&mut self, now: Nanos, in_port: PortNo, packet: PacketHandle) {
+        let (id, flow) = {
+            let pk = self.pool.get(packet).expect("live frame handle");
+            (packet_id(pk), FlowKey::of(pk))
+        };
+        self.stamp(id, now, |rec| &mut rec.entered_switch);
+        let pressure = self.faults.pressure_active(now);
+        if pressure != self.pressure_on {
+            self.pressure_on = pressure;
+            self.switch.set_buffer_pressure(pressure);
+        }
+        let outputs = self
+            .switch
+            .handle_frame(now, in_port, packet, &mut self.pool);
+        self.process_switch_outputs(outputs, flow);
+        self.arm_timer();
+    }
+
+    fn on_frame_at_host(&mut self, now: Nanos, packet: PacketHandle) {
+        let id = self.pool.get(packet).and_then(packet_id);
+        self.stamp(id, now, |rec| &mut rec.delivered);
+        // End of the packet's life: drop the last pool reference.
+        self.pool.release(packet);
+    }
+
+    /// A control message's wire size and trace label.
+    fn describe(&self, msg: MsgHandle) -> (usize, &'static str) {
+        let m = self.msgs.get(msg).expect("live ctrl msg handle");
+        (m.wire_len(), MsgDesc::of(m).label())
+    }
+
+    /// The one way onto the control channel, either direction: capture
+    /// tap, fault plane, link queueing, then the arrival at the far end.
+    fn send_ctrl(&mut self, now: Nanos, dir: ChannelDir, xid: u32, msg: MsgHandle) {
+        let (len, label) = self.describe(msg);
+        let wire = &mut self.ctrl[dir as usize];
+        debug_assert_eq!(wire.dir, dir);
+        if now >= self.data_start {
+            // Metered before the fault plane, like a capture tap on the
+            // sender's NIC: dropped messages were still sent.
+            wire.meter.record(now, len);
+        }
+        let effect = self.faults.ctrl_effect(now, dir);
+        if effect.dropped {
+            return self.drop_ctrl(now, dir, xid, msg);
+        }
+        // A fault-injected duplicate is a second trip over the same wire.
+        for copy in 0..=usize::from(effect.duplicate) {
+            let Some(arrival) = self.ctrl[dir as usize].link.enqueue(now, len) else {
+                // Queue overflow loses the message; a duplicate that does
+                // not fit was never made.
+                if copy == 0 {
+                    self.drop_ctrl(now, dir, xid, msg);
+                }
+                return;
+            };
+            let arrive = arrival + effect.extra_delay;
+            self.tracer.emit(
+                now,
+                EventKind::CtrlMsg {
+                    dir,
                     xid,
-                    self.msgs.get(msg).expect("live ctrl msg handle"),
-                );
-                if now >= self.data_start {
-                    // Metered before the fault plane, like a capture tap on
-                    // the sender's NIC: dropped messages were still sent.
-                    self.meter_to_controller.record(now, len);
-                }
-                let effect = self.faults.ctrl_effect(now, ChannelDir::ToController);
-                if effect.dropped {
-                    self.ctrl_drops += 1;
-                    self.msgs.release(msg);
-                    self.tracer.emit(
-                        now,
-                        EventKind::CtrlDrop {
-                            dir: ChannelDir::ToController,
-                            xid,
-                            bytes: len,
-                            label,
-                        },
-                    );
-                    return;
-                }
-                match self.sw_to_ctrl.enqueue(now, len) {
-                    Some(arrival) => {
-                        let arrival = arrival + effect.extra_delay;
-                        self.tracer.emit(
-                            now,
-                            EventKind::CtrlMsg {
-                                dir: ChannelDir::ToController,
-                                xid,
-                                bytes: len,
-                                label,
-                                arrive: arrival,
-                            },
-                        );
-                        if effect.duplicate {
-                            if let Some(dup_arrival) = self.sw_to_ctrl.enqueue(now, len) {
-                                let dup_arrival = dup_arrival + effect.extra_delay;
-                                self.tracer.emit(
-                                    now,
-                                    EventKind::CtrlMsg {
-                                        dir: ChannelDir::ToController,
-                                        xid,
-                                        bytes: len,
-                                        label,
-                                        arrive: dup_arrival,
-                                    },
-                                );
-                                // The duplicate shares the original's pool
-                                // entry: one more reference, no clone.
-                                self.msgs.retain(msg);
-                                self.queue
-                                    .schedule(dup_arrival, Event::CtrlAtController { xid, msg });
-                            }
-                        }
-                        self.queue
-                            .schedule(arrival, Event::CtrlAtController { xid, msg })
-                    }
-                    None => {
-                        self.tracer.emit(
-                            now,
-                            EventKind::CtrlDrop {
-                                dir: ChannelDir::ToController,
-                                xid,
-                                bytes: len,
-                                label,
-                            },
-                        );
-                        self.msgs.release(msg);
-                        self.ctrl_drops += 1
-                    }
+                    bytes: len,
+                    label,
+                    arrive,
+                },
+            );
+            if copy > 0 {
+                // The duplicate shares the original's pool entry: one
+                // more reference, no clone.
+                self.msgs.retain(msg);
+            }
+            let arrival = match dir {
+                ChannelDir::ToController => Event::CtrlAtController { xid, msg },
+                ChannelDir::ToSwitch => Event::CtrlAtSwitch { xid, msg },
+            };
+            self.queue.schedule(arrive, arrival);
+        }
+    }
+
+    /// Loses one control message: counted, released, traced.
+    fn drop_ctrl(&mut self, now: Nanos, dir: ChannelDir, xid: u32, msg: MsgHandle) {
+        let (bytes, label) = self.describe(msg);
+        self.ctrl_drops += 1;
+        self.msgs.release(msg);
+        self.tracer.emit(
+            now,
+            EventKind::CtrlDrop {
+                dir,
+                xid,
+                bytes,
+                label,
+            },
+        );
+    }
+
+    /// Hands the serving controller's timed outputs to the control
+    /// channel, counting the responses of the measurement window.
+    fn schedule_ctrl_outputs(
+        &mut self,
+        now: Nanos,
+        outputs: impl IntoIterator<Item = ControllerOutput>,
+    ) {
+        for ControllerOutput::ToSwitch { at, xid, msg } in outputs {
+            if now >= self.data_start {
+                match &msg {
+                    OfpMessage::FlowMod(_) => self.flow_mod_count += 1,
+                    OfpMessage::PacketOut(_) => self.pkt_out_count += 1,
+                    _ => {}
                 }
             }
-            Event::CtrlAtController { xid, msg } => {
-                // A dead controller's socket is gone: deliveries during a
-                // crash window are lost outright. (A stall, by contrast,
-                // parks them — state survives a stall, not a crash.)
-                if self.active_ctrl_down() {
-                    let (len, label) = {
-                        let m = self.msgs.get(msg).expect("live ctrl msg handle");
-                        (m.wire_len(), MsgDesc::of(m).label())
-                    };
-                    self.ctrl_drops += 1;
-                    self.msgs.release(msg);
-                    self.tracer.emit(
-                        now,
-                        EventKind::CtrlDrop {
-                            dir: ChannelDir::ToController,
-                            xid,
-                            bytes: len,
-                            label,
-                        },
-                    );
-                    return;
-                }
-                // A stalled controller parks the message until the stall
-                // window ends (windows are half-open, so the re-scheduled
-                // arrival at `until` is processed normally).
-                if let Some(resume) = self.faults.stall_resume(now) {
-                    self.queue
-                        .schedule(resume, Event::CtrlAtController { xid, msg });
-                    return;
-                }
-                // `take` moves the message out when this is the only
-                // reference and clones only when a fault-injected duplicate
-                // still shares the entry.
-                let msg = self.msgs.take(msg).expect("live ctrl msg handle");
-                let outputs = self.active_ctrl_mut().handle_message(now, msg, xid);
-                for ControllerOutput::ToSwitch { at, xid, msg } in outputs {
-                    if now >= self.data_start {
-                        match &msg {
-                            OfpMessage::FlowMod(_) => self.flow_mod_count += 1,
-                            OfpMessage::PacketOut(_) => self.pkt_out_count += 1,
-                            _ => {}
-                        }
-                    }
-                    let msg = self.msgs.insert(msg);
-                    self.queue
-                        .schedule(at, Event::CtrlFromController { xid, msg });
-                }
-            }
-            Event::CtrlFromController { xid, msg } => {
-                let (len, label) = {
-                    let m = self.msgs.get(msg).expect("live ctrl msg handle");
-                    (m.wire_len(), MsgDesc::of(m).label())
-                };
-                self.trace.record(
-                    now,
-                    Direction::ToSwitch,
-                    xid,
-                    self.msgs.get(msg).expect("live ctrl msg handle"),
-                );
-                if now >= self.data_start {
-                    self.meter_to_switch.record(now, len);
-                }
-                let effect = self.faults.ctrl_effect(now, ChannelDir::ToSwitch);
-                if effect.dropped {
-                    self.ctrl_drops += 1;
-                    self.msgs.release(msg);
-                    self.tracer.emit(
-                        now,
-                        EventKind::CtrlDrop {
-                            dir: ChannelDir::ToSwitch,
-                            xid,
-                            bytes: len,
-                            label,
-                        },
-                    );
-                    return;
-                }
-                match self.ctrl_to_sw.enqueue(now, len) {
-                    Some(arrival) => {
-                        let arrival = arrival + effect.extra_delay;
-                        self.tracer.emit(
-                            now,
-                            EventKind::CtrlMsg {
-                                dir: ChannelDir::ToSwitch,
-                                xid,
-                                bytes: len,
-                                label,
-                                arrive: arrival,
-                            },
-                        );
-                        if effect.duplicate {
-                            if let Some(dup_arrival) = self.ctrl_to_sw.enqueue(now, len) {
-                                let dup_arrival = dup_arrival + effect.extra_delay;
-                                self.tracer.emit(
-                                    now,
-                                    EventKind::CtrlMsg {
-                                        dir: ChannelDir::ToSwitch,
-                                        xid,
-                                        bytes: len,
-                                        label,
-                                        arrive: dup_arrival,
-                                    },
-                                );
-                                self.msgs.retain(msg);
-                                self.queue
-                                    .schedule(dup_arrival, Event::CtrlAtSwitch { xid, msg });
-                            }
-                        }
-                        self.queue
-                            .schedule(arrival, Event::CtrlAtSwitch { xid, msg })
-                    }
-                    None => {
-                        self.tracer.emit(
-                            now,
-                            EventKind::CtrlDrop {
-                                dir: ChannelDir::ToSwitch,
-                                xid,
-                                bytes: len,
-                                label,
-                            },
-                        );
-                        self.msgs.release(msg);
-                        self.ctrl_drops += 1
-                    }
-                }
-            }
-            Event::CtrlAtSwitch { xid, msg } => {
-                // Controller delay: pkt_in left the switch -> first
-                // response with the same xid arrives back (the paper's
-                // t2 - t1).
-                if let Some((sent_at, flow)) = self.pkt_in_sent.remove(&xid) {
-                    let delay = now.saturating_sub(sent_at);
-                    self.controller_delays_ms.push(delay.as_millis_f64());
-                    if let Some(flow) = flow {
-                        self.controller_delay_of_flow.entry(flow).or_insert(delay);
-                    }
-                }
-                let msg = self.msgs.take(msg).expect("live ctrl msg handle");
-                let outputs = self
-                    .switch
-                    .handle_controller_msg(now, msg, xid, &mut self.pool);
-                self.process_switch_outputs(outputs, None);
-                self.arm_timer();
-            }
-            Event::SwitchTimer => {
-                if self.timer_armed == Some(now) {
-                    self.timer_armed = None;
-                }
-                if self.switch.next_timer().is_some_and(|t| t <= now) {
-                    let outputs = self.switch.on_timer(now, &mut self.pool);
-                    self.process_switch_outputs(outputs, None);
-                }
-                self.arm_timer();
-            }
-            Event::ControllerKeepalive => {
-                // A dead controller originates nothing — skipped probes
-                // are what starve the switch's liveness detector.
-                if self.active_ctrl_down() {
-                    return;
-                }
-                let ControllerOutput::ToSwitch { at, xid, msg } =
-                    self.active_ctrl_mut().keepalive(now);
-                let msg = self.msgs.insert(msg);
-                self.queue
-                    .schedule(at, Event::CtrlFromController { xid, msg });
-            }
-            Event::ControllerStatsPoll => {
-                if self.active_ctrl_down() {
-                    return;
-                }
-                let ControllerOutput::ToSwitch { at, xid, msg } =
-                    self.active_ctrl_mut().poll_flow_stats(now);
-                let msg = self.msgs.insert(msg);
-                self.queue
-                    .schedule(at, Event::CtrlFromController { xid, msg });
-            }
-            Event::ControllerCrash { standby } => {
-                // Crashing a controller that is not serving (or is already
-                // dead) is a no-op; overlapping windows collapse into one
-                // outage.
-                if standby != self.active_standby || self.active_ctrl_down() {
-                    return;
-                }
-                if standby {
-                    self.standby_dead = true;
-                } else {
-                    // Checkpoint replication: the standby's warm knowledge
-                    // is the primary's state as of the moment it died.
-                    if self.config.failover.warm {
-                        if let Some(sb) = self.standby.as_mut() {
-                            sb.sync_from(&self.controller);
-                        }
-                    }
-                    self.primary_dead = true;
-                }
-                self.ctrl_crashes += 1;
-                self.active_ctrl_mut().crash();
-                self.tracer.emit(
-                    now,
-                    EventKind::CtrlCrash {
-                        epoch: self.ctrl_epoch,
-                        role: if standby { "standby" } else { "primary" },
-                    },
-                );
-            }
-            Event::ControllerRestart { standby } => {
-                if standby != self.active_standby {
-                    return;
-                }
-                let dead = if standby {
-                    &mut self.standby_dead
-                } else {
-                    &mut self.primary_dead
-                };
-                if !*dead {
-                    return;
-                }
-                // Overlapping crash windows: stay dead until the last
-                // window covering `now` has closed (its own restart event
-                // will revive us).
-                let still_down = if standby {
-                    self.faults.standby_down(now)
-                } else {
-                    self.faults.primary_down(now)
-                };
-                if still_down {
-                    return;
-                }
-                *dead = false;
-                self.ctrl_epoch += 1;
-                let epoch = self.ctrl_epoch;
-                let miss = self.config.switch.miss_send_len;
-                self.tracer.emit(
-                    now,
-                    EventKind::CtrlRestart {
-                        epoch,
-                        role: if standby { "standby" } else { "primary" },
-                    },
-                );
-                let ctrl = self.active_ctrl_mut();
-                ctrl.set_epoch(epoch);
-                let outputs = ctrl.initiate_handshake(now, miss);
-                for ControllerOutput::ToSwitch { at, xid, msg } in outputs {
-                    let msg = self.msgs.insert(msg);
-                    self.queue
-                        .schedule(at, Event::CtrlFromController { xid, msg });
-                }
-            }
-            Event::FailoverTakeover => {
-                // Only the takeover scheduled by the crash that actually
-                // killed the serving primary acts.
-                if self.active_standby || !self.primary_dead {
-                    return;
-                }
-                self.active_standby = true;
-                self.failover_takeovers += 1;
-                self.ctrl_epoch += 1;
-                let epoch = self.ctrl_epoch;
-                let sync = if self.config.failover.warm {
-                    "warm"
-                } else {
-                    "cold"
-                };
-                let miss = self.config.switch.miss_send_len;
-                self.tracer
-                    .emit(now, EventKind::FailoverTakeover { epoch, sync });
-                let sb = self.standby.as_mut().expect("takeover without a standby");
-                sb.set_epoch(epoch);
-                let outputs = sb.initiate_handshake(now, miss);
-                for ControllerOutput::ToSwitch { at, xid, msg } in outputs {
-                    let msg = self.msgs.insert(msg);
-                    self.queue
-                        .schedule(at, Event::CtrlFromController { xid, msg });
-                }
+            let msg = self.msgs.insert(msg);
+            let dir = ChannelDir::ToSwitch;
+            self.queue.schedule(at, Event::CtrlSend { dir, xid, msg });
+        }
+    }
+
+    fn on_ctrl_at_controller(&mut self, now: Nanos, xid: u32, msg: MsgHandle) {
+        // A dead controller's socket is gone: deliveries during a crash
+        // window are lost outright. (A stall, by contrast, parks them —
+        // state survives a stall, not a crash.)
+        if self.slots[self.serving].dead {
+            return self.drop_ctrl(now, ChannelDir::ToController, xid, msg);
+        }
+        // A stalled controller parks the message until the stall window
+        // ends (windows are half-open, so the re-scheduled arrival at
+        // `until` is processed normally).
+        if let Some(resume) = self.faults.stall_resume(now) {
+            self.queue
+                .schedule(resume, Event::CtrlAtController { xid, msg });
+            return;
+        }
+        // `take` moves the message out when this is the only reference and
+        // clones only when a fault-injected duplicate still shares the
+        // entry.
+        let msg = self.msgs.take(msg).expect("live ctrl msg handle");
+        let outputs = self.slots[self.serving].ctrl.handle_message(now, msg, xid);
+        self.schedule_ctrl_outputs(now, outputs);
+    }
+
+    fn on_ctrl_at_switch(&mut self, now: Nanos, xid: u32, msg: MsgHandle) {
+        // Controller delay: pkt_in left the switch -> first response with
+        // the same xid arrives back (the paper's t2 - t1).
+        if let Some((sent_at, flow)) = self.pkt_in_sent.remove(&xid) {
+            let delay = now.saturating_sub(sent_at);
+            self.controller_delays_ms.push(delay.as_millis_f64());
+            if let Some(flow) = flow {
+                self.controller_delay_of_flow.entry(flow).or_insert(delay);
             }
         }
+        let msg = self.msgs.take(msg).expect("live ctrl msg handle");
+        let outputs = self
+            .switch
+            .handle_controller_msg(now, msg, xid, &mut self.pool);
+        self.process_switch_outputs(outputs, None);
+        self.arm_timer();
+    }
+
+    fn on_switch_timer(&mut self, now: Nanos) {
+        if self.timer_armed == Some(now) {
+            self.timer_armed = None;
+        }
+        if self.switch.next_timer().is_some_and(|t| t <= now) {
+            let outputs = self.switch.on_timer(now, &mut self.pool);
+            self.process_switch_outputs(outputs, None);
+        }
+        self.arm_timer();
+    }
+
+    /// The serving controller originates a probe (keepalive echo or stats
+    /// poll). A dead controller originates nothing — skipped probes are
+    /// what starve the switch's liveness detector.
+    fn on_probe(&mut self, now: Nanos, originate: fn(&mut Controller, Nanos) -> ControllerOutput) {
+        let slot = &mut self.slots[self.serving];
+        if slot.dead {
+            return;
+        }
+        let probe = originate(&mut slot.ctrl, now);
+        self.schedule_ctrl_outputs(now, [probe]);
+    }
+
+    fn on_crash(&mut self, now: Nanos, slot: usize) {
+        // Crashing a controller that is not serving (or is already dead)
+        // is a no-op; overlapping windows collapse into one outage.
+        if slot != self.serving || self.slots[slot].dead {
+            return;
+        }
+        // Checkpoint replication: the next slot's warm knowledge is the
+        // dying controller's state as of the moment it died.
+        if self.config.failover.warm {
+            if let [dying, successor, ..] = &mut self.slots[slot..] {
+                successor.ctrl.sync_from(&dying.ctrl);
+            }
+        }
+        let dying = &mut self.slots[slot];
+        dying.dead = true;
+        dying.ctrl.crash();
+        self.ctrl_crashes += 1;
+        let (epoch, role) = (self.ctrl_epoch, dying.role);
+        self.tracer.emit(now, EventKind::CtrlCrash { epoch, role });
+    }
+
+    fn on_restart(&mut self, now: Nanos, slot: usize) {
+        if slot != self.serving || !self.slots[slot].dead {
+            return;
+        }
+        // Overlapping crash windows: stay dead until the last window
+        // covering `now` has closed (its own restart event will revive us).
+        if (self.slots[slot].down)(&self.faults, now) {
+            return;
+        }
+        self.slots[slot].dead = false;
+        self.ctrl_epoch += 1;
+        let (epoch, role) = (self.ctrl_epoch, self.slots[slot].role);
+        self.tracer
+            .emit(now, EventKind::CtrlRestart { epoch, role });
+        self.handshake(now);
+    }
+
+    fn on_takeover(&mut self, now: Nanos) {
+        // Only the takeover scheduled by the crash that actually killed
+        // the serving primary acts.
+        if self.serving != PRIMARY || !self.slots[PRIMARY].dead {
+            return;
+        }
+        self.serving = STANDBY;
+        self.failover_takeovers += 1;
+        self.ctrl_epoch += 1;
+        let epoch = self.ctrl_epoch;
+        let sync = if self.config.failover.warm {
+            "warm"
+        } else {
+            "cold"
+        };
+        self.tracer
+            .emit(now, EventKind::FailoverTakeover { epoch, sync });
+        self.handshake(now);
+    }
+
+    /// The serving controller opens a session under the current epoch:
+    /// hello, features, config.
+    fn handshake(&mut self, now: Nanos) {
+        let ctrl = &mut self.slots[self.serving].ctrl;
+        ctrl.set_epoch(self.ctrl_epoch);
+        let outputs = ctrl.initiate_handshake(now, self.config.switch.miss_send_len);
+        self.schedule_ctrl_outputs(now, outputs);
     }
 
     /// Routes the switch's timed outputs into the event queue.
@@ -1174,7 +1041,8 @@ impl Testbed {
                         }
                     }
                     let msg = self.msgs.insert(msg);
-                    self.queue.schedule(at, Event::CtrlFromSwitch { xid, msg });
+                    let dir = ChannelDir::ToController;
+                    self.queue.schedule(at, Event::CtrlSend { dir, xid, msg });
                 }
                 SwitchOutput::Drop { packet } => {
                     self.data_drops += 1;
@@ -1195,36 +1063,22 @@ impl Testbed {
             let pk = self.pool.get(packet).expect("live frame handle");
             (pk.wire_len(), packet_id(pk))
         };
-        if let Some(id) = id {
-            if let Some(rec) = self.records.get_mut(&id) {
-                rec.left_switch.get_or_insert(now);
-            }
-        }
-        let (link, host) = match port {
-            PortNo(1) => (&mut self.sw_to_host1, 1),
-            PortNo(2) => (&mut self.sw_to_host2, 2),
-            other => {
-                debug_assert!(false, "egress on unknown port {other}");
-                self.pool.release(packet);
-                return;
-            }
+        self.stamp(id, now, |rec| &mut rec.left_switch);
+        let Some(host) = self.ports.get_mut(usize::from(port.0).wrapping_sub(1)) else {
+            debug_assert!(false, "egress on unknown port {port}");
+            self.pool.release(packet);
+            return;
         };
         if self.faults.data_link_down(now) {
             self.data_drops += 1;
             self.pool.release(packet);
-            self.tracer.emit(
-                now,
-                EventKind::LinkDrop {
-                    link: if host == 1 { "sw->h1" } else { "sw->h2" },
-                    bytes: len,
-                },
-            );
+            let link = host.from_sw_label;
+            self.tracer
+                .emit(now, EventKind::LinkDrop { link, bytes: len });
             return;
         }
-        match link.enqueue(now, queue, len) {
-            Some(arrival) => self
-                .queue
-                .schedule(arrival, Event::FrameAtHost { host, packet }),
+        match host.from_sw.enqueue(now, queue, len) {
+            Some(arrival) => self.queue.schedule(arrival, Event::FrameAtHost { packet }),
             None => {
                 self.data_drops += 1;
                 self.pool.release(packet);
@@ -1241,29 +1095,14 @@ impl Testbed {
         }
     }
 
-    fn collect(&mut self, packets_sent: u64, flows_total: usize) -> RunResult {
-        use sdnbuf_metrics::Summary;
-        // The measurement window ends with the last data-driven activity
-        // (delivery or control message); the rule-expiry housekeeping that
-        // trails for idle-timeout seconds afterwards is not part of the
-        // experiment, just as the paper's captures stop when pktgen does.
-        let last_delivery = self
-            .records
-            .values()
-            .filter_map(|r| r.delivered)
-            .max()
-            .unwrap_or(self.data_start);
-        let end = last_delivery
-            .max(self.meter_to_controller.last_at())
-            .max(self.meter_to_switch.last_at());
-        let active = end
-            .saturating_sub(self.data_start)
-            .max(Nanos::from_micros(1));
-
-        // Per-flow delay extraction.
-        let mut setup_ms = Vec::new();
-        let mut forwarding_ms = Vec::new();
-        let mut switch_ms = Vec::new();
+    /// Per-flow delay extraction from the packet records.
+    fn flow_delays(&self) -> FlowDelays {
+        let mut delays = FlowDelays {
+            setup_ms: Vec::new(),
+            forwarding_ms: Vec::new(),
+            switch_ms: Vec::new(),
+            flows_completed: 0,
+        };
         // Per flow: first packet's (enter, left, key), last left time,
         // delivered count, total count.
         type FlowAgg = (Option<(Nanos, Nanos, FlowKey)>, Option<Nanos>, usize, usize);
@@ -1283,59 +1122,91 @@ impl Testbed {
                 entry.1 = Some(entry.1.map_or(l, |prev: Nanos| prev.max(l)));
             }
         }
-        let mut flows_completed = 0usize;
         for (first, last_left, delivered, total) in per_flow.values() {
             if *delivered == *total && *total > 0 {
-                flows_completed += 1;
+                delays.flows_completed += 1;
             }
             if let Some((enter, left, key)) = first {
                 let setup = left.saturating_sub(*enter);
-                setup_ms.push(setup.as_millis_f64());
+                delays.setup_ms.push(setup.as_millis_f64());
                 if let Some(ctrl) = self.controller_delay_of_flow.get(key) {
-                    switch_ms.push(setup.saturating_sub(*ctrl).as_millis_f64());
+                    delays
+                        .switch_ms
+                        .push(setup.saturating_sub(*ctrl).as_millis_f64());
                 }
                 if let Some(last) = last_left {
-                    forwarding_ms.push(last.saturating_sub(*enter).as_millis_f64());
+                    delays
+                        .forwarding_ms
+                        .push(last.saturating_sub(*enter).as_millis_f64());
                 }
             }
         }
+        delays
+    }
 
+    fn collect(&mut self, packets_sent: u64, flows_total: usize) -> RunResult {
+        use sdnbuf_metrics::Summary;
+        let to_controller = &self.ctrl[ChannelDir::ToController as usize].meter;
+        let to_switch = &self.ctrl[ChannelDir::ToSwitch as usize].meter;
+        // The measurement window ends with the last data-driven activity
+        // (delivery or control message); the rule-expiry housekeeping that
+        // trails for idle-timeout seconds afterwards is not part of the
+        // experiment, just as the paper's captures stop when pktgen does.
+        let last_delivery = self
+            .records
+            .values()
+            .filter_map(|r| r.delivered)
+            .max()
+            .unwrap_or(self.data_start);
+        let end = last_delivery
+            .max(to_controller.last_at())
+            .max(to_switch.last_at());
+        let active = end
+            .saturating_sub(self.data_start)
+            .max(Nanos::from_micros(1));
+        let mbps = |meter: &ByteMeter| meter.bytes() as f64 * 8.0 / active.as_secs_f64() / 1e6;
+
+        let delays = self.flow_delays();
         let delivered = self
             .records
             .values()
             .filter(|r| r.delivered.is_some())
             .count() as u64;
-        let gauge = &self.switch.stats().buffer_occupancy;
+        let switch_stats = self.switch.stats();
         // Rescale the gauge's whole-run mean to the active span.
-        let mean_occ = gauge.time_weighted_mean(end) * end.as_secs_f64() / active.as_secs_f64();
+        let mean_occ = switch_stats.buffer_occupancy.time_weighted_mean(end) * end.as_secs_f64()
+            / active.as_secs_f64();
         let buf_stats = self.switch.buffer().stats();
-        // Echo round trips from whichever controllers served the run.
-        let mut echo_rtt = self.controller.stats().echo_rtt.clone();
-        if let Some(sb) = &self.standby {
-            echo_rtt.merge(&sb.stats().echo_rtt);
+        // Echo round trips and admission sheds from whichever controllers
+        // served the run.
+        let (primary, others) = self.slots.split_first().expect("the primary slot");
+        let mut echo_rtt = primary.ctrl.stats().echo_rtt.clone();
+        for slot in others {
+            echo_rtt.merge(&slot.ctrl.stats().echo_rtt);
         }
+        let admission_sheds: u64 = self
+            .slots
+            .iter()
+            .map(|slot| slot.ctrl.stats().admission_sheds.get())
+            .sum();
 
         RunResult {
             label: self.config.switch.buffer.label(),
             sending_rate_mbps: 0.0, // set by the experiment driver
             active_span: active,
-            ctrl_load_to_controller_mbps: self.meter_to_controller.bytes() as f64 * 8.0
-                / active.as_secs_f64()
-                / 1e6,
-            ctrl_load_to_switch_mbps: self.meter_to_switch.bytes() as f64 * 8.0
-                / active.as_secs_f64()
-                / 1e6,
+            ctrl_load_to_controller_mbps: mbps(to_controller),
+            ctrl_load_to_switch_mbps: mbps(to_switch),
             pkt_in_count: self.pkt_in_count,
-            ctrl_bytes_to_controller: self.meter_to_controller.bytes(),
-            ctrl_bytes_to_switch: self.meter_to_switch.bytes(),
+            ctrl_bytes_to_controller: to_controller.bytes(),
+            ctrl_bytes_to_switch: to_switch.bytes(),
             flow_mod_count: self.flow_mod_count,
             pkt_out_count: self.pkt_out_count,
-            controller_cpu_percent: self.controller.cpu_percent(active),
+            controller_cpu_percent: primary.ctrl.cpu_percent(active),
             switch_cpu_percent: self.switch.cpu_percent(active),
-            flow_setup_delay: Summary::of(&setup_ms),
+            flow_setup_delay: Summary::of(&delays.setup_ms),
             controller_delay: Summary::of(&self.controller_delays_ms),
-            switch_delay: Summary::of(&switch_ms),
-            flow_forwarding_delay: Summary::of(&forwarding_ms),
+            switch_delay: Summary::of(&delays.switch_ms),
+            flow_forwarding_delay: Summary::of(&delays.forwarding_ms),
             buffer_mean_occupancy: mean_occ,
             buffer_peak_occupancy: buf_stats.peak_occupancy,
             buffer_fallbacks: buf_stats.fallback_full,
@@ -1343,21 +1214,17 @@ impl Testbed {
             buffer_expired: buf_stats.expired,
             buffer_giveups: buf_stats.giveups,
             stale_releases: buf_stats.stale_releases,
-            admission_sheds: self.controller.stats().admission_sheds.get()
-                + self
-                    .standby
-                    .as_ref()
-                    .map_or(0, |sb| sb.stats().admission_sheds.get()),
-            degraded_entries: self.switch.stats().degraded_entries.get(),
-            degraded_exits: self.switch.stats().degraded_exits.get(),
-            degraded_sheds: self.switch.stats().degraded_sheds.get(),
+            admission_sheds,
+            degraded_entries: switch_stats.degraded_entries.get(),
+            degraded_exits: switch_stats.degraded_exits.get(),
+            degraded_sheds: switch_stats.degraded_sheds.get(),
             ctrl_crashes: self.ctrl_crashes,
             failover_takeovers: self.failover_takeovers,
-            epoch_bumps: self.switch.stats().epoch_bumps.get(),
-            stale_epoch_rejects: self.switch.stats().stale_epoch_rejects.get(),
-            liveness_suspects: self.switch.stats().liveness_suspects.get(),
-            suspect_sheds: self.switch.stats().suspect_sheds.get(),
-            reconcile_rerequests: self.switch.stats().reconcile_rerequests.get(),
+            epoch_bumps: switch_stats.epoch_bumps.get(),
+            stale_epoch_rejects: switch_stats.stale_epoch_rejects.get(),
+            liveness_suspects: switch_stats.liveness_suspects.get(),
+            suspect_sheds: switch_stats.suspect_sheds.get(),
+            reconcile_rerequests: switch_stats.reconcile_rerequests.get(),
             echo_rtt_p50_ms: echo_rtt.quantile_ms(0.50),
             echo_rtt_p99_ms: echo_rtt.quantile_ms(0.99),
             echo_rtt_samples: echo_rtt.count(),
@@ -1366,7 +1233,7 @@ impl Testbed {
             packets_dropped: self.data_drops,
             ctrl_drops: self.ctrl_drops,
             events_dispatched: self.events_dispatched,
-            flows_completed,
+            flows_completed: delays.flows_completed,
             flows_total,
         }
     }
@@ -1578,5 +1445,81 @@ mod tests {
         // Two 300 us propagation legs bound the round trip from below.
         assert!(r.echo_rtt_p50_ms > 0.6, "{}", r.echo_rtt_p50_ms);
         assert!(r.echo_rtt_p99_ms >= r.echo_rtt_p50_ms);
+    }
+
+    #[test]
+    fn events_stay_four_words() {
+        // The queue stores events by value; growing one grows every slot.
+        assert!(std::mem::size_of::<Event>() <= 32);
+    }
+
+    /// `send_ctrl` is one path for both directions: the same knobs on
+    /// `c.*` and on `s.*` shape a fixed message sequence identically —
+    /// the `CtrlMsg`/`CtrlDrop` events differ only in `dir`, and the taps,
+    /// drop counts, pending arrivals and pool references agree.
+    #[test]
+    fn send_ctrl_is_symmetric_in_direction() {
+        let drive = |side: &str, dir: ChannelDir| {
+            let plan = format!("fseed=7,{side}.dup=0.5,{side}.jitter=200us,{side}.loss=nth:3");
+            let mut tb = Testbed::new(TestbedConfig {
+                faults: FaultPlan::parse(&plan).expect("valid plan"),
+                ..TestbedConfig::default()
+            });
+            let (tracer, sink) = Tracer::recording(0);
+            tb.set_tracer(tracer);
+            for xid in 0..40u32 {
+                let msg = match xid % 3 {
+                    0 => OfpMessage::Hello,
+                    1 => OfpMessage::EchoRequest(vec![0; xid as usize]),
+                    _ => OfpMessage::BarrierRequest,
+                };
+                let msg = tb.msgs.insert(msg);
+                tb.send_ctrl(Nanos::from_micros(u64::from(xid) * 20), dir, xid, msg);
+            }
+            // (at, xid, bytes, label, arrival or None for a drop), `dir` checked.
+            let on_wire: Vec<_> = sink
+                .borrow()
+                .events()
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::CtrlMsg {
+                        dir: d,
+                        xid,
+                        bytes,
+                        label,
+                        arrive,
+                    } => Some((d, e.at, xid, bytes, label, Some(arrive))),
+                    EventKind::CtrlDrop {
+                        dir: d,
+                        xid,
+                        bytes,
+                        label,
+                    } => Some((d, e.at, xid, bytes, label, None)),
+                    _ => None,
+                })
+                .map(|(d, at, xid, bytes, label, arrive)| {
+                    assert_eq!(d, dir);
+                    (at, xid, bytes, label, arrive)
+                })
+                .collect();
+            let wire = &tb.ctrl[dir as usize];
+            (
+                on_wire,
+                wire.meter.bytes(),
+                tb.ctrl_drops,
+                tb.queue.len(),
+                tb.msgs.len(),
+            )
+        };
+        let up = drive("c", ChannelDir::ToController);
+        let down = drive("s", ChannelDir::ToSwitch);
+        assert_eq!(up, down);
+        let (on_wire, _, drops, pending, live) = up;
+        // Every third message is lost; the survivors' duplicates share
+        // their pool entries, so arrivals outnumber live messages.
+        assert_eq!(drops, 13);
+        assert_eq!(live, 40 - 13);
+        assert!(pending > live, "{pending} arrivals for {live} messages");
+        assert_eq!(on_wire.len(), pending + 13);
     }
 }

@@ -1,47 +1,12 @@
-//! Control-plane transaction tracing — a readable log of every OpenFlow
-//! message that crossed the control channel, for debugging and teaching.
-//!
-//! Since the observability rework this log is a thin *view* over the
-//! structured event stream: each entry stores a compact, `Copy`
-//! [`MsgDesc`] instead of an eagerly formatted `String`, and rendering is
-//! deferred to [`TraceLog::to_text`]. A log can also be reconstructed
-//! after the fact from recorded [`Event`]s via [`TraceLog::from_events`].
+//! Control-message descriptions for the structured event stream: the
+//! `label` of every `ctrl_msg` / `ctrl_drop` event comes from
+//! [`MsgDesc::label`]. The readable control-channel log is a view over
+//! that stream (see `examples/control_trace.rs`).
 
 use sdnbuf_openflow::msg::FlowModCommand;
 use sdnbuf_openflow::{BufferId, Match, MsgType, OfpMessage, PortNo};
-use sdnbuf_sim::{ChannelDir, Event, EventKind, Nanos};
-use std::collections::VecDeque;
-use std::fmt;
 
-/// Which way a control message travelled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// Switch → controller.
-    ToController,
-    /// Controller → switch.
-    ToSwitch,
-}
-
-impl fmt::Display for Direction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Direction::ToController => write!(f, "sw->ctrl"),
-            Direction::ToSwitch => write!(f, "ctrl->sw"),
-        }
-    }
-}
-
-impl From<ChannelDir> for Direction {
-    fn from(dir: ChannelDir) -> Direction {
-        match dir {
-            ChannelDir::ToController => Direction::ToController,
-            ChannelDir::ToSwitch => Direction::ToSwitch,
-        }
-    }
-}
-
-/// A compact, allocation-free description of a control message, captured
-/// at record time and formatted only when the log is rendered.
+/// A compact, allocation-free description of a control message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MsgDesc {
     /// A `packet_in`: buffer reference, carried bytes, original size, port.
@@ -73,9 +38,6 @@ pub enum MsgDesc {
     },
     /// Any other message, described by its type alone.
     Other(MsgType),
-    /// A message reconstructed from the event stream, where only its
-    /// snake_case label survives (see [`TraceLog::from_events`]).
-    Label(&'static str),
 }
 
 impl MsgDesc {
@@ -108,7 +70,6 @@ impl MsgDesc {
             MsgDesc::PacketIn { .. } => "packet_in",
             MsgDesc::PacketOut { .. } => "packet_out",
             MsgDesc::FlowMod { .. } => "flow_mod",
-            MsgDesc::Label(label) => label,
             MsgDesc::Other(t) => match t {
                 MsgType::Hello => "hello",
                 MsgType::Error => "error",
@@ -137,252 +98,12 @@ impl MsgDesc {
     }
 }
 
-impl fmt::Display for MsgDesc {
-    /// Renders in the same shape [`OfpMessage`]'s own `Display` uses, so
-    /// trace text looks identical to the pre-rework log.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MsgDesc::PacketIn {
-                buffer_id,
-                data_len,
-                total_len,
-                in_port,
-            } => write!(
-                f,
-                "packet_in({buffer_id}, {data_len}B of {total_len}B, {in_port})"
-            ),
-            MsgDesc::PacketOut {
-                buffer_id,
-                actions,
-                data_len,
-            } => {
-                write!(f, "packet_out({buffer_id}, {actions} actions")?;
-                if *data_len > 0 {
-                    write!(f, ", {data_len}B data")?;
-                }
-                write!(f, ")")
-            }
-            MsgDesc::FlowMod {
-                command,
-                match_fields,
-            } => write!(f, "flow_mod({command:?}, {match_fields})"),
-            MsgDesc::Other(t) => write!(f, "{t}"),
-            MsgDesc::Label(label) => write!(f, "{label}"),
-        }
-    }
-}
-
-/// One control message observed on the channel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// When it was put on the channel.
-    pub at: Nanos,
-    /// Which way it went.
-    pub direction: Direction,
-    /// Transaction id.
-    pub xid: u32,
-    /// Wire size in bytes.
-    pub wire_len: usize,
-    /// Deferred message description (`packet_in(buf#3, 128B…)` when
-    /// rendered).
-    pub desc: MsgDesc,
-}
-
-impl TraceEntry {
-    /// The rendered human-readable description (allocates; use `desc`
-    /// directly for allocation-free inspection).
-    pub fn description(&self) -> String {
-        self.desc.to_string()
-    }
-}
-
-impl fmt::Display for TraceEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:>12}  {}  xid={:<10} {:>5}B  {}",
-            self.at.to_string(),
-            self.direction,
-            self.xid,
-            self.wire_len,
-            self.desc
-        )
-    }
-}
-
-/// A bounded ring log of control-channel activity.
-///
-/// Disabled by default (zero capacity); enable via
-/// [`crate::TestbedConfig::trace_capacity`]. Bounded so a runaway
-/// experiment cannot exhaust memory; when full, the **oldest** entries are
-/// evicted so the log always shows the most recent window of traffic (the
-/// part a debugging session usually cares about).
-#[derive(Clone, Debug, Default)]
-pub struct TraceLog {
-    capacity: usize,
-    entries: VecDeque<TraceEntry>,
-    dropped_oldest: u64,
-}
-
-impl TraceLog {
-    /// Creates a log keeping at most `capacity` entries.
-    pub fn new(capacity: usize) -> TraceLog {
-        TraceLog {
-            capacity,
-            entries: VecDeque::new(),
-            dropped_oldest: 0,
-        }
-    }
-
-    /// Whether tracing is active.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Records a message (no-op when disabled). No allocation per call
-    /// beyond ring growth up to `capacity`.
-    pub fn record(&mut self, at: Nanos, direction: Direction, xid: u32, msg: &OfpMessage) {
-        self.push(TraceEntry {
-            at,
-            direction,
-            xid,
-            wire_len: msg.wire_len(),
-            desc: MsgDesc::of(msg),
-        });
-    }
-
-    fn push(&mut self, entry: TraceEntry) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            self.entries.pop_front();
-            self.dropped_oldest += 1;
-        }
-        self.entries.push_back(entry);
-    }
-
-    /// Rebuilds a trace view from a recorded event stream: every
-    /// `ctrl_msg` event becomes an entry (labelled, since the full message
-    /// no longer exists). This is how the log relates to the structured
-    /// observability layer — same data, different lens.
-    pub fn from_events(capacity: usize, events: &[Event]) -> TraceLog {
-        let mut log = TraceLog::new(capacity);
-        for event in events {
-            if let EventKind::CtrlMsg {
-                dir,
-                xid,
-                bytes,
-                label,
-                ..
-            } = event.kind
-            {
-                log.push(TraceEntry {
-                    at: event.at,
-                    direction: dir.into(),
-                    xid,
-                    wire_len: bytes,
-                    desc: MsgDesc::Label(label),
-                });
-            }
-        }
-        log
-    }
-
-    /// The retained entries, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &TraceEntry> {
-        self.entries.iter()
-    }
-
-    /// Number of retained entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Older messages evicted to make room after the ring filled up.
-    pub fn dropped_oldest(&self) -> u64 {
-        self.dropped_oldest
-    }
-
-    /// Alias of [`TraceLog::dropped_oldest`], kept for callers of the
-    /// pre-ring API.
-    pub fn suppressed(&self) -> u64 {
-        self.dropped_oldest
-    }
-
-    /// Renders the whole log as text, one entry per line (formatting
-    /// happens here, not at record time).
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        if self.dropped_oldest > 0 {
-            out.push_str(&format!(
-                "... {} older messages dropped\n",
-                self.dropped_oldest
-            ));
-        }
-        for e in &self.entries {
-            out.push_str(&e.to_string());
-            out.push('\n');
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn msg() -> OfpMessage {
-        OfpMessage::Hello
-    }
-
     #[test]
-    fn disabled_log_records_nothing() {
-        let mut log = TraceLog::new(0);
-        assert!(!log.is_enabled());
-        log.record(Nanos::ZERO, Direction::ToSwitch, 1, &msg());
-        assert!(log.is_empty());
-        assert_eq!(log.dropped_oldest(), 0);
-    }
-
-    #[test]
-    fn bounded_capacity_keeps_newest() {
-        let mut log = TraceLog::new(2);
-        for i in 0..5 {
-            log.record(
-                Nanos::from_micros(i),
-                Direction::ToController,
-                i as u32,
-                &msg(),
-            );
-        }
-        let xids: Vec<u32> = log.entries().map(|e| e.xid).collect();
-        assert_eq!(xids, [3, 4]);
-        assert_eq!(log.dropped_oldest(), 3);
-        assert_eq!(log.suppressed(), 3);
-        assert!(log.to_text().contains("3 older messages dropped"));
-    }
-
-    #[test]
-    fn entries_render_readably() {
-        let mut log = TraceLog::new(4);
-        log.record(Nanos::from_millis(2), Direction::ToSwitch, 7, &msg());
-        let text = log.to_text();
-        assert!(text.contains("ctrl->sw"), "{text}");
-        assert!(text.contains("xid=7"), "{text}");
-        assert!(text.contains("Hello"), "{text}");
-        assert!(text.contains("8B"), "{text}");
-    }
-
-    #[test]
-    fn record_is_allocation_free_per_entry() {
-        // The description is a Copy value, not a String: recording a
-        // packet_in defers all formatting to to_text() time.
+    fn descriptions_capture_the_message_and_label_it() {
         use sdnbuf_openflow::msg::{PacketIn, PacketInReason};
         let pin = OfpMessage::PacketIn(PacketIn {
             buffer_id: BufferId::new(3),
@@ -391,11 +112,9 @@ mod tests {
             reason: PacketInReason::NoMatch,
             data: vec![0u8; 128],
         });
-        let mut log = TraceLog::new(4);
-        log.record(Nanos::from_micros(5), Direction::ToController, 9, &pin);
-        let entry = *log.entries().next().unwrap();
+        let desc = MsgDesc::of(&pin);
         assert_eq!(
-            entry.desc,
+            desc,
             MsgDesc::PacketIn {
                 buffer_id: BufferId::new(3),
                 data_len: 128,
@@ -403,50 +122,7 @@ mod tests {
                 in_port: PortNo(1),
             }
         );
-        assert_eq!(
-            entry.description(),
-            "packet_in(buf#3, 128B of 1000B, port1)"
-        );
-        assert_eq!(entry.desc.label(), "packet_in");
-    }
-
-    #[test]
-    fn view_over_event_stream() {
-        let events = [
-            Event {
-                at: Nanos::from_micros(1),
-                kind: EventKind::TableMiss {
-                    in_port: 1,
-                    bytes: 1000,
-                },
-            },
-            Event {
-                at: Nanos::from_micros(2),
-                kind: EventKind::CtrlMsg {
-                    dir: ChannelDir::ToController,
-                    xid: 7,
-                    bytes: 146,
-                    label: "packet_in",
-                    arrive: Nanos::from_micros(300),
-                },
-            },
-            Event {
-                at: Nanos::from_micros(9),
-                kind: EventKind::CtrlMsg {
-                    dir: ChannelDir::ToSwitch,
-                    xid: 7,
-                    bytes: 80,
-                    label: "flow_mod",
-                    arrive: Nanos::from_micros(400),
-                },
-            },
-        ];
-        let log = TraceLog::from_events(16, &events);
-        assert_eq!(log.len(), 2);
-        let text = log.to_text();
-        assert!(text.contains("sw->ctrl"), "{text}");
-        assert!(text.contains("packet_in"), "{text}");
-        assert!(text.contains("flow_mod"), "{text}");
-        assert!(text.contains("146B"), "{text}");
+        assert_eq!(desc.label(), "packet_in");
+        assert_eq!(MsgDesc::of(&OfpMessage::Hello).label(), "hello");
     }
 }

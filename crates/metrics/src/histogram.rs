@@ -5,9 +5,9 @@
 //! estimates carry a bounded *relative* error of at most 1/64 ≈ 1.6%
 //! (comfortably inside the 2.5% budget the latency reports quote) while
 //! the whole structure stays a fixed ~15 KiB regardless of how many
-//! samples it absorbs. This is the bounded replacement for the unbounded
-//! `Vec<f64>` sample buffers in [`crate::DelayRecorder`] on paths that
-//! see one sample per flow per phase across a whole sweep.
+//! samples it absorbs. This is the bounded replacement for unbounded
+//! `Vec<f64>` sample buffers on paths that see one sample per flow per
+//! phase across a whole sweep.
 //!
 //! Merging is element-wise counter addition, so it is associative and
 //! commutative: parallel sweep workers can each fill a histogram and the
@@ -122,8 +122,7 @@ impl Histogram {
     }
 
     /// Records a span, i.e. `end - start`. Debug-asserts that the span is
-    /// not reversed; release builds saturate to zero like
-    /// [`crate::DelayRecorder::record_span`].
+    /// not reversed; release builds saturate to zero.
     #[inline]
     pub fn record_span(&mut self, start: Nanos, end: Nanos) {
         debug_assert!(end >= start, "reversed span: start={start:?} end={end:?}");

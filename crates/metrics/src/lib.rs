@@ -10,36 +10,30 @@
 //! * [`ByteMeter`] — byte/message volume on a link tap, with Mbps rates.
 //! * [`Gauge`] — a sampled occupancy value with time-weighted mean and max
 //!   (used for buffer utilization, Figs. 8 and 13).
-//! * [`DelayRecorder`] — latency samples with summary statistics (used for
-//!   flow-setup, controller and switch delay, Figs. 5–7 and 12).
 //! * [`Histogram`] — fixed-memory log-bucketed latency histogram with a
 //!   bounded relative error and deterministic merge (used by the latency
 //!   anatomy reports, where per-phase sample vectors would be unbounded).
 //! * [`Summary`] — n/mean/std/min/max/percentiles of a sample set, the
 //!   format the paper reports ("mean of 1.17 ms, standard deviation of
-//!   0.37 ms, maximum of 5.35 ms").
+//!   0.37 ms, maximum of 5.35 ms"; used for flow-setup, controller and
+//!   switch delay, Figs. 5–7 and 12).
 //! * [`Table`] — fixed-width text tables and TSV output for the figure
 //!   harness.
 //!
 //! # Example
 //!
 //! ```
-//! use sdnbuf_metrics::DelayRecorder;
-//! use sdnbuf_sim::Nanos;
+//! use sdnbuf_metrics::Summary;
 //!
-//! let mut d = DelayRecorder::new();
-//! d.record(Nanos::from_millis(1));
-//! d.record(Nanos::from_millis(3));
-//! let s = d.summary();
+//! let s = Summary::of(&[1.0, 3.0]);
 //! assert_eq!(s.n, 2);
-//! assert!((s.mean_ms() - 2.0).abs() < 1e-9);
+//! assert!((s.mean - 2.0).abs() < 1e-9);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod counter;
-mod delay;
 mod gauge;
 mod histogram;
 mod meter;
@@ -48,7 +42,6 @@ mod summary;
 mod table;
 
 pub use counter::Counter;
-pub use delay::DelayRecorder;
 pub use gauge::Gauge;
 pub use histogram::Histogram;
 pub use meter::ByteMeter;

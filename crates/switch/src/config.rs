@@ -1,8 +1,11 @@
 //! Switch configuration and cost model.
 
 use sdnbuf_flowtable::EvictionPolicy;
+use sdnbuf_sim::faults::{fmt_dur, parse_dur};
 use sdnbuf_sim::{BitRate, Nanos};
 use sdnbuf_switchbuf::RetryPolicy;
+use std::fmt;
+use std::str::FromStr;
 
 /// Which buffer mechanism the switch runs — the single knob every
 /// experiment in the paper turns.
@@ -60,6 +63,50 @@ impl BufferChoice {
                     .to_owned(),
             ),
             BufferChoice::FlowGranularity { .. } => Ok(()),
+        }
+    }
+}
+
+/// The mechanism grammar every CLI flag and replay spec shares: `none`,
+/// `packet:<capacity>`, `flow:<capacity>:<timeout>`. Parsing restores the
+/// displayed value exactly.
+impl fmt::Display for BufferChoice {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            BufferChoice::NoBuffer => write!(f, "none"),
+            BufferChoice::PacketGranularity { capacity } => write!(f, "packet:{capacity}"),
+            BufferChoice::FlowGranularity { capacity, timeout } => {
+                write!(f, "flow:{capacity}:{}", fmt_dur(timeout))
+            }
+        }
+    }
+}
+
+/// Accepts what [`BufferChoice`]'s `Display` prints, plus `flow:<capacity>`
+/// with the timeout defaulting to 50 ms. Timeouts take a unit
+/// (`ns`/`us`/`ms`/`s`); plain numbers are milliseconds.
+impl FromStr for BufferChoice {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<BufferChoice, String> {
+        let capacity = |c: &str| c.parse().map_err(|_| format!("bad capacity in '{s}'"));
+        let parts: Vec<&str> = s.split(':').collect();
+        match parts.as_slice() {
+            ["none"] => Ok(BufferChoice::NoBuffer),
+            ["packet", cap] => Ok(BufferChoice::PacketGranularity {
+                capacity: capacity(cap)?,
+            }),
+            ["flow", cap] => Ok(BufferChoice::FlowGranularity {
+                capacity: capacity(cap)?,
+                timeout: Nanos::from_millis(50),
+            }),
+            ["flow", cap, timeout] => Ok(BufferChoice::FlowGranularity {
+                capacity: capacity(cap)?,
+                timeout: parse_dur(timeout)?,
+            }),
+            _ => Err(format!(
+                "bad mechanism '{s}' (expected none, packet:<cap> or flow:<cap>[:<timeout>])"
+            )),
         }
     }
 }

@@ -344,30 +344,10 @@ impl Switch {
         if let Some(ports) = matched {
             // Fast path: datapath CPU cost, then out the rule's ports.
             let done = self.cpu.submit(now, self.config.cost_forward);
-            if ports.is_empty() {
-                self.stats.drops.incr();
-                return vec![SwitchOutput::Drop {
-                    packet: Some(packet),
-                }];
-            }
             self.stats.fastpath_forwards.add(ports.len() as u64);
-            // One reference per egress: the handle we hold covers the first,
-            // each additional port shares the same pooled packet.
-            for _ in 1..ports.len() {
-                pool.retain(packet);
-            }
-            return ports
-                .into_iter()
-                .map(|(port, queue)| {
-                    self.stats.count_tx(port.as_u16(), wire_len);
-                    SwitchOutput::Forward {
-                        at: done,
-                        port,
-                        queue,
-                        packet,
-                    }
-                })
-                .collect();
+            let mut outputs = Vec::with_capacity(ports.len().max(1));
+            self.forward_all(done, ports, packet, wire_len, pool, &mut outputs);
+            return outputs;
         }
         // Slow path: table miss.
         self.stats.table_misses.incr();
@@ -418,10 +398,8 @@ impl Switch {
                 // the packet lives on only as the message payload.
                 let data = pool.get(packet).expect("live packet handle").encode();
                 pool.release(packet);
-                let at_cpu = self.bus.transfer(now, wire_len);
-                let cost = self.config.cost_pkt_in_base + self.config.payload_cost(wire_len);
-                let at = self.cpu.submit(at_cpu, cost);
-                vec![self.packet_in_output(at, BufferId::NO_BUFFER, total_len, in_port, data)]
+                let no_buffer = BufferId::NO_BUFFER;
+                vec![self.packet_in_output(now, Nanos::ZERO, no_buffer, total_len, in_port, data)]
             }
             MissAction::SendBufferedPacketIn { buffer_id } => {
                 // Only the header slice crosses the bus; the packet body
@@ -431,12 +409,8 @@ impl Switch {
                     .get(packet)
                     .expect("live packet handle")
                     .encode_prefix(self.miss_send_len as usize);
-                let at_cpu = self.bus.transfer(now, slice.len());
-                let cost = self.config.cost_buffer_store
-                    + self.config.cost_pkt_in_base
-                    + self.config.payload_cost(slice.len());
-                let at = self.cpu.submit(at_cpu, cost);
-                vec![self.packet_in_output(at, buffer_id, total_len, in_port, slice)]
+                let store = self.config.cost_buffer_store;
+                vec![self.packet_in_output(now, store, buffer_id, total_len, in_port, slice)]
             }
             MissAction::Buffered { .. } => {
                 // Algorithm 1 line 11: buffered silently; only the store
@@ -449,14 +423,61 @@ impl Switch {
         outputs
     }
 
-    fn packet_in_output(
+    /// Emits `packet` on each of `ports` at `at`; an empty port list (no
+    /// output action) is an accounted drop. One pool reference per egress:
+    /// the handle passed in covers the first, each additional port shares
+    /// the same pooled packet.
+    fn forward_all(
         &mut self,
         at: Nanos,
+        ports: Vec<(PortNo, Option<u32>)>,
+        packet: PacketHandle,
+        wire_len: usize,
+        pool: &mut PacketPool,
+        out: &mut Vec<SwitchOutput>,
+    ) {
+        if ports.is_empty() {
+            self.stats.drops.incr();
+            out.push(SwitchOutput::Drop {
+                packet: Some(packet),
+            });
+            return;
+        }
+        for _ in 1..ports.len() {
+            pool.retain(packet);
+        }
+        for (port, queue) in ports {
+            self.stats.count_tx(port.as_u16(), wire_len);
+            out.push(SwitchOutput::Forward {
+                at,
+                port,
+                queue,
+                packet,
+            });
+        }
+    }
+
+    /// Answers a control message that costs one `cost_control_misc` of CPU.
+    fn reply(&mut self, now: Nanos, xid: u32, msg: OfpMessage) -> Vec<SwitchOutput> {
+        let at = self.cpu.submit(now, self.config.cost_control_misc);
+        vec![SwitchOutput::ToController { at, xid, msg }]
+    }
+
+    /// Sends `data` to the controller as a `packet_in`: the bytes cross the
+    /// bus, then the CPU builds the message (`extra_cost` on top of the
+    /// size-dependent build cost, e.g. a buffer store).
+    fn packet_in_output(
+        &mut self,
+        now: Nanos,
+        extra_cost: Nanos,
         buffer_id: BufferId,
         total_len: u16,
         in_port: PortNo,
         data: Vec<u8>,
     ) -> SwitchOutput {
+        let at_cpu = self.bus.transfer(now, data.len());
+        let cost = extra_cost + self.config.cost_pkt_in_base + self.config.payload_cost(data.len());
+        let at = self.cpu.submit(at_cpu, cost);
         let xid = self.fresh_xid();
         self.stats.pkt_in_sent.incr();
         self.stats.pkt_in_bytes.add(data.len() as u64);
@@ -518,24 +539,13 @@ impl Switch {
                 Vec::new()
             }
             OfpMessage::GetConfigRequest => {
-                let at = self.cpu.submit(now, self.config.cost_control_misc);
-                vec![SwitchOutput::ToController {
-                    at,
-                    xid,
-                    msg: OfpMessage::GetConfigReply(msg::SwitchConfig {
-                        flags: 0,
-                        miss_send_len: self.miss_send_len,
-                    }),
-                }]
+                let config = msg::SwitchConfig {
+                    flags: 0,
+                    miss_send_len: self.miss_send_len,
+                };
+                self.reply(now, xid, OfpMessage::GetConfigReply(config))
             }
-            OfpMessage::EchoRequest(data) => {
-                let at = self.cpu.submit(now, self.config.cost_control_misc);
-                vec![SwitchOutput::ToController {
-                    at,
-                    xid,
-                    msg: OfpMessage::EchoReply(data),
-                }]
-            }
+            OfpMessage::EchoRequest(data) => self.reply(now, xid, OfpMessage::EchoReply(data)),
             OfpMessage::Hello => {
                 if self.epoch_armed && self.hello_seen && xid > self.hello_xid_high {
                     // A fresh-xid Hello after the first means the
@@ -548,15 +558,9 @@ impl Switch {
                 }
                 self.hello_seen = true;
                 self.hello_xid_high = self.hello_xid_high.max(xid);
-                let at = self.cpu.submit(now, self.config.cost_control_misc);
-                vec![SwitchOutput::ToController {
-                    at,
-                    xid,
-                    msg: OfpMessage::Hello,
-                }]
+                self.reply(now, xid, OfpMessage::Hello)
             }
             OfpMessage::FeaturesRequest => {
-                let at = self.cpu.submit(now, self.config.cost_control_misc);
                 let ports = self
                     .data_ports()
                     .map(|p| msg::PhyPort {
@@ -565,47 +569,30 @@ impl Switch {
                         name: format!("eth{}", p.as_u16()),
                     })
                     .collect();
-                vec![SwitchOutput::ToController {
-                    at,
-                    xid,
-                    msg: OfpMessage::FeaturesReply(msg::FeaturesReply {
-                        datapath_id: 1,
-                        n_buffers: self.buffer.capacity() as u32,
-                        n_tables: 1,
-                        capabilities: 0,
-                        actions: 0xfff,
-                        ports,
-                    }),
-                }]
+                let features = msg::FeaturesReply {
+                    datapath_id: 1,
+                    n_buffers: self.buffer.capacity() as u32,
+                    n_tables: 1,
+                    capabilities: 0,
+                    actions: 0xfff,
+                    ports,
+                };
+                self.reply(now, xid, OfpMessage::FeaturesReply(features))
             }
-            OfpMessage::BarrierRequest => {
-                let at = self.cpu.submit(now, self.config.cost_control_misc);
-                vec![SwitchOutput::ToController {
-                    at,
-                    xid,
-                    msg: OfpMessage::BarrierReply,
-                }]
-            }
+            OfpMessage::BarrierRequest => self.reply(now, xid, OfpMessage::BarrierReply),
             OfpMessage::StatsRequest(req) => self.handle_stats_request(now, xid, req),
             OfpMessage::QueueGetConfigRequest(port) => {
-                let at = self.cpu.submit(now, self.config.cost_control_misc);
-                vec![SwitchOutput::ToController {
-                    at,
-                    xid,
-                    msg: OfpMessage::QueueGetConfigReply {
-                        port,
-                        queues: self
-                            .config
-                            .egress_queue_rates
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &r)| msg::PacketQueue {
-                                queue_id: i as u32,
-                                min_rate_tenths_percent: r,
-                            })
-                            .collect(),
-                    },
-                }]
+                let queues = self
+                    .config
+                    .egress_queue_rates
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &r)| msg::PacketQueue {
+                        queue_id: i as u32,
+                        min_rate_tenths_percent: r,
+                    })
+                    .collect();
+                self.reply(now, xid, OfpMessage::QueueGetConfigReply { port, queues })
             }
             OfpMessage::PortMod(_) => {
                 // Port administration is modeled as a no-op acknowledgement
@@ -613,37 +600,31 @@ impl Switch {
                 self.cpu.submit(now, self.config.cost_control_misc);
                 Vec::new()
             }
-            ref vendor @ OfpMessage::Vendor(_) => {
-                let at = self.cpu.submit(now, self.config.cost_control_misc);
-                match FlowBufferExt::from_message(vendor) {
-                    Some(Ok(FlowBufferExt::Configure { .. }))
-                        if self.buffer.name() == "flow-granularity" =>
-                    {
-                        Vec::new() // accepted
-                    }
-                    _ => vec![SwitchOutput::ToController {
-                        at,
-                        xid,
-                        msg: OfpMessage::Error(msg::ErrorMsg {
-                            err_type: 1, // OFPET_BAD_REQUEST
-                            code: 3,     // OFPBRC_BAD_VENDOR
-                            data: Vec::new(),
-                        }),
-                    }],
+            ref vendor @ OfpMessage::Vendor(_) => match FlowBufferExt::from_message(vendor) {
+                Some(Ok(FlowBufferExt::Configure { .. }))
+                    if self.buffer.name() == "flow-granularity" =>
+                {
+                    // Accepted: acknowledged by silence.
+                    self.cpu.submit(now, self.config.cost_control_misc);
+                    Vec::new()
                 }
-            }
+                _ => {
+                    let error = msg::ErrorMsg {
+                        err_type: 1, // OFPET_BAD_REQUEST
+                        code: 3,     // OFPBRC_BAD_VENDOR
+                        data: Vec::new(),
+                    };
+                    self.reply(now, xid, OfpMessage::Error(error))
+                }
+            },
             other => {
                 // Messages a switch should never receive.
-                let at = self.cpu.submit(now, self.config.cost_control_misc);
-                vec![SwitchOutput::ToController {
-                    at,
-                    xid,
-                    msg: OfpMessage::Error(msg::ErrorMsg {
-                        err_type: 1, // OFPET_BAD_REQUEST
-                        code: 1,     // OFPBRC_BAD_TYPE
-                        data: other.encode(xid),
-                    }),
-                }]
+                let error = msg::ErrorMsg {
+                    err_type: 1, // OFPET_BAD_REQUEST
+                    code: 1,     // OFPBRC_BAD_TYPE
+                    data: other.encode(xid),
+                };
+                self.reply(now, xid, OfpMessage::Error(error))
             }
         }
     }
@@ -806,30 +787,12 @@ impl Switch {
             for bp in released {
                 t = self.cpu.submit(t, self.config.cost_buffer_release);
                 let ports = egress_ports(data_ports, &po.actions, bp.in_port);
-                if ports.is_empty() {
-                    self.stats.drops.incr();
-                    outputs.push(SwitchOutput::Drop {
-                        packet: Some(bp.packet),
-                    });
-                    continue;
-                }
                 self.stats.slowpath_forwards.add(ports.len() as u64);
                 let wire_len = pool
                     .get(bp.packet)
                     .expect("live buffered packet")
                     .wire_len();
-                for _ in 1..ports.len() {
-                    pool.retain(bp.packet);
-                }
-                for (port, queue) in ports {
-                    self.stats.count_tx(port.as_u16(), wire_len);
-                    outputs.push(SwitchOutput::Forward {
-                        at: t,
-                        port,
-                        queue,
-                        packet: bp.packet,
-                    });
-                }
+                self.forward_all(t, ports, bp.packet, wire_len, pool, &mut outputs);
             }
             outputs
         } else {
@@ -844,28 +807,10 @@ impl Switch {
                     let wire_len = packet.wire_len();
                     let handle = pool.insert(packet);
                     let ports = egress_ports(data_ports, &po.actions, po.in_port);
-                    if ports.is_empty() {
-                        self.stats.drops.incr();
-                        return vec![SwitchOutput::Drop {
-                            packet: Some(handle),
-                        }];
-                    }
                     self.stats.slowpath_forwards.add(ports.len() as u64);
-                    for _ in 1..ports.len() {
-                        pool.retain(handle);
-                    }
-                    ports
-                        .into_iter()
-                        .map(|(port, queue)| {
-                            self.stats.count_tx(port.as_u16(), wire_len);
-                            SwitchOutput::Forward {
-                                at,
-                                port,
-                                queue,
-                                packet: handle,
-                            }
-                        })
-                        .collect()
+                    let mut outputs = Vec::with_capacity(ports.len().max(1));
+                    self.forward_all(at, ports, handle, wire_len, pool, &mut outputs);
+                    outputs
                 }
                 Err(_) => {
                     self.stats.drops.incr();
@@ -974,16 +919,12 @@ impl Switch {
         let BufferChoice::FlowGranularity { capacity, timeout } = self.config.buffer else {
             return Vec::new();
         };
-        let at = self.cpu.submit(now, self.config.cost_control_misc);
         let xid = self.fresh_xid();
-        vec![SwitchOutput::ToController {
-            at,
-            xid,
-            msg: OfpMessage::from(FlowBufferExt::Announce {
-                capacity: capacity as u32,
-                timeout_ms: (timeout.as_nanos() / 1_000_000) as u32,
-            }),
-        }]
+        let announce = FlowBufferExt::Announce {
+            capacity: capacity as u32,
+            timeout_ms: (timeout.as_nanos() / 1_000_000) as u32,
+        };
+        self.reply(now, xid, OfpMessage::from(announce))
     }
 
     fn exit_degraded(&mut self, now: Nanos) {
@@ -1073,11 +1014,7 @@ impl Switch {
             );
             if removed.rule.notify_on_removal {
                 let at = self.cpu.submit(now, self.config.cost_control_misc);
-                let mut out = self.flow_removed_output(at, removed);
-                if let SwitchOutput::ToController { at: ref mut t, .. } = out {
-                    *t = at;
-                }
-                outputs.push(out);
+                outputs.push(self.flow_removed_output(at, removed));
             }
         }
         if self.degraded && self.next_probe.is_some_and(|t| t <= now) {
@@ -1109,15 +1046,11 @@ impl Switch {
                     // inherited reference is released here.
                     for bp in flow.packets {
                         let pk = pool.take(bp.packet).expect("live gave-up packet");
-                        let wire_len = pk.wire_len();
-                        let at_cpu = self.bus.transfer(now, wire_len);
-                        let cost =
-                            self.config.cost_pkt_in_base + self.config.payload_cost(wire_len);
-                        let at = self.cpu.submit(at_cpu, cost);
                         outputs.push(self.packet_in_output(
-                            at,
+                            now,
+                            Nanos::ZERO,
                             BufferId::NO_BUFFER,
-                            wire_len as u16,
+                            pk.wire_len() as u16,
                             bp.in_port,
                             pk.encode(),
                         ));
@@ -1172,10 +1105,10 @@ impl Switch {
                 pk.wire_len() as u16,
             )
         };
-        let at_cpu = self.bus.transfer(now, slice.len());
-        let cost = self.config.cost_pkt_in_base + self.config.payload_cost(slice.len());
-        let at = self.cpu.submit(at_cpu, cost);
-        self.packet_in_output(at, rerequest.buffer_id, total_len, rerequest.in_port, slice)
+        let Rerequest {
+            buffer_id, in_port, ..
+        } = rerequest;
+        self.packet_in_output(now, Nanos::ZERO, buffer_id, total_len, in_port, slice)
     }
 }
 

@@ -9,9 +9,10 @@
 //! sdnlab help
 //! ```
 //!
-//! Mechanisms: `none`, `packet:<capacity>`, `flow:<capacity>[:<timeout_ms>]`.
+//! Mechanisms: `none`, `packet:<capacity>`, `flow:<capacity>[:<timeout>]`.
 //! Workloads: `iv` (1000 single-packet flows), `v` (50×20 cross-sequenced),
-//! `single:<n>`, `cross:<flows>x<ppf>/<group>`.
+//! `single:<n>`, `cross:<flows>x<ppf>/<group>`, `tcp:<first>:<gap>:<second>`,
+//! `mixed:<udp>:<tcp>:<segments>` — the same grammar `chaos --replay` specs use.
 //! Threads: `serial`, `auto` (one worker per CPU), or a worker count; the
 //! default honours `SDNBUF_THREADS` and falls back to `auto`. Results are
 //! identical for every setting.
@@ -32,6 +33,7 @@ use sdn_buffer_lab::core::flightrec::{DumpReason, FlightDump};
 use sdn_buffer_lab::core::validate::{self, Tolerances, ValidateConfig};
 use sdn_buffer_lab::core::{figures, observe, spans, RateSweep, StderrProgress};
 use sdn_buffer_lab::prelude::*;
+use sdn_buffer_lab::sim::faults::parse_dur;
 use sdn_buffer_lab::switchbuf::{GiveUp, RetryPolicy};
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -55,8 +57,9 @@ fn usage() -> &'static str {
                     [--reps N] [--seed N] [--random N] [--broken] [--threads T]\n\
        sdnlab claims [--reps N] [--threads T]\n\
      \n\
-     MECH: none | packet:<capacity> | flow:<capacity>[:<timeout_ms>]\n\
+     MECH: none | packet:<capacity> | flow:<capacity>[:<timeout DUR>]  (default 50ms)\n\
      WL:   iv | v | single:<n> | cross:<flows>x<ppf>/<group>\n\
+           | tcp:<first>:<gap DUR>:<second> | mixed:<udp>:<tcp>:<segments>\n\
      T:    serial | auto | <worker count>   (default: SDNBUF_THREADS or auto)\n\
      DUR:  <n>[ns|us|ms|s], default unit ms\n\
      SPEC: comma-separated key=value fault plan, e.g.\n\
@@ -148,80 +151,11 @@ fn usage() -> &'static str {
 #[derive(Debug)]
 struct ParseError(String);
 
-fn parse_buffer(s: &str) -> Result<BufferMode, ParseError> {
-    let parts: Vec<&str> = s.split(':').collect();
-    match parts.as_slice() {
-        ["none"] => Ok(BufferMode::NoBuffer),
-        ["packet", cap] => cap
-            .parse()
-            .map(|capacity| BufferMode::PacketGranularity { capacity })
-            .map_err(|_| ParseError(format!("bad capacity in '{s}'"))),
-        ["flow", cap] | ["flow", cap, _] => {
-            let capacity = cap
-                .parse()
-                .map_err(|_| ParseError(format!("bad capacity in '{s}'")))?;
-            let timeout_ms = match parts.get(2) {
-                Some(t) => t
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad timeout in '{s}'")))?,
-                None => 50,
-            };
-            Ok(BufferMode::FlowGranularity {
-                capacity,
-                timeout: Nanos::from_millis(timeout_ms),
-            })
-        }
-        _ => Err(ParseError(format!("unknown buffer mechanism '{s}'"))),
-    }
-}
-
-fn parse_workload(s: &str) -> Result<WorkloadKind, ParseError> {
-    if s == "iv" {
-        return Ok(WorkloadKind::paper_section_iv());
-    }
-    if s == "v" {
-        return Ok(WorkloadKind::paper_section_v());
-    }
-    if let Some(n) = s.strip_prefix("single:") {
-        let n = n
-            .parse()
-            .map_err(|_| ParseError(format!("bad flow count in '{s}'")))?;
-        return Ok(WorkloadKind::single_packet_flows(n));
-    }
-    if let Some(rest) = s.strip_prefix("cross:") {
-        let (flows, rest) = rest
-            .split_once('x')
-            .ok_or_else(|| ParseError(format!("expected cross:<flows>x<ppf>/<group> in '{s}'")))?;
-        let (ppf, group) = rest
-            .split_once('/')
-            .ok_or_else(|| ParseError(format!("expected cross:<flows>x<ppf>/<group> in '{s}'")))?;
-        let parse = |v: &str| {
-            v.parse::<usize>()
-                .map_err(|_| ParseError(format!("bad number '{v}' in '{s}'")))
-        };
-        return Ok(WorkloadKind::CrossSequenced {
-            n_flows: parse(flows)?,
-            packets_per_flow: parse(ppf)?,
-            group_size: parse(group)?,
-        });
-    }
-    Err(ParseError(format!("unknown workload '{s}'")))
-}
-
-/// Parses `10ms` / `500us` / `2s` / `100` (plain numbers are milliseconds).
-fn parse_duration(s: &str) -> Result<Nanos, ParseError> {
-    let s = s.trim();
-    let split = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
-    let (num, unit) = s.split_at(split);
-    let v: u64 = num
-        .parse()
-        .map_err(|_| ParseError(format!("bad duration '{s}'")))?;
-    match unit {
-        "" | "ms" => Ok(Nanos::from_millis(v)),
-        "us" => Ok(Nanos::from_micros(v)),
-        "ns" => Ok(Nanos::from_nanos(v)),
-        "s" => Ok(Nanos::from_secs(v)),
-        _ => Err(ParseError(format!("bad duration unit in '{s}'"))),
+/// Lets `?` lift the `String` errors of the domain types' `FromStr`
+/// grammars (`BufferMode`, `WorkloadKind`, durations) into CLI errors.
+impl From<String> for ParseError {
+    fn from(message: String) -> ParseError {
+        ParseError(message)
     }
 }
 
@@ -253,7 +187,7 @@ fn parse_retry_policy(s: &str) -> Result<RetryPolicy, ParseError> {
         .into_iter()
         .flatten();
     if let Some(cap) = fields.next() {
-        policy.cap = parse_duration(cap)?;
+        policy.cap = parse_dur(cap)?;
     }
     if let Some(budget) = fields.next() {
         policy.budget = budget
@@ -261,7 +195,7 @@ fn parse_retry_policy(s: &str) -> Result<RetryPolicy, ParseError> {
             .map_err(|_| ParseError(format!("bad retry budget in '{s}'")))?;
     }
     if let Some(action) = fields.next() {
-        policy.give_up = GiveUp::parse(action).map_err(ParseError)?;
+        policy.give_up = GiveUp::parse(action)?;
     }
     if fields.next().is_some() {
         return Err(ParseError(format!("too many fields in retry policy '{s}'")));
@@ -327,11 +261,11 @@ fn create(path: &str) -> Result<std::io::BufWriter<std::fs::File>, ParseError> {
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
     let buffer = match flag(args, "--buffer")? {
-        Some(s) => parse_buffer(&s)?,
+        Some(s) => s.parse::<BufferMode>()?,
         None => BufferMode::PacketGranularity { capacity: 256 },
     };
     let workload = match flag(args, "--workload")? {
-        Some(s) => parse_workload(&s)?,
+        Some(s) => s.parse::<WorkloadKind>()?,
         None => WorkloadKind::paper_section_iv(),
     };
     let rate: u64 = match flag(args, "--rate")? {
@@ -349,7 +283,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
     let events_path = events_path_flag(args)?;
     let timeline_path = flag(args, "--timeline")?;
     let sample_every = match flag(args, "--sample-every")? {
-        Some(s) => Some(parse_duration(&s)?),
+        Some(s) => Some(parse_dur(&s)?),
         None => None,
     };
     let samples_path = flag(args, "--samples")?;
@@ -362,7 +296,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
             None => RetryPolicy::fixed(),
         },
         ttl: match flag(args, "--ttl")? {
-            Some(s) => parse_duration(&s)?,
+            Some(s) => parse_dur(&s)?,
             None => Nanos::ZERO,
         },
         degraded_threshold: match flag(args, "--degraded")? {
@@ -389,7 +323,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
         config.testbed.controller.ingress_queue_capacity = capacity;
     }
     if let Some(spec) = flag(args, "--faults")? {
-        config.testbed.faults = FaultPlan::parse(&spec).map_err(ParseError)?;
+        config.testbed.faults = FaultPlan::parse(&spec)?;
     }
     // Crash/failover plane knobs. `--standby warm|cold` arms the
     // warm-standby controller; keepalives (echo probes) drive both the
@@ -407,15 +341,15 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
         };
     }
     if let Some(s) = flag(args, "--takeover-delay")? {
-        config.testbed.failover.takeover_delay = parse_duration(&s)?;
+        config.testbed.failover.takeover_delay = parse_dur(&s)?;
     }
     if let Some(s) = flag(args, "--keepalive")? {
-        config.testbed.keepalive_interval = Some(parse_duration(&s)?);
+        config.testbed.keepalive_interval = Some(parse_dur(&s)?);
     }
     if let Some(s) = flag(args, "--liveness-timeout")? {
-        config.testbed.switch.liveness_timeout = parse_duration(&s)?;
+        config.testbed.switch.liveness_timeout = parse_dur(&s)?;
     }
-    let plan = config.testbed.effective_faults();
+    let plan = config.testbed.faults.clone();
     let mut exp = Experiment::new(config);
     // Crash runs always trace: every controller crash auto-produces a
     // flight-recorder dump for the post-mortem.
@@ -602,7 +536,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
     let crash = args.iter().any(|a| a == "--crash") || sabotage.broken_epoch;
 
     if let Some(spec) = flag(args, "--replay")? {
-        let scenario = ChaosScenario::parse(&spec).map_err(ParseError)?;
+        let scenario = ChaosScenario::parse(&spec)?;
         let report = chaos::run_scenario(&scenario, sabotage);
         println!("scenario: {}", scenario.to_spec());
         println!("digest:   {:016x}", report.digest);
@@ -759,7 +693,7 @@ fn parse_cells(s: &str) -> Result<Vec<(BufferMode, u64)>, ParseError> {
         let rate: u64 = rate
             .parse()
             .map_err(|_| ParseError(format!("bad rate in '{part}'")))?;
-        cells.push((parse_buffer(mech)?, rate));
+        cells.push((mech.parse()?, rate));
     }
     if cells.is_empty() {
         return Err(ParseError(format!("no cells in '{s}'")));
@@ -1007,6 +941,7 @@ mod tests {
 
     #[test]
     fn buffer_parsing() {
+        let parse_buffer = |s: &str| s.parse::<BufferMode>();
         assert_eq!(parse_buffer("none").unwrap(), BufferMode::NoBuffer);
         assert_eq!(
             parse_buffer("packet:16").unwrap(),
@@ -1033,6 +968,7 @@ mod tests {
 
     #[test]
     fn workload_parsing() {
+        let parse_workload = |s: &str| s.parse::<WorkloadKind>();
         assert_eq!(
             parse_workload("iv").unwrap(),
             WorkloadKind::paper_section_iv()
@@ -1059,13 +995,13 @@ mod tests {
 
     #[test]
     fn duration_parsing() {
-        assert_eq!(parse_duration("10ms").unwrap(), Nanos::from_millis(10));
-        assert_eq!(parse_duration("10").unwrap(), Nanos::from_millis(10));
-        assert_eq!(parse_duration("500us").unwrap(), Nanos::from_micros(500));
-        assert_eq!(parse_duration("3s").unwrap(), Nanos::from_secs(3));
-        assert_eq!(parse_duration("7ns").unwrap(), Nanos::from_nanos(7));
-        assert!(parse_duration("fast").is_err());
-        assert!(parse_duration("10m").is_err());
+        assert_eq!(parse_dur("10ms").unwrap(), Nanos::from_millis(10));
+        assert_eq!(parse_dur("10").unwrap(), Nanos::from_millis(10));
+        assert_eq!(parse_dur("500us").unwrap(), Nanos::from_micros(500));
+        assert_eq!(parse_dur("3s").unwrap(), Nanos::from_secs(3));
+        assert_eq!(parse_dur("7ns").unwrap(), Nanos::from_nanos(7));
+        assert!(parse_dur("fast").is_err());
+        assert!(parse_dur("10m").is_err());
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! over its structured event stream, and every failure replayable (and
 //! shrinkable) from a one-line spec.
 
+use proptest::prelude::*;
 use sdn_buffer_lab::core::chaos::{
-    flight_dump, minimize, recovery_matrix, run_scenario, ChaosScenario, RecoveryKnobs, Sabotage,
-    StandbyKnobs,
+    execute, flight_dump, minimize, recovery_matrix, run_scenario, ChaosScenario, RecoveryKnobs,
+    Sabotage, StandbyKnobs,
 };
 use sdn_buffer_lab::prelude::*;
 use sdn_buffer_lab::switchbuf::RetryPolicy;
@@ -60,6 +61,61 @@ fn replay_specs_round_trip_and_reproduce_digests() {
         let a = run_scenario(&scenario, true);
         let b = run_scenario(&parsed, true);
         assert_eq!(a.digest, b.digest, "replay of '{spec}' diverged");
+    }
+}
+
+fn arb_mechanism() -> impl Strategy<Value = BufferMode> {
+    prop_oneof![
+        Just(BufferMode::NoBuffer),
+        (1usize..100_000).prop_map(|capacity| BufferMode::PacketGranularity { capacity }),
+        (1usize..100_000, 1u64..10_000_000_000).prop_map(|(capacity, ns)| {
+            BufferMode::FlowGranularity {
+                capacity,
+                timeout: Nanos::from_nanos(ns),
+            }
+        }),
+    ]
+}
+
+fn arb_workload() -> impl Strategy<Value = WorkloadKind> {
+    let n = || 0usize..100_000;
+    prop_oneof![
+        n().prop_map(WorkloadKind::single_packet_flows),
+        (n(), n(), n()).prop_map(|(n_flows, packets_per_flow, group_size)| {
+            WorkloadKind::CrossSequenced {
+                n_flows,
+                packets_per_flow,
+                group_size,
+            }
+        }),
+        (n(), 0u64..10_000_000_000, n()).prop_map(|(first_burst, gap_ns, second_burst)| {
+            WorkloadKind::TcpEviction {
+                first_burst,
+                idle_gap: Nanos::from_nanos(gap_ns),
+                second_burst,
+            }
+        }),
+        (n(), n(), n()).prop_map(|(n_udp_flows, n_tcp, segments_per_tcp)| {
+            WorkloadKind::MixedUdpTcp {
+                n_udp_flows,
+                n_tcp,
+                segments_per_tcp,
+            }
+        }),
+    ]
+}
+
+proptest! {
+    /// The one mechanism / workload grammar (`--buffer`, `--workload`,
+    /// `--cells`, `mech=`, `wl=`) restores every value it prints, at any
+    /// duration unit.
+    #[test]
+    fn mechanism_and_workload_grammars_round_trip(
+        mech in arb_mechanism(),
+        workload in arb_workload(),
+    ) {
+        prop_assert_eq!(mech.to_string().parse::<BufferMode>(), Ok(mech));
+        prop_assert_eq!(workload.to_string().parse::<WorkloadKind>(), Ok(workload));
     }
 }
 
@@ -397,4 +453,61 @@ fn warm_standby_rides_through_a_crash_that_outlives_the_run() {
     );
     assert_eq!(report.result.failover_takeovers, 1, "{:#?}", report.result);
     assert!(report.result.epoch_bumps >= 1, "{:#?}", report.result);
+}
+
+/// The slot table under a directed double fault (`crash_standby=` is
+/// otherwise reached only by random generation): the primary dies for
+/// good, the warm standby takes over, then itself crashes and restarts.
+/// One takeover, two crashes, one epoch bump per completed handshake, and
+/// every message sent into either outage is a counted control drop.
+#[test]
+fn standby_that_took_over_crashes_and_restarts_under_a_new_epoch() {
+    let scenario = ChaosScenario {
+        workload: WorkloadKind::CrossSequenced {
+            n_flows: 40,
+            packets_per_flow: 5,
+            group_size: 2,
+        },
+        rate_mbps: 20,
+        plan: FaultPlan::parse("fseed=3,crash=52ms+10s,crash_standby=70ms+15ms").unwrap(),
+        standby: Some(StandbyKnobs {
+            warm: true,
+            takeover_delay: Nanos::from_millis(8),
+        }),
+        ..epoch_guard_scenario()
+    };
+    let report = run_scenario(&scenario, Sabotage::none());
+    assert!(
+        report.violations.is_empty(),
+        "double-fault cell violated {:#?}",
+        report.violations
+    );
+    let r = &report.result;
+    assert_eq!(r.failover_takeovers, 1, "{r:#?}");
+    assert_eq!(r.ctrl_crashes, 2, "{r:#?}");
+    assert_eq!(r.epoch_bumps, 2, "takeover + restart handshakes: {r:#?}");
+    assert_eq!(r.packets_delivered + r.packets_dropped, r.packets_sent);
+
+    let (_, events) = execute(&scenario, Sabotage::none());
+    let ms = Nanos::from_millis;
+    let lost_in = |from: Nanos, until: Nanos| {
+        events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::CtrlDrop { .. }))
+            .filter(|e| from <= e.at && e.at < until)
+            .count() as u64
+    };
+    // Primary outage: crash at 52 ms until the takeover at 60 ms; standby
+    // outage: its own 70-85 ms window. No drops outside them.
+    let (first, second) = (lost_in(ms(52), ms(60)), lost_in(ms(70), ms(85)));
+    assert!(first > 0 && second > 0, "drops {first} + {second}");
+    assert_eq!(r.ctrl_drops, first + second, "{r:#?}");
+    let roles: Vec<&str> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::CtrlCrash { role, .. } | EventKind::CtrlRestart { role, .. } => Some(role),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(roles, ["primary", "standby", "standby"]);
 }

@@ -423,28 +423,51 @@ fn handshake_negotiates_features_and_flow_buffering() {
 
 #[test]
 fn trace_log_captures_the_control_channel() {
-    use sdn_buffer_lab::core::{Testbed, TestbedConfig};
-    let mut config = TestbedConfig::with_buffer(BufferMode::PacketGranularity { capacity: 64 });
-    config.trace_capacity = 256;
-    let mut tb = Testbed::new(config);
+    use sdn_buffer_lab::core::{ChannelDir, Testbed, TestbedConfig};
+    let mut tb = Testbed::new(TestbedConfig::with_buffer(BufferMode::PacketGranularity {
+        capacity: 64,
+    }));
+    let (tracer, sink) = Tracer::recording(0);
+    tb.set_tracer(tracer);
     let deps = sdn_buffer_lab::workload::single_packet_flows(
         &sdn_buffer_lab::workload::PktgenConfig::default(),
         3,
         1,
     );
     tb.run(&deps);
-    let text = tb.trace().to_text();
-    // The handshake and the three flow setups must all be visible.
+    let sink = sink.borrow();
+    let on_channel: Vec<(ChannelDir, &str)> = sink
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::CtrlMsg { dir, label, .. } => Some((dir, label)),
+            _ => None,
+        })
+        .collect();
+    // The handshake and the three flow setups must all be visible, each
+    // travelling the right way.
     for needle in [
-        "Hello",
-        "FeaturesReply",
-        "packet_in",
-        "flow_mod",
-        "packet_out",
+        (ChannelDir::ToSwitch, "hello"),
+        (ChannelDir::ToController, "features_reply"),
+        (ChannelDir::ToController, "packet_in"),
+        (ChannelDir::ToSwitch, "flow_mod"),
+        (ChannelDir::ToSwitch, "packet_out"),
     ] {
-        assert!(text.contains(needle), "missing {needle} in trace:\n{text}");
+        assert!(
+            on_channel.contains(&needle),
+            "missing {needle:?} in trace:\n{on_channel:?}"
+        );
     }
-    assert_eq!(tb.trace().suppressed(), 0);
+    // Every request is filed under a buffer id and drained by its response.
+    let count =
+        |pred: fn(&EventKind) -> bool| sink.events().iter().filter(|e| pred(&e.kind)).count();
+    assert_eq!(
+        count(|k| matches!(k, EventKind::PacketInSent { .. })),
+        3 + 2
+    );
+    assert_eq!(count(|k| matches!(k, EventKind::BufferDrain { .. })), 3 + 2);
+    assert_eq!(count(|k| matches!(k, EventKind::CtrlDrop { .. })), 0);
+    assert_eq!(sink.dropped(), 0);
 }
 
 #[test]
