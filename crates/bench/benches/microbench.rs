@@ -2,6 +2,7 @@
 //! codec, flow-table lookup, buffer operations, and a full testbed run.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use sdnbuf_controller::{Controller, ControllerConfig};
 use sdnbuf_core::{BufferMode, Experiment, ExperimentConfig, WorkloadKind};
 use sdnbuf_flowtable::{FlowRule, FlowTable};
 use sdnbuf_net::{Packet, PacketBuilder};
@@ -10,6 +11,7 @@ use sdnbuf_sim::{
     events, BitRate, ChannelDir, EventKind, EventSink, FaultPlan, FaultState, JsonlSink, LossModel,
     Nanos, Tracer, Window,
 };
+use sdnbuf_switch::{BufferChoice, Switch, SwitchConfig, SwitchOutput};
 use sdnbuf_switchbuf::{
     BufferMechanism, FlowGranularityBuffer, PacketGranularityBuffer, PacketPool,
 };
@@ -54,7 +56,7 @@ fn bench_openflow_codec(c: &mut Criterion) {
         buffer_id: BufferId::NO_BUFFER,
         out_port: PortNo::NONE,
         flags: 0,
-        actions: vec![sdnbuf_openflow::Action::output(PortNo(2))],
+        actions: vec![sdnbuf_openflow::Action::output(PortNo(2))].into(),
     });
     c.bench_function("ofp_flow_mod_encode", |b| {
         b.iter(|| black_box(&fm).encode(1))
@@ -193,6 +195,162 @@ fn bench_buffers(c: &mut Criterion) {
                 for bp in black_box(buf.release(Nanos::from_millis(1), id.unwrap())) {
                     pool.release(bp.packet);
                 }
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
+fn flow_mod_to_port_2(pkt: &Packet) -> OfpMessage {
+    OfpMessage::FlowMod(msg::FlowMod {
+        match_fields: Match::exact_from_packet(PortNo(1), pkt),
+        cookie: 0,
+        command: msg::FlowModCommand::Add,
+        idle_timeout: 5,
+        hard_timeout: 0,
+        priority: 100,
+        buffer_id: BufferId::NO_BUFFER,
+        out_port: PortNo::NONE,
+        flags: 0,
+        actions: vec![sdnbuf_openflow::Action::output(PortNo(2))].into(),
+    })
+}
+
+/// Hands the pool references of `outputs` back and returns the buffer id
+/// of the `packet_in` among them, if any.
+fn settle(outputs: &mut Vec<SwitchOutput>, pool: &mut PacketPool) -> Option<BufferId> {
+    let mut buffer_id = None;
+    for output in outputs.drain(..) {
+        match output {
+            SwitchOutput::Forward { packet, .. } => {
+                pool.release(packet);
+            }
+            SwitchOutput::ToController {
+                msg: OfpMessage::PacketIn(pin),
+                ..
+            } => buffer_id = Some(pin.buffer_id),
+            _ => {}
+        }
+    }
+    buffer_id
+}
+
+/// The three handler calls of the per-packet path (switch miss →
+/// controller decision → switch `flow_mod` + `packet_out`) and the hit
+/// that follows, each through the `Vec`-returning wrapper and `_into` an
+/// output buffer kept across calls, as the testbed keeps its own.
+fn bench_handlers(c: &mut Criterion) {
+    let pkt = PacketBuilder::udp().src_port(7).frame_size(1000).build();
+
+    let hit_switch = || {
+        let mut pool = PacketPool::new();
+        let mut sw = Switch::new(SwitchConfig::default());
+        sw.handle_controller_msg(Nanos::ZERO, flow_mod_to_port_2(&pkt), 1, &mut pool);
+        let frame = pool.insert(pkt.clone());
+        (sw, pool, frame)
+    };
+    c.bench_function("switch_hit", |b| {
+        let (mut sw, mut pool, frame) = hit_switch();
+        let mut now = Nanos::from_millis(10);
+        b.iter(|| {
+            now += Nanos::from_micros(10);
+            pool.retain(frame);
+            let mut out = sw.handle_frame(now, PortNo(1), frame, &mut pool);
+            settle(&mut out, &mut pool)
+        })
+    });
+    c.bench_function("switch_hit_into", |b| {
+        let (mut sw, mut pool, frame) = hit_switch();
+        let mut now = Nanos::from_millis(10);
+        let mut out = Vec::new();
+        b.iter(|| {
+            now += Nanos::from_micros(10);
+            pool.retain(frame);
+            sw.handle_frame_into(now, PortNo(1), frame, &mut pool, &mut out);
+            settle(&mut out, &mut pool)
+        })
+    });
+
+    let miss_switch = || {
+        let mut pool = PacketPool::new();
+        let sw = Switch::new(SwitchConfig {
+            buffer: BufferChoice::PacketGranularity { capacity: 256 },
+            ..SwitchConfig::default()
+        });
+        let frame = pool.insert(pkt.clone());
+        (sw, pool, frame, flow_mod_to_port_2(&pkt))
+    };
+    let packet_out = |buffer_id| {
+        OfpMessage::PacketOut(msg::PacketOut {
+            buffer_id,
+            in_port: PortNo(1),
+            actions: vec![sdnbuf_openflow::Action::output(PortNo(2))].into(),
+            data: Vec::new(),
+        })
+    };
+    let (t0, t1) = (Nanos::from_micros(10), Nanos::from_millis(1));
+    c.bench_function("switch_miss_flowmod_packetout", |b| {
+        b.iter_batched(
+            miss_switch,
+            |(mut sw, mut pool, frame, flow_mod)| {
+                let mut out = sw.handle_frame(t0, PortNo(1), frame, &mut pool);
+                let id = settle(&mut out, &mut pool).expect("a buffered packet_in");
+                black_box(sw.handle_controller_msg(t1, flow_mod, 1, &mut pool));
+                let mut out = sw.handle_controller_msg(t1, packet_out(id), 1, &mut pool);
+                settle(&mut out, &mut pool)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    c.bench_function("switch_miss_flowmod_packetout_into", |b| {
+        let mut out = Vec::new();
+        b.iter_batched(
+            miss_switch,
+            |(mut sw, mut pool, frame, flow_mod)| {
+                sw.handle_frame_into(t0, PortNo(1), frame, &mut pool, &mut out);
+                let id = settle(&mut out, &mut pool).expect("a buffered packet_in");
+                sw.handle_controller_msg_into(t1, flow_mod, 1, &mut pool, &mut out);
+                sw.handle_controller_msg_into(t1, packet_out(id), 1, &mut pool, &mut out);
+                settle(&mut out, &mut pool)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
+    let packet_in = OfpMessage::PacketIn(msg::PacketIn {
+        buffer_id: BufferId::new(7),
+        total_len: 1000,
+        in_port: PortNo(1),
+        reason: msg::PacketInReason::NoMatch,
+        data: pkt.header_slice(128),
+    });
+    let controller = || {
+        let mut ctl = Controller::new(ControllerConfig::default());
+        ctl.learn(pkt.ethernet.dst, PortNo(2));
+        ctl
+    };
+    c.bench_function("controller_packet_in", |b| {
+        let mut ctl = controller();
+        let mut now = Nanos::ZERO;
+        b.iter_batched(
+            || packet_in.clone(),
+            |msg| {
+                now += Nanos::from_micros(100);
+                ctl.handle_message(now, msg, 7).len()
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    c.bench_function("controller_packet_in_into", |b| {
+        let mut ctl = controller();
+        let mut now = Nanos::ZERO;
+        let mut out = Vec::new();
+        b.iter_batched(
+            || packet_in.clone(),
+            |msg| {
+                now += Nanos::from_micros(100);
+                ctl.handle_message_into(now, msg, 7, &mut out);
+                out.drain(..).count()
             },
             BatchSize::SmallInput,
         )
@@ -372,6 +530,7 @@ criterion_group!(
     bench_flow_table,
     bench_flow_table_expiry,
     bench_buffers,
+    bench_handlers,
     bench_timeout_probes,
     bench_event_sinks,
     bench_fault_plane,

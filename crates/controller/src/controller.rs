@@ -4,7 +4,7 @@ use crate::{AdmissionPolicy, ControllerConfig, ControllerStats, ForwardingMode, 
 use sdnbuf_net::MacAddr;
 use sdnbuf_openflow::{
     msg::{FlowMod, FlowModCommand, PacketIn, PacketOut},
-    Action, BufferId, Match, OfpMessage, PortNo, Wildcards,
+    Action, ActionList, BufferId, Match, OfpMessage, PortNo, Wildcards,
 };
 use sdnbuf_sim::{Bus, CpuResource, EventKind, FastHashMap, Nanos, Tracer};
 use std::collections::VecDeque;
@@ -27,6 +27,10 @@ pub enum ControllerOutput {
 }
 
 /// The Floodlight model: reactive L2 forwarding with cost accounting.
+///
+/// The message handlers come as `*_into(.., out)`, which pushes the timed
+/// outputs onto the caller's `Vec` in emission order and never clears or
+/// reads it, and as a wrapper returning a fresh `Vec`.
 pub struct Controller {
     config: ControllerConfig,
     cpu: CpuResource,
@@ -127,9 +131,14 @@ impl Controller {
     /// Opens the OpenFlow session: `hello`, `features_request`, then
     /// `set_config` pinning the `miss_send_len` the experiments use — the
     /// sequence Floodlight performs when a switch connects.
-    pub fn initiate_handshake(&mut self, now: Nanos, miss_send_len: u16) -> Vec<ControllerOutput> {
+    pub fn initiate_handshake_into(
+        &mut self,
+        now: Nanos,
+        miss_send_len: u16,
+        out: &mut Vec<ControllerOutput>,
+    ) {
         let at = self.submit(now, self.config.cost_parse_base);
-        [
+        for msg in [
             OfpMessage::Hello,
             OfpMessage::FeaturesRequest,
             OfpMessage::SetConfig(sdnbuf_openflow::msg::SwitchConfig {
@@ -137,14 +146,17 @@ impl Controller {
                 miss_send_len,
             }),
             OfpMessage::GetConfigRequest,
-        ]
-        .into_iter()
-        .map(|msg| ControllerOutput::ToSwitch {
-            at,
-            xid: self.fresh_xid(),
-            msg,
-        })
-        .collect()
+        ] {
+            let xid = self.fresh_xid();
+            out.push(ControllerOutput::ToSwitch { at, xid, msg });
+        }
+    }
+
+    /// [`Controller::initiate_handshake_into`] a fresh `Vec`.
+    pub fn initiate_handshake(&mut self, now: Nanos, miss_send_len: u16) -> Vec<ControllerOutput> {
+        let mut out = Vec::new();
+        self.initiate_handshake_into(now, miss_send_len, &mut out);
+        out
     }
 
     fn fresh_xid(&mut self) -> u32 {
@@ -248,93 +260,85 @@ impl Controller {
         self.mac_table.get(&mac).copied()
     }
 
-    /// Handles a message arriving from the switch at `now`.
-    pub fn handle_message(
+    /// Handles a message arriving from the switch at `now`, pushing the
+    /// timed responses onto `out`.
+    pub fn handle_message_into(
         &mut self,
         now: Nanos,
         msg: OfpMessage,
         xid: u32,
-    ) -> Vec<ControllerOutput> {
+        out: &mut Vec<ControllerOutput>,
+    ) {
         let wire_len = msg.wire_len();
         // Admission control happens at the socket, before the IO thread
         // spends any time draining the message.
         if let OfpMessage::PacketIn(pin) = msg {
             if self.config.ingress_queue_capacity > 0 && !self.admit(now, &pin, xid) {
-                return Vec::new();
+                return;
             }
             let now = self.ingest.transfer(now, wire_len);
-            return self.handle_packet_in(now, pin, xid);
+            return self.handle_packet_in(now, pin, xid, out);
         }
         // The message is first drained off the socket by the IO thread —
         // a serial, size-proportional stage.
         let now = self.ingest.transfer(now, wire_len);
+        // Every message costs one parse; most are consumed quietly.
+        let at = self.submit(now, self.config.cost_parse_base);
         match msg {
             OfpMessage::PacketIn(_) => unreachable!("handled above"),
-            OfpMessage::EchoRequest(data) => {
-                let at = self.submit(now, self.config.cost_parse_base);
-                vec![ControllerOutput::ToSwitch {
-                    at,
-                    xid,
-                    msg: OfpMessage::EchoReply(data),
-                }]
-            }
-            OfpMessage::FlowRemoved(_) => {
-                self.stats.flow_removed.incr();
-                self.submit(now, self.config.cost_parse_base);
-                Vec::new()
-            }
-            OfpMessage::Error(_) => {
-                self.stats.errors.incr();
-                self.submit(now, self.config.cost_parse_base);
-                Vec::new()
-            }
+            OfpMessage::EchoRequest(data) => out.push(ControllerOutput::ToSwitch {
+                at,
+                xid,
+                msg: OfpMessage::EchoReply(data),
+            }),
+            OfpMessage::FlowRemoved(_) => self.stats.flow_removed.incr(),
+            OfpMessage::Error(_) => self.stats.errors.incr(),
             OfpMessage::FeaturesReply(fr) => {
                 self.switch_features = Some(SwitchFeatures {
                     datapath_id: fr.datapath_id,
                     n_buffers: fr.n_buffers,
                     n_ports: fr.ports.len(),
                 });
-                self.submit(now, self.config.cost_parse_base);
-                Vec::new()
             }
             ref vendor @ OfpMessage::Vendor(_) => {
                 // The flow-granularity capability announcement: acknowledge
                 // by enabling the mechanism with the announced timeout.
-                let reply = sdnbuf_openflow::FlowBufferExt::from_message(vendor);
-                let at = self.submit(now, self.config.cost_parse_base);
-                match reply {
-                    Some(Ok(sdnbuf_openflow::FlowBufferExt::Announce { timeout_ms, .. })) => {
-                        vec![ControllerOutput::ToSwitch {
-                            at,
-                            xid: self.fresh_xid(),
-                            msg: OfpMessage::from(sdnbuf_openflow::FlowBufferExt::Configure {
-                                enabled: true,
-                                timeout_ms,
-                            }),
-                        }]
-                    }
-                    _ => Vec::new(),
+                if let Some(Ok(sdnbuf_openflow::FlowBufferExt::Announce { timeout_ms, .. })) =
+                    sdnbuf_openflow::FlowBufferExt::from_message(vendor)
+                {
+                    let xid = self.fresh_xid();
+                    out.push(ControllerOutput::ToSwitch {
+                        at,
+                        xid,
+                        msg: OfpMessage::from(sdnbuf_openflow::FlowBufferExt::Configure {
+                            enabled: true,
+                            timeout_ms,
+                        }),
+                    });
                 }
             }
-            OfpMessage::StatsReply(_) => {
-                self.stats.stats_replies.incr();
-                self.submit(now, self.config.cost_parse_base);
-                Vec::new()
-            }
+            OfpMessage::StatsReply(_) => self.stats.stats_replies.incr(),
             OfpMessage::EchoReply(_) => {
                 self.stats.echo_replies.incr();
                 if let Some(sent) = self.pending_echoes.remove(&xid) {
                     self.stats.echo_rtt.record(now.saturating_sub(sent));
                 }
-                self.submit(now, self.config.cost_parse_base);
-                Vec::new()
             }
-            // Handshake replies and other housekeeping: consume quietly.
-            _ => {
-                self.submit(now, self.config.cost_parse_base);
-                Vec::new()
-            }
+            // Handshake replies and other housekeeping.
+            _ => {}
         }
+    }
+
+    /// [`Controller::handle_message_into`] a fresh `Vec`.
+    pub fn handle_message(
+        &mut self,
+        now: Nanos,
+        msg: OfpMessage,
+        xid: u32,
+    ) -> Vec<ControllerOutput> {
+        let mut out = Vec::new();
+        self.handle_message_into(now, msg, xid, &mut out);
+        out
     }
 
     /// Decides whether a `packet_in` arriving at `now` gets an admission
@@ -398,7 +402,8 @@ impl Controller {
         now: Nanos,
         mut pin: PacketIn,
         xid: u32,
-    ) -> Vec<ControllerOutput> {
+        out: &mut Vec<ControllerOutput>,
+    ) {
         self.stats.pkt_ins.incr();
         self.stats.pkt_in_bytes.add(pin.data.len() as u64);
         self.tracer.emit(
@@ -412,7 +417,7 @@ impl Controller {
         let Ok(headers) = ParsedHeaders::parse(&pin.data) else {
             self.stats.parse_failures.incr();
             self.submit(now, self.config.cost_parse_base);
-            return Vec::new();
+            return;
         };
         // L2 learning: the source lives behind the ingress port.
         if !headers.src_mac.is_multicast() {
@@ -463,6 +468,7 @@ impl Controller {
                 // The paper's response pair: flow_mod installing the rule
                 // for subsequent packets, packet_out forwarding the
                 // miss-match packet itself.
+                let actions = ActionList::from_iter([Action::output(out_port)]);
                 let flow_mod = OfpMessage::FlowMod(FlowMod {
                     match_fields: match_from_headers(&headers, pin.in_port),
                     cookie: 0,
@@ -473,12 +479,12 @@ impl Controller {
                     buffer_id: BufferId::NO_BUFFER,
                     out_port: PortNo::NONE,
                     flags: 0,
-                    actions: vec![Action::output(out_port)],
+                    actions: actions.clone(),
                 });
                 let pkt_out = OfpMessage::PacketOut(PacketOut {
                     buffer_id: pin.buffer_id,
                     in_port: pin.in_port,
-                    actions: vec![Action::output(out_port)],
+                    actions,
                     data: out_data,
                 });
                 self.stats.flow_mods.incr();
@@ -491,18 +497,9 @@ impl Controller {
                         buffer_id: pin.buffer_id.as_u32(),
                     },
                 );
-                vec![
-                    ControllerOutput::ToSwitch {
-                        at,
-                        xid,
-                        msg: flow_mod,
-                    },
-                    ControllerOutput::ToSwitch {
-                        at,
-                        xid,
-                        msg: pkt_out,
-                    },
-                ]
+                for msg in [flow_mod, pkt_out] {
+                    out.push(ControllerOutput::ToSwitch { at, xid, msg });
+                }
             }
             None => {
                 // Unknown or broadcast destination: flood, install nothing.
@@ -522,16 +519,16 @@ impl Controller {
                         buffer_id: pin.buffer_id.as_u32(),
                     },
                 );
-                vec![ControllerOutput::ToSwitch {
+                out.push(ControllerOutput::ToSwitch {
                     at,
                     xid,
                     msg: OfpMessage::PacketOut(PacketOut {
                         buffer_id: pin.buffer_id,
                         in_port: pin.in_port,
-                        actions: vec![Action::output(PortNo::FLOOD)],
+                        actions: ActionList::from_iter([Action::output(PortNo::FLOOD)]),
                         data: out_data,
                     }),
-                }]
+                });
             }
         }
     }

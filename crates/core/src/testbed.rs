@@ -359,6 +359,12 @@ pub struct Testbed {
     pool: PacketPool,
     /// Slab pool for in-flight control messages.
     msgs: Pool<OfpMessage>,
+    /// Where the switch's handlers push their timed outputs; drained into
+    /// the event queue after every call, so empty between events and kept
+    /// for its storage.
+    switch_out: Vec<SwitchOutput>,
+    /// The same for the serving controller's handlers.
+    ctrl_out: Vec<ControllerOutput>,
     ctrl_drops: u64,
     data_drops: u64,
     faults: FaultState,
@@ -443,6 +449,8 @@ impl Testbed {
             queue: EventQueue::new(),
             pool: PacketPool::new(),
             msgs: Pool::new(),
+            switch_out: Vec::new(),
+            ctrl_out: Vec::new(),
             ctrl_drops: 0,
             data_drops: 0,
             faults: FaultState::new(config.faults.clone()),
@@ -497,10 +505,9 @@ impl Testbed {
     /// proactive QoS classification) before [`Testbed::run`]. Any timed
     /// outputs the message produces are scheduled into the event loop.
     pub fn inject_controller_msg(&mut self, now: Nanos, msg: OfpMessage, xid: u32) {
-        let outputs = self
-            .switch
-            .handle_controller_msg(now, msg, xid, &mut self.pool);
-        self.process_switch_outputs(outputs, None);
+        self.switch
+            .handle_controller_msg_into(now, msg, xid, &mut self.pool, &mut self.switch_out);
+        self.process_switch_outputs(None);
     }
 
     /// Attaches a structured event tracer to the whole testbed: the
@@ -554,8 +561,9 @@ impl Testbed {
         // vendor-extension capability announcement when the switch runs
         // the flow-granularity mechanism.
         self.handshake(Nanos::ZERO);
-        let announce = self.switch.announce_capabilities(Nanos::ZERO);
-        self.process_switch_outputs(announce, None);
+        self.switch
+            .announce_capabilities_into(Nanos::ZERO, &mut self.switch_out);
+        self.process_switch_outputs(None);
 
         // Warm-up: both hosts announce themselves so the controller's
         // learning table knows where Host2 lives (as on the real testbed,
@@ -574,6 +582,10 @@ impl Testbed {
         let shift = self.config.warmup_gap;
         self.data_start = shift + departures.first().map_or(Nanos::ZERO, |d| d.at);
         let mut flows_total = 0usize;
+        // One record and one pooled packet per departure: sized once
+        // instead of by doubling, which copies the whole table each time.
+        self.records.reserve(departures.len());
+        self.pool.reserve(departures.len());
         for d in departures {
             if let Some(id) = packet_id(&d.packet) {
                 self.records.insert(
@@ -737,10 +749,9 @@ impl Testbed {
             self.pressure_on = pressure;
             self.switch.set_buffer_pressure(pressure);
         }
-        let outputs = self
-            .switch
-            .handle_frame(now, in_port, packet, &mut self.pool);
-        self.process_switch_outputs(outputs, flow);
+        self.switch
+            .handle_frame_into(now, in_port, packet, &mut self.pool, &mut self.switch_out);
+        self.process_switch_outputs(flow);
         self.arm_timer();
     }
 
@@ -822,14 +833,12 @@ impl Testbed {
         );
     }
 
-    /// Hands the serving controller's timed outputs to the control
-    /// channel, counting the responses of the measurement window.
-    fn schedule_ctrl_outputs(
-        &mut self,
-        now: Nanos,
-        outputs: impl IntoIterator<Item = ControllerOutput>,
-    ) {
-        for ControllerOutput::ToSwitch { at, xid, msg } in outputs {
+    /// Hands the timed outputs the serving controller pushed onto
+    /// `ctrl_out` to the control channel, counting the responses of the
+    /// measurement window.
+    fn schedule_ctrl_outputs(&mut self, now: Nanos) {
+        let mut outputs = std::mem::take(&mut self.ctrl_out);
+        for ControllerOutput::ToSwitch { at, xid, msg } in outputs.drain(..) {
             if now >= self.data_start {
                 match &msg {
                     OfpMessage::FlowMod(_) => self.flow_mod_count += 1,
@@ -841,6 +850,7 @@ impl Testbed {
             let dir = ChannelDir::ToSwitch;
             self.queue.schedule(at, Event::CtrlSend { dir, xid, msg });
         }
+        self.ctrl_out = outputs;
     }
 
     fn on_ctrl_at_controller(&mut self, now: Nanos, xid: u32, msg: MsgHandle) {
@@ -862,8 +872,10 @@ impl Testbed {
         // clones only when a fault-injected duplicate still shares the
         // entry.
         let msg = self.msgs.take(msg).expect("live ctrl msg handle");
-        let outputs = self.slots[self.serving].ctrl.handle_message(now, msg, xid);
-        self.schedule_ctrl_outputs(now, outputs);
+        self.slots[self.serving]
+            .ctrl
+            .handle_message_into(now, msg, xid, &mut self.ctrl_out);
+        self.schedule_ctrl_outputs(now);
     }
 
     fn on_ctrl_at_switch(&mut self, now: Nanos, xid: u32, msg: MsgHandle) {
@@ -877,10 +889,9 @@ impl Testbed {
             }
         }
         let msg = self.msgs.take(msg).expect("live ctrl msg handle");
-        let outputs = self
-            .switch
-            .handle_controller_msg(now, msg, xid, &mut self.pool);
-        self.process_switch_outputs(outputs, None);
+        self.switch
+            .handle_controller_msg_into(now, msg, xid, &mut self.pool, &mut self.switch_out);
+        self.process_switch_outputs(None);
         self.arm_timer();
     }
 
@@ -889,8 +900,9 @@ impl Testbed {
             self.timer_armed = None;
         }
         if self.switch.next_timer().is_some_and(|t| t <= now) {
-            let outputs = self.switch.on_timer(now, &mut self.pool);
-            self.process_switch_outputs(outputs, None);
+            self.switch
+                .on_timer_into(now, &mut self.pool, &mut self.switch_out);
+            self.process_switch_outputs(None);
         }
         self.arm_timer();
     }
@@ -904,7 +916,8 @@ impl Testbed {
             return;
         }
         let probe = originate(&mut slot.ctrl, now);
-        self.schedule_ctrl_outputs(now, [probe]);
+        self.ctrl_out.push(probe);
+        self.schedule_ctrl_outputs(now);
     }
 
     fn on_crash(&mut self, now: Nanos, slot: usize) {
@@ -970,21 +983,18 @@ impl Testbed {
     fn handshake(&mut self, now: Nanos) {
         let ctrl = &mut self.slots[self.serving].ctrl;
         ctrl.set_epoch(self.ctrl_epoch);
-        let outputs = ctrl.initiate_handshake(now, self.config.switch.miss_send_len);
-        self.schedule_ctrl_outputs(now, outputs);
+        ctrl.initiate_handshake_into(now, self.config.switch.miss_send_len, &mut self.ctrl_out);
+        self.schedule_ctrl_outputs(now);
     }
 
-    /// Routes the switch's timed outputs into the event queue.
-    /// `originating_flow` is the flow of the packet that triggered them
-    /// (known when handling a data frame), used to attribute the pkt_in for
-    /// per-flow controller-delay accounting; otherwise the pkt_in's own
-    /// payload headers are consulted.
-    fn process_switch_outputs(
-        &mut self,
-        outputs: Vec<SwitchOutput>,
-        originating_flow: Option<FlowKey>,
-    ) {
-        let mut outputs = outputs.into_iter().peekable();
+    /// Routes the timed outputs the switch pushed onto `switch_out` into
+    /// the event queue. `originating_flow` is the flow of the packet that
+    /// triggered them (known when handling a data frame), used to attribute
+    /// the pkt_in for per-flow controller-delay accounting; otherwise the
+    /// pkt_in's own payload headers are consulted.
+    fn process_switch_outputs(&mut self, originating_flow: Option<FlowKey>) {
+        let mut drained = std::mem::take(&mut self.switch_out);
+        let mut outputs = drained.drain(..).peekable();
         while let Some(output) = outputs.next() {
             match output {
                 SwitchOutput::Forward {
@@ -1052,6 +1062,8 @@ impl Testbed {
                 }
             }
         }
+        drop(outputs);
+        self.switch_out = drained;
     }
 
     /// One frame leaving a switch data port: record it, run the data-link

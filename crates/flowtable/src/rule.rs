@@ -1,6 +1,6 @@
 //! A single flow rule.
 
-use sdnbuf_openflow::{Action, Match};
+use sdnbuf_openflow::{ActionList, Match};
 use sdnbuf_sim::Nanos;
 use std::fmt;
 
@@ -26,8 +26,9 @@ pub struct FlowRule {
     pub match_fields: Match,
     /// Priority; higher wins among overlapping rules.
     pub priority: u16,
-    /// Actions applied to matching packets (empty = drop).
-    pub actions: Vec<Action>,
+    /// Actions applied to matching packets (empty = drop). Up to two sit
+    /// in the rule itself, so a hit reads them without leaving the rule.
+    pub actions: ActionList,
     /// Controller cookie.
     pub cookie: u64,
     /// Remove after this long without a hit (`Nanos::ZERO` = never).
@@ -53,7 +54,7 @@ impl FlowRule {
         FlowRule {
             match_fields,
             priority,
-            actions: Vec::new(),
+            actions: ActionList::new(),
             cookie: 0,
             idle_timeout: Nanos::ZERO,
             hard_timeout: Nanos::ZERO,
@@ -67,8 +68,8 @@ impl FlowRule {
 
     /// Sets the action list.
     #[must_use]
-    pub fn with_actions(mut self, actions: Vec<Action>) -> FlowRule {
-        self.actions = actions;
+    pub fn with_actions(mut self, actions: impl Into<ActionList>) -> FlowRule {
+        self.actions = actions.into();
         self
     }
 
@@ -148,7 +149,7 @@ impl fmt::Display for FlowRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdnbuf_openflow::PortNo;
+    use sdnbuf_openflow::{Action, PortNo};
 
     #[test]
     fn builder_chain() {

@@ -463,9 +463,12 @@ impl FlowTable {
         best
     }
 
-    /// Removes every rule whose idle or hard timeout has elapsed at `now`;
-    /// returns them, in insertion order, with the applicable reason.
-    pub fn expire(&mut self, now: Nanos) -> Vec<RemovedRule> {
+    /// Removes every rule whose idle or hard timeout has elapsed at `now`
+    /// and pushes them onto `removed`, in insertion order, with the
+    /// applicable reason. `removed` is the caller's: what it already holds
+    /// stays, and a caller that keeps it across sweeps pays for its storage
+    /// once.
+    pub fn expire_into(&mut self, now: Nanos, removed: &mut Vec<RemovedRule>) {
         let mut due = std::mem::take(&mut self.due);
         // The top entry is exact, so nothing is due unless it is.
         while let Some(&Reverse((at, idx))) = self.deadlines.peek() {
@@ -480,7 +483,8 @@ impl FlowTable {
         // reported; a rule can have left more than one entry.
         due.sort_unstable();
         due.dedup();
-        let mut removed = Vec::with_capacity(due.len());
+        let any_due = !due.is_empty();
+        removed.reserve(due.len());
         for idx in due.drain(..) {
             let r = self.rule(idx);
             let reason = if r.hard_timeout != Nanos::ZERO && now >= r.installed_at + r.hard_timeout
@@ -493,10 +497,16 @@ impl FlowTable {
             removed.push(RemovedRule { rule, reason });
         }
         self.due = due;
-        if !removed.is_empty() {
+        if any_due {
             self.maybe_compact();
             self.settle_deadlines();
         }
+    }
+
+    /// [`FlowTable::expire_into`] a fresh `Vec`.
+    pub fn expire(&mut self, now: Nanos) -> Vec<RemovedRule> {
+        let mut removed = Vec::new();
+        self.expire_into(now, &mut removed);
         removed
     }
 
@@ -583,7 +593,7 @@ mod tests {
         let (low, view) = exact_rule(5, 1);
         t.insert(Nanos::ZERO, low);
         let mut high = FlowRule::new(Match::any(), 50);
-        high.actions = vec![Action::output(PortNo(9))];
+        high.actions = vec![Action::output(PortNo(9))].into();
         t.insert(Nanos::ZERO, high);
         let hit = t.peek(&view).unwrap();
         assert_eq!(hit.priority, 50);

@@ -1,6 +1,7 @@
 //! Asserts what the expiry index allocates: a sweep that removes rules
-//! allocates its result once; an empty sweep, `next_expiry` and a hit —
-//! on the rule due next or on any other — allocate nothing.
+//! allocates its result once, and nothing when the caller brings the
+//! result's storage; an empty sweep, `next_expiry` and a hit — on the rule
+//! due next or on any other — allocate nothing.
 //!
 //! The switch polls `next_expiry` after every frame and controller
 //! message and sweeps on every timer, so an allocation here is an
@@ -103,4 +104,13 @@ fn expiry_index_allocates_only_the_sweep_result() {
             "a sweep removing {k} rules allocates its result, once"
         );
     }
+
+    // The switch's timer keeps one result buffer for all its sweeps.
+    let mut removed = Vec::with_capacity(8);
+    let (n, ()) = allocations_in(|| t.expire_into(t0 + Nanos::from_secs(38), &mut removed));
+    assert_eq!(
+        (n, removed.len()),
+        (0, 8),
+        "a sweep into a buffer with room must not allocate"
+    );
 }

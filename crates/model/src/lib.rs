@@ -524,7 +524,7 @@ fn wire_len_flow_mod() -> usize {
         buffer_id: BufferId::NO_BUFFER,
         out_port: PortNo::NONE,
         flags: 0,
-        actions: vec![Action::output(PortNo(2))],
+        actions: vec![Action::output(PortNo(2))].into(),
     })
     .wire_len()
 }
@@ -535,7 +535,7 @@ fn wire_len_packet_out(data_len: usize) -> usize {
     OfpMessage::PacketOut(PacketOut {
         buffer_id: BufferId::NO_BUFFER,
         in_port: PortNo(1),
-        actions: vec![Action::output(PortNo(2))],
+        actions: vec![Action::output(PortNo(2))].into(),
         data: vec![0; data_len],
     })
     .wire_len()

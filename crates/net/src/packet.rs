@@ -114,42 +114,40 @@ impl Packet {
     /// rest of the frame. Identical to `encode()` truncated to `n`, but
     /// the payload tail past `n` is never copied — on the buffered-miss
     /// hot path this turns a full-frame serialization (1000 bytes in the
-    /// paper's workload) into a `miss_send_len`-sized one.
+    /// paper's workload) into a `miss_send_len`-sized one, in the one
+    /// allocation of the result.
     pub fn encode_prefix(&self, n: usize) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(n.min(self.wire_len()));
-        let put = |bytes: &[u8], buf: &mut Vec<u8>| {
-            let room = n - buf.len();
-            buf.extend_from_slice(&bytes[..bytes.len().min(room)]);
-        };
-        let mut scratch = Vec::with_capacity(ETHERNET_HEADER_LEN + IPV4_HEADER_LEN);
-        self.ethernet.encode_into(&mut scratch);
-        put(&scratch, &mut buf);
-        if buf.len() == n {
-            return buf;
-        }
-        match &self.payload {
-            Payload::Arp(arp) => put(&arp.encode(), &mut buf),
+        /// The longest header stack: Ethernet, IPv4, TCP.
+        const HEADERS_MAX: usize = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN;
+        let len = n.min(self.wire_len());
+        // Headers are encoded whole, straight into the result, and cut to
+        // `len` afterwards, so the result has room for all of them.
+        let mut buf = Vec::with_capacity(len.max(HEADERS_MAX));
+        self.ethernet.encode_into(&mut buf);
+        let tail: &[u8] = match &self.payload {
+            Payload::Arp(arp) => {
+                buf.extend_from_slice(&arp.encode());
+                &[]
+            }
             Payload::Ipv4(ip) => {
-                scratch.clear();
-                ip.header.encode_into(&mut scratch);
+                ip.header.encode_into(&mut buf);
                 match &ip.transport {
                     Transport::Udp(udp, p) => {
-                        udp.encode_into(&mut scratch);
-                        put(&scratch, &mut buf);
-                        put(p, &mut buf);
+                        udp.encode_into(&mut buf);
+                        p
                     }
                     Transport::Tcp(tcp, p) => {
-                        tcp.encode_into(&mut scratch);
-                        put(&scratch, &mut buf);
-                        put(p, &mut buf);
+                        tcp.encode_into(&mut buf);
+                        p
                     }
-                    Transport::Other(_, p) => {
-                        put(&scratch, &mut buf);
-                        put(p, &mut buf);
-                    }
+                    Transport::Other(_, p) => p,
                 }
             }
-            Payload::Raw(b) => put(b, &mut buf),
+            Payload::Raw(b) => b,
+        };
+        match len.checked_sub(buf.len()) {
+            Some(room) => buf.extend_from_slice(&tail[..room]),
+            None => buf.truncate(len),
         }
         buf
     }

@@ -1,7 +1,7 @@
 //! OpenFlow 1.0 actions.
 
 use crate::wire;
-use crate::{OfpError, PortNo};
+use crate::{ActionList, OfpError, PortNo};
 use std::fmt;
 
 const OFPAT_OUTPUT: u16 = 0;
@@ -152,16 +152,18 @@ impl Action {
     ///
     /// Any per-action decode error, or [`OfpError::Truncated`] if `len`
     /// exceeds the buffer.
-    pub fn decode_list(buf: &[u8], len: usize) -> Result<Vec<Action>, OfpError> {
+    pub fn decode_list(buf: &[u8], len: usize) -> Result<ActionList, OfpError> {
         wire::need(buf, len)?;
-        let mut actions = Vec::new();
         let mut at = 0;
-        while at < len {
-            let (a, used) = Action::decode(&buf[at..len])?;
-            actions.push(a);
-            at += used;
-        }
-        Ok(actions)
+        std::iter::from_fn(|| {
+            (at < len).then(|| {
+                Action::decode(&buf[at..len]).map(|(action, used)| {
+                    at += used;
+                    action
+                })
+            })
+        })
+        .collect()
     }
 }
 
@@ -233,7 +235,7 @@ mod tests {
     #[test]
     fn empty_list_is_drop() {
         assert_eq!(Action::list_len(&[]), 0);
-        assert_eq!(Action::decode_list(&[], 0).unwrap(), vec![]);
+        assert!(Action::decode_list(&[], 0).unwrap().is_empty());
     }
 
     #[test]

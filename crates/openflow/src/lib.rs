@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 
 mod action;
+mod action_list;
 mod buffer_id;
 mod consts;
 mod error;
@@ -58,6 +59,7 @@ mod port;
 pub(crate) mod wire;
 
 pub use action::Action;
+pub use action_list::ActionList;
 pub use buffer_id::BufferId;
 pub use consts::{
     OFP_DEFAULT_MISS_SEND_LEN, OFP_FEATURES_REPLY_LEN, OFP_FLOW_MOD_LEN, OFP_FLOW_REMOVED_LEN,

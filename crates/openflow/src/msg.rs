@@ -7,8 +7,8 @@
 
 use crate::wire;
 use crate::{
-    consts, Action, BufferId, FlowBufferExt, Match, MsgType, OfpError, OfpHeader, PortNo,
-    FLOW_BUFFER_VENDOR_ID, OFP_HEADER_LEN, OFP_MATCH_LEN,
+    consts, Action, ActionList, BufferId, FlowBufferExt, Match, MsgType, OfpError, OfpHeader,
+    PortNo, FLOW_BUFFER_VENDOR_ID, OFP_HEADER_LEN, OFP_MATCH_LEN,
 };
 use sdnbuf_net::MacAddr;
 use std::fmt;
@@ -67,7 +67,7 @@ pub struct PacketOut {
     /// The port the packet originally arrived on (`NONE` if generated).
     pub in_port: PortNo,
     /// Actions to apply; empty list drops.
-    pub actions: Vec<Action>,
+    pub actions: ActionList,
     /// The full packet, only when `buffer_id` is `NO_BUFFER`.
     pub data: Vec<u8>,
 }
@@ -130,7 +130,7 @@ pub struct FlowMod {
     /// `OFPFF_*` flags.
     pub flags: u16,
     /// Actions of the rule.
-    pub actions: Vec<Action>,
+    pub actions: ActionList,
 }
 
 /// Why a flow rule was removed.
@@ -430,7 +430,7 @@ pub struct FlowStatsEntry {
     /// Bytes matched.
     pub byte_count: u64,
     /// The rule's actions.
-    pub actions: Vec<Action>,
+    pub actions: ActionList,
 }
 
 /// Body of a `stats_reply`.
@@ -1233,6 +1233,14 @@ mod tests {
         assert_eq!(xid, 0x1234_5678);
     }
 
+    /// Every control message lives in the testbed's message pool and is
+    /// moved through the handlers by value: the inline action lists must
+    /// not make it larger than it was with `Vec<Action>`.
+    #[test]
+    fn message_is_no_larger_than_with_heap_action_lists() {
+        assert!(std::mem::size_of::<OfpMessage>() <= 120);
+    }
+
     #[test]
     fn hello_and_barriers_are_bare_headers() {
         for msg in [
@@ -1368,7 +1376,7 @@ mod tests {
         let buffered = OfpMessage::PacketOut(PacketOut {
             buffer_id: BufferId::new(9),
             in_port: PortNo(1),
-            actions: vec![Action::output(PortNo(2))],
+            actions: vec![Action::output(PortNo(2))].into(),
             data: vec![],
         });
         assert_eq!(buffered.wire_len(), 24);
@@ -1378,7 +1386,7 @@ mod tests {
         let full = OfpMessage::PacketOut(PacketOut {
             buffer_id: BufferId::NO_BUFFER,
             in_port: PortNo(1),
-            actions: vec![Action::output(PortNo(2))],
+            actions: vec![Action::output(PortNo(2))].into(),
             data: pkt.encode(),
         });
         assert_eq!(full.wire_len(), 1024);
@@ -1397,7 +1405,7 @@ mod tests {
             buffer_id: BufferId::NO_BUFFER,
             out_port: PortNo::NONE,
             flags: OFPFF_SEND_FLOW_REM,
-            actions: vec![Action::output(PortNo(2))],
+            actions: vec![Action::output(PortNo(2))].into(),
         });
         // ofp_flow_mod is 72 bytes + 8 per output action.
         assert_eq!(msg.wire_len(), 80);
@@ -1423,7 +1431,7 @@ mod tests {
                 buffer_id: BufferId::NO_BUFFER,
                 out_port: PortNo::NONE,
                 flags: 0,
-                actions: vec![],
+                actions: ActionList::new(),
             }));
         }
     }
@@ -1482,7 +1490,7 @@ mod tests {
                 cookie: 6,
                 packet_count: 7,
                 byte_count: 8,
-                actions: vec![Action::output(PortNo(2))],
+                actions: vec![Action::output(PortNo(2))].into(),
             },
             FlowStatsEntry {
                 table_id: 0,
@@ -1495,7 +1503,7 @@ mod tests {
                 cookie: 0,
                 packet_count: 0,
                 byte_count: 0,
-                actions: vec![],
+                actions: ActionList::new(),
             },
         ])));
     }
@@ -1651,7 +1659,7 @@ mod tests {
         let pout = OfpMessage::PacketOut(PacketOut {
             buffer_id: BufferId::new(4),
             in_port: PortNo(1),
-            actions: vec![Action::output(PortNo(2))],
+            actions: vec![Action::output(PortNo(2))].into(),
             data: vec![],
         });
         assert_eq!(pout.to_string(), "packet_out(buf#4, 1 actions)");

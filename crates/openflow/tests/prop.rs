@@ -9,7 +9,7 @@ use sdnbuf_openflow::{
         ErrorMsg, FlowMod, FlowModCommand, FlowRemoved, FlowRemovedReason, PacketIn,
         PacketInReason, PacketOut, StatsReply, Vendor,
     },
-    Action, BufferId, Match, OfpMessage, PortNo, Wildcards,
+    Action, ActionList, BufferId, Match, OfpMessage, PortNo, Wildcards,
 };
 use std::net::Ipv4Addr;
 
@@ -70,7 +70,7 @@ fn arb_match() -> impl Strategy<Value = Match> {
 
 fn arb_message() -> impl Strategy<Value = OfpMessage> {
     let data = proptest::collection::vec(any::<u8>(), 0..256);
-    let actions = proptest::collection::vec(arb_action(), 0..4);
+    let actions = proptest::collection::vec(arb_action(), 0..4).prop_map(ActionList::from);
     prop_oneof![
         Just(OfpMessage::Hello),
         Just(OfpMessage::FeaturesRequest),
@@ -175,6 +175,31 @@ proptest! {
         let (back, back_xid) = OfpMessage::decode(&bytes).unwrap();
         prop_assert_eq!(back, msg);
         prop_assert_eq!(back_xid, xid);
+    }
+
+    /// 0..=6 actions straddle the in-place ↔ spilled boundary: either
+    /// representation must read, compare, clone and encode as the `Vec` it
+    /// was built from.
+    #[test]
+    fn action_list_is_the_vec_it_was_built_from(
+        plain in proptest::collection::vec(arb_action(), 0..7),
+    ) {
+        let collected: ActionList = plain.iter().copied().collect();
+        let converted = ActionList::from(plain.clone());
+        prop_assert_eq!(&collected[..], &plain[..]);
+        prop_assert_eq!(&collected, &converted);
+        prop_assert_eq!(&collected, &plain);
+        prop_assert_eq!(collected.clone(), converted);
+        prop_assert_eq!(format!("{collected:?}"), format!("{plain:?}"));
+
+        prop_assert_eq!(Action::list_len(&collected), Action::list_len(&plain));
+        let (mut from_list, mut from_vec) = (Vec::new(), Vec::new());
+        Action::encode_list(&collected, &mut from_list);
+        Action::encode_list(&plain, &mut from_vec);
+        prop_assert_eq!(&from_list, &from_vec);
+        prop_assert_eq!(from_list.len(), Action::list_len(&collected));
+        let decoded = Action::decode_list(&from_list, from_list.len()).unwrap();
+        prop_assert_eq!(decoded, collected);
     }
 
     #[test]

@@ -97,6 +97,13 @@ impl<T> Pool<T> {
         }
     }
 
+    /// Makes room for `additional` more values, so that inserting them
+    /// does not grow the slab.
+    pub fn reserve(&mut self, additional: usize) {
+        self.slots
+            .reserve(additional.saturating_sub(self.free.len()));
+    }
+
     /// Stores `val` and returns its handle (reference count 1).
     pub fn insert(&mut self, val: T) -> PoolHandle {
         self.stats.inserted += 1;

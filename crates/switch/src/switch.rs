@@ -9,8 +9,8 @@ use sdnbuf_openflow::{
 };
 use sdnbuf_sim::{Bus, CpuResource, EventKind, Nanos, Tracer};
 use sdnbuf_switchbuf::{
-    BufferMechanism, FlowGranularityBuffer, GiveUp, MissAction, NoBuffer, PacketGranularityBuffer,
-    PacketHandle, PacketPool, Rerequest,
+    BufferMechanism, BufferedPacket, FlowGranularityBuffer, GiveUp, MissAction, NoBuffer,
+    PacketGranularityBuffer, PacketHandle, PacketPool, Rerequest,
 };
 use std::collections::VecDeque;
 
@@ -53,44 +53,77 @@ pub enum SwitchOutput {
     },
 }
 
-/// Expands an action list into concrete (egress port, queue) pairs for a
-/// packet that arrived on `in_port`, given `data_ports` physical ports.
-/// `ENQUEUE` actions select a QoS queue; plain `OUTPUT` uses the port's
-/// default queue. A free function so the fast path can expand a matched
-/// rule's actions in place instead of cloning them out of the table.
-fn egress_ports(
+/// Emits the packet behind `packet` at `at` on every egress `actions` name
+/// for a packet that arrived on `in_port`, given `data_ports` physical
+/// ports, and returns how many that was. `ENQUEUE` actions select a QoS
+/// queue; plain `OUTPUT` uses the port's default queue. No egress at all
+/// (an empty list, or no output action) is an accounted drop. One pool
+/// reference per egress: the handle passed in covers the first, each
+/// further port retains the same pooled packet.
+///
+/// A free function over the switch's counters so the fast path can walk a
+/// matched rule's actions where they lie in the table, while the table is
+/// still borrowed.
+#[allow(clippy::too_many_arguments)]
+fn forward_all(
+    stats: &mut SwitchStats,
     data_ports: usize,
     actions: &[Action],
     in_port: PortNo,
-) -> Vec<(PortNo, Option<u32>)> {
-    let mut ports = Vec::new();
+    at: Nanos,
+    packet: PacketHandle,
+    wire_len: usize,
+    pool: &mut PacketPool,
+    out: &mut Vec<SwitchOutput>,
+) -> u64 {
+    let mut forwards = 0;
+    let mut emit = |port: PortNo, queue: Option<u32>| {
+        if forwards > 0 {
+            pool.retain(packet);
+        }
+        forwards += 1;
+        stats.count_tx(port.as_u16(), wire_len);
+        out.push(SwitchOutput::Forward {
+            at,
+            port,
+            queue,
+            packet,
+        });
+    };
     for action in actions {
-        let (port, queue) = match action {
-            Action::Output { port, .. } => (*port, None),
-            Action::Enqueue { port, queue_id } => (*port, Some(*queue_id)),
+        let (port, queue) = match *action {
+            Action::Output { port, .. } => (port, None),
+            Action::Enqueue { port, queue_id } => (port, Some(queue_id)),
             Action::SetNwTos(_) => continue,
         };
         match port {
-            PortNo::FLOOD | PortNo::ALL => {
-                ports.extend(
-                    (1..=data_ports as u16)
-                        .map(PortNo)
-                        .filter(|&p| p != in_port)
-                        .map(|p| (p, queue)),
-                );
-            }
-            PortNo::IN_PORT => ports.push((in_port, queue)),
-            p if p.is_physical() => ports.push((p, queue)),
+            PortNo::FLOOD | PortNo::ALL => (1..=data_ports as u16)
+                .map(PortNo)
+                .filter(|&p| p != in_port)
+                .for_each(|p| emit(p, queue)),
+            PortNo::IN_PORT => emit(in_port, queue),
+            p if p.is_physical() => emit(p, queue),
             _ => {}
         }
     }
-    ports
+    if forwards == 0 {
+        stats.drops.incr();
+        out.push(SwitchOutput::Drop {
+            packet: Some(packet),
+        });
+    }
+    forwards
 }
 
 /// The Open vSwitch model: flow table, buffer mechanism, CPU, bus.
 ///
 /// See the crate docs for the timing model. All handlers take the current
-/// virtual time and return timed [`SwitchOutput`]s with `at >= now`.
+/// virtual time and produce timed [`SwitchOutput`]s with `at >= now`.
+///
+/// Every handler comes as `*_into(.., out)`, which pushes its outputs onto
+/// the caller's `Vec` in emission order and never clears or reads it — the
+/// caller drains it, and one that keeps it across calls (the testbed does)
+/// pays for its storage once — and as a wrapper returning a fresh `Vec`.
 pub struct Switch {
     config: SwitchConfig,
     table: FlowTable,
@@ -152,6 +185,11 @@ pub struct Switch {
     reconcile_queue: VecDeque<BufferId>,
     /// When the next queued reconciliation re-announce goes out.
     next_reconcile: Option<Nanos>,
+    /// Where a `packet_out` has the buffer mechanism put what it releases;
+    /// empty between calls, kept for its storage.
+    released: Vec<BufferedPacket>,
+    /// The same for what a timer's expiry sweep takes out of the table.
+    expired: Vec<RemovedRule>,
 }
 
 impl std::fmt::Debug for Switch {
@@ -217,6 +255,8 @@ impl Switch {
             ctrl_suspect: false,
             reconcile_queue: VecDeque::new(),
             next_reconcile: None,
+            released: Vec::new(),
+            expired: Vec::new(),
             config,
         })
     }
@@ -318,36 +358,43 @@ impl Switch {
         (1..=self.config.data_ports as u16).map(PortNo)
     }
 
-    /// Handles a frame arriving on a data port at time `now`. The caller
-    /// passes one pool reference in with `packet`; it comes back out in the
-    /// outputs (each `Forward`/`Drop` carries its own reference) or is
-    /// absorbed by the buffer mechanism / the encoded `packet_in` payload.
-    pub fn handle_frame(
+    /// Handles a frame arriving on a data port at time `now`, pushing the
+    /// timed effects onto `out`. The caller passes one pool reference in
+    /// with `packet`; it comes back out in the outputs (each
+    /// `Forward`/`Drop` carries its own reference) or is absorbed by the
+    /// buffer mechanism / the encoded `packet_in` payload.
+    ///
+    /// A table hit allocates nothing once `out` has room for the rule's
+    /// egress ports.
+    pub fn handle_frame_into(
         &mut self,
         now: Nanos,
         in_port: PortNo,
         packet: PacketHandle,
         pool: &mut PacketPool,
-    ) -> Vec<SwitchOutput> {
-        let data_ports = self.config.data_ports;
-        let (wire_len, matched) = {
-            let pk = pool.get(packet).expect("live packet handle");
-            let view = MatchView::of(in_port, pk);
-            let wire_len = pk.wire_len();
-            let matched = self
-                .table
-                .match_packet(now, &view, wire_len)
-                .map(|rule| egress_ports(data_ports, &rule.actions, in_port));
-            (wire_len, matched)
-        };
+        out: &mut Vec<SwitchOutput>,
+    ) {
+        let pk = pool.get(packet).expect("live packet handle");
+        let view = MatchView::of(in_port, pk);
+        let wire_len = pk.wire_len();
+        let matched = self.table.match_packet(now, &view, wire_len);
         self.stats.count_rx(in_port.as_u16(), wire_len);
-        if let Some(ports) = matched {
+        if let Some(rule) = matched {
             // Fast path: datapath CPU cost, then out the rule's ports.
             let done = self.cpu.submit(now, self.config.cost_forward);
-            self.stats.fastpath_forwards.add(ports.len() as u64);
-            let mut outputs = Vec::with_capacity(ports.len().max(1));
-            self.forward_all(done, ports, packet, wire_len, pool, &mut outputs);
-            return outputs;
+            let forwards = forward_all(
+                &mut self.stats,
+                self.config.data_ports,
+                &rule.actions,
+                in_port,
+                done,
+                packet,
+                wire_len,
+                pool,
+                out,
+            );
+            self.stats.fastpath_forwards.add(forwards);
+            return;
         }
         // Slow path: table miss.
         self.stats.table_misses.incr();
@@ -366,9 +413,10 @@ impl Switch {
             // reconciliation.
             self.stats.suspect_sheds.incr();
             self.stats.drops.incr();
-            return vec![SwitchOutput::Drop {
+            out.push(SwitchOutput::Drop {
                 packet: Some(packet),
-            }];
+            });
+            return;
         }
         if self.degraded {
             if self.probe_pending {
@@ -385,13 +433,14 @@ impl Switch {
                     self.next_probe = Some(now + self.config.degraded_probe_interval);
                 }
                 self.stats.drops.incr();
-                return vec![SwitchOutput::Drop {
+                out.push(SwitchOutput::Drop {
                     packet: Some(packet),
-                }];
+                });
+                return;
             }
         }
         let total_len = wire_len as u16;
-        let outputs = match self.buffer.on_miss(now, packet, in_port, pool) {
+        match self.buffer.on_miss(now, packet, in_port, pool) {
             MissAction::SendFullPacketIn => {
                 // The whole frame crosses the bus, then the CPU builds a
                 // packet_in carrying it all. We still own the reference:
@@ -399,7 +448,9 @@ impl Switch {
                 let data = pool.get(packet).expect("live packet handle").encode();
                 pool.release(packet);
                 let no_buffer = BufferId::NO_BUFFER;
-                vec![self.packet_in_output(now, Nanos::ZERO, no_buffer, total_len, in_port, data)]
+                let pkt_in =
+                    self.packet_in_output(now, Nanos::ZERO, no_buffer, total_len, in_port, data);
+                out.push(pkt_in);
             }
             MissAction::SendBufferedPacketIn { buffer_id } => {
                 // Only the header slice crosses the bus; the packet body
@@ -410,57 +461,36 @@ impl Switch {
                     .expect("live packet handle")
                     .encode_prefix(self.miss_send_len as usize);
                 let store = self.config.cost_buffer_store;
-                vec![self.packet_in_output(now, store, buffer_id, total_len, in_port, slice)]
+                let pkt_in =
+                    self.packet_in_output(now, store, buffer_id, total_len, in_port, slice);
+                out.push(pkt_in);
             }
             MissAction::Buffered { .. } => {
                 // Algorithm 1 line 11: buffered silently; only the store
                 // cost is paid, no message is generated.
                 self.cpu.submit(now, self.config.cost_buffer_store);
-                Vec::new()
             }
-        };
+        }
         self.touch_gauge(now);
-        outputs
     }
 
-    /// Emits `packet` on each of `ports` at `at`; an empty port list (no
-    /// output action) is an accounted drop. One pool reference per egress:
-    /// the handle passed in covers the first, each additional port shares
-    /// the same pooled packet.
-    fn forward_all(
+    /// [`Switch::handle_frame_into`] a fresh `Vec`.
+    pub fn handle_frame(
         &mut self,
-        at: Nanos,
-        ports: Vec<(PortNo, Option<u32>)>,
+        now: Nanos,
+        in_port: PortNo,
         packet: PacketHandle,
-        wire_len: usize,
         pool: &mut PacketPool,
-        out: &mut Vec<SwitchOutput>,
-    ) {
-        if ports.is_empty() {
-            self.stats.drops.incr();
-            out.push(SwitchOutput::Drop {
-                packet: Some(packet),
-            });
-            return;
-        }
-        for _ in 1..ports.len() {
-            pool.retain(packet);
-        }
-        for (port, queue) in ports {
-            self.stats.count_tx(port.as_u16(), wire_len);
-            out.push(SwitchOutput::Forward {
-                at,
-                port,
-                queue,
-                packet,
-            });
-        }
+    ) -> Vec<SwitchOutput> {
+        let mut out = Vec::new();
+        self.handle_frame_into(now, in_port, packet, pool, &mut out);
+        out
     }
 
     /// Answers a control message that costs one `cost_control_misc` of CPU.
-    fn reply(&mut self, now: Nanos, xid: u32, msg: OfpMessage) -> Vec<SwitchOutput> {
+    fn reply(&mut self, now: Nanos, xid: u32, msg: OfpMessage, out: &mut Vec<SwitchOutput>) {
         let at = self.cpu.submit(now, self.config.cost_control_misc);
-        vec![SwitchOutput::ToController { at, xid, msg }]
+        out.push(SwitchOutput::ToController { at, xid, msg });
     }
 
     /// Sends `data` to the controller as a `packet_in`: the bytes cross the
@@ -502,15 +532,17 @@ impl Switch {
         }
     }
 
-    /// Handles a control message arriving from the controller at `now`.
-    /// `pool` backs the packets a `packet_out` releases or re-injects.
-    pub fn handle_controller_msg(
+    /// Handles a control message arriving from the controller at `now`,
+    /// pushing the timed effects onto `out`. `pool` backs the packets a
+    /// `packet_out` releases or re-injects.
+    pub fn handle_controller_msg_into(
         &mut self,
         now: Nanos,
         msg: OfpMessage,
         xid: u32,
         pool: &mut PacketPool,
-    ) -> Vec<SwitchOutput> {
+        out: &mut Vec<SwitchOutput>,
+    ) {
         if self.epoch_armed {
             // Any controller message proves the session is alive.
             self.last_ctrl_heard = now;
@@ -525,8 +557,8 @@ impl Switch {
             }
         }
         match msg {
-            OfpMessage::FlowMod(fm) => self.handle_flow_mod(now, fm, xid),
-            OfpMessage::PacketOut(po) => self.handle_packet_out(now, po, xid, pool),
+            OfpMessage::FlowMod(fm) => self.handle_flow_mod(now, fm, xid, out),
+            OfpMessage::PacketOut(po) => self.handle_packet_out(now, po, xid, pool, out),
             OfpMessage::SetConfig(c) => {
                 self.cpu.submit(now, self.config.cost_control_misc);
                 self.miss_send_len = c.miss_send_len;
@@ -536,16 +568,15 @@ impl Switch {
                     // the buffer state.
                     self.bump_epoch(now);
                 }
-                Vec::new()
             }
             OfpMessage::GetConfigRequest => {
                 let config = msg::SwitchConfig {
                     flags: 0,
                     miss_send_len: self.miss_send_len,
                 };
-                self.reply(now, xid, OfpMessage::GetConfigReply(config))
+                self.reply(now, xid, OfpMessage::GetConfigReply(config), out)
             }
-            OfpMessage::EchoRequest(data) => self.reply(now, xid, OfpMessage::EchoReply(data)),
+            OfpMessage::EchoRequest(data) => self.reply(now, xid, OfpMessage::EchoReply(data), out),
             OfpMessage::Hello => {
                 if self.epoch_armed && self.hello_seen && xid > self.hello_xid_high {
                     // A fresh-xid Hello after the first means the
@@ -558,7 +589,7 @@ impl Switch {
                 }
                 self.hello_seen = true;
                 self.hello_xid_high = self.hello_xid_high.max(xid);
-                self.reply(now, xid, OfpMessage::Hello)
+                self.reply(now, xid, OfpMessage::Hello, out)
             }
             OfpMessage::FeaturesRequest => {
                 let ports = self
@@ -577,10 +608,10 @@ impl Switch {
                     actions: 0xfff,
                     ports,
                 };
-                self.reply(now, xid, OfpMessage::FeaturesReply(features))
+                self.reply(now, xid, OfpMessage::FeaturesReply(features), out)
             }
-            OfpMessage::BarrierRequest => self.reply(now, xid, OfpMessage::BarrierReply),
-            OfpMessage::StatsRequest(req) => self.handle_stats_request(now, xid, req),
+            OfpMessage::BarrierRequest => self.reply(now, xid, OfpMessage::BarrierReply, out),
+            OfpMessage::StatsRequest(req) => self.handle_stats_request(now, xid, req, out),
             OfpMessage::QueueGetConfigRequest(port) => {
                 let queues = self
                     .config
@@ -592,13 +623,17 @@ impl Switch {
                         min_rate_tenths_percent: r,
                     })
                     .collect();
-                self.reply(now, xid, OfpMessage::QueueGetConfigReply { port, queues })
+                self.reply(
+                    now,
+                    xid,
+                    OfpMessage::QueueGetConfigReply { port, queues },
+                    out,
+                )
             }
             OfpMessage::PortMod(_) => {
                 // Port administration is modeled as a no-op acknowledgement
                 // (the testbed's ports are always up).
                 self.cpu.submit(now, self.config.cost_control_misc);
-                Vec::new()
             }
             ref vendor @ OfpMessage::Vendor(_) => match FlowBufferExt::from_message(vendor) {
                 Some(Ok(FlowBufferExt::Configure { .. }))
@@ -606,7 +641,6 @@ impl Switch {
                 {
                     // Accepted: acknowledged by silence.
                     self.cpu.submit(now, self.config.cost_control_misc);
-                    Vec::new()
                 }
                 _ => {
                     let error = msg::ErrorMsg {
@@ -614,7 +648,7 @@ impl Switch {
                         code: 3,     // OFPBRC_BAD_VENDOR
                         data: Vec::new(),
                     };
-                    self.reply(now, xid, OfpMessage::Error(error))
+                    self.reply(now, xid, OfpMessage::Error(error), out)
                 }
             },
             other => {
@@ -624,12 +658,31 @@ impl Switch {
                     code: 1,     // OFPBRC_BAD_TYPE
                     data: other.encode(xid),
                 };
-                self.reply(now, xid, OfpMessage::Error(error))
+                self.reply(now, xid, OfpMessage::Error(error), out)
             }
         }
     }
 
-    fn handle_flow_mod(&mut self, now: Nanos, fm: msg::FlowMod, xid: u32) -> Vec<SwitchOutput> {
+    /// [`Switch::handle_controller_msg_into`] a fresh `Vec`.
+    pub fn handle_controller_msg(
+        &mut self,
+        now: Nanos,
+        msg: OfpMessage,
+        xid: u32,
+        pool: &mut PacketPool,
+    ) -> Vec<SwitchOutput> {
+        let mut out = Vec::new();
+        self.handle_controller_msg_into(now, msg, xid, pool, &mut out);
+        out
+    }
+
+    fn handle_flow_mod(
+        &mut self,
+        now: Nanos,
+        fm: msg::FlowMod,
+        xid: u32,
+        out: &mut Vec<SwitchOutput>,
+    ) {
         self.stats.flow_mods.incr();
         match fm.command {
             FlowModCommand::Add | FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
@@ -657,38 +710,32 @@ impl Switch {
                         table_size: self.table.len(),
                     },
                 );
-                match outcome {
-                    InsertOutcome::Evicted(victim) => {
-                        self.tracer.emit(
-                            effective_at,
-                            EventKind::FlowRuleEvicted {
-                                table_size: self.table.len(),
-                            },
-                        );
-                        if victim.notify_on_removal {
-                            vec![self.flow_removed_output(
-                                effective_at,
-                                RemovedRule {
-                                    rule: victim,
-                                    reason: msg::FlowRemovedReason::Delete,
-                                },
-                            )]
-                        } else {
-                            Vec::new()
-                        }
+                if let InsertOutcome::Evicted(victim) = outcome {
+                    self.tracer.emit(
+                        effective_at,
+                        EventKind::FlowRuleEvicted {
+                            table_size: self.table.len(),
+                        },
+                    );
+                    if victim.notify_on_removal {
+                        let removed = RemovedRule {
+                            rule: victim,
+                            reason: msg::FlowRemovedReason::Delete,
+                        };
+                        let flow_removed = self.flow_removed_output(effective_at, removed);
+                        out.push(flow_removed);
                     }
-                    _ => Vec::new(),
                 }
             }
             FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
                 let at = self.cpu.submit(now, self.config.cost_flow_mod);
                 let strict = fm.command == FlowModCommand::DeleteStrict;
-                self.table
-                    .delete(&fm.match_fields, fm.priority, strict)
-                    .into_iter()
-                    .filter(|r| r.rule.notify_on_removal)
-                    .map(|r| self.flow_removed_output(at, r))
-                    .collect()
+                for removed in self.table.delete(&fm.match_fields, fm.priority, strict) {
+                    if removed.rule.notify_on_removal {
+                        let flow_removed = self.flow_removed_output(at, removed);
+                        out.push(flow_removed);
+                    }
+                }
             }
         }
     }
@@ -746,7 +793,8 @@ impl Switch {
         po: msg::PacketOut,
         xid: u32,
         pool: &mut PacketPool,
-    ) -> Vec<SwitchOutput> {
+        out: &mut Vec<SwitchOutput>,
+    ) {
         self.stats.pkt_outs.incr();
         let data_ports = self.config.data_ports;
         if po.buffer_id.is_buffered() {
@@ -754,7 +802,9 @@ impl Switch {
             // this id, one by one, in FIFO order.
             let parse_done = self.cpu.submit(now, self.config.cost_pkt_out_base);
             let stale_epochs_before = self.buffer.stats().stale_epoch_releases;
-            let released = self.buffer.release(parse_done, po.buffer_id);
+            let mut released = std::mem::take(&mut self.released);
+            self.buffer
+                .release_into(parse_done, po.buffer_id, &mut released);
             self.touch_gauge(parse_done);
             self.tracer.emit(
                 parse_done,
@@ -779,22 +829,27 @@ impl Switch {
                     },
                 );
             }
-            if released.is_empty() {
-                return Vec::new();
-            }
-            let mut outputs = Vec::new();
             let mut t = parse_done;
-            for bp in released {
+            for bp in released.drain(..) {
                 t = self.cpu.submit(t, self.config.cost_buffer_release);
-                let ports = egress_ports(data_ports, &po.actions, bp.in_port);
-                self.stats.slowpath_forwards.add(ports.len() as u64);
                 let wire_len = pool
                     .get(bp.packet)
                     .expect("live buffered packet")
                     .wire_len();
-                self.forward_all(t, ports, bp.packet, wire_len, pool, &mut outputs);
+                let forwards = forward_all(
+                    &mut self.stats,
+                    data_ports,
+                    &po.actions,
+                    bp.in_port,
+                    t,
+                    bp.packet,
+                    wire_len,
+                    pool,
+                    out,
+                );
+                self.stats.slowpath_forwards.add(forwards);
             }
-            outputs
+            self.released = released;
         } else {
             // Unbuffered: the full packet rides in the message and must
             // cross the bus back to the forwarding plane.
@@ -806,15 +861,22 @@ impl Switch {
                 Ok(packet) => {
                     let wire_len = packet.wire_len();
                     let handle = pool.insert(packet);
-                    let ports = egress_ports(data_ports, &po.actions, po.in_port);
-                    self.stats.slowpath_forwards.add(ports.len() as u64);
-                    let mut outputs = Vec::with_capacity(ports.len().max(1));
-                    self.forward_all(at, ports, handle, wire_len, pool, &mut outputs);
-                    outputs
+                    let forwards = forward_all(
+                        &mut self.stats,
+                        data_ports,
+                        &po.actions,
+                        po.in_port,
+                        at,
+                        handle,
+                        wire_len,
+                        pool,
+                        out,
+                    );
+                    self.stats.slowpath_forwards.add(forwards);
                 }
                 Err(_) => {
                     self.stats.drops.incr();
-                    vec![SwitchOutput::Drop { packet: None }]
+                    out.push(SwitchOutput::Drop { packet: None });
                 }
             }
         }
@@ -825,7 +887,8 @@ impl Switch {
         now: Nanos,
         xid: u32,
         req: StatsRequest,
-    ) -> Vec<SwitchOutput> {
+        out: &mut Vec<SwitchOutput>,
+    ) {
         let per_rule = self.config.cost_control_misc;
         let cost = self.config.cost_control_misc + per_rule * self.table.len() as u64;
         let at = self.cpu.submit(now, cost);
@@ -905,26 +968,33 @@ impl Switch {
                 }
             }
         };
-        vec![SwitchOutput::ToController {
+        out.push(SwitchOutput::ToController {
             at,
             xid,
             msg: OfpMessage::StatsReply(reply),
-        }]
+        });
     }
 
     /// Announces the flow-granularity buffer capability over the vendor
     /// extension (Section V: the mechanism "requires to extend the
     /// OpenFlow protocol"). Emits nothing for the standard mechanisms.
-    pub fn announce_capabilities(&mut self, now: Nanos) -> Vec<SwitchOutput> {
+    pub fn announce_capabilities_into(&mut self, now: Nanos, out: &mut Vec<SwitchOutput>) {
         let BufferChoice::FlowGranularity { capacity, timeout } = self.config.buffer else {
-            return Vec::new();
+            return;
         };
         let xid = self.fresh_xid();
         let announce = FlowBufferExt::Announce {
             capacity: capacity as u32,
             timeout_ms: (timeout.as_nanos() / 1_000_000) as u32,
         };
-        self.reply(now, xid, OfpMessage::from(announce))
+        self.reply(now, xid, OfpMessage::from(announce), out);
+    }
+
+    /// [`Switch::announce_capabilities_into`] a fresh `Vec`.
+    pub fn announce_capabilities(&mut self, now: Nanos) -> Vec<SwitchOutput> {
+        let mut out = Vec::new();
+        self.announce_capabilities_into(now, &mut out);
+        out
     }
 
     fn exit_degraded(&mut self, now: Nanos) {
@@ -961,9 +1031,14 @@ impl Switch {
     }
 
     /// Runs expiry sweeps, buffer re-requests, TTL garbage collection,
-    /// give-up actions and degraded-mode transitions due at `now`.
-    pub fn on_timer(&mut self, now: Nanos, pool: &mut PacketPool) -> Vec<SwitchOutput> {
-        let mut outputs = Vec::new();
+    /// give-up actions and degraded-mode transitions due at `now`, pushing
+    /// the timed effects onto `outputs`.
+    pub fn on_timer_into(
+        &mut self,
+        now: Nanos,
+        pool: &mut PacketPool,
+        outputs: &mut Vec<SwitchOutput>,
+    ) {
         if self.epoch_armed
             && !self.ctrl_suspect
             && self.config.liveness_timeout > Nanos::ZERO
@@ -1005,7 +1080,9 @@ impl Switch {
                 }
             }
         }
-        for removed in self.table.expire(now) {
+        let mut expired = std::mem::take(&mut self.expired);
+        self.table.expire_into(now, &mut expired);
+        for removed in expired.drain(..) {
             self.tracer.emit(
                 now,
                 EventKind::FlowRuleExpired {
@@ -1017,6 +1094,7 @@ impl Switch {
                 outputs.push(self.flow_removed_output(at, removed));
             }
         }
+        self.expired = expired;
         if self.degraded && self.next_probe.is_some_and(|t| t <= now) {
             // Probe window opens: the next fresh miss is admitted. The
             // timer is re-armed when a later miss is shed.
@@ -1086,6 +1164,12 @@ impl Switch {
             let out = self.rerequest_output(now, rerequest, pool);
             outputs.push(out);
         }
+    }
+
+    /// [`Switch::on_timer_into`] a fresh `Vec`.
+    pub fn on_timer(&mut self, now: Nanos, pool: &mut PacketPool) -> Vec<SwitchOutput> {
+        let mut outputs = Vec::new();
+        self.on_timer_into(now, pool, &mut outputs);
         outputs
     }
 
@@ -1154,7 +1238,7 @@ mod tests {
             buffer_id: BufferId::NO_BUFFER,
             out_port: PortNo::NONE,
             flags: 0,
-            actions: vec![Action::output(out_port)],
+            actions: vec![Action::output(out_port)].into(),
         })
     }
 
@@ -1298,7 +1382,7 @@ mod tests {
             OfpMessage::PacketOut(PacketOut {
                 buffer_id: id,
                 in_port: PortNo(1),
-                actions: vec![Action::output(PortNo(2))],
+                actions: vec![Action::output(PortNo(2))].into(),
                 data: vec![],
             }),
             5,
@@ -1325,7 +1409,7 @@ mod tests {
             OfpMessage::PacketOut(PacketOut {
                 buffer_id: BufferId::NO_BUFFER,
                 in_port: PortNo(1),
-                actions: vec![Action::output(PortNo(2))],
+                actions: vec![Action::output(PortNo(2))].into(),
                 data: pkt.encode(),
             }),
             5,
@@ -1356,7 +1440,7 @@ mod tests {
             OfpMessage::PacketOut(PacketOut {
                 buffer_id: BufferId::NO_BUFFER,
                 in_port: PortNo(1),
-                actions: vec![Action::output(PortNo::FLOOD)],
+                actions: vec![Action::output(PortNo::FLOOD)].into(),
                 data: pkt.encode(),
             }),
             5,
@@ -1401,7 +1485,7 @@ mod tests {
             OfpMessage::PacketOut(PacketOut {
                 buffer_id: id,
                 in_port: PortNo(1),
-                actions: vec![Action::output(PortNo(2))],
+                actions: vec![Action::output(PortNo(2))].into(),
                 data: vec![],
             }),
             5,
@@ -1667,7 +1751,8 @@ mod tests {
             actions: vec![Action::Enqueue {
                 port: PortNo(2),
                 queue_id: 1,
-            }],
+            }]
+            .into(),
         });
         sw.handle_controller_msg(Nanos::ZERO, fm, 1, &mut pool);
         let outs = sw.handle_frame(
@@ -1817,7 +1902,7 @@ mod tests {
             buffer_id: BufferId::NO_BUFFER,
             out_port: PortNo::NONE,
             flags: 0,
-            actions: vec![], // drop
+            actions: Default::default(), // drop
         });
         sw.handle_controller_msg(Nanos::ZERO, fm, 1, &mut pool);
         let outs = sw.handle_frame(
@@ -1896,7 +1981,7 @@ mod tests {
             OfpMessage::PacketOut(PacketOut {
                 buffer_id: probe_id,
                 in_port: PortNo(1),
-                actions: vec![Action::output(PortNo(2))],
+                actions: vec![Action::output(PortNo(2))].into(),
                 data: vec![],
             }),
             9,
@@ -1976,7 +2061,7 @@ mod tests {
             OfpMessage::PacketOut(PacketOut {
                 buffer_id: old_id,
                 in_port: PortNo(1),
-                actions: vec![Action::output(PortNo(2))],
+                actions: vec![Action::output(PortNo(2))].into(),
                 data: vec![],
             }),
             4,
@@ -1991,7 +2076,7 @@ mod tests {
             OfpMessage::PacketOut(PacketOut {
                 buffer_id: pin.buffer_id,
                 in_port: PortNo(1),
-                actions: vec![Action::output(PortNo(2))],
+                actions: vec![Action::output(PortNo(2))].into(),
                 data: vec![],
             }),
             5,

@@ -79,79 +79,181 @@ fn check_outputs(
     Ok(ids)
 }
 
+fn flow_mod_add(flow: u16) -> OfpMessage {
+    let pkt = PacketBuilder::udp().src_port(flow).build();
+    OfpMessage::FlowMod(FlowMod {
+        match_fields: Match::exact_from_packet(PortNo(1), &pkt),
+        cookie: 0,
+        command: FlowModCommand::Add,
+        idle_timeout: 1,
+        hard_timeout: 0,
+        priority: 10,
+        buffer_id: BufferId::NO_BUFFER,
+        out_port: PortNo::NONE,
+        flags: 0,
+        actions: vec![Action::output(PortNo(2))].into(),
+    })
+}
+
+fn packet_out_for(buffer_id: BufferId) -> OfpMessage {
+    OfpMessage::PacketOut(PacketOut {
+        buffer_id,
+        in_port: PortNo(1),
+        actions: vec![Action::output(PortNo(2))].into(),
+        data: vec![],
+    })
+}
+
+/// Which form of the handlers a [`Driver`] calls.
+#[derive(Clone, Copy, Debug)]
+enum Handlers {
+    /// `handle_*`, returning a fresh `Vec`.
+    Returning,
+    /// `handle_*_into` a buffer the driver keeps for the whole sequence.
+    Into,
+}
+
+/// What [`Driver`] leaves at the front of its output buffer: the handlers
+/// push behind whatever the caller's buffer holds and never touch it.
+const CALLERS_OWN: SwitchOutput = SwitchOutput::Drop { packet: None };
+
+/// A switch, its pool and the clock of one op sequence.
+struct Driver {
+    sw: Switch,
+    pool: PacketPool,
+    now: Nanos,
+    handlers: Handlers,
+    out: Vec<SwitchOutput>,
+    seen_buffer_ids: Vec<BufferId>,
+}
+
+impl Driver {
+    fn new(buffer: BufferChoice, handlers: Handlers) -> Driver {
+        Driver {
+            sw: Switch::new(SwitchConfig {
+                buffer,
+                ..SwitchConfig::default()
+            }),
+            pool: PacketPool::new(),
+            now: Nanos::ZERO,
+            handlers,
+            out: vec![CALLERS_OWN],
+            seen_buffer_ids: Vec::new(),
+        }
+    }
+
+    /// What the `_into` handler pushed, the caller's own entry left in place.
+    fn drain_pushed(&mut self) -> Result<Vec<SwitchOutput>, TestCaseError> {
+        prop_assert_eq!(&self.out[0], &CALLERS_OWN);
+        Ok(self.out.drain(1..).collect())
+    }
+
+    fn control(&mut self, msg: OfpMessage, xid: u32) -> Result<Vec<SwitchOutput>, TestCaseError> {
+        let Driver { sw, pool, out, .. } = self;
+        match self.handlers {
+            Handlers::Returning => Ok(sw.handle_controller_msg(self.now, msg, xid, pool)),
+            Handlers::Into => {
+                sw.handle_controller_msg_into(self.now, msg, xid, pool, out);
+                self.drain_pushed()
+            }
+        }
+    }
+
+    /// Applies one op; returns the time the handler ran at and its outputs.
+    fn step(&mut self, op: &Op) -> Result<(Nanos, Vec<SwitchOutput>), TestCaseError> {
+        self.now += Nanos::from_micros(200);
+        let outs = match *op {
+            Op::Frame { flow, size } => {
+                let pkt = PacketBuilder::udp().src_port(flow).frame_size(size).build();
+                let Driver { sw, pool, out, .. } = self;
+                let frame = pool.insert(pkt);
+                match self.handlers {
+                    Handlers::Returning => sw.handle_frame(self.now, PortNo(1), frame, pool),
+                    Handlers::Into => {
+                        sw.handle_frame_into(self.now, PortNo(1), frame, pool, out);
+                        self.drain_pushed()?
+                    }
+                }
+            }
+            Op::FlowModAdd { flow } => self.control(flow_mod_add(flow), 1)?,
+            Op::PacketOutFor { nth_buffer_id } => {
+                if self.seen_buffer_ids.is_empty() {
+                    Vec::new()
+                } else {
+                    let nth = nth_buffer_id % self.seen_buffer_ids.len();
+                    let id = self.seen_buffer_ids.remove(nth);
+                    self.control(packet_out_for(id), 2)?
+                }
+            }
+            Op::PacketOutInvalid { raw } => {
+                self.control(packet_out_for(BufferId::from_wire(raw)), 3)?
+            }
+            Op::Timer => match self.sw.next_timer() {
+                None => Vec::new(),
+                Some(t) => {
+                    self.now = t.max(self.now);
+                    let Driver { sw, pool, out, .. } = self;
+                    match self.handlers {
+                        Handlers::Returning => sw.on_timer(self.now, pool),
+                        Handlers::Into => {
+                            sw.on_timer_into(self.now, pool, out);
+                            self.drain_pushed()?
+                        }
+                    }
+                }
+            },
+        };
+        let ids = check_outputs(self.now, &outs, &mut self.pool)?;
+        // Only frames and flow_mods feed the id list: a timer's re-request
+        // repeats an id that is already on it.
+        if !matches!(
+            op,
+            Op::PacketOutFor { .. } | Op::PacketOutInvalid { .. } | Op::Timer
+        ) {
+            self.seen_buffer_ids.extend(ids);
+        }
+        Ok((self.now, outs))
+    }
+}
+
 proptest! {
     #[test]
     fn switch_never_panics_and_outputs_are_causal(
         ops in proptest::collection::vec(arb_op(), 1..120),
         buffer in arb_buffer(),
     ) {
-        let mut sw = Switch::new(SwitchConfig { buffer, ..SwitchConfig::default() });
-        let mut pool = PacketPool::new();
-        let mut now = Nanos::ZERO;
-        let mut seen_buffer_ids: Vec<BufferId> = Vec::new();
-        for op in ops {
-            now += Nanos::from_micros(200);
-            match op {
-                Op::Frame { flow, size } => {
-                    let pkt = PacketBuilder::udp().src_port(flow).frame_size(size).build();
-                    let outs = sw.handle_frame(now, PortNo(1), pool.insert(pkt), &mut pool);
-                    seen_buffer_ids.extend(check_outputs(now, &outs, &mut pool)?);
-                }
-                Op::FlowModAdd { flow } => {
-                    let pkt = PacketBuilder::udp().src_port(flow).build();
-                    let fm = OfpMessage::FlowMod(FlowMod {
-                        match_fields: Match::exact_from_packet(PortNo(1), &pkt),
-                        cookie: 0,
-                        command: FlowModCommand::Add,
-                        idle_timeout: 1,
-                        hard_timeout: 0,
-                        priority: 10,
-                        buffer_id: BufferId::NO_BUFFER,
-                        out_port: PortNo::NONE,
-                        flags: 0,
-                        actions: vec![Action::output(PortNo(2))],
-                    });
-                    let outs = sw.handle_controller_msg(now, fm, 1, &mut pool);
-                    seen_buffer_ids.extend(check_outputs(now, &outs, &mut pool)?);
-                }
-                Op::PacketOutFor { nth_buffer_id } => {
-                    if !seen_buffer_ids.is_empty() {
-                        let id = seen_buffer_ids.remove(nth_buffer_id % seen_buffer_ids.len());
-                        let po = OfpMessage::PacketOut(PacketOut {
-                            buffer_id: id,
-                            in_port: PortNo(1),
-                            actions: vec![Action::output(PortNo(2))],
-                            data: vec![],
-                        });
-                        let outs = sw.handle_controller_msg(now, po, 2, &mut pool);
-                        check_outputs(now, &outs, &mut pool)?;
-                    }
-                }
-                Op::PacketOutInvalid { raw } => {
-                    let po = OfpMessage::PacketOut(PacketOut {
-                        buffer_id: BufferId::from_wire(raw),
-                        in_port: PortNo(1),
-                        actions: vec![Action::output(PortNo(2))],
-                        data: vec![],
-                    });
-                    let outs = sw.handle_controller_msg(now, po, 3, &mut pool);
-                    check_outputs(now, &outs, &mut pool)?;
-                }
-                Op::Timer => {
-                    if let Some(t) = sw.next_timer() {
-                        let t = t.max(now);
-                        let outs = sw.on_timer(t, &mut pool);
-                        check_outputs(t, &outs, &mut pool)?;
-                        now = t;
-                    }
-                }
-            }
+        let mut driver = Driver::new(buffer, Handlers::Returning);
+        for op in &ops {
+            driver.step(op)?;
+            let sw = &driver.sw;
             prop_assert!(sw.buffer().occupancy() <= sw.buffer().capacity());
             prop_assert_eq!(
-                pool.len(), sw.buffer().occupancy(),
+                driver.pool.len(), sw.buffer().occupancy(),
                 "pool live count must equal buffer occupancy"
             );
         }
+    }
+
+    /// The `Vec`-returning handlers are wrappers over the `_into` ones: a
+    /// sequence run through either form, each on a fresh switch, yields the
+    /// same outputs call by call and leaves the same counters and timer.
+    #[test]
+    fn returning_and_into_handlers_agree(
+        ops in proptest::collection::vec(arb_op(), 1..120),
+        buffer in arb_buffer(),
+    ) {
+        let mut returning = Driver::new(buffer, Handlers::Returning);
+        let mut into = Driver::new(buffer, Handlers::Into);
+        for op in &ops {
+            prop_assert_eq!(returning.step(op)?, into.step(op)?, "{:?}", op);
+            prop_assert_eq!(returning.sw.next_timer(), into.sw.next_timer());
+        }
+        prop_assert_eq!(
+            format!("{:?}", returning.sw.stats()),
+            format!("{:?}", into.sw.stats())
+        );
+        prop_assert_eq!(returning.sw.buffer().stats(), into.sw.buffer().stats());
+        prop_assert_eq!(returning.pool.len(), into.pool.len());
     }
 
     #[test]
@@ -193,7 +295,7 @@ proptest! {
             let po = OfpMessage::PacketOut(PacketOut {
                 buffer_id: id,
                 in_port: PortNo(1),
-                actions: vec![Action::output(PortNo(2))],
+                actions: vec![Action::output(PortNo(2))].into(),
                 data: vec![],
             });
             for out in sw.handle_controller_msg(now, po, 1, &mut pool) {

@@ -413,12 +413,12 @@ impl BufferMechanism for FlowGranularityBuffer {
         MissAction::SendBufferedPacketIn { buffer_id }
     }
 
-    fn release(&mut self, _now: Nanos, buffer_id: BufferId) -> Vec<BufferedPacket> {
+    fn release_into(&mut self, _now: Nanos, buffer_id: BufferId, out: &mut Vec<BufferedPacket>) {
         // Algorithm 2: drain the whole per-flow queue in FIFO order and
         // free every unit.
         let Some(&key) = self.by_id.get(&buffer_id.as_u32()) else {
             self.stats.invalid_releases += 1;
-            return Vec::new();
+            return;
         };
         // ABA safety: a release tagged with a generation must match the
         // current occupant's; untagged (generation 0) releases keep the
@@ -427,7 +427,7 @@ impl BufferMechanism for FlowGranularityBuffer {
         if buffer_id.generation() != 0 && buffer_id.generation() != stored.generation() {
             self.stats.invalid_releases += 1;
             self.stats.stale_releases += 1;
-            return Vec::new();
+            return;
         }
         // Crash safety: a release minted under a dead session epoch must
         // not drain state the restarted controller has no knowledge of.
@@ -439,7 +439,7 @@ impl BufferMechanism for FlowGranularityBuffer {
         {
             self.stats.invalid_releases += 1;
             self.stats.stale_epoch_releases += 1;
-            return Vec::new();
+            return;
         }
         self.by_id.remove(&buffer_id.as_u32());
         let queue = self
@@ -455,7 +455,7 @@ impl BufferMechanism for FlowGranularityBuffer {
         }
         self.total -= queue.packets.len();
         self.stats.released += queue.packets.len() as u64;
-        queue.packets.into()
+        out.extend(queue.packets);
     }
 
     fn next_timeout(&self) -> Option<Nanos> {

@@ -105,7 +105,7 @@ pub struct BufferStats {
 /// A switch packet-buffer mechanism.
 ///
 /// The switch's slow path calls [`BufferMechanism::on_miss`] for every
-/// table-miss packet and [`BufferMechanism::release`] for every valid
+/// table-miss packet and [`BufferMechanism::release_into`] for every valid
 /// `packet_out`; the mechanism decides how requests to the controller are
 /// generated. Packets are addressed by pool handle; ownership of the
 /// handle's reference follows the [`MissAction`]: the mechanism takes it
@@ -113,9 +113,9 @@ pub struct BufferStats {
 /// Implementations must uphold:
 ///
 /// * **No loss, no duplication** — every buffered packet's handle is
-///   returned by exactly one `release` or timeout-sweep call (or remains
-///   buffered).
-/// * **FIFO per flow** — `release` returns packets in arrival order.
+///   returned by exactly one `release_into` or timeout-sweep call (or
+///   remains buffered).
+/// * **FIFO per flow** — `release_into` pushes packets in arrival order.
 /// * **Bounded occupancy** — `occupancy() <= capacity()` at all times.
 pub trait BufferMechanism {
     /// A short human-readable name ("no-buffer", "packet-granularity", …).
@@ -134,11 +134,20 @@ pub trait BufferMechanism {
         pool: &PacketPool,
     ) -> MissAction;
 
-    /// Releases the packet(s) filed under `buffer_id` for a `packet_out`.
-    /// Returns them in FIFO order (the caller inherits their pool
-    /// references); empty when the id is unknown (the `packet_out` then
-    /// applies to nothing, per the OpenFlow spec).
-    fn release(&mut self, now: Nanos, buffer_id: BufferId) -> Vec<BufferedPacket>;
+    /// Releases the packet(s) filed under `buffer_id` for a `packet_out`:
+    /// pushes them onto `out` in FIFO order (the caller inherits their pool
+    /// references); pushes nothing when the id is unknown (the `packet_out`
+    /// then applies to nothing, per the OpenFlow spec). `out` is the
+    /// caller's: whatever it already holds stays, and a caller that keeps
+    /// it across calls pays for its storage once.
+    fn release_into(&mut self, now: Nanos, buffer_id: BufferId, out: &mut Vec<BufferedPacket>);
+
+    /// [`BufferMechanism::release_into`] a fresh `Vec`.
+    fn release(&mut self, now: Nanos, buffer_id: BufferId) -> Vec<BufferedPacket> {
+        let mut out = Vec::new();
+        self.release_into(now, buffer_id, &mut out);
+        out
+    }
 
     /// The earliest pending deadline — re-request or TTL expiry — for
     /// scheduler integration. `None` when nothing is scheduled or the

@@ -56,9 +56,8 @@ impl BufferMechanism for NoBuffer {
         MissAction::SendFullPacketIn
     }
 
-    fn release(&mut self, _now: Nanos, _buffer_id: BufferId) -> Vec<BufferedPacket> {
+    fn release_into(&mut self, _now: Nanos, _buffer_id: BufferId, _out: &mut Vec<BufferedPacket>) {
         self.stats.invalid_releases += 1;
-        Vec::new()
     }
 
     fn next_timeout(&self) -> Option<Nanos> {

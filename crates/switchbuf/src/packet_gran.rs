@@ -185,7 +185,7 @@ impl BufferMechanism for PacketGranularityBuffer {
         MissAction::SendBufferedPacketIn { buffer_id }
     }
 
-    fn release(&mut self, now: Nanos, buffer_id: BufferId) -> Vec<BufferedPacket> {
+    fn release_into(&mut self, now: Nanos, buffer_id: BufferId, out: &mut Vec<BufferedPacket>) {
         self.reclaim(now);
         // ABA safety: a generation-tagged release must match the current
         // occupant's generation; untagged (generation 0) releases keep the
@@ -195,7 +195,7 @@ impl BufferMechanism for PacketGranularityBuffer {
                 if p.buffer_id.generation() != buffer_id.generation() {
                     self.stats.invalid_releases += 1;
                     self.stats.stale_releases += 1;
-                    return Vec::new();
+                    return;
                 }
             }
         }
@@ -206,7 +206,7 @@ impl BufferMechanism for PacketGranularityBuffer {
                 if p.buffer_id.epoch() != 0 && p.buffer_id.epoch() != buffer_id.epoch() {
                     self.stats.invalid_releases += 1;
                     self.stats.stale_epoch_releases += 1;
-                    return Vec::new();
+                    return;
                 }
             }
         }
@@ -216,12 +216,9 @@ impl BufferMechanism for PacketGranularityBuffer {
                 if self.free_lag > Nanos::ZERO {
                     self.pending_free.push_back(now + self.free_lag);
                 }
-                vec![p]
+                out.push(p);
             }
-            None => {
-                self.stats.invalid_releases += 1;
-                Vec::new()
-            }
+            None => self.stats.invalid_releases += 1,
         }
     }
 

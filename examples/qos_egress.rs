@@ -92,7 +92,8 @@ fn install_rules(testbed: &mut Testbed) {
             actions: vec![Action::Enqueue {
                 port: PortNo(2),
                 queue_id,
-            }],
+            }]
+            .into(),
         })
     };
     testbed.inject_controller_msg(Nanos::ZERO, flow_mod(ef_match, 200, 0), 1);

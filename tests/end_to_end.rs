@@ -338,7 +338,8 @@ fn qos_egress_isolates_reserved_traffic() {
                     actions: vec![Action::Enqueue {
                         port: PortNo(2),
                         queue_id,
-                    }],
+                    }]
+                    .into(),
                 }),
                 xid,
             );

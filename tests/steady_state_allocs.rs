@@ -1,0 +1,167 @@
+//! Asserts how many heap allocations one more simulated packet costs.
+//!
+//! The handler boundaries are allocation-free: the switch and controller
+//! handlers push onto buffers the testbed owns for the whole run, a rule's
+//! and a message's actions sit in place, and the header slice of a buffered
+//! miss is encoded straight into the `packet_in`. What a packet still
+//! allocates is bytes of the simulated system — the pooled copy of the
+//! workload packet, the `packet_in`/`packet_out` payloads, the re-parsed
+//! frame of an unbuffered `packet_out`. One per-call `Vec` brought back
+//! into a handler adds a whole allocation per packet and fails the ceilings
+//! below.
+//!
+//! The cost of one more packet is taken as the difference between two runs
+//! of the same cell at 4 000 and at 2 000 flows, which cancels everything a
+//! run pays once (construction, handshake, warm-up, result collection).
+//!
+//! A binary of its own because `#[global_allocator]` is per-binary; the
+//! counter is per-thread, so the tests here do not perturb each other.
+
+use sdn_buffer_lab::net::PacketBuilder;
+use sdn_buffer_lab::openflow::{
+    msg::{FlowMod, FlowModCommand},
+    Action, BufferId, Match, OfpMessage, PortNo,
+};
+use sdn_buffer_lab::prelude::*;
+use sdn_buffer_lab::switch::{PacketPool, Switch, SwitchConfig, SwitchOutput};
+use sdn_buffer_lab::workload::PktgenConfig;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// Allocations and packets of one `Testbed::run` of the cell.
+fn run_cell(buffer: BufferMode, rate_mbps: u64, kind: WorkloadKind) -> (u64, u64) {
+    let pktgen = PktgenConfig {
+        rate: BitRate::from_mbps(rate_mbps),
+        ..PktgenConfig::default()
+    };
+    let departures = kind.generate(&pktgen, 1);
+    let mut testbed = Testbed::new(TestbedConfig::with_buffer(buffer));
+    let (allocations, result) = allocations_in(|| testbed.run(&departures));
+    assert_eq!(result.packets_sent, departures.len() as u64);
+    assert_eq!(result.packets_delivered, result.packets_sent);
+    (allocations, result.packets_sent)
+}
+
+/// Allocations per packet added by growing the cell from `kind(2_000)` to
+/// `kind(4_000)` flows.
+fn marginal_allocs_per_packet(
+    buffer: BufferMode,
+    rate_mbps: u64,
+    kind: impl Fn(usize) -> WorkloadKind,
+) -> f64 {
+    let (small_allocs, small_packets) = run_cell(buffer, rate_mbps, kind(2_000));
+    let (large_allocs, large_packets) = run_cell(buffer, rate_mbps, kind(4_000));
+    (large_allocs - small_allocs) as f64 / (large_packets - small_packets) as f64
+}
+
+#[test]
+fn one_more_packet_allocates_only_its_own_bytes() {
+    let twenty_packet_flows = |n_flows| WorkloadKind::CrossSequenced {
+        n_flows,
+        packets_per_flow: 20,
+        group_size: 5,
+    };
+    let flow_256 = BufferMode::FlowGranularity {
+        capacity: 256,
+        timeout: Nanos::from_millis(50),
+    };
+    let packet_256 = BufferMode::PacketGranularity { capacity: 256 };
+    let single = WorkloadKind::single_packet_flows;
+
+    // Pooled copy, packet_in payload (the whole frame), re-parsed frame.
+    let no_buffer = marginal_allocs_per_packet(BufferMode::NoBuffer, 100, single);
+    // Pooled copy, packet_in payload (the header slice).
+    let buffered = marginal_allocs_per_packet(packet_256, 50, single);
+    // Pooled copy; one miss per twenty packets.
+    let hits = marginal_allocs_per_packet(flow_256, 100, twenty_packet_flows);
+
+    assert!(
+        no_buffer <= 3.05,
+        "no-buffer@100: {no_buffer} allocs/packet"
+    );
+    assert!(buffered <= 2.05, "buffer-256@50: {buffered} allocs/packet");
+    assert!(
+        hits <= 1.25,
+        "flow-256@100 20-packet flows: {hits} allocs/packet"
+    );
+}
+
+#[test]
+fn fast_path_forward_into_a_warmed_buffer_allocates_nothing() {
+    let mut pool = PacketPool::new();
+    let mut switch = Switch::new(SwitchConfig::default());
+    let packet = PacketBuilder::udp().src_port(7).frame_size(1000).build();
+    let flow_mod = OfpMessage::FlowMod(FlowMod {
+        match_fields: Match::exact_from_packet(PortNo(1), &packet),
+        cookie: 0,
+        command: FlowModCommand::Add,
+        idle_timeout: 5,
+        hard_timeout: 0,
+        priority: 100,
+        buffer_id: BufferId::NO_BUFFER,
+        out_port: PortNo::NONE,
+        flags: 0,
+        actions: vec![Action::output(PortNo(2))].into(),
+    });
+    switch.handle_controller_msg(Nanos::ZERO, flow_mod, 1, &mut pool);
+
+    let mut out = Vec::new();
+    // The first hit sizes `out` and the egress port's counters.
+    for (i, measured) in [(1, false), (2, true)] {
+        let frame = pool.insert(packet.clone());
+        let now = Nanos::from_millis(10 * i);
+        let (allocations, ()) =
+            allocations_in(|| switch.handle_frame_into(now, PortNo(1), frame, &mut pool, &mut out));
+        assert!(
+            matches!(
+                out[..],
+                [SwitchOutput::Forward {
+                    port: PortNo(2),
+                    ..
+                }]
+            ),
+            "{out:?}"
+        );
+        if measured {
+            assert_eq!(allocations, 0, "a table hit must not allocate");
+        }
+        out.clear();
+        pool.release(frame);
+    }
+}

@@ -320,7 +320,7 @@ mod wire_props {
                     cookie: ck,
                     packet_count: pc,
                     byte_count: bc,
-                    actions: acts,
+                    actions: acts.into(),
                 },
             );
         prop_oneof![
@@ -431,7 +431,7 @@ mod wire_props {
                     OfpMessage::PacketOut(PacketOut {
                         buffer_id: b,
                         in_port: PortNo(p),
-                        actions: a,
+                        actions: a.into(),
                         data,
                     })
                 }
@@ -459,7 +459,7 @@ mod wire_props {
                         buffer_id: b,
                         out_port: PortNo(op),
                         flags: fl,
-                        actions: a,
+                        actions: a.into(),
                     })
                 }),
             arb_stats_request().prop_map(OfpMessage::StatsRequest),
@@ -591,7 +591,7 @@ mod wire_props {
             OfpMessage::PacketOut(PacketOut {
                 buffer_id: BufferId::NO_BUFFER,
                 in_port: PortNo(1),
-                actions: vec![Action::output(PortNo(2))],
+                actions: vec![Action::output(PortNo(2))].into(),
                 data: vec![0xcc; 64],
             }),
             OfpMessage::FlowMod(FlowMod {
@@ -604,7 +604,7 @@ mod wire_props {
                 buffer_id: BufferId::from_wire(7),
                 out_port: PortNo(0xffff),
                 flags: 1,
-                actions: vec![Action::output(PortNo(2))],
+                actions: vec![Action::output(PortNo(2))].into(),
             }),
             OfpMessage::StatsRequest(StatsRequest::Flow {
                 match_fields: sample_match(),
