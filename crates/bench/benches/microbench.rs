@@ -3,13 +3,13 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sdnbuf_controller::{Controller, ControllerConfig};
-use sdnbuf_core::{BufferMode, Experiment, ExperimentConfig, WorkloadKind};
+use sdnbuf_core::{BufferMode, Experiment, ExperimentConfig, Testbed, TestbedConfig, WorkloadKind};
 use sdnbuf_flowtable::{FlowRule, FlowTable};
 use sdnbuf_net::{Packet, PacketBuilder};
 use sdnbuf_openflow::{msg, BufferId, Match, MatchView, OfpMessage, PortNo};
 use sdnbuf_sim::{
-    events, BitRate, ChannelDir, EventKind, EventSink, FaultPlan, FaultState, JsonlSink, LossModel,
-    Nanos, Tracer, Window,
+    events, BitRate, ChannelDir, EventKind, EventQueue, EventSink, FaultPlan, FaultState,
+    JsonlSink, LossModel, Nanos, Tracer, Window,
 };
 use sdnbuf_switch::{BufferChoice, Switch, SwitchConfig, SwitchOutput};
 use sdnbuf_switchbuf::{
@@ -508,7 +508,56 @@ fn bench_fault_plane(c: &mut Criterion) {
     });
 }
 
+/// The two outcomes of the run loop's merge step against a queue holding
+/// what a testbed has in flight (a few dozen events within a millisecond).
+fn bench_event_queue(c: &mut Criterion) {
+    let in_flight = || {
+        let mut queue = EventQueue::new();
+        for i in 0..48u64 {
+            queue.schedule(Nanos::from_micros(100 + 17 * i), i);
+        }
+        queue
+    };
+    // An event is due before the next departure: pop it, and schedule
+    // another past the rest so that the queue stays as full.
+    c.bench_function("event_queue_pop_before_hit", |b| {
+        let mut queue = in_flight();
+        b.iter(|| {
+            let (at, event) = queue
+                .pop_before((Nanos::MAX, u64::MAX))
+                .expect("a pending event");
+            queue.schedule(at + Nanos::from_micros(17 * 48), event);
+            event
+        })
+    });
+    // The next departure is due first: the queue is only looked at.
+    c.bench_function("event_queue_pop_before_miss", |b| {
+        let mut queue = in_flight();
+        b.iter(|| queue.pop_before(black_box((Nanos::from_micros(50), 0))))
+    });
+}
+
 fn bench_full_run(c: &mut Criterion) {
+    // The Section V shape at benchmark length: 80 000 packets, one miss per
+    // twenty; the departures are built once, outside the timed run.
+    c.bench_function("testbed_run_flow256_4000x20", |b| {
+        let workload = WorkloadKind::CrossSequenced {
+            n_flows: 4000,
+            packets_per_flow: 20,
+            group_size: 5,
+        };
+        let departures = workload.generate(&Default::default(), 1);
+        let config = TestbedConfig::with_buffer(BufferChoice::FlowGranularity {
+            capacity: 256,
+            timeout: Nanos::from_millis(50),
+        });
+        b.iter_batched(
+            || Testbed::new(config.clone()),
+            |mut testbed| testbed.run(&departures),
+            BatchSize::LargeInput,
+        )
+    });
+
     c.bench_function("testbed_run_100_flows_50mbps", |b| {
         b.iter(|| {
             Experiment::new(ExperimentConfig {
@@ -532,6 +581,7 @@ criterion_group!(
     bench_buffers,
     bench_handlers,
     bench_timeout_probes,
+    bench_event_queue,
     bench_event_sinks,
     bench_fault_plane,
     bench_full_run

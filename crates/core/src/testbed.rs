@@ -14,8 +14,8 @@ use sdnbuf_sim::{
     MultiQueueLink, Nanos, Pool, PoolHandle, QueueConfig, Tracer,
 };
 use sdnbuf_switch::{PacketHandle, PacketPool, Switch, SwitchConfig, SwitchOutput};
-use sdnbuf_workload::{Departure, HostAddr};
-use std::collections::HashMap;
+use sdnbuf_workload::{is_time_ordered, Departure, HostAddr};
+use std::collections::hash_map::Entry;
 
 /// Static configuration of the whole testbed (Table I plus the calibrated
 /// model constants — see `EXPERIMENTS.md` for the calibration rationale).
@@ -173,15 +173,6 @@ fn packet_id(packet: &Packet) -> Option<PacketId> {
     Some((key, ident))
 }
 
-#[derive(Clone, Debug, Default)]
-struct PacketTimes {
-    entered_switch: Option<Nanos>,
-    left_switch: Option<Nanos>,
-    delivered: Option<Nanos>,
-    flow_index: usize,
-    seq_in_flow: usize,
-}
-
 /// Handle into the testbed's control-message pool.
 type MsgHandle = PoolHandle;
 
@@ -326,12 +317,16 @@ struct CtrlSlot {
 const PRIMARY: usize = 0;
 const STANDBY: usize = 1;
 
-/// Per-flow delay samples extracted from the packet records.
+/// What one pass over the packet records yields: per-flow delay samples
+/// and the delivery totals.
+#[derive(Default)]
 struct FlowDelays {
     setup_ms: Vec<f64>,
     forwarding_ms: Vec<f64>,
     switch_ms: Vec<f64>,
     flows_completed: usize,
+    packets_delivered: u64,
+    last_delivery: Option<Nanos>,
 }
 
 /// The assembled testbed of Fig. 1.
@@ -373,7 +368,12 @@ pub struct Testbed {
     pressure_on: bool,
     tracer: Tracer,
     // Measurement state.
-    records: FastHashMap<PacketId, PacketTimes>,
+    /// One timeline per workload packet, in departure order. A frame
+    /// carries its record's index as its pool tag.
+    records: Vec<PacketTrace>,
+    /// Wire identity to record: how a frame without a tag finds its
+    /// record (see [`Testbed::stamp`]).
+    record_of: FastHashMap<PacketId, u32>,
     pkt_in_sent: FastHashMap<u32, (Nanos, Option<FlowKey>)>,
     controller_delay_of_flow: FastHashMap<FlowKey, Nanos>,
     controller_delays_ms: Vec<f64>,
@@ -382,7 +382,6 @@ pub struct Testbed {
     pkt_out_count: u64,
     events_dispatched: u64,
     timer_armed: Option<Nanos>,
-    clock_end: Nanos,
     data_start: Nanos,
 }
 
@@ -456,7 +455,8 @@ impl Testbed {
             faults: FaultState::new(config.faults.clone()),
             pressure_on: false,
             tracer: Tracer::off(),
-            records: FastHashMap::default(),
+            records: Vec::new(),
+            record_of: FastHashMap::default(),
             pkt_in_sent: FastHashMap::default(),
             controller_delay_of_flow: FastHashMap::default(),
             controller_delays_ms: Vec::new(),
@@ -465,7 +465,6 @@ impl Testbed {
             pkt_out_count: 0,
             events_dispatched: 0,
             timer_armed: None,
-            clock_end: Nanos::ZERO,
             data_start: Nanos::ZERO,
             config,
         })
@@ -537,26 +536,79 @@ impl Testbed {
     /// The per-packet trace recorded during the run: when each workload
     /// packet entered the switch, left it, and reached its destination.
     pub fn packet_log(&self) -> Vec<PacketTrace> {
-        let mut log: Vec<PacketTrace> = self
-            .records
-            .iter()
-            .map(|((key, ident), times)| PacketTrace {
-                flow: *key,
-                ident: *ident,
-                flow_index: times.flow_index,
-                seq_in_flow: times.seq_in_flow,
-                entered_switch: times.entered_switch,
-                left_switch: times.left_switch,
-                delivered: times.delivered,
-            })
-            .collect();
+        let mut log = self.records.clone();
         log.sort_by_key(|t| (t.flow_index, t.seq_in_flow));
         log
     }
 
     /// Runs the full experiment: ARP warm-up, then the given departures
     /// (shifted to start after the warm-up gap), to completion.
+    ///
+    /// The departures are streamed, not scheduled: each is copied into the
+    /// pool when its instant comes, so the pool and the event queue hold
+    /// what is in flight, not the whole workload.
     pub fn run(&mut self, departures: &[Departure]) -> RunResult {
+        // Departures leave in the order the queue would pop them had each
+        // been scheduled, in slice order, at its `at`: by `(at, index)`.
+        // Every generator emits that order; only an unsorted slice costs a
+        // permutation (the sort is stable: ties stay in index order).
+        let by_time = (!is_time_ordered(departures)).then(|| {
+            let mut by_time: Vec<usize> = (0..departures.len()).collect();
+            by_time.sort_by_key(|&i| departures[i].at);
+            by_time
+        });
+        let nth = |k: usize| {
+            let i = match &by_time {
+                Some(order) => *order.get(k)?,
+                None => k,
+            };
+            Some((i, departures.get(i)?.at))
+        };
+        let at = |k: usize| nth(k).map_or(Nanos::ZERO, |(_, at)| at);
+        let (earliest, latest) = (at(0), at(departures.len().saturating_sub(1)));
+
+        let shift = self.config.warmup_gap;
+        let flows_total = self.warm_up(departures, earliest);
+        // A departure's key in the merge below is `(shift + at, seq0 +
+        // index)`, the sequence number scheduling it here would have drawn:
+        // events scheduled before this line tie ahead of it, events
+        // scheduled after it behind.
+        let seq0 = self.queue.reserve_seqs(departures.len() as u64);
+        self.schedule_probes(shift, shift + latest + self.config.warmup_gap);
+        self.schedule_crash_plane();
+
+        let mut served = 0;
+        loop {
+            let next = nth(served);
+            let bound = next.map_or((Nanos::MAX, u64::MAX), |(i, at)| {
+                (shift + at, seq0 + i as u64)
+            });
+            if let Some((now, event)) = self.queue.pop_before(bound) {
+                self.dispatch(now, event);
+            } else if let Some((i, at)) = next {
+                served += 1;
+                // The only copy made of a workload packet; everything
+                // downstream passes the handle. When every packet drew a
+                // record of its own, record `i` is this one's; otherwise
+                // (packets without a wire identity, or sharing one) the
+                // frame finds its record as any untagged frame does.
+                let packet = self.pool.insert(departures[i].packet.clone());
+                if self.records.len() == departures.len() {
+                    self.pool.set_tag(packet, i as u32);
+                }
+                self.on_frame_from_host(shift + at, PortNo(1), packet);
+            } else {
+                break;
+            }
+            self.events_dispatched += 1;
+        }
+        self.collect(departures.len() as u64, flows_total)
+    }
+
+    /// Everything before the first event: session handshake, the ARP
+    /// warm-up, and one record per workload packet. Returns the number of
+    /// flows.
+    fn warm_up(&mut self, departures: &[Departure], earliest: Nanos) -> usize {
         // OpenFlow session handshake: hello, features, config — and the
         // vendor-extension capability announcement when the switch runs
         // the flow-granularity mechanism.
@@ -579,44 +631,35 @@ impl Testbed {
         }
 
         // Data: shift departures past the warm-up gap.
-        let shift = self.config.warmup_gap;
-        self.data_start = shift + departures.first().map_or(Nanos::ZERO, |d| d.at);
+        self.data_start = self.config.warmup_gap + earliest;
         let mut flows_total = 0usize;
-        // One record and one pooled packet per departure: sized once
-        // instead of by doubling, which copies the whole table each time.
         self.records.reserve(departures.len());
-        self.pool.reserve(departures.len());
+        self.record_of.reserve(departures.len());
         for d in departures {
-            if let Some(id) = packet_id(&d.packet) {
-                self.records.insert(
-                    id,
-                    PacketTimes {
-                        flow_index: d.flow_index,
-                        seq_in_flow: d.seq_in_flow,
-                        ..PacketTimes::default()
-                    },
-                );
-            }
             flows_total = flows_total.max(d.flow_index + 1);
-            // The only copy made of a workload packet: into the pool, once,
-            // at schedule time. Everything downstream passes the handle.
-            let packet = self.pool.insert(d.packet.clone());
-            let port = PortNo(1);
-            self.queue
-                .schedule(shift + d.at, Event::FrameFromHost { port, packet });
+            let Some((flow, ident)) = packet_id(&d.packet) else {
+                continue;
+            };
+            let record = PacketTrace {
+                flow,
+                ident,
+                flow_index: d.flow_index,
+                seq_in_flow: d.seq_in_flow,
+                entered_switch: None,
+                left_switch: None,
+                delivered: None,
+            };
+            // A capture tells packets apart by wire identity: one that
+            // repeats an earlier identity takes that packet's record over.
+            match self.record_of.entry((flow, ident)) {
+                Entry::Occupied(taken) => self.records[*taken.get() as usize] = record,
+                Entry::Vacant(free) => {
+                    free.insert(u32::try_from(self.records.len()).expect("under 2^32 packets"));
+                    self.records.push(record);
+                }
+            }
         }
-
-        let horizon =
-            shift + departures.last().map_or(Nanos::ZERO, |d| d.at) + self.config.warmup_gap;
-        self.schedule_probes(shift, horizon);
-        self.schedule_crash_plane();
-
-        while let Some((now, event)) = self.queue.pop() {
-            self.clock_end = self.clock_end.max(now);
-            self.events_dispatched += 1;
-            self.dispatch(now, event);
-        }
-        self.collect(departures.len() as u64, flows_total)
+        flows_total
     }
 
     /// Pre-schedules controller-originated probes across the run window
@@ -707,12 +750,21 @@ impl Testbed {
     /// Stamps one field of a workload packet's timeline, first time only.
     fn stamp(
         &mut self,
-        id: Option<PacketId>,
+        packet: PacketHandle,
         now: Nanos,
-        field: impl FnOnce(&mut PacketTimes) -> &mut Option<Nanos>,
+        field: impl FnOnce(&mut PacketTrace) -> &mut Option<Nanos>,
     ) {
-        if let Some(rec) = id.and_then(|id| self.records.get_mut(&id)) {
-            field(rec).get_or_insert(now);
+        let record = self.pool.tag(packet).or_else(|| {
+            // A frame the switch rebuilt from `packet_out` bytes sits in a
+            // slot of its own: wire identity is all that came back from
+            // the controller. Look it up once; the tag serves from here on.
+            let id = packet_id(self.pool.get(packet)?)?;
+            let record = *self.record_of.get(&id)?;
+            self.pool.set_tag(packet, record);
+            Some(record)
+        });
+        if let Some(record) = record {
+            field(&mut self.records[record as usize]).get_or_insert(now);
         }
     }
 
@@ -739,11 +791,8 @@ impl Testbed {
     }
 
     fn on_frame_at_switch(&mut self, now: Nanos, in_port: PortNo, packet: PacketHandle) {
-        let (id, flow) = {
-            let pk = self.pool.get(packet).expect("live frame handle");
-            (packet_id(pk), FlowKey::of(pk))
-        };
-        self.stamp(id, now, |rec| &mut rec.entered_switch);
+        let flow = FlowKey::of(self.pool.get(packet).expect("live frame handle"));
+        self.stamp(packet, now, |rec| &mut rec.entered_switch);
         let pressure = self.faults.pressure_active(now);
         if pressure != self.pressure_on {
             self.pressure_on = pressure;
@@ -756,8 +805,7 @@ impl Testbed {
     }
 
     fn on_frame_at_host(&mut self, now: Nanos, packet: PacketHandle) {
-        let id = self.pool.get(packet).and_then(packet_id);
-        self.stamp(id, now, |rec| &mut rec.delivered);
+        self.stamp(packet, now, |rec| &mut rec.delivered);
         // End of the packet's life: drop the last pool reference.
         self.pool.release(packet);
     }
@@ -1071,11 +1119,8 @@ impl Testbed {
     /// [`Event::EgressAtSwitch`] path and the coalesced
     /// [`Event::EgressBatch`] path.
     fn egress_frame(&mut self, now: Nanos, port: PortNo, queue: Option<u32>, packet: PacketHandle) {
-        let (len, id) = {
-            let pk = self.pool.get(packet).expect("live frame handle");
-            (pk.wire_len(), packet_id(pk))
-        };
-        self.stamp(id, now, |rec| &mut rec.left_switch);
+        let len = self.pool.get(packet).expect("live frame handle").wire_len();
+        self.stamp(packet, now, |rec| &mut rec.left_switch);
         let Some(host) = self.ports.get_mut(usize::from(port.0).wrapping_sub(1)) else {
             debug_assert!(false, "egress on unknown port {port}");
             self.pool.release(packet);
@@ -1108,48 +1153,49 @@ impl Testbed {
     }
 
     /// Per-flow delay extraction from the packet records.
-    fn flow_delays(&self) -> FlowDelays {
-        let mut delays = FlowDelays {
-            setup_ms: Vec::new(),
-            forwarding_ms: Vec::new(),
-            switch_ms: Vec::new(),
-            flows_completed: 0,
-        };
-        // Per flow: first packet's (enter, left, key), last left time,
-        // delivered count, total count.
-        type FlowAgg = (Option<(Nanos, Nanos, FlowKey)>, Option<Nanos>, usize, usize);
-        let mut per_flow: HashMap<usize, FlowAgg> = HashMap::new();
-        for (id, rec) in &self.records {
-            let entry = per_flow.entry(rec.flow_index).or_insert((None, None, 0, 0));
-            entry.3 += 1;
+    fn flow_delays(&self, flows_total: usize) -> FlowDelays {
+        /// What a flow's packets add up to.
+        #[derive(Clone, Default)]
+        struct FlowAgg {
+            /// The first packet's entry, exit and flow key.
+            first: Option<(Nanos, Nanos, FlowKey)>,
+            last_left: Option<Nanos>,
+            delivered: usize,
+            total: usize,
+        }
+        let mut per_flow = vec![FlowAgg::default(); flows_total];
+        let mut delays = FlowDelays::default();
+        for rec in &self.records {
+            let flow = &mut per_flow[rec.flow_index];
+            flow.total += 1;
             if rec.delivered.is_some() {
-                entry.2 += 1;
+                flow.delivered += 1;
+                delays.packets_delivered += 1;
+                delays.last_delivery = delays.last_delivery.max(rec.delivered);
             }
             if rec.seq_in_flow == 0 {
                 if let (Some(e), Some(l)) = (rec.entered_switch, rec.left_switch) {
-                    entry.0 = Some((e, l, id.0));
+                    flow.first = Some((e, l, rec.flow));
                 }
             }
-            if let Some(l) = rec.left_switch {
-                entry.1 = Some(entry.1.map_or(l, |prev: Nanos| prev.max(l)));
-            }
+            flow.last_left = flow.last_left.max(rec.left_switch);
         }
-        for (first, last_left, delivered, total) in per_flow.values() {
-            if *delivered == *total && *total > 0 {
+        for flow in &per_flow {
+            if flow.delivered == flow.total && flow.total > 0 {
                 delays.flows_completed += 1;
             }
-            if let Some((enter, left, key)) = first {
-                let setup = left.saturating_sub(*enter);
+            if let Some((enter, left, key)) = flow.first {
+                let setup = left.saturating_sub(enter);
                 delays.setup_ms.push(setup.as_millis_f64());
-                if let Some(ctrl) = self.controller_delay_of_flow.get(key) {
+                if let Some(ctrl) = self.controller_delay_of_flow.get(&key) {
                     delays
                         .switch_ms
                         .push(setup.saturating_sub(*ctrl).as_millis_f64());
                 }
-                if let Some(last) = last_left {
+                if let Some(last) = flow.last_left {
                     delays
                         .forwarding_ms
-                        .push(last.saturating_sub(*enter).as_millis_f64());
+                        .push(last.saturating_sub(enter).as_millis_f64());
                 }
             }
         }
@@ -1160,17 +1206,14 @@ impl Testbed {
         use sdnbuf_metrics::Summary;
         let to_controller = &self.ctrl[ChannelDir::ToController as usize].meter;
         let to_switch = &self.ctrl[ChannelDir::ToSwitch as usize].meter;
+        let delays = self.flow_delays(flows_total);
         // The measurement window ends with the last data-driven activity
         // (delivery or control message); the rule-expiry housekeeping that
         // trails for idle-timeout seconds afterwards is not part of the
         // experiment, just as the paper's captures stop when pktgen does.
-        let last_delivery = self
-            .records
-            .values()
-            .filter_map(|r| r.delivered)
-            .max()
-            .unwrap_or(self.data_start);
-        let end = last_delivery
+        let end = delays
+            .last_delivery
+            .unwrap_or(self.data_start)
             .max(to_controller.last_at())
             .max(to_switch.last_at());
         let active = end
@@ -1178,12 +1221,6 @@ impl Testbed {
             .max(Nanos::from_micros(1));
         let mbps = |meter: &ByteMeter| meter.bytes() as f64 * 8.0 / active.as_secs_f64() / 1e6;
 
-        let delays = self.flow_delays();
-        let delivered = self
-            .records
-            .values()
-            .filter(|r| r.delivered.is_some())
-            .count() as u64;
         let switch_stats = self.switch.stats();
         // Rescale the gauge's whole-run mean to the active span.
         let mean_occ = switch_stats.buffer_occupancy.time_weighted_mean(end) * end.as_secs_f64()
@@ -1241,7 +1278,7 @@ impl Testbed {
             echo_rtt_p99_ms: echo_rtt.quantile_ms(0.99),
             echo_rtt_samples: echo_rtt.count(),
             packets_sent,
-            packets_delivered: delivered,
+            packets_delivered: delays.packets_delivered,
             packets_dropped: self.data_drops,
             ctrl_drops: self.ctrl_drops,
             events_dispatched: self.events_dispatched,
@@ -1254,9 +1291,12 @@ impl Testbed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdnbuf_sim::BitRate;
+    use proptest::prelude::*;
+    use sdnbuf_sim::{BitRate, SimRng, Window};
     use sdnbuf_switch::BufferChoice;
-    use sdnbuf_workload::{single_packet_flows, PktgenConfig};
+    use sdnbuf_workload::{
+        cross_sequenced_flows, mixed_udp_tcp, single_packet_flows, PktgenConfig,
+    };
 
     fn small_workload(rate_mbps: u64, n: usize) -> Vec<Departure> {
         single_packet_flows(
@@ -1272,6 +1312,169 @@ mod tests {
     fn run_with(buffer: BufferChoice, rate: u64, n: usize) -> RunResult {
         let mut tb = Testbed::new(TestbedConfig::with_buffer(buffer));
         tb.run(&small_workload(rate, n))
+    }
+
+    impl Testbed {
+        /// The injection `run` replaced, kept as its reference: every
+        /// departure is copied into the pool and scheduled as a
+        /// `FrameFromHost` before the first event pops. The copies go
+        /// untagged, so every frame is told by its wire identity.
+        fn run_prescheduled(&mut self, departures: &[Departure]) -> RunResult {
+            let ats = || departures.iter().map(|d| d.at);
+            let earliest = ats().min().unwrap_or(Nanos::ZERO);
+            let shift = self.config.warmup_gap;
+            let flows_total = self.warm_up(departures, earliest);
+            for d in departures {
+                let (port, packet) = (PortNo(1), self.pool.insert(d.packet.clone()));
+                self.queue
+                    .schedule(shift + d.at, Event::FrameFromHost { port, packet });
+            }
+            let latest = ats().max().unwrap_or(Nanos::ZERO);
+            self.schedule_probes(shift, shift + latest + self.config.warmup_gap);
+            self.schedule_crash_plane();
+            while let Some((now, event)) = self.queue.pop() {
+                self.events_dispatched += 1;
+                self.dispatch(now, event);
+            }
+            self.collect(departures.len() as u64, flows_total)
+        }
+    }
+
+    /// Everything a run leaves behind that a user can see: the result
+    /// (rendered, so that floats compare by value *and* sign and NaN equals
+    /// itself), the digest of the traced event stream, the packet log.
+    fn observed(
+        config: &TestbedConfig,
+        departures: &[Departure],
+        run: fn(&mut Testbed, &[Departure]) -> RunResult,
+    ) -> (String, u64, Vec<PacketTrace>) {
+        let mut tb = Testbed::new(config.clone());
+        let (tracer, sink) = Tracer::recording(0);
+        tb.set_tracer(tracer);
+        let result = run(&mut tb, departures);
+        let digest = crate::observe::events_digest(sink.borrow().events());
+        (format!("{result:?}"), digest, tb.packet_log())
+    }
+
+    #[test]
+    fn shuffled_workload_runs_like_the_sorted_one() {
+        let sorted = cross_sequenced_flows(&PktgenConfig::default(), 12, 20, 5, 3);
+        let mut shuffled = sorted.clone();
+        SimRng::seed_from(11).shuffle(&mut shuffled);
+        assert!(!is_time_ordered(&shuffled));
+        // Keepalives and polls: the probe horizon hangs off the latest
+        // departure, the measurement window off the earliest.
+        let mut config = TestbedConfig::with_buffer(BufferChoice::FlowGranularity {
+            capacity: 256,
+            timeout: Nanos::from_millis(50),
+        });
+        config.keepalive_interval = Some(Nanos::from_millis(1));
+        config.stats_poll_interval = Some(Nanos::from_millis(2));
+        let reference = observed(&config, &sorted, Testbed::run);
+        assert_eq!(observed(&config, &shuffled, Testbed::run), reference);
+        assert_eq!(
+            observed(&config, &shuffled, Testbed::run_prescheduled),
+            reference
+        );
+    }
+
+    #[test]
+    fn live_state_follows_what_is_in_flight_not_the_workload() {
+        let departures = cross_sequenced_flows(&PktgenConfig::default(), 200, 20, 5, 1);
+        let mut tb = Testbed::new(TestbedConfig::with_buffer(BufferChoice::FlowGranularity {
+            capacity: 256,
+            timeout: Nanos::from_millis(50),
+        }));
+        let r = tb.run(&departures);
+        assert_eq!(r.packets_delivered, 4000);
+        let peak = tb.pool.stats().peak_live;
+        assert!(peak < 100, "{peak} frames live at once out of 4000");
+    }
+
+    /// A workload for the differential test: exact CBR (so that departures
+    /// sit on multiples of the packet interval, where the probes can be
+    /// put too), then wire identities repeated and the slice disordered.
+    fn arb_departures() -> impl Strategy<Value = (Vec<Departure>, Nanos)> {
+        let kind = prop_oneof![
+            (1usize..40).prop_map(|n| (n, 0, 0)),
+            (1usize..6, 1usize..5).prop_map(|(flows, group)| (flows, 20, group)),
+            (1usize..30, 1usize..3, 1usize..10),
+        ];
+        let index = any::<proptest::sample::Index>;
+        let pairs = proptest::collection::vec((index(), index()), 0..4);
+        (kind, 5u64..100, any::<u64>(), pairs.clone(), pairs).prop_map(
+            |((a, b, c), rate, seed, repeats, swaps)| {
+                let pktgen = PktgenConfig {
+                    rate: BitRate::from_mbps(rate),
+                    jitter_permille: 0,
+                    ..PktgenConfig::default()
+                };
+                let mut departures = match (b, c) {
+                    (0, 0) => single_packet_flows(&pktgen, a, seed),
+                    (20, group) => cross_sequenced_flows(&pktgen, a, 20, group, seed),
+                    (n_tcp, segments) => mixed_udp_tcp(&pktgen, a, n_tcp, segments, seed),
+                };
+                let n = departures.len();
+                for (from, to) in repeats {
+                    departures[to.index(n)].packet = departures[from.index(n)].packet.clone();
+                }
+                for (i, j) in swaps {
+                    departures.swap(i.index(n), j.index(n));
+                }
+                (departures, pktgen.interval())
+            },
+        )
+    }
+
+    fn arb_buffer() -> impl Strategy<Value = BufferChoice> {
+        prop_oneof![
+            Just(BufferChoice::NoBuffer),
+            (1usize..64).prop_map(|capacity| BufferChoice::PacketGranularity { capacity }),
+            (1usize..64, 5u64..100).prop_map(|(capacity, ms)| BufferChoice::FlowGranularity {
+                capacity,
+                timeout: Nanos::from_millis(ms),
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Streaming the departures past the queue dispatches what
+        /// scheduling them all up front dispatched, in the same order —
+        /// with no warm-up gap, so that departures tie with the ARP and
+        /// handshake events at 0 and 1 ms; with keepalives and polls on
+        /// departure instants (a poll traces nothing when it is dispatched;
+        /// a crash does, so one is put on a departure instant too); with
+        /// control messages duplicated and lost; with packets sharing a
+        /// wire identity; out of time order.
+        #[test]
+        fn streamed_run_equals_prescheduled_run(
+            (departures, interval) in arb_departures(),
+            buffer in arb_buffer(),
+            keepalive_every in 0u64..6,
+            poll_every in 0u64..6,
+            crash_with in proptest::collection::vec(any::<proptest::sample::Index>(), 0..2),
+            faults in prop_oneof![
+                Just(""),
+                Just("fseed=3,c.dup=0.5,s.dup=0.5"),
+                Just("fseed=5,c.loss=nth:4,s.dup=0.3"),
+                Just("fseed=9,c.dup=0.3,s.loss=nth:3,c.jitter=300us"),
+            ],
+        ) {
+            let mut config = TestbedConfig::with_buffer(buffer);
+            config.warmup_gap = Nanos::ZERO;
+            config.keepalive_interval = (keepalive_every > 0).then(|| interval * keepalive_every);
+            config.stats_poll_interval = (poll_every > 0).then(|| interval * poll_every);
+            config.faults = FaultPlan::parse(faults).expect("valid plan");
+            for departure in crash_with {
+                let from = departures[departure.index(departures.len())].at;
+                config.faults.crashes.push(Window::new(from, from + Nanos::from_millis(2)));
+            }
+            let streamed = observed(&config, &departures, Testbed::run);
+            let prescheduled = observed(&config, &departures, Testbed::run_prescheduled);
+            prop_assert_eq!(streamed, prescheduled);
+        }
     }
 
     #[test]

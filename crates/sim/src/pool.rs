@@ -40,6 +40,8 @@ struct Slot<T> {
     gen: u32,
     /// Live references to the current occupant (0 while free).
     refs: u32,
+    /// The occupant's tag (see [`Pool::set_tag`]).
+    tag: Option<u32>,
     val: Option<T>,
 }
 
@@ -97,13 +99,6 @@ impl<T> Pool<T> {
         }
     }
 
-    /// Makes room for `additional` more values, so that inserting them
-    /// does not grow the slab.
-    pub fn reserve(&mut self, additional: usize) {
-        self.slots
-            .reserve(additional.saturating_sub(self.free.len()));
-    }
-
     /// Stores `val` and returns its handle (reference count 1).
     pub fn insert(&mut self, val: T) -> PoolHandle {
         self.stats.inserted += 1;
@@ -113,6 +108,7 @@ impl<T> Pool<T> {
             let s = &mut self.slots[slot as usize];
             s.gen = s.gen.wrapping_add(1); // even -> odd: occupied
             s.refs = 1;
+            s.tag = None;
             s.val = Some(val);
             PoolHandle { slot, gen: s.gen }
         } else {
@@ -120,6 +116,7 @@ impl<T> Pool<T> {
             self.slots.push(Slot {
                 gen: 1,
                 refs: 1,
+                tag: None,
                 val: Some(val),
             });
             PoolHandle { slot, gen: 1 }
@@ -142,6 +139,23 @@ impl<T> Pool<T> {
             .get_mut(h.slot as usize)
             .filter(|s| s.gen == h.gen)
             .and_then(|s| s.val.as_mut())
+    }
+
+    /// The tag travelling with the value behind `h`: `None` until
+    /// [`Self::set_tag`], for a stale handle, and for the slot's next
+    /// occupant.
+    pub fn tag(&self, h: PoolHandle) -> Option<u32> {
+        self.slot_of(h).and_then(|s| s.tag)
+    }
+
+    /// Tags the value behind `h` with a number of the caller's choosing
+    /// that every holder of the handle can read back, such as the index
+    /// of a record kept about the value. Ignored if the handle is stale.
+    pub fn set_tag(&mut self, h: PoolHandle, tag: u32) {
+        let slot = self.slots.get_mut(h.slot as usize);
+        if let Some(s) = slot.filter(|s| s.gen == h.gen) {
+            s.tag = Some(tag);
+        }
     }
 
     /// Adds a reference to the value behind `h` (fan-out sharing).
@@ -287,6 +301,28 @@ mod tests {
         assert_eq!(second, vec![7u8; 4]);
         assert!(p.is_empty());
         assert_eq!(p.take(h), None, "now stale");
+    }
+
+    #[test]
+    fn tag_travels_with_the_value_and_dies_with_it() {
+        let mut p = Pool::new();
+        let h = p.insert("x");
+        assert_eq!(p.tag(h), None, "a fresh value carries no tag");
+        p.set_tag(h, 7);
+        assert_eq!(p.tag(h), Some(7));
+        // Sharing and un-sharing the value leaves its tag alone.
+        p.retain(h);
+        assert_eq!(p.release(h), None);
+        assert_eq!(p.tag(h), Some(7));
+        // The last release reclaims the slot: the handle goes stale...
+        assert_eq!(p.release(h), Some("x"));
+        assert_eq!(p.tag(h), None, "a stale handle reads no tag");
+        p.set_tag(h, 9);
+        // ...and the slot's next occupant starts untagged.
+        let next = p.insert("y");
+        assert_eq!(next.slot, h.slot, "the slot was reused");
+        assert_eq!(p.tag(next), None, "the tag did not outlive its value");
+        assert_eq!(p.tag(h), None);
     }
 
     #[test]

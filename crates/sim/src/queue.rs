@@ -148,6 +148,17 @@ impl<E> EventQueue<E> {
         });
     }
 
+    /// Sets aside the next `n` insertion sequence numbers and returns the
+    /// first. The caller holds `n` events of its own, in an order it
+    /// knows, and merges them with the queue through [`Self::pop_before`]:
+    /// against everything scheduled before and after this call they tie
+    /// exactly as if they had been scheduled here.
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.seq;
+        self.seq += n;
+        first
+    }
+
     fn insert(&mut self, s: Scheduled<E>) {
         if self.wheel_len == 0 && self.far.is_empty() {
             // Empty queue: rebase the window to start at this event.
@@ -171,31 +182,40 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
+        self.pop_before((Nanos::MAX, u64::MAX))
+    }
+
+    /// [`Self::pop`], but only if the earliest event's `(time, seq)` key
+    /// is below `bound`. A miss leaves the cursor where it is, so whatever
+    /// the caller schedules before its next call still lands in the wheel.
+    pub fn pop_before(&mut self, bound: (Nanos, u64)) -> Option<(Nanos, E)> {
         if self.wheel_len == 0 {
-            if self.far.is_empty() {
+            if self.far.peek()?.key() >= bound {
                 return None;
             }
             self.rebase_onto_far();
         }
-        let slot = self.advance_cursor();
-        let min_idx = {
-            let bucket = &self.wheel[slot];
-            let mut min = 0;
-            for i in 1..bucket.len() {
-                if bucket[i].key() < bucket[min].key() {
-                    min = i;
-                }
+        let slot = self.first_occupied_slot().expect("the wheel is not empty");
+        let bucket = &self.wheel[slot];
+        let mut min_idx = 0;
+        for i in 1..bucket.len() {
+            if bucket[i].key() < bucket[min_idx].key() {
+                min_idx = i;
             }
-            min
-        };
+        }
         // An overflow event can only beat the wheel minimum if it was
         // scheduled in the past (before `base_tick`): equal times share a
         // tick, and far-future ticks strictly exceed every in-window tick.
-        let take_far = match self.far.peek() {
-            Some(f) => f.key() < self.wheel[slot][min_idx].key(),
-            None => false,
-        };
-        let s = if take_far {
+        let wheel_key = bucket[min_idx].key();
+        let far_key = self.far.peek().map(Scheduled::key);
+        let far_key = far_key.filter(|far| *far < wheel_key);
+        if far_key.unwrap_or(wheel_key) >= bound {
+            return None;
+        }
+        // Move the cursor up to the first occupied slot.
+        let start = (self.base_tick & SLOT_MASK) as usize;
+        self.base_tick += (slot.wrapping_sub(start) & (SLOTS - 1)) as u64;
+        let s = if far_key.is_some() {
             self.far.pop().expect("peeked above")
         } else {
             let bucket = &mut self.wheel[slot];
@@ -230,26 +250,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Advances `base_tick` to the first occupied slot and returns it.
-    /// Walks the occupancy bitmap a word (64 slots) at a time.
-    fn advance_cursor(&mut self) -> usize {
-        debug_assert!(self.wheel_len > 0);
-        let start = (self.base_tick & SLOT_MASK) as usize;
-        let mut word_idx = start >> 6;
-        let mut word = self.occupied[word_idx] & (!0u64 << (start & 63));
-        for _ in 0..=WORDS {
-            if word != 0 {
-                let slot = (word_idx << 6) + word.trailing_zeros() as usize;
-                let ahead = (slot.wrapping_sub(start) & (SLOTS - 1)) as u64;
-                self.base_tick += ahead;
-                return slot;
-            }
-            word_idx = (word_idx + 1) & (WORDS - 1);
-            word = self.occupied[word_idx];
-        }
-        unreachable!("wheel_len > 0 but no occupied slot")
-    }
-
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<Nanos> {
         let far_min = self.far.peek().map(Scheduled::key);
@@ -264,8 +264,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The first occupied slot in tick order from the cursor, without
-    /// advancing it (for `&self` peeking).
+    /// The first occupied slot in tick order from the cursor. Walks the
+    /// occupancy bitmap a word (64 slots) at a time.
     fn first_occupied_slot(&self) -> Option<usize> {
         if self.wheel_len == 0 {
             return None;
@@ -358,6 +358,22 @@ impl<E> HeapEventQueue<E> {
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
         self.heap.pop().map(|s| (s.time, s.event))
+    }
+
+    /// See [`EventQueue::reserve_seqs`].
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.seq;
+        self.seq += n;
+        first
+    }
+
+    /// See [`EventQueue::pop_before`]: peek, compare, pop.
+    pub fn pop_before(&mut self, bound: (Nanos, u64)) -> Option<(Nanos, E)> {
+        if self.heap.peek()?.key() < bound {
+            self.pop()
+        } else {
+            None
+        }
     }
 
     /// The timestamp of the next event without removing it.
@@ -479,6 +495,24 @@ mod tests {
         assert_eq!(q.pop(), Some((Nanos::from_nanos(5), "way-behind")));
         assert_eq!(q.pop(), Some((Nanos::from_millis(99), "behind-window")));
         assert_eq!(q.pop(), Some((Nanos::from_millis(100), "late")));
+    }
+
+    #[test]
+    fn pop_before_holds_at_the_bound_in_the_wheel_and_in_the_overflow() {
+        let mut q = EventQueue::new();
+        let far = Nanos::from_nanos((3 * SLOTS as u64) << TICK_SHIFT);
+        q.schedule(Nanos::from_nanos(1), "near"); // seq 0
+        q.schedule(far, "far"); // seq 1
+        assert_eq!(q.pop_before((Nanos::from_nanos(1), 0)), None);
+        let near = q.pop_before((Nanos::from_nanos(1), 1));
+        assert_eq!(near, Some((Nanos::from_nanos(1), "near")));
+        // The wheel is empty now; the overflow heap answers for the queue.
+        assert_eq!(q.pop_before((far, 1)), None);
+        // The miss left the cursor behind: this lands in the wheel and wins.
+        q.schedule(Nanos::from_nanos(9), "between"); // seq 2
+        assert_eq!(q.pop(), Some((Nanos::from_nanos(9), "between")));
+        assert_eq!(q.pop_before((far, 2)), Some((far, "far")));
+        assert_eq!(q.pop_before((Nanos::MAX, u64::MAX)), None);
     }
 
     #[test]

@@ -14,6 +14,20 @@ enum QueueOp {
     Pop,
 }
 
+/// One step of the merge a streaming caller runs against the queue:
+/// schedule, reserve sequence numbers, pop only below a `(time, seq)` bound.
+#[derive(Clone, Debug)]
+enum MergeOp {
+    Schedule(u64),
+    Reserve(u64),
+    PopBefore(u64, u64),
+    /// Bound at the earliest pending key itself (must miss) or one
+    /// sequence number past it (must hit).
+    PopBeforeEarliest {
+        past: bool,
+    },
+}
+
 /// Times drawn from ranges that exercise every wheel regime: same-tick
 /// ties (small constants), in-window spread, far-future overflow (beyond
 /// the ~33.5 ms wheel window), and huge jumps that force rebases.
@@ -25,6 +39,30 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
         (0u64..u64::MAX / 4).prop_map(QueueOp::Schedule),
         Just(QueueOp::Pop),
         Just(QueueOp::Pop),
+    ]
+}
+
+/// Bounds are drawn from the same time regimes as the schedules and from the
+/// sequence numbers in use, so they fall below, between and above pending
+/// events and split same-time ties; a miss followed by a schedule below the
+/// bound is an insert behind where an advancing peek would have left the
+/// cursor.
+fn merge_op() -> impl Strategy<Value = MergeOp> {
+    let time = prop_oneof![0u64..16, 0u64..100_000, 0u64..200_000_000];
+    // Schedules as above; an unbounded pop where those pop.
+    let plain = || {
+        queue_op().prop_map(|op| match op {
+            QueueOp::Schedule(t) => MergeOp::Schedule(t),
+            QueueOp::Pop => MergeOp::PopBefore(u64::MAX, u64::MAX),
+        })
+    };
+    prop_oneof![
+        plain(),
+        plain(),
+        plain(),
+        (time, 0u64..600).prop_map(|(t, seq)| MergeOp::PopBefore(t, seq)),
+        (0u64..5).prop_map(MergeOp::Reserve),
+        any::<bool>().prop_map(|past| MergeOp::PopBeforeEarliest { past }),
     ]
 }
 
@@ -58,6 +96,59 @@ proptest! {
         // Drain: every remaining event must come out in the same order.
         loop {
             prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+            let (a, b) = (wheel.pop(), heap.pop());
+            prop_assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// `pop_before` on the wheel is peek-compare-pop on the heap, and
+    /// `reserve_seqs` hands both the same numbers, under arbitrary
+    /// interleavings with schedules.
+    #[test]
+    fn wheel_pop_before_is_equivalent_to_heap_peek_compare_pop(
+        ops in proptest::collection::vec(merge_op(), 1..400),
+    ) {
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapEventQueue::new();
+        // Each event carries the sequence number it was scheduled under,
+        // so a popped event shows which side of a bound's tie it was on.
+        let mut next_seq = 0u64;
+        let mut pending = std::collections::BTreeSet::new();
+        for op in &ops {
+            let bound = match *op {
+                MergeOp::Schedule(t) => {
+                    wheel.schedule(Nanos::from_nanos(t), next_seq);
+                    heap.schedule(Nanos::from_nanos(t), next_seq);
+                    pending.insert((Nanos::from_nanos(t), next_seq));
+                    next_seq += 1;
+                    continue;
+                }
+                MergeOp::Reserve(n) => {
+                    prop_assert_eq!(wheel.reserve_seqs(n), next_seq);
+                    prop_assert_eq!(heap.reserve_seqs(n), next_seq);
+                    next_seq += n;
+                    continue;
+                }
+                MergeOp::PopBefore(t, seq) => (Nanos::from_nanos(t), seq),
+                MergeOp::PopBeforeEarliest { past } => match pending.first() {
+                    Some(&(t, seq)) => (t, seq + u64::from(past)),
+                    None => continue,
+                },
+            };
+            // The earliest pending key pops exactly when it is below the bound.
+            let due = pending.first().copied().filter(|&key| key < bound);
+            prop_assert_eq!(wheel.pop_before(bound), due);
+            prop_assert_eq!(heap.pop_before(bound), due);
+            if let Some(key) = due {
+                pending.remove(&key);
+            }
+            prop_assert_eq!(wheel.len(), heap.len());
+            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+        }
+        loop {
             let (a, b) = (wheel.pop(), heap.pop());
             prop_assert_eq!(a, b);
             if a.is_none() {

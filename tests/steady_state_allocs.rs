@@ -14,6 +14,11 @@
 //! of the same cell at 4 000 and at 2 000 flows, which cancels everything a
 //! run pays once (construction, handshake, warm-up, result collection).
 //!
+//! The same difference is taken of the peak live heap: a packet that has
+//! been delivered leaves one record behind (for `packet_log()`), not its
+//! frame — the workload is streamed through the pool, which holds what is
+//! in flight.
+//!
 //! A binary of its own because `#[global_allocator]` is per-binary; the
 //! counter is per-thread, so the tests here do not perturb each other.
 
@@ -32,25 +37,38 @@ struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed, and their high-water
+    /// mark.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(grown_by: i64) {
     // `try_with`: the allocator also runs while a thread is torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    resize(grown_by);
+}
+
+fn resize(grown_by: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + grown_by);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        resize(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -64,52 +82,75 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
-/// Allocations and packets of one `Testbed::run` of the cell.
-fn run_cell(buffer: BufferMode, rate_mbps: u64, kind: WorkloadKind) -> (u64, u64) {
+/// What one `Testbed::run` of a cell cost the heap.
+struct CellCost {
+    allocations: u64,
+    /// High-water mark of live bytes over live bytes when the run began
+    /// (so the departures, built before, are not in it).
+    peak_live: i64,
+    packets: u64,
+}
+
+fn run_cell(buffer: BufferMode, rate_mbps: u64, kind: WorkloadKind) -> CellCost {
     let pktgen = PktgenConfig {
         rate: BitRate::from_mbps(rate_mbps),
         ..PktgenConfig::default()
     };
     let departures = kind.generate(&pktgen, 1);
     let mut testbed = Testbed::new(TestbedConfig::with_buffer(buffer));
+    let live_before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live_before));
     let (allocations, result) = allocations_in(|| testbed.run(&departures));
     assert_eq!(result.packets_sent, departures.len() as u64);
     assert_eq!(result.packets_delivered, result.packets_sent);
-    (allocations, result.packets_sent)
+    CellCost {
+        allocations,
+        peak_live: PEAK.with(Cell::get) - live_before,
+        packets: result.packets_sent,
+    }
 }
 
-/// Allocations per packet added by growing the cell from `kind(2_000)` to
-/// `kind(4_000)` flows.
-fn marginal_allocs_per_packet(
+/// What one more packet costs: the difference between the cell at
+/// `kind(4_000)` and at `kind(2_000)` flows, per packet, as (allocations,
+/// bytes of peak live heap).
+fn marginal_cost_per_packet(
     buffer: BufferMode,
     rate_mbps: u64,
     kind: impl Fn(usize) -> WorkloadKind,
-) -> f64 {
-    let (small_allocs, small_packets) = run_cell(buffer, rate_mbps, kind(2_000));
-    let (large_allocs, large_packets) = run_cell(buffer, rate_mbps, kind(4_000));
-    (large_allocs - small_allocs) as f64 / (large_packets - small_packets) as f64
+) -> (f64, f64) {
+    let small = run_cell(buffer, rate_mbps, kind(2_000));
+    let large = run_cell(buffer, rate_mbps, kind(4_000));
+    let packets = (large.packets - small.packets) as f64;
+    (
+        (large.allocations - small.allocations) as f64 / packets,
+        (large.peak_live - small.peak_live) as f64 / packets,
+    )
 }
 
-#[test]
-fn one_more_packet_allocates_only_its_own_bytes() {
-    let twenty_packet_flows = |n_flows| WorkloadKind::CrossSequenced {
+fn twenty_packet_flows(n_flows: usize) -> WorkloadKind {
+    WorkloadKind::CrossSequenced {
         n_flows,
         packets_per_flow: 20,
         group_size: 5,
-    };
-    let flow_256 = BufferMode::FlowGranularity {
-        capacity: 256,
-        timeout: Nanos::from_millis(50),
-    };
+    }
+}
+
+const FLOW_256: BufferMode = BufferMode::FlowGranularity {
+    capacity: 256,
+    timeout: Nanos::from_millis(50),
+};
+
+#[test]
+fn one_more_packet_allocates_only_its_own_bytes() {
     let packet_256 = BufferMode::PacketGranularity { capacity: 256 };
     let single = WorkloadKind::single_packet_flows;
 
     // Pooled copy, packet_in payload (the whole frame), re-parsed frame.
-    let no_buffer = marginal_allocs_per_packet(BufferMode::NoBuffer, 100, single);
+    let (no_buffer, _) = marginal_cost_per_packet(BufferMode::NoBuffer, 100, single);
     // Pooled copy, packet_in payload (the header slice).
-    let buffered = marginal_allocs_per_packet(packet_256, 50, single);
+    let (buffered, _) = marginal_cost_per_packet(packet_256, 50, single);
     // Pooled copy; one miss per twenty packets.
-    let hits = marginal_allocs_per_packet(flow_256, 100, twenty_packet_flows);
+    let (hits, _) = marginal_cost_per_packet(FLOW_256, 100, twenty_packet_flows);
 
     assert!(
         no_buffer <= 3.05,
@@ -119,6 +160,19 @@ fn one_more_packet_allocates_only_its_own_bytes() {
     assert!(
         hits <= 1.25,
         "flow-256@100 20-packet flows: {hits} allocs/packet"
+    );
+}
+
+#[test]
+fn one_more_packet_keeps_a_record_not_a_frame() {
+    // An 80 B timeline and an entry in the wire-identity index (24-48 B as
+    // the index's table fills and doubles) per packet, and what a flow
+    // leaves behind shared among its twenty: 137 B. Holding every 1 000-B
+    // frame from the start of the run was 1 265 B.
+    let (_, live_bytes) = marginal_cost_per_packet(FLOW_256, 100, twenty_packet_flows);
+    assert!(
+        live_bytes <= 160.0,
+        "flow-256@100 20-packet flows: {live_bytes} B of peak live heap per packet"
     );
 }
 
