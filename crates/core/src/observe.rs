@@ -17,7 +17,7 @@
 //! `packet_in → flow_mod → packet_out → drain` renders as linked spans.
 
 use crate::experiment::RunEvents;
-use sdnbuf_sim::{ChannelDir, Event, EventKind, EventSink, JsonlSink, Nanos};
+use sdnbuf_sim::{ByteSink, ChannelDir, Event, EventKind, EventSink, JsonlSink, Nanos};
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
@@ -40,36 +40,68 @@ pub fn run_prefix(label: &str, rate_mbps: u64, rep: usize) -> String {
 ///
 /// # Errors
 ///
-/// An [`io::ErrorKind::WriteZero`] error when the writer failed part-way
-/// (the sink itself swallows write errors and stops counting).
+/// The first error the writer returned; nothing is written after it, so
+/// `w` holds a prefix of the stream.
 pub fn write_events_jsonl(events: &[Event], prefix: &str, w: &mut dyn Write) -> io::Result<u64> {
     let mut sink = JsonlSink::with_prefix(w, prefix.to_string());
     for &event in events {
         sink.emit(event);
     }
-    let written = sink.written();
-    if written < events.len() as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::WriteZero,
-            format!("wrote {written} of {} events", events.len()),
-        ));
-    }
-    Ok(written)
+    sink.finish()
 }
 
-/// A 64-bit FNV-1a digest of the canonical JSONL rendering of an event
-/// stream. Two runs are byte-identical exactly when their digests (and
+/// A running 64-bit FNV-1a digest of the canonical JSONL rendering of an
+/// event stream — the bytes [`write_events_jsonl`] writes with an empty
+/// prefix. The renderer's pieces are folded into the hash as they are
+/// produced; the text itself never exists.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct EventDigest(u64);
+
+impl Default for EventDigest {
+    fn default() -> EventDigest {
+        EventDigest(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl EventDigest {
+    /// Folds in one event's line.
+    #[inline]
+    pub(crate) fn observe(&mut self, event: &Event) {
+        self.text("{");
+        event.write_json_fields(self);
+        self.text("}\n");
+    }
+
+    /// The digest of every line observed so far.
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl ByteSink for EventDigest {
+    #[inline]
+    fn text(&mut self, piece: &str) {
+        self.ascii(piece.as_bytes());
+    }
+
+    #[inline]
+    fn ascii(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+/// The 64-bit FNV-1a digest of a recorded stream's canonical JSONL
+/// rendering. Two runs are byte-identical exactly when their digests (and
 /// event counts) match — the equality the chaos harness's replay command
 /// asserts without storing full streams.
 pub fn events_digest(events: &[Event]) -> u64 {
-    let mut bytes = Vec::new();
-    write_events_jsonl(events, "", &mut bytes).expect("Vec<u8> writes cannot fail");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut digest = EventDigest::default();
+    for event in events {
+        digest.observe(event);
     }
-    h
+    digest.finish()
 }
 
 /// Streams a whole traced sweep as JSON Lines: every run's events in grid
@@ -511,6 +543,74 @@ mod tests {
             );
             assert!(line.ends_with('}'), "{line}");
         }
+    }
+
+    #[test]
+    fn digest_is_fnv1a_of_the_jsonl_export() {
+        let events = traced_run();
+        let mut bytes = Vec::new();
+        write_events_jsonl(&events, "", &mut bytes).unwrap();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in &bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        assert_eq!(events_digest(&events), h);
+        assert_ne!(events_digest(&events[1..]), h);
+    }
+
+    /// Refuses its third write and would take every later one.
+    struct Hiccup {
+        out: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for Hiccup {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            if self.writes == 3 {
+                return Err(io::Error::new(io::ErrorKind::StorageFull, "quota"));
+            }
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_write_ends_the_export_with_the_writers_error() {
+        let events = traced_run();
+        let mut complete = Vec::new();
+        write_events_jsonl(&events, "", &mut complete).unwrap();
+        let mut w = Hiccup {
+            out: Vec::new(),
+            writes: 0,
+        };
+        let err = write_events_jsonl(&events, "", &mut w).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        assert_eq!(err.to_string(), "quota");
+        // Two whole lines, then nothing: a prefix of the full export.
+        assert_eq!(w.writes, 3);
+        assert_eq!(w.out.iter().filter(|&&b| b == b'\n').count(), 2);
+        assert!(complete.starts_with(&w.out));
+
+        // The sweep exporter stops at the failing run with the same error.
+        let run = |rep| RunEvents {
+            key: crate::CellKey::new(crate::BufferMode::NoBuffer, 20),
+            label: "no-buffer".into(),
+            rep,
+            events: events.clone(),
+        };
+        let mut w = Hiccup {
+            out: Vec::new(),
+            writes: 0,
+        };
+        let err = export_sweep_jsonl(&[run(0), run(1)], &mut w).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        assert_eq!(w.writes, 3);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::io;
 use std::rc::Rc;
 
 /// Direction of a control-channel message, from the switch's point of view.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ChannelDir {
     /// Switch → controller (e.g. `packet_in`, replies).
     ToController,
@@ -313,15 +313,593 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+/// Where the renderer's bytes go: a `String` for the exporters, a running
+/// hash for digests. The renderer calls it with literal pieces, static
+/// labels and decimal digits only, so it never goes through `core::fmt`.
+pub trait ByteSink {
+    /// Appends `piece` verbatim.
+    fn text(&mut self, piece: &str);
+
+    /// Appends ASCII bytes (decimal digits) verbatim.
+    fn ascii(&mut self, bytes: &[u8]);
+}
+
+impl ByteSink for String {
+    fn text(&mut self, piece: &str) {
+        self.push_str(piece);
+    }
+
+    fn ascii(&mut self, bytes: &[u8]) {
+        debug_assert!(bytes.is_ascii());
+        self.extend(bytes.iter().map(|&b| char::from(b)));
+    }
+}
+
+/// `,"<name>":` as one literal piece.
+macro_rules! key {
+    ($name:literal) => {
+        concat!(",\"", $name, "\":")
+    };
+}
+
+/// `,"kind":"<kind>","<name>":` — the kind tag and the key of the variant's
+/// first field, as one literal piece.
+macro_rules! kind {
+    ($kind:literal, $name:literal) => {
+        concat!(",\"kind\":\"", $kind, "\"", key!($name))
+    };
+}
+
+/// `key` (a `"name":` piece) followed by `v` in decimal.
+#[inline]
+fn num<S: ByteSink + ?Sized>(out: &mut S, key: &str, v: u64) {
+    out.text(key);
+    // u64::MAX has 20 digits; filled from the least significant end.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = v;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.ascii(&digits[at..]);
+}
+
+/// `key` followed by the label in quotes. Labels are identifiers chosen in
+/// this workspace's source (link names, message types), never input, so
+/// none needs escaping.
+#[inline]
+fn label<S: ByteSink + ?Sized>(out: &mut S, key: &str, v: &'static str) {
+    out.text(key);
+    out.text("\"");
+    out.text(v);
+    out.text("\"");
+}
+
+/// `key` followed by `true` or `false`.
+#[inline]
+fn flag<S: ByteSink + ?Sized>(out: &mut S, key: &str, v: bool) {
+    out.text(key);
+    out.text(if v { "true" } else { "false" });
+}
+
 impl Event {
     /// Appends this event as a JSON fragment `"at":…,"kind":…,…` (no
     /// surrounding braces) with a stable field order, so renderings are
     /// byte-for-byte reproducible. Written by hand: the workspace has no
-    /// serialization dependency.
-    pub fn write_json_fields(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(out, "\"at\":{}", self.at.as_nanos());
+    /// serialization dependency. This is the one renderer — exporters,
+    /// flight-recorder dumps and stream digests all take their bytes here.
+    pub fn write_json_fields<S: ByteSink + ?Sized>(&self, out: &mut S) {
+        num(out, "\"at\":", self.at.as_nanos());
         match self.kind {
+            EventKind::LinkTx {
+                link,
+                bytes,
+                arrive,
+            } => {
+                label(out, kind!("link_tx", "link"), link);
+                num(out, key!("bytes"), bytes as u64);
+                num(out, key!("arrive"), arrive.as_nanos());
+            }
+            EventKind::LinkDrop { link, bytes } => {
+                label(out, kind!("link_drop", "link"), link);
+                num(out, key!("bytes"), bytes as u64);
+            }
+            EventKind::BusTransfer { bus, bytes, done } => {
+                label(out, kind!("bus_transfer", "bus"), bus);
+                num(out, key!("bytes"), bytes as u64);
+                num(out, key!("done"), done.as_nanos());
+            }
+            EventKind::TableMiss { in_port, bytes } => {
+                num(out, kind!("table_miss", "in_port"), in_port.into());
+                num(out, key!("bytes"), bytes as u64);
+            }
+            EventKind::PacketInSent {
+                xid,
+                buffer_id,
+                bytes,
+            } => {
+                num(out, kind!("packet_in_sent", "xid"), xid.into());
+                num(out, key!("buffer_id"), buffer_id.into());
+                num(out, key!("bytes"), bytes as u64);
+            }
+            EventKind::FlowRuleInstalled {
+                xid,
+                effective_at,
+                table_size,
+            } => {
+                num(out, kind!("flow_rule_installed", "xid"), xid.into());
+                num(out, key!("effective_at"), effective_at.as_nanos());
+                num(out, key!("table_size"), table_size as u64);
+            }
+            EventKind::FlowRuleEvicted { table_size } => {
+                num(
+                    out,
+                    kind!("flow_rule_evicted", "table_size"),
+                    table_size as u64,
+                );
+            }
+            EventKind::FlowRuleExpired { table_size } => {
+                num(
+                    out,
+                    kind!("flow_rule_expired", "table_size"),
+                    table_size as u64,
+                );
+            }
+            EventKind::BufferEnqueue {
+                buffer_id,
+                occupancy,
+                fresh,
+            } => {
+                num(out, kind!("buffer_enqueue", "buffer_id"), buffer_id.into());
+                num(out, key!("occupancy"), occupancy as u64);
+                flag(out, key!("fresh"), fresh);
+            }
+            EventKind::BufferDrain {
+                xid,
+                buffer_id,
+                released,
+                occupancy,
+            } => {
+                num(out, kind!("buffer_drain", "xid"), xid.into());
+                num(out, key!("buffer_id"), buffer_id.into());
+                num(out, key!("released"), released as u64);
+                num(out, key!("occupancy"), occupancy as u64);
+            }
+            EventKind::BufferRerequest {
+                buffer_id,
+                occupancy,
+            } => {
+                num(
+                    out,
+                    kind!("buffer_rerequest", "buffer_id"),
+                    buffer_id.into(),
+                );
+                num(out, key!("occupancy"), occupancy as u64);
+            }
+            EventKind::BufferReconcile {
+                buffer_id,
+                occupancy,
+            } => {
+                num(
+                    out,
+                    kind!("buffer_reconcile", "buffer_id"),
+                    buffer_id.into(),
+                );
+                num(out, key!("occupancy"), occupancy as u64);
+            }
+            EventKind::BufferFallback { occupancy } => {
+                num(out, kind!("buffer_fallback", "occupancy"), occupancy as u64);
+            }
+            EventKind::BufferExpire {
+                buffer_id,
+                occupancy,
+            } => {
+                num(out, kind!("buffer_expire", "buffer_id"), buffer_id.into());
+                num(out, key!("occupancy"), occupancy as u64);
+            }
+            EventKind::BufferGiveUp {
+                buffer_id,
+                drained,
+                action,
+                occupancy,
+            } => {
+                num(out, kind!("buffer_give_up", "buffer_id"), buffer_id.into());
+                num(out, key!("drained"), drained as u64);
+                label(out, key!("action"), action);
+                num(out, key!("occupancy"), occupancy as u64);
+            }
+            EventKind::DegradedEnter { giveups } => {
+                num(out, kind!("degraded_enter", "giveups"), giveups.into());
+            }
+            EventKind::DegradedExit { suppressed } => {
+                num(out, kind!("degraded_exit", "suppressed"), suppressed);
+            }
+            EventKind::AdmissionShed {
+                xid,
+                bytes,
+                buffered,
+            } => {
+                num(out, kind!("admission_shed", "xid"), xid.into());
+                num(out, key!("bytes"), bytes as u64);
+                flag(out, key!("buffered"), buffered);
+            }
+            EventKind::PacketInReceived {
+                xid,
+                bytes,
+                buffered,
+            } => {
+                num(out, kind!("packet_in_received", "xid"), xid.into());
+                num(out, key!("bytes"), bytes as u64);
+                flag(out, key!("buffered"), buffered);
+            }
+            EventKind::Decision { xid, action } => {
+                num(out, kind!("decision", "xid"), xid.into());
+                label(out, key!("action"), action);
+            }
+            EventKind::FlowModSent { xid } => {
+                num(out, kind!("flow_mod_sent", "xid"), xid.into());
+            }
+            EventKind::PacketOutSent { xid, buffer_id } => {
+                num(out, kind!("packet_out_sent", "xid"), xid.into());
+                num(out, key!("buffer_id"), buffer_id.into());
+            }
+            EventKind::CtrlMsg {
+                dir,
+                xid,
+                bytes,
+                label: msg,
+                arrive,
+            } => {
+                label(out, kind!("ctrl_msg", "dir"), dir.label());
+                num(out, key!("xid"), xid.into());
+                num(out, key!("bytes"), bytes as u64);
+                label(out, key!("label"), msg);
+                num(out, key!("arrive"), arrive.as_nanos());
+            }
+            EventKind::CtrlDrop {
+                dir,
+                xid,
+                bytes,
+                label: msg,
+            } => {
+                label(out, kind!("ctrl_drop", "dir"), dir.label());
+                num(out, key!("xid"), xid.into());
+                num(out, key!("bytes"), bytes as u64);
+                label(out, key!("label"), msg);
+            }
+            EventKind::CtrlCrash { epoch, role } => {
+                num(out, kind!("ctrl_crash", "epoch"), epoch.into());
+                label(out, key!("role"), role);
+            }
+            EventKind::CtrlRestart { epoch, role } => {
+                num(out, kind!("ctrl_restart", "epoch"), epoch.into());
+                label(out, key!("role"), role);
+            }
+            EventKind::FailoverTakeover { epoch, sync } => {
+                num(out, kind!("failover_takeover", "epoch"), epoch.into());
+                label(out, key!("sync"), sync);
+            }
+            EventKind::EpochBump {
+                from,
+                to,
+                survivors,
+            } => {
+                num(out, kind!("epoch_bump", "from"), from.into());
+                num(out, key!("to"), to.into());
+                num(out, key!("survivors"), survivors as u64);
+            }
+            EventKind::StaleEpochReject {
+                xid,
+                buffer_id,
+                epoch,
+                current,
+            } => {
+                num(out, kind!("stale_epoch_reject", "xid"), xid.into());
+                num(out, key!("buffer_id"), buffer_id.into());
+                num(out, key!("epoch"), epoch.into());
+                num(out, key!("current"), current.into());
+            }
+        }
+    }
+
+    /// This event as a standalone JSON object.
+    pub fn to_json(&self) -> String {
+        let mut s = String::with_capacity(96);
+        s.push('{');
+        self.write_json_fields(&mut s);
+        s.push('}');
+        s
+    }
+}
+
+/// Receiver of structured events. Implementations decide what to keep.
+pub trait EventSink {
+    /// Accepts one event. Called synchronously from the simulation.
+    fn emit(&mut self, event: Event);
+}
+
+/// Discards every event. Distinct from the executor's progress `NullSink`
+/// (`sdnbuf_core::NullSink`); this one lives at the event layer.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NullSink;
+
+impl EventSink for NullSink {
+    fn emit(&mut self, _event: Event) {}
+}
+
+/// A bounded in-memory buffer of events. Keeps the *first* `capacity`
+/// events (chronological prefix) and counts the overflow, so a bounded
+/// recording is still a deterministic function of the run.
+#[derive(Clone, Debug, Default)]
+pub struct RecordingSink {
+    events: Vec<Event>,
+    capacity: usize,
+    dropped: u64,
+}
+
+impl RecordingSink {
+    /// A sink keeping at most `capacity` events (0 means unbounded).
+    pub fn new(capacity: usize) -> Self {
+        RecordingSink {
+            events: Vec::new(),
+            capacity,
+            dropped: 0,
+        }
+    }
+
+    /// An unbounded sink.
+    pub fn unbounded() -> Self {
+        Self::new(0)
+    }
+
+    /// The recorded events, in emission order.
+    pub fn events(&self) -> &[Event] {
+        &self.events
+    }
+
+    /// Takes the recorded events, leaving the sink empty.
+    pub fn take(&mut self) -> Vec<Event> {
+        std::mem::take(&mut self.events)
+    }
+
+    /// Events discarded because the buffer was full.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+}
+
+impl EventSink for RecordingSink {
+    fn emit(&mut self, event: Event) {
+        if self.capacity != 0 && self.events.len() >= self.capacity {
+            self.dropped += 1;
+            return;
+        }
+        self.events.push(event);
+    }
+}
+
+/// A bounded ring of the *newest* events — the flight-recorder complement
+/// to [`RecordingSink`] (which keeps the chronological prefix). When the
+/// ring is full the oldest event is overwritten, so after a crash or an
+/// invariant violation the sink holds the last `capacity` events leading
+/// up to it. `Event` is `Copy`, so the ring never allocates after
+/// construction.
+#[derive(Clone, Debug)]
+pub struct RingSink {
+    ring: Vec<Event>,
+    capacity: usize,
+    /// Next write position; wraps modulo `capacity` once full.
+    head: usize,
+    /// Events overwritten (total emitted − capacity, once saturated).
+    dropped_oldest: u64,
+}
+
+impl RingSink {
+    /// A ring keeping the newest `capacity` events (must be non-zero).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero — a zero-size ring records nothing
+    /// and always signals a bug at the call site.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "ring capacity must be positive");
+        RingSink {
+            ring: Vec::with_capacity(capacity),
+            capacity,
+            head: 0,
+            dropped_oldest: 0,
+        }
+    }
+
+    /// The retained events in emission order, oldest first.
+    pub fn events(&self) -> Vec<Event> {
+        if self.ring.len() < self.capacity {
+            self.ring.clone()
+        } else {
+            let mut out = Vec::with_capacity(self.capacity);
+            out.extend_from_slice(&self.ring[self.head..]);
+            out.extend_from_slice(&self.ring[..self.head]);
+            out
+        }
+    }
+
+    /// Events overwritten because the ring was full.
+    pub fn dropped_oldest(&self) -> u64 {
+        self.dropped_oldest
+    }
+
+    /// Events currently retained.
+    pub fn len(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// `true` when nothing has been emitted yet.
+    pub fn is_empty(&self) -> bool {
+        self.ring.is_empty()
+    }
+}
+
+impl EventSink for RingSink {
+    fn emit(&mut self, event: Event) {
+        if self.ring.len() < self.capacity {
+            self.ring.push(event);
+        } else {
+            self.ring[self.head] = event;
+            self.head = (self.head + 1) % self.capacity;
+            self.dropped_oldest += 1;
+        }
+    }
+}
+
+/// Streams events as JSON Lines to a writer, one object per line. An
+/// optional prefix fragment (e.g. run metadata rendered once) is inserted
+/// at the start of every object.
+#[derive(Debug)]
+pub struct JsonlSink<W: io::Write> {
+    writer: W,
+    prefix: String,
+    scratch: String,
+    written: u64,
+    /// The first failed write; once set, nothing more is written, so the
+    /// output is always a prefix of the stream, never one with a hole.
+    error: Option<io::Error>,
+}
+
+impl<W: io::Write> JsonlSink<W> {
+    /// A sink writing bare event objects.
+    pub fn new(writer: W) -> Self {
+        Self::with_prefix(writer, String::new())
+    }
+
+    /// A sink inserting `prefix` (a complete JSON fragment such as
+    /// `"run":{…},`) immediately after the opening brace of every line.
+    pub fn with_prefix(writer: W, prefix: String) -> Self {
+        JsonlSink {
+            writer,
+            prefix,
+            scratch: String::with_capacity(128),
+            written: 0,
+            error: None,
+        }
+    }
+
+    /// Lines written so far.
+    pub fn written(&self) -> u64 {
+        self.written
+    }
+
+    /// Ends the stream: the number of lines written, or the write error
+    /// that stopped it.
+    ///
+    /// # Errors
+    ///
+    /// The first error the writer returned; every event emitted after it
+    /// was discarded.
+    pub fn finish(self) -> io::Result<u64> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.written),
+        }
+    }
+
+    /// Flushes and returns the underlying writer.
+    pub fn into_inner(mut self) -> W {
+        let _ = self.writer.flush();
+        self.writer
+    }
+}
+
+impl<W: io::Write> EventSink for JsonlSink<W> {
+    fn emit(&mut self, event: Event) {
+        // I/O errors cannot be surfaced from the hot path: the first one is
+        // kept for `finish` and ends the stream.
+        if self.error.is_some() {
+            return;
+        }
+        self.scratch.clear();
+        self.scratch.push('{');
+        self.scratch.push_str(&self.prefix);
+        event.write_json_fields(&mut self.scratch);
+        self.scratch.push_str("}\n");
+        match self.writer.write_all(self.scratch.as_bytes()) {
+            Ok(()) => self.written += 1,
+            Err(e) => self.error = Some(e),
+        }
+    }
+}
+
+/// A cloneable handle to an optional shared [`EventSink`].
+///
+/// Components store one of these and call [`Tracer::emit`] at interesting
+/// points. The default ([`Tracer::off`]) holds no sink: `emit` is then a
+/// branch and nothing else. Handles are `Rc`-shared — the whole testbed,
+/// including its tracer, lives on one worker thread; only the drained
+/// `Vec<Event>` crosses threads.
+#[derive(Clone, Default)]
+pub struct Tracer {
+    sink: Option<Rc<RefCell<dyn EventSink>>>,
+}
+
+impl Tracer {
+    /// The disabled tracer: `emit` does nothing and allocates nothing.
+    pub fn off() -> Tracer {
+        Tracer { sink: None }
+    }
+
+    /// A tracer forwarding to `sink`.
+    pub fn new(sink: Rc<RefCell<dyn EventSink>>) -> Tracer {
+        Tracer { sink: Some(sink) }
+    }
+
+    /// Convenience: a tracer backed by a fresh [`RecordingSink`] with the
+    /// given capacity (0 = unbounded), returning both the handle to hand
+    /// out and the shared sink to drain afterwards.
+    pub fn recording(capacity: usize) -> (Tracer, Rc<RefCell<RecordingSink>>) {
+        let sink = Rc::new(RefCell::new(RecordingSink::new(capacity)));
+        let tracer = Tracer::new(sink.clone());
+        (tracer, sink)
+    }
+
+    /// Whether events are being collected.
+    pub fn is_enabled(&self) -> bool {
+        self.sink.is_some()
+    }
+
+    /// Emits one event if enabled; a no-op (one branch, zero allocations)
+    /// otherwise.
+    #[inline]
+    pub fn emit(&self, at: Nanos, kind: EventKind) {
+        if let Some(sink) = &self.sink {
+            sink.borrow_mut().emit(Event { at, kind });
+        }
+    }
+}
+
+impl fmt::Debug for Tracer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tracer")
+            .field("enabled", &self.is_enabled())
+            .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The renderer as it was while it went through `core::fmt`: one
+    /// `write!` per variant. What [`Event::write_json_fields`] must still
+    /// produce, byte for byte.
+    fn reference_json_fields(e: &Event, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(out, "\"at\":{}", e.at.as_nanos());
+        match e.kind {
             EventKind::LinkTx {
                 link,
                 bytes,
@@ -562,268 +1140,299 @@ impl Event {
         }
     }
 
-    /// This event as a standalone JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push('{');
-        self.write_json_fields(&mut s);
-        s.push('}');
-        s
-    }
-}
+    /// How many [`EventKind`] variants there are. A new variant stops
+    /// `ordinal` compiling, and `every_variant_renders_like_the_reference`
+    /// fails until `kind_from` builds it too.
+    const VARIANTS: usize = 29;
 
-/// Receiver of structured events. Implementations decide what to keep.
-pub trait EventSink {
-    /// Accepts one event. Called synchronously from the simulation.
-    fn emit(&mut self, event: Event);
-}
-
-/// Discards every event. Distinct from the executor's progress `NullSink`
-/// (`sdnbuf_core::NullSink`); this one lives at the event layer.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&mut self, _event: Event) {}
-}
-
-/// A bounded in-memory buffer of events. Keeps the *first* `capacity`
-/// events (chronological prefix) and counts the overflow, so a bounded
-/// recording is still a deterministic function of the run.
-#[derive(Clone, Debug, Default)]
-pub struct RecordingSink {
-    events: Vec<Event>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RecordingSink {
-    /// A sink keeping at most `capacity` events (0 means unbounded).
-    pub fn new(capacity: usize) -> Self {
-        RecordingSink {
-            events: Vec::new(),
-            capacity,
-            dropped: 0,
+    fn ordinal(kind: &EventKind) -> usize {
+        match kind {
+            EventKind::LinkTx { .. } => 0,
+            EventKind::LinkDrop { .. } => 1,
+            EventKind::BusTransfer { .. } => 2,
+            EventKind::TableMiss { .. } => 3,
+            EventKind::PacketInSent { .. } => 4,
+            EventKind::FlowRuleInstalled { .. } => 5,
+            EventKind::FlowRuleEvicted { .. } => 6,
+            EventKind::FlowRuleExpired { .. } => 7,
+            EventKind::BufferEnqueue { .. } => 8,
+            EventKind::BufferDrain { .. } => 9,
+            EventKind::BufferRerequest { .. } => 10,
+            EventKind::BufferReconcile { .. } => 11,
+            EventKind::BufferFallback { .. } => 12,
+            EventKind::BufferExpire { .. } => 13,
+            EventKind::BufferGiveUp { .. } => 14,
+            EventKind::DegradedEnter { .. } => 15,
+            EventKind::DegradedExit { .. } => 16,
+            EventKind::AdmissionShed { .. } => 17,
+            EventKind::PacketInReceived { .. } => 18,
+            EventKind::Decision { .. } => 19,
+            EventKind::FlowModSent { .. } => 20,
+            EventKind::PacketOutSent { .. } => 21,
+            EventKind::CtrlMsg { .. } => 22,
+            EventKind::CtrlDrop { .. } => 23,
+            EventKind::CtrlCrash { .. } => 24,
+            EventKind::CtrlRestart { .. } => 25,
+            EventKind::FailoverTakeover { .. } => 26,
+            EventKind::EpochBump { .. } => 27,
+            EventKind::StaleEpochReject { .. } => 28,
         }
     }
 
-    /// An unbounded sink.
-    pub fn unbounded() -> Self {
-        Self::new(0)
-    }
-
-    /// The recorded events, in emission order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Takes the recorded events, leaving the sink empty.
-    pub fn take(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Events discarded because the buffer was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl EventSink for RecordingSink {
-    fn emit(&mut self, event: Event) {
-        if self.capacity != 0 && self.events.len() >= self.capacity {
-            self.dropped += 1;
-            return;
+    /// The variant `ordinal` numbers `variant`, its numeric fields filled
+    /// from `v` in declaration order (each truncated to the field's width,
+    /// so `u64::MAX` reads as every type's maximum and `u32::MAX` as the
+    /// no-buffer sentinel), its flag, direction and label from the rest.
+    fn kind_from(
+        variant: usize,
+        v: [u64; 4],
+        flag: bool,
+        dir: ChannelDir,
+        label: &'static str,
+    ) -> EventKind {
+        let [a, b, c, d] = v;
+        match variant {
+            0 => EventKind::LinkTx {
+                link: label,
+                bytes: a as usize,
+                arrive: Nanos::from_nanos(b),
+            },
+            1 => EventKind::LinkDrop {
+                link: label,
+                bytes: a as usize,
+            },
+            2 => EventKind::BusTransfer {
+                bus: label,
+                bytes: a as usize,
+                done: Nanos::from_nanos(b),
+            },
+            3 => EventKind::TableMiss {
+                in_port: a as u16,
+                bytes: b as usize,
+            },
+            4 => EventKind::PacketInSent {
+                xid: a as u32,
+                buffer_id: b as u32,
+                bytes: c as usize,
+            },
+            5 => EventKind::FlowRuleInstalled {
+                xid: a as u32,
+                effective_at: Nanos::from_nanos(b),
+                table_size: c as usize,
+            },
+            6 => EventKind::FlowRuleEvicted {
+                table_size: a as usize,
+            },
+            7 => EventKind::FlowRuleExpired {
+                table_size: a as usize,
+            },
+            8 => EventKind::BufferEnqueue {
+                buffer_id: a as u32,
+                occupancy: b as usize,
+                fresh: flag,
+            },
+            9 => EventKind::BufferDrain {
+                xid: a as u32,
+                buffer_id: b as u32,
+                released: c as usize,
+                occupancy: d as usize,
+            },
+            10 => EventKind::BufferRerequest {
+                buffer_id: a as u32,
+                occupancy: b as usize,
+            },
+            11 => EventKind::BufferReconcile {
+                buffer_id: a as u32,
+                occupancy: b as usize,
+            },
+            12 => EventKind::BufferFallback {
+                occupancy: a as usize,
+            },
+            13 => EventKind::BufferExpire {
+                buffer_id: a as u32,
+                occupancy: b as usize,
+            },
+            14 => EventKind::BufferGiveUp {
+                buffer_id: a as u32,
+                drained: b as usize,
+                action: label,
+                occupancy: c as usize,
+            },
+            15 => EventKind::DegradedEnter { giveups: a as u32 },
+            16 => EventKind::DegradedExit { suppressed: a },
+            17 => EventKind::AdmissionShed {
+                xid: a as u32,
+                bytes: b as usize,
+                buffered: flag,
+            },
+            18 => EventKind::PacketInReceived {
+                xid: a as u32,
+                bytes: b as usize,
+                buffered: flag,
+            },
+            19 => EventKind::Decision {
+                xid: a as u32,
+                action: label,
+            },
+            20 => EventKind::FlowModSent { xid: a as u32 },
+            21 => EventKind::PacketOutSent {
+                xid: a as u32,
+                buffer_id: b as u32,
+            },
+            22 => EventKind::CtrlMsg {
+                dir,
+                xid: a as u32,
+                bytes: b as usize,
+                label,
+                arrive: Nanos::from_nanos(c),
+            },
+            23 => EventKind::CtrlDrop {
+                dir,
+                xid: a as u32,
+                bytes: b as usize,
+                label,
+            },
+            24 => EventKind::CtrlCrash {
+                epoch: a as u32,
+                role: label,
+            },
+            25 => EventKind::CtrlRestart {
+                epoch: a as u32,
+                role: label,
+            },
+            26 => EventKind::FailoverTakeover {
+                epoch: a as u32,
+                sync: label,
+            },
+            27 => EventKind::EpochBump {
+                from: a as u32,
+                to: b as u32,
+                survivors: c as usize,
+            },
+            28 => EventKind::StaleEpochReject {
+                xid: a as u32,
+                buffer_id: b as u32,
+                epoch: c as u32,
+                current: d as u32,
+            },
+            _ => panic!("no variant {variant}: raise VARIANTS and build it here"),
         }
-        self.events.push(event);
-    }
-}
-
-/// A bounded ring of the *newest* events — the flight-recorder complement
-/// to [`RecordingSink`] (which keeps the chronological prefix). When the
-/// ring is full the oldest event is overwritten, so after a crash or an
-/// invariant violation the sink holds the last `capacity` events leading
-/// up to it. `Event` is `Copy`, so the ring never allocates after
-/// construction.
-#[derive(Clone, Debug)]
-pub struct RingSink {
-    ring: Vec<Event>,
-    capacity: usize,
-    /// Next write position; wraps modulo `capacity` once full.
-    head: usize,
-    /// Events overwritten (total emitted − capacity, once saturated).
-    dropped_oldest: u64,
-}
-
-impl RingSink {
-    /// A ring keeping the newest `capacity` events (must be non-zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero — a zero-size ring records nothing
-    /// and always signals a bug at the call site.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingSink {
-            ring: Vec::with_capacity(capacity),
-            capacity,
-            head: 0,
-            dropped_oldest: 0,
-        }
     }
 
-    /// The retained events in emission order, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        if self.ring.len() < self.capacity {
-            self.ring.clone()
+    const LABELS: [&str; 4] = ["", "packet_in", "host1->switch", "warm"];
+    const DIRS: [ChannelDir; 2] = [ChannelDir::ToController, ChannelDir::ToSwitch];
+
+    /// Renders `e` both ways; `Err` carries the two texts when they differ.
+    fn against_reference(e: &Event) -> Result<(), String> {
+        let mut expected = String::new();
+        reference_json_fields(e, &mut expected);
+        let mut got = String::new();
+        e.write_json_fields(&mut got);
+        if got == expected && e.to_json() == format!("{{{expected}}}") {
+            Ok(())
         } else {
-            let mut out = Vec::with_capacity(self.capacity);
-            out.extend_from_slice(&self.ring[self.head..]);
-            out.extend_from_slice(&self.ring[..self.head]);
-            out
+            Err(format!("{e:?}\n     got {got}\nexpected {expected}"))
         }
     }
 
-    /// Events overwritten because the ring was full.
-    pub fn dropped_oldest(&self) -> u64 {
-        self.dropped_oldest
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// `true` when nothing has been emitted yet.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-}
-
-impl EventSink for RingSink {
-    fn emit(&mut self, event: Event) {
-        if self.ring.len() < self.capacity {
-            self.ring.push(event);
-        } else {
-            self.ring[self.head] = event;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped_oldest += 1;
-        }
-    }
-}
-
-/// Streams events as JSON Lines to a writer, one object per line. An
-/// optional prefix fragment (e.g. run metadata rendered once) is inserted
-/// at the start of every object.
-#[derive(Debug)]
-pub struct JsonlSink<W: io::Write> {
-    writer: W,
-    prefix: String,
-    scratch: String,
-    written: u64,
-}
-
-impl<W: io::Write> JsonlSink<W> {
-    /// A sink writing bare event objects.
-    pub fn new(writer: W) -> Self {
-        Self::with_prefix(writer, String::new())
-    }
-
-    /// A sink inserting `prefix` (a complete JSON fragment such as
-    /// `"run":{…},`) immediately after the opening brace of every line.
-    pub fn with_prefix(writer: W, prefix: String) -> Self {
-        JsonlSink {
-            writer,
-            prefix,
-            scratch: String::with_capacity(128),
-            written: 0,
+    #[test]
+    fn every_variant_renders_like_the_reference_at_the_edges() {
+        let edges = [0, 9, 10, u64::from(u32::MAX), u64::MAX];
+        for variant in 0..VARIANTS {
+            assert_eq!(
+                ordinal(&kind_from(variant, [0; 4], false, DIRS[0], "")),
+                variant
+            );
+            for value in edges {
+                for (i, dir) in DIRS.into_iter().enumerate() {
+                    let e = Event {
+                        at: Nanos::from_nanos(value),
+                        kind: kind_from(variant, [value; 4], i == 0, dir, LABELS[variant % 4]),
+                    };
+                    against_reference(&e).unwrap();
+                }
+            }
         }
     }
 
-    /// Lines written so far.
-    pub fn written(&self) -> u64 {
-        self.written
+    fn field_value() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            Just(u64::from(u32::MAX)),
+            Just(u64::MAX),
+            0u64..100_000,
+            any::<u64>(),
+        ]
     }
 
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        let _ = self.writer.flush();
-        self.writer
-    }
-}
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
 
-impl<W: io::Write> EventSink for JsonlSink<W> {
-    fn emit(&mut self, event: Event) {
-        self.scratch.clear();
-        self.scratch.push('{');
-        self.scratch.push_str(&self.prefix);
-        event.write_json_fields(&mut self.scratch);
-        self.scratch.push_str("}\n");
-        // I/O errors cannot be surfaced from the hot path; a failed write
-        // simply stops counting (the exporter checks `written` at the end).
-        if self.writer.write_all(self.scratch.as_bytes()).is_ok() {
-            self.written += 1;
+        #[test]
+        fn arbitrary_events_render_like_the_reference(
+            variant in 0..VARIANTS,
+            at in field_value(),
+            v in (field_value(), field_value(), field_value(), field_value()),
+            flag in any::<bool>(),
+            dir in 0usize..2,
+            label in 0usize..4,
+        ) {
+            let e = Event {
+                at: Nanos::from_nanos(at),
+                kind: kind_from(variant, [v.0, v.1, v.2, v.3], flag, DIRS[dir], LABELS[label]),
+            };
+            let rendered = against_reference(&e);
+            prop_assert!(rendered.is_ok(), "{}", rendered.unwrap_err());
         }
     }
-}
 
-/// A cloneable handle to an optional shared [`EventSink`].
-///
-/// Components store one of these and call [`Tracer::emit`] at interesting
-/// points. The default ([`Tracer::off`]) holds no sink: `emit` is then a
-/// branch and nothing else. Handles are `Rc`-shared — the whole testbed,
-/// including its tracer, lives on one worker thread; only the drained
-/// `Vec<Event>` crosses threads.
-#[derive(Clone, Default)]
-pub struct Tracer {
-    sink: Option<Rc<RefCell<dyn EventSink>>>,
-}
-
-impl Tracer {
-    /// The disabled tracer: `emit` does nothing and allocates nothing.
-    pub fn off() -> Tracer {
-        Tracer { sink: None }
+    /// A writer whose second `write` fails and whose later ones succeed
+    /// again — a transient error in the middle of an export.
+    struct FailsOnce {
+        out: Vec<u8>,
+        writes: usize,
     }
 
-    /// A tracer forwarding to `sink`.
-    pub fn new(sink: Rc<RefCell<dyn EventSink>>) -> Tracer {
-        Tracer { sink: Some(sink) }
-    }
+    impl io::Write for FailsOnce {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            if self.writes == 2 {
+                return Err(io::Error::new(
+                    io::ErrorKind::BrokenPipe,
+                    "reader went away",
+                ));
+            }
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
 
-    /// Convenience: a tracer backed by a fresh [`RecordingSink`] with the
-    /// given capacity (0 = unbounded), returning both the handle to hand
-    /// out and the shared sink to drain afterwards.
-    pub fn recording(capacity: usize) -> (Tracer, Rc<RefCell<RecordingSink>>) {
-        let sink = Rc::new(RefCell::new(RecordingSink::new(capacity)));
-        let tracer = Tracer::new(sink.clone());
-        (tracer, sink)
-    }
-
-    /// Whether events are being collected.
-    pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Emits one event if enabled; a no-op (one branch, zero allocations)
-    /// otherwise.
-    #[inline]
-    pub fn emit(&self, at: Nanos, kind: EventKind) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut().emit(Event { at, kind });
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
         }
     }
-}
 
-impl fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Tracer")
-            .field("enabled", &self.is_enabled())
-            .finish()
+    #[test]
+    fn jsonl_sink_stops_at_the_first_write_error_and_reports_it() {
+        let mut writer = FailsOnce {
+            out: Vec::new(),
+            writes: 0,
+        };
+        let mut sink = JsonlSink::new(&mut writer);
+        for ns in 0..4 {
+            sink.emit(ev(ns));
+        }
+        assert_eq!(sink.written(), 1);
+        let err = sink.finish().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        assert_eq!(err.to_string(), "reader went away");
+        // A clean prefix: the line before the failure and nothing after it,
+        // although the writer would have taken lines three and four.
+        assert_eq!(writer.writes, 2);
+        assert_eq!(
+            String::from_utf8(writer.out).unwrap(),
+            "{\"at\":0,\"kind\":\"table_miss\",\"in_port\":1,\"bytes\":1000}\n"
+        );
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn ev(ns: u64) -> Event {
         Event {

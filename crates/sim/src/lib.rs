@@ -59,7 +59,7 @@ mod time;
 
 pub use bus::Bus;
 pub use events::{
-    ChannelDir, Event, EventKind, EventSink, JsonlSink, RecordingSink, RingSink, Tracer,
+    ByteSink, ChannelDir, Event, EventKind, EventSink, JsonlSink, RecordingSink, RingSink, Tracer,
 };
 pub use faults::{ChannelFaults, CtrlEffect, FaultPlan, FaultState, LossModel, Window};
 pub use hash::{FastHashMap, FastHashSet, FxHasher};

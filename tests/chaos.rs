@@ -5,9 +5,10 @@
 
 use proptest::prelude::*;
 use sdn_buffer_lab::core::chaos::{
-    execute, flight_dump, minimize, recovery_matrix, run_scenario, ChaosScenario, RecoveryKnobs,
-    Sabotage, StandbyKnobs,
+    check_invariants, execute, flight_dump, minimize, recovery_matrix, run_scenario, ChaosScenario,
+    RecoveryKnobs, Sabotage, StandbyKnobs, Violation,
 };
+use sdn_buffer_lab::core::observe::events_digest;
 use sdn_buffer_lab::prelude::*;
 use sdn_buffer_lab::switchbuf::RetryPolicy;
 
@@ -62,6 +63,63 @@ fn replay_specs_round_trip_and_reproduce_digests() {
         let b = run_scenario(&parsed, true);
         assert_eq!(a.digest, b.digest, "replay of '{spec}' diverged");
     }
+}
+
+/// `run_scenario` checks and digests the stream while it is emitted and
+/// keeps none of it; `execute` records it for the slice forms. Both must
+/// tell the same story — the same violations with the same words in the
+/// same order, the same digest, the same measurements — whether or not the
+/// mechanism under test is crippled.
+#[test]
+fn streamed_report_equals_the_report_over_the_recorded_stream() {
+    let mechs = [
+        BufferMode::NoBuffer,
+        BufferMode::PacketGranularity { capacity: 256 },
+        BufferMode::FlowGranularity {
+            capacity: 256,
+            timeout: Nanos::from_millis(20),
+        },
+    ];
+    let sabotages = [
+        Sabotage::none(),
+        Sabotage::no_ttl_gc(),
+        Sabotage::no_epoch_guard(),
+        Sabotage::from(false),
+    ];
+    let told = |vs: &[Violation]| -> Vec<(&'static str, String)> {
+        vs.iter().map(|v| (v.invariant, v.detail.clone())).collect()
+    };
+    let (mut runs, mut violating) = (0, 0);
+    for seed in 0..60u64 {
+        let mech = mechs[seed as usize % 3];
+        let mut armed = ChaosScenario::generate_with_crashes(seed, mech);
+        // A TTL for the dead garbage collector to miss.
+        armed.recovery.ttl = Nanos::from_millis(100);
+        for scenario in [ChaosScenario::generate(seed, mech), armed] {
+            for sabotage in sabotages {
+                let streamed = run_scenario(&scenario, sabotage);
+                let (result, events) = execute(&scenario, sabotage);
+                let violations = check_invariants(
+                    scenario.mech,
+                    &scenario.plan,
+                    scenario.recovery,
+                    &result,
+                    &events,
+                );
+                let spec = scenario.to_spec();
+                assert_eq!(told(&streamed.violations), told(&violations), "{spec}");
+                assert_eq!(streamed.digest, events_digest(&events), "{spec}");
+                assert_eq!(streamed.result, result, "{spec}");
+                runs += 1;
+                violating += usize::from(!violations.is_empty());
+            }
+        }
+    }
+    assert_eq!(runs, 480);
+    assert!(
+        violating >= 30,
+        "only {violating} crippled runs were caught"
+    );
 }
 
 fn arb_mechanism() -> impl Strategy<Value = BufferMode> {
