@@ -24,7 +24,8 @@ pub enum AdmissionPolicy {
 }
 
 impl AdmissionPolicy {
-    /// A short label for result tables and CLI round-trips.
+    /// A short label for result tables; also the `Display` form, which
+    /// `FromStr` parses back.
     pub fn label(&self) -> &'static str {
         match self {
             AdmissionPolicy::DropTail => "drop-tail",
@@ -32,14 +33,23 @@ impl AdmissionPolicy {
             AdmissionPolicy::PreferRerequests => "prefer-rerequests",
         }
     }
+}
 
-    /// Parses a [`label`](Self::label) back into a policy.
-    pub fn parse(s: &str) -> Option<AdmissionPolicy> {
+impl std::fmt::Display for AdmissionPolicy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+impl std::str::FromStr for AdmissionPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<AdmissionPolicy, String> {
         match s {
-            "drop-tail" => Some(AdmissionPolicy::DropTail),
-            "drop-head" => Some(AdmissionPolicy::DropHead),
-            "prefer-rerequests" => Some(AdmissionPolicy::PreferRerequests),
-            _ => None,
+            "drop-tail" => Ok(AdmissionPolicy::DropTail),
+            "drop-head" => Ok(AdmissionPolicy::DropHead),
+            "prefer-rerequests" => Ok(AdmissionPolicy::PreferRerequests),
+            other => Err(format!("unknown admission policy '{other}'")),
         }
     }
 }
@@ -202,9 +212,9 @@ mod tests {
             AdmissionPolicy::DropHead,
             AdmissionPolicy::PreferRerequests,
         ] {
-            assert_eq!(AdmissionPolicy::parse(p.label()), Some(p));
+            assert_eq!(p.to_string().parse(), Ok(p));
         }
-        assert_eq!(AdmissionPolicy::parse("random-early"), None);
+        assert!("random-early".parse::<AdmissionPolicy>().is_err());
         assert_eq!(
             ControllerConfig::default().ingress_queue_capacity,
             0,

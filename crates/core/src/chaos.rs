@@ -14,6 +14,7 @@
 //! that still violates an invariant.
 
 use crate::observe::EventDigest;
+use crate::testbed::FailoverConfig;
 use crate::{BufferMode, RunResult, Testbed, TestbedConfig, WorkloadKind};
 use sdnbuf_openflow::BufferId;
 use sdnbuf_sim::faults::{fmt_dur, parse_dur};
@@ -21,7 +22,8 @@ use sdnbuf_sim::{
     BitRate, ChannelDir, ChannelFaults, Event, EventKind, EventSink, FastHashMap, FastHashSet,
     FaultPlan, LossModel, Nanos, SimRng, Tracer, Window,
 };
-use sdnbuf_switchbuf::{GiveUp, RetryPolicy};
+use sdnbuf_switchbuf::RetryPolicy;
+pub use sdnbuf_switchbuf::Sabotage;
 use sdnbuf_workload::PktgenConfig;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -39,64 +41,43 @@ pub struct RecoveryKnobs {
     pub degraded_threshold: u32,
 }
 
-/// Which parts of the mechanism a self-test run cripples on purpose, so
-/// the harness can prove its invariants have teeth.
-///
-/// `From<bool>` keeps the historical call shape alive:
-/// `run_scenario(&s, true)` is "nothing sabotaged" and
-/// `run_scenario(&s, false)` disables Algorithm 1's re-request loop.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Sabotage {
-    /// Disable Algorithm 1's re-request lines (the original `--broken`).
-    pub disable_rerequest: bool,
-    /// Disable the TTL garbage collector while leaving the configured TTL
-    /// in place (`--broken-ttl`): stranded entries leak.
-    pub disable_ttl_gc: bool,
-    /// Disable the buffer mechanism's epoch guard (`--broken-epoch`):
-    /// entries are neither re-tagged nor re-announced across a session
-    /// epoch bump, and stale-epoch releases sail through.
-    pub broken_epoch: bool,
-}
-
-impl Sabotage {
-    /// Nothing crippled.
-    pub fn none() -> Sabotage {
-        Sabotage::default()
-    }
-
-    /// Only the TTL garbage collector disabled.
-    pub fn no_ttl_gc() -> Sabotage {
-        Sabotage {
-            disable_ttl_gc: true,
-            ..Sabotage::default()
-        }
-    }
-
-    /// Only the epoch guard disabled.
-    pub fn no_epoch_guard() -> Sabotage {
-        Sabotage {
-            broken_epoch: true,
-            ..Sabotage::default()
-        }
-    }
-}
-
-impl From<bool> for Sabotage {
-    fn from(rerequest_enabled: bool) -> Sabotage {
-        Sabotage {
-            disable_rerequest: !rerequest_enabled,
-            ..Sabotage::default()
-        }
-    }
-}
-
 /// Standby-failover knobs a chaos scenario can arm on its testbed.
+/// `Display` prints `<warm|cold>:<delay>`; `FromStr` also takes a bare
+/// `warm` / `cold`, with [`FailoverConfig`]'s default delay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StandbyKnobs {
     /// Warm (snapshot-synced) or cold (empty tables) takeover.
     pub warm: bool,
     /// Delay between the primary's crash and the standby's takeover.
     pub takeover_delay: Nanos,
+}
+
+impl std::fmt::Display for StandbyKnobs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let sync = if self.warm { "warm" } else { "cold" };
+        write!(f, "{sync}:{}", fmt_dur(self.takeover_delay))
+    }
+}
+
+impl std::str::FromStr for StandbyKnobs {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<StandbyKnobs, String> {
+        let (sync, delay) = s.split_once(':').map_or((s, None), |(a, b)| (a, Some(b)));
+        let warm = match sync {
+            "warm" => true,
+            "cold" => false,
+            other => return Err(format!("bad standby sync '{other}' (warm or cold)")),
+        };
+        let takeover_delay = match delay {
+            Some(delay) => parse_dur(delay)?,
+            None => FailoverConfig::default().takeover_delay,
+        };
+        Ok(StandbyKnobs {
+            warm,
+            takeover_delay,
+        })
+    }
 }
 
 /// One sampled chaos scenario: everything needed to reproduce a run.
@@ -240,7 +221,7 @@ impl ChaosScenario {
             format!("seed={}", self.seed),
         ];
         if self.recovery.retry != RetryPolicy::fixed() {
-            parts.push(format!("retry={}", retry_spec(&self.recovery.retry)));
+            parts.push(format!("retry={}", self.recovery.retry));
         }
         if self.recovery.ttl != Nanos::ZERO {
             parts.push(format!("ttl={}", fmt_dur(self.recovery.ttl)));
@@ -248,12 +229,8 @@ impl ChaosScenario {
         if self.recovery.degraded_threshold != 0 {
             parts.push(format!("degraded={}", self.recovery.degraded_threshold));
         }
-        if let Some(sb) = self.standby {
-            parts.push(format!(
-                "standby={}:{}",
-                if sb.warm { "warm" } else { "cold" },
-                fmt_dur(sb.takeover_delay)
-            ));
+        if let Some(standby) = self.standby {
+            parts.push(format!("standby={standby}"));
         }
         let plan = self.plan.to_spec();
         if !plan.is_empty() {
@@ -285,14 +262,14 @@ impl ChaosScenario {
                 "seed" => {
                     seed = Some(value.parse().map_err(|_| format!("bad seed '{value}'"))?);
                 }
-                "retry" => recovery.retry = parse_retry(value)?,
+                "retry" => recovery.retry = value.parse()?,
                 "ttl" => recovery.ttl = parse_dur(value)?,
                 "degraded" => {
                     recovery.degraded_threshold = value
                         .parse()
                         .map_err(|_| format!("bad degraded threshold '{value}'"))?;
                 }
-                "standby" => standby = Some(parse_standby(value)?),
+                "standby" => standby = Some(value.parse()?),
                 _ => {
                     if !plan.apply_kv(key, value)? {
                         return Err(format!("unknown scenario key '{key}'"));
@@ -312,58 +289,6 @@ impl ChaosScenario {
             standby,
         })
     }
-}
-
-fn parse_standby(s: &str) -> Result<StandbyKnobs, String> {
-    let (sync, delay) = s
-        .split_once(':')
-        .ok_or_else(|| format!("expected standby=<warm|cold>:<delay>, got '{s}'"))?;
-    let warm = match sync {
-        "warm" => true,
-        "cold" => false,
-        other => return Err(format!("bad standby sync '{other}' (warm or cold)")),
-    };
-    Ok(StandbyKnobs {
-        warm,
-        takeover_delay: parse_dur(delay)?,
-    })
-}
-
-/// Serializes a retry policy for the scenario spec:
-/// `<multiplier>:<cap>:<jitter>:<budget>:<give-up>:<jitter-seed>`.
-fn retry_spec(p: &RetryPolicy) -> String {
-    format!(
-        "{}:{}:{}:{}:{}:{}",
-        p.multiplier,
-        fmt_dur(p.cap),
-        fmt_dur(p.jitter),
-        p.budget,
-        p.give_up.label(),
-        p.seed
-    )
-}
-
-fn parse_retry(s: &str) -> Result<RetryPolicy, String> {
-    let parts: Vec<&str> = s.split(':').collect();
-    let [mult, cap, jitter, budget, give_up, seed] = parts.as_slice() else {
-        return Err(format!(
-            "expected retry=<mult>:<cap>:<jitter>:<budget>:<drain|drop>:<seed>, got '{s}'"
-        ));
-    };
-    Ok(RetryPolicy {
-        multiplier: mult
-            .parse()
-            .map_err(|_| format!("bad retry multiplier '{mult}'"))?,
-        cap: parse_dur(cap)?,
-        jitter: parse_dur(jitter)?,
-        budget: budget
-            .parse()
-            .map_err(|_| format!("bad retry budget '{budget}'"))?,
-        give_up: GiveUp::parse(give_up)?,
-        seed: seed
-            .parse()
-            .map_err(|_| format!("bad jitter seed '{seed}'"))?,
-    })
 }
 
 /// A window of `1..=max_ms` milliseconds starting inside the data phase
@@ -391,7 +316,7 @@ fn run_traced(scenario: &ChaosScenario, sabotage: Sabotage, tracer: Tracer) -> R
         cfg.switch.liveness_timeout = Nanos::from_millis(15);
     }
     if let Some(sb) = scenario.standby {
-        cfg.failover = crate::testbed::FailoverConfig {
+        cfg.failover = FailoverConfig {
             standby: true,
             takeover_delay: sb.takeover_delay,
             warm: sb.warm,
@@ -403,15 +328,7 @@ fn run_traced(scenario: &ChaosScenario, sabotage: Sabotage, tracer: Tracer) -> R
     };
     let departures = scenario.workload.generate(&pktgen, scenario.seed);
     let mut tb = Testbed::new(cfg);
-    if sabotage.disable_rerequest {
-        tb.switch_mut().buffer_mut().set_rerequest_enabled(false);
-    }
-    if sabotage.disable_ttl_gc {
-        tb.switch_mut().buffer_mut().set_ttl_gc_enabled(false);
-    }
-    if sabotage.broken_epoch {
-        tb.switch_mut().buffer_mut().set_epoch_guard_enabled(false);
-    }
+    tb.switch_mut().sabotage_buffer(sabotage);
     tb.set_tracer(tracer);
     let mut result = tb.run(&departures);
     result.sending_rate_mbps = scenario.rate_mbps as f64;

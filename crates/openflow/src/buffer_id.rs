@@ -59,6 +59,8 @@ use std::hash::{Hash, Hasher};
 /// crash plane is off; releases are accepted regardless of occupant epoch,
 /// preserving pre-crash-plane semantics byte for byte).
 ///
+/// Both tags are checked in one place, [`BufferId::admits`].
+///
 /// # Example
 ///
 /// ```
@@ -162,6 +164,33 @@ impl BufferId {
     pub fn is_buffered(self) -> bool {
         self != BufferId::NO_BUFFER
     }
+
+    /// Whether the occupant filed under `self` may be released by a
+    /// `packet_out` presenting `presented` (same raw id): a tagged
+    /// generation must equal the occupant's, and — both sides armed — so
+    /// must the session epoch. An untagged (`0`) generation or epoch on
+    /// the presented id is accepted against any occupant, which keeps the
+    /// raw-wire-id semantics; the generation is checked first.
+    pub fn admits(self, presented: BufferId) -> Result<(), Refusal> {
+        if presented.generation != 0 && presented.generation != self.generation {
+            return Err(Refusal::StaleGeneration);
+        }
+        if presented.epoch != 0 && self.epoch != 0 && presented.epoch != self.epoch {
+            return Err(Refusal::StaleEpoch);
+        }
+        Ok(())
+    }
+}
+
+/// Why a buffer mechanism refused to release anything for a `packet_out`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Refusal {
+    /// Nothing is buffered under the raw id.
+    Unknown,
+    /// The slot was recycled: its occupant carries another generation.
+    StaleGeneration,
+    /// The id was minted under a session epoch that has since died.
+    StaleEpoch,
 }
 
 // Equality, ordering and hashing deliberately ignore the generation and
@@ -260,6 +289,47 @@ mod tests {
         // But the tag itself is observable where it matters.
         assert_eq!(tagged.generation(), 9);
         assert_eq!(wire.generation(), 0);
+    }
+
+    /// The admission table: presented tag × occupant tag.
+    #[test]
+    fn admits_checks_generation_then_epoch_and_waves_untagged_ids_through() {
+        let occupant = BufferId::tagged(7, 3).with_epoch(2);
+        let unarmed = BufferId::tagged(7, 3);
+        for (stored, presented, expect) in [
+            (occupant, BufferId::from_wire(7), Ok(())),
+            (occupant, BufferId::tagged(7, 3), Ok(())),
+            (occupant, BufferId::tagged(7, 3).with_epoch(2), Ok(())),
+            (
+                occupant,
+                BufferId::tagged(7, 4),
+                Err(Refusal::StaleGeneration),
+            ),
+            (
+                occupant,
+                BufferId::tagged(7, 3).with_epoch(1),
+                Err(Refusal::StaleEpoch),
+            ),
+            (
+                occupant,
+                BufferId::new(7).with_epoch(1),
+                Err(Refusal::StaleEpoch),
+            ),
+            // Both stale: the generation is reported.
+            (
+                occupant,
+                BufferId::tagged(7, 4).with_epoch(1),
+                Err(Refusal::StaleGeneration),
+            ),
+            // An unarmed occupant (epoch 0) admits any epoch.
+            (unarmed, BufferId::tagged(7, 3).with_epoch(9), Ok(())),
+        ] {
+            assert_eq!(
+                stored.admits(presented),
+                expect,
+                "{stored:?} vs {presented:?}"
+            );
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub(crate) mod wire;
 
 pub use action::Action;
 pub use action_list::ActionList;
-pub use buffer_id::BufferId;
+pub use buffer_id::{BufferId, Refusal};
 pub use consts::{
     OFP_DEFAULT_MISS_SEND_LEN, OFP_FEATURES_REPLY_LEN, OFP_FLOW_MOD_LEN, OFP_FLOW_REMOVED_LEN,
     OFP_HEADER_LEN, OFP_MATCH_LEN, OFP_PACKET_IN_LEN, OFP_PACKET_OUT_LEN, OFP_PHY_PORT_LEN,

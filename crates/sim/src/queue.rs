@@ -7,8 +7,7 @@
 //!   amortized insert and pop (near-future wheel + far-future overflow
 //!   heap).
 //! * [`HeapEventQueue`] — the original `BinaryHeap` implementation, kept as
-//!   the executable reference the wheel is property-tested against and as
-//!   the baseline for the scheduler microbenchmarks.
+//!   the executable reference the wheel is property-tested against.
 
 use crate::Nanos;
 use std::cmp::Ordering;
@@ -327,8 +326,8 @@ impl<E> std::fmt::Debug for EventQueue<E> {
 ///
 /// Pop order is identical to [`EventQueue`] — ascending `(time, seq)` —
 /// but insert/pop are O(log n). Kept as the executable reference for the
-/// wheel's equivalence property test and as the baseline side of the
-/// scheduler microbenchmarks; the simulator itself uses [`EventQueue`].
+/// wheel's equivalence property test; the simulator itself uses
+/// [`EventQueue`].
 #[derive(Debug)]
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,

@@ -47,6 +47,9 @@
 #![warn(missing_docs)]
 
 mod config;
+mod degraded;
+mod liveness;
+mod session;
 mod stats;
 mod switch;
 

@@ -1,18 +1,25 @@
-//! The switch state machine.
+//! The switch state machine: the datapath (match → buffer a miss and ask →
+//! release on `packet_out`), the OpenFlow agent in front of it, and the
+//! three planes it composes — [`Degraded`], [`Liveness`], [`Session`] —
+//! whose transitions it turns into counters and events.
 
+mod agent;
+
+use crate::degraded::{Admit, Degraded, Entered};
+use crate::liveness::Liveness;
+use crate::session::Session;
 use crate::{BufferChoice, SwitchConfig, SwitchStats};
 use sdnbuf_flowtable::{FlowRule, FlowTable, InsertOutcome, RemovedRule};
 use sdnbuf_net::Packet;
 use sdnbuf_openflow::{
-    msg::{self, FlowModCommand, FlowRemoved, PacketIn, PacketInReason, StatsReply, StatsRequest},
-    Action, BufferId, FlowBufferExt, Match, MatchView, OfpMessage, PortNo,
+    msg::{self, FlowModCommand, FlowRemoved, PacketIn, PacketInReason},
+    Action, BufferId, FlowBufferExt, MatchView, OfpMessage, PortNo, Refusal,
 };
 use sdnbuf_sim::{Bus, CpuResource, EventKind, Nanos, Tracer};
 use sdnbuf_switchbuf::{
-    BufferMechanism, BufferedPacket, FlowGranularityBuffer, GiveUp, MissAction, NoBuffer,
-    PacketGranularityBuffer, PacketHandle, PacketPool, Rerequest,
+    BufferMechanism, BufferedPacket, FlowGranularityBuffer, GaveUpFlow, GiveUp, MissAction,
+    NoBuffer, PacketGranularityBuffer, PacketHandle, PacketPool, Rerequest, Sabotage,
 };
-use std::collections::VecDeque;
 
 /// A timed effect produced by the switch, to be scheduled by the caller.
 ///
@@ -107,12 +114,31 @@ fn forward_all(
         }
     }
     if forwards == 0 {
-        stats.drops.incr();
-        out.push(SwitchOutput::Drop {
-            packet: Some(packet),
-        });
+        shed(stats, Some(packet), out);
     }
     forwards
+}
+
+/// `(seconds, nanoseconds)` as the wire's split duration fields carry it.
+fn split_duration(d: Nanos) -> (u32, u32) {
+    (
+        (d.as_nanos() / 1_000_000_000) as u32,
+        (d.as_nanos() % 1_000_000_000) as u32,
+    )
+}
+
+/// A timeout in whole seconds, as `flow_mod` set it.
+fn whole_secs(d: Nanos) -> u16 {
+    (d.as_nanos() / 1_000_000_000) as u16
+}
+
+/// Accounts one packet dropped at the switch. `packet` is its handle when
+/// the packet still exists (the caller inherits the pool reference);
+/// `None` when there is nothing to hand over — an undecodable `packet_out`
+/// payload, or a handle that went stale behind the switch's back.
+fn shed(stats: &mut SwitchStats, packet: Option<PacketHandle>, out: &mut Vec<SwitchOutput>) {
+    stats.drops.incr();
+    out.push(SwitchOutput::Drop { packet });
 }
 
 /// The Open vSwitch model: flow table, buffer mechanism, CPU, bus.
@@ -126,70 +152,30 @@ fn forward_all(
 /// pays for its storage once — and as a wrapper returning a fresh `Vec`.
 pub struct Switch {
     config: SwitchConfig,
+    // Datapath.
     table: FlowTable,
     buffer: Box<dyn BufferMechanism>,
     cpu: CpuResource,
     bus: Bus,
     /// The serial rule-install pipeline (ofproto): one rule at a time.
     installer: CpuResource,
+    // OpenFlow agent.
     next_xid: u32,
     miss_send_len: u16,
+    // Accounting.
     stats: SwitchStats,
     tracer: Tracer,
-    /// Degraded-mode state machine (active only when
-    /// `config.degraded_threshold > 0`): consecutive flow give-ups without
-    /// an intervening controller response. A `flow_mod`/`packet_out`
-    /// arrival resets it.
-    consecutive_giveups: u32,
-    /// Whether the switch is currently degraded: fresh misses are shed
-    /// instead of announced, except for periodic probes.
-    degraded: bool,
-    /// When the next liveness probe may be admitted; `None` while a probe
-    /// is pending or no miss has been shed since the last one.
-    next_probe: Option<Nanos>,
-    /// Set by the probe timer: the next fresh miss goes through the normal
-    /// slow path as a probe of controller liveness.
-    probe_pending: bool,
-    /// Misses shed during the current degraded episode (reported in
-    /// `DegradedExit`).
-    suppressed_this_episode: u64,
-    /// Controller↔switch session epoch; `0` until the crash plane is
-    /// armed ([`Switch::arm_crash_plane`]), then `1` and bumped on every
-    /// completed re-handshake.
-    session_epoch: u32,
-    /// Whether the crash plane is armed: epoch tagging, the liveness
-    /// detector and post-restart reconciliation all hang off this flag, so
-    /// unarmed runs stay byte-identical to the pre-crash-plane switch.
-    epoch_armed: bool,
-    /// The first `Hello` has been consumed; any later `Hello` with a
-    /// *fresh* xid is a re-handshake from a restarted (or failed-over)
-    /// controller.
-    hello_seen: bool,
-    /// Highest `Hello` xid consumed so far. Controller xid allocators
-    /// only move forward (the standby mints from a higher base and no
-    /// restart rewinds a counter), so a `Hello` at or below this mark is
-    /// a network duplicate — answered, but never mistaken for a
-    /// re-handshake.
-    hello_xid_high: u32,
-    /// A re-handshake `Hello` arrived; the epoch bump and buffer
-    /// reconciliation run when the handshake's `SetConfig` lands —
-    /// handshake completes before the new session serves buffer state.
-    pending_reconcile: bool,
-    /// Last time any controller message arrived (liveness detector input).
-    last_ctrl_heard: Nanos,
-    /// The liveness detector tripped: the controller has been silent past
-    /// `liveness_timeout`. Fresh misses are shed until it speaks again.
-    ctrl_suspect: bool,
-    /// Surviving buffer ids still to re-announce after an epoch bump, in
-    /// ascending raw-id order; drained one per `reconcile_interval`.
-    reconcile_queue: VecDeque<BufferId>,
-    /// When the next queued reconciliation re-announce goes out.
-    next_reconcile: Option<Nanos>,
     /// Where a `packet_out` has the buffer mechanism put what it releases;
     /// empty between calls, kept for its storage.
     released: Vec<BufferedPacket>,
     /// The same for what a timer's expiry sweep takes out of the table.
     expired: Vec<RemovedRule>,
+    // Planes: recovery, controller liveness, controller session. Each is
+    // inert until armed (`degraded_threshold > 0`, `arm_crash_plane`), so
+    // a switch without them behaves as the paper's.
+    degraded: Degraded,
+    liveness: Liveness,
+    session: Session,
 }
 
 impl std::fmt::Debug for Switch {
@@ -241,22 +227,11 @@ impl Switch {
             miss_send_len: config.miss_send_len,
             stats: SwitchStats::default(),
             tracer: Tracer::off(),
-            consecutive_giveups: 0,
-            degraded: false,
-            next_probe: None,
-            probe_pending: false,
-            suppressed_this_episode: 0,
-            session_epoch: 0,
-            epoch_armed: false,
-            hello_seen: false,
-            hello_xid_high: 0,
-            pending_reconcile: false,
-            last_ctrl_heard: Nanos::ZERO,
-            ctrl_suspect: false,
-            reconcile_queue: VecDeque::new(),
-            next_reconcile: None,
             released: Vec::new(),
             expired: Vec::new(),
+            degraded: Degraded::new(config.degraded_threshold, config.degraded_probe_interval),
+            liveness: Liveness::default(),
+            session: Session::new(config.reconcile_interval),
             config,
         })
     }
@@ -264,30 +239,33 @@ impl Switch {
     /// Whether the switch is currently in degraded mode (shedding fresh
     /// misses, probing periodically).
     pub fn is_degraded(&self) -> bool {
-        self.degraded
+        self.degraded.is_degraded()
     }
 
     /// Arms the controller-crash plane: buffer allocations are stamped
     /// with the session epoch (starting at 1), the liveness detector runs
     /// (when `liveness_timeout > 0`), and a controller re-handshake bumps
     /// the epoch and reconciles surviving buffer state. Off by default —
-    /// unarmed runs are byte-identical to the pre-crash-plane switch.
+    /// unarmed runs are byte-identical to the pre-crash-plane switch. Arm
+    /// before traffic: the buffer is reconciled to epoch 1 while it is
+    /// still empty, so nothing is re-announced.
     pub fn arm_crash_plane(&mut self) {
-        self.epoch_armed = true;
-        self.session_epoch = 1;
-        self.buffer.set_epoch(1);
+        self.session.arm();
+        self.liveness.arm(self.config.liveness_timeout);
+        self.buffer
+            .reconcile_epoch(Nanos::ZERO, self.session.epoch());
     }
 
     /// The current controller↔switch session epoch (`0` = crash plane
     /// unarmed).
     pub fn session_epoch(&self) -> u32 {
-        self.session_epoch
+        self.session.epoch()
     }
 
     /// Whether the liveness detector currently suspects the controller is
     /// dead (fresh misses are being shed).
     pub fn is_ctrl_suspect(&self) -> bool {
-        self.ctrl_suspect
+        self.liveness.is_suspect()
     }
 
     /// Attaches an event tracer, propagating it to the bus and the buffer
@@ -313,10 +291,10 @@ impl Switch {
         self.buffer.as_ref()
     }
 
-    /// Mutable access to the buffer mechanism, for fault-injection hooks
-    /// (pressure windows, disabling re-requests in the chaos harness).
-    pub fn buffer_mut(&mut self) -> &mut dyn BufferMechanism {
-        self.buffer.as_mut()
+    /// Cripples the buffer mechanism as `sabotage` names (the chaos
+    /// harness's self-test; see [`BufferMechanism::sabotage`]).
+    pub fn sabotage_buffer(&mut self, sabotage: Sabotage) {
+        self.buffer.sabotage(sabotage);
     }
 
     /// Toggles buffer-capacity pressure on the mechanism: while on, new
@@ -354,15 +332,12 @@ impl Switch {
         self.stats.occupancy_series.record(now, occupancy);
     }
 
-    fn data_ports(&self) -> impl Iterator<Item = PortNo> {
-        (1..=self.config.data_ports as u16).map(PortNo)
-    }
-
     /// Handles a frame arriving on a data port at time `now`, pushing the
     /// timed effects onto `out`. The caller passes one pool reference in
     /// with `packet`; it comes back out in the outputs (each
     /// `Forward`/`Drop` carries its own reference) or is absorbed by the
-    /// buffer mechanism / the encoded `packet_in` payload.
+    /// buffer mechanism / the encoded `packet_in` payload. A `packet` the
+    /// pool no longer knows is an accounted drop with nothing to hand back.
     ///
     /// A table hit allocates nothing once `out` has room for the rule's
     /// egress ports.
@@ -374,7 +349,9 @@ impl Switch {
         pool: &mut PacketPool,
         out: &mut Vec<SwitchOutput>,
     ) {
-        let pk = pool.get(packet).expect("live packet handle");
+        let Some(pk) = pool.get(packet) else {
+            return shed(&mut self.stats, None, out);
+        };
         let view = MatchView::of(in_port, pk);
         let wire_len = pk.wire_len();
         let matched = self.table.match_packet(now, &view, wire_len);
@@ -405,65 +382,36 @@ impl Switch {
                 bytes: wire_len,
             },
         );
-        if self.ctrl_suspect {
-            // The liveness detector tripped: the controller has been
-            // silent past its deadline, so announcing this miss would be
-            // shouting into a dead session. Shed it (an accounted drop);
-            // already-buffered state is kept for post-restart
+        if self.liveness.is_suspect() {
+            // Announcing this miss would be shouting into a dead session.
+            // Already-buffered state is kept for post-restart
             // reconciliation.
             self.stats.suspect_sheds.incr();
-            self.stats.drops.incr();
-            out.push(SwitchOutput::Drop {
-                packet: Some(packet),
-            });
-            return;
+            return shed(&mut self.stats, Some(packet), out);
         }
-        if self.degraded {
-            if self.probe_pending {
-                // The probe timer fired: let exactly this miss through the
-                // normal slow path to test controller liveness.
-                self.probe_pending = false;
-            } else {
-                // Shed: neither buffered nor announced. The probe timer is
-                // re-armed lazily on the first shed after a probe, so an
-                // idle degraded switch schedules no timers.
-                self.stats.degraded_sheds.incr();
-                self.suppressed_this_episode += 1;
-                if self.next_probe.is_none() {
-                    self.next_probe = Some(now + self.config.degraded_probe_interval);
-                }
-                self.stats.drops.incr();
-                out.push(SwitchOutput::Drop {
-                    packet: Some(packet),
-                });
-                return;
-            }
+        if self.degraded.admit_miss(now) == Admit::Shed {
+            self.stats.degraded_sheds.incr();
+            return shed(&mut self.stats, Some(packet), out);
         }
+        // Algorithm 1. `Normal` and `Probe` misses take the same path.
         let total_len = wire_len as u16;
         match self.buffer.on_miss(now, packet, in_port, pool) {
             MissAction::SendFullPacketIn => {
                 // The whole frame crosses the bus, then the CPU builds a
                 // packet_in carrying it all. We still own the reference:
                 // the packet lives on only as the message payload.
-                let data = pool.get(packet).expect("live packet handle").encode();
+                let data = pk.encode();
                 pool.release(packet);
                 let no_buffer = BufferId::NO_BUFFER;
-                let pkt_in =
-                    self.packet_in_output(now, Nanos::ZERO, no_buffer, total_len, in_port, data);
-                out.push(pkt_in);
+                self.packet_in_into(now, Nanos::ZERO, no_buffer, total_len, in_port, data, out);
             }
             MissAction::SendBufferedPacketIn { buffer_id } => {
                 // Only the header slice crosses the bus; the packet body
                 // stays in the buffer unit (the mechanism holds the
                 // reference now).
-                let slice = pool
-                    .get(packet)
-                    .expect("live packet handle")
-                    .encode_prefix(self.miss_send_len as usize);
+                let slice = pk.encode_prefix(self.miss_send_len as usize);
                 let store = self.config.cost_buffer_store;
-                let pkt_in =
-                    self.packet_in_output(now, store, buffer_id, total_len, in_port, slice);
-                out.push(pkt_in);
+                self.packet_in_into(now, store, buffer_id, total_len, in_port, slice, out);
             }
             MissAction::Buffered { .. } => {
                 // Algorithm 1 line 11: buffered silently; only the store
@@ -487,16 +435,11 @@ impl Switch {
         out
     }
 
-    /// Answers a control message that costs one `cost_control_misc` of CPU.
-    fn reply(&mut self, now: Nanos, xid: u32, msg: OfpMessage, out: &mut Vec<SwitchOutput>) {
-        let at = self.cpu.submit(now, self.config.cost_control_misc);
-        out.push(SwitchOutput::ToController { at, xid, msg });
-    }
-
     /// Sends `data` to the controller as a `packet_in`: the bytes cross the
     /// bus, then the CPU builds the message (`extra_cost` on top of the
     /// size-dependent build cost, e.g. a buffer store).
-    fn packet_in_output(
+    #[allow(clippy::too_many_arguments)]
+    fn packet_in_into(
         &mut self,
         now: Nanos,
         extra_cost: Nanos,
@@ -504,7 +447,8 @@ impl Switch {
         total_len: u16,
         in_port: PortNo,
         data: Vec<u8>,
-    ) -> SwitchOutput {
+        out: &mut Vec<SwitchOutput>,
+    ) {
         let at_cpu = self.bus.transfer(now, data.len());
         let cost = extra_cost + self.config.cost_pkt_in_base + self.config.payload_cost(data.len());
         let at = self.cpu.submit(at_cpu, cost);
@@ -519,17 +463,14 @@ impl Switch {
                 bytes: data.len(),
             },
         );
-        SwitchOutput::ToController {
-            at,
-            xid,
-            msg: OfpMessage::PacketIn(PacketIn {
-                buffer_id,
-                total_len,
-                in_port,
-                reason: PacketInReason::NoMatch,
-                data,
-            }),
-        }
+        let msg = OfpMessage::PacketIn(PacketIn {
+            buffer_id,
+            total_len,
+            in_port,
+            reason: PacketInReason::NoMatch,
+            data,
+        });
+        out.push(SwitchOutput::ToController { at, xid, msg });
     }
 
     /// Handles a control message arriving from the controller at `now`,
@@ -543,17 +484,14 @@ impl Switch {
         pool: &mut PacketPool,
         out: &mut Vec<SwitchOutput>,
     ) {
-        if self.epoch_armed {
-            // Any controller message proves the session is alive.
-            self.last_ctrl_heard = now;
-            self.ctrl_suspect = false;
-        }
-        // A substantive controller response proves liveness: reset the
-        // give-up streak and leave degraded mode.
+        // Any controller message proves the session is alive; a substantive
+        // response also ends a degraded episode.
+        self.liveness.heard(now);
         if matches!(msg, OfpMessage::FlowMod(_) | OfpMessage::PacketOut(_)) {
-            self.consecutive_giveups = 0;
-            if self.degraded {
-                self.exit_degraded(now);
+            if let Some(suppressed) = self.degraded.on_response() {
+                self.stats.degraded_exits.incr();
+                self.tracer
+                    .emit(now, EventKind::DegradedExit { suppressed });
             }
         }
         match msg {
@@ -562,104 +500,15 @@ impl Switch {
             OfpMessage::SetConfig(c) => {
                 self.cpu.submit(now, self.config.cost_control_misc);
                 self.miss_send_len = c.miss_send_len;
-                if self.pending_reconcile {
-                    // The re-handshake is complete (Hello → … →
-                    // SetConfig): only now does the new session take over
-                    // the buffer state.
-                    self.bump_epoch(now);
+                if let Some((from, to)) = self.session.handshake_done() {
+                    self.reconcile_buffer(now, from, to);
                 }
             }
-            OfpMessage::GetConfigRequest => {
-                let config = msg::SwitchConfig {
-                    flags: 0,
-                    miss_send_len: self.miss_send_len,
-                };
-                self.reply(now, xid, OfpMessage::GetConfigReply(config), out)
-            }
-            OfpMessage::EchoRequest(data) => self.reply(now, xid, OfpMessage::EchoReply(data), out),
             OfpMessage::Hello => {
-                if self.epoch_armed && self.hello_seen && xid > self.hello_xid_high {
-                    // A fresh-xid Hello after the first means the
-                    // controller restarted (or a standby took over); a
-                    // duplicated or reordered copy of an old Hello reuses
-                    // its xid and is answered without arming anything.
-                    // Defer the epoch bump until the handshake's
-                    // SetConfig lands: handshake before service.
-                    self.pending_reconcile = true;
-                }
-                self.hello_seen = true;
-                self.hello_xid_high = self.hello_xid_high.max(xid);
+                self.session.on_hello(xid);
                 self.reply(now, xid, OfpMessage::Hello, out)
             }
-            OfpMessage::FeaturesRequest => {
-                let ports = self
-                    .data_ports()
-                    .map(|p| msg::PhyPort {
-                        port_no: p,
-                        hw_addr: sdnbuf_net::MacAddr::from_host_index(0xff00 + p.as_u16() as u32),
-                        name: format!("eth{}", p.as_u16()),
-                    })
-                    .collect();
-                let features = msg::FeaturesReply {
-                    datapath_id: 1,
-                    n_buffers: self.buffer.capacity() as u32,
-                    n_tables: 1,
-                    capabilities: 0,
-                    actions: 0xfff,
-                    ports,
-                };
-                self.reply(now, xid, OfpMessage::FeaturesReply(features), out)
-            }
-            OfpMessage::BarrierRequest => self.reply(now, xid, OfpMessage::BarrierReply, out),
-            OfpMessage::StatsRequest(req) => self.handle_stats_request(now, xid, req, out),
-            OfpMessage::QueueGetConfigRequest(port) => {
-                let queues = self
-                    .config
-                    .egress_queue_rates
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &r)| msg::PacketQueue {
-                        queue_id: i as u32,
-                        min_rate_tenths_percent: r,
-                    })
-                    .collect();
-                self.reply(
-                    now,
-                    xid,
-                    OfpMessage::QueueGetConfigReply { port, queues },
-                    out,
-                )
-            }
-            OfpMessage::PortMod(_) => {
-                // Port administration is modeled as a no-op acknowledgement
-                // (the testbed's ports are always up).
-                self.cpu.submit(now, self.config.cost_control_misc);
-            }
-            ref vendor @ OfpMessage::Vendor(_) => match FlowBufferExt::from_message(vendor) {
-                Some(Ok(FlowBufferExt::Configure { .. }))
-                    if self.buffer.name() == "flow-granularity" =>
-                {
-                    // Accepted: acknowledged by silence.
-                    self.cpu.submit(now, self.config.cost_control_misc);
-                }
-                _ => {
-                    let error = msg::ErrorMsg {
-                        err_type: 1, // OFPET_BAD_REQUEST
-                        code: 3,     // OFPBRC_BAD_VENDOR
-                        data: Vec::new(),
-                    };
-                    self.reply(now, xid, OfpMessage::Error(error), out)
-                }
-            },
-            other => {
-                // Messages a switch should never receive.
-                let error = msg::ErrorMsg {
-                    err_type: 1, // OFPET_BAD_REQUEST
-                    code: 1,     // OFPBRC_BAD_TYPE
-                    data: other.encode(xid),
-                };
-                self.reply(now, xid, OfpMessage::Error(error), out)
-            }
+            query => self.answer(now, query, xid, out),
         }
     }
 
@@ -744,7 +593,7 @@ impl Switch {
         self.stats.flow_removed_sent.incr();
         let xid = self.fresh_xid();
         let rule = removed.rule;
-        let duration = at.saturating_sub(rule.installed_at);
+        let (duration_sec, duration_nsec) = split_duration(at.saturating_sub(rule.installed_at));
         SwitchOutput::ToController {
             at,
             xid,
@@ -753,24 +602,19 @@ impl Switch {
                 cookie: rule.cookie,
                 priority: rule.priority,
                 reason: removed.reason,
-                duration_sec: (duration.as_nanos() / 1_000_000_000) as u32,
-                duration_nsec: (duration.as_nanos() % 1_000_000_000) as u32,
-                idle_timeout: (rule.idle_timeout.as_nanos() / 1_000_000_000) as u16,
+                duration_sec,
+                duration_nsec,
+                idle_timeout: whole_secs(rule.idle_timeout),
                 packet_count: rule.packet_count,
                 byte_count: rule.byte_count,
             }),
         }
     }
 
-    /// Completes a re-handshake: bumps the session epoch, migrates the
+    /// A re-handshake bumped the session epoch `from → to`: migrates the
     /// surviving buffer entries to it (resetting their retry budgets) and
     /// queues their paced re-announce.
-    fn bump_epoch(&mut self, now: Nanos) {
-        self.pending_reconcile = false;
-        let from = self.session_epoch;
-        self.session_epoch += 1;
-        let to = self.session_epoch;
-        self.buffer.set_epoch(to);
+    fn reconcile_buffer(&mut self, now: Nanos, from: u32, to: u32) {
         let survivors = self.buffer.reconcile_epoch(now, to);
         self.stats.epoch_bumps.incr();
         self.tracer.emit(
@@ -781,10 +625,7 @@ impl Switch {
                 survivors: survivors.len(),
             },
         );
-        if !survivors.is_empty() {
-            self.next_reconcile = Some(now + self.config.reconcile_interval);
-            self.reconcile_queue.extend(survivors);
-        }
+        self.session.queue(survivors, now);
     }
 
     fn handle_packet_out(
@@ -796,14 +637,13 @@ impl Switch {
         out: &mut Vec<SwitchOutput>,
     ) {
         self.stats.pkt_outs.incr();
-        let data_ports = self.config.data_ports;
         if po.buffer_id.is_buffered() {
             // Algorithm 2: release and forward every packet filed under
             // this id, one by one, in FIFO order.
             let parse_done = self.cpu.submit(now, self.config.cost_pkt_out_base);
-            let stale_epochs_before = self.buffer.stats().stale_epoch_releases;
             let mut released = std::mem::take(&mut self.released);
-            self.buffer
+            let verdict = self
+                .buffer
                 .release_into(parse_done, po.buffer_id, &mut released);
             self.touch_gauge(parse_done);
             self.tracer.emit(
@@ -815,9 +655,9 @@ impl Switch {
                     occupancy: self.buffer.occupancy(),
                 },
             );
-            if self.buffer.stats().stale_epoch_releases > stale_epochs_before {
-                // The epoch guard refused the drain: this packet_out was
-                // minted under a session that has since died.
+            if verdict == Err(Refusal::StaleEpoch) {
+                // This packet_out was minted under a session that has
+                // since died.
                 self.stats.stale_epoch_rejects.incr();
                 self.tracer.emit(
                     parse_done,
@@ -825,29 +665,14 @@ impl Switch {
                         xid,
                         buffer_id: po.buffer_id.as_u32(),
                         epoch: po.buffer_id.epoch(),
-                        current: self.session_epoch,
+                        current: self.session.epoch(),
                     },
                 );
             }
             let mut t = parse_done;
             for bp in released.drain(..) {
                 t = self.cpu.submit(t, self.config.cost_buffer_release);
-                let wire_len = pool
-                    .get(bp.packet)
-                    .expect("live buffered packet")
-                    .wire_len();
-                let forwards = forward_all(
-                    &mut self.stats,
-                    data_ports,
-                    &po.actions,
-                    bp.in_port,
-                    t,
-                    bp.packet,
-                    wire_len,
-                    pool,
-                    out,
-                );
-                self.stats.slowpath_forwards.add(forwards);
+                self.forward_slow(&po.actions, bp.in_port, t, bp.packet, pool, out);
             }
             self.released = released;
         } else {
@@ -859,120 +684,40 @@ impl Switch {
             let at = self.bus.transfer(cpu_done, data_len);
             match Packet::decode(&po.data) {
                 Ok(packet) => {
-                    let wire_len = packet.wire_len();
                     let handle = pool.insert(packet);
-                    let forwards = forward_all(
-                        &mut self.stats,
-                        data_ports,
-                        &po.actions,
-                        po.in_port,
-                        at,
-                        handle,
-                        wire_len,
-                        pool,
-                        out,
-                    );
-                    self.stats.slowpath_forwards.add(forwards);
+                    self.forward_slow(&po.actions, po.in_port, at, handle, pool, out)
                 }
-                Err(_) => {
-                    self.stats.drops.incr();
-                    out.push(SwitchOutput::Drop { packet: None });
-                }
+                Err(_) => shed(&mut self.stats, None, out),
             }
         }
     }
 
-    fn handle_stats_request(
+    /// Executes a `packet_out`'s `actions` on one packet at `at`. A packet
+    /// reclaimed behind the buffer's back is an accounted drop.
+    fn forward_slow(
         &mut self,
-        now: Nanos,
-        xid: u32,
-        req: StatsRequest,
+        actions: &[Action],
+        in_port: PortNo,
+        at: Nanos,
+        packet: PacketHandle,
+        pool: &mut PacketPool,
         out: &mut Vec<SwitchOutput>,
     ) {
-        let per_rule = self.config.cost_control_misc;
-        let cost = self.config.cost_control_misc + per_rule * self.table.len() as u64;
-        let at = self.cpu.submit(now, cost);
-        let matching = |m: &Match| -> Vec<&FlowRule> {
-            self.table
-                .iter()
-                .filter(|r| *m == Match::any() || r.match_fields == *m)
-                .collect()
+        let Some(wire_len) = pool.get(packet).map(Packet::wire_len) else {
+            return shed(&mut self.stats, None, out);
         };
-        let reply = match req {
-            StatsRequest::Desc => StatsReply::Desc(msg::DescStats {
-                mfr_desc: "sdn-buffer-lab".to_owned(),
-                hw_desc: "discrete-event switch model".to_owned(),
-                sw_desc: format!("sdnbuf-switch ({})", self.buffer.name()),
-                serial_num: "0001".to_owned(),
-                dp_desc: "Fig.1 testbed switch".to_owned(),
-            }),
-            StatsRequest::Table => StatsReply::Table(vec![msg::TableStatsEntry {
-                table_id: 0,
-                name: "main".to_owned(),
-                wildcards: sdnbuf_openflow::Wildcards::ALL.bits(),
-                max_entries: self.table.capacity() as u32,
-                active_count: self.table.len() as u32,
-                lookup_count: self.table.lookups(),
-                matched_count: self.table.hits(),
-            }]),
-            StatsRequest::Port { port_no } => {
-                let entry = |p: u16, c: &crate::PortCounters| msg::PortStatsEntry {
-                    port_no: PortNo(p),
-                    rx_packets: c.rx_packets,
-                    tx_packets: c.tx_packets,
-                    rx_bytes: c.rx_bytes,
-                    tx_bytes: c.tx_bytes,
-                    rx_dropped: 0,
-                    tx_dropped: 0,
-                };
-                let entries = if port_no == PortNo::NONE {
-                    self.stats.ports.iter().map(|(p, c)| entry(*p, c)).collect()
-                } else {
-                    self.stats
-                        .ports
-                        .get(&port_no.as_u16())
-                        .map(|c| entry(port_no.as_u16(), c))
-                        .into_iter()
-                        .collect()
-                };
-                StatsReply::Port(entries)
-            }
-            StatsRequest::Flow { match_fields, .. } => {
-                let entries = matching(&match_fields)
-                    .into_iter()
-                    .map(|r| {
-                        let duration = now.saturating_sub(r.installed_at);
-                        msg::FlowStatsEntry {
-                            table_id: 0,
-                            match_fields: r.match_fields,
-                            duration_sec: (duration.as_nanos() / 1_000_000_000) as u32,
-                            duration_nsec: (duration.as_nanos() % 1_000_000_000) as u32,
-                            priority: r.priority,
-                            idle_timeout: (r.idle_timeout.as_nanos() / 1_000_000_000) as u16,
-                            hard_timeout: (r.hard_timeout.as_nanos() / 1_000_000_000) as u16,
-                            cookie: r.cookie,
-                            packet_count: r.packet_count,
-                            byte_count: r.byte_count,
-                            actions: r.actions.clone(),
-                        }
-                    })
-                    .collect();
-                StatsReply::Flow(entries)
-            }
-            StatsRequest::Aggregate { match_fields, .. } => {
-                let rules = matching(&match_fields);
-                StatsReply::Aggregate {
-                    packet_count: rules.iter().map(|r| r.packet_count).sum(),
-                    byte_count: rules.iter().map(|r| r.byte_count).sum(),
-                    flow_count: rules.len() as u32,
-                }
-            }
-        };
-        out.push(SwitchOutput::ToController {
+        let forwards = forward_all(
+            &mut self.stats,
+            self.config.data_ports,
+            actions,
+            in_port,
             at,
-            xid,
-            msg: OfpMessage::StatsReply(reply),
-        });
+            packet,
+            wire_len,
+            pool,
+            out,
+        );
+        self.stats.slowpath_forwards.add(forwards);
     }
 
     /// Announces the flow-granularity buffer capability over the vendor
@@ -997,87 +742,48 @@ impl Switch {
         out
     }
 
-    fn exit_degraded(&mut self, now: Nanos) {
-        self.degraded = false;
-        self.next_probe = None;
-        self.probe_pending = false;
-        self.stats.degraded_exits.incr();
-        self.tracer.emit(
-            now,
-            EventKind::DegradedExit {
-                suppressed: self.suppressed_this_episode,
-            },
-        );
-        self.suppressed_this_episode = 0;
-    }
-
     /// The earliest moment the switch needs a timer callback: flow-table
     /// expiry, a buffer re-request/TTL deadline, a degraded-mode probe, a
     /// liveness deadline, or a paced reconciliation re-announce.
     pub fn next_timer(&self) -> Option<Nanos> {
-        let liveness =
-            (self.epoch_armed && !self.ctrl_suspect && self.config.liveness_timeout > Nanos::ZERO)
-                .then(|| self.last_ctrl_heard + self.config.liveness_timeout);
         [
             self.table.next_expiry(),
             self.buffer.next_timeout(),
-            self.next_probe,
-            liveness,
-            self.next_reconcile,
+            self.degraded.next_timer(),
+            self.liveness.deadline(),
+            self.session.next_timer(),
         ]
         .into_iter()
         .flatten()
         .min()
     }
 
-    /// Runs expiry sweeps, buffer re-requests, TTL garbage collection,
-    /// give-up actions and degraded-mode transitions due at `now`, pushing
-    /// the timed effects onto `outputs`.
+    /// Runs everything due at `now`, pushing the timed effects onto
+    /// `outputs`: the liveness deadline, paced reconciliation, flow-table
+    /// expiry, then the buffer's sweep — TTL drops, give-ups (and the
+    /// degraded-mode transition they may trip), re-requests.
     pub fn on_timer_into(
         &mut self,
         now: Nanos,
         pool: &mut PacketPool,
         outputs: &mut Vec<SwitchOutput>,
     ) {
-        if self.epoch_armed
-            && !self.ctrl_suspect
-            && self.config.liveness_timeout > Nanos::ZERO
-            && now >= self.last_ctrl_heard + self.config.liveness_timeout
-        {
-            // The controller has been silent past its deadline: suspect
-            // the session is dead until it speaks again.
-            self.ctrl_suspect = true;
+        if self.liveness.tick(now) {
             self.stats.liveness_suspects.incr();
         }
-        // Paced post-restart reconciliation: one surviving entry is
-        // re-announced per elapsed `reconcile_interval` slot.
-        while let Some(due) = self.next_reconcile {
-            if due > now {
-                break;
-            }
-            match self.reconcile_queue.pop_front() {
-                None => self.next_reconcile = None,
-                Some(id) => {
-                    self.next_reconcile = if self.reconcile_queue.is_empty() {
-                        None
-                    } else {
-                        Some(due + self.config.reconcile_interval)
-                    };
-                    // The entry may have drained or expired since the
-                    // bump listed it; the re-announce is then skipped.
-                    if let Some(rerequest) = self.buffer.rerequest_for(id) {
-                        self.stats.reconcile_rerequests.incr();
-                        self.tracer.emit(
-                            now,
-                            EventKind::BufferReconcile {
-                                buffer_id: rerequest.buffer_id.as_u32(),
-                                occupancy: self.buffer.occupancy(),
-                            },
-                        );
-                        let out = self.rerequest_output(now, rerequest, pool);
-                        outputs.push(out);
-                    }
-                }
+        while let Some(id) = self.session.pop_due(now) {
+            // The entry may have drained or expired since the bump listed
+            // it; the re-announce is then skipped.
+            if let Some(rerequest) = self.buffer.rerequest_for(id) {
+                self.stats.reconcile_rerequests.incr();
+                self.tracer.emit(
+                    now,
+                    EventKind::BufferReconcile {
+                        buffer_id: rerequest.buffer_id.as_u32(),
+                        occupancy: self.buffer.occupancy(),
+                    },
+                );
+                self.rerequest_into(now, rerequest, pool, outputs);
             }
         }
         let mut expired = std::mem::take(&mut self.expired);
@@ -1095,12 +801,6 @@ impl Switch {
             }
         }
         self.expired = expired;
-        if self.degraded && self.next_probe.is_some_and(|t| t <= now) {
-            // Probe window opens: the next fresh miss is admitted. The
-            // timer is re-armed when a later miss is shed.
-            self.next_probe = None;
-            self.probe_pending = true;
-        }
         let sweep = self.buffer.poll_timeouts(now, pool);
         if !sweep.expired.is_empty() || !sweep.gave_up.is_empty() {
             self.touch_gauge(now);
@@ -1108,61 +808,18 @@ impl Switch {
         // TTL-expired entries are dropped at the switch: the controller
         // never answered, and their units are already freed.
         for bp in sweep.expired {
-            self.stats.drops.incr();
-            outputs.push(SwitchOutput::Drop {
-                packet: Some(bp.packet),
-            });
+            shed(&mut self.stats, Some(bp.packet), outputs);
         }
         for flow in sweep.gave_up {
-            self.consecutive_giveups += 1;
-            match flow.action {
-                GiveUp::DrainAsFullPacketIn => {
-                    // Fall back to the no-buffer path: each drained packet
-                    // crosses the bus in full and rides its own packet_in,
-                    // so a recovered controller can still route it. The
-                    // packet lives on only as the message payload, so the
-                    // inherited reference is released here.
-                    for bp in flow.packets {
-                        let pk = pool.take(bp.packet).expect("live gave-up packet");
-                        outputs.push(self.packet_in_output(
-                            now,
-                            Nanos::ZERO,
-                            BufferId::NO_BUFFER,
-                            pk.wire_len() as u16,
-                            bp.in_port,
-                            pk.encode(),
-                        ));
-                    }
-                }
-                GiveUp::Drop => {
-                    for bp in flow.packets {
-                        self.stats.drops.incr();
-                        outputs.push(SwitchOutput::Drop {
-                            packet: Some(bp.packet),
-                        });
-                    }
-                }
-            }
+            self.degraded.on_giveup();
+            self.give_up(now, flow, pool, outputs);
         }
-        if self.config.degraded_threshold > 0
-            && !self.degraded
-            && self.consecutive_giveups >= self.config.degraded_threshold
-        {
-            self.degraded = true;
-            self.suppressed_this_episode = 0;
-            self.next_probe = Some(now + self.config.degraded_probe_interval);
-            self.probe_pending = false;
+        if let Some(Entered { giveups }) = self.degraded.tick(now) {
             self.stats.degraded_entries.incr();
-            self.tracer.emit(
-                now,
-                EventKind::DegradedEnter {
-                    giveups: self.consecutive_giveups,
-                },
-            );
+            self.tracer.emit(now, EventKind::DegradedEnter { giveups });
         }
         for rerequest in sweep.rerequests {
-            let out = self.rerequest_output(now, rerequest, pool);
-            outputs.push(out);
+            self.rerequest_into(now, rerequest, pool, outputs);
         }
     }
 
@@ -1173,26 +830,52 @@ impl Switch {
         outputs
     }
 
-    /// Builds the `packet_in` for a re-announce of a still-buffered flow.
+    /// Executes the give-up action of a flow whose retry budget ran out.
+    fn give_up(
+        &mut self,
+        now: Nanos,
+        flow: GaveUpFlow,
+        pool: &mut PacketPool,
+        out: &mut Vec<SwitchOutput>,
+    ) {
+        for bp in flow.packets {
+            let drained = match flow.action {
+                GiveUp::DrainAsFullPacketIn => pool.take(bp.packet),
+                GiveUp::Drop => {
+                    shed(&mut self.stats, Some(bp.packet), out);
+                    continue;
+                }
+            };
+            // Fall back to the no-buffer path: each drained packet crosses
+            // the bus in full and rides its own packet_in, so a recovered
+            // controller can still route it. The packet lives on only as
+            // the message payload, so the inherited reference went with
+            // the `take`.
+            let Some(pk) = drained else {
+                shed(&mut self.stats, None, out);
+                continue;
+            };
+            let (no_buffer, len, data) = (BufferId::NO_BUFFER, pk.wire_len() as u16, pk.encode());
+            self.packet_in_into(now, Nanos::ZERO, no_buffer, len, bp.in_port, data, out);
+        }
+    }
+
+    /// Pushes the `packet_in` re-announcing a still-buffered flow.
     /// `rerequest.packet` is a borrowed view of the head-of-line packet;
     /// only its header slice is re-encoded.
-    fn rerequest_output(
+    fn rerequest_into(
         &mut self,
         now: Nanos,
         rerequest: Rerequest,
         pool: &PacketPool,
-    ) -> SwitchOutput {
-        let (slice, total_len) = {
-            let pk = pool.get(rerequest.packet).expect("live re-request packet");
-            (
-                pk.encode_prefix(self.miss_send_len as usize),
-                pk.wire_len() as u16,
-            )
+        out: &mut Vec<SwitchOutput>,
+    ) {
+        let Some(pk) = pool.get(rerequest.packet) else {
+            return shed(&mut self.stats, None, out);
         };
-        let Rerequest {
-            buffer_id, in_port, ..
-        } = rerequest;
-        self.packet_in_output(now, Nanos::ZERO, buffer_id, total_len, in_port, slice)
+        let slice = pk.encode_prefix(self.miss_send_len as usize);
+        let (id, len, in_port) = (rerequest.buffer_id, pk.wire_len() as u16, rerequest.in_port);
+        self.packet_in_into(now, Nanos::ZERO, id, len, in_port, slice, out);
     }
 }
 
@@ -1200,7 +883,8 @@ impl Switch {
 mod tests {
     use super::*;
     use sdnbuf_net::PacketBuilder;
-    use sdnbuf_openflow::msg::{FlowMod, PacketOut};
+    use sdnbuf_openflow::msg::{FlowMod, PacketOut, StatsReply, StatsRequest};
+    use sdnbuf_openflow::Match;
 
     fn switch_with(buffer: BufferChoice) -> Switch {
         Switch::new(SwitchConfig {
@@ -2143,6 +1827,93 @@ mod tests {
         );
         assert_eq!(sw.session_epoch(), 0);
         assert_eq!(sw.stats().epoch_bumps.get(), 0);
+    }
+
+    #[test]
+    fn arming_reconciles_the_empty_buffer_to_epoch_one() {
+        let mut pool = PacketPool::new();
+        let mut sw = switch_with(BufferChoice::PacketGranularity { capacity: 16 });
+        sw.arm_crash_plane();
+        assert_eq!(sw.session_epoch(), 1);
+        // Nothing survived (there was nothing), so nothing is queued for
+        // re-announce and no bump is counted.
+        assert_eq!(sw.next_timer(), None);
+        assert_eq!(sw.stats().epoch_bumps.get(), 0);
+        // The reconcile is what arms the mechanism: the first id it mints
+        // carries epoch 1.
+        let outs = sw.handle_frame(Nanos::ZERO, PortNo(1), pool.insert(udp(1)), &mut pool);
+        assert_eq!(first_pkt_in(&outs).0.buffer_id.epoch(), 1);
+    }
+
+    #[test]
+    fn frame_on_a_released_handle_is_an_accounted_drop() {
+        let mut pool = PacketPool::new();
+        let mut sw = switch_with(BufferChoice::PacketGranularity { capacity: 16 });
+        let stale = pool.insert(udp(1));
+        pool.release(stale);
+        let outs = sw.handle_frame(Nanos::ZERO, PortNo(1), stale, &mut pool);
+        assert_eq!(outs, [SwitchOutput::Drop { packet: None }]);
+        assert_eq!(sw.stats().drops.get(), 1);
+        // Neither the table nor the buffer saw it.
+        assert_eq!(sw.table().lookups(), 0);
+        assert_eq!(sw.stats().table_misses.get(), 0);
+        assert_eq!(sw.buffer().stats(), Default::default());
+        assert!(sw.stats().ports.is_empty());
+    }
+
+    #[test]
+    fn packet_out_for_a_packet_reclaimed_behind_the_buffer_is_an_accounted_drop() {
+        let mut pool = PacketPool::new();
+        let mut sw = switch_with(BufferChoice::PacketGranularity { capacity: 16 });
+        let handle = pool.insert(udp(3));
+        let outs = sw.handle_frame(Nanos::ZERO, PortNo(1), handle, &mut pool);
+        let id = first_pkt_in(&outs).0.buffer_id;
+        // The mechanism holds the only reference; someone frees it anyway.
+        pool.release(handle);
+        let outs = sw.handle_controller_msg(
+            Nanos::from_millis(1),
+            OfpMessage::PacketOut(PacketOut {
+                buffer_id: id,
+                in_port: PortNo(1),
+                actions: vec![Action::output(PortNo(2))].into(),
+                data: vec![],
+            }),
+            5,
+            &mut pool,
+        );
+        assert_eq!(outs, [SwitchOutput::Drop { packet: None }]);
+        assert_eq!(sw.stats().drops.get(), 1);
+        assert_eq!(sw.stats().slowpath_forwards.get(), 0);
+        assert_eq!(sw.buffer().occupancy(), 0, "the unit is freed all the same");
+    }
+
+    #[test]
+    fn rerequest_and_give_up_over_a_reclaimed_handle_are_accounted_drops() {
+        use sdnbuf_switchbuf::RetryPolicy;
+        let mut pool = PacketPool::new();
+        let mut sw = Switch::new(SwitchConfig {
+            buffer: BufferChoice::FlowGranularity {
+                capacity: 16,
+                timeout: Nanos::from_millis(10),
+            },
+            retry: RetryPolicy {
+                budget: 1,
+                ..RetryPolicy::fixed()
+            },
+            ..SwitchConfig::default()
+        });
+        let handle = pool.insert(udp(1));
+        sw.handle_frame(Nanos::ZERO, PortNo(1), handle, &mut pool);
+        pool.release(handle);
+        // The re-request has no header to re-send...
+        let outs = sw.on_timer(Nanos::from_millis(10), &mut pool);
+        assert_eq!(outs, [SwitchOutput::Drop { packet: None }]);
+        // ...and the give-up drain no packet to put into a packet_in.
+        let outs = sw.on_timer(Nanos::from_millis(20), &mut pool);
+        assert_eq!(outs, [SwitchOutput::Drop { packet: None }]);
+        assert_eq!(sw.stats().drops.get(), 2);
+        assert_eq!(sw.stats().pkt_in_sent.get(), 1, "only the first announce");
+        assert_eq!(sw.buffer().occupancy(), 0);
     }
 
     #[test]

@@ -1,32 +1,79 @@
 //! Property-based tests of the switch state machine: arbitrary interleaved
-//! frames and control messages never panic, outputs are causally timed,
-//! and buffered packets are conserved.
+//! frames and control messages — a hostile controller's included — never
+//! panic, outputs are causally timed, buffered packets are conserved and
+//! every refused `packet_out` lands in its counter.
 
 use proptest::prelude::*;
+use sdnbuf_flowtable::EvictionPolicy;
 use sdnbuf_net::PacketBuilder;
 use sdnbuf_openflow::{
-    msg::{FlowMod, FlowModCommand, PacketOut},
-    Action, BufferId, Match, OfpMessage, PortNo,
+    msg::{self, FlowMod, FlowModCommand, PacketOut, StatsRequest},
+    Action, BufferId, Match, OfpMessage, PortNo, Refusal,
 };
 use sdnbuf_sim::Nanos;
 use sdnbuf_switch::{BufferChoice, PacketPool, Switch, SwitchConfig, SwitchOutput};
+use std::collections::HashMap;
 
 #[derive(Clone, Debug)]
 enum Op {
-    Frame { flow: u16, size: usize },
-    FlowModAdd { flow: u16 },
-    PacketOutFor { nth_buffer_id: usize },
-    PacketOutInvalid { raw: u32 },
+    Frame {
+        flow: u16,
+        size: usize,
+    },
+    FlowModAdd {
+        flow: u16,
+    },
+    /// A well-behaved `packet_out`: an id announced and not yet answered.
+    PacketOutFor {
+        nth_buffer_id: usize,
+    },
+    /// A `packet_out` for an id the switch (almost surely) never issued.
+    PacketOutInvalid {
+        raw: u32,
+    },
+    /// A `packet_out` replaying any id ever announced, with the tags it
+    /// carried then: already drained, of a previous epoch, or naming a
+    /// recycled slot under a stale generation.
+    PacketOutReplayed {
+        nth: usize,
+    },
+    /// An unbuffered `packet_out` whose `data` is not a packet.
+    PacketOutGarbage {
+        data: Vec<u8>,
+    },
+    /// `n` rules for flows no frame belongs to, past the table's capacity.
+    FlowModFlood {
+        first: u16,
+        n: u16,
+        notify: bool,
+    },
+    /// `n` barrier / echo / stats requests back to back.
+    Storm {
+        kind: u8,
+        n: u8,
+    },
+    /// A restarted controller: a fresh-xid `Hello`, then `SetConfig`.
+    Rehandshake,
+    /// A network duplicate of the last `Hello`, then `SetConfig`.
+    DuplicateHello,
     Timer,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (0u16..6, 60usize..1400).prop_map(|(flow, size)| Op::Frame { flow, size }),
-        2 => (0u16..6).prop_map(|flow| Op::FlowModAdd { flow }),
-        2 => (0usize..8).prop_map(|nth_buffer_id| Op::PacketOutFor { nth_buffer_id }),
-        1 => any::<u32>().prop_map(|raw| Op::PacketOutInvalid { raw }),
-        1 => Just(Op::Timer),
+        8 => (0u16..6, 60usize..1400).prop_map(|(flow, size)| Op::Frame { flow, size }),
+        4 => (0u16..6).prop_map(|flow| Op::FlowModAdd { flow }),
+        4 => (0usize..8).prop_map(|nth_buffer_id| Op::PacketOutFor { nth_buffer_id }),
+        2 => any::<u32>().prop_map(|raw| Op::PacketOutInvalid { raw }),
+        3 => (0usize..64).prop_map(|nth| Op::PacketOutReplayed { nth }),
+        1 => proptest::collection::vec(any::<u8>(), 0..48)
+            .prop_map(|data| Op::PacketOutGarbage { data }),
+        1 => (100u16..400, 1u16..24, any::<bool>())
+            .prop_map(|(first, n, notify)| Op::FlowModFlood { first, n, notify }),
+        1 => (0u8..5, 1u8..24).prop_map(|(kind, n)| Op::Storm { kind, n }),
+        1 => Just(Op::Rehandshake),
+        1 => Just(Op::DuplicateHello),
+        3 => Just(Op::Timer),
     ]
 }
 
@@ -79,7 +126,7 @@ fn check_outputs(
     Ok(ids)
 }
 
-fn flow_mod_add(flow: u16) -> OfpMessage {
+fn flow_mod_add(flow: u16, notify: bool) -> OfpMessage {
     let pkt = PacketBuilder::udp().src_port(flow).build();
     OfpMessage::FlowMod(FlowMod {
         match_fields: Match::exact_from_packet(PortNo(1), &pkt),
@@ -90,18 +137,48 @@ fn flow_mod_add(flow: u16) -> OfpMessage {
         priority: 10,
         buffer_id: BufferId::NO_BUFFER,
         out_port: PortNo::NONE,
-        flags: 0,
+        flags: if notify { msg::OFPFF_SEND_FLOW_REM } else { 0 },
         actions: vec![Action::output(PortNo(2))].into(),
     })
 }
 
-fn packet_out_for(buffer_id: BufferId) -> OfpMessage {
+fn packet_out(buffer_id: BufferId, data: Vec<u8>) -> OfpMessage {
     OfpMessage::PacketOut(PacketOut {
         buffer_id,
         in_port: PortNo(1),
         actions: vec![Action::output(PortNo(2))].into(),
-        data: vec![],
+        data,
     })
+}
+
+/// The `kind`-th request of a storm and whether `reply` answers it.
+fn storm_request(kind: u8) -> (OfpMessage, fn(&OfpMessage) -> bool) {
+    let stats = |req| OfpMessage::StatsRequest(req);
+    let is_stats: fn(&OfpMessage) -> bool = |m| matches!(m, OfpMessage::StatsReply(_));
+    match kind {
+        0 => (OfpMessage::BarrierRequest, |m| {
+            matches!(m, OfpMessage::BarrierReply)
+        }),
+        1 => (
+            OfpMessage::EchoRequest(vec![7; 8]),
+            |m| matches!(m, OfpMessage::EchoReply(d) if d == &[7; 8]),
+        ),
+        2 => (stats(StatsRequest::Table), is_stats),
+        3 => {
+            let req = StatsRequest::Flow {
+                match_fields: Match::any(),
+                table_id: 0xff,
+                out_port: PortNo::NONE,
+            };
+            (stats(req), is_stats)
+        }
+        _ => {
+            let req = StatsRequest::Port {
+                port_no: PortNo::NONE,
+            };
+            (stats(req), is_stats)
+        }
+    }
 }
 
 /// Which form of the handlers a [`Driver`] calls.
@@ -117,7 +194,8 @@ enum Handlers {
 /// push behind whatever the caller's buffer holds and never touch it.
 const CALLERS_OWN: SwitchOutput = SwitchOutput::Drop { packet: None };
 
-/// A switch, its pool and the clock of one op sequence.
+/// A switch, its pool and the clock of one op sequence, plus the
+/// controller's-eye model of what the buffer holds.
 struct Driver {
     sw: Switch,
     pool: PacketPool,
@@ -125,21 +203,86 @@ struct Driver {
     handlers: Handlers,
     out: Vec<SwitchOutput>,
     seen_buffer_ids: Vec<BufferId>,
+    /// Every id ever announced, tagged as it was then.
+    announced: Vec<BufferId>,
+    /// The occupant of each raw id, as the announcements and admitted
+    /// releases so far imply it (sound while nothing expires or gives up,
+    /// i.e. with the recovery knobs at their defaults).
+    occupants: HashMap<u32, BufferId>,
+    /// `packet_out`s the model says were refused: unknown id, stale
+    /// generation, stale epoch.
+    refused: [u64; 3],
+    epoch: u32,
+    hello_seen: bool,
+    last_hello_xid: u32,
 }
 
 impl Driver {
     fn new(buffer: BufferChoice, handlers: Handlers) -> Driver {
+        let config = SwitchConfig {
+            buffer,
+            ..SwitchConfig::default()
+        };
+        Driver::with_config(config, handlers)
+    }
+
+    fn with_config(config: SwitchConfig, handlers: Handlers) -> Driver {
         Driver {
-            sw: Switch::new(SwitchConfig {
-                buffer,
-                ..SwitchConfig::default()
-            }),
+            sw: Switch::new(config),
             pool: PacketPool::new(),
             now: Nanos::ZERO,
             handlers,
             out: vec![CALLERS_OWN],
             seen_buffer_ids: Vec::new(),
+            announced: Vec::new(),
+            occupants: HashMap::new(),
+            refused: [0; 3],
+            epoch: 0,
+            hello_seen: false,
+            last_hello_xid: 0,
         }
+    }
+
+    /// Sends a buffered `packet_out` and holds the switch to the model's
+    /// verdict on it.
+    fn release(&mut self, id: BufferId) -> Result<Vec<SwitchOutput>, TestCaseError> {
+        let verdict = match self.occupants.get(&id.as_u32()) {
+            None => Err(Refusal::Unknown),
+            Some(occupant) => occupant.admits(id),
+        };
+        let outs = self.control(packet_out(id, vec![]), 2)?;
+        match verdict {
+            Ok(()) => {
+                prop_assert!(!outs.is_empty(), "{:?} admitted, nothing released", id);
+                self.occupants.remove(&id.as_u32());
+            }
+            Err(refusal) => {
+                prop_assert!(outs.is_empty(), "{:?}: {:?} yet {:?}", id, refusal, outs);
+                self.refused[match refusal {
+                    Refusal::Unknown => 0,
+                    Refusal::StaleGeneration => 1,
+                    Refusal::StaleEpoch => 2,
+                }] += 1;
+            }
+        }
+        Ok(outs)
+    }
+
+    /// `Hello` under `xid`, then the `SetConfig` that completes a handshake.
+    fn handshake(&mut self, xid: u32) -> Result<Vec<SwitchOutput>, TestCaseError> {
+        self.hello_seen = true;
+        let mut outs = self.control(OfpMessage::Hello, xid)?;
+        let set_config = OfpMessage::SetConfig(msg::SwitchConfig {
+            flags: 0,
+            miss_send_len: 128,
+        });
+        outs.extend(self.control(set_config, xid + 1)?);
+        prop_assert!(
+            matches!(&outs[..], [SwitchOutput::ToController { xid: x, msg: OfpMessage::Hello, .. }] if *x == xid),
+            "a handshake is answered by one Hello: {:?}",
+            outs
+        );
+        Ok(outs)
     }
 
     /// What the `_into` handler pushed, the caller's own entry left in place.
@@ -175,18 +318,67 @@ impl Driver {
                     }
                 }
             }
-            Op::FlowModAdd { flow } => self.control(flow_mod_add(flow), 1)?,
+            Op::FlowModAdd { flow } => self.control(flow_mod_add(flow, false), 1)?,
             Op::PacketOutFor { nth_buffer_id } => {
                 if self.seen_buffer_ids.is_empty() {
                     Vec::new()
                 } else {
                     let nth = nth_buffer_id % self.seen_buffer_ids.len();
                     let id = self.seen_buffer_ids.remove(nth);
-                    self.control(packet_out_for(id), 2)?
+                    self.release(id)?
                 }
             }
-            Op::PacketOutInvalid { raw } => {
-                self.control(packet_out_for(BufferId::from_wire(raw)), 3)?
+            Op::PacketOutInvalid { raw } => match BufferId::from_wire(raw) {
+                id if id.is_buffered() => self.release(id)?,
+                no_buffer => self.control(packet_out(no_buffer, vec![]), 3)?,
+            },
+            Op::PacketOutReplayed { nth } => match self.announced.len() {
+                0 => Vec::new(),
+                len => self.release(self.announced[nth % len])?,
+            },
+            Op::PacketOutGarbage { ref data } => {
+                self.control(packet_out(BufferId::NO_BUFFER, data.clone()), 3)?
+            }
+            Op::FlowModFlood { first, n, notify } => {
+                let mut outs = Vec::new();
+                for flow in first..first + n {
+                    outs.extend(self.control(flow_mod_add(flow, notify), 1)?);
+                }
+                let table = self.sw.table();
+                prop_assert!(table.len() <= table.capacity(), "table overflowed");
+                outs
+            }
+            Op::Storm { kind, n } => {
+                let mut outs = Vec::new();
+                for i in 0..u32::from(n) {
+                    let (request, answers) = storm_request(kind);
+                    let reply = self.control(request, 1000 + i)?;
+                    prop_assert!(
+                        matches!(&reply[..], [SwitchOutput::ToController { xid, msg, .. }]
+                            if *xid == 1000 + i && answers(msg)),
+                        "storm request {} of kind {} got {:?}",
+                        i,
+                        kind,
+                        reply
+                    );
+                    outs.extend(reply);
+                }
+                outs
+            }
+            Op::Rehandshake => {
+                // The first Hello of a session is the handshake, every
+                // later fresh-xid one a re-handshake: one bump each, and
+                // only on an armed switch.
+                let bump = u32::from(self.epoch != 0 && self.hello_seen);
+                self.last_hello_xid += 10;
+                let outs = self.handshake(self.last_hello_xid)?;
+                prop_assert_eq!(self.sw.session_epoch(), self.epoch + bump);
+                outs
+            }
+            Op::DuplicateHello => {
+                let outs = self.handshake(self.last_hello_xid)?;
+                prop_assert_eq!(self.sw.session_epoch(), self.epoch, "a duplicate bumped");
+                outs
             }
             Op::Timer => match self.sw.next_timer() {
                 None => Vec::new(),
@@ -204,15 +396,35 @@ impl Driver {
             },
         };
         let ids = check_outputs(self.now, &outs, &mut self.pool)?;
-        // Only frames and flow_mods feed the id list: a timer's re-request
-        // repeats an id that is already on it.
-        if !matches!(
-            op,
-            Op::PacketOutFor { .. } | Op::PacketOutInvalid { .. } | Op::Timer
-        ) {
+        // A bump re-tags every surviving entry; an announcement names its
+        // raw id's occupant, tags included.
+        if self.sw.session_epoch() != self.epoch {
+            self.epoch = self.sw.session_epoch();
+            for occupant in self.occupants.values_mut() {
+                *occupant = occupant.with_epoch(self.epoch);
+            }
+        }
+        for id in &ids {
+            self.occupants.insert(id.as_u32(), *id);
+        }
+        self.announced.extend(&ids);
+        // Only frames feed the well-behaved controller's list: a timer's
+        // re-request repeats an id that is already on it.
+        if matches!(op, Op::Frame { .. }) {
             self.seen_buffer_ids.extend(ids);
         }
         Ok((self.now, outs))
+    }
+
+    /// The buffer's refusal counters against the model's.
+    fn check_refusals(&self) -> Result<(), TestCaseError> {
+        let stats = self.sw.buffer().stats();
+        let [_, stale_generation, stale_epoch] = self.refused;
+        prop_assert_eq!(stats.invalid_releases, self.refused.iter().sum::<u64>());
+        prop_assert_eq!(stats.stale_releases, stale_generation);
+        prop_assert_eq!(stats.stale_epoch_releases, stale_epoch);
+        prop_assert_eq!(self.sw.stats().stale_epoch_rejects.get(), stale_epoch);
+        Ok(())
     }
 }
 
@@ -308,5 +520,54 @@ proptest! {
         prop_assert_eq!(released, buffered);
         prop_assert_eq!(sw.buffer().occupancy(), 0);
         prop_assert_eq!(pool.len(), 0, "every pooled packet was reclaimed");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A hostile controller against an armed switch, all three mechanisms
+    /// per case: replayed, forged and cross-epoch `packet_out`s, undecodable
+    /// payloads, `flow_mod` floods past a small table under either eviction
+    /// policy, request storms and re-handshakes at any point. Nothing
+    /// panics, outputs are causal, every handle the switch was given is
+    /// handed back exactly once or still buffered, and every refusal is
+    /// counted under its reason.
+    #[test]
+    fn hostile_controller_is_refused_and_accounted(
+        ops in proptest::collection::vec(arb_op(), 1..160),
+        capacity in 1usize..24,
+        evict_lru in any::<bool>(),
+    ) {
+        for buffer in [
+            BufferChoice::NoBuffer,
+            BufferChoice::PacketGranularity { capacity },
+            BufferChoice::FlowGranularity { capacity, timeout: Nanos::from_millis(2) },
+        ] {
+            let config = SwitchConfig {
+                buffer,
+                flow_table_capacity: 8,
+                eviction: if evict_lru { EvictionPolicy::EvictLru } else { EvictionPolicy::RejectNew },
+                liveness_timeout: Nanos::from_millis(3),
+                ..SwitchConfig::default()
+            };
+            let mut driver = Driver::with_config(config, Handlers::Into);
+            driver.sw.arm_crash_plane();
+            driver.epoch = 1;
+            for op in &ops {
+                driver.step(op)?;
+                let sw = &driver.sw;
+                prop_assert!(sw.buffer().occupancy() <= sw.buffer().capacity());
+                prop_assert_eq!(
+                    driver.pool.len(), sw.buffer().occupancy(),
+                    "every handle is handed back once or still buffered"
+                );
+                prop_assert_eq!(
+                    sw.buffer().occupancy() == 0, driver.occupants.is_empty(),
+                    "the model lost track of the buffer at {:?}", op
+                );
+            }
+            driver.check_refusals()?;
+        }
     }
 }

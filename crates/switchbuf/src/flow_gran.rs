@@ -1,26 +1,39 @@
 //! The flow-granularity buffer mechanism — Algorithms 1 and 2 of the paper.
 
+use crate::mechanism::next_generation;
 use crate::{
     BufferMechanism, BufferStats, BufferedPacket, GaveUpFlow, MissAction, PacketHandle, PacketPool,
-    Rerequest, RetryPolicy, TimeoutSweep,
+    Rerequest, RetryPolicy, Sabotage, TimeoutSweep,
 };
 use sdnbuf_net::FlowKey;
-use sdnbuf_openflow::{BufferId, PortNo};
+use sdnbuf_openflow::{BufferId, PortNo, Refusal};
 use sdnbuf_sim::{EventKind, FastHashMap, Nanos, SimRng, Tracer};
 use std::collections::{BTreeSet, VecDeque};
 
 #[derive(Clone, Debug)]
 struct FlowQueue {
     buffer_id: BufferId,
+    /// Never empty while the flow is in the maps.
     packets: VecDeque<BufferedPacket>,
-    /// When the last `packet_in` for this flow was sent (Algorithm 1's
-    /// "timestamp").
-    last_request_at: Nanos,
     /// Re-requests sent for this flow since its announcement.
     retries: u32,
-    /// When the next re-request (or give-up) fires — mirrored in the
-    /// owner's `request_deadlines` index.
+    /// When the next re-request (or give-up) fires — Algorithm 1's
+    /// "timestamp" plus the interval, mirrored in the owner's
+    /// `request_deadlines` index.
     next_due: Nanos,
+}
+
+impl FlowQueue {
+    /// The re-announce view: the flow's id over its head-of-line packet,
+    /// which the flow keeps its pool reference to.
+    fn head(&self) -> Rerequest {
+        let first = self.packets.front().expect("buffered flows are non-empty");
+        Rerequest {
+            buffer_id: self.buffer_id,
+            packet: first.packet,
+            in_port: first.in_port,
+        }
+    }
 }
 
 /// The paper's proposed mechanism: buffer **all** miss-match packets of a
@@ -89,19 +102,14 @@ pub struct FlowGranularityBuffer {
     /// Fault injection: while on, new misses are refused as if buffer
     /// memory were exhausted.
     pressured: bool,
-    /// Fault injection: when off, Algorithm 1 lines 12–13 never fire (the
-    /// intentionally-broken mechanism the chaos harness must catch).
-    rerequest_enabled: bool,
-    /// Fault injection: when off, the TTL sweep never collects (the
-    /// buffered-conservation invariant must catch the leak).
-    ttl_gc_enabled: bool,
     /// Session epoch stamped onto new allocations; `0` = crash plane
     /// unarmed (no stamping, no epoch rejection).
     epoch: u32,
-    /// Fault injection: when off, dead-epoch releases keep draining and
-    /// [`Self::reconcile_epoch`] migrates nothing (the
-    /// no-cross-epoch-drain invariant must catch the resulting drains).
-    epoch_guard_enabled: bool,
+    /// Chaos self-test: with `disable_rerequest` Algorithm 1 lines 12–13
+    /// never fire, with `disable_ttl_gc` the TTL sweep never collects, and
+    /// with `broken_epoch` dead-epoch releases keep draining and
+    /// [`Self::reconcile_epoch`] migrates nothing.
+    sabotage: Sabotage,
 }
 
 impl FlowGranularityBuffer {
@@ -148,10 +156,8 @@ impl FlowGranularityBuffer {
             stats: BufferStats::default(),
             tracer: Tracer::off(),
             pressured: false,
-            rerequest_enabled: true,
-            ttl_gc_enabled: true,
             epoch: 0,
-            epoch_guard_enabled: true,
+            sabotage: Sabotage::none(),
         })
     }
 
@@ -213,31 +219,59 @@ impl FlowGranularityBuffer {
         let mut candidate = (h ^ (h >> 32)) as u32;
         loop {
             if candidate != BufferId::NO_BUFFER.as_u32() && !self.by_id.contains_key(&candidate) {
-                self.alloc_seq = self.alloc_seq.wrapping_add(1);
-                if self.alloc_seq == 0 {
-                    self.alloc_seq = 1;
-                }
-                return BufferId::tagged(candidate, self.alloc_seq).with_epoch(self.epoch);
+                let generation = next_generation(&mut self.alloc_seq);
+                return BufferId::tagged(candidate, generation).with_epoch(self.epoch);
             }
             candidate = candidate.wrapping_add(1);
         }
     }
 
-    /// The jitter draw for one scheduled deadline: zero draws, zero nanos
+    /// (Re)schedules `key`'s next re-request after its `retries`-th one:
+    /// the policy's interval from `now` plus one jitter draw — zero draws
     /// while jitter is unset.
-    fn jitter(&mut self) -> Nanos {
+    fn arm_request(&mut self, key: FlowKey, now: Nanos, retries: u32) {
+        let mut due = now + self.policy.interval_after(self.timeout, retries);
         if self.policy.jitter > Nanos::ZERO {
-            Nanos::from_nanos(self.jitter_rng.gen_range(self.policy.jitter.as_nanos()))
-        } else {
-            Nanos::ZERO
+            due += Nanos::from_nanos(self.jitter_rng.gen_range(self.policy.jitter.as_nanos()));
         }
+        let q = self.flows.get_mut(&key).expect("armed flow exists");
+        self.request_deadlines.remove(&(q.next_due, key));
+        q.retries = retries;
+        q.next_due = due;
+        self.request_deadlines.insert((due, key));
+    }
+
+    /// Counts and traces one more re-request for `key`'s flow, re-arms its
+    /// timer and returns the re-announce view.
+    fn rerequest(&mut self, key: FlowKey, now: Nanos) -> Rerequest {
+        let q = &self.flows[&key];
+        let (view, retries) = (q.head(), q.retries + 1);
+        self.stats.rerequests += 1;
+        self.tracer.emit(
+            now,
+            EventKind::BufferRerequest {
+                buffer_id: view.buffer_id.as_u32(),
+                occupancy: self.total,
+            },
+        );
+        self.arm_request(key, now, retries);
+        view
+    }
+
+    /// A miss that is not buffered: non-IP traffic, pressure, exhaustion.
+    fn fall_back(&mut self, now: Nanos) -> MissAction {
+        self.stats.fallback_full += 1;
+        let occupancy = self.total;
+        self.tracer
+            .emit(now, EventKind::BufferFallback { occupancy });
+        MissAction::SendFullPacketIn
     }
 
     /// Garbage-collects TTL-expired entries due at or before `now` into
     /// `sweep.expired`.
     fn sweep_expired(&mut self, now: Nanos, pool: &PacketPool, sweep: &mut TimeoutSweep) {
         let Some(ttl) = self.ttl else { return };
-        if !self.ttl_gc_enabled {
+        if self.sabotage.disable_ttl_gc {
             return;
         }
         while let Some(&(due, key)) = self.expiry_deadlines.iter().next() {
@@ -249,11 +283,9 @@ impl FlowGranularityBuffer {
                 .flows
                 .get_mut(&key)
                 .expect("expiry index and flows map stay consistent");
-            while let Some(front) = q.packets.front() {
-                if front.buffered_at + ttl > now {
-                    break;
-                }
-                let p = q.packets.pop_front().expect("front exists");
+            let due = |p: &BufferedPacket| p.buffered_at + ttl <= now;
+            while let Some(p) = q.packets.front().copied().filter(due) {
+                q.packets.pop_front();
                 self.total -= 1;
                 self.stats.expired += 1;
                 self.stats.expired_bytes += pool.get(p.packet).map_or(0, |pk| pk.wire_len()) as u64;
@@ -266,28 +298,26 @@ impl FlowGranularityBuffer {
                 );
                 sweep.expired.push(p);
             }
-            if q.packets.is_empty() {
-                let q = self.flows.remove(&key).expect("flow exists");
-                self.by_id.remove(&q.buffer_id.as_u32());
-                self.request_deadlines.remove(&(q.next_due, key));
+            // Per-flow queues are FIFO: the new front expires next.
+            if let Some(front) = q.packets.front() {
+                self.expiry_deadlines.insert((front.buffered_at + ttl, key));
             } else {
-                let next = q.packets.front().expect("non-empty").buffered_at + ttl;
-                self.expiry_deadlines.insert((next, key));
+                self.evict_flow(key);
             }
         }
     }
 
-    /// Removes `key`'s flow entirely (give-up path), returning its queue.
+    /// Removes `key`'s flow from the maps and both deadline indexes,
+    /// freeing its units, and returns its queue.
     fn evict_flow(&mut self, key: FlowKey) -> FlowQueue {
-        let q = self.flows.remove(&key).expect("give-up flow exists");
+        let q = self.flows.remove(&key).expect("evicted flow exists");
         self.by_id.remove(&q.buffer_id.as_u32());
-        self.total -= q.packets.len();
-        if let Some(ttl) = self.ttl {
-            if let Some(front) = q.packets.front() {
-                self.expiry_deadlines
-                    .remove(&(front.buffered_at + ttl, key));
-            }
+        self.request_deadlines.remove(&(q.next_due, key));
+        if let (Some(ttl), Some(front)) = (self.ttl, q.packets.front()) {
+            self.expiry_deadlines
+                .remove(&(front.buffered_at + ttl, key));
         }
+        self.total -= q.packets.len();
         q
     }
 }
@@ -306,99 +336,43 @@ impl BufferMechanism for FlowGranularityBuffer {
     ) -> MissAction {
         // Non-IP traffic has no 5-tuple: not flow-bufferable.
         let Some(key) = pool.get(packet).and_then(FlowKey::of) else {
-            self.stats.fallback_full += 1;
-            self.tracer.emit(
-                now,
-                EventKind::BufferFallback {
-                    occupancy: self.total,
-                },
-            );
-            return MissAction::SendFullPacketIn;
+            return self.fall_back(now);
         };
         if self.pressured || self.total >= self.capacity {
-            self.stats.fallback_full += 1;
-            self.tracer.emit(
-                now,
-                EventKind::BufferFallback {
-                    occupancy: self.total,
-                },
-            );
-            return MissAction::SendFullPacketIn;
+            return self.fall_back(now);
         }
-        // Algorithm 1 line 5: getBufferIdFromMap(p_i).
-        if let Some(queue) = self.flows.get_mut(&key) {
-            // Lines 10–11: buffer the subsequent packet silently.
-            let buffer_id = queue.buffer_id;
-            queue.packets.push_back(BufferedPacket {
-                packet,
-                in_port,
-                buffered_at: now,
-                buffer_id,
-            });
-            self.total += 1;
-            self.stats.buffered += 1;
-            self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.total);
-            self.tracer.emit(
-                now,
-                EventKind::BufferEnqueue {
-                    buffer_id: buffer_id.as_u32(),
-                    occupancy: self.total,
-                    fresh: false,
-                },
-            );
-            // Lines 12–13: if the request timestamp expired, send another
-            // packet_in for this flow — unless the retry budget is spent
-            // (the pending give-up is the timer sweep's job).
-            let retries = queue.retries;
-            if self.rerequest_enabled && now >= queue.next_due && self.policy.may_retry(retries) {
-                let old_due = queue.next_due;
-                queue.last_request_at = now;
-                queue.retries += 1;
-                self.stats.rerequests += 1;
-                self.tracer.emit(
-                    now,
-                    EventKind::BufferRerequest {
-                        buffer_id: buffer_id.as_u32(),
-                        occupancy: self.total,
-                    },
-                );
-                let interval = self.policy.interval_after(self.timeout, retries + 1);
-                let jitter = self.jitter();
-                let queue = self.flows.get_mut(&key).expect("flow exists");
-                queue.next_due = now + interval + jitter;
-                self.request_deadlines.remove(&(old_due, key));
-                self.request_deadlines.insert((queue.next_due, key));
-                return MissAction::SendBufferedPacketIn { buffer_id };
-            }
-            return MissAction::Buffered { buffer_id };
-        }
-        // Lines 6–9: first packet of the flow.
-        let buffer_id = self.id_for(&key);
-        let interval = self.policy.interval_after(self.timeout, 0);
-        let jitter = self.jitter();
-        let next_due = now + interval + jitter;
-        let mut packets = VecDeque::new();
-        packets.push_back(BufferedPacket {
+        let parked = |buffer_id| BufferedPacket {
             packet,
             in_port,
             buffered_at: now,
             buffer_id,
-        });
-        self.flows.insert(
-            key,
-            FlowQueue {
-                buffer_id,
-                packets,
-                last_request_at: now,
-                retries: 0,
-                next_due,
-            },
-        );
-        self.by_id.insert(buffer_id.as_u32(), key);
-        self.request_deadlines.insert((next_due, key));
-        if let Some(ttl) = self.ttl {
-            self.expiry_deadlines.insert((now + ttl, key));
-        }
+        };
+        // Algorithm 1 line 5: getBufferIdFromMap(p_i). `known` is the
+        // flow's request deadline and retry count when it has an id.
+        let (buffer_id, known) = match self.flows.get_mut(&key) {
+            Some(queue) => {
+                queue.packets.push_back(parked(queue.buffer_id));
+                (queue.buffer_id, Some((queue.next_due, queue.retries)))
+            }
+            None => {
+                // Lines 6–9: first packet of the flow.
+                let buffer_id = self.id_for(&key);
+                let mut queue = FlowQueue {
+                    buffer_id,
+                    packets: VecDeque::new(),
+                    retries: 0,
+                    next_due: now,
+                };
+                queue.packets.push_back(parked(buffer_id));
+                self.flows.insert(key, queue);
+                self.by_id.insert(buffer_id.as_u32(), key);
+                self.arm_request(key, now, 0);
+                if let Some(ttl) = self.ttl {
+                    self.expiry_deadlines.insert((now + ttl, key));
+                }
+                (buffer_id, None)
+            }
+        };
         self.total += 1;
         self.stats.buffered += 1;
         self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.total);
@@ -407,78 +381,57 @@ impl BufferMechanism for FlowGranularityBuffer {
             EventKind::BufferEnqueue {
                 buffer_id: buffer_id.as_u32(),
                 occupancy: self.total,
-                fresh: true,
+                fresh: known.is_none(),
             },
         );
-        MissAction::SendBufferedPacketIn { buffer_id }
+        let Some((due, retries)) = known else {
+            return MissAction::SendBufferedPacketIn { buffer_id };
+        };
+        // Lines 10–11: a subsequent packet is buffered silently. Lines
+        // 12–13: unless the request timestamp expired — then another
+        // packet_in goes out, if the retry budget allows (a spent budget's
+        // give-up is the timer sweep's job).
+        if !self.sabotage.disable_rerequest && now >= due && self.policy.may_retry(retries) {
+            self.rerequest(key, now);
+            return MissAction::SendBufferedPacketIn { buffer_id };
+        }
+        MissAction::Buffered { buffer_id }
     }
 
-    fn release_into(&mut self, _now: Nanos, buffer_id: BufferId, out: &mut Vec<BufferedPacket>) {
+    fn release_into(
+        &mut self,
+        _now: Nanos,
+        buffer_id: BufferId,
+        out: &mut Vec<BufferedPacket>,
+    ) -> Result<usize, Refusal> {
+        let Some(&key) = self.by_id.get(&buffer_id.as_u32()) else {
+            return Err(self.stats.count(Refusal::Unknown));
+        };
+        self.sabotage
+            .admit(self.flows[&key].buffer_id, buffer_id)
+            .map_err(|refusal| self.stats.count(refusal))?;
         // Algorithm 2: drain the whole per-flow queue in FIFO order and
         // free every unit.
-        let Some(&key) = self.by_id.get(&buffer_id.as_u32()) else {
-            self.stats.invalid_releases += 1;
-            return;
-        };
-        // ABA safety: a release tagged with a generation must match the
-        // current occupant's; untagged (generation 0) releases keep the
-        // raw-wire-id semantics.
-        let stored = self.flows[&key].buffer_id;
-        if buffer_id.generation() != 0 && buffer_id.generation() != stored.generation() {
-            self.stats.invalid_releases += 1;
-            self.stats.stale_releases += 1;
-            return;
-        }
-        // Crash safety: a release minted under a dead session epoch must
-        // not drain state the restarted controller has no knowledge of.
-        // Untagged (epoch 0) releases keep the raw-wire-id semantics.
-        if self.epoch_guard_enabled
-            && buffer_id.epoch() != 0
-            && stored.epoch() != 0
-            && buffer_id.epoch() != stored.epoch()
-        {
-            self.stats.invalid_releases += 1;
-            self.stats.stale_epoch_releases += 1;
-            return;
-        }
-        self.by_id.remove(&buffer_id.as_u32());
-        let queue = self
-            .flows
-            .remove(&key)
-            .expect("by_id and flows maps stay consistent");
-        self.request_deadlines.remove(&(queue.next_due, key));
-        if let Some(ttl) = self.ttl {
-            if let Some(front) = queue.packets.front() {
-                self.expiry_deadlines
-                    .remove(&(front.buffered_at + ttl, key));
-            }
-        }
-        self.total -= queue.packets.len();
-        self.stats.released += queue.packets.len() as u64;
+        let queue = self.evict_flow(key);
+        let released = queue.packets.len();
+        self.stats.released += released as u64;
         out.extend(queue.packets);
+        Ok(released)
     }
 
     fn next_timeout(&self) -> Option<Nanos> {
-        let request = if self.rerequest_enabled {
-            self.request_deadlines.iter().next().map(|&(t, _)| t)
-        } else {
-            None
+        let first = |index: &BTreeSet<(Nanos, FlowKey)>, off: bool| {
+            index.iter().next().filter(|_| !off).map(|&(t, _)| t)
         };
-        let expiry = if self.ttl_gc_enabled {
-            self.expiry_deadlines.iter().next().map(|&(t, _)| t)
-        } else {
-            None
-        };
-        match (request, expiry) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        let request = first(&self.request_deadlines, self.sabotage.disable_rerequest);
+        let expiry = first(&self.expiry_deadlines, self.sabotage.disable_ttl_gc);
+        request.into_iter().chain(expiry).min()
     }
 
     fn poll_timeouts(&mut self, now: Nanos, pool: &PacketPool) -> TimeoutSweep {
         let mut sweep = TimeoutSweep::default();
         self.sweep_expired(now, pool, &mut sweep);
-        if !self.rerequest_enabled {
+        if self.sabotage.disable_rerequest {
             return sweep;
         }
         let mut due: Vec<FlowKey> = Vec::new();
@@ -493,51 +446,27 @@ impl BufferMechanism for FlowGranularityBuffer {
         // observable order as the historical full-scan implementation.
         due.sort_unstable();
         for key in due {
-            let (buffer_id, retries) = {
-                let q = &self.flows[&key];
-                (q.buffer_id, q.retries)
-            };
-            if !self.policy.may_retry(retries) {
-                // Budget spent: execute the give-up action.
-                let q = self.evict_flow(key);
-                self.stats.giveups += 1;
-                self.tracer.emit(
-                    now,
-                    EventKind::BufferGiveUp {
-                        buffer_id: buffer_id.as_u32(),
-                        drained: q.packets.len(),
-                        action: self.policy.give_up.label(),
-                        occupancy: self.total,
-                    },
-                );
-                sweep.gave_up.push(GaveUpFlow {
-                    buffer_id,
-                    packets: q.packets.into(),
-                    action: self.policy.give_up,
-                });
+            if self.policy.may_retry(self.flows[&key].retries) {
+                let rerequest = self.rerequest(key, now);
+                sweep.rerequests.push(rerequest);
                 continue;
             }
-            self.stats.rerequests += 1;
+            // Budget spent: execute the give-up action.
+            let q = self.evict_flow(key);
+            self.stats.giveups += 1;
             self.tracer.emit(
                 now,
-                EventKind::BufferRerequest {
-                    buffer_id: buffer_id.as_u32(),
+                EventKind::BufferGiveUp {
+                    buffer_id: q.buffer_id.as_u32(),
+                    drained: q.packets.len(),
+                    action: self.policy.give_up.label(),
                     occupancy: self.total,
                 },
             );
-            let interval = self.policy.interval_after(self.timeout, retries + 1);
-            let jitter = self.jitter();
-            let q = self.flows.get_mut(&key).expect("due flow exists");
-            q.last_request_at = now;
-            q.retries += 1;
-            q.next_due = now + interval + jitter;
-            self.request_deadlines.insert((q.next_due, key));
-            let first = q.packets.front().expect("buffered flows are non-empty");
-            sweep.rerequests.push(Rerequest {
-                buffer_id,
-                // A borrowed view: the flow keeps its pool reference.
-                packet: first.packet,
-                in_port: first.in_port,
+            sweep.gave_up.push(GaveUpFlow {
+                buffer_id: q.buffer_id,
+                packets: q.packets.into(),
+                action: self.policy.give_up,
             });
         }
         sweep
@@ -563,23 +492,11 @@ impl BufferMechanism for FlowGranularityBuffer {
         self.pressured = on;
     }
 
-    fn set_rerequest_enabled(&mut self, on: bool) {
-        self.rerequest_enabled = on;
-    }
-
-    fn set_ttl_gc_enabled(&mut self, on: bool) {
-        self.ttl_gc_enabled = on;
-    }
-
-    fn set_epoch(&mut self, epoch: u32) {
-        self.epoch = epoch;
-    }
-
     fn reconcile_epoch(&mut self, now: Nanos, epoch: u32) -> Vec<BufferId> {
         self.epoch = epoch;
-        if !self.epoch_guard_enabled {
-            // Sabotage: surviving flows keep their dead-epoch ids and the
-            // ordinary lines-12–13 re-request loop keeps announcing them.
+        if self.sabotage.broken_epoch {
+            // Surviving flows keep their dead-epoch ids and the ordinary
+            // lines-12–13 re-request loop keeps announcing them.
             return Vec::new();
         }
         let mut raws: Vec<u32> = self.by_id.keys().copied().collect();
@@ -587,45 +504,28 @@ impl BufferMechanism for FlowGranularityBuffer {
         let mut out = Vec::with_capacity(raws.len());
         for raw in raws {
             let key = self.by_id[&raw];
-            // The restarted controller has never ignored these flows:
-            // retry budgets reset and the re-request schedule restarts
-            // from `now` (the paced re-announce itself is the switch's
-            // job, via `rerequest_for`).
-            let interval = self.policy.interval_after(self.timeout, 0);
-            let jitter = self.jitter();
-            let q = self
-                .flows
-                .get_mut(&key)
-                .expect("by_id and flows maps stay consistent");
-            let old_due = q.next_due;
+            let q = self.flows.get_mut(&key).expect("listed flow exists");
             q.buffer_id = q.buffer_id.with_epoch(epoch);
             for p in &mut q.packets {
                 p.buffer_id = p.buffer_id.with_epoch(epoch);
             }
-            q.retries = 0;
-            q.last_request_at = now;
-            q.next_due = now + interval + jitter;
-            self.request_deadlines.remove(&(old_due, key));
-            self.request_deadlines.insert((q.next_due, key));
             out.push(q.buffer_id);
+            // The restarted controller has never ignored these flows:
+            // retry budgets reset and the re-request schedule restarts
+            // from `now` (the paced re-announce itself is the switch's
+            // job, via `rerequest_for`).
+            self.arm_request(key, now, 0);
         }
         out
     }
 
     fn rerequest_for(&self, buffer_id: BufferId) -> Option<Rerequest> {
         let key = self.by_id.get(&buffer_id.as_u32())?;
-        let q = &self.flows[key];
-        let first = q.packets.front()?;
-        Some(Rerequest {
-            buffer_id: q.buffer_id,
-            // A borrowed view: the flow keeps its pool reference.
-            packet: first.packet,
-            in_port: first.in_port,
-        })
+        Some(self.flows[key].head())
     }
 
-    fn set_epoch_guard_enabled(&mut self, on: bool) {
-        self.epoch_guard_enabled = on;
+    fn sabotage(&mut self, sabotage: Sabotage) {
+        self.sabotage = sabotage;
     }
 }
 
@@ -761,7 +661,10 @@ mod tests {
         let mut b = mk();
         let mut pool = PacketPool::new();
         b.on_miss(Nanos::ZERO, pool.insert(pkt(1, 100)), PortNo(1), &pool);
-        assert!(b.release(Nanos::ZERO, BufferId::new(42)).is_empty());
+        assert_eq!(
+            b.release_into(Nanos::ZERO, BufferId::new(42), &mut Vec::new()),
+            Err(Refusal::Unknown)
+        );
         assert_eq!(b.occupancy(), 1);
         assert_eq!(b.stats().invalid_releases, 1);
     }
@@ -790,7 +693,12 @@ mod tests {
         assert_ne!(fresh.generation(), stale.generation());
         // A duplicated/stale packet_out carrying the old generation must
         // not drain the recycled slot.
-        assert!(b.release(Nanos::from_micros(3), stale).is_empty());
+        let mut out = Vec::new();
+        assert_eq!(
+            b.release_into(Nanos::from_micros(3), stale, &mut out),
+            Err(Refusal::StaleGeneration)
+        );
+        assert!(out.is_empty());
         assert_eq!(b.stats().invalid_releases, 1);
         assert_eq!(b.stats().stale_releases, 1);
         assert_eq!(b.occupancy(), 1, "the new occupant survives");
@@ -1034,12 +942,12 @@ mod tests {
         let mut b = FlowGranularityBuffer::new(16, Nanos::from_millis(100))
             .with_ttl(Nanos::from_millis(10));
         let mut pool = PacketPool::new();
-        b.set_ttl_gc_enabled(false);
+        b.sabotage(Sabotage::no_ttl_gc());
         b.on_miss(Nanos::ZERO, pool.insert(pkt(1, 100)), PortNo(1), &pool);
         let sweep = b.poll_timeouts(Nanos::from_millis(50), &pool);
         assert!(sweep.expired.is_empty(), "sabotaged GC must not collect");
         assert_eq!(b.occupancy(), 1);
-        b.set_ttl_gc_enabled(true);
+        b.sabotage(Sabotage::none());
         assert_eq!(
             b.poll_timeouts(Nanos::from_millis(50), &pool).expired.len(),
             1
@@ -1133,7 +1041,7 @@ mod tests {
     fn disabled_rerequest_silences_algorithm_1_lines_12_13() {
         let mut b = FlowGranularityBuffer::new(16, Nanos::from_millis(10));
         let mut pool = PacketPool::new();
-        b.set_rerequest_enabled(false);
+        b.sabotage(Sabotage::from(false));
         b.on_miss(Nanos::ZERO, pool.insert(pkt(1, 100)), PortNo(1), &pool);
         // Far past the timeout: a healthy mechanism would re-request here.
         assert!(matches!(
@@ -1149,7 +1057,7 @@ mod tests {
         assert!(b.poll_timeouts(Nanos::from_secs(1), &pool).is_empty());
         assert_eq!(b.stats().rerequests, 0);
         // Re-enabling restores the guard.
-        b.set_rerequest_enabled(true);
+        b.sabotage(Sabotage::none());
         assert_eq!(
             b.poll_timeouts(Nanos::from_secs(1), &pool).rerequests.len(),
             1
@@ -1205,7 +1113,7 @@ mod tests {
     fn stale_epoch_release_is_rejected_only_while_armed() {
         let mut b = mk();
         let mut pool = PacketPool::new();
-        b.set_epoch(1);
+        assert!(b.reconcile_epoch(Nanos::ZERO, 1).is_empty(), "arming");
         let old = match b.on_miss(Nanos::ZERO, pool.insert(pkt(1, 100)), PortNo(1), &pool) {
             MissAction::SendBufferedPacketIn { buffer_id } => buffer_id,
             _ => panic!(),
@@ -1217,12 +1125,20 @@ mod tests {
         assert_eq!(survivors[0].as_u32(), old.as_u32());
         assert_eq!(survivors[0].epoch(), 2);
         // A packet_out minted under the dead epoch must not drain.
-        assert!(b.release(Nanos::from_millis(2), old).is_empty());
+        let mut out = Vec::new();
+        assert_eq!(
+            b.release_into(Nanos::from_millis(2), old, &mut out),
+            Err(Refusal::StaleEpoch)
+        );
+        assert!(out.is_empty());
         assert_eq!(b.stats().stale_epoch_releases, 1);
         assert_eq!(b.stats().invalid_releases, 1);
         assert_eq!(b.occupancy(), 1);
         // Untagged (wire) and current-epoch releases still drain.
-        assert_eq!(b.release(Nanos::from_millis(3), survivors[0]).len(), 1);
+        assert_eq!(
+            b.release_into(Nanos::from_millis(3), survivors[0], &mut out),
+            Ok(1)
+        );
         assert_eq!(b.stats().stale_epoch_releases, 1);
     }
 
@@ -1234,7 +1150,7 @@ mod tests {
                 ..RetryPolicy::fixed()
             });
         let mut pool = PacketPool::new();
-        b.set_epoch(1);
+        assert!(b.reconcile_epoch(Nanos::ZERO, 1).is_empty(), "arming");
         b.on_miss(Nanos::ZERO, pool.insert(pkt(1, 100)), PortNo(1), &pool);
         b.on_miss(Nanos::ZERO, pool.insert(pkt(2, 100)), PortNo(1), &pool);
         // Spend both flows' whole retry budget.
@@ -1268,7 +1184,7 @@ mod tests {
     fn rerequest_for_peeks_without_draining() {
         let mut b = mk();
         let mut pool = PacketPool::new();
-        b.set_epoch(1);
+        assert!(b.reconcile_epoch(Nanos::ZERO, 1).is_empty(), "arming");
         let id = match b.on_miss(Nanos::ZERO, pool.insert(pkt(1, 100)), PortNo(7), &pool) {
             MissAction::SendBufferedPacketIn { buffer_id } => buffer_id,
             _ => panic!(),
@@ -1285,8 +1201,8 @@ mod tests {
     fn disabled_epoch_guard_keeps_dead_epoch_ids_alive() {
         let mut b = mk();
         let mut pool = PacketPool::new();
-        b.set_epoch(1);
-        b.set_epoch_guard_enabled(false);
+        b.sabotage(Sabotage::no_epoch_guard());
+        assert!(b.reconcile_epoch(Nanos::ZERO, 1).is_empty(), "arming");
         let old = match b.on_miss(Nanos::ZERO, pool.insert(pkt(1, 100)), PortNo(1), &pool) {
             MissAction::SendBufferedPacketIn { buffer_id } => buffer_id,
             _ => panic!(),

@@ -68,7 +68,9 @@ mod retry;
 pub use flow_gran::FlowGranularityBuffer;
 pub use mechanism::{
     BufferMechanism, BufferStats, BufferedPacket, MissAction, PacketHandle, PacketPool, Rerequest,
+    Sabotage,
 };
 pub use none::NoBuffer;
 pub use packet_gran::PacketGranularityBuffer;
 pub use retry::{GaveUpFlow, GiveUp, RetryPolicy, TimeoutSweep};
+pub use sdnbuf_openflow::Refusal;

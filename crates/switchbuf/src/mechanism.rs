@@ -2,7 +2,7 @@
 
 use crate::TimeoutSweep;
 use sdnbuf_net::Packet;
-use sdnbuf_openflow::{BufferId, PortNo};
+use sdnbuf_openflow::{BufferId, PortNo, Refusal};
 use sdnbuf_sim::{Nanos, Pool, PoolHandle, Tracer};
 
 /// The shared slab pool packet payloads live in while they traverse the
@@ -102,6 +102,95 @@ pub struct BufferStats {
     pub peak_occupancy: usize,
 }
 
+impl BufferStats {
+    /// Accounts one refused `packet_out` and hands the refusal back, so a
+    /// mechanism can `return Err(self.stats.count(..))`.
+    pub(crate) fn count(&mut self, refusal: Refusal) -> Refusal {
+        self.invalid_releases += 1;
+        match refusal {
+            Refusal::Unknown => {}
+            Refusal::StaleGeneration => self.stale_releases += 1,
+            Refusal::StaleEpoch => self.stale_epoch_releases += 1,
+        }
+        refusal
+    }
+}
+
+/// Advances an allocation counter to the next generation tag: a wrapping
+/// `u32` that skips `0`, the untagged sentinel (the wrap contract in
+/// [`BufferId`]'s docs).
+pub(crate) fn next_generation(seq: &mut u32) -> u32 {
+    *seq = match seq.wrapping_add(1) {
+        0 => 1,
+        next => next,
+    };
+    *seq
+}
+
+/// Which parts of the mechanism a self-test run cripples on purpose, so
+/// the chaos harness can prove its invariants have teeth
+/// ([`BufferMechanism::sabotage`]).
+///
+/// `From<bool>` keeps the historical call shape alive:
+/// `run_scenario(&s, true)` is "nothing sabotaged" and
+/// `run_scenario(&s, false)` disables Algorithm 1's re-request loop.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Sabotage {
+    /// Disable Algorithm 1's re-request lines 12–13 (the original
+    /// `--broken`): the eventual-delivery invariant must catch it.
+    pub disable_rerequest: bool,
+    /// Disable the TTL garbage collector while leaving the configured TTL
+    /// in place (`--broken-ttl`): stranded entries leak, which the
+    /// buffered-conservation invariant must catch.
+    pub disable_ttl_gc: bool,
+    /// Disable the epoch guard (`--broken-epoch`): entries are neither
+    /// re-tagged nor re-announced across a session epoch bump, and
+    /// stale-epoch releases sail through — the no-cross-epoch-drain
+    /// invariant must catch the resulting drains.
+    pub broken_epoch: bool,
+}
+
+impl Sabotage {
+    /// Nothing crippled.
+    pub fn none() -> Sabotage {
+        Sabotage::default()
+    }
+
+    /// Only the TTL garbage collector disabled.
+    pub fn no_ttl_gc() -> Sabotage {
+        Sabotage {
+            disable_ttl_gc: true,
+            ..Sabotage::default()
+        }
+    }
+
+    /// Only the epoch guard disabled.
+    pub fn no_epoch_guard() -> Sabotage {
+        Sabotage {
+            broken_epoch: true,
+            ..Sabotage::default()
+        }
+    }
+
+    /// [`BufferId::admits`] as a mechanism crippled this way applies it:
+    /// with the epoch guard broken, a dead-epoch release sails through.
+    pub(crate) fn admit(self, stored: BufferId, presented: BufferId) -> Result<(), Refusal> {
+        match stored.admits(presented) {
+            Err(Refusal::StaleEpoch) if self.broken_epoch => Ok(()),
+            verdict => verdict,
+        }
+    }
+}
+
+impl From<bool> for Sabotage {
+    fn from(rerequest_enabled: bool) -> Sabotage {
+        Sabotage {
+            disable_rerequest: !rerequest_enabled,
+            ..Sabotage::default()
+        }
+    }
+}
+
 /// A switch packet-buffer mechanism.
 ///
 /// The switch's slow path calls [`BufferMechanism::on_miss`] for every
@@ -136,16 +225,23 @@ pub trait BufferMechanism {
 
     /// Releases the packet(s) filed under `buffer_id` for a `packet_out`:
     /// pushes them onto `out` in FIFO order (the caller inherits their pool
-    /// references); pushes nothing when the id is unknown (the `packet_out`
-    /// then applies to nothing, per the OpenFlow spec). `out` is the
-    /// caller's: whatever it already holds stays, and a caller that keeps
-    /// it across calls pays for its storage once.
-    fn release_into(&mut self, now: Nanos, buffer_id: BufferId, out: &mut Vec<BufferedPacket>);
+    /// references) and returns how many that was. A refused release — the
+    /// id is unknown, or [`BufferId::admits`] rejects its tags — pushes
+    /// nothing, is counted in [`BufferStats`] and says why (the
+    /// `packet_out` then applies to nothing, per the OpenFlow spec). `out`
+    /// is the caller's: whatever it already holds stays, and a caller that
+    /// keeps it across calls pays for its storage once.
+    fn release_into(
+        &mut self,
+        now: Nanos,
+        buffer_id: BufferId,
+        out: &mut Vec<BufferedPacket>,
+    ) -> Result<usize, Refusal>;
 
-    /// [`BufferMechanism::release_into`] a fresh `Vec`.
+    /// [`BufferMechanism::release_into`] a fresh `Vec`, empty on a refusal.
     fn release(&mut self, now: Nanos, buffer_id: BufferId) -> Vec<BufferedPacket> {
         let mut out = Vec::new();
-        self.release_into(now, buffer_id, &mut out);
+        let _ = self.release_into(now, buffer_id, &mut out);
         out
     }
 
@@ -181,34 +277,22 @@ pub trait BufferMechanism {
     /// packets are unaffected. Mechanisms without buffer memory ignore it.
     fn set_pressure(&mut self, _on: bool) {}
 
-    /// Enables or disables timeout-driven re-requests (fault injection /
-    /// chaos harness: a mechanism with re-requests disabled is Algorithm 1
-    /// without lines 12–13, which the eventual-delivery invariant must
-    /// catch). Mechanisms that never re-request ignore it.
-    fn set_rerequest_enabled(&mut self, _on: bool) {}
-
-    /// Enables or disables the TTL garbage collector (chaos harness
-    /// sabotage: a mechanism with a TTL configured but GC disabled must be
-    /// caught by the buffered-conservation invariant). Mechanisms without
-    /// a TTL ignore it.
-    fn set_ttl_gc_enabled(&mut self, _on: bool) {}
-
-    /// Arms the crash plane: subsequently allocated buffer ids are stamped
-    /// with `epoch` ([`BufferId::with_epoch`]) and releases minted under a
-    /// *different* non-zero epoch are rejected (`stale_epoch_releases`).
-    /// Epoch `0` (the default) leaves the plane unarmed — no stamping, no
-    /// rejection — so runs without crash faults are byte-identical to the
-    /// pre-epoch behavior. Mechanisms without buffer memory ignore it.
-    fn set_epoch(&mut self, _epoch: u32) {}
-    /// Migrates every surviving buffered entry to `epoch` after a
-    /// controller restart/failover: re-tags the entries, resets their
-    /// retry budgets (the new controller has never ignored them), and
-    /// returns the ids to re-announce in deterministic (ascending raw id)
-    /// order so the switch can pace the re-request storm. Mechanisms
-    /// without buffer memory return nothing.
+    /// Moves the mechanism to session `epoch` — the one way an epoch
+    /// changes. Subsequently allocated ids are stamped with it
+    /// ([`BufferId::with_epoch`]) and releases minted under a *different*
+    /// non-zero epoch are refused ([`Refusal::StaleEpoch`]); every
+    /// surviving entry is re-tagged and its retry budget reset (the new
+    /// controller has never ignored it), and their ids come back in
+    /// ascending raw-id order so the switch can pace the re-announce
+    /// storm. Arming the crash plane is a reconcile to epoch `1` on the
+    /// still-empty buffer. Epoch `0` (the default) leaves the plane
+    /// unarmed — no stamping, no refusal — so runs without crash faults
+    /// are byte-identical to the pre-epoch behavior. Mechanisms without
+    /// buffer memory return nothing.
     fn reconcile_epoch(&mut self, _now: Nanos, _epoch: u32) -> Vec<BufferId> {
         Vec::new()
     }
+
     /// A borrowed re-announce view of the flow filed under `buffer_id`,
     /// used by the switch's paced post-restart reconciliation (the entry
     /// may have expired or drained since `reconcile_epoch` listed it —
@@ -217,10 +301,11 @@ pub trait BufferMechanism {
     fn rerequest_for(&self, _buffer_id: BufferId) -> Option<Rerequest> {
         None
     }
-    /// Disables the epoch guard (chaos harness sabotage: a mechanism that
-    /// keeps honoring dead-epoch ids and re-announces surviving flows
-    /// under them must be caught by the no-cross-epoch-drain invariant).
-    fn set_epoch_guard_enabled(&mut self, _on: bool) {}
+
+    /// Cripples the parts of the mechanism `sabotage` names, replacing
+    /// whatever was crippled before (chaos self-test only). Mechanisms
+    /// with nothing to cripple ignore it.
+    fn sabotage(&mut self, _sabotage: Sabotage) {}
 }
 
 #[cfg(test)]
@@ -243,6 +328,35 @@ mod tests {
         let s = BufferStats::default();
         assert_eq!(s.buffered, 0);
         assert_eq!(s.peak_occupancy, 0);
+    }
+
+    #[test]
+    fn count_files_every_refusal_under_invalid_releases() {
+        let mut s = BufferStats::default();
+        s.count(Refusal::Unknown);
+        s.count(Refusal::StaleGeneration);
+        s.count(Refusal::StaleEpoch);
+        assert_eq!(
+            (s.invalid_releases, s.stale_releases, s.stale_epoch_releases),
+            (3, 1, 1)
+        );
+    }
+
+    #[test]
+    fn generation_counter_wraps_past_the_untagged_zero() {
+        let mut seq = 0;
+        assert_eq!(next_generation(&mut seq), 1);
+        seq = u32::MAX - 1;
+        assert_eq!(next_generation(&mut seq), u32::MAX);
+        assert_eq!(next_generation(&mut seq), 1);
+    }
+
+    #[test]
+    fn sabotage_shorthands_set_one_flag_each() {
+        assert_eq!(Sabotage::from(true), Sabotage::none());
+        assert!(Sabotage::from(false).disable_rerequest);
+        assert!(Sabotage::no_ttl_gc().disable_ttl_gc);
+        assert!(Sabotage::no_epoch_guard().broken_epoch);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::{
     BufferMechanism, BufferStats, BufferedPacket, MissAction, PacketHandle, PacketPool,
     TimeoutSweep,
 };
-use sdnbuf_openflow::{BufferId, PortNo};
+use sdnbuf_openflow::{BufferId, PortNo, Refusal};
 use sdnbuf_sim::Nanos;
 
 /// No buffering: every miss-match packet travels, in full, inside its
@@ -56,8 +56,13 @@ impl BufferMechanism for NoBuffer {
         MissAction::SendFullPacketIn
     }
 
-    fn release_into(&mut self, _now: Nanos, _buffer_id: BufferId, _out: &mut Vec<BufferedPacket>) {
-        self.stats.invalid_releases += 1;
+    fn release_into(
+        &mut self,
+        _now: Nanos,
+        _buffer_id: BufferId,
+        _out: &mut Vec<BufferedPacket>,
+    ) -> Result<usize, Refusal> {
+        Err(self.stats.count(Refusal::Unknown))
     }
 
     fn next_timeout(&self) -> Option<Nanos> {

@@ -1,10 +1,11 @@
 //! The packet-granularity buffer: OpenFlow's default buffer mechanism.
 
+use crate::mechanism::next_generation;
 use crate::{
     BufferMechanism, BufferStats, BufferedPacket, MissAction, PacketHandle, PacketPool, Rerequest,
-    TimeoutSweep,
+    Sabotage, TimeoutSweep,
 };
-use sdnbuf_openflow::{BufferId, PortNo};
+use sdnbuf_openflow::{BufferId, PortNo, Refusal};
 use sdnbuf_sim::{EventKind, FastHashMap, Nanos, Tracer};
 use std::collections::VecDeque;
 
@@ -54,14 +55,13 @@ pub struct PacketGranularityBuffer {
     /// Fault injection: while on, new misses are refused as if every unit
     /// were occupied.
     pressured: bool,
-    /// Fault injection: when off, the TTL sweep never collects.
-    ttl_gc_enabled: bool,
     /// Session epoch stamped onto new allocations; `0` = crash plane
     /// unarmed.
     epoch: u32,
-    /// Fault injection: when off, dead-epoch releases keep draining and
+    /// Chaos self-test: with `disable_ttl_gc` the TTL sweep never
+    /// collects; with `broken_epoch` dead-epoch releases keep draining and
     /// reconciliation migrates nothing.
-    epoch_guard_enabled: bool,
+    sabotage: Sabotage,
 }
 
 impl PacketGranularityBuffer {
@@ -97,9 +97,8 @@ impl PacketGranularityBuffer {
             stats: BufferStats::default(),
             tracer: Tracer::off(),
             pressured: false,
-            ttl_gc_enabled: true,
             epoch: 0,
-            epoch_guard_enabled: true,
+            sabotage: Sabotage::none(),
         }
     }
 
@@ -126,11 +125,8 @@ impl PacketGranularityBuffer {
             let candidate = self.next_id;
             self.next_id = self.next_id.wrapping_add(1);
             if candidate != BufferId::NO_BUFFER.as_u32() && !self.units.contains_key(&candidate) {
-                self.gen_seq = self.gen_seq.wrapping_add(1);
-                if self.gen_seq == 0 {
-                    self.gen_seq = 1;
-                }
-                return BufferId::tagged(candidate, self.gen_seq).with_epoch(self.epoch);
+                let generation = next_generation(&mut self.gen_seq);
+                return BufferId::tagged(candidate, generation).with_epoch(self.epoch);
             }
         }
     }
@@ -149,14 +145,11 @@ impl BufferMechanism for PacketGranularityBuffer {
         _pool: &PacketPool,
     ) -> MissAction {
         self.reclaim(now);
-        if self.pressured || self.units.len() + self.pending_free.len() >= self.capacity {
+        if self.pressured || self.occupancy() >= self.capacity {
             self.stats.fallback_full += 1;
-            self.tracer.emit(
-                now,
-                EventKind::BufferFallback {
-                    occupancy: self.units.len() + self.pending_free.len(),
-                },
-            );
+            let occupancy = self.occupancy();
+            self.tracer
+                .emit(now, EventKind::BufferFallback { occupancy });
             return MissAction::SendFullPacketIn;
         }
         let buffer_id = self.alloc_id();
@@ -170,61 +163,42 @@ impl BufferMechanism for PacketGranularityBuffer {
             },
         );
         self.stats.buffered += 1;
-        self.stats.peak_occupancy = self
-            .stats
-            .peak_occupancy
-            .max(self.units.len() + self.pending_free.len());
+        self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.occupancy());
         self.tracer.emit(
             now,
             EventKind::BufferEnqueue {
                 buffer_id: buffer_id.as_u32(),
-                occupancy: self.units.len() + self.pending_free.len(),
+                occupancy: self.occupancy(),
                 fresh: true,
             },
         );
         MissAction::SendBufferedPacketIn { buffer_id }
     }
 
-    fn release_into(&mut self, now: Nanos, buffer_id: BufferId, out: &mut Vec<BufferedPacket>) {
+    fn release_into(
+        &mut self,
+        now: Nanos,
+        buffer_id: BufferId,
+        out: &mut Vec<BufferedPacket>,
+    ) -> Result<usize, Refusal> {
         self.reclaim(now);
-        // ABA safety: a generation-tagged release must match the current
-        // occupant's generation; untagged (generation 0) releases keep the
-        // raw-wire-id semantics.
-        if buffer_id.generation() != 0 {
-            if let Some(p) = self.units.get(&buffer_id.as_u32()) {
-                if p.buffer_id.generation() != buffer_id.generation() {
-                    self.stats.invalid_releases += 1;
-                    self.stats.stale_releases += 1;
-                    return;
-                }
-            }
+        let Some(stored) = self.units.get(&buffer_id.as_u32()).map(|p| p.buffer_id) else {
+            return Err(self.stats.count(Refusal::Unknown));
+        };
+        self.sabotage
+            .admit(stored, buffer_id)
+            .map_err(|refusal| self.stats.count(refusal))?;
+        out.extend(self.units.remove(&buffer_id.as_u32()));
+        self.stats.released += 1;
+        if self.free_lag > Nanos::ZERO {
+            self.pending_free.push_back(now + self.free_lag);
         }
-        // Crash safety: a release minted under a dead session epoch must
-        // not drain state the restarted controller has no knowledge of.
-        if self.epoch_guard_enabled && buffer_id.epoch() != 0 {
-            if let Some(p) = self.units.get(&buffer_id.as_u32()) {
-                if p.buffer_id.epoch() != 0 && p.buffer_id.epoch() != buffer_id.epoch() {
-                    self.stats.invalid_releases += 1;
-                    self.stats.stale_epoch_releases += 1;
-                    return;
-                }
-            }
-        }
-        match self.units.remove(&buffer_id.as_u32()) {
-            Some(p) => {
-                self.stats.released += 1;
-                if self.free_lag > Nanos::ZERO {
-                    self.pending_free.push_back(now + self.free_lag);
-                }
-                out.push(p);
-            }
-            None => self.stats.invalid_releases += 1,
-        }
+        Ok(1)
     }
 
     fn next_timeout(&self) -> Option<Nanos> {
         let ttl = self.ttl?;
-        if !self.ttl_gc_enabled {
+        if self.sabotage.disable_ttl_gc {
             return None;
         }
         self.units.values().map(|p| p.buffered_at + ttl).min()
@@ -233,7 +207,7 @@ impl BufferMechanism for PacketGranularityBuffer {
     fn poll_timeouts(&mut self, now: Nanos, pool: &PacketPool) -> TimeoutSweep {
         let mut sweep = TimeoutSweep::default();
         let Some(ttl) = self.ttl else { return sweep };
-        if !self.ttl_gc_enabled {
+        if self.sabotage.disable_ttl_gc {
             return sweep;
         }
         // Capacity is small (the paper evaluates 16 and 256), so an O(n)
@@ -254,7 +228,7 @@ impl BufferMechanism for PacketGranularityBuffer {
                 now,
                 EventKind::BufferExpire {
                     buffer_id: id,
-                    occupancy: self.units.len() + self.pending_free.len(),
+                    occupancy: self.occupancy(),
                 },
             );
             sweep.expired.push(p);
@@ -284,19 +258,9 @@ impl BufferMechanism for PacketGranularityBuffer {
         self.pressured = on;
     }
 
-    fn set_rerequest_enabled(&mut self, _on: bool) {}
-
-    fn set_ttl_gc_enabled(&mut self, on: bool) {
-        self.ttl_gc_enabled = on;
-    }
-
-    fn set_epoch(&mut self, epoch: u32) {
-        self.epoch = epoch;
-    }
-
     fn reconcile_epoch(&mut self, _now: Nanos, epoch: u32) -> Vec<BufferId> {
         self.epoch = epoch;
-        if !self.epoch_guard_enabled {
+        if self.sabotage.broken_epoch {
             return Vec::new();
         }
         // Every occupied unit migrates: each holds exactly one packet the
@@ -323,8 +287,8 @@ impl BufferMechanism for PacketGranularityBuffer {
         })
     }
 
-    fn set_epoch_guard_enabled(&mut self, on: bool) {
-        self.epoch_guard_enabled = on;
+    fn sabotage(&mut self, sabotage: Sabotage) {
+        self.sabotage = sabotage;
     }
 }
 
@@ -393,7 +357,10 @@ mod tests {
         assert_eq!(out[0].buffer_id, id);
         assert_eq!(b.occupancy(), 0);
         // Second release of the same id is a no-op.
-        assert!(b.release(Nanos::from_micros(10), id).is_empty());
+        assert_eq!(
+            b.release_into(Nanos::from_micros(10), id, &mut Vec::new()),
+            Err(Refusal::Unknown)
+        );
         assert_eq!(b.stats().invalid_releases, 1);
     }
 
@@ -535,12 +502,12 @@ mod tests {
     fn disabled_ttl_gc_leaks_units() {
         let mut b = PacketGranularityBuffer::new(4).with_ttl(Nanos::from_millis(10));
         let mut pool = PacketPool::new();
-        b.set_ttl_gc_enabled(false);
+        b.sabotage(Sabotage::no_ttl_gc());
         b.on_miss(Nanos::ZERO, pool.insert(pkt(1)), PortNo(1), &pool);
         assert_eq!(b.next_timeout(), None, "sabotaged GC schedules nothing");
         assert!(b.poll_timeouts(Nanos::from_secs(1), &pool).is_empty());
         assert_eq!(b.occupancy(), 1);
-        b.set_ttl_gc_enabled(true);
+        b.sabotage(Sabotage::none());
         assert_eq!(b.poll_timeouts(Nanos::from_secs(1), &pool).expired.len(), 1);
     }
 
@@ -563,7 +530,12 @@ mod tests {
             other => panic!("{other:?}"),
         };
         let forged = BufferId::tagged(fresh.as_u32(), stale.generation());
-        assert!(b.release(Nanos::from_micros(3), forged).is_empty());
+        let mut out = Vec::new();
+        assert_eq!(
+            b.release_into(Nanos::from_micros(3), forged, &mut out),
+            Err(Refusal::StaleGeneration)
+        );
+        assert!(out.is_empty());
         assert_eq!(b.stats().stale_releases, 1);
         assert_eq!(b.occupancy(), 1, "the current occupant survives");
         // Untagged raw-wire release still drains it.
@@ -575,7 +547,7 @@ mod tests {
     fn stale_epoch_release_is_rejected_and_reconcile_migrates_units() {
         let mut b = PacketGranularityBuffer::new(4);
         let mut pool = PacketPool::new();
-        b.set_epoch(1);
+        assert!(b.reconcile_epoch(Nanos::ZERO, 1).is_empty(), "arming");
         let a = match b.on_miss(Nanos::ZERO, pool.insert(pkt(1)), PortNo(1), &pool) {
             MissAction::SendBufferedPacketIn { buffer_id } => buffer_id,
             other => panic!("{other:?}"),
@@ -589,18 +561,26 @@ mod tests {
         assert_eq!(survivors.len(), 2);
         assert!(survivors.windows(2).all(|w| w[0].as_u32() < w[1].as_u32()));
         assert!(survivors.iter().all(|id| id.epoch() == 2));
-        // Dead-epoch packet_outs are rejected; current-epoch ones drain.
-        assert!(b.release(Nanos::from_millis(2), a).is_empty());
+        // Dead-epoch packet_outs are refused; current-epoch ones drain.
+        let mut out = Vec::new();
+        assert_eq!(
+            b.release_into(Nanos::from_millis(2), a, &mut out),
+            Err(Refusal::StaleEpoch)
+        );
+        assert!(out.is_empty());
         assert_eq!(b.stats().stale_epoch_releases, 1);
         assert_eq!(b.occupancy(), 2);
-        assert_eq!(b.release(Nanos::from_millis(3), survivors[0]).len(), 1);
+        assert_eq!(
+            b.release_into(Nanos::from_millis(3), survivors[0], &mut out),
+            Ok(1)
+        );
         // The paced re-announce peek borrows without draining.
         let zid = BufferId::from_wire(z.as_u32());
         let r = b.rerequest_for(zid).expect("unit is live");
         assert_eq!(r.buffer_id.epoch(), 2);
         assert_eq!(b.occupancy(), 1);
         // Sabotage: with the guard off the dead-epoch id drains after all.
-        b.set_epoch_guard_enabled(false);
+        b.sabotage(Sabotage::no_epoch_guard());
         assert_eq!(b.release(Nanos::from_millis(4), z).len(), 1);
         assert_eq!(b.stats().stale_epoch_releases, 1);
     }

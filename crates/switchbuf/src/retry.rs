@@ -21,7 +21,10 @@
 //! budget.
 
 use sdnbuf_openflow::BufferId;
+use sdnbuf_sim::faults::{fmt_dur, parse_dur};
 use sdnbuf_sim::Nanos;
+use std::fmt;
+use std::str::FromStr;
 
 use crate::BufferedPacket;
 
@@ -39,16 +42,26 @@ pub enum GiveUp {
 }
 
 impl GiveUp {
-    /// A short label ("drain" / "drop") used in events and spec strings.
+    /// A short label ("drain" / "drop") used in events and spec strings;
+    /// also the `Display` form, which `FromStr` parses back.
     pub fn label(self) -> &'static str {
         match self {
             GiveUp::DrainAsFullPacketIn => "drain",
             GiveUp::Drop => "drop",
         }
     }
+}
 
-    /// Parses a [`GiveUp::label`] back.
-    pub fn parse(s: &str) -> Result<GiveUp, String> {
+impl fmt::Display for GiveUp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+impl FromStr for GiveUp {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<GiveUp, String> {
         match s {
             "drain" => Ok(GiveUp::DrainAsFullPacketIn),
             "drop" => Ok(GiveUp::Drop),
@@ -126,21 +139,18 @@ impl RetryPolicy {
     /// non-decreasing in `retries`, never below `base`, never above `cap`
     /// (when capped).
     pub fn interval_after(&self, base: Nanos, retries: u32) -> Nanos {
-        let mut d = base.as_nanos();
+        let base = base.as_nanos();
+        let ceiling = match self.cap.as_nanos() {
+            0 => u64::MAX,
+            cap => cap.max(base),
+        };
+        let mut d = base;
         if self.multiplier > 1 {
-            let capped = |v: u64| {
-                if self.cap > Nanos::ZERO {
-                    v.min(self.cap.as_nanos().max(base.as_nanos()))
-                } else {
-                    v
-                }
-            };
             for _ in 0..retries {
-                let next = d.saturating_mul(self.multiplier as u64);
-                d = capped(next);
-                if self.cap > Nanos::ZERO && d >= self.cap.as_nanos().max(base.as_nanos()) {
+                if d >= ceiling {
                     break;
                 }
+                d = d.saturating_mul(u64::from(self.multiplier)).min(ceiling);
             }
         }
         Nanos::from_nanos(d)
@@ -158,6 +168,57 @@ impl RetryPolicy {
             return Err("retry multiplier must be at least 1".to_owned());
         }
         Ok(())
+    }
+}
+
+/// The canonical form, every field spelled out:
+/// `<multiplier>:<cap>:<jitter>:<budget>:<drain|drop>:<jitter-seed>`.
+impl fmt::Display for RetryPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (cap, jitter) = (fmt_dur(self.cap), fmt_dur(self.jitter));
+        let (mult, budget, give_up, seed) = (self.multiplier, self.budget, self.give_up, self.seed);
+        write!(f, "{mult}:{cap}:{jitter}:{budget}:{give_up}:{seed}")
+    }
+}
+
+/// Parses the canonical six-field form `Display` prints, or the shorthand
+/// `fixed | backoff[:<cap>[:<budget>[:drain|drop]]]` (a doubling backoff,
+/// cap 400 ms and no budget unless given). The two cannot collide: the
+/// canonical form starts with a digit.
+impl FromStr for RetryPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<RetryPolicy, String> {
+        let fields: Vec<&str> = s.split(':').collect();
+        let number = |what: &str, v: &str| format!("bad retry {what} '{v}'");
+        match fields[..] {
+            ["fixed"] => Ok(RetryPolicy::fixed()),
+            ["backoff", ref knobs @ ..] if knobs.len() <= 3 => {
+                let mut policy = RetryPolicy::backoff(Nanos::from_millis(400), 0);
+                if let Some(cap) = knobs.first() {
+                    policy.cap = parse_dur(cap)?;
+                }
+                if let Some(budget) = knobs.get(1) {
+                    policy.budget = budget.parse().map_err(|_| number("budget", budget))?;
+                }
+                if let Some(give_up) = knobs.get(2) {
+                    policy.give_up = give_up.parse()?;
+                }
+                Ok(policy)
+            }
+            [mult, cap, jitter, budget, give_up, seed] => Ok(RetryPolicy {
+                multiplier: mult.parse().map_err(|_| number("multiplier", mult))?,
+                cap: parse_dur(cap)?,
+                jitter: parse_dur(jitter)?,
+                budget: budget.parse().map_err(|_| number("budget", budget))?,
+                give_up: give_up.parse()?,
+                seed: seed.parse().map_err(|_| number("jitter seed", seed))?,
+            }),
+            _ => Err(format!(
+                "bad retry policy '{s}' (fixed | backoff[:<cap>[:<budget>[:drain|drop]]] | \
+                 <mult>:<cap>:<jitter>:<budget>:<drain|drop>:<seed>)"
+            )),
+        }
     }
 }
 
@@ -268,9 +329,37 @@ mod tests {
     #[test]
     fn giveup_labels_round_trip() {
         for g in [GiveUp::DrainAsFullPacketIn, GiveUp::Drop] {
-            assert_eq!(GiveUp::parse(g.label()).unwrap(), g);
+            assert_eq!(g.to_string().parse::<GiveUp>().unwrap(), g);
         }
-        assert!(GiveUp::parse("shrug").is_err());
+        assert!("shrug".parse::<GiveUp>().is_err());
+    }
+
+    #[test]
+    fn retry_policy_grammar_has_a_canonical_form_and_a_shorthand() {
+        let parse = |s: &str| s.parse::<RetryPolicy>();
+        assert_eq!(parse("fixed"), Ok(RetryPolicy::fixed()));
+        assert_eq!(RetryPolicy::fixed().to_string(), "1:0ms:0ms:0:drain:0");
+        let backoff = |cap, budget| RetryPolicy::backoff(Nanos::from_millis(cap), budget);
+        assert_eq!(parse("backoff"), Ok(backoff(400, 0)));
+        assert_eq!(parse("backoff:200:4"), Ok(backoff(200, 4)));
+        let dropping = RetryPolicy {
+            give_up: GiveUp::Drop,
+            ..backoff(160, 2)
+        };
+        assert_eq!(parse("backoff:160ms:2:drop"), Ok(dropping));
+        assert_eq!(dropping.to_string(), "2:160ms:0ms:2:drop:0");
+        assert_eq!(parse("2:160ms:0ms:2:drop:0"), Ok(dropping));
+        for bad in [
+            "linear",
+            "backoffx",
+            "backoff:200:4:explode",
+            "backoff:200:4:drop:1",
+            "2:160ms:0ms:2:drop",
+            "x:160ms:0ms:2:drop:0",
+            "",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use sdnbuf_openflow::{BufferId, PortNo};
 use sdnbuf_sim::Nanos;
 use sdnbuf_switchbuf::{
     BufferMechanism, FlowGranularityBuffer, MissAction, PacketGranularityBuffer, PacketPool,
-    RetryPolicy, TimeoutSweep,
+    RetryPolicy, Sabotage, TimeoutSweep,
 };
 use std::collections::HashMap;
 
@@ -341,7 +341,7 @@ proptest! {
     #[test]
     fn disabled_rerequest_stays_silent_forever(ops in arb_timed_ops()) {
         let mut mech = FlowGranularityBuffer::new(1024, Nanos::from_millis(5));
-        mech.set_rerequest_enabled(false);
+        mech.sabotage(Sabotage::from(false));
         let mut pool = PacketPool::new();
         let mut now = Nanos::ZERO;
         let mut outstanding: Vec<BufferId> = Vec::new();

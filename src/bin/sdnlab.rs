@@ -28,13 +28,13 @@
 //! fixed seed, at any `--threads` setting.
 
 use sdn_buffer_lab::controller::AdmissionPolicy;
-use sdn_buffer_lab::core::chaos::{self, ChaosScenario, RecoveryKnobs, Sabotage};
+use sdn_buffer_lab::core::chaos::{self, ChaosScenario, RecoveryKnobs, Sabotage, StandbyKnobs};
 use sdn_buffer_lab::core::flightrec::{DumpReason, FlightDump};
 use sdn_buffer_lab::core::validate::{self, Tolerances, ValidateConfig};
 use sdn_buffer_lab::core::{figures, observe, spans, RateSweep, StderrProgress};
 use sdn_buffer_lab::prelude::*;
 use sdn_buffer_lab::sim::faults::parse_dur;
-use sdn_buffer_lab::switchbuf::{GiveUp, RetryPolicy};
+use sdn_buffer_lab::switchbuf::RetryPolicy;
 use std::io::Write as _;
 use std::process::ExitCode;
 
@@ -170,37 +170,10 @@ fn parse_parallelism(s: &str) -> Result<Parallelism, ParseError> {
     }
 }
 
-/// Parses `--retry-policy`: `fixed` or `backoff[:<cap>[:<budget>[:drain|drop]]]`.
+/// Parses `--retry-policy`: [`RetryPolicy`]'s grammar, `fixed` or
+/// `backoff[:<cap>[:<budget>[:drain|drop]]]` for short.
 fn parse_retry_policy(s: &str) -> Result<RetryPolicy, ParseError> {
-    if s == "fixed" {
-        return Ok(RetryPolicy::fixed());
-    }
-    let Some(rest) = s.strip_prefix("backoff") else {
-        return Err(ParseError(format!(
-            "unknown retry policy '{s}' (fixed | backoff[:<cap>[:<budget>[:drain|drop]]])"
-        )));
-    };
-    let mut policy = RetryPolicy::backoff(Nanos::from_millis(400), 0);
-    let mut fields = rest
-        .strip_prefix(':')
-        .map(|r| r.split(':'))
-        .into_iter()
-        .flatten();
-    if let Some(cap) = fields.next() {
-        policy.cap = parse_dur(cap)?;
-    }
-    if let Some(budget) = fields.next() {
-        policy.budget = budget
-            .parse()
-            .map_err(|_| ParseError(format!("bad retry budget in '{s}'")))?;
-    }
-    if let Some(action) = fields.next() {
-        policy.give_up = GiveUp::parse(action)?;
-    }
-    if fields.next().is_some() {
-        return Err(ParseError(format!("too many fields in retry policy '{s}'")));
-    }
-    Ok(policy)
+    Ok(s.parse()?)
 }
 
 /// Parses `--admission`: `<drop-tail|drop-head|prefer-rerequests>:<capacity>`.
@@ -208,12 +181,10 @@ fn parse_admission(s: &str) -> Result<(AdmissionPolicy, usize), ParseError> {
     let (policy, cap) = s
         .split_once(':')
         .ok_or_else(|| ParseError(format!("expected <policy>:<capacity> in '{s}'")))?;
-    let policy = AdmissionPolicy::parse(policy)
-        .ok_or_else(|| ParseError(format!("unknown admission policy '{policy}'")))?;
     let capacity = cap
         .parse()
         .map_err(|_| ParseError(format!("bad admission capacity in '{s}'")))?;
-    Ok((policy, capacity))
+    Ok((policy.parse()?, capacity))
 }
 
 /// The `--threads` flag, falling back to `SDNBUF_THREADS` / auto.
@@ -329,16 +300,10 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
     // warm-standby controller; keepalives (echo probes) drive both the
     // RTT histogram and the switch's liveness detector.
     if let Some(s) = flag(args, "--standby")? {
+        let knobs: StandbyKnobs = s.parse()?;
         config.testbed.failover.standby = true;
-        config.testbed.failover.warm = match s.as_str() {
-            "warm" => true,
-            "cold" => false,
-            other => {
-                return Err(ParseError(format!(
-                    "--standby takes warm|cold, got '{other}'"
-                )))
-            }
-        };
+        config.testbed.failover.warm = knobs.warm;
+        config.testbed.failover.takeover_delay = knobs.takeover_delay;
     }
     if let Some(s) = flag(args, "--takeover-delay")? {
         config.testbed.failover.takeover_delay = parse_dur(&s)?;
@@ -1026,7 +991,7 @@ mod tests {
         let dropping = parse_retry_policy("backoff:160ms:2:drop").unwrap();
         assert_eq!(dropping.cap, Nanos::from_millis(160));
         assert_eq!(dropping.budget, 2);
-        assert_eq!(dropping.give_up, GiveUp::Drop);
+        assert_eq!(dropping.give_up, sdn_buffer_lab::switchbuf::GiveUp::Drop);
         assert!(parse_retry_policy("linear").is_err());
         assert!(parse_retry_policy("backoff:200:4:explode").is_err());
         assert!(parse_retry_policy("backoff:200:4:drop:1").is_err());

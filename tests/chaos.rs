@@ -4,13 +4,14 @@
 //! shrinkable) from a one-line spec.
 
 use proptest::prelude::*;
+use sdn_buffer_lab::controller::AdmissionPolicy;
 use sdn_buffer_lab::core::chaos::{
     check_invariants, execute, flight_dump, minimize, recovery_matrix, run_scenario, ChaosScenario,
     RecoveryKnobs, Sabotage, StandbyKnobs, Violation,
 };
 use sdn_buffer_lab::core::observe::events_digest;
 use sdn_buffer_lab::prelude::*;
-use sdn_buffer_lab::switchbuf::RetryPolicy;
+use sdn_buffer_lab::switchbuf::{GiveUp, RetryPolicy};
 
 mod common;
 use common::buffering_mechanisms as mechanisms;
@@ -163,6 +164,32 @@ fn arb_workload() -> impl Strategy<Value = WorkloadKind> {
     ]
 }
 
+fn arb_give_up() -> impl Strategy<Value = GiveUp> {
+    prop_oneof![Just(GiveUp::DrainAsFullPacketIn), Just(GiveUp::Drop)]
+}
+
+fn arb_retry_policy() -> impl Strategy<Value = RetryPolicy> {
+    let nanos = || (0u64..10_000_000_000).prop_map(Nanos::from_nanos);
+    (
+        any::<u32>(),
+        nanos(),
+        nanos(),
+        any::<u32>(),
+        arb_give_up(),
+        any::<u64>(),
+    )
+        .prop_map(
+            |(multiplier, cap, jitter, budget, give_up, seed)| RetryPolicy {
+                multiplier,
+                cap,
+                jitter,
+                budget,
+                give_up,
+                seed,
+            },
+        )
+}
+
 proptest! {
     /// The one mechanism / workload grammar (`--buffer`, `--workload`,
     /// `--cells`, `mech=`, `wl=`) restores every value it prints, at any
@@ -175,6 +202,48 @@ proptest! {
         prop_assert_eq!(mech.to_string().parse::<BufferMode>(), Ok(mech));
         prop_assert_eq!(workload.to_string().parse::<WorkloadKind>(), Ok(workload));
     }
+
+    /// So do the recovery and failover grammars (`--retry-policy`,
+    /// `--admission`, `--standby`, `retry=`, `standby=`).
+    #[test]
+    fn recovery_and_failover_grammars_round_trip(
+        retry in arb_retry_policy(),
+        give_up in arb_give_up(),
+        admission in prop_oneof![
+            Just(AdmissionPolicy::DropTail),
+            Just(AdmissionPolicy::DropHead),
+            Just(AdmissionPolicy::PreferRerequests),
+        ],
+        warm in any::<bool>(),
+        delay_ns in 0u64..10_000_000_000,
+    ) {
+        prop_assert_eq!(retry.to_string().parse::<RetryPolicy>(), Ok(retry));
+        prop_assert_eq!(give_up.to_string().parse::<GiveUp>(), Ok(give_up));
+        prop_assert_eq!(admission.to_string().parse::<AdmissionPolicy>(), Ok(admission));
+        let standby = StandbyKnobs { warm, takeover_delay: Nanos::from_nanos(delay_ns) };
+        prop_assert_eq!(standby.to_string().parse::<StandbyKnobs>(), Ok(standby));
+    }
+}
+
+/// `--standby warm|cold`, as `ci.yml` spells it, is the chaos spec's
+/// `standby=` grammar with the delay left at the testbed's default.
+#[test]
+fn standby_grammar_takes_a_bare_sync_with_the_default_delay() {
+    let default_delay = TestbedConfig::default().failover.takeover_delay;
+    for (spelled, warm) in [("warm", true), ("cold", false)] {
+        let knobs = StandbyKnobs {
+            warm,
+            takeover_delay: default_delay,
+        };
+        assert_eq!(spelled.parse(), Ok(knobs));
+    }
+    let eight = StandbyKnobs {
+        warm: true,
+        takeover_delay: Nanos::from_millis(8),
+    };
+    assert_eq!("warm:8ms".parse(), Ok(eight));
+    assert!("lukewarm".parse::<StandbyKnobs>().is_err());
+    assert!("warm:soon".parse::<StandbyKnobs>().is_err());
 }
 
 /// Self-test of the harness: a mechanism with Algorithm 1's re-request
