@@ -173,6 +173,32 @@ fn packet_id(packet: &Packet) -> Option<PacketId> {
     Some((key, ident))
 }
 
+/// One record per departure, when slice order alone shows that every
+/// packet has a wire identity of its own: within each flow, an `ident`
+/// larger than the one before. Every generator emits that, up to the
+/// 65 536 packets per flow the field can number; the table behind the
+/// decision holds one entry for each of the `flows` and is gone before the
+/// first event. `None` for anything else — an identity repeated or out of
+/// order, a packet without one, more packets than a pool tag can index.
+fn distinct_records(departures: &[Departure], flows: usize) -> Option<Vec<PacketTrace>> {
+    u32::try_from(departures.len()).ok()?;
+    let mut last_ident: FastHashMap<FlowKey, u16> =
+        FastHashMap::with_capacity_and_hasher(flows, Default::default());
+    let mut records = Vec::with_capacity(departures.len());
+    for d in departures {
+        let record = PacketTrace::of(d)?;
+        match last_ident.entry(record.flow) {
+            Entry::Occupied(last) if record.ident <= *last.get() => return None,
+            Entry::Occupied(mut last) => *last.get_mut() = record.ident,
+            Entry::Vacant(first) => {
+                first.insert(record.ident);
+            }
+        }
+        records.push(record);
+    }
+    Some(records)
+}
+
 /// Handle into the testbed's control-message pool.
 type MsgHandle = PoolHandle;
 
@@ -252,6 +278,23 @@ pub struct PacketTrace {
     pub left_switch: Option<Nanos>,
     /// When the destination host received it.
     pub delivered: Option<Nanos>,
+}
+
+impl PacketTrace {
+    /// The blank timeline of a departure, `None` when its packet has no
+    /// wire identity.
+    fn of(departure: &Departure) -> Option<PacketTrace> {
+        let (flow, ident) = packet_id(&departure.packet)?;
+        Some(PacketTrace {
+            flow,
+            ident,
+            flow_index: departure.flow_index,
+            seq_in_flow: departure.seq_in_flow,
+            entered_switch: None,
+            left_switch: None,
+            delivered: None,
+        })
+    }
 }
 
 /// A switch egress port: plain FIFO or QoS-partitioned.
@@ -372,7 +415,9 @@ pub struct Testbed {
     /// carries its record's index as its pool tag.
     records: Vec<PacketTrace>,
     /// Wire identity to record: how a frame without a tag finds its
-    /// record (see [`Testbed::stamp`]).
+    /// record (see [`Testbed::stamp`]). Left empty until such a frame
+    /// shows up, unless the workload's identities had to be told apart by
+    /// it to begin with (see [`Testbed::warm_up`]).
     record_of: FastHashMap<PacketId, u32>,
     pkt_in_sent: FastHashMap<u32, (Nanos, Option<FlowKey>)>,
     controller_delay_of_flow: FastHashMap<FlowKey, Nanos>,
@@ -587,11 +632,12 @@ impl Testbed {
                 self.dispatch(now, event);
             } else if let Some((i, at)) = next {
                 served += 1;
-                // The only copy made of a workload packet; everything
-                // downstream passes the handle. When every packet drew a
-                // record of its own, record `i` is this one's; otherwise
-                // (packets without a wire identity, or sharing one) the
-                // frame finds its record as any untagged frame does.
+                // The frame's headers are copied and its payload bytes
+                // shared; everything downstream passes the handle. When
+                // every packet drew a record of its own, record `i` is
+                // this one's; otherwise (packets without a wire identity,
+                // or sharing one) the frame finds its record as any
+                // untagged frame does.
                 let packet = self.pool.insert(departures[i].packet.clone());
                 if self.records.len() == departures.len() {
                     self.pool.set_tag(packet, i as u32);
@@ -632,34 +678,38 @@ impl Testbed {
 
         // Data: shift departures past the warm-up gap.
         self.data_start = self.config.warmup_gap + earliest;
-        let mut flows_total = 0usize;
+        let flows_total = departures
+            .iter()
+            .map(|d| d.flow_index + 1)
+            .max()
+            .unwrap_or(0);
+        if let Some(records) = distinct_records(departures, flows_total) {
+            self.records = records;
+        } else {
+            self.index_by_identity(departures);
+        }
+        flows_total
+    }
+
+    /// Records for a workload whose packets slice order does not tell
+    /// apart: a capture does it by wire identity, so a packet that repeats
+    /// an earlier identity takes that packet's record over, and one
+    /// without an identity gets none.
+    fn index_by_identity(&mut self, departures: &[Departure]) {
         self.records.reserve(departures.len());
         self.record_of.reserve(departures.len());
-        for d in departures {
-            flows_total = flows_total.max(d.flow_index + 1);
-            let Some((flow, ident)) = packet_id(&d.packet) else {
-                continue;
-            };
-            let record = PacketTrace {
-                flow,
-                ident,
-                flow_index: d.flow_index,
-                seq_in_flow: d.seq_in_flow,
-                entered_switch: None,
-                left_switch: None,
-                delivered: None,
-            };
-            // A capture tells packets apart by wire identity: one that
-            // repeats an earlier identity takes that packet's record over.
-            match self.record_of.entry((flow, ident)) {
+        for record in departures.iter().filter_map(PacketTrace::of) {
+            match self.record_of.entry((record.flow, record.ident)) {
                 Entry::Occupied(taken) => self.records[*taken.get() as usize] = record,
                 Entry::Vacant(free) => {
-                    free.insert(u32::try_from(self.records.len()).expect("under 2^32 packets"));
-                    self.records.push(record);
+                    // Past what a tag can index, a packet goes untracked.
+                    if let Ok(next) = u32::try_from(self.records.len()) {
+                        free.insert(next);
+                        self.records.push(record);
+                    }
                 }
             }
         }
-        flows_total
     }
 
     /// Pre-schedules controller-originated probes across the run window
@@ -759,6 +809,12 @@ impl Testbed {
             // slot of its own: wire identity is all that came back from
             // the controller. Look it up once; the tag serves from here on.
             let id = packet_id(self.pool.get(packet)?)?;
+            if self.record_of.is_empty() {
+                // The first such frame of a workload with one record per
+                // packet: only no-buffer ever gets here.
+                let ids = self.records.iter().map(|r| (r.flow, r.ident));
+                self.record_of.extend(ids.zip(0..));
+            }
             let record = *self.record_of.get(&id)?;
             self.pool.set_tag(packet, record);
             Some(record)
@@ -1318,12 +1374,17 @@ mod tests {
         /// The injection `run` replaced, kept as its reference: every
         /// departure is copied into the pool and scheduled as a
         /// `FrameFromHost` before the first event pops. The copies go
-        /// untagged, so every frame is told by its wire identity.
+        /// untagged and the identity index is built up front whatever the
+        /// workload looks like, so every frame is told by its wire
+        /// identity.
         fn run_prescheduled(&mut self, departures: &[Departure]) -> RunResult {
             let ats = || departures.iter().map(|d| d.at);
             let earliest = ats().min().unwrap_or(Nanos::ZERO);
             let shift = self.config.warmup_gap;
             let flows_total = self.warm_up(departures, earliest);
+            self.records.clear();
+            self.record_of.clear();
+            self.index_by_identity(departures);
             for d in departures {
                 let (port, packet) = (PortNo(1), self.pool.insert(d.packet.clone()));
                 self.queue
@@ -1376,6 +1437,83 @@ mod tests {
             observed(&config, &shuffled, Testbed::run_prescheduled),
             reference
         );
+    }
+
+    const FLOW_256: BufferChoice = BufferChoice::FlowGranularity {
+        capacity: 256,
+        timeout: Nanos::from_millis(50),
+    };
+
+    /// Runs `departures` and hands back the testbed, after checking that
+    /// the run left behind what the up-front index and untagged frames of
+    /// `run_prescheduled` leave.
+    fn run_like_the_reference(buffer: BufferChoice, departures: &[Departure]) -> Testbed {
+        let config = TestbedConfig::with_buffer(buffer);
+        assert_eq!(
+            observed(&config, departures, Testbed::run),
+            observed(&config, departures, Testbed::run_prescheduled),
+            "{buffer:?}"
+        );
+        let mut tb = Testbed::new(config);
+        tb.run(departures);
+        tb
+    }
+
+    #[test]
+    fn the_identity_index_is_built_when_a_frame_comes_back_untagged() {
+        let monotone = cross_sequenced_flows(&PktgenConfig::default(), 6, 20, 3, 5);
+        assert!(distinct_records(&monotone, 6).is_some());
+        // Frames parked in the switch keep their tags: no index.
+        let tb = run_like_the_reference(FLOW_256, &monotone);
+        assert_eq!((tb.records.len(), tb.record_of.len()), (120, 0));
+        // no-buffer re-parses its frames from `packet_out` bytes: the
+        // first one builds the index, whole, and the rest find it built.
+        let tb = run_like_the_reference(BufferChoice::NoBuffer, &monotone);
+        assert_eq!((tb.records.len(), tb.record_of.len()), (120, 120));
+
+        // Packet 9 of flow 0 (which sits at every third position of the
+        // first sixty) goes out again in place of its packet 15: one
+        // record for the two, and frames that find it by identity.
+        let mut repeated = monotone.clone();
+        repeated[45].packet = repeated[27].packet.clone();
+        assert_eq!(
+            FlowKey::of(&monotone[45].packet),
+            FlowKey::of(&monotone[27].packet)
+        );
+        assert!(distinct_records(&repeated, 6).is_none());
+        for buffer in [FLOW_256, BufferChoice::NoBuffer] {
+            let tb = run_like_the_reference(buffer, &repeated);
+            assert_eq!((tb.records.len(), tb.record_of.len()), (119, 119));
+        }
+
+        // The two packets trade places instead: every identity is still
+        // its own, but slice order no longer shows it.
+        let mut out_of_order = monotone.clone();
+        let (a, b) = (monotone[27].packet.clone(), monotone[45].packet.clone());
+        (out_of_order[27].packet, out_of_order[45].packet) = (b, a);
+        assert!(distinct_records(&out_of_order, 6).is_none());
+        for buffer in [FLOW_256, BufferChoice::NoBuffer] {
+            let tb = run_like_the_reference(buffer, &out_of_order);
+            assert_eq!((tb.records.len(), tb.record_of.len()), (120, 120));
+        }
+    }
+
+    #[test]
+    fn a_flow_that_wraps_its_idents_is_told_apart_by_identity() {
+        // `ident` is `seq as u16`: packets 65 536.. repeat the identities
+        // of packets 0.. and take their records over, as in a capture.
+        // Tagging frame `i` with record `i` would have had no record for
+        // them.
+        let pktgen = PktgenConfig::default();
+        let wrapped = cross_sequenced_flows(&pktgen, 1, 65_540, 1, 1);
+        assert!(distinct_records(&wrapped[..65_536], 1).is_some());
+        assert!(distinct_records(&wrapped, 1).is_none());
+        let tb = run_like_the_reference(FLOW_256, &wrapped);
+        assert_eq!((tb.records.len(), tb.record_of.len()), (65_536, 65_536));
+        let log = tb.packet_log();
+        let seqs = (log[0].seq_in_flow, log[65_535].seq_in_flow);
+        assert_eq!(seqs, (4, 65_539));
+        assert!(log.iter().all(|t| t.delivered.is_some()));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use ethernet::{EtherType, EthernetHeader, ETHERNET_HEADER_LEN};
 pub use flowkey::{FlowKey, IpProto};
 pub use ipv4::{Ipv4Header, IPV4_HEADER_LEN};
 pub use mac::MacAddr;
-pub use packet::{Ipv4Packet, Packet, PacketBuilder, Payload, Transport};
+pub use packet::{Bytes, Ipv4Packet, Packet, PacketBuilder, Payload, Transport};
 pub use tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};
 pub use udp::{UdpHeader, UDP_HEADER_LEN};
 

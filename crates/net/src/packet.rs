@@ -5,16 +5,38 @@ use crate::{
     UdpHeader, ETHERNET_HEADER_LEN, IPV4_HEADER_LEN, TCP_HEADER_LEN, UDP_HEADER_LEN,
 };
 use std::net::Ipv4Addr;
+use std::sync::Arc;
+
+/// Payload bytes: immutable and reference-counted, so cloning a packet —
+/// into the testbed's pool, a switch buffer, a fault-injected duplicate —
+/// copies its headers and bumps a count instead of copying the payload.
+/// Compares and hashes by content, like the slice it derefs to; build one
+/// `from` a slice or a vector. `Arc`, not `Rc`: a packet, and a workload of
+/// them, stays `Send + Sync` for the sweep executor's worker threads.
+///
+/// # Example
+///
+/// ```
+/// use sdnbuf_net::{Bytes, Transport, UdpHeader};
+/// let filler = Bytes::from(vec![0u8; 958]);
+/// let datagram = Transport::Udp(UdpHeader::new(1000, 2000, 958), filler.clone());
+/// let copy = datagram.clone();
+/// assert_eq!(copy, datagram);
+/// // One allocation behind the filler, the datagram and its copy.
+/// assert_eq!(std::sync::Arc::strong_count(&filler), 3);
+/// assert_eq!(filler, Bytes::from(&[0u8; 958][..])); // equal by content
+/// ```
+pub type Bytes = Arc<[u8]>;
 
 /// The transport layer of an IPv4 packet.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Transport {
     /// A UDP datagram: header plus payload bytes.
-    Udp(UdpHeader, Vec<u8>),
+    Udp(UdpHeader, Bytes),
     /// A TCP segment: header plus payload bytes.
-    Tcp(TcpHeader, Vec<u8>),
+    Tcp(TcpHeader, Bytes),
     /// Any other protocol: the raw bytes above the IP header.
-    Other(u8, Vec<u8>),
+    Other(u8, Bytes),
 }
 
 impl Transport {
@@ -46,7 +68,7 @@ pub enum Payload {
     /// An IPv4 packet.
     Ipv4(Ipv4Packet),
     /// Anything else, kept as raw bytes.
-    Raw(Vec<u8>),
+    Raw(Bytes),
 }
 
 /// A complete Ethernet frame with typed layers.
@@ -177,17 +199,17 @@ impl Packet {
                     17 => {
                         let udp = UdpHeader::decode(body)?;
                         let plen = udp.payload_len().min(body.len() - UDP_HEADER_LEN);
-                        Transport::Udp(udp, body[UDP_HEADER_LEN..UDP_HEADER_LEN + plen].to_vec())
+                        Transport::Udp(udp, body[UDP_HEADER_LEN..UDP_HEADER_LEN + plen].into())
                     }
                     6 => {
                         let tcp = TcpHeader::decode(body)?;
-                        Transport::Tcp(tcp, body[TCP_HEADER_LEN..].to_vec())
+                        Transport::Tcp(tcp, body[TCP_HEADER_LEN..].into())
                     }
-                    other => Transport::Other(other, body.to_vec()),
+                    other => Transport::Other(other, body.into()),
                 };
                 Payload::Ipv4(Ipv4Packet { header, transport })
             }
-            EtherType::Other(_) => Payload::Raw(rest.to_vec()),
+            EtherType::Other(_) => Payload::Raw(rest.into()),
         };
         Ok(Packet { ethernet, payload })
     }
@@ -332,7 +354,8 @@ impl PacketBuilder {
         };
         let frame = self.frame_size.max(min);
         let payload_len = frame - min;
-        let payload = vec![0u8; payload_len];
+        // Collected in place: one allocation, the `Arc`'s own.
+        let payload: Bytes = std::iter::repeat(0u8).take(payload_len).collect();
         let (protocol, transport) = match self.proto {
             Proto::Udp => (
                 17,
@@ -363,6 +386,12 @@ impl PacketBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn packets_can_be_shared_across_threads() {
+        fn send_and_sync<T: Send + Sync>() {}
+        send_and_sync::<Packet>();
+    }
 
     #[test]
     fn udp_frame_round_trip() {
@@ -415,10 +444,28 @@ mod tests {
         assert_eq!(p.header_slice(4096).len(), 1000);
     }
 
+    /// `packet` carrying `bytes` (of the length it already carries) above
+    /// its transport header.
+    fn with_payload(mut packet: Packet, bytes: Bytes) -> Packet {
+        if let Payload::Ipv4(ip) = &mut packet.payload {
+            let (Transport::Udp(_, p) | Transport::Tcp(_, p) | Transport::Other(_, p)) =
+                &mut ip.transport;
+            assert_eq!(p.len(), bytes.len());
+            *p = bytes;
+        }
+        packet
+    }
+
     #[test]
     fn encode_prefix_matches_truncated_encode_at_every_boundary() {
+        // A payload that is not all one byte, shared by two frames: a
+        // prefix ends inside bytes it does not own.
+        let pattern: Bytes = (0..958).map(|i| (i * 7 + 1) as u8).collect();
+        let udp = PacketBuilder::udp().frame_size(1000);
         for p in [
             PacketBuilder::udp().frame_size(1000).build(),
+            with_payload(udp.build(), pattern.clone()),
+            with_payload(PacketBuilder::tcp().frame_size(1012).build(), pattern),
             PacketBuilder::tcp().frame_size(200).build(),
             PacketBuilder::gratuitous_arp(MacAddr::from_host_index(3), Ipv4Addr::new(10, 0, 0, 3)),
         ] {

@@ -249,9 +249,17 @@ impl BitRate {
     /// to the next nanosecond (a partial nanosecond still occupies the line).
     #[inline]
     pub fn transmission_time(self, bytes: usize) -> Nanos {
-        let bits = bytes as u128 * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(self.0 as u128);
-        Nanos::from_nanos(ns.min(u64::MAX as u128) as u64)
+        const NS_PER_BYTE_AT_1BPS: u64 = 8 * 1_000_000_000;
+        // Frames are far below the 2.3 GB where bits × 10⁹ outgrows a
+        // `u64`; the wide division (a libcall) serves only what is not.
+        let ns = match (bytes as u64).checked_mul(NS_PER_BYTE_AT_1BPS) {
+            Some(bit_ns) => bit_ns.div_ceil(self.0),
+            None => {
+                let bit_ns = bytes as u128 * NS_PER_BYTE_AT_1BPS as u128;
+                bit_ns.div_ceil(self.0 as u128).min(u64::MAX as u128) as u64
+            }
+        };
+        Nanos::from_nanos(ns)
     }
 
     /// The inter-departure gap between back-to-back frames of `bytes` bytes

@@ -198,6 +198,34 @@ proptest! {
         }
     }
 
+    /// The `u64` division `transmission_time` takes for frame-sized inputs
+    /// and the `u128` one it falls back to are one function: rates from
+    /// 1 bps to 100 Gbps, sizes up to 2³² B, where the narrow product
+    /// overflows and, at the slowest rates, the result saturates.
+    #[test]
+    fn transmission_time_is_the_wide_ceiling_division(
+        bps in prop_oneof![
+            Just(1u64),
+            1u64..1_000,
+            1u64..=100_000_000_000,
+            Just(100_000_000_000u64),
+        ],
+        bytes in prop_oneof![
+            0usize..2_000,
+            0usize..=1 << 32,
+            // Either side of where bits × 10⁹ stops fitting a `u64`.
+            (u64::MAX / 8_000_000_000 - 2..u64::MAX / 8_000_000_000 + 3).prop_map(|b| b as usize),
+            Just(1usize << 32),
+        ],
+    ) {
+        let wide = (bytes as u128 * 8 * 1_000_000_000).div_ceil(bps as u128);
+        let wide = Nanos::from_nanos(wide.min(u64::MAX as u128) as u64);
+        prop_assert_eq!(BitRate::from_bps(bps).transmission_time(bytes), wide);
+        if bps == 1 && bytes == 1 << 32 {
+            prop_assert_eq!(wide, Nanos::MAX);
+        }
+    }
+
     #[test]
     fn link_arrivals_are_fifo_and_after_submission(
         frames in proptest::collection::vec((0u64..100_000, 64usize..1500), 1..100),

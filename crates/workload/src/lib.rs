@@ -159,13 +159,18 @@ impl PktgenConfig {
     }
 }
 
-/// Sets the IPv4 identification field — the per-packet serial number that
-/// lets the measurement tap tell a flow's packets apart, like a capture
-/// tool would.
-fn set_ident(packet: &mut Packet, ident: u16) {
+/// A copy of `template` under another source address and IPv4
+/// identification — the per-packet serial number that lets the measurement
+/// tap tell a flow's packets apart, like a capture tool would. The copy
+/// shares the template's payload bytes: a generator call builds its filler
+/// once, so a departure costs a header, not a frame.
+fn stamped(template: &Packet, src_ip: Ipv4Addr, ident: u16) -> Packet {
+    let mut packet = template.clone();
     if let Payload::Ipv4(ip) = &mut packet.payload {
+        ip.header.src = src_ip;
         ip.header.identification = ident;
     }
+    packet
 }
 
 /// The forged source address of flow `i` (pktgen's source-IP forging):
@@ -181,30 +186,49 @@ fn forged_src_ip(i: usize) -> Ipv4Addr {
     )
 }
 
-fn udp_packet(cfg: &PktgenConfig, src_ip: Ipv4Addr, src_port: u16, ident: u16) -> Packet {
-    let mut p = PacketBuilder::udp()
+/// The frame every UDP flow's packets are [`stamped`] from.
+fn udp_template(cfg: &PktgenConfig) -> Packet {
+    PacketBuilder::udp()
         .src_mac(cfg.src.mac)
         .dst_mac(cfg.dst.mac)
-        .src_ip(src_ip)
+        .src_ip(cfg.src.ip)
         .dst_ip(cfg.dst.ip)
-        .src_port(src_port)
+        .src_port(10_000)
         .dst_port(9)
         .frame_size(cfg.frame_size)
-        .build();
-    set_ident(&mut p, ident);
-    p
+        .build()
+}
+
+/// A TCP frame of `cfg`'s connection (port 40 000 to 80).
+fn tcp_frame(cfg: &PktgenConfig, flags: TcpFlags, size: usize) -> Packet {
+    PacketBuilder::tcp()
+        .src_mac(cfg.src.mac)
+        .dst_mac(cfg.dst.mac)
+        .src_ip(cfg.src.ip)
+        .dst_ip(cfg.dst.ip)
+        .src_port(40_000)
+        .dst_port(80)
+        .tcp_flags(flags)
+        .frame_size(size)
+        .build()
+}
+
+/// The frame every TCP data segment is [`stamped`] from.
+fn tcp_segment_template(cfg: &PktgenConfig) -> Packet {
+    tcp_frame(cfg, TcpFlags::ACK | TcpFlags::PSH, cfg.frame_size)
 }
 
 /// The Section IV workload: `n_flows` single-packet UDP flows with forged
 /// source IPs, departing at the configured rate.
 pub fn single_packet_flows(cfg: &PktgenConfig, n_flows: usize, seed: u64) -> Vec<Departure> {
     let mut rng = SimRng::seed_from(seed);
+    let template = udp_template(cfg);
     let mut at = cfg.start_at;
     let mut out = Vec::with_capacity(n_flows);
     for i in 0..n_flows {
         out.push(Departure {
             at,
-            packet: udp_packet(cfg, forged_src_ip(i), 10_000, 0),
+            packet: stamped(&template, forged_src_ip(i), 0),
             flow_index: i,
             seq_in_flow: 0,
         });
@@ -226,6 +250,7 @@ pub fn cross_sequenced_flows(
 ) -> Vec<Departure> {
     assert!(group_size > 0, "group size must be positive");
     let mut rng = SimRng::seed_from(seed);
+    let template = udp_template(cfg);
     let mut at = cfg.start_at;
     let mut out = Vec::with_capacity(n_flows * packets_per_flow);
     let mut batch_start = 0;
@@ -235,7 +260,7 @@ pub fn cross_sequenced_flows(
             for flow in batch_start..batch_end {
                 out.push(Departure {
                     at,
-                    packet: udp_packet(cfg, forged_src_ip(flow), 10_000, seq as u16),
+                    packet: stamped(&template, forged_src_ip(flow), seq as u16),
                     flow_index: flow,
                     seq_in_flow: seq,
                 });
@@ -260,56 +285,46 @@ pub fn tcp_with_idle_gap(
     second_burst: usize,
     seed: u64,
 ) -> Vec<Departure> {
+    let segment = tcp_segment_template(cfg);
+    tcp_connection(cfg, &segment, first_burst, idle_gap, second_burst, seed)
+}
+
+/// [`tcp_with_idle_gap`] with its data segments stamped from `segment`,
+/// so that the connections of one mix share one filler.
+fn tcp_connection(
+    cfg: &PktgenConfig,
+    segment: &Packet,
+    first_burst: usize,
+    idle_gap: Nanos,
+    second_burst: usize,
+    seed: u64,
+) -> Vec<Departure> {
     let mut rng = SimRng::seed_from(seed);
-    let src_port = 40_000;
     let mut out = Vec::new();
     let mut at = cfg.start_at;
     let mut seq_in_flow = 0;
-    let push = |at: Nanos, flags: TcpFlags, size: usize, seq_in_flow: usize| {
-        let mut p = PacketBuilder::tcp()
-            .src_mac(cfg.src.mac)
-            .dst_mac(cfg.dst.mac)
-            .src_ip(cfg.src.ip)
-            .dst_ip(cfg.dst.ip)
-            .src_port(src_port)
-            .dst_port(80)
-            .tcp_flags(flags)
-            .frame_size(size)
-            .build();
-        set_ident(&mut p, seq_in_flow as u16);
-        Departure {
-            at,
-            packet: p,
-            flow_index: 0,
-            seq_in_flow,
-        }
+    let push = |at: Nanos, frame: &Packet, seq_in_flow: usize| Departure {
+        at,
+        packet: stamped(frame, cfg.src.ip, seq_in_flow as u16),
+        flow_index: 0,
+        seq_in_flow,
     };
     // Handshake opener: a small SYN (the "negotiating first" case where
     // buffering matters little).
-    out.push(push(at, TcpFlags::SYN, 60, seq_in_flow));
+    out.push(push(at, &tcp_frame(cfg, TcpFlags::SYN, 60), seq_in_flow));
     seq_in_flow += 1;
     at += cfg.next_gap(&mut rng);
-    out.push(push(at, TcpFlags::ACK, 60, seq_in_flow));
+    out.push(push(at, &tcp_frame(cfg, TcpFlags::ACK, 60), seq_in_flow));
     seq_in_flow += 1;
     for _ in 0..first_burst {
         at += cfg.next_gap(&mut rng);
-        out.push(push(
-            at,
-            TcpFlags::ACK | TcpFlags::PSH,
-            cfg.frame_size,
-            seq_in_flow,
-        ));
+        out.push(push(at, segment, seq_in_flow));
         seq_in_flow += 1;
     }
     // The transient inactivity: rule gets kicked out, connection survives.
     at += idle_gap;
     for _ in 0..second_burst {
-        out.push(push(
-            at,
-            TcpFlags::ACK | TcpFlags::PSH,
-            cfg.frame_size,
-            seq_in_flow,
-        ));
+        out.push(push(at, segment, seq_in_flow));
         seq_in_flow += 1;
         at += cfg.next_gap(&mut rng);
     }
@@ -329,6 +344,7 @@ pub fn mixed_udp_tcp(
     let mut out = single_packet_flows(cfg, n_udp_flows, seed);
     let n_udp = out.len();
     let mut rng = SimRng::seed_from(seed ^ 0x7cc);
+    let segment = tcp_segment_template(cfg);
     for t in 0..n_tcp {
         // Each connection is a light background stream (a tenth of the UDP
         // rate shared across connections), so the mix's total offered rate
@@ -340,7 +356,14 @@ pub fn mixed_udp_tcp(
             rate: tcp_rate,
             ..*cfg
         };
-        let conn = tcp_with_idle_gap(&tcp_cfg, segments_per_tcp, Nanos::ZERO, 0, rng.next_u64());
+        let conn = tcp_connection(
+            &tcp_cfg,
+            &segment,
+            segments_per_tcp,
+            Nanos::ZERO,
+            0,
+            rng.next_u64(),
+        );
         out.extend(conn.into_iter().map(|mut d| {
             d.flow_index = n_udp + t; // distinct flow numbering
                                       // Give each connection its own ephemeral source port so the

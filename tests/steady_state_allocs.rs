@@ -3,12 +3,14 @@
 //! The handler boundaries are allocation-free: the switch and controller
 //! handlers push onto buffers the testbed owns for the whole run, a rule's
 //! and a message's actions sit in place, and the header slice of a buffered
-//! miss is encoded straight into the `packet_in`. What a packet still
-//! allocates is bytes of the simulated system — the pooled copy of the
-//! workload packet, the `packet_in`/`packet_out` payloads, the re-parsed
-//! frame of an unbuffered `packet_out`. One per-call `Vec` brought back
-//! into a handler adds a whole allocation per packet and fails the ceilings
-//! below.
+//! miss is encoded straight into the `packet_in`. A frame entering the
+//! testbed's pool copies its headers and shares the payload bytes its
+//! generator built once. What a packet still allocates is bytes that go
+//! over the simulated control channel — the `packet_in`/`packet_out`
+//! payloads, the re-parsed frame of an unbuffered `packet_out` — so a
+//! table hit allocates nothing. One per-call `Vec` brought back into a
+//! handler, or one copy of a payload, adds a whole allocation per packet
+//! and fails the ceilings below.
 //!
 //! The cost of one more packet is taken as the difference between two runs
 //! of the same cell at 4 000 and at 2 000 flows, which cancels everything a
@@ -22,7 +24,7 @@
 //! A binary of its own because `#[global_allocator]` is per-binary; the
 //! counter is per-thread, so the tests here do not perturb each other.
 
-use sdn_buffer_lab::net::PacketBuilder;
+use sdn_buffer_lab::net::{Bytes, IpProto, Packet, PacketBuilder, Payload, Transport};
 use sdn_buffer_lab::openflow::{
     msg::{FlowMod, FlowModCommand},
     Action, BufferId, Match, OfpMessage, PortNo,
@@ -145,35 +147,91 @@ fn one_more_packet_allocates_only_its_own_bytes() {
     let packet_256 = BufferMode::PacketGranularity { capacity: 256 };
     let single = WorkloadKind::single_packet_flows;
 
-    // Pooled copy, packet_in payload (the whole frame), re-parsed frame.
+    // packet_in payload (the whole frame), re-parsed frame: 2.011.
     let (no_buffer, _) = marginal_cost_per_packet(BufferMode::NoBuffer, 100, single);
-    // Pooled copy, packet_in payload (the header slice).
+    // packet_in payload (the header slice): 1.007.
     let (buffered, _) = marginal_cost_per_packet(packet_256, 50, single);
-    // Pooled copy; one miss per twenty packets.
+    // One miss per twenty packets, and its flow's queue and bulk release:
+    // 0.200.
     let (hits, _) = marginal_cost_per_packet(FLOW_256, 100, twenty_packet_flows);
 
     assert!(
-        no_buffer <= 3.05,
+        no_buffer <= 2.05,
         "no-buffer@100: {no_buffer} allocs/packet"
     );
-    assert!(buffered <= 2.05, "buffer-256@50: {buffered} allocs/packet");
+    assert!(buffered <= 1.05, "buffer-256@50: {buffered} allocs/packet");
     assert!(
-        hits <= 1.25,
+        hits <= 0.25,
         "flow-256@100 20-packet flows: {hits} allocs/packet"
     );
 }
 
 #[test]
 fn one_more_packet_keeps_a_record_not_a_frame() {
-    // An 80 B timeline and an entry in the wire-identity index (24-48 B as
-    // the index's table fills and doubles) per packet, and what a flow
-    // leaves behind shared among its twenty: 137 B. Holding every 1 000-B
+    // An 80 B timeline per packet and what a flow leaves behind shared
+    // among its twenty: 103 B. The wire-identity index (24-48 B more per
+    // packet) is built for frames that come back from the controller as
+    // bytes, which a buffered mechanism's do not. Holding every 1 000-B
     // frame from the start of the run was 1 265 B.
     let (_, live_bytes) = marginal_cost_per_packet(FLOW_256, 100, twenty_packet_flows);
     assert!(
-        live_bytes <= 160.0,
+        live_bytes <= 110.0,
         "flow-256@100 20-packet flows: {live_bytes} B of peak live heap per packet"
     );
+}
+
+/// The payload bytes of a UDP or TCP frame, and which of the two it is.
+fn transport_payload(packet: &Packet) -> (IpProto, &Bytes) {
+    match &packet.payload {
+        Payload::Ipv4(ip) => match &ip.transport {
+            Transport::Udp(_, bytes) => (IpProto::Udp, bytes),
+            Transport::Tcp(_, bytes) => (IpProto::Tcp, bytes),
+            other => panic!("generated frames are UDP or TCP: {other:?}"),
+        },
+        other => panic!("generated frames are IPv4: {other:?}"),
+    }
+}
+
+#[test]
+fn one_generate_call_builds_its_filler_once_and_a_clone_copies_none_of_it() {
+    let tcp = WorkloadKind::TcpEviction {
+        first_burst: 30,
+        idle_gap: Nanos::from_millis(5),
+        second_burst: 30,
+    };
+    let mixed = WorkloadKind::MixedUdpTcp {
+        n_udp_flows: 200,
+        n_tcp: 3,
+        segments_per_tcp: 10,
+    };
+    let iv = WorkloadKind::paper_section_iv();
+    // (workload, full-size frames: all of them but a connection's SYN and
+    // ACK, fillers: one for UDP, one for TCP)
+    for (kind, full_size, fillers) in [
+        (iv, 1000, 1),
+        (WorkloadKind::paper_section_v(), 1000, 1),
+        (tcp, 60, 1),
+        (mixed, 200 + 3 * 10, 2),
+    ] {
+        let departures = kind.generate(&PktgenConfig::default(), 1);
+        let mut seen: Vec<(IpProto, &Bytes)> = Vec::new();
+        let mut frames = 0;
+        for d in departures.iter().filter(|d| d.packet.wire_len() == 1000) {
+            frames += 1;
+            let (proto, bytes) = transport_payload(&d.packet);
+            match seen.iter().find(|(p, _)| *p == proto) {
+                Some((_, first)) => assert!(Bytes::ptr_eq(first, bytes), "{kind}: {d:?}"),
+                None => seen.push((proto, bytes)),
+            }
+        }
+        assert_eq!((frames, seen.len()), (full_size, fillers), "{kind}");
+
+        let (allocations, copies) = allocations_in(|| {
+            let copies = departures.iter().map(|d| d.packet.clone());
+            copies.filter(|p| p.wire_len() == 1000).count()
+        });
+        assert_eq!((allocations, copies), (0, full_size), "{kind}");
+    }
 }
 
 #[test]

@@ -738,3 +738,74 @@ fn packet_granularity_switch_rejects_flow_buffer_configure() {
         other => panic!("{other:?}"),
     }
 }
+
+/// A frame whose payload bytes are shared with every other frame of its
+/// workload is, to everything that looks at it, the frame that owns a
+/// private copy of them: equality and hashing go by content, flow key and
+/// match fields never read the payload, and the wire bytes are the same.
+#[test]
+fn a_shared_payload_is_the_frame_a_private_copy_is() {
+    use sdn_buffer_lab::net::{Bytes, FlowKey, Packet, Payload, Transport};
+    use sdn_buffer_lab::openflow::MatchView;
+    use sdn_buffer_lab::workload::PktgenConfig;
+    use std::collections::hash_map::RandomState;
+    use std::hash::BuildHasher;
+
+    fn payload_mut(packet: &mut Packet) -> &mut Bytes {
+        match &mut packet.payload {
+            Payload::Ipv4(ip) => match &mut ip.transport {
+                Transport::Udp(_, p) | Transport::Tcp(_, p) | Transport::Other(_, p) => p,
+            },
+            other => panic!("generated frames are IPv4: {other:?}"),
+        }
+    }
+
+    for kind in [
+        WorkloadKind::paper_section_v(),
+        WorkloadKind::TcpEviction {
+            first_burst: 4,
+            idle_gap: Nanos::from_millis(1),
+            second_burst: 4,
+        },
+    ] {
+        let departures = kind.generate(&PktgenConfig::default(), 1);
+        let [.., neighbour, last] = &departures[..] else {
+            panic!("{kind}: two departures at least");
+        };
+        let mut shared = last.packet.clone();
+        let mut neighbour = neighbour.packet.clone();
+        assert!(Bytes::ptr_eq(
+            payload_mut(&mut shared),
+            payload_mut(&mut neighbour)
+        ));
+        let mut private = shared.clone();
+        let bytes = payload_mut(&mut private);
+        *bytes = Bytes::from(bytes.to_vec());
+        assert!(!Bytes::ptr_eq(
+            payload_mut(&mut shared),
+            payload_mut(&mut private)
+        ));
+
+        assert_eq!(shared, private);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&shared), hasher.hash_one(&private));
+        assert_eq!(FlowKey::of(&shared), FlowKey::of(&private));
+        assert_eq!(
+            MatchView::of(PortNo(1), &shared),
+            MatchView::of(PortNo(1), &private)
+        );
+        let wire = shared.encode();
+        assert_eq!(wire, private.encode());
+        assert_eq!(wire.len(), 1000);
+        for packet in [&shared, &private] {
+            assert_eq!(&Packet::decode(&wire).expect("own encoding"), packet);
+        }
+
+        // By content, not by construction: other bytes are another frame.
+        let mut other = shared.clone();
+        let bytes = payload_mut(&mut other);
+        *bytes = vec![0xa5; bytes.len()].into();
+        assert_ne!(other, shared);
+        assert_ne!(other.encode(), wire);
+    }
+}
