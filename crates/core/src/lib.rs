@@ -38,6 +38,7 @@ mod executor;
 mod experiment;
 pub mod figures;
 pub mod flightrec;
+mod measure;
 mod metric;
 pub mod observe;
 pub mod report;
@@ -55,9 +56,10 @@ pub use experiment::{
     CellKey, Experiment, ExperimentConfig, RateSweep, RunEvents, SweepBuilder, SweepCell,
     SweepResult, WorkloadKind,
 };
+pub use measure::PacketTrace;
 pub use metric::Metric;
 pub use result::RunResult;
-pub use testbed::{FailoverConfig, PacketTrace, Testbed, TestbedConfig};
+pub use testbed::{FailoverConfig, Testbed, TestbedConfig};
 pub use trace::MsgDesc;
 
 /// The structured event layer, re-exported from the simulation engine.

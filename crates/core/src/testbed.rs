@@ -3,19 +3,19 @@
 //! optional standby) around one switch, and the deterministic event loop
 //! that indexes them.
 
+use crate::measure::{Measurement, PacketTrace, Scan, Stage};
 use crate::trace::MsgDesc;
 use crate::RunResult;
 use sdnbuf_controller::{Controller, ControllerConfig, ControllerOutput, ParsedHeaders};
 use sdnbuf_metrics::ByteMeter;
-use sdnbuf_net::{FlowKey, Packet, PacketBuilder, Payload};
+use sdnbuf_net::{FlowKey, PacketBuilder};
 use sdnbuf_openflow::{OfpMessage, PortNo};
 use sdnbuf_sim::{
     ChannelDir, EventKind, EventQueue, FastHashMap, FaultPlan, FaultState, Link, LinkConfig,
     MultiQueueLink, Nanos, Pool, PoolHandle, QueueConfig, Tracer,
 };
 use sdnbuf_switch::{PacketHandle, PacketPool, Switch, SwitchConfig, SwitchOutput};
-use sdnbuf_workload::{is_time_ordered, Departure, HostAddr};
-use std::collections::hash_map::Entry;
+use sdnbuf_workload::{Departure, HostAddr};
 
 /// Static configuration of the whole testbed (Table I plus the calibrated
 /// model constants — see `EXPERIMENTS.md` for the calibration rationale).
@@ -159,46 +159,6 @@ impl TestbedConfig {
     }
 }
 
-/// A packet's identity on the wire: its flow 5-tuple plus the IPv4
-/// identification field the workload stamps per packet — exactly what a
-/// capture-based measurement keys on.
-type PacketId = (FlowKey, u16);
-
-fn packet_id(packet: &Packet) -> Option<PacketId> {
-    let key = FlowKey::of(packet)?;
-    let ident = match &packet.payload {
-        Payload::Ipv4(ip) => ip.header.identification,
-        _ => return None,
-    };
-    Some((key, ident))
-}
-
-/// One record per departure, when slice order alone shows that every
-/// packet has a wire identity of its own: within each flow, an `ident`
-/// larger than the one before. Every generator emits that, up to the
-/// 65 536 packets per flow the field can number; the table behind the
-/// decision holds one entry for each of the `flows` and is gone before the
-/// first event. `None` for anything else — an identity repeated or out of
-/// order, a packet without one, more packets than a pool tag can index.
-fn distinct_records(departures: &[Departure], flows: usize) -> Option<Vec<PacketTrace>> {
-    u32::try_from(departures.len()).ok()?;
-    let mut last_ident: FastHashMap<FlowKey, u16> =
-        FastHashMap::with_capacity_and_hasher(flows, Default::default());
-    let mut records = Vec::with_capacity(departures.len());
-    for d in departures {
-        let record = PacketTrace::of(d)?;
-        match last_ident.entry(record.flow) {
-            Entry::Occupied(last) if record.ident <= *last.get() => return None,
-            Entry::Occupied(mut last) => *last.get_mut() = record.ident,
-            Entry::Vacant(first) => {
-                first.insert(record.ident);
-            }
-        }
-        records.push(record);
-    }
-    Some(records)
-}
-
 /// Handle into the testbed's control-message pool.
 type MsgHandle = PoolHandle;
 
@@ -259,42 +219,6 @@ enum Event {
     /// The warm standby finishes its takeover and handshakes in place of
     /// the dead primary.
     FailoverTakeover,
-}
-
-/// One workload packet's observed timeline (see [`Testbed::packet_log`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PacketTrace {
-    /// The packet's flow 5-tuple.
-    pub flow: FlowKey,
-    /// The packet's IPv4 identification (its serial number in the flow).
-    pub ident: u16,
-    /// Workload flow index.
-    pub flow_index: usize,
-    /// Position within the flow.
-    pub seq_in_flow: usize,
-    /// When it arrived at the switch.
-    pub entered_switch: Option<Nanos>,
-    /// When it left the switch.
-    pub left_switch: Option<Nanos>,
-    /// When the destination host received it.
-    pub delivered: Option<Nanos>,
-}
-
-impl PacketTrace {
-    /// The blank timeline of a departure, `None` when its packet has no
-    /// wire identity.
-    fn of(departure: &Departure) -> Option<PacketTrace> {
-        let (flow, ident) = packet_id(&departure.packet)?;
-        Some(PacketTrace {
-            flow,
-            ident,
-            flow_index: departure.flow_index,
-            seq_in_flow: departure.seq_in_flow,
-            entered_switch: None,
-            left_switch: None,
-            delivered: None,
-        })
-    }
 }
 
 /// A switch egress port: plain FIFO or QoS-partitioned.
@@ -360,18 +284,6 @@ struct CtrlSlot {
 const PRIMARY: usize = 0;
 const STANDBY: usize = 1;
 
-/// What one pass over the packet records yields: per-flow delay samples
-/// and the delivery totals.
-#[derive(Default)]
-struct FlowDelays {
-    setup_ms: Vec<f64>,
-    forwarding_ms: Vec<f64>,
-    switch_ms: Vec<f64>,
-    flows_completed: usize,
-    packets_delivered: u64,
-    last_delivery: Option<Nanos>,
-}
-
 /// The assembled testbed of Fig. 1.
 ///
 /// Create one per run, feed it a workload with [`Testbed::run`], read the
@@ -411,14 +323,9 @@ pub struct Testbed {
     pressure_on: bool,
     tracer: Tracer,
     // Measurement state.
-    /// One timeline per workload packet, in departure order. A frame
+    /// The workload packets' records and per-flow aggregates. A frame
     /// carries its record's index as its pool tag.
-    records: Vec<PacketTrace>,
-    /// Wire identity to record: how a frame without a tag finds its
-    /// record (see [`Testbed::stamp`]). Left empty until such a frame
-    /// shows up, unless the workload's identities had to be told apart by
-    /// it to begin with (see [`Testbed::warm_up`]).
-    record_of: FastHashMap<PacketId, u32>,
+    measure: Measurement,
     pkt_in_sent: FastHashMap<u32, (Nanos, Option<FlowKey>)>,
     controller_delay_of_flow: FastHashMap<FlowKey, Nanos>,
     controller_delays_ms: Vec<f64>,
@@ -500,8 +407,7 @@ impl Testbed {
             faults: FaultState::new(config.faults.clone()),
             pressure_on: false,
             tracer: Tracer::off(),
-            records: Vec::new(),
-            record_of: FastHashMap::default(),
+            measure: Measurement::default(),
             pkt_in_sent: FastHashMap::default(),
             controller_delay_of_flow: FastHashMap::default(),
             controller_delays_ms: Vec::new(),
@@ -578,12 +484,20 @@ impl Testbed {
         self.tracer = tracer;
     }
 
-    /// The per-packet trace recorded during the run: when each workload
-    /// packet entered the switch, left it, and reached its destination.
+    /// Has the run keep every workload packet's timeline for
+    /// [`Testbed::packet_log`]. Call before [`Testbed::run`]; a testbed
+    /// with a tracer attached keeps it anyway.
+    pub fn keep_packet_log(&mut self) {
+        self.measure.keep_log();
+    }
+
+    /// The per-packet trace of an observed run — one with a tracer attached
+    /// or [`Testbed::keep_packet_log`] called before it: when each workload
+    /// packet entered the switch, left it, and reached its destination, by
+    /// flow and position. Any other run keeps per-flow aggregates only, and
+    /// its log is empty.
     pub fn packet_log(&self) -> Vec<PacketTrace> {
-        let mut log = self.records.clone();
-        log.sort_by_key(|t| (t.flow_index, t.seq_in_flow));
-        log
+        self.measure.packet_log()
     }
 
     /// Runs the full experiment: ARP warm-up, then the given departures
@@ -593,11 +507,12 @@ impl Testbed {
     /// pool when its instant comes, so the pool and the event queue hold
     /// what is in flight, not the whole workload.
     pub fn run(&mut self, departures: &[Departure]) -> RunResult {
+        let scan = self.begin_measurement(departures);
         // Departures leave in the order the queue would pop them had each
         // been scheduled, in slice order, at its `at`: by `(at, index)`.
         // Every generator emits that order; only an unsorted slice costs a
         // permutation (the sort is stable: ties stay in index order).
-        let by_time = (!is_time_ordered(departures)).then(|| {
+        let by_time = (!scan.ordered).then(|| {
             let mut by_time: Vec<usize> = (0..departures.len()).collect();
             by_time.sort_by_key(|&i| departures[i].at);
             by_time
@@ -609,17 +524,15 @@ impl Testbed {
             };
             Some((i, departures.get(i)?.at))
         };
-        let at = |k: usize| nth(k).map_or(Nanos::ZERO, |(_, at)| at);
-        let (earliest, latest) = (at(0), at(departures.len().saturating_sub(1)));
 
         let shift = self.config.warmup_gap;
-        let flows_total = self.warm_up(departures, earliest);
+        self.warm_up(scan.earliest);
         // A departure's key in the merge below is `(shift + at, seq0 +
         // index)`, the sequence number scheduling it here would have drawn:
         // events scheduled before this line tie ahead of it, events
         // scheduled after it behind.
         let seq0 = self.queue.reserve_seqs(departures.len() as u64);
-        self.schedule_probes(shift, shift + latest + self.config.warmup_gap);
+        self.schedule_probes(shift, shift + scan.latest + self.config.warmup_gap);
         self.schedule_crash_plane();
 
         let mut served = 0;
@@ -629,7 +542,7 @@ impl Testbed {
                 (shift + at, seq0 + i as u64)
             });
             if let Some((now, event)) = self.queue.pop_before(bound) {
-                self.dispatch(now, event);
+                self.dispatch(now, event, departures);
             } else if let Some((i, at)) = next {
                 served += 1;
                 // The frame's headers are copied and its payload bytes
@@ -639,7 +552,7 @@ impl Testbed {
                 // or sharing one) the frame finds its record as any
                 // untagged frame does.
                 let packet = self.pool.insert(departures[i].packet.clone());
-                if self.records.len() == departures.len() {
+                if scan.record_per_departure {
                     self.pool.set_tag(packet, i as u32);
                 }
                 self.on_frame_from_host(shift + at, PortNo(1), packet);
@@ -648,13 +561,22 @@ impl Testbed {
             }
             self.events_dispatched += 1;
         }
-        self.collect(departures.len() as u64, flows_total)
+        self.collect(departures.len() as u64, scan.flows_total)
     }
 
-    /// Everything before the first event: session handshake, the ARP
-    /// warm-up, and one record per workload packet. Returns the number of
-    /// flows.
-    fn warm_up(&mut self, departures: &[Departure], earliest: Nanos) -> usize {
+    /// The one pass over the workload before the first event (see
+    /// [`Measurement::begin`]). A run with a tracer attached is an observed
+    /// one: it keeps the packet log.
+    fn begin_measurement(&mut self, departures: &[Departure]) -> Scan {
+        if self.tracer.is_enabled() {
+            self.measure.keep_log();
+        }
+        self.measure.begin(departures)
+    }
+
+    /// The session handshake and the ARP warm-up, ahead of a workload
+    /// whose first departure is at `earliest`.
+    fn warm_up(&mut self, earliest: Nanos) {
         // OpenFlow session handshake: hello, features, config — and the
         // vendor-extension capability announcement when the switch runs
         // the flow-granularity mechanism.
@@ -678,38 +600,6 @@ impl Testbed {
 
         // Data: shift departures past the warm-up gap.
         self.data_start = self.config.warmup_gap + earliest;
-        let flows_total = departures
-            .iter()
-            .map(|d| d.flow_index + 1)
-            .max()
-            .unwrap_or(0);
-        if let Some(records) = distinct_records(departures, flows_total) {
-            self.records = records;
-        } else {
-            self.index_by_identity(departures);
-        }
-        flows_total
-    }
-
-    /// Records for a workload whose packets slice order does not tell
-    /// apart: a capture does it by wire identity, so a packet that repeats
-    /// an earlier identity takes that packet's record over, and one
-    /// without an identity gets none.
-    fn index_by_identity(&mut self, departures: &[Departure]) {
-        self.records.reserve(departures.len());
-        self.record_of.reserve(departures.len());
-        for record in departures.iter().filter_map(PacketTrace::of) {
-            match self.record_of.entry((record.flow, record.ident)) {
-                Entry::Occupied(taken) => self.records[*taken.get() as usize] = record,
-                Entry::Vacant(free) => {
-                    // Past what a tag can index, a packet goes untracked.
-                    if let Ok(next) = u32::try_from(self.records.len()) {
-                        free.insert(next);
-                        self.records.push(record);
-                    }
-                }
-            }
-        }
     }
 
     /// Pre-schedules controller-originated probes across the run window
@@ -765,26 +655,28 @@ impl Testbed {
         }
     }
 
-    fn dispatch(&mut self, now: Nanos, event: Event) {
+    /// Handles one event. `workload` is the run's departures, which a
+    /// frame's record may have to be found in (see [`Measurement::stamp`]).
+    fn dispatch(&mut self, now: Nanos, event: Event, workload: &[Departure]) {
         match event {
             Event::FrameFromHost { port, packet } => self.on_frame_from_host(now, port, packet),
             Event::FrameAtSwitch { in_port, packet } => {
-                self.on_frame_at_switch(now, in_port, packet)
+                self.on_frame_at_switch(now, in_port, packet, workload)
             }
             Event::EgressAtSwitch {
                 port,
                 queue,
                 packet,
-            } => self.egress_frame(now, port, queue, packet),
+            } => self.egress_frame(now, port, queue, packet, workload),
             // Frames in a batch left the switch at the same instant and
             // were adjacent in the event order; handling them in sequence
             // is observably identical to one event each.
             Event::EgressBatch { frames } => {
                 for (port, queue, packet) in frames {
-                    self.egress_frame(now, port, queue, packet);
+                    self.egress_frame(now, port, queue, packet, workload);
                 }
             }
-            Event::FrameAtHost { packet } => self.on_frame_at_host(now, packet),
+            Event::FrameAtHost { packet } => self.on_frame_at_host(now, packet, workload),
             Event::CtrlSend { dir, xid, msg } => self.send_ctrl(now, dir, xid, msg),
             Event::CtrlAtController { xid, msg } => self.on_ctrl_at_controller(now, xid, msg),
             Event::CtrlAtSwitch { xid, msg } => self.on_ctrl_at_switch(now, xid, msg),
@@ -797,35 +689,20 @@ impl Testbed {
         }
     }
 
-    /// Stamps one field of a workload packet's timeline, first time only.
-    fn stamp(
-        &mut self,
-        packet: PacketHandle,
-        now: Nanos,
-        field: impl FnOnce(&mut PacketTrace) -> &mut Option<Nanos>,
-    ) {
-        let record = self.pool.tag(packet).or_else(|| {
-            // A frame the switch rebuilt from `packet_out` bytes sits in a
-            // slot of its own: wire identity is all that came back from
-            // the controller. Look it up once; the tag serves from here on.
-            let id = packet_id(self.pool.get(packet)?)?;
-            if self.record_of.is_empty() {
-                // The first such frame of a workload with one record per
-                // packet: only no-buffer ever gets here.
-                let ids = self.records.iter().map(|r| (r.flow, r.ident));
-                self.record_of.extend(ids.zip(0..));
-            }
-            let record = *self.record_of.get(&id)?;
-            self.pool.set_tag(packet, record);
-            Some(record)
-        });
-        if let Some(record) = record {
-            field(&mut self.records[record as usize]).get_or_insert(now);
+    /// A frame's wire size, or `None` — and one more data drop — for a
+    /// handle that went stale behind the event that carried it.
+    fn frame_len(&mut self, packet: PacketHandle) -> Option<usize> {
+        let len = self.pool.get(packet).map(|frame| frame.wire_len());
+        if len.is_none() {
+            self.data_drops += 1;
         }
+        len
     }
 
     fn on_frame_from_host(&mut self, now: Nanos, in_port: PortNo, packet: PacketHandle) {
-        let len = self.pool.get(packet).expect("live frame handle").wire_len();
+        let Some(len) = self.frame_len(packet) else {
+            return;
+        };
         let host = &mut self.ports[usize::from(in_port.0) - 1];
         if self.faults.data_link_down(now) {
             self.data_drops += 1;
@@ -846,9 +723,20 @@ impl Testbed {
         }
     }
 
-    fn on_frame_at_switch(&mut self, now: Nanos, in_port: PortNo, packet: PacketHandle) {
-        let flow = FlowKey::of(self.pool.get(packet).expect("live frame handle"));
-        self.stamp(packet, now, |rec| &mut rec.entered_switch);
+    fn on_frame_at_switch(
+        &mut self,
+        now: Nanos,
+        in_port: PortNo,
+        packet: PacketHandle,
+        workload: &[Departure],
+    ) {
+        let Some(frame) = self.pool.get(packet) else {
+            self.data_drops += 1;
+            return;
+        };
+        let flow = FlowKey::of(frame);
+        self.measure
+            .stamp(&mut self.pool, packet, now, Stage::Entered, workload);
         let pressure = self.faults.pressure_active(now);
         if pressure != self.pressure_on {
             self.pressure_on = pressure;
@@ -860,22 +748,44 @@ impl Testbed {
         self.arm_timer();
     }
 
-    fn on_frame_at_host(&mut self, now: Nanos, packet: PacketHandle) {
-        self.stamp(packet, now, |rec| &mut rec.delivered);
+    fn on_frame_at_host(&mut self, now: Nanos, packet: PacketHandle, workload: &[Departure]) {
+        self.measure
+            .stamp(&mut self.pool, packet, now, Stage::Delivered, workload);
         // End of the packet's life: drop the last pool reference.
         self.pool.release(packet);
     }
 
-    /// A control message's wire size and trace label.
-    fn describe(&self, msg: MsgHandle) -> (usize, &'static str) {
-        let m = self.msgs.get(msg).expect("live ctrl msg handle");
-        (m.wire_len(), MsgDesc::of(m).label())
+    /// A control message's wire size and trace label, or `None` — and one
+    /// more control drop — for a handle that went stale behind the event
+    /// that carried it.
+    fn describe(&mut self, msg: MsgHandle) -> Option<(usize, &'static str)> {
+        let described = self
+            .msgs
+            .get(msg)
+            .map(|m| (m.wire_len(), MsgDesc::of(m).label()));
+        if described.is_none() {
+            self.ctrl_drops += 1;
+        }
+        described
+    }
+
+    /// Moves a delivered control message out of the pool (a clone only
+    /// when a fault-injected duplicate still shares the entry); a stale
+    /// handle is one more control drop.
+    fn take_msg(&mut self, msg: MsgHandle) -> Option<OfpMessage> {
+        let taken = self.msgs.take(msg);
+        if taken.is_none() {
+            self.ctrl_drops += 1;
+        }
+        taken
     }
 
     /// The one way onto the control channel, either direction: capture
     /// tap, fault plane, link queueing, then the arrival at the far end.
     fn send_ctrl(&mut self, now: Nanos, dir: ChannelDir, xid: u32, msg: MsgHandle) {
-        let (len, label) = self.describe(msg);
+        let Some((len, label)) = self.describe(msg) else {
+            return;
+        };
         let wire = &mut self.ctrl[dir as usize];
         debug_assert_eq!(wire.dir, dir);
         if now >= self.data_start {
@@ -923,7 +833,9 @@ impl Testbed {
 
     /// Loses one control message: counted, released, traced.
     fn drop_ctrl(&mut self, now: Nanos, dir: ChannelDir, xid: u32, msg: MsgHandle) {
-        let (bytes, label) = self.describe(msg);
+        let Some((bytes, label)) = self.describe(msg) else {
+            return;
+        };
         self.ctrl_drops += 1;
         self.msgs.release(msg);
         self.tracer.emit(
@@ -972,10 +884,9 @@ impl Testbed {
                 .schedule(resume, Event::CtrlAtController { xid, msg });
             return;
         }
-        // `take` moves the message out when this is the only reference and
-        // clones only when a fault-injected duplicate still shares the
-        // entry.
-        let msg = self.msgs.take(msg).expect("live ctrl msg handle");
+        let Some(msg) = self.take_msg(msg) else {
+            return;
+        };
         self.slots[self.serving]
             .ctrl
             .handle_message_into(now, msg, xid, &mut self.ctrl_out);
@@ -983,6 +894,9 @@ impl Testbed {
     }
 
     fn on_ctrl_at_switch(&mut self, now: Nanos, xid: u32, msg: MsgHandle) {
+        let Some(msg) = self.take_msg(msg) else {
+            return;
+        };
         // Controller delay: pkt_in left the switch -> first response with
         // the same xid arrives back (the paper's t2 - t1).
         if let Some((sent_at, flow)) = self.pkt_in_sent.remove(&xid) {
@@ -992,7 +906,6 @@ impl Testbed {
                 self.controller_delay_of_flow.entry(flow).or_insert(delay);
             }
         }
-        let msg = self.msgs.take(msg).expect("live ctrl msg handle");
         self.switch
             .handle_controller_msg_into(now, msg, xid, &mut self.pool, &mut self.switch_out);
         self.process_switch_outputs(None);
@@ -1174,9 +1087,19 @@ impl Testbed {
     /// fault plane, and put it on the egress link. Shared by the single
     /// [`Event::EgressAtSwitch`] path and the coalesced
     /// [`Event::EgressBatch`] path.
-    fn egress_frame(&mut self, now: Nanos, port: PortNo, queue: Option<u32>, packet: PacketHandle) {
-        let len = self.pool.get(packet).expect("live frame handle").wire_len();
-        self.stamp(packet, now, |rec| &mut rec.left_switch);
+    fn egress_frame(
+        &mut self,
+        now: Nanos,
+        port: PortNo,
+        queue: Option<u32>,
+        packet: PacketHandle,
+        workload: &[Departure],
+    ) {
+        let Some(len) = self.frame_len(packet) else {
+            return;
+        };
+        self.measure
+            .stamp(&mut self.pool, packet, now, Stage::Left, workload);
         let Some(host) = self.ports.get_mut(usize::from(port.0).wrapping_sub(1)) else {
             debug_assert!(false, "egress on unknown port {port}");
             self.pool.release(packet);
@@ -1208,61 +1131,11 @@ impl Testbed {
         }
     }
 
-    /// Per-flow delay extraction from the packet records.
-    fn flow_delays(&self, flows_total: usize) -> FlowDelays {
-        /// What a flow's packets add up to.
-        #[derive(Clone, Default)]
-        struct FlowAgg {
-            /// The first packet's entry, exit and flow key.
-            first: Option<(Nanos, Nanos, FlowKey)>,
-            last_left: Option<Nanos>,
-            delivered: usize,
-            total: usize,
-        }
-        let mut per_flow = vec![FlowAgg::default(); flows_total];
-        let mut delays = FlowDelays::default();
-        for rec in &self.records {
-            let flow = &mut per_flow[rec.flow_index];
-            flow.total += 1;
-            if rec.delivered.is_some() {
-                flow.delivered += 1;
-                delays.packets_delivered += 1;
-                delays.last_delivery = delays.last_delivery.max(rec.delivered);
-            }
-            if rec.seq_in_flow == 0 {
-                if let (Some(e), Some(l)) = (rec.entered_switch, rec.left_switch) {
-                    flow.first = Some((e, l, rec.flow));
-                }
-            }
-            flow.last_left = flow.last_left.max(rec.left_switch);
-        }
-        for flow in &per_flow {
-            if flow.delivered == flow.total && flow.total > 0 {
-                delays.flows_completed += 1;
-            }
-            if let Some((enter, left, key)) = flow.first {
-                let setup = left.saturating_sub(enter);
-                delays.setup_ms.push(setup.as_millis_f64());
-                if let Some(ctrl) = self.controller_delay_of_flow.get(&key) {
-                    delays
-                        .switch_ms
-                        .push(setup.saturating_sub(*ctrl).as_millis_f64());
-                }
-                if let Some(last) = flow.last_left {
-                    delays
-                        .forwarding_ms
-                        .push(last.saturating_sub(enter).as_millis_f64());
-                }
-            }
-        }
-        delays
-    }
-
     fn collect(&mut self, packets_sent: u64, flows_total: usize) -> RunResult {
         use sdnbuf_metrics::Summary;
         let to_controller = &self.ctrl[ChannelDir::ToController as usize].meter;
         let to_switch = &self.ctrl[ChannelDir::ToSwitch as usize].meter;
-        let delays = self.flow_delays(flows_total);
+        let delays = self.measure.flow_delays(&self.controller_delay_of_flow);
         // The measurement window ends with the last data-driven activity
         // (delivery or control message); the rule-expiry housekeeping that
         // trails for idle-timeout seconds afterwards is not part of the
@@ -1378,26 +1251,24 @@ mod tests {
         /// workload looks like, so every frame is told by its wire
         /// identity.
         fn run_prescheduled(&mut self, departures: &[Departure]) -> RunResult {
-            let ats = || departures.iter().map(|d| d.at);
-            let earliest = ats().min().unwrap_or(Nanos::ZERO);
+            let scan = self.begin_measurement(departures);
             let shift = self.config.warmup_gap;
-            let flows_total = self.warm_up(departures, earliest);
-            self.records.clear();
-            self.record_of.clear();
-            self.index_by_identity(departures);
+            self.warm_up(scan.earliest);
+            if self.measure.sizes().1 == 0 {
+                self.measure.index_identities(departures, departures.len());
+            }
             for d in departures {
                 let (port, packet) = (PortNo(1), self.pool.insert(d.packet.clone()));
                 self.queue
                     .schedule(shift + d.at, Event::FrameFromHost { port, packet });
             }
-            let latest = ats().max().unwrap_or(Nanos::ZERO);
-            self.schedule_probes(shift, shift + latest + self.config.warmup_gap);
+            self.schedule_probes(shift, shift + scan.latest + self.config.warmup_gap);
             self.schedule_crash_plane();
             while let Some((now, event)) = self.queue.pop() {
                 self.events_dispatched += 1;
-                self.dispatch(now, event);
+                self.dispatch(now, event, departures);
             }
-            self.collect(departures.len() as u64, flows_total)
+            self.collect(departures.len() as u64, scan.flows_total)
         }
     }
 
@@ -1422,7 +1293,7 @@ mod tests {
         let sorted = cross_sequenced_flows(&PktgenConfig::default(), 12, 20, 5, 3);
         let mut shuffled = sorted.clone();
         SimRng::seed_from(11).shuffle(&mut shuffled);
-        assert!(!is_time_ordered(&shuffled));
+        assert!(!Measurement::default().begin(&shuffled).ordered);
         // Keepalives and polls: the probe horizon hangs off the latest
         // departure, the measurement window off the earliest.
         let mut config = TestbedConfig::with_buffer(BufferChoice::FlowGranularity {
@@ -1444,9 +1315,17 @@ mod tests {
         timeout: Nanos::from_millis(50),
     };
 
-    /// Runs `departures` and hands back the testbed, after checking that
-    /// the run left behind what the up-front index and untagged frames of
-    /// `run_prescheduled` leave.
+    /// Whether slice order alone tells the packets of `departures` apart:
+    /// a record each, and no identity index before a frame asks for one.
+    fn told_apart_by_order(departures: &[Departure]) -> bool {
+        let mut measure = Measurement::default();
+        measure.begin(departures);
+        measure.sizes() == (departures.len(), 0)
+    }
+
+    /// Runs `departures`, packet log kept, and hands back the testbed,
+    /// after checking that the run left behind what the up-front index and
+    /// untagged frames of `run_prescheduled` leave.
     fn run_like_the_reference(buffer: BufferChoice, departures: &[Departure]) -> Testbed {
         let config = TestbedConfig::with_buffer(buffer);
         assert_eq!(
@@ -1455,6 +1334,7 @@ mod tests {
             "{buffer:?}"
         );
         let mut tb = Testbed::new(config);
+        tb.keep_packet_log();
         tb.run(departures);
         tb
     }
@@ -1462,14 +1342,14 @@ mod tests {
     #[test]
     fn the_identity_index_is_built_when_a_frame_comes_back_untagged() {
         let monotone = cross_sequenced_flows(&PktgenConfig::default(), 6, 20, 3, 5);
-        assert!(distinct_records(&monotone, 6).is_some());
+        assert!(told_apart_by_order(&monotone));
         // Frames parked in the switch keep their tags: no index.
         let tb = run_like_the_reference(FLOW_256, &monotone);
-        assert_eq!((tb.records.len(), tb.record_of.len()), (120, 0));
+        assert_eq!(tb.measure.sizes(), (120, 0));
         // no-buffer re-parses its frames from `packet_out` bytes: the
         // first one builds the index, whole, and the rest find it built.
         let tb = run_like_the_reference(BufferChoice::NoBuffer, &monotone);
-        assert_eq!((tb.records.len(), tb.record_of.len()), (120, 120));
+        assert_eq!(tb.measure.sizes(), (120, 120));
 
         // Packet 9 of flow 0 (which sits at every third position of the
         // first sixty) goes out again in place of its packet 15: one
@@ -1480,10 +1360,10 @@ mod tests {
             FlowKey::of(&monotone[45].packet),
             FlowKey::of(&monotone[27].packet)
         );
-        assert!(distinct_records(&repeated, 6).is_none());
+        assert!(!told_apart_by_order(&repeated));
         for buffer in [FLOW_256, BufferChoice::NoBuffer] {
             let tb = run_like_the_reference(buffer, &repeated);
-            assert_eq!((tb.records.len(), tb.record_of.len()), (119, 119));
+            assert_eq!(tb.measure.sizes(), (119, 119));
         }
 
         // The two packets trade places instead: every identity is still
@@ -1491,10 +1371,10 @@ mod tests {
         let mut out_of_order = monotone.clone();
         let (a, b) = (monotone[27].packet.clone(), monotone[45].packet.clone());
         (out_of_order[27].packet, out_of_order[45].packet) = (b, a);
-        assert!(distinct_records(&out_of_order, 6).is_none());
+        assert!(!told_apart_by_order(&out_of_order));
         for buffer in [FLOW_256, BufferChoice::NoBuffer] {
             let tb = run_like_the_reference(buffer, &out_of_order);
-            assert_eq!((tb.records.len(), tb.record_of.len()), (120, 120));
+            assert_eq!(tb.measure.sizes(), (120, 120));
         }
     }
 
@@ -1506,10 +1386,10 @@ mod tests {
         // them.
         let pktgen = PktgenConfig::default();
         let wrapped = cross_sequenced_flows(&pktgen, 1, 65_540, 1, 1);
-        assert!(distinct_records(&wrapped[..65_536], 1).is_some());
-        assert!(distinct_records(&wrapped, 1).is_none());
+        assert!(told_apart_by_order(&wrapped[..65_536]));
+        assert!(!told_apart_by_order(&wrapped));
         let tb = run_like_the_reference(FLOW_256, &wrapped);
-        assert_eq!((tb.records.len(), tb.record_of.len()), (65_536, 65_536));
+        assert_eq!(tb.measure.sizes(), (65_536, 65_536));
         let log = tb.packet_log();
         let seqs = (log[0].seq_in_flow, log[65_535].seq_in_flow);
         assert_eq!(seqs, (4, 65_539));
@@ -1613,6 +1493,108 @@ mod tests {
             let prescheduled = observed(&config, &departures, Testbed::run_prescheduled);
             prop_assert_eq!(streamed, prescheduled);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The per-flow aggregates, folded as frames are stamped, hold what
+        /// one pass over the packet log extracts after the run — with
+        /// packets sharing a wire identity and out of slice order, on a
+        /// mechanism whose frames come back from the controller as bytes
+        /// and on ones that park them, with control messages duplicated
+        /// (so that one `packet_out` releases, or rebuilds, a frame twice)
+        /// and held back past later ones. And the result is the same
+        /// whether or not the log is kept.
+        #[test]
+        fn streamed_aggregates_equal_the_extraction_from_the_log(
+            (departures, _) in arb_departures(),
+            buffer in prop_oneof![
+                Just(BufferChoice::NoBuffer),
+                Just(BufferChoice::PacketGranularity { capacity: 16 }),
+                Just(FLOW_256),
+            ],
+            faults in prop_oneof![
+                Just(""),
+                Just("fseed=3,c.dup=0.5,s.dup=0.5,c.reorder=0.3:400us,s.reorder=0.3:400us"),
+            ],
+        ) {
+            let mut config = TestbedConfig::with_buffer(buffer);
+            config.faults = FaultPlan::parse(faults).expect("valid plan");
+            let mut logged = Testbed::new(config.clone());
+            logged.keep_packet_log();
+            let with_log = logged.run(&departures);
+            prop_assert_eq!(
+                logged.measure.flow_delays(&logged.controller_delay_of_flow),
+                logged.measure.flow_delays_from_log(&logged.controller_delay_of_flow)
+            );
+            let mut bare = Testbed::new(config);
+            let without_log = bare.run(&departures);
+            prop_assert_eq!(format!("{with_log:?}"), format!("{without_log:?}"));
+            prop_assert_eq!(bare.packet_log(), []);
+        }
+    }
+
+    #[test]
+    fn a_first_packet_whose_record_is_taken_over_leaves_the_place_free() {
+        let mut departures = cross_sequenced_flows(&PktgenConfig::default(), 6, 20, 3, 5);
+        let at = |flow, seq| {
+            let of = |d: &Departure| (d.flow_index, d.seq_in_flow) == (flow, seq);
+            departures.iter().position(of).expect("generated")
+        };
+        // Packet 0 of flow 0 goes out again as packet 3 of flow 1, which
+        // takes its record over; a later packet of flow 0 is numbered 0.
+        let (first, repeat, renumbered) = (at(0, 0), at(1, 3), at(0, 5));
+        departures[repeat].packet = departures[first].packet.clone();
+        departures[renumbered].seq_in_flow = 0;
+        let mut tb = Testbed::new(TestbedConfig::with_buffer(FLOW_256));
+        tb.keep_packet_log();
+        let result = tb.run(&departures);
+        let delays = tb.measure.flow_delays(&tb.controller_delay_of_flow);
+        let reference = tb
+            .measure
+            .flow_delays_from_log(&tb.controller_delay_of_flow);
+        assert_eq!(delays, reference);
+        assert_eq!(result.flow_setup_delay.n, 6);
+    }
+
+    #[test]
+    fn a_stale_handle_is_a_counted_drop_not_a_panic() {
+        let mut tb = Testbed::new(TestbedConfig::default());
+        let frame = tb.pool.insert(PacketBuilder::udp().build());
+        tb.pool.release(frame);
+        let (port, packet) = (PortNo(1), frame);
+        for event in [
+            Event::FrameFromHost { port, packet },
+            Event::FrameAtSwitch {
+                in_port: port,
+                packet,
+            },
+            Event::EgressAtSwitch {
+                port,
+                queue: None,
+                packet,
+            },
+        ] {
+            tb.dispatch(Nanos::ZERO, event, &[]);
+        }
+        assert_eq!((tb.data_drops, tb.ctrl_drops), (3, 0));
+
+        let msg = tb.msgs.insert(OfpMessage::Hello);
+        tb.msgs.release(msg);
+        let (dir, xid) = (ChannelDir::ToSwitch, 1);
+        for event in [
+            Event::CtrlSend { dir, xid, msg },
+            Event::CtrlAtController { xid, msg },
+            Event::CtrlAtSwitch { xid, msg },
+        ] {
+            tb.dispatch(Nanos::ZERO, event, &[]);
+        }
+        assert_eq!((tb.data_drops, tb.ctrl_drops), (3, 3));
+        // Nothing was scheduled, handled or metered on their behalf.
+        assert!(tb.queue.is_empty());
+        assert_eq!(tb.switch.stats().drops.get(), 0);
+        assert_eq!(tb.ctrl[dir as usize].meter.bytes(), 0);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! bounded drop-tail FIFO queue.
 
 use crate::events::{EventKind, Tracer};
+use crate::time::NS_PER_BYTE_AT_1BPS;
 use crate::{BitRate, Nanos};
 
 /// Static configuration of a [`Link`].
@@ -146,10 +147,18 @@ impl Link {
     /// Bytes currently waiting to be serialized (fluid approximation:
     /// remaining busy time × line rate).
     pub fn backlog_bytes(&self, now: Nanos) -> usize {
-        let remaining = self.ready_at.saturating_sub(now);
-        let bits =
-            remaining.as_nanos() as u128 * self.config.bandwidth.as_bps() as u128 / 1_000_000_000;
-        (bits / 8) as usize
+        let remaining = self.ready_at.saturating_sub(now).as_nanos();
+        if remaining == 0 {
+            return 0;
+        }
+        let bps = self.config.bandwidth.as_bps();
+        // As in `BitRate::transmission_time`: the wide division (a libcall)
+        // serves only a backlog whose ns × bps outgrows a `u64`, which is
+        // 184 s of it at 100 Mbps.
+        match remaining.checked_mul(bps) {
+            Some(bit_ns) => (bit_ns / NS_PER_BYTE_AT_1BPS) as usize,
+            None => (remaining as u128 * bps as u128 / NS_PER_BYTE_AT_1BPS as u128) as usize,
+        }
     }
 
     /// The instant the serializer goes idle given everything accepted so far.

@@ -206,6 +206,9 @@ impl fmt::Display for Nanos {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BitRate(u64);
 
+/// Nanoseconds a byte occupies a 1 bps line: bits × 10⁹.
+pub(crate) const NS_PER_BYTE_AT_1BPS: u64 = 8 * 1_000_000_000;
+
 impl BitRate {
     /// Creates a rate from bits per second.
     ///
@@ -249,7 +252,6 @@ impl BitRate {
     /// to the next nanosecond (a partial nanosecond still occupies the line).
     #[inline]
     pub fn transmission_time(self, bytes: usize) -> Nanos {
-        const NS_PER_BYTE_AT_1BPS: u64 = 8 * 1_000_000_000;
         // Frames are far below the 2.3 GB where bits × 10⁹ outgrows a
         // `u64`; the wide division (a libcall) serves only what is not.
         let ns = match (bytes as u64).checked_mul(NS_PER_BYTE_AT_1BPS) {

@@ -226,6 +226,28 @@ proptest! {
         }
     }
 
+    /// `backlog_bytes` is the wide product remaining ns × bps / 10⁹ / 8,
+    /// whether the line is idle, the product fits a `u64`, or — a frame of
+    /// gigabytes — it does not.
+    #[test]
+    fn backlog_bytes_is_the_wide_product(
+        bps in prop_oneof![1u64..1_000, 1u64..=100_000_000_000, Just(100_000_000_000u64)],
+        bytes in prop_oneof![0usize..2_000, 0usize..=1 << 32, Just(1usize << 32)],
+        elapsed_permille in prop_oneof![Just(0u64), 0u64..1_200],
+    ) {
+        let mut link = Link::new(LinkConfig {
+            bandwidth: BitRate::from_bps(bps),
+            propagation: Nanos::from_micros(5),
+            queue_capacity_bytes: usize::MAX,
+        });
+        prop_assert_eq!(link.backlog_bytes(Nanos::ZERO), 0);
+        link.enqueue(Nanos::ZERO, bytes).expect("unbounded queue");
+        let busy = link.ready_at().as_nanos();
+        let now = (busy as u128 * elapsed_permille as u128 / 1_000).min(u64::MAX as u128) as u64;
+        let wide = busy.saturating_sub(now) as u128 * bps as u128 / 1_000_000_000 / 8;
+        prop_assert_eq!(link.backlog_bytes(Nanos::from_nanos(now)), wide as usize);
+    }
+
     #[test]
     fn link_arrivals_are_fifo_and_after_submission(
         frames in proptest::collection::vec((0u64..100_000, 64usize..1500), 1..100),

@@ -114,6 +114,7 @@ fn run(egress_queues: Vec<QueueConfig>) -> [ClassReport; 2] {
     config.egress_queues = Some(egress_queues);
     let mut testbed = Testbed::new(config);
     install_rules(&mut testbed);
+    testbed.keep_packet_log();
     testbed.run(&workload());
 
     let log = testbed.packet_log();

@@ -344,6 +344,7 @@ fn qos_egress_isolates_reserved_traffic() {
                 xid,
             );
         }
+        tb.keep_packet_log();
         tb.run(&deps);
         let log = tb.packet_log();
         let ef_max_ms = log
@@ -481,6 +482,7 @@ fn packet_log_orders_by_flow_and_sequence() {
         group_size: 3,
     }
     .generate(&sdn_buffer_lab::workload::PktgenConfig::default(), 1);
+    tb.keep_packet_log();
     tb.run(&deps);
     let log = tb.packet_log();
     assert_eq!(log.len(), 6);

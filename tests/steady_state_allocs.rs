@@ -16,10 +16,13 @@
 //! of the same cell at 4 000 and at 2 000 flows, which cancels everything a
 //! run pays once (construction, handshake, warm-up, result collection).
 //!
-//! The same difference is taken of the peak live heap: a packet that has
-//! been delivered leaves one record behind (for `packet_log()`), not its
-//! frame — the workload is streamed through the pool, which holds what is
-//! in flight.
+//! The same difference is taken of the peak live heap, between two runs
+//! of the same flows with twice the packets in each: a packet that has been
+//! delivered leaves an 8-B mark behind (which flow, which stages stamped),
+//! not its frame — the workload is streamed through the pool, which holds
+//! what is in flight — and not its timeline, which is folded into its
+//! flow's aggregate as it is stamped and written out only for a run
+//! somebody observes (`keep_packet_log()`, a tracer).
 //!
 //! A binary of its own because `#[global_allocator]` is per-binary; the
 //! counter is per-thread, so the tests here do not perturb each other.
@@ -105,6 +108,7 @@ fn run_cell(buffer: BufferMode, rate_mbps: u64, kind: WorkloadKind) -> CellCost 
     let (allocations, result) = allocations_in(|| testbed.run(&departures));
     assert_eq!(result.packets_sent, departures.len() as u64);
     assert_eq!(result.packets_delivered, result.packets_sent);
+    assert_eq!(testbed.packet_log(), [], "nobody asked for the timelines");
     CellCost {
         allocations,
         peak_live: PEAK.with(Cell::get) - live_before,
@@ -113,8 +117,8 @@ fn run_cell(buffer: BufferMode, rate_mbps: u64, kind: WorkloadKind) -> CellCost 
 }
 
 /// What one more packet costs: the difference between the cell at
-/// `kind(4_000)` and at `kind(2_000)` flows, per packet, as (allocations,
-/// bytes of peak live heap).
+/// `kind(4_000)` and at `kind(2_000)`, per packet, as (allocations, bytes
+/// of peak live heap).
 fn marginal_cost_per_packet(
     buffer: BufferMode,
     rate_mbps: u64,
@@ -124,7 +128,7 @@ fn marginal_cost_per_packet(
     let large = run_cell(buffer, rate_mbps, kind(4_000));
     let packets = (large.packets - small.packets) as f64;
     (
-        (large.allocations - small.allocations) as f64 / packets,
+        (large.allocations as f64 - small.allocations as f64) / packets,
         (large.peak_live - small.peak_live) as f64 / packets,
     )
 }
@@ -133,6 +137,16 @@ fn twenty_packet_flows(n_flows: usize) -> WorkloadKind {
     WorkloadKind::CrossSequenced {
         n_flows,
         packets_per_flow: 20,
+        group_size: 5,
+    }
+}
+
+/// `flows` flows of `size / divisor` packets each: doubling `size` doubles
+/// every flow and adds none.
+fn flows_of(flows: usize, divisor: usize) -> impl Fn(usize) -> WorkloadKind {
+    move |size| WorkloadKind::CrossSequenced {
+        n_flows: flows,
+        packets_per_flow: size / divisor,
         group_size: 5,
     }
 }
@@ -167,16 +181,29 @@ fn one_more_packet_allocates_only_its_own_bytes() {
 }
 
 #[test]
-fn one_more_packet_keeps_a_record_not_a_frame() {
-    // An 80 B timeline per packet and what a flow leaves behind shared
-    // among its twenty: 103 B. The wire-identity index (24-48 B more per
-    // packet) is built for frames that come back from the controller as
-    // bytes, which a buffered mechanism's do not. Holding every 1 000-B
-    // frame from the start of the run was 1 265 B.
-    let (_, live_bytes) = marginal_cost_per_packet(FLOW_256, 100, twenty_packet_flows);
+fn one_more_packet_keeps_a_mark_not_a_timeline() {
+    // 1 000 flows of 20, then of 40 packets: the 8-B mark. The 80-B
+    // timeline is kept for an observed run only; the wire-identity index
+    // (24-48 B more per packet) is built for frames that come back from
+    // the controller as bytes, which a buffered mechanism's do not; holding
+    // every 1 000-B frame from the start of the run was 1 265 B. (A flow
+    // more costs what its rule and its 48-B aggregate do: with the packets
+    // in more flows instead of longer ones, 31 B per packet of twenty.)
+    let (_, live_bytes) = marginal_cost_per_packet(FLOW_256, 100, flows_of(1_000, 100));
     assert!(
-        live_bytes <= 110.0,
-        "flow-256@100 20-packet flows: {live_bytes} B of peak live heap per packet"
+        live_bytes <= 12.0,
+        "flow-256@100 1 000 flows: {live_bytes} B of peak live heap per packet"
+    );
+}
+
+#[test]
+fn live_heap_grows_by_a_mark_per_packet_over_a_long_run() {
+    // The same at 2·10⁵ and 4·10⁵ packets (2 000 flows of 100, then of
+    // 200): nothing else a run keeps grows with its length.
+    let (_, live_bytes) = marginal_cost_per_packet(FLOW_256, 100, flows_of(2_000, 20));
+    assert!(
+        live_bytes <= 12.0,
+        "flow-256@100 2 000 flows, 4e5 - 2e5 packets: {live_bytes} B of peak live heap per packet"
     );
 }
 
