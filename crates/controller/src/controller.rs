@@ -1,7 +1,7 @@
 //! The controller state machine.
 
 use crate::{AdmissionPolicy, ControllerConfig, ControllerStats, ForwardingMode, ParsedHeaders};
-use sdnbuf_net::MacAddr;
+use sdnbuf_net::{MacAddr, WireFrame};
 use sdnbuf_openflow::{
     msg::{FlowMod, FlowModCommand, PacketIn, PacketOut},
     Action, ActionList, BufferId, Match, OfpMessage, PortNo, Wildcards,
@@ -450,7 +450,7 @@ impl Controller {
         }
 
         let out_data = if pin.buffer_id.is_buffered() {
-            Vec::new()
+            WireFrame::new()
         } else {
             // Unbuffered miss: the frame rides back inside the packet_out.
             // `pin` is owned, so move the bytes instead of copying them.
@@ -585,13 +585,13 @@ mod tests {
     use sdnbuf_openflow::msg::PacketInReason;
     use sdnbuf_openflow::MatchView;
 
-    fn pkt_in_for(data: Vec<u8>, buffer_id: BufferId, total_len: u16) -> OfpMessage {
+    fn pkt_in_for(data: impl Into<WireFrame>, buffer_id: BufferId, total_len: u16) -> OfpMessage {
         OfpMessage::PacketIn(PacketIn {
             buffer_id,
             total_len,
             in_port: PortNo(1),
             reason: PacketInReason::NoMatch,
-            data,
+            data: data.into(),
         })
     }
 
@@ -618,7 +618,7 @@ mod tests {
         let pkt = PacketBuilder::udp().frame_size(1000).build();
         let outs = c.handle_message(
             Nanos::ZERO,
-            pkt_in_for(pkt.header_slice(128), BufferId::new(1), 1000),
+            pkt_in_for(pkt.wire_prefix(128), BufferId::new(1), 1000),
             42,
         );
         assert_eq!(outs.len(), 2);
@@ -656,7 +656,7 @@ mod tests {
         let pkt = PacketBuilder::udp().frame_size(1000).build();
         let outs = c.handle_message(
             Nanos::ZERO,
-            pkt_in_for(pkt.encode(), BufferId::NO_BUFFER, 1000),
+            pkt_in_for(pkt.wire(), BufferId::NO_BUFFER, 1000),
             7,
         );
         match &outs[1] {
@@ -666,6 +666,7 @@ mod tests {
             } => {
                 assert_eq!(po.buffer_id, BufferId::NO_BUFFER);
                 assert_eq!(po.data, pkt.encode());
+                assert_eq!(sdnbuf_net::Packet::decode(&po.data), Ok(pkt));
             }
             other => panic!("{other:?}"),
         }
@@ -724,7 +725,7 @@ mod tests {
         let pkt = PacketBuilder::udp().frame_size(1000).build();
         let t_small = match &small_ctrl.handle_message(
             Nanos::ZERO,
-            pkt_in_for(pkt.header_slice(128), BufferId::new(1), 1000),
+            pkt_in_for(pkt.wire_prefix(128), BufferId::new(1), 1000),
             1,
         )[0]
         {
@@ -844,14 +845,14 @@ mod tests {
         let pkt = PacketBuilder::udp().frame_size(1000).build();
         let outs = c.handle_message(
             Nanos::ZERO,
-            pkt_in_for(pkt.header_slice(128), BufferId::new(1), 1000),
+            pkt_in_for(pkt.wire_prefix(128), BufferId::new(1), 1000),
             1,
         );
         assert_eq!(outs.len(), 2, "first arrival is served");
         // The slot is still held: a same-instant arrival is shed.
         let outs = c.handle_message(
             Nanos::ZERO,
-            pkt_in_for(pkt.header_slice(128), BufferId::new(2), 1000),
+            pkt_in_for(pkt.wire_prefix(128), BufferId::new(2), 1000),
             2,
         );
         assert!(outs.is_empty());
@@ -860,7 +861,7 @@ mod tests {
         // Once the first response has left, capacity frees up.
         let outs = c.handle_message(
             Nanos::from_millis(10),
-            pkt_in_for(pkt.header_slice(128), BufferId::new(3), 1000),
+            pkt_in_for(pkt.wire_prefix(128), BufferId::new(3), 1000),
             3,
         );
         assert_eq!(outs.len(), 2);
@@ -877,12 +878,12 @@ mod tests {
         let pkt = PacketBuilder::udp().frame_size(1000).build();
         c.handle_message(
             Nanos::ZERO,
-            pkt_in_for(pkt.header_slice(128), BufferId::new(1), 1000),
+            pkt_in_for(pkt.wire_prefix(128), BufferId::new(1), 1000),
             1,
         );
         let outs = c.handle_message(
             Nanos::ZERO,
-            pkt_in_for(pkt.header_slice(128), BufferId::new(2), 1000),
+            pkt_in_for(pkt.wire_prefix(128), BufferId::new(2), 1000),
             2,
         );
         assert_eq!(outs.len(), 2, "drop-head admits the newest arrival");
@@ -913,7 +914,7 @@ mod tests {
         // …but a buffered re-request is always admitted.
         let outs = c.handle_message(
             Nanos::ZERO,
-            pkt_in_for(pkt.header_slice(128), BufferId::new(7), 1000),
+            pkt_in_for(pkt.wire_prefix(128), BufferId::new(7), 1000),
             3,
         );
         assert_eq!(outs.len(), 2);

@@ -6,8 +6,8 @@
 //! headers they need; this module does the same.
 
 use sdnbuf_net::{
-    DecodeError, EtherType, EthernetHeader, FlowKey, Ipv4Header, MacAddr, TcpHeader, UdpHeader,
-    ETHERNET_HEADER_LEN, IPV4_HEADER_LEN,
+    DecodeError, EtherType, EthernetHeader, FlowKey, FrameBytes, Ipv4Header, MacAddr, TcpHeader,
+    UdpHeader, ETHERNET_HEADER_LEN, HEADERS_MAX, IPV4_HEADER_LEN,
 };
 use std::net::Ipv4Addr;
 
@@ -47,7 +47,10 @@ impl ParsedHeaders {
     ///
     /// Returns the underlying [`DecodeError`] when even the Ethernet header
     /// is incomplete or an inner header is malformed.
-    pub fn parse(data: &[u8]) -> Result<ParsedHeaders, DecodeError> {
+    pub fn parse<B: FrameBytes + ?Sized>(data: &B) -> Result<ParsedHeaders, DecodeError> {
+        // Every header this reads lies in the first HEADERS_MAX bytes.
+        let mut scratch = [0u8; HEADERS_MAX];
+        let data = data.leading(&mut scratch);
         let eth = EthernetHeader::decode(data)?;
         let mut parsed = ParsedHeaders {
             src_mac: eth.src,
@@ -111,6 +114,29 @@ mod tests {
         assert_eq!(h.dst_mac, pkt.ethernet.dst);
         let key = h.flow_key().unwrap();
         assert_eq!(key, FlowKey::of(&pkt).unwrap());
+    }
+
+    #[test]
+    fn gathered_bytes_parse_as_the_flat_bytes_do() {
+        // A UDP frame whose IP header says TCP: the transport header a
+        // parser reads runs past the inline headers into the shared payload.
+        let mut lying = PacketBuilder::udp().frame_size(200).build();
+        if let sdnbuf_net::Payload::Ipv4(ip) = &mut lying.payload {
+            ip.header.protocol = 6;
+        }
+        for pkt in [
+            PacketBuilder::udp().frame_size(200).build(),
+            PacketBuilder::tcp().frame_size(200).build(),
+            lying,
+        ] {
+            for n in 0..=pkt.wire_len() {
+                assert_eq!(
+                    ParsedHeaders::parse(&pkt.wire_prefix(n)),
+                    ParsedHeaders::parse(&pkt.header_slice(n)),
+                    "first {n} bytes"
+                );
+            }
+        }
     }
 
     #[test]

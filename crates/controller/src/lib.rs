@@ -37,7 +37,7 @@
 //!     total_len: 1000,
 //!     in_port: PortNo(1),
 //!     reason: msg::PacketInReason::NoMatch,
-//!     data: pkt.header_slice(128),
+//!     data: pkt.wire_prefix(128),
 //! });
 //! let outs = ctrl.handle_message(Nanos::ZERO, pin, 42);
 //! // A known destination: flow_mod + packet_out.

@@ -110,7 +110,7 @@ mod tests {
             total_len: 1000,
             in_port: PortNo(1),
             reason: PacketInReason::NoMatch,
-            data: vec![0u8; 128],
+            data: vec![0u8; 128].into(),
         });
         let desc = MsgDesc::of(&pin);
         assert_eq!(

@@ -506,7 +506,7 @@ fn wire_len_packet_in(data_len: usize) -> usize {
         total_len: data_len as u16,
         in_port: PortNo(1),
         reason: PacketInReason::NoMatch,
-        data: vec![0; data_len],
+        data: vec![0; data_len].into(),
     })
     .wire_len()
 }
@@ -536,7 +536,7 @@ fn wire_len_packet_out(data_len: usize) -> usize {
         buffer_id: BufferId::NO_BUFFER,
         in_port: PortNo(1),
         actions: vec![Action::output(PortNo(2))].into(),
-        data: vec![0; data_len],
+        data: vec![0; data_len].into(),
     })
     .wire_len()
 }

@@ -92,19 +92,24 @@ impl ArpPacket {
         }
     }
 
+    /// The 28-byte wire form.
+    pub fn to_bytes(&self) -> [u8; ARP_LEN] {
+        let mut b = [0u8; ARP_LEN];
+        b[0..2].copy_from_slice(&1u16.to_be_bytes()); // HTYPE: Ethernet
+        b[2..4].copy_from_slice(&0x0800u16.to_be_bytes()); // PTYPE: IPv4
+        b[4] = 6; // HLEN
+        b[5] = 4; // PLEN
+        b[6..8].copy_from_slice(&self.op.as_u16().to_be_bytes());
+        b[8..14].copy_from_slice(&self.sender_mac.octets());
+        b[14..18].copy_from_slice(&self.sender_ip.octets());
+        b[18..24].copy_from_slice(&self.target_mac.octets());
+        b[24..28].copy_from_slice(&self.target_ip.octets());
+        b
+    }
+
     /// Encodes to the 28-byte wire form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(ARP_LEN);
-        buf.extend_from_slice(&1u16.to_be_bytes()); // HTYPE: Ethernet
-        buf.extend_from_slice(&0x0800u16.to_be_bytes()); // PTYPE: IPv4
-        buf.push(6); // HLEN
-        buf.push(4); // PLEN
-        buf.extend_from_slice(&self.op.as_u16().to_be_bytes());
-        buf.extend_from_slice(&self.sender_mac.octets());
-        buf.extend_from_slice(&self.sender_ip.octets());
-        buf.extend_from_slice(&self.target_mac.octets());
-        buf.extend_from_slice(&self.target_ip.octets());
-        buf
+        self.to_bytes().to_vec()
     }
 
     /// Decodes from wire bytes.

@@ -76,11 +76,18 @@ pub struct EthernetHeader {
 }
 
 impl EthernetHeader {
+    /// The 14-byte wire form.
+    pub fn to_bytes(&self) -> [u8; ETHERNET_HEADER_LEN] {
+        let mut b = [0u8; ETHERNET_HEADER_LEN];
+        b[0..6].copy_from_slice(&self.dst.octets());
+        b[6..12].copy_from_slice(&self.src.octets());
+        b[12..14].copy_from_slice(&self.ethertype.as_u16().to_be_bytes());
+        b
+    }
+
     /// Appends the 14-byte wire form to `buf`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.dst.octets());
-        buf.extend_from_slice(&self.src.octets());
-        buf.extend_from_slice(&self.ethertype.as_u16().to_be_bytes());
+        buf.extend_from_slice(&self.to_bytes());
     }
 
     /// Decodes a header from the start of `buf`.

@@ -60,21 +60,27 @@ impl Ipv4Header {
         }
     }
 
+    /// The 20-byte wire form, with a freshly computed checksum.
+    pub fn to_bytes(&self) -> [u8; IPV4_HEADER_LEN] {
+        let mut b = [0u8; IPV4_HEADER_LEN];
+        b[0] = 0x45; // version 4, IHL 5
+        b[1] = self.dscp_ecn;
+        b[2..4].copy_from_slice(&self.total_len.to_be_bytes());
+        b[4..6].copy_from_slice(&self.identification.to_be_bytes());
+        b[6..8].copy_from_slice(&self.flags_fragment.to_be_bytes());
+        b[8] = self.ttl;
+        b[9] = self.protocol;
+        // b[10..12] is the checksum, zero while it is summed.
+        b[12..16].copy_from_slice(&self.src.octets());
+        b[16..20].copy_from_slice(&self.dst.octets());
+        let csum = internet_checksum(&b);
+        b[10..12].copy_from_slice(&csum.to_be_bytes());
+        b
+    }
+
     /// Appends the 20-byte wire form, with a freshly computed checksum.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let start = buf.len();
-        buf.push(0x45); // version 4, IHL 5
-        buf.push(self.dscp_ecn);
-        buf.extend_from_slice(&self.total_len.to_be_bytes());
-        buf.extend_from_slice(&self.identification.to_be_bytes());
-        buf.extend_from_slice(&self.flags_fragment.to_be_bytes());
-        buf.push(self.ttl);
-        buf.push(self.protocol);
-        buf.extend_from_slice(&[0, 0]); // checksum placeholder
-        buf.extend_from_slice(&self.src.octets());
-        buf.extend_from_slice(&self.dst.octets());
-        let csum = internet_checksum(&buf[start..start + IPV4_HEADER_LEN]);
-        buf[start + 10..start + 12].copy_from_slice(&csum.to_be_bytes());
+        buf.extend_from_slice(&self.to_bytes());
     }
 
     /// Decodes and verifies a header from the start of `buf`.

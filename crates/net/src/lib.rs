@@ -4,7 +4,10 @@
 //!
 //! Every header type round-trips through its wire encoding, and encoded
 //! lengths are exact — the evaluation measures control-path load from real
-//! message bytes, so sizes must be right.
+//! message bytes, so sizes must be right. A frame's wire bytes come flat
+//! ([`Packet::encode`]) or as a [`WireFrame`], a gather list of its encoded
+//! headers and its shared payload that costs no allocation to build, carry
+//! or parse back; [`Packet::decode`] reads both alike.
 //!
 //! # Example
 //!
@@ -37,6 +40,7 @@ mod arp;
 mod error;
 mod ethernet;
 mod flowkey;
+mod frame;
 mod ipv4;
 mod mac;
 mod packet;
@@ -47,6 +51,7 @@ pub use arp::{ArpOp, ArpPacket};
 pub use error::DecodeError;
 pub use ethernet::{EtherType, EthernetHeader, ETHERNET_HEADER_LEN};
 pub use flowkey::{FlowKey, IpProto};
+pub use frame::{FrameBytes, WireFrame, HEADERS_MAX};
 pub use ipv4::{Ipv4Header, IPV4_HEADER_LEN};
 pub use mac::MacAddr;
 pub use packet::{Bytes, Ipv4Packet, Packet, PacketBuilder, Payload, Transport};

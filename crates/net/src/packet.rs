@@ -1,8 +1,9 @@
 //! Full packets: typed layers plus byte-exact encode/decode, and a builder.
 
 use crate::{
-    ArpPacket, DecodeError, EtherType, EthernetHeader, Ipv4Header, MacAddr, TcpFlags, TcpHeader,
-    UdpHeader, ETHERNET_HEADER_LEN, IPV4_HEADER_LEN, TCP_HEADER_LEN, UDP_HEADER_LEN,
+    ArpPacket, DecodeError, EtherType, EthernetHeader, FrameBytes, Ipv4Header, MacAddr, TcpFlags,
+    TcpHeader, UdpHeader, WireFrame, ETHERNET_HEADER_LEN, HEADERS_MAX, IPV4_HEADER_LEN,
+    TCP_HEADER_LEN, UDP_HEADER_LEN,
 };
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -101,65 +102,25 @@ impl Packet {
             }
     }
 
-    /// Encodes the whole frame to wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.wire_len());
-        self.ethernet.encode_into(&mut buf);
-        match &self.payload {
-            Payload::Arp(arp) => buf.extend_from_slice(&arp.encode()),
-            Payload::Ipv4(ip) => {
-                ip.header.encode_into(&mut buf);
-                match &ip.transport {
-                    Transport::Udp(udp, p) => {
-                        udp.encode_into(&mut buf);
-                        buf.extend_from_slice(p);
-                    }
-                    Transport::Tcp(tcp, p) => {
-                        tcp.encode_into(&mut buf);
-                        buf.extend_from_slice(p);
-                    }
-                    Transport::Other(_, p) => buf.extend_from_slice(p),
-                }
-            }
-            Payload::Raw(b) => buf.extend_from_slice(b),
-        }
-        buf
-    }
-
-    /// The first `n` bytes of the wire encoding — what a switch puts in a
-    /// `packet_in` when `miss_send_len = n` and the packet is buffered.
-    pub fn header_slice(&self, n: usize) -> Vec<u8> {
-        self.encode_prefix(n)
-    }
-
-    /// Encodes at most the first `n` wire bytes without materializing the
-    /// rest of the frame. Identical to `encode()` truncated to `n`, but
-    /// the payload tail past `n` is never copied — on the buffered-miss
-    /// hot path this turns a full-frame serialization (1000 bytes in the
-    /// paper's workload) into a `miss_send_len`-sized one, in the one
-    /// allocation of the result.
-    pub fn encode_prefix(&self, n: usize) -> Vec<u8> {
-        /// The longest header stack: Ethernet, IPv4, TCP.
-        const HEADERS_MAX: usize = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN;
-        let len = n.min(self.wire_len());
-        // Headers are encoded whole, straight into the result, and cut to
-        // `len` afterwards, so the result has room for all of them.
-        let mut buf = Vec::with_capacity(len.max(HEADERS_MAX));
-        self.ethernet.encode_into(&mut buf);
-        let tail: &[u8] = match &self.payload {
+    /// The wire bytes as a gather list: the header stack encoded in place,
+    /// the payload shared. Allocates nothing.
+    pub fn wire(&self) -> WireFrame {
+        let mut frame = WireFrame::new();
+        frame.push_head(&self.ethernet.to_bytes());
+        let tail = match &self.payload {
             Payload::Arp(arp) => {
-                buf.extend_from_slice(&arp.encode());
-                &[]
+                frame.push_head(&arp.to_bytes());
+                return frame;
             }
             Payload::Ipv4(ip) => {
-                ip.header.encode_into(&mut buf);
+                frame.push_head(&ip.header.to_bytes());
                 match &ip.transport {
                     Transport::Udp(udp, p) => {
-                        udp.encode_into(&mut buf);
+                        frame.push_head(&udp.to_bytes());
                         p
                     }
                     Transport::Tcp(tcp, p) => {
-                        tcp.encode_into(&mut buf);
+                        frame.push_head(&tcp.to_bytes());
                         p
                     }
                     Transport::Other(_, p) => p,
@@ -167,49 +128,81 @@ impl Packet {
             }
             Payload::Raw(b) => b,
         };
-        match len.checked_sub(buf.len()) {
-            Some(room) => buf.extend_from_slice(&tail[..room]),
-            None => buf.truncate(len),
-        }
-        buf
+        frame.set_tail(tail.clone());
+        frame
     }
 
-    /// Decodes a frame from wire bytes.
+    /// The first `n` wire bytes as a gather list — what a switch puts in a
+    /// `packet_in` when `miss_send_len = n` and the packet is buffered.
+    /// Allocates nothing.
+    pub fn wire_prefix(&self, n: usize) -> WireFrame {
+        let mut frame = self.wire();
+        frame.truncate(n);
+        frame
+    }
+
+    /// Encodes the whole frame to contiguous wire bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        self.wire().to_vec()
+    }
+
+    /// The first `n` bytes of the wire encoding, contiguous. The payload
+    /// past `n` is never copied.
+    pub fn header_slice(&self, n: usize) -> Vec<u8> {
+        self.wire_prefix(n).to_vec()
+    }
+
+    /// Decodes a frame from wire bytes, flat or gathered. A [`WireFrame`]
+    /// whose shared tail is exactly the payload its headers announce gives
+    /// that payload back by reference count; anything else — a tail cut by
+    /// `miss_send_len`, length fields that disagree with it, flat bytes —
+    /// decodes to what the same bytes decode to flat.
     ///
     /// # Errors
     ///
     /// Any [`DecodeError`] raised by the layer codecs, including truncation,
     /// checksum failures and inconsistent length fields.
-    pub fn decode(buf: &[u8]) -> Result<Packet, DecodeError> {
-        let ethernet = EthernetHeader::decode(buf)?;
-        let rest = &buf[ETHERNET_HEADER_LEN..];
+    pub fn decode<B: FrameBytes + ?Sized>(frame: &B) -> Result<Packet, DecodeError> {
+        // Every header lies in the first HEADERS_MAX bytes, and a decoder
+        // that runs out of them has run out of frame.
+        let mut scratch = [0u8; HEADERS_MAX];
+        let head = frame.leading(&mut scratch);
+        let len = frame.frame_len();
+        let ethernet = EthernetHeader::decode(head)?;
+        let rest = &head[ETHERNET_HEADER_LEN..];
         let payload = match ethernet.ethertype {
             EtherType::Arp => Payload::Arp(ArpPacket::decode(rest)?),
             EtherType::Ipv4 => {
                 let header = Ipv4Header::decode(rest)?;
                 let total = header.total_len as usize;
-                if total < IPV4_HEADER_LEN || total > rest.len() {
+                let present = len - ETHERNET_HEADER_LEN;
+                if total < IPV4_HEADER_LEN || total > present {
                     return Err(DecodeError::BadLengthField {
                         claimed: total,
-                        actual: rest.len(),
+                        actual: present,
                     });
                 }
-                let body = &rest[IPV4_HEADER_LEN..total];
+                // The IP payload is frame bytes `above_ip..end`; `body` is
+                // as much of it as the transport header can occupy.
+                let above_ip = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN;
+                let end = ETHERNET_HEADER_LEN + total;
+                let body = &head[above_ip..end.min(head.len())];
                 let transport = match header.protocol {
                     17 => {
                         let udp = UdpHeader::decode(body)?;
-                        let plen = udp.payload_len().min(body.len() - UDP_HEADER_LEN);
-                        Transport::Udp(udp, body[UDP_HEADER_LEN..UDP_HEADER_LEN + plen].into())
+                        let start = above_ip + UDP_HEADER_LEN;
+                        let plen = udp.payload_len().min(end - start);
+                        Transport::Udp(udp, frame.payload(start..start + plen))
                     }
                     6 => {
                         let tcp = TcpHeader::decode(body)?;
-                        Transport::Tcp(tcp, body[TCP_HEADER_LEN..].into())
+                        Transport::Tcp(tcp, frame.payload(above_ip + TCP_HEADER_LEN..end))
                     }
-                    other => Transport::Other(other, body.into()),
+                    other => Transport::Other(other, frame.payload(above_ip..end)),
                 };
                 Payload::Ipv4(Ipv4Packet { header, transport })
             }
-            EtherType::Other(_) => Payload::Raw(rest.into()),
+            EtherType::Other(_) => Payload::Raw(frame.payload(ETHERNET_HEADER_LEN..len)),
         };
         Ok(Packet { ethernet, payload })
     }
@@ -391,6 +384,7 @@ mod tests {
     fn packets_can_be_shared_across_threads() {
         fn send_and_sync<T: Send + Sync>() {}
         send_and_sync::<Packet>();
+        send_and_sync::<WireFrame>();
     }
 
     #[test]
@@ -444,40 +438,27 @@ mod tests {
         assert_eq!(p.header_slice(4096).len(), 1000);
     }
 
-    /// `packet` carrying `bytes` (of the length it already carries) above
-    /// its transport header.
-    fn with_payload(mut packet: Packet, bytes: Bytes) -> Packet {
-        if let Payload::Ipv4(ip) = &mut packet.payload {
-            let (Transport::Udp(_, p) | Transport::Tcp(_, p) | Transport::Other(_, p)) =
-                &mut ip.transport;
-            assert_eq!(p.len(), bytes.len());
-            *p = bytes;
-        }
-        packet
-    }
-
     #[test]
-    fn encode_prefix_matches_truncated_encode_at_every_boundary() {
-        // A payload that is not all one byte, shared by two frames: a
-        // prefix ends inside bytes it does not own.
-        let pattern: Bytes = (0..958).map(|i| (i * 7 + 1) as u8).collect();
-        let udp = PacketBuilder::udp().frame_size(1000);
+    fn a_whole_frame_goes_out_gathered_and_comes_back_sharing_its_payload() {
         for p in [
             PacketBuilder::udp().frame_size(1000).build(),
-            with_payload(udp.build(), pattern.clone()),
-            with_payload(PacketBuilder::tcp().frame_size(1012).build(), pattern),
-            PacketBuilder::tcp().frame_size(200).build(),
-            PacketBuilder::gratuitous_arp(MacAddr::from_host_index(3), Ipv4Addr::new(10, 0, 0, 3)),
+            PacketBuilder::tcp().frame_size(1000).build(),
         ] {
-            let full = p.encode();
-            for n in [0, 1, 13, 14, 33, 34, 41, 42, 54, 128, full.len(), 4096] {
-                assert_eq!(
-                    p.encode_prefix(n),
-                    &full[..n.min(full.len())],
-                    "prefix {n} of {:?}",
-                    p.ethernet.ethertype
-                );
-            }
+            let back = Packet::decode(&p.wire()).unwrap();
+            assert_eq!(back, p);
+            let (Payload::Ipv4(sent), Payload::Ipv4(got)) = (&p.payload, &back.payload) else {
+                panic!("expected IPv4");
+            };
+            let (
+                Transport::Udp(_, sent) | Transport::Tcp(_, sent) | Transport::Other(_, sent),
+                Transport::Udp(_, got) | Transport::Tcp(_, got) | Transport::Other(_, got),
+            ) = (&sent.transport, &got.transport);
+            assert!(Arc::ptr_eq(sent, got));
+            // A prefix is not the frame: its tail is never handed back.
+            assert_eq!(
+                Packet::decode(&p.wire_prefix(128)),
+                Packet::decode(&p.header_slice(128))
+            );
         }
     }
 

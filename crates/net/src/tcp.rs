@@ -139,17 +139,24 @@ impl TcpHeader {
         }
     }
 
+    /// The 20-byte wire form.
+    pub fn to_bytes(&self) -> [u8; TCP_HEADER_LEN] {
+        let mut b = [0u8; TCP_HEADER_LEN];
+        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        b[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        b[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        b[12] = 5 << 4; // data offset 5 words, reserved 0
+        b[13] = self.flags.bits();
+        b[14..16].copy_from_slice(&self.window.to_be_bytes());
+        b[16..18].copy_from_slice(&self.checksum.to_be_bytes());
+        b[18..20].copy_from_slice(&self.urgent.to_be_bytes());
+        b
+    }
+
     /// Appends the 20-byte wire form to `buf`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.src_port.to_be_bytes());
-        buf.extend_from_slice(&self.dst_port.to_be_bytes());
-        buf.extend_from_slice(&self.seq.to_be_bytes());
-        buf.extend_from_slice(&self.ack.to_be_bytes());
-        buf.push(5 << 4); // data offset 5 words, reserved 0
-        buf.push(self.flags.bits());
-        buf.extend_from_slice(&self.window.to_be_bytes());
-        buf.extend_from_slice(&self.checksum.to_be_bytes());
-        buf.extend_from_slice(&self.urgent.to_be_bytes());
+        buf.extend_from_slice(&self.to_bytes());
     }
 
     /// Decodes from the start of `buf`.

@@ -44,12 +44,19 @@ impl UdpHeader {
         }
     }
 
+    /// The 8-byte wire form.
+    pub fn to_bytes(&self) -> [u8; UDP_HEADER_LEN] {
+        let mut b = [0u8; UDP_HEADER_LEN];
+        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        b[4..6].copy_from_slice(&self.length.to_be_bytes());
+        b[6..8].copy_from_slice(&self.checksum.to_be_bytes());
+        b
+    }
+
     /// Appends the 8-byte wire form to `buf`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.src_port.to_be_bytes());
-        buf.extend_from_slice(&self.dst_port.to_be_bytes());
-        buf.extend_from_slice(&self.length.to_be_bytes());
-        buf.extend_from_slice(&self.checksum.to_be_bytes());
+        buf.extend_from_slice(&self.to_bytes());
     }
 
     /// Decodes from the start of `buf`.

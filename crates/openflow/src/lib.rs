@@ -34,7 +34,7 @@
 //!     total_len: pkt.wire_len() as u16,
 //!     in_port: PortNo(1),
 //!     reason: msg::PacketInReason::NoMatch,
-//!     data: pkt.header_slice(128),
+//!     data: pkt.wire_prefix(128),
 //! });
 //! let bytes = pin.encode(42);
 //! assert_eq!(bytes.len(), 18 + 128); // ofp_packet_in is 18 bytes + data

@@ -3,7 +3,7 @@
 //! the decoder never panics on arbitrary bytes.
 
 use proptest::prelude::*;
-use sdnbuf_net::MacAddr;
+use sdnbuf_net::{MacAddr, PacketBuilder, WireFrame, HEADERS_MAX};
 use sdnbuf_openflow::{
     msg::{
         ErrorMsg, FlowMod, FlowModCommand, FlowRemoved, FlowRemovedReason, PacketIn,
@@ -68,6 +68,28 @@ fn arb_match() -> impl Strategy<Value = Match> {
         )
 }
 
+/// What a `packet_in` or a `packet_out` carries, held every way it can be:
+/// gathered from a packet (whole, or cut as `miss_send_len` cuts it), flat
+/// as the decoder builds it, split at an arbitrary offset, and empty.
+fn arb_frame_data() -> impl Strategy<Value = WireFrame> {
+    let flat = proptest::collection::vec(any::<u8>(), 0..256);
+    prop_oneof![
+        Just(WireFrame::new()),
+        (42usize..400, 0usize..500).prop_map(|(size, cut)| {
+            PacketBuilder::udp()
+                .frame_size(size)
+                .build()
+                .wire_prefix(cut)
+        }),
+        (54usize..400).prop_map(|size| PacketBuilder::tcp().frame_size(size).build().wire()),
+        flat.clone().prop_map(WireFrame::from),
+        (flat, any::<prop::sample::Index>()).prop_map(|(bytes, at)| {
+            let at = at.index(bytes.len().min(HEADERS_MAX) + 1);
+            WireFrame::from_parts(&bytes[..at], bytes[at..].into())
+        }),
+    ]
+}
+
 fn arb_message() -> impl Strategy<Value = OfpMessage> {
     let data = proptest::collection::vec(any::<u8>(), 0..256);
     let actions = proptest::collection::vec(arb_action(), 0..4).prop_map(ActionList::from);
@@ -87,29 +109,41 @@ fn arb_message() -> impl Strategy<Value = OfpMessage> {
         )),
         (any::<u32>(), data.clone())
             .prop_map(|(v, d)| OfpMessage::Vendor(Vendor { vendor: v, data: d })),
-        (arb_buffer_id(), any::<u16>(), any::<u16>(), data.clone()).prop_map(|(b, t, p, d)| {
-            OfpMessage::PacketIn(PacketIn {
-                buffer_id: b,
-                total_len: t,
-                in_port: PortNo(p),
-                reason: PacketInReason::NoMatch,
-                data: d,
-            })
-        }),
-        (arb_buffer_id(), any::<u16>(), actions.clone()).prop_map(|(b, p, a)| {
-            // Data only rides along when unbuffered (spec semantics).
-            let data = if b == BufferId::NO_BUFFER {
-                vec![0xEE; 100]
-            } else {
-                vec![]
-            };
-            OfpMessage::PacketOut(PacketOut {
-                buffer_id: b,
-                in_port: PortNo(p),
-                actions: a,
-                data,
-            })
-        }),
+        (
+            arb_buffer_id(),
+            any::<u16>(),
+            any::<u16>(),
+            arb_frame_data()
+        )
+            .prop_map(|(b, t, p, data)| {
+                OfpMessage::PacketIn(PacketIn {
+                    buffer_id: b,
+                    total_len: t,
+                    in_port: PortNo(p),
+                    reason: PacketInReason::NoMatch,
+                    data,
+                })
+            }),
+        (
+            prop_oneof![Just(BufferId::NO_BUFFER), arb_buffer_id()],
+            any::<u16>(),
+            actions.clone(),
+            arb_frame_data()
+        )
+            .prop_map(|(b, p, a, data)| {
+                // Data only rides along when unbuffered (spec semantics).
+                let data = if b == BufferId::NO_BUFFER {
+                    data
+                } else {
+                    WireFrame::new()
+                };
+                OfpMessage::PacketOut(PacketOut {
+                    buffer_id: b,
+                    in_port: PortNo(p),
+                    actions: a,
+                    data,
+                })
+            }),
         (
             arb_match(),
             any::<u64>(),
@@ -234,7 +268,6 @@ proptest! {
         dst in any::<u32>(),
         port in 1u16..100,
     ) {
-        use sdnbuf_net::PacketBuilder;
         use sdnbuf_openflow::MatchView;
         let pkt = PacketBuilder::udp()
             .src_ip(Ipv4Addr::from(src)).dst_ip(Ipv4Addr::from(dst))

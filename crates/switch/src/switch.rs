@@ -10,7 +10,7 @@ use crate::liveness::Liveness;
 use crate::session::Session;
 use crate::{BufferChoice, SwitchConfig, SwitchStats};
 use sdnbuf_flowtable::{FlowRule, FlowTable, InsertOutcome, RemovedRule};
-use sdnbuf_net::Packet;
+use sdnbuf_net::{Packet, WireFrame};
 use sdnbuf_openflow::{
     msg::{self, FlowModCommand, FlowRemoved, PacketIn, PacketInReason},
     Action, BufferId, FlowBufferExt, MatchView, OfpMessage, PortNo, Refusal,
@@ -400,7 +400,7 @@ impl Switch {
                 // The whole frame crosses the bus, then the CPU builds a
                 // packet_in carrying it all. We still own the reference:
                 // the packet lives on only as the message payload.
-                let data = pk.encode();
+                let data = pk.wire();
                 pool.release(packet);
                 let no_buffer = BufferId::NO_BUFFER;
                 self.packet_in_into(now, Nanos::ZERO, no_buffer, total_len, in_port, data, out);
@@ -409,7 +409,7 @@ impl Switch {
                 // Only the header slice crosses the bus; the packet body
                 // stays in the buffer unit (the mechanism holds the
                 // reference now).
-                let slice = pk.encode_prefix(self.miss_send_len as usize);
+                let slice = pk.wire_prefix(self.miss_send_len as usize);
                 let store = self.config.cost_buffer_store;
                 self.packet_in_into(now, store, buffer_id, total_len, in_port, slice, out);
             }
@@ -446,7 +446,7 @@ impl Switch {
         buffer_id: BufferId,
         total_len: u16,
         in_port: PortNo,
-        data: Vec<u8>,
+        data: WireFrame,
         out: &mut Vec<SwitchOutput>,
     ) {
         let at_cpu = self.bus.transfer(now, data.len());
@@ -855,7 +855,7 @@ impl Switch {
                 shed(&mut self.stats, None, out);
                 continue;
             };
-            let (no_buffer, len, data) = (BufferId::NO_BUFFER, pk.wire_len() as u16, pk.encode());
+            let (no_buffer, len, data) = (BufferId::NO_BUFFER, pk.wire_len() as u16, pk.wire());
             self.packet_in_into(now, Nanos::ZERO, no_buffer, len, bp.in_port, data, out);
         }
     }
@@ -873,7 +873,7 @@ impl Switch {
         let Some(pk) = pool.get(rerequest.packet) else {
             return shed(&mut self.stats, None, out);
         };
-        let slice = pk.encode_prefix(self.miss_send_len as usize);
+        let slice = pk.wire_prefix(self.miss_send_len as usize);
         let (id, len, in_port) = (rerequest.buffer_id, pk.wire_len() as u16, rerequest.in_port);
         self.packet_in_into(now, Nanos::ZERO, id, len, in_port, slice, out);
     }
@@ -1067,7 +1067,7 @@ mod tests {
                 buffer_id: id,
                 in_port: PortNo(1),
                 actions: vec![Action::output(PortNo(2))].into(),
-                data: vec![],
+                data: WireFrame::new(),
             }),
             5,
             &mut pool,
@@ -1094,7 +1094,7 @@ mod tests {
                 buffer_id: BufferId::NO_BUFFER,
                 in_port: PortNo(1),
                 actions: vec![Action::output(PortNo(2))].into(),
-                data: pkt.encode(),
+                data: pkt.wire(),
             }),
             5,
             &mut pool,
@@ -1125,7 +1125,7 @@ mod tests {
                 buffer_id: BufferId::NO_BUFFER,
                 in_port: PortNo(1),
                 actions: vec![Action::output(PortNo::FLOOD)].into(),
-                data: pkt.encode(),
+                data: pkt.encode().into(),
             }),
             5,
             &mut pool,
@@ -1170,7 +1170,7 @@ mod tests {
                 buffer_id: id,
                 in_port: PortNo(1),
                 actions: vec![Action::output(PortNo(2))].into(),
-                data: vec![],
+                data: WireFrame::new(),
             }),
             5,
             &mut pool,
@@ -1666,7 +1666,7 @@ mod tests {
                 buffer_id: probe_id,
                 in_port: PortNo(1),
                 actions: vec![Action::output(PortNo(2))].into(),
-                data: vec![],
+                data: WireFrame::new(),
             }),
             9,
             &mut pool,
@@ -1746,7 +1746,7 @@ mod tests {
                 buffer_id: old_id,
                 in_port: PortNo(1),
                 actions: vec![Action::output(PortNo(2))].into(),
-                data: vec![],
+                data: WireFrame::new(),
             }),
             4,
             &mut pool,
@@ -1761,7 +1761,7 @@ mod tests {
                 buffer_id: pin.buffer_id,
                 in_port: PortNo(1),
                 actions: vec![Action::output(PortNo(2))].into(),
-                data: vec![],
+                data: WireFrame::new(),
             }),
             5,
             &mut pool,
@@ -1876,7 +1876,7 @@ mod tests {
                 buffer_id: id,
                 in_port: PortNo(1),
                 actions: vec![Action::output(PortNo(2))].into(),
-                data: vec![],
+                data: WireFrame::new(),
             }),
             5,
             &mut pool,

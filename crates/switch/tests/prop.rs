@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use sdnbuf_flowtable::EvictionPolicy;
-use sdnbuf_net::PacketBuilder;
+use sdnbuf_net::{Packet, PacketBuilder, WireFrame};
 use sdnbuf_openflow::{
     msg::{self, FlowMod, FlowModCommand, PacketOut, StatsRequest},
     Action, BufferId, Match, OfpMessage, PortNo, Refusal,
@@ -37,9 +37,23 @@ enum Op {
     PacketOutReplayed {
         nth: usize,
     },
-    /// An unbuffered `packet_out` whose `data` is not a packet.
+    /// An unbuffered `packet_out` whose `data` is not a packet: flat bytes,
+    /// short enough to sit inline or long enough to spill.
     PacketOutGarbage {
         data: Vec<u8>,
+    },
+    /// An unbuffered `packet_out` carrying the first `cut` bytes of a frame,
+    /// gathered: a whole frame when `cut` reaches its end.
+    PacketOutTruncated {
+        flow: u16,
+        size: usize,
+        cut: usize,
+    },
+    /// An unbuffered `packet_out` replaying the gathered data of any
+    /// `packet_in` so far — a whole frame if that miss was unbuffered, a
+    /// `miss_send_len` slice sharing a buffered packet's payload if not.
+    PacketOutReplayedData {
+        nth: usize,
     },
     /// `n` rules for flows no frame belongs to, past the table's capacity.
     FlowModFlood {
@@ -66,8 +80,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
         4 => (0usize..8).prop_map(|nth_buffer_id| Op::PacketOutFor { nth_buffer_id }),
         2 => any::<u32>().prop_map(|raw| Op::PacketOutInvalid { raw }),
         3 => (0usize..64).prop_map(|nth| Op::PacketOutReplayed { nth }),
-        1 => proptest::collection::vec(any::<u8>(), 0..48)
+        1 => proptest::collection::vec(any::<u8>(), 0..120)
             .prop_map(|data| Op::PacketOutGarbage { data }),
+        1 => (0u16..6, 60usize..400, 0usize..450)
+            .prop_map(|(flow, size, cut)| Op::PacketOutTruncated { flow, size, cut }),
+        2 => (0usize..64).prop_map(|nth| Op::PacketOutReplayedData { nth }),
         1 => (100u16..400, 1u16..24, any::<bool>())
             .prop_map(|(first, n, notify)| Op::FlowModFlood { first, n, notify }),
         1 => (0u8..5, 1u8..24).prop_map(|(kind, n)| Op::Storm { kind, n }),
@@ -142,7 +159,7 @@ fn flow_mod_add(flow: u16, notify: bool) -> OfpMessage {
     })
 }
 
-fn packet_out(buffer_id: BufferId, data: Vec<u8>) -> OfpMessage {
+fn packet_out(buffer_id: BufferId, data: WireFrame) -> OfpMessage {
     OfpMessage::PacketOut(PacketOut {
         buffer_id,
         in_port: PortNo(1),
@@ -205,6 +222,8 @@ struct Driver {
     seen_buffer_ids: Vec<BufferId>,
     /// Every id ever announced, tagged as it was then.
     announced: Vec<BufferId>,
+    /// The data of every `packet_in` so far, as the switch gathered it.
+    packet_in_data: Vec<WireFrame>,
     /// The occupant of each raw id, as the announcements and admitted
     /// releases so far imply it (sound while nothing expires or gives up,
     /// i.e. with the recovery knobs at their defaults).
@@ -235,6 +254,7 @@ impl Driver {
             out: vec![CALLERS_OWN],
             seen_buffer_ids: Vec::new(),
             announced: Vec::new(),
+            packet_in_data: Vec::new(),
             occupants: HashMap::new(),
             refused: [0; 3],
             epoch: 0,
@@ -250,7 +270,7 @@ impl Driver {
             None => Err(Refusal::Unknown),
             Some(occupant) => occupant.admits(id),
         };
-        let outs = self.control(packet_out(id, vec![]), 2)?;
+        let outs = self.control(packet_out(id, WireFrame::new()), 2)?;
         match verdict {
             Ok(()) => {
                 prop_assert!(!outs.is_empty(), "{:?} admitted, nothing released", id);
@@ -264,6 +284,27 @@ impl Driver {
                     Refusal::StaleEpoch => 2,
                 }] += 1;
             }
+        }
+        Ok(outs)
+    }
+
+    /// Sends an unbuffered `packet_out` carrying `data` and holds the switch
+    /// to what the flat decode of the same bytes says: that frame forwarded,
+    /// or one counted shed.
+    fn unbuffered(&mut self, data: WireFrame) -> Result<Vec<SwitchOutput>, TestCaseError> {
+        let expected = Packet::decode(&data.to_vec());
+        let drops = self.sw.stats().drops.get();
+        let outs = self.control(packet_out(BufferId::NO_BUFFER, data), 3)?;
+        match (&outs[..], expected) {
+            ([SwitchOutput::Forward { port, packet, .. }], Ok(frame)) => {
+                prop_assert_eq!(*port, PortNo(2));
+                prop_assert_eq!(self.pool.get(*packet), Some(&frame));
+                prop_assert_eq!(self.sw.stats().drops.get(), drops);
+            }
+            ([SwitchOutput::Drop { packet: None }], Err(_)) => {
+                prop_assert_eq!(self.sw.stats().drops.get(), drops + 1);
+            }
+            (outs, expected) => prop_assert!(false, "{:?} became {:?}", expected, outs),
         }
         Ok(outs)
     }
@@ -330,15 +371,21 @@ impl Driver {
             }
             Op::PacketOutInvalid { raw } => match BufferId::from_wire(raw) {
                 id if id.is_buffered() => self.release(id)?,
-                no_buffer => self.control(packet_out(no_buffer, vec![]), 3)?,
+                _no_buffer => self.unbuffered(WireFrame::new())?,
             },
             Op::PacketOutReplayed { nth } => match self.announced.len() {
                 0 => Vec::new(),
                 len => self.release(self.announced[nth % len])?,
             },
-            Op::PacketOutGarbage { ref data } => {
-                self.control(packet_out(BufferId::NO_BUFFER, data.clone()), 3)?
+            Op::PacketOutGarbage { ref data } => self.unbuffered(data.clone().into())?,
+            Op::PacketOutTruncated { flow, size, cut } => {
+                let pkt = PacketBuilder::udp().src_port(flow).frame_size(size).build();
+                self.unbuffered(pkt.wire_prefix(cut))?
             }
+            Op::PacketOutReplayedData { nth } => match self.packet_in_data.len() {
+                0 => Vec::new(),
+                len => self.unbuffered(self.packet_in_data[nth % len].clone())?,
+            },
             Op::FlowModFlood { first, n, notify } => {
                 let mut outs = Vec::new();
                 for flow in first..first + n {
@@ -395,6 +442,15 @@ impl Driver {
                 }
             },
         };
+        for out in &outs {
+            if let SwitchOutput::ToController {
+                msg: OfpMessage::PacketIn(pin),
+                ..
+            } = out
+            {
+                self.packet_in_data.push(pin.data.clone());
+            }
+        }
         let ids = check_outputs(self.now, &outs, &mut self.pool)?;
         // A bump re-tags every surviving entry; an announcement names its
         // raw id's occupant, tags included.
@@ -508,7 +564,7 @@ proptest! {
                 buffer_id: id,
                 in_port: PortNo(1),
                 actions: vec![Action::output(PortNo(2))].into(),
-                data: vec![],
+                data: WireFrame::new(),
             });
             for out in sw.handle_controller_msg(now, po, 1, &mut pool) {
                 if let SwitchOutput::Forward { packet, .. } = out {
@@ -527,8 +583,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// A hostile controller against an armed switch, all three mechanisms
-    /// per case: replayed, forged and cross-epoch `packet_out`s, undecodable
-    /// payloads, `flow_mod` floods past a small table under either eviction
+    /// per case: replayed, forged and cross-epoch `packet_out`s, undecodable,
+    /// truncated and replayed payloads, `flow_mod` floods past a small table under either eviction
     /// policy, request storms and re-handshakes at any point. Nothing
     /// panics, outputs are causal, every handle the switch was given is
     /// handed back exactly once or still buffered, and every refusal is

@@ -143,7 +143,7 @@ fn flow_granularity_vendor_negotiation_over_encoded_bytes() {
 mod wire_props {
     use super::over_the_wire;
     use proptest::prelude::*;
-    use sdn_buffer_lab::net::MacAddr;
+    use sdn_buffer_lab::net::{MacAddr, PacketBuilder, WireFrame};
     use sdn_buffer_lab::openflow::msg::{
         DescStats, ErrorMsg, FeaturesReply, FlowMod, FlowModCommand, FlowRemoved,
         FlowRemovedReason, FlowStatsEntry, PacketIn, PacketInReason, PacketOut, PacketQueue,
@@ -340,6 +340,21 @@ mod wire_props {
     }
 
     /// Every one of the 22 `OfpMessage` variants, with arbitrary fields.
+    /// `packet_in` / `packet_out` data: flat bytes, as a decoder holds
+    /// them, or gathered from a frame and cut as `miss_send_len` cuts it.
+    fn arb_frame_data() -> BoxedStrategy<WireFrame> {
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..200).prop_map(WireFrame::from),
+            (42usize..300, 0usize..400).prop_map(|(size, cut)| {
+                PacketBuilder::udp()
+                    .frame_size(size)
+                    .build()
+                    .wire_prefix(cut)
+            }),
+        ]
+        .boxed()
+    }
+
     fn arb_any_message() -> BoxedStrategy<OfpMessage> {
         let data = proptest::collection::vec(any::<u8>(), 0..200);
         let actions = proptest::collection::vec(arb_action(), 0..4);
@@ -390,9 +405,9 @@ mod wire_props {
                 any::<u16>(),
                 any::<u16>(),
                 any::<bool>(),
-                data.clone()
+                arb_frame_data()
             )
-                .prop_map(|(b, t, p, action, d)| {
+                .prop_map(|(b, t, p, action, data)| {
                     OfpMessage::PacketIn(PacketIn {
                         buffer_id: b,
                         total_len: t,
@@ -402,7 +417,7 @@ mod wire_props {
                         } else {
                             PacketInReason::NoMatch
                         },
-                        data: d,
+                        data,
                     })
                 }),
             (
@@ -424,18 +439,26 @@ mod wire_props {
                         byte_count: bc,
                     })
                 }),
-            (arb_buffer_id(), any::<u16>(), actions.clone(), data.clone()).prop_map(
-                |(b, p, a, d)| {
+            (
+                prop_oneof![Just(BufferId::NO_BUFFER), arb_buffer_id()],
+                any::<u16>(),
+                actions.clone(),
+                arb_frame_data()
+            )
+                .prop_map(|(b, p, a, data)| {
                     // Data rides along only when unbuffered (spec semantics).
-                    let data = if b == BufferId::NO_BUFFER { d } else { vec![] };
+                    let data = if b == BufferId::NO_BUFFER {
+                        data
+                    } else {
+                        WireFrame::new()
+                    };
                     OfpMessage::PacketOut(PacketOut {
                         buffer_id: b,
                         in_port: PortNo(p),
                         actions: a.into(),
                         data,
                     })
-                }
-            ),
+                }),
             (
                 (arb_match(), any::<u64>(), 0u16..5),
                 (any::<u16>(), any::<u16>(), any::<u16>()),
@@ -575,7 +598,7 @@ mod wire_props {
                 total_len: 1000,
                 in_port: PortNo(1),
                 reason: PacketInReason::NoMatch,
-                data: vec![0xab; 128],
+                data: vec![0xab; 128].into(),
             }),
             OfpMessage::FlowRemoved(FlowRemoved {
                 match_fields: sample_match(),
@@ -592,7 +615,7 @@ mod wire_props {
                 buffer_id: BufferId::NO_BUFFER,
                 in_port: PortNo(1),
                 actions: vec![Action::output(PortNo(2))].into(),
-                data: vec![0xcc; 64],
+                data: vec![0xcc; 64].into(),
             }),
             OfpMessage::FlowMod(FlowMod {
                 match_fields: sample_match(),
@@ -799,6 +822,22 @@ fn a_shared_payload_is_the_frame_a_private_copy_is() {
         assert_eq!(wire.len(), 1000);
         for packet in [&shared, &private] {
             assert_eq!(&Packet::decode(&wire).expect("own encoding"), packet);
+        }
+        // Gathered, the two are still one frame, and each comes back from
+        // a control-path round trip on the allocation it went out on.
+        assert_eq!(shared.wire(), private.wire());
+        assert_eq!(shared.wire(), wire);
+        assert_eq!(
+            hasher.hash_one(shared.wire()),
+            hasher.hash_one(private.wire())
+        );
+        for mut packet in [shared.clone(), private.clone()] {
+            let mut back = Packet::decode(&packet.wire()).expect("own encoding");
+            assert_eq!(back, packet);
+            assert!(Bytes::ptr_eq(
+                payload_mut(&mut back),
+                payload_mut(&mut packet)
+            ));
         }
 
         // By content, not by construction: other bytes are another frame.
