@@ -14,6 +14,7 @@
 //! that still violates an invariant.
 
 use crate::observe::EventDigest;
+use crate::shrink::shrink_to_fixpoint;
 use crate::testbed::FailoverConfig;
 use crate::{BufferMode, RunResult, Testbed, TestbedConfig, WorkloadKind};
 use sdnbuf_openflow::BufferId;
@@ -340,13 +341,12 @@ fn run_traced(scenario: &ChaosScenario, sabotage: Sabotage, tracer: Tracer) -> R
 /// that keep the stream (flight dumps, per-layer replays); [`run_scenario`]
 /// checks and digests the same stream without storing it.
 ///
-/// `sabotage` cripples parts of the mechanism on purpose (accepts a plain
-/// `bool` for the historical "re-request enabled?" call shape) — the
+/// `sabotage` cripples parts of the mechanism on purpose — the
 /// intentionally broken variants the harness's self-test must catch via
 /// the eventual-delivery and buffer-expiry invariants.
-pub fn execute(scenario: &ChaosScenario, sabotage: impl Into<Sabotage>) -> (RunResult, Vec<Event>) {
+pub fn execute(scenario: &ChaosScenario, sabotage: Sabotage) -> (RunResult, Vec<Event>) {
     let (tracer, sink) = Tracer::recording(0);
-    let result = run_traced(scenario, sabotage.into(), tracer);
+    let result = run_traced(scenario, sabotage, tracer);
     let events = sink.borrow_mut().take();
     (result, events)
 }
@@ -922,12 +922,12 @@ impl EventSink for Observer {
 
 /// Executes `scenario`, checking every invariant over its event stream and
 /// digesting it while it runs.
-pub fn run_scenario(scenario: &ChaosScenario, sabotage: impl Into<Sabotage>) -> ChaosReport {
+pub fn run_scenario(scenario: &ChaosScenario, sabotage: Sabotage) -> ChaosReport {
     let observer = Rc::new(RefCell::new(Observer {
         checker: InvariantChecker::new(scenario.mech, &scenario.plan, scenario.recovery),
         digest: EventDigest::default(),
     }));
-    let result = run_traced(scenario, sabotage.into(), Tracer::new(observer.clone()));
+    let result = run_traced(scenario, sabotage, Tracer::new(observer.clone()));
     let mut observer = observer.borrow_mut();
     ChaosReport {
         violations: observer.checker.finish(&result),
@@ -940,29 +940,18 @@ pub fn run_scenario(scenario: &ChaosScenario, sabotage: impl Into<Sabotage>) -> 
 /// channel knob and dropping each window, keeps any simplification that
 /// still violates an invariant, and repeats to a fixpoint. The result is
 /// 1-minimal — removing any single remaining fault makes the run pass.
-pub fn minimize(scenario: &ChaosScenario, sabotage: impl Into<Sabotage>) -> ChaosScenario {
-    let sabotage = sabotage.into();
-    let mut current = scenario.clone();
-    if run_scenario(&current, sabotage).violations.is_empty() {
-        return current;
+pub fn minimize(scenario: &ChaosScenario, sabotage: Sabotage) -> ChaosScenario {
+    let fails = |s: &ChaosScenario| !run_scenario(s, sabotage).violations.is_empty();
+    if !fails(scenario) {
+        return scenario.clone();
     }
-    loop {
-        let mut shrunk = false;
-        for candidate in shrink_candidates(&current.plan) {
-            let trial = ChaosScenario {
-                plan: candidate,
-                ..current.clone()
-            };
-            if !run_scenario(&trial, sabotage).violations.is_empty() {
-                current = trial;
-                shrunk = true;
-                break;
-            }
-        }
-        if !shrunk {
-            return current;
-        }
-    }
+    let one_fault_fewer = |s: &ChaosScenario| {
+        shrink_candidates(&s.plan)
+            .into_iter()
+            .map(|plan| ChaosScenario { plan, ..s.clone() })
+            .collect()
+    };
+    shrink_to_fixpoint(scenario.clone(), one_fault_fewer, fails)
 }
 
 /// Captures a flight-recorder dump for a violating (usually minimized)
@@ -972,11 +961,7 @@ pub fn minimize(scenario: &ChaosScenario, sabotage: impl Into<Sabotage>) -> Chao
 /// still open when the run ended, and the latency anatomy. Because runs
 /// are pure functions of the scenario, replaying the embedded spec
 /// reproduces the dump's digest and violations byte-for-byte.
-pub fn flight_dump(
-    scenario: &ChaosScenario,
-    sabotage: impl Into<Sabotage>,
-) -> crate::flightrec::FlightDump {
-    let sabotage = sabotage.into();
+pub fn flight_dump(scenario: &ChaosScenario, sabotage: Sabotage) -> crate::flightrec::FlightDump {
     let (result, events) = execute(scenario, sabotage);
     let violations = check_invariants(
         scenario.mech,
@@ -1575,7 +1560,7 @@ mod tests {
     fn sabotages() -> [Sabotage; 4] {
         [
             Sabotage::none(),
-            Sabotage::from(false),
+            Sabotage::no_rerequest(),
             Sabotage::no_ttl_gc(),
             Sabotage::no_epoch_guard(),
         ]
@@ -1754,7 +1739,7 @@ mod tests {
                 recovery: RecoveryKnobs::default(),
                 standby: None,
             };
-            let report = run_scenario(&s, true);
+            let report = run_scenario(&s, Sabotage::none());
             assert!(report.violations.is_empty(), "{:?}", report.violations);
             assert_eq!(report.result.packets_delivered, report.result.packets_sent);
         }
@@ -1763,8 +1748,11 @@ mod tests {
     #[test]
     fn replay_from_spec_is_byte_identical() {
         let s = ChaosScenario::generate(3, flow_mech());
-        let a = run_scenario(&s, true);
-        let b = run_scenario(&ChaosScenario::parse(&s.to_spec()).unwrap(), true);
+        let a = run_scenario(&s, Sabotage::none());
+        let b = run_scenario(
+            &ChaosScenario::parse(&s.to_spec()).unwrap(),
+            Sabotage::none(),
+        );
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.result, b.result);
     }
@@ -1789,7 +1777,7 @@ mod tests {
             recovery: RecoveryKnobs::default(),
             standby: None,
         };
-        let report = run_scenario(&s, false);
+        let report = run_scenario(&s, Sabotage::no_rerequest());
         assert!(
             report
                 .violations
@@ -1802,12 +1790,15 @@ mod tests {
         // The shrinker must keep the loss (the cause) and drop the delay
         // (irrelevant), and the minimized scenario must replay
         // byte-identically from its printed spec.
-        let min = minimize(&s, false);
+        let min = minimize(&s, Sabotage::no_rerequest());
         assert_eq!(min.plan.to_controller.delay, Nanos::ZERO);
         assert!(!min.plan.to_controller.loss.is_none());
-        let a = run_scenario(&min, false);
+        let a = run_scenario(&min, Sabotage::no_rerequest());
         assert!(!a.violations.is_empty());
-        let b = run_scenario(&ChaosScenario::parse(&min.to_spec()).unwrap(), false);
+        let b = run_scenario(
+            &ChaosScenario::parse(&min.to_spec()).unwrap(),
+            Sabotage::no_rerequest(),
+        );
         assert_eq!(a.digest, b.digest);
     }
 
@@ -1827,7 +1818,7 @@ mod tests {
             recovery: RecoveryKnobs::default(),
             standby: None,
         };
-        let report = run_scenario(&s, true);
+        let report = run_scenario(&s, Sabotage::none());
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.result.packets_delivered, report.result.packets_sent);
     }
@@ -1944,7 +1935,7 @@ mod tests {
             },
             standby: None,
         };
-        let report = run_scenario(&s, true);
+        let report = run_scenario(&s, Sabotage::none());
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(
             report.result.buffer_giveups > 0,
@@ -1964,7 +1955,7 @@ mod tests {
                 *scenario,
                 "cell {label}"
             );
-            let report = run_scenario(scenario, true);
+            let report = run_scenario(scenario, Sabotage::none());
             assert!(
                 report.violations.is_empty(),
                 "cell {label}: {:?}",
@@ -1978,7 +1969,7 @@ mod tests {
         // clean channel and do assert the bump.)
         for (label, scenario) in &cells {
             if label.ends_with("/crash") {
-                let report = run_scenario(scenario, true);
+                let report = run_scenario(scenario, Sabotage::none());
                 assert_eq!(report.result.ctrl_crashes, 1, "cell {label}");
             }
         }

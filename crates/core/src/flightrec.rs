@@ -9,7 +9,7 @@
 //!   replays with `sdnlab chaos --replay <spec>` to the same violation,
 //!   byte-for-byte — the runs are deterministic),
 //! * the **last N events** leading up to the end of the run (the stream's
-//!   tail, like [`sdnbuf_sim::RingSink`] would retain live),
+//!   tail),
 //! * the **open spans** — flow setups still in flight, which is usually
 //!   where the bug is,
 //! * the **latency anatomy** ([`crate::spans::LatencyReport`]) and a
@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use crate::observe;
 use crate::result::RunResult;
 use crate::spans::{self, LatencyReport, SpanOutcome};
-use sdnbuf_sim::Event;
+use sdnbuf_sim::{Event, JsonWriter};
 
 /// Default number of trailing events a dump retains.
 pub const DEFAULT_TAIL: usize = 256;
@@ -124,58 +124,52 @@ impl FlightDump {
     }
 
     /// Serializes the dump as one JSON document with a stable field
-    /// order. Strings are escaped with the same minimal escaper the JSONL
-    /// exporter uses (specs and labels contain no exotic characters).
+    /// order.
     pub fn write_json(&self, w: &mut dyn Write) -> io::Result<()> {
         let mut out = String::with_capacity(16 * 1024);
-        out.push_str("{\"schema\":\"flightrec/v1\"");
-        push_field(&mut out, "reason", self.reason.label());
-        push_field(&mut out, "label", &self.label);
-        out.push_str(&format!(",\"seed\":{}", self.seed));
+        let mut j = JsonWriter::new(&mut out);
+        j.begin_object();
+        j.key("schema").string("flightrec/v1");
+        j.key("reason").string(self.reason.label());
+        j.key("label").string(&self.label);
+        j.key("seed").u64(self.seed);
         match &self.spec {
-            Some(spec) => push_field(&mut out, "spec", spec),
-            None => out.push_str(",\"spec\":null"),
+            Some(spec) => j.key("spec").string(spec),
+            None => j.key("spec").null(),
+        };
+        j.key("violations").begin_array();
+        for (invariant, detail) in &self.violations {
+            j.begin_object();
+            j.key("invariant").string(invariant);
+            j.key("detail").string(detail);
+            j.end_object();
         }
-        out.push_str(",\"violations\":[");
-        for (i, (invariant, detail)) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"invariant\":\"");
-            escape_into(&mut out, invariant);
-            out.push_str("\",\"detail\":\"");
-            escape_into(&mut out, detail);
-            out.push_str("\"}");
+        j.end_array();
+        j.key("digest").string(&format!("{:016x}", self.digest));
+        j.key("events_total").u64(self.events_total);
+        j.key("tail_len").u64(self.tail.len() as u64);
+        j.key("events").begin_array();
+        for ev in &self.tail {
+            j.begin_object()
+                .raw(|out| ev.write_json_fields(out))
+                .end_object();
         }
-        out.push_str(&format!(
-            "],\"digest\":\"{:016x}\",\"events_total\":{},\"tail_len\":{},\"events\":[",
-            self.digest,
-            self.events_total,
-            self.tail.len()
-        ));
-        for (i, ev) in self.tail.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            ev.write_json_fields(&mut out);
-            out.push('}');
+        j.end_array();
+        j.key("open_spans").begin_array();
+        for span in &self.open_spans {
+            push_span(&mut j, span);
         }
-        out.push_str("],\"open_spans\":[");
-        for (i, span) in self.open_spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_span(&mut out, span);
-        }
-        out.push_str("],\"latency\":");
-        self.latency.write_json(&mut out);
-        out.push_str(",\"result\":");
+        j.end_array();
+        j.key("latency").raw(|out| self.latency.write_json(out));
+        j.key("result");
         match &self.result {
-            Some(r) => push_result(&mut out, r),
-            None => out.push_str("null"),
+            Some(r) => push_result(&mut j, r),
+            None => {
+                j.null();
+            }
         }
-        out.push_str("}\n");
+        j.end_object();
+        out.push('\n');
         w.write_all(out.as_bytes())
     }
 
@@ -200,85 +194,55 @@ impl FlightDump {
     }
 }
 
-/// Appends `,"key":"escaped value"`.
-fn push_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":\"");
-    escape_into(out, value);
-    out.push('"');
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Appends one open span as a compact JSON object.
-fn push_span(out: &mut String, span: &spans::FlowSetupSpan) {
+fn push_span(j: &mut JsonWriter<'_>, span: &spans::FlowSetupSpan) {
+    j.begin_object();
     match span.buffer_id {
-        Some(id) => out.push_str(&format!("{{\"buffer_id\":{id}")),
-        None => out.push_str("{\"buffer_id\":null"),
-    }
-    out.push_str(&format!(
-        ",\"start\":{},\"attempts\":{},\"rerequests\":{},\"state\":\"{}\"",
-        span.start().as_nanos(),
-        span.attempts.len(),
-        span.rerequests,
-        span.outcome.label()
-    ));
-    if let Some(first) = span.attempts.first() {
-        out.push_str(&format!(",\"first_xid\":{}", first.xid));
-    } else {
-        out.push_str(",\"first_xid\":null");
-    }
-    out.push('}');
+        Some(id) => j.key("buffer_id").u64(id.into()),
+        None => j.key("buffer_id").null(),
+    };
+    j.key("start").u64(span.start().as_nanos());
+    j.key("attempts").u64(span.attempts.len() as u64);
+    j.key("rerequests").u64(span.rerequests.into());
+    j.key("state").string(span.outcome.label());
+    match span.attempts.first() {
+        Some(first) => j.key("first_xid").u64(first.xid.into()),
+        None => j.key("first_xid").null(),
+    };
+    j.end_object();
 }
 
 /// Appends the metric snapshot: the counters a post-mortem reads first.
-fn push_result(out: &mut String, r: &RunResult) {
-    out.push_str(&format!(
-        "{{\"label\":\"{}\",\"packets_sent\":{},\"packets_delivered\":{},\
-         \"packets_dropped\":{},\"ctrl_drops\":{},\"flows_completed\":{},\
-         \"flows_total\":{},\"rerequests\":{},\"buffer_expired\":{},\
-         \"buffer_giveups\":{},\"stale_releases\":{},\"admission_sheds\":{},\
-         \"degraded_entries\":{},\"degraded_exits\":{},\"ctrl_crashes\":{},\
-         \"failover_takeovers\":{},\"epoch_bumps\":{},\"stale_epoch_rejects\":{},\
-         \"reconcile_rerequests\":{},\"flow_setup_delay_ms_mean\":{:.6},\
-         \"controller_delay_ms_mean\":{:.6}}}",
-        r.label,
-        r.packets_sent,
-        r.packets_delivered,
-        r.packets_dropped,
-        r.ctrl_drops,
-        r.flows_completed,
-        r.flows_total,
-        r.rerequests,
-        r.buffer_expired,
-        r.buffer_giveups,
-        r.stale_releases,
-        r.admission_sheds,
-        r.degraded_entries,
-        r.degraded_exits,
-        r.ctrl_crashes,
-        r.failover_takeovers,
-        r.epoch_bumps,
-        r.stale_epoch_rejects,
-        r.reconcile_rerequests,
-        r.flow_setup_delay.mean,
-        r.controller_delay.mean
-    ));
+fn push_result(j: &mut JsonWriter<'_>, r: &RunResult) {
+    j.begin_object();
+    j.key("label").string(&r.label);
+    for (name, count) in [
+        ("packets_sent", r.packets_sent),
+        ("packets_delivered", r.packets_delivered),
+        ("packets_dropped", r.packets_dropped),
+        ("ctrl_drops", r.ctrl_drops),
+        ("flows_completed", r.flows_completed as u64),
+        ("flows_total", r.flows_total as u64),
+        ("rerequests", r.rerequests),
+        ("buffer_expired", r.buffer_expired),
+        ("buffer_giveups", r.buffer_giveups),
+        ("stale_releases", r.stale_releases),
+        ("admission_sheds", r.admission_sheds),
+        ("degraded_entries", r.degraded_entries),
+        ("degraded_exits", r.degraded_exits),
+        ("ctrl_crashes", r.ctrl_crashes),
+        ("failover_takeovers", r.failover_takeovers),
+        ("epoch_bumps", r.epoch_bumps),
+        ("stale_epoch_rejects", r.stale_epoch_rejects),
+        ("reconcile_rerequests", r.reconcile_rerequests),
+    ] {
+        j.key(name).u64(count);
+    }
+    j.key("flow_setup_delay_ms_mean")
+        .fixed(r.flow_setup_delay.mean, 6);
+    j.key("controller_delay_ms_mean")
+        .fixed(r.controller_delay.mean, 6);
+    j.end_object();
 }
 
 #[cfg(test)]
@@ -344,10 +308,86 @@ mod tests {
         assert_eq!(dump.stem(), "degraded_enter-flow-256-seed3");
     }
 
+    /// Walks `text` as JSON tokens far enough to tell that every bracket
+    /// closes the one it opened and every string ends — brackets and
+    /// quotes inside strings must not count.
+    fn assert_well_nested(text: &str) {
+        let mut open = Vec::new();
+        let mut chars = text.chars();
+        while let Some(c) = chars.next() {
+            match c {
+                '{' | '[' => open.push(c),
+                '}' => assert_eq!(open.pop(), Some('{'), "{text}"),
+                ']' => assert_eq!(open.pop(), Some('['), "{text}"),
+                '"' => loop {
+                    match chars.next().expect("unterminated string") {
+                        '"' => break,
+                        '\\' => {
+                            chars.next();
+                        }
+                        c => assert!(c >= ' ', "raw control character in a string: {text}"),
+                    }
+                },
+                _ => {}
+            }
+        }
+        assert!(open.is_empty(), "{text}");
+    }
+
     #[test]
-    fn escaping_handles_quotes_and_controls() {
-        let mut s = String::new();
-        escape_into(&mut s, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(s, "a\\\"b\\\\c\\nd\\te\\u0001");
+    fn hostile_strings_are_escaped_in_dumps_and_validation_reports() {
+        use crate::validate::{CellReport, LawReport, RandomFinding, ValidationReport};
+        let nasty = "say \"hi\" C:\\dir{[\nnext\u{1}";
+        let escaped = r#""say \"hi\" C:\\dir{[\nnext\u0001""#;
+
+        let result = RunResult {
+            label: nasty.to_string(),
+            ..RunResult::default()
+        };
+        let dump = FlightDump::capture(
+            DumpReason::ChaosViolation,
+            nasty,
+            7,
+            Some(nasty.to_string()),
+            &sample_events(2),
+            Some(&result),
+        )
+        .with_violations(vec![(nasty.into(), nasty.into())]);
+        let mut buf = Vec::new();
+        dump.write_json(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        // label, spec, invariant, detail, result.label
+        assert_eq!(text.matches(escaped).count(), 5, "{text}");
+        assert_well_nested(&text);
+
+        let report = ValidationReport {
+            broken: false,
+            cells: vec![CellReport {
+                label: nasty.to_string(),
+                rate_mbps: 10,
+                saturated: false,
+                near_critical: false,
+                bottleneck: "controller",
+                delay_rep_p50_ms: 1.5,
+                delay_rep_p95_ms: f64::NAN,
+                checks: Vec::new(),
+            }],
+            laws: vec![LawReport {
+                law: "packet-conservation",
+                holds: false,
+                detail: nasty.to_string(),
+            }],
+            random_checked: 1,
+            random_findings: vec![RandomFinding {
+                spec: nasty.to_string(),
+                shrunk_spec: nasty.to_string(),
+                violations: vec![nasty.to_string()],
+            }],
+        };
+        let text = report.to_json();
+        // cell label, law detail, spec, shrunk_spec, violation
+        assert_eq!(text.matches(escaped).count(), 5, "{text}");
+        assert!(text.contains("\"delay_rep_p50_ms\":1.5,\"delay_rep_p95_ms\":null"));
+        assert_well_nested(&text);
     }
 }

@@ -43,6 +43,7 @@ mod metric;
 pub mod observe;
 pub mod report;
 mod result;
+mod shrink;
 pub mod spans;
 mod testbed;
 mod trace;
@@ -63,12 +64,7 @@ pub use testbed::{FailoverConfig, Testbed, TestbedConfig};
 pub use trace::MsgDesc;
 
 /// The structured event layer, re-exported from the simulation engine.
-/// (The event layer's `NullSink` is *not* re-exported flat because this
-/// crate already exports the executor's progress `NullSink`; reach it as
-/// `sdnbuf_sim::events::NullSink`.)
-pub use sdnbuf_sim::{
-    ChannelDir, Event, EventKind, EventSink, JsonlSink, RecordingSink, RingSink, Tracer,
-};
+pub use sdnbuf_sim::{ChannelDir, Event, EventKind, EventSink, JsonlSink, RecordingSink, Tracer};
 
 /// Egress QoS queue configuration, re-exported from the simulation engine.
 pub use sdnbuf_sim::QueueConfig;

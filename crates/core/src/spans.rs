@@ -26,7 +26,7 @@ use std::io::{self, Write};
 
 use crate::experiment::RunEvents;
 use sdnbuf_metrics::{Histogram, Table};
-use sdnbuf_sim::{ChannelDir, Event, EventKind, FastHashMap, Nanos};
+use sdnbuf_sim::{ChannelDir, Event, EventKind, FastHashMap, JsonWriter, Nanos};
 
 /// OpenFlow's "not buffered" sentinel (`OFP_NO_BUFFER`).
 const NO_BUFFER: u32 = 0xffff_ffff;
@@ -657,30 +657,30 @@ impl LatencyReport {
 
     /// Appends the report as a stable-field-order JSON object.
     pub fn write_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "{{\"schema\":\"latency/v1\",\"spans\":{{\"completed\":{},\"given_up\":{},\
-             \"open\":{},\"rerequests\":{}}},\"phases\":[",
-            self.completed, self.given_up, self.open, self.rerequests
-        );
-        for (i, phase) in Phase::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"phase\":\"{}\",\"on_critical_path\":true,\"hist\":",
-                phase.label()
-            );
-            self.phases[i].write_json(out);
-            out.push('}');
+        let mut w = JsonWriter::new(out);
+        w.begin_object();
+        w.key("schema").string("latency/v1");
+        w.key("spans").begin_object();
+        w.key("completed").u64(self.completed);
+        w.key("given_up").u64(self.given_up);
+        w.key("open").u64(self.open);
+        w.key("rerequests").u64(self.rerequests);
+        w.end_object();
+        w.key("phases").begin_array();
+        let on_path = Phase::ALL.iter().zip(&self.phases);
+        for (label, on_critical_path, hist) in on_path
+            .map(|(phase, hist)| (phase.label(), true, hist))
+            .chain([("rule_install", false, &self.rule_install)])
+        {
+            w.begin_object();
+            w.key("phase").string(label);
+            w.key("on_critical_path").bool(on_critical_path);
+            w.key("hist").raw(|out| hist.write_json(out));
+            w.end_object();
         }
-        out.push_str(",{\"phase\":\"rule_install\",\"on_critical_path\":false,\"hist\":");
-        self.rule_install.write_json(out);
-        out.push_str("}],\"total\":");
-        self.total.write_json(out);
-        out.push('}');
+        w.end_array();
+        w.key("total").raw(|out| self.total.write_json(out));
+        w.end_object();
     }
 }
 

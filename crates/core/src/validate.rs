@@ -29,12 +29,13 @@
 //! and must then report differential failures — `sdnlab validate --broken`
 //! inverts its exit code on that, mirroring `chaos --broken`.
 
+use crate::shrink::shrink_to_fixpoint;
 use crate::{
     BufferMode, Experiment, ExperimentConfig, Metric, NullSink, Parallelism, RateSweep, RunResult,
     SweepCell, TestbedConfig, WorkloadKind,
 };
 use sdnbuf_metrics::Histogram;
-use sdnbuf_sim::{BitRate, Nanos, SimRng};
+use sdnbuf_sim::{BitRate, JsonWriter, Nanos, SimRng};
 use std::fmt::Write as _;
 
 /// Schema tag stamped into the JSON report.
@@ -286,97 +287,69 @@ impl ValidationReport {
     /// The report as one `validate/v1` JSON document.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
-        s.push_str("{\"schema\":\"");
-        s.push_str(VALIDATE_SCHEMA);
-        s.push_str("\",\"broken\":");
-        s.push_str(if self.broken { "true" } else { "false" });
-        let _ = write!(
-            s,
-            ",\"summary\":{{\"cells\":{},\"checks\":{},\"differential_failures\":{},\
-             \"laws\":{},\"laws_failed\":{},\"random_checked\":{},\"random_failures\":{},\
-             \"passed\":{}}}",
-            self.cells.len(),
-            self.checks(),
-            self.differential_failures(),
-            self.laws.len(),
-            self.laws_failed(),
-            self.random_checked,
-            self.random_findings.len(),
-            self.passed()
-        );
-        s.push_str(",\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        let mut w = JsonWriter::new(&mut s);
+        w.begin_object();
+        w.key("schema").string(VALIDATE_SCHEMA);
+        w.key("broken").bool(self.broken);
+        w.key("summary").begin_object();
+        w.key("cells").u64(self.cells.len() as u64);
+        w.key("checks").u64(self.checks() as u64);
+        w.key("differential_failures")
+            .u64(self.differential_failures() as u64);
+        w.key("laws").u64(self.laws.len() as u64);
+        w.key("laws_failed").u64(self.laws_failed() as u64);
+        w.key("random_checked").u64(self.random_checked);
+        w.key("random_failures")
+            .u64(self.random_findings.len() as u64);
+        w.key("passed").bool(self.passed());
+        w.end_object();
+        w.key("cells").begin_array();
+        for c in &self.cells {
+            w.begin_object();
+            w.key("label").string(&c.label);
+            w.key("rate_mbps").u64(c.rate_mbps);
+            w.key("saturated").bool(c.saturated);
+            w.key("near_critical").bool(c.near_critical);
+            w.key("bottleneck").string(c.bottleneck);
+            w.key("delay_rep_p50_ms").f64(c.delay_rep_p50_ms);
+            w.key("delay_rep_p95_ms").f64(c.delay_rep_p95_ms);
+            w.key("checks").begin_array();
+            for ck in &c.checks {
+                w.begin_object();
+                w.key("metric").string(ck.metric.name());
+                w.key("simulated").f64(ck.simulated);
+                w.key("predicted").f64(ck.predicted);
+                w.key("rel_err").f64(ck.rel_err);
+                w.key("tolerance").f64(ck.tolerance);
+                w.key("pass").bool(ck.pass);
+                w.end_object();
             }
-            let _ = write!(
-                s,
-                "{{\"label\":\"{}\",\"rate_mbps\":{},\"saturated\":{},\"near_critical\":{},\
-                 \"bottleneck\":\"{}\",\"delay_rep_p50_ms\":{},\"delay_rep_p95_ms\":{},\
-                 \"checks\":[",
-                esc(&c.label),
-                c.rate_mbps,
-                c.saturated,
-                c.near_critical,
-                esc(c.bottleneck),
-                num(c.delay_rep_p50_ms),
-                num(c.delay_rep_p95_ms)
-            );
-            for (j, ck) in c.checks.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "{{\"metric\":\"{}\",\"simulated\":{},\"predicted\":{},\"rel_err\":{},\
-                     \"tolerance\":{},\"pass\":{}}}",
-                    ck.metric.name(),
-                    num(ck.simulated),
-                    num(ck.predicted),
-                    num(ck.rel_err),
-                    num(ck.tolerance),
-                    ck.pass
-                );
-            }
-            s.push_str("]}");
+            w.end_array().end_object();
         }
-        s.push_str("],\"laws\":[");
-        for (i, l) in self.laws.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"law\":\"{}\",\"holds\":{},\"detail\":\"{}\"}}",
-                esc(l.law),
-                l.holds,
-                esc(&l.detail)
-            );
+        w.end_array();
+        w.key("laws").begin_array();
+        for l in &self.laws {
+            w.begin_object();
+            w.key("law").string(l.law);
+            w.key("holds").bool(l.holds);
+            w.key("detail").string(&l.detail);
+            w.end_object();
         }
-        let _ = write!(
-            s,
-            "],\"random\":{{\"checked\":{},\"failures\":[",
-            self.random_checked
-        );
-        for (i, f) in self.random_findings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        w.end_array();
+        w.key("random").begin_object();
+        w.key("checked").u64(self.random_checked);
+        w.key("failures").begin_array();
+        for f in &self.random_findings {
+            w.begin_object();
+            w.key("spec").string(&f.spec);
+            w.key("shrunk_spec").string(&f.shrunk_spec);
+            w.key("violations").begin_array();
+            for v in &f.violations {
+                w.string(v);
             }
-            let _ = write!(
-                s,
-                "{{\"spec\":\"{}\",\"shrunk_spec\":\"{}\",\"violations\":[",
-                esc(&f.spec),
-                esc(&f.shrunk_spec)
-            );
-            for (j, v) in f.violations.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "\"{}\"", esc(v));
-            }
-            s.push_str("]}");
+            w.end_array().end_object();
         }
-        s.push_str("]}}");
+        w.end_array().end_object().end_object();
         s
     }
 
@@ -405,20 +378,6 @@ impl ValidationReport {
             }
         }
         s
-    }
-}
-
-/// Minimal JSON string escaping for the controlled ASCII we emit.
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// A JSON-safe number: finite values as-is, everything else as `null`.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
     }
 }
 
@@ -531,28 +490,13 @@ pub fn validate(config: &ValidateConfig) -> ValidationReport {
     laws.retain(|l| !l.detail.is_empty() || !l.holds);
 
     // -- Random-config exploration ----------------------------------
-    let mut random_findings = Vec::new();
-    if config.random_configs > 0 {
-        for i in 0..config.random_configs {
-            let scenario = RandomScenario::generate(config.base_seed.wrapping_add(i));
-            let violations = check_random_scenario(&scenario);
-            if !violations.is_empty() {
-                let shrunk = shrink_random_scenario(&scenario);
-                let violations = check_random_scenario(&shrunk);
-                random_findings.push(RandomFinding {
-                    spec: scenario.spec(),
-                    shrunk_spec: shrunk.spec(),
-                    violations,
-                });
-            }
-        }
-    }
+    let (random_checked, random_findings) = random_sweep(config.random_configs, config.base_seed);
 
     ValidationReport {
         broken: config.broken,
         cells,
         laws,
-        random_checked: config.random_configs,
+        random_checked,
         random_findings,
     }
 }
@@ -826,15 +770,13 @@ impl RandomScenario {
         }
     }
 
-    /// One-line replayable description.
+    /// One-line replayable description, in the key names and value
+    /// grammars of [`crate::chaos::ChaosScenario::to_spec`]: each component
+    /// parses back through its type's `FromStr` to the value it names.
     pub fn spec(&self) -> String {
         format!(
-            "seed={},buffer={},workload={:?},rate={},frame={}",
-            self.seed,
-            self.mech.label(),
-            self.workload,
-            self.rate_mbps,
-            self.frame_size
+            "mech={},wl={},rate={},seed={},frame={}",
+            self.mech, self.workload, self.rate_mbps, self.seed, self.frame_size
         )
     }
 
@@ -921,20 +863,9 @@ pub fn check_random_scenario(scenario: &RandomScenario) -> Vec<String> {
 /// transformations (smaller workload, plainer frame/rate/mechanism) and
 /// keep any that still violates a law, until a fixpoint.
 pub fn shrink_random_scenario(scenario: &RandomScenario) -> RandomScenario {
-    let mut best = scenario.clone();
-    loop {
-        let mut improved = false;
-        for candidate in shrink_candidates(&best) {
-            if candidate != best && !check_random_scenario(&candidate).is_empty() {
-                best = candidate;
-                improved = true;
-                break;
-            }
-        }
-        if !improved {
-            return best;
-        }
-    }
+    shrink_to_fixpoint(scenario.clone(), shrink_candidates, |candidate| {
+        !check_random_scenario(candidate).is_empty()
+    })
 }
 
 fn shrink_candidates(s: &RandomScenario) -> Vec<RandomScenario> {
@@ -1110,6 +1041,22 @@ mod tests {
         let specs: Vec<String> = (0..20)
             .map(|s| RandomScenario::generate(s).spec())
             .collect();
+        for (seed, spec) in (0..20).zip(&specs) {
+            let field = |key: &str| {
+                spec.split(',')
+                    .filter_map(|part| part.split_once('='))
+                    .find_map(|(k, v)| (k == key).then_some(v))
+                    .unwrap_or_else(|| panic!("no {key}= in '{spec}'"))
+            };
+            let replayed = RandomScenario {
+                seed: field("seed").parse().expect(spec),
+                mech: field("mech").parse().expect(spec),
+                workload: field("wl").parse().expect(spec),
+                rate_mbps: field("rate").parse().expect(spec),
+                frame_size: field("frame").parse().expect(spec),
+            };
+            assert_eq!(replayed, RandomScenario::generate(seed), "{spec}");
+        }
         let mut unique = specs.clone();
         unique.sort();
         unique.dedup();

@@ -28,7 +28,7 @@
 //! assert!((p50 - 50.0).abs() / 50.0 <= Histogram::RELATIVE_ERROR);
 //! ```
 
-use sdnbuf_sim::Nanos;
+use sdnbuf_sim::{JsonWriter, Nanos};
 
 /// Number of linear sub-buckets per power of two. 32 sub-buckets bound
 /// the quantile relative error by `1 / (2 * 32) = 1.56%`.
@@ -225,30 +225,21 @@ impl Histogram {
     /// and the sparse non-empty buckets as `[index, count]` pairs in
     /// ascending index order. Byte-stable for identical histograms.
     pub fn write_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "{{\"count\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ms\":{:.6},\
-             \"p50_ms\":{:.6},\"p95_ms\":{:.6},\"p99_ms\":{:.6},\"buckets\":[",
-            self.count,
-            if self.is_empty() { 0 } else { self.min_ns },
-            self.max_ns,
-            self.mean_ms(),
-            self.quantile_ms(0.50),
-            self.quantile_ms(0.95),
-            self.quantile_ms(0.99)
-        );
-        let mut first = true;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "[{idx},{c}]");
-            }
+        let mut w = JsonWriter::new(out);
+        w.begin_object();
+        w.key("count").u64(self.count);
+        w.key("min_ns")
+            .u64(if self.is_empty() { 0 } else { self.min_ns });
+        w.key("max_ns").u64(self.max_ns);
+        w.key("mean_ms").fixed(self.mean_ms(), 6);
+        w.key("p50_ms").fixed(self.quantile_ms(0.50), 6);
+        w.key("p95_ms").fixed(self.quantile_ms(0.95), 6);
+        w.key("p99_ms").fixed(self.quantile_ms(0.99), 6);
+        w.key("buckets").begin_array();
+        for (idx, &c) in self.counts.iter().enumerate().filter(|(_, &c)| c > 0) {
+            w.begin_array().u64(idx as u64).u64(c).end_array();
         }
-        out.push_str("]}");
+        w.end_array().end_object();
     }
 }
 

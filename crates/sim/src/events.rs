@@ -8,11 +8,9 @@
 //! workspace root). When enabled, the tracer forwards [`Event`] records — a
 //! virtual timestamp plus a plain-data [`EventKind`] — to an [`EventSink`].
 //!
-//! Three sinks ship with the crate:
+//! Two sinks ship with the crate (a run nobody observes needs none: a
+//! disabled [`Tracer`] is "no sink"):
 //!
-//! * [`NullSink`] — discards everything (useful for overhead measurement),
-//! * [`RingSink`] — a bounded ring keeping the *newest* events, feeding the
-//!   flight recorder's last-N-events dump.
 //! * [`RecordingSink`] — a bounded in-memory buffer drained after the run,
 //! * [`JsonlSink`] — streams one JSON object per event to any [`io::Write`].
 //!
@@ -623,15 +621,6 @@ pub trait EventSink {
     fn emit(&mut self, event: Event);
 }
 
-/// Discards every event. Distinct from the executor's progress `NullSink`
-/// (`sdnbuf_core::NullSink`); this one lives at the event layer.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&mut self, _event: Event) {}
-}
-
 /// A bounded in-memory buffer of events. Keeps the *first* `capacity`
 /// events (chronological prefix) and counts the overflow, so a bounded
 /// recording is still a deterministic function of the run.
@@ -680,79 +669,6 @@ impl EventSink for RecordingSink {
             return;
         }
         self.events.push(event);
-    }
-}
-
-/// A bounded ring of the *newest* events — the flight-recorder complement
-/// to [`RecordingSink`] (which keeps the chronological prefix). When the
-/// ring is full the oldest event is overwritten, so after a crash or an
-/// invariant violation the sink holds the last `capacity` events leading
-/// up to it. `Event` is `Copy`, so the ring never allocates after
-/// construction.
-#[derive(Clone, Debug)]
-pub struct RingSink {
-    ring: Vec<Event>,
-    capacity: usize,
-    /// Next write position; wraps modulo `capacity` once full.
-    head: usize,
-    /// Events overwritten (total emitted − capacity, once saturated).
-    dropped_oldest: u64,
-}
-
-impl RingSink {
-    /// A ring keeping the newest `capacity` events (must be non-zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero — a zero-size ring records nothing
-    /// and always signals a bug at the call site.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingSink {
-            ring: Vec::with_capacity(capacity),
-            capacity,
-            head: 0,
-            dropped_oldest: 0,
-        }
-    }
-
-    /// The retained events in emission order, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        if self.ring.len() < self.capacity {
-            self.ring.clone()
-        } else {
-            let mut out = Vec::with_capacity(self.capacity);
-            out.extend_from_slice(&self.ring[self.head..]);
-            out.extend_from_slice(&self.ring[..self.head]);
-            out
-        }
-    }
-
-    /// Events overwritten because the ring was full.
-    pub fn dropped_oldest(&self) -> u64 {
-        self.dropped_oldest
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// `true` when nothing has been emitted yet.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-}
-
-impl EventSink for RingSink {
-    fn emit(&mut self, event: Event) {
-        if self.ring.len() < self.capacity {
-            self.ring.push(event);
-        } else {
-            self.ring[self.head] = event;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped_oldest += 1;
-        }
     }
 }
 
@@ -1485,38 +1401,6 @@ mod tests {
         assert_eq!(sink.events()[0].at, Nanos::from_nanos(0));
         assert_eq!(sink.events()[2].at, Nanos::from_nanos(2));
         assert_eq!(sink.dropped(), 7);
-    }
-
-    #[test]
-    fn ring_keeps_newest_and_counts_overwrites() {
-        let mut ring = RingSink::new(3);
-        assert!(ring.is_empty());
-        for i in 0..10 {
-            ring.emit(ev(i));
-        }
-        assert_eq!(ring.len(), 3);
-        let kept = ring.events();
-        let ats: Vec<u64> = kept.iter().map(|e| e.at.as_nanos()).collect();
-        assert_eq!(ats, [7, 8, 9], "ring keeps the newest, oldest first");
-        assert_eq!(ring.dropped_oldest(), 7);
-    }
-
-    #[test]
-    fn ring_below_capacity_keeps_everything() {
-        let mut ring = RingSink::new(8);
-        for i in 0..3 {
-            ring.emit(ev(i));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped_oldest(), 0);
-        let ats: Vec<u64> = ring.events().iter().map(|e| e.at.as_nanos()).collect();
-        assert_eq!(ats, [0, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_capacity_ring_panics() {
-        RingSink::new(0);
     }
 
     #[test]

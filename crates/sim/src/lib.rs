@@ -19,7 +19,9 @@
 //!   SOSR'15) as the root of switch-side control-message latency.
 //! * [`events`] — structured event tracing: a [`Tracer`] handle that is
 //!   zero-cost when disabled, typed [`EventKind`] records, and pluggable
-//!   [`EventSink`] backends (null / recording / streaming JSONL).
+//!   [`EventSink`] backends (recording / streaming JSONL).
+//! * [`JsonWriter`] — the one JSON document writer every report, dump and
+//!   histogram in the workspace renders through.
 //!
 //! # Example
 //!
@@ -49,6 +51,7 @@ mod bus;
 pub mod events;
 pub mod faults;
 pub mod hash;
+mod json;
 mod link;
 mod pool;
 mod qos_link;
@@ -59,10 +62,11 @@ mod time;
 
 pub use bus::Bus;
 pub use events::{
-    ByteSink, ChannelDir, Event, EventKind, EventSink, JsonlSink, RecordingSink, RingSink, Tracer,
+    ByteSink, ChannelDir, Event, EventKind, EventSink, JsonlSink, RecordingSink, Tracer,
 };
 pub use faults::{ChannelFaults, CtrlEffect, FaultPlan, FaultState, LossModel, Window};
 pub use hash::{FastHashMap, FastHashSet, FxHasher};
+pub use json::JsonWriter;
 pub use link::{Link, LinkConfig, LinkStats};
 pub use pool::{Pool, PoolHandle, PoolStats};
 pub use qos_link::{MultiQueueLink, QueueConfig};

@@ -1041,7 +1041,7 @@ mod tests {
     fn disabled_rerequest_silences_algorithm_1_lines_12_13() {
         let mut b = FlowGranularityBuffer::new(16, Nanos::from_millis(10));
         let mut pool = PacketPool::new();
-        b.sabotage(Sabotage::from(false));
+        b.sabotage(Sabotage::no_rerequest());
         b.on_miss(Nanos::ZERO, pool.insert(pkt(1, 100)), PortNo(1), &pool);
         // Far past the timeout: a healthy mechanism would re-request here.
         assert!(matches!(

@@ -130,10 +130,6 @@ pub(crate) fn next_generation(seq: &mut u32) -> u32 {
 /// Which parts of the mechanism a self-test run cripples on purpose, so
 /// the chaos harness can prove its invariants have teeth
 /// ([`BufferMechanism::sabotage`]).
-///
-/// `From<bool>` keeps the historical call shape alive:
-/// `run_scenario(&s, true)` is "nothing sabotaged" and
-/// `run_scenario(&s, false)` disables Algorithm 1's re-request loop.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Sabotage {
     /// Disable Algorithm 1's re-request lines 12–13 (the original
@@ -154,6 +150,14 @@ impl Sabotage {
     /// Nothing crippled.
     pub fn none() -> Sabotage {
         Sabotage::default()
+    }
+
+    /// Only Algorithm 1's re-request loop disabled.
+    pub fn no_rerequest() -> Sabotage {
+        Sabotage {
+            disable_rerequest: true,
+            ..Sabotage::default()
+        }
     }
 
     /// Only the TTL garbage collector disabled.
@@ -178,15 +182,6 @@ impl Sabotage {
         match stored.admits(presented) {
             Err(Refusal::StaleEpoch) if self.broken_epoch => Ok(()),
             verdict => verdict,
-        }
-    }
-}
-
-impl From<bool> for Sabotage {
-    fn from(rerequest_enabled: bool) -> Sabotage {
-        Sabotage {
-            disable_rerequest: !rerequest_enabled,
-            ..Sabotage::default()
         }
     }
 }
@@ -353,10 +348,14 @@ mod tests {
 
     #[test]
     fn sabotage_shorthands_set_one_flag_each() {
-        assert_eq!(Sabotage::from(true), Sabotage::none());
-        assert!(Sabotage::from(false).disable_rerequest);
-        assert!(Sabotage::no_ttl_gc().disable_ttl_gc);
-        assert!(Sabotage::no_epoch_guard().broken_epoch);
+        let (mut rerequest, mut ttl_gc, mut epoch) =
+            (Sabotage::none(), Sabotage::none(), Sabotage::none());
+        rerequest.disable_rerequest = true;
+        ttl_gc.disable_ttl_gc = true;
+        epoch.broken_epoch = true;
+        assert_eq!(Sabotage::no_rerequest(), rerequest);
+        assert_eq!(Sabotage::no_ttl_gc(), ttl_gc);
+        assert_eq!(Sabotage::no_epoch_guard(), epoch);
     }
 
     #[test]

@@ -341,7 +341,7 @@ proptest! {
     #[test]
     fn disabled_rerequest_stays_silent_forever(ops in arb_timed_ops()) {
         let mut mech = FlowGranularityBuffer::new(1024, Nanos::from_millis(5));
-        mech.sabotage(Sabotage::from(false));
+        mech.sabotage(Sabotage::no_rerequest());
         let mut pool = PacketPool::new();
         let mut now = Nanos::ZERO;
         let mut outstanding: Vec<BufferId> = Vec::new();

@@ -23,7 +23,7 @@ fn two_hundred_seeded_scenarios_per_mechanism_hold_every_invariant() {
     for mech in mechanisms() {
         for seed in 0..200u64 {
             let scenario = ChaosScenario::generate(seed, mech);
-            let report = run_scenario(&scenario, true);
+            let report = run_scenario(&scenario, Sabotage::none());
             assert!(
                 report.violations.is_empty(),
                 "seed {seed} under {} violated {:#?}\nreplay: cargo run --release \
@@ -43,12 +43,37 @@ fn chaos_runs_are_pure_functions_of_the_scenario() {
     for mech in mechanisms() {
         for seed in [0u64, 7, 13] {
             let scenario = ChaosScenario::generate(seed, mech);
-            let a = run_scenario(&scenario, true);
-            let b = run_scenario(&scenario, true);
+            let a = run_scenario(&scenario, Sabotage::none());
+            let b = run_scenario(&scenario, Sabotage::none());
             assert_eq!(a.digest, b.digest, "seed {seed}");
             assert_eq!(a.result, b.result, "seed {seed}");
         }
     }
+}
+
+/// Pinned replay: seeds 1–6, alternating 64-unit mechanisms (odd seeds flow
+/// granularity with a 20 ms timeout, even seeds packet granularity), nothing
+/// sabotaged. Deliveries plus recorded events, and events dispatched, move
+/// only when the generator, the fault plane or the simulation does.
+#[test]
+fn pinned_six_seed_chaos_replay() {
+    let (mut check, mut dispatched) = (0u64, 0u64);
+    for seed in 1u64..=6 {
+        let mech = if seed % 2 == 0 {
+            BufferMode::PacketGranularity { capacity: 64 }
+        } else {
+            BufferMode::FlowGranularity {
+                capacity: 64,
+                timeout: Nanos::from_millis(20),
+            }
+        };
+        let scenario = ChaosScenario::generate(seed, mech);
+        let (result, trace) = execute(&scenario, Sabotage::none());
+        check += result.packets_delivered + trace.len() as u64;
+        dispatched += result.events_dispatched;
+    }
+    assert_eq!(check, 2460);
+    assert_eq!(dispatched, 1345);
 }
 
 /// The spec string round-trips the scenario exactly, so the printed replay
@@ -60,8 +85,8 @@ fn replay_specs_round_trip_and_reproduce_digests() {
         let spec = scenario.to_spec();
         let parsed = ChaosScenario::parse(&spec).expect(&spec);
         assert_eq!(parsed, scenario, "spec: {spec}");
-        let a = run_scenario(&scenario, true);
-        let b = run_scenario(&parsed, true);
+        let a = run_scenario(&scenario, Sabotage::none());
+        let b = run_scenario(&parsed, Sabotage::none());
         assert_eq!(a.digest, b.digest, "replay of '{spec}' diverged");
     }
 }
@@ -85,7 +110,7 @@ fn streamed_report_equals_the_report_over_the_recorded_stream() {
         Sabotage::none(),
         Sabotage::no_ttl_gc(),
         Sabotage::no_epoch_guard(),
-        Sabotage::from(false),
+        Sabotage::no_rerequest(),
     ];
     let told = |vs: &[Violation]| -> Vec<(&'static str, String)> {
         vs.iter().map(|v| (v.invariant, v.detail.clone())).collect()
@@ -260,7 +285,7 @@ fn broken_rerequest_is_caught_minimized_and_replayable() {
     let mut caught = 0;
     for seed in 0..60u64 {
         let scenario = ChaosScenario::generate(seed, mech);
-        let report = run_scenario(&scenario, false);
+        let report = run_scenario(&scenario, Sabotage::no_rerequest());
         if report.violations.is_empty() {
             // Plans without control loss (or with data-disturbing faults
             // that waive the guarantee) legitimately pass.
@@ -280,9 +305,9 @@ fn broken_rerequest_is_caught_minimized_and_replayable() {
             continue; // count the rest, but shrink only a few (debug-build time)
         }
 
-        let min = minimize(&scenario, false);
+        let min = minimize(&scenario, Sabotage::no_rerequest());
         let spec = min.to_spec();
-        let a = run_scenario(&min, false);
+        let a = run_scenario(&min, Sabotage::no_rerequest());
         assert!(
             !a.violations.is_empty(),
             "seed {seed}: minimizer lost the failure (spec '{spec}')"
@@ -291,7 +316,10 @@ fn broken_rerequest_is_caught_minimized_and_replayable() {
             spec.len() <= scenario.to_spec().len(),
             "seed {seed}: minimized spec grew"
         );
-        let b = run_scenario(&ChaosScenario::parse(&spec).expect(&spec), false);
+        let b = run_scenario(
+            &ChaosScenario::parse(&spec).expect(&spec),
+            Sabotage::no_rerequest(),
+        );
         assert_eq!(a.digest, b.digest, "minimized replay of '{spec}' diverged");
     }
     assert!(
@@ -312,10 +340,13 @@ fn intact_mechanism_passes_where_the_broken_one_fails() {
     let mut compared = 0;
     for seed in 0..60u64 {
         let scenario = ChaosScenario::generate(seed, mech);
-        if run_scenario(&scenario, false).violations.is_empty() {
+        if run_scenario(&scenario, Sabotage::no_rerequest())
+            .violations
+            .is_empty()
+        {
             continue;
         }
-        let intact = run_scenario(&scenario, true);
+        let intact = run_scenario(&scenario, Sabotage::none());
         assert!(
             intact.violations.is_empty(),
             "seed {seed}: intact mechanism violated {:#?}",
@@ -359,7 +390,7 @@ fn sustained_controller_stall_bounds_retries_and_recovers_from_degraded() {
         },
         standby: None,
     };
-    let report = run_scenario(&budgeted, true);
+    let report = run_scenario(&budgeted, Sabotage::none());
     assert!(
         report.violations.is_empty(),
         "budgeted run violated {:#?}",
@@ -385,7 +416,7 @@ fn sustained_controller_stall_bounds_retries_and_recovers_from_degraded() {
         recovery: RecoveryKnobs::default(),
         ..budgeted.clone()
     };
-    let baseline = run_scenario(&unbounded, true);
+    let baseline = run_scenario(&unbounded, Sabotage::none());
     assert!(
         baseline.violations.is_empty(),
         "baseline run violated {:#?}",
@@ -464,7 +495,7 @@ fn crash_scenarios_hold_every_invariant_across_mechanisms() {
         for seed in 0..60u64 {
             let scenario = ChaosScenario::generate_with_crashes(seed, mech);
             assert!(scenario.plan.has_crashes(), "seed {seed}");
-            let report = run_scenario(&scenario, true);
+            let report = run_scenario(&scenario, Sabotage::none());
             assert!(
                 report.violations.is_empty(),
                 "crash seed {seed} under {} violated {:#?}\nreplay: cargo run --release \

@@ -495,3 +495,49 @@ fn packet_log_orders_by_flow_and_sequence() {
         assert!(trace.left_switch >= trace.entered_switch);
     }
 }
+
+/// Pinned cell: 400 single-packet flows at 100 Mbps against the 16-unit
+/// packet-granularity buffer, seed 42 — one cell of the Section IV sweep.
+/// The counts move only when simulated behaviour does.
+#[test]
+fn pinned_section_iv_cell_delivers_400_in_4430_events() {
+    use sdn_buffer_lab::core::{Testbed, TestbedConfig};
+    let cfg = TestbedConfig::with_buffer(BufferMode::PacketGranularity { capacity: 16 });
+    let departures = workload::single_packet_flows(
+        &workload::PktgenConfig {
+            rate: BitRate::from_mbps(100),
+            ..workload::PktgenConfig::default()
+        },
+        400,
+        42,
+    );
+    let r = Testbed::new(cfg).run(&departures);
+    assert_eq!(r.packets_delivered, 400);
+    assert_eq!(r.events_dispatched, 4430);
+}
+
+/// Pinned storm: 1000 single-packet flows at 80 Mbps through the
+/// flow-granularity buffer while 35 % of control messages are lost in each
+/// direction — Algorithm 1's re-request path under sustained loss.
+#[test]
+fn pinned_retry_storm_of_1000_flows() {
+    use sdn_buffer_lab::core::{Testbed, TestbedConfig};
+    let mut cfg = TestbedConfig::with_buffer(BufferMode::FlowGranularity {
+        capacity: 256,
+        timeout: Nanos::from_millis(20),
+    });
+    cfg.faults.seed = 1234;
+    cfg.faults.to_controller.loss = LossModel::Probabilistic(0.35);
+    cfg.faults.to_switch.loss = LossModel::Probabilistic(0.35);
+    let departures = workload::single_packet_flows(
+        &workload::PktgenConfig {
+            rate: BitRate::from_mbps(80),
+            ..workload::PktgenConfig::default()
+        },
+        1000,
+        7,
+    );
+    let r = Testbed::new(cfg).run(&departures);
+    assert_eq!(r.packets_delivered + r.rerequests, 2284);
+    assert_eq!(r.events_dispatched, 11689);
+}

@@ -133,16 +133,38 @@ fn cell_report_equals_merged_run_reports() {
     assert_eq!(a, b, "cell aggregation must equal pairwise merge");
 }
 
+/// Pinned pipeline over the Section IV cell (packet granularity 16, 400
+/// single-packet flows, 100 Mbps, seed 42): a traced run, the span
+/// builder's fold over the whole stream, and the report rendered to JSON.
+/// The check value includes the rendered document's length, so it pins the
+/// JSON writer along with the spans.
+#[test]
+fn pinned_latency_anatomy_of_the_section_iv_cell() {
+    let (result, events) = Experiment::new(ExperimentConfig {
+        buffer: BufferMode::PacketGranularity { capacity: 16 },
+        workload: WorkloadKind::single_packet_flows(400),
+        sending_rate: BitRate::from_mbps(100),
+        seed: 42,
+        ..ExperimentConfig::default()
+    })
+    .run_traced();
+    let report = LatencyReport::from_events(&events);
+    let mut json = String::new();
+    report.write_json(&mut json);
+    assert_eq!(
+        result.packets_delivered + report.completed + json.len() as u64,
+        6530
+    );
+    assert_eq!(result.events_dispatched, 4430);
+}
+
 /// The flight recorder's contract: the dump a violating chaos scenario
 /// ships embeds a replay spec that re-runs to the *same* digest and the
 /// *same* violations. Uses the `--broken` sabotage (dead re-request loop)
 /// to manufacture a violation deterministically.
 #[test]
 fn flight_dump_replays_to_the_same_violation() {
-    let sabotage = Sabotage {
-        disable_rerequest: true,
-        ..Sabotage::default()
-    };
+    let sabotage = Sabotage::no_rerequest();
     let mech = BufferMode::FlowGranularity {
         capacity: 256,
         timeout: Nanos::from_millis(20),
