@@ -40,7 +40,10 @@ impl Summary {
     /// Computes a summary of `samples`. Returns the zero summary for an
     /// empty slice. Non-finite samples are ignored.
     pub fn of(samples: &[f64]) -> Summary {
-        let mut v: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
+        // `filter`'s lower size hint is 0: collecting would climb the
+        // doubling ladder, on every call.
+        let mut v = Vec::with_capacity(samples.len());
+        v.extend(samples.iter().copied().filter(|x| x.is_finite()));
         if v.is_empty() {
             return Summary::default();
         }

@@ -5,7 +5,10 @@
 //!
 //! * [`EventQueue`] — the production calendar/timer-wheel queue with O(1)
 //!   amortized insert and pop (near-future wheel + far-future overflow
-//!   heap).
+//!   heap). The wheel's events live in one arena of list nodes: a slot is
+//!   the head of a list threaded through it, and a popped node is reused
+//!   by the next insert, so a run allocates as the arena doubles up to the
+//!   most events the wheel ever holds — not once per tick it touches.
 //! * [`HeapEventQueue`] — the original `BinaryHeap` implementation, kept as
 //!   the executable reference the wheel is property-tested against.
 
@@ -13,10 +16,10 @@ use crate::Nanos;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// log2 of the wheel slot count. Kept deliberately small: every slot owns
-/// a lazily-allocated bucket, so the slot count bounds both the fresh
-/// queue's footprint and the per-run first-touch allocations — a testbed
-/// is constructed per run, and chaos sweeps construct thousands.
+/// log2 of the wheel slot count. A slot is a 4-byte list head inline in
+/// the queue, so the count costs a fresh queue 1 KiB and no allocation; it
+/// sets how many events a window holds before they spill to the overflow
+/// heap, and with the tick width how long the list a pop scans can get.
 const SLOT_BITS: u32 = 8;
 /// Number of slots in the calendar wheel.
 const SLOTS: usize = 1 << SLOT_BITS;
@@ -28,12 +31,19 @@ const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 /// in the wheel with at most a handful of events per tick, while timers,
 /// keepalives, TTLs and pre-scheduled departures wait in the overflow
 /// heap and migrate window-by-window as the cursor advances. Benchmarked
-/// against wider windows (up to 33 ms), this geometry wins on both
-/// wall-clock and allocations: buckets stay tiny, so the linear-scan
-/// minimum extraction at pop is effectively O(1).
+/// against wider windows (up to 33 ms), this geometry wins on
+/// wall-clock: a slot's list stays tiny, so the linear-scan minimum
+/// extraction at pop is effectively O(1).
 const TICK_SHIFT: u32 = 12;
 /// Words in the slot-occupancy bitmap.
 const WORDS: usize = SLOTS / 64;
+/// Ends a slot's list and the free list: arena indices are `u32`.
+const NIL: u32 = u32::MAX;
+/// The most nodes the arena may hold, so that every index stays below
+/// [`NIL`]. An event that cannot get a node waits in the overflow heap,
+/// which every pop compares against the wheel's minimum. Lowered under
+/// test to reach that branch.
+const MAX_NODES: usize = if cfg!(test) { 64 } else { NIL as usize };
 
 #[derive(Debug)]
 struct Scheduled<E> {
@@ -75,20 +85,36 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
+/// One wheel event in the arena: its key, its event, and the index of the
+/// next node of the same slot — or, once popped, of the next free node.
+struct Node<E> {
+    time: Nanos,
+    seq: u64,
+    next: u32,
+    /// `Some` while the node is linked into a slot.
+    event: Option<E>,
+}
+
+impl<E> Node<E> {
+    fn key(&self) -> (Nanos, u64) {
+        (self.time, self.seq)
+    }
+}
+
 /// A deterministic future-event list.
 ///
 /// Events are popped in ascending time order; ties are broken by insertion
 /// order (FIFO), which makes simulation runs fully reproducible even when
 /// many events share a timestamp.
 ///
-/// Internally this is a calendar wheel: a ring of 256 buckets, each
+/// Internally this is a calendar wheel: a ring of 256 slots, each
 /// covering one ~4.1 µs tick, plus an overflow
 /// min-heap for events beyond the wheel's look-ahead window (or scheduled
 /// in the past relative to the wheel's base — legal, if unusual). Insert
-/// and pop are O(1) amortized: buckets are unsorted (insert is a push,
-/// pop extracts the unique minimum with a linear scan of the handful of
-/// events sharing a tick), and each overflow event migrates into the
-/// wheel at most once. The pop order is *exactly* that of
+/// and pop are O(1) amortized: a slot is an unsorted list (insert links a
+/// node at its head, pop unlinks the unique minimum after a linear scan of
+/// the handful of events sharing a tick), and each overflow event migrates
+/// into the wheel at most once. The pop order is *exactly* that of
 /// [`HeapEventQueue`] — a property test pins the equivalence.
 ///
 /// # Example
@@ -105,10 +131,14 @@ impl<E> Ord for Scheduled<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// The calendar ring. Every slot holds events of exactly one absolute
-    /// tick (the window spans `SLOTS` ticks, so slot index ↔ in-window
-    /// tick is a bijection).
-    wheel: Vec<Vec<Scheduled<E>>>,
+    /// Every node the wheel has ever needed at once, linked or free.
+    nodes: Vec<Node<E>>,
+    /// The calendar ring: per slot, the first node of its list. Every slot
+    /// holds events of exactly one absolute tick (the window spans `SLOTS`
+    /// ticks, so slot index ↔ in-window tick is a bijection).
+    heads: [u32; SLOTS],
+    /// The first node of the free list.
+    free: u32,
     /// One bit per slot: set iff the slot is non-empty.
     occupied: [u64; WORDS],
     /// Absolute tick of the wheel's cursor; all wheel entries have ticks in
@@ -121,18 +151,23 @@ pub struct EventQueue<E> {
     wheel_len: usize,
     /// Next insertion sequence number.
     seq: u64,
+    /// The most events ever pending at once.
+    peak_len: usize,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            wheel: (0..SLOTS).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            heads: [NIL; SLOTS],
+            free: NIL,
             occupied: [0; WORDS],
             base_tick: 0,
             far: BinaryHeap::new(),
             wheel_len: 0,
             seq: 0,
+            peak_len: 0,
         }
     }
 
@@ -158,25 +193,66 @@ impl<E> EventQueue<E> {
         first
     }
 
+    /// Links `s` at the head of its tick's list, in a recycled node if
+    /// there is one, when the tick is inside the window and a node is to
+    /// be had; pushes it onto the overflow heap otherwise. Lists are
+    /// unsorted: pop extracts the minimum with a linear scan. Slots cover
+    /// one tick, so a list holds only the handful of events of that tick —
+    /// scanning beats keeping them sorted under the insert-heavy churn of
+    /// same-tick scheduling.
+    // One copy for the testbed's dozen scheduling sites: inlined into each,
+    // this and the heap's sift-up grew its event loop by a quarter.
+    #[inline(never)]
     fn insert(&mut self, s: Scheduled<E>) {
         if self.wheel_len == 0 && self.far.is_empty() {
             // Empty queue: rebase the window to start at this event.
             self.base_tick = s.tick();
         }
         let tick = s.tick();
-        if tick >= self.base_tick && tick - self.base_tick < SLOTS as u64 {
+        if tick >= self.base_tick && tick - self.base_tick < SLOTS as u64 && self.has_node() {
             let slot = (tick & SLOT_MASK) as usize;
-            // Buckets are unsorted: insert is a plain push, and pop
-            // extracts the minimum with a linear scan. Slots cover one
-            // tick, so buckets hold only the handful of events of that
-            // tick — scanning beats keeping them sorted under the
-            // insert-heavy churn of same-tick scheduling.
-            self.wheel[slot].push(s);
+            let node = Node {
+                time: s.time,
+                seq: s.seq,
+                next: self.heads[slot],
+                event: Some(s.event),
+            };
+            let idx = self.free;
+            if idx == NIL {
+                self.heads[slot] = self.nodes.len() as u32;
+                self.nodes.push(node);
+            } else {
+                self.free = std::mem::replace(&mut self.nodes[idx as usize], node).next;
+                self.heads[slot] = idx;
+            }
             self.occupied[slot >> 6] |= 1 << (slot & 63);
             self.wheel_len += 1;
         } else {
             self.far.push(s);
         }
+        self.peak_len = self.peak_len.max(self.len());
+    }
+
+    /// Whether the arena has a node to give: a free one, or room for one
+    /// more.
+    fn has_node(&self) -> bool {
+        self.free != NIL || self.nodes.len() < MAX_NODES
+    }
+
+    /// The node holding the minimum `(time, seq)` of a non-empty slot, and
+    /// the node linked before it ([`NIL`] when it is the head).
+    fn slot_min(&self, slot: usize) -> (u32, u32) {
+        let (mut min, mut min_prev) = (self.heads[slot], NIL);
+        let mut prev = min;
+        let mut cur = self.nodes[min as usize].next;
+        while cur != NIL {
+            if self.nodes[cur as usize].key() < self.nodes[min as usize].key() {
+                (min, min_prev) = (cur, prev);
+            }
+            prev = cur;
+            cur = self.nodes[cur as usize].next;
+        }
+        (min, min_prev)
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
@@ -187,6 +263,9 @@ impl<E> EventQueue<E> {
     /// [`Self::pop`], but only if the earliest event's `(time, seq)` key
     /// is below `bound`. A miss leaves the cursor where it is, so whatever
     /// the caller schedules before its next call still lands in the wheel.
+    // Into the testbed's event loop, its one hot caller: out of line it
+    // cost a Section V cell several percent (EXPERIMENTS, PR 22).
+    #[inline]
     pub fn pop_before(&mut self, bound: (Nanos, u64)) -> Option<(Nanos, E)> {
         if self.wheel_len == 0 {
             if self.far.peek()?.key() >= bound {
@@ -195,17 +274,12 @@ impl<E> EventQueue<E> {
             self.rebase_onto_far();
         }
         let slot = self.first_occupied_slot().expect("the wheel is not empty");
-        let bucket = &self.wheel[slot];
-        let mut min_idx = 0;
-        for i in 1..bucket.len() {
-            if bucket[i].key() < bucket[min_idx].key() {
-                min_idx = i;
-            }
-        }
+        let (min, min_prev) = self.slot_min(slot);
         // An overflow event can only beat the wheel minimum if it was
-        // scheduled in the past (before `base_tick`): equal times share a
-        // tick, and far-future ticks strictly exceed every in-window tick.
-        let wheel_key = bucket[min_idx].key();
+        // scheduled in the past (before `base_tick`) or found the arena
+        // full: equal times share a tick, and far-future ticks strictly
+        // exceed every in-window tick.
+        let wheel_key = self.nodes[min as usize].key();
         let far_key = self.far.peek().map(Scheduled::key);
         let far_key = far_key.filter(|far| *far < wheel_key);
         if far_key.unwrap_or(wheel_key) >= bound {
@@ -214,38 +288,42 @@ impl<E> EventQueue<E> {
         // Move the cursor up to the first occupied slot.
         let start = (self.base_tick & SLOT_MASK) as usize;
         self.base_tick += (slot.wrapping_sub(start) & (SLOTS - 1)) as u64;
-        let s = if far_key.is_some() {
-            self.far.pop().expect("peeked above")
+        if far_key.is_some() {
+            let s = self.far.pop().expect("peeked above");
+            return Some((s.time, s.event));
+        }
+        // Unlink the minimum — unique, as seqs are — and put its node at
+        // the head of the free list.
+        let node = &mut self.nodes[min as usize];
+        let next = std::mem::replace(&mut node.next, self.free);
+        let (time, event) = (node.time, node.event.take());
+        self.free = min;
+        if min_prev != NIL {
+            self.nodes[min_prev as usize].next = next;
         } else {
-            let bucket = &mut self.wheel[slot];
-            // Seqs are unique, so the minimum is unique: swap_remove's
-            // reordering of the remainder can't affect pop order.
-            let s = bucket.swap_remove(min_idx);
-            if bucket.is_empty() {
+            self.heads[slot] = next;
+            if next == NIL {
                 self.occupied[slot >> 6] &= !(1 << (slot & 63));
             }
-            self.wheel_len -= 1;
-            s
-        };
-        Some((s.time, s.event))
+        }
+        self.wheel_len -= 1;
+        event.map(|event| (time, event))
     }
 
     /// The wheel is empty but the overflow heap is not: restart the window
-    /// at the heap's earliest tick and migrate everything that now fits.
+    /// at the heap's earliest tick and migrate everything that now fits
+    /// (every node is free, so at least the earliest event does).
     /// Each event migrates at most once (events never move wheel → heap),
     /// so the total migration cost is amortized O(log n) per event.
+    #[inline(never)] // and so out of the loop `pop_before` is inlined into
     fn rebase_onto_far(&mut self) {
         self.base_tick = self.far.peek().expect("caller checked").tick();
         while let Some(f) = self.far.peek() {
-            let tick = f.tick();
-            if tick - self.base_tick >= SLOTS as u64 {
+            if f.tick() - self.base_tick >= SLOTS as u64 || !self.has_node() {
                 break;
             }
             let s = self.far.pop().expect("peeked above");
-            let slot = (tick & SLOT_MASK) as usize;
-            self.wheel[slot].push(s);
-            self.occupied[slot >> 6] |= 1 << (slot & 63);
-            self.wheel_len += 1;
+            self.insert(s);
         }
     }
 
@@ -254,7 +332,7 @@ impl<E> EventQueue<E> {
         let far_min = self.far.peek().map(Scheduled::key);
         let wheel_min = self
             .first_occupied_slot()
-            .and_then(|slot| self.wheel[slot].iter().map(Scheduled::key).min());
+            .map(|slot| self.nodes[self.slot_min(slot).0 as usize].key());
         match (wheel_min, far_min) {
             (Some(w), Some(f)) => Some(w.min(f).0),
             (Some(w), None) => Some(w.0),
@@ -287,19 +365,24 @@ impl<E> EventQueue<E> {
         self.wheel_len + self.far.len()
     }
 
+    /// The most events that were ever pending at once: the high-water mark
+    /// of [`Self::len`] over the queue's life, [`Self::clear`] included.
+    pub fn peak_len(&self) -> usize {
+        self.peak_len
+    }
+
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.wheel_len == 0 && self.far.is_empty()
     }
 
-    /// Removes all pending events.
+    /// Removes all pending events. The arena and the overflow heap keep
+    /// their capacity.
     pub fn clear(&mut self) {
-        if self.wheel_len > 0 {
-            for bucket in &mut self.wheel {
-                bucket.clear();
-            }
-            self.occupied = [0; WORDS];
-        }
+        self.nodes.clear();
+        self.heads = [NIL; SLOTS];
+        self.free = NIL;
+        self.occupied = [0; WORDS];
         self.far.clear();
         self.wheel_len = 0;
     }
@@ -512,6 +595,126 @@ mod tests {
         assert_eq!(q.pop(), Some((Nanos::from_nanos(9), "between")));
         assert_eq!(q.pop_before((far, 2)), Some((far, "far")));
         assert_eq!(q.pop_before((Nanos::MAX, u64::MAX)), None);
+    }
+
+    /// Nanoseconds of one wheel tick.
+    const TICK_NS: u64 = 1 << TICK_SHIFT;
+
+    #[test]
+    fn unlinking_the_head_the_middle_and_the_tail_of_a_slot() {
+        // A slot's list runs from the last event linked to the first, so
+        // the offsets within the tick say where along it each pop's
+        // minimum sits: [.., first linked] = tail, [last linked, ..] = head.
+        for (offsets, unlinked) in [
+            ([1u64, 2, 3], "tail, tail, only node"),
+            ([3, 2, 1], "head, head, only node"),
+            ([3, 1, 2], "middle, head, only node"),
+            ([2, 1, 3], "middle, tail, only node"),
+        ] {
+            let mut q = EventQueue::new();
+            for &o in &offsets {
+                q.schedule(Nanos::from_nanos(o), o);
+            }
+            // The next slot stays occupied throughout: the cursor must
+            // reach it only once this slot's bit is cleared.
+            q.schedule(Nanos::from_nanos(TICK_NS), 99);
+            for want in 1..=3 {
+                assert_eq!(q.peek_time(), Some(Nanos::from_nanos(want)), "{unlinked}");
+                assert_eq!(q.pop(), Some((Nanos::from_nanos(want), want)), "{unlinked}");
+                assert_eq!(q.len(), 4 - want as usize, "{unlinked}");
+            }
+            assert_eq!(q.occupied, [2, 0, 0, 0], "{unlinked}");
+            // The three freed nodes take the next three events, here.
+            for o in [5, 4, 6] {
+                q.schedule(Nanos::from_nanos(o), o);
+            }
+            assert_eq!(q.nodes.len(), 4, "{unlinked}");
+            let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+            assert_eq!(rest, [4, 5, 6, 99], "{unlinked}");
+            assert_eq!(q.occupied, [0; WORDS], "{unlinked}");
+        }
+    }
+
+    #[test]
+    fn nodes_are_recycled_not_grown() {
+        let mut q = EventQueue::new();
+        for i in 0..8u64 {
+            q.schedule(Nanos::from_nanos(i * TICK_NS / 3), i);
+        }
+        // 100 000 turns, eight pending throughout, the window moving on.
+        let mut last = Nanos::ZERO;
+        for i in 8..100_008u64 {
+            let (now, _) = q.pop().expect("eight pending");
+            assert!(now >= last);
+            last = now;
+            q.schedule(now + Nanos::from_nanos(1 + i % 7 * TICK_NS), i);
+            assert!(q.nodes.len() <= 8, "{} nodes at turn {i}", q.nodes.len());
+        }
+        assert_eq!((q.len(), q.peak_len()), (8, 8));
+        assert!(q.far.is_empty(), "every turn stayed inside the window");
+    }
+
+    #[test]
+    fn clear_then_reuse() {
+        let mut q = EventQueue::new();
+        let far = (3 * SLOTS as u64) << TICK_SHIFT;
+        for t in [7, 5, 5 + TICK_NS, far, 6] {
+            q.schedule(Nanos::from_nanos(t), t);
+        }
+        // One node on the free list, three linked, one event in the heap.
+        assert_eq!(q.pop(), Some((Nanos::from_nanos(5), 5)));
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!((q.len(), q.peek_time(), q.pop()), (0, None, None));
+        assert_eq!(q.peak_len(), 5, "a high-water mark outlives a clear");
+        // Nothing of the old contents comes back, and the window restarts
+        // wherever the first event of the new contents is.
+        for t in [far + 9, far + 3, far + 3, 2 * far] {
+            q.schedule(Nanos::from_nanos(t), t);
+        }
+        assert_eq!((q.nodes.len(), q.far.len()), (3, 1));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, [far + 3, far + 3, far + 9, 2 * far]);
+    }
+
+    #[test]
+    fn an_event_that_finds_the_arena_full_waits_in_the_overflow_heap() {
+        fn schedule(wheel: &mut EventQueue<u64>, heap: &mut HeapEventQueue<u64>, t: u64) {
+            wheel.schedule(Nanos::from_nanos(t), t);
+            heap.schedule(Nanos::from_nanos(t), t);
+        }
+        let (mut wheel, mut heap) = (EventQueue::new(), HeapEventQueue::new());
+        // Into the window that opens at 0, latest first, until there are no
+        // nodes left: the events turned away are earlier than all but one
+        // of those in the wheel.
+        let n = MAX_NODES as u64 + 40;
+        schedule(&mut wheel, &mut heap, 0);
+        for i in (1..n).rev() {
+            schedule(&mut wheel, &mut heap, i * TICK_NS / 2 + i % 3);
+        }
+        assert_eq!((wheel.nodes.len(), wheel.far.len()), (MAX_NODES, 40));
+        // Past the window: a rebase, too, finds more than the arena takes.
+        for i in 0..n {
+            let t = (5 * SLOTS as u64 + i / 2) * TICK_NS + i % 5;
+            schedule(&mut wheel, &mut heap, t);
+        }
+        assert_eq!(wheel.len(), 2 * n as usize);
+        assert_eq!(wheel.peak_len(), 2 * n as usize);
+        for turn in 0..2 * n {
+            assert_eq!(wheel.peek_time(), heap.peek_time(), "turn {turn}");
+            assert_eq!(wheel.pop(), heap.pop(), "turn {turn}");
+            if turn % 4 == 0 {
+                // Just after the next event: behind the cursor while the
+                // heap is ahead of the wheel, in a freed node once it is not.
+                let t = wheel.peek_time().expect("not the last turn").as_nanos() + 1;
+                schedule(&mut wheel, &mut heap, t);
+            }
+        }
+        while let Some(event) = heap.pop() {
+            assert_eq!(wheel.pop(), Some(event));
+        }
+        assert_eq!(wheel.pop(), None);
+        assert_eq!(wheel.nodes.len(), MAX_NODES);
     }
 
     #[test]

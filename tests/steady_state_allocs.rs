@@ -8,9 +8,9 @@
 //! miss, through the controller, to the frame the switch parses back out.
 //! So a table hit allocates nothing, and neither does a miss, buffered or
 //! not. What a run still allocates is growth, amortised over its packets:
-//! the pool's and the message pool's slots, the event queue's buckets and
-//! far heap, the flow table and, per flow, its queue in the flow-granularity
-//! buffer. One per-call `Vec` brought back into a handler, or one copy of a
+//! the pool's and the message pool's slots, the event queue's node arena
+//! and far heap, the flow table and, per flow, its queue in the
+//! flow-granularity buffer. One per-call `Vec` brought back into a handler, or one copy of a
 //! payload, adds a whole allocation per packet and fails the ceilings below.
 //!
 //! The cost of one more packet is taken as the difference between two runs
@@ -29,12 +29,14 @@
 //! counter is per-thread, so the tests here do not perturb each other.
 
 use sdn_buffer_lab::controller::{Controller, ControllerConfig, ControllerOutput};
+use sdn_buffer_lab::core::chaos::{run_scenario, ChaosScenario, Sabotage};
 use sdn_buffer_lab::net::{Bytes, IpProto, Packet, PacketBuilder, Payload, Transport};
 use sdn_buffer_lab::openflow::{
     msg::{FlowMod, FlowModCommand},
     Action, BufferId, Match, OfpMessage, PortNo,
 };
 use sdn_buffer_lab::prelude::*;
+use sdn_buffer_lab::sim::EventQueue;
 use sdn_buffer_lab::switch::{BufferChoice, PacketPool, Switch, SwitchConfig, SwitchOutput};
 use sdn_buffer_lab::workload::PktgenConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -206,6 +208,38 @@ fn live_heap_grows_by_a_mark_per_packet_over_a_long_run() {
         live_bytes <= 12.0,
         "flow-256@100 2 000 flows, 4e5 - 2e5 packets: {live_bytes} B of peak live heap per packet"
     );
+}
+
+#[test]
+fn a_fresh_queue_spread_over_two_hundred_ticks_allocates_a_handful_of_times() {
+    // What a short run does to its queue: 300 events over 200 distinct
+    // ticks of one window. The wheel's nodes are one arena, which doubles
+    // its way up (4, 8, .. 512: eight allocations); a bucket per slot
+    // allocated on the first push into each of the 200: 201 in all.
+    let (allocations, queue) = allocations_in(|| {
+        let mut queue = EventQueue::new();
+        for i in 0..300u64 {
+            queue.schedule(Nanos::from_nanos((i % 200) << 12), i);
+        }
+        queue
+    });
+    assert_eq!(queue.len(), 300);
+    assert!(allocations <= 10, "{allocations} allocations");
+}
+
+#[test]
+fn one_chaos_scenario_allocates_about_a_hundred_times() {
+    let mech = BufferMode::FlowGranularity {
+        capacity: 256,
+        timeout: Nanos::from_millis(20),
+    };
+    let scenario = ChaosScenario::generate_with_crashes(1, mech);
+    let (allocations, report) = allocations_in(|| run_scenario(&scenario, Sabotage::none()));
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    // 111 as this is written; 308 with a bucket per touched slot of the
+    // event queue's wheel (191 of them) and `Summary::of` collecting its
+    // samples up the doubling ladder (6). The ceiling is the reading + 15 %.
+    assert!(allocations <= 127, "{allocations} allocations");
 }
 
 /// The payload bytes of a UDP or TCP frame, and which of the two it is.
