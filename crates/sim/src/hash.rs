@@ -82,6 +82,26 @@ pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// A `HashSet` hashed with [`FxHasher`].
 pub type FastHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
+/// 64-bit FNV-1a offset basis: the state before any byte.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// 64-bit FNV-1a of `bytes`, continued from state `h` ([`FNV_OFFSET`] to
+/// start). The workspace's one definition of the hash behind everything
+/// that is pinned by value: event-stream digests and flow-granularity
+/// buffer ids.
+#[inline]
+pub const fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h = (h ^ bytes[i] as u64).wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,6 +124,17 @@ mod tests {
         assert_ne!(hash_of("ab"), hash_of("ba"));
         // Unaligned tails with the same padded word must still differ.
         assert_ne!(hash_of([1u8, 0].as_slice()), hash_of([1u8].as_slice()));
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors_and_continues() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), FNV_OFFSET);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            fnv1a(FNV_OFFSET, b"foobar")
+        );
     }
 
     #[test]

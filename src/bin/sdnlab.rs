@@ -34,6 +34,7 @@ use sdn_buffer_lab::core::validate::{self, Tolerances, ValidateConfig};
 use sdn_buffer_lab::core::{figures, observe, spans, RateSweep, StderrProgress};
 use sdn_buffer_lab::prelude::*;
 use sdn_buffer_lab::sim::faults::parse_dur;
+use sdn_buffer_lab::sim::hash::{fnv1a, FNV_OFFSET};
 use sdn_buffer_lab::switchbuf::RetryPolicy;
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -537,6 +538,9 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
 
     let mut failures = 0u64;
     let total: u64;
+    // Every report's stream digest, hashed in sweep order: one value that
+    // pins all of a seed sweep's event streams.
+    let mut sweep_digest = None;
     if args.iter().any(|a| a == "--recovery") {
         let cells = chaos::recovery_matrix();
         total = cells.len() as u64;
@@ -588,6 +592,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
             mechanisms.push(BufferMode::NoBuffer);
         }
         total = seeds * mechanisms.len() as u64;
+        let digest = sweep_digest.insert(FNV_OFFSET);
         for mech in mechanisms {
             for seed in 0..seeds {
                 let mut scenario = if crash {
@@ -602,6 +607,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
                     scenario.recovery.ttl = Nanos::from_millis(100);
                 }
                 let report = chaos::run_scenario(&scenario, sabotage);
+                *digest = fnv1a(*digest, &report.digest.to_le_bytes());
                 if report.violations.is_empty() {
                     continue;
                 }
@@ -643,7 +649,8 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
         eprintln!("chaos: {failures} scenarios violated invariants (replay commands above)");
         return Ok(ExitCode::FAILURE);
     }
-    println!("chaos: {total} scenarios, every invariant holds");
+    let pin = sweep_digest.map_or(String::new(), |d| format!(", sweep digest {d:016x}"));
+    println!("chaos: {total} scenarios, every invariant holds{pin}");
     Ok(ExitCode::SUCCESS)
 }
 
