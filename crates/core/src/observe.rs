@@ -17,7 +17,8 @@
 //! `packet_in → flow_mod → packet_out → drain` renders as linked spans.
 
 use crate::experiment::RunEvents;
-use sdnbuf_sim::{ByteSink, ChannelDir, Event, EventKind, EventSink, JsonlSink, Nanos};
+use sdnbuf_sim::hash::{fnv1a, FNV_OFFSET};
+use sdnbuf_sim::{ByteSink, ChannelDir, Event, EventKind, EventSink, JsonlSink, Nanos, Piece};
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
@@ -52,14 +53,15 @@ pub fn write_events_jsonl(events: &[Event], prefix: &str, w: &mut dyn Write) -> 
 
 /// A running 64-bit FNV-1a digest of the canonical JSONL rendering of an
 /// event stream — the bytes [`write_events_jsonl`] writes with an empty
-/// prefix. The renderer's pieces are folded into the hash as they are
-/// produced; the text itself never exists.
+/// prefix. The renderer's output is folded into the hash as it is
+/// produced — its literals in one step each ([`Piece::fold`]), labels and
+/// digits byte by byte; the text itself never exists.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct EventDigest(u64);
 
 impl Default for EventDigest {
     fn default() -> EventDigest {
-        EventDigest(0xcbf2_9ce4_8422_2325)
+        EventDigest(FNV_OFFSET)
     }
 }
 
@@ -67,9 +69,10 @@ impl EventDigest {
     /// Folds in one event's line.
     #[inline]
     pub(crate) fn observe(&mut self, event: &Event) {
+        static CLOSE: Piece = Piece::new("}\n");
         self.text("{");
         event.write_json_fields(self);
-        self.text("}\n");
+        self.piece(&CLOSE);
     }
 
     /// The digest of every line observed so far.
@@ -80,15 +83,18 @@ impl EventDigest {
 
 impl ByteSink for EventDigest {
     #[inline]
-    fn text(&mut self, piece: &str) {
-        self.ascii(piece.as_bytes());
+    fn text(&mut self, text: &str) {
+        self.ascii(text.as_bytes());
     }
 
     #[inline]
     fn ascii(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0 = fnv1a(self.0, bytes);
+    }
+
+    #[inline]
+    fn piece(&mut self, piece: &'static Piece) {
+        self.0 = piece.fold(self.0);
     }
 }
 
@@ -550,11 +556,7 @@ mod tests {
         let events = traced_run();
         let mut bytes = Vec::new();
         write_events_jsonl(&events, "", &mut bytes).unwrap();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in &bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let h = fnv1a(FNV_OFFSET, &bytes);
         assert_eq!(events_digest(&events), h);
         assert_ne!(events_digest(&events[1..]), h);
     }

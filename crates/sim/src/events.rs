@@ -25,7 +25,7 @@
 //! deterministic for a fixed seed, so a recorded stream (and any JSONL
 //! rendering of it) is byte-for-byte reproducible.
 
-use crate::Nanos;
+use crate::{Nanos, Piece};
 use std::cell::RefCell;
 use std::fmt;
 use std::io;
@@ -312,19 +312,27 @@ pub struct Event {
 }
 
 /// Where the renderer's bytes go: a `String` for the exporters, a running
-/// hash for digests. The renderer calls it with literal pieces, static
+/// hash for digests. The renderer calls it with its own literals, static
 /// labels and decimal digits only, so it never goes through `core::fmt`.
 pub trait ByteSink {
-    /// Appends `piece` verbatim.
-    fn text(&mut self, piece: &str);
+    /// Appends `text` verbatim.
+    fn text(&mut self, text: &str);
 
     /// Appends ASCII bytes (decimal digits) verbatim.
     fn ascii(&mut self, bytes: &[u8]);
+
+    /// Appends one of the renderer's literals. The same bytes as
+    /// `text(piece.text())`; a hashing sink folds them in one step instead
+    /// ([`Piece::fold`]).
+    #[inline]
+    fn piece(&mut self, piece: &'static Piece) {
+        self.text(piece.text());
+    }
 }
 
 impl ByteSink for String {
-    fn text(&mut self, piece: &str) {
-        self.push_str(piece);
+    fn text(&mut self, text: &str) {
+        self.push_str(text);
     }
 
     fn ascii(&mut self, bytes: &[u8]) {
@@ -333,25 +341,43 @@ impl ByteSink for String {
     }
 }
 
-/// `,"<name>":` as one literal piece.
-macro_rules! key {
-    ($name:literal) => {
-        concat!(",\"", $name, "\":")
-    };
+/// The renderer's literal `text`, as a `&'static Piece`: one table per use.
+macro_rules! piece {
+    ($text:expr) => {{
+        static PIECE: Piece = Piece::new($text);
+        &PIECE
+    }};
+}
+
+/// `,"<name>":` for each field that follows another: one table per name,
+/// shared by every variant that has the field.
+#[allow(non_upper_case_globals)]
+mod key {
+    use super::Piece;
+
+    macro_rules! keys {
+        ($($name:ident)*) => {$(
+            pub(super) static $name: Piece =
+                Piece::new(concat!(",\"", stringify!($name), "\":"));
+        )*};
+    }
+
+    keys!(action arrive buffer_id buffered bytes current done drained effective_at epoch);
+    keys!(fresh label occupancy released role survivors sync table_size to xid);
 }
 
 /// `,"kind":"<kind>","<name>":` — the kind tag and the key of the variant's
 /// first field, as one literal piece.
 macro_rules! kind {
     ($kind:literal, $name:literal) => {
-        concat!(",\"kind\":\"", $kind, "\"", key!($name))
+        piece!(concat!(",\"kind\":\"", $kind, "\",\"", $name, "\":"))
     };
 }
 
 /// `key` (a `"name":` piece) followed by `v` in decimal.
 #[inline]
-fn num<S: ByteSink + ?Sized>(out: &mut S, key: &str, v: u64) {
-    out.text(key);
+fn num<S: ByteSink + ?Sized>(out: &mut S, key: &'static Piece, v: u64) {
+    out.piece(key);
     // u64::MAX has 20 digits; filled from the least significant end.
     let mut digits = [0u8; 20];
     let mut at = digits.len();
@@ -371,8 +397,8 @@ fn num<S: ByteSink + ?Sized>(out: &mut S, key: &str, v: u64) {
 /// this workspace's source (link names, message types), never input, so
 /// none needs escaping.
 #[inline]
-fn label<S: ByteSink + ?Sized>(out: &mut S, key: &str, v: &'static str) {
-    out.text(key);
+fn label<S: ByteSink + ?Sized>(out: &mut S, key: &'static Piece, v: &'static str) {
+    out.piece(key);
     out.text("\"");
     out.text(v);
     out.text("\"");
@@ -380,9 +406,9 @@ fn label<S: ByteSink + ?Sized>(out: &mut S, key: &str, v: &'static str) {
 
 /// `key` followed by `true` or `false`.
 #[inline]
-fn flag<S: ByteSink + ?Sized>(out: &mut S, key: &str, v: bool) {
-    out.text(key);
-    out.text(if v { "true" } else { "false" });
+fn flag<S: ByteSink + ?Sized>(out: &mut S, key: &'static Piece, v: bool) {
+    out.piece(key);
+    out.piece(if v { piece!("true") } else { piece!("false") });
 }
 
 impl Event {
@@ -392,7 +418,7 @@ impl Event {
     /// serialization dependency. This is the one renderer — exporters,
     /// flight-recorder dumps and stream digests all take their bytes here.
     pub fn write_json_fields<S: ByteSink + ?Sized>(&self, out: &mut S) {
-        num(out, "\"at\":", self.at.as_nanos());
+        num(out, piece!("\"at\":"), self.at.as_nanos());
         match self.kind {
             EventKind::LinkTx {
                 link,
@@ -400,21 +426,21 @@ impl Event {
                 arrive,
             } => {
                 label(out, kind!("link_tx", "link"), link);
-                num(out, key!("bytes"), bytes as u64);
-                num(out, key!("arrive"), arrive.as_nanos());
+                num(out, &key::bytes, bytes as u64);
+                num(out, &key::arrive, arrive.as_nanos());
             }
             EventKind::LinkDrop { link, bytes } => {
                 label(out, kind!("link_drop", "link"), link);
-                num(out, key!("bytes"), bytes as u64);
+                num(out, &key::bytes, bytes as u64);
             }
             EventKind::BusTransfer { bus, bytes, done } => {
                 label(out, kind!("bus_transfer", "bus"), bus);
-                num(out, key!("bytes"), bytes as u64);
-                num(out, key!("done"), done.as_nanos());
+                num(out, &key::bytes, bytes as u64);
+                num(out, &key::done, done.as_nanos());
             }
             EventKind::TableMiss { in_port, bytes } => {
                 num(out, kind!("table_miss", "in_port"), in_port.into());
-                num(out, key!("bytes"), bytes as u64);
+                num(out, &key::bytes, bytes as u64);
             }
             EventKind::PacketInSent {
                 xid,
@@ -422,8 +448,8 @@ impl Event {
                 bytes,
             } => {
                 num(out, kind!("packet_in_sent", "xid"), xid.into());
-                num(out, key!("buffer_id"), buffer_id.into());
-                num(out, key!("bytes"), bytes as u64);
+                num(out, &key::buffer_id, buffer_id.into());
+                num(out, &key::bytes, bytes as u64);
             }
             EventKind::FlowRuleInstalled {
                 xid,
@@ -431,8 +457,8 @@ impl Event {
                 table_size,
             } => {
                 num(out, kind!("flow_rule_installed", "xid"), xid.into());
-                num(out, key!("effective_at"), effective_at.as_nanos());
-                num(out, key!("table_size"), table_size as u64);
+                num(out, &key::effective_at, effective_at.as_nanos());
+                num(out, &key::table_size, table_size as u64);
             }
             EventKind::FlowRuleEvicted { table_size } => {
                 num(
@@ -454,8 +480,8 @@ impl Event {
                 fresh,
             } => {
                 num(out, kind!("buffer_enqueue", "buffer_id"), buffer_id.into());
-                num(out, key!("occupancy"), occupancy as u64);
-                flag(out, key!("fresh"), fresh);
+                num(out, &key::occupancy, occupancy as u64);
+                flag(out, &key::fresh, fresh);
             }
             EventKind::BufferDrain {
                 xid,
@@ -464,9 +490,9 @@ impl Event {
                 occupancy,
             } => {
                 num(out, kind!("buffer_drain", "xid"), xid.into());
-                num(out, key!("buffer_id"), buffer_id.into());
-                num(out, key!("released"), released as u64);
-                num(out, key!("occupancy"), occupancy as u64);
+                num(out, &key::buffer_id, buffer_id.into());
+                num(out, &key::released, released as u64);
+                num(out, &key::occupancy, occupancy as u64);
             }
             EventKind::BufferRerequest {
                 buffer_id,
@@ -477,7 +503,7 @@ impl Event {
                     kind!("buffer_rerequest", "buffer_id"),
                     buffer_id.into(),
                 );
-                num(out, key!("occupancy"), occupancy as u64);
+                num(out, &key::occupancy, occupancy as u64);
             }
             EventKind::BufferReconcile {
                 buffer_id,
@@ -488,7 +514,7 @@ impl Event {
                     kind!("buffer_reconcile", "buffer_id"),
                     buffer_id.into(),
                 );
-                num(out, key!("occupancy"), occupancy as u64);
+                num(out, &key::occupancy, occupancy as u64);
             }
             EventKind::BufferFallback { occupancy } => {
                 num(out, kind!("buffer_fallback", "occupancy"), occupancy as u64);
@@ -498,7 +524,7 @@ impl Event {
                 occupancy,
             } => {
                 num(out, kind!("buffer_expire", "buffer_id"), buffer_id.into());
-                num(out, key!("occupancy"), occupancy as u64);
+                num(out, &key::occupancy, occupancy as u64);
             }
             EventKind::BufferGiveUp {
                 buffer_id,
@@ -507,9 +533,9 @@ impl Event {
                 occupancy,
             } => {
                 num(out, kind!("buffer_give_up", "buffer_id"), buffer_id.into());
-                num(out, key!("drained"), drained as u64);
-                label(out, key!("action"), action);
-                num(out, key!("occupancy"), occupancy as u64);
+                num(out, &key::drained, drained as u64);
+                label(out, &key::action, action);
+                num(out, &key::occupancy, occupancy as u64);
             }
             EventKind::DegradedEnter { giveups } => {
                 num(out, kind!("degraded_enter", "giveups"), giveups.into());
@@ -523,8 +549,8 @@ impl Event {
                 buffered,
             } => {
                 num(out, kind!("admission_shed", "xid"), xid.into());
-                num(out, key!("bytes"), bytes as u64);
-                flag(out, key!("buffered"), buffered);
+                num(out, &key::bytes, bytes as u64);
+                flag(out, &key::buffered, buffered);
             }
             EventKind::PacketInReceived {
                 xid,
@@ -532,19 +558,19 @@ impl Event {
                 buffered,
             } => {
                 num(out, kind!("packet_in_received", "xid"), xid.into());
-                num(out, key!("bytes"), bytes as u64);
-                flag(out, key!("buffered"), buffered);
+                num(out, &key::bytes, bytes as u64);
+                flag(out, &key::buffered, buffered);
             }
             EventKind::Decision { xid, action } => {
                 num(out, kind!("decision", "xid"), xid.into());
-                label(out, key!("action"), action);
+                label(out, &key::action, action);
             }
             EventKind::FlowModSent { xid } => {
                 num(out, kind!("flow_mod_sent", "xid"), xid.into());
             }
             EventKind::PacketOutSent { xid, buffer_id } => {
                 num(out, kind!("packet_out_sent", "xid"), xid.into());
-                num(out, key!("buffer_id"), buffer_id.into());
+                num(out, &key::buffer_id, buffer_id.into());
             }
             EventKind::CtrlMsg {
                 dir,
@@ -554,10 +580,10 @@ impl Event {
                 arrive,
             } => {
                 label(out, kind!("ctrl_msg", "dir"), dir.label());
-                num(out, key!("xid"), xid.into());
-                num(out, key!("bytes"), bytes as u64);
-                label(out, key!("label"), msg);
-                num(out, key!("arrive"), arrive.as_nanos());
+                num(out, &key::xid, xid.into());
+                num(out, &key::bytes, bytes as u64);
+                label(out, &key::label, msg);
+                num(out, &key::arrive, arrive.as_nanos());
             }
             EventKind::CtrlDrop {
                 dir,
@@ -566,21 +592,21 @@ impl Event {
                 label: msg,
             } => {
                 label(out, kind!("ctrl_drop", "dir"), dir.label());
-                num(out, key!("xid"), xid.into());
-                num(out, key!("bytes"), bytes as u64);
-                label(out, key!("label"), msg);
+                num(out, &key::xid, xid.into());
+                num(out, &key::bytes, bytes as u64);
+                label(out, &key::label, msg);
             }
             EventKind::CtrlCrash { epoch, role } => {
                 num(out, kind!("ctrl_crash", "epoch"), epoch.into());
-                label(out, key!("role"), role);
+                label(out, &key::role, role);
             }
             EventKind::CtrlRestart { epoch, role } => {
                 num(out, kind!("ctrl_restart", "epoch"), epoch.into());
-                label(out, key!("role"), role);
+                label(out, &key::role, role);
             }
             EventKind::FailoverTakeover { epoch, sync } => {
                 num(out, kind!("failover_takeover", "epoch"), epoch.into());
-                label(out, key!("sync"), sync);
+                label(out, &key::sync, sync);
             }
             EventKind::EpochBump {
                 from,
@@ -588,8 +614,8 @@ impl Event {
                 survivors,
             } => {
                 num(out, kind!("epoch_bump", "from"), from.into());
-                num(out, key!("to"), to.into());
-                num(out, key!("survivors"), survivors as u64);
+                num(out, &key::to, to.into());
+                num(out, &key::survivors, survivors as u64);
             }
             EventKind::StaleEpochReject {
                 xid,
@@ -598,9 +624,9 @@ impl Event {
                 current,
             } => {
                 num(out, kind!("stale_epoch_reject", "xid"), xid.into());
-                num(out, key!("buffer_id"), buffer_id.into());
-                num(out, key!("epoch"), epoch.into());
-                num(out, key!("current"), current.into());
+                num(out, &key::buffer_id, buffer_id.into());
+                num(out, &key::epoch, epoch.into());
+                num(out, &key::current, current.into());
             }
         }
     }
@@ -807,6 +833,8 @@ impl fmt::Debug for Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::{fnv1a, FNV_OFFSET};
+    use crate::SimRng;
     use proptest::prelude::*;
 
     /// The renderer as it was while it went through `core::fmt`: one
@@ -1251,9 +1279,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_variant_renders_like_the_reference_at_the_edges() {
+    /// Every variant at every edge value, with both flags and directions.
+    fn every_variant_at_the_edges() -> Vec<Event> {
         let edges = [0, 9, 10, u64::from(u32::MAX), u64::MAX];
+        let mut events = Vec::new();
         for variant in 0..VARIANTS {
             assert_eq!(
                 ordinal(&kind_from(variant, [0; 4], false, DIRS[0], "")),
@@ -1261,14 +1290,70 @@ mod tests {
             );
             for value in edges {
                 for (i, dir) in DIRS.into_iter().enumerate() {
-                    let e = Event {
+                    events.push(Event {
                         at: Nanos::from_nanos(value),
                         kind: kind_from(variant, [value; 4], i == 0, dir, LABELS[variant % 4]),
-                    };
-                    against_reference(&e).unwrap();
+                    });
                 }
             }
         }
+        events
+    }
+
+    #[test]
+    fn every_variant_renders_like_the_reference_at_the_edges() {
+        for e in every_variant_at_the_edges() {
+            against_reference(&e).unwrap();
+        }
+    }
+
+    /// A sink hashing the way `sdnbuf-core`'s stream digest does: pieces
+    /// by their tables, everything else through the byte loop.
+    struct Folding(u64);
+
+    impl ByteSink for Folding {
+        fn text(&mut self, text: &str) {
+            self.ascii(text.as_bytes());
+        }
+
+        fn ascii(&mut self, bytes: &[u8]) {
+            self.0 = fnv1a(self.0, bytes);
+        }
+
+        fn piece(&mut self, piece: &'static Piece) {
+            self.0 = piece.fold(self.0);
+        }
+    }
+
+    #[test]
+    fn folding_every_variant_is_the_byte_loop_over_its_text_from_every_low_byte() {
+        let mut upper = SimRng::seed_from(23);
+        let starts: Vec<u64> = (0..=0xFF)
+            .map(|low| (upper.next_u64() & !0xFF) | low)
+            .chain([0, FNV_OFFSET, u64::MAX])
+            .collect();
+        for e in every_variant_at_the_edges() {
+            let mut text = String::new();
+            e.write_json_fields(&mut text);
+            for &start in &starts {
+                let mut folding = Folding(start);
+                e.write_json_fields(&mut folding);
+                assert_eq!(
+                    folding.0,
+                    fnv1a(start, text.as_bytes()),
+                    "{text} from {start:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_empty_piece_folds_as_the_identity() {
+        static EMPTY: Piece = Piece::new("");
+        for h in [0, 1, 0xFF, 0x100, FNV_OFFSET, u64::MAX] {
+            assert_eq!(EMPTY.fold(h), h);
+        }
+        assert_eq!(EMPTY.text(), "");
     }
 
     fn field_value() -> impl Strategy<Value = u64> {
@@ -1299,6 +1384,17 @@ mod tests {
             };
             let rendered = against_reference(&e);
             prop_assert!(rendered.is_ok(), "{}", rendered.unwrap_err());
+        }
+
+        #[test]
+        fn piece_fold_is_the_byte_loop(
+            h in any::<u64>(),
+            text in proptest::collection::vec(0u8..128, 0..65),
+        ) {
+            let text: &'static str = String::from_utf8(text).expect("ASCII").leak();
+            let piece = Piece::new(text);
+            prop_assert_eq!(piece.text(), text);
+            prop_assert_eq!(piece.fold(h), fnv1a(h, text.as_bytes()));
         }
     }
 

@@ -65,7 +65,7 @@ pub use events::{
     ByteSink, ChannelDir, Event, EventKind, EventSink, JsonlSink, RecordingSink, Tracer,
 };
 pub use faults::{ChannelFaults, CtrlEffect, FaultPlan, FaultState, LossModel, Window};
-pub use hash::{FastHashMap, FastHashSet, FxHasher};
+pub use hash::{FastHashMap, FastHashSet, FxHasher, Piece};
 pub use json::JsonWriter;
 pub use link::{Link, LinkConfig, LinkStats};
 pub use pool::{Pool, PoolHandle, PoolStats};

@@ -7,6 +7,7 @@ use crate::{
 };
 use sdnbuf_net::FlowKey;
 use sdnbuf_openflow::{BufferId, PortNo, Refusal};
+use sdnbuf_sim::hash::{fnv1a, FNV_OFFSET};
 use sdnbuf_sim::{EventKind, FastHashMap, Nanos, SimRng, Tracer};
 use std::collections::{BTreeSet, VecDeque};
 
@@ -204,18 +205,12 @@ impl FlowGranularityBuffer {
     /// probing deterministically past ids already held by other flows. The
     /// id is tagged with the next allocation generation for ABA safety.
     fn id_for(&mut self, key: &FlowKey) -> BufferId {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(&key.src_ip.octets());
-        eat(&key.dst_ip.octets());
-        eat(&key.src_port.to_be_bytes());
-        eat(&key.dst_port.to_be_bytes());
-        eat(&[key.protocol.as_u8()]);
+        let mut h = FNV_OFFSET;
+        h = fnv1a(h, &key.src_ip.octets());
+        h = fnv1a(h, &key.dst_ip.octets());
+        h = fnv1a(h, &key.src_port.to_be_bytes());
+        h = fnv1a(h, &key.dst_port.to_be_bytes());
+        h = fnv1a(h, &[key.protocol.as_u8()]);
         let mut candidate = (h ^ (h >> 32)) as u32;
         loop {
             if candidate != BufferId::NO_BUFFER.as_u32() && !self.by_id.contains_key(&candidate) {

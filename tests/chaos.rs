@@ -9,8 +9,9 @@ use sdn_buffer_lab::core::chaos::{
     check_invariants, execute, flight_dump, minimize, recovery_matrix, run_scenario, ChaosScenario,
     RecoveryKnobs, Sabotage, StandbyKnobs, Violation,
 };
-use sdn_buffer_lab::core::observe::events_digest;
+use sdn_buffer_lab::core::observe::{events_digest, write_events_jsonl};
 use sdn_buffer_lab::prelude::*;
+use sdn_buffer_lab::sim::hash::{fnv1a, FNV_OFFSET};
 use sdn_buffer_lab::switchbuf::{GiveUp, RetryPolicy};
 
 mod common;
@@ -95,7 +96,9 @@ fn replay_specs_round_trip_and_reproduce_digests() {
 /// keeps none of it; `execute` records it for the slice forms. Both must
 /// tell the same story — the same violations with the same words in the
 /// same order, the same digest, the same measurements — whether or not the
-/// mechanism under test is crippled.
+/// mechanism under test is crippled. And that digest, which folds the
+/// renderer's literals through their tables, is the plain byte loop over
+/// the text the JSONL exporter writes.
 #[test]
 fn streamed_report_equals_the_report_over_the_recorded_stream() {
     let mechs = [
@@ -135,6 +138,9 @@ fn streamed_report_equals_the_report_over_the_recorded_stream() {
                 let spec = scenario.to_spec();
                 assert_eq!(told(&streamed.violations), told(&violations), "{spec}");
                 assert_eq!(streamed.digest, events_digest(&events), "{spec}");
+                let mut jsonl = Vec::new();
+                write_events_jsonl(&events, "", &mut jsonl).expect("a Vec takes every write");
+                assert_eq!(streamed.digest, fnv1a(FNV_OFFSET, &jsonl), "{spec}");
                 assert_eq!(streamed.result, result, "{spec}");
                 runs += 1;
                 violating += usize::from(!violations.is_empty());
