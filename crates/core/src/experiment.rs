@@ -421,32 +421,18 @@ impl SweepResult {
     /// Mean of `metric` over the repetitions of `key`, or `None` for an
     /// absent cell (never a silent `0.0`).
     pub fn mean(&self, key: &CellKey, metric: Metric) -> Option<f64> {
-        self.mean_with(key, |r| r.get(metric))
-    }
-
-    /// Closure form of [`Self::mean`], for custom metrics.
-    pub fn mean_with(&self, key: &CellKey, metric: impl Fn(&RunResult) -> f64) -> Option<f64> {
         self.cell_at(key)
-            .map(|c| RunResult::mean_over(&c.runs, metric))
+            .map(|c| RunResult::mean_over(&c.runs, |r| r.get(metric)))
     }
 
     /// Mean of `metric` for a mechanism across the entire sweep (all
     /// rates, all repetitions) — how the paper reports "on average"
     /// numbers. `None` if the mechanism has no cells.
     pub fn sweep_mean_of(&self, mode: BufferMode, metric: Metric) -> Option<f64> {
-        self.sweep_mean_with(mode, |r| r.get(metric))
-    }
-
-    /// Closure form of [`Self::sweep_mean_of`], for custom metrics.
-    pub fn sweep_mean_with(
-        &self,
-        mode: BufferMode,
-        metric: impl Fn(&RunResult) -> f64 + Copy,
-    ) -> Option<f64> {
         let rates = self.rates();
         let means: Vec<f64> = rates
             .iter()
-            .filter_map(|&r| self.mean_with(&CellKey::new(mode, r), metric))
+            .filter_map(|&r| self.mean(&CellKey::new(mode, r), metric))
             .collect();
         if means.is_empty() {
             return None;
@@ -843,10 +829,6 @@ mod tests {
         assert_eq!(cell.runs.len(), 2);
         assert_eq!(result.cell_at(&key), Some(cell));
         assert_eq!(result.mean(&key, Metric::PacketsDelivered), Some(10.0));
-        assert_eq!(
-            result.mean_with(&key, |r| r.packets_delivered as f64),
-            Some(10.0)
-        );
     }
 
     #[test]
@@ -868,11 +850,6 @@ mod tests {
             ),
             None
         );
-        assert_eq!(
-            result.mean_with(&bogus, |r| r.packets_sent as f64),
-            None,
-            "closure form is None for absent cells too, never a silent 0.0"
-        );
     }
 
     #[test]
@@ -885,16 +862,15 @@ mod tests {
             .base_seed(1)
             .build();
         let result = sweep.run();
-        let m = result.sweep_mean_with(BufferMode::NoBuffer, |r| r.packets_sent as f64);
-        assert_eq!(m, Some(5.0));
         assert_eq!(
             result.sweep_mean_of(BufferMode::NoBuffer, Metric::PacketsSent),
             Some(5.0)
         );
         assert_eq!(
-            result.sweep_mean_with(BufferMode::PacketGranularity { capacity: 999 }, |r| r
-                .packets_sent
-                as f64),
+            result.sweep_mean_of(
+                BufferMode::PacketGranularity { capacity: 999 },
+                Metric::PacketsSent
+            ),
             None
         );
     }

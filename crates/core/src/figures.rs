@@ -4,45 +4,29 @@
 //! Each `figNN_*` function reduces a [`SweepResult`] to the same data
 //! series the corresponding figure plots — one row per sending rate, one
 //! column per buffer mechanism. Figures select their y-axis with
-//! [`Metric`]; [`metric_by_rate`] keeps a closure escape hatch for custom
-//! reductions. `summary_claims` reproduces the paper's headline "on
+//! [`Metric`]. `summary_claims` reproduces the paper's headline "on
 //! average" percentages side by side with the measured ones.
 
 use crate::experiment::CellKey;
-use crate::{BufferMode, Metric, RunResult, SweepResult};
+use crate::{BufferMode, Metric, SweepResult};
 use sdnbuf_metrics::Table;
 
 /// Builds a rate-by-mechanism table of `metric`'s per-cell mean — the
-/// generic shape of every figure in the paper. Closure form over the typed
-/// [`CellKey`] lookup (absent cells render as 0.0); figures use
-/// [`metric_table`] with a typed [`Metric`].
-pub fn metric_by_rate(
-    sweep: &SweepResult,
-    metric_name: &str,
-    metric: impl Fn(&RunResult) -> f64 + Copy,
-) -> Table {
+/// generic shape of every figure in the paper. The column header is the
+/// metric's canonical name; absent cells render as 0.0.
+pub fn metric_table(sweep: &SweepResult, metric: Metric) -> Table {
     let modes = sweep.modes();
-    let mut headers = vec![format!("rate_mbps\\{metric_name}")];
+    let mut headers = vec![format!("rate_mbps\\{}", metric.name())];
     headers.extend(modes.iter().map(|m| m.label()));
     let mut table = Table::new(headers);
     for rate in sweep.rates() {
         let values: Vec<f64> = modes
             .iter()
-            .map(|&m| {
-                sweep
-                    .mean_with(&CellKey::new(m, rate), metric)
-                    .unwrap_or(0.0)
-            })
+            .map(|&m| sweep.mean(&CellKey::new(m, rate), metric).unwrap_or(0.0))
             .collect();
         table.row_f64(rate.to_string(), &values, 3);
     }
     table
-}
-
-/// [`metric_by_rate`] for a typed [`Metric`]; the column header is the
-/// metric's canonical name.
-pub fn metric_table(sweep: &SweepResult, metric: Metric) -> Table {
-    metric_by_rate(sweep, metric.name(), |r| r.get(metric))
 }
 
 /// Fig. 2(a) / Fig. 9(a): control-path load, switch → controller, Mbps.
@@ -100,22 +84,6 @@ pub fn fig_flow_forwarding_delay(sweep: &SweepResult) -> Table {
 pub fn reduction(sweep: &SweepResult, from: BufferMode, to: BufferMode, metric: Metric) -> f64 {
     let base = sweep.sweep_mean_of(from, metric).unwrap_or(0.0);
     let new = sweep.sweep_mean_of(to, metric).unwrap_or(0.0);
-    if base <= 0.0 {
-        return 0.0;
-    }
-    100.0 * (1.0 - new / base)
-}
-
-/// Closure form of [`reduction`] for custom metrics; mechanisms absent
-/// from the sweep behave as zero.
-pub fn reduction_percent(
-    sweep: &SweepResult,
-    from: BufferMode,
-    to: BufferMode,
-    metric: impl Fn(&RunResult) -> f64 + Copy,
-) -> f64 {
-    let base = sweep.sweep_mean_with(from, metric).unwrap_or(0.0);
-    let new = sweep.sweep_mean_with(to, metric).unwrap_or(0.0);
     if base <= 0.0 {
         return 0.0;
     }
@@ -247,14 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn typed_and_closure_tables_agree() {
-        let sweep = tiny_sweep();
-        let typed = metric_table(&sweep, Metric::PktInCount);
-        let closed = metric_by_rate(&sweep, "pkt_in_count", |r| r.pkt_in_count as f64);
-        assert_eq!(typed.to_tsv(), closed.to_tsv());
-    }
-
-    #[test]
     fn buffering_reduces_control_load_in_figures() {
         let sweep = tiny_sweep();
         let cut = reduction(
@@ -264,27 +224,11 @@ mod tests {
             Metric::ControlPathLoadUp,
         );
         assert!(cut > 50.0, "expected a large cut, got {cut:.1}%");
-        let closure_cut = reduction_percent(
-            &sweep,
-            BufferMode::NoBuffer,
-            BufferMode::PacketGranularity { capacity: 256 },
-            |r| r.ctrl_load_to_controller_mbps,
-        );
-        assert_eq!(cut, closure_cut);
     }
 
     #[test]
     fn reduction_percent_handles_zero_base() {
         let sweep = SweepResult::default();
-        assert_eq!(
-            reduction_percent(
-                &sweep,
-                BufferMode::NoBuffer,
-                BufferMode::NoBuffer,
-                |r| r.pkt_in_count as f64
-            ),
-            0.0
-        );
         assert_eq!(
             reduction(
                 &sweep,

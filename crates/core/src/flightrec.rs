@@ -246,7 +246,7 @@ fn push_result(j: &mut JsonWriter<'_>, r: &RunResult) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sdnbuf_sim::{EventKind, Nanos};
 
@@ -311,7 +311,7 @@ mod tests {
     /// Walks `text` as JSON tokens far enough to tell that every bracket
     /// closes the one it opened and every string ends — brackets and
     /// quotes inside strings must not count.
-    fn assert_well_nested(text: &str) {
+    pub(crate) fn assert_well_nested(text: &str) {
         let mut open = Vec::new();
         let mut chars = text.chars();
         while let Some(c) = chars.next() {

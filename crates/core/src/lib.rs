@@ -64,7 +64,7 @@ pub use testbed::{FailoverConfig, Testbed, TestbedConfig};
 pub use trace::MsgDesc;
 
 /// The structured event layer, re-exported from the simulation engine.
-pub use sdnbuf_sim::{ChannelDir, Event, EventKind, EventSink, JsonlSink, RecordingSink, Tracer};
+pub use sdnbuf_sim::{ChannelDir, Event, EventKind, EventSink, RecordingSink, Tracer};
 
 /// Egress QoS queue configuration, re-exported from the simulation engine.
 pub use sdnbuf_sim::QueueConfig;

@@ -15,10 +15,13 @@
 //! ports). A flow-setup transaction is stitched across tracks by flow
 //! events (`ph: "s"/"t"/"f"`) keyed on the OpenFlow `xid`, so
 //! `packet_in → flow_mod → packet_out → drain` renders as linked spans.
+//! An event's entry carries the event itself as its `args`: the object a
+//! JSONL line holds ([`Event::to_json`]), from the same renderer. Entries
+//! are written through [`JsonWriter`].
 
 use crate::experiment::RunEvents;
 use sdnbuf_sim::hash::{fnv1a, FNV_OFFSET};
-use sdnbuf_sim::{ByteSink, ChannelDir, Event, EventKind, EventSink, JsonlSink, Nanos, Piece};
+use sdnbuf_sim::{ByteSink, ChannelDir, Event, EventKind, JsonWriter, Nanos, Piece};
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
@@ -44,11 +47,16 @@ pub fn run_prefix(label: &str, rate_mbps: u64, rep: usize) -> String {
 /// The first error the writer returned; nothing is written after it, so
 /// `w` holds a prefix of the stream.
 pub fn write_events_jsonl(events: &[Event], prefix: &str, w: &mut dyn Write) -> io::Result<u64> {
-    let mut sink = JsonlSink::with_prefix(w, prefix.to_string());
-    for &event in events {
-        sink.emit(event);
+    let mut line = String::with_capacity(128);
+    for event in events {
+        line.clear();
+        line.push('{');
+        line.push_str(prefix);
+        event.write_json_fields(&mut line);
+        line.push_str("}\n");
+        w.write_all(line.as_bytes())?;
     }
-    sink.finish()
+    Ok(events.len() as u64)
 }
 
 /// A running 64-bit FNV-1a digest of the canonical JSONL rendering of an
@@ -126,53 +134,38 @@ pub fn export_sweep_jsonl(runs: &[RunEvents], w: &mut dyn Write) -> io::Result<u
     Ok(total)
 }
 
-/// Microseconds with fixed 3-decimal nanosecond remainder, via integer
-/// math only — `f64` never touches a timestamp, keeping exports
-/// byte-deterministic.
-fn ts_us(at: Nanos) -> String {
-    let ns = at.as_nanos();
-    format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-fn dur_us(from: Nanos, to: Nanos) -> String {
-    ts_us(to.saturating_sub(from))
-}
-
 /// One run's pid-unique flow id: xids are unique within a run but repeat
 /// across runs, so the pid disambiguates.
 fn flow_id(pid: u64, xid: u32) -> u64 {
     (pid << 32) | u64::from(xid)
 }
 
-/// Internal accumulator for the timeline's JSON array.
-struct TimelineWriter<'w> {
-    w: &'w mut dyn Write,
-    first: bool,
-    scratch: String,
+/// Writes the value of `key` as microseconds with a fixed 3-decimal
+/// nanosecond remainder, by integer math only — `f64` never touches a
+/// timestamp, keeping exports byte-deterministic.
+fn micros(j: &mut JsonWriter<'_>, key: &str, at: Nanos) {
+    let ns = at.as_nanos();
+    j.key(key).raw(|out| {
+        let _ = write!(out, "{}.{:03}", ns / 1000, ns % 1000);
+    });
 }
 
-impl<'w> TimelineWriter<'w> {
-    fn new(w: &'w mut dyn Write) -> TimelineWriter<'w> {
-        TimelineWriter {
-            w,
-            first: true,
-            scratch: String::with_capacity(160),
-        }
-    }
-
-    /// Emits one trace entry; `body` is everything inside the braces.
-    fn entry(&mut self, body: std::fmt::Arguments<'_>) -> io::Result<()> {
-        self.scratch.clear();
-        if self.first {
-            self.first = false;
-        } else {
-            self.scratch.push_str(",\n");
-        }
-        self.scratch.push('{');
-        let _ = self.scratch.write_fmt(body);
-        self.scratch.push('}');
-        self.w.write_all(self.scratch.as_bytes())
-    }
+/// Writes one trace entry, `members` filling in the object, and returns
+/// what the writer said. `line` holds the entry before (empty before the
+/// first), so it is what tells whether a `,\n` separates the two.
+fn entry(
+    w: &mut dyn Write,
+    line: &mut String,
+    members: impl FnOnce(&mut JsonWriter<'_>),
+) -> io::Result<()> {
+    let separator = if line.is_empty() { "" } else { ",\n" };
+    line.clear();
+    line.push_str(separator);
+    let mut j = JsonWriter::new(line);
+    j.begin_object();
+    members(&mut j);
+    j.end_object();
+    w.write_all(line.as_bytes())
 }
 
 /// Writes a Chrome trace-event / Perfetto timeline for the given traced
@@ -184,13 +177,16 @@ impl<'w> TimelineWriter<'w> {
 /// Propagates writer failures.
 pub fn export_timeline(runs: &[RunEvents], w: &mut dyn Write) -> io::Result<()> {
     w.write_all(b"{\"traceEvents\":[\n")?;
-    let mut out = TimelineWriter::new(w);
+    let mut line = String::with_capacity(160);
     for (idx, run) in runs.iter().enumerate() {
         let pid = idx as u64 + 1;
-        out.entry(format_args!(
-            "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"{} @ {} Mbps rep {}\"}}",
-            run.label, run.key.rate_mbps, run.rep
-        ))?;
+        let process = format!("{} @ {} Mbps rep {}", run.label, run.key.rate_mbps, run.rep);
+        entry(w, &mut line, |j| {
+            j.key("name").string("process_name").key("ph").string("M");
+            j.key("pid").u64(pid);
+            j.key("args").begin_object().key("name").string(&process);
+            j.end_object();
+        })?;
         for (tid, name) in [
             (TID_SWITCH, "switch"),
             (TID_BUS, "bus"),
@@ -198,11 +194,14 @@ pub fn export_timeline(runs: &[RunEvents], w: &mut dyn Write) -> io::Result<()> 
             (TID_CONTROLLER, "controller"),
             (TID_LINKS, "links"),
         ] {
-            out.entry(format_args!(
-                "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\"{name}\"}}"
-            ))?;
+            entry(w, &mut line, |j| {
+                j.key("name").string("thread_name").key("ph").string("M");
+                j.key("pid").u64(pid).key("tid").u64(tid.into());
+                j.key("args").begin_object().key("name").string(name);
+                j.end_object();
+            })?;
         }
-        write_run_timeline(&mut out, pid, &run.events)?;
+        write_run_timeline(w, &mut line, pid, &run.events)?;
     }
     w.write_all(b"\n],\"displayTimeUnit\":\"ms\"}\n")
 }
@@ -230,7 +229,84 @@ pub fn export_run_timeline(
     export_timeline(&runs, w)
 }
 
-fn write_run_timeline(out: &mut TimelineWriter<'_>, pid: u64, events: &[Event]) -> io::Result<()> {
+/// How an event's entry sits on its track.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// A span (`"ph":"X"`) from the event's instant to this one.
+    Span(Nanos),
+    /// An instant (`"ph":"i"`) on the event's own track.
+    Instant,
+    /// An instant across the whole process: the crash plane's.
+    Global,
+}
+
+/// Where an event goes on the timeline: its entry's name (the three parts
+/// concatenated), its track and its shape. `None` for the controller's
+/// replies, which show as its `handle xid` spans.
+fn place(kind: &EventKind) -> Option<([&'static str; 3], u32, Shape)> {
+    use Shape::{Global, Instant, Span};
+    Some(match *kind {
+        EventKind::LinkTx { link, arrive, .. } => ([link, "", ""], TID_LINKS, Span(arrive)),
+        EventKind::LinkDrop { link, .. } => (["drop ", link, ""], TID_LINKS, Instant),
+        EventKind::BusTransfer { bus, done, .. } => ([bus, "", ""], TID_BUS, Span(done)),
+        EventKind::TableMiss { .. } => (["table_miss", "", ""], TID_SWITCH, Instant),
+        EventKind::PacketInSent { .. } => (["packet_in", "", ""], TID_SWITCH, Instant),
+        EventKind::FlowRuleInstalled { effective_at, .. } => {
+            (["install_rule", "", ""], TID_SWITCH, Span(effective_at))
+        }
+        EventKind::FlowRuleEvicted { .. } => (["evict_rule", "", ""], TID_SWITCH, Instant),
+        EventKind::FlowRuleExpired { .. } => (["expire_rule", "", ""], TID_SWITCH, Instant),
+        EventKind::BufferEnqueue { .. } => (["buffer_enqueue", "", ""], TID_SWITCH, Instant),
+        EventKind::BufferDrain { .. } => (["buffer_drain", "", ""], TID_SWITCH, Instant),
+        EventKind::BufferRerequest { .. } => (["buffer_rerequest", "", ""], TID_SWITCH, Instant),
+        EventKind::BufferReconcile { .. } => (["buffer_reconcile", "", ""], TID_SWITCH, Instant),
+        EventKind::BufferFallback { .. } => (["buffer_fallback", "", ""], TID_SWITCH, Instant),
+        EventKind::BufferExpire { .. } => (["buffer_expire", "", ""], TID_SWITCH, Instant),
+        EventKind::BufferGiveUp { .. } => (["buffer_give_up", "", ""], TID_SWITCH, Instant),
+        EventKind::DegradedEnter { .. } => (["degraded_enter", "", ""], TID_SWITCH, Instant),
+        EventKind::DegradedExit { .. } => (["degraded_exit", "", ""], TID_SWITCH, Instant),
+        EventKind::AdmissionShed { .. } => (["admission_shed", "", ""], TID_CONTROLLER, Instant),
+        EventKind::PacketInReceived { .. } => {
+            (["packet_in_received", "", ""], TID_CONTROLLER, Instant)
+        }
+        EventKind::Decision { action, .. } => (["decide: ", action, ""], TID_CONTROLLER, Instant),
+        EventKind::FlowModSent { .. } | EventKind::PacketOutSent { .. } => return None,
+        EventKind::CtrlMsg { label, arrive, .. } => ([label, "", ""], TID_CHANNEL, Span(arrive)),
+        EventKind::CtrlDrop { label, .. } => (["drop ", label, ""], TID_CHANNEL, Instant),
+        EventKind::CtrlCrash { role, .. } => (["ctrl_crash (", role, ")"], TID_CONTROLLER, Global),
+        EventKind::CtrlRestart { role, .. } => {
+            (["ctrl_restart (", role, ")"], TID_CONTROLLER, Global)
+        }
+        EventKind::FailoverTakeover { .. } => {
+            (["failover_takeover", "", ""], TID_CONTROLLER, Global)
+        }
+        EventKind::EpochBump { .. } => (["epoch_bump", "", ""], TID_SWITCH, Instant),
+        EventKind::StaleEpochReject { .. } => (["stale_epoch_reject", "", ""], TID_SWITCH, Instant),
+    })
+}
+
+fn write_run_timeline(
+    w: &mut dyn Write,
+    line: &mut String,
+    pid: u64,
+    events: &[Event],
+) -> io::Result<()> {
+    // A flow-setup arrow's step (`s` start, `t` step, `f` finish) on a track.
+    let arrow = |w: &mut dyn Write, line: &mut String, ph, xid, tid: u32, at| {
+        entry(w, line, |j| {
+            j.key("name")
+                .string("flow-setup")
+                .key("cat")
+                .string("flow-setup");
+            j.key("ph").string(ph);
+            if ph == "f" {
+                j.key("bp").string("e");
+            }
+            j.key("id").u64(flow_id(pid, xid));
+            j.key("pid").u64(pid).key("tid").u64(tid.into());
+            micros(j, "ts", at);
+        })
+    };
     // Controller handling spans: packet_in ingested -> last reply emitted,
     // per xid, kept in first-seen order for determinism.
     let mut handling: Vec<(u32, Nanos, Nanos)> = Vec::new();
@@ -240,145 +316,62 @@ fn write_run_timeline(out: &mut TimelineWriter<'_>, pid: u64, events: &[Event]) 
 
     for event in events {
         let at = event.at;
-        let ts = ts_us(at);
+        if let Some((name, tid, shape)) = place(&event.kind) {
+            entry(w, line, |j| {
+                j.key("name").string(&name.concat());
+                match shape {
+                    Shape::Span(_) => j.key("ph").string("X"),
+                    Shape::Instant => j.key("ph").string("i").key("s").string("t"),
+                    Shape::Global => j.key("ph").string("i").key("s").string("g"),
+                };
+                j.key("pid").u64(pid).key("tid").u64(tid.into());
+                micros(j, "ts", at);
+                if let Shape::Span(end) = shape {
+                    micros(j, "dur", end.saturating_sub(at));
+                }
+                j.key("args")
+                    .begin_object()
+                    .raw(|out| event.write_json_fields(out))
+                    .end_object();
+            })?;
+        }
         match event.kind {
-            EventKind::LinkTx { link, bytes, arrive } => out.entry(format_args!(
-                "\"name\":\"{link}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{TID_LINKS},\"ts\":{ts},\"dur\":{},\"args\":{{\"bytes\":{bytes}}}",
-                dur_us(at, arrive)
-            ))?,
-            EventKind::LinkDrop { link, bytes } => out.entry(format_args!(
-                "\"name\":\"drop {link}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_LINKS},\"ts\":{ts},\"args\":{{\"bytes\":{bytes}}}"
-            ))?,
-            EventKind::BusTransfer { bus, bytes, done } => out.entry(format_args!(
-                "\"name\":\"{bus}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{TID_BUS},\"ts\":{ts},\"dur\":{},\"args\":{{\"bytes\":{bytes}}}",
-                dur_us(at, done)
-            ))?,
-            EventKind::TableMiss { in_port, bytes } => out.entry(format_args!(
-                "\"name\":\"table_miss\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"args\":{{\"in_port\":{in_port},\"bytes\":{bytes}}}"
-            ))?,
-            EventKind::PacketInSent { xid, buffer_id, bytes } => {
-                out.entry(format_args!(
-                    "\"name\":\"packet_in\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"args\":{{\"xid\":{xid},\"buffer_id\":{buffer_id},\"bytes\":{bytes}}}"
-                ))?;
-                out.entry(format_args!(
-                    "\"name\":\"flow-setup\",\"cat\":\"flow-setup\",\"ph\":\"s\",\"id\":{},\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts}",
-                    flow_id(pid, xid)
-                ))?;
-            }
-            EventKind::FlowRuleInstalled { xid, effective_at, table_size } => out.entry(format_args!(
-                "\"name\":\"install_rule\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"dur\":{},\"args\":{{\"xid\":{xid},\"table_size\":{table_size}}}",
-                dur_us(at, effective_at)
-            ))?,
-            EventKind::FlowRuleEvicted { table_size } => out.entry(format_args!(
-                "\"name\":\"evict_rule\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"args\":{{\"table_size\":{table_size}}}"
-            ))?,
-            EventKind::FlowRuleExpired { table_size } => out.entry(format_args!(
-                "\"name\":\"expire_rule\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"args\":{{\"table_size\":{table_size}}}"
-            ))?,
-            EventKind::BufferEnqueue { buffer_id, occupancy, fresh } => out.entry(format_args!(
-                "\"name\":\"buffer_enqueue\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"args\":{{\"buffer_id\":{buffer_id},\"occupancy\":{occupancy},\"fresh\":{fresh}}}"
-            ))?,
-            EventKind::BufferDrain { xid, buffer_id, released, occupancy } => {
-                out.entry(format_args!(
-                    "\"name\":\"buffer_drain\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"args\":{{\"xid\":{xid},\"buffer_id\":{buffer_id},\"released\":{released},\"occupancy\":{occupancy}}}"
-                ))?;
-                out.entry(format_args!(
-                    "\"name\":\"flow-setup\",\"cat\":\"flow-setup\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{},\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts}",
-                    flow_id(pid, xid)
-                ))?;
-            }
-            EventKind::BufferRerequest { buffer_id, occupancy } => out.entry(format_args!(
-                "\"name\":\"buffer_rerequest\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"args\":{{\"buffer_id\":{buffer_id},\"occupancy\":{occupancy}}}"
-            ))?,
-            EventKind::BufferReconcile { buffer_id, occupancy } => out.entry(format_args!(
-                "\"name\":\"buffer_reconcile\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"args\":{{\"buffer_id\":{buffer_id},\"occupancy\":{occupancy}}}"
-            ))?,
-            EventKind::BufferFallback { occupancy } => out.entry(format_args!(
-                "\"name\":\"buffer_fallback\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"args\":{{\"occupancy\":{occupancy}}}"
-            ))?,
-            EventKind::BufferExpire { buffer_id, occupancy } => out.entry(format_args!(
-                "\"name\":\"buffer_expire\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"args\":{{\"buffer_id\":{buffer_id},\"occupancy\":{occupancy}}}"
-            ))?,
-            EventKind::BufferGiveUp { buffer_id, drained, action, occupancy } => out.entry(format_args!(
-                "\"name\":\"buffer_give_up\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"args\":{{\"buffer_id\":{buffer_id},\"drained\":{drained},\"action\":\"{action}\",\"occupancy\":{occupancy}}}"
-            ))?,
-            EventKind::DegradedEnter { giveups } => out.entry(format_args!(
-                "\"name\":\"degraded_enter\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"args\":{{\"giveups\":{giveups}}}"
-            ))?,
-            EventKind::DegradedExit { suppressed } => out.entry(format_args!(
-                "\"name\":\"degraded_exit\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"args\":{{\"suppressed\":{suppressed}}}"
-            ))?,
-            EventKind::AdmissionShed { xid, bytes, buffered } => out.entry(format_args!(
-                "\"name\":\"admission_shed\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_CONTROLLER},\"ts\":{ts},\"args\":{{\"xid\":{xid},\"bytes\":{bytes},\"buffered\":{buffered}}}"
-            ))?,
-            EventKind::PacketInReceived { xid, bytes, buffered } => {
-                out.entry(format_args!(
-                    "\"name\":\"packet_in_received\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_CONTROLLER},\"ts\":{ts},\"args\":{{\"xid\":{xid},\"bytes\":{bytes},\"buffered\":{buffered}}}"
-                ))?;
-                out.entry(format_args!(
-                    "\"name\":\"flow-setup\",\"cat\":\"flow-setup\",\"ph\":\"t\",\"id\":{},\"pid\":{pid},\"tid\":{TID_CONTROLLER},\"ts\":{ts}",
-                    flow_id(pid, xid)
-                ))?;
+            EventKind::PacketInSent { xid, .. } => arrow(w, line, "s", xid, TID_SWITCH, at)?,
+            EventKind::BufferDrain { xid, .. } => arrow(w, line, "f", xid, TID_SWITCH, at)?,
+            EventKind::CtrlMsg {
+                xid,
+                label: "packet_in" | "flow_mod" | "packet_out",
+                ..
+            } => arrow(w, line, "t", xid, TID_CHANNEL, at)?,
+            EventKind::PacketInReceived { xid, .. } => {
+                arrow(w, line, "t", xid, TID_CONTROLLER, at)?;
                 match find(&mut handling, xid) {
                     Some(i) => handling[i] = (xid, at, at),
                     None => handling.push((xid, at, at)),
                 }
             }
-            EventKind::Decision { xid, action } => {
-                out.entry(format_args!(
-                    "\"name\":\"decide: {action}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_CONTROLLER},\"ts\":{ts},\"args\":{{\"xid\":{xid}}}"
-                ))?;
+            EventKind::Decision { xid, .. }
+            | EventKind::FlowModSent { xid }
+            | EventKind::PacketOutSent { xid, .. } => {
                 if let Some(i) = find(&mut handling, xid) {
                     handling[i].2 = handling[i].2.max(at);
                 }
             }
-            EventKind::FlowModSent { xid } | EventKind::PacketOutSent { xid, .. } => {
-                if let Some(i) = find(&mut handling, xid) {
-                    handling[i].2 = handling[i].2.max(at);
-                }
-            }
-            EventKind::CtrlMsg { dir, xid, bytes, label, arrive } => {
-                out.entry(format_args!(
-                    "\"name\":\"{label}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{TID_CHANNEL},\"ts\":{ts},\"dur\":{},\"args\":{{\"xid\":{xid},\"bytes\":{bytes},\"dir\":\"{}\"}}",
-                    dur_us(at, arrive),
-                    dir.label()
-                ))?;
-                if matches!(label, "packet_in" | "flow_mod" | "packet_out") {
-                    out.entry(format_args!(
-                        "\"name\":\"flow-setup\",\"cat\":\"flow-setup\",\"ph\":\"t\",\"id\":{},\"pid\":{pid},\"tid\":{TID_CHANNEL},\"ts\":{ts}",
-                        flow_id(pid, xid)
-                    ))?;
-                }
-            }
-            EventKind::CtrlDrop { dir, xid, bytes, label } => out.entry(format_args!(
-                "\"name\":\"drop {label}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_CHANNEL},\"ts\":{ts},\"args\":{{\"xid\":{xid},\"bytes\":{bytes},\"dir\":\"{}\"}}",
-                dir.label()
-            ))?,
-            EventKind::CtrlCrash { epoch, role } => out.entry(format_args!(
-                "\"name\":\"ctrl_crash ({role})\",\"ph\":\"i\",\"s\":\"g\",\"pid\":{pid},\"tid\":{TID_CONTROLLER},\"ts\":{ts},\"args\":{{\"epoch\":{epoch},\"role\":\"{role}\"}}"
-            ))?,
-            EventKind::CtrlRestart { epoch, role } => out.entry(format_args!(
-                "\"name\":\"ctrl_restart ({role})\",\"ph\":\"i\",\"s\":\"g\",\"pid\":{pid},\"tid\":{TID_CONTROLLER},\"ts\":{ts},\"args\":{{\"epoch\":{epoch},\"role\":\"{role}\"}}"
-            ))?,
-            EventKind::FailoverTakeover { epoch, sync } => out.entry(format_args!(
-                "\"name\":\"failover_takeover\",\"ph\":\"i\",\"s\":\"g\",\"pid\":{pid},\"tid\":{TID_CONTROLLER},\"ts\":{ts},\"args\":{{\"epoch\":{epoch},\"sync\":\"{sync}\"}}"
-            ))?,
-            EventKind::EpochBump { from, to, survivors } => out.entry(format_args!(
-                "\"name\":\"epoch_bump\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"args\":{{\"from\":{from},\"to\":{to},\"survivors\":{survivors}}}"
-            ))?,
-            EventKind::StaleEpochReject { xid, buffer_id, epoch, current } => out.entry(format_args!(
-                "\"name\":\"stale_epoch_reject\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{TID_SWITCH},\"ts\":{ts},\"args\":{{\"xid\":{xid},\"buffer_id\":{buffer_id},\"epoch\":{epoch},\"current\":{current}}}"
-            ))?,
+            _ => {}
         }
     }
 
     // The controller's per-xid handling spans, in first-ingest order.
     for (xid, start, end) in handling {
-        out.entry(format_args!(
-            "\"name\":\"handle xid {xid}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{TID_CONTROLLER},\"ts\":{},\"dur\":{},\"args\":{{\"xid\":{xid}}}",
-            ts_us(start),
-            dur_us(start, end)
-        ))?;
+        entry(w, line, |j| {
+            j.key("name").string(&format!("handle xid {xid}"));
+            j.key("ph").string("X");
+            j.key("pid").u64(pid).key("tid").u64(TID_CONTROLLER.into());
+            micros(j, "ts", start);
+            micros(j, "dur", end.saturating_sub(start));
+            j.key("args").begin_object().key("xid").u64(xid.into());
+            j.end_object();
+        })?;
     }
     Ok(())
 }
@@ -628,6 +621,83 @@ mod tests {
         assert!(text.contains("\"name\":\"install_rule\""));
         assert!(text.contains("\"name\":\"handle xid"));
         assert!(text.contains("\"name\":\"channel\""));
+    }
+
+    /// A plain traced run, a crash scenario with a standby, and a recovery
+    /// matrix cell whose stall outlasts a one-retry budget: between them
+    /// the crash, failover, degraded and give-up kinds.
+    fn streams_of_every_plane() -> Vec<Vec<Event>> {
+        use crate::chaos::{execute, recovery_matrix, ChaosScenario, Sabotage};
+        use sdnbuf_sim::Window;
+        use sdnbuf_switchbuf::RetryPolicy;
+        let flow = BufferMode::FlowGranularity {
+            capacity: 256,
+            timeout: Nanos::from_millis(20),
+        };
+        let crash = (0..)
+            .map(|seed| ChaosScenario::generate_with_crashes(seed, flow))
+            .find(|s| s.standby.is_some())
+            .expect("some seed samples a standby");
+        let (_, mut stalled) = recovery_matrix()
+            .into_iter()
+            .find(|(label, _)| label == "flow/backoff")
+            .expect("the matrix has the cell");
+        stalled.plan.stalls = vec![Window::new(Nanos::from_millis(45), Nanos::from_millis(160))];
+        stalled.recovery.retry = RetryPolicy::backoff(Nanos::from_millis(40), 1);
+        let mut streams = vec![traced_run()];
+        for scenario in [crash, stalled] {
+            streams.push(execute(&scenario, Sabotage::none()).1);
+        }
+        streams
+    }
+
+    #[test]
+    fn every_timeline_entry_of_an_event_carries_its_jsonl_record() {
+        let streams = streams_of_every_plane();
+        for kind in [
+            "ctrl_crash",
+            "failover_takeover",
+            "degraded_enter",
+            "degraded_exit",
+            "buffer_give_up",
+        ] {
+            let tag = format!("\"kind\":\"{kind}\"");
+            assert!(
+                streams.iter().flatten().any(|e| e.to_json().contains(&tag)),
+                "no stream reaches {kind}"
+            );
+        }
+        for events in streams {
+            let mut buf = Vec::new();
+            export_run_timeline("run", 20, events.clone(), &mut buf).unwrap();
+            let text = String::from_utf8(buf).unwrap();
+            crate::flightrec::tests::assert_well_nested(&text);
+            // One entry per line; `args` is an entry's last member. Neither
+            // the metadata nor the controller's handling spans are events.
+            let args: Vec<&str> = text
+                .lines()
+                .filter(|l| {
+                    !l.contains("\"ph\":\"M\"") && !l.starts_with("{\"name\":\"handle xid ")
+                })
+                .filter_map(|l| l.trim_end_matches(',').strip_suffix('}'))
+                .filter_map(|l| l.split_once(",\"args\":").map(|(_, args)| args))
+                .collect();
+            // Every event is placed but the controller's two replies.
+            let records: Vec<String> = events
+                .iter()
+                .filter(|e| {
+                    !matches!(
+                        e.kind,
+                        EventKind::FlowModSent { .. } | EventKind::PacketOutSent { .. }
+                    )
+                })
+                .map(Event::to_json)
+                .collect();
+            assert_eq!(args.len(), records.len());
+            for (k, (args, record)) in args.iter().zip(&records).enumerate() {
+                assert_eq!(args, record, "entry {k} with args");
+            }
+        }
     }
 
     #[test]

@@ -155,6 +155,13 @@ impl TestbedConfig {
             .validate()
             .map_err(|e| format!("controller: {e}"))?;
         self.faults.validate().map_err(|e| format!("faults: {e}"))?;
+        // A zero interval would schedule probes at t = 0 without end.
+        if self.keepalive_interval == Some(Nanos::ZERO) {
+            return Err("keepalive interval must be positive".to_owned());
+        }
+        if self.stats_poll_interval == Some(Nanos::ZERO) {
+            return Err("stats poll interval must be positive".to_owned());
+        }
         Ok(())
     }
 }
@@ -1607,6 +1614,37 @@ mod tests {
             Err(e) => e,
         };
         assert!(err.contains("capacity"), "{err}");
+
+        // A zero probe interval is refused here, not looped on in
+        // `schedule_probes`; so is it one level up.
+        let zero = Some(Nanos::ZERO);
+        for (config, what) in [
+            (
+                TestbedConfig {
+                    keepalive_interval: zero,
+                    ..TestbedConfig::default()
+                },
+                "keepalive",
+            ),
+            (
+                TestbedConfig {
+                    stats_poll_interval: zero,
+                    ..TestbedConfig::default()
+                },
+                "stats poll",
+            ),
+        ] {
+            let experiment = crate::ExperimentConfig {
+                testbed: config.clone(),
+                ..crate::ExperimentConfig::default()
+            };
+            match Testbed::try_new(config) {
+                Ok(_) => panic!("a zero {what} interval must be rejected"),
+                Err(e) => assert!(e.contains(what), "{e}"),
+            }
+            let err = crate::Experiment::try_new(experiment).unwrap_err();
+            assert!(err.contains(what), "{err}");
+        }
     }
 
     #[test]

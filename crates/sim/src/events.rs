@@ -8,11 +8,11 @@
 //! workspace root). When enabled, the tracer forwards [`Event`] records — a
 //! virtual timestamp plus a plain-data [`EventKind`] — to an [`EventSink`].
 //!
-//! Two sinks ship with the crate (a run nobody observes needs none: a
-//! disabled [`Tracer`] is "no sink"):
-//!
-//! * [`RecordingSink`] — a bounded in-memory buffer drained after the run,
-//! * [`JsonlSink`] — streams one JSON object per event to any [`io::Write`].
+//! One sink ships with the crate, [`RecordingSink`]: a bounded in-memory
+//! buffer drained after the run (a run nobody observes needs none: a
+//! disabled [`Tracer`] is "no sink"). Everything that writes a recorded
+//! stream out — JSONL, the Chrome trace, flight dumps, digests — renders
+//! each event through [`Event::write_json_fields`].
 //!
 //! Event kinds cover the three layers of the emulated testbed: the sim
 //! substrate (link and bus transfers), the switch (table misses, rule
@@ -28,7 +28,6 @@
 use crate::{Nanos, Piece};
 use std::cell::RefCell;
 use std::fmt;
-use std::io;
 use std::rc::Rc;
 
 /// Direction of a control-channel message, from the switch's point of view.
@@ -415,8 +414,9 @@ impl Event {
     /// Appends this event as a JSON fragment `"at":…,"kind":…,…` (no
     /// surrounding braces) with a stable field order, so renderings are
     /// byte-for-byte reproducible. Written by hand: the workspace has no
-    /// serialization dependency. This is the one renderer — exporters,
-    /// flight-recorder dumps and stream digests all take their bytes here.
+    /// serialization dependency. This is the one renderer — JSONL lines,
+    /// the timeline's `args`, flight-recorder dumps and stream digests all
+    /// take their bytes here.
     pub fn write_json_fields<S: ByteSink + ?Sized>(&self, out: &mut S) {
         num(out, piece!("\"at\":"), self.at.as_nanos());
         match self.kind {
@@ -695,83 +695,6 @@ impl EventSink for RecordingSink {
             return;
         }
         self.events.push(event);
-    }
-}
-
-/// Streams events as JSON Lines to a writer, one object per line. An
-/// optional prefix fragment (e.g. run metadata rendered once) is inserted
-/// at the start of every object.
-#[derive(Debug)]
-pub struct JsonlSink<W: io::Write> {
-    writer: W,
-    prefix: String,
-    scratch: String,
-    written: u64,
-    /// The first failed write; once set, nothing more is written, so the
-    /// output is always a prefix of the stream, never one with a hole.
-    error: Option<io::Error>,
-}
-
-impl<W: io::Write> JsonlSink<W> {
-    /// A sink writing bare event objects.
-    pub fn new(writer: W) -> Self {
-        Self::with_prefix(writer, String::new())
-    }
-
-    /// A sink inserting `prefix` (a complete JSON fragment such as
-    /// `"run":{…},`) immediately after the opening brace of every line.
-    pub fn with_prefix(writer: W, prefix: String) -> Self {
-        JsonlSink {
-            writer,
-            prefix,
-            scratch: String::with_capacity(128),
-            written: 0,
-            error: None,
-        }
-    }
-
-    /// Lines written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Ends the stream: the number of lines written, or the write error
-    /// that stopped it.
-    ///
-    /// # Errors
-    ///
-    /// The first error the writer returned; every event emitted after it
-    /// was discarded.
-    pub fn finish(self) -> io::Result<u64> {
-        match self.error {
-            Some(e) => Err(e),
-            None => Ok(self.written),
-        }
-    }
-
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        let _ = self.writer.flush();
-        self.writer
-    }
-}
-
-impl<W: io::Write> EventSink for JsonlSink<W> {
-    fn emit(&mut self, event: Event) {
-        // I/O errors cannot be surfaced from the hot path: the first one is
-        // kept for `finish` and ends the stream.
-        if self.error.is_some() {
-            return;
-        }
-        self.scratch.clear();
-        self.scratch.push('{');
-        self.scratch.push_str(&self.prefix);
-        event.write_json_fields(&mut self.scratch);
-        self.scratch.push_str("}\n");
-        match self.writer.write_all(self.scratch.as_bytes()) {
-            Ok(()) => self.written += 1,
-            Err(e) => self.error = Some(e),
-        }
     }
 }
 
@@ -1398,54 +1321,6 @@ mod tests {
         }
     }
 
-    /// A writer whose second `write` fails and whose later ones succeed
-    /// again — a transient error in the middle of an export.
-    struct FailsOnce {
-        out: Vec<u8>,
-        writes: usize,
-    }
-
-    impl io::Write for FailsOnce {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.writes += 1;
-            if self.writes == 2 {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "reader went away",
-                ));
-            }
-            self.out.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn jsonl_sink_stops_at_the_first_write_error_and_reports_it() {
-        let mut writer = FailsOnce {
-            out: Vec::new(),
-            writes: 0,
-        };
-        let mut sink = JsonlSink::new(&mut writer);
-        for ns in 0..4 {
-            sink.emit(ev(ns));
-        }
-        assert_eq!(sink.written(), 1);
-        let err = sink.finish().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        assert_eq!(err.to_string(), "reader went away");
-        // A clean prefix: the line before the failure and nothing after it,
-        // although the writer would have taken lines three and four.
-        assert_eq!(writer.writes, 2);
-        assert_eq!(
-            String::from_utf8(writer.out).unwrap(),
-            "{\"at\":0,\"kind\":\"table_miss\",\"in_port\":1,\"bytes\":1000}\n"
-        );
-    }
-
     fn ev(ns: u64) -> Event {
         Event {
             at: Nanos::from_nanos(ns),
@@ -1506,45 +1381,6 @@ mod tests {
         t.emit(Nanos::ZERO, EventKind::FlowModSent { xid: 1 });
         t2.emit(Nanos::ZERO, EventKind::FlowModSent { xid: 2 });
         assert_eq!(sink.borrow().events().len(), 2);
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_object_per_line() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.emit(ev(42));
-        sink.emit(Event {
-            at: Nanos::from_nanos(43),
-            kind: EventKind::CtrlMsg {
-                dir: ChannelDir::ToController,
-                xid: 7,
-                bytes: 90,
-                label: "packet_in",
-                arrive: Nanos::from_nanos(99),
-            },
-        });
-        assert_eq!(sink.written(), 2);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            r#"{"at":42,"kind":"table_miss","in_port":1,"bytes":1000}"#
-        );
-        assert_eq!(
-            lines[1],
-            r#"{"at":43,"kind":"ctrl_msg","dir":"to_controller","xid":7,"bytes":90,"label":"packet_in","arrive":99}"#
-        );
-    }
-
-    #[test]
-    fn jsonl_prefix_is_inserted_per_line() {
-        let mut sink = JsonlSink::with_prefix(Vec::new(), r#""run":{"rep":0},"#.to_string());
-        sink.emit(ev(1));
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(
-            text.trim_end(),
-            r#"{"run":{"rep":0},"at":1,"kind":"table_miss","in_port":1,"bytes":1000}"#
-        );
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The one JSON document writer.
 //!
-//! Reports, flight dumps and histograms are rendered by hand (the
-//! workspace has no serialization dependency) with a stable field order,
-//! so that identical data is identical bytes. [`JsonWriter`] owns the two
-//! things every such emitter otherwise re-invents: where the commas go and
-//! how a string is escaped. The per-event renderer
-//! ([`crate::Event::write_json_fields`]) stays separate — it is the
-//! `fmt`-free hot path — and is embedded through [`JsonWriter::raw`].
+//! Reports, flight dumps, histograms and the Chrome-trace timeline are
+//! rendered by hand (the workspace has no serialization dependency) with a
+//! stable field order, so that identical data is identical bytes.
+//! [`JsonWriter`] owns the two things every such emitter otherwise
+//! re-invents: where the commas go and how a string is escaped. The
+//! per-event renderer ([`crate::Event::write_json_fields`]) stays separate
+//! — it is the `fmt`-free hot path — and is embedded through
+//! [`JsonWriter::raw`]: a flight dump's tail and each timeline entry's
+//! `args` are an event's fields inside an object this writer opened.
 
 use std::fmt::Write as _;
 

@@ -61,9 +61,7 @@ mod rng;
 mod time;
 
 pub use bus::Bus;
-pub use events::{
-    ByteSink, ChannelDir, Event, EventKind, EventSink, JsonlSink, RecordingSink, Tracer,
-};
+pub use events::{ByteSink, ChannelDir, Event, EventKind, EventSink, RecordingSink, Tracer};
 pub use faults::{ChannelFaults, CtrlEffect, FaultPlan, FaultState, LossModel, Window};
 pub use hash::{FastHashMap, FastHashSet, FxHasher, Piece};
 pub use json::JsonWriter;

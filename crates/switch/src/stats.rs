@@ -1,6 +1,6 @@
 //! Switch-side measurement counters.
 
-use sdnbuf_metrics::{Counter, Gauge, TimeSeries};
+use sdnbuf_metrics::{Counter, Gauge};
 use std::collections::BTreeMap;
 
 /// Per-port traffic counters, the backing data of `OFPST_PORT` replies.
@@ -62,11 +62,10 @@ pub struct SwitchStats {
     /// Surviving buffer entries re-announced by the paced post-restart
     /// reconciliation.
     pub reconcile_rerequests: Counter,
-    /// Buffer occupancy over time (units in use) — Figs. 8/13.
+    /// Buffer occupancy over time (units in use) — Figs. 8/13. A run's
+    /// occupancy timeline is its event stream (`observe::sample_series`
+    /// in `sdnbuf-core`), not a record kept here.
     pub buffer_occupancy: Gauge,
-    /// Sampled occupancy timeline (one point per buffer operation), for
-    /// looking inside a run.
-    pub occupancy_series: TimeSeries,
     /// Per-port rx/tx counters (keyed by port number, deterministic
     /// iteration order for stats replies).
     pub ports: BTreeMap<u16, PortCounters>,

@@ -329,7 +329,6 @@ impl Switch {
     fn touch_gauge(&mut self, now: Nanos) {
         let occupancy = self.buffer.occupancy() as f64;
         self.stats.buffer_occupancy.set(now, occupancy);
-        self.stats.occupancy_series.record(now, occupancy);
     }
 
     /// Handles a frame arriving on a data port at time `now`, pushing the

@@ -1,21 +1,17 @@
 //! Looking *inside* a run: how buffer occupancy evolves over time under
 //! each mechanism, rendered as sparklines — the dynamics behind the
-//! paper's Fig. 13 averages.
+//! paper's Fig. 13 averages. The timeline is the run's event stream,
+//! sampled per window (`observe::sample_series`).
 //!
 //! ```sh
 //! cargo run --release --example buffer_timeline
 //! ```
 
-use sdn_buffer_lab::core::{Testbed, TestbedConfig, WorkloadKind};
+use sdn_buffer_lab::core::observe;
+use sdn_buffer_lab::metrics::TimeSeries;
 use sdn_buffer_lab::prelude::*;
-use sdn_buffer_lab::workload::PktgenConfig;
 
 fn main() {
-    let workload = WorkloadKind::paper_section_v(); // 50 flows x 20 packets
-    let pktgen = PktgenConfig {
-        rate: BitRate::from_mbps(90),
-        ..PktgenConfig::default()
-    };
     println!("Buffer occupancy over time, 50 flows x 20 packets at 90 Mbps:");
     println!();
     for buffer in [
@@ -25,10 +21,18 @@ fn main() {
             timeout: Nanos::from_millis(50),
         },
     ] {
-        let mut testbed = Testbed::new(TestbedConfig::with_buffer(buffer));
-        let departures = workload.generate(&pktgen, 1);
-        let run = testbed.run(&departures);
-        let series = &testbed.switch().stats().occupancy_series;
+        let (run, events) = Experiment::new(ExperimentConfig {
+            buffer,
+            workload: WorkloadKind::paper_section_v(), // 50 flows x 20 packets
+            sending_rate: BitRate::from_mbps(90),
+            seed: 1,
+            ..ExperimentConfig::default()
+        })
+        .run_traced();
+        let mut series = TimeSeries::new();
+        for sample in observe::sample_series(&events, Nanos::from_micros(500)) {
+            series.record(sample.t, sample.occupancy as f64);
+        }
         println!(
             "{:<18} peak {:>3} units  {}",
             run.label,

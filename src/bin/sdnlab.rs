@@ -255,7 +255,14 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
     let events_path = events_path_flag(args)?;
     let timeline_path = flag(args, "--timeline")?;
     let sample_every = match flag(args, "--sample-every")? {
-        Some(s) => Some(parse_dur(&s)?),
+        Some(s) => match parse_dur(&s)? {
+            Nanos::ZERO => {
+                return Err(ParseError(format!(
+                    "--sample-every must be positive, got '{s}'"
+                )))
+            }
+            every => Some(every),
+        },
         None => None,
     };
     let samples_path = flag(args, "--samples")?;
@@ -316,7 +323,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
         config.testbed.switch.liveness_timeout = parse_dur(&s)?;
     }
     let plan = config.testbed.faults.clone();
-    let mut exp = Experiment::new(config);
+    let mut exp = Experiment::try_new(config)?;
     // Crash runs always trace: every controller crash auto-produces a
     // flight-recorder dump for the post-mortem.
     let tracing = events_path.is_some()
@@ -1041,6 +1048,23 @@ mod tests {
         assert!(parse_cells("none").is_err());
         assert!(parse_cells("none@fast").is_err());
         assert!(parse_cells("").is_err());
+    }
+
+    #[test]
+    fn zero_intervals_are_refused_before_anything_runs() {
+        let run = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            match cmd_run(&args) {
+                Ok(code) => panic!("{args:?} ran and exited {code:?}"),
+                Err(ParseError(message)) => message,
+            }
+        };
+        // Without the check: probes scheduled at t = 0 until memory runs
+        // out, and `sample_series`'s assert.
+        let message = run(&["--keepalive", "0"]);
+        assert!(message.contains("keepalive interval"), "{message}");
+        let message = run(&["--sample-every", "0us"]);
+        assert!(message.contains("--sample-every"), "{message}");
     }
 
     #[test]
