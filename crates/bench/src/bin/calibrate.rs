@@ -1,20 +1,16 @@
 //! Quick calibration check: a reduced Section IV + V sweep printing the key
 //! figure shapes, used while tuning the testbed cost model.
 
-use sdnbuf_core::{figures, NullSink, Parallelism, RateSweep};
+use sdnbuf_core::{figures, NullSink, Parallelism, RateSweep, WorkloadKind};
 
 fn main() {
     let parallelism = Parallelism::from_env();
-    let mut iv = RateSweep::builder()
-        .section_iv()
-        .repetitions(2)
-        .rates((1..=10).map(|i| i * 10))
-        .build();
+    let mut iv = RateSweep {
+        rates_mbps: (1..=10).map(|i| i * 10).collect(),
+        ..RateSweep::paper_section_iv(2)
+    };
     if std::env::var("CAL_SMALL").is_ok() {
-        // The sweep's fields stay public for exactly this kind of tweak.
-        if let sdnbuf_core::WorkloadKind::SinglePacketFlows { ref mut n_flows } = iv.workload {
-            *n_flows = 300;
-        }
+        iv.workload = WorkloadKind::single_packet_flows(300);
     }
     let iv = iv.run_with(parallelism, &NullSink);
     println!("{}", figures::fig_control_load_to_controller(&iv));
@@ -27,12 +23,11 @@ fn main() {
     println!("{}", figures::fig_buffer_utilization_mean(&iv));
     println!("{}", figures::fig_buffer_utilization_max(&iv));
 
-    let v = RateSweep::builder()
-        .section_v()
-        .repetitions(2)
-        .rates([10, 30, 50, 70, 90, 100])
-        .build()
-        .run_with(parallelism, &NullSink);
+    let v = RateSweep {
+        rates_mbps: vec![10, 30, 50, 70, 90, 100],
+        ..RateSweep::paper_section_v(2)
+    }
+    .run_with(parallelism, &NullSink);
     println!("{}", figures::fig_control_load_to_controller(&v));
     println!("{}", figures::fig_control_load_to_switch(&v));
     println!("{}", figures::fig_controller_usage(&v));

@@ -1,8 +1,8 @@
 //! Section VI of the paper argues: "If switch buffer benefits UDP flows,
 //! it also benefits the mix of TCP and UDP flows." This harness checks that
 //! claim directly: a mixed workload (a UDP flow flood plus well-behaved TCP
-//! connections) swept across rates under all three mechanisms, built with
-//! the sweep builder and run on the parallel executor.
+//! connections) swept across rates under all three mechanisms, described
+//! as a `RateSweep` and run on the parallel executor.
 
 use sdnbuf_core::WorkloadKind;
 use sdnbuf_core::{BufferMode, CellKey, Metric, Parallelism, RateSweep, StderrProgress};
@@ -11,24 +11,24 @@ use sdnbuf_sim::Nanos;
 
 fn main() {
     let reps = sdnbuf_bench::reps_from_env();
-    let sweep = RateSweep::builder()
-        .rates([20, 40, 60, 80, 100])
-        .buffers([
+    let sweep = RateSweep {
+        rates_mbps: vec![20, 40, 60, 80, 100],
+        buffers: vec![
             BufferMode::NoBuffer,
             BufferMode::PacketGranularity { capacity: 256 },
             BufferMode::FlowGranularity {
                 capacity: 256,
                 timeout: Nanos::from_millis(50),
             },
-        ])
-        .workload(WorkloadKind::MixedUdpTcp {
+        ],
+        workload: WorkloadKind::MixedUdpTcp {
             n_udp_flows: 400,
             n_tcp: 20,
             segments_per_tcp: 15,
-        })
-        .repetitions(reps)
-        .base_seed(700)
-        .build();
+        },
+        base_seed: 700,
+        ..RateSweep::paper_section_iv(reps)
+    };
     let result = sweep.run_with(Parallelism::from_env(), &StderrProgress::new("tcp-udp-mix"));
 
     let mut t = Table::new(vec![

@@ -16,7 +16,7 @@
 use crate::observe::EventDigest;
 use crate::shrink::shrink_to_fixpoint;
 use crate::testbed::FailoverConfig;
-use crate::{BufferMode, RunResult, Testbed, TestbedConfig, WorkloadKind};
+use crate::{parse_rate_mbps, BufferMode, RunResult, Testbed, TestbedConfig, WorkloadKind};
 use sdnbuf_openflow::BufferId;
 use sdnbuf_sim::faults::{fmt_dur, parse_dur};
 use sdnbuf_sim::{
@@ -257,9 +257,7 @@ impl ChaosScenario {
             match key {
                 "mech" => mech = Some(value.parse()?),
                 "wl" => workload = Some(value.parse()?),
-                "rate" => {
-                    rate_mbps = Some(value.parse().map_err(|_| format!("bad rate '{value}'"))?);
-                }
+                "rate" => rate_mbps = Some(parse_rate_mbps(value)?),
                 "seed" => {
                     seed = Some(value.parse().map_err(|_| format!("bad seed '{value}'"))?);
                 }
@@ -1725,6 +1723,21 @@ mod tests {
         assert!(
             ChaosScenario::parse("mech=flow:256:50ms,wl=cross:4x3/2,rate=30,seed=1,zz=1").is_err()
         );
+        // Each would go wrong mid-run: a zero rate panics in `BitRate`, a
+        // rate whose bits per second overflow a `u64` wraps to another
+        // rate, and a zero group panics in the cross-sequenced generator.
+        for (spec, named) in [
+            ("mech=none,wl=single:3,rate=0,seed=1", "'0'"),
+            (
+                "mech=none,wl=single:3,rate=18446744073710,seed=1",
+                "'18446744073710'",
+            ),
+            ("mech=none,wl=cross:5x5/0,rate=1,seed=1", "'cross:5x5/0'"),
+        ] {
+            let err = ChaosScenario::parse(spec).unwrap_err();
+            assert!(err.contains(named), "{spec}: {err}");
+        }
+        assert!(ChaosScenario::parse("mech=none,wl=single:3,rate=18446744073709,seed=1").is_ok());
     }
 
     #[test]

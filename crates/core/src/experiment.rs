@@ -1,10 +1,11 @@
 //! Experiments: one run, and the paper's rate sweeps.
 //!
-//! Sweeps are described with [`SweepBuilder`] (`RateSweep::builder()`) and
-//! executed with [`RateSweep::run`] (serial) or [`RateSweep::run_with`]
-//! (parallel, via the [`crate::executor`] worker pool). Every (buffer,
-//! rate, repetition) run owns its seed and a fresh [`Testbed`], so the
-//! result is bit-identical under any worker count.
+//! A sweep is a [`RateSweep`] value: a paper preset, with any of its
+//! public fields overridden. It is executed with [`RateSweep::run`]
+//! (serial) or [`RateSweep::run_with`] (parallel, via the
+//! [`crate::executor`] worker pool). Every (buffer, rate, repetition) run
+//! owns its seed and a fresh [`Testbed`], so the result is bit-identical
+//! under any worker count.
 
 use crate::executor::{Executor, NullSink, Parallelism, Progress, ProgressSink};
 use crate::{BufferMode, Metric, RunResult, Testbed, TestbedConfig};
@@ -160,10 +161,15 @@ impl FromStr for WorkloadKind {
                 let bad = || format!("expected cross:<flows>x<pkts>/<group>, got '{s}'");
                 let (flows, tail) = rest.split_once('x').ok_or_else(bad)?;
                 let (pkts, group) = tail.split_once('/').ok_or_else(bad)?;
+                let (n_flows, packets_per_flow, group_size) =
+                    (int(flows)?, int(pkts)?, int(group)?);
+                if group_size == 0 {
+                    return Err(format!("group size must be at least 1 in '{s}'"));
+                }
                 Ok(WorkloadKind::CrossSequenced {
-                    n_flows: int(flows)?,
-                    packets_per_flow: int(pkts)?,
-                    group_size: int(group)?,
+                    n_flows,
+                    packets_per_flow,
+                    group_size,
                 })
             }
             "tcp" => {
@@ -186,6 +192,18 @@ impl FromStr for WorkloadKind {
                 "bad workload '{s}' (expected iv, v, single:, cross:, tcp: or mixed:)"
             )),
         }
+    }
+}
+
+/// The sending-rate grammar every CLI flag and replay spec shares: whole
+/// Mbps from 1 up to `u64::MAX / 10⁶`, the largest rate whose bits per
+/// second [`BitRate::from_mbps`] can hold.
+pub fn parse_rate_mbps(s: &str) -> Result<u64, String> {
+    const MAX: u64 = u64::MAX / 1_000_000;
+    match s.parse() {
+        Ok(mbps @ 1..=MAX) => Ok(mbps),
+        Ok(_) => Err(format!("rate must be 1 to {MAX} Mbps, got '{s}'")),
+        Err(_) => Err(format!("bad rate '{s}'")),
     }
 }
 
@@ -461,8 +479,20 @@ pub struct RunEvents {
 /// procedure ("we repeat the experiments at each sending rate for 20
 /// times").
 ///
-/// Construct with [`RateSweep::builder`]; the public fields remain for
-/// ad-hoc mutation of a built sweep.
+/// A sweep is its fields. Start from a preset and override what differs:
+///
+/// ```
+/// use sdnbuf_core::{BufferMode, RateSweep};
+///
+/// let sweep = RateSweep {
+///     rates_mbps: vec![10, 20],
+///     buffers: vec![BufferMode::NoBuffer, BufferMode::PacketGranularity { capacity: 256 }],
+///     ..RateSweep::paper_section_iv(2)
+/// };
+/// assert_eq!(sweep.repetitions, 2);
+/// ```
+///
+/// A grid with no rates, no buffers or zero repetitions runs nothing.
 #[derive(Clone, Debug)]
 pub struct RateSweep {
     /// Sending rates in Mbps.
@@ -481,162 +511,49 @@ pub struct RateSweep {
     pub testbed: TestbedConfig,
 }
 
-/// Builder for [`RateSweep`] — the supported construction path.
-///
-/// ```
-/// use sdnbuf_core::{BufferMode, RateSweep};
-///
-/// let sweep = RateSweep::builder()
-///     .rates([10, 20])
-///     .buffers([BufferMode::NoBuffer, BufferMode::PacketGranularity { capacity: 256 }])
-///     .repetitions(2)
-///     .build();
-/// assert_eq!(sweep.rates_mbps, vec![10, 20]);
-/// ```
-#[derive(Clone, Debug)]
-pub struct SweepBuilder {
-    sweep: RateSweep,
-}
-
-impl SweepBuilder {
-    fn new() -> SweepBuilder {
-        SweepBuilder {
-            sweep: RateSweep {
-                rates_mbps: RateSweep::paper_rates(),
-                buffers: Vec::new(),
-                workload: WorkloadKind::paper_section_iv(),
-                repetitions: 20,
-                base_seed: 42,
-                frame_size: 1000,
-                testbed: TestbedConfig::default(),
-            },
-        }
-    }
-
-    /// Preset: the Section IV benefit analysis — {no-buffer, buffer-16,
-    /// buffer-256} × 1000 single-packet flows.
-    pub fn section_iv(mut self) -> SweepBuilder {
-        self.sweep.buffers = vec![
-            BufferMode::NoBuffer,
-            BufferMode::PacketGranularity { capacity: 16 },
-            BufferMode::PacketGranularity { capacity: 256 },
-        ];
-        self.sweep.workload = WorkloadKind::paper_section_iv();
-        self
-    }
-
-    /// Preset: the Section V mechanism comparison — {packet-granularity-
-    /// 256, flow-granularity-256} × 50 flows of 20 packets.
-    pub fn section_v(mut self) -> SweepBuilder {
-        self.sweep.buffers = vec![
-            BufferMode::PacketGranularity { capacity: 256 },
-            BufferMode::FlowGranularity {
-                capacity: 256,
-                timeout: Nanos::from_millis(50),
-            },
-        ];
-        self.sweep.workload = WorkloadKind::paper_section_v();
-        self
-    }
-
-    /// Sending rates in Mbps (default: the paper's 5–100 grid).
-    pub fn rates(mut self, rates: impl IntoIterator<Item = u64>) -> SweepBuilder {
-        self.sweep.rates_mbps = rates.into_iter().collect();
-        self
-    }
-
-    /// Buffer mechanisms to compare.
-    pub fn buffers(mut self, buffers: impl IntoIterator<Item = BufferMode>) -> SweepBuilder {
-        self.sweep.buffers = buffers.into_iter().collect();
-        self
-    }
-
-    /// Adds one buffer mechanism.
-    pub fn buffer(mut self, buffer: BufferMode) -> SweepBuilder {
-        self.sweep.buffers.push(buffer);
-        self
-    }
-
-    /// The workload every cell offers.
-    pub fn workload(mut self, workload: WorkloadKind) -> SweepBuilder {
-        self.sweep.workload = workload;
-        self
-    }
-
-    /// Repetitions per cell (default 20, the paper's procedure).
-    pub fn repetitions(mut self, repetitions: usize) -> SweepBuilder {
-        self.sweep.repetitions = repetitions;
-        self
-    }
-
-    /// Base seed; repetition `i` uses `base_seed + i` (default 42).
-    pub fn base_seed(mut self, base_seed: u64) -> SweepBuilder {
-        self.sweep.base_seed = base_seed;
-        self
-    }
-
-    /// Ethernet frame size in bytes (default 1000, Table I).
-    pub fn frame_size(mut self, frame_size: usize) -> SweepBuilder {
-        self.sweep.frame_size = frame_size;
-        self
-    }
-
-    /// The testbed configuration (default: the paper's Fig. 1 platform).
-    pub fn testbed(mut self, testbed: TestbedConfig) -> SweepBuilder {
-        self.sweep.testbed = testbed;
-        self
-    }
-
-    /// Finishes the sweep.
-    ///
-    /// # Panics
-    /// If rates or buffers are empty, or repetitions is zero — an empty
-    /// grid is always a caller bug.
-    pub fn build(self) -> RateSweep {
-        assert!(
-            !self.sweep.rates_mbps.is_empty(),
-            "SweepBuilder: at least one rate is required"
-        );
-        assert!(
-            !self.sweep.buffers.is_empty(),
-            "SweepBuilder: at least one buffer mechanism is required \
-             (use .section_iv()/.section_v() or .buffers(..))"
-        );
-        assert!(
-            self.sweep.repetitions > 0,
-            "SweepBuilder: repetitions must be at least 1"
-        );
-        self.sweep
-    }
-}
-
 impl RateSweep {
-    /// Starts describing a sweep.
-    pub fn builder() -> SweepBuilder {
-        SweepBuilder::new()
-    }
-
     /// The paper's 5–100 Mbps rate grid in 5 Mbps steps.
     pub fn paper_rates() -> Vec<u64> {
         (1..=20).map(|i| i * 5).collect()
     }
 
     /// The Section IV sweep: {no-buffer, buffer-16, buffer-256} × 1000
-    /// single-packet flows.
+    /// single-packet flows over the paper's rates, 1000-B frames, the
+    /// Fig. 1 testbed, base seed 42.
     pub fn paper_section_iv(repetitions: usize) -> RateSweep {
-        RateSweep::builder()
-            .section_iv()
-            .repetitions(repetitions)
-            .build()
+        RateSweep {
+            rates_mbps: RateSweep::paper_rates(),
+            buffers: vec![
+                BufferMode::NoBuffer,
+                BufferMode::PacketGranularity { capacity: 16 },
+                BufferMode::PacketGranularity { capacity: 256 },
+            ],
+            workload: WorkloadKind::paper_section_iv(),
+            repetitions,
+            base_seed: 42,
+            frame_size: 1000,
+            testbed: TestbedConfig::default(),
+        }
     }
 
     /// The Section V sweep: {packet-granularity-256, flow-granularity-256}
-    /// × 50 flows of 20 packets.
+    /// × 50 flows of 20 packets, otherwise as [`RateSweep::paper_section_iv`].
     pub fn paper_section_v(repetitions: usize) -> RateSweep {
-        RateSweep::builder()
-            .section_v()
-            .repetitions(repetitions)
-            .build()
+        RateSweep {
+            rates_mbps: RateSweep::paper_rates(),
+            buffers: vec![
+                BufferMode::PacketGranularity { capacity: 256 },
+                BufferMode::FlowGranularity {
+                    capacity: 256,
+                    timeout: Nanos::from_millis(50),
+                },
+            ],
+            workload: WorkloadKind::paper_section_v(),
+            repetitions,
+            base_seed: 42,
+            frame_size: 1000,
+            testbed: TestbedConfig::default(),
+        }
     }
 
     /// The grid's cells in deterministic order: buffer major, then rate.
@@ -810,16 +727,16 @@ mod tests {
 
     #[test]
     fn sweep_produces_all_cells() {
-        let sweep = RateSweep::builder()
-            .rates([10, 20])
-            .buffers([
+        let sweep = RateSweep {
+            rates_mbps: vec![10, 20],
+            buffers: vec![
                 BufferMode::NoBuffer,
                 BufferMode::PacketGranularity { capacity: 16 },
-            ])
-            .workload(WorkloadKind::single_packet_flows(10))
-            .repetitions(2)
-            .base_seed(1)
-            .build();
+            ],
+            workload: WorkloadKind::single_packet_flows(10),
+            base_seed: 1,
+            ..RateSweep::paper_section_iv(2)
+        };
         let result = sweep.run();
         assert_eq!(result.cells().len(), 4);
         assert_eq!(result.labels(), vec!["no-buffer", "buffer-16"]);
@@ -833,12 +750,12 @@ mod tests {
 
     #[test]
     fn absent_cells_are_none_not_zero() {
-        let sweep = RateSweep::builder()
-            .rates([10])
-            .buffers([BufferMode::NoBuffer])
-            .workload(WorkloadKind::single_packet_flows(5))
-            .repetitions(1)
-            .build();
+        let sweep = RateSweep {
+            rates_mbps: vec![10],
+            buffers: vec![BufferMode::NoBuffer],
+            workload: WorkloadKind::single_packet_flows(5),
+            ..RateSweep::paper_section_iv(1)
+        };
         let result = sweep.run();
         let bogus = CellKey::new(BufferMode::PacketGranularity { capacity: 999 }, 10);
         assert_eq!(result.cell_at(&bogus), None);
@@ -854,13 +771,13 @@ mod tests {
 
     #[test]
     fn sweep_mean_averages_rates() {
-        let sweep = RateSweep::builder()
-            .rates([10, 20])
-            .buffers([BufferMode::NoBuffer])
-            .workload(WorkloadKind::single_packet_flows(5))
-            .repetitions(1)
-            .base_seed(1)
-            .build();
+        let sweep = RateSweep {
+            rates_mbps: vec![10, 20],
+            buffers: vec![BufferMode::NoBuffer],
+            workload: WorkloadKind::single_packet_flows(5),
+            base_seed: 1,
+            ..RateSweep::paper_section_iv(1)
+        };
         let result = sweep.run();
         assert_eq!(
             result.sweep_mean_of(BufferMode::NoBuffer, Metric::PacketsSent),
@@ -897,52 +814,6 @@ mod tests {
         }
         .generate(&pg, 1);
         assert_eq!(mixed.len(), 10 + 2 * 5);
-    }
-
-    #[test]
-    fn builder_round_trips_every_field() {
-        let testbed = TestbedConfig::default();
-        let sweep = RateSweep::builder()
-            .rates([30, 60])
-            .buffers([BufferMode::NoBuffer])
-            .buffer(BufferMode::PacketGranularity { capacity: 8 })
-            .workload(WorkloadKind::single_packet_flows(7))
-            .repetitions(3)
-            .base_seed(9)
-            .frame_size(500)
-            .testbed(testbed)
-            .build();
-        assert_eq!(sweep.rates_mbps, vec![30, 60]);
-        assert_eq!(
-            sweep.buffers,
-            vec![
-                BufferMode::NoBuffer,
-                BufferMode::PacketGranularity { capacity: 8 }
-            ]
-        );
-        assert_eq!(sweep.workload, WorkloadKind::single_packet_flows(7));
-        assert_eq!(sweep.repetitions, 3);
-        assert_eq!(sweep.base_seed, 9);
-        assert_eq!(sweep.frame_size, 500);
-    }
-
-    #[test]
-    fn builder_presets_match_paper_constructors() {
-        let a = RateSweep::paper_section_iv(4);
-        let b = RateSweep::builder().section_iv().repetitions(4).build();
-        assert_eq!(a.buffers, b.buffers);
-        assert_eq!(a.workload, b.workload);
-        assert_eq!(a.rates_mbps, b.rates_mbps);
-        let a = RateSweep::paper_section_v(4);
-        let b = RateSweep::builder().section_v().repetitions(4).build();
-        assert_eq!(a.buffers, b.buffers);
-        assert_eq!(a.workload, b.workload);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one buffer mechanism")]
-    fn builder_rejects_empty_buffers() {
-        let _ = RateSweep::builder().rates([10]).build();
     }
 
     #[test]
@@ -984,15 +855,15 @@ mod tests {
 
     #[test]
     fn parallel_run_is_bit_identical_to_serial() {
-        let sweep = RateSweep::builder()
-            .rates([10, 30, 50])
-            .buffers([
+        let sweep = RateSweep {
+            rates_mbps: vec![10, 30, 50],
+            buffers: vec![
                 BufferMode::NoBuffer,
                 BufferMode::PacketGranularity { capacity: 16 },
-            ])
-            .workload(WorkloadKind::single_packet_flows(25))
-            .repetitions(3)
-            .build();
+            ],
+            workload: WorkloadKind::single_packet_flows(25),
+            ..RateSweep::paper_section_iv(3)
+        };
         let serial = sweep.run();
         let parallel = sweep.run_with(Parallelism::Fixed(4), &NullSink);
         assert_eq!(serial, parallel);
@@ -1003,12 +874,12 @@ mod tests {
 
     #[test]
     fn progress_is_monotonic_and_complete_under_parallelism() {
-        let sweep = RateSweep::builder()
-            .rates([10, 20])
-            .buffers([BufferMode::NoBuffer])
-            .workload(WorkloadKind::single_packet_flows(5))
-            .repetitions(3)
-            .build();
+        let sweep = RateSweep {
+            rates_mbps: vec![10, 20],
+            buffers: vec![BufferMode::NoBuffer],
+            workload: WorkloadKind::single_packet_flows(5),
+            ..RateSweep::paper_section_iv(3)
+        };
         let seen = Mutex::new(Vec::<Progress>::new());
         let sink = |p: &Progress| seen.lock().unwrap().push(*p);
         sweep.run_with(Parallelism::Fixed(4), &sink);
@@ -1026,13 +897,31 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_grid_runs_nothing() {
+        for sweep in [
+            RateSweep::paper_section_iv(0),
+            RateSweep {
+                rates_mbps: Vec::new(),
+                ..RateSweep::paper_section_iv(1)
+            },
+            RateSweep {
+                buffers: Vec::new(),
+                ..RateSweep::paper_section_v(1)
+            },
+        ] {
+            let result = sweep.run_with(Parallelism::Fixed(2), &NullSink);
+            assert!(result.cells().iter().all(|c| c.runs.is_empty()));
+        }
+    }
+
+    #[test]
     fn progress_callback_fires_per_run_in_serial() {
-        let sweep = RateSweep::builder()
-            .rates([10])
-            .buffers([BufferMode::NoBuffer])
-            .workload(WorkloadKind::single_packet_flows(3))
-            .repetitions(1)
-            .build();
+        let sweep = RateSweep {
+            rates_mbps: vec![10],
+            buffers: vec![BufferMode::NoBuffer],
+            workload: WorkloadKind::single_packet_flows(3),
+            ..RateSweep::paper_section_iv(1)
+        };
         let calls = Mutex::new(Vec::new());
         let sink = |p: &Progress| calls.lock().unwrap().push((p.done, p.total));
         sweep.run_with(Parallelism::Serial, &sink);

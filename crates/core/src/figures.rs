@@ -179,17 +179,17 @@ mod tests {
     use crate::{BufferMode, RateSweep, WorkloadKind};
 
     fn tiny_sweep() -> SweepResult {
-        RateSweep::builder()
-            .rates([10, 40])
-            .buffers([
+        RateSweep {
+            rates_mbps: vec![10, 40],
+            buffers: vec![
                 BufferMode::NoBuffer,
                 BufferMode::PacketGranularity { capacity: 256 },
-            ])
-            .workload(WorkloadKind::single_packet_flows(15))
-            .repetitions(1)
-            .base_seed(5)
-            .build()
-            .run()
+            ],
+            workload: WorkloadKind::single_packet_flows(15),
+            base_seed: 5,
+            ..RateSweep::paper_section_iv(1)
+        }
+        .run()
     }
 
     #[test]

@@ -43,6 +43,8 @@ mod metric;
 pub mod observe;
 pub mod report;
 mod result;
+#[cfg(test)]
+mod series;
 mod shrink;
 pub mod spans;
 mod testbed;
@@ -54,7 +56,7 @@ pub use executor::{
     WorkerStats,
 };
 pub use experiment::{
-    CellKey, Experiment, ExperimentConfig, RateSweep, RunEvents, SweepBuilder, SweepCell,
+    parse_rate_mbps, CellKey, Experiment, ExperimentConfig, RateSweep, RunEvents, SweepCell,
     SweepResult, WorkloadKind,
 };
 pub use measure::PacketTrace;

@@ -1,6 +1,6 @@
 //! Exporters over the structured event stream: JSONL dumps, Chrome
 //! trace-event timelines (openable in Perfetto / `chrome://tracing`), and
-//! a periodic time-series sampler written as TSV.
+//! a periodic time-series sampler written as TSV or drawn as sparklines.
 //!
 //! All three exporters are pure functions of recorded [`Event`]s, so their
 //! output inherits the stream's determinism: a fixed seed yields
@@ -487,6 +487,63 @@ pub fn write_series_tsv(samples: &[Sample], w: &mut dyn Write) -> io::Result<()>
     Ok(())
 }
 
+/// Renders one series of [`sample_series`] windows, which are in time
+/// order, as a unicode sparkline of `width` bars (at least one). A bar is
+/// the mean `value` of the windows in its equal-width time bucket, scaled
+/// to the highest bar; an empty bucket repeats the bar before it (0 for
+/// the first). No samples render as the empty string, and a series that
+/// never rises above zero as floor bars.
+///
+/// ```
+/// use sdnbuf_core::observe::{sample_series, sparkline};
+/// use sdnbuf_core::{BufferMode, Experiment, ExperimentConfig, WorkloadKind};
+/// use sdnbuf_sim::Nanos;
+///
+/// let (_, events) = Experiment::new(ExperimentConfig {
+///     buffer: BufferMode::PacketGranularity { capacity: 16 },
+///     workload: WorkloadKind::single_packet_flows(50),
+///     ..ExperimentConfig::default()
+/// })
+/// .run_traced();
+/// let samples = sample_series(&events, Nanos::from_millis(1));
+/// let bars = sparkline(&samples, |s| s.occupancy as f64, 40);
+/// assert_eq!(bars.chars().count(), 40);
+/// assert!(bars.contains('█'), "the buffer fills at some point: {bars}");
+/// ```
+pub fn sparkline(samples: &[Sample], value: fn(&Sample) -> f64, width: usize) -> String {
+    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+    let (Some(first), Some(last)) = (samples.first(), samples.last()) else {
+        return String::new();
+    };
+    let n = width.max(1);
+    let bucket = (last.t.saturating_sub(first.t) / n as u64).max(Nanos::from_nanos(1));
+    let mut sums = vec![(0.0f64, 0usize); n];
+    for s in samples {
+        let i = (s.t.saturating_sub(first.t).as_nanos() / bucket.as_nanos()) as usize;
+        let (sum, count) = &mut sums[i.min(n - 1)];
+        *sum += value(s);
+        *count += 1;
+    }
+    let mut mean = 0.0;
+    let means: Vec<f64> = sums
+        .iter()
+        .map(|&(sum, count)| {
+            if count > 0 {
+                mean = sum / count as f64;
+            }
+            mean
+        })
+        .collect();
+    let max = means.iter().copied().fold(0.0f64, f64::max);
+    if max <= 0.0 {
+        return means.iter().map(|_| BARS[0]).collect();
+    }
+    means
+        .iter()
+        .map(|&v| BARS[((v / max) * 7.0).round().clamp(0.0, 7.0) as usize])
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -747,6 +804,86 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("t_ms\tbuffer_occupancy"), "{text}");
         assert!(text.contains("10.000\t3\t0\t100.000\t0.000"), "{text}");
+    }
+
+    fn window(t: Nanos, occupancy: usize, to_controller_mbps: f64) -> Sample {
+        Sample {
+            t,
+            occupancy,
+            table_size: 0,
+            to_controller_mbps,
+            to_switch_mbps: 0.0,
+        }
+    }
+
+    fn occupancy(s: &Sample) -> f64 {
+        s.occupancy as f64
+    }
+
+    fn to_controller(s: &Sample) -> f64 {
+        s.to_controller_mbps
+    }
+
+    /// `results/report.md` pins four sparklines, so the bucket arithmetic
+    /// is pinned here exactly: an even split, empty buckets with a clamped
+    /// last window, and a zero-width span.
+    #[test]
+    fn sparkline_draws_what_the_bucketed_series_drew() {
+        // 5 401 windows of 1 ms, as in `results/report.md`: a 5 400 ms
+        // span makes 60 buckets of exactly 90 ms.
+        let report: Vec<Sample> = (0..5401u64)
+            .map(|i| {
+                let occ = (i / 20).min((5400 - i) / 20) + i % 3;
+                let mbps = if i < 300 {
+                    (i % 50) as f64 * 2.5
+                } else {
+                    (i % 7) as f64 / 8.0
+                };
+                window(Nanos::from_millis(i + 1), occ as usize, mbps)
+            })
+            .collect();
+        assert_eq!(
+            sparkline(&report, occupancy, 60),
+            "▁▁▂▂▂▂▃▃▃▃▄▄▄▄▄▅▅▅▅▆▆▆▆▇▇▇▇██████▇▇▇▇▆▆▆▆▅▅▅▅▄▄▄▄▄▃▃▃▃▂▂▂▂▁▁"
+        );
+        assert_eq!(
+            sparkline(&report, to_controller, 60),
+            "▇██▄▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁▁"
+        );
+        // 7 windows of 1 000 003 ns: 100 000-ns buckets, so most are empty
+        // and repeat the bar before them, and the last window lands past
+        // bucket 59 and is clamped into it.
+        let sparse: Vec<Sample> = [3, 0, 5, 5, 1, 8, 2]
+            .into_iter()
+            .zip(1..)
+            .map(|(occ, k)| window(Nanos::from_nanos(1_000_003 * k), occ, 0.0))
+            .collect();
+        assert_eq!(
+            sparkline(&sparse, occupancy, 60),
+            "▄▄▄▄▄▄▄▄▄▄▁▁▁▁▁▁▁▁▁▁▅▅▅▅▅▅▅▅▅▅▅▅▅▅▅▅▅▅▅▅▂▂▂▂▂▂▂▂▂▂█████████▃"
+        );
+        assert_eq!(
+            sparkline(&sparse, occupancy, 0),
+            "█",
+            "width 0 draws one bar"
+        );
+        // One window: a zero-width span, every bucket the one value.
+        let one = [window(Nanos::from_millis(1), 4, 0.0)];
+        assert_eq!(sparkline(&one, occupancy, 60), "█".repeat(60));
+    }
+
+    #[test]
+    fn sparkline_all_zero_is_floor_bars() {
+        let zeros = [
+            window(Nanos::from_millis(1), 0, 0.0),
+            window(Nanos::from_millis(2), 0, 0.0),
+        ];
+        assert_eq!(sparkline(&zeros, occupancy, 4), "▁▁▁▁");
+    }
+
+    #[test]
+    fn sparkline_of_no_samples_is_empty() {
+        assert_eq!(sparkline(&[], occupancy, 60), "");
     }
 
     #[test]

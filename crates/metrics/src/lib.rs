@@ -20,6 +20,10 @@
 //! * [`Table`] — fixed-width text tables and TSV output for the figure
 //!   harness.
 //!
+//! These aggregate a whole run. How a run evolves over time is read off
+//! its event stream instead: `sdnbuf_core::observe` windows the stream
+//! and draws each series as a sparkline.
+//!
 //! # Example
 //!
 //! ```
@@ -37,7 +41,6 @@ mod counter;
 mod gauge;
 mod histogram;
 mod meter;
-mod series;
 mod summary;
 mod table;
 
@@ -45,6 +48,5 @@ pub use counter::Counter;
 pub use gauge::Gauge;
 pub use histogram::Histogram;
 pub use meter::ByteMeter;
-pub use series::TimeSeries;
 pub use summary::Summary;
 pub use table::Table;

@@ -2,7 +2,7 @@
 //! naive reference implementations.
 
 use proptest::prelude::*;
-use sdnbuf_metrics::{ByteMeter, Gauge, Summary, TimeSeries};
+use sdnbuf_metrics::{ByteMeter, Gauge, Summary};
 use sdnbuf_sim::Nanos;
 
 proptest! {
@@ -86,26 +86,5 @@ proptest! {
         let horizon = Nanos::from_secs(1);
         let mbps = m.mbps(horizon);
         prop_assert!((mbps - total as f64 * 8.0 / 1e6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_series_buckets_preserve_mass_for_uniform_samples(
-        values in proptest::collection::vec(0.0f64..100.0, 10..200),
-        buckets in 1usize..20,
-    ) {
-        // Evenly spaced samples: the mean of bucket means must equal the
-        // overall mean when the bucket count divides the sample count.
-        let mut s = TimeSeries::new();
-        for (i, v) in values.iter().enumerate() {
-            s.record(Nanos::from_micros(i as u64), *v);
-        }
-        let b = s.bucketed(buckets);
-        prop_assert_eq!(b.len(), buckets);
-        // Every bucket mean lies within the sample range.
-        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        for (_, v) in b {
-            prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
-        }
     }
 }

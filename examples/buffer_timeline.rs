@@ -8,7 +8,6 @@
 //! ```
 
 use sdn_buffer_lab::core::observe;
-use sdn_buffer_lab::metrics::TimeSeries;
 use sdn_buffer_lab::prelude::*;
 
 fn main() {
@@ -29,15 +28,12 @@ fn main() {
             ..ExperimentConfig::default()
         })
         .run_traced();
-        let mut series = TimeSeries::new();
-        for sample in observe::sample_series(&events, Nanos::from_micros(500)) {
-            series.record(sample.t, sample.occupancy as f64);
-        }
+        let samples = observe::sample_series(&events, Nanos::from_micros(500));
         println!(
             "{:<18} peak {:>3} units  {}",
             run.label,
             run.buffer_peak_occupancy,
-            series.sparkline(64)
+            observe::sparkline(&samples, |s| s.occupancy as f64, 64)
         );
     }
     println!();

@@ -15,11 +15,10 @@ use sdn_buffer_lab::prelude::*;
 use std::time::Instant;
 
 fn main() {
-    let sweep = RateSweep::builder()
-        .section_iv()
-        .rates([20, 40, 60, 80, 100])
-        .repetitions(3)
-        .build();
+    let sweep = RateSweep {
+        rates_mbps: vec![20, 40, 60, 80, 100],
+        ..RateSweep::paper_section_iv(3)
+    };
 
     let t0 = Instant::now();
     let serial = sweep.run_with(Parallelism::Serial, &StderrProgress::new("serial"));

@@ -51,17 +51,17 @@ fn main() {
         run.buffer_mean_occupancy, run.buffer_peak_occupancy
     );
 
-    // The same comparison the paper makes, as a small sweep: describe the
-    // grid with the builder, run it, and read cells back by key.
-    let sweep = RateSweep::builder()
-        .rates([20, 50, 80])
-        .buffers([
+    // The same comparison the paper makes, as a small sweep: the Section IV
+    // preset with a smaller grid, run, and read back by key.
+    let sweep = RateSweep {
+        rates_mbps: vec![20, 50, 80],
+        buffers: vec![
             BufferMode::NoBuffer,
             BufferMode::PacketGranularity { capacity: 256 },
-        ])
-        .workload(WorkloadKind::single_packet_flows(200))
-        .repetitions(2)
-        .build();
+        ],
+        workload: WorkloadKind::single_packet_flows(200),
+        ..RateSweep::paper_section_iv(2)
+    };
     let result = sweep.run();
     println!();
     println!("rate   no-buffer   buffer-256   (flow setup delay, ms)");

@@ -31,7 +31,7 @@ use sdn_buffer_lab::controller::AdmissionPolicy;
 use sdn_buffer_lab::core::chaos::{self, ChaosScenario, RecoveryKnobs, Sabotage, StandbyKnobs};
 use sdn_buffer_lab::core::flightrec::{DumpReason, FlightDump};
 use sdn_buffer_lab::core::validate::{self, Tolerances, ValidateConfig};
-use sdn_buffer_lab::core::{figures, observe, spans, RateSweep, StderrProgress};
+use sdn_buffer_lab::core::{figures, observe, parse_rate_mbps, spans, RateSweep, StderrProgress};
 use sdn_buffer_lab::prelude::*;
 use sdn_buffer_lab::sim::faults::parse_dur;
 use sdn_buffer_lab::sim::hash::{fnv1a, FNV_OFFSET};
@@ -210,6 +210,19 @@ fn flag(args: &[String], key: &str) -> Result<Option<String>, ParseError> {
     Ok(None)
 }
 
+/// A count flag that must be at least 1 (`--reps`, `--flows`): zero
+/// repetitions or flows would report on runs that never happened.
+fn count_flag(args: &[String], key: &str, default: usize) -> Result<usize, ParseError> {
+    match flag(args, key)? {
+        None => Ok(default),
+        Some(s) => match s.parse() {
+            Ok(0) => Err(ParseError(format!("{key} must be at least 1, got '{s}'"))),
+            Ok(n) => Ok(n),
+            Err(_) => Err(ParseError(format!("bad {key} '{s}'"))),
+        },
+    }
+}
+
 /// The `--events` flag, falling back to the `SDNBUF_TRACE` environment
 /// variable (empty value = unset).
 fn events_path_flag(args: &[String]) -> Result<Option<String>, ParseError> {
@@ -240,10 +253,8 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
         Some(s) => s.parse::<WorkloadKind>()?,
         None => WorkloadKind::paper_section_iv(),
     };
-    let rate: u64 = match flag(args, "--rate")? {
-        Some(s) => s
-            .parse()
-            .map_err(|_| ParseError(format!("bad rate '{s}'")))?,
+    let rate = match flag(args, "--rate")? {
+        Some(s) => parse_rate_mbps(&s)?,
         None => 50,
     };
     let seed: u64 = match flag(args, "--seed")? {
@@ -669,9 +680,7 @@ fn parse_cells(s: &str) -> Result<Vec<(BufferMode, u64)>, ParseError> {
         let (mech, rate) = part
             .rsplit_once('@')
             .ok_or_else(|| ParseError(format!("expected MECH@RATE in '{part}'")))?;
-        let rate: u64 = rate
-            .parse()
-            .map_err(|_| ParseError(format!("bad rate in '{part}'")))?;
+        let rate = parse_rate_mbps(rate).map_err(|e| ParseError(format!("{e} in '{part}'")))?;
         cells.push((mech.parse()?, rate));
     }
     if cells.is_empty() {
@@ -699,16 +708,8 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, ParseError> {
         }
         config.tolerances = Tolerances::uniform(pct / 100.0);
     }
-    if let Some(s) = flag(args, "--flows")? {
-        config.flows = s
-            .parse()
-            .map_err(|_| ParseError(format!("bad flow count '{s}'")))?;
-    }
-    if let Some(s) = flag(args, "--reps")? {
-        config.repetitions = s
-            .parse()
-            .map_err(|_| ParseError(format!("bad reps '{s}'")))?;
-    }
+    config.flows = count_flag(args, "--flows", config.flows)?;
+    config.repetitions = count_flag(args, "--reps", config.repetitions)?;
     if let Some(s) = flag(args, "--seed")? {
         config.base_seed = s
             .parse()
@@ -830,12 +831,7 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, ParseError> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), ParseError> {
-    let reps: usize = match flag(args, "--reps")? {
-        Some(s) => s
-            .parse()
-            .map_err(|_| ParseError(format!("bad reps '{s}'")))?,
-        None => 5,
-    };
+    let reps = count_flag(args, "--reps", 5)?;
     let threads = threads_flag(args)?;
     let section = flag(args, "--section")?.unwrap_or_else(|| "iv".to_owned());
     let events_path = events_path_flag(args)?;
@@ -878,12 +874,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), ParseError> {
 }
 
 fn cmd_claims(args: &[String]) -> Result<(), ParseError> {
-    let reps: usize = match flag(args, "--reps")? {
-        Some(s) => s
-            .parse()
-            .map_err(|_| ParseError(format!("bad reps '{s}'")))?,
-        None => 5,
-    };
+    let reps = count_flag(args, "--reps", 5)?;
     let threads = threads_flag(args)?;
     let iv = RateSweep::paper_section_iv(reps).run_with(threads, &StderrProgress::new("iv"));
     let v = RateSweep::paper_section_v(reps).run_with(threads, &StderrProgress::new("v"));
@@ -891,9 +882,9 @@ fn cmd_claims(args: &[String]) -> Result<(), ParseError> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
+/// Runs the subcommand `args` names.
+fn dispatch(args: &[String]) -> Result<ExitCode, ParseError> {
+    match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]).map(|()| ExitCode::SUCCESS),
         Some("chaos") => cmd_chaos(&args[1..]),
@@ -904,8 +895,12 @@ fn main() -> ExitCode {
             Ok(ExitCode::SUCCESS)
         }
         Some(other) => Err(ParseError(format!("unknown command '{other}'"))),
-    };
-    match result {
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match dispatch(&args) {
         Ok(code) => code,
         Err(ParseError(msg)) => {
             eprintln!("error: {msg}\n\n{}", usage());
@@ -970,6 +965,8 @@ mod tests {
         );
         assert!(parse_workload("nope").is_err());
         assert!(parse_workload("cross:10").is_err());
+        let zero_group = parse_workload("cross:5x5/0").unwrap_err();
+        assert!(zero_group.contains("group size"), "{zero_group}");
     }
 
     #[test]
@@ -1050,21 +1047,39 @@ mod tests {
         assert!(parse_cells("").is_err());
     }
 
+    /// Each of these, unchecked, panics or misbehaves mid-run: probes
+    /// scheduled at t = 0 until memory runs out, `sample_series`'s assert,
+    /// `BitRate`'s zero-rate assert, a bit rate that wraps a `u64`, the
+    /// cross-sequenced generator's zero-group assert, the oracle's
+    /// zero-flow assert, and sweeps or validations over zero repetitions.
+    /// `ci.yml` runs the same inputs against the release binary.
     #[test]
-    fn zero_intervals_are_refused_before_anything_runs() {
-        let run = |args: &[&str]| {
-            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            match cmd_run(&args) {
-                Ok(code) => panic!("{args:?} ran and exited {code:?}"),
-                Err(ParseError(message)) => message,
+    fn bad_inputs_are_refused_before_anything_runs() {
+        for (args, named) in [
+            ("run --keepalive 0", "keepalive interval"),
+            ("run --sample-every 0us", "'0us'"),
+            ("run --rate 0", "'0'"),
+            ("run --rate 18446744073710", "'18446744073710'"),
+            ("run --workload cross:5x5/0", "'cross:5x5/0'"),
+            ("sweep --reps 0", "--reps must be at least 1, got '0'"),
+            ("claims --reps 0", "--reps must be at least 1, got '0'"),
+            ("validate --reps 0", "--reps must be at least 1, got '0'"),
+            ("validate --flows 0", "--flows must be at least 1, got '0'"),
+            ("validate --cells none@0", "'0' in 'none@0'"),
+            ("chaos --replay mech=none,wl=single:3,rate=0,seed=1", "'0'"),
+            (
+                "chaos --replay mech=none,wl=cross:5x5/0,rate=1,seed=1",
+                "'cross:5x5/0'",
+            ),
+        ] {
+            let argv: Vec<String> = args.split(' ').map(str::to_owned).collect();
+            match dispatch(&argv) {
+                Ok(code) => panic!("`{args}` ran and exited {code:?}"),
+                Err(ParseError(message)) => {
+                    assert!(message.contains(named), "`{args}`: {message}");
+                }
             }
-        };
-        // Without the check: probes scheduled at t = 0 until memory runs
-        // out, and `sample_series`'s assert.
-        let message = run(&["--keepalive", "0"]);
-        assert!(message.contains("keepalive interval"), "{message}");
-        let message = run(&["--sample-every", "0us"]);
-        assert!(message.contains("--sample-every"), "{message}");
+        }
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub use sdnbuf_core as core;
 pub mod prelude {
     pub use sdnbuf_core::{
         BufferMode, CellKey, Event, EventKind, Experiment, ExperimentConfig, Metric, Parallelism,
-        ProgressSink, RateSweep, RunEvents, RunResult, SweepBuilder, Testbed, TestbedConfig,
-        Tracer, WorkloadKind,
+        ProgressSink, RateSweep, RunEvents, RunResult, Testbed, TestbedConfig, Tracer,
+        WorkloadKind,
     };
     pub use sdnbuf_metrics::Summary;
     pub use sdnbuf_sim::{BitRate, ChannelFaults, FaultPlan, LossModel, Nanos, Window};

@@ -171,7 +171,7 @@ fn arb_workload() -> impl Strategy<Value = WorkloadKind> {
     let n = || 0usize..100_000;
     prop_oneof![
         n().prop_map(WorkloadKind::single_packet_flows),
-        (n(), n(), n()).prop_map(|(n_flows, packets_per_flow, group_size)| {
+        (n(), n(), 1usize..100_000).prop_map(|(n_flows, packets_per_flow, group_size)| {
             WorkloadKind::CrossSequenced {
                 n_flows,
                 packets_per_flow,

@@ -11,13 +11,12 @@ use sdn_buffer_lab::prelude::*;
 /// The same scaled-down Section IV cell the observability tests pin: one
 /// packet-granularity mechanism at 100 Mbps over single-packet flows.
 fn section_iv_cell(repetitions: usize, n_flows: usize) -> RateSweep {
-    RateSweep::builder()
-        .buffer(BufferMode::PacketGranularity { capacity: 16 })
-        .rates([100])
-        .workload(WorkloadKind::single_packet_flows(n_flows))
-        .repetitions(repetitions)
-        .base_seed(42)
-        .build()
+    RateSweep {
+        rates_mbps: vec![100],
+        buffers: vec![BufferMode::PacketGranularity { capacity: 16 }],
+        workload: WorkloadKind::single_packet_flows(n_flows),
+        ..RateSweep::paper_section_iv(repetitions)
+    }
 }
 
 /// The acceptance criterion for the report: on a real traced run, every

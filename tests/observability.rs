@@ -9,13 +9,12 @@ use sdn_buffer_lab::prelude::*;
 /// single-packet-flow workload the benefit analysis uses. Small enough to
 /// keep the golden file reviewable, rich enough to exercise every layer.
 fn section_iv_cell(repetitions: usize, n_flows: usize) -> RateSweep {
-    RateSweep::builder()
-        .buffer(BufferMode::PacketGranularity { capacity: 16 })
-        .rates([100])
-        .workload(WorkloadKind::single_packet_flows(n_flows))
-        .repetitions(repetitions)
-        .base_seed(42)
-        .build()
+    RateSweep {
+        rates_mbps: vec![100],
+        buffers: vec![BufferMode::PacketGranularity { capacity: 16 }],
+        workload: WorkloadKind::single_packet_flows(n_flows),
+        ..RateSweep::paper_section_iv(repetitions)
+    }
 }
 
 fn sweep_jsonl(sweep: &RateSweep, parallelism: Parallelism) -> Vec<u8> {
@@ -62,21 +61,23 @@ fn sweep_jsonl_is_identical_across_worker_counts_under_faults() {
     plan.to_switch.reorder_by = Nanos::from_micros(500);
     plan.stalls = vec![Window::new(Nanos::from_millis(52), Nanos::from_millis(55))];
 
-    let mut sweep = RateSweep::builder()
-        .buffer(BufferMode::PacketGranularity { capacity: 64 })
-        .buffer(BufferMode::FlowGranularity {
-            capacity: 64,
-            timeout: Nanos::from_millis(20),
-        })
-        .rates([60])
-        .workload(WorkloadKind::CrossSequenced {
+    let mut sweep = RateSweep {
+        rates_mbps: vec![60],
+        buffers: vec![
+            BufferMode::PacketGranularity { capacity: 64 },
+            BufferMode::FlowGranularity {
+                capacity: 64,
+                timeout: Nanos::from_millis(20),
+            },
+        ],
+        workload: WorkloadKind::CrossSequenced {
             n_flows: 6,
             packets_per_flow: 4,
             group_size: 2,
-        })
-        .repetitions(2)
-        .base_seed(7)
-        .build();
+        },
+        base_seed: 7,
+        ..RateSweep::paper_section_iv(2)
+    };
     sweep.testbed.faults = plan;
 
     let serial = sweep_jsonl(&sweep, Parallelism::Serial);

@@ -1,5 +1,5 @@
 //! End-to-end checks of the experiment-orchestration API through the
-//! facade crate: builder, typed metrics, keyed lookup, and the executor's
+//! facade crate: paper presets, typed metrics, keyed lookup, and the executor's
 //! determinism and progress guarantees.
 
 use sdn_buffer_lab::core::NullSink;
@@ -7,15 +7,15 @@ use sdn_buffer_lab::prelude::*;
 use std::sync::Mutex;
 
 fn small_sweep() -> RateSweep {
-    RateSweep::builder()
-        .rates([20, 60])
-        .buffers([
+    RateSweep {
+        rates_mbps: vec![20, 60],
+        buffers: vec![
             BufferMode::NoBuffer,
             BufferMode::PacketGranularity { capacity: 256 },
-        ])
-        .workload(WorkloadKind::single_packet_flows(40))
-        .repetitions(3)
-        .build()
+        ],
+        workload: WorkloadKind::single_packet_flows(40),
+        ..RateSweep::paper_section_iv(3)
+    }
 }
 
 #[test]
@@ -55,11 +55,16 @@ fn keyed_lookup_and_metrics_agree_with_fields() {
 }
 
 #[test]
-fn builder_presets_produce_the_paper_grids() {
-    let iv = RateSweep::builder().section_iv().repetitions(1).build();
-    assert_eq!(iv.rates_mbps.len(), 20);
+fn presets_produce_the_paper_grids() {
+    let iv = RateSweep::paper_section_iv(1);
+    assert_eq!(iv.rates_mbps, RateSweep::paper_rates());
     assert_eq!(iv.buffers.len(), 3);
-    let v = RateSweep::builder().section_v().repetitions(1).build();
+    assert_eq!(iv.workload, WorkloadKind::paper_section_iv());
+    let v = RateSweep::paper_section_v(1);
+    assert_eq!(v.rates_mbps, RateSweep::paper_rates());
     assert_eq!(v.buffers.len(), 2);
     assert_eq!(v.workload, WorkloadKind::paper_section_v());
+    // The two grids differ in what they compare, not in how they run.
+    assert_eq!((iv.repetitions, iv.base_seed, iv.frame_size), (1, 42, 1000));
+    assert_eq!((v.repetitions, v.base_seed, v.frame_size), (1, 42, 1000));
 }
