@@ -82,6 +82,55 @@ impl WorkloadKind {
         }
     }
 
+    /// Checks that the generator can give every packet a wire identity of
+    /// its own — [`Testbed::run`]'s contract — and that it does not panic.
+    /// Each limit is where a generator stops doing so:
+    /// - 65 536 packets in a flow, what the IPv4 identification numbers
+    ///   (`cross:` packets per flow, `tcp:` first + second + 2, `mixed:`
+    ///   segments + 2: a handshake's two and the data);
+    /// - 2²³ flows with forged sources, what `10.128.0.0/9` holds
+    ///   (`single:`, `cross:`, and `mixed:`'s UDP flows);
+    /// - 25 536 TCP connections in `mixed:`, source ports 40 000 to 65 535;
+    /// - and a `cross:` group of at least one flow.
+    pub fn validate(&self) -> Result<(), String> {
+        let (forged_flows, packets_per_flow, tcp_connections) = match *self {
+            WorkloadKind::SinglePacketFlows { n_flows } => (n_flows, 1, 0),
+            WorkloadKind::CrossSequenced {
+                n_flows,
+                packets_per_flow,
+                group_size,
+            } => {
+                if group_size == 0 {
+                    return Err("group size must be at least 1".to_owned());
+                }
+                (n_flows, packets_per_flow, 0)
+            }
+            WorkloadKind::TcpEviction {
+                first_burst,
+                second_burst,
+                ..
+            } => {
+                let packets = first_burst.saturating_add(second_burst);
+                (0, packets.saturating_add(2), 0)
+            }
+            WorkloadKind::MixedUdpTcp {
+                n_udp_flows,
+                n_tcp,
+                segments_per_tcp,
+            } => (n_udp_flows, segments_per_tcp.saturating_add(2), n_tcp),
+        };
+        for (got, limit, what) in [
+            (packets_per_flow, 1 << 16, "packets per flow"),
+            (forged_flows, 1 << 23, "flows with forged sources"),
+            (tcp_connections, 65_536 - 40_000, "TCP connections"),
+        ] {
+            if got > limit {
+                return Err(format!("at most {limit} {what}, got {got}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Generates the departures for this workload.
     pub fn generate(&self, pktgen: &PktgenConfig, seed: u64) -> Vec<Departure> {
         match *self {
@@ -110,7 +159,8 @@ impl WorkloadKind {
 /// The workload grammar every CLI flag and replay spec shares:
 /// `single:<flows>`, `cross:<flows>x<pkts>/<group>`,
 /// `tcp:<first>:<gap>:<second>`, `mixed:<udp>:<tcp>:<segments>`. Parsing
-/// restores the displayed value exactly.
+/// restores the displayed value exactly, for every value
+/// [`WorkloadKind::validate`] accepts.
 impl fmt::Display for WorkloadKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -135,7 +185,8 @@ impl fmt::Display for WorkloadKind {
 }
 
 /// Accepts what [`WorkloadKind`]'s `Display` prints, plus the aliases `iv`
-/// and `v` for the paper's Section IV and Section V workloads.
+/// and `v` for the paper's Section IV and Section V workloads, and refuses
+/// what [`WorkloadKind::validate`] refuses.
 impl FromStr for WorkloadKind {
     type Err = String;
 
@@ -151,47 +202,46 @@ impl FromStr for WorkloadKind {
                 _ => Err(format!("expected {shape}, got '{s}'")),
             }
         };
-        match kind {
-            "iv" if s == kind => Ok(WorkloadKind::paper_section_iv()),
-            "v" if s == kind => Ok(WorkloadKind::paper_section_v()),
-            "single" => Ok(WorkloadKind::SinglePacketFlows {
+        let kind = match kind {
+            "iv" if s == kind => WorkloadKind::paper_section_iv(),
+            "v" if s == kind => WorkloadKind::paper_section_v(),
+            "single" => WorkloadKind::SinglePacketFlows {
                 n_flows: int(rest)?,
-            }),
+            },
             "cross" => {
                 let bad = || format!("expected cross:<flows>x<pkts>/<group>, got '{s}'");
                 let (flows, tail) = rest.split_once('x').ok_or_else(bad)?;
                 let (pkts, group) = tail.split_once('/').ok_or_else(bad)?;
-                let (n_flows, packets_per_flow, group_size) =
-                    (int(flows)?, int(pkts)?, int(group)?);
-                if group_size == 0 {
-                    return Err(format!("group size must be at least 1 in '{s}'"));
+                WorkloadKind::CrossSequenced {
+                    n_flows: int(flows)?,
+                    packets_per_flow: int(pkts)?,
+                    group_size: int(group)?,
                 }
-                Ok(WorkloadKind::CrossSequenced {
-                    n_flows,
-                    packets_per_flow,
-                    group_size,
-                })
             }
             "tcp" => {
                 let (first, gap, second) = triple("tcp:<first>:<gap>:<second>")?;
-                Ok(WorkloadKind::TcpEviction {
+                WorkloadKind::TcpEviction {
                     first_burst: int(first)?,
                     idle_gap: parse_dur(gap)?,
                     second_burst: int(second)?,
-                })
+                }
             }
             "mixed" => {
                 let (udp, tcp, segments) = triple("mixed:<udp>:<tcp>:<segments>")?;
-                Ok(WorkloadKind::MixedUdpTcp {
+                WorkloadKind::MixedUdpTcp {
                     n_udp_flows: int(udp)?,
                     n_tcp: int(tcp)?,
                     segments_per_tcp: int(segments)?,
-                })
+                }
             }
-            _ => Err(format!(
-                "bad workload '{s}' (expected iv, v, single:, cross:, tcp: or mixed:)"
-            )),
-        }
+            _ => {
+                return Err(format!(
+                    "bad workload '{s}' (expected iv, v, single:, cross:, tcp: or mixed:)"
+                ))
+            }
+        };
+        kind.validate().map_err(|e| format!("{e} in '{s}'"))?;
+        Ok(kind)
     }
 }
 
@@ -243,6 +293,7 @@ impl ExperimentConfig {
     /// mid-run, so misconfigurations fail loudly at construction instead.
     pub fn validate(&self) -> Result<(), String> {
         self.buffer.validate()?;
+        self.workload.validate()?;
         if self.frame_size == 0 {
             return Err("frame size must be positive".to_owned());
         }
@@ -263,10 +314,11 @@ impl Experiment {
     /// Creates the experiment.
     ///
     /// # Panics
-    /// If the configuration is invalid — zero buffer capacity, a zero
-    /// frame size, or an inconsistent fault plan (e.g. an every-nth loss
-    /// of 0, which would divide by zero mid-run). See
-    /// [`Experiment::try_new`] for the non-panicking form.
+    /// If the configuration is invalid — zero buffer capacity, a workload
+    /// [`WorkloadKind::validate`] refuses, a zero frame size, or an
+    /// inconsistent fault plan (e.g. an every-nth loss of 0, which would
+    /// divide by zero mid-run). See [`Experiment::try_new`] for the
+    /// non-panicking form.
     pub fn new(config: ExperimentConfig) -> Experiment {
         match Experiment::try_new(config) {
             Ok(exp) => exp,
@@ -697,7 +749,10 @@ impl RateSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use sdnbuf_net::{FlowKey, Payload};
     use sdnbuf_sim::FaultPlan;
+    use std::collections::HashSet;
 
     #[test]
     fn try_new_returns_typed_errors() {
@@ -708,6 +763,163 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("capacity"), "{err}");
+    }
+
+    #[test]
+    fn a_zero_group_is_refused_before_the_run() {
+        let workload = WorkloadKind::CrossSequenced {
+            n_flows: 5,
+            packets_per_flow: 5,
+            group_size: 0,
+        };
+        let err = Experiment::try_new(ExperimentConfig {
+            workload,
+            ..ExperimentConfig::default()
+        })
+        .unwrap_err();
+        assert!(err.contains("group size must be at least 1"), "{err}");
+    }
+
+    /// `at` validates and `over` does not, by an error that names `limit`,
+    /// from `validate`, from the grammar and from `Experiment::try_new`.
+    fn refused_past(at: WorkloadKind, over: WorkloadKind, limit: &str) {
+        assert_eq!(at.validate(), Ok(()), "{at}");
+        assert_eq!(at.to_string().parse(), Ok(at));
+        let config = |workload| ExperimentConfig {
+            workload,
+            ..ExperimentConfig::default()
+        };
+        for err in [
+            over.validate().unwrap_err(),
+            over.to_string().parse::<WorkloadKind>().unwrap_err(),
+            Experiment::try_new(config(over)).unwrap_err(),
+        ] {
+            assert!(err.contains(limit), "{over}: {err}");
+        }
+    }
+
+    #[test]
+    fn more_than_65536_packets_in_a_flow_are_refused() {
+        let cross = |packets_per_flow| WorkloadKind::CrossSequenced {
+            n_flows: 1,
+            packets_per_flow,
+            group_size: 1,
+        };
+        let limit = "at most 65536 packets per flow, got 65537";
+        refused_past(cross(65_536), cross(65_537), limit);
+        let tcp = |first_burst, second_burst| WorkloadKind::TcpEviction {
+            first_burst,
+            idle_gap: Nanos::from_secs(1),
+            second_burst,
+        };
+        refused_past(tcp(65_000, 534), tcp(65_000, 535), limit);
+        refused_past(
+            tcp(0, 0),
+            tcp(usize::MAX, usize::MAX),
+            "65536 packets per flow",
+        );
+        let mixed = |segments_per_tcp| WorkloadKind::MixedUdpTcp {
+            n_udp_flows: 1,
+            n_tcp: 1,
+            segments_per_tcp,
+        };
+        refused_past(mixed(65_534), mixed(65_535), limit);
+    }
+
+    #[test]
+    fn more_than_2_pow_23_forged_flows_are_refused() {
+        let limit = "at most 8388608 flows with forged sources";
+        let single = WorkloadKind::single_packet_flows;
+        refused_past(single(1 << 23), single((1 << 23) + 1), limit);
+        let cross = |n_flows| WorkloadKind::CrossSequenced {
+            n_flows,
+            packets_per_flow: 2,
+            group_size: 5,
+        };
+        refused_past(cross(1 << 23), cross((1 << 23) + 1), limit);
+        let mixed = |n_udp_flows| WorkloadKind::MixedUdpTcp {
+            n_udp_flows,
+            n_tcp: 1,
+            segments_per_tcp: 1,
+        };
+        refused_past(mixed(1 << 23), mixed((1 << 23) + 1), limit);
+    }
+
+    #[test]
+    fn more_than_25536_tcp_connections_are_refused() {
+        let mixed = |n_tcp| WorkloadKind::MixedUdpTcp {
+            n_udp_flows: 1,
+            n_tcp,
+            segments_per_tcp: 1,
+        };
+        refused_past(
+            mixed(25_536),
+            mixed(25_537),
+            "at most 25536 TCP connections",
+        );
+    }
+
+    /// Every workload kind, drawn up to the limits `validate` sets wherever
+    /// the departures fit a test (a flow of 65 536 packets, 25 536 TCP
+    /// connections; 2²³ single-packet flows do not).
+    fn arb_workload() -> impl Strategy<Value = WorkloadKind> {
+        let cross = |(n_flows, packets_per_flow, group_size)| WorkloadKind::CrossSequenced {
+            n_flows,
+            packets_per_flow,
+            group_size,
+        };
+        let tcp = |(first_burst, gap_us, second_burst)| WorkloadKind::TcpEviction {
+            first_burst,
+            idle_gap: Nanos::from_micros(gap_us),
+            second_burst,
+        };
+        let mixed = |(n_udp_flows, n_tcp, segments_per_tcp)| WorkloadKind::MixedUdpTcp {
+            n_udp_flows,
+            n_tcp,
+            segments_per_tcp,
+        };
+        prop_oneof![
+            (0usize..2_000).prop_map(WorkloadKind::single_packet_flows),
+            (0usize..50, 0usize..40, 1usize..8).prop_map(cross),
+            (1usize..3, Just(65_536), 1usize..3).prop_map(cross),
+            (0usize..40, 0u64..1_000, 0usize..40).prop_map(tcp),
+            (0usize..=65_534, 0u64..1_000).prop_map(move |(first, gap_us)| tcp((
+                first,
+                gap_us,
+                65_534 - first
+            ))),
+            (0usize..200, 0usize..10, 0usize..10).prop_map(mixed),
+            (0usize..10, Just(25_536), 0usize..2).prop_map(mixed),
+            (0usize..10, 1usize..3, Just(65_534)).prop_map(mixed),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// What `Testbed::run` relies on, from every generator: in slice
+        /// order each flow key's idents run 0, 1, 2, …, and no
+        /// `(FlowKey, ident)` repeats.
+        #[test]
+        fn every_generator_gives_each_packet_a_wire_identity_of_its_own(
+            workload in arb_workload(),
+            seed in any::<u64>(),
+        ) {
+            prop_assert_eq!(workload.validate(), Ok(()));
+            let departures = workload.generate(&PktgenConfig::default(), seed);
+            let mut next_ident: HashMap<FlowKey, usize> = HashMap::new();
+            let mut seen = HashSet::new();
+            for d in &departures {
+                let (key, ident) = match (FlowKey::of(&d.packet), &d.packet.payload) {
+                    (Some(key), Payload::Ipv4(ip)) => (key, ip.header.identification),
+                    _ => return Err(TestCaseError::fail(format!("{workload}: no identity"))),
+                };
+                let next = next_ident.entry(key).or_insert(0);
+                prop_assert_eq!(usize::from(ident), *next, "{} {:?}", workload, key);
+                *next += 1;
+                prop_assert!(seen.insert((key, ident)), "{} repeats {:?}", workload, (key, ident));
+            }
+        }
     }
 
     #[test]

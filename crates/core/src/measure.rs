@@ -8,17 +8,30 @@
 //! first packet, and which stages were already stamped. The timelines
 //! themselves ([`PacketTrace`]) are written beside the marks only for a run
 //! somebody observes (see [`Measurement::keep_log`]).
+//!
+//! Record `i` is departure `i`'s, always.
 
-use sdnbuf_net::{FlowKey, Packet, Payload};
+use sdnbuf_net::{FlowKey, IpProto, Packet, Payload};
 use sdnbuf_sim::{FastHashMap, Nanos};
 use sdnbuf_switch::{PacketHandle, PacketPool};
 use sdnbuf_workload::Departure;
-use std::collections::hash_map::Entry;
+use std::net::Ipv4Addr;
 
 /// A packet's identity on the wire: its flow 5-tuple plus the IPv4
 /// identification field the workload stamps per packet — exactly what a
 /// capture-based measurement keys on.
 type PacketId = (FlowKey, u16);
+
+/// What a departure without a wire identity is logged under. No workload
+/// generator emits one; outside `Testbed::run`'s contract it is measured,
+/// not refused.
+const NO_KEY: FlowKey = FlowKey {
+    src_ip: Ipv4Addr::UNSPECIFIED,
+    dst_ip: Ipv4Addr::UNSPECIFIED,
+    src_port: 0,
+    dst_port: 0,
+    protocol: IpProto::Other(0),
+};
 
 fn packet_id(packet: &Packet) -> Option<PacketId> {
     let key = FlowKey::of(packet)?;
@@ -95,7 +108,7 @@ struct FlowAgg {
     last_left: Nanos,
     delivered: u32,
     total: u32,
-    /// The first packet's flow key; `None` until a record numbered 0 in
+    /// The first packet's flow key; `None` until a departure numbered 0 in
     /// the flow claims the place.
     first_key: Option<FlowKey>,
     first_through: bool,
@@ -110,9 +123,6 @@ pub(crate) struct Scan {
     pub latest: Nanos,
     /// One more than the largest flow index.
     pub flows_total: usize,
-    /// Record `i` is departure `i`'s, for every `i`: frames can be tagged
-    /// as they are injected.
-    pub record_per_departure: bool,
 }
 
 /// Per-flow delay samples and the delivery totals.
@@ -129,13 +139,12 @@ pub(crate) struct FlowDelays {
 /// The measurement state of one run: 8 B per record, 48 B per flow.
 #[derive(Default)]
 pub(crate) struct Measurement {
-    /// One mark per record, in departure order.
+    /// One mark per departure, in slice order.
     marks: Vec<Mark>,
     flows: Vec<FlowAgg>,
     /// Wire identity to record: how a frame without a tag finds its
     /// record (see [`Measurement::stamp`]). Left empty until such a frame
-    /// shows up, unless the workload's identities had to be told apart by
-    /// it to begin with (see [`Measurement::begin`]).
+    /// shows up.
     record_of: FastHashMap<PacketId, u32>,
     /// The timelines, record by record, when the run is observed.
     log: Option<Vec<PacketTrace>>,
@@ -167,18 +176,8 @@ impl Measurement {
 
     /// The one pass over the departures, before the first event: what the
     /// injection loop needs to know about the slice, and a blank record per
-    /// workload packet.
-    ///
-    /// Record `i` is departure `i`'s for as long as slice order alone shows
-    /// that every packet has a wire identity of its own: within each flow
-    /// key, an `ident` larger than the one before. Every generator emits
-    /// that, up to the 65 536 packets per flow the field can number, and
-    /// the table behind the decision holds one entry per flow and is gone
-    /// before the first event. From the first departure that breaks it on —
-    /// an identity repeated or out of order, a packet without one, more
-    /// packets than a pool tag can index — records go by wire identity as
-    /// in a capture: a packet that repeats an earlier identity takes that
-    /// packet's record over, and one without an identity gets none.
+    /// departure, in slice order — record `i` is departure `i`'s, and
+    /// [`Testbed::run`](crate::Testbed::run) tags frame `i` with it.
     pub(crate) fn begin(&mut self, workload: &[Departure]) -> Scan {
         let n = workload.len();
         // Generators number flows in the order they first depart, so the
@@ -191,53 +190,16 @@ impl Measurement {
         if let Some(log) = &mut self.log {
             log.reserve(n);
         }
-        let mut last_ident: FastHashMap<FlowKey, u16> =
-            FastHashMap::with_capacity_and_hasher(flows_hint, Default::default());
-        let mut by_order = u32::try_from(n).is_ok();
         let mut ordered = true;
         let mut span: Option<(Nanos, Nanos)> = None;
-        for (i, d) in workload.iter().enumerate() {
+        for d in workload {
             let (earliest, latest) = span.unwrap_or((d.at, d.at));
             ordered &= latest <= d.at;
             span = Some((earliest.min(d.at), latest.max(d.at)));
             if d.flow_index >= self.flows.len() {
                 self.flows.resize(d.flow_index + 1, FlowAgg::default());
             }
-            // A packet without a wire identity, or in a flow past what a
-            // mark can name, goes untracked.
-            let tracked = packet_id(&d.packet).zip(u32::try_from(d.flow_index).ok());
-            if by_order
-                && !tracked.is_some_and(|((key, ident), _)| advances(&mut last_ident, key, ident))
-            {
-                by_order = false;
-                self.index_identities(workload, i);
-            }
-            let Some(((key, ident), flow)) = tracked else {
-                continue;
-            };
-            let record = if by_order {
-                self.marks.len()
-            } else {
-                match self.record_of.entry((key, ident)) {
-                    Entry::Occupied(earlier) => *earlier.get() as usize,
-                    Entry::Vacant(free) => {
-                        // Past what a tag can index, a packet goes untracked.
-                        let Ok(next) = u32::try_from(self.marks.len()) else {
-                            continue;
-                        };
-                        free.insert(next);
-                        next as usize
-                    }
-                }
-            };
-            if let Some(earlier) = self.marks.get(record) {
-                // Taken over: what the record counted for goes with it.
-                let was_of = &mut self.flows[earlier.flow as usize];
-                was_of.total -= 1;
-                if earlier.bits & FIRST != 0 {
-                    was_of.first_key = None;
-                }
-            }
+            let (key, ident) = packet_id(&d.packet).unwrap_or((NO_KEY, 0));
             let agg = &mut self.flows[d.flow_index];
             agg.total += 1;
             // Were two departures numbered 0 in one flow, the earlier in
@@ -247,9 +209,12 @@ impl Measurement {
                 agg.first_key = Some(key);
             }
             let bits = if first { FIRST } else { 0 };
-            put(&mut self.marks, record, Mark { flow, bits });
+            // Past 2³² flows the mark names another one: mis-measured, not
+            // out of bounds, as the table holds every flow below this one.
+            let flow = d.flow_index as u32;
+            self.marks.push(Mark { flow, bits });
             if let Some(log) = &mut self.log {
-                let blank = PacketTrace {
+                log.push(PacketTrace {
                     flow: key,
                     ident,
                     flow_index: d.flow_index,
@@ -257,8 +222,7 @@ impl Measurement {
                     entered_switch: None,
                     left_switch: None,
                     delivered: None,
-                };
-                put(log, record, blank);
+                });
             }
         }
         let (earliest, latest) = span.unwrap_or_default();
@@ -267,18 +231,7 @@ impl Measurement {
             earliest,
             latest,
             flows_total: self.flows.len(),
-            record_per_departure: self.marks.len() == n,
         }
-    }
-
-    /// Sizes the wire-identity index for the workload and enters its first
-    /// `records` departures, which have a record each in slice order.
-    pub(crate) fn index_identities(&mut self, workload: &[Departure], records: usize) {
-        self.record_of.reserve(workload.len());
-        let ids = workload[..records]
-            .iter()
-            .filter_map(|d| packet_id(&d.packet));
-        self.record_of.extend(ids.zip(0..));
     }
 
     /// Stamps one stage of a workload packet's timeline, first time only,
@@ -297,9 +250,13 @@ impl Measurement {
             // the controller. Look it up once; the tag serves from here on.
             let id = packet_id(pool.get(packet)?)?;
             if self.record_of.is_empty() {
-                // The first such frame of a workload with one record per
-                // packet: only no-buffer ever gets here.
-                self.index_identities(workload, workload.len());
+                // The first such frame of the run (only no-buffer and a
+                // full buffer's fallback rebuild frames) indexes every
+                // departure by its wire identity, numbered as its tag.
+                self.record_of.reserve(workload.len());
+                let ids = workload.iter().enumerate();
+                let ids = ids.filter_map(|(i, d)| Some((packet_id(&d.packet)?, i as u32)));
+                self.record_of.extend(ids);
             }
             let record = *self.record_of.get(&id)?;
             pool.set_tag(packet, record);
@@ -426,30 +383,6 @@ impl Measurement {
             }
         }
         delays
-    }
-}
-
-/// Writes record `at` of a table: the next one, or one taken over.
-fn put<T>(table: &mut Vec<T>, at: usize, value: T) {
-    match table.get_mut(at) {
-        Some(taken_over) => *taken_over = value,
-        None => table.push(value),
-    }
-}
-
-/// Whether `ident` is larger than the last one seen of `key`, which it then
-/// becomes.
-fn advances(last_ident: &mut FastHashMap<FlowKey, u16>, key: FlowKey, ident: u16) -> bool {
-    match last_ident.entry(key) {
-        Entry::Occupied(last) if ident <= *last.get() => false,
-        Entry::Occupied(mut last) => {
-            *last.get_mut() = ident;
-            true
-        }
-        Entry::Vacant(first) => {
-            first.insert(ident);
-            true
-        }
     }
 }
 

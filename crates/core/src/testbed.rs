@@ -513,6 +513,15 @@ impl Testbed {
     /// The departures are streamed, not scheduled: each is copied into the
     /// pool when its instant comes, so the pool and the event queue hold
     /// what is in flight, not the whole workload.
+    ///
+    /// **Contract:** no two departures share a wire identity — a
+    /// `(FlowKey, ident)`, the 5-tuple and the IPv4 identification. A
+    /// frame the switch rebuilds from `packet_out` bytes (no-buffer, a full
+    /// buffer's fallback) is matched to its departure by that identity
+    /// alone. Every [`WorkloadKind`](crate::WorkloadKind) that
+    /// [`WorkloadKind::validate`](crate::WorkloadKind::validate) accepts
+    /// keeps it. Outside the contract a run may mis-measure those frames;
+    /// it does not panic.
     pub fn run(&mut self, departures: &[Departure]) -> RunResult {
         let scan = self.begin_measurement(departures);
         // Departures leave in the order the queue would pop them had each
@@ -553,15 +562,11 @@ impl Testbed {
             } else if let Some((i, at)) = next {
                 served += 1;
                 // The frame's headers are copied and its payload bytes
-                // shared; everything downstream passes the handle. When
-                // every packet drew a record of its own, record `i` is
-                // this one's; otherwise (packets without a wire identity,
-                // or sharing one) the frame finds its record as any
-                // untagged frame does.
+                // shared; everything downstream passes the handle, and its
+                // tag names record `i`, departure `i`'s (past 2³²
+                // departures a record below it: mis-measured, not a panic).
                 let packet = self.pool.insert(departures[i].packet.clone());
-                if scan.record_per_departure {
-                    self.pool.set_tag(packet, i as u32);
-                }
+                self.pool.set_tag(packet, i as u32);
                 self.on_frame_from_host(shift + at, PortNo(1), packet);
             } else {
                 break;
@@ -1254,16 +1259,11 @@ mod tests {
         /// The injection `run` replaced, kept as its reference: every
         /// departure is copied into the pool and scheduled as a
         /// `FrameFromHost` before the first event pops. The copies go
-        /// untagged and the identity index is built up front whatever the
-        /// workload looks like, so every frame is told by its wire
-        /// identity.
+        /// untagged, so every frame is told by its wire identity.
         fn run_prescheduled(&mut self, departures: &[Departure]) -> RunResult {
             let scan = self.begin_measurement(departures);
             let shift = self.config.warmup_gap;
             self.warm_up(scan.earliest);
-            if self.measure.sizes().1 == 0 {
-                self.measure.index_identities(departures, departures.len());
-            }
             for d in departures {
                 let (port, packet) = (PortNo(1), self.pool.insert(d.packet.clone()));
                 self.queue
@@ -1322,17 +1322,9 @@ mod tests {
         timeout: Nanos::from_millis(50),
     };
 
-    /// Whether slice order alone tells the packets of `departures` apart:
-    /// a record each, and no identity index before a frame asks for one.
-    fn told_apart_by_order(departures: &[Departure]) -> bool {
-        let mut measure = Measurement::default();
-        measure.begin(departures);
-        measure.sizes() == (departures.len(), 0)
-    }
-
-    /// Runs `departures`, packet log kept, and hands back the testbed,
-    /// after checking that the run left behind what the up-front index and
-    /// untagged frames of `run_prescheduled` leave.
+    /// Runs `departures` and hands back the testbed, after checking that
+    /// the run left behind what the untagged frames of `run_prescheduled`
+    /// leave.
     fn run_like_the_reference(buffer: BufferChoice, departures: &[Departure]) -> Testbed {
         let config = TestbedConfig::with_buffer(buffer);
         assert_eq!(
@@ -1341,7 +1333,6 @@ mod tests {
             "{buffer:?}"
         );
         let mut tb = Testbed::new(config);
-        tb.keep_packet_log();
         tb.run(departures);
         tb
     }
@@ -1349,58 +1340,44 @@ mod tests {
     #[test]
     fn the_identity_index_is_built_when_a_frame_comes_back_untagged() {
         let monotone = cross_sequenced_flows(&PktgenConfig::default(), 6, 20, 3, 5);
-        assert!(told_apart_by_order(&monotone));
-        // Frames parked in the switch keep their tags: no index.
-        let tb = run_like_the_reference(FLOW_256, &monotone);
-        assert_eq!(tb.measure.sizes(), (120, 0));
-        // no-buffer re-parses its frames from `packet_out` bytes: the
-        // first one builds the index, whole, and the rest find it built.
-        let tb = run_like_the_reference(BufferChoice::NoBuffer, &monotone);
-        assert_eq!(tb.measure.sizes(), (120, 120));
-
-        // Packet 9 of flow 0 (which sits at every third position of the
-        // first sixty) goes out again in place of its packet 15: one
-        // record for the two, and frames that find it by identity.
-        let mut repeated = monotone.clone();
-        repeated[45].packet = repeated[27].packet.clone();
-        assert_eq!(
-            FlowKey::of(&monotone[45].packet),
-            FlowKey::of(&monotone[27].packet)
-        );
-        assert!(!told_apart_by_order(&repeated));
-        for buffer in [FLOW_256, BufferChoice::NoBuffer] {
-            let tb = run_like_the_reference(buffer, &repeated);
-            assert_eq!(tb.measure.sizes(), (119, 119));
-        }
-
-        // The two packets trade places instead: every identity is still
-        // its own, but slice order no longer shows it.
+        // Packets 9 and 15 of flow 0 (which sits at every third position
+        // of the first sixty) trade places: every identity is still its
+        // own, slice order no longer shows it, and nothing depends on it.
         let mut out_of_order = monotone.clone();
         let (a, b) = (monotone[27].packet.clone(), monotone[45].packet.clone());
         (out_of_order[27].packet, out_of_order[45].packet) = (b, a);
-        assert!(!told_apart_by_order(&out_of_order));
-        for buffer in [FLOW_256, BufferChoice::NoBuffer] {
-            let tb = run_like_the_reference(buffer, &out_of_order);
+        for departures in [monotone, out_of_order] {
+            // Frames parked in the switch keep their tags: no index.
+            let tb = run_like_the_reference(FLOW_256, &departures);
+            assert_eq!(tb.measure.sizes(), (120, 0));
+            // no-buffer re-parses its frames from `packet_out` bytes: the
+            // first one builds the index, whole, and the rest find it built.
+            let tb = run_like_the_reference(BufferChoice::NoBuffer, &departures);
             assert_eq!(tb.measure.sizes(), (120, 120));
         }
     }
 
     #[test]
-    fn a_flow_that_wraps_its_idents_is_told_apart_by_identity() {
-        // `ident` is `seq as u16`: packets 65 536.. repeat the identities
-        // of packets 0.. and take their records over, as in a capture.
-        // Tagging frame `i` with record `i` would have had no record for
-        // them.
-        let pktgen = PktgenConfig::default();
-        let wrapped = cross_sequenced_flows(&pktgen, 1, 65_540, 1, 1);
-        assert!(told_apart_by_order(&wrapped[..65_536]));
-        assert!(!told_apart_by_order(&wrapped));
-        let tb = run_like_the_reference(FLOW_256, &wrapped);
-        assert_eq!(tb.measure.sizes(), (65_536, 65_536));
-        let log = tb.packet_log();
-        let seqs = (log[0].seq_in_flow, log[65_535].seq_in_flow);
-        assert_eq!(seqs, (4, 65_539));
-        assert!(log.iter().all(|t| t.delivered.is_some()));
+    fn a_workload_outside_the_contract_is_mis_measured_not_a_panic() {
+        // Packet 9 of flow 0 goes out again in place of its packet 15, and
+        // packet 3 of flow 1 is an ARP frame: one wire identity shared,
+        // one missing.
+        let mut departures = cross_sequenced_flows(&PktgenConfig::default(), 6, 20, 3, 5);
+        departures[45].packet = departures[27].packet.clone();
+        let host = HostAddr::host1();
+        departures[10].packet = PacketBuilder::gratuitous_arp(host.mac, host.ip);
+        for buffer in [FLOW_256, BufferChoice::NoBuffer] {
+            let mut tb = Testbed::new(TestbedConfig::with_buffer(buffer));
+            tb.keep_packet_log();
+            tb.run(&departures);
+            assert_eq!(tb.measure.sizes().0, 120, "a record per departure");
+            let delays = &tb.controller_delay_of_flow;
+            assert_eq!(
+                tb.measure.flow_delays(delays),
+                tb.measure.flow_delays_from_log(delays),
+                "{buffer:?}"
+            );
+        }
     }
 
     #[test]
@@ -1418,7 +1395,7 @@ mod tests {
 
     /// A workload for the differential test: exact CBR (so that departures
     /// sit on multiples of the packet interval, where the probes can be
-    /// put too), then wire identities repeated and the slice disordered.
+    /// put too), then the slice disordered.
     fn arb_departures() -> impl Strategy<Value = (Vec<Departure>, Nanos)> {
         let kind = prop_oneof![
             (1usize..40).prop_map(|n| (n, 0, 0)),
@@ -1426,29 +1403,24 @@ mod tests {
             (1usize..30, 1usize..3, 1usize..10),
         ];
         let index = any::<proptest::sample::Index>;
-        let pairs = proptest::collection::vec((index(), index()), 0..4);
-        (kind, 5u64..100, any::<u64>(), pairs.clone(), pairs).prop_map(
-            |((a, b, c), rate, seed, repeats, swaps)| {
-                let pktgen = PktgenConfig {
-                    rate: BitRate::from_mbps(rate),
-                    jitter_permille: 0,
-                    ..PktgenConfig::default()
-                };
-                let mut departures = match (b, c) {
-                    (0, 0) => single_packet_flows(&pktgen, a, seed),
-                    (20, group) => cross_sequenced_flows(&pktgen, a, 20, group, seed),
-                    (n_tcp, segments) => mixed_udp_tcp(&pktgen, a, n_tcp, segments, seed),
-                };
-                let n = departures.len();
-                for (from, to) in repeats {
-                    departures[to.index(n)].packet = departures[from.index(n)].packet.clone();
-                }
-                for (i, j) in swaps {
-                    departures.swap(i.index(n), j.index(n));
-                }
-                (departures, pktgen.interval())
-            },
-        )
+        let swaps = proptest::collection::vec((index(), index()), 0..4);
+        (kind, 5u64..100, any::<u64>(), swaps).prop_map(|((a, b, c), rate, seed, swaps)| {
+            let pktgen = PktgenConfig {
+                rate: BitRate::from_mbps(rate),
+                jitter_permille: 0,
+                ..PktgenConfig::default()
+            };
+            let mut departures = match (b, c) {
+                (0, 0) => single_packet_flows(&pktgen, a, seed),
+                (20, group) => cross_sequenced_flows(&pktgen, a, 20, group, seed),
+                (n_tcp, segments) => mixed_udp_tcp(&pktgen, a, n_tcp, segments, seed),
+            };
+            let n = departures.len();
+            for (i, j) in swaps {
+                departures.swap(i.index(n), j.index(n));
+            }
+            (departures, pktgen.interval())
+        })
     }
 
     fn arb_buffer() -> impl Strategy<Value = BufferChoice> {
@@ -1471,8 +1443,7 @@ mod tests {
         /// handshake events at 0 and 1 ms; with keepalives and polls on
         /// departure instants (a poll traces nothing when it is dispatched;
         /// a crash does, so one is put on a departure instant too); with
-        /// control messages duplicated and lost; with packets sharing a
-        /// wire identity; out of time order.
+        /// control messages duplicated and lost; out of time order.
         #[test]
         fn streamed_run_equals_prescheduled_run(
             (departures, interval) in arb_departures(),
@@ -1507,7 +1478,7 @@ mod tests {
 
         /// The per-flow aggregates, folded as frames are stamped, hold what
         /// one pass over the packet log extracts after the run — with
-        /// packets sharing a wire identity and out of slice order, on a
+        /// packets out of slice order, on a
         /// mechanism whose frames come back from the controller as bytes
         /// and on ones that park them, with control messages duplicated
         /// (so that one `packet_out` releases, or rebuilds, a frame twice)
@@ -1540,29 +1511,6 @@ mod tests {
             prop_assert_eq!(format!("{with_log:?}"), format!("{without_log:?}"));
             prop_assert_eq!(bare.packet_log(), []);
         }
-    }
-
-    #[test]
-    fn a_first_packet_whose_record_is_taken_over_leaves_the_place_free() {
-        let mut departures = cross_sequenced_flows(&PktgenConfig::default(), 6, 20, 3, 5);
-        let at = |flow, seq| {
-            let of = |d: &Departure| (d.flow_index, d.seq_in_flow) == (flow, seq);
-            departures.iter().position(of).expect("generated")
-        };
-        // Packet 0 of flow 0 goes out again as packet 3 of flow 1, which
-        // takes its record over; a later packet of flow 0 is numbered 0.
-        let (first, repeat, renumbered) = (at(0, 0), at(1, 3), at(0, 5));
-        departures[repeat].packet = departures[first].packet.clone();
-        departures[renumbered].seq_in_flow = 0;
-        let mut tb = Testbed::new(TestbedConfig::with_buffer(FLOW_256));
-        tb.keep_packet_log();
-        let result = tb.run(&departures);
-        let delays = tb.measure.flow_delays(&tb.controller_delay_of_flow);
-        let reference = tb
-            .measure
-            .flow_delays_from_log(&tb.controller_delay_of_flow);
-        assert_eq!(delays, reference);
-        assert_eq!(result.flow_setup_delay.n, 6);
     }
 
     #[test]

@@ -188,11 +188,6 @@ impl Oracle {
         }
     }
 
-    /// Whether this oracle carries the injected modeling bug.
-    pub fn is_broken(&self) -> bool {
-        self.fidelity != ModelFidelity::Faithful
-    }
-
     /// Predicts the mean Section IV measurements for `s`.
     ///
     /// Panics if `s.flows == 0` or `s.frame_len == 0` — an empty cell has

@@ -68,7 +68,7 @@ pub use json::JsonWriter;
 pub use link::{Link, LinkConfig, LinkStats};
 pub use pool::{Pool, PoolHandle, PoolStats};
 pub use qos_link::{MultiQueueLink, QueueConfig};
-pub use queue::{EventQueue, HeapEventQueue};
+pub use queue::EventQueue;
 pub use resource::{CpuResource, Utilization};
 pub use rng::SimRng;
 pub use time::{BitRate, Nanos};

@@ -9,8 +9,9 @@
 //!   the head of a list threaded through it, and a popped node is reused
 //!   by the next insert, so a run allocates as the arena doubles up to the
 //!   most events the wheel ever holds — not once per tick it touches.
-//! * [`HeapEventQueue`] — the original `BinaryHeap` implementation, kept as
-//!   the executable reference the wheel is property-tested against.
+//! * `HeapEventQueue` — the original `BinaryHeap` implementation, kept
+//!   under `#[cfg(test)]` as the executable reference the wheel is
+//!   property-tested against.
 
 use crate::Nanos;
 use std::cmp::Ordering;
@@ -114,8 +115,9 @@ impl<E> Node<E> {
 /// and pop are O(1) amortized: a slot is an unsorted list (insert links a
 /// node at its head, pop unlinks the unique minimum after a linear scan of
 /// the handful of events sharing a tick), and each overflow event migrates
-/// into the wheel at most once. The pop order is *exactly* that of
-/// [`HeapEventQueue`] — a property test pins the equivalence.
+/// into the wheel at most once. The pop order is *exactly* that of a
+/// `BinaryHeap` of `(time, seq)` keys — a property test pins the
+/// equivalence.
 ///
 /// # Example
 ///
@@ -405,89 +407,61 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     }
 }
 
-/// The original `BinaryHeap`-backed future-event list.
-///
-/// Pop order is identical to [`EventQueue`] — ascending `(time, seq)` —
-/// but insert/pop are O(log n). Kept as the executable reference for the
-/// wheel's equivalence property test; the simulator itself uses
-/// [`EventQueue`].
-#[derive(Debug)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    seq: u64,
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedules `event` to fire at absolute time `at`.
-    pub fn schedule(&mut self, at: Nanos, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            time: at,
-            seq,
-            event,
-        });
-    }
-
-    /// Removes and returns the earliest event, or `None` when empty.
-    pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        self.heap.pop().map(|s| (s.time, s.event))
-    }
-
-    /// See [`EventQueue::reserve_seqs`].
-    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
-        let first = self.seq;
-        self.seq += n;
-        first
-    }
-
-    /// See [`EventQueue::pop_before`]: peek, compare, pop.
-    pub fn pop_before(&mut self, bound: (Nanos, u64)) -> Option<(Nanos, E)> {
-        if self.heap.peek()?.key() < bound {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The original `BinaryHeap`-backed future-event list, kept as the
+    /// executable reference the wheel is held to: the same pop order —
+    /// ascending `(time, seq)` — with O(log n) insert and pop.
+    #[derive(Default)]
+    struct HeapEventQueue<E> {
+        heap: BinaryHeap<Scheduled<E>>,
+        seq: u64,
+    }
+
+    impl<E> HeapEventQueue<E> {
+        fn schedule(&mut self, at: Nanos, event: E) {
+            let seq = self.reserve_seqs(1);
+            self.heap.push(Scheduled {
+                time: at,
+                seq,
+                event,
+            });
+        }
+
+        fn pop(&mut self) -> Option<(Nanos, E)> {
+            self.heap.pop().map(|s| (s.time, s.event))
+        }
+
+        fn reserve_seqs(&mut self, n: u64) -> u64 {
+            let first = self.seq;
+            self.seq += n;
+            first
+        }
+
+        /// [`EventQueue::pop_before`] as peek, compare, pop.
+        fn pop_before(&mut self, bound: (Nanos, u64)) -> Option<(Nanos, E)> {
+            if self.heap.peek()?.key() < bound {
+                self.pop()
+            } else {
+                None
+            }
+        }
+
+        fn peek_time(&self) -> Option<Nanos> {
+            self.heap.peek().map(|s| s.time)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        fn clear(&mut self) {
+            self.heap.clear();
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -683,7 +657,7 @@ mod tests {
             wheel.schedule(Nanos::from_nanos(t), t);
             heap.schedule(Nanos::from_nanos(t), t);
         }
-        let (mut wheel, mut heap) = (EventQueue::new(), HeapEventQueue::new());
+        let (mut wheel, mut heap) = (EventQueue::new(), HeapEventQueue::default());
         // Into the window that opens at 0, latest first, until there are no
         // nodes left: the events turned away are earlier than all but one
         // of those in the wheel.
@@ -720,7 +694,7 @@ mod tests {
     #[test]
     fn heap_reference_matches_wheel_on_a_mixed_schedule() {
         let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
+        let mut heap = HeapEventQueue::default();
         let times = [5u64, 5, 1, 1 << 30, 7, 5, 1 << 30, 0, 3, 3];
         for (i, &t) in times.iter().enumerate() {
             wheel.schedule(Nanos::from_nanos(t), i);
@@ -732,6 +706,255 @@ mod tests {
             if a.is_none() {
                 break;
             }
+        }
+    }
+
+    /// One step of an arbitrary queue workout: schedule at some time, or pop.
+    #[derive(Clone, Debug)]
+    enum QueueOp {
+        Schedule(u64),
+        /// That many events in the one tick the time falls in: a slot's list
+        /// several nodes long, its minimum anywhere along it.
+        Burst(u64, u64),
+        Pop,
+        Clear,
+    }
+
+    /// The times of a [`QueueOp::Burst`]: distinct, out of order, one tick.
+    fn burst_times(t: u64, n: u64) -> impl Iterator<Item = u64> {
+        (0..n).map(move |i| (t & !0xfff) | ((i * 1619) & 0xfff))
+    }
+
+    /// One step of the merge a streaming caller runs against the queue:
+    /// schedule, reserve sequence numbers, pop only below a `(time, seq)`
+    /// bound.
+    #[derive(Clone, Debug)]
+    enum MergeOp {
+        Schedule(u64),
+        Burst(u64, u64),
+        Clear,
+        Reserve(u64),
+        PopBefore(u64, u64),
+        /// Bound at the earliest pending key itself (must miss) or one
+        /// sequence number past it (must hit).
+        PopBeforeEarliest {
+            past: bool,
+        },
+    }
+
+    /// Times drawn from ranges that exercise every wheel regime: same-tick
+    /// ties (small constants), in-window spread, far-future overflow (beyond
+    /// the ~1 ms wheel window), and huge jumps that force rebases. Under
+    /// test the arena holds [`MAX_NODES`] = 64 nodes, so bursts and
+    /// in-window spreads also fill it and spill to the overflow heap.
+    fn queue_op() -> impl Strategy<Value = QueueOp> {
+        let burst = |times| (times, 8u64..24).prop_map(|(t, n)| QueueOp::Burst(t, n));
+        prop_oneof![
+            8 => (0u64..16).prop_map(QueueOp::Schedule),
+            8 => (0u64..100_000).prop_map(QueueOp::Schedule),
+            8 => (0u64..200_000_000).prop_map(QueueOp::Schedule),
+            8 => (0u64..u64::MAX / 4).prop_map(QueueOp::Schedule),
+            16 => Just(QueueOp::Pop),
+            // Inside the window and beyond it: linked on insert, or on a rebase.
+            2 => burst(0u64..100_000),
+            1 => burst(0u64..200_000_000),
+            1 => Just(QueueOp::Clear),
+        ]
+    }
+
+    /// [`queue_op`] with two more pops to each of its steps: three events
+    /// are popped for every two scheduled, so the queue keeps running empty,
+    /// the wheel's nodes are recycled over and over, and the window is
+    /// rebased onto the overflow heap again and again.
+    fn draining_queue_op() -> impl Strategy<Value = QueueOp> {
+        prop_oneof![1 => queue_op(), 2 => Just(QueueOp::Pop)]
+    }
+
+    /// The calendar wheel and the `BinaryHeap` reference, fed the same
+    /// events. Each event carries the sequence number it was scheduled
+    /// under, so a popped event shows which side of a bound's tie it was on.
+    #[derive(Default)]
+    struct Pair {
+        wheel: EventQueue<u64>,
+        heap: HeapEventQueue<u64>,
+        next_seq: u64,
+    }
+
+    impl Pair {
+        /// Schedules on both and returns the key the event will pop under.
+        fn schedule(&mut self, t: u64) -> (Nanos, u64) {
+            let key = (Nanos::from_nanos(t), self.next_seq);
+            self.wheel.schedule(key.0, key.1);
+            self.heap.schedule(key.0, key.1);
+            self.next_seq += 1;
+            key
+        }
+
+        fn clear(&mut self) {
+            self.wheel.clear();
+            self.heap.clear();
+        }
+
+        /// Every remaining event must come out in the same order.
+        fn drain(&mut self) -> Result<(), TestCaseError> {
+            loop {
+                prop_assert_eq!(self.wheel.peek_time(), self.heap.peek_time());
+                let (a, b) = (self.wheel.pop(), self.heap.pop());
+                prop_assert_eq!(a, b);
+                if a.is_none() {
+                    return Ok(());
+                }
+            }
+        }
+    }
+
+    /// The wheel is observationally the heap over one workout.
+    fn wheel_follows_heap(ops: &[QueueOp]) -> Result<(), TestCaseError> {
+        let mut q = Pair::default();
+        let mut peak = 0;
+        for op in ops {
+            match *op {
+                QueueOp::Schedule(t) => {
+                    q.schedule(t);
+                }
+                QueueOp::Burst(t, n) => burst_times(t, n).for_each(|t| {
+                    q.schedule(t);
+                }),
+                QueueOp::Pop => {
+                    prop_assert_eq!(q.wheel.peek_time(), q.heap.peek_time());
+                    prop_assert_eq!(q.wheel.pop(), q.heap.pop());
+                }
+                QueueOp::Clear => q.clear(),
+            }
+            peak = peak.max(q.heap.len());
+            prop_assert_eq!(q.wheel.len(), q.heap.len());
+            prop_assert_eq!(q.wheel.is_empty(), q.heap.len() == 0);
+            prop_assert_eq!(q.wheel.peak_len(), peak);
+        }
+        q.drain()
+    }
+
+    /// Bounds are drawn from the same time regimes as the schedules and from
+    /// the sequence numbers in use, so they fall below, between and above
+    /// pending events and split same-time ties; a miss followed by a schedule
+    /// below the bound is an insert behind where an advancing peek would have
+    /// left the cursor.
+    fn merge_op() -> impl Strategy<Value = MergeOp> {
+        let time = prop_oneof![0u64..16, 0u64..100_000, 0u64..200_000_000];
+        // Schedules as above; an unbounded pop where those pop.
+        let plain = || {
+            queue_op().prop_map(|op| match op {
+                QueueOp::Schedule(t) => MergeOp::Schedule(t),
+                QueueOp::Burst(t, n) => MergeOp::Burst(t, n),
+                QueueOp::Pop => MergeOp::PopBefore(u64::MAX, u64::MAX),
+                QueueOp::Clear => MergeOp::Clear,
+            })
+        };
+        prop_oneof![
+            plain(),
+            plain(),
+            plain(),
+            (time, 0u64..600).prop_map(|(t, seq)| MergeOp::PopBefore(t, seq)),
+            (0u64..5).prop_map(MergeOp::Reserve),
+            any::<bool>().prop_map(|past| MergeOp::PopBeforeEarliest { past }),
+        ]
+    }
+
+    proptest! {
+        /// The calendar wheel is observationally identical to the BinaryHeap
+        /// reference for arbitrary schedule/pop interleavings — including
+        /// equal-time FIFO ties, same-tick bursts, far-future overflow spill,
+        /// scheduling behind an already-advanced cursor, and a `clear` midway.
+        #[test]
+        fn wheel_queue_is_equivalent_to_heap_queue(
+            ops in proptest::collection::vec(queue_op(), 1..400),
+        ) {
+            wheel_follows_heap(&ops)?;
+        }
+
+        /// `pop_before` on the wheel is peek-compare-pop on the heap, and
+        /// `reserve_seqs` hands both the same numbers, under arbitrary
+        /// interleavings with schedules.
+        #[test]
+        fn wheel_pop_before_is_equivalent_to_heap_peek_compare_pop(
+            ops in proptest::collection::vec(merge_op(), 1..400),
+        ) {
+            let mut q = Pair::default();
+            let mut pending = std::collections::BTreeSet::new();
+            for op in &ops {
+                let bound = match *op {
+                    MergeOp::Schedule(t) => {
+                        pending.insert(q.schedule(t));
+                        continue;
+                    }
+                    MergeOp::Burst(t, n) => {
+                        pending.extend(burst_times(t, n).map(|t| q.schedule(t)));
+                        continue;
+                    }
+                    MergeOp::Clear => {
+                        q.clear();
+                        pending.clear();
+                        continue;
+                    }
+                    MergeOp::Reserve(n) => {
+                        prop_assert_eq!(q.wheel.reserve_seqs(n), q.next_seq);
+                        prop_assert_eq!(q.heap.reserve_seqs(n), q.next_seq);
+                        q.next_seq += n;
+                        continue;
+                    }
+                    MergeOp::PopBefore(t, seq) => (Nanos::from_nanos(t), seq),
+                    MergeOp::PopBeforeEarliest { past } => match pending.first() {
+                        Some(&(t, seq)) => (t, seq + u64::from(past)),
+                        None => continue,
+                    },
+                };
+                // The earliest pending key pops exactly when it is below the
+                // bound.
+                let due = pending.first().copied().filter(|&key| key < bound);
+                prop_assert_eq!(q.wheel.pop_before(bound), due);
+                prop_assert_eq!(q.heap.pop_before(bound), due);
+                if let Some(key) = due {
+                    pending.remove(&key);
+                }
+                prop_assert_eq!(q.wheel.len(), q.heap.len());
+                prop_assert_eq!(q.wheel.peek_time(), q.heap.peek_time());
+            }
+            q.drain()?;
+        }
+
+        /// Many events landing on the exact same nanosecond (and therefore
+        /// the same wheel tick) preserve FIFO across both implementations.
+        #[test]
+        fn wheel_queue_same_tick_ties_match_heap(
+            times in proptest::collection::vec(0u64..4, 1..200),
+        ) {
+            let mut wheel = EventQueue::new();
+            let mut heap = HeapEventQueue::default();
+            for (i, &t) in times.iter().enumerate() {
+                wheel.schedule(Nanos::from_nanos(t), i);
+                heap.schedule(Nanos::from_nanos(t), i);
+            }
+            loop {
+                let (a, b) = (wheel.pop(), heap.pop());
+                prop_assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2))]
+
+        /// The same over 20 000 steps of a queue that keeps draining:
+        /// thousands of events go through the few nodes the arena ever grows
+        /// to.
+        #[test]
+        fn wheel_queue_is_equivalent_to_heap_queue_over_a_long_draining_run(
+            ops in proptest::collection::vec(draining_queue_op(), 20_000..20_001),
+        ) {
+            wheel_follows_heap(&ops)?;
         }
     }
 }

@@ -75,11 +75,6 @@ impl CpuResource {
         }
     }
 
-    /// Number of cores.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Submits a job of length `service` at time `now`; returns its absolute
     /// completion time (including queueing for a free core).
     pub fn submit(&mut self, now: Nanos, service: Nanos) -> Nanos {

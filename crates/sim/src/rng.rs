@@ -61,12 +61,6 @@ impl SimRng {
         result
     }
 
-    /// Returns a uniform `u32`.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniform value in `[0, bound)` using Lemire's method.
     ///
     /// # Panics

@@ -175,7 +175,7 @@ fn stamped(template: &Packet, src_ip: Ipv4Addr, ident: u16) -> Packet {
 
 /// The forged source address of flow `i` (pktgen's source-IP forging):
 /// walks through `10.128.0.0/9` so forged addresses never collide with real
-/// hosts in `10.0.0.0/24`.
+/// hosts in `10.0.0.0/24`. Flows 2²³ apart share one.
 fn forged_src_ip(i: usize) -> Ipv4Addr {
     let i = i as u32;
     Ipv4Addr::new(
@@ -333,7 +333,8 @@ fn tcp_connection(
 
 /// A mixed workload: interleaves a Section IV-style UDP flood with
 /// `n_tcp` well-behaved TCP connections, reflecting the paper's
-/// "TCP still dominates in bytes, UDP in flows" discussion.
+/// "TCP still dominates in bytes, UDP in flows" discussion. Connection `t`
+/// sends from port 40 000 + `t`, so at most 25 536 of them fit.
 pub fn mixed_udp_tcp(
     cfg: &PktgenConfig,
     n_udp_flows: usize,
@@ -558,6 +559,15 @@ mod tests {
             assert_eq!(ip.octets()[0], 10);
             assert!(ip.octets()[1] >= 128);
         }
+    }
+
+    #[test]
+    fn forged_ips_number_two_to_the_23_flows_then_repeat() {
+        // The address's low 23 bits are the flow index.
+        for i in [0usize, 1, 0xff, 0x100, 0xffff, 0x1_0000, (1 << 23) - 1] {
+            assert_eq!(u32::from(forged_src_ip(i)), 0x0a80_0000 | i as u32);
+        }
+        assert_eq!(forged_src_ip(1 << 23), forged_src_ip(0));
     }
 
     #[test]

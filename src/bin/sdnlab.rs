@@ -1061,6 +1061,18 @@ mod tests {
             ("run --rate 0", "'0'"),
             ("run --rate 18446744073710", "'18446744073710'"),
             ("run --workload cross:5x5/0", "'cross:5x5/0'"),
+            (
+                "run --workload cross:1x65537/1",
+                "at most 65536 packets per flow, got 65537 in 'cross:1x65537/1'",
+            ),
+            (
+                "run --workload single:8388609",
+                "at most 8388608 flows with forged sources, got 8388609",
+            ),
+            (
+                "run --workload mixed:1:25537:1",
+                "at most 25536 TCP connections, got 25537 in 'mixed:1:25537:1'",
+            ),
             ("sweep --reps 0", "--reps must be at least 1, got '0'"),
             ("claims --reps 0", "--reps must be at least 1, got '0'"),
             ("validate --reps 0", "--reps must be at least 1, got '0'"),

@@ -224,14 +224,16 @@ fn arb_retry_policy() -> impl Strategy<Value = RetryPolicy> {
 proptest! {
     /// The one mechanism / workload grammar (`--buffer`, `--workload`,
     /// `--cells`, `mech=`, `wl=`) restores every value it prints, at any
-    /// duration unit.
+    /// duration unit — every workload `validate` accepts, and refuses the
+    /// rest.
     #[test]
     fn mechanism_and_workload_grammars_round_trip(
         mech in arb_mechanism(),
         workload in arb_workload(),
     ) {
         prop_assert_eq!(mech.to_string().parse::<BufferMode>(), Ok(mech));
-        prop_assert_eq!(workload.to_string().parse::<WorkloadKind>(), Ok(workload));
+        let parsed = workload.to_string().parse::<WorkloadKind>();
+        prop_assert_eq!(parsed.ok(), workload.validate().ok().map(|()| workload));
     }
 
     /// So do the recovery and failover grammars (`--retry-policy`,
