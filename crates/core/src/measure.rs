@@ -4,8 +4,10 @@
 //! to first packet out (flow setup, switch delay), first packet in to last
 //! packet out (Section V's flow forwarding delay) — so a packet's timeline
 //! is folded into its flow's [`FlowAgg`] at the moment it is stamped. What
-//! is kept per packet is a [`Mark`]: which flow, whether it is that flow's
-//! first packet, and which stages were already stamped. The timelines
+//! is kept per packet is a one-byte [`Mark`]: whether it is its flow's
+//! first packet, and which stages were already stamped; its flow is its
+//! departure's. A flow's controller round trip sits in its aggregate too,
+//! so every per-flow fact is found by flow index. The timelines
 //! themselves ([`PacketTrace`]) are written beside the marks only for a run
 //! somebody observes (see [`Measurement::keep_log`]).
 //!
@@ -89,11 +91,10 @@ const FIRST: u8 = 8;
 /// [`Mark::bits`] of a flow's first packet that went through the switch.
 const FIRST_THROUGH: u8 = FIRST | Stage::Entered as u8 | Stage::Left as u8;
 
-/// What is kept per record: a frame's pool tag indexes this table.
+/// What is kept per record: a frame's pool tag indexes this table. The
+/// record's flow is its departure's `flow_index`.
 #[derive(Clone, Copy)]
 struct Mark {
-    /// Workload flow index.
-    flow: u32,
     /// [`FIRST`] and one bit per [`Stage`] already stamped.
     bits: u8,
 }
@@ -106,12 +107,56 @@ struct FlowAgg {
     first_left: Nanos,
     /// The latest exit of any of its packets (the first's included).
     last_left: Nanos,
+    /// The round trip of the flow's first answered `packet_in`; holds once
+    /// `answered`.
+    controller_rtt: Nanos,
     delivered: u32,
     total: u32,
-    /// The first packet's flow key; `None` until a departure numbered 0 in
-    /// the flow claims the place.
-    first_key: Option<FlowKey>,
+    /// A departure numbered 0 in the flow has claimed the first packet's
+    /// place.
+    first_claimed: bool,
     first_through: bool,
+    answered: bool,
+}
+
+impl FlowAgg {
+    /// The flow's delay of one kind, once its first packet went through.
+    fn delay(&self, delay: Delay) -> Option<Nanos> {
+        if !self.first_through {
+            return None;
+        }
+        let setup = self.first_left.saturating_sub(self.first_entered);
+        match delay {
+            Delay::Setup => Some(setup),
+            Delay::Switch => self
+                .answered
+                .then(|| setup.saturating_sub(self.controller_rtt)),
+            Delay::Forwarding => Some(self.last_left.saturating_sub(self.first_entered)),
+        }
+    }
+}
+
+/// Whose `packet_in` left the switch, for the per-flow controller round
+/// trip.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Origin {
+    /// Sent on behalf of a workload frame of this flow.
+    Flow(usize),
+    /// Sent with no originating frame (a timer's re-request, a
+    /// reconciliation): the flow key its bytes parse to.
+    Key(FlowKey),
+}
+
+/// A per-flow delay the paper reports.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Delay {
+    /// First packet in to first packet out.
+    Setup,
+    /// Setup less the controller round trip of the flow's first answered
+    /// `packet_in`.
+    Switch,
+    /// First packet in to last packet out (Section V).
+    Forwarding,
 }
 
 /// What the one pass over the departures yields besides the marks.
@@ -125,18 +170,26 @@ pub(crate) struct Scan {
     pub flows_total: usize,
 }
 
-/// Per-flow delay samples and the delivery totals.
+/// What the run delivered.
 #[derive(Debug, Default, PartialEq)]
-pub(crate) struct FlowDelays {
-    pub setup_ms: Vec<f64>,
-    pub forwarding_ms: Vec<f64>,
-    pub switch_ms: Vec<f64>,
+pub(crate) struct Totals {
     pub flows_completed: usize,
     pub packets_delivered: u64,
     pub last_delivery: Option<Nanos>,
 }
 
-/// The measurement state of one run: 8 B per record, 48 B per flow.
+/// Per-flow delay samples and the delivery totals, side by side: what the
+/// aggregates and their reference are compared on.
+#[cfg(test)]
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct FlowDelays {
+    pub setup_ms: Vec<f64>,
+    pub forwarding_ms: Vec<f64>,
+    pub switch_ms: Vec<f64>,
+    pub totals: Totals,
+}
+
+/// The measurement state of one run: 1 B per record, 48 B per flow.
 #[derive(Default)]
 pub(crate) struct Measurement {
     /// One mark per departure, in slice order.
@@ -146,6 +199,10 @@ pub(crate) struct Measurement {
     /// record (see [`Measurement::stamp`]). Left empty until such a frame
     /// shows up.
     record_of: FastHashMap<PacketId, u32>,
+    /// First packet's flow key to flow index: how a `packet_in` with no
+    /// originating frame finds its flow (see [`Measurement::answered`]).
+    /// Left empty until such a `packet_in` is answered.
+    flow_of_key: FastHashMap<FlowKey, usize>,
     /// The timelines, record by record, when the run is observed.
     log: Option<Vec<PacketTrace>>,
     packets_delivered: u64,
@@ -159,11 +216,15 @@ impl Measurement {
         self.log.get_or_insert_with(Vec::new);
     }
 
-    /// How many records the run keeps, and how many wire identities are
-    /// indexed.
+    /// How many records the run keeps, how many wire identities are
+    /// indexed, and how many first packets' flow keys.
     #[cfg(test)]
-    pub(crate) fn sizes(&self) -> (usize, usize) {
-        (self.marks.len(), self.record_of.len())
+    pub(crate) fn sizes(&self) -> (usize, usize, usize) {
+        (
+            self.marks.len(),
+            self.record_of.len(),
+            self.flow_of_key.len(),
+        )
     }
 
     /// The timelines of an observed run by flow and position; empty
@@ -199,21 +260,16 @@ impl Measurement {
             if d.flow_index >= self.flows.len() {
                 self.flows.resize(d.flow_index + 1, FlowAgg::default());
             }
-            let (key, ident) = packet_id(&d.packet).unwrap_or((NO_KEY, 0));
             let agg = &mut self.flows[d.flow_index];
             agg.total += 1;
             // Were two departures numbered 0 in one flow, the earlier in
             // the slice is its first packet.
-            let first = d.seq_in_flow == 0 && agg.first_key.is_none();
-            if first {
-                agg.first_key = Some(key);
-            }
+            let first = d.seq_in_flow == 0 && !agg.first_claimed;
+            agg.first_claimed |= first;
             let bits = if first { FIRST } else { 0 };
-            // Past 2³² flows the mark names another one: mis-measured, not
-            // out of bounds, as the table holds every flow below this one.
-            let flow = d.flow_index as u32;
-            self.marks.push(Mark { flow, bits });
+            self.marks.push(Mark { bits });
             if let Some(log) = &mut self.log {
+                let (key, ident) = packet_id(&d.packet).unwrap_or((NO_KEY, 0));
                 log.push(PacketTrace {
                     flow: key,
                     ident,
@@ -235,7 +291,8 @@ impl Measurement {
     }
 
     /// Stamps one stage of a workload packet's timeline, first time only,
-    /// and folds it into the packet's flow.
+    /// and folds it into the packet's flow. Returns that flow's index, or
+    /// `None` for a frame that is no workload packet.
     pub(crate) fn stamp(
         &mut self,
         pool: &mut PacketPool,
@@ -243,7 +300,7 @@ impl Measurement {
         now: Nanos,
         stage: Stage,
         workload: &[Departure],
-    ) {
+    ) -> Option<usize> {
         let record = pool.tag(packet).or_else(|| {
             // A frame the switch rebuilt from `packet_out` bytes sits in a
             // slot of its own: wire identity is all that came back from
@@ -262,20 +319,19 @@ impl Measurement {
             pool.set_tag(packet, record);
             Some(record)
         });
-        let Some(record) = record else {
-            return;
-        };
+        let record = record? as usize;
+        let flow_index = workload[record].flow_index;
         if let Some(log) = &mut self.log {
             // First time only by the timeline's own account, not the
             // mark's: the log is what the marks are tested against.
-            stage.of(&mut log[record as usize]).get_or_insert(now);
+            stage.of(&mut log[record]).get_or_insert(now);
         }
-        let mark = &mut self.marks[record as usize];
+        let mark = &mut self.marks[record];
         if mark.bits & stage as u8 != 0 {
-            return;
+            return Some(flow_index);
         }
         mark.bits |= stage as u8;
-        let flow = &mut self.flows[mark.flow as usize];
+        let flow = &mut self.flows[flow_index];
         let first = mark.bits & FIRST != 0;
         match stage {
             Stage::Entered if first => flow.first_entered = now,
@@ -295,85 +351,113 @@ impl Measurement {
         if first {
             flow.first_through = mark.bits & FIRST_THROUGH == FIRST_THROUGH;
         }
+        Some(flow_index)
     }
 
-    /// Per-flow delay samples from the aggregates. `controller_delay_of_flow`
-    /// is the controller round trip of each flow key's first `packet_in`.
-    pub(crate) fn flow_delays(
-        &self,
-        controller_delay_of_flow: &FastHashMap<FlowKey, Nanos>,
-    ) -> FlowDelays {
-        let samples = || Vec::with_capacity(self.flows.len());
-        let mut delays = FlowDelays {
-            setup_ms: samples(),
-            forwarding_ms: samples(),
-            switch_ms: samples(),
-            flows_completed: 0,
+    /// Folds in the controller round trip of an answered `packet_in`: a
+    /// flow keeps its first one.
+    pub(crate) fn answered(&mut self, origin: Origin, rtt: Nanos, workload: &[Departure]) {
+        let flow = match origin {
+            Origin::Flow(flow) => flow,
+            Origin::Key(key) => {
+                if self.flow_of_key.is_empty() {
+                    // The first such `packet_in` of the run (only a timer's
+                    // re-request or a reconciliation sends one) indexes
+                    // every flow by its first packet's key. Under
+                    // `Testbed::run`'s contract that names the flow.
+                    let firsts = workload.iter().filter(|d| d.seq_in_flow == 0);
+                    for d in firsts {
+                        if let Some(key) = FlowKey::of(&d.packet) {
+                            self.flow_of_key.entry(key).or_insert(d.flow_index);
+                        }
+                    }
+                }
+                let Some(&flow) = self.flow_of_key.get(&key) else {
+                    return;
+                };
+                flow
+            }
+        };
+        let Some(agg) = self.flows.get_mut(flow) else {
+            return;
+        };
+        if !agg.answered {
+            agg.answered = true;
+            agg.controller_rtt = rtt;
+        }
+    }
+
+    /// What the run delivered, flow by flow.
+    pub(crate) fn totals(&self) -> Totals {
+        let complete = |f: &&FlowAgg| f.delivered == f.total && f.total > 0;
+        Totals {
+            flows_completed: self.flows.iter().filter(complete).count(),
             packets_delivered: self.packets_delivered,
             last_delivery: self.last_delivery,
-        };
-        for flow in &self.flows {
-            if flow.delivered == flow.total && flow.total > 0 {
-                delays.flows_completed += 1;
-            }
-            let (true, Some(key)) = (flow.first_through, flow.first_key) else {
-                continue;
-            };
-            let setup = flow.first_left.saturating_sub(flow.first_entered);
-            delays.setup_ms.push(setup.as_millis_f64());
-            if let Some(ctrl) = controller_delay_of_flow.get(&key) {
-                delays
-                    .switch_ms
-                    .push(setup.saturating_sub(*ctrl).as_millis_f64());
-            }
-            let forwarding = flow.last_left.saturating_sub(flow.first_entered);
-            delays.forwarding_ms.push(forwarding.as_millis_f64());
         }
-        delays
+    }
+
+    /// One sample of `delay` per flow that has one, in milliseconds and
+    /// flow order.
+    pub(crate) fn delays_ms(&self, delay: Delay) -> Vec<f64> {
+        let mut samples = Vec::with_capacity(self.flows.len());
+        let delays = self.flows.iter().filter_map(|f| f.delay(delay));
+        samples.extend(delays.map(Nanos::as_millis_f64));
+        samples
+    }
+
+    /// Every sample and the totals, from the aggregates.
+    #[cfg(test)]
+    pub(crate) fn flow_delays(&self) -> FlowDelays {
+        FlowDelays {
+            setup_ms: self.delays_ms(Delay::Setup),
+            forwarding_ms: self.delays_ms(Delay::Forwarding),
+            switch_ms: self.delays_ms(Delay::Switch),
+            totals: self.totals(),
+        }
     }
 
     /// The extraction the aggregates replaced, kept as their reference:
-    /// one pass over the timelines of an observed run, after it.
+    /// one pass over the timelines of an observed run, after it. The log
+    /// holds no controller round trips; those are the aggregates' own.
     #[cfg(test)]
-    pub(crate) fn flow_delays_from_log(
-        &self,
-        controller_delay_of_flow: &FastHashMap<FlowKey, Nanos>,
-    ) -> FlowDelays {
+    pub(crate) fn flow_delays_from_log(&self) -> FlowDelays {
         #[derive(Clone, Default)]
         struct FlowAgg {
-            first: Option<(Nanos, Nanos, FlowKey)>,
+            first: Option<(Nanos, Nanos)>,
             last_left: Option<Nanos>,
             delivered: usize,
             total: usize,
         }
         let mut per_flow = vec![FlowAgg::default(); self.flows.len()];
         let mut delays = FlowDelays::default();
+        let totals = &mut delays.totals;
         for rec in self.log.as_ref().expect("an observed run") {
             let flow = &mut per_flow[rec.flow_index];
             flow.total += 1;
             if rec.delivered.is_some() {
                 flow.delivered += 1;
-                delays.packets_delivered += 1;
-                delays.last_delivery = delays.last_delivery.max(rec.delivered);
+                totals.packets_delivered += 1;
+                totals.last_delivery = totals.last_delivery.max(rec.delivered);
             }
             if rec.seq_in_flow == 0 {
                 if let (Some(e), Some(l)) = (rec.entered_switch, rec.left_switch) {
-                    flow.first = Some((e, l, rec.flow));
+                    flow.first = Some((e, l));
                 }
             }
             flow.last_left = flow.last_left.max(rec.left_switch);
         }
-        for flow in &per_flow {
+        for (flow, agg) in per_flow.iter().zip(&self.flows) {
             if flow.delivered == flow.total && flow.total > 0 {
-                delays.flows_completed += 1;
+                delays.totals.flows_completed += 1;
             }
-            if let Some((enter, left, key)) = flow.first {
+            if let Some((enter, left)) = flow.first {
                 let setup = left.saturating_sub(enter);
                 delays.setup_ms.push(setup.as_millis_f64());
-                if let Some(ctrl) = controller_delay_of_flow.get(&key) {
+                if agg.answered {
                     delays
                         .switch_ms
-                        .push(setup.saturating_sub(*ctrl).as_millis_f64());
+                        .push(setup.saturating_sub(agg.controller_rtt).as_millis_f64());
                 }
                 if let Some(last) = flow.last_left {
                     delays
@@ -391,8 +475,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_record_costs_eight_bytes_and_a_flow_forty_eight() {
-        assert!(std::mem::size_of::<Mark>() <= 8);
+    fn a_record_costs_one_byte_and_a_flow_forty_eight() {
+        assert_eq!(std::mem::size_of::<Mark>(), 1);
         assert!(std::mem::size_of::<FlowAgg>() <= 48);
+    }
+
+    #[test]
+    fn a_packet_in_finds_its_flow_by_index_or_by_key_and_the_flow_keeps_the_first_answer() {
+        let pktgen = sdnbuf_workload::PktgenConfig::default();
+        let departures = sdnbuf_workload::cross_sequenced_flows(&pktgen, 3, 4, 1, 1);
+        let key_of = |flow| {
+            let first = departures
+                .iter()
+                .find(|d| (d.flow_index, d.seq_in_flow) == (flow, 0));
+            Origin::Key(FlowKey::of(&first.expect("a first packet").packet).expect("a key"))
+        };
+        let ms = Nanos::from_millis;
+        let mut m = Measurement::default();
+        m.begin(&departures);
+        m.answered(Origin::Flow(1), ms(2), &departures);
+        assert_eq!(m.sizes().2, 0, "a frame's flow index needs no key");
+        m.answered(key_of(2), ms(3), &departures);
+        assert_eq!(
+            m.sizes().2,
+            3,
+            "built whole, the first time a key is looked up"
+        );
+        m.answered(key_of(1), ms(5), &departures);
+        m.answered(Origin::Key(NO_KEY), ms(7), &departures);
+        let rtts: Vec<_> = m
+            .flows
+            .iter()
+            .map(|f| f.answered.then_some(f.controller_rtt))
+            .collect();
+        assert_eq!(rtts, [None, Some(ms(2)), Some(ms(3))]);
     }
 }

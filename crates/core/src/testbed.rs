@@ -3,12 +3,12 @@
 //! optional standby) around one switch, and the deterministic event loop
 //! that indexes them.
 
-use crate::measure::{Measurement, PacketTrace, Scan, Stage};
+use crate::measure::{Delay, Measurement, Origin, PacketTrace, Scan, Stage};
 use crate::trace::MsgDesc;
 use crate::RunResult;
 use sdnbuf_controller::{Controller, ControllerConfig, ControllerOutput, ParsedHeaders};
 use sdnbuf_metrics::ByteMeter;
-use sdnbuf_net::{FlowKey, PacketBuilder};
+use sdnbuf_net::PacketBuilder;
 use sdnbuf_openflow::{OfpMessage, PortNo};
 use sdnbuf_sim::{
     ChannelDir, EventKind, EventQueue, FastHashMap, FaultPlan, FaultState, Link, LinkConfig,
@@ -333,8 +333,9 @@ pub struct Testbed {
     /// The workload packets' records and per-flow aggregates. A frame
     /// carries its record's index as its pool tag.
     measure: Measurement,
-    pkt_in_sent: FastHashMap<u32, (Nanos, Option<FlowKey>)>,
-    controller_delay_of_flow: FastHashMap<FlowKey, Nanos>,
+    /// Each `packet_in` of the measurement window awaiting its first
+    /// answer, by xid: when it left, and whose it was.
+    pkt_in_sent: FastHashMap<u32, (Nanos, Option<Origin>)>,
     controller_delays_ms: Vec<f64>,
     pkt_in_count: u64,
     flow_mod_count: u64,
@@ -416,7 +417,6 @@ impl Testbed {
             tracer: Tracer::off(),
             measure: Measurement::default(),
             pkt_in_sent: FastHashMap::default(),
-            controller_delay_of_flow: FastHashMap::default(),
             controller_delays_ms: Vec::new(),
             pkt_in_count: 0,
             flow_mod_count: 0,
@@ -518,10 +518,16 @@ impl Testbed {
     /// `(FlowKey, ident)`, the 5-tuple and the IPv4 identification. A
     /// frame the switch rebuilds from `packet_out` bytes (no-buffer, a full
     /// buffer's fallback) is matched to its departure by that identity
-    /// alone. Every [`WorkloadKind`](crate::WorkloadKind) that
+    /// alone. And a flow's packets share one `FlowKey`, which no other
+    /// flow has: a `packet_in` sent with no frame behind it (a buffer
+    /// timer's re-request, a reconciliation) is credited to the flow its
+    /// bytes' key names. The first half implies the second for generated
+    /// workloads, whose flows all number their packets from ident 0: two
+    /// flows on one key would share `(key, 0)`. Every
+    /// [`WorkloadKind`](crate::WorkloadKind) that
     /// [`WorkloadKind::validate`](crate::WorkloadKind::validate) accepts
-    /// keeps it. Outside the contract a run may mis-measure those frames;
-    /// it does not panic.
+    /// keeps both. Outside the contract a run may mis-measure those frames
+    /// and round trips; it does not panic.
     pub fn run(&mut self, departures: &[Departure]) -> RunResult {
         let scan = self.begin_measurement(departures);
         // Departures leave in the order the queue would pop them had each
@@ -691,7 +697,7 @@ impl Testbed {
             Event::FrameAtHost { packet } => self.on_frame_at_host(now, packet, workload),
             Event::CtrlSend { dir, xid, msg } => self.send_ctrl(now, dir, xid, msg),
             Event::CtrlAtController { xid, msg } => self.on_ctrl_at_controller(now, xid, msg),
-            Event::CtrlAtSwitch { xid, msg } => self.on_ctrl_at_switch(now, xid, msg),
+            Event::CtrlAtSwitch { xid, msg } => self.on_ctrl_at_switch(now, xid, msg, workload),
             Event::SwitchTimer => self.on_switch_timer(now),
             Event::ControllerKeepalive => self.on_probe(now, Controller::keepalive),
             Event::ControllerStatsPoll => self.on_probe(now, Controller::poll_flow_stats),
@@ -742,12 +748,12 @@ impl Testbed {
         packet: PacketHandle,
         workload: &[Departure],
     ) {
-        let Some(frame) = self.pool.get(packet) else {
+        if self.pool.get(packet).is_none() {
             self.data_drops += 1;
             return;
-        };
-        let flow = FlowKey::of(frame);
-        self.measure
+        }
+        let flow = self
+            .measure
             .stamp(&mut self.pool, packet, now, Stage::Entered, workload);
         let pressure = self.faults.pressure_active(now);
         if pressure != self.pressure_on {
@@ -905,17 +911,17 @@ impl Testbed {
         self.schedule_ctrl_outputs(now);
     }
 
-    fn on_ctrl_at_switch(&mut self, now: Nanos, xid: u32, msg: MsgHandle) {
+    fn on_ctrl_at_switch(&mut self, now: Nanos, xid: u32, msg: MsgHandle, workload: &[Departure]) {
         let Some(msg) = self.take_msg(msg) else {
             return;
         };
         // Controller delay: pkt_in left the switch -> first response with
         // the same xid arrives back (the paper's t2 - t1).
-        if let Some((sent_at, flow)) = self.pkt_in_sent.remove(&xid) {
+        if let Some((sent_at, origin)) = self.pkt_in_sent.remove(&xid) {
             let delay = now.saturating_sub(sent_at);
             self.controller_delays_ms.push(delay.as_millis_f64());
-            if let Some(flow) = flow {
-                self.controller_delay_of_flow.entry(flow).or_insert(delay);
+            if let Some(origin) = origin {
+                self.measure.answered(origin, delay, workload);
             }
         }
         self.switch
@@ -1017,11 +1023,12 @@ impl Testbed {
     }
 
     /// Routes the timed outputs the switch pushed onto `switch_out` into
-    /// the event queue. `originating_flow` is the flow of the packet that
-    /// triggered them (known when handling a data frame), used to attribute
-    /// the pkt_in for per-flow controller-delay accounting; otherwise the
-    /// pkt_in's own payload headers are consulted.
-    fn process_switch_outputs(&mut self, originating_flow: Option<FlowKey>) {
+    /// the event queue. `originating_flow` is the workload flow index of the
+    /// frame that triggered them (known when handling a workload frame),
+    /// used to attribute the pkt_in for per-flow controller-delay
+    /// accounting; otherwise the pkt_in's own payload headers are parsed for
+    /// a flow key.
+    fn process_switch_outputs(&mut self, originating_flow: Option<usize>) {
         let mut drained = std::mem::take(&mut self.switch_out);
         let mut outputs = drained.drain(..).peekable();
         while let Some(output) = outputs.next() {
@@ -1071,12 +1078,11 @@ impl Testbed {
                     if let OfpMessage::PacketIn(pin) = &msg {
                         if at >= self.data_start {
                             self.pkt_in_count += 1;
-                            let flow = originating_flow.or_else(|| {
-                                ParsedHeaders::parse(&pin.data)
-                                    .ok()
-                                    .and_then(|h| h.flow_key())
+                            let origin = originating_flow.map(Origin::Flow).or_else(|| {
+                                let headers = ParsedHeaders::parse(&pin.data).ok()?;
+                                headers.flow_key().map(Origin::Key)
                             });
-                            self.pkt_in_sent.insert(xid, (at, flow));
+                            self.pkt_in_sent.insert(xid, (at, origin));
                         }
                     }
                     let msg = self.msgs.insert(msg);
@@ -1147,12 +1153,12 @@ impl Testbed {
         use sdnbuf_metrics::Summary;
         let to_controller = &self.ctrl[ChannelDir::ToController as usize].meter;
         let to_switch = &self.ctrl[ChannelDir::ToSwitch as usize].meter;
-        let delays = self.measure.flow_delays(&self.controller_delay_of_flow);
+        let totals = self.measure.totals();
         // The measurement window ends with the last data-driven activity
         // (delivery or control message); the rule-expiry housekeeping that
         // trails for idle-timeout seconds afterwards is not part of the
         // experiment, just as the paper's captures stop when pktgen does.
-        let end = delays
+        let end = totals
             .last_delivery
             .unwrap_or(self.data_start)
             .max(to_controller.last_at())
@@ -1193,10 +1199,11 @@ impl Testbed {
             pkt_out_count: self.pkt_out_count,
             controller_cpu_percent: primary.ctrl.cpu_percent(active),
             switch_cpu_percent: self.switch.cpu_percent(active),
-            flow_setup_delay: Summary::of(&delays.setup_ms),
-            controller_delay: Summary::of(&self.controller_delays_ms),
-            switch_delay: Summary::of(&delays.switch_ms),
-            flow_forwarding_delay: Summary::of(&delays.forwarding_ms),
+            // One sample set live at a time, each sorted in place.
+            controller_delay: Summary::of_vec(std::mem::take(&mut self.controller_delays_ms)),
+            flow_setup_delay: Summary::of_vec(self.measure.delays_ms(Delay::Setup)),
+            switch_delay: Summary::of_vec(self.measure.delays_ms(Delay::Switch)),
+            flow_forwarding_delay: Summary::of_vec(self.measure.delays_ms(Delay::Forwarding)),
             buffer_mean_occupancy: mean_occ,
             buffer_peak_occupancy: buf_stats.peak_occupancy,
             buffer_fallbacks: buf_stats.fallback_full,
@@ -1219,11 +1226,11 @@ impl Testbed {
             echo_rtt_p99_ms: echo_rtt.quantile_ms(0.99),
             echo_rtt_samples: echo_rtt.count(),
             packets_sent,
-            packets_delivered: delays.packets_delivered,
+            packets_delivered: totals.packets_delivered,
             packets_dropped: self.data_drops,
             ctrl_drops: self.ctrl_drops,
             events_dispatched: self.events_dispatched,
-            flows_completed: delays.flows_completed,
+            flows_completed: totals.flows_completed,
             flows_total,
         }
     }
@@ -1349,11 +1356,11 @@ mod tests {
         for departures in [monotone, out_of_order] {
             // Frames parked in the switch keep their tags: no index.
             let tb = run_like_the_reference(FLOW_256, &departures);
-            assert_eq!(tb.measure.sizes(), (120, 0));
+            assert_eq!(tb.measure.sizes(), (120, 0, 0));
             // no-buffer re-parses its frames from `packet_out` bytes: the
             // first one builds the index, whole, and the rest find it built.
             let tb = run_like_the_reference(BufferChoice::NoBuffer, &departures);
-            assert_eq!(tb.measure.sizes(), (120, 120));
+            assert_eq!(tb.measure.sizes(), (120, 120, 0));
         }
     }
 
@@ -1371,13 +1378,64 @@ mod tests {
             tb.keep_packet_log();
             tb.run(&departures);
             assert_eq!(tb.measure.sizes().0, 120, "a record per departure");
-            let delays = &tb.controller_delay_of_flow;
             assert_eq!(
-                tb.measure.flow_delays(delays),
-                tb.measure.flow_delays_from_log(delays),
+                tb.measure.flow_delays(),
+                tb.measure.flow_delays_from_log(),
                 "{buffer:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_packet_in_with_no_originating_frame_finds_its_flow_by_key() {
+        // One flow of five packets into the flow buffer, its packets held
+        // while the rule is set up. `run` returns the testbed's round trips
+        // and setup delays as summaries: with one flow, each is its flow's.
+        let departures = cross_sequenced_flows(&PktgenConfig::default(), 1, 5, 1, 3);
+        let run = |plan: &str| {
+            let mut config = TestbedConfig::with_buffer(FLOW_256);
+            config.faults = FaultPlan::parse(plan).expect("valid plan");
+            let mut tb = Testbed::new(config);
+            let r = tb.run(&departures);
+            assert_eq!(r.packets_delivered, 5, "{plan}");
+            (r, tb.measure.sizes().2)
+        };
+        let (clean, keys) = run("");
+        assert_eq!(
+            (clean.rerequests, clean.controller_delay.n, keys),
+            (0, 1, 0)
+        );
+        // The seventh message to the controller is the flow's `packet_in`:
+        // lost, so the buffer's 50 ms timer asks again from the bytes it
+        // holds, with no frame behind the request. That one is answered,
+        // and it is the only round trip the flow has.
+        let (lost_in, keys) = run("c.loss=nth:7");
+        assert_eq!(
+            (lost_in.rerequests, lost_in.controller_delay.n, keys),
+            (1, 1, 1)
+        );
+        let setup = lost_in.flow_setup_delay.mean;
+        assert!(setup > 50.0, "{setup} ms");
+        let switch = setup - lost_in.controller_delay.mean;
+        assert!(
+            (lost_in.switch_delay.mean - switch).abs() < 1e-9,
+            "{lost_in:?}"
+        );
+        // Every third message to the switch is lost, the ninth among them:
+        // the `packet_out` that would have released the flow. Its
+        // `packet_in` was answered by its `flow_mod`, the timer's request
+        // is answered too, and the flow keeps the first of the two round
+        // trips.
+        let (lost_out, keys) = run("s.loss=nth:3");
+        assert_eq!(
+            (lost_out.rerequests, lost_out.controller_delay.n, keys),
+            (1, 2, 1)
+        );
+        let switch = lost_out.flow_setup_delay.mean - lost_out.controller_delay.min;
+        assert!(
+            (lost_out.switch_delay.mean - switch).abs() < 1e-9,
+            "{lost_out:?}"
+        );
     }
 
     #[test]
@@ -1503,8 +1561,8 @@ mod tests {
             logged.keep_packet_log();
             let with_log = logged.run(&departures);
             prop_assert_eq!(
-                logged.measure.flow_delays(&logged.controller_delay_of_flow),
-                logged.measure.flow_delays_from_log(&logged.controller_delay_of_flow)
+                logged.measure.flow_delays(),
+                logged.measure.flow_delays_from_log()
             );
             let mut bare = Testbed::new(config);
             let without_log = bare.run(&departures);

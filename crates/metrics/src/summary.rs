@@ -40,10 +40,13 @@ impl Summary {
     /// Computes a summary of `samples`. Returns the zero summary for an
     /// empty slice. Non-finite samples are ignored.
     pub fn of(samples: &[f64]) -> Summary {
-        // `filter`'s lower size hint is 0: collecting would climb the
-        // doubling ladder, on every call.
-        let mut v = Vec::with_capacity(samples.len());
-        v.extend(samples.iter().copied().filter(|x| x.is_finite()));
+        Summary::of_vec(samples.to_vec())
+    }
+
+    /// [`Summary::of`] for samples the caller is done with: they are
+    /// sorted in place, not copied.
+    pub fn of_vec(mut v: Vec<f64>) -> Summary {
+        v.retain(|x| x.is_finite());
         if v.is_empty() {
             return Summary::default();
         }
@@ -167,6 +170,49 @@ mod tests {
         let s = Summary::of(&[1.0, f64::NAN, 3.0, f64::INFINITY]);
         assert_eq!(s.n, 2);
         assert_eq!(s.mean, 2.0);
+    }
+
+    #[test]
+    fn of_vec_is_of_bit_for_bit() {
+        let bits = |s: Summary| {
+            let Summary {
+                n,
+                mean,
+                std,
+                min,
+                max,
+                p50,
+                p95,
+                p99,
+            } = s;
+            (n, [mean, std, min, max, p50, p95, p99].map(f64::to_bits))
+        };
+        let inputs: [&[f64]; 7] = [
+            &[],
+            &[7.5],
+            &[f64::NAN],
+            &[3.0, f64::NAN, -1.0, f64::INFINITY, 2.0, f64::NEG_INFINITY],
+            &[0.0, -0.0, 1.0, -0.0, 0.0],
+            &[-0.0, 0.0],
+            &[2.0, 2.0, 1.0, 2.0, 1.0, 5.0, 5.0, 0.1, 0.2, 0.3],
+        ];
+        for v in inputs {
+            assert_eq!(
+                bits(Summary::of_vec(v.to_vec())),
+                bits(Summary::of(v)),
+                "{v:?}"
+            );
+        }
+        // Ties between -0.0 and 0.0 keep their input order: the minimum is
+        // whichever zero came first.
+        assert_eq!(
+            Summary::of_vec(vec![-0.0, 0.0]).min.to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(
+            Summary::of_vec(vec![0.0, -0.0]).min.to_bits(),
+            0.0f64.to_bits()
+        );
     }
 
     #[test]

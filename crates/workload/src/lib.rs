@@ -392,7 +392,7 @@ pub fn is_time_ordered(departures: &[Departure]) -> bool {
 mod tests {
     use super::*;
     use sdnbuf_net::{FlowKey, IpProto};
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     fn cfg(mbps: u64) -> PktgenConfig {
         PktgenConfig {
@@ -548,6 +548,37 @@ mod tests {
         // the src ip is host1 for each (they are sequential connections in
         // this model).
         assert!(!tcp_flows.is_empty());
+    }
+
+    #[test]
+    fn every_generator_gives_each_flow_one_key_of_its_own() {
+        // Flow index ↔ `FlowKey` is a bijection: the testbed credits a
+        // `packet_in` with no frame behind it to the flow its key names.
+        let c = cfg(50);
+        for (what, deps) in [
+            ("single", single_packet_flows(&c, 1000, 1)),
+            ("cross-sequenced", cross_sequenced_flows(&c, 60, 20, 5, 1)),
+            (
+                "tcp idle gap",
+                tcp_with_idle_gap(&c, 10, Nanos::from_millis(5), 10, 1),
+            ),
+            ("mixed", mixed_udp_tcp(&c, 200, 5, 10, 1)),
+        ] {
+            let mut key_of_flow = HashMap::new();
+            let mut flow_of_key = HashMap::new();
+            for d in &deps {
+                let key = FlowKey::of(&d.packet).expect("generated frames have a key");
+                let flow = d.flow_index;
+                assert_eq!(*key_of_flow.entry(flow).or_insert(key), key, "{what}");
+                assert_eq!(*flow_of_key.entry(key).or_insert(flow), flow, "{what}");
+            }
+            let flows = deps.iter().map(|d| d.flow_index).max().map_or(0, |f| f + 1);
+            assert_eq!(
+                (key_of_flow.len(), flow_of_key.len()),
+                (flows, flows),
+                "{what}"
+            );
+        }
     }
 
     #[test]
