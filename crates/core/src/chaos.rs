@@ -5,7 +5,7 @@
 //! a buffer mechanism, a small cross-sequenced workload and a composable
 //! [`FaultPlan`] — and [`run_scenario`] executes it on a fresh [`Testbed`],
 //! holding every event, as it is emitted, to the protocol invariants of
-//! [`check_invariants`] and folding it into the stream digest.
+//! [`crate::invariants`] and folding it into the stream digest.
 //!
 //! Every scenario serializes to a one-line spec ([`ChaosScenario::to_spec`])
 //! that [`ChaosScenario::parse`] restores exactly, so a failing run prints a
@@ -13,34 +13,21 @@
 //! [`minimize`] greedily shrinks a failing plan to a minimal set of faults
 //! that still violates an invariant.
 
+use crate::invariants::Invariants;
+pub use crate::invariants::{check_invariants, RecoveryKnobs, Violation};
 use crate::observe::EventDigest;
 use crate::shrink::shrink_to_fixpoint;
 use crate::testbed::FailoverConfig;
 use crate::{parse_rate_mbps, BufferMode, RunResult, Testbed, TestbedConfig, WorkloadKind};
-use sdnbuf_openflow::BufferId;
 use sdnbuf_sim::faults::{fmt_dur, parse_dur};
 use sdnbuf_sim::{
-    BitRate, ChannelDir, ChannelFaults, Event, EventKind, EventSink, FastHashMap, FastHashSet,
-    FaultPlan, LossModel, Nanos, SimRng, Tracer, Window,
+    BitRate, ChannelFaults, Event, EventSink, FaultPlan, LossModel, Nanos, SimRng, Tracer, Window,
 };
 use sdnbuf_switchbuf::RetryPolicy;
 pub use sdnbuf_switchbuf::Sabotage;
 use sdnbuf_workload::PktgenConfig;
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// The recovery-plane knobs a chaos run configures on its switch: the
-/// re-request retry policy, the per-entry buffer TTL and the degraded-mode
-/// threshold. Default knobs reproduce the pre-recovery behaviour exactly.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RecoveryKnobs {
-    /// Re-request pacing and budget ([`RetryPolicy::fixed`] by default).
-    pub retry: RetryPolicy,
-    /// Per-entry buffer TTL; [`Nanos::ZERO`] disables expiry.
-    pub ttl: Nanos,
-    /// Consecutive give-ups tripping degraded mode; `0` disables it.
-    pub degraded_threshold: u32,
-}
 
 /// Standby-failover knobs a chaos scenario can arm on its testbed.
 /// `Display` prints `<warm|cold>:<delay>`; `FromStr` also takes a bare
@@ -349,548 +336,6 @@ pub fn execute(scenario: &ChaosScenario, sabotage: Sabotage) -> (RunResult, Vec<
     (result, events)
 }
 
-/// One invariant violation found in a run's event stream.
-#[derive(Clone, Debug)]
-pub struct Violation {
-    /// Short stable invariant name (test assertions key on it).
-    pub invariant: &'static str,
-    /// Human-readable description of what went wrong.
-    pub detail: String,
-}
-
-/// Checks a run's event stream and measurements against the protocol
-/// invariants. An empty result means the scenario passed.
-///
-/// The invariants, per the mechanism design in Sections IV–V:
-/// * **packet-conservation** — every sent packet is delivered, dropped on
-///   a data link, still buffered (stranded), or carried inside a dropped
-///   full-packet control message; nothing simply vanishes.
-/// * **occupancy-bound** — the buffer never holds more packets than its
-///   capacity.
-/// * **buffer-bookkeeping** — a `packet_out` never releases more packets
-///   from a `buffer_id` than were filed under it (no double-free, no leak
-///   of slots to foreign flows).
-/// * **single-request-per-flow** — the number of `packet_in`s referencing
-///   a buffer id equals its fresh allocations plus its timeout
-///   re-requests: at most one outstanding request per flow (Algorithm 1).
-/// * **rerequest-before-timeout** — consecutive requests for the same id
-///   are separated by at least the configured timeout.
-/// * **rerequest-accounting** — the run's counter matches the trace.
-/// * **no-stale-drain** — a `packet_out` never drains packets from a slot
-///   that expiry, give-up or an earlier drain already emptied; generation
-///   tags must reject such stale releases.
-/// * **retry-budget** — with a finite budget, no slot is re-requested more
-///   than `budget` times between fresh allocations.
-/// * **buffer-expiry** — with a TTL armed, no entry survives the run
-///   stranded in the buffer. This is the invariant that catches a broken
-///   TTL garbage collector.
-/// * **degraded-recovery** — a switch still degraded at the end of the run
-///   must not have seen controller progress (a `flow_mod` installed or a
-///   buffer drained) since it last entered degraded mode.
-/// * **eventual-delivery** / **buffer-id-leak** — flow granularity with
-///   control-channel faults only (loss < 100 %, no flaps, no pressure)
-///   and neutral recovery knobs (no TTL, no budget, no degraded mode —
-///   each of which deliberately sacrifices delivery for boundedness) must
-///   deliver everything and fully drain its buffer. This is the invariant
-///   that catches a broken re-request loop.
-///
-/// The crash plane (PR 9) adds four more:
-/// * **epoch-monotonicity** — the switch's session epoch only ever steps
-///   up by one, and every bump's target epoch was announced by a
-///   controller restart or failover takeover first.
-/// * **handshake-before-service** — after a crash, the switch serves no
-///   epoch bump until a restarted controller re-ran the handshake (an
-///   `EpochBump` with no preceding `CtrlRestart`/`FailoverTakeover` at
-///   that epoch is a violation).
-/// * **no-cross-epoch-drain** — a `packet_out` minted under epoch N never
-///   drains a buffer entry admitted under epoch M < N. Entries surviving
-///   a bump are only considered migrated when the bump re-tagged all of
-///   them (`survivors` equals the checker's live count) — the epoch-guard
-///   sabotage re-tags none, which is otherwise observationally identical.
-/// * **crash-recovery-drain** — flow granularity with crash windows,
-///   data-friendly faults and neutral recovery knobs must end the run
-///   with an empty buffer: post-restart reconciliation re-announces every
-///   survivor, so a crash may shed (accounted) packets but never strands
-///   buffered ones.
-pub fn check_invariants(
-    mech: BufferMode,
-    plan: &FaultPlan,
-    knobs: RecoveryKnobs,
-    result: &RunResult,
-    events: &[Event],
-) -> Vec<Violation> {
-    let mut checker = InvariantChecker::new(mech, plan, knobs);
-    for e in events {
-        checker.observe(e);
-    }
-    checker.finish(result)
-}
-
-/// What the checker remembers about one buffer id. An id it has not seen
-/// yet reads as the default record: nothing held, every count zero.
-#[derive(Clone, Copy, Debug, Default)]
-struct IdRecord {
-    /// Packets filed under the id and not yet drained, expired or given up.
-    held: i64,
-    /// Fresh allocations + timeout re-requests + reconciliation
-    /// re-announces: the `packet_in`s the id is entitled to.
-    announces: u64,
-    /// `packet_in`s that named the id.
-    pkt_ins: u64,
-    /// When the live entry last asked the controller.
-    last_request: Option<Nanos>,
-    /// Re-requests since the last fresh allocation or give-up.
-    retry_streak: u32,
-    /// Session epoch the live entry was admitted (or migrated) under.
-    admitted_epoch: Option<u32>,
-}
-
-impl IdRecord {
-    /// An emptied slot forgets its request clock and its admission epoch.
-    fn vacate_if_empty(&mut self) {
-        if self.held <= 0 {
-            self.last_request = None;
-            self.admitted_epoch = None;
-        }
-    }
-}
-
-/// The invariants of [`check_invariants`], checked as the stream goes by:
-/// [`InvariantChecker::observe`] takes every event in emission order,
-/// [`InvariantChecker::finish`] the run's measurements.
-struct InvariantChecker {
-    mech: BufferMode,
-    capacity: usize,
-    timeout: Option<Nanos>,
-    knobs: RecoveryKnobs,
-    // What the end-of-run invariants ask of the fault plan.
-    dup_possible: bool,
-    disturbs_data: bool,
-    has_crashes: bool,
-    violations: Vec<Violation>,
-    ids: FastHashMap<u32, IdRecord>,
-    /// The latest `packet_in` / `packet_out` of an xid that carried the
-    /// full packet (the no-buffer sentinel), keyed by the direction it
-    /// travels: dropping one of these destroys packet data.
-    full_packet_msgs: FastHashSet<(ChannelDir, u32)>,
-    rerequests: u64,
-    reconciles: u64,
-    lost_ctrl: u64,
-    degraded_enters: u64,
-    degraded_exits: u64,
-    progress_since_enter: bool,
-    // Crash-plane state: the switch's current epoch and the epochs
-    // announced by controller restarts/takeovers.
-    switch_epoch: u32,
-    announced_epochs: Vec<u32>,
-}
-
-impl InvariantChecker {
-    fn new(mech: BufferMode, plan: &FaultPlan, knobs: RecoveryKnobs) -> InvariantChecker {
-        let (capacity, timeout) = match mech {
-            BufferMode::NoBuffer => (usize::MAX, None),
-            BufferMode::PacketGranularity { capacity } => (capacity, None),
-            BufferMode::FlowGranularity { capacity, timeout } => (capacity, Some(timeout)),
-        };
-        InvariantChecker {
-            mech,
-            capacity,
-            timeout,
-            knobs,
-            dup_possible: plan.to_controller.duplicate > 0.0 || plan.to_switch.duplicate > 0.0,
-            disturbs_data: plan.disturbs_data(),
-            has_crashes: plan.has_crashes(),
-            violations: Vec::new(),
-            ids: FastHashMap::default(),
-            full_packet_msgs: FastHashSet::default(),
-            rerequests: 0,
-            reconciles: 0,
-            lost_ctrl: 0,
-            degraded_enters: 0,
-            degraded_exits: 0,
-            progress_since_enter: false,
-            switch_epoch: 1,
-            announced_epochs: Vec::new(),
-        }
-    }
-
-    /// Records whether the message `xid` names in direction `dir` carries
-    /// the full packet; a reused xid takes the latest message's answer.
-    fn note_carrier(&mut self, dir: ChannelDir, xid: u32, buffer_id: u32) {
-        if buffer_id == BufferId::NO_BUFFER.as_u32() {
-            self.full_packet_msgs.insert((dir, xid));
-        } else {
-            self.full_packet_msgs.remove(&(dir, xid));
-        }
-    }
-
-    fn observe(&mut self, e: &Event) {
-        let switch_epoch = self.switch_epoch;
-        match e.kind {
-            EventKind::BufferEnqueue {
-                buffer_id,
-                occupancy,
-                fresh,
-            } => {
-                if occupancy > self.capacity {
-                    self.violations.push(Violation {
-                        invariant: "occupancy-bound",
-                        detail: format!(
-                            "occupancy {occupancy} exceeds capacity {} at {}",
-                            self.capacity,
-                            fmt_dur(e.at)
-                        ),
-                    });
-                }
-                let rec = self.ids.entry(buffer_id).or_default();
-                rec.held += 1;
-                if fresh {
-                    rec.announces += 1;
-                    rec.last_request = Some(e.at);
-                    rec.retry_streak = 0;
-                    rec.admitted_epoch = Some(switch_epoch);
-                } else {
-                    rec.admitted_epoch.get_or_insert(switch_epoch);
-                }
-            }
-            EventKind::BufferRerequest { buffer_id, .. } => {
-                self.rerequests += 1;
-                let rec = self.ids.entry(buffer_id).or_default();
-                rec.announces += 1;
-                rec.retry_streak += 1;
-                let (streak, budget) = (rec.retry_streak, self.knobs.retry.budget);
-                if budget > 0 && streak > budget {
-                    self.violations.push(Violation {
-                        invariant: "retry-budget",
-                        detail: format!(
-                            "buffer {buffer_id} re-requested {streak} times against a budget of \
-                             {budget}"
-                        ),
-                    });
-                }
-                if let (Some(timeout), Some(prev)) = (self.timeout, rec.last_request) {
-                    if e.at < prev + timeout {
-                        self.violations.push(Violation {
-                            invariant: "rerequest-before-timeout",
-                            detail: format!(
-                                "buffer {buffer_id} re-requested after {} < timeout {}",
-                                fmt_dur(e.at - prev),
-                                fmt_dur(timeout)
-                            ),
-                        });
-                    }
-                }
-                rec.last_request = Some(e.at);
-            }
-            EventKind::BufferReconcile { buffer_id, .. } => {
-                // A reconciliation re-announce is an extra legitimate
-                // `packet_in` for the slot; it does not touch the retry
-                // budget or the timeout clock.
-                self.reconciles += 1;
-                self.ids.entry(buffer_id).or_default().announces += 1;
-            }
-            EventKind::BufferDrain {
-                buffer_id,
-                released,
-                ..
-            } => {
-                self.progress_since_enter = true;
-                let rec = self.ids.entry(buffer_id).or_default();
-                if let Some(admitted) = rec.admitted_epoch {
-                    if admitted < switch_epoch && released > 0 {
-                        self.violations.push(Violation {
-                            invariant: "no-cross-epoch-drain",
-                            detail: format!(
-                                "buffer {buffer_id} admitted under epoch {admitted} drained \
-                                 while the switch serves epoch {switch_epoch}"
-                            ),
-                        });
-                    }
-                }
-                let held = rec.held;
-                if held <= 0 && released > 0 {
-                    self.violations.push(Violation {
-                        invariant: "no-stale-drain",
-                        detail: format!(
-                            "buffer {buffer_id} drained {released} packets from an already \
-                             emptied slot (stale release let through)"
-                        ),
-                    });
-                } else if (released as i64) > held {
-                    self.violations.push(Violation {
-                        invariant: "buffer-bookkeeping",
-                        detail: format!(
-                            "buffer {buffer_id} released {released} packets but held {held}"
-                        ),
-                    });
-                }
-                rec.held -= released as i64;
-                rec.vacate_if_empty();
-            }
-            EventKind::BufferExpire { buffer_id, .. } => {
-                let rec = self.ids.entry(buffer_id).or_default();
-                if rec.held <= 0 {
-                    self.violations.push(Violation {
-                        invariant: "buffer-bookkeeping",
-                        detail: format!("buffer {buffer_id} expired a packet from an empty slot"),
-                    });
-                }
-                rec.held -= 1;
-                rec.vacate_if_empty();
-            }
-            EventKind::BufferGiveUp {
-                buffer_id, drained, ..
-            } => {
-                let rec = self.ids.entry(buffer_id).or_default();
-                let held = rec.held;
-                if (drained as i64) > held {
-                    self.violations.push(Violation {
-                        invariant: "buffer-bookkeeping",
-                        detail: format!(
-                            "buffer {buffer_id} gave up {drained} packets but held {held}"
-                        ),
-                    });
-                }
-                rec.held -= drained as i64;
-                rec.last_request = None;
-                rec.retry_streak = 0;
-                rec.admitted_epoch = None;
-            }
-            EventKind::CtrlRestart { epoch, .. } | EventKind::FailoverTakeover { epoch, .. } => {
-                self.announced_epochs.push(epoch);
-            }
-            EventKind::EpochBump {
-                from,
-                to,
-                survivors,
-            } => {
-                if from != switch_epoch || to != from + 1 {
-                    self.violations.push(Violation {
-                        invariant: "epoch-monotonicity",
-                        detail: format!(
-                            "epoch bump {from} -> {to} while the switch served epoch \
-                             {switch_epoch} (epochs must step up by exactly one)"
-                        ),
-                    });
-                }
-                if !self.announced_epochs.contains(&to) {
-                    self.violations.push(Violation {
-                        invariant: "handshake-before-service",
-                        detail: format!(
-                            "switch moved to epoch {to} without a controller restart or \
-                             takeover announcing it (no re-handshake happened)"
-                        ),
-                    });
-                }
-                // Migrate surviving entries only when the bump re-tagged
-                // every live one — the broken-epoch sabotage re-tags none,
-                // and this count mismatch is what exposes it.
-                if survivors == self.ids.values().filter(|rec| rec.held > 0).count() {
-                    for rec in self.ids.values_mut().filter(|rec| rec.held > 0) {
-                        rec.admitted_epoch = Some(to);
-                    }
-                }
-                self.switch_epoch = to;
-            }
-            EventKind::FlowRuleInstalled { .. } => {
-                self.progress_since_enter = true;
-            }
-            EventKind::DegradedEnter { .. } => {
-                self.degraded_enters += 1;
-                self.progress_since_enter = false;
-            }
-            EventKind::DegradedExit { .. } => {
-                self.degraded_exits += 1;
-            }
-            // Shedding an unbuffered request destroys the packet data it
-            // carried; a buffered one leaves the data at the switch.
-            EventKind::AdmissionShed {
-                buffered: false, ..
-            } => {
-                self.lost_ctrl += 1;
-            }
-            EventKind::PacketInSent { xid, buffer_id, .. } => {
-                self.note_carrier(ChannelDir::ToController, xid, buffer_id);
-                if buffer_id != BufferId::NO_BUFFER.as_u32() {
-                    self.ids.entry(buffer_id).or_default().pkt_ins += 1;
-                }
-            }
-            EventKind::PacketOutSent { xid, buffer_id } => {
-                self.note_carrier(ChannelDir::ToSwitch, xid, buffer_id);
-            }
-            EventKind::CtrlDrop {
-                dir, xid, label, ..
-            } => {
-                // A dropped control message destroys packet data only when
-                // it carried the full packet (the no-buffer sentinel);
-                // buffered flows keep their data at the switch.
-                let data_bearing = matches!(
-                    (dir, label),
-                    (ChannelDir::ToController, "packet_in") | (ChannelDir::ToSwitch, "packet_out")
-                );
-                if data_bearing && self.full_packet_msgs.contains(&(dir, xid)) {
-                    self.lost_ctrl += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// The end-of-run invariants over `result`; returns every violation
-    /// found, stream order first.
-    fn finish(&mut self, result: &RunResult) -> Vec<Violation> {
-        let mut violations = std::mem::take(&mut self.violations);
-        let (mech, knobs) = (self.mech, self.knobs);
-
-        // In id order, so a report does not depend on the table's layout.
-        let mut miscounted: Vec<(u32, u64, u64)> = self
-            .ids
-            .iter()
-            .map(|(&id, r)| (id, r.pkt_ins, r.announces))
-            .filter(|&(_, n, expected)| n > 0 && n != expected)
-            .collect();
-        miscounted.sort_unstable();
-        for (id, n, expected) in miscounted {
-            violations.push(Violation {
-                invariant: "single-request-per-flow",
-                detail: format!(
-                    "buffer {id}: {n} packet_ins for {expected} allocations + re-requests + \
-                     reconciles"
-                ),
-            });
-        }
-
-        if result.rerequests != self.rerequests {
-            violations.push(Violation {
-                invariant: "rerequest-accounting",
-                detail: format!(
-                    "stats counted {} re-requests, trace shows {}",
-                    result.rerequests, self.rerequests
-                ),
-            });
-        }
-        if result.reconcile_rerequests != self.reconciles {
-            violations.push(Violation {
-                invariant: "reconcile-accounting",
-                detail: format!(
-                    "stats counted {} reconciliation re-announces, trace shows {}",
-                    result.reconcile_rerequests, self.reconciles
-                ),
-            });
-        }
-
-        let live = || self.ids.values().map(|r| r.held).filter(|&held| held > 0);
-        let stranded: i64 = live().sum();
-        let lost_ctrl = self.lost_ctrl;
-
-        // `lost_ctrl` can overcount (a duplicate of a dropped message may still
-        // arrive), so conservation is an inequality — a real leak makes the
-        // left side fall short of `sent`.
-        let accounted =
-            result.packets_delivered + result.packets_dropped + stranded as u64 + lost_ctrl;
-        if accounted < result.packets_sent {
-            violations.push(Violation {
-                invariant: "packet-conservation",
-                detail: format!(
-                    "sent {} but only {accounted} accounted for (delivered {} + data-dropped {} \
-                     + stranded {stranded} + lost-in-control {lost_ctrl})",
-                    result.packets_sent, result.packets_delivered, result.packets_dropped
-                ),
-            });
-        }
-
-        // A duplicated full-packet control message can legitimately deliver the
-        // same packet twice, so the upper bound only holds when no full packet
-        // crossed a duplicating channel.
-        let full_packets_in_ctrl = mech == BufferMode::NoBuffer || result.buffer_fallbacks > 0;
-        if result.packets_delivered > result.packets_sent
-            && !(self.dup_possible && full_packets_in_ctrl)
-        {
-            violations.push(Violation {
-                invariant: "packet-conservation",
-                detail: format!(
-                    "delivered {} exceeds sent {}",
-                    result.packets_delivered, result.packets_sent
-                ),
-            });
-        }
-
-        if knobs.ttl != Nanos::ZERO && stranded > 0 {
-            violations.push(Violation {
-                invariant: "buffer-expiry",
-                detail: format!(
-                    "{stranded} packets outlived the {} TTL stranded in the buffer",
-                    fmt_dur(knobs.ttl)
-                ),
-            });
-        }
-
-        let (degraded_enters, degraded_exits) = (self.degraded_enters, self.degraded_exits);
-        if degraded_enters > degraded_exits && self.progress_since_enter {
-            violations.push(Violation {
-                invariant: "degraded-recovery",
-                detail: format!(
-                    "switch still degraded after the run ({degraded_enters} entries, \
-                     {degraded_exits} exits) despite controller progress since the last entry"
-                ),
-            });
-        }
-
-        // TTL expiry, a finite retry budget and degraded-mode shedding each
-        // deliberately trade delivery for boundedness, so the delivery
-        // guarantee only holds with all three disarmed.
-        let recovery_neutral =
-            knobs.ttl == Nanos::ZERO && knobs.retry.budget == 0 && knobs.degraded_threshold == 0;
-        // A crash legitimately sheds fresh misses while the switch suspects
-        // the controller dead (accounted as drops), so the full delivery
-        // guarantee is replaced by crash-recovery-drain below.
-        let guarantees_delivery = matches!(mech, BufferMode::FlowGranularity { .. })
-            && !self.disturbs_data
-            && recovery_neutral
-            && !self.has_crashes;
-        if guarantees_delivery {
-            if result.packets_delivered < result.packets_sent {
-                violations.push(Violation {
-                    invariant: "eventual-delivery",
-                    detail: format!(
-                        "flow granularity delivered only {} of {} packets under a \
-                         control-channel-only fault plan",
-                        result.packets_delivered, result.packets_sent
-                    ),
-                });
-            }
-            if stranded > 0 {
-                violations.push(Violation {
-                    invariant: "buffer-id-leak",
-                    detail: format!(
-                        "{stranded} packets still buffered across {} ids after the run",
-                        live().count()
-                    ),
-                });
-            }
-        }
-
-        // Across a crash, post-restart reconciliation must re-announce every
-        // surviving entry: the run may shed packets (accounted drops) but the
-        // buffer drains completely.
-        let crash_guarantees_drain = matches!(mech, BufferMode::FlowGranularity { .. })
-            && self.has_crashes
-            && !self.disturbs_data
-            && recovery_neutral;
-        if crash_guarantees_drain && stranded > 0 {
-            violations.push(Violation {
-                invariant: "crash-recovery-drain",
-                detail: format!(
-                    "{stranded} packets stranded in the buffer after a crash — \
-                     reconciliation failed to re-announce them"
-                ),
-            });
-        }
-
-        violations
-    }
-}
-
 /// The outcome of one chaos scenario.
 #[derive(Clone, Debug)]
 pub struct ChaosReport {
@@ -907,7 +352,7 @@ pub struct ChaosReport {
 /// the invariant checker and into the stream digest as it is emitted, and
 /// is kept nowhere.
 struct Observer {
-    checker: InvariantChecker,
+    checker: Invariants,
     digest: EventDigest,
 }
 
@@ -922,7 +367,7 @@ impl EventSink for Observer {
 /// digesting it while it runs.
 pub fn run_scenario(scenario: &ChaosScenario, sabotage: Sabotage) -> ChaosReport {
     let observer = Rc::new(RefCell::new(Observer {
-        checker: InvariantChecker::new(scenario.mech, &scenario.plan, scenario.recovery),
+        checker: Invariants::new(scenario.mech, &scenario.plan, scenario.recovery),
         digest: EventDigest::default(),
     }));
     let result = run_traced(scenario, sabotage, Tracer::new(observer.clone()));
@@ -976,12 +421,7 @@ pub fn flight_dump(scenario: &ChaosScenario, sabotage: Sabotage) -> crate::fligh
         &events,
         Some(&result),
     )
-    .with_violations(
-        violations
-            .into_iter()
-            .map(|v| (v.invariant.to_string(), v.detail))
-            .collect(),
-    )
+    .with_violations(violations)
 }
 
 /// The recovery matrix: a sustained controller stall followed by a short
@@ -1097,30 +537,19 @@ fn shrink_candidates(plan: &FaultPlan) -> Vec<FaultPlan> {
         ch.reorder_by = Nanos::ZERO;
         push_if_changed(p);
     }
-    for i in 0..plan.stalls.len() {
-        let mut p = plan.clone();
-        p.stalls.remove(i);
-        out.push(p);
-    }
-    for i in 0..plan.flaps.len() {
-        let mut p = plan.clone();
-        p.flaps.remove(i);
-        out.push(p);
-    }
-    for i in 0..plan.pressure.len() {
-        let mut p = plan.clone();
-        p.pressure.remove(i);
-        out.push(p);
-    }
-    for i in 0..plan.crashes.len() {
-        let mut p = plan.clone();
-        p.crashes.remove(i);
-        out.push(p);
-    }
-    for i in 0..plan.crashes_standby.len() {
-        let mut p = plan.clone();
-        p.crashes_standby.remove(i);
-        out.push(p);
+    let window_lists: [fn(&mut FaultPlan) -> &mut Vec<Window>; 5] = [
+        |p| &mut p.stalls,
+        |p| &mut p.flaps,
+        |p| &mut p.pressure,
+        |p| &mut p.crashes,
+        |p| &mut p.crashes_standby,
+    ];
+    for windows in window_lists {
+        for i in 0..windows(&mut plan.clone()).len() {
+            let mut p = plan.clone();
+            windows(&mut p).remove(i);
+            out.push(p);
+        }
     }
     out
 }
@@ -1128,7 +557,6 @@ fn shrink_candidates(plan: &FaultPlan) -> Vec<FaultPlan> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     fn flow_mech() -> BufferMode {
         BufferMode::FlowGranularity {
@@ -1143,556 +571,6 @@ mod tests {
             packets_per_flow: 3,
             group_size: 2,
         }
-    }
-
-    /// `check_invariants` as it stood before the streaming checker: ten
-    /// maps filled in one walk over the recorded slice. Kept as the
-    /// executable statement of what the checker must still report.
-    fn reference_check(
-        mech: BufferMode,
-        plan: &FaultPlan,
-        knobs: RecoveryKnobs,
-        result: &RunResult,
-        events: &[Event],
-    ) -> Vec<Violation> {
-        let mut violations = Vec::new();
-        let no_buffer = BufferId::NO_BUFFER.as_u32();
-        let (capacity, timeout) = match mech {
-            BufferMode::NoBuffer => (usize::MAX, None),
-            BufferMode::PacketGranularity { capacity } => (capacity, None),
-            BufferMode::FlowGranularity { capacity, timeout } => (capacity, Some(timeout)),
-        };
-
-        let mut outstanding: HashMap<u32, i64> = HashMap::new();
-        let mut fresh_allocs: HashMap<u32, u64> = HashMap::new();
-        let mut rerequests: HashMap<u32, u64> = HashMap::new();
-        let mut reconciles: HashMap<u32, u64> = HashMap::new();
-        let mut pkt_ins: HashMap<u32, u64> = HashMap::new();
-        let mut last_request: HashMap<u32, Nanos> = HashMap::new();
-        let mut retry_streak: HashMap<u32, u32> = HashMap::new();
-        let mut pkt_in_buffer: HashMap<u32, u32> = HashMap::new();
-        let mut pkt_out_buffer: HashMap<u32, u32> = HashMap::new();
-        let mut lost_ctrl: u64 = 0;
-        let mut degraded_enters: u64 = 0;
-        let mut degraded_exits: u64 = 0;
-        let mut progress_since_enter = false;
-        // Crash-plane state: the switch's current epoch, the epochs announced
-        // by controller restarts/takeovers, and each live buffer id's
-        // admission epoch.
-        let mut switch_epoch: u32 = 1;
-        let mut announced_epochs: Vec<u32> = Vec::new();
-        let mut entry_epoch: HashMap<u32, u32> = HashMap::new();
-
-        for e in events {
-            match e.kind {
-                EventKind::BufferEnqueue {
-                    buffer_id,
-                    occupancy,
-                    fresh,
-                } => {
-                    if occupancy > capacity {
-                        violations.push(Violation {
-                            invariant: "occupancy-bound",
-                            detail: format!(
-                                "occupancy {occupancy} exceeds capacity {capacity} at {}",
-                                fmt_dur(e.at)
-                            ),
-                        });
-                    }
-                    *outstanding.entry(buffer_id).or_insert(0) += 1;
-                    if fresh {
-                        *fresh_allocs.entry(buffer_id).or_insert(0) += 1;
-                        last_request.insert(buffer_id, e.at);
-                        retry_streak.insert(buffer_id, 0);
-                        entry_epoch.insert(buffer_id, switch_epoch);
-                    } else {
-                        entry_epoch.entry(buffer_id).or_insert(switch_epoch);
-                    }
-                }
-                EventKind::BufferRerequest { buffer_id, .. } => {
-                    *rerequests.entry(buffer_id).or_insert(0) += 1;
-                    let streak = retry_streak.entry(buffer_id).or_insert(0);
-                    *streak += 1;
-                    if knobs.retry.budget > 0 && *streak > knobs.retry.budget {
-                        violations.push(Violation {
-                            invariant: "retry-budget",
-                            detail: format!(
-                                "buffer {buffer_id} re-requested {streak} times against a budget of {}",
-                                knobs.retry.budget
-                            ),
-                        });
-                    }
-                    if let (Some(timeout), Some(&prev)) = (timeout, last_request.get(&buffer_id)) {
-                        if e.at < prev + timeout {
-                            violations.push(Violation {
-                                invariant: "rerequest-before-timeout",
-                                detail: format!(
-                                    "buffer {buffer_id} re-requested after {} < timeout {}",
-                                    fmt_dur(e.at - prev),
-                                    fmt_dur(timeout)
-                                ),
-                            });
-                        }
-                    }
-                    last_request.insert(buffer_id, e.at);
-                }
-                EventKind::BufferReconcile { buffer_id, .. } => {
-                    // A reconciliation re-announce is an extra legitimate
-                    // `packet_in` for the slot; it does not touch the retry
-                    // budget or the timeout clock.
-                    *reconciles.entry(buffer_id).or_insert(0) += 1;
-                }
-                EventKind::BufferDrain {
-                    buffer_id,
-                    released,
-                    ..
-                } => {
-                    progress_since_enter = true;
-                    if let Some(&admitted) = entry_epoch.get(&buffer_id) {
-                        if admitted < switch_epoch && released > 0 {
-                            violations.push(Violation {
-                                invariant: "no-cross-epoch-drain",
-                                detail: format!(
-                                    "buffer {buffer_id} admitted under epoch {admitted} drained \
-                                     while the switch serves epoch {switch_epoch}"
-                                ),
-                            });
-                        }
-                    }
-                    let held = outstanding.entry(buffer_id).or_insert(0);
-                    if *held <= 0 && released > 0 {
-                        violations.push(Violation {
-                            invariant: "no-stale-drain",
-                            detail: format!(
-                                "buffer {buffer_id} drained {released} packets from an already \
-                                 emptied slot (stale release let through)"
-                            ),
-                        });
-                    } else if (released as i64) > *held {
-                        violations.push(Violation {
-                            invariant: "buffer-bookkeeping",
-                            detail: format!(
-                                "buffer {buffer_id} released {released} packets but held {held}"
-                            ),
-                        });
-                    }
-                    *held -= released as i64;
-                    if *held <= 0 {
-                        last_request.remove(&buffer_id);
-                        entry_epoch.remove(&buffer_id);
-                    }
-                }
-                EventKind::BufferExpire { buffer_id, .. } => {
-                    let held = outstanding.entry(buffer_id).or_insert(0);
-                    if *held <= 0 {
-                        violations.push(Violation {
-                            invariant: "buffer-bookkeeping",
-                            detail: format!(
-                                "buffer {buffer_id} expired a packet from an empty slot"
-                            ),
-                        });
-                    }
-                    *held -= 1;
-                    if *held <= 0 {
-                        last_request.remove(&buffer_id);
-                        entry_epoch.remove(&buffer_id);
-                    }
-                }
-                EventKind::BufferGiveUp {
-                    buffer_id, drained, ..
-                } => {
-                    let held = outstanding.entry(buffer_id).or_insert(0);
-                    if (drained as i64) > *held {
-                        violations.push(Violation {
-                            invariant: "buffer-bookkeeping",
-                            detail: format!(
-                                "buffer {buffer_id} gave up {drained} packets but held {held}"
-                            ),
-                        });
-                    }
-                    *held -= drained as i64;
-                    last_request.remove(&buffer_id);
-                    retry_streak.remove(&buffer_id);
-                    entry_epoch.remove(&buffer_id);
-                }
-                EventKind::CtrlRestart { epoch, .. }
-                | EventKind::FailoverTakeover { epoch, .. } => {
-                    announced_epochs.push(epoch);
-                }
-                EventKind::EpochBump {
-                    from,
-                    to,
-                    survivors,
-                } => {
-                    if from != switch_epoch || to != from + 1 {
-                        violations.push(Violation {
-                            invariant: "epoch-monotonicity",
-                            detail: format!(
-                                "epoch bump {from} -> {to} while the switch served epoch \
-                                 {switch_epoch} (epochs must step up by exactly one)"
-                            ),
-                        });
-                    }
-                    if !announced_epochs.contains(&to) {
-                        violations.push(Violation {
-                            invariant: "handshake-before-service",
-                            detail: format!(
-                                "switch moved to epoch {to} without a controller restart or \
-                                 takeover announcing it (no re-handshake happened)"
-                            ),
-                        });
-                    }
-                    // Migrate surviving entries only when the bump re-tagged
-                    // every live one — the broken-epoch sabotage re-tags none,
-                    // and this count mismatch is what exposes it.
-                    let live: Vec<u32> = outstanding
-                        .iter()
-                        .filter(|&(_, &held)| held > 0)
-                        .map(|(&id, _)| id)
-                        .collect();
-                    if survivors == live.len() {
-                        for id in live {
-                            entry_epoch.insert(id, to);
-                        }
-                    }
-                    switch_epoch = to;
-                }
-                EventKind::FlowRuleInstalled { .. } => {
-                    progress_since_enter = true;
-                }
-                EventKind::DegradedEnter { .. } => {
-                    degraded_enters += 1;
-                    progress_since_enter = false;
-                }
-                EventKind::DegradedExit { .. } => {
-                    degraded_exits += 1;
-                }
-                // Shedding an unbuffered request destroys the packet data it
-                // carried; a buffered one leaves the data at the switch.
-                EventKind::AdmissionShed {
-                    buffered: false, ..
-                } => {
-                    lost_ctrl += 1;
-                }
-                EventKind::PacketInSent { xid, buffer_id, .. } => {
-                    pkt_in_buffer.insert(xid, buffer_id);
-                    if buffer_id != no_buffer {
-                        *pkt_ins.entry(buffer_id).or_insert(0) += 1;
-                    }
-                }
-                EventKind::PacketOutSent { xid, buffer_id } => {
-                    pkt_out_buffer.insert(xid, buffer_id);
-                }
-                EventKind::CtrlDrop {
-                    dir, xid, label, ..
-                } => {
-                    // A dropped control message destroys packet data only when
-                    // it carried the full packet (the no-buffer sentinel);
-                    // buffered flows keep their data at the switch.
-                    let carried_data = match (dir, label) {
-                        (ChannelDir::ToController, "packet_in") => {
-                            pkt_in_buffer.get(&xid) == Some(&no_buffer)
-                        }
-                        (ChannelDir::ToSwitch, "packet_out") => {
-                            pkt_out_buffer.get(&xid) == Some(&no_buffer)
-                        }
-                        _ => false,
-                    };
-                    if carried_data {
-                        lost_ctrl += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        // The parent walked `pkt_ins` in SipHash order, a different one each
-        // process; sorted here so that reports compare.
-        let mut by_id: Vec<(&u32, &u64)> = pkt_ins.iter().collect();
-        by_id.sort_unstable();
-        for (id, &n) in by_id {
-            let expected = fresh_allocs.get(id).copied().unwrap_or(0)
-                + rerequests.get(id).copied().unwrap_or(0)
-                + reconciles.get(id).copied().unwrap_or(0);
-            if n != expected {
-                violations.push(Violation {
-                    invariant: "single-request-per-flow",
-                    detail: format!(
-                        "buffer {id}: {n} packet_ins for {expected} allocations + re-requests + \
-                         reconciles"
-                    ),
-                });
-            }
-        }
-
-        let rerequest_total: u64 = rerequests.values().sum();
-        if result.rerequests != rerequest_total {
-            violations.push(Violation {
-                invariant: "rerequest-accounting",
-                detail: format!(
-                    "stats counted {} re-requests, trace shows {rerequest_total}",
-                    result.rerequests
-                ),
-            });
-        }
-        let reconcile_total: u64 = reconciles.values().sum();
-        if result.reconcile_rerequests != reconcile_total {
-            violations.push(Violation {
-                invariant: "reconcile-accounting",
-                detail: format!(
-                    "stats counted {} reconciliation re-announces, trace shows {reconcile_total}",
-                    result.reconcile_rerequests
-                ),
-            });
-        }
-
-        let stranded: i64 = outstanding.values().filter(|&&v| v > 0).sum();
-
-        // `lost_ctrl` can overcount (a duplicate of a dropped message may still
-        // arrive), so conservation is an inequality — a real leak makes the
-        // left side fall short of `sent`.
-        let accounted =
-            result.packets_delivered + result.packets_dropped + stranded as u64 + lost_ctrl;
-        if accounted < result.packets_sent {
-            violations.push(Violation {
-                invariant: "packet-conservation",
-                detail: format!(
-                    "sent {} but only {accounted} accounted for (delivered {} + data-dropped {} \
-                     + stranded {stranded} + lost-in-control {lost_ctrl})",
-                    result.packets_sent, result.packets_delivered, result.packets_dropped
-                ),
-            });
-        }
-
-        // A duplicated full-packet control message can legitimately deliver the
-        // same packet twice, so the upper bound only holds when no full packet
-        // crossed a duplicating channel.
-        let dup_possible = plan.to_controller.duplicate > 0.0 || plan.to_switch.duplicate > 0.0;
-        let full_packets_in_ctrl = mech == BufferMode::NoBuffer || result.buffer_fallbacks > 0;
-        if result.packets_delivered > result.packets_sent && !(dup_possible && full_packets_in_ctrl)
-        {
-            violations.push(Violation {
-                invariant: "packet-conservation",
-                detail: format!(
-                    "delivered {} exceeds sent {}",
-                    result.packets_delivered, result.packets_sent
-                ),
-            });
-        }
-
-        if knobs.ttl != Nanos::ZERO && stranded > 0 {
-            violations.push(Violation {
-                invariant: "buffer-expiry",
-                detail: format!(
-                    "{stranded} packets outlived the {} TTL stranded in the buffer",
-                    fmt_dur(knobs.ttl)
-                ),
-            });
-        }
-
-        if degraded_enters > degraded_exits && progress_since_enter {
-            violations.push(Violation {
-                invariant: "degraded-recovery",
-                detail: format!(
-                    "switch still degraded after the run ({degraded_enters} entries, \
-                     {degraded_exits} exits) despite controller progress since the last entry"
-                ),
-            });
-        }
-
-        // TTL expiry, a finite retry budget and degraded-mode shedding each
-        // deliberately trade delivery for boundedness, so the delivery
-        // guarantee only holds with all three disarmed.
-        let recovery_neutral =
-            knobs.ttl == Nanos::ZERO && knobs.retry.budget == 0 && knobs.degraded_threshold == 0;
-        // A crash legitimately sheds fresh misses while the switch suspects
-        // the controller dead (accounted as drops), so the full delivery
-        // guarantee is replaced by crash-recovery-drain below.
-        let guarantees_delivery = matches!(mech, BufferMode::FlowGranularity { .. })
-            && !plan.disturbs_data()
-            && recovery_neutral
-            && !plan.has_crashes();
-        if guarantees_delivery {
-            if result.packets_delivered < result.packets_sent {
-                violations.push(Violation {
-                    invariant: "eventual-delivery",
-                    detail: format!(
-                        "flow granularity delivered only {} of {} packets under a \
-                         control-channel-only fault plan",
-                        result.packets_delivered, result.packets_sent
-                    ),
-                });
-            }
-            if stranded > 0 {
-                violations.push(Violation {
-                    invariant: "buffer-id-leak",
-                    detail: format!(
-                        "{stranded} packets still buffered across {} ids after the run",
-                        outstanding.values().filter(|&&v| v > 0).count()
-                    ),
-                });
-            }
-        }
-
-        // Across a crash, post-restart reconciliation must re-announce every
-        // surviving entry: the run may shed packets (accounted drops) but the
-        // buffer drains completely.
-        let crash_guarantees_drain = matches!(mech, BufferMode::FlowGranularity { .. })
-            && plan.has_crashes()
-            && !plan.disturbs_data()
-            && recovery_neutral;
-        if crash_guarantees_drain && stranded > 0 {
-            violations.push(Violation {
-                invariant: "crash-recovery-drain",
-                detail: format!(
-                    "{stranded} packets stranded in the buffer after a crash — \
-                     reconciliation failed to re-announce them"
-                ),
-            });
-        }
-
-        violations
-    }
-
-    /// Every sabotage the self-tests use, plus none.
-    fn sabotages() -> [Sabotage; 4] {
-        [
-            Sabotage::none(),
-            Sabotage::no_rerequest(),
-            Sabotage::no_ttl_gc(),
-            Sabotage::no_epoch_guard(),
-        ]
-    }
-
-    #[test]
-    fn streaming_checker_reports_what_the_ten_map_walk_reported() {
-        let mechs = [
-            BufferMode::NoBuffer,
-            BufferMode::PacketGranularity { capacity: 256 },
-            // Small enough to overflow into full-packet fallbacks.
-            BufferMode::PacketGranularity { capacity: 4 },
-            BufferMode::FlowGranularity {
-                capacity: 256,
-                timeout: Nanos::from_millis(20),
-            },
-        ];
-        let mut scenarios: Vec<ChaosScenario> =
-            recovery_matrix().into_iter().map(|c| c.1).collect();
-        // A stall that outlasts the retry budget: the switch gives flows up,
-        // degrades, and leaves degraded mode when the controller answers.
-        let stalled = ChaosScenario {
-            mech: mechs[3],
-            plan: FaultPlan {
-                seed: 5,
-                stalls: vec![Window::new(Nanos::from_millis(45), Nanos::from_millis(160))],
-                ..FaultPlan::default()
-            },
-            recovery: RecoveryKnobs {
-                retry: RetryPolicy::backoff(Nanos::from_millis(40), 1),
-                ttl: Nanos::ZERO,
-                degraded_threshold: 2,
-            },
-            ..scenarios[0].clone()
-        };
-        scenarios.push(stalled);
-        for seed in 0..40 {
-            for mech in mechs {
-                scenarios.push(ChaosScenario::generate(seed, mech));
-                scenarios.push(ChaosScenario::generate_with_crashes(seed, mech));
-            }
-        }
-        // Knobs and a mechanism the runs did not have, so that the budget,
-        // TTL, capacity and timeout branches report on intact streams too.
-        let strict = RecoveryKnobs {
-            retry: RetryPolicy::backoff(Nanos::from_millis(100), 1),
-            ttl: Nanos::from_millis(1),
-            degraded_threshold: 1,
-        };
-        let cramped = BufferMode::FlowGranularity {
-            capacity: 2,
-            timeout: Nanos::from_secs(1),
-        };
-        let mut seen: Vec<&'static str> = Vec::new();
-        let mut compare = |s: &ChaosScenario, mech, knobs, result: &RunResult, events: &[Event]| {
-            let render = |vs: Vec<Violation>| -> Vec<String> {
-                vs.iter()
-                    .map(|v| format!("{}: {}", v.invariant, v.detail))
-                    .collect()
-            };
-            let got = check_invariants(mech, &s.plan, knobs, result, events);
-            seen.extend(got.iter().map(|v| v.invariant));
-            let expected = reference_check(mech, &s.plan, knobs, result, events);
-            assert_eq!(render(got), render(expected), "{}", s.to_spec());
-        };
-        let mut rng = SimRng::seed_from(16);
-        for scenario in &scenarios {
-            for sabotage in sabotages() {
-                let (result, events) = execute(scenario, sabotage);
-                compare(scenario, scenario.mech, scenario.recovery, &result, &events);
-                compare(scenario, cramped, strict, &result, &events);
-                if sabotage != Sabotage::none() || events.is_empty() {
-                    continue;
-                }
-                // Streams no run produces — an event lost, one repeated, the
-                // counters off by one — reach the bookkeeping, accounting
-                // and epoch-order branches.
-                for _ in 0..4 {
-                    let at = rng.gen_range(events.len() as u64) as usize;
-                    let mut lost = events.clone();
-                    lost.remove(at);
-                    compare(scenario, scenario.mech, scenario.recovery, &result, &lost);
-                    let mut repeated = events.clone();
-                    repeated.insert(at, events[at]);
-                    compare(scenario, scenario.mech, strict, &result, &repeated);
-                }
-                let last_exit = events
-                    .iter()
-                    .rposition(|e| matches!(e.kind, EventKind::DegradedExit { .. }));
-                if let Some(at) = last_exit {
-                    let mut stuck = events.clone();
-                    stuck.remove(at);
-                    compare(scenario, scenario.mech, scenario.recovery, &result, &stuck);
-                }
-                let miscounted = RunResult {
-                    rerequests: result.rerequests + 1,
-                    reconcile_rerequests: result.reconcile_rerequests + 1,
-                    packets_sent: result.packets_sent + 1,
-                    ..result.clone()
-                };
-                compare(
-                    scenario,
-                    scenario.mech,
-                    scenario.recovery,
-                    &miscounted,
-                    &events,
-                );
-            }
-        }
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(
-            seen,
-            [
-                "buffer-bookkeeping",
-                "buffer-expiry",
-                "buffer-id-leak",
-                "crash-recovery-drain",
-                "degraded-recovery",
-                "epoch-monotonicity",
-                "eventual-delivery",
-                "handshake-before-service",
-                "no-cross-epoch-drain",
-                "no-stale-drain",
-                "occupancy-bound",
-                "packet-conservation",
-                "reconcile-accounting",
-                "rerequest-accounting",
-                "rerequest-before-timeout",
-                "retry-budget",
-                "single-request-per-flow",
-            ],
-            "every invariant must have been reported at least once"
-        );
     }
 
     #[test]

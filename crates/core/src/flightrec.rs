@@ -22,6 +22,7 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use crate::invariants::Violation;
 use crate::observe;
 use crate::result::RunResult;
 use crate::spans::{self, LatencyReport, SpanOutcome};
@@ -69,8 +70,8 @@ pub struct FlightDump {
     /// dumps this is the full scenario spec `sdnlab chaos --replay`
     /// accepts; for plain runs it is the `--faults` spec.
     pub spec: Option<String>,
-    /// Violations that triggered the dump (invariant name, detail).
-    pub violations: Vec<(String, String)>,
+    /// Violations that triggered the dump.
+    pub violations: Vec<Violation>,
     /// FNV digest of the full event stream (the replay identity).
     pub digest: u64,
     /// Events in the full stream (before tail truncation).
@@ -118,7 +119,7 @@ impl FlightDump {
     }
 
     /// Attaches the violations that triggered the dump.
-    pub fn with_violations(mut self, violations: Vec<(String, String)>) -> FlightDump {
+    pub fn with_violations(mut self, violations: Vec<Violation>) -> FlightDump {
         self.violations = violations;
         self
     }
@@ -138,10 +139,10 @@ impl FlightDump {
             None => j.key("spec").null(),
         };
         j.key("violations").begin_array();
-        for (invariant, detail) in &self.violations {
+        for v in &self.violations {
             j.begin_object();
-            j.key("invariant").string(invariant);
-            j.key("detail").string(detail);
+            j.key("invariant").string(v.invariant);
+            j.key("detail").string(&v.detail);
             j.end_object();
         }
         j.end_array();
@@ -286,7 +287,10 @@ pub(crate) mod tests {
             &events,
             Some(&RunResult::default()),
         )
-        .with_violations(vec![("occupancy-bound".into(), "occ 300 > 256".into())]);
+        .with_violations(vec![Violation {
+            invariant: "occupancy-bound",
+            detail: "occ 300 > 256".into(),
+        }]);
         let mut buf = Vec::new();
         dump.write_json(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -352,7 +356,10 @@ pub(crate) mod tests {
             &sample_events(2),
             Some(&result),
         )
-        .with_violations(vec![(nasty.into(), nasty.into())]);
+        .with_violations(vec![Violation {
+            invariant: nasty,
+            detail: nasty.into(),
+        }]);
         let mut buf = Vec::new();
         dump.write_json(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();

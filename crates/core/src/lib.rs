@@ -38,6 +38,7 @@ mod executor;
 mod experiment;
 pub mod figures;
 pub mod flightrec;
+pub mod invariants;
 mod measure;
 mod metric;
 pub mod observe;

@@ -364,7 +364,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
             eprintln!("check: every invariant holds over {} events", events.len());
         } else {
             for v in &violations {
-                eprintln!("VIOLATION [{}]: {}", v.invariant, v.detail);
+                eprintln!("VIOLATION {v}");
             }
         }
     }
@@ -412,12 +412,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
             &events,
             Some(&run),
         )
-        .with_violations(
-            violations
-                .iter()
-                .map(|v| (v.invariant.to_string(), v.detail.clone()))
-                .collect(),
-        );
+        .with_violations(violations.clone());
         let path = dump
             .write_to_dir(&FlightDump::default_dir(), &dump.stem())
             .map_err(|e| ParseError(format!("flight recorder dump: {e}")))?;
@@ -548,7 +543,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
             return Ok(ExitCode::SUCCESS);
         }
         for v in &report.violations {
-            println!("VIOLATION [{}]: {}", v.invariant, v.detail);
+            println!("VIOLATION {v}");
         }
         write_chaos_dump(&scenario, sabotage);
         return Ok(ExitCode::FAILURE);
@@ -580,7 +575,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
             }
             failures += 1;
             for v in &report.violations {
-                eprintln!("  VIOLATION [{}]: {}", v.invariant, v.detail);
+                eprintln!("  VIOLATION {v}");
             }
             let min = chaos::minimize(scenario, sabotage);
             eprintln!(
@@ -632,7 +627,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
                 failures += 1;
                 eprintln!("seed {seed} [{}]:", mech.label());
                 for v in &report.violations {
-                    eprintln!("  VIOLATION [{}]: {}", v.invariant, v.detail);
+                    eprintln!("  VIOLATION {v}");
                 }
                 let min = chaos::minimize(&scenario, sabotage);
                 eprintln!(

@@ -115,9 +115,7 @@ fn streamed_report_equals_the_report_over_the_recorded_stream() {
         Sabotage::no_epoch_guard(),
         Sabotage::no_rerequest(),
     ];
-    let told = |vs: &[Violation]| -> Vec<(&'static str, String)> {
-        vs.iter().map(|v| (v.invariant, v.detail.clone())).collect()
-    };
+    let told = |vs: &[Violation]| -> Vec<String> { vs.iter().map(Violation::to_string).collect() };
     let (mut runs, mut violating) = (0, 0);
     for seed in 0..60u64 {
         let mech = mechs[seed as usize % 3];
@@ -578,7 +576,7 @@ fn crash_flight_dump_replays_to_the_same_violation() {
         rerun.digest, dump.digest,
         "replaying the embedded spec must reproduce the dumped digest"
     );
-    let dumped: Vec<&str> = dump.violations.iter().map(|(i, _)| i.as_str()).collect();
+    let dumped: Vec<&str> = dump.violations.iter().map(|v| v.invariant).collect();
     let again: Vec<&str> = rerun.violations.iter().map(|v| v.invariant).collect();
     assert_eq!(dumped, again, "replay must reproduce the dumped violations");
 }

@@ -190,7 +190,7 @@ fn flight_dump_replays_to_the_same_violation() {
         report.digest, dump.digest,
         "replaying the embedded spec must reproduce the dumped digest"
     );
-    let dumped: Vec<&str> = dump.violations.iter().map(|(i, _)| i.as_str()).collect();
+    let dumped: Vec<&str> = dump.violations.iter().map(|v| v.invariant).collect();
     let replayed: Vec<&str> = report.violations.iter().map(|v| v.invariant).collect();
     assert_eq!(
         dumped, replayed,

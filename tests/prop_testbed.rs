@@ -2,8 +2,11 @@
 //! hold for arbitrary small workloads under every buffer mechanism.
 
 use proptest::prelude::*;
+use sdn_buffer_lab::core::invariants::{Invariants, RecoveryKnobs};
 use sdn_buffer_lab::core::WorkloadKind;
 use sdn_buffer_lab::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn arb_buffer() -> impl Strategy<Value = BufferMode> {
     prop_oneof![
@@ -37,6 +40,13 @@ proptest! {
         rate in 5u64..100,
         seed in 0u64..1000,
     ) {
+        // The protocol invariants ride along on the stream: a fault-free run
+        // with default recovery knobs must satisfy every one of them.
+        let checker = Rc::new(RefCell::new(Invariants::new(
+            buffer,
+            &FaultPlan::default(),
+            RecoveryKnobs::default(),
+        )));
         let r = Experiment::new(ExperimentConfig {
             buffer,
             workload,
@@ -44,7 +54,9 @@ proptest! {
             seed,
             ..ExperimentConfig::default()
         })
-        .run();
+        .run_with_tracer(Tracer::new(checker.clone()));
+        let violations = checker.borrow_mut().finish(&r);
+        prop_assert!(violations.is_empty(), "{:?}", violations);
         // Lossless testbed: conservation must hold for every mechanism,
         // capacity, rate and schedule.
         prop_assert_eq!(r.packets_delivered, r.packets_sent, "{:?}", r);
