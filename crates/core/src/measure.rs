@@ -11,9 +11,12 @@
 //! themselves ([`PacketTrace`]) are written beside the marks only for a run
 //! somebody observes (see [`Measurement::keep_log`]).
 //!
-//! Record `i` is departure `i`'s, always.
+//! Record `i` is departure `i`'s, always. A frame carries its record as
+//! its pool tag, and so does every control message sent on its behalf.
 
+use sdnbuf_controller::ParsedHeaders;
 use sdnbuf_net::{FlowKey, IpProto, Packet, Payload};
+use sdnbuf_openflow::msg::PacketIn;
 use sdnbuf_sim::{FastHashMap, Nanos};
 use sdnbuf_switch::{PacketHandle, PacketPool};
 use sdnbuf_workload::Departure;
@@ -136,17 +139,6 @@ impl FlowAgg {
     }
 }
 
-/// Whose `packet_in` left the switch, for the per-flow controller round
-/// trip.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Origin {
-    /// Sent on behalf of a workload frame of this flow.
-    Flow(usize),
-    /// Sent with no originating frame (a timer's re-request, a
-    /// reconciliation): the flow key its bytes parse to.
-    Key(FlowKey),
-}
-
 /// A per-flow delay the paper reports.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Delay {
@@ -195,14 +187,14 @@ pub(crate) struct Measurement {
     /// One mark per departure, in slice order.
     marks: Vec<Mark>,
     flows: Vec<FlowAgg>,
-    /// Wire identity to record: how a frame without a tag finds its
-    /// record (see [`Measurement::stamp`]). Left empty until such a frame
-    /// shows up.
+    /// Wire identity to record: how a give-up drain's `packet_in` finds
+    /// its frame's record (see [`Measurement::record_of_sent`]). Left
+    /// empty until one is sent.
     record_of: FastHashMap<PacketId, u32>,
-    /// First packet's flow key to flow index: how a `packet_in` with no
-    /// originating frame finds its flow (see [`Measurement::answered`]).
-    /// Left empty until such a `packet_in` is answered.
-    flow_of_key: FastHashMap<FlowKey, usize>,
+    /// First packet's flow key to its record: how a re-request's or a
+    /// reconciliation's `packet_in` finds its flow. Left empty until one
+    /// is sent.
+    first_of_key: FastHashMap<FlowKey, u32>,
     /// The timelines, record by record, when the run is observed.
     log: Option<Vec<PacketTrace>>,
     packets_delivered: u64,
@@ -223,7 +215,7 @@ impl Measurement {
         (
             self.marks.len(),
             self.record_of.len(),
-            self.flow_of_key.len(),
+            self.first_of_key.len(),
         )
     }
 
@@ -291,36 +283,25 @@ impl Measurement {
     }
 
     /// Stamps one stage of a workload packet's timeline, first time only,
-    /// and folds it into the packet's flow. Returns that flow's index, or
-    /// `None` for a frame that is no workload packet.
+    /// and folds it into the packet's flow. A frame without a tag is no
+    /// workload packet.
     pub(crate) fn stamp(
         &mut self,
-        pool: &mut PacketPool,
+        pool: &PacketPool,
         packet: PacketHandle,
         now: Nanos,
         stage: Stage,
         workload: &[Departure],
-    ) -> Option<usize> {
-        let record = pool.tag(packet).or_else(|| {
-            // A frame the switch rebuilt from `packet_out` bytes sits in a
-            // slot of its own: wire identity is all that came back from
-            // the controller. Look it up once; the tag serves from here on.
-            let id = packet_id(pool.get(packet)?)?;
-            if self.record_of.is_empty() {
-                // The first such frame of the run (only no-buffer and a
-                // full buffer's fallback rebuild frames) indexes every
-                // departure by its wire identity, numbered as its tag.
-                self.record_of.reserve(workload.len());
-                let ids = workload.iter().enumerate();
-                let ids = ids.filter_map(|(i, d)| Some((packet_id(&d.packet)?, i as u32)));
-                self.record_of.extend(ids);
-            }
-            let record = *self.record_of.get(&id)?;
-            pool.set_tag(packet, record);
-            Some(record)
-        });
-        let record = record? as usize;
-        let flow_index = workload[record].flow_index;
+    ) {
+        let Some(record) = pool.tag(packet).map(|tag| tag as usize) else {
+            return;
+        };
+        let departure = &workload[record];
+        // The tag names the record; the wire identity only checks it.
+        debug_assert_eq!(
+            pool.get(packet).and_then(packet_id),
+            packet_id(&departure.packet)
+        );
         if let Some(log) = &mut self.log {
             // First time only by the timeline's own account, not the
             // mark's: the log is what the marks are tested against.
@@ -328,10 +309,10 @@ impl Measurement {
         }
         let mark = &mut self.marks[record];
         if mark.bits & stage as u8 != 0 {
-            return Some(flow_index);
+            return;
         }
         mark.bits |= stage as u8;
-        let flow = &mut self.flows[flow_index];
+        let flow = &mut self.flows[departure.flow_index];
         let first = mark.bits & FIRST != 0;
         match stage {
             Stage::Entered if first => flow.first_entered = now,
@@ -351,36 +332,43 @@ impl Measurement {
         if first {
             flow.first_through = mark.bits & FIRST_THROUGH == FIRST_THROUGH;
         }
-        Some(flow_index)
     }
 
-    /// Folds in the controller round trip of an answered `packet_in`: a
-    /// flow keeps its first one.
-    pub(crate) fn answered(&mut self, origin: Origin, rtt: Nanos, workload: &[Departure]) {
-        let flow = match origin {
-            Origin::Flow(flow) => flow,
-            Origin::Key(key) => {
-                if self.flow_of_key.is_empty() {
-                    // The first such `packet_in` of the run (only a timer's
-                    // re-request or a reconciliation sends one) indexes
-                    // every flow by its first packet's key. Under
-                    // `Testbed::run`'s contract that names the flow.
-                    let firsts = workload.iter().filter(|d| d.seq_in_flow == 0);
-                    for d in firsts {
-                        if let Some(key) = FlowKey::of(&d.packet) {
-                            self.flow_of_key.entry(key).or_insert(d.flow_index);
-                        }
-                    }
-                }
-                let Some(&flow) = self.flow_of_key.get(&key) else {
-                    return;
-                };
-                flow
+    /// The record a `packet_in` the switch sent with no frame behind it (a
+    /// timer's) travels under. A give-up drain carries its whole frame and
+    /// is found by its wire identity; a re-request or a reconciliation
+    /// carries a buffered head's header slice and gets its flow's packet-0
+    /// record. Under [`Testbed::run`](crate::Testbed::run)'s contract
+    /// either names the right flow. Each index is built, whole, the first
+    /// time it is needed.
+    pub(crate) fn record_of_sent(&mut self, pin: &PacketIn, workload: &[Departure]) -> Option<u32> {
+        if pin.buffer_id.is_buffered() {
+            let key = ParsedHeaders::parse(&pin.data).ok()?.flow_key()?;
+            if self.first_of_key.is_empty() {
+                // Backwards, so that of two packets 0 on one key the
+                // earlier in the slice is inserted last and wins, as it
+                // wins the first packet's place.
+                let firsts = workload.iter().enumerate().rev();
+                let firsts = firsts.filter(|(_, d)| d.seq_in_flow == 0);
+                let keys = firsts.filter_map(|(i, d)| Some((FlowKey::of(&d.packet)?, i as u32)));
+                self.first_of_key.extend(keys);
             }
-        };
-        let Some(agg) = self.flows.get_mut(flow) else {
-            return;
-        };
+            return self.first_of_key.get(&key).copied();
+        }
+        let id = packet_id(&Packet::decode(&pin.data).ok()?)?;
+        if self.record_of.is_empty() {
+            self.record_of.reserve(workload.len());
+            let ids = workload.iter().enumerate();
+            let ids = ids.filter_map(|(i, d)| Some((packet_id(&d.packet)?, i as u32)));
+            self.record_of.extend(ids);
+        }
+        self.record_of.get(&id).copied()
+    }
+
+    /// Folds in the controller round trip of an answered `packet_in` sent
+    /// on behalf of `record`: its flow keeps the first one.
+    pub(crate) fn answered(&mut self, record: u32, rtt: Nanos, workload: &[Departure]) {
+        let agg = &mut self.flows[workload[record as usize].flow_index];
         if !agg.answered {
             agg.answered = true;
             agg.controller_rtt = rtt;
@@ -481,28 +469,62 @@ mod tests {
     }
 
     #[test]
-    fn a_packet_in_finds_its_flow_by_index_or_by_key_and_the_flow_keeps_the_first_answer() {
+    fn a_timer_packet_in_finds_its_record_and_its_flow_keeps_the_first_answer() {
+        use sdnbuf_openflow::msg::PacketInReason;
+        use sdnbuf_openflow::{BufferId, PortNo};
         let pktgen = sdnbuf_workload::PktgenConfig::default();
         let departures = sdnbuf_workload::cross_sequenced_flows(&pktgen, 3, 4, 1, 1);
-        let key_of = |flow| {
-            let first = departures
+        // What the switch sends for a frame: its header slice under a buffer
+        // id (a re-request, a reconciliation), or all of it (a give-up drain).
+        let packet_in = |packet: &Packet, buffered: bool| PacketIn {
+            buffer_id: if buffered {
+                BufferId::new(1)
+            } else {
+                BufferId::NO_BUFFER
+            },
+            total_len: packet.wire_len() as u16,
+            in_port: PortNo(1),
+            reason: PacketInReason::NoMatch,
+            data: if buffered {
+                packet.wire_prefix(128)
+            } else {
+                packet.wire()
+            },
+        };
+        let record = |flow, seq| {
+            let i = departures
                 .iter()
-                .find(|d| (d.flow_index, d.seq_in_flow) == (flow, 0));
-            Origin::Key(FlowKey::of(&first.expect("a first packet").packet).expect("a key"))
+                .position(|d| (d.flow_index, d.seq_in_flow) == (flow, seq));
+            i.expect("a departure") as u32
         };
         let ms = Nanos::from_millis;
         let mut m = Measurement::default();
         m.begin(&departures);
-        m.answered(Origin::Flow(1), ms(2), &departures);
-        assert_eq!(m.sizes().2, 0, "a frame's flow index needs no key");
-        m.answered(key_of(2), ms(3), &departures);
+        m.answered(record(1, 0), ms(2), &departures);
+        assert_eq!(m.sizes(), (12, 0, 0), "a tagged packet_in needs no index");
+        let last = &departures[record(2, 3) as usize].packet;
         assert_eq!(
-            m.sizes().2,
-            3,
-            "built whole, the first time a key is looked up"
+            m.record_of_sent(&packet_in(last, true), &departures),
+            Some(record(2, 0)),
+            "a header slice names its flow's first record"
         );
-        m.answered(key_of(1), ms(5), &departures);
-        m.answered(Origin::Key(NO_KEY), ms(7), &departures);
+        assert_eq!(m.sizes(), (12, 0, 3), "built whole, on the first key");
+        assert_eq!(
+            m.record_of_sent(&packet_in(last, false), &departures),
+            Some(record(2, 3)),
+            "a whole frame names its own record"
+        );
+        assert_eq!(m.sizes(), (12, 12, 3), "built whole, on the first frame");
+        let host = sdnbuf_workload::HostAddr::host1();
+        let arp = sdnbuf_net::PacketBuilder::gratuitous_arp(host.mac, host.ip);
+        for buffered in [true, false] {
+            assert_eq!(
+                m.record_of_sent(&packet_in(&arp, buffered), &departures),
+                None
+            );
+        }
+        m.answered(record(2, 3), ms(3), &departures);
+        m.answered(record(1, 2), ms(5), &departures);
         let rtts: Vec<_> = m
             .flows
             .iter()

@@ -3,10 +3,10 @@
 //! optional standby) around one switch, and the deterministic event loop
 //! that indexes them.
 
-use crate::measure::{Delay, Measurement, Origin, PacketTrace, Scan, Stage};
+use crate::measure::{Delay, Measurement, PacketTrace, Scan, Stage};
 use crate::trace::MsgDesc;
 use crate::RunResult;
-use sdnbuf_controller::{Controller, ControllerConfig, ControllerOutput, ParsedHeaders};
+use sdnbuf_controller::{Controller, ControllerConfig, ControllerOutput};
 use sdnbuf_metrics::ByteMeter;
 use sdnbuf_net::PacketBuilder;
 use sdnbuf_openflow::{OfpMessage, PortNo};
@@ -331,11 +331,13 @@ pub struct Testbed {
     tracer: Tracer,
     // Measurement state.
     /// The workload packets' records and per-flow aggregates. A frame
-    /// carries its record's index as its pool tag.
+    /// carries its record's index as its pool tag, and so do the
+    /// `packet_in` sent for it and the answers to that `packet_in`, as
+    /// their `msgs` tags.
     measure: Measurement,
-    /// Each `packet_in` of the measurement window awaiting its first
-    /// answer, by xid: when it left, and whose it was.
-    pkt_in_sent: FastHashMap<u32, (Nanos, Option<Origin>)>,
+    /// When each `packet_in` of the measurement window awaiting its first
+    /// answer left, by xid.
+    pkt_in_sent: FastHashMap<u32, Nanos>,
     controller_delays_ms: Vec<f64>,
     pkt_in_count: u64,
     flow_mod_count: u64,
@@ -464,7 +466,7 @@ impl Testbed {
     pub fn inject_controller_msg(&mut self, now: Nanos, msg: OfpMessage, xid: u32) {
         self.switch
             .handle_controller_msg_into(now, msg, xid, &mut self.pool, &mut self.switch_out);
-        self.process_switch_outputs(None);
+        self.process_switch_outputs(None, &[]);
     }
 
     /// Attaches a structured event tracer to the whole testbed: the
@@ -514,16 +516,20 @@ impl Testbed {
     /// pool when its instant comes, so the pool and the event queue hold
     /// what is in flight, not the whole workload.
     ///
+    /// A frame carries its departure's record as its pool tag, and so do
+    /// the `packet_in` sent for it, the `flow_mod` and `packet_out` that
+    /// answer it, and the frame the switch rebuilds from that
+    /// `packet_out`'s bytes.
+    ///
     /// **Contract:** no two departures share a wire identity — a
-    /// `(FlowKey, ident)`, the 5-tuple and the IPv4 identification. A
-    /// frame the switch rebuilds from `packet_out` bytes (no-buffer, a full
-    /// buffer's fallback) is matched to its departure by that identity
-    /// alone. And a flow's packets share one `FlowKey`, which no other
-    /// flow has: a `packet_in` sent with no frame behind it (a buffer
-    /// timer's re-request, a reconciliation) is credited to the flow its
-    /// bytes' key names. The first half implies the second for generated
-    /// workloads, whose flows all number their packets from ident 0: two
-    /// flows on one key would share `(key, 0)`. Every
+    /// `(FlowKey, ident)`, the 5-tuple and the IPv4 identification — and a
+    /// flow's packets share one `FlowKey`, which no other flow has. It
+    /// matters only for a `packet_in` the switch's timer sends, with no
+    /// frame handed over behind it: a give-up drain is matched to its
+    /// departure by wire identity, a re-request or a reconciliation to the
+    /// flow its bytes' key names. The first half implies the second for
+    /// generated workloads, whose flows all number their packets from
+    /// ident 0: two flows on one key would share `(key, 0)`. Every
     /// [`WorkloadKind`](crate::WorkloadKind) that
     /// [`WorkloadKind::validate`](crate::WorkloadKind::validate) accepts
     /// keeps both. Outside the contract a run may mis-measure those frames
@@ -601,7 +607,7 @@ impl Testbed {
         self.handshake(Nanos::ZERO);
         self.switch
             .announce_capabilities_into(Nanos::ZERO, &mut self.switch_out);
-        self.process_switch_outputs(None);
+        self.process_switch_outputs(None, &[]);
 
         // Warm-up: both hosts announce themselves so the controller's
         // learning table knows where Host2 lives (as on the real testbed,
@@ -674,7 +680,8 @@ impl Testbed {
     }
 
     /// Handles one event. `workload` is the run's departures, which a
-    /// frame's record may have to be found in (see [`Measurement::stamp`]).
+    /// frame's record indexes and a timer's `packet_in` may have to be
+    /// found in (see [`Measurement::record_of_sent`]).
     fn dispatch(&mut self, now: Nanos, event: Event, workload: &[Departure]) {
         match event {
             Event::FrameFromHost { port, packet } => self.on_frame_from_host(now, port, packet),
@@ -698,7 +705,7 @@ impl Testbed {
             Event::CtrlSend { dir, xid, msg } => self.send_ctrl(now, dir, xid, msg),
             Event::CtrlAtController { xid, msg } => self.on_ctrl_at_controller(now, xid, msg),
             Event::CtrlAtSwitch { xid, msg } => self.on_ctrl_at_switch(now, xid, msg, workload),
-            Event::SwitchTimer => self.on_switch_timer(now),
+            Event::SwitchTimer => self.on_switch_timer(now, workload),
             Event::ControllerKeepalive => self.on_probe(now, Controller::keepalive),
             Event::ControllerStatsPoll => self.on_probe(now, Controller::poll_flow_stats),
             Event::ControllerCrash { slot } => self.on_crash(now, slot),
@@ -752,9 +759,9 @@ impl Testbed {
             self.data_drops += 1;
             return;
         }
-        let flow = self
-            .measure
-            .stamp(&mut self.pool, packet, now, Stage::Entered, workload);
+        let record = self.pool.tag(packet);
+        self.measure
+            .stamp(&self.pool, packet, now, Stage::Entered, workload);
         let pressure = self.faults.pressure_active(now);
         if pressure != self.pressure_on {
             self.pressure_on = pressure;
@@ -762,13 +769,13 @@ impl Testbed {
         }
         self.switch
             .handle_frame_into(now, in_port, packet, &mut self.pool, &mut self.switch_out);
-        self.process_switch_outputs(flow);
+        self.process_switch_outputs(record, workload);
         self.arm_timer();
     }
 
     fn on_frame_at_host(&mut self, now: Nanos, packet: PacketHandle, workload: &[Departure]) {
         self.measure
-            .stamp(&mut self.pool, packet, now, Stage::Delivered, workload);
+            .stamp(&self.pool, packet, now, Stage::Delivered, workload);
         // End of the packet's life: drop the last pool reference.
         self.pool.release(packet);
     }
@@ -788,14 +795,25 @@ impl Testbed {
     }
 
     /// Moves a delivered control message out of the pool (a clone only
-    /// when a fault-injected duplicate still shares the entry); a stale
-    /// handle is one more control drop.
-    fn take_msg(&mut self, msg: MsgHandle) -> Option<OfpMessage> {
+    /// when a fault-injected duplicate still shares the entry), with the
+    /// record it carries; a stale handle is one more control drop.
+    fn take_msg(&mut self, msg: MsgHandle) -> Option<(OfpMessage, Option<u32>)> {
+        let tag = self.msgs.tag(msg);
         let taken = self.msgs.take(msg);
         if taken.is_none() {
             self.ctrl_drops += 1;
         }
-        taken
+        Some((taken?, tag))
+    }
+
+    /// Puts a control message into the pool, carrying `tag`, and hands it
+    /// to the `dir` wire at `at`.
+    fn post(&mut self, at: Nanos, dir: ChannelDir, xid: u32, msg: OfpMessage, tag: Option<u32>) {
+        let msg = self.msgs.insert(msg);
+        if let Some(tag) = tag {
+            self.msgs.set_tag(msg, tag);
+        }
+        self.queue.schedule(at, Event::CtrlSend { dir, xid, msg });
     }
 
     /// The one way onto the control channel, either direction: capture
@@ -869,8 +887,9 @@ impl Testbed {
 
     /// Hands the timed outputs the serving controller pushed onto
     /// `ctrl_out` to the control channel, counting the responses of the
-    /// measurement window.
-    fn schedule_ctrl_outputs(&mut self, now: Nanos) {
+    /// measurement window; they carry `tag`, that of the message they
+    /// answer.
+    fn schedule_ctrl_outputs(&mut self, now: Nanos, tag: Option<u32>) {
         let mut outputs = std::mem::take(&mut self.ctrl_out);
         for ControllerOutput::ToSwitch { at, xid, msg } in outputs.drain(..) {
             if now >= self.data_start {
@@ -880,9 +899,7 @@ impl Testbed {
                     _ => {}
                 }
             }
-            let msg = self.msgs.insert(msg);
-            let dir = ChannelDir::ToSwitch;
-            self.queue.schedule(at, Event::CtrlSend { dir, xid, msg });
+            self.post(at, ChannelDir::ToSwitch, xid, msg, tag);
         }
         self.ctrl_out = outputs;
     }
@@ -902,42 +919,52 @@ impl Testbed {
                 .schedule(resume, Event::CtrlAtController { xid, msg });
             return;
         }
-        let Some(msg) = self.take_msg(msg) else {
+        let Some((msg, tag)) = self.take_msg(msg) else {
             return;
         };
         self.slots[self.serving]
             .ctrl
             .handle_message_into(now, msg, xid, &mut self.ctrl_out);
-        self.schedule_ctrl_outputs(now);
+        self.schedule_ctrl_outputs(now, tag);
     }
 
     fn on_ctrl_at_switch(&mut self, now: Nanos, xid: u32, msg: MsgHandle, workload: &[Departure]) {
-        let Some(msg) = self.take_msg(msg) else {
+        let Some((msg, tag)) = self.take_msg(msg) else {
             return;
         };
         // Controller delay: pkt_in left the switch -> first response with
         // the same xid arrives back (the paper's t2 - t1).
-        if let Some((sent_at, origin)) = self.pkt_in_sent.remove(&xid) {
+        if let Some(sent_at) = self.pkt_in_sent.remove(&xid) {
             let delay = now.saturating_sub(sent_at);
             self.controller_delays_ms.push(delay.as_millis_f64());
-            if let Some(origin) = origin {
-                self.measure.answered(origin, delay, workload);
+            if let Some(record) = tag {
+                self.measure.answered(record, delay, workload);
             }
         }
+        let unbuffered = matches!(&msg, OfpMessage::PacketOut(po) if !po.buffer_id.is_buffered());
         self.switch
             .handle_controller_msg_into(now, msg, xid, &mut self.pool, &mut self.switch_out);
-        self.process_switch_outputs(None);
+        if let (true, Some(record)) = (unbuffered, tag) {
+            // The one frame decoded from the bytes sits in a slot of its
+            // own: its record came back with them.
+            for output in &self.switch_out {
+                if let SwitchOutput::Forward { packet, .. } = output {
+                    self.pool.set_tag(*packet, record);
+                }
+            }
+        }
+        self.process_switch_outputs(None, workload);
         self.arm_timer();
     }
 
-    fn on_switch_timer(&mut self, now: Nanos) {
+    fn on_switch_timer(&mut self, now: Nanos, workload: &[Departure]) {
         if self.timer_armed == Some(now) {
             self.timer_armed = None;
         }
         if self.switch.next_timer().is_some_and(|t| t <= now) {
             self.switch
                 .on_timer_into(now, &mut self.pool, &mut self.switch_out);
-            self.process_switch_outputs(None);
+            self.process_switch_outputs(None, workload);
         }
         self.arm_timer();
     }
@@ -952,7 +979,7 @@ impl Testbed {
         }
         let probe = originate(&mut slot.ctrl, now);
         self.ctrl_out.push(probe);
-        self.schedule_ctrl_outputs(now);
+        self.schedule_ctrl_outputs(now, None);
     }
 
     fn on_crash(&mut self, now: Nanos, slot: usize) {
@@ -1019,16 +1046,15 @@ impl Testbed {
         let ctrl = &mut self.slots[self.serving].ctrl;
         ctrl.set_epoch(self.ctrl_epoch);
         ctrl.initiate_handshake_into(now, self.config.switch.miss_send_len, &mut self.ctrl_out);
-        self.schedule_ctrl_outputs(now);
+        self.schedule_ctrl_outputs(now, None);
     }
 
     /// Routes the timed outputs the switch pushed onto `switch_out` into
-    /// the event queue. `originating_flow` is the workload flow index of the
-    /// frame that triggered them (known when handling a workload frame),
-    /// used to attribute the pkt_in for per-flow controller-delay
-    /// accounting; otherwise the pkt_in's own payload headers are parsed for
-    /// a flow key.
-    fn process_switch_outputs(&mut self, originating_flow: Option<usize>) {
+    /// the event queue. A `packet_in` of the measurement window is tagged
+    /// with `record`, that of the workload frame whose handling sent it;
+    /// one the timer sent, with no frame handed over, with the record its
+    /// bytes name in `workload` (see [`Measurement::record_of_sent`]).
+    fn process_switch_outputs(&mut self, record: Option<u32>, workload: &[Departure]) {
         let mut drained = std::mem::take(&mut self.switch_out);
         let mut outputs = drained.drain(..).peekable();
         while let Some(output) = outputs.next() {
@@ -1075,19 +1101,13 @@ impl Testbed {
                     // The warm-up ARPs are plumbing, not measurement
                     // traffic; the paper's capture window starts with the
                     // pktgen run.
-                    if let OfpMessage::PacketIn(pin) = &msg {
-                        if at >= self.data_start {
-                            self.pkt_in_count += 1;
-                            let origin = originating_flow.map(Origin::Flow).or_else(|| {
-                                let headers = ParsedHeaders::parse(&pin.data).ok()?;
-                                headers.flow_key().map(Origin::Key)
-                            });
-                            self.pkt_in_sent.insert(xid, (at, origin));
-                        }
+                    let mut tag = None;
+                    if let (OfpMessage::PacketIn(pin), true) = (&msg, at >= self.data_start) {
+                        self.pkt_in_count += 1;
+                        self.pkt_in_sent.insert(xid, at);
+                        tag = record.or_else(|| self.measure.record_of_sent(pin, workload));
                     }
-                    let msg = self.msgs.insert(msg);
-                    let dir = ChannelDir::ToController;
-                    self.queue.schedule(at, Event::CtrlSend { dir, xid, msg });
+                    self.post(at, ChannelDir::ToController, xid, msg, tag);
                 }
                 SwitchOutput::Drop { packet } => {
                     self.data_drops += 1;
@@ -1117,7 +1137,7 @@ impl Testbed {
             return;
         };
         self.measure
-            .stamp(&mut self.pool, packet, now, Stage::Left, workload);
+            .stamp(&self.pool, packet, now, Stage::Left, workload);
         let Some(host) = self.ports.get_mut(usize::from(port.0).wrapping_sub(1)) else {
             debug_assert!(false, "egress on unknown port {port}");
             self.pool.release(packet);
@@ -1263,16 +1283,17 @@ mod tests {
     }
 
     impl Testbed {
-        /// The injection `run` replaced, kept as its reference: every
-        /// departure is copied into the pool and scheduled as a
-        /// `FrameFromHost` before the first event pops. The copies go
-        /// untagged, so every frame is told by its wire identity.
+        /// The injection `run` replaced, kept as its reference for the
+        /// dispatch order: every departure is copied into the pool, tagged
+        /// as `run` tags it, and scheduled as a `FrameFromHost` before the
+        /// first event pops.
         fn run_prescheduled(&mut self, departures: &[Departure]) -> RunResult {
             let scan = self.begin_measurement(departures);
             let shift = self.config.warmup_gap;
             self.warm_up(scan.earliest);
-            for d in departures {
+            for (i, d) in departures.iter().enumerate() {
                 let (port, packet) = (PortNo(1), self.pool.insert(d.packet.clone()));
+                self.pool.set_tag(packet, i as u32);
                 self.queue
                     .schedule(shift + d.at, Event::FrameFromHost { port, packet });
             }
@@ -1330,8 +1351,7 @@ mod tests {
     };
 
     /// Runs `departures` and hands back the testbed, after checking that
-    /// the run left behind what the untagged frames of `run_prescheduled`
-    /// leave.
+    /// the run left behind what `run_prescheduled` leaves.
     fn run_like_the_reference(buffer: BufferChoice, departures: &[Departure]) -> Testbed {
         let config = TestbedConfig::with_buffer(buffer);
         assert_eq!(
@@ -1345,7 +1365,7 @@ mod tests {
     }
 
     #[test]
-    fn the_identity_index_is_built_when_a_frame_comes_back_untagged() {
+    fn frames_rebuilt_from_packet_out_bytes_build_no_index() {
         let monotone = cross_sequenced_flows(&PktgenConfig::default(), 6, 20, 3, 5);
         // Packets 9 and 15 of flow 0 (which sits at every third position
         // of the first sixty) trade places: every identity is still its
@@ -1353,22 +1373,63 @@ mod tests {
         let mut out_of_order = monotone.clone();
         let (a, b) = (monotone[27].packet.clone(), monotone[45].packet.clone());
         (out_of_order[27].packet, out_of_order[45].packet) = (b, a);
+        // Frames parked in the switch keep their tags, and a frame that
+        // no-buffer rebuilds from `packet_out` bytes gets its record back
+        // with the bytes: no index either way.
         for departures in [monotone, out_of_order] {
-            // Frames parked in the switch keep their tags: no index.
-            let tb = run_like_the_reference(FLOW_256, &departures);
-            assert_eq!(tb.measure.sizes(), (120, 0, 0));
-            // no-buffer re-parses its frames from `packet_out` bytes: the
-            // first one builds the index, whole, and the rest find it built.
-            let tb = run_like_the_reference(BufferChoice::NoBuffer, &departures);
-            assert_eq!(tb.measure.sizes(), (120, 120, 0));
+            for buffer in [FLOW_256, BufferChoice::NoBuffer] {
+                let tb = run_like_the_reference(buffer, &departures);
+                assert_eq!(tb.measure.sizes(), (120, 0, 0), "{buffer:?}");
+            }
         }
+        // A full buffer's fallback rebuilds frames the same way.
+        let departures = small_workload(100, 400);
+        let tb = run_like_the_reference(
+            BufferChoice::PacketGranularity { capacity: 16 },
+            &departures,
+        );
+        assert!(tb.switch.buffer().stats().fallback_full > 0);
+        assert_eq!(tb.measure.sizes(), (400, 0, 0));
+        assert_eq!(tb.measure.totals().packets_delivered, 400);
+    }
+
+    #[test]
+    fn a_give_up_drain_is_found_by_its_wire_identity() {
+        // A controller stall past a one-retry budget: the flow buffer gives
+        // its flows up and drains them as whole-frame `packet_in`s, with no
+        // frame handed over behind them.
+        let pktgen = PktgenConfig {
+            rate: BitRate::from_mbps(40),
+            ..PktgenConfig::default()
+        };
+        let departures = cross_sequenced_flows(&pktgen, 6, 4, 2, 9);
+        let mut config = TestbedConfig::with_buffer(BufferChoice::FlowGranularity {
+            capacity: 256,
+            timeout: Nanos::from_millis(20),
+        });
+        config.switch.retry = sdnbuf_switchbuf::RetryPolicy::backoff(Nanos::from_millis(40), 1);
+        config
+            .faults
+            .stalls
+            .push(Window::new(Nanos::from_millis(45), Nanos::from_millis(160)));
+        let mut tb = Testbed::new(config);
+        tb.keep_packet_log();
+        let r = tb.run(&departures);
+        assert!(r.buffer_giveups > 0, "{r:?}");
+        assert_eq!(r.packets_delivered, 24, "{r:?}");
+        let (records, identities, _) = tb.measure.sizes();
+        assert_eq!((records, identities), (24, 24));
+        assert_eq!(tb.measure.flow_delays(), tb.measure.flow_delays_from_log());
     }
 
     #[test]
     fn a_workload_outside_the_contract_is_mis_measured_not_a_panic() {
         // Packet 9 of flow 0 goes out again in place of its packet 15, and
         // packet 3 of flow 1 is an ARP frame: one wire identity shared,
-        // one missing.
+        // one missing. Neither matters to a record that rides with its
+        // frame and that frame's control messages: every packet is counted
+        // where it is delivered, the ARP frame rebuilt from `packet_out`
+        // bytes included.
         let mut departures = cross_sequenced_flows(&PktgenConfig::default(), 6, 20, 3, 5);
         departures[45].packet = departures[27].packet.clone();
         let host = HostAddr::host1();
@@ -1376,8 +1437,13 @@ mod tests {
         for buffer in [FLOW_256, BufferChoice::NoBuffer] {
             let mut tb = Testbed::new(TestbedConfig::with_buffer(buffer));
             tb.keep_packet_log();
-            tb.run(&departures);
+            let r = tb.run(&departures);
             assert_eq!(tb.measure.sizes().0, 120, "a record per departure");
+            assert_eq!(
+                (r.packets_delivered, r.flows_completed),
+                (120, 6),
+                "{buffer:?}"
+            );
             assert_eq!(
                 tb.measure.flow_delays(),
                 tb.measure.flow_delays_from_log(),

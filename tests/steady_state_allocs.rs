@@ -188,8 +188,8 @@ fn one_more_packet_keeps_a_mark_not_a_timeline() {
     // 1 000 flows of 20, then of 40 packets: the 1-B mark (1.04 B as this
     // is written; its flow is its departure's, so it names none). The 80-B
     // timeline is kept for an observed run only; the wire-identity index
-    // (24-48 B more per packet) is built for frames that come back from
-    // the controller as bytes, which a buffered mechanism's do not; holding
+    // (24-48 B more per packet) is built only for a give-up drain's
+    // `packet_in`, which no fault-free run sends; holding
     // every 1 000-B frame from the start of the run was 1 265 B, and a mark
     // that repeated its flow index 8.04 B. (A flow more costs what its rule
     // and its 48-B aggregate do: with the packets in more flows instead of
@@ -226,18 +226,20 @@ fn one_more_flow_keeps_its_rule_and_aggregate_not_an_occupancy_point() {
 }
 
 #[test]
-fn one_more_unbuffered_flow_keeps_no_flow_key_map() {
+fn one_more_unbuffered_flow_keeps_no_identity_index() {
     // The cell that holds the Section IV workload's peak: no-buffer at
     // 100 Mbps, every packet its own flow, the peak reached while the
-    // run's summaries are built. 477.5 B per flow as this is written, the
-    // identity index of the frames that come back as bytes included. A
-    // map from flow key to controller round trip beside the aggregates
-    // adds 51 B (its buckets double from 4 096 to 8 192 over these 2 000
-    // flows) and an 8-B mark 7 B: 535.7 B.
+    // run's summaries are built. 426.3 B per flow as this is written: a
+    // frame that comes back from the controller as bytes gets its record
+    // from the `packet_out` that carried them. Indexing every departure by
+    // wire identity to find that record instead was 477.5 B; a map from
+    // flow key to controller round trip beside the aggregates added 51 B
+    // more (its buckets double from 4 096 to 8 192 over these 2 000 flows)
+    // and an 8-B mark 7 B: 535.7 B.
     let single = WorkloadKind::single_packet_flows;
     let (_, per_flow) = marginal_cost_per_packet(BufferMode::NoBuffer, 100, single);
     assert!(
-        per_flow <= 495.0,
+        per_flow <= 440.0,
         "no-buffer@100 single-packet flows: {per_flow} B of peak live heap per flow"
     );
 }
