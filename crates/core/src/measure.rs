@@ -14,7 +14,6 @@
 //! Record `i` is departure `i`'s, always. A frame carries its record as
 //! its pool tag, and so does every control message sent on its behalf.
 
-use sdnbuf_controller::ParsedHeaders;
 use sdnbuf_net::{FlowKey, IpProto, Packet, Payload};
 use sdnbuf_openflow::msg::PacketIn;
 use sdnbuf_sim::{FastHashMap, Nanos};
@@ -188,13 +187,9 @@ pub(crate) struct Measurement {
     marks: Vec<Mark>,
     flows: Vec<FlowAgg>,
     /// Wire identity to record: how a give-up drain's `packet_in` finds
-    /// its frame's record (see [`Measurement::record_of_sent`]). Left
+    /// its frame's record (see [`Measurement::record_of_drained`]). Left
     /// empty until one is sent.
     record_of: FastHashMap<PacketId, u32>,
-    /// First packet's flow key to its record: how a re-request's or a
-    /// reconciliation's `packet_in` finds its flow. Left empty until one
-    /// is sent.
-    first_of_key: FastHashMap<FlowKey, u32>,
     /// The timelines, record by record, when the run is observed.
     log: Option<Vec<PacketTrace>>,
     packets_delivered: u64,
@@ -208,15 +203,11 @@ impl Measurement {
         self.log.get_or_insert_with(Vec::new);
     }
 
-    /// How many records the run keeps, how many wire identities are
-    /// indexed, and how many first packets' flow keys.
+    /// How many records the run keeps, and how many wire identities are
+    /// indexed.
     #[cfg(test)]
-    pub(crate) fn sizes(&self) -> (usize, usize, usize) {
-        (
-            self.marks.len(),
-            self.record_of.len(),
-            self.first_of_key.len(),
-        )
+    pub(crate) fn sizes(&self) -> (usize, usize) {
+        (self.marks.len(), self.record_of.len())
     }
 
     /// The timelines of an observed run by flow and position; empty
@@ -334,27 +325,16 @@ impl Measurement {
         }
     }
 
-    /// The record a `packet_in` the switch sent with no frame behind it (a
-    /// timer's) travels under. A give-up drain carries its whole frame and
-    /// is found by its wire identity; a re-request or a reconciliation
-    /// carries a buffered head's header slice and gets its flow's packet-0
-    /// record. Under [`Testbed::run`](crate::Testbed::run)'s contract
-    /// either names the right flow. Each index is built, whole, the first
-    /// time it is needed.
-    pub(crate) fn record_of_sent(&mut self, pin: &PacketIn, workload: &[Departure]) -> Option<u32> {
-        if pin.buffer_id.is_buffered() {
-            let key = ParsedHeaders::parse(&pin.data).ok()?.flow_key()?;
-            if self.first_of_key.is_empty() {
-                // Backwards, so that of two packets 0 on one key the
-                // earlier in the slice is inserted last and wins, as it
-                // wins the first packet's place.
-                let firsts = workload.iter().enumerate().rev();
-                let firsts = firsts.filter(|(_, d)| d.seq_in_flow == 0);
-                let keys = firsts.filter_map(|(i, d)| Some((FlowKey::of(&d.packet)?, i as u32)));
-                self.first_of_key.extend(keys);
-            }
-            return self.first_of_key.get(&key).copied();
-        }
+    /// The record a give-up drain's `packet_in` travels under. Its frame
+    /// left the buffer, and its pool tag with it, inside the switch; the
+    /// `packet_in` carries the whole frame, found here by its wire identity
+    /// (right under [`Testbed::run`](crate::Testbed::run)'s contract). The
+    /// index is built, whole, the first time it is needed.
+    pub(crate) fn record_of_drained(
+        &mut self,
+        pin: &PacketIn,
+        workload: &[Departure],
+    ) -> Option<u32> {
         let id = packet_id(&Packet::decode(&pin.data).ok()?)?;
         if self.record_of.is_empty() {
             self.record_of.reserve(workload.len());
@@ -474,22 +454,14 @@ mod tests {
         use sdnbuf_openflow::{BufferId, PortNo};
         let pktgen = sdnbuf_workload::PktgenConfig::default();
         let departures = sdnbuf_workload::cross_sequenced_flows(&pktgen, 3, 4, 1, 1);
-        // What the switch sends for a frame: its header slice under a buffer
-        // id (a re-request, a reconciliation), or all of it (a give-up drain).
-        let packet_in = |packet: &Packet, buffered: bool| PacketIn {
-            buffer_id: if buffered {
-                BufferId::new(1)
-            } else {
-                BufferId::NO_BUFFER
-            },
+        // What the switch sends for a frame it drains on a give-up: all of
+        // it, under no buffer id.
+        let packet_in = |packet: &Packet| PacketIn {
+            buffer_id: BufferId::NO_BUFFER,
             total_len: packet.wire_len() as u16,
             in_port: PortNo(1),
             reason: PacketInReason::NoMatch,
-            data: if buffered {
-                packet.wire_prefix(128)
-            } else {
-                packet.wire()
-            },
+            data: packet.wire(),
         };
         let record = |flow, seq| {
             let i = departures
@@ -501,28 +473,17 @@ mod tests {
         let mut m = Measurement::default();
         m.begin(&departures);
         m.answered(record(1, 0), ms(2), &departures);
-        assert_eq!(m.sizes(), (12, 0, 0), "a tagged packet_in needs no index");
+        assert_eq!(m.sizes(), (12, 0), "a tagged packet_in needs no index");
         let last = &departures[record(2, 3) as usize].packet;
         assert_eq!(
-            m.record_of_sent(&packet_in(last, true), &departures),
-            Some(record(2, 0)),
-            "a header slice names its flow's first record"
-        );
-        assert_eq!(m.sizes(), (12, 0, 3), "built whole, on the first key");
-        assert_eq!(
-            m.record_of_sent(&packet_in(last, false), &departures),
+            m.record_of_drained(&packet_in(last), &departures),
             Some(record(2, 3)),
             "a whole frame names its own record"
         );
-        assert_eq!(m.sizes(), (12, 12, 3), "built whole, on the first frame");
+        assert_eq!(m.sizes(), (12, 12), "built whole, on the first frame");
         let host = sdnbuf_workload::HostAddr::host1();
         let arp = sdnbuf_net::PacketBuilder::gratuitous_arp(host.mac, host.ip);
-        for buffered in [true, false] {
-            assert_eq!(
-                m.record_of_sent(&packet_in(&arp, buffered), &departures),
-                None
-            );
-        }
+        assert_eq!(m.record_of_drained(&packet_in(&arp), &departures), None);
         m.answered(record(2, 3), ms(3), &departures);
         m.answered(record(1, 2), ms(5), &departures);
         let rtts: Vec<_> = m

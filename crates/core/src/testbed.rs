@@ -155,6 +155,14 @@ impl TestbedConfig {
             .validate()
             .map_err(|e| format!("controller: {e}"))?;
         self.faults.validate().map_err(|e| format!("faults: {e}"))?;
+        // Fig. 1 has two hosts: a switch with more ports would flood into
+        // ports nothing is wired to.
+        if self.switch.data_ports != 2 {
+            return Err(format!(
+                "switch: the testbed wires 2 data ports, got data_ports = {}",
+                self.switch.data_ports
+            ));
+        }
         // A zero interval would schedule probes at t = 0 without end.
         if self.keepalive_interval == Some(Nanos::ZERO) {
             return Err("keepalive interval must be positive".to_owned());
@@ -188,16 +196,6 @@ enum Event {
         port: PortNo,
         queue: Option<u32>,
         packet: PacketHandle,
-    },
-    /// The switch finishes emitting several frames at the same instant
-    /// (a flood, or a flow-granularity bulk release): the consecutive
-    /// [`SwitchOutput::Forward`]s are coalesced into one event, cutting
-    /// scheduler traffic on the hottest dispatch path. Ordering is
-    /// preserved because the coalesced outputs carried consecutive
-    /// sequence numbers at an identical timestamp — nothing could have
-    /// interleaved between them.
-    EgressBatch {
-        frames: Vec<(PortNo, Option<u32>, PacketHandle)>,
     },
     /// A frame arrives at a host.
     FrameAtHost { packet: PacketHandle },
@@ -519,20 +517,17 @@ impl Testbed {
     /// A frame carries its departure's record as its pool tag, and so do
     /// the `packet_in` sent for it, the `flow_mod` and `packet_out` that
     /// answer it, and the frame the switch rebuilds from that
-    /// `packet_out`'s bytes.
+    /// `packet_out`'s bytes. A re-request or a reconciliation the switch's
+    /// timer sends carries the tag of the flow's head frame, which the
+    /// buffer still holds.
     ///
     /// **Contract:** no two departures share a wire identity — a
-    /// `(FlowKey, ident)`, the 5-tuple and the IPv4 identification — and a
-    /// flow's packets share one `FlowKey`, which no other flow has. It
-    /// matters only for a `packet_in` the switch's timer sends, with no
-    /// frame handed over behind it: a give-up drain is matched to its
-    /// departure by wire identity, a re-request or a reconciliation to the
-    /// flow its bytes' key names. The first half implies the second for
-    /// generated workloads, whose flows all number their packets from
-    /// ident 0: two flows on one key would share `(key, 0)`. Every
-    /// [`WorkloadKind`](crate::WorkloadKind) that
+    /// `(FlowKey, ident)`, the 5-tuple and the IPv4 identification. It
+    /// matters only for a give-up drain: its frame leaves the buffer, and
+    /// its tag with it, and its `packet_in` is matched to its departure by
+    /// wire identity. Every [`WorkloadKind`](crate::WorkloadKind) that
     /// [`WorkloadKind::validate`](crate::WorkloadKind::validate) accepts
-    /// keeps both. Outside the contract a run may mis-measure those frames
+    /// keeps it. Outside the contract a run may mis-measure those frames
     /// and round trips; it does not panic.
     pub fn run(&mut self, departures: &[Departure]) -> RunResult {
         let scan = self.begin_measurement(departures);
@@ -680,8 +675,8 @@ impl Testbed {
     }
 
     /// Handles one event. `workload` is the run's departures, which a
-    /// frame's record indexes and a timer's `packet_in` may have to be
-    /// found in (see [`Measurement::record_of_sent`]).
+    /// frame's record indexes and a give-up drain's `packet_in` may have
+    /// to be found in (see [`Measurement::record_of_drained`]).
     fn dispatch(&mut self, now: Nanos, event: Event, workload: &[Departure]) {
         match event {
             Event::FrameFromHost { port, packet } => self.on_frame_from_host(now, port, packet),
@@ -693,14 +688,6 @@ impl Testbed {
                 queue,
                 packet,
             } => self.egress_frame(now, port, queue, packet, workload),
-            // Frames in a batch left the switch at the same instant and
-            // were adjacent in the event order; handling them in sequence
-            // is observably identical to one event each.
-            Event::EgressBatch { frames } => {
-                for (port, queue, packet) in frames {
-                    self.egress_frame(now, port, queue, packet, workload);
-                }
-            }
             Event::FrameAtHost { packet } => self.on_frame_at_host(now, packet, workload),
             Event::CtrlSend { dir, xid, msg } => self.send_ctrl(now, dir, xid, msg),
             Event::CtrlAtController { xid, msg } => self.on_ctrl_at_controller(now, xid, msg),
@@ -1050,53 +1037,29 @@ impl Testbed {
     }
 
     /// Routes the timed outputs the switch pushed onto `switch_out` into
-    /// the event queue. A `packet_in` of the measurement window is tagged
-    /// with `record`, that of the workload frame whose handling sent it;
-    /// one the timer sent, with no frame handed over, with the record its
-    /// bytes name in `workload` (see [`Measurement::record_of_sent`]).
+    /// the event queue, one event each. A `packet_in` of the measurement
+    /// window is tagged with `record`, that of the workload frame whose
+    /// handling sent it. One the timer sent, with no frame handed over,
+    /// names a flow the buffer still holds (a re-request, a
+    /// reconciliation) and gets the tag of that flow's head frame, or is a
+    /// give-up drain's (see [`Measurement::record_of_drained`]).
     fn process_switch_outputs(&mut self, record: Option<u32>, workload: &[Departure]) {
-        let mut drained = std::mem::take(&mut self.switch_out);
-        let mut outputs = drained.drain(..).peekable();
-        while let Some(output) = outputs.next() {
+        let mut outputs = std::mem::take(&mut self.switch_out);
+        for output in outputs.drain(..) {
             match output {
                 SwitchOutput::Forward {
                     at,
                     port,
                     queue,
                     packet,
-                } => {
-                    // Coalesce a run of Forwards sharing one departure
-                    // instant (a flood, a bulk flow release) into a single
-                    // scheduled event. The coalesced outputs would have
-                    // received consecutive sequence numbers at the same
-                    // timestamp, so no other event could pop between them:
-                    // batch dispatch is order-identical to one event each.
-                    let same_instant = |o: &SwitchOutput| matches!(o, SwitchOutput::Forward { at: next, .. } if *next == at);
-                    if outputs.peek().is_some_and(same_instant) {
-                        let mut frames = vec![(port, queue, packet)];
-                        while outputs.peek().is_some_and(same_instant) {
-                            if let Some(SwitchOutput::Forward {
-                                port,
-                                queue,
-                                packet,
-                                ..
-                            }) = outputs.next()
-                            {
-                                frames.push((port, queue, packet));
-                            }
-                        }
-                        self.queue.schedule(at, Event::EgressBatch { frames });
-                    } else {
-                        self.queue.schedule(
-                            at,
-                            Event::EgressAtSwitch {
-                                port,
-                                queue,
-                                packet,
-                            },
-                        );
-                    }
-                }
+                } => self.queue.schedule(
+                    at,
+                    Event::EgressAtSwitch {
+                        port,
+                        queue,
+                        packet,
+                    },
+                ),
                 SwitchOutput::ToController { at, xid, msg } => {
                     // The warm-up ARPs are plumbing, not measurement
                     // traffic; the paper's capture window starts with the
@@ -1105,7 +1068,14 @@ impl Testbed {
                     if let (OfpMessage::PacketIn(pin), true) = (&msg, at >= self.data_start) {
                         self.pkt_in_count += 1;
                         self.pkt_in_sent.insert(xid, at);
-                        tag = record.or_else(|| self.measure.record_of_sent(pin, workload));
+                        tag = match record {
+                            Some(record) => Some(record),
+                            None if pin.buffer_id.is_buffered() => {
+                                let head = self.switch.buffer().rerequest_for(pin.buffer_id);
+                                head.and_then(|head| self.pool.tag(head.packet))
+                            }
+                            None => self.measure.record_of_drained(pin, workload),
+                        };
                     }
                     self.post(at, ChannelDir::ToController, xid, msg, tag);
                 }
@@ -1117,14 +1087,12 @@ impl Testbed {
                 }
             }
         }
-        drop(outputs);
-        self.switch_out = drained;
+        self.switch_out = outputs;
     }
 
     /// One frame leaving a switch data port: record it, run the data-link
-    /// fault plane, and put it on the egress link. Shared by the single
-    /// [`Event::EgressAtSwitch`] path and the coalesced
-    /// [`Event::EgressBatch`] path.
+    /// fault plane, and put it on the egress link. A port the testbed does
+    /// not wire (a rule may name any) loses the frame: one more data drop.
     fn egress_frame(
         &mut self,
         now: Nanos,
@@ -1139,7 +1107,7 @@ impl Testbed {
         self.measure
             .stamp(&self.pool, packet, now, Stage::Left, workload);
         let Some(host) = self.ports.get_mut(usize::from(port.0).wrapping_sub(1)) else {
-            debug_assert!(false, "egress on unknown port {port}");
+            self.data_drops += 1;
             self.pool.release(packet);
             return;
         };
@@ -1379,7 +1347,7 @@ mod tests {
         for departures in [monotone, out_of_order] {
             for buffer in [FLOW_256, BufferChoice::NoBuffer] {
                 let tb = run_like_the_reference(buffer, &departures);
-                assert_eq!(tb.measure.sizes(), (120, 0, 0), "{buffer:?}");
+                assert_eq!(tb.measure.sizes(), (120, 0), "{buffer:?}");
             }
         }
         // A full buffer's fallback rebuilds frames the same way.
@@ -1389,7 +1357,7 @@ mod tests {
             &departures,
         );
         assert!(tb.switch.buffer().stats().fallback_full > 0);
-        assert_eq!(tb.measure.sizes(), (400, 0, 0));
+        assert_eq!(tb.measure.sizes(), (400, 0));
         assert_eq!(tb.measure.totals().packets_delivered, 400);
     }
 
@@ -1417,8 +1385,7 @@ mod tests {
         let r = tb.run(&departures);
         assert!(r.buffer_giveups > 0, "{r:?}");
         assert_eq!(r.packets_delivered, 24, "{r:?}");
-        let (records, identities, _) = tb.measure.sizes();
-        assert_eq!((records, identities), (24, 24));
+        assert_eq!(tb.measure.sizes(), (24, 24));
         assert_eq!(tb.measure.flow_delays(), tb.measure.flow_delays_from_log());
     }
 
@@ -1453,10 +1420,12 @@ mod tests {
     }
 
     #[test]
-    fn a_packet_in_with_no_originating_frame_finds_its_flow_by_key() {
+    fn a_packet_in_with_no_originating_frame_finds_its_flow_by_the_buffered_head() {
         // One flow of five packets into the flow buffer, its packets held
         // while the rule is set up. `run` returns the testbed's round trips
         // and setup delays as summaries: with one flow, each is its flow's.
+        // A re-request is tagged by the head frame the buffer still holds,
+        // so no plan builds an index.
         let departures = cross_sequenced_flows(&PktgenConfig::default(), 1, 5, 1, 3);
         let run = |plan: &str| {
             let mut config = TestbedConfig::with_buffer(FLOW_256);
@@ -1464,22 +1433,17 @@ mod tests {
             let mut tb = Testbed::new(config);
             let r = tb.run(&departures);
             assert_eq!(r.packets_delivered, 5, "{plan}");
-            (r, tb.measure.sizes().2)
+            assert_eq!(tb.measure.sizes(), (5, 0), "{plan}");
+            r
         };
-        let (clean, keys) = run("");
-        assert_eq!(
-            (clean.rerequests, clean.controller_delay.n, keys),
-            (0, 1, 0)
-        );
+        let clean = run("");
+        assert_eq!((clean.rerequests, clean.controller_delay.n), (0, 1));
         // The seventh message to the controller is the flow's `packet_in`:
-        // lost, so the buffer's 50 ms timer asks again from the bytes it
-        // holds, with no frame behind the request. That one is answered,
-        // and it is the only round trip the flow has.
-        let (lost_in, keys) = run("c.loss=nth:7");
-        assert_eq!(
-            (lost_in.rerequests, lost_in.controller_delay.n, keys),
-            (1, 1, 1)
-        );
+        // lost, so the buffer's 50 ms timer asks again from the frames it
+        // holds, with no frame handed over behind the request. That one is
+        // answered, and it is the only round trip the flow has.
+        let lost_in = run("c.loss=nth:7");
+        assert_eq!((lost_in.rerequests, lost_in.controller_delay.n), (1, 1));
         let setup = lost_in.flow_setup_delay.mean;
         assert!(setup > 50.0, "{setup} ms");
         let switch = setup - lost_in.controller_delay.mean;
@@ -1492,11 +1456,8 @@ mod tests {
         // `packet_in` was answered by its `flow_mod`, the timer's request
         // is answered too, and the flow keeps the first of the two round
         // trips.
-        let (lost_out, keys) = run("s.loss=nth:3");
-        assert_eq!(
-            (lost_out.rerequests, lost_out.controller_delay.n, keys),
-            (1, 2, 1)
-        );
+        let lost_out = run("s.loss=nth:3");
+        assert_eq!((lost_out.rerequests, lost_out.controller_delay.n), (1, 2));
         let switch = lost_out.flow_setup_delay.mean - lost_out.controller_delay.min;
         assert!(
             (lost_out.switch_delay.mean - switch).abs() < 1e-9,
@@ -1687,6 +1648,14 @@ mod tests {
         };
         assert!(err.contains("capacity"), "{err}");
 
+        // Fig. 1 has two hosts; a third port would have nothing behind it.
+        let mut three_ports = TestbedConfig::default();
+        three_ports.switch.data_ports = 3;
+        match Testbed::try_new(three_ports) {
+            Ok(_) => panic!("a third data port must be rejected"),
+            Err(e) => assert!(e.contains("data_ports = 3"), "{e}"),
+        }
+
         // A zero probe interval is refused here, not looped on in
         // `schedule_probes`; so is it one level up.
         let zero = Some(Nanos::ZERO);
@@ -1871,6 +1840,55 @@ mod tests {
     }
 
     #[test]
+    fn a_reconciliation_re_announce_is_tagged_by_its_buffered_head() {
+        // A crash while flows sit in the flow buffer: the restart bumps the
+        // epoch, and the switch re-announces the surviving flows from the
+        // frames it still holds, with no frame handed over behind them.
+        let mut config = crash_config("crash=55ms+30ms");
+        config.switch.buffer = FLOW_256;
+        let pktgen = PktgenConfig {
+            rate: BitRate::from_mbps(20),
+            ..PktgenConfig::default()
+        };
+        let departures = cross_sequenced_flows(&pktgen, 20, 10, 4, 3);
+        let mut tb = Testbed::new(config);
+        tb.keep_packet_log();
+        let r = tb.run(&departures);
+        assert!(r.reconcile_rerequests > 0, "{r:?}");
+        assert_eq!(tb.measure.sizes(), (departures.len(), 0));
+        // Every flow that went through has a controller round trip, those
+        // answered only after a re-announce included.
+        assert_eq!(r.switch_delay.n, r.flow_setup_delay.n, "{r:?}");
+        assert_eq!(tb.measure.flow_delays(), tb.measure.flow_delays_from_log());
+    }
+
+    #[test]
+    fn a_frame_sent_to_an_unwired_port_is_a_counted_drop() {
+        // Every IPv4 frame is sent to port 3, which the testbed does not
+        // have; the warm-up ARPs still reach the controller.
+        let mut tb = Testbed::new(TestbedConfig::default());
+        let mut ipv4 = sdnbuf_openflow::Match::any();
+        ipv4.wildcards = ipv4.wildcards.without(sdnbuf_openflow::Wildcards::DL_TYPE);
+        ipv4.dl_type = 0x0800;
+        let rule = sdnbuf_openflow::msg::FlowMod {
+            match_fields: ipv4,
+            cookie: 0,
+            command: sdnbuf_openflow::msg::FlowModCommand::Add,
+            idle_timeout: 0,
+            hard_timeout: 0,
+            priority: 100,
+            buffer_id: sdnbuf_openflow::BufferId::NO_BUFFER,
+            out_port: PortNo::NONE,
+            flags: 0,
+            actions: vec![sdnbuf_openflow::Action::output(PortNo(3))].into(),
+        };
+        tb.inject_controller_msg(Nanos::ZERO, OfpMessage::FlowMod(rule), 1);
+        let r = tb.run(&small_workload(20, 5));
+        assert_eq!((r.packets_sent, r.packets_delivered), (5, 0), "{r:?}");
+        assert_eq!(r.packets_dropped, r.packets_sent, "{r:?}");
+    }
+
+    #[test]
     fn no_crash_windows_leave_the_plane_cold() {
         let r = run_with(BufferChoice::PacketGranularity { capacity: 256 }, 20, 30);
         assert_eq!(r.ctrl_crashes, 0);
@@ -1893,9 +1911,9 @@ mod tests {
     }
 
     #[test]
-    fn events_stay_four_words() {
+    fn events_stay_three_words() {
         // The queue stores events by value; growing one grows every slot.
-        assert!(std::mem::size_of::<Event>() <= 32);
+        assert_eq!(std::mem::size_of::<Event>(), 24);
     }
 
     /// `send_ctrl` is one path for both directions: the same knobs on

@@ -210,6 +210,26 @@ fn flag(args: &[String], key: &str) -> Result<Option<String>, ParseError> {
     Ok(None)
 }
 
+/// Refuses every argument `sdnlab <cmd>` does not read: a flag in `valued`
+/// takes the next argument as its value, one in `switches` stands alone.
+/// Unchecked, a misspelt flag would be ignored and its default run.
+fn known_flags(
+    cmd: &str,
+    args: &[String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<(), ParseError> {
+    let mut iter = args.iter().map(String::as_str);
+    while let Some(a) = iter.next() {
+        if valued.contains(&a) {
+            iter.next();
+        } else if !switches.contains(&a) {
+            return Err(ParseError(format!("sdnlab {cmd} does not take '{a}'")));
+        }
+    }
+    Ok(())
+}
+
 /// A count flag that must be at least 1 (`--reps`, `--flows`): zero
 /// repetitions or flows would report on runs that never happened.
 fn count_flag(args: &[String], key: &str, default: usize) -> Result<usize, ParseError> {
@@ -245,6 +265,30 @@ fn create(path: &str) -> Result<std::io::BufWriter<std::fs::File>, ParseError> {
 }
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
+    known_flags(
+        "run",
+        args,
+        &[
+            "--buffer",
+            "--workload",
+            "--rate",
+            "--seed",
+            "--faults",
+            "--retry-policy",
+            "--ttl",
+            "--degraded",
+            "--admission",
+            "--standby",
+            "--takeover-delay",
+            "--keepalive",
+            "--liveness-timeout",
+            "--events",
+            "--timeline",
+            "--sample-every",
+            "--samples",
+        ],
+        &["--check", "--latency-report", "--dump-on-exit"],
+    )?;
     let buffer = match flag(args, "--buffer")? {
         Some(s) => s.parse::<BufferMode>()?,
         None => BufferMode::PacketGranularity { capacity: 256 },
@@ -487,6 +531,18 @@ fn write_chaos_dump(scenario: &ChaosScenario, sabotage: Sabotage) {
 /// `--broken`/`--broken-ttl` sabotage the mechanism and invert the
 /// expectation (self-test).
 fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
+    known_flags(
+        "chaos",
+        args,
+        &["--seeds", "--replay"],
+        &[
+            "--crash",
+            "--broken",
+            "--broken-ttl",
+            "--broken-epoch",
+            "--recovery",
+        ],
+    )?;
     let sabotage = Sabotage {
         disable_rerequest: args.iter().any(|a| a == "--broken"),
         disable_ttl_gc: args.iter().any(|a| a == "--broken-ttl"),
@@ -690,6 +746,21 @@ fn parse_cells(s: &str) -> Result<Vec<(BufferMode, u64)>, ParseError> {
 /// off-grid configurations with shrinking on failure. `--broken` swaps in
 /// a deliberately mis-derived oracle and inverts the expectation.
 fn cmd_validate(args: &[String]) -> Result<ExitCode, ParseError> {
+    known_flags(
+        "validate",
+        args,
+        &[
+            "--report",
+            "--tolerance",
+            "--cells",
+            "--flows",
+            "--reps",
+            "--seed",
+            "--random",
+            "--threads",
+        ],
+        &["--broken"],
+    )?;
     let mut config = ValidateConfig::default();
     if let Some(s) = flag(args, "--cells")? {
         config.cells = Some(parse_cells(&s)?);
@@ -826,6 +897,12 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, ParseError> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), ParseError> {
+    known_flags(
+        "sweep",
+        args,
+        &["--section", "--reps", "--threads", "--events", "--timeline"],
+        &["--latency-report"],
+    )?;
     let reps = count_flag(args, "--reps", 5)?;
     let threads = threads_flag(args)?;
     let section = flag(args, "--section")?.unwrap_or_else(|| "iv".to_owned());
@@ -869,6 +946,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), ParseError> {
 }
 
 fn cmd_claims(args: &[String]) -> Result<(), ParseError> {
+    known_flags("claims", args, &["--reps", "--threads"], &[])?;
     let reps = count_flag(args, "--reps", 5)?;
     let threads = threads_flag(args)?;
     let iv = RateSweep::paper_section_iv(reps).run_with(threads, &StderrProgress::new("iv"));
@@ -1046,11 +1124,31 @@ mod tests {
     /// scheduled at t = 0 until memory runs out, `sample_series`'s assert,
     /// `BitRate`'s zero-rate assert, a bit rate that wraps a `u64`, the
     /// cross-sequenced generator's zero-group assert, the oracle's
-    /// zero-flow assert, and sweeps or validations over zero repetitions.
-    /// `ci.yml` runs the same inputs against the release binary.
+    /// zero-flow assert, and sweeps or validations over zero repetitions. A
+    /// flag its subcommand does not read would be ignored, and its default
+    /// run. `ci.yml` runs the same inputs against the release binary.
     #[test]
     fn bad_inputs_are_refused_before_anything_runs() {
         for (args, named) in [
+            (
+                "run --buffr none --rat 60",
+                "sdnlab run does not take '--buffr'",
+            ),
+            (
+                "run --buffer none --rat 60",
+                "sdnlab run does not take '--rat'",
+            ),
+            ("run none", "sdnlab run does not take 'none'"),
+            ("sweep --check", "sdnlab sweep does not take '--check'"),
+            (
+                "claims --section v",
+                "sdnlab claims does not take '--section'",
+            ),
+            (
+                "validate --seeds 3",
+                "sdnlab validate does not take '--seeds'",
+            ),
+            ("chaos --seed 3", "sdnlab chaos does not take '--seed'"),
             ("run --keepalive 0", "keepalive interval"),
             ("run --sample-every 0us", "'0us'"),
             ("run --rate 0", "'0'"),
