@@ -187,7 +187,7 @@ impl Controller {
         ControllerOutput::ToSwitch {
             at,
             xid: self.fresh_xid(),
-            msg: OfpMessage::StatsRequest(sdnbuf_openflow::msg::StatsRequest::Aggregate {
+            msg: OfpMessage::StatsRequest(sdnbuf_openflow::msg::AggregateStatsRequest {
                 match_fields: Match::any(),
                 table_id: 0xff,
                 out_port: PortNo::NONE,
@@ -787,11 +787,7 @@ mod tests {
         );
         c.handle_message(
             Nanos::from_millis(2),
-            OfpMessage::StatsReply(sdnbuf_openflow::msg::StatsReply::Aggregate {
-                packet_count: 0,
-                byte_count: 0,
-                flow_count: 0,
-            }),
+            OfpMessage::StatsReply(sdnbuf_openflow::msg::AggregateStatsReply::default()),
             x2,
         );
         assert_eq!(c.stats().echo_replies.get(), 1);

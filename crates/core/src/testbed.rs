@@ -1934,7 +1934,7 @@ mod tests {
                 let msg = match xid % 3 {
                     0 => OfpMessage::Hello,
                     1 => OfpMessage::EchoRequest(vec![0; xid as usize]),
-                    _ => OfpMessage::BarrierRequest,
+                    _ => OfpMessage::FeaturesRequest,
                 };
                 let msg = tb.msgs.insert(msg);
                 tb.send_ctrl(Nanos::from_micros(u64::from(xid) * 20), dir, xid, msg);

@@ -31,16 +31,10 @@ impl MsgDesc {
             MsgType::SetConfig => "set_config",
             MsgType::PacketIn => "packet_in",
             MsgType::FlowRemoved => "flow_removed",
-            MsgType::PortStatus => "port_status",
             MsgType::PacketOut => "packet_out",
             MsgType::FlowMod => "flow_mod",
-            MsgType::PortMod => "port_mod",
             MsgType::StatsRequest => "stats_request",
             MsgType::StatsReply => "stats_reply",
-            MsgType::BarrierRequest => "barrier_request",
-            MsgType::BarrierReply => "barrier_reply",
-            MsgType::QueueGetConfigRequest => "queue_get_config_request",
-            MsgType::QueueGetConfigReply => "queue_get_config_reply",
         }
     }
 }

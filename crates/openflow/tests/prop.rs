@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use sdnbuf_net::{MacAddr, PacketBuilder, WireFrame, HEADERS_MAX};
 use sdnbuf_openflow::{
     msg::{
-        ErrorMsg, FlowMod, FlowModCommand, FlowRemoved, FlowRemovedReason, PacketIn,
-        PacketInReason, PacketOut, StatsReply, Vendor,
+        AggregateStatsReply, AggregateStatsRequest, ErrorMsg, FlowMod, FlowModCommand, FlowRemoved,
+        FlowRemovedReason, PacketIn, PacketInReason, PacketOut, Vendor,
     },
     Action, ActionList, BufferId, Match, OfpMessage, PortNo, Wildcards,
 };
@@ -96,8 +96,7 @@ fn arb_message() -> impl Strategy<Value = OfpMessage> {
     prop_oneof![
         Just(OfpMessage::Hello),
         Just(OfpMessage::FeaturesRequest),
-        Just(OfpMessage::BarrierRequest),
-        Just(OfpMessage::BarrierReply),
+        Just(OfpMessage::GetConfigRequest),
         data.clone().prop_map(OfpMessage::EchoRequest),
         data.clone().prop_map(OfpMessage::EchoReply),
         (any::<u16>(), any::<u16>(), data.clone()).prop_map(|(t, c, d)| OfpMessage::Error(
@@ -189,8 +188,15 @@ fn arb_message() -> impl Strategy<Value = OfpMessage> {
                 byte_count: 5,
             })
         }),
+        (arb_match(), any::<u8>(), any::<u16>()).prop_map(|(m, t, p)| {
+            OfpMessage::StatsRequest(AggregateStatsRequest {
+                match_fields: m,
+                table_id: t,
+                out_port: PortNo(p),
+            })
+        }),
         (any::<u64>(), any::<u64>(), any::<u32>()).prop_map(|(p, b, f)| {
-            OfpMessage::StatsReply(StatsReply::Aggregate {
+            OfpMessage::StatsReply(AggregateStatsReply {
                 packet_count: p,
                 byte_count: b,
                 flow_count: f,

@@ -162,12 +162,8 @@ pub struct SwitchConfig {
     /// the paper's observation that subsequent packets of a flow keep
     /// missing. Zero makes rules effective as soon as the parse finishes.
     pub cost_rule_install: Nanos,
-    /// CPU time for trivial control messages (echo, barrier, config).
+    /// CPU time for trivial control messages (echo, features, config).
     pub cost_control_misc: Nanos,
-    /// Advertised egress queues (guaranteed min rates in 1/10 % of the
-    /// port speed), answered in `queue_get_config_reply`. Empty = no QoS
-    /// queues configured.
-    pub egress_queue_rates: &'static [u16],
     /// How long a packet-granularity buffer unit stays unavailable after
     /// its `packet_out` (Open vSwitch reclaims buffers lazily; the paper's
     /// Section V.B.5 observes the default mechanism's units are "released
@@ -223,7 +219,6 @@ impl Default for SwitchConfig {
             cost_flow_mod: Nanos::from_micros(30),
             cost_rule_install: Nanos::ZERO,
             cost_control_misc: Nanos::from_micros(5),
-            egress_queue_rates: &[],
             buffer_free_lag: Nanos::ZERO,
             retry: RetryPolicy::fixed(),
             buffer_ttl: Nanos::ZERO,

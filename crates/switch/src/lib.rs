@@ -54,7 +54,7 @@ mod stats;
 mod switch;
 
 pub use config::{BufferChoice, SwitchConfig};
-pub use stats::{PortCounters, SwitchStats};
+pub use stats::SwitchStats;
 pub use switch::{Switch, SwitchOutput};
 
 pub use sdnbuf_switchbuf::{BufferMechanism, PacketHandle, PacketPool};

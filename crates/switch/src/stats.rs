@@ -1,20 +1,6 @@
 //! Switch-side measurement counters.
 
 use sdnbuf_metrics::{Counter, Gauge};
-use std::collections::BTreeMap;
-
-/// Per-port traffic counters, the backing data of `OFPST_PORT` replies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PortCounters {
-    /// Packets received on the port.
-    pub rx_packets: u64,
-    /// Packets transmitted out the port.
-    pub tx_packets: u64,
-    /// Bytes received.
-    pub rx_bytes: u64,
-    /// Bytes transmitted.
-    pub tx_bytes: u64,
-}
 
 /// Running statistics kept by the switch model.
 ///
@@ -66,25 +52,6 @@ pub struct SwitchStats {
     /// occupancy timeline is its event stream (`observe::sample_series`
     /// in `sdnbuf-core`), not a record kept here.
     pub buffer_occupancy: Gauge,
-    /// Per-port rx/tx counters (keyed by port number, deterministic
-    /// iteration order for stats replies).
-    pub ports: BTreeMap<u16, PortCounters>,
-}
-
-impl SwitchStats {
-    /// Records a received frame on `port`.
-    pub fn count_rx(&mut self, port: u16, bytes: usize) {
-        let c = self.ports.entry(port).or_default();
-        c.rx_packets += 1;
-        c.rx_bytes += bytes as u64;
-    }
-
-    /// Records a transmitted frame on `port`.
-    pub fn count_tx(&mut self, port: u16, bytes: usize) {
-        let c = self.ports.entry(port).or_default();
-        c.tx_packets += 1;
-        c.tx_bytes += bytes as u64;
-    }
 }
 
 #[cfg(test)]

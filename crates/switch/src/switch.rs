@@ -79,7 +79,6 @@ fn forward_all(
     in_port: PortNo,
     at: Nanos,
     packet: PacketHandle,
-    wire_len: usize,
     pool: &mut PacketPool,
     out: &mut Vec<SwitchOutput>,
 ) -> u64 {
@@ -89,7 +88,6 @@ fn forward_all(
             pool.retain(packet);
         }
         forwards += 1;
-        stats.count_tx(port.as_u16(), wire_len);
         out.push(SwitchOutput::Forward {
             at,
             port,
@@ -354,7 +352,6 @@ impl Switch {
         let view = MatchView::of(in_port, pk);
         let wire_len = pk.wire_len();
         let matched = self.table.match_packet(now, &view, wire_len);
-        self.stats.count_rx(in_port.as_u16(), wire_len);
         if let Some(rule) = matched {
             // Fast path: datapath CPU cost, then out the rule's ports.
             let done = self.cpu.submit(now, self.config.cost_forward);
@@ -365,7 +362,6 @@ impl Switch {
                 in_port,
                 done,
                 packet,
-                wire_len,
                 pool,
                 out,
             );
@@ -702,9 +698,9 @@ impl Switch {
         pool: &mut PacketPool,
         out: &mut Vec<SwitchOutput>,
     ) {
-        let Some(wire_len) = pool.get(packet).map(Packet::wire_len) else {
+        if pool.get(packet).is_none() {
             return shed(&mut self.stats, None, out);
-        };
+        }
         let forwards = forward_all(
             &mut self.stats,
             self.config.data_ports,
@@ -712,7 +708,6 @@ impl Switch {
             in_port,
             at,
             packet,
-            wire_len,
             pool,
             out,
         );
@@ -882,7 +877,7 @@ impl Switch {
 mod tests {
     use super::*;
     use sdnbuf_net::PacketBuilder;
-    use sdnbuf_openflow::msg::{FlowMod, PacketOut, StatsReply, StatsRequest};
+    use sdnbuf_openflow::msg::{AggregateStatsReply, AggregateStatsRequest, FlowMod, PacketOut};
     use sdnbuf_openflow::Match;
 
     fn switch_with(buffer: BufferChoice) -> Switch {
@@ -1252,7 +1247,7 @@ mod tests {
     }
 
     #[test]
-    fn echo_features_config_barrier_replies() {
+    fn echo_features_config_replies() {
         let mut pool = PacketPool::new();
         let mut sw = switch_with(BufferChoice::PacketGranularity { capacity: 256 });
         let outs =
@@ -1278,14 +1273,6 @@ mod tests {
             outs[0],
             SwitchOutput::ToController {
                 msg: OfpMessage::GetConfigReply(_),
-                ..
-            }
-        ));
-        let outs = sw.handle_controller_msg(Nanos::ZERO, OfpMessage::BarrierRequest, 6, &mut pool);
-        assert!(matches!(
-            outs[0],
-            SwitchOutput::ToController {
-                msg: OfpMessage::BarrierReply,
                 ..
             }
         ));
@@ -1334,86 +1321,37 @@ mod tests {
             1,
             &mut pool,
         );
-        let outs = sw.handle_controller_msg(
+        sw.handle_frame(
             Nanos::from_millis(1),
-            OfpMessage::StatsRequest(StatsRequest::Aggregate {
-                match_fields: Match::any(),
+            PortNo(1),
+            pool.insert(pkt.clone()),
+            &mut pool,
+        );
+        let mut ask = |match_fields| {
+            let request = OfpMessage::StatsRequest(AggregateStatsRequest {
+                match_fields,
                 table_id: 0xff,
                 out_port: PortNo::NONE,
-            }),
-            2,
-            &mut pool,
-        );
-        match &outs[0] {
-            SwitchOutput::ToController {
-                msg: OfpMessage::StatsReply(StatsReply::Aggregate { flow_count, .. }),
-                ..
-            } => assert_eq!(*flow_count, 1),
-            other => panic!("{other:?}"),
-        }
-        let outs = sw.handle_controller_msg(
-            Nanos::from_millis(1),
-            OfpMessage::StatsRequest(StatsRequest::Flow {
-                match_fields: Match::any(),
-                table_id: 0xff,
-                out_port: PortNo::NONE,
-            }),
-            3,
-            &mut pool,
-        );
-        match &outs[0] {
-            SwitchOutput::ToController {
-                msg: OfpMessage::StatsReply(StatsReply::Flow(entries)),
-                ..
-            } => assert_eq!(entries.len(), 1),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn queue_config_request_describes_egress_queues() {
-        let mut pool = PacketPool::new();
-        let mut sw = Switch::new(SwitchConfig {
-            egress_queue_rates: &[200, 800],
-            ..SwitchConfig::default()
-        });
-        let outs = sw.handle_controller_msg(
-            Nanos::ZERO,
-            OfpMessage::QueueGetConfigRequest(PortNo(2)),
-            8,
-            &mut pool,
-        );
-        match &outs[0] {
-            SwitchOutput::ToController {
-                msg: OfpMessage::QueueGetConfigReply { port, queues },
-                ..
-            } => {
-                assert_eq!(*port, PortNo(2));
-                assert_eq!(queues.len(), 2);
-                assert_eq!(queues[0].min_rate_tenths_percent, 200);
-                assert_eq!(queues[1].queue_id, 1);
+            });
+            let outs = sw.handle_controller_msg(Nanos::from_millis(2), request, 2, &mut pool);
+            match &outs[..] {
+                [SwitchOutput::ToController {
+                    xid: 2,
+                    msg: OfpMessage::StatsReply(reply),
+                    ..
+                }] => *reply,
+                other => panic!("{other:?}"),
             }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn port_mod_is_acknowledged_silently() {
-        let mut pool = PacketPool::new();
-        let mut sw = switch_with(BufferChoice::NoBuffer);
-        let outs = sw.handle_controller_msg(
-            Nanos::ZERO,
-            OfpMessage::PortMod(msg::PortMod {
-                port_no: PortNo(1),
-                hw_addr: sdnbuf_net::MacAddr::from_host_index(1),
-                config: 1,
-                mask: 1,
-                advertise: 0,
-            }),
-            9,
-            &mut pool,
-        );
-        assert!(outs.is_empty());
+        };
+        let one_rule = AggregateStatsReply {
+            packet_count: 1,
+            byte_count: 1000,
+            flow_count: 1,
+        };
+        assert_eq!(ask(Match::any()), one_rule);
+        assert_eq!(ask(Match::exact_from_packet(PortNo(1), &pkt)), one_rule);
+        let other_flow = Match::exact_from_packet(PortNo(1), &udp(2));
+        assert_eq!(ask(other_flow).flow_count, 0);
     }
 
     #[test]
@@ -1454,84 +1392,6 @@ mod tests {
     }
 
     #[test]
-    fn desc_table_and_port_stats_are_answered() {
-        let mut pool = PacketPool::new();
-        let mut sw = switch_with(BufferChoice::PacketGranularity { capacity: 256 });
-        let pkt = udp(1);
-        sw.handle_controller_msg(
-            Nanos::ZERO,
-            flow_mod_for(&pkt, PortNo(1), PortNo(2)),
-            1,
-            &mut pool,
-        );
-        sw.handle_frame(
-            Nanos::from_millis(1),
-            PortNo(1),
-            pool.insert(pkt.clone()),
-            &mut pool,
-        );
-        sw.handle_frame(
-            Nanos::from_millis(2),
-            PortNo(1),
-            pool.insert(pkt.clone()),
-            &mut pool,
-        );
-        let mut ask = |sw: &mut Switch, req| {
-            let outs = sw.handle_controller_msg(
-                Nanos::from_millis(3),
-                OfpMessage::StatsRequest(req),
-                9,
-                &mut pool,
-            );
-            match outs.into_iter().next() {
-                Some(SwitchOutput::ToController {
-                    msg: OfpMessage::StatsReply(reply),
-                    ..
-                }) => reply,
-                other => panic!("{other:?}"),
-            }
-        };
-        match ask(&mut sw, StatsRequest::Desc) {
-            StatsReply::Desc(d) => {
-                assert!(d.sw_desc.contains("packet-granularity"));
-            }
-            other => panic!("{other:?}"),
-        }
-        match ask(&mut sw, StatsRequest::Table) {
-            StatsReply::Table(entries) => {
-                assert_eq!(entries.len(), 1);
-                assert_eq!(entries[0].active_count, 1);
-                assert_eq!(entries[0].lookup_count, 2);
-                assert_eq!(entries[0].matched_count, 2);
-                assert_eq!(entries[0].max_entries, 4096);
-            }
-            other => panic!("{other:?}"),
-        }
-        match ask(
-            &mut sw,
-            StatsRequest::Port {
-                port_no: PortNo::NONE,
-            },
-        ) {
-            StatsReply::Port(entries) => {
-                assert_eq!(entries.len(), 2, "{entries:?}"); // rx on 1, tx on 2
-                let p1 = entries.iter().find(|e| e.port_no == PortNo(1)).unwrap();
-                assert_eq!(p1.rx_packets, 2);
-                assert_eq!(p1.rx_bytes, 2000);
-                let p2 = entries.iter().find(|e| e.port_no == PortNo(2)).unwrap();
-                assert_eq!(p2.tx_packets, 2);
-                assert_eq!(p2.tx_bytes, 2000);
-            }
-            other => panic!("{other:?}"),
-        }
-        // A specific port filters.
-        match ask(&mut sw, StatsRequest::Port { port_no: PortNo(1) }) {
-            StatsReply::Port(entries) => assert_eq!(entries.len(), 1),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn vendor_configure_accepted_only_for_flow_granularity() {
         let mut pool = PacketPool::new();
         let mut fg = switch_with(BufferChoice::FlowGranularity {
@@ -1560,14 +1420,15 @@ mod tests {
     fn unexpected_message_gets_error_reply() {
         let mut pool = PacketPool::new();
         let mut sw = switch_with(BufferChoice::NoBuffer);
-        let outs = sw.handle_controller_msg(Nanos::ZERO, OfpMessage::BarrierReply, 1, &mut pool);
-        assert!(matches!(
-            outs[0],
-            SwitchOutput::ToController {
-                msg: OfpMessage::Error(_),
+        let reply = OfpMessage::StatsReply(AggregateStatsReply::default());
+        let outs = sw.handle_controller_msg(Nanos::ZERO, reply.clone(), 1, &mut pool);
+        match &outs[..] {
+            [SwitchOutput::ToController {
+                msg: OfpMessage::Error(e),
                 ..
-            }
-        ));
+            }] => assert_eq!((e.code, &e.data), (1, &reply.encode(1))), // OFPBRC_BAD_TYPE
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -1857,7 +1718,6 @@ mod tests {
         assert_eq!(sw.table().lookups(), 0);
         assert_eq!(sw.stats().table_misses.get(), 0);
         assert_eq!(sw.buffer().stats(), Default::default());
-        assert!(sw.stats().ports.is_empty());
     }
 
     #[test]

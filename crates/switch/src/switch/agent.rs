@@ -2,10 +2,10 @@
 //! switch's state without touching the datapath (flow table contents,
 //! buffer, session) — queries, keep-alives, and errors.
 
-use super::{split_duration, whole_secs, Switch, SwitchOutput};
-use sdnbuf_flowtable::FlowRule;
+use super::{Switch, SwitchOutput};
+use crate::BufferChoice;
 use sdnbuf_openflow::{
-    msg::{self, StatsReply, StatsRequest},
+    msg::{self, AggregateStatsReply, AggregateStatsRequest},
     FlowBufferExt, Match, OfpMessage, PortNo,
 };
 use sdnbuf_sim::Nanos;
@@ -39,7 +39,10 @@ impl Switch {
         self.reply(now, xid, OfpMessage::Error(error), out)
     }
 
-    /// Handles every control message that only reads the switch.
+    /// Handles every control message that only reads the switch: the
+    /// handshake's queries, echoes, the aggregate statistics poll and the
+    /// flow-buffer vendor extension. Anything else is refused with an
+    /// `error`.
     pub(super) fn answer(
         &mut self,
         now: Nanos,
@@ -56,7 +59,6 @@ impl Switch {
                 self.reply(now, xid, OfpMessage::GetConfigReply(config), out)
             }
             OfpMessage::EchoRequest(data) => self.reply(now, xid, OfpMessage::EchoReply(data), out),
-            OfpMessage::BarrierRequest => self.reply(now, xid, OfpMessage::BarrierReply, out),
             OfpMessage::FeaturesRequest => {
                 let ports = (1..=self.config.data_ports as u16)
                     .map(|p| msg::PhyPort {
@@ -76,28 +78,9 @@ impl Switch {
                 self.reply(now, xid, OfpMessage::FeaturesReply(features), out)
             }
             OfpMessage::StatsRequest(req) => self.answer_stats(now, xid, req, out),
-            OfpMessage::QueueGetConfigRequest(port) => {
-                let queues = self
-                    .config
-                    .egress_queue_rates
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &r)| msg::PacketQueue {
-                        queue_id: i as u32,
-                        min_rate_tenths_percent: r,
-                    })
-                    .collect();
-                let reply = OfpMessage::QueueGetConfigReply { port, queues };
-                self.reply(now, xid, reply, out)
-            }
-            OfpMessage::PortMod(_) => {
-                // Port administration is modeled as a no-op acknowledgement
-                // (the testbed's ports are always up).
-                self.cpu.submit(now, self.config.cost_control_misc);
-            }
             ref vendor @ OfpMessage::Vendor(_) => match FlowBufferExt::from_message(vendor) {
                 Some(Ok(FlowBufferExt::Configure { .. }))
-                    if self.buffer.name() == "flow-granularity" =>
+                    if matches!(self.config.buffer, BufferChoice::FlowGranularity { .. }) =>
                 {
                     // Accepted: acknowledged by silence.
                     self.cpu.submit(now, self.config.cost_control_misc);
@@ -109,87 +92,29 @@ impl Switch {
         }
     }
 
+    /// Sums the counters of the rules `req` matches (all of them for
+    /// `Match::any()`), at one `cost_control_misc` plus one per rule.
     fn answer_stats(
         &mut self,
         now: Nanos,
         xid: u32,
-        req: StatsRequest,
+        req: AggregateStatsRequest,
         out: &mut Vec<SwitchOutput>,
     ) {
         let per_rule = self.config.cost_control_misc;
         let cost = self.config.cost_control_misc + per_rule * self.table.len() as u64;
         let at = self.cpu.submit(now, cost);
-        let matching = |m: &Match| -> Vec<&FlowRule> {
-            self.table
-                .iter()
-                .filter(|r| *m == Match::any() || r.match_fields == *m)
-                .collect()
-        };
-        let reply = match req {
-            StatsRequest::Desc => StatsReply::Desc(msg::DescStats {
-                mfr_desc: "sdn-buffer-lab".to_owned(),
-                hw_desc: "discrete-event switch model".to_owned(),
-                sw_desc: format!("sdnbuf-switch ({})", self.buffer.name()),
-                serial_num: "0001".to_owned(),
-                dp_desc: "Fig.1 testbed switch".to_owned(),
-            }),
-            StatsRequest::Table => StatsReply::Table(vec![msg::TableStatsEntry {
-                table_id: 0,
-                name: "main".to_owned(),
-                wildcards: sdnbuf_openflow::Wildcards::ALL.bits(),
-                max_entries: self.table.capacity() as u32,
-                active_count: self.table.len() as u32,
-                lookup_count: self.table.lookups(),
-                matched_count: self.table.hits(),
-            }]),
-            StatsRequest::Port { port_no } => {
-                let wanted = |p: u16| port_no == PortNo::NONE || port_no.as_u16() == p;
-                let entries = self.stats.ports.iter().filter(|(&p, _)| wanted(p));
-                StatsReply::Port(
-                    entries
-                        .map(|(&p, c)| msg::PortStatsEntry {
-                            port_no: PortNo(p),
-                            rx_packets: c.rx_packets,
-                            tx_packets: c.tx_packets,
-                            rx_bytes: c.rx_bytes,
-                            tx_bytes: c.tx_bytes,
-                            rx_dropped: 0,
-                            tx_dropped: 0,
-                        })
-                        .collect(),
-                )
-            }
-            StatsRequest::Flow { match_fields, .. } => StatsReply::Flow(
-                matching(&match_fields)
-                    .into_iter()
-                    .map(|r| {
-                        let (duration_sec, duration_nsec) =
-                            split_duration(now.saturating_sub(r.installed_at));
-                        msg::FlowStatsEntry {
-                            table_id: 0,
-                            match_fields: r.match_fields,
-                            duration_sec,
-                            duration_nsec,
-                            priority: r.priority,
-                            idle_timeout: whole_secs(r.idle_timeout),
-                            hard_timeout: whole_secs(r.hard_timeout),
-                            cookie: r.cookie,
-                            packet_count: r.packet_count,
-                            byte_count: r.byte_count,
-                            actions: r.actions.clone(),
-                        }
-                    })
-                    .collect(),
-            ),
-            StatsRequest::Aggregate { match_fields, .. } => {
-                let rules = matching(&match_fields);
-                StatsReply::Aggregate {
-                    packet_count: rules.iter().map(|r| r.packet_count).sum(),
-                    byte_count: rules.iter().map(|r| r.byte_count).sum(),
-                    flow_count: rules.len() as u32,
-                }
-            }
-        };
+        let mut reply = AggregateStatsReply::default();
+        let all = req.match_fields == Match::any();
+        for rule in self
+            .table
+            .iter()
+            .filter(|r| all || r.match_fields == req.match_fields)
+        {
+            reply.packet_count += rule.packet_count;
+            reply.byte_count += rule.byte_count;
+            reply.flow_count += 1;
+        }
         out.push(SwitchOutput::ToController {
             at,
             xid,

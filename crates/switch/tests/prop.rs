@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use sdnbuf_flowtable::EvictionPolicy;
 use sdnbuf_net::{Packet, PacketBuilder, WireFrame};
 use sdnbuf_openflow::{
-    msg::{self, FlowMod, FlowModCommand, PacketOut, StatsRequest},
+    msg::{self, AggregateStatsReply, AggregateStatsRequest, FlowMod, FlowModCommand, PacketOut},
     Action, BufferId, Match, OfpMessage, PortNo, Refusal,
 };
 use sdnbuf_sim::Nanos;
@@ -61,7 +61,8 @@ enum Op {
         n: u16,
         notify: bool,
     },
-    /// `n` barrier / echo / stats requests back to back.
+    /// `n` echo / stats / features / config requests, or replies a switch
+    /// never takes, back to back.
     Storm {
         kind: u8,
         n: u8,
@@ -170,31 +171,31 @@ fn packet_out(buffer_id: BufferId, data: WireFrame) -> OfpMessage {
 
 /// The `kind`-th request of a storm and whether `reply` answers it.
 fn storm_request(kind: u8) -> (OfpMessage, fn(&OfpMessage) -> bool) {
-    let stats = |req| OfpMessage::StatsRequest(req);
-    let is_stats: fn(&OfpMessage) -> bool = |m| matches!(m, OfpMessage::StatsReply(_));
     match kind {
-        0 => (OfpMessage::BarrierRequest, |m| {
-            matches!(m, OfpMessage::BarrierReply)
+        0 => (OfpMessage::FeaturesRequest, |m| {
+            matches!(m, OfpMessage::FeaturesReply(_))
         }),
         1 => (
             OfpMessage::EchoRequest(vec![7; 8]),
             |m| matches!(m, OfpMessage::EchoReply(d) if d == &[7; 8]),
         ),
-        2 => (stats(StatsRequest::Table), is_stats),
-        3 => {
-            let req = StatsRequest::Flow {
+        2 => {
+            let req = AggregateStatsRequest {
                 match_fields: Match::any(),
                 table_id: 0xff,
                 out_port: PortNo::NONE,
             };
-            (stats(req), is_stats)
+            (OfpMessage::StatsRequest(req), |m| {
+                matches!(m, OfpMessage::StatsReply(_))
+            })
         }
-        _ => {
-            let req = StatsRequest::Port {
-                port_no: PortNo::NONE,
-            };
-            (stats(req), is_stats)
-        }
+        3 => (OfpMessage::GetConfigRequest, |m| {
+            matches!(m, OfpMessage::GetConfigReply(_))
+        }),
+        _ => (
+            OfpMessage::StatsReply(AggregateStatsReply::default()),
+            |m| matches!(m, OfpMessage::Error(_)),
+        ),
     }
 }
 

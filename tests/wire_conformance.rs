@@ -9,8 +9,12 @@ use sdn_buffer_lab::net::{MacAddr, PacketBuilder};
 use sdn_buffer_lab::openflow::OfpMessage;
 use sdn_buffer_lab::openflow::PortNo;
 use sdn_buffer_lab::prelude::*;
+use sdn_buffer_lab::sim::EventSink;
 use sdn_buffer_lab::switch::{BufferChoice, PacketPool, Switch, SwitchConfig, SwitchOutput};
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 /// Serializes a message to wire bytes and parses it back, asserting the
 /// round trip is lossless — the "TCP channel" between the two models.
@@ -135,7 +139,7 @@ fn flow_granularity_vendor_negotiation_over_encoded_bytes() {
     );
 }
 
-/// Fuzz-style round-trip coverage of the whole codec: every one of the 22
+/// Fuzz-style round-trip coverage of the whole codec: every one of the 16
 /// message types the implementation speaks must encode → decode → encode
 /// byte-identically for arbitrary field values, and mangled frames —
 /// truncated or bit-flipped — must come back as typed [`OfpError`]s, never
@@ -145,14 +149,14 @@ mod wire_props {
     use proptest::prelude::*;
     use sdn_buffer_lab::net::{MacAddr, PacketBuilder, WireFrame};
     use sdn_buffer_lab::openflow::msg::{
-        DescStats, ErrorMsg, FeaturesReply, FlowMod, FlowModCommand, FlowRemoved,
-        FlowRemovedReason, FlowStatsEntry, PacketIn, PacketInReason, PacketOut, PacketQueue,
-        PhyPort, PortMod, PortReason, PortStatsEntry, PortStatus, StatsReply, StatsRequest,
-        SwitchConfig as OfSwitchConfig, TableStatsEntry, Vendor,
+        AggregateStatsReply, AggregateStatsRequest, ErrorMsg, FeaturesReply, FlowMod,
+        FlowModCommand, FlowRemoved, FlowRemovedReason, PacketIn, PacketInReason, PacketOut,
+        PhyPort, SwitchConfig as OfSwitchConfig, Vendor,
     };
     use sdn_buffer_lab::openflow::{
-        Action, BufferId, Match, OfpError, OfpMessage, PortNo, Wildcards,
+        Action, BufferId, Match, MsgType, OfpError, OfpMessage, PortNo, Wildcards,
     };
+    use std::collections::BTreeSet;
     use std::net::Ipv4Addr;
 
     fn arb_buffer_id() -> impl Strategy<Value = BufferId> {
@@ -233,113 +237,27 @@ mod wire_props {
         ]
     }
 
-    fn arb_stats_request() -> BoxedStrategy<StatsRequest> {
-        prop_oneof![
-            Just(StatsRequest::Desc),
-            Just(StatsRequest::Table),
-            any::<u16>().prop_map(|p| StatsRequest::Port { port_no: PortNo(p) }),
-            (arb_match(), any::<u8>(), any::<u16>()).prop_map(|(m, t, p)| StatsRequest::Flow {
+    fn arb_stats_request() -> BoxedStrategy<AggregateStatsRequest> {
+        (arb_match(), any::<u8>(), any::<u16>())
+            .prop_map(|(m, t, p)| AggregateStatsRequest {
                 match_fields: m,
                 table_id: t,
                 out_port: PortNo(p),
-            }),
-            (arb_match(), any::<u8>(), any::<u16>()).prop_map(|(m, t, p)| {
-                StatsRequest::Aggregate {
-                    match_fields: m,
-                    table_id: t,
-                    out_port: PortNo(p),
-                }
-            }),
-        ]
-        .boxed()
+            })
+            .boxed()
     }
 
-    fn arb_stats_reply() -> BoxedStrategy<StatsReply> {
-        let desc = (
-            arb_name(63),
-            arb_name(63),
-            arb_name(63),
-            arb_name(31),
-            arb_name(63),
-        )
-            .prop_map(|(mfr, hw, sw, serial, dp)| {
-                StatsReply::Desc(DescStats {
-                    mfr_desc: mfr,
-                    hw_desc: hw,
-                    sw_desc: sw,
-                    serial_num: serial,
-                    dp_desc: dp,
-                })
-            });
-        let table_entry = (
-            any::<u8>(),
-            arb_name(31),
-            (any::<u32>(), any::<u32>(), any::<u32>()),
-            (any::<u64>(), any::<u64>()),
-        )
-            .prop_map(
-                |(id, name, (w, max, active), (lookup, matched))| TableStatsEntry {
-                    table_id: id,
-                    name,
-                    wildcards: w,
-                    max_entries: max,
-                    active_count: active,
-                    lookup_count: lookup,
-                    matched_count: matched,
-                },
-            );
-        let port_entry = (
-            any::<u16>(),
-            (any::<u64>(), any::<u64>(), any::<u64>()),
-            (any::<u64>(), any::<u64>(), any::<u64>()),
-        )
-            .prop_map(|(p, (rxp, txp, rxb), (txb, rxd, txd))| PortStatsEntry {
-                port_no: PortNo(p),
-                rx_packets: rxp,
-                tx_packets: txp,
-                rx_bytes: rxb,
-                tx_bytes: txb,
-                rx_dropped: rxd,
-                tx_dropped: txd,
-            });
-        let flow_entry = (
-            (any::<u8>(), arb_match(), any::<u32>(), any::<u32>()),
-            (any::<u16>(), any::<u16>(), any::<u16>(), any::<u64>()),
-            (any::<u64>(), any::<u64>()),
-            proptest::collection::vec(arb_action(), 0..3),
-        )
-            .prop_map(
-                |((tid, m, ds, dn), (pr, it, ht, ck), (pc, bc), acts)| FlowStatsEntry {
-                    table_id: tid,
-                    match_fields: m,
-                    duration_sec: ds,
-                    duration_nsec: dn,
-                    priority: pr,
-                    idle_timeout: it,
-                    hard_timeout: ht,
-                    cookie: ck,
-                    packet_count: pc,
-                    byte_count: bc,
-                    actions: acts.into(),
-                },
-            );
-        prop_oneof![
-            desc,
-            proptest::collection::vec(table_entry, 0..4).prop_map(StatsReply::Table),
-            proptest::collection::vec(port_entry, 0..4).prop_map(StatsReply::Port),
-            proptest::collection::vec(flow_entry, 0..3).prop_map(StatsReply::Flow),
-            (any::<u64>(), any::<u64>(), any::<u32>()).prop_map(|(p, b, f)| {
-                StatsReply::Aggregate {
-                    packet_count: p,
-                    byte_count: b,
-                    flow_count: f,
-                }
-            }),
-        ]
-        .boxed()
+    fn arb_stats_reply() -> BoxedStrategy<AggregateStatsReply> {
+        (any::<u64>(), any::<u64>(), any::<u32>())
+            .prop_map(|(p, b, f)| AggregateStatsReply {
+                packet_count: p,
+                byte_count: b,
+                flow_count: f,
+            })
+            .boxed()
     }
 
-    /// Every one of the 22 `OfpMessage` variants, with arbitrary fields.
+    /// Every one of the 16 `OfpMessage` variants, with arbitrary fields.
     /// `packet_in` / `packet_out` data: flat bytes, as a decoder holds
     /// them, or gathered from a frame and cut as `miss_send_len` cuts it.
     fn arb_frame_data() -> BoxedStrategy<WireFrame> {
@@ -487,48 +405,6 @@ mod wire_props {
                 }),
             arb_stats_request().prop_map(OfpMessage::StatsRequest),
             arb_stats_reply().prop_map(OfpMessage::StatsReply),
-            Just(OfpMessage::BarrierRequest),
-            Just(OfpMessage::BarrierReply),
-            (
-                prop_oneof![
-                    Just(PortReason::Add),
-                    Just(PortReason::Delete),
-                    Just(PortReason::Modify)
-                ],
-                arb_phy_port()
-            )
-                .prop_map(|(reason, port)| OfpMessage::PortStatus(PortStatus { reason, port })),
-            (
-                any::<u16>(),
-                any::<[u8; 6]>(),
-                any::<u32>(),
-                any::<u32>(),
-                any::<u32>()
-            )
-                .prop_map(|(p, mac, cfg, mask, adv)| {
-                    OfpMessage::PortMod(PortMod {
-                        port_no: PortNo(p),
-                        hw_addr: MacAddr::new(mac),
-                        config: cfg,
-                        mask,
-                        advertise: adv,
-                    })
-                }),
-            any::<u16>().prop_map(|p| OfpMessage::QueueGetConfigRequest(PortNo(p))),
-            (
-                any::<u16>(),
-                proptest::collection::vec(
-                    (any::<u32>(), any::<u16>()).prop_map(|(q, r)| PacketQueue {
-                        queue_id: q,
-                        min_rate_tenths_percent: r,
-                    }),
-                    0..4
-                )
-            )
-                .prop_map(|(p, queues)| OfpMessage::QueueGetConfigReply {
-                    port: PortNo(p),
-                    queues,
-                }),
         ]
         .boxed()
     }
@@ -552,11 +428,12 @@ mod wire_props {
     }
 
     /// Deterministic completeness check: one exemplar per message type,
-    /// all 22 distinct wire type codes accounted for, each surviving the
-    /// wire and re-encoding byte-identically. The fuzz tests above explore
-    /// the field space; this test guarantees none of the 22 is skipped.
+    /// the 16 wire type codes the decoder accepts exactly accounted for,
+    /// each surviving the wire and re-encoding byte-identically. The fuzz
+    /// tests above explore the field space; this test guarantees none of
+    /// the 16 is skipped.
     #[test]
-    fn all_twenty_two_message_types_round_trip() {
+    fn all_sixteen_message_types_round_trip() {
         let port = PhyPort {
             port_no: PortNo(1),
             hw_addr: MacAddr::from_host_index(1),
@@ -582,7 +459,7 @@ mod wire_props {
                 n_tables: 2,
                 capabilities: 0x4f,
                 actions: 0xfff,
-                ports: vec![port.clone()],
+                ports: vec![port],
             }),
             OfpMessage::GetConfigRequest,
             OfpMessage::GetConfigReply(OfSwitchConfig {
@@ -629,48 +506,32 @@ mod wire_props {
                 flags: 1,
                 actions: vec![Action::output(PortNo(2))].into(),
             }),
-            OfpMessage::StatsRequest(StatsRequest::Flow {
+            OfpMessage::StatsRequest(AggregateStatsRequest {
                 match_fields: sample_match(),
                 table_id: 0xff,
                 out_port: PortNo(0xffff),
             }),
-            OfpMessage::StatsReply(StatsReply::Desc(DescStats {
-                mfr_desc: "sdn-buffer-lab".into(),
-                hw_desc: "model".into(),
-                sw_desc: "test".into(),
-                serial_num: "0".into(),
-                dp_desc: "conformance".into(),
-            })),
-            OfpMessage::BarrierRequest,
-            OfpMessage::BarrierReply,
-            OfpMessage::PortStatus(PortStatus {
-                reason: PortReason::Modify,
-                port: port.clone(),
+            OfpMessage::StatsReply(AggregateStatsReply {
+                packet_count: 4,
+                byte_count: 4000,
+                flow_count: 1,
             }),
-            OfpMessage::PortMod(PortMod {
-                port_no: PortNo(1),
-                hw_addr: MacAddr::from_host_index(1),
-                config: 1,
-                mask: 1,
-                advertise: 0,
-            }),
-            OfpMessage::QueueGetConfigRequest(PortNo(1)),
-            OfpMessage::QueueGetConfigReply {
-                port: PortNo(1),
-                queues: vec![PacketQueue {
-                    queue_id: 1,
-                    min_rate_tenths_percent: 500,
-                }],
-            },
         ];
-        let mut seen = std::collections::BTreeSet::new();
+        let mut seen = BTreeSet::new();
         for (i, msg) in exemplars.into_iter().enumerate() {
-            seen.insert(format!("{:?}", msg.msg_type()));
+            seen.insert(msg.msg_type() as u8);
             let bytes = msg.encode(i as u32);
             let (decoded, _) = over_the_wire(msg, i as u32);
             assert_eq!(decoded.encode(i as u32), bytes, "re-encode not identical");
         }
-        assert_eq!(seen.len(), 22, "exemplars must span every type: {seen:?}");
+        let spoken: BTreeSet<u8> = (0..=u8::MAX)
+            .filter(|&code| MsgType::from_u8(code).is_ok())
+            .collect();
+        assert_eq!(seen.len(), 16, "one exemplar per type: {seen:?}");
+        assert_eq!(
+            seen, spoken,
+            "exemplars must span every type the decoder accepts"
+        );
     }
 
     proptest! {
@@ -760,6 +621,89 @@ fn packet_granularity_switch_rejects_flow_buffer_configure() {
         }
         other => panic!("{other:?}"),
     }
+}
+
+/// The `(direction, label)` of every control message a run puts on the
+/// channel, whether it arrives or is dropped.
+#[derive(Default)]
+struct Traffic(BTreeSet<(&'static str, &'static str)>);
+
+impl EventSink for Traffic {
+    fn emit(&mut self, event: Event) {
+        if let EventKind::CtrlMsg { dir, label, .. } | EventKind::CtrlDrop { dir, label, .. } =
+            event.kind
+        {
+            self.0.insert((dir.label(), label));
+        }
+    }
+}
+
+/// What runs put on the control channel is the session handshake, the
+/// paper's `packet_in` → `flow_mod` / `packet_out` loop, the flow-buffer
+/// vendor extension, keep-alive echoes and the aggregate statistics poll,
+/// and nothing else: five cells that between them reach every one of
+/// those (both Section IV mechanisms, Section V under channel loss and a
+/// stall, a crash ridden through by a warm standby, and a statistics poll)
+/// carry exactly these sixteen `(direction, label)` pairs.
+#[test]
+fn runs_carry_exactly_the_sixteen_kinds_of_control_traffic() {
+    let cell = |buffer: &str, workload: &str, rate: u64| ExperimentConfig {
+        buffer: buffer.parse().expect("mechanism"),
+        workload: workload.parse().expect("workload"),
+        sending_rate: BitRate::from_mbps(rate),
+        ..ExperimentConfig::default()
+    };
+    let mut faulted = cell("flow:256:20", "v", 50);
+    faulted.testbed.faults =
+        FaultPlan::parse("fseed=7,c.loss=p:0.1,s.loss=p:0.05,stall=55ms+3ms").expect("plan");
+    // CI's failover smoke cell.
+    let mut failover = cell("flow:256:20", "cross:6x4/2", 40);
+    failover.testbed.faults = FaultPlan::parse("crash=60ms+40ms").expect("plan");
+    failover.testbed.failover.standby = true;
+    failover.testbed.failover.warm = true;
+    failover.testbed.failover.takeover_delay = Nanos::from_millis(8);
+    failover.testbed.keepalive_interval = Some(Nanos::from_millis(5));
+    failover.testbed.switch.liveness_timeout = Nanos::from_millis(15);
+    let mut polled = cell("flow:256:50", "cross:6x4/2", 40);
+    polled.testbed.stats_poll_interval = Some(Nanos::from_millis(5));
+
+    let traffic = Rc::new(RefCell::new(Traffic::default()));
+    for config in [
+        cell("none", "iv", 90),
+        cell("packet:16", "iv", 100),
+        faulted,
+        failover,
+        polled,
+    ] {
+        Experiment::try_new(config)
+            .expect("valid cell")
+            .run_with_tracer(Tracer::new(traffic.clone()));
+    }
+    let to_controller = [
+        "hello",
+        "features_reply",
+        "get_config_reply",
+        "packet_in",
+        "vendor",
+        "echo_reply",
+        "stats_reply",
+    ];
+    let to_switch = [
+        "hello",
+        "features_request",
+        "get_config_request",
+        "set_config",
+        "flow_mod",
+        "packet_out",
+        "vendor",
+        "echo_request",
+        "stats_request",
+    ];
+    let expected: BTreeSet<_> = (to_controller.iter().map(|&l| ("to_controller", l)))
+        .chain(to_switch.iter().map(|&l| ("to_switch", l)))
+        .collect();
+    assert_eq!(expected.len(), 16);
+    assert_eq!(traffic.borrow().0, expected);
 }
 
 /// A frame whose payload bytes are shared with every other frame of its
