@@ -179,22 +179,6 @@ impl Controller {
         }
     }
 
-    /// Originates a flow-statistics poll — Floodlight's statistics
-    /// collector requests aggregate counters on a timer.
-    pub fn poll_flow_stats(&mut self, now: Nanos) -> ControllerOutput {
-        let at = self.submit(now, self.config.cost_parse_base);
-        self.stats.probes_sent.incr();
-        ControllerOutput::ToSwitch {
-            at,
-            xid: self.fresh_xid(),
-            msg: OfpMessage::StatsRequest(sdnbuf_openflow::msg::AggregateStatsRequest {
-                match_fields: Match::any(),
-                table_id: 0xff,
-                out_port: PortNo::NONE,
-            }),
-        }
-    }
-
     /// The controller's configuration.
     pub fn config(&self) -> &ControllerConfig {
         &self.config
@@ -317,7 +301,6 @@ impl Controller {
                     });
                 }
             }
-            OfpMessage::StatsReply(_) => self.stats.stats_replies.incr(),
             OfpMessage::EchoReply(_) => {
                 self.stats.echo_replies.incr();
                 if let Some(sent) = self.pending_echoes.remove(&xid) {
@@ -769,29 +752,20 @@ mod tests {
     }
 
     #[test]
-    fn keepalive_and_stats_poll_originate_messages() {
+    fn keepalives_originate_echoes_under_distinct_xids() {
         let mut c = Controller::new(ControllerConfig::default());
         let ControllerOutput::ToSwitch { msg, xid, .. } = c.keepalive(Nanos::ZERO);
         assert!(matches!(msg, OfpMessage::EchoRequest(_)));
-        let ControllerOutput::ToSwitch {
-            msg: m2, xid: x2, ..
-        } = c.poll_flow_stats(Nanos::from_millis(1));
-        assert!(matches!(m2, OfpMessage::StatsRequest(_)));
+        let ControllerOutput::ToSwitch { xid: x2, .. } = c.keepalive(Nanos::from_millis(1));
         assert_ne!(xid, x2, "probes use distinct xids");
         assert_eq!(c.stats().probes_sent.get(), 2);
-        // Replies are consumed and counted.
-        c.handle_message(
-            Nanos::from_millis(2),
-            OfpMessage::EchoReply(vec![0x5a; 8]),
-            xid,
-        );
-        c.handle_message(
-            Nanos::from_millis(2),
-            OfpMessage::StatsReply(sdnbuf_openflow::msg::AggregateStatsReply::default()),
-            x2,
-        );
-        assert_eq!(c.stats().echo_replies.get(), 1);
-        assert_eq!(c.stats().stats_replies.get(), 1);
+        // Replies are consumed, counted and timed.
+        for x in [xid, x2] {
+            let echo = OfpMessage::EchoReply(vec![0x5a; 8]);
+            assert!(c.handle_message(Nanos::from_millis(2), echo, x).is_empty());
+        }
+        assert_eq!(c.stats().echo_replies.get(), 2);
+        assert_eq!(c.stats().echo_rtt.count(), 2);
     }
 
     #[test]

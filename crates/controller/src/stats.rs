@@ -65,12 +65,10 @@ pub struct ControllerStats {
     pub parse_failures: Counter,
     /// `packet_in`s shed by the bounded ingress queue's admission policy.
     pub admission_sheds: Counter,
-    /// Probes originated (echo keepalives and stats polls).
+    /// Echo keepalives originated.
     pub probes_sent: Counter,
     /// `echo_reply` messages received.
     pub echo_replies: Counter,
-    /// `stats_reply` messages received.
-    pub stats_replies: Counter,
     /// Round-trip time of the controller's own echo keepalives, from the
     /// `echo_request` leaving the controller to its `echo_reply` arriving
     /// back — the control channel's health signal.

@@ -69,9 +69,6 @@ pub use trace::MsgDesc;
 /// The structured event layer, re-exported from the simulation engine.
 pub use sdnbuf_sim::{ChannelDir, Event, EventKind, EventSink, RecordingSink, Tracer};
 
-/// Egress QoS queue configuration, re-exported from the simulation engine.
-pub use sdnbuf_sim::QueueConfig;
-
 /// The buffer mechanism under test — re-exported from the switch model so
 /// experiment configs and switch configs share one vocabulary.
 pub use sdnbuf_switch::BufferChoice as BufferMode;

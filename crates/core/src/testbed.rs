@@ -11,8 +11,8 @@ use sdnbuf_metrics::ByteMeter;
 use sdnbuf_net::PacketBuilder;
 use sdnbuf_openflow::{OfpMessage, PortNo};
 use sdnbuf_sim::{
-    ChannelDir, EventKind, EventQueue, FastHashMap, FaultPlan, FaultState, Link, LinkConfig,
-    MultiQueueLink, Nanos, Pool, PoolHandle, QueueConfig, Tracer,
+    ChannelDir, EventKind, EventQueue, FastHashMap, FaultPlan, FaultState, Link, LinkConfig, Nanos,
+    Pool, PoolHandle, Tracer,
 };
 use sdnbuf_switch::{PacketHandle, PacketPool, Switch, SwitchConfig, SwitchOutput};
 use sdnbuf_workload::{Departure, HostAddr};
@@ -36,19 +36,13 @@ pub struct TestbedConfig {
     /// stalls, data-link flaps, and buffer-pressure windows. Defaults to
     /// no faults. Runs remain a pure function of `(config, seed)`.
     pub faults: FaultPlan,
-    /// Egress QoS (the paper's future-work extension): when set, the
-    /// switch's host-facing ports are partitioned into these shaped queues
-    /// and `ENQUEUE` actions select among them; `None` = plain FIFO ports.
-    pub egress_queues: Option<Vec<QueueConfig>>,
     /// Controller keepalive: originate an `echo_request` every interval
-    /// during the run, like Floodlight's liveness probing. Adds background
-    /// control traffic; `None` (default) keeps the channel measurement-only
-    /// as in the paper.
+    /// during the run, like Floodlight's liveness probing — the only
+    /// message the controller sends unprompted, and the heartbeat the
+    /// switch's liveness detector listens for. Adds background control
+    /// traffic; `None` (default) keeps the channel measurement-only as in
+    /// the paper.
     pub keepalive_interval: Option<Nanos>,
-    /// Controller statistics polling: originate an aggregate
-    /// `stats_request` every interval, like Floodlight's statistics
-    /// collector.
-    pub stats_poll_interval: Option<Nanos>,
     /// Warm-standby failover for the crash plane (defaults off). Only
     /// meaningful when [`Self::faults`] contains `crash=` windows.
     pub failover: FailoverConfig,
@@ -128,9 +122,7 @@ impl Default for TestbedConfig {
             },
             warmup_gap: Nanos::from_millis(50),
             faults: FaultPlan::default(),
-            egress_queues: None,
             keepalive_interval: None,
-            stats_poll_interval: None,
             failover: FailoverConfig::default(),
         }
     }
@@ -167,9 +159,6 @@ impl TestbedConfig {
         if self.keepalive_interval == Some(Nanos::ZERO) {
             return Err("keepalive interval must be positive".to_owned());
         }
-        if self.stats_poll_interval == Some(Nanos::ZERO) {
-            return Err("stats poll interval must be positive".to_owned());
-        }
         Ok(())
     }
 }
@@ -192,11 +181,7 @@ enum Event {
         packet: PacketHandle,
     },
     /// The switch finishes emitting a frame on a data port.
-    EgressAtSwitch {
-        port: PortNo,
-        queue: Option<u32>,
-        packet: PacketHandle,
-    },
+    EgressAtSwitch { port: PortNo, packet: PacketHandle },
     /// A frame arrives at a host.
     FrameAtHost { packet: PacketHandle },
     /// One end of the control channel finishes emitting a message.
@@ -213,8 +198,6 @@ enum Event {
     SwitchTimer,
     /// The controller originates a liveness echo.
     ControllerKeepalive,
-    /// The controller originates a statistics poll.
-    ControllerStatsPoll,
     /// A crash window opens: the controller in `slot` loses all volatile
     /// state and its control socket goes dead.
     ControllerCrash { slot: usize },
@@ -226,40 +209,13 @@ enum Event {
     FailoverTakeover,
 }
 
-/// A switch egress port: plain FIFO or QoS-partitioned.
-#[derive(Clone, Debug)]
-enum EgressLink {
-    Fifo(Link),
-    Qos(MultiQueueLink),
-}
-
-impl EgressLink {
-    fn set_tracer(&mut self, tracer: Tracer, label: &'static str) {
-        match self {
-            EgressLink::Fifo(link) => link.set_tracer(tracer, label),
-            EgressLink::Qos(link) => link.set_tracer(tracer, label),
-        }
-    }
-
-    fn enqueue(&mut self, now: Nanos, queue: Option<u32>, bytes: usize) -> Option<Nanos> {
-        match self {
-            EgressLink::Fifo(link) => link.enqueue(now, bytes),
-            EgressLink::Qos(link) => {
-                // Plain OUTPUT uses the last (best-effort) queue.
-                let q = queue.map_or(link.queue_count() - 1, |q| q as usize);
-                link.enqueue(now, q, bytes)
-            }
-        }
-    }
-}
-
 /// One switch data port and the host behind it: the two unidirectional
 /// links and their trace labels. The port table is indexed by
 /// `PortNo - 1`.
 struct DataPort {
     to_sw: Link,
     to_sw_label: &'static str,
-    from_sw: EgressLink,
+    from_sw: Link,
     from_sw_label: &'static str,
 }
 
@@ -367,13 +323,7 @@ impl Testbed {
         let port = |to_sw_label, from_sw_label| DataPort {
             to_sw: Link::new(config.data_link),
             to_sw_label,
-            from_sw: match &config.egress_queues {
-                None => EgressLink::Fifo(Link::new(config.data_link)),
-                Some(queues) => EgressLink::Qos(MultiQueueLink::new(
-                    queues.clone(),
-                    config.data_link.propagation,
-                )),
-            },
+            from_sw: Link::new(config.data_link),
             from_sw_label,
         };
         let wire = |dir| CtrlWire {
@@ -458,8 +408,8 @@ impl Testbed {
     }
 
     /// Hands a control message straight to the switch, bypassing the
-    /// control channel — for setups that pre-install rules (e.g.
-    /// proactive QoS classification) before [`Testbed::run`]. Any timed
+    /// control channel — for setups that pre-install rules proactively
+    /// before [`Testbed::run`]. Any timed
     /// outputs the message produces are scheduled into the event loop.
     pub fn inject_controller_msg(&mut self, now: Nanos, msg: OfpMessage, xid: u32) {
         self.switch
@@ -555,7 +505,7 @@ impl Testbed {
         // events scheduled before this line tie ahead of it, events
         // scheduled after it behind.
         let seq0 = self.queue.reserve_seqs(departures.len() as u64);
-        self.schedule_probes(shift, shift + scan.latest + self.config.warmup_gap);
+        self.schedule_probes(shift + scan.latest + self.config.warmup_gap);
         self.schedule_crash_plane();
 
         let mut served = 0;
@@ -621,23 +571,16 @@ impl Testbed {
         self.data_start = self.config.warmup_gap + earliest;
     }
 
-    /// Pre-schedules controller-originated probes across the run window
-    /// (the event loop must drain, so probes cannot self-reschedule).
-    fn schedule_probes(&mut self, data_shift: Nanos, horizon: Nanos) {
-        // Keepalives run for the whole session (they start with the
-        // handshake, not the data phase): the switch's liveness detector
-        // must hear the controller during warm-up too.
+    /// Pre-schedules the controller's keepalives up to `horizon` (the
+    /// event loop must drain, so they cannot self-reschedule). They run for
+    /// the whole session (they start with the handshake, not the data
+    /// phase): the switch's liveness detector must hear the controller
+    /// during warm-up too.
+    fn schedule_probes(&mut self, horizon: Nanos) {
         if let Some(interval) = self.config.keepalive_interval {
             let mut t = interval;
             while t < horizon {
                 self.queue.schedule(t, Event::ControllerKeepalive);
-                t += interval;
-            }
-        }
-        if let Some(interval) = self.config.stats_poll_interval {
-            let mut t = data_shift + interval;
-            while t < horizon {
-                self.queue.schedule(t, Event::ControllerStatsPoll);
                 t += interval;
             }
         }
@@ -683,18 +626,15 @@ impl Testbed {
             Event::FrameAtSwitch { in_port, packet } => {
                 self.on_frame_at_switch(now, in_port, packet, workload)
             }
-            Event::EgressAtSwitch {
-                port,
-                queue,
-                packet,
-            } => self.egress_frame(now, port, queue, packet, workload),
+            Event::EgressAtSwitch { port, packet } => {
+                self.egress_frame(now, port, packet, workload)
+            }
             Event::FrameAtHost { packet } => self.on_frame_at_host(now, packet, workload),
             Event::CtrlSend { dir, xid, msg } => self.send_ctrl(now, dir, xid, msg),
             Event::CtrlAtController { xid, msg } => self.on_ctrl_at_controller(now, xid, msg),
             Event::CtrlAtSwitch { xid, msg } => self.on_ctrl_at_switch(now, xid, msg, workload),
             Event::SwitchTimer => self.on_switch_timer(now, workload),
-            Event::ControllerKeepalive => self.on_probe(now, Controller::keepalive),
-            Event::ControllerStatsPoll => self.on_probe(now, Controller::poll_flow_stats),
+            Event::ControllerKeepalive => self.on_keepalive(now),
             Event::ControllerCrash { slot } => self.on_crash(now, slot),
             Event::ControllerRestart { slot } => self.on_restart(now, slot),
             Event::FailoverTakeover => self.on_takeover(now),
@@ -956,15 +896,15 @@ impl Testbed {
         self.arm_timer();
     }
 
-    /// The serving controller originates a probe (keepalive echo or stats
-    /// poll). A dead controller originates nothing — skipped probes are
-    /// what starve the switch's liveness detector.
-    fn on_probe(&mut self, now: Nanos, originate: fn(&mut Controller, Nanos) -> ControllerOutput) {
+    /// The serving controller originates a keepalive echo. A dead
+    /// controller originates nothing — skipped keepalives are what starve
+    /// the switch's liveness detector.
+    fn on_keepalive(&mut self, now: Nanos) {
         let slot = &mut self.slots[self.serving];
         if slot.dead {
             return;
         }
-        let probe = originate(&mut slot.ctrl, now);
+        let probe = slot.ctrl.keepalive(now);
         self.ctrl_out.push(probe);
         self.schedule_ctrl_outputs(now, None);
     }
@@ -1047,19 +987,9 @@ impl Testbed {
         let mut outputs = std::mem::take(&mut self.switch_out);
         for output in outputs.drain(..) {
             match output {
-                SwitchOutput::Forward {
-                    at,
-                    port,
-                    queue,
-                    packet,
-                } => self.queue.schedule(
-                    at,
-                    Event::EgressAtSwitch {
-                        port,
-                        queue,
-                        packet,
-                    },
-                ),
+                SwitchOutput::Forward { at, port, packet } => self
+                    .queue
+                    .schedule(at, Event::EgressAtSwitch { port, packet }),
                 SwitchOutput::ToController { at, xid, msg } => {
                     // The warm-up ARPs are plumbing, not measurement
                     // traffic; the paper's capture window starts with the
@@ -1097,7 +1027,6 @@ impl Testbed {
         &mut self,
         now: Nanos,
         port: PortNo,
-        queue: Option<u32>,
         packet: PacketHandle,
         workload: &[Departure],
     ) {
@@ -1119,7 +1048,7 @@ impl Testbed {
                 .emit(now, EventKind::LinkDrop { link, bytes: len });
             return;
         }
-        match host.from_sw.enqueue(now, queue, len) {
+        match host.from_sw.enqueue(now, len) {
             Some(arrival) => self.queue.schedule(arrival, Event::FrameAtHost { packet }),
             None => {
                 self.data_drops += 1;
@@ -1265,7 +1194,7 @@ mod tests {
                 self.queue
                     .schedule(shift + d.at, Event::FrameFromHost { port, packet });
             }
-            self.schedule_probes(shift, shift + scan.latest + self.config.warmup_gap);
+            self.schedule_probes(shift + scan.latest + self.config.warmup_gap);
             self.schedule_crash_plane();
             while let Some((now, event)) = self.queue.pop() {
                 self.events_dispatched += 1;
@@ -1297,14 +1226,13 @@ mod tests {
         let mut shuffled = sorted.clone();
         SimRng::seed_from(11).shuffle(&mut shuffled);
         assert!(!Measurement::default().begin(&shuffled).ordered);
-        // Keepalives and polls: the probe horizon hangs off the latest
-        // departure, the measurement window off the earliest.
+        // Keepalives: their horizon hangs off the latest departure, the
+        // measurement window off the earliest.
         let mut config = TestbedConfig::with_buffer(BufferChoice::FlowGranularity {
             capacity: 256,
             timeout: Nanos::from_millis(50),
         });
         config.keepalive_interval = Some(Nanos::from_millis(1));
-        config.stats_poll_interval = Some(Nanos::from_millis(2));
         let reference = observed(&config, &sorted, Testbed::run);
         assert_eq!(observed(&config, &shuffled, Testbed::run), reference);
         assert_eq!(
@@ -1525,16 +1453,15 @@ mod tests {
         /// Streaming the departures past the queue dispatches what
         /// scheduling them all up front dispatched, in the same order —
         /// with no warm-up gap, so that departures tie with the ARP and
-        /// handshake events at 0 and 1 ms; with keepalives and polls on
-        /// departure instants (a poll traces nothing when it is dispatched;
-        /// a crash does, so one is put on a departure instant too); with
+        /// handshake events at 0 and 1 ms; with keepalives on departure
+        /// instants (a keepalive traces nothing when it is dispatched; a
+        /// crash does, so one is put on a departure instant too); with
         /// control messages duplicated and lost; out of time order.
         #[test]
         fn streamed_run_equals_prescheduled_run(
             (departures, interval) in arb_departures(),
             buffer in arb_buffer(),
             keepalive_every in 0u64..6,
-            poll_every in 0u64..6,
             crash_with in proptest::collection::vec(any::<proptest::sample::Index>(), 0..2),
             faults in prop_oneof![
                 Just(""),
@@ -1546,7 +1473,6 @@ mod tests {
             let mut config = TestbedConfig::with_buffer(buffer);
             config.warmup_gap = Nanos::ZERO;
             config.keepalive_interval = (keepalive_every > 0).then(|| interval * keepalive_every);
-            config.stats_poll_interval = (poll_every > 0).then(|| interval * poll_every);
             config.faults = FaultPlan::parse(faults).expect("valid plan");
             for departure in crash_with {
                 let from = departures[departure.index(departures.len())].at;
@@ -1610,11 +1536,7 @@ mod tests {
                 in_port: port,
                 packet,
             },
-            Event::EgressAtSwitch {
-                port,
-                queue: None,
-                packet,
-            },
+            Event::EgressAtSwitch { port, packet },
         ] {
             tb.dispatch(Nanos::ZERO, event, &[]);
         }
@@ -1656,36 +1578,22 @@ mod tests {
             Err(e) => assert!(e.contains("data_ports = 3"), "{e}"),
         }
 
-        // A zero probe interval is refused here, not looped on in
+        // A zero keepalive interval is refused here, not looped on in
         // `schedule_probes`; so is it one level up.
-        let zero = Some(Nanos::ZERO);
-        for (config, what) in [
-            (
-                TestbedConfig {
-                    keepalive_interval: zero,
-                    ..TestbedConfig::default()
-                },
-                "keepalive",
-            ),
-            (
-                TestbedConfig {
-                    stats_poll_interval: zero,
-                    ..TestbedConfig::default()
-                },
-                "stats poll",
-            ),
-        ] {
-            let experiment = crate::ExperimentConfig {
-                testbed: config.clone(),
-                ..crate::ExperimentConfig::default()
-            };
-            match Testbed::try_new(config) {
-                Ok(_) => panic!("a zero {what} interval must be rejected"),
-                Err(e) => assert!(e.contains(what), "{e}"),
-            }
-            let err = crate::Experiment::try_new(experiment).unwrap_err();
-            assert!(err.contains(what), "{err}");
+        let config = TestbedConfig {
+            keepalive_interval: Some(Nanos::ZERO),
+            ..TestbedConfig::default()
+        };
+        let experiment = crate::ExperimentConfig {
+            testbed: config.clone(),
+            ..crate::ExperimentConfig::default()
+        };
+        match Testbed::try_new(config) {
+            Ok(_) => panic!("a zero keepalive interval must be rejected"),
+            Err(e) => assert!(e.contains("keepalive"), "{e}"),
         }
+        let err = crate::Experiment::try_new(experiment).unwrap_err();
+        assert!(err.contains("keepalive"), "{err}");
     }
 
     #[test]
@@ -1911,9 +1819,9 @@ mod tests {
     }
 
     #[test]
-    fn events_stay_three_words() {
+    fn events_stay_two_words() {
         // The queue stores events by value; growing one grows every slot.
-        assert_eq!(std::mem::size_of::<Event>(), 24);
+        assert_eq!(std::mem::size_of::<Event>(), 16);
     }
 
     /// `send_ctrl` is one path for both directions: the same knobs on

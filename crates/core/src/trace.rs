@@ -33,8 +33,6 @@ impl MsgDesc {
             MsgType::FlowRemoved => "flow_removed",
             MsgType::PacketOut => "packet_out",
             MsgType::FlowMod => "flow_mod",
-            MsgType::StatsRequest => "stats_request",
-            MsgType::StatsReply => "stats_reply",
         }
     }
 }

@@ -5,18 +5,17 @@ use crate::{ActionList, OfpError, PortNo};
 use std::fmt;
 
 const OFPAT_OUTPUT: u16 = 0;
-const OFPAT_SET_NW_TOS: u16 = 8;
-const OFPAT_ENQUEUE: u16 = 11;
 const OUTPUT_LEN: usize = 8;
-const SET_NW_TOS_LEN: usize = 8;
-const ENQUEUE_LEN: usize = 16;
+
+/// The `actions` bitmap a `features_reply` advertises: bit `t` set for each
+/// action type `t` that [`Action::decode`] accepts — `OUTPUT` alone.
+pub const SUPPORTED_ACTIONS: u32 = 1 << OFPAT_OUTPUT;
 
 /// An OpenFlow 1.0 action.
 ///
-/// The actions the testbed exercises are implemented: `OUTPUT` (the action
-/// every reactive forwarding decision uses), `SET_NW_TOS` and `ENQUEUE`
-/// (used by the egress-QoS extension, the paper's stated future work). An
-/// empty action list means *drop*.
+/// Only `OUTPUT` is implemented: the action every reactive forwarding
+/// decision uses, and the only one a run sends. Every other type decodes
+/// to [`OfpError::BadAction`]. An empty action list means *drop*.
 ///
 /// # Example
 ///
@@ -40,19 +39,6 @@ pub enum Action {
         /// Max bytes to send when outputting to the controller.
         max_len: u16,
     },
-    /// Rewrite the IP ToS/DSCP bits.
-    SetNwTos(
-        /// The new ToS value.
-        u8,
-    ),
-    /// Forward through a specific egress queue of a port (`OFPAT_ENQUEUE`)
-    /// — how OpenFlow 1.0 expresses QoS scheduling.
-    Enqueue {
-        /// Destination port.
-        port: PortNo,
-        /// Queue on that port.
-        queue_id: u32,
-    },
 }
 
 impl Action {
@@ -63,36 +49,16 @@ impl Action {
 
     /// Encoded length in bytes.
     pub fn wire_len(&self) -> usize {
-        match self {
-            Action::Output { .. } => OUTPUT_LEN,
-            Action::SetNwTos(_) => SET_NW_TOS_LEN,
-            Action::Enqueue { .. } => ENQUEUE_LEN,
-        }
+        OUTPUT_LEN
     }
 
     /// Appends the wire form.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        match self {
-            Action::Output { port, max_len } => {
-                buf.extend_from_slice(&OFPAT_OUTPUT.to_be_bytes());
-                buf.extend_from_slice(&(OUTPUT_LEN as u16).to_be_bytes());
-                buf.extend_from_slice(&port.as_u16().to_be_bytes());
-                buf.extend_from_slice(&max_len.to_be_bytes());
-            }
-            Action::SetNwTos(tos) => {
-                buf.extend_from_slice(&OFPAT_SET_NW_TOS.to_be_bytes());
-                buf.extend_from_slice(&(SET_NW_TOS_LEN as u16).to_be_bytes());
-                buf.push(*tos);
-                buf.extend_from_slice(&[0, 0, 0]); // pad
-            }
-            Action::Enqueue { port, queue_id } => {
-                buf.extend_from_slice(&OFPAT_ENQUEUE.to_be_bytes());
-                buf.extend_from_slice(&(ENQUEUE_LEN as u16).to_be_bytes());
-                buf.extend_from_slice(&port.as_u16().to_be_bytes());
-                buf.extend_from_slice(&[0u8; 6]); // pad
-                buf.extend_from_slice(&queue_id.to_be_bytes());
-            }
-        }
+        let Action::Output { port, max_len } = self;
+        buf.extend_from_slice(&OFPAT_OUTPUT.to_be_bytes());
+        buf.extend_from_slice(&(OUTPUT_LEN as u16).to_be_bytes());
+        buf.extend_from_slice(&port.as_u16().to_be_bytes());
+        buf.extend_from_slice(&max_len.to_be_bytes());
     }
 
     /// Decodes one action from the start of `buf`; returns the action and
@@ -114,20 +80,6 @@ impl Action {
                         max_len: wire::get_u16(buf, 6)?,
                     },
                     OUTPUT_LEN,
-                ))
-            }
-            (OFPAT_SET_NW_TOS, SET_NW_TOS_LEN) => {
-                wire::need(buf, SET_NW_TOS_LEN)?;
-                Ok((Action::SetNwTos(wire::get_u8(buf, 4)?), SET_NW_TOS_LEN))
-            }
-            (OFPAT_ENQUEUE, ENQUEUE_LEN) => {
-                wire::need(buf, ENQUEUE_LEN)?;
-                Ok((
-                    Action::Enqueue {
-                        port: PortNo(wire::get_u16(buf, 4)?),
-                        queue_id: wire::get_u32(buf, 12)?,
-                    },
-                    ENQUEUE_LEN,
                 ))
             }
             _ => Err(OfpError::BadAction { kind, len }),
@@ -172,8 +124,6 @@ impl fmt::Display for Action {
         match self {
             Action::Output { port, max_len: 0 } => write!(f, "output:{port}"),
             Action::Output { port, max_len } => write!(f, "output:{port}(max {max_len}B)"),
-            Action::SetNwTos(tos) => write!(f, "set_tos:{tos}"),
-            Action::Enqueue { port, queue_id } => write!(f, "enqueue:{port}:q{queue_id}"),
         }
     }
 }
@@ -195,34 +145,12 @@ mod tests {
     }
 
     #[test]
-    fn set_tos_round_trip() {
-        let a = Action::SetNwTos(0xb8);
-        let mut buf = Vec::new();
-        a.encode_into(&mut buf);
-        assert_eq!(Action::decode(&buf).unwrap(), (a, 8));
-    }
-
-    #[test]
-    fn enqueue_round_trip() {
-        let a = Action::Enqueue {
-            port: PortNo(2),
-            queue_id: 7,
-        };
-        let mut buf = Vec::new();
-        a.encode_into(&mut buf);
-        assert_eq!(buf.len(), 16);
-        assert_eq!(Action::decode(&buf).unwrap(), (a, 16));
-        assert_eq!(a.to_string(), "enqueue:port2:q7");
-    }
-
-    #[test]
     fn list_round_trip() {
         let actions = vec![
-            Action::SetNwTos(4),
             Action::output(PortNo(2)),
-            Action::Enqueue {
-                port: PortNo(1),
-                queue_id: 0,
+            Action::Output {
+                port: PortNo::CONTROLLER,
+                max_len: 64,
             },
             Action::output(PortNo::FLOOD),
         ];
@@ -245,6 +173,24 @@ mod tests {
             Action::decode(&buf),
             Err(OfpError::BadAction { kind: 99, len: 8 })
         );
+    }
+
+    /// A well-formed action of each type code 0..=11 of OpenFlow 1.0 — the
+    /// lengths are the specification's — decodes exactly when
+    /// `features_reply` advertises its type.
+    #[test]
+    fn decode_accepts_exactly_the_advertised_actions() {
+        const SPEC_LEN: [u16; 12] = [8, 8, 8, 8, 16, 16, 16, 16, 8, 8, 8, 16];
+        for (kind, len) in (0u16..).zip(SPEC_LEN) {
+            let mut buf = vec![0; usize::from(len)];
+            buf[..2].copy_from_slice(&kind.to_be_bytes());
+            buf[2..4].copy_from_slice(&len.to_be_bytes());
+            let advertised = SUPPORTED_ACTIONS & (1 << kind) != 0;
+            match Action::decode(&buf) {
+                Ok((_, used)) => assert!(advertised && used == buf.len(), "type {kind}"),
+                Err(e) => assert_eq!((advertised, e), (false, OfpError::BadAction { kind, len })),
+            }
+        }
     }
 
     #[test]
@@ -275,6 +221,5 @@ mod tests {
             .to_string(),
             "output:CONTROLLER(max 64B)"
         );
-        assert_eq!(Action::SetNwTos(8).to_string(), "set_tos:8");
     }
 }

@@ -1,5 +1,4 @@
-//! The action list of a `flow_mod`, a `packet_out`, a flow-stats entry and
-//! a flow rule.
+//! The action list of a `flow_mod`, a `packet_out` and a flow rule.
 
 use crate::{Action, PortNo};
 use std::fmt;
@@ -18,12 +17,12 @@ const FILL: Action = Action::Output {
 /// An ordered list of [`Action`]s that stores up to two in place and
 /// spills to the heap beyond.
 ///
-/// Every reactive decision of the testbed carries one action (`output`) and
-/// the QoS extension two (`set_nw_tos`, `enqueue`), so the lists on the
-/// per-packet path own no heap memory: building a `flow_mod` or a
-/// `packet_out` allocates nothing for its actions, and a matched rule's
-/// actions sit in the rule itself. The list is as large as a
-/// `Vec<Action>` (24 bytes) and reads as a slice.
+/// Every reactive decision of the testbed carries one action (`output`),
+/// so the lists on the per-packet path own no heap memory: building a
+/// `flow_mod` or a `packet_out` allocates nothing for its actions, and a
+/// matched rule's actions sit in the rule itself. A second slot costs
+/// nothing — the list is as large as a `Vec<Action>` (24 bytes) either way
+/// — and reads as a slice.
 ///
 /// # Example
 ///
@@ -32,8 +31,8 @@ const FILL: Action = Action::Output {
 /// let one: ActionList = [Action::output(PortNo(2))].into_iter().collect();
 /// assert_eq!(one.len(), 1);
 /// assert_eq!(one, vec![Action::output(PortNo(2))]);
-/// let many = ActionList::from(vec![Action::SetNwTos(4); 5]);
-/// assert_eq!(many[4], Action::SetNwTos(4));
+/// let many = ActionList::from(vec![Action::output(PortNo::FLOOD); 5]);
+/// assert_eq!(many[4], Action::output(PortNo::FLOOD));
 /// assert!(ActionList::default().is_empty()); // an empty list drops
 /// ```
 #[derive(Clone)]

@@ -31,8 +31,6 @@ pub enum OfpError {
         /// Action length field found.
         len: u16,
     },
-    /// A stats message used an unsupported stats type.
-    UnknownStatsType(u16),
     /// A vendor/experimenter payload was malformed.
     BadVendorPayload,
 }
@@ -52,7 +50,6 @@ impl fmt::Display for OfpError {
             OfpError::BadAction { kind, len } => {
                 write!(f, "malformed action: type {kind}, length {len}")
             }
-            OfpError::UnknownStatsType(t) => write!(f, "unknown stats type {t}"),
             OfpError::BadVendorPayload => write!(f, "malformed vendor payload"),
         }
     }
@@ -80,7 +77,6 @@ mod tests {
         assert!(OfpError::BadAction { kind: 7, len: 3 }
             .to_string()
             .contains("7"));
-        assert!(OfpError::UnknownStatsType(5).to_string().contains("5"));
         assert!(!OfpError::BadVendorPayload.to_string().is_empty());
     }
 

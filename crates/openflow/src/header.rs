@@ -5,8 +5,9 @@ use crate::{OfpError, OFP_HEADER_LEN, OFP_VERSION};
 use std::fmt;
 
 /// The OpenFlow 1.0 message type codes this implementation speaks. The
-/// specification's `port_status` (12), `port_mod` (15), `barrier_*` (18,
-/// 19) and `queue_get_config_*` (20, 21) are not among them.
+/// specification's `port_status` (12), `port_mod` (15), `stats_*` (16, 17),
+/// `barrier_*` (18, 19) and `queue_get_config_*` (20, 21) are not among
+/// them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 #[allow(missing_docs)] // names mirror the specification 1:1
@@ -25,8 +26,6 @@ pub enum MsgType {
     FlowRemoved = 11,
     PacketOut = 13,
     FlowMod = 14,
-    StatsRequest = 16,
-    StatsReply = 17,
 }
 
 impl MsgType {
@@ -53,8 +52,6 @@ impl MsgType {
             11 => FlowRemoved,
             13 => PacketOut,
             14 => FlowMod,
-            16 => StatsRequest,
-            17 => StatsReply,
             other => return Err(OfpError::UnknownMsgType(other)),
         })
     }
@@ -147,8 +144,8 @@ mod tests {
                 Err(e) => assert_eq!(e, OfpError::UnknownMsgType(code)),
             }
         }
-        assert_eq!(spoken, 16);
-        for unspoken in [12, 15, 18, 19, 20, 21, 22] {
+        assert_eq!(spoken, 14);
+        for unspoken in [12, 15, 16, 17, 18, 19, 20, 21, 22] {
             assert!(MsgType::from_u8(unspoken).is_err(), "{unspoken}");
         }
     }

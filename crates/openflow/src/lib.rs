@@ -58,7 +58,7 @@ pub mod msg;
 mod port;
 pub(crate) mod wire;
 
-pub use action::Action;
+pub use action::{Action, SUPPORTED_ACTIONS};
 pub use action_list::ActionList;
 pub use buffer_id::{BufferId, Refusal};
 pub use consts::{

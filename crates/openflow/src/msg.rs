@@ -4,12 +4,11 @@
 //! [`OfpMessage`] has one variant per message a run can carry: the session
 //! handshake (`hello`, `features`, `get_config` / `set_config`), the
 //! paper's request/response loop (`packet_in` → `flow_mod` / `packet_out`),
-//! the flow-buffer vendor extension, keep-alive echoes and the aggregate
-//! statistics poll — plus `error`, the reply to hostile input, and
-//! `flow_removed`, for rules installed with [`OFPFF_SEND_FLOW_REM`]. Each
-//! encodes to the exact byte layout of the OpenFlow 1.0.0 specification and
-//! decodes back losslessly. Any other type code, and any statistics body but
-//! `OFPST_AGGREGATE`, decodes to a typed [`OfpError`]. Encoded lengths drive
+//! the flow-buffer vendor extension and keep-alive echoes — plus `error`,
+//! the reply to hostile input, and `flow_removed`, for rules installed with
+//! [`OFPFF_SEND_FLOW_REM`]. Each encodes to the exact byte layout of the
+//! OpenFlow 1.0.0 specification and decodes back losslessly. Any other type
+//! code decodes to a typed [`OfpError`]. Encoded lengths drive
 //! the paper's control-path-load measurements, so they are asserted against
 //! the spec's struct sizes in this module's tests.
 
@@ -263,45 +262,6 @@ pub struct Vendor {
     pub data: Vec<u8>,
 }
 
-/// Body of a `stats_request`: aggregate statistics (`OFPST_AGGREGATE`)
-/// over the rules matching a pattern, the one statistics poll a controller
-/// sends.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct AggregateStatsRequest {
-    /// Flows to aggregate.
-    pub match_fields: Match,
-    /// Table to read (0xff = all).
-    pub table_id: u8,
-    /// Restrict to flows outputting here.
-    pub out_port: PortNo,
-}
-
-/// Body of a `stats_reply`: the answer to an [`AggregateStatsRequest`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub struct AggregateStatsReply {
-    /// Total packets across matching flows.
-    pub packet_count: u64,
-    /// Total bytes across matching flows.
-    pub byte_count: u64,
-    /// Number of matching flows.
-    pub flow_count: u32,
-}
-
-const OFPST_AGGREGATE: u16 = 2;
-/// Stats type + flags + match + table id + pad + out port.
-const AGG_STATS_REQ_BODY: usize = 4 + 44;
-/// Stats type + flags + packet, byte and flow counts + pad.
-const AGG_STATS_REPLY_BODY: usize = 4 + 24;
-
-/// Checks that a statistics body is of the one type spoken,
-/// `OFPST_AGGREGATE`, and holds `len` bytes.
-fn aggregate_body(body: &[u8], len: usize) -> Result<(), OfpError> {
-    match wire::get_u16(body, 0)? {
-        OFPST_AGGREGATE => wire::need(body, len),
-        other => Err(OfpError::UnknownStatsType(other)),
-    }
-}
-
 /// Any OpenFlow 1.0 message this implementation speaks.
 ///
 /// # Example
@@ -329,8 +289,6 @@ pub enum OfpMessage {
     FlowRemoved(FlowRemoved),
     PacketOut(PacketOut),
     FlowMod(FlowMod),
-    StatsRequest(AggregateStatsRequest),
-    StatsReply(AggregateStatsReply),
 }
 
 impl From<FlowBufferExt> for OfpMessage {
@@ -360,8 +318,6 @@ impl OfpMessage {
             OfpMessage::FlowRemoved(_) => MsgType::FlowRemoved,
             OfpMessage::PacketOut(_) => MsgType::PacketOut,
             OfpMessage::FlowMod(_) => MsgType::FlowMod,
-            OfpMessage::StatsRequest(_) => MsgType::StatsRequest,
-            OfpMessage::StatsReply(_) => MsgType::StatsReply,
         }
     }
 
@@ -382,8 +338,6 @@ impl OfpMessage {
                 OfpMessage::FlowRemoved(_) => consts::OFP_FLOW_REMOVED_LEN - OFP_HEADER_LEN,
                 OfpMessage::PacketOut(p) => 8 + Action::list_len(&p.actions) + p.data.len(),
                 OfpMessage::FlowMod(f) => 64 + Action::list_len(&f.actions),
-                OfpMessage::StatsRequest(_) => AGG_STATS_REQ_BODY,
-                OfpMessage::StatsReply(_) => AGG_STATS_REPLY_BODY,
             }
     }
 
@@ -463,22 +417,6 @@ impl OfpMessage {
                 buf.extend_from_slice(&f.out_port.as_u16().to_be_bytes());
                 buf.extend_from_slice(&f.flags.to_be_bytes());
                 Action::encode_list(&f.actions, &mut buf);
-            }
-            OfpMessage::StatsRequest(r) => {
-                buf.extend_from_slice(&OFPST_AGGREGATE.to_be_bytes());
-                buf.extend_from_slice(&[0, 0]); // flags
-                r.match_fields.encode_into(&mut buf);
-                buf.push(r.table_id);
-                buf.push(0); // pad
-                buf.extend_from_slice(&r.out_port.as_u16().to_be_bytes());
-            }
-            OfpMessage::StatsReply(r) => {
-                buf.extend_from_slice(&OFPST_AGGREGATE.to_be_bytes());
-                buf.extend_from_slice(&[0, 0]); // flags
-                buf.extend_from_slice(&r.packet_count.to_be_bytes());
-                buf.extend_from_slice(&r.byte_count.to_be_bytes());
-                buf.extend_from_slice(&r.flow_count.to_be_bytes());
-                buf.extend_from_slice(&[0, 0, 0, 0]); // pad
             }
         }
         debug_assert_eq!(buf.len(), length, "wire_len disagrees with encoding");
@@ -586,22 +524,6 @@ impl OfpMessage {
                     out_port: PortNo(wire::get_u16(body, 60)?),
                     flags: wire::get_u16(body, 62)?,
                     actions,
-                })
-            }
-            MsgType::StatsRequest => {
-                aggregate_body(body, AGG_STATS_REQ_BODY)?;
-                OfpMessage::StatsRequest(AggregateStatsRequest {
-                    match_fields: Match::decode(&body[4..])?,
-                    table_id: wire::get_u8(body, 4 + OFP_MATCH_LEN)?,
-                    out_port: PortNo(wire::get_u16(body, 4 + OFP_MATCH_LEN + 2)?),
-                })
-            }
-            MsgType::StatsReply => {
-                aggregate_body(body, AGG_STATS_REPLY_BODY)?;
-                OfpMessage::StatsReply(AggregateStatsReply {
-                    packet_count: wire::get_u64(body, 4)?,
-                    byte_count: wire::get_u64(body, 12)?,
-                    flow_count: wire::get_u32(body, 20)?,
                 })
             }
         };
@@ -737,7 +659,7 @@ mod tests {
             n_buffers: 256,
             n_tables: 1,
             capabilities: 0,
-            actions: 0xfff,
+            actions: crate::SUPPORTED_ACTIONS,
             ports: vec![
                 PhyPort {
                     port_no: PortNo(1),
@@ -909,46 +831,22 @@ mod tests {
         }
     }
 
-    fn aggregate_request() -> OfpMessage {
-        OfpMessage::StatsRequest(AggregateStatsRequest {
-            match_fields: sample_match(),
-            table_id: 0,
-            out_port: PortNo(2),
-        })
-    }
-
-    fn aggregate_reply() -> OfpMessage {
-        OfpMessage::StatsReply(AggregateStatsReply {
-            packet_count: 10,
-            byte_count: 10_000,
-            flow_count: 3,
-        })
-    }
-
-    #[test]
-    fn stats_round_trips() {
-        // ofp_stats_request + ofp_aggregate_stats_request is 12 + 44 bytes,
-        // ofp_stats_reply + ofp_aggregate_stats_reply 12 + 24.
-        assert_eq!(aggregate_request().wire_len(), 12 + 44);
-        assert_eq!(aggregate_reply().wire_len(), 12 + 24);
-        round_trip(aggregate_request());
-        round_trip(aggregate_reply());
-    }
-
-    /// Desc, flow, table and port statistics (types 0, 1, 3, 4), and any
-    /// unassigned type, are refused in either direction.
+    /// The statistics messages are not spoken: a well-formed aggregate
+    /// `stats_request` (16) or `stats_reply` (17) — `OFPST_AGGREGATE`, its
+    /// body's length — is an unknown message type.
     #[test]
     fn unknown_stats_type_rejected() {
-        for msg in [aggregate_request(), aggregate_reply()] {
-            for kind in [0u8, 1, 3, 4, 9] {
-                let mut bytes = msg.encode(0);
-                bytes[9] = kind; // stats type, low byte
-                assert_eq!(
-                    OfpMessage::decode(&bytes),
-                    Err(OfpError::UnknownStatsType(kind.into())),
-                    "{msg}"
-                );
-            }
+        for (code, body) in [(16u8, 4 + 44), (17, 4 + 24)] {
+            let mut bytes = OfpMessage::Hello.encode(1);
+            bytes[1] = code;
+            let len = OFP_HEADER_LEN + body;
+            bytes.resize(len, 0);
+            bytes[2..4].copy_from_slice(&(len as u16).to_be_bytes());
+            bytes[9] = 2; // OFPST_AGGREGATE
+            assert_eq!(
+                OfpMessage::decode(&bytes),
+                Err(OfpError::UnknownMsgType(code))
+            );
         }
     }
 

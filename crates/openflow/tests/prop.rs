@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use sdnbuf_net::{MacAddr, PacketBuilder, WireFrame, HEADERS_MAX};
 use sdnbuf_openflow::{
     msg::{
-        AggregateStatsReply, AggregateStatsRequest, ErrorMsg, FlowMod, FlowModCommand, FlowRemoved,
-        FlowRemovedReason, PacketIn, PacketInReason, PacketOut, Vendor,
+        ErrorMsg, FlowMod, FlowModCommand, FlowRemoved, FlowRemovedReason, PacketIn,
+        PacketInReason, PacketOut, Vendor,
     },
     Action, ActionList, BufferId, Match, OfpMessage, PortNo, Wildcards,
 };
@@ -18,18 +18,12 @@ fn arb_buffer_id() -> impl Strategy<Value = BufferId> {
 }
 
 fn arb_action() -> BoxedStrategy<Action> {
-    prop_oneof![
-        (any::<u16>(), any::<u16>()).prop_map(|(p, m)| Action::Output {
+    (any::<u16>(), any::<u16>())
+        .prop_map(|(p, m)| Action::Output {
             port: PortNo(p),
-            max_len: m
-        }),
-        any::<u8>().prop_map(Action::SetNwTos),
-        (any::<u16>(), any::<u32>()).prop_map(|(p, q)| Action::Enqueue {
-            port: PortNo(p),
-            queue_id: q
-        }),
-    ]
-    .boxed()
+            max_len: m,
+        })
+        .boxed()
 }
 
 fn arb_match() -> impl Strategy<Value = Match> {
@@ -186,20 +180,6 @@ fn arb_message() -> impl Strategy<Value = OfpMessage> {
                 idle_timeout: 3,
                 packet_count: 4,
                 byte_count: 5,
-            })
-        }),
-        (arb_match(), any::<u8>(), any::<u16>()).prop_map(|(m, t, p)| {
-            OfpMessage::StatsRequest(AggregateStatsRequest {
-                match_fields: m,
-                table_id: t,
-                out_port: PortNo(p),
-            })
-        }),
-        (any::<u64>(), any::<u64>(), any::<u32>()).prop_map(|(p, b, f)| {
-            OfpMessage::StatsReply(AggregateStatsReply {
-                packet_count: p,
-                byte_count: b,
-                flow_count: f,
             })
         }),
     ]

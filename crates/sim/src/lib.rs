@@ -54,7 +54,6 @@ pub mod hash;
 mod json;
 mod link;
 mod pool;
-mod qos_link;
 mod queue;
 mod resource;
 mod rng;
@@ -67,7 +66,6 @@ pub use hash::{FastHashMap, FastHashSet, FxHasher, Piece};
 pub use json::JsonWriter;
 pub use link::{Link, LinkConfig, LinkStats};
 pub use pool::{Pool, PoolHandle, PoolStats};
-pub use qos_link::{MultiQueueLink, QueueConfig};
 pub use queue::EventQueue;
 pub use resource::{CpuResource, Utilization};
 pub use rng::SimRng;

@@ -35,9 +35,6 @@ pub enum SwitchOutput {
         at: Nanos,
         /// Egress port.
         port: PortNo,
-        /// Egress queue on that port selected by an `ENQUEUE` action;
-        /// `None` = the port's default (best-effort) queue.
-        queue: Option<u32>,
         /// Handle of the packet; the caller inherits this pool reference.
         packet: PacketHandle,
     },
@@ -62,9 +59,8 @@ pub enum SwitchOutput {
 
 /// Emits the packet behind `packet` at `at` on every egress `actions` name
 /// for a packet that arrived on `in_port`, given `data_ports` physical
-/// ports, and returns how many that was. `ENQUEUE` actions select a QoS
-/// queue; plain `OUTPUT` uses the port's default queue. No egress at all
-/// (an empty list, or no output action) is an accounted drop. One pool
+/// ports, and returns how many that was. No egress at all (an empty list,
+/// or no output to a port that exists) is an accounted drop. One pool
 /// reference per egress: the handle passed in covers the first, each
 /// further port retains the same pooled packet.
 ///
@@ -83,31 +79,21 @@ fn forward_all(
     out: &mut Vec<SwitchOutput>,
 ) -> u64 {
     let mut forwards = 0;
-    let mut emit = |port: PortNo, queue: Option<u32>| {
+    let mut emit = |port: PortNo| {
         if forwards > 0 {
             pool.retain(packet);
         }
         forwards += 1;
-        out.push(SwitchOutput::Forward {
-            at,
-            port,
-            queue,
-            packet,
-        });
+        out.push(SwitchOutput::Forward { at, port, packet });
     };
-    for action in actions {
-        let (port, queue) = match *action {
-            Action::Output { port, .. } => (port, None),
-            Action::Enqueue { port, queue_id } => (port, Some(queue_id)),
-            Action::SetNwTos(_) => continue,
-        };
+    for &Action::Output { port, .. } in actions {
         match port {
             PortNo::FLOOD | PortNo::ALL => (1..=data_ports as u16)
                 .map(PortNo)
                 .filter(|&p| p != in_port)
-                .for_each(|p| emit(p, queue)),
-            PortNo::IN_PORT => emit(in_port, queue),
-            p if p.is_physical() => emit(p, queue),
+                .for_each(&mut emit),
+            PortNo::IN_PORT => emit(in_port),
+            p if p.is_physical() => emit(p),
             _ => {}
         }
     }
@@ -877,7 +863,7 @@ impl Switch {
 mod tests {
     use super::*;
     use sdnbuf_net::PacketBuilder;
-    use sdnbuf_openflow::msg::{AggregateStatsReply, AggregateStatsRequest, FlowMod, PacketOut};
+    use sdnbuf_openflow::msg::{FlowMod, PacketOut};
     use sdnbuf_openflow::Match;
 
     fn switch_with(buffer: BufferChoice) -> Switch {
@@ -1000,14 +986,8 @@ mod tests {
             &mut pool,
         );
         match &outputs[..] {
-            [SwitchOutput::Forward {
-                at,
-                port,
-                queue,
-                packet,
-            }] => {
+            [SwitchOutput::Forward { at, port, packet }] => {
                 assert_eq!(*port, PortNo(2));
-                assert_eq!(*queue, None);
                 assert_eq!(pool.get(*packet).unwrap(), &pkt);
                 assert!(*at >= Nanos::from_millis(10));
             }
@@ -1264,6 +1244,7 @@ mod tests {
             } => {
                 assert_eq!(fr.n_buffers, 256);
                 assert_eq!(fr.ports.len(), 2);
+                assert_eq!(fr.actions, sdnbuf_openflow::SUPPORTED_ACTIONS);
             }
             other => panic!("{other:?}"),
         }
@@ -1311,87 +1292,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_requests_are_answered() {
-        let mut pool = PacketPool::new();
-        let mut sw = switch_with(BufferChoice::NoBuffer);
-        let pkt = udp(1);
-        sw.handle_controller_msg(
-            Nanos::ZERO,
-            flow_mod_for(&pkt, PortNo(1), PortNo(2)),
-            1,
-            &mut pool,
-        );
-        sw.handle_frame(
-            Nanos::from_millis(1),
-            PortNo(1),
-            pool.insert(pkt.clone()),
-            &mut pool,
-        );
-        let mut ask = |match_fields| {
-            let request = OfpMessage::StatsRequest(AggregateStatsRequest {
-                match_fields,
-                table_id: 0xff,
-                out_port: PortNo::NONE,
-            });
-            let outs = sw.handle_controller_msg(Nanos::from_millis(2), request, 2, &mut pool);
-            match &outs[..] {
-                [SwitchOutput::ToController {
-                    xid: 2,
-                    msg: OfpMessage::StatsReply(reply),
-                    ..
-                }] => *reply,
-                other => panic!("{other:?}"),
-            }
-        };
-        let one_rule = AggregateStatsReply {
-            packet_count: 1,
-            byte_count: 1000,
-            flow_count: 1,
-        };
-        assert_eq!(ask(Match::any()), one_rule);
-        assert_eq!(ask(Match::exact_from_packet(PortNo(1), &pkt)), one_rule);
-        let other_flow = Match::exact_from_packet(PortNo(1), &udp(2));
-        assert_eq!(ask(other_flow).flow_count, 0);
-    }
-
-    #[test]
-    fn enqueue_rule_forwards_with_queue_tag() {
-        let mut pool = PacketPool::new();
-        let mut sw = switch_with(BufferChoice::NoBuffer);
-        let pkt = udp(4);
-        let fm = OfpMessage::FlowMod(FlowMod {
-            match_fields: Match::exact_from_packet(PortNo(1), &pkt),
-            cookie: 0,
-            command: FlowModCommand::Add,
-            idle_timeout: 0,
-            hard_timeout: 0,
-            priority: 100,
-            buffer_id: BufferId::NO_BUFFER,
-            out_port: PortNo::NONE,
-            flags: 0,
-            actions: vec![Action::Enqueue {
-                port: PortNo(2),
-                queue_id: 1,
-            }]
-            .into(),
-        });
-        sw.handle_controller_msg(Nanos::ZERO, fm, 1, &mut pool);
-        let outs = sw.handle_frame(
-            Nanos::from_millis(1),
-            PortNo(1),
-            pool.insert(pkt),
-            &mut pool,
-        );
-        match &outs[..] {
-            [SwitchOutput::Forward { port, queue, .. }] => {
-                assert_eq!(*port, PortNo(2));
-                assert_eq!(*queue, Some(1));
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn vendor_configure_accepted_only_for_flow_granularity() {
         let mut pool = PacketPool::new();
         let mut fg = switch_with(BufferChoice::FlowGranularity {
@@ -1420,7 +1320,7 @@ mod tests {
     fn unexpected_message_gets_error_reply() {
         let mut pool = PacketPool::new();
         let mut sw = switch_with(BufferChoice::NoBuffer);
-        let reply = OfpMessage::StatsReply(AggregateStatsReply::default());
+        let reply = OfpMessage::GetConfigReply(sdnbuf_openflow::SwitchConfig::default());
         let outs = sw.handle_controller_msg(Nanos::ZERO, reply.clone(), 1, &mut pool);
         match &outs[..] {
             [SwitchOutput::ToController {

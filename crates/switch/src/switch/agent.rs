@@ -1,13 +1,10 @@
 //! The OpenFlow agent's reply-only side: requests answered from the
-//! switch's state without touching the datapath (flow table contents,
-//! buffer, session) — queries, keep-alives, and errors.
+//! switch's configuration without touching the datapath — queries,
+//! keep-alives, and errors.
 
 use super::{Switch, SwitchOutput};
 use crate::BufferChoice;
-use sdnbuf_openflow::{
-    msg::{self, AggregateStatsReply, AggregateStatsRequest},
-    FlowBufferExt, Match, OfpMessage, PortNo,
-};
+use sdnbuf_openflow::{msg, FlowBufferExt, OfpMessage, PortNo, SUPPORTED_ACTIONS};
 use sdnbuf_sim::Nanos;
 
 impl Switch {
@@ -40,9 +37,8 @@ impl Switch {
     }
 
     /// Handles every control message that only reads the switch: the
-    /// handshake's queries, echoes, the aggregate statistics poll and the
-    /// flow-buffer vendor extension. Anything else is refused with an
-    /// `error`.
+    /// handshake's queries, echoes and the flow-buffer vendor extension.
+    /// Anything else is refused with an `error`.
     pub(super) fn answer(
         &mut self,
         now: Nanos,
@@ -72,12 +68,11 @@ impl Switch {
                     n_buffers: self.buffer.capacity() as u32,
                     n_tables: 1,
                     capabilities: 0,
-                    actions: 0xfff,
+                    actions: SUPPORTED_ACTIONS,
                     ports,
                 };
                 self.reply(now, xid, OfpMessage::FeaturesReply(features), out)
             }
-            OfpMessage::StatsRequest(req) => self.answer_stats(now, xid, req, out),
             ref vendor @ OfpMessage::Vendor(_) => match FlowBufferExt::from_message(vendor) {
                 Some(Ok(FlowBufferExt::Configure { .. }))
                     if matches!(self.config.buffer, BufferChoice::FlowGranularity { .. }) =>
@@ -90,35 +85,5 @@ impl Switch {
             // Messages a switch should never receive: OFPBRC_BAD_TYPE.
             other => self.reply_error(now, xid, 1, other.encode(xid), out),
         }
-    }
-
-    /// Sums the counters of the rules `req` matches (all of them for
-    /// `Match::any()`), at one `cost_control_misc` plus one per rule.
-    fn answer_stats(
-        &mut self,
-        now: Nanos,
-        xid: u32,
-        req: AggregateStatsRequest,
-        out: &mut Vec<SwitchOutput>,
-    ) {
-        let per_rule = self.config.cost_control_misc;
-        let cost = self.config.cost_control_misc + per_rule * self.table.len() as u64;
-        let at = self.cpu.submit(now, cost);
-        let mut reply = AggregateStatsReply::default();
-        let all = req.match_fields == Match::any();
-        for rule in self
-            .table
-            .iter()
-            .filter(|r| all || r.match_fields == req.match_fields)
-        {
-            reply.packet_count += rule.packet_count;
-            reply.byte_count += rule.byte_count;
-            reply.flow_count += 1;
-        }
-        out.push(SwitchOutput::ToController {
-            at,
-            xid,
-            msg: OfpMessage::StatsReply(reply),
-        });
     }
 }

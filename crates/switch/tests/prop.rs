@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use sdnbuf_flowtable::EvictionPolicy;
 use sdnbuf_net::{Packet, PacketBuilder, WireFrame};
 use sdnbuf_openflow::{
-    msg::{self, AggregateStatsReply, AggregateStatsRequest, FlowMod, FlowModCommand, PacketOut},
+    msg::{self, FlowMod, FlowModCommand, PacketOut},
     Action, BufferId, Match, OfpMessage, PortNo, Refusal,
 };
 use sdnbuf_sim::Nanos;
@@ -61,8 +61,8 @@ enum Op {
         n: u16,
         notify: bool,
     },
-    /// `n` echo / stats / features / config requests, or replies a switch
-    /// never takes, back to back.
+    /// `n` echo / features / config requests, or replies a switch never
+    /// takes, back to back.
     Storm {
         kind: u8,
         n: u8,
@@ -88,7 +88,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         2 => (0usize..64).prop_map(|nth| Op::PacketOutReplayedData { nth }),
         1 => (100u16..400, 1u16..24, any::<bool>())
             .prop_map(|(first, n, notify)| Op::FlowModFlood { first, n, notify }),
-        1 => (0u8..5, 1u8..24).prop_map(|(kind, n)| Op::Storm { kind, n }),
+        1 => (0u8..4, 1u8..24).prop_map(|(kind, n)| Op::Storm { kind, n }),
         1 => Just(Op::Rehandshake),
         1 => Just(Op::DuplicateHello),
         3 => Just(Op::Timer),
@@ -179,21 +179,11 @@ fn storm_request(kind: u8) -> (OfpMessage, fn(&OfpMessage) -> bool) {
             OfpMessage::EchoRequest(vec![7; 8]),
             |m| matches!(m, OfpMessage::EchoReply(d) if d == &[7; 8]),
         ),
-        2 => {
-            let req = AggregateStatsRequest {
-                match_fields: Match::any(),
-                table_id: 0xff,
-                out_port: PortNo::NONE,
-            };
-            (OfpMessage::StatsRequest(req), |m| {
-                matches!(m, OfpMessage::StatsReply(_))
-            })
-        }
-        3 => (OfpMessage::GetConfigRequest, |m| {
+        2 => (OfpMessage::GetConfigRequest, |m| {
             matches!(m, OfpMessage::GetConfigReply(_))
         }),
         _ => (
-            OfpMessage::StatsReply(AggregateStatsReply::default()),
+            OfpMessage::GetConfigReply(msg::SwitchConfig::default()),
             |m| matches!(m, OfpMessage::Error(_)),
         ),
     }

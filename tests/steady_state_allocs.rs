@@ -229,11 +229,12 @@ fn one_more_flow_keeps_its_rule_and_aggregate_not_an_occupancy_point() {
 fn one_more_unbuffered_flow_keeps_no_identity_index() {
     // The cell that holds the Section IV workload's peak: no-buffer at
     // 100 Mbps, every packet its own flow, the peak reached while the
-    // run's summaries are built. 422.2 B per flow as this is written: a
+    // run's summaries are built. 416.1 B per flow as this is written: a
     // frame that comes back from the controller as bytes gets its record
-    // from the `packet_out` that carried them, and a queued event is 24 B
-    // (32 B, while a never-formed batch of egress frames sat in the event
-    // enum, read 426.3 B). Indexing every departure by
+    // from the `packet_out` that carried them, and a queued event is 16 B
+    // (a 24-B event reads 420.2 B, and 422.2 B while egress frames carried
+    // a QoS queue tag; 32 B, while a never-formed batch of egress frames
+    // sat in the event enum, read 426.3 B). Indexing every departure by
     // wire identity to find that record instead was 477.5 B; a map from
     // flow key to controller round trip beside the aggregates added 51 B
     // more (its buckets double from 4 096 to 8 192 over these 2 000 flows)
@@ -241,7 +242,7 @@ fn one_more_unbuffered_flow_keeps_no_identity_index() {
     let single = WorkloadKind::single_packet_flows;
     let (_, per_flow) = marginal_cost_per_packet(BufferMode::NoBuffer, 100, single);
     assert!(
-        per_flow <= 440.0,
+        per_flow <= 420.0,
         "no-buffer@100 single-packet flows: {per_flow} B of peak live heap per flow"
     );
 }

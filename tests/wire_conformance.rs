@@ -139,7 +139,7 @@ fn flow_granularity_vendor_negotiation_over_encoded_bytes() {
     );
 }
 
-/// Fuzz-style round-trip coverage of the whole codec: every one of the 16
+/// Fuzz-style round-trip coverage of the whole codec: every one of the 14
 /// message types the implementation speaks must encode → decode → encode
 /// byte-identically for arbitrary field values, and mangled frames —
 /// truncated or bit-flipped — must come back as typed [`OfpError`]s, never
@@ -149,12 +149,12 @@ mod wire_props {
     use proptest::prelude::*;
     use sdn_buffer_lab::net::{MacAddr, PacketBuilder, WireFrame};
     use sdn_buffer_lab::openflow::msg::{
-        AggregateStatsReply, AggregateStatsRequest, ErrorMsg, FeaturesReply, FlowMod,
-        FlowModCommand, FlowRemoved, FlowRemovedReason, PacketIn, PacketInReason, PacketOut,
-        PhyPort, SwitchConfig as OfSwitchConfig, Vendor,
+        ErrorMsg, FeaturesReply, FlowMod, FlowModCommand, FlowRemoved, FlowRemovedReason, PacketIn,
+        PacketInReason, PacketOut, PhyPort, SwitchConfig as OfSwitchConfig, Vendor,
     };
     use sdn_buffer_lab::openflow::{
         Action, BufferId, Match, MsgType, OfpError, OfpMessage, PortNo, Wildcards,
+        SUPPORTED_ACTIONS,
     };
     use std::collections::BTreeSet;
     use std::net::Ipv4Addr;
@@ -164,18 +164,12 @@ mod wire_props {
     }
 
     fn arb_action() -> BoxedStrategy<Action> {
-        prop_oneof![
-            (any::<u16>(), any::<u16>()).prop_map(|(p, m)| Action::Output {
+        (any::<u16>(), any::<u16>())
+            .prop_map(|(p, m)| Action::Output {
                 port: PortNo(p),
-                max_len: m
-            }),
-            any::<u8>().prop_map(Action::SetNwTos),
-            (any::<u16>(), any::<u32>()).prop_map(|(p, q)| Action::Enqueue {
-                port: PortNo(p),
-                queue_id: q
-            }),
-        ]
-        .boxed()
+                max_len: m,
+            })
+            .boxed()
     }
 
     fn arb_match() -> impl Strategy<Value = Match> {
@@ -237,27 +231,7 @@ mod wire_props {
         ]
     }
 
-    fn arb_stats_request() -> BoxedStrategy<AggregateStatsRequest> {
-        (arb_match(), any::<u8>(), any::<u16>())
-            .prop_map(|(m, t, p)| AggregateStatsRequest {
-                match_fields: m,
-                table_id: t,
-                out_port: PortNo(p),
-            })
-            .boxed()
-    }
-
-    fn arb_stats_reply() -> BoxedStrategy<AggregateStatsReply> {
-        (any::<u64>(), any::<u64>(), any::<u32>())
-            .prop_map(|(p, b, f)| AggregateStatsReply {
-                packet_count: p,
-                byte_count: b,
-                flow_count: f,
-            })
-            .boxed()
-    }
-
-    /// Every one of the 16 `OfpMessage` variants, with arbitrary fields.
+    /// Every one of the 14 `OfpMessage` variants, with arbitrary fields.
     /// `packet_in` / `packet_out` data: flat bytes, as a decoder holds
     /// them, or gathered from a frame and cut as `miss_send_len` cuts it.
     fn arb_frame_data() -> BoxedStrategy<WireFrame> {
@@ -403,8 +377,6 @@ mod wire_props {
                         actions: a.into(),
                     })
                 }),
-            arb_stats_request().prop_map(OfpMessage::StatsRequest),
-            arb_stats_reply().prop_map(OfpMessage::StatsReply),
         ]
         .boxed()
     }
@@ -428,12 +400,12 @@ mod wire_props {
     }
 
     /// Deterministic completeness check: one exemplar per message type,
-    /// the 16 wire type codes the decoder accepts exactly accounted for,
+    /// the 14 wire type codes the decoder accepts exactly accounted for,
     /// each surviving the wire and re-encoding byte-identically. The fuzz
     /// tests above explore the field space; this test guarantees none of
-    /// the 16 is skipped.
+    /// the 14 is skipped.
     #[test]
-    fn all_sixteen_message_types_round_trip() {
+    fn all_fourteen_message_types_round_trip() {
         let port = PhyPort {
             port_no: PortNo(1),
             hw_addr: MacAddr::from_host_index(1),
@@ -458,7 +430,7 @@ mod wire_props {
                 n_buffers: 256,
                 n_tables: 2,
                 capabilities: 0x4f,
-                actions: 0xfff,
+                actions: SUPPORTED_ACTIONS,
                 ports: vec![port],
             }),
             OfpMessage::GetConfigRequest,
@@ -506,16 +478,6 @@ mod wire_props {
                 flags: 1,
                 actions: vec![Action::output(PortNo(2))].into(),
             }),
-            OfpMessage::StatsRequest(AggregateStatsRequest {
-                match_fields: sample_match(),
-                table_id: 0xff,
-                out_port: PortNo(0xffff),
-            }),
-            OfpMessage::StatsReply(AggregateStatsReply {
-                packet_count: 4,
-                byte_count: 4000,
-                flow_count: 1,
-            }),
         ];
         let mut seen = BTreeSet::new();
         for (i, msg) in exemplars.into_iter().enumerate() {
@@ -527,7 +489,7 @@ mod wire_props {
         let spoken: BTreeSet<u8> = (0..=u8::MAX)
             .filter(|&code| MsgType::from_u8(code).is_ok())
             .collect();
-        assert_eq!(seen.len(), 16, "one exemplar per type: {seen:?}");
+        assert_eq!(seen.len(), 14, "one exemplar per type: {seen:?}");
         assert_eq!(
             seen, spoken,
             "exemplars must span every type the decoder accepts"
@@ -640,13 +602,12 @@ impl EventSink for Traffic {
 
 /// What runs put on the control channel is the session handshake, the
 /// paper's `packet_in` → `flow_mod` / `packet_out` loop, the flow-buffer
-/// vendor extension, keep-alive echoes and the aggregate statistics poll,
-/// and nothing else: five cells that between them reach every one of
-/// those (both Section IV mechanisms, Section V under channel loss and a
-/// stall, a crash ridden through by a warm standby, and a statistics poll)
-/// carry exactly these sixteen `(direction, label)` pairs.
+/// vendor extension and keep-alive echoes, and nothing else: four cells
+/// that between them reach every one of those (both Section IV mechanisms,
+/// Section V under channel loss and a stall, and a crash ridden through by
+/// a warm standby) carry exactly these fourteen `(direction, label)` pairs.
 #[test]
-fn runs_carry_exactly_the_sixteen_kinds_of_control_traffic() {
+fn runs_carry_exactly_the_fourteen_kinds_of_control_traffic() {
     let cell = |buffer: &str, workload: &str, rate: u64| ExperimentConfig {
         buffer: buffer.parse().expect("mechanism"),
         workload: workload.parse().expect("workload"),
@@ -664,8 +625,6 @@ fn runs_carry_exactly_the_sixteen_kinds_of_control_traffic() {
     failover.testbed.failover.takeover_delay = Nanos::from_millis(8);
     failover.testbed.keepalive_interval = Some(Nanos::from_millis(5));
     failover.testbed.switch.liveness_timeout = Nanos::from_millis(15);
-    let mut polled = cell("flow:256:50", "cross:6x4/2", 40);
-    polled.testbed.stats_poll_interval = Some(Nanos::from_millis(5));
 
     let traffic = Rc::new(RefCell::new(Traffic::default()));
     for config in [
@@ -673,7 +632,6 @@ fn runs_carry_exactly_the_sixteen_kinds_of_control_traffic() {
         cell("packet:16", "iv", 100),
         faulted,
         failover,
-        polled,
     ] {
         Experiment::try_new(config)
             .expect("valid cell")
@@ -686,7 +644,6 @@ fn runs_carry_exactly_the_sixteen_kinds_of_control_traffic() {
         "packet_in",
         "vendor",
         "echo_reply",
-        "stats_reply",
     ];
     let to_switch = [
         "hello",
@@ -697,12 +654,11 @@ fn runs_carry_exactly_the_sixteen_kinds_of_control_traffic() {
         "packet_out",
         "vendor",
         "echo_request",
-        "stats_request",
     ];
     let expected: BTreeSet<_> = (to_controller.iter().map(|&l| ("to_controller", l)))
         .chain(to_switch.iter().map(|&l| ("to_switch", l)))
         .collect();
-    assert_eq!(expected.len(), 16);
+    assert_eq!(expected.len(), 14);
     assert_eq!(traffic.borrow().0, expected);
 }
 
