@@ -11,6 +11,7 @@ use crate::executor::{Executor, NullSink, Parallelism, Progress, ProgressSink};
 use crate::{BufferMode, Metric, RunResult, Testbed, TestbedConfig};
 use sdnbuf_sim::faults::{fmt_dur, parse_dur};
 use sdnbuf_sim::{BitRate, Event, Nanos, Tracer};
+use sdnbuf_switchbuf::Sabotage;
 use sdnbuf_workload::{
     cross_sequenced_flows, mixed_udp_tcp, single_packet_flows, tcp_with_idle_gap, Departure,
     PktgenConfig,
@@ -294,13 +295,38 @@ impl ExperimentConfig {
     pub fn validate(&self) -> Result<(), String> {
         self.buffer.validate()?;
         self.workload.validate()?;
-        if self.frame_size == 0 {
-            return Err("frame size must be positive".to_owned());
+        // A frame is at most what an IPv4 total length can describe; a
+        // larger one would space departures past the end of time.
+        if !(1..=65_535).contains(&self.frame_size) {
+            return Err(format!(
+                "frame size must be 1 to 65535 bytes, got {}",
+                self.frame_size
+            ));
         }
         if self.sending_rate.as_mbps_f64() <= 0.0 {
             return Err("sending rate must be positive".to_owned());
         }
         self.testbed.validate()
+    }
+
+    /// Runs this configuration on a fresh testbed with `tracer` attached
+    /// and the buffer mechanism crippled as `sabotage` asks
+    /// ([`Sabotage::none`] but for the chaos harness's self-tests).
+    pub(crate) fn run(self, tracer: Tracer, sabotage: Sabotage) -> RunResult {
+        let pktgen = PktgenConfig {
+            rate: self.sending_rate,
+            frame_size: self.frame_size,
+            ..PktgenConfig::default()
+        };
+        let departures = self.workload.generate(&pktgen, self.seed);
+        let mut testbed_cfg = self.testbed;
+        testbed_cfg.switch.buffer = self.buffer;
+        let mut testbed = Testbed::new(testbed_cfg);
+        testbed.switch_mut().sabotage_buffer(sabotage);
+        testbed.set_tracer(tracer);
+        let mut result = testbed.run(&departures);
+        result.sending_rate_mbps = self.sending_rate.as_mbps_f64();
+        result
     }
 }
 
@@ -346,19 +372,7 @@ impl Experiment {
     /// Runs it on a fresh testbed with the given event tracer attached
     /// (see [`Testbed::set_tracer`]).
     pub fn run_with_tracer(&mut self, tracer: Tracer) -> RunResult {
-        let mut testbed_cfg = self.config.testbed.clone();
-        testbed_cfg.switch.buffer = self.config.buffer;
-        let pktgen = PktgenConfig {
-            rate: self.config.sending_rate,
-            frame_size: self.config.frame_size,
-            ..PktgenConfig::default()
-        };
-        let departures = self.config.workload.generate(&pktgen, self.config.seed);
-        let mut testbed = Testbed::new(testbed_cfg);
-        testbed.set_tracer(tracer);
-        let mut result = testbed.run(&departures);
-        result.sending_rate_mbps = self.config.sending_rate.as_mbps_f64();
-        result
+        self.config.clone().run(tracer, Sabotage::none())
     }
 
     /// Runs it with an unbounded recording sink attached and returns the

@@ -5,9 +5,10 @@
 //! recorder captures everything a post-mortem needs into one JSON file
 //! under `results/flightrec/`:
 //!
-//! * the **replay recipe**: the fault/scenario spec and seed (a chaos dump
-//!   replays with `sdnlab chaos --replay <spec>` to the same violation,
-//!   byte-for-byte — the runs are deterministic),
+//! * the **replay recipe**: the run's [`RunSpec`], whole — every dump,
+//!   whatever wrote it, replays with `sdnlab chaos --replay '<spec>'` to the
+//!   same digest (and violations), byte-for-byte: the runs are
+//!   deterministic,
 //! * the **last N events** leading up to the end of the run (the stream's
 //!   tail),
 //! * the **open spans** — flow setups still in flight, which is usually
@@ -26,6 +27,7 @@ use crate::invariants::Violation;
 use crate::observe;
 use crate::result::RunResult;
 use crate::spans::{self, LatencyReport, SpanOutcome};
+use crate::RunSpec;
 use sdnbuf_sim::{Event, JsonWriter};
 
 /// Default number of trailing events a dump retains.
@@ -62,14 +64,12 @@ impl DumpReason {
 pub struct FlightDump {
     /// Why the dump was taken.
     pub reason: DumpReason,
-    /// Human-readable run identity (cell label or scenario mechanism).
+    /// Human-readable run identity: the mechanism's label.
     pub label: String,
     /// The run's seed.
     pub seed: u64,
-    /// Replayable fault/scenario spec, when the run had one. For chaos
-    /// dumps this is the full scenario spec `sdnlab chaos --replay`
-    /// accepts; for plain runs it is the `--faults` spec.
-    pub spec: Option<String>,
+    /// The run's spec, which `sdnlab chaos --replay` accepts.
+    pub spec: String,
     /// Violations that triggered the dump.
     pub violations: Vec<Violation>,
     /// FNV digest of the full event stream (the replay identity).
@@ -87,14 +87,12 @@ pub struct FlightDump {
 }
 
 impl FlightDump {
-    /// Captures a dump from a recorded run: keeps the last
-    /// [`DEFAULT_TAIL`] events, extracts open spans and the latency
-    /// report, and computes the stream digest.
+    /// Captures a dump of the run `spec` describes from its recorded
+    /// events: keeps the last [`DEFAULT_TAIL`] events, extracts open spans
+    /// and the latency report, and computes the stream digest.
     pub fn capture(
         reason: DumpReason,
-        label: &str,
-        seed: u64,
-        spec: Option<String>,
+        spec: &RunSpec,
         events: &[Event],
         result: Option<&RunResult>,
     ) -> FlightDump {
@@ -105,9 +103,9 @@ impl FlightDump {
             .collect();
         FlightDump {
             reason,
-            label: label.to_string(),
-            seed,
-            spec,
+            label: spec.mech.label(),
+            seed: spec.seed,
+            spec: spec.to_string(),
             violations: Vec::new(),
             digest: observe::events_digest(events),
             events_total: events.len() as u64,
@@ -134,10 +132,7 @@ impl FlightDump {
         j.key("reason").string(self.reason.label());
         j.key("label").string(&self.label);
         j.key("seed").u64(self.seed);
-        match &self.spec {
-            Some(spec) => j.key("spec").string(spec),
-            None => j.key("spec").null(),
-        };
+        j.key("spec").string(&self.spec);
         j.key("violations").begin_array();
         for v in &self.violations {
             j.begin_object();
@@ -266,7 +261,7 @@ pub(crate) mod tests {
     #[test]
     fn capture_keeps_the_tail_and_digest() {
         let events = sample_events(1_000);
-        let dump = FlightDump::capture(DumpReason::Exit, "cell", 42, None, &events, None);
+        let dump = FlightDump::capture(DumpReason::Exit, &RunSpec::default(), &events, None);
         assert_eq!(dump.events_total, 1_000);
         assert_eq!(dump.tail.len(), DEFAULT_TAIL);
         assert_eq!(
@@ -279,11 +274,13 @@ pub(crate) mod tests {
     #[test]
     fn json_is_schema_stable_and_parseable_shape() {
         let events = sample_events(10);
+        let spec = RunSpec {
+            seed: 7,
+            ..RunSpec::default()
+        };
         let dump = FlightDump::capture(
             DumpReason::ChaosViolation,
-            "packet-256",
-            7,
-            Some("mech=packet,seed=7".to_string()),
+            &spec,
             &events,
             Some(&RunResult::default()),
         )
@@ -295,7 +292,9 @@ pub(crate) mod tests {
         dump.write_json(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("{\"schema\":\"flightrec/v1\",\"reason\":\"chaos_violation\""));
-        assert!(text.contains("\"spec\":\"mech=packet,seed=7\""));
+        assert!(text.contains(
+            r#""label":"buffer-256","seed":7,"spec":"mech=packet:256,wl=single:1000,rate=50,seed=7""#
+        ));
         assert!(text.contains("\"invariant\":\"occupancy-bound\""));
         assert!(text.contains("\"events_total\":10"));
         assert!(text.contains("\"latency\":{\"schema\":\"latency/v1\""));
@@ -308,8 +307,16 @@ pub(crate) mod tests {
 
     #[test]
     fn stem_is_filesystem_friendly() {
-        let dump = FlightDump::capture(DumpReason::DegradedEnter, "flow-256", 3, None, &[], None);
-        assert_eq!(dump.stem(), "degraded_enter-flow-256-seed3");
+        let spec = RunSpec {
+            mech: crate::BufferMode::FlowGranularity {
+                capacity: 256,
+                timeout: Nanos::from_millis(20),
+            },
+            seed: 3,
+            ..RunSpec::default()
+        };
+        let dump = FlightDump::capture(DumpReason::DegradedEnter, &spec, &[], None);
+        assert_eq!(dump.stem(), "degraded_enter-flow-buffer-256-seed3");
     }
 
     /// Walks `text` as JSON tokens far enough to tell that every bracket
@@ -348,11 +355,9 @@ pub(crate) mod tests {
             label: nasty.to_string(),
             ..RunResult::default()
         };
-        let dump = FlightDump::capture(
+        let mut dump = FlightDump::capture(
             DumpReason::ChaosViolation,
-            nasty,
-            7,
-            Some(nasty.to_string()),
+            &RunSpec::default(),
             &sample_events(2),
             Some(&result),
         )
@@ -360,6 +365,8 @@ pub(crate) mod tests {
             invariant: nasty,
             detail: nasty.into(),
         }]);
+        dump.label = nasty.to_string();
+        dump.spec = nasty.to_string();
         let mut buf = Vec::new();
         dump.write_json(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();

@@ -569,7 +569,8 @@ impl EventSink for Invariants {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{execute, recovery_matrix, ChaosScenario, Sabotage};
+    use crate::chaos::{execute, recovery_matrix, Sabotage};
+    use crate::RunSpec;
     use sdnbuf_sim::{SimRng, Window};
     use std::collections::HashMap;
 
@@ -1004,11 +1005,10 @@ mod tests {
                 timeout: Nanos::from_millis(20),
             },
         ];
-        let mut scenarios: Vec<ChaosScenario> =
-            recovery_matrix().into_iter().map(|c| c.1).collect();
+        let mut scenarios: Vec<RunSpec> = recovery_matrix().into_iter().map(|c| c.1).collect();
         // A stall that outlasts the retry budget: the switch gives flows up,
         // degrades, and leaves degraded mode when the controller answers.
-        let stalled = ChaosScenario {
+        let stalled = RunSpec {
             mech: mechs[3],
             plan: FaultPlan {
                 seed: 5,
@@ -1025,8 +1025,8 @@ mod tests {
         scenarios.push(stalled);
         for seed in 0..40 {
             for mech in mechs {
-                scenarios.push(ChaosScenario::generate(seed, mech));
-                scenarios.push(ChaosScenario::generate_with_crashes(seed, mech));
+                scenarios.push(RunSpec::generate(seed, mech));
+                scenarios.push(RunSpec::generate_with_crashes(seed, mech));
             }
         }
         // Knobs and a mechanism the runs did not have, so that the budget,
@@ -1041,14 +1041,14 @@ mod tests {
             timeout: Nanos::from_secs(1),
         };
         let mut seen: Vec<&'static str> = Vec::new();
-        let mut compare = |s: &ChaosScenario, mech, knobs, result: &RunResult, events: &[Event]| {
+        let mut compare = |s: &RunSpec, mech, knobs, result: &RunResult, events: &[Event]| {
             let render = |vs: Vec<Violation>| -> Vec<String> {
                 vs.iter().map(Violation::to_string).collect()
             };
             let got = check_invariants(mech, &s.plan, knobs, result, events);
             seen.extend(got.iter().map(|v| v.invariant));
             let expected = reference_check(mech, &s.plan, knobs, result, events);
-            assert_eq!(render(got), render(expected), "{}", s.to_spec());
+            assert_eq!(render(got), render(expected), "{s}");
         };
         let mut rng = SimRng::seed_from(16);
         for scenario in &scenarios {

@@ -48,6 +48,7 @@ mod result;
 mod series;
 mod shrink;
 pub mod spans;
+mod spec;
 mod testbed;
 mod trace;
 pub mod validate;
@@ -63,6 +64,7 @@ pub use experiment::{
 pub use measure::PacketTrace;
 pub use metric::Metric;
 pub use result::RunResult;
+pub use spec::{RunSpec, StandbyKnobs};
 pub use testbed::{FailoverConfig, Testbed, TestbedConfig};
 pub use trace::MsgDesc;
 

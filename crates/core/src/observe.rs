@@ -684,7 +684,8 @@ mod tests {
     /// matrix cell whose stall outlasts a one-retry budget: between them
     /// the crash, failover, degraded and give-up kinds.
     fn streams_of_every_plane() -> Vec<Vec<Event>> {
-        use crate::chaos::{execute, recovery_matrix, ChaosScenario, Sabotage};
+        use crate::chaos::{execute, recovery_matrix, Sabotage};
+        use crate::RunSpec;
         use sdnbuf_sim::Window;
         use sdnbuf_switchbuf::RetryPolicy;
         let flow = BufferMode::FlowGranularity {
@@ -692,7 +693,7 @@ mod tests {
             timeout: Nanos::from_millis(20),
         };
         let crash = (0..)
-            .map(|seed| ChaosScenario::generate_with_crashes(seed, flow))
+            .map(|seed| RunSpec::generate_with_crashes(seed, flow))
             .find(|s| s.standby.is_some())
             .expect("some seed samples a standby");
         let (_, mut stalled) = recovery_matrix()

@@ -13,6 +13,8 @@
 //! Workloads: `iv` (1000 single-packet flows), `v` (50×20 cross-sequenced),
 //! `single:<n>`, `cross:<flows>x<ppf>/<group>`, `tcp:<first>:<gap>:<second>`,
 //! `mixed:<udp>:<tcp>:<segments>` — the same grammar `chaos --replay` specs use.
+//! `sdnlab run` prints the run its flags describe as its first line,
+//! `spec: <RunSpec>`, in the grammar `chaos --replay` reads.
 //! Threads: `serial`, `auto` (one worker per CPU), or a worker count; the
 //! default honours `SDNBUF_THREADS` and falls back to `auto`. Results are
 //! identical for every setting.
@@ -27,15 +29,13 @@
 //! passing `--events <path>`. All outputs are byte-deterministic for a
 //! fixed seed, at any `--threads` setting.
 
-use sdn_buffer_lab::controller::AdmissionPolicy;
-use sdn_buffer_lab::core::chaos::{self, ChaosScenario, RecoveryKnobs, Sabotage, StandbyKnobs};
+use sdn_buffer_lab::core::chaos::{self, Sabotage};
 use sdn_buffer_lab::core::flightrec::{DumpReason, FlightDump};
 use sdn_buffer_lab::core::validate::{self, Tolerances, ValidateConfig};
 use sdn_buffer_lab::core::{figures, observe, parse_rate_mbps, spans, RateSweep, StderrProgress};
 use sdn_buffer_lab::prelude::*;
 use sdn_buffer_lab::sim::faults::parse_dur;
 use sdn_buffer_lab::sim::hash::{fnv1a, FNV_OFFSET};
-use sdn_buffer_lab::switchbuf::RetryPolicy;
 use std::io::Write as _;
 use std::process::ExitCode;
 
@@ -46,14 +46,14 @@ fn usage() -> &'static str {
        sdnlab run   [--buffer MECH] [--workload WL] [--rate MBPS] [--seed N]\n\
                     [--faults SPEC] [--check]\n\
                     [--retry-policy P] [--ttl DUR] [--degraded N] [--admission POL:CAP]\n\
-                    [--standby warm|cold] [--takeover-delay DUR]\n\
+                    [--standby warm|cold[:DUR]]\n\
                     [--keepalive DUR] [--liveness-timeout DUR]\n\
                     [--events PATH] [--timeline PATH] [--sample-every DUR [--samples PATH]]\n\
                     [--latency-report] [--dump-on-exit]\n\
        sdnlab sweep [--section iv|v] [--reps N] [--threads T]\n\
                     [--events PATH] [--timeline PATH] [--latency-report]\n\
        sdnlab chaos [--seeds N] [--crash] [--broken] [--broken-ttl] [--broken-epoch]\n\
-                    [--recovery] [--replay SPEC]\n\
+                    [--recovery] [--replay RUN]\n\
        sdnlab validate [--report PATH] [--tolerance PCT] [--cells SPEC] [--flows N]\n\
                     [--reps N] [--seed N] [--random N] [--broken] [--threads T]\n\
        sdnlab claims [--reps N] [--threads T]\n\
@@ -65,6 +65,10 @@ fn usage() -> &'static str {
      DUR:  <n>[ns|us|ms|s], default unit ms\n\
      SPEC: comma-separated key=value fault plan, e.g.\n\
            'fseed=7,c.loss=p:0.1,c.jitter=500us,s.loss=nth:10,stall=55ms+3ms'\n\
+     RUN:  one run, as `sdnlab run` prints it on its first line: mech=MECH,\n\
+           wl=WL,rate=MBPS,seed=N, then any of frame=BYTES, retry=P, ttl=DUR,\n\
+           degraded=N, admission=POL:CAP, standby=warm|cold[:DUR],\n\
+           keepalive=DUR, liveness=DUR and the SPEC keys\n\
      \n\
      FAULT INJECTION:\n\
        --faults SPEC       run under a composable fault plan (seeded, replayable)\n\
@@ -82,13 +86,15 @@ fn usage() -> &'static str {
      CRASH / FAILOVER PLANE:\n\
        --faults 'crash=T+D'       kill the controller at T for D (volatile state\n\
                                   dropped; epoch-tagged re-handshake on restart)\n\
-       --standby warm|cold        arm the warm-standby controller (warm =\n\
-                                  checkpoint-synced MAC table at crash time)\n\
-       --takeover-delay DUR       detection + takeover latency (default 10ms)\n\
+       --standby warm|cold[:DUR]  arm the standby controller (warm =\n\
+                                  checkpoint-synced MAC table at crash time),\n\
+                                  taking over DUR after the crash (default 10ms)\n\
        --keepalive DUR            echo probe interval (drives the RTT histogram\n\
-                                  and the switch's liveness detector)\n\
+                                  and the switch's liveness detector; default\n\
+                                  5ms when the plan crashes, else none)\n\
        --liveness-timeout DUR     silence after which the switch suspects the\n\
                                   controller dead and sheds fresh misses\n\
+                                  (default 15ms when the plan crashes, else off)\n\
      \n\
      CHAOS HARNESS:\n\
        --seeds N           scenarios per buffer mechanism (default 50)\n\
@@ -103,7 +109,8 @@ fn usage() -> &'static str {
        --recovery          run the fixed recovery matrix (stall + flap, with and\n\
                            without a mid-recovery crash, against both mechanisms\n\
                            under fixed and backoff retries)\n\
-       --replay SPEC       re-run one scenario from the spec a failure printed\n\
+       --replay RUN        re-run one run from the spec a failure, a flight\n\
+                           dump or `sdnlab run` printed\n\
      \n\
      VALIDATION PLANE:\n\
        --report PATH       where the validate/v1 JSON goes (default\n\
@@ -115,7 +122,8 @@ fn usage() -> &'static str {
        --flows N           single-packet flows per run (default 1000)\n\
        --reps N            repetitions per cell (default 3)\n\
        --random N          additionally explore N seeded random configs with\n\
-                           shrinking on failure (default 0)\n\
+                           shrinking on failure (default 0); each failure\n\
+                           prints the chaos --replay command of its shrunk run\n\
        --broken            validate against a deliberately mis-derived oracle;\n\
                            the harness must catch it (self-test \u{2014} exits\n\
                            nonzero if it doesn't)\n\
@@ -128,7 +136,7 @@ fn usage() -> &'static str {
        --latency-report    per-phase flow-setup latency anatomy (p50/p95/p99\n\
                            per phase); run: table + results/latency_report.{tsv,json};\n\
                            sweep: one row per grid cell\n\
-       --dump-on-exit      write a replayable flight-recorder dump (fault spec,\n\
+       --dump-on-exit      write a replayable flight-recorder dump (run spec,\n\
                            seed, event tail, open spans, histograms) to\n\
                            results/flightrec/ when the run ends; dumps are also\n\
                            written automatically on --check violations and on\n\
@@ -169,23 +177,6 @@ fn parse_parallelism(s: &str) -> Result<Parallelism, ParseError> {
             .map(Parallelism::Fixed)
             .map_err(|_| ParseError(format!("bad thread count '{s}'"))),
     }
-}
-
-/// Parses `--retry-policy`: [`RetryPolicy`]'s grammar, `fixed` or
-/// `backoff[:<cap>[:<budget>[:drain|drop]]]` for short.
-fn parse_retry_policy(s: &str) -> Result<RetryPolicy, ParseError> {
-    Ok(s.parse()?)
-}
-
-/// Parses `--admission`: `<drop-tail|drop-head|prefer-rerequests>:<capacity>`.
-fn parse_admission(s: &str) -> Result<(AdmissionPolicy, usize), ParseError> {
-    let (policy, cap) = s
-        .split_once(':')
-        .ok_or_else(|| ParseError(format!("expected <policy>:<capacity> in '{s}'")))?;
-    let capacity = cap
-        .parse()
-        .map_err(|_| ParseError(format!("bad admission capacity in '{s}'")))?;
-    Ok((policy.parse()?, capacity))
 }
 
 /// The `--threads` flag, falling back to `SDNBUF_THREADS` / auto.
@@ -264,49 +255,57 @@ fn create(path: &str) -> Result<std::io::BufWriter<std::fs::File>, ParseError> {
         .map_err(|e| ParseError(format!("{path}: {e}")))
 }
 
+/// `sdnlab run`'s flags that set a key of the run's [`RunSpec`], and the
+/// key each one sets.
+const RUN_SPEC_FLAGS: [(&str, &str); 11] = [
+    ("--buffer", "mech"),
+    ("--workload", "wl"),
+    ("--rate", "rate"),
+    ("--seed", "seed"),
+    ("--retry-policy", "retry"),
+    ("--ttl", "ttl"),
+    ("--degraded", "degraded"),
+    ("--admission", "admission"),
+    ("--standby", "standby"),
+    ("--keepalive", "keepalive"),
+    ("--liveness-timeout", "liveness"),
+];
+
+/// The run `sdnlab run`'s flags describe: [`RunSpec::default`] with each
+/// flag applied through the spec's own per-key setter, and `--faults` as
+/// the fault plan.
+fn run_spec(args: &[String]) -> Result<RunSpec, ParseError> {
+    let mut spec = RunSpec::default();
+    for (name, key) in RUN_SPEC_FLAGS {
+        if let Some(value) = flag(args, name)? {
+            spec.set(key, &value)?;
+        }
+    }
+    if let Some(plan) = flag(args, "--faults")? {
+        spec.plan = FaultPlan::parse(&plan)?;
+    }
+    Ok(spec)
+}
+
 fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
-    known_flags(
-        "run",
-        args,
-        &[
-            "--buffer",
-            "--workload",
-            "--rate",
-            "--seed",
+    let valued: Vec<&str> = RUN_SPEC_FLAGS
+        .iter()
+        .map(|&(name, _)| name)
+        .chain([
             "--faults",
-            "--retry-policy",
-            "--ttl",
-            "--degraded",
-            "--admission",
-            "--standby",
-            "--takeover-delay",
-            "--keepalive",
-            "--liveness-timeout",
             "--events",
             "--timeline",
             "--sample-every",
             "--samples",
-        ],
+        ])
+        .collect();
+    known_flags(
+        "run",
+        args,
+        &valued,
         &["--check", "--latency-report", "--dump-on-exit"],
     )?;
-    let buffer = match flag(args, "--buffer")? {
-        Some(s) => s.parse::<BufferMode>()?,
-        None => BufferMode::PacketGranularity { capacity: 256 },
-    };
-    let workload = match flag(args, "--workload")? {
-        Some(s) => s.parse::<WorkloadKind>()?,
-        None => WorkloadKind::paper_section_iv(),
-    };
-    let rate = match flag(args, "--rate")? {
-        Some(s) => parse_rate_mbps(&s)?,
-        None => 50,
-    };
-    let seed: u64 = match flag(args, "--seed")? {
-        Some(s) => s
-            .parse()
-            .map_err(|_| ParseError(format!("bad seed '{s}'")))?,
-        None => 1,
-    };
+    let spec = run_spec(args)?;
     let events_path = events_path_flag(args)?;
     let timeline_path = flag(args, "--timeline")?;
     let sample_every = match flag(args, "--sample-every")? {
@@ -324,61 +323,8 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
     let check = args.iter().any(|a| a == "--check");
     let latency_report = args.iter().any(|a| a == "--latency-report");
     let dump_on_exit = args.iter().any(|a| a == "--dump-on-exit");
-    let knobs = RecoveryKnobs {
-        retry: match flag(args, "--retry-policy")? {
-            Some(s) => parse_retry_policy(&s)?,
-            None => RetryPolicy::fixed(),
-        },
-        ttl: match flag(args, "--ttl")? {
-            Some(s) => parse_dur(&s)?,
-            None => Nanos::ZERO,
-        },
-        degraded_threshold: match flag(args, "--degraded")? {
-            Some(s) => s
-                .parse()
-                .map_err(|_| ParseError(format!("bad degraded threshold '{s}'")))?,
-            None => 0,
-        },
-    };
-
-    let mut config = ExperimentConfig {
-        buffer,
-        workload,
-        sending_rate: BitRate::from_mbps(rate),
-        seed,
-        ..ExperimentConfig::default()
-    };
-    config.testbed.switch.retry = knobs.retry;
-    config.testbed.switch.buffer_ttl = knobs.ttl;
-    config.testbed.switch.degraded_threshold = knobs.degraded_threshold;
-    if let Some(s) = flag(args, "--admission")? {
-        let (policy, capacity) = parse_admission(&s)?;
-        config.testbed.controller.admission = policy;
-        config.testbed.controller.ingress_queue_capacity = capacity;
-    }
-    if let Some(spec) = flag(args, "--faults")? {
-        config.testbed.faults = FaultPlan::parse(&spec)?;
-    }
-    // Crash/failover plane knobs. `--standby warm|cold` arms the
-    // warm-standby controller; keepalives (echo probes) drive both the
-    // RTT histogram and the switch's liveness detector.
-    if let Some(s) = flag(args, "--standby")? {
-        let knobs: StandbyKnobs = s.parse()?;
-        config.testbed.failover.standby = true;
-        config.testbed.failover.warm = knobs.warm;
-        config.testbed.failover.takeover_delay = knobs.takeover_delay;
-    }
-    if let Some(s) = flag(args, "--takeover-delay")? {
-        config.testbed.failover.takeover_delay = parse_dur(&s)?;
-    }
-    if let Some(s) = flag(args, "--keepalive")? {
-        config.testbed.keepalive_interval = Some(parse_dur(&s)?);
-    }
-    if let Some(s) = flag(args, "--liveness-timeout")? {
-        config.testbed.switch.liveness_timeout = parse_dur(&s)?;
-    }
-    let plan = config.testbed.faults.clone();
-    let mut exp = Experiment::try_new(config)?;
+    let mut exp = Experiment::try_new(spec.config())?;
+    println!("spec: {spec}");
     // Crash runs always trace: every controller crash auto-produces a
     // flight-recorder dump for the post-mortem.
     let tracing = events_path.is_some()
@@ -387,7 +333,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
         || check
         || latency_report
         || dump_on_exit
-        || plan.has_crashes();
+        || spec.plan.has_crashes();
     if !tracing {
         let run = exp.run();
         println!("{run:#?}");
@@ -399,7 +345,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
     println!("{run:#?}");
     print_run_summary(&run);
     let violations = if check {
-        chaos::check_invariants(buffer, &plan, knobs, &run, &events)
+        chaos::check_invariants(spec.mech, &spec.plan, spec.recovery, &run, &events)
     } else {
         Vec::new()
     };
@@ -448,15 +394,8 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
         } else {
             DumpReason::Exit
         };
-        let dump = FlightDump::capture(
-            reason,
-            &run.label,
-            seed,
-            Some(plan.to_spec()),
-            &events,
-            Some(&run),
-        )
-        .with_violations(violations.clone());
+        let dump = FlightDump::capture(reason, &spec, &events, Some(&run))
+            .with_violations(violations.clone());
         let path = dump
             .write_to_dir(&FlightDump::default_dir(), &dump.stem())
             .map_err(|e| ParseError(format!("flight recorder dump: {e}")))?;
@@ -478,7 +417,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
     }
     if let Some(path) = &timeline_path {
         let mut w = create(path)?;
-        observe::export_run_timeline(&run.label, rate, events, &mut w)
+        observe::export_run_timeline(&run.label, spec.rate_mbps, events, &mut w)
             .map_err(|e| ParseError(format!("{path}: {e}")))?;
         w.flush().map_err(|e| ParseError(format!("{path}: {e}")))?;
         eprintln!("wrote timeline to {path} (open at https://ui.perfetto.dev)");
@@ -515,7 +454,7 @@ fn print_run_summary(run: &sdn_buffer_lab::core::RunResult) {
 /// Writes the flight-recorder dump for a violating (usually minimized)
 /// scenario and prints where it went. A dump failure is reported but never
 /// masks the violation that triggered it.
-fn write_chaos_dump(scenario: &ChaosScenario, sabotage: Sabotage) {
+fn write_chaos_dump(scenario: &RunSpec, sabotage: Sabotage) {
     let dump = chaos::flight_dump(scenario, sabotage);
     match dump.write_to_dir(&FlightDump::default_dir(), &dump.stem()) {
         Ok(path) => eprintln!("  flight recorder dump: {}", path.display()),
@@ -571,9 +510,9 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
     let crash = args.iter().any(|a| a == "--crash") || sabotage.broken_epoch;
 
     if let Some(spec) = flag(args, "--replay")? {
-        let scenario = ChaosScenario::parse(&spec)?;
+        let scenario: RunSpec = spec.parse()?;
         let report = chaos::run_scenario(&scenario, sabotage);
-        println!("scenario: {}", scenario.to_spec());
+        println!("scenario: {scenario}");
         println!("digest:   {:016x}", report.digest);
         println!(
             "delivered {}/{}  rerequests {}  giveups {}  expired {}  ctrl_drops {}  data_drops {}",
@@ -635,8 +574,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
             }
             let min = chaos::minimize(scenario, sabotage);
             eprintln!(
-                "  replay: cargo run --release --bin sdnlab -- chaos {sabotage_flags}--replay '{}'",
-                min.to_spec()
+                "  replay: cargo run --release --bin sdnlab -- chaos {sabotage_flags}--replay '{min}'"
             );
             write_chaos_dump(&min, sabotage);
         }
@@ -665,9 +603,9 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
         for mech in mechanisms {
             for seed in 0..seeds {
                 let mut scenario = if crash {
-                    ChaosScenario::generate_with_crashes(seed, mech)
+                    RunSpec::generate_with_crashes(seed, mech)
                 } else {
-                    ChaosScenario::generate(seed, mech)
+                    RunSpec::generate(seed, mech)
                 };
                 if sabotage.disable_ttl_gc {
                     // The generated sweep leaves the recovery knobs at
@@ -688,8 +626,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
                 let min = chaos::minimize(&scenario, sabotage);
                 eprintln!(
                     "  replay: cargo run --release --bin sdnlab -- chaos \
-                     {sabotage_flags}--replay '{}'",
-                    min.to_spec()
+                     {sabotage_flags}--replay '{min}'"
                 );
                 write_chaos_dump(&min, sabotage);
             }
@@ -846,6 +783,10 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, ParseError> {
             for v in &finding.violations {
                 eprintln!("    {v}");
             }
+            eprintln!(
+                "  replay: cargo run --release --bin sdnlab -- chaos --replay '{}'",
+                finding.shrunk_spec
+            );
         }
     }
 
@@ -985,6 +926,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdn_buffer_lab::controller::AdmissionPolicy;
+    use sdn_buffer_lab::switchbuf::RetryPolicy;
 
     #[test]
     fn buffer_parsing() {
@@ -1061,39 +1004,82 @@ mod tests {
         assert!(parse_parallelism("lots").is_err());
     }
 
+    fn args(line: &str) -> Vec<String> {
+        line.split(' ').map(str::to_owned).collect()
+    }
+
     #[test]
     fn retry_policy_parsing() {
-        assert_eq!(parse_retry_policy("fixed").unwrap(), RetryPolicy::fixed());
+        let retry =
+            |p: &str| run_spec(&args(&format!("--retry-policy {p}"))).map(|s| s.recovery.retry);
+        assert_eq!(retry("fixed").unwrap(), RetryPolicy::fixed());
         assert_eq!(
-            parse_retry_policy("backoff").unwrap(),
+            retry("backoff").unwrap(),
             RetryPolicy::backoff(Nanos::from_millis(400), 0)
         );
         assert_eq!(
-            parse_retry_policy("backoff:200:4").unwrap(),
+            retry("backoff:200:4").unwrap(),
             RetryPolicy::backoff(Nanos::from_millis(200), 4)
         );
-        let dropping = parse_retry_policy("backoff:160ms:2:drop").unwrap();
+        let dropping = retry("backoff:160ms:2:drop").unwrap();
         assert_eq!(dropping.cap, Nanos::from_millis(160));
         assert_eq!(dropping.budget, 2);
         assert_eq!(dropping.give_up, sdn_buffer_lab::switchbuf::GiveUp::Drop);
-        assert!(parse_retry_policy("linear").is_err());
-        assert!(parse_retry_policy("backoff:200:4:explode").is_err());
-        assert!(parse_retry_policy("backoff:200:4:drop:1").is_err());
+        assert!(retry("linear").is_err());
+        assert!(retry("backoff:200:4:explode").is_err());
+        assert!(retry("backoff:200:4:drop:1").is_err());
     }
 
     #[test]
     fn admission_parsing() {
+        let admission = |a: &str| run_spec(&args(&format!("--admission {a}"))).map(|s| s.admission);
         assert_eq!(
-            parse_admission("drop-tail:64").unwrap(),
-            (AdmissionPolicy::DropTail, 64)
+            admission("drop-tail:64").unwrap(),
+            Some((AdmissionPolicy::DropTail, 64))
         );
         assert_eq!(
-            parse_admission("prefer-rerequests:8").unwrap(),
-            (AdmissionPolicy::PreferRerequests, 8)
+            admission("prefer-rerequests:8").unwrap(),
+            Some((AdmissionPolicy::PreferRerequests, 8))
         );
-        assert!(parse_admission("drop-tail").is_err());
-        assert!(parse_admission("fifo:8").is_err());
-        assert!(parse_admission("drop-head:x").is_err());
+        assert!(admission("drop-tail").is_err());
+        assert!(admission("fifo:8").is_err());
+        assert!(admission("drop-head:x").is_err());
+    }
+
+    /// What a `run --dump-on-exit` dump holds, replayed through the chaos
+    /// harness: a plain cell, a `--faults` cell, CI's failover cell and the
+    /// same cell with the crash plane's heartbeat left implied. The dump's
+    /// spec is the whole run, so the replay lands on the dump's digest.
+    #[test]
+    fn a_run_dump_replays_to_its_digest() {
+        let failover = "--buffer flow:256:20 --workload cross:6x4/2 --rate 40 \
+                        --faults crash=60ms+40ms --standby warm:8ms";
+        for (line, pinned) in [
+            ("--buffer packet:16 --workload single:40 --rate 100", None),
+            (
+                "--buffer flow:256:20 --workload cross:6x4/2 --rate 40 \
+                 --faults fseed=7,c.loss=p:0.2 --retry-policy backoff:200:4 --ttl 250 \
+                 --degraded 3 --admission prefer-rerequests:4",
+                None,
+            ),
+            (
+                &format!("{failover} --keepalive 5ms --liveness-timeout 15ms"),
+                Some(0xa766_d307_ff91_1f21),
+            ),
+            (failover, Some(0xa766_d307_ff91_1f21)),
+        ] {
+            let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+            let spec = run_spec(&argv).unwrap();
+            let (run, events) = Experiment::try_new(spec.config()).unwrap().run_traced();
+            let dump = FlightDump::capture(DumpReason::Exit, &spec, &events, Some(&run));
+            let replayed: RunSpec = dump.spec.parse().expect(&dump.spec);
+            let report = chaos::run_scenario(&replayed, Sabotage::none());
+            assert_eq!(report.digest, dump.digest, "{}", dump.spec);
+            assert_eq!(report.result, run, "{}", dump.spec);
+            if let Some(digest) = pinned {
+                assert_eq!(dump.digest, digest, "{}", dump.spec);
+            }
+        }
     }
 
     #[test]
@@ -1175,6 +1161,14 @@ mod tests {
             (
                 "chaos --replay mech=none,wl=cross:5x5/0,rate=1,seed=1",
                 "'cross:5x5/0'",
+            ),
+            (
+                "chaos --replay mech=none,wl=single:3,rate=1,seed=1,frame=65536",
+                "frame size must be 1 to 65535 bytes, got 65536",
+            ),
+            (
+                "run --standby warm --takeover-delay 8ms",
+                "sdnlab run does not take '--takeover-delay'",
             ),
         ] {
             let argv: Vec<String> = args.split(' ').map(str::to_owned).collect();

@@ -63,7 +63,7 @@ pub use sdnbuf_core as core;
 pub mod prelude {
     pub use sdnbuf_core::{
         BufferMode, CellKey, Event, EventKind, Experiment, ExperimentConfig, Metric, Parallelism,
-        ProgressSink, RateSweep, RunEvents, RunResult, Testbed, TestbedConfig, Tracer,
+        ProgressSink, RateSweep, RunEvents, RunResult, RunSpec, Testbed, TestbedConfig, Tracer,
         WorkloadKind,
     };
     pub use sdnbuf_metrics::Summary;

@@ -13,7 +13,7 @@
 //! because `#[global_allocator]` is per-binary; the counters are per
 //! thread, so the tests of this binary do not see each other.
 
-use sdn_buffer_lab::core::chaos::{execute, run_scenario, ChaosScenario, Sabotage};
+use sdn_buffer_lab::core::chaos::{execute, run_scenario, Sabotage};
 use sdn_buffer_lab::core::observe::events_digest;
 use sdn_buffer_lab::prelude::*;
 use sdn_buffer_lab::sim::ChannelDir;
@@ -83,7 +83,7 @@ fn disabled_tracer_emit_allocates_nothing() {
 
 /// Plain and crash scenarios of every mechanism (the no-buffer ones put
 /// every xid in the checker's full-packet table).
-fn scenarios() -> Vec<ChaosScenario> {
+fn scenarios() -> Vec<RunSpec> {
     let mechs = [
         BufferMode::NoBuffer,
         BufferMode::PacketGranularity { capacity: 256 },
@@ -94,8 +94,8 @@ fn scenarios() -> Vec<ChaosScenario> {
     ];
     let mut out = Vec::new();
     for (seed, mech) in (0..12u64).zip(mechs.into_iter().cycle()) {
-        out.push(ChaosScenario::generate(seed, mech));
-        out.push(ChaosScenario::generate_with_crashes(seed, mech));
+        out.push(RunSpec::generate(seed, mech));
+        out.push(RunSpec::generate_with_crashes(seed, mech));
     }
     out
 }
@@ -104,9 +104,9 @@ fn scenarios() -> Vec<ChaosScenario> {
 fn digesting_a_recorded_stream_allocates_nothing() {
     for scenario in scenarios() {
         let (_, events) = execute(&scenario, Sabotage::none());
-        assert!(events.len() > 100, "{}", scenario.to_spec());
+        assert!(events.len() > 100, "{scenario}");
         let (digest, (allocations, _)) = allocated_by(|| events_digest(&events));
-        assert_eq!(allocations, 0, "{}", scenario.to_spec());
+        assert_eq!(allocations, 0, "{scenario}");
         assert_eq!(digest, run_scenario(&scenario, Sabotage::none()).digest);
     }
 }
@@ -114,7 +114,7 @@ fn digesting_a_recorded_stream_allocates_nothing() {
 #[test]
 fn checking_and_digesting_a_run_costs_no_more_than_recording_it() {
     for scenario in scenarios() {
-        let spec = scenario.to_spec();
+        let spec = scenario.to_string();
         let (recorded, recording) = allocated_by(|| execute(&scenario, Sabotage::none()));
         let (report, observing) = allocated_by(|| run_scenario(&scenario, Sabotage::none()));
         assert!(report.violations.is_empty(), "{spec}");

@@ -6,10 +6,12 @@
 use proptest::prelude::*;
 use sdn_buffer_lab::controller::AdmissionPolicy;
 use sdn_buffer_lab::core::chaos::{
-    check_invariants, execute, flight_dump, minimize, recovery_matrix, run_scenario, ChaosScenario,
-    RecoveryKnobs, Sabotage, StandbyKnobs, Violation,
+    check_invariants, execute, flight_dump, minimize, recovery_matrix, run_scenario, RecoveryKnobs,
+    Sabotage, Violation,
 };
 use sdn_buffer_lab::core::observe::{events_digest, write_events_jsonl};
+use sdn_buffer_lab::core::validate::random_scenario;
+use sdn_buffer_lab::core::StandbyKnobs;
 use sdn_buffer_lab::prelude::*;
 use sdn_buffer_lab::sim::hash::{fnv1a, FNV_OFFSET};
 use sdn_buffer_lab::switchbuf::{GiveUp, RetryPolicy};
@@ -23,7 +25,7 @@ use common::buffering_mechanisms as mechanisms;
 fn two_hundred_seeded_scenarios_per_mechanism_hold_every_invariant() {
     for mech in mechanisms() {
         for seed in 0..200u64 {
-            let scenario = ChaosScenario::generate(seed, mech);
+            let scenario = RunSpec::generate(seed, mech);
             let report = run_scenario(&scenario, Sabotage::none());
             assert!(
                 report.violations.is_empty(),
@@ -31,7 +33,7 @@ fn two_hundred_seeded_scenarios_per_mechanism_hold_every_invariant() {
                  --bin sdnlab -- chaos --replay '{}'",
                 mech.label(),
                 report.violations,
-                scenario.to_spec()
+                scenario
             );
         }
     }
@@ -43,7 +45,7 @@ fn two_hundred_seeded_scenarios_per_mechanism_hold_every_invariant() {
 fn chaos_runs_are_pure_functions_of_the_scenario() {
     for mech in mechanisms() {
         for seed in [0u64, 7, 13] {
-            let scenario = ChaosScenario::generate(seed, mech);
+            let scenario = RunSpec::generate(seed, mech);
             let a = run_scenario(&scenario, Sabotage::none());
             let b = run_scenario(&scenario, Sabotage::none());
             assert_eq!(a.digest, b.digest, "seed {seed}");
@@ -68,7 +70,7 @@ fn pinned_six_seed_chaos_replay() {
                 timeout: Nanos::from_millis(20),
             }
         };
-        let scenario = ChaosScenario::generate(seed, mech);
+        let scenario = RunSpec::generate(seed, mech);
         let (result, trace) = execute(&scenario, Sabotage::none());
         check += result.packets_delivered + trace.len() as u64;
         dispatched += result.events_dispatched;
@@ -82,9 +84,9 @@ fn pinned_six_seed_chaos_replay() {
 #[test]
 fn replay_specs_round_trip_and_reproduce_digests() {
     for seed in [1u64, 42, 99] {
-        let scenario = ChaosScenario::generate(seed, mechanisms()[1]);
-        let spec = scenario.to_spec();
-        let parsed = ChaosScenario::parse(&spec).expect(&spec);
+        let scenario = RunSpec::generate(seed, mechanisms()[1]);
+        let spec = scenario.to_string();
+        let parsed = spec.parse::<RunSpec>().expect(&spec);
         assert_eq!(parsed, scenario, "spec: {spec}");
         let a = run_scenario(&scenario, Sabotage::none());
         let b = run_scenario(&parsed, Sabotage::none());
@@ -119,10 +121,10 @@ fn streamed_report_equals_the_report_over_the_recorded_stream() {
     let (mut runs, mut violating) = (0, 0);
     for seed in 0..60u64 {
         let mech = mechs[seed as usize % 3];
-        let mut armed = ChaosScenario::generate_with_crashes(seed, mech);
+        let mut armed = RunSpec::generate_with_crashes(seed, mech);
         // A TTL for the dead garbage collector to miss.
         armed.recovery.ttl = Nanos::from_millis(100);
-        for scenario in [ChaosScenario::generate(seed, mech), armed] {
+        for scenario in [RunSpec::generate(seed, mech), armed] {
             for sabotage in sabotages {
                 let streamed = run_scenario(&scenario, sabotage);
                 let (result, events) = execute(&scenario, sabotage);
@@ -133,7 +135,7 @@ fn streamed_report_equals_the_report_over_the_recorded_stream() {
                     &result,
                     &events,
                 );
-                let spec = scenario.to_spec();
+                let spec = scenario.to_string();
                 assert_eq!(told(&streamed.violations), told(&violations), "{spec}");
                 assert_eq!(streamed.digest, events_digest(&events), "{spec}");
                 let mut jsonl = Vec::new();
@@ -200,7 +202,7 @@ fn arb_give_up() -> impl Strategy<Value = GiveUp> {
 fn arb_retry_policy() -> impl Strategy<Value = RetryPolicy> {
     let nanos = || (0u64..10_000_000_000).prop_map(Nanos::from_nanos);
     (
-        any::<u32>(),
+        1u32..=u32::MAX,
         nanos(),
         nanos(),
         any::<u32>(),
@@ -234,26 +236,78 @@ proptest! {
         prop_assert_eq!(parsed.ok(), workload.validate().ok().map(|()| workload));
     }
 
-    /// So do the recovery and failover grammars (`--retry-policy`,
-    /// `--admission`, `--standby`, `retry=`, `standby=`).
+    /// One run description: every spec the chaos generators, the recovery
+    /// matrix and the random-config generator produce, and any spec built
+    /// from the edges of every key's grammar (rates 1 and u64::MAX / 10⁶,
+    /// seeds 0 and u64::MAX, every admission policy, explicit heartbeats,
+    /// 64- and 1500-byte frames), prints as a line that parses back to it.
     #[test]
-    fn recovery_and_failover_grammars_round_trip(
+    fn run_specs_round_trip(
+        master in any::<u64>(),
+        mech in arb_mechanism(),
+        rate_mbps in prop_oneof![Just(1u64), Just(u64::MAX / 1_000_000), 1u64..=u64::MAX / 1_000_000],
+        seed in prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()],
+        frame_size in prop_oneof![Just(64usize), Just(1500usize), 1usize..=65_535],
         retry in arb_retry_policy(),
-        give_up in arb_give_up(),
+        ttl_ns in 0u64..10_000_000_000,
+        degraded_threshold in any::<u32>(),
         admission in prop_oneof![
-            Just(AdmissionPolicy::DropTail),
-            Just(AdmissionPolicy::DropHead),
-            Just(AdmissionPolicy::PreferRerequests),
+            Just(None),
+            (arb_admission(), any::<usize>()).prop_map(Some),
         ],
-        warm in any::<bool>(),
-        delay_ns in 0u64..10_000_000_000,
+        standby in prop_oneof![
+            Just(None),
+            (any::<bool>(), 0u64..10_000_000_000).prop_map(|(warm, ns)| {
+                Some(StandbyKnobs { warm, takeover_delay: Nanos::from_nanos(ns) })
+            }),
+        ],
+        heartbeat in prop_oneof![
+            Just((None, None)),
+            (1u64..10_000_000_000, 0u64..10_000_000_000).prop_map(|(k, l)| {
+                (Some(Nanos::from_nanos(k)), Some(Nanos::from_nanos(l)))
+            }),
+        ],
     ) {
-        prop_assert_eq!(retry.to_string().parse::<RetryPolicy>(), Ok(retry));
-        prop_assert_eq!(give_up.to_string().parse::<GiveUp>(), Ok(give_up));
-        prop_assert_eq!(admission.to_string().parse::<AdmissionPolicy>(), Ok(admission));
-        let standby = StandbyKnobs { warm, takeover_delay: Nanos::from_nanos(delay_ns) };
-        prop_assert_eq!(standby.to_string().parse::<StandbyKnobs>(), Ok(standby));
+        let edges = RunSpec {
+            mech,
+            workload: WorkloadKind::CrossSequenced {
+                n_flows: 4,
+                packets_per_flow: 3,
+                group_size: 2,
+            },
+            rate_mbps,
+            seed,
+            frame_size,
+            recovery: RecoveryKnobs {
+                retry,
+                ttl: Nanos::from_nanos(ttl_ns),
+                degraded_threshold,
+            },
+            admission,
+            standby,
+            keepalive: heartbeat.0,
+            liveness: heartbeat.1,
+            ..RunSpec::generate_with_crashes(master, mech)
+        };
+        let generated = [
+            RunSpec::generate(master, mech),
+            RunSpec::generate_with_crashes(master, mech),
+            random_scenario(master),
+        ];
+        let matrix = recovery_matrix().into_iter().map(|(_, cell)| cell);
+        for spec in generated.into_iter().chain(matrix).chain([edges]) {
+            let line = spec.to_string();
+            prop_assert_eq!(line.parse::<RunSpec>(), Ok(spec), "{}", line);
+        }
     }
+}
+
+fn arb_admission() -> impl Strategy<Value = AdmissionPolicy> {
+    prop_oneof![
+        Just(AdmissionPolicy::DropTail),
+        Just(AdmissionPolicy::DropHead),
+        Just(AdmissionPolicy::PreferRerequests),
+    ]
 }
 
 /// `--standby warm|cold`, as `ci.yml` spells it, is the chaos spec's
@@ -290,7 +344,7 @@ fn broken_rerequest_is_caught_minimized_and_replayable() {
     };
     let mut caught = 0;
     for seed in 0..60u64 {
-        let scenario = ChaosScenario::generate(seed, mech);
+        let scenario = RunSpec::generate(seed, mech);
         let report = run_scenario(&scenario, Sabotage::no_rerequest());
         if report.violations.is_empty() {
             // Plans without control loss (or with data-disturbing faults
@@ -312,18 +366,18 @@ fn broken_rerequest_is_caught_minimized_and_replayable() {
         }
 
         let min = minimize(&scenario, Sabotage::no_rerequest());
-        let spec = min.to_spec();
+        let spec = min.to_string();
         let a = run_scenario(&min, Sabotage::no_rerequest());
         assert!(
             !a.violations.is_empty(),
             "seed {seed}: minimizer lost the failure (spec '{spec}')"
         );
         assert!(
-            spec.len() <= scenario.to_spec().len(),
+            spec.len() <= scenario.to_string().len(),
             "seed {seed}: minimized spec grew"
         );
         let b = run_scenario(
-            &ChaosScenario::parse(&spec).expect(&spec),
+            &spec.parse::<RunSpec>().expect(&spec),
             Sabotage::no_rerequest(),
         );
         assert_eq!(a.digest, b.digest, "minimized replay of '{spec}' diverged");
@@ -345,7 +399,7 @@ fn intact_mechanism_passes_where_the_broken_one_fails() {
     };
     let mut compared = 0;
     for seed in 0..60u64 {
-        let scenario = ChaosScenario::generate(seed, mech);
+        let scenario = RunSpec::generate(seed, mech);
         if run_scenario(&scenario, Sabotage::no_rerequest())
             .violations
             .is_empty()
@@ -376,7 +430,7 @@ fn sustained_controller_stall_bounds_retries_and_recovers_from_degraded() {
     };
     plan.stalls
         .push(Window::new(Nanos::from_millis(45), Nanos::from_millis(160)));
-    let budgeted = ChaosScenario {
+    let budgeted = RunSpec {
         mech: BufferMode::FlowGranularity {
             capacity: 256,
             timeout: Nanos::from_millis(20),
@@ -394,7 +448,7 @@ fn sustained_controller_stall_bounds_retries_and_recovers_from_degraded() {
             ttl: Nanos::ZERO,
             degraded_threshold: 2,
         },
-        standby: None,
+        ..RunSpec::default()
     };
     let report = run_scenario(&budgeted, Sabotage::none());
     assert!(
@@ -418,7 +472,7 @@ fn sustained_controller_stall_bounds_retries_and_recovers_from_degraded() {
 
     // The same stall under the unbounded fixed-interval policy re-requests
     // strictly more — the budget is what bounds the retry storm.
-    let unbounded = ChaosScenario {
+    let unbounded = RunSpec {
         recovery: RecoveryKnobs::default(),
         ..budgeted.clone()
     };
@@ -450,7 +504,7 @@ fn recovery_matrix_passes_and_its_ttl_self_test_has_teeth() {
             "cell {label} violated {:#?}\nreplay: cargo run --release --bin sdnlab \
              -- chaos --replay '{}'",
             report.violations,
-            scenario.to_spec()
+            scenario
         );
         let broken = run_scenario(&scenario, Sabotage::no_ttl_gc());
         if broken
@@ -499,7 +553,7 @@ fn recovery_matrix_has_a_crash_column() {
 fn crash_scenarios_hold_every_invariant_across_mechanisms() {
     for mech in mechanisms() {
         for seed in 0..60u64 {
-            let scenario = ChaosScenario::generate_with_crashes(seed, mech);
+            let scenario = RunSpec::generate_with_crashes(seed, mech);
             assert!(scenario.plan.has_crashes(), "seed {seed}");
             let report = run_scenario(&scenario, Sabotage::none());
             assert!(
@@ -508,7 +562,7 @@ fn crash_scenarios_hold_every_invariant_across_mechanisms() {
                  --bin sdnlab -- chaos --crash --replay '{}'",
                 mech.label(),
                 report.violations,
-                scenario.to_spec()
+                scenario
             );
         }
     }
@@ -518,7 +572,7 @@ fn crash_scenarios_hold_every_invariant_across_mechanisms() {
 /// a mid-run crash with survivors in the buffer (the ingress delay keeps
 /// responses in flight when the crash hits) and a flow timeout short
 /// enough to re-request across the restart.
-fn epoch_guard_scenario() -> ChaosScenario {
+fn epoch_guard_scenario() -> RunSpec {
     let mut plan = FaultPlan {
         seed: 1,
         ..FaultPlan::default()
@@ -526,7 +580,7 @@ fn epoch_guard_scenario() -> ChaosScenario {
     plan.crashes
         .push(Window::new(Nanos::from_millis(52), Nanos::from_millis(82)));
     plan.to_controller.delay = Nanos::from_micros(300);
-    ChaosScenario {
+    RunSpec {
         mech: BufferMode::FlowGranularity {
             capacity: 256,
             timeout: Nanos::from_millis(10),
@@ -540,7 +594,7 @@ fn epoch_guard_scenario() -> ChaosScenario {
         seed: 2,
         plan,
         recovery: RecoveryKnobs::default(),
-        standby: None,
+        ..RunSpec::default()
     }
 }
 
@@ -569,8 +623,7 @@ fn crash_flight_dump_replays_to_the_same_violation() {
     assert!(!dump.violations.is_empty());
     assert!(!dump.tail.is_empty(), "the dump must carry an event tail");
 
-    let spec = dump.spec.as_deref().expect("chaos dumps embed their spec");
-    let replayed = ChaosScenario::parse(spec).expect("embedded spec must parse");
+    let replayed: RunSpec = dump.spec.parse().expect("embedded spec must parse");
     let rerun = run_scenario(&replayed, Sabotage::no_epoch_guard());
     assert_eq!(
         rerun.digest, dump.digest,
@@ -593,19 +646,19 @@ fn warm_standby_rides_through_a_crash_that_outlives_the_run() {
     };
     plan.crashes
         .push(Window::new(Nanos::from_millis(52), Nanos::from_secs(10)));
-    let scenario = ChaosScenario {
+    let scenario = RunSpec {
         standby: Some(StandbyKnobs {
             warm: true,
             takeover_delay: Nanos::from_millis(8),
         }),
-        ..ChaosScenario {
+        ..RunSpec {
             plan,
             ..epoch_guard_scenario()
         }
     };
-    let spec = scenario.to_spec();
+    let spec = scenario.to_string();
     assert_eq!(
-        ChaosScenario::parse(&spec).expect(&spec),
+        spec.parse::<RunSpec>().expect(&spec),
         scenario,
         "standby knobs must round-trip through the spec: {spec}"
     );
@@ -626,7 +679,7 @@ fn warm_standby_rides_through_a_crash_that_outlives_the_run() {
 /// every message sent into either outage is a counted control drop.
 #[test]
 fn standby_that_took_over_crashes_and_restarts_under_a_new_epoch() {
-    let scenario = ChaosScenario {
+    let scenario = RunSpec {
         workload: WorkloadKind::CrossSequenced {
             n_flows: 40,
             packets_per_flow: 5,

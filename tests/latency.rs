@@ -3,7 +3,7 @@
 //! per-cell latency reports across worker counts, and the flight
 //! recorder's replay-to-the-same-violation contract.
 
-use sdn_buffer_lab::core::chaos::{self, ChaosScenario, Sabotage};
+use sdn_buffer_lab::core::chaos::{self, Sabotage};
 use sdn_buffer_lab::core::spans::{self, LatencyReport, SpanOutcome};
 use sdn_buffer_lab::core::{NullSink, RateSweep};
 use sdn_buffer_lab::prelude::*;
@@ -169,7 +169,7 @@ fn flight_dump_replays_to_the_same_violation() {
         timeout: Nanos::from_millis(20),
     };
     let caught = (0..50).find_map(|seed| {
-        let scenario = ChaosScenario::generate(seed, mech);
+        let scenario = RunSpec::generate(seed, mech);
         let report = chaos::run_scenario(&scenario, sabotage);
         (!report.violations.is_empty()).then_some(scenario)
     });
@@ -183,8 +183,7 @@ fn flight_dump_replays_to_the_same_violation() {
     );
     assert!(!dump.tail.is_empty(), "the dump must carry an event tail");
 
-    let spec = dump.spec.as_deref().expect("chaos dumps embed their spec");
-    let replayed = ChaosScenario::parse(spec).expect("embedded spec must parse");
+    let replayed: RunSpec = dump.spec.parse().expect("embedded spec must parse");
     let report = chaos::run_scenario(&replayed, sabotage);
     assert_eq!(
         report.digest, dump.digest,

@@ -29,7 +29,7 @@
 //! counter is per-thread, so the tests here do not perturb each other.
 
 use sdn_buffer_lab::controller::{Controller, ControllerConfig, ControllerOutput};
-use sdn_buffer_lab::core::chaos::{run_scenario, ChaosScenario, Sabotage};
+use sdn_buffer_lab::core::chaos::{run_scenario, Sabotage};
 use sdn_buffer_lab::net::{Bytes, IpProto, Packet, PacketBuilder, Payload, Transport};
 use sdn_buffer_lab::openflow::{
     msg::{FlowMod, FlowModCommand},
@@ -281,7 +281,7 @@ fn one_chaos_scenario_allocates_about_a_hundred_times() {
         capacity: 256,
         timeout: Nanos::from_millis(20),
     };
-    let scenario = ChaosScenario::generate_with_crashes(1, mech);
+    let scenario = RunSpec::generate_with_crashes(1, mech);
     let (allocations, report) = allocations_in(|| run_scenario(&scenario, Sabotage::none()));
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     // 106 as this is written; 308 with a bucket per touched slot of the

@@ -4,8 +4,9 @@
 //! regression pinned from a divergence the harness itself surfaced
 //! during calibration.
 
+use sdn_buffer_lab::core::chaos::{self, Sabotage};
 use sdn_buffer_lab::core::validate::{
-    self, check_random_scenario, random_sweep, Oracle, RandomScenario, ValidateConfig,
+    self, check_random_scenario, random_scenario, random_sweep, Oracle, ValidateConfig,
 };
 use sdn_buffer_lab::core::WorkloadKind;
 use sdn_buffer_lab::prelude::*;
@@ -143,15 +144,30 @@ fn pinned_contention_resonance_at_exact_link_capacity() {
     );
 }
 
-/// Random scenarios are pure functions of their seed and carry a
-/// replayable spec; re-generating and re-checking one is deterministic.
+/// Random scenarios are pure functions of their seed, and each is a run
+/// spec `sdnlab chaos --replay` takes: its printed form parses back to it,
+/// and the chaos harness's run of the parsed spec measures exactly what the
+/// validation plane's run of the generated one measured.
 #[test]
 fn random_scenarios_replay_deterministically() {
+    for seed in 0..50u64 {
+        let scenario = random_scenario(seed);
+        assert_eq!(scenario, random_scenario(seed));
+        let spec = scenario.to_string();
+        let replayed: RunSpec = spec.parse().expect(&spec);
+        assert_eq!(replayed, scenario, "{spec}");
+        let report = chaos::run_scenario(&replayed, Sabotage::none());
+        assert_eq!(
+            report.result,
+            Experiment::new(scenario.config()).run(),
+            "{spec}"
+        );
+    }
     for seed in [0u64, 11, 123] {
-        let a = RandomScenario::generate(seed);
-        let b = RandomScenario::generate(seed);
-        assert_eq!(a, b);
-        assert_eq!(a.spec(), b.spec());
-        assert_eq!(check_random_scenario(&a), check_random_scenario(&b));
+        let scenario = random_scenario(seed);
+        assert_eq!(
+            check_random_scenario(&scenario),
+            check_random_scenario(&scenario)
+        );
     }
 }
