@@ -43,19 +43,33 @@ impl Parallelism {
         }
     }
 
-    /// Reads the `SDNBUF_THREADS` environment variable: `serial`, `auto`,
-    /// or a worker count. Unset or unparsable values mean [`Self::Auto`] —
-    /// the sweep grid is deterministic under any worker count, so parallel
-    /// is always safe.
+    /// Reads the `SDNBUF_THREADS` environment variable in the
+    /// [`FromStr`](std::str::FromStr) grammar. Unset or unparsable values
+    /// mean [`Self::Auto`] — the sweep grid is deterministic under any
+    /// worker count, so parallel is always safe.
     pub fn from_env() -> Parallelism {
-        match std::env::var("SDNBUF_THREADS").as_deref() {
-            Ok("serial") | Ok("1") => Parallelism::Serial,
-            Ok("auto") => Parallelism::Auto,
-            Ok(n) => n
-                .parse()
-                .map(Parallelism::Fixed)
-                .unwrap_or(Parallelism::Auto),
-            Err(_) => Parallelism::Auto,
+        std::env::var("SDNBUF_THREADS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(Parallelism::Auto)
+    }
+}
+
+/// `serial`, `auto`, or a worker count of at least 1 (`1` is
+/// `Fixed(1)`, which runs on the calling thread just as `serial` does).
+impl std::str::FromStr for Parallelism {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Parallelism, String> {
+        match s {
+            "serial" => Ok(Parallelism::Serial),
+            "auto" => Ok(Parallelism::Auto),
+            n => match n.parse() {
+                Ok(0) | Err(_) => Err(format!(
+                    "bad thread count '{s}' (serial, auto or a count of at least 1)"
+                )),
+                Ok(n) => Ok(Parallelism::Fixed(n)),
+            },
         }
     }
 }
@@ -367,6 +381,40 @@ mod tests {
         assert!(report.busy_total() >= Duration::from_millis(16));
         for w in &report.worker_stats {
             assert_eq!(w.job_seconds.n, w.jobs);
+        }
+    }
+
+    #[test]
+    fn one_grammar_for_the_flag_and_the_environment() {
+        for (s, parsed) in [
+            ("serial", Parallelism::Serial),
+            ("auto", Parallelism::Auto),
+            ("1", Parallelism::Fixed(1)),
+            ("6", Parallelism::Fixed(6)),
+        ] {
+            assert_eq!(s.parse(), Ok(parsed), "{s}");
+        }
+        for bad in ["0", "lots", "-1", ""] {
+            assert!(bad.parse::<Parallelism>().is_err(), "{bad}");
+        }
+        // Nothing else in this crate reads the variable; restore it for
+        // whoever set it.
+        let saved = std::env::var_os("SDNBUF_THREADS");
+        for (value, parsed) in [
+            (Some("1"), Parallelism::Fixed(1)),
+            (Some("serial"), Parallelism::Serial),
+            (Some("lots"), Parallelism::Auto),
+            (None, Parallelism::Auto),
+        ] {
+            match value {
+                Some(v) => std::env::set_var("SDNBUF_THREADS", v),
+                None => std::env::remove_var("SDNBUF_THREADS"),
+            }
+            assert_eq!(Parallelism::from_env(), parsed, "{value:?}");
+        }
+        match saved {
+            Some(v) => std::env::set_var("SDNBUF_THREADS", v),
+            None => std::env::remove_var("SDNBUF_THREADS"),
         }
     }
 

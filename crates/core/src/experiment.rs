@@ -769,6 +769,14 @@ mod tests {
     use std::collections::HashSet;
 
     #[test]
+    fn paper_rate_grid_is_5_to_100() {
+        let rates = RateSweep::paper_rates();
+        assert_eq!(rates.first(), Some(&5));
+        assert_eq!(rates.last(), Some(&100));
+        assert_eq!(rates.len(), 20);
+    }
+
+    #[test]
     fn try_new_returns_typed_errors() {
         assert!(Experiment::try_new(ExperimentConfig::default()).is_ok());
         let err = Experiment::try_new(ExperimentConfig {

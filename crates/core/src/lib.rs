@@ -43,6 +43,7 @@ mod measure;
 mod metric;
 pub mod observe;
 pub mod report;
+pub mod repro;
 mod result;
 #[cfg(test)]
 mod series;

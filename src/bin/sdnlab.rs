@@ -5,7 +5,7 @@
 //!              [--events PATH] [--timeline PATH] [--sample-every DUR [--samples PATH]]
 //! sdnlab sweep [--section iv|v] [--reps N] [--threads T]
 //!              [--events PATH] [--timeline PATH]
-//! sdnlab claims [--reps N] [--threads T]
+//! sdnlab repro [--reps N] [--threads T]
 //! sdnlab help
 //! ```
 //!
@@ -15,9 +15,14 @@
 //! `mixed:<udp>:<tcp>:<segments>` — the same grammar `chaos --replay` specs use.
 //! `sdnlab run` prints the run its flags describe as its first line,
 //! `spec: <RunSpec>`, in the grammar `chaos --replay` reads.
-//! Threads: `serial`, `auto` (one worker per CPU), or a worker count; the
-//! default honours `SDNBUF_THREADS` and falls back to `auto`. Results are
-//! identical for every setting.
+//! Threads: `serial`, `auto` (one worker per CPU), or a worker count of at
+//! least 1; the default honours `SDNBUF_THREADS`, in the same grammar, and
+//! falls back to `auto`. Results are identical for every setting.
+//!
+//! `sdnlab repro` regenerates every committed artifact of `results/` but
+//! `validate.{json,tsv}` (which `sdnlab validate` writes): Figs. 2–13, the
+//! summary claims, the ablations, the Section VI TCP/UDP mix and
+//! `report.md`, at 20 repetitions per cell unless `--reps` says otherwise.
 //!
 //! Observability: `--events` streams the structured event log as JSONL,
 //! `--timeline` writes a Chrome trace-event file (open it in Perfetto),
@@ -25,14 +30,15 @@
 //! into a TSV time series, `--latency-report` prints the per-phase
 //! flow-setup latency anatomy (and writes it as TSV + JSON), and
 //! `--dump-on-exit` writes a replayable flight-recorder dump to
-//! `results/flightrec/`. Setting `SDNBUF_TRACE=<path>` is equivalent to
-//! passing `--events <path>`. All outputs are byte-deterministic for a
-//! fixed seed, at any `--threads` setting.
+//! `results/flightrec/`. All outputs are byte-deterministic for a fixed
+//! seed, at any `--threads` setting.
 
 use sdn_buffer_lab::core::chaos::{self, Sabotage};
 use sdn_buffer_lab::core::flightrec::{DumpReason, FlightDump};
 use sdn_buffer_lab::core::validate::{self, Tolerances, ValidateConfig};
-use sdn_buffer_lab::core::{figures, observe, parse_rate_mbps, spans, RateSweep, StderrProgress};
+use sdn_buffer_lab::core::{
+    figures, observe, parse_rate_mbps, repro, spans, RateSweep, StderrProgress,
+};
 use sdn_buffer_lab::prelude::*;
 use sdn_buffer_lab::sim::faults::parse_dur;
 use sdn_buffer_lab::sim::hash::{fnv1a, FNV_OFFSET};
@@ -56,7 +62,7 @@ fn usage() -> &'static str {
                     [--recovery] [--replay RUN]\n\
        sdnlab validate [--report PATH] [--tolerance PCT] [--cells SPEC] [--flows N]\n\
                     [--reps N] [--seed N] [--random N] [--broken] [--threads T]\n\
-       sdnlab claims [--reps N] [--threads T]\n\
+       sdnlab repro [--reps N] [--threads T]\n\
      \n\
      MECH: none | packet:<capacity> | flow:<capacity>[:<timeout DUR>]  (default 50ms)\n\
      WL:   iv | v | single:<n> | cross:<flows>x<ppf>/<group>\n\
@@ -112,6 +118,11 @@ fn usage() -> &'static str {
        --replay RUN        re-run one run from the spec a failure, a flight\n\
                            dump or `sdnlab run` printed\n\
      \n\
+     REPRODUCTION:\n\
+       sdnlab repro        rewrite every results/ artifact but validate.*:\n\
+                           Figs. 2-13, summary_claims, the ablations,\n\
+                           tcp_udp_mix and report.md (--reps default 20)\n\
+     \n\
      VALIDATION PLANE:\n\
        --report PATH       where the validate/v1 JSON goes (default\n\
                            results/validate.json; a TSV twin goes next to it)\n\
@@ -141,7 +152,6 @@ fn usage() -> &'static str {
                            results/flightrec/ when the run ends; dumps are also\n\
                            written automatically on --check violations and on\n\
                            entry into degraded mode\n\
-       SDNBUF_TRACE=PATH   environment fallback for --events\n\
      \n\
      EXAMPLES:\n\
        sdnlab run --buffer packet:256 --rate 80\n\
@@ -154,7 +164,8 @@ fn usage() -> &'static str {
        sdnlab chaos --seeds 200\n\
        sdnlab chaos --recovery\n\
        sdnlab validate --random 200\n\
-       sdnlab validate --cells none@20,packet:256@60 --report results/v.json\n"
+       sdnlab validate --cells none@20,packet:256@60 --report results/v.json\n\
+       sdnlab repro --reps 2 --threads auto\n"
 }
 
 #[derive(Debug)]
@@ -168,21 +179,10 @@ impl From<String> for ParseError {
     }
 }
 
-fn parse_parallelism(s: &str) -> Result<Parallelism, ParseError> {
-    match s {
-        "serial" => Ok(Parallelism::Serial),
-        "auto" => Ok(Parallelism::Auto),
-        n => n
-            .parse()
-            .map(Parallelism::Fixed)
-            .map_err(|_| ParseError(format!("bad thread count '{s}'"))),
-    }
-}
-
 /// The `--threads` flag, falling back to `SDNBUF_THREADS` / auto.
 fn threads_flag(args: &[String]) -> Result<Parallelism, ParseError> {
     match flag(args, "--threads")? {
-        Some(s) => parse_parallelism(&s),
+        Some(s) => Ok(s.parse()?),
         None => Ok(Parallelism::from_env()),
     }
 }
@@ -231,15 +231,6 @@ fn count_flag(args: &[String], key: &str, default: usize) -> Result<usize, Parse
             Ok(n) => Ok(n),
             Err(_) => Err(ParseError(format!("bad {key} '{s}'"))),
         },
-    }
-}
-
-/// The `--events` flag, falling back to the `SDNBUF_TRACE` environment
-/// variable (empty value = unset).
-fn events_path_flag(args: &[String]) -> Result<Option<String>, ParseError> {
-    match flag(args, "--events")? {
-        Some(p) => Ok(Some(p)),
-        None => Ok(std::env::var("SDNBUF_TRACE").ok().filter(|s| !s.is_empty())),
     }
 }
 
@@ -306,7 +297,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
         &["--check", "--latency-report", "--dump-on-exit"],
     )?;
     let spec = run_spec(args)?;
-    let events_path = events_path_flag(args)?;
+    let events_path = flag(args, "--events")?;
     let timeline_path = flag(args, "--timeline")?;
     let sample_every = match flag(args, "--sample-every")? {
         Some(s) => match parse_dur(&s)? {
@@ -847,7 +838,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), ParseError> {
     let reps = count_flag(args, "--reps", 5)?;
     let threads = threads_flag(args)?;
     let section = flag(args, "--section")?.unwrap_or_else(|| "iv".to_owned());
-    let events_path = events_path_flag(args)?;
+    let events_path = flag(args, "--events")?;
     let timeline_path = flag(args, "--timeline")?;
     let latency_report = args.iter().any(|a| a == "--latency-report");
     let grid = match section.as_str() {
@@ -886,13 +877,21 @@ fn cmd_sweep(args: &[String]) -> Result<(), ParseError> {
     Ok(())
 }
 
-fn cmd_claims(args: &[String]) -> Result<(), ParseError> {
-    known_flags("claims", args, &["--reps", "--threads"], &[])?;
-    let reps = count_flag(args, "--reps", 5)?;
+/// Regenerates `results/`: every figure table, the summary claims, the
+/// ablations, the TCP/UDP mix and the report, each table also on stdout.
+fn cmd_repro(args: &[String]) -> Result<(), ParseError> {
+    known_flags("repro", args, &["--reps", "--threads"], &[])?;
+    let reps = count_flag(args, "--reps", 20)?;
     let threads = threads_flag(args)?;
-    let iv = RateSweep::paper_section_iv(reps).run_with(threads, &StderrProgress::new("iv"));
-    let v = RateSweep::paper_section_v(reps).run_with(threads, &StderrProgress::new("v"));
-    println!("{}", figures::summary_claims(&iv, &v));
+    println!("# sdn-buffer-lab full reproduction ({reps} repetitions per cell)\n");
+    repro::write(
+        "results".as_ref(),
+        reps,
+        threads,
+        &mut std::io::stdout().lock(),
+    )
+    .map_err(|e| ParseError(format!("results/: {e}")))?;
+    eprintln!("wrote results/");
     Ok(())
 }
 
@@ -903,7 +902,7 @@ fn dispatch(args: &[String]) -> Result<ExitCode, ParseError> {
         Some("sweep") => cmd_sweep(&args[1..]).map(|()| ExitCode::SUCCESS),
         Some("chaos") => cmd_chaos(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
-        Some("claims") => cmd_claims(&args[1..]).map(|()| ExitCode::SUCCESS),
+        Some("repro") => cmd_repro(&args[1..]).map(|()| ExitCode::SUCCESS),
         Some("help") | Some("--help") | Some("-h") | None => {
             println!("{}", usage());
             Ok(ExitCode::SUCCESS)
@@ -996,16 +995,21 @@ mod tests {
         assert!(parse_dur("10m").is_err());
     }
 
-    #[test]
-    fn parallelism_parsing() {
-        assert_eq!(parse_parallelism("serial").unwrap(), Parallelism::Serial);
-        assert_eq!(parse_parallelism("auto").unwrap(), Parallelism::Auto);
-        assert_eq!(parse_parallelism("6").unwrap(), Parallelism::Fixed(6));
-        assert!(parse_parallelism("lots").is_err());
-    }
-
     fn args(line: &str) -> Vec<String> {
         line.split(' ').map(str::to_owned).collect()
+    }
+
+    /// `--threads` reads `Parallelism`'s own grammar, the one
+    /// `SDNBUF_THREADS` is read in (`executor::tests` tests that side).
+    #[test]
+    fn parallelism_parsing() {
+        let threads = |t: &str| threads_flag(&args(&format!("--threads {t}")));
+        assert_eq!(threads("serial").unwrap(), Parallelism::Serial);
+        assert_eq!(threads("auto").unwrap(), Parallelism::Auto);
+        assert_eq!(threads("1").unwrap(), Parallelism::Fixed(1));
+        assert_eq!(threads("6").unwrap(), Parallelism::Fixed(6));
+        assert!(threads("lots").is_err());
+        assert!(threads("0").is_err());
     }
 
     #[test]
@@ -1126,9 +1130,10 @@ mod tests {
             ),
             ("run none", "sdnlab run does not take 'none'"),
             ("sweep --check", "sdnlab sweep does not take '--check'"),
+            ("claims", "unknown command 'claims'"),
             (
-                "claims --section v",
-                "sdnlab claims does not take '--section'",
+                "repro --rates coarse",
+                "sdnlab repro does not take '--rates'",
             ),
             (
                 "validate --seeds 3",
@@ -1153,7 +1158,7 @@ mod tests {
                 "at most 25536 TCP connections, got 25537 in 'mixed:1:25537:1'",
             ),
             ("sweep --reps 0", "--reps must be at least 1, got '0'"),
-            ("claims --reps 0", "--reps must be at least 1, got '0'"),
+            ("repro --reps 0", "--reps must be at least 1, got '0'"),
             ("validate --reps 0", "--reps must be at least 1, got '0'"),
             ("validate --flows 0", "--flows must be at least 1, got '0'"),
             ("validate --cells none@0", "'0' in 'none@0'"),
