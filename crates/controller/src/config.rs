@@ -69,10 +69,11 @@ pub enum ForwardingMode {
 
 /// Static configuration and processing-cost model of the controller.
 ///
-/// Costs are per-`packet_in` CPU service times on the controller's cores.
-/// The per-byte term is the lever the paper's Section IV.B identifies: a
-/// 1018-byte full-packet `packet_in` costs markedly more to parse — and its
-/// full-packet `packet_out` more to build — than a 146-byte buffered one.
+/// Costs are per-`packet_in` CPU service times on the controller's cores;
+/// [`ControllerConfig::default`] is their calibration. The per-byte term is
+/// the lever the paper's Section IV.B identifies: a 1018-byte full-packet
+/// `packet_in` costs markedly more to parse — and its full-packet
+/// `packet_out` more to build — than a 146-byte buffered one.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ControllerConfig {
     /// CPU cores of the controller PC (quad-core in Table I).
@@ -90,13 +91,6 @@ pub struct ControllerConfig {
     /// `1 + contention × (queued jobs)`. Models thread contention and GC
     /// pressure under bursts; zero disables it.
     pub contention: f64,
-    /// Idle timeout installed in reactive rules, seconds (Floodlight's
-    /// forwarding default is 5 s).
-    pub rule_idle_timeout: u16,
-    /// Hard timeout installed in reactive rules, seconds (0 = none).
-    pub rule_hard_timeout: u16,
-    /// Priority of reactive rules.
-    pub rule_priority: u16,
     /// Throughput of the controller's message-ingest path (the single
     /// netty/IO thread draining the OpenFlow socket in Floodlight). With
     /// full-packet `packet_in`s this path saturates near the link rate and
@@ -112,33 +106,28 @@ pub struct ControllerConfig {
     /// so it shapes the controller-delay figures without inflating CPU
     /// usage.
     pub latency_per_byte: Nanos,
-    /// Bound on the `packet_in` ingress queue (admission slots held from
-    /// arrival to modeled service completion). `0` (the default) leaves the
-    /// queue unbounded — the pre-admission-control behaviour.
-    pub ingress_queue_capacity: usize,
-    /// What to shed when the bounded ingress queue is full.
-    pub admission: AdmissionPolicy,
+    /// A bounded `packet_in` ingress queue: what to shed when it is full,
+    /// and its capacity (≥ 1) in admission slots, each held from arrival to
+    /// modeled service completion. `None` (the default) leaves the queue
+    /// unbounded — the pre-admission-control behaviour.
+    pub admission: Option<(AdmissionPolicy, usize)>,
 }
 
 impl Default for ControllerConfig {
-    /// The Table I testbed controller: a quad-core PC running Floodlight
-    /// with its default reactive-forwarding parameters.
+    /// The Table I testbed controller, calibrated: a quad-core PC running
+    /// Floodlight with its default reactive-forwarding parameters.
     fn default() -> Self {
         ControllerConfig {
             cpu_cores: 4,
-            cost_parse_base: Nanos::from_micros(40),
-            cost_per_byte: Nanos::from_nanos(110),
-            cost_decision: Nanos::from_micros(25),
-            cost_encode: Nanos::from_micros(20),
-            contention: 0.08,
-            rule_idle_timeout: 5,
-            rule_hard_timeout: 0,
-            rule_priority: 100,
+            cost_parse_base: Nanos::from_micros(20),
+            cost_per_byte: Nanos::from_nanos(20),
+            cost_decision: Nanos::from_micros(15),
+            cost_encode: Nanos::from_micros(15),
+            contention: 0.55,
             ingest_rate: BitRate::from_mbps(105),
             mode: ForwardingMode::default(),
             latency_per_byte: Nanos::from_nanos(400),
-            ingress_queue_capacity: 0,
-            admission: AdmissionPolicy::DropTail,
+            admission: None,
         }
     }
 }
@@ -170,6 +159,12 @@ impl ControllerConfig {
         if self.ingest_rate.as_mbps_f64() <= 0.0 {
             return Err("controller ingest rate must be positive".to_owned());
         }
+        if let Some((policy, 0)) = self.admission {
+            return Err(format!(
+                "admission capacity must be at least 1 (got {policy}:0; leave admission \
+                 unset for an unbounded queue)"
+            ));
+        }
         Ok(())
     }
 }
@@ -182,7 +177,7 @@ mod tests {
     fn default_matches_testbed() {
         let c = ControllerConfig::default();
         assert_eq!(c.cpu_cores, 4);
-        assert_eq!(c.rule_idle_timeout, 5);
+        assert_eq!(c.mode, ForwardingMode::Learning);
     }
 
     #[test]
@@ -203,6 +198,16 @@ mod tests {
             ..ControllerConfig::default()
         };
         assert!(c.validate().is_err());
+        let c = ControllerConfig {
+            admission: Some((AdmissionPolicy::DropTail, 0)),
+            ..ControllerConfig::default()
+        };
+        assert!(c.validate().unwrap_err().contains("at least 1"));
+        let c = ControllerConfig {
+            admission: Some((AdmissionPolicy::DropTail, 1)),
+            ..ControllerConfig::default()
+        };
+        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -216,8 +221,8 @@ mod tests {
         }
         assert!("random-early".parse::<AdmissionPolicy>().is_err());
         assert_eq!(
-            ControllerConfig::default().ingress_queue_capacity,
-            0,
+            ControllerConfig::default().admission,
+            None,
             "admission control defaults off"
         );
     }

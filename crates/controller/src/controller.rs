@@ -10,6 +10,13 @@ use sdnbuf_sim::{Bus, CpuResource, EventKind, FastHashMap, Nanos, Tracer};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
+/// Idle timeout of reactive rules, seconds (Floodlight's forwarding
+/// default). They carry no hard timeout.
+const RULE_IDLE_TIMEOUT: u16 = 5;
+
+/// Priority of reactive rules.
+const RULE_PRIORITY: u16 = 100;
+
 /// A timed effect produced by the controller.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ControllerOutput {
@@ -47,7 +54,7 @@ pub struct Controller {
     pending_echoes: FastHashMap<u32, Nanos>,
     /// Admission slots of the bounded ingress queue: one per admitted
     /// `packet_in`, held from arrival until its modeled service completion.
-    /// Only maintained when `ingress_queue_capacity > 0`.
+    /// Only maintained when admission control is configured.
     backlog: VecDeque<AdmissionSlot>,
     stats: ControllerStats,
     tracer: Tracer,
@@ -257,8 +264,10 @@ impl Controller {
         // Admission control happens at the socket, before the IO thread
         // spends any time draining the message.
         if let OfpMessage::PacketIn(pin) = msg {
-            if self.config.ingress_queue_capacity > 0 && !self.admit(now, &pin, xid) {
-                return;
+            if let Some((policy, capacity)) = self.config.admission {
+                if !self.admit(now, &pin, xid, policy, capacity) {
+                    return;
+                }
             }
             let now = self.ingest.transfer(now, wire_len);
             return self.handle_packet_in(now, pin, xid, out);
@@ -275,7 +284,6 @@ impl Controller {
                 xid,
                 msg: OfpMessage::EchoReply(data),
             }),
-            OfpMessage::FlowRemoved(_) => self.stats.flow_removed.incr(),
             OfpMessage::Error(_) => self.stats.errors.incr(),
             OfpMessage::FeaturesReply(fr) => {
                 self.switch_features = Some(SwitchFeatures {
@@ -324,18 +332,24 @@ impl Controller {
         out
     }
 
-    /// Decides whether a `packet_in` arriving at `now` gets an admission
-    /// slot. Returns `false` when the arrival is shed. Only called when
-    /// `ingress_queue_capacity > 0`.
-    fn admit(&mut self, now: Nanos, pin: &PacketIn, xid: u32) -> bool {
+    /// Decides whether a `packet_in` arriving at `now` gets one of the
+    /// `capacity` admission slots. Returns `false` when the arrival is shed.
+    fn admit(
+        &mut self,
+        now: Nanos,
+        pin: &PacketIn,
+        xid: u32,
+        policy: AdmissionPolicy,
+        capacity: usize,
+    ) -> bool {
         while self.backlog.front().is_some_and(|s| s.done_at <= now) {
             self.backlog.pop_front();
         }
-        if self.backlog.len() < self.config.ingress_queue_capacity {
+        if self.backlog.len() < capacity {
             return true;
         }
         let buffered = pin.buffer_id.is_buffered();
-        match self.config.admission {
+        match policy {
             AdmissionPolicy::DropTail => {
                 self.shed(now, xid, pin.data.len(), buffered);
                 false
@@ -423,7 +437,7 @@ impl Controller {
         // Allocation/GC stall: latency proportional to the bytes handled,
         // added after the CPU work completes.
         let at = self.submit(now, cost) + self.config.latency_per_byte * handled_bytes as u64;
-        if self.config.ingress_queue_capacity > 0 {
+        if self.config.admission.is_some() {
             self.backlog.push_back(AdmissionSlot {
                 done_at: at,
                 xid,
@@ -456,9 +470,9 @@ impl Controller {
                     match_fields: match_from_headers(&headers, pin.in_port),
                     cookie: 0,
                     command: FlowModCommand::Add,
-                    idle_timeout: self.config.rule_idle_timeout,
-                    hard_timeout: self.config.rule_hard_timeout,
-                    priority: self.config.rule_priority,
+                    idle_timeout: RULE_IDLE_TIMEOUT,
+                    hard_timeout: 0,
+                    priority: RULE_PRIORITY,
                     buffer_id: BufferId::NO_BUFFER,
                     out_port: PortNo::NONE,
                     flags: 0,
@@ -808,7 +822,7 @@ mod tests {
     #[test]
     fn admission_drop_tail_sheds_overflow() {
         let mut c = Controller::new(ControllerConfig {
-            ingress_queue_capacity: 1,
+            admission: Some((AdmissionPolicy::DropTail, 1)),
             ..ControllerConfig::default()
         });
         c.learn(MacAddr::from_host_index(2), PortNo(2));
@@ -840,8 +854,7 @@ mod tests {
     #[test]
     fn admission_drop_head_keeps_the_newest() {
         let mut c = Controller::new(ControllerConfig {
-            ingress_queue_capacity: 1,
-            admission: AdmissionPolicy::DropHead,
+            admission: Some((AdmissionPolicy::DropHead, 1)),
             ..ControllerConfig::default()
         });
         c.learn(MacAddr::from_host_index(2), PortNo(2));
@@ -863,8 +876,7 @@ mod tests {
     #[test]
     fn admission_prefer_rerequests_admits_buffered_over_capacity() {
         let mut c = Controller::new(ControllerConfig {
-            ingress_queue_capacity: 1,
-            admission: AdmissionPolicy::PreferRerequests,
+            admission: Some((AdmissionPolicy::PreferRerequests, 1)),
             ..ControllerConfig::default()
         });
         c.learn(MacAddr::from_host_index(2), PortNo(2));

@@ -57,8 +57,6 @@ pub struct ControllerStats {
     pub pkt_outs: Counter,
     /// Floods issued for unknown/broadcast destinations.
     pub floods: Counter,
-    /// `flow_removed` notifications received.
-    pub flow_removed: Counter,
     /// `error` messages received.
     pub errors: Counter,
     /// `packet_in`s whose data could not be parsed.

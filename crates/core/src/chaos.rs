@@ -270,7 +270,7 @@ pub fn recovery_matrix() -> Vec<(String, RunSpec)> {
         ),
     ];
     let policies = [
-        ("fixed", RetryPolicy::fixed()),
+        ("fixed", RetryPolicy::Fixed),
         ("backoff", RetryPolicy::backoff(Nanos::from_millis(160), 4)),
     ];
     let mut out = Vec::new();
@@ -555,10 +555,10 @@ mod tests {
             seed: 5,
             plan: FaultPlan::default(),
             recovery: RecoveryKnobs {
-                retry: RetryPolicy {
-                    jitter: Nanos::from_millis(2),
-                    seed: 7,
-                    ..RetryPolicy::backoff(Nanos::from_millis(400), 6)
+                retry: RetryPolicy::Backoff {
+                    cap: Nanos::from_millis(400),
+                    budget: 6,
+                    give_up: sdnbuf_switchbuf::GiveUp::Drop,
                 },
                 ttl: Nanos::from_millis(250),
                 degraded_threshold: 3,

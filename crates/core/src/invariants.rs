@@ -71,7 +71,7 @@ use std::fmt;
 /// Default knobs reproduce the pre-recovery behaviour exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RecoveryKnobs {
-    /// Re-request pacing and budget ([`RetryPolicy::fixed`] by default).
+    /// Re-request pacing and budget ([`RetryPolicy::Fixed`] by default).
     pub retry: RetryPolicy,
     /// Per-entry buffer TTL; [`Nanos::ZERO`] disables expiry.
     pub ttl: Nanos,
@@ -249,7 +249,7 @@ impl Invariants {
                 rec.retry_streak += 1;
                 let (streak, prev) = (rec.retry_streak, rec.last_request);
                 rec.last_request = Some(e.at);
-                let budget = self.knobs.retry.budget;
+                let budget = self.knobs.retry.budget();
                 if budget > 0 && streak > budget {
                     self.fail(
                         "retry-budget",
@@ -515,7 +515,7 @@ impl Invariants {
         // recovery neutral: TTL expiry, a finite retry budget and
         // degraded-mode shedding each trade delivery for boundedness.
         let recovery_neutral =
-            knobs.ttl == Nanos::ZERO && knobs.retry.budget == 0 && knobs.degraded_threshold == 0;
+            knobs.ttl == Nanos::ZERO && knobs.retry.budget() == 0 && knobs.degraded_threshold == 0;
         let flow_gran = matches!(mech, BufferMode::FlowGranularity { .. });
         let drain_armed = flow_gran && !self.disturbs_data && recovery_neutral;
 
@@ -642,12 +642,12 @@ mod tests {
                     *rerequests.entry(buffer_id).or_insert(0) += 1;
                     let streak = retry_streak.entry(buffer_id).or_insert(0);
                     *streak += 1;
-                    if knobs.retry.budget > 0 && *streak > knobs.retry.budget {
+                    if knobs.retry.budget() > 0 && *streak > knobs.retry.budget() {
                         violations.push(Violation {
                             invariant: "retry-budget",
                             detail: format!(
                                 "buffer {buffer_id} re-requested {streak} times against a budget of {}",
-                                knobs.retry.budget
+                                knobs.retry.budget()
                             ),
                         });
                     }
@@ -933,7 +933,7 @@ mod tests {
         // deliberately trade delivery for boundedness, so the delivery
         // guarantee only holds with all three disarmed.
         let recovery_neutral =
-            knobs.ttl == Nanos::ZERO && knobs.retry.budget == 0 && knobs.degraded_threshold == 0;
+            knobs.ttl == Nanos::ZERO && knobs.retry.budget() == 0 && knobs.degraded_threshold == 0;
         // A crash legitimately sheds fresh misses while the switch suspects
         // the controller dead (accounted as drops), so the full delivery
         // guarantee is replaced by crash-recovery-drain below.

@@ -77,7 +77,7 @@ pub struct RunSpec {
     pub plan: FaultPlan,
     /// Recovery-plane switch knobs (`retry=`, `ttl=`, `degraded=`).
     pub recovery: RecoveryKnobs,
-    /// A bounded controller ingress queue, its policy and capacity
+    /// A bounded controller ingress queue, its policy and capacity ≥ 1
     /// (`admission=<policy>:<capacity>`); `None` leaves it unbounded.
     pub admission: Option<(AdmissionPolicy, usize)>,
     /// Warm-standby failover (`standby=`); `None` means the primary
@@ -127,10 +127,7 @@ impl RunSpec {
         testbed.switch.retry = self.recovery.retry;
         testbed.switch.buffer_ttl = self.recovery.ttl;
         testbed.switch.degraded_threshold = self.recovery.degraded_threshold;
-        if let Some((policy, capacity)) = self.admission {
-            testbed.controller.admission = policy;
-            testbed.controller.ingress_queue_capacity = capacity;
-        }
+        testbed.controller.admission = self.admission;
         if let Some(standby) = self.standby {
             testbed.failover = FailoverConfig {
                 standby: true,
@@ -174,9 +171,10 @@ impl RunSpec {
                 let (policy, capacity) = value
                     .split_once(':')
                     .ok_or_else(|| format!("expected <policy>:<capacity> in '{value}'"))?;
-                let capacity = capacity
-                    .parse()
-                    .map_err(|_| format!("bad admission capacity in '{value}'"))?;
+                let capacity =
+                    capacity.parse().ok().filter(|&c| c > 0).ok_or_else(|| {
+                        format!("bad admission capacity in '{value}' (at least 1)")
+                    })?;
                 self.admission = Some((policy.parse()?, capacity));
             }
             "standby" => self.standby = Some(value.parse()?),
@@ -295,10 +293,11 @@ mod tests {
             ("keepalive=0", "keepalive interval"),
             ("frame=0", "frame size"),
             ("frame=65536", "frame size"),
-            ("retry=0:1ms:0ms:0:drain:0", "multiplier"),
+            ("retry=2:1ms:0ns:0:drain:0", "retry policy"),
             ("c.loss=nth:1", "every-nth"),
             ("admission=fifo:8", "admission policy"),
             ("admission=drop-tail", "<policy>:<capacity>"),
+            ("admission=drop-tail:0", "at least 1"),
             ("frame=1000,zz=1", "'zz'"),
         ] {
             let spec = format!("{RUN},{keys}");

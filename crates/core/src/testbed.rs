@@ -17,8 +17,9 @@ use sdnbuf_sim::{
 use sdnbuf_switch::{PacketHandle, PacketPool, Switch, SwitchConfig, SwitchOutput};
 use sdnbuf_workload::{Departure, HostAddr};
 
-/// Static configuration of the whole testbed (Table I plus the calibrated
-/// model constants — see `EXPERIMENTS.md` for the calibration rationale).
+/// Static configuration of the whole testbed: Table I, with the switch and
+/// controller calibrated in [`SwitchConfig::default`] and
+/// [`ControllerConfig::default`] (see `EXPERIMENTS.md` for the rationale).
 #[derive(Clone, Debug)]
 pub struct TestbedConfig {
     /// The switch model.
@@ -77,43 +78,15 @@ impl Default for FailoverConfig {
 }
 
 impl Default for TestbedConfig {
-    /// The calibrated reproduction of the paper's platform. The knobs that
-    /// shape the figures:
-    ///
-    /// * `control_link`: 100 Mbps with a 300 µs one-way latency (TCP
-    ///   stack + scheduling on the 2017-era PCs) — this floor dominates
-    ///   the buffered controller delay (paper: 0.70 ms).
-    /// * `switch.bus_rate`: 135 Mbps — the switch's control-message I/O
-    ///   engine. No-buffer traffic loads it with ~2 KB per miss (full
-    ///   packet out, full packet back), saturating it near 66 Mbps of
-    ///   sending rate; that is where the paper's no-buffer delays blow up.
-    /// * `switch.buffer_free_lag`: 4 ms of lazy buffer reclamation (OVS
-    ///   behaviour) — this is why buffer-16 exhausts around 30 Mbps
-    ///   (Fig. 8) while setup delays stay near 1 ms.
+    /// The calibrated reproduction of the paper's platform: the switch and
+    /// controller defaults, and a `control_link` of 100 Mbps with a 300 µs
+    /// one-way latency (TCP stack + scheduling on the 2017-era PCs) — this
+    /// floor dominates the buffered controller delay (paper: 0.70 ms).
     fn default() -> Self {
         use sdnbuf_sim::BitRate;
         TestbedConfig {
-            switch: SwitchConfig {
-                bus_rate: BitRate::from_mbps(135),
-                cost_forward: Nanos::from_micros(5),
-                cost_pkt_in_base: Nanos::from_micros(100),
-                cost_per_payload_byte: Nanos::from_nanos(8),
-                cost_buffer_store: Nanos::from_micros(8),
-                cost_buffer_release: Nanos::from_micros(6),
-                cost_pkt_out_base: Nanos::from_micros(50),
-                cost_flow_mod: Nanos::from_micros(40),
-                cost_rule_install: Nanos::from_micros(350),
-                buffer_free_lag: Nanos::from_millis(4),
-                ..SwitchConfig::default()
-            },
-            controller: ControllerConfig {
-                cost_parse_base: Nanos::from_micros(20),
-                cost_decision: Nanos::from_micros(15),
-                cost_encode: Nanos::from_micros(15),
-                cost_per_byte: Nanos::from_nanos(20),
-                contention: 0.55,
-                ..ControllerConfig::default()
-            },
+            switch: SwitchConfig::default(),
+            controller: ControllerConfig::default(),
             data_link: LinkConfig::fast_ethernet(),
             control_link: LinkConfig {
                 bandwidth: BitRate::from_mbps(100),
@@ -147,14 +120,6 @@ impl TestbedConfig {
             .validate()
             .map_err(|e| format!("controller: {e}"))?;
         self.faults.validate().map_err(|e| format!("faults: {e}"))?;
-        // Fig. 1 has two hosts: a switch with more ports would flood into
-        // ports nothing is wired to.
-        if self.switch.data_ports != 2 {
-            return Err(format!(
-                "switch: the testbed wires 2 data ports, got data_ports = {}",
-                self.switch.data_ports
-            ));
-        }
         // A zero interval would schedule probes at t = 0 without end.
         if self.keepalive_interval == Some(Nanos::ZERO) {
             return Err("keepalive interval must be positive".to_owned());
@@ -1570,14 +1535,6 @@ mod tests {
         };
         assert!(err.contains("capacity"), "{err}");
 
-        // Fig. 1 has two hosts; a third port would have nothing behind it.
-        let mut three_ports = TestbedConfig::default();
-        three_ports.switch.data_ports = 3;
-        match Testbed::try_new(three_ports) {
-            Ok(_) => panic!("a third data port must be rejected"),
-            Err(e) => assert!(e.contains("data_ports = 3"), "{e}"),
-        }
-
         // A zero keepalive interval is refused here, not looped on in
         // `schedule_probes`; so is it one level up.
         let config = TestbedConfig {
@@ -1768,6 +1725,15 @@ mod tests {
         // answered only after a re-announce included.
         assert_eq!(r.switch_delay.n, r.flow_setup_delay.n, "{r:?}");
         assert_eq!(tb.measure.flow_delays(), tb.measure.flow_delays_from_log());
+    }
+
+    /// The component defaults are the calibration every run uses; the
+    /// testbed overrides none of it.
+    #[test]
+    fn the_testbed_runs_the_component_calibration() {
+        let testbed = TestbedConfig::default();
+        assert_eq!(testbed.switch, SwitchConfig::default());
+        assert_eq!(testbed.controller, ControllerConfig::default());
     }
 
     #[test]

@@ -115,25 +115,19 @@ impl Tolerances {
     }
 }
 
-/// What `validate` runs: a grid (or explicit cell list), repetition and
-/// tolerance knobs, and the optional random-config exploration.
+/// What `validate` runs: a list of cells, repetition and tolerance knobs,
+/// and the optional random-config exploration. Every cell runs the paper's
+/// 1000-byte frames on the calibrated [`TestbedConfig::default`].
 #[derive(Clone, Debug)]
 pub struct ValidateConfig {
-    /// Sending rates in Mbps (the full paper grid by default).
-    pub rates_mbps: Vec<u64>,
-    /// Buffer mechanisms under validation.
-    pub mechanisms: Vec<BufferMode>,
-    /// Explicit (mechanism, rate) cells; when set, overrides the
-    /// `rates_mbps` × `mechanisms` cross product.
-    pub cells: Option<Vec<(BufferMode, u64)>>,
+    /// The (mechanism, sending rate in Mbps) cells under validation.
+    pub cells: Vec<(BufferMode, u64)>,
     /// Single-packet flows per run (the paper uses 1000).
     pub flows: usize,
     /// Repetitions per cell; simulated means average over them.
     pub repetitions: usize,
     /// Base seed; repetition `i` uses `base_seed + i`.
     pub base_seed: u64,
-    /// Workload frame size in bytes.
-    pub frame_size: usize,
     /// Per-metric tolerances.
     pub tolerances: Tolerances,
     /// Parallelism for the second sweep of the serial ≡ parallel law
@@ -143,34 +137,33 @@ pub struct ValidateConfig {
     pub broken: bool,
     /// Number of seeded random configurations to explore (0 = skip).
     pub random_configs: u64,
-    /// The testbed the grid runs on.
-    pub testbed: TestbedConfig,
 }
 
 impl Default for ValidateConfig {
     /// The full Section IV validation: all three mechanisms across the
     /// paper's 5–100 Mbps grid, 1000 flows, 3 repetitions.
     fn default() -> Self {
+        let mechanisms = [
+            BufferMode::NoBuffer,
+            BufferMode::PacketGranularity { capacity: 256 },
+            BufferMode::FlowGranularity {
+                capacity: 256,
+                timeout: Nanos::from_millis(50),
+            },
+        ];
+        let rates = RateSweep::paper_rates();
         ValidateConfig {
-            rates_mbps: RateSweep::paper_rates(),
-            mechanisms: vec![
-                BufferMode::NoBuffer,
-                BufferMode::PacketGranularity { capacity: 256 },
-                BufferMode::FlowGranularity {
-                    capacity: 256,
-                    timeout: Nanos::from_millis(50),
-                },
-            ],
-            cells: None,
+            cells: mechanisms
+                .iter()
+                .flat_map(|&m| rates.iter().map(move |&rate| (m, rate)))
+                .collect(),
             flows: 1000,
             repetitions: 3,
             base_seed: 42,
-            frame_size: 1000,
             tolerances: Tolerances::default(),
             parallelism: Parallelism::Serial,
             broken: false,
             random_configs: 0,
-            testbed: TestbedConfig::default(),
         }
     }
 }
@@ -412,15 +405,14 @@ fn predicted_value(p: &Prediction, metric: Metric) -> f64 {
 
 /// Builds the oracle's [`Scenario`] for one cell of `config`'s grid.
 pub fn scenario_for(config: &ValidateConfig, mode: BufferMode, rate_mbps: u64) -> Scenario {
-    let mut switch = config.testbed.switch;
-    switch.buffer = mode;
+    let testbed = TestbedConfig::with_buffer(mode);
     Scenario {
-        switch,
-        controller: config.testbed.controller,
-        data_link: config.testbed.data_link,
-        control_link: config.testbed.control_link,
+        switch: testbed.switch,
+        controller: testbed.controller,
+        data_link: testbed.data_link,
+        control_link: testbed.control_link,
         rate: BitRate::from_mbps(rate_mbps),
-        frame_len: config.frame_size,
+        frame_len: ExperimentConfig::default().frame_size,
         flows: config.flows as u64,
     }
 }
@@ -433,9 +425,8 @@ pub fn validate(config: &ValidateConfig) -> ValidationReport {
         Oracle::faithful()
     };
 
-    // One RateSweep per mechanism keeps explicit cell lists exact (a
-    // cross product would inflate them) while the default config still
-    // covers the full grid.
+    // One RateSweep per mechanism keeps the cell list exact (a cross
+    // product would inflate it).
     let groups = mech_groups(config);
     let mut all_cells: Vec<SweepCell> = Vec::new();
     let mut serial_parallel_ok = true;
@@ -448,8 +439,8 @@ pub fn validate(config: &ValidateConfig) -> ValidationReport {
             workload: WorkloadKind::single_packet_flows(config.flows),
             repetitions: config.repetitions,
             base_seed: config.base_seed,
-            frame_size: config.frame_size,
-            testbed: config.testbed.clone(),
+            frame_size: ExperimentConfig::default().frame_size,
+            testbed: TestbedConfig::default(),
         };
         let serial = sweep.run_with(Parallelism::Serial, &NullSink);
         let parallel = sweep.run_with(config.parallelism, &NullSink);
@@ -501,30 +492,20 @@ pub fn validate(config: &ValidateConfig) -> ValidationReport {
     }
 }
 
-/// The grid as (mechanism, rates) groups, honouring an explicit cell
-/// list when present.
+/// The cells as (mechanism, rates) groups, in first-seen order.
 fn mech_groups(config: &ValidateConfig) -> Vec<(BufferMode, Vec<u64>)> {
-    match &config.cells {
-        None => config
-            .mechanisms
-            .iter()
-            .map(|m| (*m, config.rates_mbps.clone()))
-            .collect(),
-        Some(pairs) => {
-            let mut groups: Vec<(BufferMode, Vec<u64>)> = Vec::new();
-            for (mode, rate) in pairs {
-                match groups.iter_mut().find(|(m, _)| m == mode) {
-                    Some((_, rates)) => {
-                        if !rates.contains(rate) {
-                            rates.push(*rate);
-                        }
-                    }
-                    None => groups.push((*mode, vec![*rate])),
+    let mut groups: Vec<(BufferMode, Vec<u64>)> = Vec::new();
+    for (mode, rate) in &config.cells {
+        match groups.iter_mut().find(|(m, _)| m == mode) {
+            Some((_, rates)) => {
+                if !rates.contains(rate) {
+                    rates.push(*rate);
                 }
             }
-            groups
+            None => groups.push((*mode, vec![*rate])),
         }
     }
+    groups
 }
 
 /// Compares one simulated cell against the oracle.
@@ -693,9 +674,8 @@ fn law_flow_gran_fewer_pkt_ins(config: &ValidateConfig) -> LawReport {
                 buffer: mode,
                 workload: WorkloadKind::paper_section_v(),
                 sending_rate: BitRate::from_mbps(rate),
-                frame_size: config.frame_size,
                 seed: config.base_seed,
-                testbed: config.testbed.clone(),
+                ..ExperimentConfig::default()
             });
             counts[i] = exp.run().pkt_in_count as f64;
         }
@@ -915,11 +895,13 @@ mod tests {
     use super::*;
 
     fn tiny_config() -> ValidateConfig {
+        let packet = BufferMode::PacketGranularity { capacity: 256 };
         ValidateConfig {
-            rates_mbps: vec![10, 60],
-            mechanisms: vec![
-                BufferMode::NoBuffer,
-                BufferMode::PacketGranularity { capacity: 256 },
+            cells: vec![
+                (BufferMode::NoBuffer, 10),
+                (BufferMode::NoBuffer, 60),
+                (packet, 10),
+                (packet, 60),
             ],
             flows: 120,
             repetitions: 2,
@@ -963,8 +945,7 @@ mod tests {
     #[test]
     fn json_report_is_tagged_and_tsv_has_a_row_per_check() {
         let report = validate(&ValidateConfig {
-            rates_mbps: vec![20],
-            mechanisms: vec![BufferMode::PacketGranularity { capacity: 256 }],
+            cells: vec![(BufferMode::PacketGranularity { capacity: 256 }, 20)],
             flows: 60,
             repetitions: 1,
             ..ValidateConfig::default()
@@ -977,11 +958,20 @@ mod tests {
 
     #[test]
     fn explicit_cells_override_the_cross_product() {
+        // The default is the mechanism-major cross product of the three
+        // mechanisms and the paper's rate grid.
+        let grid = ValidateConfig::default().cells;
+        let rates = RateSweep::paper_rates();
+        assert_eq!(grid.len(), 3 * rates.len());
+        let (first, rest) = grid.split_at(rates.len());
+        assert!(first.iter().all(|&(m, _)| m == BufferMode::NoBuffer));
+        assert_eq!(first.iter().map(|&(_, r)| r).collect::<Vec<_>>(), rates);
+        assert!(rest.iter().all(|&(m, _)| m != BufferMode::NoBuffer));
         let report = validate(&ValidateConfig {
-            cells: Some(vec![
+            cells: vec![
                 (BufferMode::NoBuffer, 20),
                 (BufferMode::PacketGranularity { capacity: 256 }, 60),
-            ]),
+            ],
             flows: 60,
             repetitions: 1,
             ..ValidateConfig::default()

@@ -542,31 +542,13 @@ mod tests {
     use sdnbuf_sim::Nanos;
 
     fn paper_scenario(buffer: BufferChoice, rate_mbps: u64) -> Scenario {
-        // Mirrors TestbedConfig::default()'s calibration closely enough
-        // for unit sanity checks; the integration tests use the real one.
-        let mut switch = SwitchConfig {
-            bus_rate: BitRate::from_mbps(135),
-            cost_forward: Nanos::from_micros(5),
-            cost_pkt_in_base: Nanos::from_micros(100),
-            cost_per_payload_byte: Nanos::from_nanos(8),
-            cost_buffer_store: Nanos::from_micros(8),
-            cost_buffer_release: Nanos::from_micros(6),
-            cost_pkt_out_base: Nanos::from_micros(50),
-            cost_flow_mod: Nanos::from_micros(40),
-            cost_rule_install: Nanos::from_micros(350),
-            buffer_free_lag: Nanos::from_millis(4),
+        // The calibrated components; links as `TestbedConfig::default()`
+        // wires them.
+        let switch = SwitchConfig {
+            buffer,
             ..SwitchConfig::default()
         };
-        switch.buffer = buffer;
-        let controller = ControllerConfig {
-            cost_parse_base: Nanos::from_micros(20),
-            cost_decision: Nanos::from_micros(15),
-            cost_encode: Nanos::from_micros(15),
-            cost_per_byte: Nanos::from_nanos(20),
-            contention: 0.55,
-            latency_per_byte: Nanos::from_nanos(400),
-            ..ControllerConfig::default()
-        };
+        let controller = ControllerConfig::default();
         Scenario {
             switch,
             controller,

@@ -116,13 +116,12 @@ impl FromStr for BufferChoice {
 /// The cost constants are calibrated against the switch-side latencies
 /// reported by He et al. (SOSR'15) — the paper's references \[8\]/\[9\] — and
 /// tuned so the reproduction's figures match the paper's *shapes* (see
-/// `EXPERIMENTS.md`). All costs are CPU service times; queueing on the
-/// shared cores and the ASIC↔CPU bus produces the load-dependent delay
-/// growth the paper measures.
+/// `EXPERIMENTS.md`); [`SwitchConfig::default`] is that calibration. All
+/// costs are CPU service times; queueing on the shared cores and the
+/// ASIC↔CPU bus produces the load-dependent delay growth the paper
+/// measures. The switch has two data ports, as in Fig. 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SwitchConfig {
-    /// Number of physical data ports (the testbed uses 2).
-    pub data_ports: usize,
     /// Management CPU cores (the testbed PCs are quad-core, Table I).
     pub cpu_cores: usize,
     /// ASIC↔CPU bus throughput. Far below PCIe line rate in practice;
@@ -162,8 +161,6 @@ pub struct SwitchConfig {
     /// the paper's observation that subsequent packets of a flow keep
     /// missing. Zero makes rules effective as soon as the parse finishes.
     pub cost_rule_install: Nanos,
-    /// CPU time for trivial control messages (echo, features, config).
-    pub cost_control_misc: Nanos,
     /// How long a packet-granularity buffer unit stays unavailable after
     /// its `packet_out` (Open vSwitch reclaims buffers lazily; the paper's
     /// Section V.B.5 observes the default mechanism's units are "released
@@ -171,7 +168,7 @@ pub struct SwitchConfig {
     /// always releases eagerly — that is its design.
     pub buffer_free_lag: Nanos,
     /// How flow-granularity re-requests are paced and bounded. The default
-    /// ([`RetryPolicy::fixed`]) is the paper's fixed timer: retry every
+    /// ([`RetryPolicy::Fixed`]) is the paper's fixed timer: retry every
     /// `timeout`, forever.
     pub retry: RetryPolicy,
     /// Per-entry buffer lifetime for both buffering mechanisms;
@@ -182,50 +179,48 @@ pub struct SwitchConfig {
     /// (stop announcing fresh misses, probe periodically). `0` (the
     /// default) disables the state machine.
     pub degraded_threshold: u32,
-    /// While degraded, how often one fresh miss is let through as a probe
-    /// of controller liveness.
-    pub degraded_probe_interval: Nanos,
     /// How long the switch tolerates total controller silence before it
     /// suspects the session is dead and starts shedding fresh misses
     /// (they would be announced into a void). [`Nanos::ZERO`] (the
     /// default) disables the detector; it only runs when the crash plane
     /// is armed ([`crate::Switch::arm_crash_plane`]).
     pub liveness_timeout: Nanos,
-    /// Pacing of post-restart buffer reconciliation: after an epoch bump
-    /// the surviving entries are re-announced **one per interval**, so a
-    /// freshly restarted controller is not hit by a re-request storm.
-    pub reconcile_interval: Nanos,
 }
 
 impl Default for SwitchConfig {
-    /// The Table I testbed switch: a quad-core PC running Open vSwitch with
-    /// two 100 Mbps data ports, default `miss_send_len` of 128 bytes and no
-    /// buffer (OpenFlow's out-of-the-box configuration).
+    /// The Table I testbed switch, calibrated: a quad-core PC running Open
+    /// vSwitch with two 100 Mbps data ports, default `miss_send_len` of 128
+    /// bytes and no buffer (OpenFlow's out-of-the-box configuration). The
+    /// knobs that shape the figures:
+    ///
+    /// * `bus_rate`: 135 Mbps — the switch's control-message I/O engine.
+    ///   No-buffer traffic loads it with ~2 KB per miss (full packet out,
+    ///   full packet back), saturating it near 66 Mbps of sending rate;
+    ///   that is where the paper's no-buffer delays blow up.
+    /// * `buffer_free_lag`: 4 ms of lazy buffer reclamation (OVS
+    ///   behaviour) — this is why buffer-16 exhausts around 30 Mbps
+    ///   (Fig. 8) while setup delays stay near 1 ms.
     fn default() -> Self {
         SwitchConfig {
-            data_ports: 2,
             cpu_cores: 4,
-            bus_rate: BitRate::from_mbps(240),
+            bus_rate: BitRate::from_mbps(135),
             miss_send_len: 128,
             flow_table_capacity: 4096,
             eviction: EvictionPolicy::RejectNew,
             buffer: BufferChoice::NoBuffer,
-            cost_forward: Nanos::from_micros(55),
-            cost_pkt_in_base: Nanos::from_micros(25),
-            cost_per_payload_byte: Nanos::from_nanos(60),
-            cost_buffer_store: Nanos::from_micros(6),
-            cost_buffer_release: Nanos::from_micros(4),
-            cost_pkt_out_base: Nanos::from_micros(20),
-            cost_flow_mod: Nanos::from_micros(30),
-            cost_rule_install: Nanos::ZERO,
-            cost_control_misc: Nanos::from_micros(5),
-            buffer_free_lag: Nanos::ZERO,
-            retry: RetryPolicy::fixed(),
+            cost_forward: Nanos::from_micros(5),
+            cost_pkt_in_base: Nanos::from_micros(100),
+            cost_per_payload_byte: Nanos::from_nanos(8),
+            cost_buffer_store: Nanos::from_micros(8),
+            cost_buffer_release: Nanos::from_micros(6),
+            cost_pkt_out_base: Nanos::from_micros(50),
+            cost_flow_mod: Nanos::from_micros(40),
+            cost_rule_install: Nanos::from_micros(350),
+            buffer_free_lag: Nanos::from_millis(4),
+            retry: RetryPolicy::Fixed,
             buffer_ttl: Nanos::ZERO,
             degraded_threshold: 0,
-            degraded_probe_interval: Nanos::from_millis(10),
             liveness_timeout: Nanos::ZERO,
-            reconcile_interval: Nanos::from_millis(1),
         }
     }
 }
@@ -240,29 +235,12 @@ impl SwitchConfig {
     /// Checks the configuration for values that would panic or wedge the
     /// model at runtime.
     pub fn validate(&self) -> Result<(), String> {
-        if self.data_ports == 0 {
-            return Err("switch needs at least one data port".to_owned());
-        }
         if self.cpu_cores == 0 {
             return Err("switch needs at least one CPU core".to_owned());
         }
         if self.flow_table_capacity == 0 {
             return Err("flow table capacity must be positive".to_owned());
         }
-        if self.degraded_threshold > 0 && self.degraded_probe_interval == Nanos::ZERO {
-            return Err(
-                "degraded-mode probe interval must be positive when the threshold is set"
-                    .to_owned(),
-            );
-        }
-        if self.reconcile_interval == Nanos::ZERO {
-            return Err(
-                "reconcile interval must be positive (it paces the post-restart \
-                 re-request storm)"
-                    .to_owned(),
-            );
-        }
-        self.retry.validate()?;
         self.buffer.validate()
     }
 }
@@ -274,7 +252,6 @@ mod tests {
     #[test]
     fn default_is_the_paper_testbed() {
         let c = SwitchConfig::default();
-        assert_eq!(c.data_ports, 2);
         assert_eq!(c.cpu_cores, 4);
         assert_eq!(c.miss_send_len, 128);
         assert_eq!(c.buffer, BufferChoice::NoBuffer);
@@ -334,20 +311,6 @@ mod tests {
 
     #[test]
     fn validate_covers_recovery_knobs() {
-        let c = SwitchConfig {
-            retry: RetryPolicy {
-                multiplier: 0,
-                ..RetryPolicy::fixed()
-            },
-            ..SwitchConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = SwitchConfig {
-            degraded_threshold: 3,
-            degraded_probe_interval: Nanos::ZERO,
-            ..SwitchConfig::default()
-        };
-        assert!(c.validate().is_err());
         let c = SwitchConfig {
             retry: RetryPolicy::backoff(Nanos::from_millis(200), 5),
             buffer_ttl: Nanos::from_millis(500),

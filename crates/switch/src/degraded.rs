@@ -2,13 +2,17 @@
 //!
 //! After `threshold` consecutive flow give-ups with no controller response
 //! in between, the switch stops announcing fresh misses (they are shed) and
-//! lets one through per `probe_interval` as a probe of controller
+//! lets one through per [`PROBE_INTERVAL`] as a probe of controller
 //! liveness; any `flow_mod`/`packet_out` ends the episode. A threshold of
 //! `0` disables the plane. It emits nothing — the switch turns each
 //! returned transition into the counter and the event. Transition table:
 //! DESIGN §10 and `tests::transition_table`.
 
 use sdnbuf_sim::Nanos;
+
+/// While degraded, how often one fresh miss is let through as a probe of
+/// controller liveness.
+pub(crate) const PROBE_INTERVAL: Nanos = Nanos::from_millis(10);
 
 /// What the slow path does with a fresh table miss.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,8 +38,6 @@ pub(crate) struct Entered {
 pub(crate) struct Degraded {
     /// Consecutive give-ups that trip the mode; `0` disables it.
     threshold: u32,
-    /// While degraded, how often one fresh miss is admitted as a probe.
-    probe_interval: Nanos,
     /// Flow give-ups since the last controller response.
     consecutive_giveups: u32,
     degraded: bool,
@@ -50,10 +52,9 @@ pub(crate) struct Degraded {
 }
 
 impl Degraded {
-    pub(crate) fn new(threshold: u32, probe_interval: Nanos) -> Degraded {
+    pub(crate) fn new(threshold: u32) -> Degraded {
         Degraded {
             threshold,
-            probe_interval,
             ..Degraded::default()
         }
     }
@@ -72,7 +73,7 @@ impl Degraded {
             return Admit::Probe;
         }
         self.suppressed += 1;
-        self.next_probe.get_or_insert(now + self.probe_interval);
+        self.next_probe.get_or_insert(now + PROBE_INTERVAL);
         Admit::Shed
     }
 
@@ -111,7 +112,7 @@ impl Degraded {
         }
         self.degraded = true;
         self.suppressed = 0;
-        self.next_probe = Some(now + self.probe_interval);
+        self.next_probe = Some(now + PROBE_INTERVAL);
         self.probe_pending = false;
         Some(Entered {
             giveups: self.consecutive_giveups,
@@ -134,7 +135,8 @@ mod tests {
 
     #[test]
     fn transition_table() {
-        let mut d = Degraded::new(2, ms(5));
+        let mut d = Degraded::new(2);
+        assert_eq!(PROBE_INTERVAL, ms(10));
         // normal: misses pass, a response resets the streak.
         assert_eq!(d.admit_miss(ms(0)), Admit::Normal);
         d.on_giveup();
@@ -145,42 +147,42 @@ mod tests {
         d.on_giveup();
         assert_eq!(d.tick(ms(20)), Some(Entered { giveups: 2 }));
         assert!(d.is_degraded());
-        assert_eq!(d.next_timer(), Some(ms(25)));
+        assert_eq!(d.next_timer(), Some(ms(30)));
         assert_eq!(d.tick(ms(21)), None, "entry is reported once");
         // degraded: misses are shed and counted.
         assert_eq!(d.admit_miss(ms(21)), Admit::Shed);
         assert_eq!(d.admit_miss(ms(22)), Admit::Shed);
-        assert_eq!(d.next_timer(), Some(ms(25)), "an armed timer is kept");
+        assert_eq!(d.next_timer(), Some(ms(30)), "an armed timer is kept");
         // degraded --probe timer due--> window open, no timer while open
-        assert_eq!(d.tick(ms(25)), None);
+        assert_eq!(d.tick(ms(30)), None);
         assert_eq!(d.next_timer(), None);
         // window: exactly one miss is the probe, the next is shed again
         // and re-arms the timer lazily.
-        assert_eq!(d.admit_miss(ms(27)), Admit::Probe);
+        assert_eq!(d.admit_miss(ms(32)), Admit::Probe);
         assert_eq!(d.next_timer(), None, "idle degraded switch has no timer");
-        assert_eq!(d.admit_miss(ms(28)), Admit::Shed);
-        assert_eq!(d.next_timer(), Some(ms(33)));
+        assert_eq!(d.admit_miss(ms(33)), Admit::Shed);
+        assert_eq!(d.next_timer(), Some(ms(43)));
         // give-ups while degraded neither re-enter nor re-report.
         d.on_giveup();
-        assert_eq!(d.tick(ms(29)), None);
+        assert_eq!(d.tick(ms(34)), None);
         // degraded --response--> normal, reporting the episode's sheds
         assert_eq!(d.on_response(), Some(3));
         assert!(!d.is_degraded());
         assert_eq!(d.next_timer(), None);
-        assert_eq!(d.admit_miss(ms(30)), Admit::Normal);
-        assert_eq!(d.tick(ms(40)), None, "the streak was reset");
+        assert_eq!(d.admit_miss(ms(35)), Admit::Normal);
+        assert_eq!(d.tick(ms(45)), None, "the streak was reset");
         // A response inside an open window closes it too.
         d.on_giveup();
         d.on_giveup();
         assert!(d.tick(ms(50)).is_some());
-        assert_eq!(d.tick(ms(55)), None);
+        assert_eq!(d.tick(ms(60)), None);
         assert_eq!(d.on_response(), Some(0));
-        assert_eq!(d.admit_miss(ms(56)), Admit::Normal);
+        assert_eq!(d.admit_miss(ms(61)), Admit::Normal);
     }
 
     #[test]
     fn zero_threshold_never_degrades() {
-        let mut d = Degraded::new(0, ms(5));
+        let mut d = Degraded::new(0);
         for _ in 0..10 {
             d.on_giveup();
         }

@@ -4,7 +4,7 @@
 //! Sessions are numbered by an **epoch**: `0` until the crash plane is
 //! armed, then `1`, bumped each time a restarted (or failed-over)
 //! controller completes a fresh handshake. After a bump the buffer entries
-//! that survived it are re-announced one per `reconcile_interval`, so the
+//! that survived it are re-announced one per [`RECONCILE_INTERVAL`], so the
 //! new controller is not hit by a re-request storm. It holds no buffer and
 //! emits nothing: the switch reconciles the mechanism on the bump it is
 //! told about and queues what survived. Transition table: DESIGN §14 and
@@ -14,11 +14,12 @@ use sdnbuf_openflow::BufferId;
 use sdnbuf_sim::Nanos;
 use std::collections::VecDeque;
 
+/// Pacing of the post-bump re-announces: one surviving entry per interval.
+pub(crate) const RECONCILE_INTERVAL: Nanos = Nanos::from_millis(1);
+
 /// The session-epoch state machine and its paced re-announce queue.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Session {
-    /// Pacing of the post-bump re-announces.
-    reconcile_interval: Nanos,
     /// The current epoch; `0` = crash plane unarmed.
     epoch: u32,
     /// The first `Hello` has been consumed; a later one with a *fresh* xid
@@ -40,13 +41,6 @@ pub(crate) struct Session {
 }
 
 impl Session {
-    pub(crate) fn new(reconcile_interval: Nanos) -> Session {
-        Session {
-            reconcile_interval,
-            ..Session::default()
-        }
-    }
-
     /// Arms the crash plane: the session starts at epoch 1.
     pub(crate) fn arm(&mut self) {
         self.epoch = 1;
@@ -79,22 +73,22 @@ impl Session {
     }
 
     /// Queues the entries that survived a bump for paced re-announce,
-    /// the first one `reconcile_interval` from `now`, behind whatever an
+    /// the first one [`RECONCILE_INTERVAL`] from `now`, behind whatever an
     /// earlier bump still has queued.
     pub(crate) fn queue(&mut self, survivors: Vec<BufferId>, now: Nanos) {
         if !survivors.is_empty() {
-            self.next_reconcile = Some(now + self.reconcile_interval);
+            self.next_reconcile = Some(now + RECONCILE_INTERVAL);
             self.reconcile_queue.extend(survivors);
         }
     }
 
     /// The next id whose re-announce slot has come (one per elapsed
-    /// `reconcile_interval`; call until `None`).
+    /// [`RECONCILE_INTERVAL`]; call until `None`).
     pub(crate) fn pop_due(&mut self, now: Nanos) -> Option<BufferId> {
         let due = self.next_reconcile.filter(|&due| due <= now)?;
         let id = self.reconcile_queue.pop_front();
         self.next_reconcile =
-            (!self.reconcile_queue.is_empty()).then_some(due + self.reconcile_interval);
+            (!self.reconcile_queue.is_empty()).then_some(due + RECONCILE_INTERVAL);
         id
     }
 
@@ -119,13 +113,13 @@ mod tests {
     #[test]
     fn transition_table() {
         // Unarmed: hellos and handshakes never bump anything.
-        let mut s = Session::new(ms(1));
+        let mut s = Session::default();
         s.on_hello(1);
         s.on_hello(2);
         assert_eq!(s.handshake_done(), None);
         assert_eq!(s.epoch(), 0);
 
-        let mut s = Session::new(ms(1));
+        let mut s = Session::default();
         s.arm();
         assert_eq!(s.epoch(), 1);
         // armed, no hello --first hello--> serving (not a re-handshake)
@@ -151,16 +145,17 @@ mod tests {
 
     #[test]
     fn survivors_are_re_announced_one_per_interval_in_order() {
-        let mut s = Session::new(ms(2));
+        let mut s = Session::default();
         assert_eq!(s.next_timer(), None);
         s.queue(Vec::new(), ms(5));
         assert_eq!(s.next_timer(), None, "nothing survived, nothing queued");
         s.queue(ids(&[3, 8, 9]), ms(10));
+        assert_eq!(RECONCILE_INTERVAL, ms(1));
+        assert_eq!(s.next_timer(), Some(ms(11)));
+        assert_eq!(s.pop_due(ms(10)), None, "slot not due");
+        assert_eq!(s.pop_due(ms(11)), Some(BufferId::new(3)));
+        assert_eq!(s.pop_due(ms(11)), None, "one per interval");
         assert_eq!(s.next_timer(), Some(ms(12)));
-        assert_eq!(s.pop_due(ms(11)), None, "slot not due");
-        assert_eq!(s.pop_due(ms(12)), Some(BufferId::new(3)));
-        assert_eq!(s.pop_due(ms(12)), None, "one per interval");
-        assert_eq!(s.next_timer(), Some(ms(14)));
         // A late timer catches up on every elapsed slot.
         assert_eq!(s.pop_due(ms(20)), Some(BufferId::new(8)));
         assert_eq!(s.pop_due(ms(20)), Some(BufferId::new(9)));
@@ -168,7 +163,7 @@ mod tests {
         assert_eq!(s.next_timer(), None, "drained queue schedules nothing");
     }
 
-    /// Two re-handshakes one `reconcile_interval` apart. The second bump
+    /// Two re-handshakes one [`RECONCILE_INTERVAL`] apart. The second bump
     /// lists every survivor again and is appended to the first bump's
     /// undrained tail, so the tail (8, 9) is re-announced twice. Known and
     /// pinned, not wanted: clearing the queue first announces each survivor
@@ -178,7 +173,7 @@ mod tests {
     /// (ROADMAP item 4).
     #[test]
     fn back_to_back_bumps_re_announce_the_undrained_tail_twice() {
-        let mut s = Session::new(ms(1));
+        let mut s = Session::default();
         s.queue(ids(&[3, 8, 9]), ms(10));
         assert_eq!(s.pop_due(ms(11)), Some(BufferId::new(3)));
         s.queue(ids(&[3, 8, 9]), ms(11));

@@ -25,8 +25,6 @@ pub struct SwitchStats {
     pub drops: Counter,
     /// Table misses observed.
     pub table_misses: Counter,
-    /// `flow_removed` notifications sent.
-    pub flow_removed_sent: Counter,
     /// Times the switch entered degraded mode (consecutive give-ups hit
     /// the configured threshold).
     pub degraded_entries: Counter,

@@ -21,6 +21,12 @@ use sdnbuf_switchbuf::{
     NoBuffer, PacketGranularityBuffer, PacketHandle, PacketPool, Rerequest, Sabotage,
 };
 
+/// Physical data ports: the two hosts of Fig. 1.
+const DATA_PORTS: u16 = 2;
+
+/// CPU time for trivial control messages (echo, features, config).
+const COST_CONTROL_MISC: Nanos = Nanos::from_micros(5);
+
 /// A timed effect produced by the switch, to be scheduled by the caller.
 ///
 /// Packets travel by [`PacketHandle`] into the shared [`PacketPool`]: every
@@ -58,19 +64,16 @@ pub enum SwitchOutput {
 }
 
 /// Emits the packet behind `packet` at `at` on every egress `actions` name
-/// for a packet that arrived on `in_port`, given `data_ports` physical
-/// ports, and returns how many that was. No egress at all (an empty list,
-/// or no output to a port that exists) is an accounted drop. One pool
-/// reference per egress: the handle passed in covers the first, each
-/// further port retains the same pooled packet.
+/// for a packet that arrived on `in_port`, and returns how many that was.
+/// No egress at all (an empty list, or no output to a port that exists) is
+/// an accounted drop. One pool reference per egress: the handle passed in
+/// covers the first, each further port retains the same pooled packet.
 ///
 /// A free function over the switch's counters so the fast path can walk a
 /// matched rule's actions where they lie in the table, while the table is
 /// still borrowed.
-#[allow(clippy::too_many_arguments)]
 fn forward_all(
     stats: &mut SwitchStats,
-    data_ports: usize,
     actions: &[Action],
     in_port: PortNo,
     at: Nanos,
@@ -88,7 +91,7 @@ fn forward_all(
     };
     for &Action::Output { port, .. } in actions {
         match port {
-            PortNo::FLOOD | PortNo::ALL => (1..=data_ports as u16)
+            PortNo::FLOOD | PortNo::ALL => (1..=DATA_PORTS)
                 .map(PortNo)
                 .filter(|&p| p != in_port)
                 .for_each(&mut emit),
@@ -213,9 +216,9 @@ impl Switch {
             tracer: Tracer::off(),
             released: Vec::new(),
             expired: Vec::new(),
-            degraded: Degraded::new(config.degraded_threshold, config.degraded_probe_interval),
+            degraded: Degraded::new(config.degraded_threshold),
             liveness: Liveness::default(),
-            session: Session::new(config.reconcile_interval),
+            session: Session::default(),
             config,
         })
     }
@@ -343,7 +346,6 @@ impl Switch {
             let done = self.cpu.submit(now, self.config.cost_forward);
             let forwards = forward_all(
                 &mut self.stats,
-                self.config.data_ports,
                 &rule.actions,
                 in_port,
                 done,
@@ -479,7 +481,7 @@ impl Switch {
             OfpMessage::FlowMod(fm) => self.handle_flow_mod(now, fm, xid, out),
             OfpMessage::PacketOut(po) => self.handle_packet_out(now, po, xid, pool, out),
             OfpMessage::SetConfig(c) => {
-                self.cpu.submit(now, self.config.cost_control_misc);
+                self.cpu.submit(now, COST_CONTROL_MISC);
                 self.miss_send_len = c.miss_send_len;
                 if let Some((from, to)) = self.session.handshake_done() {
                     self.reconcile_buffer(now, from, to);
@@ -571,7 +573,6 @@ impl Switch {
     }
 
     fn flow_removed_output(&mut self, at: Nanos, removed: RemovedRule) -> SwitchOutput {
-        self.stats.flow_removed_sent.incr();
         let xid = self.fresh_xid();
         let rule = removed.rule;
         let (duration_sec, duration_nsec) = split_duration(at.saturating_sub(rule.installed_at));
@@ -687,16 +688,7 @@ impl Switch {
         if pool.get(packet).is_none() {
             return shed(&mut self.stats, None, out);
         }
-        let forwards = forward_all(
-            &mut self.stats,
-            self.config.data_ports,
-            actions,
-            in_port,
-            at,
-            packet,
-            pool,
-            out,
-        );
+        let forwards = forward_all(&mut self.stats, actions, in_port, at, packet, pool, out);
         self.stats.slowpath_forwards.add(forwards);
     }
 
@@ -776,7 +768,7 @@ impl Switch {
                 },
             );
             if removed.rule.notify_on_removal {
-                let at = self.cpu.submit(now, self.config.cost_control_misc);
+                let at = self.cpu.submit(now, COST_CONTROL_MISC);
                 outputs.push(self.flow_removed_output(at, removed));
             }
         }
@@ -1030,7 +1022,12 @@ mod tests {
     #[test]
     fn packet_out_releases_buffered_packet() {
         let mut pool = PacketPool::new();
-        let mut sw = switch_with(BufferChoice::PacketGranularity { capacity: 16 });
+        // Eager reclamation, so the freed unit shows at once.
+        let mut sw = Switch::new(SwitchConfig {
+            buffer: BufferChoice::PacketGranularity { capacity: 16 },
+            buffer_free_lag: Nanos::ZERO,
+            ..SwitchConfig::default()
+        });
         let pkt = udp(3);
         let outs = sw.handle_frame(Nanos::ZERO, PortNo(1), pool.insert(pkt.clone()), &mut pool);
         let (pin, _, t_pkt_in) = first_pkt_in(&outs);
@@ -1088,30 +1085,28 @@ mod tests {
     #[test]
     fn packet_out_flood_replicates_to_other_ports() {
         let mut pool = PacketPool::new();
-        let mut sw = Switch::new(SwitchConfig {
-            data_ports: 4,
-            ..SwitchConfig::default()
-        });
-        let pkt = udp(3);
-        let outs = sw.handle_controller_msg(
-            Nanos::ZERO,
-            OfpMessage::PacketOut(PacketOut {
-                buffer_id: BufferId::NO_BUFFER,
-                in_port: PortNo(1),
-                actions: vec![Action::output(PortNo::FLOOD)].into(),
-                data: pkt.encode().into(),
-            }),
-            5,
-            &mut pool,
-        );
-        let ports: Vec<PortNo> = outs
-            .iter()
-            .filter_map(|o| match o {
-                SwitchOutput::Forward { port, .. } => Some(*port),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(ports, vec![PortNo(2), PortNo(3), PortNo(4)]);
+        let mut sw = Switch::new(SwitchConfig::default());
+        for (in_port, others) in [(1, [2]), (2, [1])] {
+            let outs = sw.handle_controller_msg(
+                Nanos::ZERO,
+                OfpMessage::PacketOut(PacketOut {
+                    buffer_id: BufferId::NO_BUFFER,
+                    in_port: PortNo(in_port),
+                    actions: vec![Action::output(PortNo::FLOOD)].into(),
+                    data: udp(3).encode().into(),
+                }),
+                5,
+                &mut pool,
+            );
+            let ports: Vec<PortNo> = outs
+                .iter()
+                .filter_map(|o| match o {
+                    SwitchOutput::Forward { port, .. } => Some(*port),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(ports, others.map(PortNo));
+        }
     }
 
     #[test]
@@ -1369,12 +1364,9 @@ mod tests {
                 capacity: 16,
                 timeout,
             },
-            retry: RetryPolicy {
-                budget: 1,
-                ..RetryPolicy::fixed()
-            },
+            // Capped at the timeout: the fixed interval with one retry.
+            retry: RetryPolicy::backoff(timeout, 1),
             degraded_threshold: 2,
-            degraded_probe_interval: Nanos::from_millis(5),
             ..SwitchConfig::default()
         });
         // Two flows announced; the controller never answers.
@@ -1406,12 +1398,12 @@ mod tests {
         );
         assert!(matches!(outs[0], SwitchOutput::Drop { .. }));
         assert_eq!(sw.stats().degraded_sheds.get(), 1);
-        // The probe timer was armed on entry (20ms + 5ms interval).
-        assert_eq!(sw.next_timer(), Some(Nanos::from_millis(25)));
+        // The probe timer was armed on entry (20ms + the 10ms interval).
+        assert_eq!(sw.next_timer(), Some(Nanos::from_millis(30)));
         // The probe window opens; the next miss is admitted normally.
-        assert!(sw.on_timer(Nanos::from_millis(25), &mut pool).is_empty());
+        assert!(sw.on_timer(Nanos::from_millis(30), &mut pool).is_empty());
         let outs = sw.handle_frame(
-            Nanos::from_millis(27),
+            Nanos::from_millis(32),
             PortNo(1),
             pool.insert(udp(4)),
             &mut pool,
@@ -1421,7 +1413,7 @@ mod tests {
         assert!(probe_id.is_buffered());
         // The controller answers the probe: clean recovery.
         sw.handle_controller_msg(
-            Nanos::from_millis(28),
+            Nanos::from_millis(33),
             OfpMessage::PacketOut(PacketOut {
                 buffer_id: probe_id,
                 in_port: PortNo(1),
@@ -1435,7 +1427,7 @@ mod tests {
         assert_eq!(sw.stats().degraded_exits.get(), 1);
         // Fresh misses flow again.
         let outs = sw.handle_frame(
-            Nanos::from_millis(30),
+            Nanos::from_millis(35),
             PortNo(1),
             pool.insert(udp(5)),
             &mut pool,
@@ -1468,7 +1460,6 @@ mod tests {
                 capacity: 16,
                 timeout: Nanos::from_millis(50),
             },
-            reconcile_interval: Nanos::from_millis(1),
             ..SwitchConfig::default()
         });
         sw.arm_crash_plane();
@@ -1623,7 +1614,12 @@ mod tests {
     #[test]
     fn packet_out_for_a_packet_reclaimed_behind_the_buffer_is_an_accounted_drop() {
         let mut pool = PacketPool::new();
-        let mut sw = switch_with(BufferChoice::PacketGranularity { capacity: 16 });
+        // Eager reclamation, so the freed unit shows at once.
+        let mut sw = Switch::new(SwitchConfig {
+            buffer: BufferChoice::PacketGranularity { capacity: 16 },
+            buffer_free_lag: Nanos::ZERO,
+            ..SwitchConfig::default()
+        });
         let handle = pool.insert(udp(3));
         let outs = sw.handle_frame(Nanos::ZERO, PortNo(1), handle, &mut pool);
         let id = first_pkt_in(&outs).0.buffer_id;
@@ -1655,10 +1651,7 @@ mod tests {
                 capacity: 16,
                 timeout: Nanos::from_millis(10),
             },
-            retry: RetryPolicy {
-                budget: 1,
-                ..RetryPolicy::fixed()
-            },
+            retry: RetryPolicy::backoff(Nanos::from_millis(10), 1),
             ..SwitchConfig::default()
         });
         let handle = pool.insert(udp(1));

@@ -2,13 +2,13 @@
 //! switch's configuration without touching the datapath — queries,
 //! keep-alives, and errors.
 
-use super::{Switch, SwitchOutput};
+use super::{Switch, SwitchOutput, COST_CONTROL_MISC, DATA_PORTS};
 use crate::BufferChoice;
 use sdnbuf_openflow::{msg, FlowBufferExt, OfpMessage, PortNo, SUPPORTED_ACTIONS};
 use sdnbuf_sim::Nanos;
 
 impl Switch {
-    /// Answers a control message that costs one `cost_control_misc` of CPU.
+    /// Answers a control message that costs one [`COST_CONTROL_MISC`] of CPU.
     pub(super) fn reply(
         &mut self,
         now: Nanos,
@@ -16,7 +16,7 @@ impl Switch {
         msg: OfpMessage,
         out: &mut Vec<SwitchOutput>,
     ) {
-        let at = self.cpu.submit(now, self.config.cost_control_misc);
+        let at = self.cpu.submit(now, COST_CONTROL_MISC);
         out.push(SwitchOutput::ToController { at, xid, msg });
     }
 
@@ -56,7 +56,7 @@ impl Switch {
             }
             OfpMessage::EchoRequest(data) => self.reply(now, xid, OfpMessage::EchoReply(data), out),
             OfpMessage::FeaturesRequest => {
-                let ports = (1..=self.config.data_ports as u16)
+                let ports = (1..=DATA_PORTS)
                     .map(|p| msg::PhyPort {
                         port_no: PortNo(p),
                         hw_addr: sdnbuf_net::MacAddr::from_host_index(0xff00 + u32::from(p)),
@@ -78,7 +78,7 @@ impl Switch {
                     if matches!(self.config.buffer, BufferChoice::FlowGranularity { .. }) =>
                 {
                     // Accepted: acknowledged by silence.
-                    self.cpu.submit(now, self.config.cost_control_misc);
+                    self.cpu.submit(now, COST_CONTROL_MISC);
                 }
                 _ => self.reply_error(now, xid, 3, Vec::new(), out), // OFPBRC_BAD_VENDOR
             },

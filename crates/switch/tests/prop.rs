@@ -476,20 +476,33 @@ impl Driver {
 }
 
 proptest! {
+    /// Under eager reclamation every live pooled packet is a buffered one;
+    /// under the calibrated lazy reclamation a released unit stays occupied
+    /// for the lag after its packet left the pool.
     #[test]
     fn switch_never_panics_and_outputs_are_causal(
         ops in proptest::collection::vec(arb_op(), 1..120),
         buffer in arb_buffer(),
     ) {
-        let mut driver = Driver::new(buffer, Handlers::Returning);
-        for op in &ops {
-            driver.step(op)?;
-            let sw = &driver.sw;
-            prop_assert!(sw.buffer().occupancy() <= sw.buffer().capacity());
-            prop_assert_eq!(
-                driver.pool.len(), sw.buffer().occupancy(),
-                "pool live count must equal buffer occupancy"
-            );
+        for buffer_free_lag in [Nanos::ZERO, SwitchConfig::default().buffer_free_lag] {
+            let config = SwitchConfig { buffer, buffer_free_lag, ..SwitchConfig::default() };
+            let mut driver = Driver::with_config(config, Handlers::Returning);
+            for op in &ops {
+                driver.step(op)?;
+                let sw = &driver.sw;
+                prop_assert!(sw.buffer().occupancy() <= sw.buffer().capacity());
+                if buffer_free_lag == Nanos::ZERO {
+                    prop_assert_eq!(
+                        driver.pool.len(), sw.buffer().occupancy(),
+                        "pool live count must equal buffer occupancy"
+                    );
+                } else {
+                    prop_assert!(
+                        driver.pool.len() <= sw.buffer().occupancy(),
+                        "pool live count must not exceed buffer occupancy"
+                    );
+                }
+            }
         }
     }
 
@@ -596,6 +609,8 @@ proptest! {
                 flow_table_capacity: 8,
                 eviction: if evict_lru { EvictionPolicy::EvictLru } else { EvictionPolicy::RejectNew },
                 liveness_timeout: Nanos::from_millis(3),
+                // Eager reclamation: an admitted release frees its unit.
+                buffer_free_lag: Nanos::ZERO,
                 ..SwitchConfig::default()
             };
             let mut driver = Driver::with_config(config, Handlers::Into);

@@ -8,7 +8,7 @@ use crate::{
 use sdnbuf_net::FlowKey;
 use sdnbuf_openflow::{BufferId, PortNo, Refusal};
 use sdnbuf_sim::hash::{fnv1a, FNV_OFFSET};
-use sdnbuf_sim::{EventKind, FastHashMap, Nanos, SimRng, Tracer};
+use sdnbuf_sim::{EventKind, FastHashMap, Nanos, Tracer};
 use std::collections::{BTreeSet, VecDeque};
 
 #[derive(Clone, Debug)]
@@ -64,7 +64,7 @@ impl FlowQueue {
 /// controller, all **off by default** so the paper's behaviour is the
 /// baseline:
 ///
-/// * a [`RetryPolicy`] paces re-requests (backoff, jitter, budget) and
+/// * a [`RetryPolicy`] paces re-requests (backoff, budget) and
 ///   gives flows up once the budget is spent;
 /// * an optional per-entry TTL garbage-collects entries that outlive it
 ///   ([`FlowGranularityBuffer::with_ttl`]);
@@ -95,9 +95,6 @@ pub struct FlowGranularityBuffer {
     /// Monotonic allocation counter; each fresh flow announcement tags its
     /// buffer id with the next generation.
     alloc_seq: u32,
-    /// Jitter randomness — seeded, dedicated, and **never drawn** while
-    /// `policy.jitter` is zero (the fault-plane RNG discipline).
-    jitter_rng: SimRng,
     stats: BufferStats,
     tracer: Tracer,
     /// Fault injection: while on, new misses are refused as if buffer
@@ -145,7 +142,7 @@ impl FlowGranularityBuffer {
         Ok(FlowGranularityBuffer {
             capacity,
             timeout,
-            policy: RetryPolicy::fixed(),
+            policy: RetryPolicy::Fixed,
             ttl: None,
             flows: FastHashMap::default(),
             by_id: FastHashMap::default(),
@@ -153,7 +150,6 @@ impl FlowGranularityBuffer {
             expiry_deadlines: BTreeSet::new(),
             total: 0,
             alloc_seq: 0,
-            jitter_rng: SimRng::seed_from(0),
             stats: BufferStats::default(),
             tracer: Tracer::off(),
             pressured: false,
@@ -162,19 +158,9 @@ impl FlowGranularityBuffer {
         })
     }
 
-    /// Replaces the retry policy (builder-style). The jitter RNG is
-    /// re-seeded from the policy so runs stay pure functions of the
-    /// configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy is invalid ([`RetryPolicy::validate`]).
+    /// Replaces the retry policy (builder-style).
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
-        if let Err(e) = policy.validate() {
-            panic!("invalid RetryPolicy: {e}");
-        }
         self.policy = policy;
-        self.jitter_rng = SimRng::seed_from(policy.seed);
         self
     }
 
@@ -221,14 +207,10 @@ impl FlowGranularityBuffer {
         }
     }
 
-    /// (Re)schedules `key`'s next re-request after its `retries`-th one:
-    /// the policy's interval from `now` plus one jitter draw — zero draws
-    /// while jitter is unset.
+    /// (Re)schedules `key`'s next re-request after its `retries`-th one,
+    /// the policy's interval from `now`.
     fn arm_request(&mut self, key: FlowKey, now: Nanos, retries: u32) {
-        let mut due = now + self.policy.interval_after(self.timeout, retries);
-        if self.policy.jitter > Nanos::ZERO {
-            due += Nanos::from_nanos(self.jitter_rng.gen_range(self.policy.jitter.as_nanos()));
-        }
+        let due = now + self.policy.interval_after(self.timeout, retries);
         let q = self.flows.get_mut(&key).expect("armed flow exists");
         self.request_deadlines.remove(&(q.next_due, key));
         q.retries = retries;
@@ -454,14 +436,14 @@ impl BufferMechanism for FlowGranularityBuffer {
                 EventKind::BufferGiveUp {
                     buffer_id: q.buffer_id.as_u32(),
                     drained: q.packets.len(),
-                    action: self.policy.give_up.label(),
+                    action: self.policy.give_up().label(),
                     occupancy: self.total,
                 },
             );
             sweep.gave_up.push(GaveUpFlow {
                 buffer_id: q.buffer_id,
                 packets: q.packets.into(),
-                action: self.policy.give_up,
+                action: self.policy.give_up(),
             });
         }
         sweep
@@ -813,36 +795,11 @@ mod tests {
     }
 
     #[test]
-    fn jitter_draws_are_deterministic_per_seed() {
-        let schedule = |seed: u64| {
-            let mut b = FlowGranularityBuffer::new(16, Nanos::from_millis(10)).with_retry_policy(
-                RetryPolicy {
-                    jitter: Nanos::from_millis(4),
-                    seed,
-                    ..RetryPolicy::fixed()
-                },
-            );
-            let mut pool = PacketPool::new();
-            b.on_miss(Nanos::ZERO, pool.insert(pkt(1, 100)), PortNo(1), &pool);
-            let mut deadlines = Vec::new();
-            for _ in 0..5 {
-                let now = b.next_timeout().expect("scheduled");
-                deadlines.push(now);
-                assert_eq!(b.poll_timeouts(now, &pool).rerequests.len(), 1);
-            }
-            deadlines
-        };
-        assert_eq!(schedule(7), schedule(7), "same seed, same schedule");
-        assert_ne!(schedule(7), schedule(8), "different seed, different jitter");
-    }
-
-    #[test]
     fn budget_exhaustion_gives_up_and_drains() {
-        let mut b =
-            FlowGranularityBuffer::new(16, Nanos::from_millis(10)).with_retry_policy(RetryPolicy {
-                budget: 2,
-                ..RetryPolicy::fixed()
-            });
+        let mut b = FlowGranularityBuffer::new(16, Nanos::from_millis(10)).with_retry_policy(
+            // Capped at the base timeout: the fixed interval, budgeted.
+            RetryPolicy::backoff(Nanos::from_millis(10), 2),
+        );
         let mut pool = PacketPool::new();
         b.on_miss(Nanos::ZERO, pool.insert(pkt(1, 100)), PortNo(1), &pool);
         b.on_miss(
@@ -878,12 +835,13 @@ mod tests {
 
     #[test]
     fn giveup_drop_action_is_reported() {
-        let mut b =
-            FlowGranularityBuffer::new(16, Nanos::from_millis(10)).with_retry_policy(RetryPolicy {
+        let mut b = FlowGranularityBuffer::new(16, Nanos::from_millis(10)).with_retry_policy(
+            RetryPolicy::Backoff {
+                cap: Nanos::from_millis(10),
                 budget: 1,
                 give_up: GiveUp::Drop,
-                ..RetryPolicy::fixed()
-            });
+            },
+        );
         let mut pool = PacketPool::new();
         b.on_miss(Nanos::ZERO, pool.insert(pkt(1, 100)), PortNo(1), &pool);
         assert_eq!(
@@ -996,7 +954,7 @@ mod tests {
         assert_eq!(b.name(), "flow-granularity");
         assert_eq!(b.capacity(), 8);
         assert_eq!(b.timeout(), Nanos::from_millis(20));
-        assert!(b.retry_policy().is_fixed());
+        assert_eq!(b.retry_policy(), RetryPolicy::Fixed);
     }
 
     #[test]
@@ -1139,11 +1097,10 @@ mod tests {
 
     #[test]
     fn reconcile_resets_retry_budgets_and_lists_survivors_in_id_order() {
-        let mut b =
-            FlowGranularityBuffer::new(16, Nanos::from_millis(10)).with_retry_policy(RetryPolicy {
-                budget: 2,
-                ..RetryPolicy::fixed()
-            });
+        let mut b = FlowGranularityBuffer::new(16, Nanos::from_millis(10)).with_retry_policy(
+            // Capped at the base timeout: the fixed interval, budgeted.
+            RetryPolicy::backoff(Nanos::from_millis(10), 2),
+        );
         let mut pool = PacketPool::new();
         assert!(b.reconcile_epoch(Nanos::ZERO, 1).is_empty(), "arming");
         b.on_miss(Nanos::ZERO, pool.insert(pkt(1, 100)), PortNo(1), &pool);

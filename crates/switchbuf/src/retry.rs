@@ -4,21 +4,15 @@
 //! out, the request is sent again"). Under a dead or stalled controller
 //! that fixed timer becomes an unbounded re-request storm — every
 //! outstanding flow re-announces itself every `timeout` forever. A
-//! [`RetryPolicy`] bounds the storm three ways:
+//! [`RetryPolicy::Backoff`] bounds the storm two ways:
 //!
 //! * **exponential backoff** — the interval between re-requests for a flow
-//!   grows by an integer `multiplier` per attempt, up to `cap`;
-//! * **seeded jitter** — a deterministic uniform draw in `[0, jitter)` is
-//!   added to each scheduled deadline, de-synchronizing flows that missed
-//!   together (drawn from a dedicated seeded RNG in the same discipline as
-//!   the fault plane: **zero** draws when `jitter` is unset, so default
-//!   configurations consume no randomness and replay byte-identically);
+//!   doubles per attempt, up to `cap`;
 //! * **a retry budget** — after `budget` re-requests the flow gives up and
 //!   executes its [`GiveUp`] action instead of retrying forever.
 //!
-//! The default policy ([`RetryPolicy::fixed`]) reproduces the paper's
-//! fixed-interval behaviour exactly: multiplier 1, no cap, no jitter, no
-//! budget.
+//! The default policy ([`RetryPolicy::Fixed`]) is the paper's
+//! fixed-interval loop: no growth, no cap, no budget.
 
 use sdnbuf_openflow::BufferId;
 use sdnbuf_sim::faults::{fmt_dur, parse_dur};
@@ -74,84 +68,72 @@ impl FromStr for GiveUp {
 ///
 /// The *base* interval is the mechanism's configured re-request timeout
 /// (Algorithm 1's knob); the policy shapes everything after the first
-/// request. Retry `n` (0-based) is scheduled `base × multiplier^n` after
-/// the previous request, capped at `cap`, plus a jitter draw.
-///
-/// All fields are integers or [`Nanos`], so the policy is `Copy + Eq` and
-/// can live inside `SwitchConfig` and sweep cell keys.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct RetryPolicy {
-    /// Interval growth factor per attempt. `1` = the paper's fixed timer.
-    pub multiplier: u32,
-    /// Ceiling on the interval. [`Nanos::ZERO`] = uncapped.
-    pub cap: Nanos,
-    /// Upper bound (exclusive) of the uniform jitter added to every
-    /// scheduled deadline. [`Nanos::ZERO`] = no jitter and **no RNG
-    /// draws** — the discipline that keeps default runs byte-identical.
-    pub jitter: Nanos,
-    /// Maximum re-requests per flow; `0` = unlimited (the paper's loop).
-    pub budget: u32,
-    /// Action taken when the budget is exhausted.
-    pub give_up: GiveUp,
-    /// Seed of the dedicated jitter RNG (only consulted when `jitter` is
-    /// nonzero).
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::fixed()
-    }
+/// request. `Copy + Eq + Hash`, so it can live inside `SwitchConfig` and
+/// sweep cell keys.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum RetryPolicy {
+    /// The paper's loop: re-request every base interval, forever.
+    #[default]
+    Fixed,
+    /// Retry `n` (0-based) is scheduled `base × 2^n` after the previous
+    /// request, capped at `cap` (but never below `base`).
+    Backoff {
+        /// Ceiling on the interval. [`Nanos::ZERO`] = uncapped.
+        cap: Nanos,
+        /// Maximum re-requests per flow; `0` = unlimited.
+        budget: u32,
+        /// Action taken when the budget is exhausted.
+        give_up: GiveUp,
+    },
 }
 
 impl RetryPolicy {
-    /// The paper's fixed-interval retry loop: every `timeout`, forever.
-    pub fn fixed() -> RetryPolicy {
-        RetryPolicy {
-            multiplier: 1,
-            cap: Nanos::ZERO,
-            jitter: Nanos::ZERO,
-            budget: 0,
-            give_up: GiveUp::DrainAsFullPacketIn,
-            seed: 0,
-        }
-    }
-
-    /// A doubling backoff capped at `cap` with a `budget`-retry limit —
-    /// the recovery-plane default for experiments.
+    /// A doubling backoff capped at `cap` with a `budget`-retry limit that
+    /// drains the flow as full-packet `packet_in`s when spent. A cap at or
+    /// below the base timeout keeps the interval fixed, so
+    /// `backoff(timeout, n)` is the paper's loop with a budget of `n`.
     pub fn backoff(cap: Nanos, budget: u32) -> RetryPolicy {
-        RetryPolicy {
-            multiplier: 2,
+        RetryPolicy::Backoff {
             cap,
             budget,
-            ..RetryPolicy::fixed()
+            give_up: GiveUp::DrainAsFullPacketIn,
         }
     }
 
-    /// `true` when this is exactly the fixed legacy policy (used by spec
-    /// printers to omit default knobs).
-    pub fn is_fixed(&self) -> bool {
-        *self == RetryPolicy::fixed()
+    /// Maximum re-requests per flow; `0` = unlimited.
+    pub fn budget(&self) -> u32 {
+        match *self {
+            RetryPolicy::Fixed => 0,
+            RetryPolicy::Backoff { budget, .. } => budget,
+        }
+    }
+
+    /// What a flow does once its budget is spent.
+    pub fn give_up(&self) -> GiveUp {
+        match *self {
+            RetryPolicy::Fixed => GiveUp::default(),
+            RetryPolicy::Backoff { give_up, .. } => give_up,
+        }
     }
 
     /// The interval between request `retries` and request `retries + 1`
-    /// for a flow with base timeout `base`, before jitter: monotone
-    /// non-decreasing in `retries`, never below `base`, never above `cap`
-    /// (when capped).
+    /// for a flow with base timeout `base`: monotone non-decreasing in
+    /// `retries`, never below `base`, never above `cap` (when capped).
     pub fn interval_after(&self, base: Nanos, retries: u32) -> Nanos {
+        let RetryPolicy::Backoff { cap, .. } = *self else {
+            return base;
+        };
         let base = base.as_nanos();
-        let ceiling = match self.cap.as_nanos() {
+        let ceiling = match cap.as_nanos() {
             0 => u64::MAX,
             cap => cap.max(base),
         };
         let mut d = base;
-        if self.multiplier > 1 {
-            for _ in 0..retries {
-                if d >= ceiling {
-                    break;
-                }
-                d = d.saturating_mul(u64::from(self.multiplier)).min(ceiling);
+        for _ in 0..retries {
+            if d >= ceiling {
+                break;
             }
+            d = d.saturating_mul(2).min(ceiling);
         }
         Nanos::from_nanos(d)
     }
@@ -159,64 +141,50 @@ impl RetryPolicy {
     /// Whether a flow that has already sent `retries` re-requests may send
     /// another, or must give up.
     pub fn may_retry(&self, retries: u32) -> bool {
-        self.budget == 0 || retries < self.budget
-    }
-
-    /// Checks the policy for values that would wedge the schedule.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.multiplier == 0 {
-            return Err("retry multiplier must be at least 1".to_owned());
-        }
-        Ok(())
+        self.budget() == 0 || retries < self.budget()
     }
 }
 
-/// The canonical form, every field spelled out:
-/// `<multiplier>:<cap>:<jitter>:<budget>:<drain|drop>:<jitter-seed>`.
+/// The one grammar: `fixed` or `backoff:<cap>:<budget>:<drain|drop>`, every
+/// field spelled out.
 impl fmt::Display for RetryPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (cap, jitter) = (fmt_dur(self.cap), fmt_dur(self.jitter));
-        let (mult, budget, give_up, seed) = (self.multiplier, self.budget, self.give_up, self.seed);
-        write!(f, "{mult}:{cap}:{jitter}:{budget}:{give_up}:{seed}")
+        match *self {
+            RetryPolicy::Fixed => f.write_str("fixed"),
+            RetryPolicy::Backoff {
+                cap,
+                budget,
+                give_up,
+            } => write!(f, "backoff:{}:{budget}:{give_up}", fmt_dur(cap)),
+        }
     }
 }
 
-/// Parses the canonical six-field form `Display` prints, or the shorthand
-/// `fixed | backoff[:<cap>[:<budget>[:drain|drop]]]` (a doubling backoff,
-/// cap 400 ms and no budget unless given). The two cannot collide: the
-/// canonical form starts with a digit.
+/// Parses `fixed | backoff[:<cap>[:<budget>[:drain|drop]]]`: omitted
+/// backoff fields default to a 400 ms cap, no budget and `drain`.
 impl FromStr for RetryPolicy {
     type Err = String;
 
     fn from_str(s: &str) -> Result<RetryPolicy, String> {
-        let fields: Vec<&str> = s.split(':').collect();
-        let number = |what: &str, v: &str| format!("bad retry {what} '{v}'");
-        match fields[..] {
-            ["fixed"] => Ok(RetryPolicy::fixed()),
+        match s.split(':').collect::<Vec<_>>()[..] {
+            ["fixed"] => Ok(RetryPolicy::Fixed),
             ["backoff", ref knobs @ ..] if knobs.len() <= 3 => {
-                let mut policy = RetryPolicy::backoff(Nanos::from_millis(400), 0);
-                if let Some(cap) = knobs.first() {
-                    policy.cap = parse_dur(cap)?;
-                }
-                if let Some(budget) = knobs.get(1) {
-                    policy.budget = budget.parse().map_err(|_| number("budget", budget))?;
-                }
-                if let Some(give_up) = knobs.get(2) {
-                    policy.give_up = give_up.parse()?;
-                }
-                Ok(policy)
+                let cap = knobs
+                    .first()
+                    .map_or(Ok(Nanos::from_millis(400)), |c| parse_dur(c))?;
+                let budget = match knobs.get(1) {
+                    Some(b) => b.parse().map_err(|_| format!("bad retry budget '{b}'"))?,
+                    None => 0,
+                };
+                let give_up = knobs.get(2).map_or(Ok(GiveUp::default()), |g| g.parse())?;
+                Ok(RetryPolicy::Backoff {
+                    cap,
+                    budget,
+                    give_up,
+                })
             }
-            [mult, cap, jitter, budget, give_up, seed] => Ok(RetryPolicy {
-                multiplier: mult.parse().map_err(|_| number("multiplier", mult))?,
-                cap: parse_dur(cap)?,
-                jitter: parse_dur(jitter)?,
-                budget: budget.parse().map_err(|_| number("budget", budget))?,
-                give_up: give_up.parse()?,
-                seed: seed.parse().map_err(|_| number("jitter seed", seed))?,
-            }),
             _ => Err(format!(
-                "bad retry policy '{s}' (fixed | backoff[:<cap>[:<budget>[:drain|drop]]] | \
-                 <mult>:<cap>:<jitter>:<budget>:<drain|drop>:<seed>)"
+                "bad retry policy '{s}' (fixed | backoff[:<cap>[:<budget>[:drain|drop]]])"
             )),
         }
     }
@@ -261,14 +229,13 @@ mod tests {
 
     #[test]
     fn fixed_policy_never_grows_and_never_gives_up() {
-        let p = RetryPolicy::fixed();
+        let p = RetryPolicy::Fixed;
         let base = Nanos::from_millis(20);
         for n in 0..50 {
             assert_eq!(p.interval_after(base, n), base);
             assert!(p.may_retry(n));
         }
-        assert!(p.is_fixed());
-        assert!(p.validate().is_ok());
+        assert_eq!(p, RetryPolicy::default());
     }
 
     #[test]
@@ -281,18 +248,16 @@ mod tests {
         assert_eq!(p.interval_after(base, 3), Nanos::from_millis(160));
         assert_eq!(p.interval_after(base, 4), Nanos::from_millis(160));
         assert_eq!(p.interval_after(base, 30), Nanos::from_millis(160));
-        assert!(!p.is_fixed());
+        assert_ne!(p, RetryPolicy::Fixed);
     }
 
     #[test]
     fn uncapped_backoff_saturates_instead_of_overflowing() {
-        let p = RetryPolicy {
-            multiplier: 1000,
-            ..RetryPolicy::fixed()
-        };
+        let p = RetryPolicy::backoff(Nanos::ZERO, 0);
         let base = Nanos::from_secs(1);
-        let huge = p.interval_after(base, 40);
-        assert!(huge >= p.interval_after(base, 39));
+        let huge = p.interval_after(base, 200);
+        assert_eq!(huge, Nanos::from_nanos(u64::MAX));
+        assert!(huge >= p.interval_after(base, 199));
     }
 
     #[test]
@@ -300,26 +265,16 @@ mod tests {
         // A cap below the base timeout must not shorten the first interval;
         // the rerequest-before-timeout invariant relies on every gap being
         // at least the base.
-        let p = RetryPolicy {
-            multiplier: 2,
-            cap: Nanos::from_millis(5),
-            ..RetryPolicy::fixed()
-        };
+        let p = RetryPolicy::backoff(Nanos::from_millis(5), 0);
         let base = Nanos::from_millis(20);
         for n in 0..8 {
-            assert!(
-                p.interval_after(base, n) >= base,
-                "retry {n} dipped below base"
-            );
+            assert_eq!(p.interval_after(base, n), base, "retry {n}");
         }
     }
 
     #[test]
     fn budget_bounds_retries() {
-        let p = RetryPolicy {
-            budget: 3,
-            ..RetryPolicy::fixed()
-        };
+        let p = RetryPolicy::backoff(Nanos::ZERO, 3);
         assert!(p.may_retry(0));
         assert!(p.may_retry(2));
         assert!(!p.may_retry(3));
@@ -335,40 +290,36 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_grammar_has_a_canonical_form_and_a_shorthand() {
+    fn retry_policy_has_one_grammar() {
         let parse = |s: &str| s.parse::<RetryPolicy>();
-        assert_eq!(parse("fixed"), Ok(RetryPolicy::fixed()));
-        assert_eq!(RetryPolicy::fixed().to_string(), "1:0ms:0ms:0:drain:0");
+        assert_eq!(parse("fixed"), Ok(RetryPolicy::Fixed));
+        assert_eq!(RetryPolicy::Fixed.to_string(), "fixed");
         let backoff = |cap, budget| RetryPolicy::backoff(Nanos::from_millis(cap), budget);
         assert_eq!(parse("backoff"), Ok(backoff(400, 0)));
         assert_eq!(parse("backoff:200:4"), Ok(backoff(200, 4)));
-        let dropping = RetryPolicy {
+        assert_eq!(parse("backoff:0"), Ok(backoff(0, 0)), "0 = uncapped");
+        assert_eq!(backoff(0, 0).to_string(), "backoff:0ms:0:drain");
+        let dropping = RetryPolicy::Backoff {
+            cap: Nanos::from_millis(160),
+            budget: 2,
             give_up: GiveUp::Drop,
-            ..backoff(160, 2)
         };
         assert_eq!(parse("backoff:160ms:2:drop"), Ok(dropping));
-        assert_eq!(dropping.to_string(), "2:160ms:0ms:2:drop:0");
-        assert_eq!(parse("2:160ms:0ms:2:drop:0"), Ok(dropping));
+        assert_eq!(dropping.to_string(), "backoff:160ms:2:drop");
         for bad in [
             "linear",
             "backoffx",
+            "fixed:20ms",
             "backoff:200:4:explode",
             "backoff:200:4:drop:1",
-            "2:160ms:0ms:2:drop",
-            "x:160ms:0ms:2:drop:0",
+            "backoff:200:-1",
+            // Six colon-separated fields are not a policy.
+            "2:1ms:0ns:0:drain:0",
+            "2:160ms:0ms:2:drop:0",
             "",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} parsed");
         }
-    }
-
-    #[test]
-    fn zero_multiplier_is_rejected() {
-        let p = RetryPolicy {
-            multiplier: 0,
-            ..RetryPolicy::fixed()
-        };
-        assert!(p.validate().is_err());
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! or duplicated, occupancy stays bounded, and FIFO order holds per flow.
 
 use proptest::prelude::*;
-use sdnbuf_net::{FlowKey, Packet, PacketBuilder};
+use sdnbuf_net::{FlowKey, PacketBuilder};
 use sdnbuf_openflow::{BufferId, PortNo};
 use sdnbuf_sim::Nanos;
 use sdnbuf_switchbuf::{
     BufferMechanism, FlowGranularityBuffer, MissAction, PacketGranularityBuffer, PacketPool,
-    RetryPolicy, Sabotage, TimeoutSweep,
+    RetryPolicy, Sabotage,
 };
 use std::collections::HashMap;
 
@@ -55,22 +55,6 @@ fn arb_timed_ops() -> impl Strategy<Value = Vec<TimedOp>> {
         ],
         1..120,
     )
-}
-
-/// Resolves a timeout sweep's re-requests into handle-free form so two
-/// mechanisms backed by different pool slots can be compared.
-fn resolved_rerequests(sweep: &TimeoutSweep, pool: &PacketPool) -> Vec<(BufferId, PortNo, Packet)> {
-    sweep
-        .rerequests
-        .iter()
-        .map(|rr| {
-            (
-                rr.buffer_id,
-                rr.in_port,
-                pool.get(rr.packet).expect("live re-request packet").clone(),
-            )
-        })
-        .collect()
 }
 
 /// Drives a mechanism through an operation sequence while checking the
@@ -386,31 +370,32 @@ proptest! {
         prop_assert_eq!(mech.stats().rerequests, 0);
     }
 
-    /// The retry schedule is well-behaved for every policy shape: the
-    /// interval sequence is monotone non-decreasing in the retry count,
-    /// never dips below the base timeout, and never exceeds the cap (when
-    /// one is set at or above the base).
+    /// The retry schedule is well-behaved for every policy: the interval
+    /// sequence is monotone non-decreasing in the retry count, never dips
+    /// below the base timeout, never exceeds the cap (when one is set at or
+    /// above the base), and stays at the base under the fixed policy.
     #[test]
     fn backoff_intervals_are_monotone_and_capped(
-        multiplier in 1u32..6,
+        backoff in 0u32..2,
         cap_ms in 0u64..200,
         base_ms in 1u64..80,
         budget in 0u32..8,
     ) {
-        let p = RetryPolicy {
-            multiplier,
-            cap: Nanos::from_millis(cap_ms),
-            budget,
-            ..RetryPolicy::fixed()
+        let (p, budget) = match backoff {
+            0 => (RetryPolicy::Fixed, 0),
+            _ => (RetryPolicy::backoff(Nanos::from_millis(cap_ms), budget), budget),
         };
         let base = Nanos::from_millis(base_ms);
-        let ceiling = Nanos::from_millis(cap_ms.max(base_ms));
+        let ceiling = match p {
+            RetryPolicy::Fixed => base,
+            _ => Nanos::from_millis(cap_ms.max(base_ms)),
+        };
         let mut prev = Nanos::ZERO;
         for n in 0..40 {
             let d = p.interval_after(base, n);
             prop_assert!(d >= base, "retry {n}: {d:?} below base {base:?}");
             prop_assert!(d >= prev, "retry {n}: {d:?} shrank from {prev:?}");
-            if cap_ms > 0 {
+            if cap_ms > 0 || p == RetryPolicy::Fixed {
                 prop_assert!(d <= ceiling, "retry {n}: {d:?} above cap {ceiling:?}");
             }
             prev = d;
@@ -419,78 +404,6 @@ proptest! {
         // allowed (or all of them when the budget is 0 = unlimited).
         for n in 0..40 {
             prop_assert_eq!(p.may_retry(n), budget == 0 || n < budget);
-        }
-    }
-
-    /// Jitter draws come from a dedicated seeded RNG: two mechanisms with
-    /// the same policy (same seed) driven through the same operations
-    /// produce identical re-request schedules, deadline for deadline.
-    /// (Pool handles differ between the two instances, so sweeps and
-    /// releases are compared after resolving handles to packets.)
-    #[test]
-    fn jitter_is_deterministic_for_a_fixed_seed(
-        ops in arb_timed_ops(),
-        seed in 0u64..1_000_000,
-    ) {
-        let policy = RetryPolicy {
-            jitter: Nanos::from_millis(3),
-            seed,
-            ..RetryPolicy::backoff(Nanos::from_millis(80), 0)
-        };
-        let timeout = Nanos::from_millis(10);
-        let mut a = FlowGranularityBuffer::new(1024, timeout).with_retry_policy(policy);
-        let mut b = FlowGranularityBuffer::new(1024, timeout).with_retry_policy(policy);
-        let mut pool = PacketPool::new();
-        let mut now = Nanos::ZERO;
-        let mut outstanding: Vec<BufferId> = Vec::new();
-        for op in &ops {
-            now += Nanos::from_micros(10);
-            match op {
-                TimedOp::Miss { flow } => {
-                    let mk = || PacketBuilder::udp().src_port(*flow).build();
-                    let ha = pool.insert(mk());
-                    let hb = pool.insert(mk());
-                    let ra = a.on_miss(now, ha, PortNo(1), &pool);
-                    let rb = b.on_miss(now, hb, PortNo(1), &pool);
-                    prop_assert_eq!(&ra, &rb, "on_miss diverged at {:?}", now);
-                    if ra == MissAction::SendFullPacketIn {
-                        pool.release(ha);
-                        pool.release(hb);
-                    }
-                    if let MissAction::SendBufferedPacketIn { buffer_id } = ra {
-                        if !outstanding.contains(&buffer_id) {
-                            outstanding.push(buffer_id);
-                        }
-                    }
-                }
-                TimedOp::Advance { micros } => now += Nanos::from_micros(*micros),
-                TimedOp::Poll => {
-                    let sa = a.poll_timeouts(now, &pool);
-                    let sb = b.poll_timeouts(now, &pool);
-                    prop_assert_eq!(
-                        resolved_rerequests(&sa, &pool),
-                        resolved_rerequests(&sb, &pool)
-                    );
-                    prop_assert!(sa.expired.is_empty() && sa.gave_up.is_empty());
-                    prop_assert!(sb.expired.is_empty() && sb.gave_up.is_empty());
-                }
-                TimedOp::Release { nth } => {
-                    if !outstanding.is_empty() {
-                        let id = outstanding.remove(nth % outstanding.len());
-                        let taken = |pool: &mut PacketPool, bps: Vec<sdnbuf_switchbuf::BufferedPacket>| {
-                            bps.into_iter()
-                                .map(|bp| {
-                                    (bp.buffer_id, bp.in_port, bp.buffered_at, pool.take(bp.packet))
-                                })
-                                .collect::<Vec<_>>()
-                        };
-                        let da = a.release(now, id);
-                        let db = b.release(now, id);
-                        prop_assert_eq!(taken(&mut pool, da), taken(&mut pool, db));
-                    }
-                }
-            }
-            prop_assert_eq!(a.next_timeout(), b.next_timeout(), "schedules diverged");
         }
     }
 

@@ -82,12 +82,16 @@ fn usage() -> &'static str {
      \n\
      RECOVERY & OVERLOAD CONTROL:\n\
        --retry-policy P    re-request pacing: fixed (the paper's Algorithm 1)\n\
-                           or backoff[:<cap>[:<budget>[:drain|drop]]]\n\
+                           or backoff[:<cap DUR>[:<budget>[:drain|drop]]]:\n\
+                           doubling intervals up to cap (default 400ms, 0 =\n\
+                           uncapped), give up after budget re-requests\n\
+                           (default 0 = never) by draining or dropping\n\
        --ttl DUR           per-entry buffer TTL (expired entries are dropped)\n\
        --degraded N        consecutive give-ups that trip the switch into\n\
                            degraded mode (0 = never)\n\
        --admission POL:CAP bounded controller ingress queue: POL is drop-tail,\n\
-                           drop-head or prefer-rerequests; CAP its depth\n\
+                           drop-head or prefer-rerequests; CAP its depth,\n\
+                           at least 1 (leave the flag out for no bound)\n\
      \n\
      CRASH / FAILOVER PLANE:\n\
        --faults 'crash=T+D'       kill the controller at T for D (volatile state\n\
@@ -221,8 +225,9 @@ fn known_flags(
     Ok(())
 }
 
-/// A count flag that must be at least 1 (`--reps`, `--flows`): zero
-/// repetitions or flows would report on runs that never happened.
+/// A count flag that must be at least 1 (`--reps`, `--flows`, `--seeds`):
+/// zero repetitions, flows or scenarios would report on runs that never
+/// happened.
 fn count_flag(args: &[String], key: &str, default: usize) -> Result<usize, ParseError> {
     match flag(args, key)? {
         None => Ok(default),
@@ -570,12 +575,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
             write_chaos_dump(&min, sabotage);
         }
     } else {
-        let seeds: u64 = match flag(args, "--seeds")? {
-            Some(s) => s
-                .parse()
-                .map_err(|_| ParseError(format!("bad seed count '{s}'")))?,
-            None => 50,
-        };
+        let seeds = count_flag(args, "--seeds", 50)? as u64;
         let mut mechanisms = vec![
             BufferMode::PacketGranularity { capacity: 256 },
             BufferMode::FlowGranularity {
@@ -691,7 +691,7 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, ParseError> {
     )?;
     let mut config = ValidateConfig::default();
     if let Some(s) = flag(args, "--cells")? {
-        config.cells = Some(parse_cells(&s)?);
+        config.cells = parse_cells(&s)?;
     }
     if let Some(s) = flag(args, "--tolerance")? {
         let pct: f64 = s
@@ -1016,7 +1016,7 @@ mod tests {
     fn retry_policy_parsing() {
         let retry =
             |p: &str| run_spec(&args(&format!("--retry-policy {p}"))).map(|s| s.recovery.retry);
-        assert_eq!(retry("fixed").unwrap(), RetryPolicy::fixed());
+        assert_eq!(retry("fixed").unwrap(), RetryPolicy::Fixed);
         assert_eq!(
             retry("backoff").unwrap(),
             RetryPolicy::backoff(Nanos::from_millis(400), 0)
@@ -1025,13 +1025,18 @@ mod tests {
             retry("backoff:200:4").unwrap(),
             RetryPolicy::backoff(Nanos::from_millis(200), 4)
         );
-        let dropping = retry("backoff:160ms:2:drop").unwrap();
-        assert_eq!(dropping.cap, Nanos::from_millis(160));
-        assert_eq!(dropping.budget, 2);
-        assert_eq!(dropping.give_up, sdn_buffer_lab::switchbuf::GiveUp::Drop);
+        assert_eq!(
+            retry("backoff:160ms:2:drop").unwrap(),
+            RetryPolicy::Backoff {
+                cap: Nanos::from_millis(160),
+                budget: 2,
+                give_up: sdn_buffer_lab::switchbuf::GiveUp::Drop,
+            }
+        );
         assert!(retry("linear").is_err());
         assert!(retry("backoff:200:4:explode").is_err());
         assert!(retry("backoff:200:4:drop:1").is_err());
+        assert!(retry("2:1ms:0ns:0:drain:0").is_err());
     }
 
     #[test]
@@ -1046,6 +1051,7 @@ mod tests {
             Some((AdmissionPolicy::PreferRerequests, 8))
         );
         assert!(admission("drop-tail").is_err());
+        assert!(admission("drop-tail:0").is_err());
         assert!(admission("fifo:8").is_err());
         assert!(admission("drop-head:x").is_err());
     }
@@ -1174,6 +1180,15 @@ mod tests {
             (
                 "run --standby warm --takeover-delay 8ms",
                 "sdnlab run does not take '--takeover-delay'",
+            ),
+            ("chaos --seeds 0", "--seeds must be at least 1, got '0'"),
+            (
+                "run --admission drop-tail:0",
+                "bad admission capacity in 'drop-tail:0' (at least 1)",
+            ),
+            (
+                "run --retry-policy 2:1ms:0ns:0:drain:0",
+                "bad retry policy '2:1ms:0ns:0:drain:0'",
             ),
         ] {
             let argv: Vec<String> = args.split(' ').map(str::to_owned).collect();

@@ -200,25 +200,19 @@ fn arb_give_up() -> impl Strategy<Value = GiveUp> {
 }
 
 fn arb_retry_policy() -> impl Strategy<Value = RetryPolicy> {
-    let nanos = || (0u64..10_000_000_000).prop_map(Nanos::from_nanos);
-    (
-        1u32..=u32::MAX,
-        nanos(),
-        nanos(),
-        any::<u32>(),
-        arb_give_up(),
-        any::<u64>(),
-    )
-        .prop_map(
-            |(multiplier, cap, jitter, budget, give_up, seed)| RetryPolicy {
-                multiplier,
-                cap,
-                jitter,
+    prop_oneof![
+        Just(RetryPolicy::Fixed),
+        (
+            prop_oneof![Just(0u64), 0u64..10_000_000_000],
+            any::<u32>(),
+            arb_give_up()
+        )
+            .prop_map(|(cap_ns, budget, give_up)| RetryPolicy::Backoff {
+                cap: Nanos::from_nanos(cap_ns),
                 budget,
                 give_up,
-                seed,
-            },
-        )
+            }),
+    ]
 }
 
 proptest! {
@@ -239,8 +233,10 @@ proptest! {
     /// One run description: every spec the chaos generators, the recovery
     /// matrix and the random-config generator produce, and any spec built
     /// from the edges of every key's grammar (rates 1 and u64::MAX / 10⁶,
-    /// seeds 0 and u64::MAX, every admission policy, explicit heartbeats,
-    /// 64- and 1500-byte frames), prints as a line that parses back to it.
+    /// seeds 0 and u64::MAX, every admission policy at capacities 1 and
+    /// usize::MAX, an uncapped backoff, explicit heartbeats, 64- and
+    /// 1500-byte frames), prints as a line that parses back to it. An
+    /// admission capacity of 0 — a second spelling of "off" — is refused.
     #[test]
     fn run_specs_round_trip(
         master in any::<u64>(),
@@ -253,7 +249,10 @@ proptest! {
         degraded_threshold in any::<u32>(),
         admission in prop_oneof![
             Just(None),
-            (arb_admission(), any::<usize>()).prop_map(Some),
+            (
+                arb_admission(),
+                prop_oneof![Just(1usize), Just(usize::MAX), 1usize..=usize::MAX]
+            ).prop_map(Some),
         ],
         standby in prop_oneof![
             Just(None),
@@ -295,9 +294,18 @@ proptest! {
             random_scenario(master),
         ];
         let matrix = recovery_matrix().into_iter().map(|(_, cell)| cell);
+        let unbounded = RunSpec {
+            admission: admission.map(|(policy, _)| (policy, 0)),
+            ..edges.clone()
+        };
         for spec in generated.into_iter().chain(matrix).chain([edges]) {
             let line = spec.to_string();
             prop_assert_eq!(line.parse::<RunSpec>(), Ok(spec), "{}", line);
+        }
+        if unbounded.admission.is_some() {
+            let line = unbounded.to_string();
+            let err = line.parse::<RunSpec>().expect_err(&line);
+            prop_assert!(err.contains("at least 1"), "{}: {}", line, err);
         }
     }
 }

@@ -16,7 +16,7 @@ use common::{all_mechanisms, experiment};
 
 fn subgrid() -> ValidateConfig {
     ValidateConfig {
-        cells: Some(vec![
+        cells: vec![
             (BufferMode::NoBuffer, 20),
             (BufferMode::PacketGranularity { capacity: 256 }, 60),
             (
@@ -26,7 +26,7 @@ fn subgrid() -> ValidateConfig {
                 },
                 100,
             ),
-        ]),
+        ],
         flows: 200,
         repetitions: 2,
         ..ValidateConfig::default()
