@@ -569,7 +569,8 @@ pub struct RateSweep {
     pub workload: WorkloadKind,
     /// Repetitions per (buffer, rate) cell.
     pub repetitions: usize,
-    /// Base seed; repetition `i` uses `base_seed + i`.
+    /// Base seed; repetition `i` uses `base_seed + i`, wrapping past
+    /// `u64::MAX` to 0.
     pub base_seed: u64,
     /// Frame size in bytes.
     pub frame_size: usize,
@@ -640,7 +641,7 @@ impl RateSweep {
             workload: self.workload,
             sending_rate: BitRate::from_mbps(key.rate_mbps),
             frame_size: self.frame_size,
-            seed: self.base_seed + rep as u64,
+            seed: self.base_seed.wrapping_add(rep as u64),
             testbed: self.testbed.clone(),
         })
     }
@@ -980,6 +981,22 @@ mod tests {
         assert_eq!(cell.runs.len(), 2);
         assert_eq!(result.cell_at(&key), Some(cell));
         assert_eq!(result.mean(&key, Metric::PacketsDelivered), Some(10.0));
+        // The repetition after seed u64::MAX runs seed 0.
+        let last = RateSweep {
+            rates_mbps: vec![10],
+            buffers: vec![BufferMode::NoBuffer],
+            base_seed: u64::MAX,
+            ..sweep
+        };
+        let first = RateSweep {
+            base_seed: 0,
+            repetitions: 1,
+            ..last.clone()
+        };
+        assert_eq!(
+            last.run().cells()[0].runs[1],
+            first.run().cells()[0].runs[0]
+        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! The one greedy shrinker: the chaos minimizer and the validation
-//! plane's random-config shrinker differ only in what a candidate is.
+//! The one greedy shrinker, behind the chaos minimizer
+//! ([`crate::chaos::minimize`]), its one caller. It knows nothing of what
+//! a candidate is, so any other search for a minimal failing value can
+//! take it as it stands.
 
 /// Shrinks `start` greedily: takes the first of `candidates(&current)`
 /// that `still_fails`, restarts from the first candidate of that smaller

@@ -1,8 +1,7 @@
 //! One run description: [`RunSpec`].
 //!
-//! `sdnlab run`'s flags, `sdnlab chaos --replay`, the chaos and
-//! random-config generators and every flight dump describe a run with this
-//! one record. `Display` prints it as one line of `key=value` pairs:
+//! `sdnlab run`'s flags, `sdnlab chaos --replay`, the chaos generators
+//! and every flight dump describe a run with this one record. `Display` prints it as one line of `key=value` pairs:
 //! `mech`, `wl`, `rate` and `seed` always, then `frame`, `retry`, `ttl`,
 //! `degraded`, `admission`, `standby`, `keepalive`, `liveness` and the fault
 //! plan's keys ([`FaultPlan::to_spec`]) where they differ from the defaults.

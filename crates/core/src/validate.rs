@@ -1,6 +1,6 @@
 //! The differential + metamorphic validation plane (`sdnlab validate`).
 //!
-//! Three independent nets, each catching bugs the others cannot:
+//! Two independent nets, each catching bugs the other cannot:
 //!
 //! 1. **Differential**: sweep the Section IV grid and compare every cell's
 //!    simulated means against the closed-form [`sdnbuf_model`] oracle,
@@ -13,12 +13,10 @@
 //!    the flow-granularity mechanism announcing at most as many
 //!    `packet_in`s as the packet-granularity one, and serial ≡ parallel
 //!    execution on every validated cell.
-//! 3. **Coverage-directed random configs**: a seeded generator explores
-//!    mechanism × workload × rate × frame-size combinations beyond the
-//!    paper's grid, checking the always-true laws (conservation,
-//!    determinism, oracle floor) and greedily shrinking any
-//!    counterexample, like the chaos minimizer, to a minimal [`RunSpec`]:
-//!    the same spec `sdnlab chaos --replay` runs.
+//!
+//! Off-grid runs (random mechanism × workload × rate × frame size) are
+//! held to the always-true laws and the oracle's latency floor by the
+//! end-to-end proptest, `tests/prop_testbed.rs`, not here.
 //!
 //! The whole layer is read-only and post-hoc: it consumes [`RunResult`]s
 //! through the public sweep API and never touches the simulation, so
@@ -29,27 +27,22 @@
 //! and must then report differential failures — `sdnlab validate --broken`
 //! inverts its exit code on that, mirroring `chaos --broken`.
 
-use crate::shrink::shrink_to_fixpoint;
 use crate::{
     BufferMode, Experiment, ExperimentConfig, Metric, NullSink, Parallelism, RateSweep, RunResult,
-    RunSpec, SweepCell, TestbedConfig, WorkloadKind,
+    SweepCell, TestbedConfig, WorkloadKind,
 };
 use sdnbuf_metrics::Histogram;
-use sdnbuf_sim::{BitRate, JsonWriter, Nanos, SimRng};
+use sdnbuf_sim::{BitRate, JsonWriter, Nanos};
 use std::fmt::Write as _;
 
 /// Schema tag stamped into the JSON report.
-pub const VALIDATE_SCHEMA: &str = "validate/v1";
+pub const VALIDATE_SCHEMA: &str = "validate/v2";
 
 /// Relative slack allowed by the monotonicity law: mean delay may dip by
 /// this fraction between adjacent rates before the law trips. The
 /// buffered curves are flat (the mechanism's whole point), so strict
 /// monotonicity would flag repetition noise as a violation.
 const MONOTONE_SLACK: f64 = 0.05;
-
-/// Seed-mixing constant for the random-config generator (same idiom as
-/// the chaos generator, different stream).
-const RANDOM_STREAM: u64 = 0x5bd1_e995_9d1c_9f57;
 
 /// Per-metric relative-error tolerances, as fractions (0.15 = 15 %).
 ///
@@ -115,8 +108,8 @@ impl Tolerances {
     }
 }
 
-/// What `validate` runs: a list of cells, repetition and tolerance knobs,
-/// and the optional random-config exploration. Every cell runs the paper's
+/// What `validate` runs: a list of cells and its repetition and tolerance
+/// knobs. Every cell runs the paper's
 /// 1000-byte frames on the calibrated [`TestbedConfig::default`].
 #[derive(Clone, Debug)]
 pub struct ValidateConfig {
@@ -135,8 +128,6 @@ pub struct ValidateConfig {
     pub parallelism: Parallelism,
     /// Run against the deliberately broken oracle (self-test mode).
     pub broken: bool,
-    /// Number of seeded random configurations to explore (0 = skip).
-    pub random_configs: u64,
 }
 
 impl Default for ValidateConfig {
@@ -163,7 +154,6 @@ impl Default for ValidateConfig {
             tolerances: Tolerances::default(),
             parallelism: Parallelism::Serial,
             broken: false,
-            random_configs: 0,
         }
     }
 }
@@ -226,19 +216,7 @@ pub struct LawReport {
     pub detail: String,
 }
 
-/// A randomly generated configuration that violated an always-true law,
-/// with its greedily shrunk minimal form.
-#[derive(Clone, Debug)]
-pub struct RandomFinding {
-    /// The generated scenario's replayable spec.
-    pub spec: String,
-    /// The shrunk scenario's spec (== `spec` when nothing could shrink).
-    pub shrunk_spec: String,
-    /// The violations the shrunk scenario still exhibits.
-    pub violations: Vec<String>,
-}
-
-/// The complete `validate/v1` report.
+/// The complete `validate/v2` report.
 #[derive(Clone, Debug)]
 pub struct ValidationReport {
     /// Whether the broken oracle was used (self-test mode).
@@ -247,10 +225,6 @@ pub struct ValidationReport {
     pub cells: Vec<CellReport>,
     /// Metamorphic law verdicts.
     pub laws: Vec<LawReport>,
-    /// Random configurations explored.
-    pub random_checked: u64,
-    /// Law-violating random configurations, shrunk.
-    pub random_findings: Vec<RandomFinding>,
 }
 
 impl ValidationReport {
@@ -269,15 +243,13 @@ impl ValidationReport {
         self.laws.iter().filter(|l| !l.holds).count()
     }
 
-    /// True when everything passed: every differential check, every law,
-    /// every random config.
+    /// True when everything passed: every differential check and every
+    /// law.
     pub fn passed(&self) -> bool {
-        self.differential_failures() == 0
-            && self.laws_failed() == 0
-            && self.random_findings.is_empty()
+        self.differential_failures() == 0 && self.laws_failed() == 0
     }
 
-    /// The report as one `validate/v1` JSON document.
+    /// The report as one `validate/v2` JSON document.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         let mut w = JsonWriter::new(&mut s);
@@ -291,9 +263,6 @@ impl ValidationReport {
             .u64(self.differential_failures() as u64);
         w.key("laws").u64(self.laws.len() as u64);
         w.key("laws_failed").u64(self.laws_failed() as u64);
-        w.key("random_checked").u64(self.random_checked);
-        w.key("random_failures")
-            .u64(self.random_findings.len() as u64);
         w.key("passed").bool(self.passed());
         w.end_object();
         w.key("cells").begin_array();
@@ -328,21 +297,7 @@ impl ValidationReport {
             w.key("detail").string(&l.detail);
             w.end_object();
         }
-        w.end_array();
-        w.key("random").begin_object();
-        w.key("checked").u64(self.random_checked);
-        w.key("failures").begin_array();
-        for f in &self.random_findings {
-            w.begin_object();
-            w.key("spec").string(&f.spec);
-            w.key("shrunk_spec").string(&f.shrunk_spec);
-            w.key("violations").begin_array();
-            for v in &f.violations {
-                w.string(v);
-            }
-            w.end_array().end_object();
-        }
-        w.end_array().end_object().end_object();
+        w.end_array().end_object();
         s
     }
 
@@ -480,15 +435,10 @@ pub fn validate(config: &ValidateConfig) -> ValidationReport {
     ];
     laws.retain(|l| !l.detail.is_empty() || !l.holds);
 
-    // -- Random-config exploration ----------------------------------
-    let (random_checked, random_findings) = random_sweep(config.random_configs, config.base_seed);
-
     ValidationReport {
         broken: config.broken,
         cells,
         laws,
-        random_checked,
-        random_findings,
     }
 }
 
@@ -698,195 +648,6 @@ fn law_flow_gran_fewer_pkt_ins(config: &ValidateConfig) -> LawReport {
     }
 }
 
-/// Deterministically generates random configuration number `seed`: a
-/// mechanism, workload, rate and frame size beyond the paper's grid, run
-/// with workload seed `seed` on the calibrated testbed.
-pub fn random_scenario(seed: u64) -> RunSpec {
-    let mut rng = SimRng::seed_from(seed ^ RANDOM_STREAM);
-    let capacities = [16usize, 64, 256];
-    let timeouts_ms = [10u64, 20, 50];
-    let mech = match rng.gen_range(3) {
-        0 => BufferMode::NoBuffer,
-        1 => BufferMode::PacketGranularity {
-            capacity: capacities[rng.gen_range(3) as usize],
-        },
-        _ => BufferMode::FlowGranularity {
-            capacity: capacities[rng.gen_range(3) as usize],
-            timeout: Nanos::from_millis(timeouts_ms[rng.gen_range(3) as usize]),
-        },
-    };
-    let workload = if rng.gen_range(4) > 0 {
-        WorkloadKind::single_packet_flows(20 + rng.gen_range(101) as usize)
-    } else {
-        let n_flows = 5 + rng.gen_range(16) as usize;
-        WorkloadKind::CrossSequenced {
-            n_flows,
-            packets_per_flow: 2 + rng.gen_range(7) as usize,
-            group_size: 1 + rng.gen_range(4.min(n_flows as u64)) as usize,
-        }
-    };
-    let frame_sizes = [200usize, 500, 1000, 1500];
-    RunSpec {
-        seed,
-        mech,
-        workload,
-        rate_mbps: 1 + rng.gen_range(100),
-        frame_size: frame_sizes[rng.gen_range(4) as usize],
-        ..RunSpec::default()
-    }
-}
-
-/// Number of flows `workload` offers.
-fn flows(workload: &WorkloadKind) -> usize {
-    match *workload {
-        WorkloadKind::SinglePacketFlows { n_flows } => n_flows,
-        WorkloadKind::CrossSequenced { n_flows, .. } => n_flows,
-        _ => 0,
-    }
-}
-
-/// Checks the always-true laws on one random scenario. Returns the list
-/// of violations (empty = clean).
-pub fn check_random_scenario(scenario: &RunSpec) -> Vec<String> {
-    let mut violations = Vec::new();
-    let config = scenario.config();
-    let a = Experiment::new(config.clone()).run();
-    let b = Experiment::new(config.clone()).run();
-    if a != b {
-        violations.push("nondeterministic: two runs of the same config diverged".to_owned());
-    }
-    if a.packets_delivered + a.packets_dropped != a.packets_sent {
-        violations.push(format!(
-            "conservation: sent {} != delivered {} + dropped {}",
-            a.packets_sent, a.packets_delivered, a.packets_dropped
-        ));
-    }
-    if a.packets_dropped != 0 || a.ctrl_drops != 0 {
-        violations.push(format!(
-            "no-fault drops: {} data, {} control",
-            a.packets_dropped, a.ctrl_drops
-        ));
-    }
-    if a.flows_completed != a.flows_total {
-        violations.push(format!(
-            "stalled flows: {} of {} completed",
-            a.flows_completed, a.flows_total
-        ));
-    }
-    if a.pkt_in_count < a.flows_total as u64 {
-        violations.push(format!(
-            "too few packet_ins: {} for {} flows",
-            a.pkt_in_count, a.flows_total
-        ));
-    }
-    // Oracle floor: the simulated mean can never beat the idle-path
-    // latency the configuration itself implies (0.8 leaves margin for
-    // model error; a sub-floor delay means the simulator skipped work).
-    let testbed = config.testbed;
-    let mut switch = testbed.switch;
-    switch.buffer = scenario.mech;
-    let prediction = Oracle::faithful().predict(&Scenario {
-        switch,
-        controller: testbed.controller,
-        data_link: testbed.data_link,
-        control_link: testbed.control_link,
-        rate: config.sending_rate,
-        frame_len: scenario.frame_size,
-        flows: flows(&scenario.workload).max(1) as u64,
-    });
-    let sim_delay = a.flow_setup_delay.mean;
-    if a.flows_total > 0 && sim_delay < 0.8 * prediction.setup_floor_ms {
-        violations.push(format!(
-            "sub-floor delay: simulated {sim_delay:.4} ms < 0.8 × oracle floor {:.4} ms",
-            prediction.setup_floor_ms
-        ));
-    }
-    violations
-}
-
-/// Greedy shrinking, chaos-minimizer style: repeatedly try simplifying
-/// transformations (smaller workload, plainer frame/rate/mechanism) and
-/// keep any that still violates a law, until a fixpoint.
-pub fn shrink_random_scenario(scenario: &RunSpec) -> RunSpec {
-    shrink_to_fixpoint(scenario.clone(), shrink_candidates, |candidate| {
-        !check_random_scenario(candidate).is_empty()
-    })
-}
-
-fn shrink_candidates(s: &RunSpec) -> Vec<RunSpec> {
-    let mut out = Vec::new();
-    // Plainer workload first: cross-sequenced → single-packet.
-    if let WorkloadKind::CrossSequenced { n_flows, .. } = s.workload {
-        out.push(RunSpec {
-            workload: WorkloadKind::single_packet_flows(n_flows),
-            ..s.clone()
-        });
-    }
-    // Fewer flows.
-    let flows = flows(&s.workload);
-    if flows > 4 {
-        let halved = flows / 2;
-        out.push(RunSpec {
-            workload: match s.workload {
-                WorkloadKind::CrossSequenced {
-                    packets_per_flow,
-                    group_size,
-                    ..
-                } => WorkloadKind::CrossSequenced {
-                    n_flows: halved,
-                    packets_per_flow,
-                    group_size: group_size.min(halved),
-                },
-                _ => WorkloadKind::single_packet_flows(halved),
-            },
-            ..s.clone()
-        });
-    }
-    // The paper's frame size.
-    let paper_frame = ExperimentConfig::default().frame_size;
-    if s.frame_size != paper_frame {
-        out.push(RunSpec {
-            frame_size: paper_frame,
-            ..s.clone()
-        });
-    }
-    // A gentler rate.
-    if s.rate_mbps > 10 {
-        out.push(RunSpec {
-            rate_mbps: (s.rate_mbps / 2).max(10),
-            ..s.clone()
-        });
-    }
-    // The simplest mechanism.
-    if s.mech != BufferMode::NoBuffer {
-        out.push(RunSpec {
-            mech: BufferMode::NoBuffer,
-            ..s.clone()
-        });
-    }
-    out
-}
-
-/// Exercises `n` seeded random scenarios starting at `base_seed` and
-/// returns `(checked, findings)` with every finding shrunk.
-pub fn random_sweep(n: u64, base_seed: u64) -> (u64, Vec<RandomFinding>) {
-    let mut findings = Vec::new();
-    for i in 0..n {
-        let scenario = random_scenario(base_seed.wrapping_add(i));
-        let violations = check_random_scenario(&scenario);
-        if !violations.is_empty() {
-            let shrunk = shrink_random_scenario(&scenario);
-            let violations = check_random_scenario(&shrunk);
-            findings.push(RandomFinding {
-                spec: scenario.to_string(),
-                shrunk_spec: shrunk.to_string(),
-                violations,
-            });
-        }
-    }
-    (n, findings)
-}
-
 /// Re-export of the oracle's types for downstream tests and the CLI.
 pub use sdnbuf_model::{ModelFidelity, Oracle, Prediction, Scenario, Station};
 
@@ -951,7 +712,7 @@ mod tests {
             ..ValidateConfig::default()
         });
         let json = report.to_json();
-        assert!(json.starts_with("{\"schema\":\"validate/v1\""), "{json}");
+        assert!(json.starts_with("{\"schema\":\"validate/v2\""), "{json}");
         let tsv = report.to_tsv();
         assert_eq!(tsv.lines().count(), 1 + report.checks());
     }
@@ -984,27 +745,5 @@ mod tests {
             .collect();
         assert!(labels.contains(&("no-buffer", 20)));
         assert!(labels.contains(&("buffer-256", 60)));
-    }
-
-    #[test]
-    fn random_scenarios_are_deterministic_and_diverse() {
-        for seed in [0u64, 7, 99] {
-            assert_eq!(random_scenario(seed), random_scenario(seed));
-        }
-        let mut specs: Vec<String> = (0..20).map(|s| random_scenario(s).to_string()).collect();
-        specs.sort();
-        specs.dedup();
-        assert!(specs.len() > 10, "generator collapsed: {specs:?}");
-    }
-
-    #[test]
-    fn shrinking_converges_to_a_fixpoint() {
-        // Shrink a scenario under a synthetic always-failing check by
-        // verifying candidates only ever simplify (no oscillation).
-        let s = random_scenario(3);
-        for c in shrink_candidates(&s) {
-            assert!(flows(&c.workload) <= flows(&s.workload));
-            assert!(c.rate_mbps <= s.rate_mbps);
-        }
     }
 }

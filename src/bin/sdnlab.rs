@@ -61,7 +61,7 @@ fn usage() -> &'static str {
        sdnlab chaos [--seeds N] [--crash] [--broken] [--broken-ttl] [--broken-epoch]\n\
                     [--recovery] [--replay RUN]\n\
        sdnlab validate [--report PATH] [--tolerance PCT] [--cells SPEC] [--flows N]\n\
-                    [--reps N] [--seed N] [--random N] [--broken] [--threads T]\n\
+                    [--reps N] [--seed N] [--broken] [--threads T]\n\
        sdnlab repro [--reps N] [--threads T]\n\
      \n\
      MECH: none | packet:<capacity> | flow:<capacity>[:<timeout DUR>]  (default 50ms)\n\
@@ -128,7 +128,7 @@ fn usage() -> &'static str {
                            tcp_udp_mix and report.md (--reps default 20)\n\
      \n\
      VALIDATION PLANE:\n\
-       --report PATH       where the validate/v1 JSON goes (default\n\
+       --report PATH       where the validate/v2 JSON goes (default\n\
                            results/validate.json; a TSV twin goes next to it)\n\
        --tolerance PCT     uniform relative-error tolerance override, percent\n\
                            (default: per-metric tolerances from DESIGN \u{a7}13)\n\
@@ -136,9 +136,6 @@ fn usage() -> &'static str {
                            'none@20,packet:256@60,flow:256:50@100'\n\
        --flows N           single-packet flows per run (default 1000)\n\
        --reps N            repetitions per cell (default 3)\n\
-       --random N          additionally explore N seeded random configs with\n\
-                           shrinking on failure (default 0); each failure\n\
-                           prints the chaos --replay command of its shrunk run\n\
        --broken            validate against a deliberately mis-derived oracle;\n\
                            the harness must catch it (self-test \u{2014} exits\n\
                            nonzero if it doesn't)\n\
@@ -167,7 +164,6 @@ fn usage() -> &'static str {
        sdnlab sweep --section iv --reps 20 --threads 4\n\
        sdnlab chaos --seeds 200\n\
        sdnlab chaos --recovery\n\
-       sdnlab validate --random 200\n\
        sdnlab validate --cells none@20,packet:256@60 --report results/v.json\n\
        sdnlab repro --reps 2 --threads auto\n"
 }
@@ -205,15 +201,13 @@ fn flag(args: &[String], key: &str) -> Result<Option<String>, ParseError> {
     Ok(None)
 }
 
-/// Refuses every argument `sdnlab <cmd>` does not read: a flag in `valued`
-/// takes the next argument as its value, one in `switches` stands alone.
-/// Unchecked, a misspelt flag would be ignored and its default run.
-fn known_flags(
-    cmd: &str,
-    args: &[String],
-    valued: &[&str],
-    switches: &[&str],
-) -> Result<(), ParseError> {
+/// The arguments a subcommand reads, `(valued, switches)`: a valued flag
+/// takes the next argument as its value, a switch stands alone.
+type Flags = (&'static [&'static str], &'static [&'static str]);
+
+/// Refuses every argument `sdnlab <cmd>` does not read. Unchecked, a
+/// misspelt flag would be ignored and its default run.
+fn known_flags(cmd: &str, args: &[String], (valued, switches): Flags) -> Result<(), ParseError> {
     let mut iter = args.iter().map(String::as_str);
     while let Some(a) = iter.next() {
         if valued.contains(&a) {
@@ -283,24 +277,32 @@ fn run_spec(args: &[String]) -> Result<RunSpec, ParseError> {
     Ok(spec)
 }
 
+/// `sdnlab run`'s arguments: every [`RUN_SPEC_FLAGS`] flag, the fault
+/// plan and the outputs.
+const RUN_FLAGS: Flags = (
+    &[
+        "--buffer",
+        "--workload",
+        "--rate",
+        "--seed",
+        "--retry-policy",
+        "--ttl",
+        "--degraded",
+        "--admission",
+        "--standby",
+        "--keepalive",
+        "--liveness-timeout",
+        "--faults",
+        "--events",
+        "--timeline",
+        "--sample-every",
+        "--samples",
+    ],
+    &["--check", "--latency-report", "--dump-on-exit"],
+);
+
 fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
-    let valued: Vec<&str> = RUN_SPEC_FLAGS
-        .iter()
-        .map(|&(name, _)| name)
-        .chain([
-            "--faults",
-            "--events",
-            "--timeline",
-            "--sample-every",
-            "--samples",
-        ])
-        .collect();
-    known_flags(
-        "run",
-        args,
-        &valued,
-        &["--check", "--latency-report", "--dump-on-exit"],
-    )?;
+    known_flags("run", args, RUN_FLAGS)?;
     let spec = run_spec(args)?;
     let events_path = flag(args, "--events")?;
     let timeline_path = flag(args, "--timeline")?;
@@ -458,6 +460,17 @@ fn write_chaos_dump(scenario: &RunSpec, sabotage: Sabotage) {
     }
 }
 
+const CHAOS_FLAGS: Flags = (
+    &["--seeds", "--replay"],
+    &[
+        "--crash",
+        "--broken",
+        "--broken-ttl",
+        "--broken-epoch",
+        "--recovery",
+    ],
+);
+
 /// The seeded chaos harness: sample `--seeds` scenarios per buffer
 /// mechanism, check every invariant, print a one-command replay (with a
 /// greedily minimized fault plan) for each failure, and write a
@@ -466,18 +479,7 @@ fn write_chaos_dump(scenario: &RunSpec, sabotage: Sabotage) {
 /// `--broken`/`--broken-ttl` sabotage the mechanism and invert the
 /// expectation (self-test).
 fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
-    known_flags(
-        "chaos",
-        args,
-        &["--seeds", "--replay"],
-        &[
-            "--crash",
-            "--broken",
-            "--broken-ttl",
-            "--broken-epoch",
-            "--recovery",
-        ],
-    )?;
+    known_flags("chaos", args, CHAOS_FLAGS)?;
     let sabotage = Sabotage {
         disable_rerequest: args.iter().any(|a| a == "--broken"),
         disable_ttl_gc: args.iter().any(|a| a == "--broken-ttl"),
@@ -668,27 +670,25 @@ fn parse_cells(s: &str) -> Result<Vec<(BufferMode, u64)>, ParseError> {
     Ok(cells)
 }
 
+const VALIDATE_FLAGS: Flags = (
+    &[
+        "--report",
+        "--tolerance",
+        "--cells",
+        "--flows",
+        "--reps",
+        "--seed",
+        "--threads",
+    ],
+    &["--broken"],
+);
+
 /// The differential + metamorphic validation plane: sweep the Section IV
-/// grid, compare every cell against the analytic oracle, check the
-/// paper-derived metamorphic laws, and (with `--random N`) explore seeded
-/// off-grid configurations with shrinking on failure. `--broken` swaps in
-/// a deliberately mis-derived oracle and inverts the expectation.
+/// grid, compare every cell against the analytic oracle and check the
+/// paper-derived metamorphic laws. `--broken` swaps in a deliberately
+/// mis-derived oracle and inverts the expectation.
 fn cmd_validate(args: &[String]) -> Result<ExitCode, ParseError> {
-    known_flags(
-        "validate",
-        args,
-        &[
-            "--report",
-            "--tolerance",
-            "--cells",
-            "--flows",
-            "--reps",
-            "--seed",
-            "--random",
-            "--threads",
-        ],
-        &["--broken"],
-    )?;
+    known_flags("validate", args, VALIDATE_FLAGS)?;
     let mut config = ValidateConfig::default();
     if let Some(s) = flag(args, "--cells")? {
         config.cells = parse_cells(&s)?;
@@ -708,11 +708,6 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, ParseError> {
         config.base_seed = s
             .parse()
             .map_err(|_| ParseError(format!("bad seed '{s}'")))?;
-    }
-    if let Some(s) = flag(args, "--random")? {
-        config.random_configs = s
-            .parse()
-            .map_err(|_| ParseError(format!("bad random config count '{s}'")))?;
     }
     config.parallelism = threads_flag(args)?;
     config.broken = args.iter().any(|a| a == "--broken");
@@ -762,24 +757,6 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, ParseError> {
             law.detail,
         );
     }
-    if report.random_checked > 0 {
-        println!(
-            "random: {} configs checked, {} failures",
-            report.random_checked,
-            report.random_findings.len()
-        );
-        for finding in &report.random_findings {
-            eprintln!("  FAILED  {}", finding.spec);
-            eprintln!("  shrunk  {}", finding.shrunk_spec);
-            for v in &finding.violations {
-                eprintln!("    {v}");
-            }
-            eprintln!(
-                "  replay: cargo run --release --bin sdnlab -- chaos --replay '{}'",
-                finding.shrunk_spec
-            );
-        }
-    }
 
     let json_path = flag(args, "--report")?.unwrap_or_else(|| "results/validate.json".to_owned());
     let tsv_path = match json_path.strip_suffix(".json") {
@@ -813,10 +790,9 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, ParseError> {
     }
     if !report.passed() {
         eprintln!(
-            "validate: {} differential failures, {} laws failed, {} random failures",
+            "validate: {} differential failures, {} laws failed",
             report.differential_failures(),
             report.laws_failed(),
-            report.random_findings.len(),
         );
         return Ok(ExitCode::FAILURE);
     }
@@ -828,13 +804,13 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, ParseError> {
     Ok(ExitCode::SUCCESS)
 }
 
+const SWEEP_FLAGS: Flags = (
+    &["--section", "--reps", "--threads", "--events", "--timeline"],
+    &["--latency-report"],
+);
+
 fn cmd_sweep(args: &[String]) -> Result<(), ParseError> {
-    known_flags(
-        "sweep",
-        args,
-        &["--section", "--reps", "--threads", "--events", "--timeline"],
-        &["--latency-report"],
-    )?;
+    known_flags("sweep", args, SWEEP_FLAGS)?;
     let reps = count_flag(args, "--reps", 5)?;
     let threads = threads_flag(args)?;
     let section = flag(args, "--section")?.unwrap_or_else(|| "iv".to_owned());
@@ -877,10 +853,12 @@ fn cmd_sweep(args: &[String]) -> Result<(), ParseError> {
     Ok(())
 }
 
+const REPRO_FLAGS: Flags = (&["--reps", "--threads"], &[]);
+
 /// Regenerates `results/`: every figure table, the summary claims, the
 /// ablations, the TCP/UDP mix and the report, each table also on stdout.
 fn cmd_repro(args: &[String]) -> Result<(), ParseError> {
-    known_flags("repro", args, &["--reps", "--threads"], &[])?;
+    known_flags("repro", args, REPRO_FLAGS)?;
     let reps = count_flag(args, "--reps", 20)?;
     let threads = threads_flag(args)?;
     println!("# sdn-buffer-lab full reproduction ({reps} repetitions per cell)\n");
@@ -1145,6 +1123,10 @@ mod tests {
                 "validate --seeds 3",
                 "sdnlab validate does not take '--seeds'",
             ),
+            (
+                "validate --random 50",
+                "sdnlab validate does not take '--random'",
+            ),
             ("chaos --seed 3", "sdnlab chaos does not take '--seed'"),
             ("run --keepalive 0", "keepalive interval"),
             ("run --sample-every 0us", "'0us'"),
@@ -1199,6 +1181,157 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every subcommand's flag lists, the ones the subcommand itself reads.
+    const COMMANDS: [(&str, Flags); 5] = [
+        ("run", RUN_FLAGS),
+        ("sweep", SWEEP_FLAGS),
+        ("chaos", CHAOS_FLAGS),
+        ("validate", VALIDATE_FLAGS),
+        ("repro", REPRO_FLAGS),
+    ];
+
+    /// One shell line as its commands, each a list of words. Quotes group
+    /// and are dropped; an unquoted `;`, `|`, `&` or `>` ends a command; a
+    /// word that starts with `#` ends the line.
+    fn shell_commands(line: &str) -> Vec<Vec<String>> {
+        let (mut commands, mut words, mut word) = (Vec::new(), Vec::new(), None::<String>);
+        let mut quote = None;
+        for c in line.chars() {
+            match quote {
+                Some(q) if c == q => quote = None,
+                Some(_) => word.get_or_insert_with(String::new).push(c),
+                None if c == '\'' || c == '"' => {
+                    quote = Some(c);
+                    word.get_or_insert_with(String::new);
+                }
+                None if c.is_whitespace() => words.extend(word.take()),
+                None if ";|&>".contains(c) => {
+                    words.extend(word.take());
+                    commands.push(std::mem::take(&mut words));
+                }
+                None if c == '#' && word.is_none() => break,
+                None => word.get_or_insert_with(String::new).push(c),
+            }
+        }
+        words.extend(word);
+        commands.push(words);
+        commands
+    }
+
+    /// The file stems of the `.rs` files in `dir`.
+    fn rs_stems(dir: &std::path::Path) -> Vec<String> {
+        let entries = std::fs::read_dir(dir).expect("a source directory");
+        let paths = entries.map(|e| e.expect("a directory entry").path());
+        paths
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect()
+    }
+
+    /// The commands the docs show still run: each `sdnlab <cmd> …` (or
+    /// `cargo run … --bin sdnlab -- <cmd> …`) in a fenced block passes
+    /// `<cmd>`'s own flag lists, and each `-p`, `--bin` and `--example`
+    /// names a package, binary or example of this workspace. Words before
+    /// the command (`VAR=value`, `do`) and words a shell would expand
+    /// (`$…`) are left out.
+    #[test]
+    fn documented_commands_name_what_exists() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut manifests = vec![root.join("Cargo.toml")];
+        for dir in ["crates", "vendor"] {
+            for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+                manifests.push(entry.unwrap().path().join("Cargo.toml"));
+            }
+        }
+        let packages: Vec<String> = manifests
+            .iter()
+            .filter_map(|m| {
+                let text = std::fs::read_to_string(m).ok()?;
+                let name = text.lines().find_map(|l| l.strip_prefix("name = "))?;
+                Some(name.trim_matches('"').to_owned())
+            })
+            .collect();
+        let bins = rs_stems(&root.join("src/bin"));
+        let examples = rs_stems(&root.join("examples"));
+        let (mut stale, mut checked) = (Vec::new(), 0);
+        for doc in [
+            "README.md",
+            "DESIGN.md",
+            "EXPERIMENTS.md",
+            ".claude/skills/verify/SKILL.md",
+        ] {
+            let text = std::fs::read_to_string(root.join(doc)).unwrap();
+            let (mut fenced, mut joined, mut start) = (false, String::new(), 0);
+            for (n, line) in text.lines().enumerate() {
+                if line.trim_start().starts_with("```") {
+                    fenced = !fenced;
+                    continue;
+                }
+                if !fenced {
+                    continue;
+                }
+                if joined.is_empty() {
+                    start = n + 1;
+                }
+                if let Some(head) = line.strip_suffix('\\') {
+                    joined.push_str(head);
+                    continue;
+                }
+                joined.push_str(line);
+                let mut problem = |what: String| stale.push(format!("{doc}:{start}: {what}"));
+                for words in shell_commands(&std::mem::take(&mut joined)) {
+                    let is_sdnlab = |w: &str| w == "sdnlab" || w.ends_with("/sdnlab");
+                    let words: Vec<&str> = words
+                        .iter()
+                        .map(String::as_str)
+                        .filter(|w| !w.starts_with('$'))
+                        .skip_while(|&w| w != "cargo" && !is_sdnlab(w))
+                        .collect();
+                    let sdnlab_args = match words.first() {
+                        Some(&"cargo") => {
+                            let (cargo, rest) = match words.iter().position(|&w| w == "--") {
+                                Some(i) => (&words[..i], &words[i + 1..]),
+                                None => (&words[..], &[][..]),
+                            };
+                            for pair in cargo.windows(2) {
+                                let known = match pair[0] {
+                                    "-p" | "--package" => &packages,
+                                    "--bin" => &bins,
+                                    "--example" => &examples,
+                                    _ => continue,
+                                };
+                                if !known.iter().any(|k| k == pair[1]) {
+                                    problem(format!("{} {} does not exist", pair[0], pair[1]));
+                                }
+                            }
+                            if !cargo.windows(2).any(|p| p == ["--bin", "sdnlab"]) {
+                                continue;
+                            }
+                            rest
+                        }
+                        Some(&w) if is_sdnlab(w) => &words[1..],
+                        _ => continue,
+                    };
+                    let Some((&cmd, args)) = sdnlab_args.split_first() else {
+                        continue;
+                    };
+                    let args: Vec<String> = args.iter().map(|&a| a.to_owned()).collect();
+                    checked += 1;
+                    match COMMANDS.iter().find(|(name, _)| *name == cmd) {
+                        Some(&(_, flags)) => {
+                            if let Err(ParseError(e)) = known_flags(cmd, &args, flags) {
+                                problem(e);
+                            }
+                        }
+                        None => problem(format!("sdnlab has no command '{cmd}'")),
+                    }
+                }
+            }
+        }
+        assert!(stale.is_empty(), "{}", stale.join("\n"));
+        assert!(checked > 0, "no sdnlab command found in the docs");
     }
 
     #[test]

@@ -10,7 +10,6 @@ use sdn_buffer_lab::core::chaos::{
     Sabotage, Violation,
 };
 use sdn_buffer_lab::core::observe::{events_digest, write_events_jsonl};
-use sdn_buffer_lab::core::validate::random_scenario;
 use sdn_buffer_lab::core::StandbyKnobs;
 use sdn_buffer_lab::prelude::*;
 use sdn_buffer_lab::sim::hash::{fnv1a, FNV_OFFSET};
@@ -230,9 +229,9 @@ proptest! {
         prop_assert_eq!(parsed.ok(), workload.validate().ok().map(|()| workload));
     }
 
-    /// One run description: every spec the chaos generators, the recovery
-    /// matrix and the random-config generator produce, and any spec built
-    /// from the edges of every key's grammar (rates 1 and u64::MAX / 10⁶,
+    /// One run description: every spec the chaos generators and the
+    /// recovery matrix produce, and any spec built from the edges of
+    /// every key's grammar (rates 1 and u64::MAX / 10⁶,
     /// seeds 0 and u64::MAX, every admission policy at capacities 1 and
     /// usize::MAX, an uncapped backoff, explicit heartbeats, 64- and
     /// 1500-byte frames), prints as a line that parses back to it. An
@@ -291,7 +290,6 @@ proptest! {
         let generated = [
             RunSpec::generate(master, mech),
             RunSpec::generate_with_crashes(master, mech),
-            random_scenario(master),
         ];
         let matrix = recovery_matrix().into_iter().map(|(_, cell)| cell);
         let unbounded = RunSpec {

@@ -1,8 +1,10 @@
-//! Property-based end-to-end tests: packet conservation and invariants
-//! hold for arbitrary small workloads under every buffer mechanism.
+//! Property-based end-to-end tests: packet conservation, the invariants,
+//! determinism and the oracle's latency floor hold for arbitrary small
+//! workloads, rates and frame sizes under every buffer mechanism.
 
 use proptest::prelude::*;
 use sdn_buffer_lab::core::invariants::{Invariants, RecoveryKnobs};
+use sdn_buffer_lab::core::validate::{Oracle, Scenario};
 use sdn_buffer_lab::core::WorkloadKind;
 use sdn_buffer_lab::prelude::*;
 use std::cell::RefCell;
@@ -37,7 +39,8 @@ proptest! {
     fn every_packet_delivered_exactly_once(
         buffer in arb_buffer(),
         workload in arb_workload(),
-        rate in 5u64..100,
+        rate in 1u64..=100,
+        frame_size in 64usize..=1500,
         seed in 0u64..1000,
     ) {
         // The protocol invariants ride along on the stream: a fault-free run
@@ -47,16 +50,20 @@ proptest! {
             &FaultPlan::default(),
             RecoveryKnobs::default(),
         )));
-        let r = Experiment::new(ExperimentConfig {
+        let config = ExperimentConfig {
             buffer,
             workload,
             sending_rate: BitRate::from_mbps(rate),
+            frame_size,
             seed,
             ..ExperimentConfig::default()
-        })
-        .run_with_tracer(Tracer::new(checker.clone()));
+        };
+        let r = Experiment::new(config.clone()).run_with_tracer(Tracer::new(checker.clone()));
         let violations = checker.borrow_mut().finish(&r);
         prop_assert!(violations.is_empty(), "{:?}", violations);
+        // Deterministic, and the tracer observes without steering: an
+        // untraced second run of the same config measures the same.
+        prop_assert_eq!(&Experiment::new(config).run(), &r);
         // Lossless testbed: conservation must hold for every mechanism,
         // capacity, rate and schedule.
         prop_assert_eq!(r.packets_delivered, r.packets_sent, "{:?}", r);
@@ -67,11 +74,34 @@ proptest! {
         // pkt_in, never more pkt_outs than pkt_ins.
         prop_assert!(r.pkt_out_count <= r.pkt_in_count);
         prop_assert!(r.flow_mod_count <= r.pkt_in_count);
+        // Every flow misses the empty table at least once.
+        prop_assert!(r.pkt_in_count >= r.flows_total as u64);
         // Delay definitions are self-consistent.
         if r.flow_setup_delay.n > 0 {
             prop_assert!(r.flow_setup_delay.min >= 0.0);
             prop_assert!(r.flow_forwarding_delay.max >= r.flow_setup_delay.min);
         }
+        // The oracle's floor: no run beats the idle-path latency its own
+        // configuration implies (0.8 leaves margin for model error; a
+        // sub-floor delay means the simulator skipped work).
+        let testbed = TestbedConfig::with_buffer(buffer);
+        let floor = Oracle::faithful()
+            .predict(&Scenario {
+                switch: testbed.switch,
+                controller: testbed.controller,
+                data_link: testbed.data_link,
+                control_link: testbed.control_link,
+                rate: BitRate::from_mbps(rate),
+                frame_len: frame_size,
+                flows: r.flows_total.max(1) as u64,
+            })
+            .setup_floor_ms;
+        prop_assert!(
+            r.flow_setup_delay.mean >= 0.8 * floor,
+            "simulated {} ms < 0.8 × oracle floor {} ms",
+            r.flow_setup_delay.mean,
+            floor
+        );
     }
 
     #[test]
