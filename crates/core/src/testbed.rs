@@ -1056,12 +1056,20 @@ impl Testbed {
             / active.as_secs_f64();
         let buf_stats = self.switch.buffer().stats();
         // Echo round trips and admission sheds from whichever controllers
-        // served the run.
+        // served the run: the primary's histogram read in place, a merged
+        // copy only when a standby served too.
         let (primary, others) = self.slots.split_first().expect("the primary slot");
-        let mut echo_rtt = primary.ctrl.stats().echo_rtt.clone();
-        for slot in others {
-            echo_rtt.merge(&slot.ctrl.stats().echo_rtt);
-        }
+        let merged;
+        let echo_rtt = if others.is_empty() {
+            &primary.ctrl.stats().echo_rtt
+        } else {
+            let mut all = primary.ctrl.stats().echo_rtt.clone();
+            for slot in others {
+                all.merge(&slot.ctrl.stats().echo_rtt);
+            }
+            merged = all;
+            &merged
+        };
         let admission_sheds: u64 = self
             .slots
             .iter()

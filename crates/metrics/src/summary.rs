@@ -50,7 +50,10 @@ impl Summary {
         if v.is_empty() {
             return Summary::default();
         }
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+        // Unstable: no n-element scratch buffer. Finite samples that
+        // compare equal are the same bits, -0.0 and 0.0 aside, and no delay
+        // sample is -0.0, so the order is the stable sort's.
+        v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
         let n = v.len();
         let mean = v.iter().sum::<f64>() / n as f64;
         let std = if n < 2 {
@@ -213,6 +216,38 @@ mod tests {
             Summary::of_vec(vec![0.0, -0.0]).min.to_bits(),
             0.0f64.to_bits()
         );
+    }
+
+    #[test]
+    fn unstable_sort_matches_the_stable_reference() {
+        let bits =
+            |s: Summary| [s.mean, s.std, s.min, s.max, s.p50, s.p95, s.p99].map(f64::to_bits);
+        // The stable sort `of_vec` used before, over the same comparator.
+        let reference = |v: &[f64]| {
+            let mut sorted = v.to_vec();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+            Summary::of_vec(sorted)
+        };
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for len in [1, 1, 2, 3, 19, 20, 21, 64, 500, 5_000] {
+            // Millisecond delays of whole nanoseconds, few distinct values
+            // (many ties) and a share of zeros.
+            let v: Vec<f64> = (0..len)
+                .map(|_| match draw(4) {
+                    0 => 0.0,
+                    _ => (draw(7) * 250_000) as f64 / 1e6,
+                })
+                .collect();
+            let (got, want) = (Summary::of_vec(v.clone()), reference(&v));
+            assert_eq!(got.n, want.n, "{len} samples");
+            assert_eq!(bits(got), bits(want), "{len} samples");
+        }
     }
 
     #[test]

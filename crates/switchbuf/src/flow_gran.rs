@@ -9,13 +9,100 @@ use sdnbuf_net::FlowKey;
 use sdnbuf_openflow::{BufferId, PortNo, Refusal};
 use sdnbuf_sim::hash::{fnv1a, FNV_OFFSET};
 use sdnbuf_sim::{EventKind, FastHashMap, Nanos, Tracer};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
+
+/// Ends a flow's list of units and the free list.
+const NIL: u32 = u32::MAX;
+
+/// One buffer unit: a parked packet and the index of the next unit of its
+/// flow — or, once freed, of the next free unit.
+#[derive(Clone, Copy, Debug)]
+struct Unit {
+    packet: BufferedPacket,
+    next: u32,
+}
+
+/// Every unit the buffer has ever held at once, queued or free: the
+/// switch's shared cell pool, which each flow's FIFO threads through. A
+/// freed unit is the next one handed out, so the slab only grows (by the
+/// `Vec`'s doubling) when occupancy reaches a new peak.
+#[derive(Clone, Debug)]
+struct Units {
+    slab: Vec<Unit>,
+    /// The first free unit.
+    free: u32,
+}
+
+impl Units {
+    /// Appends `packet` to `q`'s FIFO in a free unit, or a new one.
+    fn push_back(&mut self, q: &mut FlowQueue, packet: BufferedPacket) {
+        let unit = Unit { packet, next: NIL };
+        let idx = if self.free == NIL {
+            assert!(
+                self.slab.len() < NIL as usize,
+                "buffer units fit u32 indices"
+            );
+            self.slab.push(unit);
+            (self.slab.len() - 1) as u32
+        } else {
+            let idx = self.free;
+            self.free = std::mem::replace(&mut self.slab[idx as usize], unit).next;
+            idx
+        };
+        if q.len == 0 {
+            q.head = idx;
+        } else {
+            self.slab[q.tail as usize].next = idx;
+        }
+        q.tail = idx;
+        q.len += 1;
+    }
+
+    /// `q`'s head-of-line packet, `None` when it is empty.
+    fn front(&self, q: &FlowQueue) -> Option<&BufferedPacket> {
+        (q.len > 0).then(|| &self.slab[q.head as usize].packet)
+    }
+
+    /// Unlinks `q`'s head-of-line packet and frees its unit.
+    fn pop_front(&mut self, q: &mut FlowQueue) -> Option<BufferedPacket> {
+        if q.len == 0 {
+            return None;
+        }
+        let idx = q.head;
+        let unit = &mut self.slab[idx as usize];
+        q.head = std::mem::replace(&mut unit.next, self.free);
+        self.free = idx;
+        q.len -= 1;
+        Some(unit.packet)
+    }
+
+    /// Appends `q`'s packets to `out` in FIFO order and frees all its units
+    /// at once: the whole list joins the free list.
+    fn drain_into(&mut self, q: &FlowQueue, out: &mut Vec<BufferedPacket>) {
+        if q.len == 0 {
+            return;
+        }
+        out.reserve(q.len as usize);
+        let mut cur = q.head;
+        for _ in 0..q.len {
+            let unit = &self.slab[cur as usize];
+            out.push(unit.packet);
+            cur = unit.next;
+        }
+        self.slab[q.tail as usize].next = self.free;
+        self.free = q.head;
+    }
+}
 
 #[derive(Clone, Debug)]
 struct FlowQueue {
     buffer_id: BufferId,
-    /// Never empty while the flow is in the maps.
-    packets: VecDeque<BufferedPacket>,
+    /// The flow's FIFO of units in [`Units`]: first and last unit, and how
+    /// many. Never empty while the flow is in the maps, except inside a TTL
+    /// sweep that is about to evict it.
+    head: u32,
+    tail: u32,
+    len: u32,
     /// Re-requests sent for this flow since its announcement.
     retries: u32,
     /// When the next re-request (or give-up) fires — Algorithm 1's
@@ -27,8 +114,8 @@ struct FlowQueue {
 impl FlowQueue {
     /// The re-announce view: the flow's id over its head-of-line packet,
     /// which the flow keeps its pool reference to.
-    fn head(&self) -> Rerequest {
-        let first = self.packets.front().expect("buffered flows are non-empty");
+    fn announce(&self, units: &Units) -> Rerequest {
+        let first = units.front(self).expect("buffered flows are non-empty");
         Rerequest {
             buffer_id: self.buffer_id,
             packet: first.packet,
@@ -83,6 +170,8 @@ pub struct FlowGranularityBuffer {
     /// Per-entry lifetime; `None` = entries never expire (the default).
     ttl: Option<Nanos>,
     flows: FastHashMap<FlowKey, FlowQueue>,
+    /// The units every flow's queue is threaded through.
+    units: Units,
     by_id: FastHashMap<u32, FlowKey>,
     /// One `(next_due, key)` entry per buffered flow — the re-request /
     /// give-up schedule, ordered by deadline.
@@ -145,6 +234,10 @@ impl FlowGranularityBuffer {
             policy: RetryPolicy::Fixed,
             ttl: None,
             flows: FastHashMap::default(),
+            units: Units {
+                slab: Vec::new(),
+                free: NIL,
+            },
             by_id: FastHashMap::default(),
             request_deadlines: BTreeSet::new(),
             expiry_deadlines: BTreeSet::new(),
@@ -222,7 +315,7 @@ impl FlowGranularityBuffer {
     /// timer and returns the re-announce view.
     fn rerequest(&mut self, key: FlowKey, now: Nanos) -> Rerequest {
         let q = &self.flows[&key];
-        let (view, retries) = (q.head(), q.retries + 1);
+        let (view, retries) = (q.announce(&self.units), q.retries + 1);
         self.stats.rerequests += 1;
         self.tracer.emit(
             now,
@@ -261,8 +354,8 @@ impl FlowGranularityBuffer {
                 .get_mut(&key)
                 .expect("expiry index and flows map stay consistent");
             let due = |p: &BufferedPacket| p.buffered_at + ttl <= now;
-            while let Some(p) = q.packets.front().copied().filter(due) {
-                q.packets.pop_front();
+            while let Some(p) = self.units.front(q).copied().filter(due) {
+                self.units.pop_front(q);
                 self.total -= 1;
                 self.stats.expired += 1;
                 self.stats.expired_bytes += pool.get(p.packet).map_or(0, |pk| pk.wire_len()) as u64;
@@ -276,25 +369,27 @@ impl FlowGranularityBuffer {
                 sweep.expired.push(p);
             }
             // Per-flow queues are FIFO: the new front expires next.
-            if let Some(front) = q.packets.front() {
+            if let Some(front) = self.units.front(q) {
                 self.expiry_deadlines.insert((front.buffered_at + ttl, key));
             } else {
-                self.evict_flow(key);
+                self.evict_flow(key, &mut Vec::new());
             }
         }
     }
 
     /// Removes `key`'s flow from the maps and both deadline indexes,
-    /// freeing its units, and returns its queue.
-    fn evict_flow(&mut self, key: FlowKey) -> FlowQueue {
+    /// appends its packets to `out` in FIFO order and frees its units.
+    /// Returns the flow's queue, whose units are free now.
+    fn evict_flow(&mut self, key: FlowKey, out: &mut Vec<BufferedPacket>) -> FlowQueue {
         let q = self.flows.remove(&key).expect("evicted flow exists");
         self.by_id.remove(&q.buffer_id.as_u32());
         self.request_deadlines.remove(&(q.next_due, key));
-        if let (Some(ttl), Some(front)) = (self.ttl, q.packets.front()) {
+        if let (Some(ttl), Some(front)) = (self.ttl, self.units.front(&q)) {
             self.expiry_deadlines
                 .remove(&(front.buffered_at + ttl, key));
         }
-        self.total -= q.packets.len();
+        self.total -= q.len as usize;
+        self.units.drain_into(&q, out);
         q
     }
 }
@@ -328,7 +423,7 @@ impl BufferMechanism for FlowGranularityBuffer {
         // flow's request deadline and retry count when it has an id.
         let (buffer_id, known) = match self.flows.get_mut(&key) {
             Some(queue) => {
-                queue.packets.push_back(parked(queue.buffer_id));
+                self.units.push_back(queue, parked(queue.buffer_id));
                 (queue.buffer_id, Some((queue.next_due, queue.retries)))
             }
             None => {
@@ -336,11 +431,13 @@ impl BufferMechanism for FlowGranularityBuffer {
                 let buffer_id = self.id_for(&key);
                 let mut queue = FlowQueue {
                     buffer_id,
-                    packets: VecDeque::new(),
+                    head: NIL,
+                    tail: NIL,
+                    len: 0,
                     retries: 0,
                     next_due: now,
                 };
-                queue.packets.push_back(parked(buffer_id));
+                self.units.push_back(&mut queue, parked(buffer_id));
                 self.flows.insert(key, queue);
                 self.by_id.insert(buffer_id.as_u32(), key);
                 self.arm_request(key, now, 0);
@@ -389,10 +486,8 @@ impl BufferMechanism for FlowGranularityBuffer {
             .map_err(|refusal| self.stats.count(refusal))?;
         // Algorithm 2: drain the whole per-flow queue in FIFO order and
         // free every unit.
-        let queue = self.evict_flow(key);
-        let released = queue.packets.len();
+        let released = self.evict_flow(key, out).len as usize;
         self.stats.released += released as u64;
-        out.extend(queue.packets);
         Ok(released)
     }
 
@@ -429,20 +524,21 @@ impl BufferMechanism for FlowGranularityBuffer {
                 continue;
             }
             // Budget spent: execute the give-up action.
-            let q = self.evict_flow(key);
+            let mut packets = Vec::new();
+            let q = self.evict_flow(key, &mut packets);
             self.stats.giveups += 1;
             self.tracer.emit(
                 now,
                 EventKind::BufferGiveUp {
                     buffer_id: q.buffer_id.as_u32(),
-                    drained: q.packets.len(),
+                    drained: packets.len(),
                     action: self.policy.give_up().label(),
                     occupancy: self.total,
                 },
             );
             sweep.gave_up.push(GaveUpFlow {
                 buffer_id: q.buffer_id,
-                packets: q.packets.into(),
+                packets,
                 action: self.policy.give_up(),
             });
         }
@@ -483,8 +579,11 @@ impl BufferMechanism for FlowGranularityBuffer {
             let key = self.by_id[&raw];
             let q = self.flows.get_mut(&key).expect("listed flow exists");
             q.buffer_id = q.buffer_id.with_epoch(epoch);
-            for p in &mut q.packets {
-                p.buffer_id = p.buffer_id.with_epoch(epoch);
+            let mut cur = q.head;
+            for _ in 0..q.len {
+                let unit = &mut self.units.slab[cur as usize];
+                unit.packet.buffer_id = unit.packet.buffer_id.with_epoch(epoch);
+                cur = unit.next;
             }
             out.push(q.buffer_id);
             // The restarted controller has never ignored these flows:
@@ -498,7 +597,7 @@ impl BufferMechanism for FlowGranularityBuffer {
 
     fn rerequest_for(&self, buffer_id: BufferId) -> Option<Rerequest> {
         let key = self.by_id.get(&buffer_id.as_u32())?;
-        Some(self.flows[key].head())
+        Some(self.flows[key].announce(&self.units))
     }
 
     fn sabotage(&mut self, sabotage: Sabotage) {
@@ -1167,6 +1266,153 @@ mod tests {
         // the chaos invariant must catch.
         assert_eq!(b.release(Nanos::from_millis(2), old).len(), 1);
         assert_eq!(b.stats().stale_epoch_releases, 0);
+    }
+
+    fn announced(action: MissAction) -> BufferId {
+        match action {
+            MissAction::SendBufferedPacketIn { buffer_id } => buffer_id,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn interleaved_flows_drain_fifo_and_reuse_units() {
+        let mut b = mk();
+        let mut pool = PacketPool::new();
+        let mut out = Vec::new();
+        let (mut t, mut most) = (0u64, 0);
+        for cycle in 0..1_000u64 {
+            // Three flows, their misses interleaved: 1 2 3 1 2 3 …, and a
+            // different packet count per flow each cycle.
+            let mut ids = [None; 3];
+            let mut sent: [Vec<PacketHandle>; 3] = Default::default();
+            for round in 0..5u64 {
+                for (f, (id, sent)) in ids.iter_mut().zip(&mut sent).enumerate() {
+                    if round > (cycle + f as u64) % 5 {
+                        continue;
+                    }
+                    t += 1;
+                    let h = pool.insert(pkt(f as u16, 100));
+                    let action = b.on_miss(Nanos::from_micros(t), h, PortNo(1), &pool);
+                    id.get_or_insert_with(|| announced(action));
+                    sent.push(h);
+                }
+            }
+            let peak = sent.iter().map(Vec::len).sum::<usize>();
+            assert_eq!(b.occupancy(), peak);
+            most = most.max(peak);
+            // Drain in a rotating order, so freed units interleave too.
+            for f in (0..3).map(|k| (k + cycle as usize) % 3) {
+                out.clear();
+                let id = ids[f].expect("every flow missed at least once");
+                assert_eq!(
+                    b.release_into(Nanos::from_micros(t), id, &mut out),
+                    Ok(sent[f].len())
+                );
+                let got: Vec<PacketHandle> = out.iter().map(|p| p.packet).collect();
+                assert_eq!(got, sent[f], "cycle {cycle}: flow {f} drains FIFO");
+                assert!(out.iter().all(|p| p.buffer_id == id));
+            }
+            assert_eq!(b.occupancy(), 0);
+            // Freed units are reused: the slab holds the busiest cycle's
+            // units so far, and no more.
+            assert_eq!(b.units.slab.len(), most, "cycle {cycle}");
+        }
+        assert_eq!(most, 12);
+        assert_eq!(b.stats().released, b.stats().buffered);
+    }
+
+    #[test]
+    fn ttl_expiry_of_the_head_then_release_of_the_rest() {
+        let mut b = FlowGranularityBuffer::new(16, Nanos::from_millis(100))
+            .with_ttl(Nanos::from_millis(30));
+        let mut pool = PacketPool::new();
+        let first = pool.insert(pkt(1, 100));
+        let id = announced(b.on_miss(Nanos::ZERO, first, PortNo(1), &pool));
+        let rest: Vec<PacketHandle> = (1..4u64)
+            .map(|ms| {
+                let h = pool.insert(pkt(1, 200));
+                b.on_miss(Nanos::from_millis(ms * 10), h, PortNo(1), &pool);
+                h
+            })
+            .collect();
+        let sweep = b.poll_timeouts(Nanos::from_millis(30), &pool);
+        assert_eq!(sweep.expired.len(), 1);
+        assert_eq!(sweep.expired[0].packet, first);
+        assert_eq!(b.occupancy(), 3);
+        // The next deadline is the new head's.
+        assert_eq!(b.next_timeout(), Some(Nanos::from_millis(40)));
+        assert_eq!(b.rerequest_for(id).map(|r| r.packet), Some(rest[0]));
+        // A miss after the expiry queues behind the survivors, in the unit
+        // the expired head freed.
+        let late = pool.insert(pkt(1, 300));
+        b.on_miss(Nanos::from_millis(35), late, PortNo(1), &pool);
+        assert_eq!(b.units.slab.len(), 4);
+        let out = b.release(Nanos::from_millis(36), id);
+        let got: Vec<PacketHandle> = out.iter().map(|p| p.packet).collect();
+        assert_eq!(got, [rest[0], rest[1], rest[2], late]);
+        assert_eq!(b.occupancy(), 0);
+        assert_eq!(b.next_timeout(), None);
+    }
+
+    #[test]
+    fn give_up_drains_in_arrival_order() {
+        let mut b = FlowGranularityBuffer::new(16, Nanos::from_millis(10)).with_retry_policy(
+            RetryPolicy::Backoff {
+                cap: Nanos::from_millis(10),
+                budget: 1,
+                give_up: GiveUp::DrainAsFullPacketIn,
+            },
+        );
+        let mut pool = PacketPool::new();
+        // Two flows interleaved, so each one's units are not adjacent.
+        let mut sent: [Vec<PacketHandle>; 2] = Default::default();
+        for i in 0..6u64 {
+            let flow = (i % 2) as usize;
+            let h = pool.insert(pkt(flow as u16, 100 + i as usize));
+            b.on_miss(Nanos::from_micros(i), h, PortNo(1), &pool);
+            sent[flow].push(h);
+        }
+        let sweep = b.poll_timeouts(Nanos::from_millis(20), &pool);
+        assert_eq!(sweep.rerequests.len(), 2);
+        let sweep = b.poll_timeouts(Nanos::from_millis(40), &pool);
+        assert!(sweep.rerequests.is_empty());
+        assert_eq!(sweep.gave_up.len(), 2);
+        let mut got: Vec<Vec<PacketHandle>> = sweep
+            .gave_up
+            .iter()
+            .map(|g| {
+                assert!(g.packets.iter().all(|p| p.buffer_id == g.buffer_id));
+                g.packets.iter().map(|p| p.packet).collect()
+            })
+            .collect();
+        got.sort_by_key(|handles| sent.iter().position(|s| s[0] == handles[0]));
+        assert_eq!(got, sent);
+        assert_eq!(b.occupancy(), 0);
+    }
+
+    #[test]
+    fn reconcile_restamps_every_queued_packet() {
+        let mut b = mk();
+        let mut pool = PacketPool::new();
+        assert!(b.reconcile_epoch(Nanos::ZERO, 1).is_empty(), "arming");
+        for i in 0..4u64 {
+            b.on_miss(
+                Nanos::from_micros(i),
+                pool.insert(pkt(1, 100)),
+                PortNo(1),
+                &pool,
+            );
+        }
+        let survivors = b.reconcile_epoch(Nanos::from_millis(1), 2);
+        assert_eq!(survivors.len(), 1);
+        assert_eq!(survivors[0].epoch(), 2);
+        let out = b.release(Nanos::from_millis(2), survivors[0]);
+        assert_eq!(out.len(), 4);
+        assert!(
+            out.iter().all(|p| p.buffer_id == survivors[0]),
+            "every queued packet moves to the new epoch, not only the head: {out:?}"
+        );
     }
 
     #[test]
