@@ -7,6 +7,7 @@ use sdnbuf_openflow::{
     Action, ActionList, BufferId, Match, OfpMessage, PortNo, Wildcards,
 };
 use sdnbuf_sim::{Bus, CpuResource, EventKind, FastHashMap, Nanos, Tracer};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
@@ -16,6 +17,10 @@ const RULE_IDLE_TIMEOUT: u16 = 5;
 
 /// Priority of reactive rules.
 const RULE_PRIORITY: u16 = 100;
+
+/// The payload of every keepalive probe: a constant, so a probe borrows it
+/// and the switch's echo hands the same bytes back.
+const PROBE_PAYLOAD: &[u8] = &[0x5a; 8];
 
 /// A timed effect produced by the controller.
 #[derive(Clone, Debug, PartialEq)]
@@ -182,7 +187,7 @@ impl Controller {
         ControllerOutput::ToSwitch {
             at,
             xid,
-            msg: OfpMessage::EchoRequest(vec![0x5a; 8]),
+            msg: OfpMessage::EchoRequest(Cow::Borrowed(PROBE_PAYLOAD)),
         }
     }
 
@@ -775,7 +780,7 @@ mod tests {
         assert_eq!(c.stats().probes_sent.get(), 2);
         // Replies are consumed, counted and timed.
         for x in [xid, x2] {
-            let echo = OfpMessage::EchoReply(vec![0x5a; 8]);
+            let echo = OfpMessage::EchoReply(Cow::Borrowed(PROBE_PAYLOAD));
             assert!(c.handle_message(Nanos::from_millis(2), echo, x).is_empty());
         }
         assert_eq!(c.stats().echo_replies.get(), 2);
@@ -785,10 +790,10 @@ mod tests {
     #[test]
     fn echo_is_answered() {
         let mut c = Controller::new(ControllerConfig::default());
-        let outs = c.handle_message(Nanos::ZERO, OfpMessage::EchoRequest(vec![9]), 4);
+        let outs = c.handle_message(Nanos::ZERO, OfpMessage::EchoRequest(vec![9].into()), 4);
         assert!(matches!(
             &outs[0],
-            ControllerOutput::ToSwitch { xid: 4, msg: OfpMessage::EchoReply(d), .. } if d == &vec![9]
+            ControllerOutput::ToSwitch { xid: 4, msg: OfpMessage::EchoReply(d), .. } if d.as_ref() == [9]
         ));
     }
 
@@ -909,14 +914,18 @@ mod tests {
         let ControllerOutput::ToSwitch { xid, at, .. } = c.keepalive(Nanos::ZERO);
         c.handle_message(
             at + Nanos::from_micros(300),
-            OfpMessage::EchoReply(vec![0x5a; 8]),
+            OfpMessage::EchoReply(Cow::Borrowed(PROBE_PAYLOAD)),
             xid,
         );
         assert_eq!(c.stats().echo_rtt.count(), 1);
         assert!(c.stats().echo_rtt.quantile(0.5) >= Nanos::from_micros(300));
         // A reply with an unknown xid (e.g. answering a crashed
         // predecessor's probe) records no sample.
-        c.handle_message(Nanos::from_millis(1), OfpMessage::EchoReply(vec![]), 0xdead);
+        c.handle_message(
+            Nanos::from_millis(1),
+            OfpMessage::EchoReply(Vec::new().into()),
+            0xdead,
+        );
         assert_eq!(c.stats().echo_rtt.count(), 1);
         assert_eq!(c.stats().echo_replies.get(), 2);
     }
@@ -944,7 +953,11 @@ mod tests {
         assert!(c.switch_features().is_none());
         // The in-flight probe died with the process: its late reply is
         // ignored.
-        c.handle_message(Nanos::from_millis(1), OfpMessage::EchoReply(vec![]), x1);
+        c.handle_message(
+            Nanos::from_millis(1),
+            OfpMessage::EchoReply(Vec::new().into()),
+            x1,
+        );
         assert_eq!(c.stats().echo_rtt.count(), 0);
         // The xid space is monotonic across the crash.
         let ControllerOutput::ToSwitch { xid: x2, .. } = c.keepalive(Nanos::from_millis(2));

@@ -161,7 +161,9 @@ enum Event {
     CtrlAtSwitch { xid: u32, msg: MsgHandle },
     /// The switch's timer (table expiry / buffer re-request) fires.
     SwitchTimer,
-    /// The controller originates a liveness echo.
+    /// The controller originates a liveness echo. Only the prescheduled
+    /// reference loop queues one; [`Testbed::run`] merges its [`Probes`].
+    #[cfg(test)]
     ControllerKeepalive,
     /// A crash window opens: the controller in `slot` loses all volatile
     /// state and its control socket goes dead.
@@ -210,11 +212,53 @@ struct CtrlSlot {
 const PRIMARY: usize = 0;
 const STANDBY: usize = 1;
 
+/// The key past every event: what a drained cursor reads.
+const END: (Nanos, u64) = (Nanos::MAX, u64::MAX);
+
+/// The controller's keepalives as a cursor the event loop merges, like the
+/// departures (the loop must drain, so a probe cannot schedule the next).
+/// They run for the whole session, from the handshake rather than the data
+/// phase, because the switch's liveness detector must hear the controller
+/// during warm-up too: probe `k` is due at `interval·(k+1)`, every one
+/// before the horizon, and carries the sequence number `seq0 + k`.
+struct Probes {
+    interval: Nanos,
+    seq0: u64,
+    /// Probes served so far.
+    next: u64,
+    count: u64,
+}
+
+impl Probes {
+    /// Reserves the sequence numbers of every probe before `horizon`, none
+    /// without an interval.
+    fn reserve(queue: &mut EventQueue<Event>, interval: Option<Nanos>, horizon: Nanos) -> Probes {
+        let interval = interval.unwrap_or(Nanos::MAX);
+        let count = horizon.as_nanos().saturating_sub(1) / interval.as_nanos();
+        Probes {
+            interval,
+            seq0: queue.reserve_seqs(count),
+            next: 0,
+            count,
+        }
+    }
+
+    /// The next probe's `(time, seq)` key, [`END`] once all are served.
+    fn key(&self) -> (Nanos, u64) {
+        if self.next == self.count {
+            return END;
+        }
+        (self.interval * (self.next + 1), self.seq0 + self.next)
+    }
+}
+
 /// The assembled testbed of Fig. 1.
 ///
 /// Create one per run, feed it a workload with [`Testbed::run`], read the
 /// [`RunResult`].
 pub struct Testbed {
+    /// The configuration the testbed was built from, less its fault plan,
+    /// which `faults` owns.
     config: TestbedConfig,
     switch: Switch,
     /// Data ports 1 and 2 (hosts 1 and 2).
@@ -283,8 +327,9 @@ impl Testbed {
 
     /// [`Testbed::new`] with the validation error returned instead of
     /// panicking — the single validation path for testbed construction.
-    pub fn try_new(config: TestbedConfig) -> Result<Testbed, String> {
+    pub fn try_new(mut config: TestbedConfig) -> Result<Testbed, String> {
         config.validate()?;
+        let faults = FaultState::new(std::mem::take(&mut config.faults));
         let port = |to_sw_label, from_sw_label| DataPort {
             to_sw: Link::new(config.data_link),
             to_sw_label,
@@ -327,7 +372,7 @@ impl Testbed {
             ctrl_out: Vec::new(),
             ctrl_drops: 0,
             data_drops: 0,
-            faults: FaultState::new(config.faults.clone()),
+            faults,
             pressure_on: false,
             tracer: Tracer::off(),
             measure: Measurement::default(),
@@ -427,7 +472,8 @@ impl Testbed {
     ///
     /// The departures are streamed, not scheduled: each is copied into the
     /// pool when its instant comes, so the pool and the event queue hold
-    /// what is in flight, not the whole workload.
+    /// what is in flight, not the whole workload. The controller's
+    /// keepalives are a second stream merged beside them ([`Probes`]).
     ///
     /// A frame carries its departure's record as its pool tag, and so do
     /// the `packet_in` sent for it, the `flow_mod` and `packet_out` that
@@ -455,47 +501,65 @@ impl Testbed {
             by_time.sort_by_key(|&i| departures[i].at);
             by_time
         });
-        let nth = |k: usize| {
-            let i = match &by_time {
-                Some(order) => *order.get(k)?,
-                None => k,
-            };
-            Some((i, departures.get(i)?.at))
-        };
-
         let shift = self.config.warmup_gap;
         self.warm_up(scan.earliest);
         // A departure's key in the merge below is `(shift + at, seq0 +
         // index)`, the sequence number scheduling it here would have drawn:
         // events scheduled before this line tie ahead of it, events
-        // scheduled after it behind.
+        // scheduled after it behind. The keepalives draw theirs next.
         let seq0 = self.queue.reserve_seqs(departures.len() as u64);
-        self.schedule_probes(shift + scan.latest + self.config.warmup_gap);
+        let nth = |k: usize| {
+            let i = match &by_time {
+                Some(order) => *order.get(k)?,
+                None => k,
+            };
+            Some((i, (shift + departures.get(i)?.at, seq0 + i as u64)))
+        };
+        let horizon = self.probe_horizon(scan.latest);
+        let mut probes = Probes::reserve(&mut self.queue, self.config.keepalive_interval, horizon);
         self.schedule_crash_plane();
 
+        // Three sources in `(time, seq)` order: the queue, the next
+        // departure and the next probe. The two cursors' keys change only
+        // when one of them is served, and so does `bound`, the earlier.
         let mut served = 0;
+        let mut next = nth(0);
+        let mut bound = next.map_or(END, |(_, key)| key).min(probes.key());
         loop {
-            let next = nth(served);
-            let bound = next.map_or((Nanos::MAX, u64::MAX), |(i, at)| {
-                (shift + at, seq0 + i as u64)
-            });
             if let Some((now, event)) = self.queue.pop_before(bound) {
                 self.dispatch(now, event, departures);
-            } else if let Some((i, at)) = next {
-                served += 1;
-                // The frame's headers are copied and its payload bytes
-                // shared; everything downstream passes the handle, and its
-                // tag names record `i`, departure `i`'s (past 2³²
-                // departures a record below it: mis-measured, not a panic).
-                let packet = self.pool.insert(departures[i].packet.clone());
-                self.pool.set_tag(packet, i as u32);
-                self.on_frame_from_host(shift + at, PortNo(1), packet);
-            } else {
+            } else if bound == END {
                 break;
+            } else {
+                match next {
+                    Some((i, key)) if key == bound => {
+                        served += 1;
+                        next = nth(served);
+                        // The frame's headers are copied and its payload
+                        // bytes shared; everything downstream passes the
+                        // handle, and its tag names record `i`, departure
+                        // `i`'s (past 2³² departures a record below it:
+                        // mis-measured, not a panic).
+                        let packet = self.pool.insert(departures[i].packet.clone());
+                        self.pool.set_tag(packet, i as u32);
+                        self.on_frame_from_host(key.0, PortNo(1), packet);
+                    }
+                    _ => {
+                        probes.next += 1;
+                        self.on_keepalive(bound.0);
+                    }
+                }
+                bound = next.map_or(END, |(_, key)| key).min(probes.key());
             }
             self.events_dispatched += 1;
         }
         self.collect(departures.len() as u64, scan.flows_total)
+    }
+
+    /// Until when the controller's keepalives run, for a workload whose
+    /// last departure is at `latest`: a warm-up gap past the data phase.
+    fn probe_horizon(&self, latest: Nanos) -> Nanos {
+        self.config.warmup_gap + latest + self.config.warmup_gap
     }
 
     /// The one pass over the workload before the first event (see
@@ -536,34 +600,19 @@ impl Testbed {
         self.data_start = self.config.warmup_gap + earliest;
     }
 
-    /// Pre-schedules the controller's keepalives up to `horizon` (the
-    /// event loop must drain, so they cannot self-reschedule). They run for
-    /// the whole session (they start with the handshake, not the data
-    /// phase): the switch's liveness detector must hear the controller
-    /// during warm-up too.
-    fn schedule_probes(&mut self, horizon: Nanos) {
-        if let Some(interval) = self.config.keepalive_interval {
-            let mut t = interval;
-            while t < horizon {
-                self.queue.schedule(t, Event::ControllerKeepalive);
-                t += interval;
-            }
-        }
-    }
-
     /// Crash plane: arms the switch's epoch/liveness machinery and
     /// pre-plans crash / restart / takeover orchestration from the fault
     /// windows. Everything stays off (and runs byte-identical) without
     /// `crash=` windows in the plan.
     fn schedule_crash_plane(&mut self) {
-        if !self.config.faults.has_crashes() {
+        if !self.faults.plan().has_crashes() {
             return;
         }
         self.switch.arm_crash_plane();
         self.ctrl_epoch = 1;
         self.slots[PRIMARY].ctrl.set_epoch(1);
         let failover = self.config.failover;
-        for w in &self.config.faults.crashes {
+        for w in &self.faults.plan().crashes {
             let slot = PRIMARY;
             self.queue.schedule(w.from, Event::ControllerCrash { slot });
             if failover.standby {
@@ -574,7 +623,7 @@ impl Testbed {
                     .schedule(w.until, Event::ControllerRestart { slot });
             }
         }
-        for w in &self.config.faults.crashes_standby {
+        for w in &self.faults.plan().crashes_standby {
             let slot = STANDBY;
             self.queue.schedule(w.from, Event::ControllerCrash { slot });
             self.queue
@@ -599,6 +648,7 @@ impl Testbed {
             Event::CtrlAtController { xid, msg } => self.on_ctrl_at_controller(now, xid, msg),
             Event::CtrlAtSwitch { xid, msg } => self.on_ctrl_at_switch(now, xid, msg, workload),
             Event::SwitchTimer => self.on_switch_timer(now, workload),
+            #[cfg(test)]
             Event::ControllerKeepalive => self.on_keepalive(now),
             Event::ControllerCrash { slot } => self.on_crash(now, slot),
             Event::ControllerRestart { slot } => self.on_restart(now, slot),
@@ -1167,13 +1217,25 @@ mod tests {
                 self.queue
                     .schedule(shift + d.at, Event::FrameFromHost { port, packet });
             }
-            self.schedule_probes(shift + scan.latest + self.config.warmup_gap);
+            self.schedule_probes(self.probe_horizon(scan.latest));
             self.schedule_crash_plane();
             while let Some((now, event)) = self.queue.pop() {
                 self.events_dispatched += 1;
                 self.dispatch(now, event, departures);
             }
             self.collect(departures.len() as u64, scan.flows_total)
+        }
+
+        /// The keepalives `run` merges, scheduled as events up to
+        /// `horizon`, one after the other.
+        fn schedule_probes(&mut self, horizon: Nanos) {
+            if let Some(interval) = self.config.keepalive_interval {
+                let mut t = interval;
+                while t < horizon {
+                    self.queue.schedule(t, Event::ControllerKeepalive);
+                    t += interval;
+                }
+            }
         }
     }
 
@@ -1212,6 +1274,131 @@ mod tests {
             observed(&config, &shuffled, Testbed::run_prescheduled),
             reference
         );
+    }
+
+    /// A jitter-free 20 Mbps workload of `n` single-packet flows, shifted
+    /// so that its last departure is at `latest`.
+    fn cbr_workload(n: usize, latest: Nanos) -> Vec<Departure> {
+        let pktgen = PktgenConfig {
+            rate: BitRate::from_mbps(20),
+            jitter_permille: 0,
+            ..PktgenConfig::default()
+        };
+        let mut departures = single_packet_flows(&pktgen, n, 7);
+        let last = departures.iter().map(|d| d.at).max().unwrap_or_default();
+        for d in &mut departures {
+            d.at = d.at + latest - last;
+        }
+        departures
+    }
+
+    /// Runs `departures` with keepalives every `interval`, checks the run
+    /// against the prescheduled reference, and hands back the testbed.
+    fn run_with_probes(interval: Nanos, departures: &[Departure]) -> Testbed {
+        let mut config = TestbedConfig::with_buffer(FLOW_256);
+        config.keepalive_interval = Some(interval);
+        assert_eq!(
+            observed(&config, departures, Testbed::run),
+            observed(&config, departures, Testbed::run_prescheduled),
+            "{interval}"
+        );
+        let mut tb = Testbed::new(config);
+        tb.run(departures);
+        tb
+    }
+
+    fn probes_of(tb: &Testbed) -> u64 {
+        tb.controller().stats().probes_sent.get()
+    }
+
+    #[test]
+    fn the_probe_cursor_stops_short_of_its_horizon() {
+        let mut queue = EventQueue::new();
+        let ms = Nanos::from_millis;
+        // A horizon on a multiple of the interval: the probe that would
+        // fall on it is not sent.
+        let probes = Probes::reserve(&mut queue, Some(ms(10)), ms(100));
+        assert_eq!((probes.count, probes.seq0), (9, 0));
+        let mut served = Probes { next: 8, ..probes };
+        assert_eq!(served.key(), (ms(90), 8));
+        served.next = 9;
+        assert_eq!(served.key(), END);
+        // One nanosecond further, and there is a tenth.
+        let probes = Probes::reserve(&mut queue, Some(ms(10)), ms(100) + Nanos::from_nanos(1));
+        assert_eq!((probes.count, probes.seq0), (10, 9));
+        // An interval as long as the horizon or longer, or none: no probe,
+        // and no sequence number drawn.
+        for interval in [Some(ms(100)), Some(ms(101)), None] {
+            let probes = Probes::reserve(&mut queue, interval, ms(100));
+            assert_eq!((probes.count, probes.key()), (0, END), "{interval:?}");
+        }
+        assert_eq!(
+            Probes::reserve(&mut queue, Some(ms(1)), Nanos::ZERO).count,
+            0
+        );
+        assert_eq!(queue.reserve_seqs(0), 19);
+    }
+
+    #[test]
+    fn a_run_sends_the_probes_before_its_horizon_and_none_on_it() {
+        // Keepalives run until two 50-ms warm-up gaps past the last
+        // departure: 120 ms, a whole number of 1-ms, 40-ms and 120-ms
+        // intervals.
+        let departures = cbr_workload(10, Nanos::from_millis(20));
+        for (interval_ms, probes) in [(1, 119), (40, 2), (120, 0), (121, 0)] {
+            let tb = run_with_probes(Nanos::from_millis(interval_ms), &departures);
+            assert_eq!(probes_of(&tb), probes, "{interval_ms} ms");
+        }
+    }
+
+    #[test]
+    fn keepalives_run_through_the_warm_up_before_the_first_departure() {
+        // The one departure leaves after the 50-ms warm-up gap, at
+        // 79.5 ms: the probes of 1 ms to 79 ms are due before it, and each
+        // is on the wire before it too.
+        let departures = cbr_workload(1, Nanos::from_micros(29_500));
+        let first = Nanos::from_micros(79_500);
+        let mut config = TestbedConfig::with_buffer(FLOW_256);
+        config.keepalive_interval = Some(Nanos::from_millis(1));
+        let mut tb = Testbed::new(config);
+        let (tracer, sink) = Tracer::recording(0);
+        tb.set_tracer(tracer);
+        tb.run(&departures);
+        let on_the_wire_before_data = sink
+            .borrow()
+            .events()
+            .iter()
+            .filter(|e| e.at < first)
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::CtrlMsg {
+                        label: "echo_request",
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(on_the_wire_before_data, 79);
+        assert_eq!(
+            probes_of(&run_with_probes(Nanos::from_millis(1), &departures)),
+            129
+        );
+    }
+
+    #[test]
+    fn a_longer_run_queues_no_more_keepalives() {
+        // Prescheduled, the probes of a 1-ms keepalive sat in the queue
+        // from the first event: twice the workload, twice the probes, and
+        // a peak that grew with them.
+        let peak = |n| {
+            // 400 µs apart: the last departure of `n` is before `n` ms.
+            let departures = cbr_workload(n, Nanos::from_millis(n as u64));
+            let tb = run_with_probes(Nanos::from_millis(1), &departures);
+            assert!(probes_of(&tb) > 100);
+            tb.queue.peak_len()
+        };
+        assert_eq!(peak(400), peak(200));
     }
 
     const FLOW_256: BufferChoice = BufferChoice::FlowGranularity {
@@ -1815,7 +2002,7 @@ mod tests {
             for xid in 0..40u32 {
                 let msg = match xid % 3 {
                     0 => OfpMessage::Hello,
-                    1 => OfpMessage::EchoRequest(vec![0; xid as usize]),
+                    1 => OfpMessage::EchoRequest(vec![0; xid as usize].into()),
                     _ => OfpMessage::FeaturesRequest,
                 };
                 let msg = tb.msgs.insert(msg);

@@ -18,6 +18,7 @@ use crate::{
     PortNo, FLOW_BUFFER_VENDOR_ID, OFP_HEADER_LEN, OFP_MATCH_LEN,
 };
 use sdnbuf_net::{MacAddr, WireFrame};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Why a `packet_in` was sent.
@@ -197,8 +198,9 @@ pub struct PhyPort {
     pub port_no: PortNo,
     /// MAC address of the port.
     pub hw_addr: MacAddr,
-    /// Human-readable name (at most 15 bytes + NUL on the wire).
-    pub name: String,
+    /// Human-readable name (at most 15 bytes + NUL on the wire). A switch
+    /// names its ports with literals, borrowed; a decoded name is owned.
+    pub name: Cow<'static, str>,
 }
 
 /// A `features_reply`: the switch describing itself.
@@ -277,8 +279,10 @@ pub struct Vendor {
 pub enum OfpMessage {
     Hello,
     Error(ErrorMsg),
-    EchoRequest(Vec<u8>),
-    EchoReply(Vec<u8>),
+    /// The payload a sender chose, echoed back verbatim: a constant probe
+    /// is borrowed, a decoded payload owned.
+    EchoRequest(Cow<'static, [u8]>),
+    EchoReply(Cow<'static, [u8]>),
     Vendor(Vendor),
     FeaturesRequest,
     FeaturesReply(FeaturesReply),
@@ -439,8 +443,8 @@ impl OfpMessage {
                 code: wire::get_u16(body, 2)?,
                 data: body[4.min(body.len())..].to_vec(),
             }),
-            MsgType::EchoRequest => OfpMessage::EchoRequest(body.to_vec()),
-            MsgType::EchoReply => OfpMessage::EchoReply(body.to_vec()),
+            MsgType::EchoRequest => OfpMessage::EchoRequest(body.to_vec().into()),
+            MsgType::EchoReply => OfpMessage::EchoReply(body.to_vec().into()),
             MsgType::Vendor => OfpMessage::Vendor(Vendor {
                 vendor: wire::get_u32(body, 0)?,
                 data: body[4..].to_vec(),
@@ -550,7 +554,9 @@ fn decode_phy_port(body: &[u8]) -> Result<PhyPort, OfpError> {
     Ok(PhyPort {
         port_no: PortNo(wire::get_u16(body, 0)?),
         hw_addr: hw.into(),
-        name: String::from_utf8_lossy(&raw_name[..name_end]).into_owned(),
+        name: String::from_utf8_lossy(&raw_name[..name_end])
+            .into_owned()
+            .into(),
     })
 }
 
@@ -627,8 +633,8 @@ mod tests {
 
     #[test]
     fn echo_round_trip() {
-        round_trip(OfpMessage::EchoRequest(vec![1, 2, 3]));
-        round_trip(OfpMessage::EchoReply(vec![]));
+        round_trip(OfpMessage::EchoRequest(vec![1, 2, 3].into()));
+        round_trip(OfpMessage::EchoReply(Cow::Borrowed(&[])));
     }
 
     #[test]
@@ -664,12 +670,12 @@ mod tests {
                 PhyPort {
                     port_no: PortNo(1),
                     hw_addr: MacAddr::from_host_index(1),
-                    name: "eth1".to_owned(),
+                    name: "eth1".into(),
                 },
                 PhyPort {
                     port_no: PortNo(2),
                     hw_addr: MacAddr::from_host_index(2),
-                    name: "eth2".to_owned(),
+                    name: "eth2".into(),
                 },
             ],
         });
@@ -689,7 +695,7 @@ mod tests {
             ports: vec![PhyPort {
                 port_no: PortNo(1),
                 hw_addr: MacAddr::ZERO,
-                name: "a-very-long-interface-name".to_owned(),
+                name: "a-very-long-interface-name".into(),
             }],
         });
         let (back, _) = OfpMessage::decode(&msg.encode(0)).unwrap();

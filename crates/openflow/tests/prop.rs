@@ -91,8 +91,8 @@ fn arb_message() -> impl Strategy<Value = OfpMessage> {
         Just(OfpMessage::Hello),
         Just(OfpMessage::FeaturesRequest),
         Just(OfpMessage::GetConfigRequest),
-        data.clone().prop_map(OfpMessage::EchoRequest),
-        data.clone().prop_map(OfpMessage::EchoReply),
+        data.clone().prop_map(|d| OfpMessage::EchoRequest(d.into())),
+        data.clone().prop_map(|d| OfpMessage::EchoReply(d.into())),
         (any::<u16>(), any::<u16>(), data.clone()).prop_map(|(t, c, d)| OfpMessage::Error(
             ErrorMsg {
                 err_type: t,

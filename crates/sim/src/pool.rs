@@ -6,7 +6,8 @@
 //! payloads are inserted once, passed around by handle, shared across
 //! fan-out (flood, duplication faults) by bumping a reference count, and
 //! reclaimed in place — the slot's backing allocation is reused by the
-//! next occupant via the free list.
+//! next occupant via the free list, which runs through the free slots
+//! themselves (so releasing and reinserting never allocates).
 //!
 //! Generation tags make stale handles harmless: releasing the last
 //! reference bumps the slot's generation, so a handle that outlives its
@@ -34,11 +35,16 @@ impl PoolHandle {
     };
 }
 
+/// Ends the free list.
+const NIL: u32 = u32::MAX;
+
 #[derive(Debug)]
 struct Slot<T> {
     /// Odd while occupied, even while free; bumped on every transition.
     gen: u32,
-    /// Live references to the current occupant (0 while free).
+    /// While occupied, the live references to the occupant; while free,
+    /// the next free slot ([`NIL`] ends the list). A handle only reaches
+    /// an occupied slot (its generation is odd), so the two never mix.
     refs: u32,
     /// The occupant's tag (see [`Pool::set_tag`]).
     tag: Option<u32>,
@@ -73,7 +79,9 @@ pub struct PoolStats {
 #[derive(Debug)]
 pub struct Pool<T> {
     slots: Vec<Slot<T>>,
-    free: Vec<u32>,
+    /// The most recently freed slot, the head of the free list: reuse is
+    /// last in, first out.
+    free: u32,
     live: usize,
     stats: PoolStats,
 }
@@ -83,7 +91,7 @@ impl<T> Pool<T> {
     pub fn new() -> Self {
         Pool {
             slots: Vec::new(),
-            free: Vec::new(),
+            free: NIL,
             live: 0,
             stats: PoolStats::default(),
         }
@@ -93,7 +101,7 @@ impl<T> Pool<T> {
     pub fn with_capacity(cap: usize) -> Self {
         Pool {
             slots: Vec::with_capacity(cap),
-            free: Vec::new(),
+            free: NIL,
             live: 0,
             stats: PoolStats::default(),
         }
@@ -104,15 +112,20 @@ impl<T> Pool<T> {
         self.stats.inserted += 1;
         self.live += 1;
         self.stats.peak_live = self.stats.peak_live.max(self.live);
-        if let Some(slot) = self.free.pop() {
+        if self.free != NIL {
+            let slot = self.free;
             let s = &mut self.slots[slot as usize];
+            self.free = s.refs;
             s.gen = s.gen.wrapping_add(1); // even -> odd: occupied
             s.refs = 1;
             s.tag = None;
             s.val = Some(val);
             PoolHandle { slot, gen: s.gen }
         } else {
-            let slot = u32::try_from(self.slots.len()).expect("pool overflow");
+            let slot = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&slot| slot != NIL)
+                .expect("pool overflow");
             self.slots.push(Slot {
                 gen: 1,
                 refs: 1,
@@ -197,8 +210,9 @@ impl<T> Pool<T> {
             return None;
         }
         s.gen = s.gen.wrapping_add(1); // odd -> even: free
+        s.refs = self.free;
+        self.free = h.slot;
         let val = s.val.take();
-        self.free.push(h.slot);
         self.live -= 1;
         self.stats.reclaimed += 1;
         val
@@ -347,5 +361,46 @@ mod tests {
         p.release(b);
         p.release(c);
         assert_eq!(p.stats().reclaimed, 3);
+    }
+
+    #[test]
+    fn reuse_is_last_in_first_out() {
+        // A fixed script of inserts, shares and releases; the literals are
+        // what a side `Vec` free list handed out, so threading the list
+        // through the free slots changed no handle.
+        let mut p = Pool::new();
+        let [a, b, c, d] = [0, 1, 2, 3].map(|v| p.insert(v));
+        assert!(p.retain(b));
+        for h in [c, a, b, d] {
+            p.release(h); // `b` is still shared: it stays live
+        }
+        let [e, f, g] = [4, 5, 6].map(|v| p.insert(v));
+        p.release(b);
+        p.release(f);
+        let [h, i, j] = [7, 8, 9].map(|v| p.insert(v));
+        let handed: Vec<(u32, u32)> = [a, b, c, d, e, f, g, h, i, j]
+            .iter()
+            .map(|h| (h.slot, h.gen))
+            .collect();
+        assert_eq!(
+            handed,
+            [
+                (0, 1),
+                (1, 1),
+                (2, 1),
+                (3, 1),
+                (3, 3),
+                (0, 3),
+                (2, 3),
+                (0, 5),
+                (1, 3),
+                (4, 1)
+            ]
+        );
+        assert_eq!(p.len(), 5);
+        assert_eq!(
+            (p.get(e), p.get(g), p.get(h)),
+            (Some(&4), Some(&6), Some(&7))
+        );
     }
 }

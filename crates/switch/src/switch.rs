@@ -1225,11 +1225,15 @@ mod tests {
     fn echo_features_config_replies() {
         let mut pool = PacketPool::new();
         let mut sw = switch_with(BufferChoice::PacketGranularity { capacity: 256 });
-        let outs =
-            sw.handle_controller_msg(Nanos::ZERO, OfpMessage::EchoRequest(vec![1]), 3, &mut pool);
+        let outs = sw.handle_controller_msg(
+            Nanos::ZERO,
+            OfpMessage::EchoRequest(vec![1].into()),
+            3,
+            &mut pool,
+        );
         assert!(matches!(
             &outs[0],
-            SwitchOutput::ToController { xid: 3, msg: OfpMessage::EchoReply(d), .. } if d == &vec![1]
+            SwitchOutput::ToController { xid: 3, msg: OfpMessage::EchoReply(d), .. } if d.as_ref() == [1]
         ));
         let outs = sw.handle_controller_msg(Nanos::ZERO, OfpMessage::FeaturesRequest, 4, &mut pool);
         match &outs[0] {
@@ -1547,7 +1551,7 @@ mod tests {
         // Any controller message clears the suspicion.
         sw.handle_controller_msg(
             Nanos::from_millis(60),
-            OfpMessage::EchoRequest(vec![1]),
+            OfpMessage::EchoRequest(vec![1].into()),
             2,
             &mut pool,
         );

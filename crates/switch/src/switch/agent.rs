@@ -7,6 +7,9 @@ use crate::BufferChoice;
 use sdnbuf_openflow::{msg, FlowBufferExt, OfpMessage, PortNo, SUPPORTED_ACTIONS};
 use sdnbuf_sim::Nanos;
 
+/// What `features_reply` names the data ports, by `PortNo - 1`.
+const PORT_NAMES: [&str; DATA_PORTS as usize] = ["eth1", "eth2"];
+
 impl Switch {
     /// Answers a control message that costs one [`COST_CONTROL_MISC`] of CPU.
     pub(super) fn reply(
@@ -60,7 +63,7 @@ impl Switch {
                     .map(|p| msg::PhyPort {
                         port_no: PortNo(p),
                         hw_addr: sdnbuf_net::MacAddr::from_host_index(0xff00 + u32::from(p)),
-                        name: format!("eth{p}"),
+                        name: PORT_NAMES[usize::from(p) - 1].into(),
                     })
                     .collect();
                 let features = msg::FeaturesReply {

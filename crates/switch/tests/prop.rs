@@ -176,8 +176,8 @@ fn storm_request(kind: u8) -> (OfpMessage, fn(&OfpMessage) -> bool) {
             matches!(m, OfpMessage::FeaturesReply(_))
         }),
         1 => (
-            OfpMessage::EchoRequest(vec![7; 8]),
-            |m| matches!(m, OfpMessage::EchoReply(d) if d == &[7; 8]),
+            OfpMessage::EchoRequest(vec![7; 8].into()),
+            |m| matches!(m, OfpMessage::EchoReply(d) if d.as_ref() == [7; 8]),
         ),
         2 => (OfpMessage::GetConfigRequest, |m| {
             matches!(m, OfpMessage::GetConfigReply(_))

@@ -219,7 +219,7 @@ mod wire_props {
         (any::<u16>(), any::<[u8; 6]>(), arb_name(15)).prop_map(|(p, mac, name)| PhyPort {
             port_no: PortNo(p),
             hw_addr: MacAddr::new(mac),
-            name,
+            name: name.into(),
         })
     }
 
@@ -259,8 +259,8 @@ mod wire_props {
                     data: d
                 }
             )),
-            data.clone().prop_map(OfpMessage::EchoRequest),
-            data.clone().prop_map(OfpMessage::EchoReply),
+            data.clone().prop_map(|d| OfpMessage::EchoRequest(d.into())),
+            data.clone().prop_map(|d| OfpMessage::EchoReply(d.into())),
             (any::<u32>(), data.clone())
                 .prop_map(|(v, d)| OfpMessage::Vendor(Vendor { vendor: v, data: d })),
             Just(OfpMessage::FeaturesRequest),
@@ -418,8 +418,8 @@ mod wire_props {
                 code: 2,
                 data: vec![0xde, 0xad],
             }),
-            OfpMessage::EchoRequest(vec![1, 2, 3]),
-            OfpMessage::EchoReply(vec![]),
+            OfpMessage::EchoRequest(vec![1, 2, 3].into()),
+            OfpMessage::EchoReply(vec![].into()),
             OfpMessage::Vendor(Vendor {
                 vendor: 0x2320,
                 data: vec![7; 12],
