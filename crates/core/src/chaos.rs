@@ -14,6 +14,7 @@
 //! [`minimize`] greedily shrinks a failing plan to a minimal set of faults
 //! that still violates an invariant.
 
+use crate::experiment::recorded;
 use crate::invariants::Invariants;
 pub use crate::invariants::{check_invariants, RecoveryKnobs, Violation};
 use crate::observe::EventDigest;
@@ -157,10 +158,7 @@ fn window_near_data_phase(rng: &mut SimRng, max_ms: u64) -> Window {
 /// intentionally broken variants the harness's self-test must catch via
 /// the eventual-delivery and buffer-expiry invariants.
 pub fn execute(scenario: &RunSpec, sabotage: Sabotage) -> (RunResult, Vec<Event>) {
-    let (tracer, sink) = Tracer::recording(0);
-    let result = scenario.config().run(tracer, sabotage);
-    let events = sink.borrow_mut().take();
-    (result, events)
+    recorded(|tracer| scenario.config().run(tracer, sabotage, &mut None))
 }
 
 /// The outcome of one chaos scenario.
@@ -198,7 +196,7 @@ pub fn run_scenario(scenario: &RunSpec, sabotage: Sabotage) -> ChaosReport {
         digest: EventDigest::default(),
     }));
     let tracer = Tracer::new(observer.clone());
-    let result = scenario.config().run(tracer, sabotage);
+    let result = scenario.config().run(tracer, sabotage, &mut None);
     let mut observer = observer.borrow_mut();
     ChaosReport {
         violations: observer.checker.finish(&result),

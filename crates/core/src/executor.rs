@@ -8,7 +8,10 @@
 //! into the job's dedicated slot, and the caller receives `Vec<T>` in job
 //! order — bit-identical to a serial loop, regardless of worker count or
 //! scheduling. This module is the **one intentionally threaded component**
-//! of the workspace; everything it runs is `&self`/owned and shares nothing.
+//! of the workspace; everything it runs is `&self`/owned and shares nothing
+//! across workers. Within a worker, jobs hand on one scratch value (a sweep
+//! passes its last testbed, to reuse the storage): it may change what a job
+//! allocates, never what it returns.
 //!
 //! Progress flows through a [`ProgressSink`] (a `Sync` observer, since
 //! completions arrive from many threads), and per-worker cell timings are
@@ -229,27 +232,36 @@ impl Executor {
         Executor { parallelism }
     }
 
-    /// Runs `jobs` invocations of `job(index)` and returns the results in
-    /// index order. `observe(index, worker, elapsed)` is called after each
-    /// job under an internal lock (calls never overlap).
+    /// Runs `jobs` invocations of `job(index, scratch)` and returns the
+    /// results in index order. `observe(index, worker, elapsed)` is called
+    /// after each job under an internal lock (calls never overlap).
     ///
-    /// Ordering guarantee: the returned vector is `[job(0), job(1), …]`
-    /// regardless of which worker ran which index — callers see exactly
-    /// the serial result.
-    pub fn run<T, F, O>(&self, jobs: usize, job: F, observe: O) -> (Vec<T>, ExecutorReport)
+    /// `scratch` is the worker's own `W`, made with `W::default()` on the
+    /// worker's thread and handed to each job it runs, in turn: what one
+    /// job leaves there the worker's next job finds (callers without
+    /// scratch take `&mut ()`). Which jobs share a worker depends on
+    /// scheduling, so a job must compute the same result whatever it
+    /// finds there — storage to reuse, never state to read.
+    ///
+    /// Ordering guarantee: the returned vector is `[job(0, _), job(1, _),
+    /// …]` regardless of which worker ran which index — callers see
+    /// exactly the serial result.
+    pub fn run<T, W, F, O>(&self, jobs: usize, job: F, observe: O) -> (Vec<T>, ExecutorReport)
     where
         T: Send,
-        F: Fn(usize) -> T + Sync,
+        W: Default,
+        F: Fn(usize, &mut W) -> T + Sync,
         O: Fn(usize, usize, Duration) + Sync,
     {
         let workers = self.parallelism.worker_count().min(jobs.max(1));
         let started = Instant::now();
         if workers <= 1 {
             let mut times = Vec::with_capacity(jobs);
+            let mut scratch = W::default();
             let out = (0..jobs)
                 .map(|i| {
                     let t0 = Instant::now();
-                    let r = job(i);
+                    let r = job(i, &mut scratch);
                     let dt = t0.elapsed();
                     times.push(dt);
                     observe(i, 0, dt);
@@ -273,21 +285,24 @@ impl Executor {
                 let per_worker_times = &per_worker_times;
                 let job = &job;
                 let observe = &observe;
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs {
-                        break;
+                s.spawn(move || {
+                    let mut scratch = W::default();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= jobs {
+                            break;
+                        }
+                        let t0 = Instant::now();
+                        let result = job(i, &mut scratch);
+                        let dt = t0.elapsed();
+                        *slots[i].lock().expect("result slot poisoned") = Some(result);
+                        per_worker_times[w]
+                            .lock()
+                            .expect("timing vec poisoned")
+                            .push(dt);
+                        let _serialized = observe_lock.lock().expect("observer lock poisoned");
+                        observe(i, w, dt);
                     }
-                    let t0 = Instant::now();
-                    let result = job(i);
-                    let dt = t0.elapsed();
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                    per_worker_times[w]
-                        .lock()
-                        .expect("timing vec poisoned")
-                        .push(dt);
-                    let _serialized = observe_lock.lock().expect("observer lock poisoned");
-                    observe(i, w, dt);
                 });
             }
         });
@@ -341,7 +356,8 @@ mod tests {
             Parallelism::Fixed(4),
             Parallelism::Fixed(9),
         ] {
-            let (out, report) = Executor::new(parallelism).run(100, |i| i * i, |_, _, _| {});
+            let (out, report) =
+                Executor::new(parallelism).run(100, |i, _: &mut ()| i * i, |_, _, _| {});
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
             let jobs: usize = report.worker_stats.iter().map(|w| w.jobs).sum();
             assert_eq!(jobs, 100);
@@ -353,7 +369,7 @@ mod tests {
         let seen = Mutex::new(vec![false; 50]);
         Executor::new(Parallelism::Fixed(4)).run(
             50,
-            |i| i,
+            |i, _: &mut ()| i,
             |i, _, _| {
                 let mut seen = seen.lock().unwrap();
                 assert!(!seen[i], "job {i} observed twice");
@@ -364,10 +380,33 @@ mod tests {
     }
 
     #[test]
+    fn each_worker_hands_its_scratch_from_job_to_job() {
+        for parallelism in [Parallelism::Serial, Parallelism::Fixed(3)] {
+            // Each job returns how many jobs its worker ran before it.
+            let (ran_before, report) = Executor::new(parallelism).run(
+                60,
+                |_, ran: &mut usize| {
+                    *ran += 1;
+                    *ran - 1
+                },
+                |_, _, _| {},
+            );
+            // A worker with n jobs hands them 0, 1, .., n - 1: one fresh
+            // scratch per worker, kept from job to job.
+            let mut got = ran_before;
+            got.sort_unstable();
+            let mut want: Vec<usize> = report.worker_stats.iter().flat_map(|w| 0..w.jobs).collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "{parallelism:?}");
+        }
+    }
+
+    #[test]
     fn worker_count_clamps_to_jobs_and_floor_one() {
         assert_eq!(Parallelism::Fixed(0).worker_count(), 1);
         assert!(Parallelism::Auto.worker_count() >= 1);
-        let (_, report) = Executor::new(Parallelism::Fixed(8)).run(3, |i| i, |_, _, _| {});
+        let (_, report) =
+            Executor::new(Parallelism::Fixed(8)).run(3, |i, _: &mut ()| i, |_, _, _| {});
         assert!(report.workers <= 3);
     }
 
@@ -375,7 +414,7 @@ mod tests {
     fn report_accounts_busy_time() {
         let (_, report) = Executor::new(Parallelism::Fixed(2)).run(
             8,
-            |_| std::thread::sleep(Duration::from_millis(2)),
+            |_, _: &mut ()| std::thread::sleep(Duration::from_millis(2)),
             |_, _, _| {},
         );
         assert!(report.busy_total() >= Duration::from_millis(16));
@@ -420,7 +459,8 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_fine() {
-        let (out, report) = Executor::new(Parallelism::Auto).run(0, |i| i, |_, _, _| {});
+        let (out, report) =
+            Executor::new(Parallelism::Auto).run(0, |i, _: &mut ()| i, |_, _, _| {});
         assert!(out.is_empty());
         assert_eq!(report.worker_stats.iter().map(|w| w.jobs).sum::<usize>(), 0);
     }

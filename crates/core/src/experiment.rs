@@ -4,8 +4,10 @@
 //! public fields overridden. It is executed with [`RateSweep::run`]
 //! (serial) or [`RateSweep::run_with`] (parallel, via the
 //! [`crate::executor`] worker pool). Every (buffer, rate, repetition) run
-//! owns its seed and a fresh [`Testbed`], so the result is bit-identical
-//! under any worker count.
+//! owns its seed and runs on a testbed that measures as a fresh one — a
+//! worker rebuilds its last run's [`Testbed`] for the next
+//! ([`Testbed::reuse`]) and keeps only its storage — so the result is
+//! bit-identical under any worker count.
 
 use crate::executor::{Executor, NullSink, Parallelism, Progress, ProgressSink};
 use crate::{BufferMode, Metric, RunResult, Testbed, TestbedConfig};
@@ -309,25 +311,46 @@ impl ExperimentConfig {
         self.testbed.validate()
     }
 
-    /// Runs this configuration on a fresh testbed with `tracer` attached
-    /// and the buffer mechanism crippled as `sabotage` asks
-    /// ([`Sabotage::none`] but for the chaos harness's self-tests).
-    pub(crate) fn run(self, tracer: Tracer, sabotage: Sabotage) -> RunResult {
+    /// Runs this configuration with `tracer` attached and the buffer
+    /// mechanism crippled as `sabotage` asks ([`Sabotage::none`] but for
+    /// the chaos harness's self-tests), on `spent`'s testbed
+    /// ([`Testbed::reuse`]) or, without one, a fresh one. The run's
+    /// testbed is left in `spent`.
+    pub(crate) fn run(
+        self,
+        tracer: Tracer,
+        sabotage: Sabotage,
+        spent: &mut Option<Testbed>,
+    ) -> RunResult {
+        let mut testbed_cfg = self.testbed;
+        testbed_cfg.switch.buffer = self.buffer;
+        let testbed = testbed_in(spent, testbed_cfg);
+        testbed.switch_mut().sabotage_buffer(sabotage);
+        testbed.set_tracer(tracer);
         let pktgen = PktgenConfig {
             rate: self.sending_rate,
             frame_size: self.frame_size,
             ..PktgenConfig::default()
         };
         let departures = self.workload.generate(&pktgen, self.seed);
-        let mut testbed_cfg = self.testbed;
-        testbed_cfg.switch.buffer = self.buffer;
-        let mut testbed = Testbed::new(testbed_cfg);
-        testbed.switch_mut().sabotage_buffer(sabotage);
-        testbed.set_tracer(tracer);
         let mut result = testbed.run(&departures);
         result.sending_rate_mbps = self.sending_rate.as_mbps_f64();
         result
     }
+}
+
+/// A testbed built from `config`, keeping the storage of `spent`'s
+/// ([`Testbed::reuse`]) when there is one, and left in `spent`.
+///
+/// # Panics
+/// As [`Testbed::new`] does, when [`TestbedConfig::validate`] refuses
+/// `config`.
+pub(crate) fn testbed_in(spent: &mut Option<Testbed>, config: TestbedConfig) -> &mut Testbed {
+    let testbed = match spent.take() {
+        Some(spent) => spent.reuse(config),
+        None => Testbed::try_new(config),
+    };
+    spent.insert(testbed.unwrap_or_else(|e| panic!("invalid TestbedConfig: {e}")))
 }
 
 /// One experiment: a (buffer, workload, rate, seed) combination.
@@ -372,7 +395,7 @@ impl Experiment {
     /// Runs it on a fresh testbed with the given event tracer attached
     /// (see [`Testbed::set_tracer`]).
     pub fn run_with_tracer(&mut self, tracer: Tracer) -> RunResult {
-        self.config.clone().run(tracer, Sabotage::none())
+        self.config.clone().run(tracer, Sabotage::none(), &mut None)
     }
 
     /// Runs it with an unbounded recording sink attached and returns the
@@ -380,11 +403,17 @@ impl Experiment {
     /// order. The stream is deterministic for a fixed configuration and
     /// seed — byte-identical JSONL across runs and worker counts.
     pub fn run_traced(&mut self) -> (RunResult, Vec<Event>) {
-        let (tracer, sink) = Tracer::recording(0);
-        let result = self.run_with_tracer(tracer);
-        let events = sink.borrow_mut().take();
-        (result, events)
+        recorded(|tracer| self.run_with_tracer(tracer))
     }
+}
+
+/// `run` with an unbounded recording sink attached as its tracer: its
+/// result and the event stream it emitted, in emission order.
+pub(crate) fn recorded(run: impl FnOnce(Tracer) -> RunResult) -> (RunResult, Vec<Event>) {
+    let (tracer, sink) = Tracer::recording(0);
+    let result = run(tracer);
+    let events = sink.borrow_mut().take();
+    (result, events)
 }
 
 /// The identity of one sweep cell: which mechanism at which rate.
@@ -648,12 +677,13 @@ impl RateSweep {
 
     /// Runs every (cell, repetition) job across `parallelism` workers with
     /// per-run progress reporting, returning the per-job outputs merged in
-    /// deterministic grid order (cell major, repetition minor).
+    /// deterministic grid order (cell major, repetition minor). Each job
+    /// gets its worker's last testbed to run on ([`Testbed::reuse`]).
     fn run_grid<T: Send>(
         &self,
         parallelism: Parallelism,
         sink: &dyn ProgressSink,
-        job: impl Fn(CellKey, usize) -> T + Sync,
+        job: impl Fn(ExperimentConfig, &mut Option<Testbed>) -> T + Sync,
     ) -> Vec<T> {
         let grid = self.grid();
         let reps = self.repetitions;
@@ -667,7 +697,9 @@ impl RateSweep {
 
         let (outputs, report) = Executor::new(parallelism).run(
             total_runs,
-            |i| job(grid[i / reps], i % reps),
+            |i, spent: &mut Option<Testbed>| {
+                job(self.experiment_for(grid[i / reps], i % reps).config, spent)
+            },
             |i, worker, _elapsed| {
                 let cell = i / reps;
                 if remaining[cell].fetch_sub(1, Ordering::Relaxed) == 1 {
@@ -717,11 +749,12 @@ impl RateSweep {
     /// `sink` after every run and once at the end.
     ///
     /// The result is **identical to the serial run** for any worker
-    /// count: each (buffer, rate, repetition) run owns its seed and a
-    /// fresh testbed, and results merge back in grid order.
+    /// count: each (buffer, rate, repetition) run owns its seed and runs
+    /// on a testbed that measures as a fresh one, and results merge back
+    /// in grid order.
     pub fn run_with(&self, parallelism: Parallelism, sink: &dyn ProgressSink) -> SweepResult {
-        let runs = self.run_grid(parallelism, sink, |key, rep| {
-            self.experiment_for(key, rep).run()
+        let runs = self.run_grid(parallelism, sink, |config, spent| {
+            config.run(Tracer::off(), Sabotage::none(), spent)
         });
         self.assemble(runs)
     }
@@ -736,8 +769,8 @@ impl RateSweep {
         parallelism: Parallelism,
         sink: &dyn ProgressSink,
     ) -> (SweepResult, Vec<RunEvents>) {
-        let outputs = self.run_grid(parallelism, sink, |key, rep| {
-            self.experiment_for(key, rep).run_traced()
+        let outputs = self.run_grid(parallelism, sink, |config, spent| {
+            recorded(|tracer| config.run(tracer, Sabotage::none(), spent))
         });
         let grid = self.grid();
         let mut runs = Vec::with_capacity(outputs.len());

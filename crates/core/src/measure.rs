@@ -203,6 +203,26 @@ impl Measurement {
         self.log.get_or_insert_with(Vec::new);
     }
 
+    /// Takes over `spent`'s marks, flow aggregates and identity index,
+    /// emptied, if nothing was recorded here yet: what the next run's
+    /// measurement keeps of the last one's is capacity. Its totals and log
+    /// stay its own. The index is probed by key only, never iterated.
+    pub(crate) fn reclaim(&mut self, spent: Measurement) {
+        if !self.marks.is_empty() || !self.flows.is_empty() {
+            return;
+        }
+        let Measurement {
+            mut marks,
+            mut flows,
+            mut record_of,
+            ..
+        } = spent;
+        marks.clear();
+        flows.clear();
+        record_of.clear();
+        (self.marks, self.flows, self.record_of) = (marks, flows, record_of);
+    }
+
     /// How many records the run keeps, and how many wire identities are
     /// indexed.
     #[cfg(test)]
@@ -365,22 +385,27 @@ impl Measurement {
         }
     }
 
-    /// One sample of `delay` per flow that has one, in milliseconds and
-    /// flow order.
-    pub(crate) fn delays_ms(&self, delay: Delay) -> Vec<f64> {
-        let mut samples = Vec::with_capacity(self.flows.len());
+    /// Replaces `samples` with one sample of `delay` per flow that has one,
+    /// in milliseconds and flow order.
+    pub(crate) fn delays_ms_into(&self, delay: Delay, samples: &mut Vec<f64>) {
+        samples.clear();
+        samples.reserve(self.flows.len());
         let delays = self.flows.iter().filter_map(|f| f.delay(delay));
         samples.extend(delays.map(Nanos::as_millis_f64));
-        samples
     }
 
     /// Every sample and the totals, from the aggregates.
     #[cfg(test)]
     pub(crate) fn flow_delays(&self) -> FlowDelays {
+        let delays_ms = |delay| {
+            let mut samples = Vec::new();
+            self.delays_ms_into(delay, &mut samples);
+            samples
+        };
         FlowDelays {
-            setup_ms: self.delays_ms(Delay::Setup),
-            forwarding_ms: self.delays_ms(Delay::Forwarding),
-            switch_ms: self.delays_ms(Delay::Switch),
+            setup_ms: delays_ms(Delay::Setup),
+            forwarding_ms: delays_ms(Delay::Forwarding),
+            switch_ms: delays_ms(Delay::Switch),
             totals: self.totals(),
         }
     }
@@ -492,5 +517,18 @@ mod tests {
             .map(|f| f.answered.then_some(f.controller_rtt))
             .collect();
         assert_eq!(rtts, [None, Some(ms(2)), Some(ms(3))]);
+
+        // The next run's measurement keeps none of it: a drained frame of
+        // its own workload finds its own record.
+        let mut next = Measurement::default();
+        next.reclaim(m);
+        assert_eq!(next.sizes(), (0, 0));
+        assert!(next.flows.is_empty() && next.totals() == Totals::default());
+        let others = sdnbuf_workload::single_packet_flows(&pktgen, 5, 9);
+        next.begin(&others);
+        assert_eq!(next.sizes(), (5, 0));
+        let fourth = &others[3].packet;
+        assert_eq!(next.record_of_drained(&packet_in(fourth), &others), Some(3));
+        assert_eq!(next.record_of_drained(&packet_in(last), &others), None);
     }
 }

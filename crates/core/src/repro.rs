@@ -9,8 +9,11 @@
 //! table, one traced run's occupancy series and the markdown report.
 //!
 //! Every artifact is byte-identical for any [`Parallelism`]: each run owns
-//! its seed and a fresh testbed, and results merge back in job order.
+//! its seed and measures as on a fresh testbed (a worker's runs share one
+//! testbed's storage, [`Testbed::reuse`]), and results merge back in job
+//! order.
 
+use crate::experiment::testbed_in;
 use crate::{
     figures, observe, report, BufferMode, Executor, Experiment, ExperimentConfig, Metric,
     Parallelism, RateSweep, RunResult, StderrProgress, SweepResult, Testbed, TestbedConfig,
@@ -18,7 +21,8 @@ use crate::{
 };
 use sdnbuf_controller::ForwardingMode;
 use sdnbuf_metrics::Table;
-use sdnbuf_sim::{BitRate, FaultPlan, Nanos};
+use sdnbuf_sim::{BitRate, FaultPlan, Nanos, Tracer};
+use sdnbuf_switchbuf::Sabotage;
 use sdnbuf_workload::{ArrivalProcess, PktgenConfig};
 use std::io::{self, Write};
 use std::path::Path;
@@ -88,11 +92,13 @@ impl Variant {
         }
     }
 
-    fn run(&self, rep: usize) -> RunResult {
+    /// Repetition `rep`, on `spent`'s testbed ([`Testbed::reuse`]) or a
+    /// fresh one; the run's testbed is left in `spent`.
+    fn run(&self, rep: usize, spent: &mut Option<Testbed>) -> RunResult {
         let mut config = self.config.clone();
         config.seed += rep as u64;
         if self.arrival == ArrivalProcess::Cbr {
-            return Experiment::new(config).run();
+            return config.run(Tracer::off(), Sabotage::none(), spent);
         }
         let pktgen = PktgenConfig {
             rate: config.sending_rate,
@@ -102,7 +108,7 @@ impl Variant {
         };
         let departures = config.workload.generate(&pktgen, config.seed);
         config.testbed.switch.buffer = config.buffer;
-        Testbed::new(config.testbed).run(&departures)
+        testbed_in(spent, config.testbed).run(&departures)
     }
 }
 
@@ -119,7 +125,7 @@ impl Study {
     fn table(&self, reps: usize, threads: Parallelism) -> Table {
         let (runs, _) = Executor::new(threads).run(
             self.variants.len() * reps,
-            |i| self.variants[i / reps].run(i % reps),
+            |i, spent: &mut Option<Testbed>| self.variants[i / reps].run(i % reps, spent),
             |_, _, _| {},
         );
         let headers = self.columns.iter().map(|column| match *column {

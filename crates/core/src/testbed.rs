@@ -252,10 +252,17 @@ impl Probes {
     }
 }
 
+/// `v` without its elements, its storage kept.
+fn emptied<T>(mut v: Vec<T>) -> Vec<T> {
+    v.clear();
+    v
+}
+
 /// The assembled testbed of Fig. 1.
 ///
 /// Create one per run, feed it a workload with [`Testbed::run`], read the
-/// [`RunResult`].
+/// [`RunResult`]. For the next run, [`Testbed::reuse`] it: a testbed
+/// built anew that keeps this one's storage.
 pub struct Testbed {
     /// The configuration the testbed was built from, less its fault plan,
     /// which `faults` owns.
@@ -301,6 +308,8 @@ pub struct Testbed {
     /// When each `packet_in` of the measurement window awaiting its first
     /// answer left, by xid.
     pkt_in_sent: FastHashMap<u32, Nanos>,
+    /// The controller delay samples, then, once they are summarised, the
+    /// buffer the per-flow delays are summarised in one set at a time.
     controller_delays_ms: Vec<f64>,
     pkt_in_count: u64,
     flow_mod_count: u64,
@@ -386,6 +395,29 @@ impl Testbed {
             data_start: Nanos::ZERO,
             config,
         })
+    }
+
+    /// A testbed built from `config` by [`Testbed::try_new`] that keeps
+    /// this spent one's storage: the flow table's, both pools', the event
+    /// queue's, the measurement tables' and the handlers' output buffers,
+    /// each emptied. Nothing else carries over — no rule, counter,
+    /// generation, sequence number or high-water mark — so a run on it
+    /// measures exactly what the same run on a fresh testbed does; it only
+    /// allocates less, once the storage has grown to the runs it serves.
+    pub fn reuse(self, config: TestbedConfig) -> Result<Testbed, String> {
+        let mut testbed = Testbed::try_new(config)?;
+        testbed.switch.reclaim(self.switch);
+        testbed.queue.reclaim(self.queue);
+        testbed.pool.reclaim(self.pool);
+        testbed.msgs.reclaim(self.msgs);
+        testbed.measure.reclaim(self.measure);
+        let mut pkt_in_sent = self.pkt_in_sent;
+        pkt_in_sent.clear();
+        testbed.pkt_in_sent = pkt_in_sent;
+        testbed.controller_delays_ms = emptied(self.controller_delays_ms);
+        testbed.switch_out = emptied(self.switch_out);
+        testbed.ctrl_out = emptied(self.ctrl_out);
+        Ok(testbed)
     }
 
     /// The switch model (for inspection after a run).
@@ -1125,6 +1157,13 @@ impl Testbed {
             .iter()
             .map(|slot| slot.ctrl.stats().admission_sheds.get())
             .sum();
+        // One sample set at a time, each sorted in place in one buffer.
+        let controller_delay = Summary::of_mut(&mut self.controller_delays_ms);
+        let (measure, samples) = (&self.measure, &mut self.controller_delays_ms);
+        let mut flow_delay = |delay| {
+            measure.delays_ms_into(delay, samples);
+            Summary::of_mut(samples)
+        };
 
         RunResult {
             label: self.config.switch.buffer.label(),
@@ -1139,11 +1178,10 @@ impl Testbed {
             pkt_out_count: self.pkt_out_count,
             controller_cpu_percent: primary.ctrl.cpu_percent(active),
             switch_cpu_percent: self.switch.cpu_percent(active),
-            // One sample set live at a time, each sorted in place.
-            controller_delay: Summary::of_vec(std::mem::take(&mut self.controller_delays_ms)),
-            flow_setup_delay: Summary::of_vec(self.measure.delays_ms(Delay::Setup)),
-            switch_delay: Summary::of_vec(self.measure.delays_ms(Delay::Switch)),
-            flow_forwarding_delay: Summary::of_vec(self.measure.delays_ms(Delay::Forwarding)),
+            controller_delay,
+            flow_setup_delay: flow_delay(Delay::Setup),
+            switch_delay: flow_delay(Delay::Switch),
+            flow_forwarding_delay: flow_delay(Delay::Forwarding),
             buffer_mean_occupancy: mean_occ,
             buffer_peak_occupancy: buf_stats.peak_occupancy,
             buffer_fallbacks: buf_stats.fallback_full,
@@ -1828,6 +1866,36 @@ mod tests {
         let a = run_with(BufferChoice::NoBuffer, 30, 40);
         let b = run_with(BufferChoice::NoBuffer, 30, 40);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_reused_testbed_reads_as_fresh_and_keeps_only_capacity() {
+        // A crashing, lossy run with a standby leaves every counter moved.
+        let mut config = crash_config("crash=55ms+30ms,c.loss=p:0.2,fseed=3");
+        config.failover.standby = true;
+        let mut spent = Testbed::new(config);
+        spent.run(&small_workload(40, 300));
+        assert_eq!(spent.slots.len(), 2);
+        assert!(spent.queue.peak_len() > 0 && spent.switch.table().lookups() > 0);
+
+        let config = TestbedConfig::with_buffer(BufferChoice::NoBuffer);
+        let mut tb = spent.reuse(config.clone()).expect("a valid config");
+        let fresh = Testbed::new(config);
+        assert_eq!(tb.pool.stats(), fresh.pool.stats());
+        assert_eq!(tb.msgs.stats(), fresh.msgs.stats());
+        assert_eq!((tb.pool.len(), tb.msgs.len()), (0, 0));
+        assert_eq!((tb.queue.len(), tb.queue.peak_len()), (0, 0));
+        assert_eq!(tb.queue.reserve_seqs(0), 0, "sequence numbers start over");
+        let table = tb.switch.table();
+        assert_eq!((table.len(), table.lookups(), table.hits()), (0, 0, 0));
+        assert_eq!(tb.measure.sizes(), (0, 0));
+        assert!(tb.pkt_in_sent.is_empty() && tb.controller_delays_ms.is_empty());
+        assert!(tb.switch_out.is_empty() && tb.ctrl_out.is_empty());
+        assert!(tb.slots.len() == 1 && !tb.faults.plan().has_crashes());
+        // And it runs as the fresh one does.
+        let workload = small_workload(60, 120);
+        let mut fresh = fresh;
+        assert_eq!(tb.run(&workload), fresh.run(&workload));
     }
 
     /// A crash-plane testbed config: keepalives on (so the switch's

@@ -190,6 +190,39 @@ impl FlowTable {
         self.hits
     }
 
+    /// Takes over `spent`'s rule storage, lookup and expiry indexes,
+    /// emptied, if this table holds no rule: what a table built for
+    /// the next run keeps of the last one's is capacity. Its rules,
+    /// deadlines and lookup counters stay its own, a fresh table's. The
+    /// exact index is probed by key only, never iterated, so its larger
+    /// capacity changes no outcome.
+    pub fn reclaim(&mut self, spent: FlowTable) {
+        if !self.rules.is_empty() {
+            return;
+        }
+        let FlowTable {
+            mut rules,
+            mut exact,
+            mut exact_dups,
+            mut wild,
+            mut deadlines,
+            mut due,
+            ..
+        } = spent;
+        rules.clear();
+        exact.clear();
+        exact_dups.clear();
+        wild.clear();
+        deadlines.clear();
+        due.clear();
+        self.rules = rules;
+        self.exact = exact;
+        self.exact_dups = exact_dups;
+        self.wild = wild;
+        self.deadlines = deadlines;
+        self.due = due;
+    }
+
     /// Iterates over installed rules in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &FlowRule> {
         self.rules.iter().flatten()
@@ -576,6 +609,39 @@ mod tests {
         assert_eq!(hit.last_hit, Nanos::from_micros(3));
         assert_eq!(t.hits(), 1);
         assert_eq!(t.lookups(), 1);
+    }
+
+    #[test]
+    fn a_reclaimed_table_keeps_capacity_and_nothing_else() {
+        let mut spent = FlowTable::new(200);
+        for port in 0..150 {
+            let (mut rule, view) = exact_rule(port, 100);
+            rule.idle_timeout = Nanos::from_secs(1);
+            spent.insert(Nanos::ZERO, rule);
+            spent.match_packet(Nanos::from_micros(1), &view, 100);
+        }
+        spent.insert(Nanos::ZERO, FlowRule::new(Match::any(), 1));
+        let capacities = (spent.rules.capacity(), spent.deadlines.capacity());
+        let mut t = FlowTable::new(10);
+        t.reclaim(spent);
+        assert_eq!((t.rules.capacity(), t.deadlines.capacity()), capacities);
+        assert!(t.rules.is_empty() && t.exact.is_empty() && t.wild.is_empty());
+        assert!(t.exact_dups.is_empty() && t.deadlines.is_empty() && t.due.is_empty());
+        assert_eq!(
+            (t.len(), t.capacity(), t.lookups(), t.hits()),
+            (0, 10, 0, 0)
+        );
+        assert_eq!(t.next_expiry(), None);
+        let (rule, view) = exact_rule(3, 100);
+        assert!(
+            t.match_packet(Nanos::ZERO, &view, 100).is_none(),
+            "no old rule"
+        );
+        assert_eq!(t.insert(Nanos::ZERO, rule), InsertOutcome::Installed);
+        assert_eq!(t.peek(&view).map(|r| r.priority), Some(100));
+        // A table holding a rule keeps its own storage.
+        t.reclaim(FlowTable::new(10));
+        assert_eq!((t.len(), t.rules.capacity()), (1, capacities.0));
     }
 
     #[test]

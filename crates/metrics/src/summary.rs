@@ -40,13 +40,24 @@ impl Summary {
     /// Computes a summary of `samples`. Returns the zero summary for an
     /// empty slice. Non-finite samples are ignored.
     pub fn of(samples: &[f64]) -> Summary {
-        Summary::of_vec(samples.to_vec())
+        Summary::of_mut(&mut samples.to_vec())
     }
 
-    /// [`Summary::of`] for samples the caller is done with: they are
-    /// sorted in place, not copied.
-    pub fn of_vec(mut v: Vec<f64>) -> Summary {
-        v.retain(|x| x.is_finite());
+    /// [`Summary::of`] for samples the caller may reorder: they are sorted
+    /// in place, not copied, so a caller that summarises sample set after
+    /// sample set can keep one buffer for all of them. The slice is left
+    /// with the finite samples, sorted, at its front.
+    pub fn of_mut(samples: &mut [f64]) -> Summary {
+        // `retain` on a slice: the finite samples move to the front in
+        // their input order.
+        let mut n = 0;
+        for i in 0..samples.len() {
+            if samples[i].is_finite() {
+                samples[n] = samples[i];
+                n += 1;
+            }
+        }
+        let v = &mut samples[..n];
         if v.is_empty() {
             return Summary::default();
         }
@@ -54,7 +65,6 @@ impl Summary {
         // compare equal are the same bits, -0.0 and 0.0 aside, and no delay
         // sample is -0.0, so the order is the stable sort's.
         v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-        let n = v.len();
         let mean = v.iter().sum::<f64>() / n as f64;
         let std = if n < 2 {
             0.0
@@ -67,9 +77,9 @@ impl Summary {
             std,
             min: v[0],
             max: v[n - 1],
-            p50: percentile(&v, 0.50),
-            p95: percentile(&v, 0.95),
-            p99: percentile(&v, 0.99),
+            p50: percentile(v, 0.50),
+            p95: percentile(v, 0.95),
+            p99: percentile(v, 0.99),
         }
     }
 
@@ -176,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn of_vec_is_of_bit_for_bit() {
+    fn of_mut_is_of_bit_for_bit() {
         let bits = |s: Summary| {
             let Summary {
                 n,
@@ -200,20 +210,27 @@ mod tests {
             &[2.0, 2.0, 1.0, 2.0, 1.0, 5.0, 5.0, 0.1, 0.2, 0.3],
         ];
         for v in inputs {
+            let mut scratch = v.to_vec();
             assert_eq!(
-                bits(Summary::of_vec(v.to_vec())),
+                bits(Summary::of_mut(&mut scratch)),
                 bits(Summary::of(v)),
                 "{v:?}"
             );
+            // A longer buffer with stale samples past the set changes
+            // nothing: only the slice is read.
+            let mut longer = v.to_vec();
+            longer.extend([f64::NAN, 9.0, -9.0]);
+            let set = &mut longer[..v.len()];
+            assert_eq!(bits(Summary::of_mut(set)), bits(Summary::of(v)), "{v:?}");
         }
         // Ties between -0.0 and 0.0 keep their input order: the minimum is
         // whichever zero came first.
         assert_eq!(
-            Summary::of_vec(vec![-0.0, 0.0]).min.to_bits(),
+            Summary::of_mut(&mut [-0.0, 0.0]).min.to_bits(),
             (-0.0f64).to_bits()
         );
         assert_eq!(
-            Summary::of_vec(vec![0.0, -0.0]).min.to_bits(),
+            Summary::of_mut(&mut [0.0, -0.0]).min.to_bits(),
             0.0f64.to_bits()
         );
     }
@@ -222,11 +239,11 @@ mod tests {
     fn unstable_sort_matches_the_stable_reference() {
         let bits =
             |s: Summary| [s.mean, s.std, s.min, s.max, s.p50, s.p95, s.p99].map(f64::to_bits);
-        // The stable sort `of_vec` used before, over the same comparator.
+        // The stable sort used before, over the same comparator.
         let reference = |v: &[f64]| {
             let mut sorted = v.to_vec();
             sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-            Summary::of_vec(sorted)
+            Summary::of_mut(&mut sorted)
         };
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut draw = |bound: u64| {
@@ -244,7 +261,7 @@ mod tests {
                     _ => (draw(7) * 250_000) as f64 / 1e6,
                 })
                 .collect();
-            let (got, want) = (Summary::of_vec(v.clone()), reference(&v));
+            let (got, want) = (Summary::of_mut(&mut v.clone()), reference(&v));
             assert_eq!(got.n, want.n, "{len} samples");
             assert_eq!(bits(got), bits(want), "{len} samples");
         }

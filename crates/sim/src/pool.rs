@@ -232,6 +232,18 @@ impl<T> Pool<T> {
     pub fn stats(&self) -> PoolStats {
         self.stats
     }
+
+    /// Takes over `spent`'s slot storage, emptied, if this pool has never
+    /// held a value: what a pool built for the next run keeps of the last
+    /// one's is capacity, not its values, generations or counters, so every
+    /// handle and statistic reads as a fresh pool's.
+    pub fn reclaim(&mut self, spent: Pool<T>) {
+        if self.slots.is_empty() {
+            let mut slots = spent.slots;
+            slots.clear();
+            self.slots = slots;
+        }
+    }
 }
 
 impl<T: Clone> Pool<T> {
@@ -402,5 +414,28 @@ mod tests {
             (p.get(e), p.get(g), p.get(h)),
             (Some(&4), Some(&6), Some(&7))
         );
+    }
+
+    #[test]
+    fn a_reclaimed_pool_keeps_capacity_and_nothing_else() {
+        let mut spent = Pool::new();
+        let handles: Vec<PoolHandle> = (0..100).map(|v| spent.insert(v)).collect();
+        for &h in &handles[..60] {
+            spent.release(h);
+        }
+        let capacity = spent.slots.capacity();
+        let mut p = Pool::new();
+        p.reclaim(spent);
+        assert_eq!((p.slots.len(), p.slots.capacity()), (0, capacity));
+        assert_eq!((p.len(), p.stats()), (0, PoolStats::default()));
+        // The first handle is a fresh pool's, and no old handle reaches it.
+        let h = p.insert(7);
+        assert_eq!((h.slot, h.gen), (0, 1));
+        assert_eq!(p.get(handles[60]), None);
+        // A pool that has held a value keeps its own storage.
+        let mut other = Pool::new();
+        other.insert(0);
+        p.reclaim(other);
+        assert_eq!((p.slots.capacity(), p.get(h)), (capacity, Some(&7)));
     }
 }

@@ -378,6 +378,21 @@ impl<E> EventQueue<E> {
         self.wheel_len == 0 && self.far.is_empty()
     }
 
+    /// Takes over `spent`'s node arena and overflow heap, emptied, if this
+    /// queue holds neither a node nor an event: what a queue built for the
+    /// next run keeps of the last one's is capacity. Its sequence numbers,
+    /// cursor and [`Self::peak_len`] stay its own, a fresh queue's.
+    pub fn reclaim(&mut self, spent: EventQueue<E>) {
+        if self.nodes.is_empty() && self.far.is_empty() {
+            let EventQueue {
+                mut nodes, mut far, ..
+            } = spent;
+            nodes.clear();
+            far.clear();
+            (self.nodes, self.far) = (nodes, far);
+        }
+    }
+
     /// Removes all pending events. The arena and the overflow heap keep
     /// their capacity.
     pub fn clear(&mut self) {
@@ -649,6 +664,32 @@ mod tests {
         assert_eq!((q.nodes.len(), q.far.len()), (3, 1));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, [far + 3, far + 3, far + 9, 2 * far]);
+    }
+
+    #[test]
+    fn a_reclaimed_queue_keeps_capacity_not_its_sequence_or_peak() {
+        let far = (3 * SLOTS as u64) << TICK_SHIFT;
+        let mut spent = EventQueue::new();
+        for t in 0..40u64 {
+            spent.schedule(Nanos::from_nanos(t << TICK_SHIFT), t);
+        }
+        spent.schedule(Nanos::from_nanos(far), 99);
+        spent.reserve_seqs(1_000);
+        spent.pop();
+        let capacities = (spent.nodes.capacity(), spent.far.capacity());
+        let mut q = EventQueue::new();
+        q.reclaim(spent);
+        assert_eq!((q.nodes.capacity(), q.far.capacity()), capacities);
+        assert_eq!(
+            (q.nodes.len(), q.len(), q.peak_len(), q.free),
+            (0, 0, 0, NIL)
+        );
+        assert_eq!(q.reserve_seqs(0), 0, "sequence numbers start over");
+        for t in [9u64, 3, 3] {
+            q.schedule(Nanos::from_nanos(far + t), t);
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!((order, q.peak_len()), (vec![3, 3, 9], 3));
     }
 
     #[test]

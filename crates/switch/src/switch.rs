@@ -273,6 +273,14 @@ impl Switch {
         &self.table
     }
 
+    /// Takes over the flow table's storage of a `spent` switch, emptied:
+    /// what a switch built for the next run keeps of the last one's is
+    /// capacity (see [`FlowTable::reclaim`]). The rest of `spent` is
+    /// dropped.
+    pub fn reclaim(&mut self, spent: Switch) {
+        self.table.reclaim(spent.table);
+    }
+
     /// The buffer mechanism (for inspection).
     pub fn buffer(&self) -> &dyn BufferMechanism {
         self.buffer.as_ref()

@@ -1,12 +1,16 @@
 //! Property-based end-to-end tests: packet conservation, the invariants,
 //! determinism and the oracle's latency floor hold for arbitrary small
-//! workloads, rates and frame sizes under every buffer mechanism.
+//! workloads, rates and frame sizes under every buffer mechanism; and a
+//! run on a reused testbed is the run on a fresh one.
 
 use proptest::prelude::*;
 use sdn_buffer_lab::core::invariants::{Invariants, RecoveryKnobs};
+use sdn_buffer_lab::core::observe::events_digest;
 use sdn_buffer_lab::core::validate::{Oracle, Scenario};
+use sdn_buffer_lab::core::PacketTrace;
 use sdn_buffer_lab::core::WorkloadKind;
 use sdn_buffer_lab::prelude::*;
+use sdn_buffer_lab::workload::PktgenConfig;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -129,5 +133,76 @@ proptest! {
             nb.ctrl_bytes_to_controller
         );
         prop_assert!(pg.ctrl_bytes_to_switch < nb.ctrl_bytes_to_switch);
+    }
+}
+
+/// A chaos scenario — lossy, delayed and duplicating control channels, and
+/// with crashes controller restarts or a warm or cold standby's takeover —
+/// under any mechanism, at the generator's few dozen packets or as a few
+/// hundred single-packet flows.
+fn arb_spec() -> impl Strategy<Value = RunSpec> {
+    let size = prop_oneof![Just(None), (100usize..400).prop_map(Some)];
+    (any::<u64>(), arb_buffer(), any::<bool>(), size).prop_map(|(master, mech, crashes, flows)| {
+        let mut spec = if crashes {
+            RunSpec::generate_with_crashes(master, mech)
+        } else {
+            RunSpec::generate(master, mech)
+        };
+        if let Some(flows) = flows {
+            spec.workload = WorkloadKind::single_packet_flows(flows);
+        }
+        spec
+    })
+}
+
+/// What a run of `spec` shows: its result, the digest of its event stream
+/// and its packet log.
+type Observed = (RunResult, u64, Vec<PacketTrace>);
+
+/// Runs `spec` on `spent`'s testbed rebuilt for it, or a fresh one, as a
+/// sweep worker does, observed when `traced`; returns the testbed after.
+fn run_on(spent: Option<Testbed>, spec: &RunSpec, traced: bool) -> (Testbed, Observed) {
+    let config = spec.config();
+    let mut testbed_config = config.testbed;
+    testbed_config.switch.buffer = config.buffer;
+    let mut testbed = match spent {
+        Some(spent) => spent.reuse(testbed_config),
+        None => Testbed::try_new(testbed_config),
+    }
+    .expect("a generated spec is valid");
+    let (tracer, sink) = Tracer::recording(0);
+    if traced {
+        testbed.set_tracer(tracer);
+    }
+    let pktgen = PktgenConfig {
+        rate: config.sending_rate,
+        frame_size: config.frame_size,
+        ..PktgenConfig::default()
+    };
+    let departures = config.workload.generate(&pktgen, config.seed);
+    let result = testbed.run(&departures);
+    let digest = events_digest(&sink.borrow_mut().take());
+    let log = testbed.packet_log();
+    (testbed, (result, digest, log))
+}
+
+proptest! {
+    /// Running B on the testbed A left behind measures, emits and logs
+    /// exactly what B does on a fresh testbed: `Testbed::reuse` keeps
+    /// storage, and no rule, record, counter, generation or sequence
+    /// number of A's.
+    #[test]
+    fn a_run_on_a_reused_testbed_is_the_run_on_a_fresh_one(
+        a in arb_spec(),
+        b in arb_spec(),
+        a_traced in any::<bool>(),
+    ) {
+        let (spent, _) = run_on(None, &a, a_traced);
+        let (_, fresh) = run_on(None, &b, true);
+        let (_, reused) = run_on(Some(spent), &b, true);
+        prop_assert!(fresh.0.packets_sent > 0);
+        prop_assert_eq!(&reused.0, &fresh.0, "A: {}\nB: {}", a, b);
+        prop_assert_eq!(reused.1, fresh.1, "A: {}\nB: {}", a, b);
+        prop_assert!(reused.2 == fresh.2, "packet logs differ\nA: {}\nB: {}", a, b);
     }
 }
