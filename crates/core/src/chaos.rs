@@ -14,7 +14,7 @@
 //! [`minimize`] greedily shrinks a failing plan to a minimal set of faults
 //! that still violates an invariant.
 
-use crate::experiment::recorded;
+use crate::experiment::{recorded, RunScratch};
 use crate::invariants::Invariants;
 pub use crate::invariants::{check_invariants, RecoveryKnobs, Violation};
 use crate::observe::EventDigest;
@@ -158,7 +158,11 @@ fn window_near_data_phase(rng: &mut SimRng, max_ms: u64) -> Window {
 /// intentionally broken variants the harness's self-test must catch via
 /// the eventual-delivery and buffer-expiry invariants.
 pub fn execute(scenario: &RunSpec, sabotage: Sabotage) -> (RunResult, Vec<Event>) {
-    recorded(|tracer| scenario.config().run(tracer, sabotage, &mut None))
+    recorded(|tracer| {
+        scenario
+            .config()
+            .run(tracer, sabotage, &mut RunScratch::default())
+    })
 }
 
 /// The outcome of one chaos scenario.
@@ -196,7 +200,9 @@ pub fn run_scenario(scenario: &RunSpec, sabotage: Sabotage) -> ChaosReport {
         digest: EventDigest::default(),
     }));
     let tracer = Tracer::new(observer.clone());
-    let result = scenario.config().run(tracer, sabotage, &mut None);
+    let result = scenario
+        .config()
+        .run(tracer, sabotage, &mut RunScratch::default());
     let mut observer = observer.borrow_mut();
     ChaosReport {
         violations: observer.checker.finish(&result),

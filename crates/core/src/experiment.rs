@@ -6,7 +6,8 @@
 //! [`crate::executor`] worker pool). Every (buffer, rate, repetition) run
 //! owns its seed and runs on a testbed that measures as a fresh one — a
 //! worker rebuilds its last run's [`Testbed`] for the next
-//! ([`Testbed::reuse`]) and keeps only its storage — so the result is
+//! ([`Testbed::reuse`]) and generates each workload into its last run's
+//! departure buffer, keeping only their storage — so the result is
 //! bit-identical under any worker count.
 
 use crate::executor::{Executor, NullSink, Parallelism, Progress, ProgressSink};
@@ -15,8 +16,8 @@ use sdnbuf_sim::faults::{fmt_dur, parse_dur};
 use sdnbuf_sim::{BitRate, Event, Nanos, Tracer};
 use sdnbuf_switchbuf::Sabotage;
 use sdnbuf_workload::{
-    cross_sequenced_flows, mixed_udp_tcp, single_packet_flows, tcp_with_idle_gap, Departure,
-    PktgenConfig,
+    cross_sequenced_flows_into, mixed_udp_tcp_into, single_packet_flows_into,
+    tcp_with_idle_gap_into, ArrivalProcess, Departure, PktgenConfig,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -136,25 +137,36 @@ impl WorkloadKind {
 
     /// Generates the departures for this workload.
     pub fn generate(&self, pktgen: &PktgenConfig, seed: u64) -> Vec<Departure> {
+        let mut out = Vec::new();
+        self.generate_into(pktgen, seed, &mut out);
+        out
+    }
+
+    /// [`WorkloadKind::generate`] into `out`, emptied first: the
+    /// departures of a sweep worker's runs share one buffer's storage.
+    pub fn generate_into(&self, pktgen: &PktgenConfig, seed: u64, out: &mut Vec<Departure>) {
+        out.clear();
         match *self {
             WorkloadKind::SinglePacketFlows { n_flows } => {
-                single_packet_flows(pktgen, n_flows, seed)
+                single_packet_flows_into(pktgen, n_flows, seed, out)
             }
             WorkloadKind::CrossSequenced {
                 n_flows,
                 packets_per_flow,
                 group_size,
-            } => cross_sequenced_flows(pktgen, n_flows, packets_per_flow, group_size, seed),
+            } => {
+                cross_sequenced_flows_into(pktgen, n_flows, packets_per_flow, group_size, seed, out)
+            }
             WorkloadKind::TcpEviction {
                 first_burst,
                 idle_gap,
                 second_burst,
-            } => tcp_with_idle_gap(pktgen, first_burst, idle_gap, second_burst, seed),
+            } => tcp_with_idle_gap_into(pktgen, first_burst, idle_gap, second_burst, seed, out),
             WorkloadKind::MixedUdpTcp {
                 n_udp_flows,
                 n_tcp,
                 segments_per_tcp,
-            } => mixed_udp_tcp(pktgen, n_udp_flows, n_tcp, segments_per_tcp, seed),
+            } => mixed_udp_tcp_into(pktgen, n_udp_flows, n_tcp, segments_per_tcp, seed, out),
         }
     }
 }
@@ -313,44 +325,67 @@ impl ExperimentConfig {
 
     /// Runs this configuration with `tracer` attached and the buffer
     /// mechanism crippled as `sabotage` asks ([`Sabotage::none`] but for
-    /// the chaos harness's self-tests), on `spent`'s testbed
-    /// ([`Testbed::reuse`]) or, without one, a fresh one. The run's
-    /// testbed is left in `spent`.
+    /// the chaos harness's self-tests), on `scratch` ([`RunScratch::run`]).
     pub(crate) fn run(
         self,
         tracer: Tracer,
         sabotage: Sabotage,
-        spent: &mut Option<Testbed>,
+        scratch: &mut RunScratch,
     ) -> RunResult {
-        let mut testbed_cfg = self.testbed;
-        testbed_cfg.switch.buffer = self.buffer;
-        let testbed = testbed_in(spent, testbed_cfg);
-        testbed.switch_mut().sabotage_buffer(sabotage);
-        testbed.set_tracer(tracer);
-        let pktgen = PktgenConfig {
-            rate: self.sending_rate,
-            frame_size: self.frame_size,
-            ..PktgenConfig::default()
-        };
-        let departures = self.workload.generate(&pktgen, self.seed);
-        let mut result = testbed.run(&departures);
-        result.sending_rate_mbps = self.sending_rate.as_mbps_f64();
-        result
+        scratch.run(self, ArrivalProcess::Cbr, tracer, sabotage)
     }
 }
 
-/// A testbed built from `config`, keeping the storage of `spent`'s
-/// ([`Testbed::reuse`]) when there is one, and left in `spent`.
-///
-/// # Panics
-/// As [`Testbed::new`] does, when [`TestbedConfig::validate`] refuses
-/// `config`.
-pub(crate) fn testbed_in(spent: &mut Option<Testbed>, config: TestbedConfig) -> &mut Testbed {
-    let testbed = match spent.take() {
-        Some(spent) => spent.reuse(config),
-        None => Testbed::try_new(config),
-    };
-    spent.insert(testbed.unwrap_or_else(|e| panic!("invalid TestbedConfig: {e}")))
+/// What a sweep worker hands on from run to run: the spent testbed and
+/// the departure buffer. A run keeps their storage and nothing else, so it
+/// measures what it does on fresh ones.
+#[derive(Default)]
+pub(crate) struct RunScratch {
+    testbed: Option<Testbed>,
+    departures: Vec<Departure>,
+}
+
+impl RunScratch {
+    /// Runs `config` with departures spaced by `arrival`, on the spent
+    /// testbed rebuilt for it ([`Testbed::reuse`]) or, without one, a fresh
+    /// one, with `tracer` attached and the buffer crippled as `sabotage`
+    /// asks. The workload is generated into the departure buffer, and the
+    /// run's testbed is kept for the next.
+    ///
+    /// # Panics
+    /// As [`Testbed::new`] does, when [`TestbedConfig::validate`] refuses
+    /// the run's testbed.
+    pub(crate) fn run(
+        &mut self,
+        config: ExperimentConfig,
+        arrival: ArrivalProcess,
+        tracer: Tracer,
+        sabotage: Sabotage,
+    ) -> RunResult {
+        let mut testbed_cfg = config.testbed;
+        testbed_cfg.switch.buffer = config.buffer;
+        let testbed = match self.testbed.take() {
+            Some(spent) => spent.reuse(testbed_cfg),
+            None => Testbed::try_new(testbed_cfg),
+        };
+        let testbed = self
+            .testbed
+            .insert(testbed.unwrap_or_else(|e| panic!("invalid TestbedConfig: {e}")));
+        testbed.switch_mut().sabotage_buffer(sabotage);
+        testbed.set_tracer(tracer);
+        let pktgen = PktgenConfig {
+            rate: config.sending_rate,
+            frame_size: config.frame_size,
+            arrival,
+            ..PktgenConfig::default()
+        };
+        config
+            .workload
+            .generate_into(&pktgen, config.seed, &mut self.departures);
+        let mut result = testbed.run(&self.departures);
+        result.sending_rate_mbps = config.sending_rate.as_mbps_f64();
+        result
+    }
 }
 
 /// One experiment: a (buffer, workload, rate, seed) combination.
@@ -395,7 +430,9 @@ impl Experiment {
     /// Runs it on a fresh testbed with the given event tracer attached
     /// (see [`Testbed::set_tracer`]).
     pub fn run_with_tracer(&mut self, tracer: Tracer) -> RunResult {
-        self.config.clone().run(tracer, Sabotage::none(), &mut None)
+        self.config
+            .clone()
+            .run(tracer, Sabotage::none(), &mut RunScratch::default())
     }
 
     /// Runs it with an unbounded recording sink attached and returns the
@@ -678,12 +715,12 @@ impl RateSweep {
     /// Runs every (cell, repetition) job across `parallelism` workers with
     /// per-run progress reporting, returning the per-job outputs merged in
     /// deterministic grid order (cell major, repetition minor). Each job
-    /// gets its worker's last testbed to run on ([`Testbed::reuse`]).
+    /// gets its worker's [`RunScratch`] to run on.
     fn run_grid<T: Send>(
         &self,
         parallelism: Parallelism,
         sink: &dyn ProgressSink,
-        job: impl Fn(ExperimentConfig, &mut Option<Testbed>) -> T + Sync,
+        job: impl Fn(ExperimentConfig, &mut RunScratch) -> T + Sync,
     ) -> Vec<T> {
         let grid = self.grid();
         let reps = self.repetitions;
@@ -697,8 +734,11 @@ impl RateSweep {
 
         let (outputs, report) = Executor::new(parallelism).run(
             total_runs,
-            |i, spent: &mut Option<Testbed>| {
-                job(self.experiment_for(grid[i / reps], i % reps).config, spent)
+            |i, scratch: &mut RunScratch| {
+                job(
+                    self.experiment_for(grid[i / reps], i % reps).config,
+                    scratch,
+                )
             },
             |i, worker, _elapsed| {
                 let cell = i / reps;
@@ -753,8 +793,8 @@ impl RateSweep {
     /// on a testbed that measures as a fresh one, and results merge back
     /// in grid order.
     pub fn run_with(&self, parallelism: Parallelism, sink: &dyn ProgressSink) -> SweepResult {
-        let runs = self.run_grid(parallelism, sink, |config, spent| {
-            config.run(Tracer::off(), Sabotage::none(), spent)
+        let runs = self.run_grid(parallelism, sink, |config, scratch| {
+            config.run(Tracer::off(), Sabotage::none(), scratch)
         });
         self.assemble(runs)
     }
@@ -769,8 +809,8 @@ impl RateSweep {
         parallelism: Parallelism,
         sink: &dyn ProgressSink,
     ) -> (SweepResult, Vec<RunEvents>) {
-        let outputs = self.run_grid(parallelism, sink, |config, spent| {
-            recorded(|tracer| config.run(tracer, Sabotage::none(), spent))
+        let outputs = self.run_grid(parallelism, sink, |config, scratch| {
+            recorded(|tracer| config.run(tracer, Sabotage::none(), scratch))
         });
         let grid = self.grid();
         let mut runs = Vec::with_capacity(outputs.len());
@@ -975,6 +1015,26 @@ mod tests {
                 *next += 1;
                 prop_assert!(seen.insert((key, ident)), "{} repeats {:?}", workload, (key, ident));
             }
+        }
+
+        /// Generating B into a buffer that holds A's departures generates
+        /// what B does into a new one: the buffer keeps A's storage and
+        /// none of its departures.
+        #[test]
+        fn generating_into_a_used_buffer_is_generating_afresh(
+            a in arb_workload(),
+            b in arb_workload(),
+            seed_a in any::<u64>(),
+            seed_b in any::<u64>(),
+            poisson in any::<bool>(),
+        ) {
+            let pktgen = PktgenConfig {
+                arrival: if poisson { ArrivalProcess::Poisson } else { ArrivalProcess::Cbr },
+                ..PktgenConfig::default()
+            };
+            let mut buffer = a.generate(&pktgen, seed_a);
+            b.generate_into(&pktgen, seed_b, &mut buffer);
+            prop_assert!(buffer == b.generate(&pktgen, seed_b), "A: {}\nB: {}", a, b);
         }
     }
 

@@ -10,20 +10,19 @@
 //!
 //! Every artifact is byte-identical for any [`Parallelism`]: each run owns
 //! its seed and measures as on a fresh testbed (a worker's runs share one
-//! testbed's storage, [`Testbed::reuse`]), and results merge back in job
-//! order.
+//! testbed's storage, [`crate::Testbed::reuse`], and one departure
+//! buffer), and results merge back in job order.
 
-use crate::experiment::testbed_in;
+use crate::experiment::RunScratch;
 use crate::{
     figures, observe, report, BufferMode, Executor, Experiment, ExperimentConfig, Metric,
-    Parallelism, RateSweep, RunResult, StderrProgress, SweepResult, Testbed, TestbedConfig,
-    WorkloadKind,
+    Parallelism, RateSweep, RunResult, StderrProgress, SweepResult, TestbedConfig, WorkloadKind,
 };
 use sdnbuf_controller::ForwardingMode;
 use sdnbuf_metrics::Table;
 use sdnbuf_sim::{BitRate, FaultPlan, Nanos, Tracer};
 use sdnbuf_switchbuf::Sabotage;
-use sdnbuf_workload::{ArrivalProcess, PktgenConfig};
+use sdnbuf_workload::ArrivalProcess;
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -92,23 +91,11 @@ impl Variant {
         }
     }
 
-    /// Repetition `rep`, on `spent`'s testbed ([`Testbed::reuse`]) or a
-    /// fresh one; the run's testbed is left in `spent`.
-    fn run(&self, rep: usize, spent: &mut Option<Testbed>) -> RunResult {
+    /// Repetition `rep`, on the worker's `scratch` ([`RunScratch::run`]).
+    fn run(&self, rep: usize, scratch: &mut RunScratch) -> RunResult {
         let mut config = self.config.clone();
         config.seed += rep as u64;
-        if self.arrival == ArrivalProcess::Cbr {
-            return config.run(Tracer::off(), Sabotage::none(), spent);
-        }
-        let pktgen = PktgenConfig {
-            rate: config.sending_rate,
-            frame_size: config.frame_size,
-            arrival: self.arrival,
-            ..PktgenConfig::default()
-        };
-        let departures = config.workload.generate(&pktgen, config.seed);
-        config.testbed.switch.buffer = config.buffer;
-        testbed_in(spent, config.testbed).run(&departures)
+        scratch.run(config, self.arrival, Tracer::off(), Sabotage::none())
     }
 }
 
@@ -125,7 +112,7 @@ impl Study {
     fn table(&self, reps: usize, threads: Parallelism) -> Table {
         let (runs, _) = Executor::new(threads).run(
             self.variants.len() * reps,
-            |i, spent: &mut Option<Testbed>| self.variants[i / reps].run(i % reps, spent),
+            |i, scratch: &mut RunScratch| self.variants[i / reps].run(i % reps, scratch),
             |_, _, _| {},
         );
         let headers = self.columns.iter().map(|column| match *column {

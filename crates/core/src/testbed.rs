@@ -505,7 +505,7 @@ impl Testbed {
     /// The departures are streamed, not scheduled: each is copied into the
     /// pool when its instant comes, so the pool and the event queue hold
     /// what is in flight, not the whole workload. The controller's
-    /// keepalives are a second stream merged beside them ([`Probes`]).
+    /// keepalives are a second stream merged beside them (`Probes`).
     ///
     /// A frame carries its departure's record as its pool tag, and so do
     /// the `packet_in` sent for it, the `flow_mod` and `packet_out` that

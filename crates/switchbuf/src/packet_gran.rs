@@ -37,6 +37,10 @@ use std::collections::VecDeque;
 #[derive(Clone, Debug)]
 pub struct PacketGranularityBuffer {
     capacity: usize,
+    /// The occupied units by buffer id. It starts empty and grows with
+    /// occupancy, not to `capacity`: most runs never fill the buffer. Its
+    /// iteration order is read by order-free folds only (a `min`, or a
+    /// collect that is then sorted), so how it grew changes no run.
     units: FastHashMap<u32, BufferedPacket>,
     /// Units whose packet was released but whose slot is reclaimed lazily;
     /// each entry is the time the slot becomes available again.
@@ -88,7 +92,7 @@ impl PacketGranularityBuffer {
         assert!(capacity > 0, "buffer capacity must be positive");
         PacketGranularityBuffer {
             capacity,
-            units: FastHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            units: FastHashMap::default(),
             pending_free: VecDeque::new(),
             free_lag,
             next_id: 0,

@@ -221,10 +221,22 @@ fn tcp_segment_template(cfg: &PktgenConfig) -> Packet {
 /// The Section IV workload: `n_flows` single-packet UDP flows with forged
 /// source IPs, departing at the configured rate.
 pub fn single_packet_flows(cfg: &PktgenConfig, n_flows: usize, seed: u64) -> Vec<Departure> {
+    let mut out = Vec::new();
+    single_packet_flows_into(cfg, n_flows, seed, &mut out);
+    out
+}
+
+/// [`single_packet_flows`], appended to `out`.
+pub fn single_packet_flows_into(
+    cfg: &PktgenConfig,
+    n_flows: usize,
+    seed: u64,
+    out: &mut Vec<Departure>,
+) {
     let mut rng = SimRng::seed_from(seed);
     let template = udp_template(cfg);
     let mut at = cfg.start_at;
-    let mut out = Vec::with_capacity(n_flows);
+    out.reserve_exact(n_flows);
     for i in 0..n_flows {
         out.push(Departure {
             at,
@@ -234,7 +246,6 @@ pub fn single_packet_flows(cfg: &PktgenConfig, n_flows: usize, seed: u64) -> Vec
         });
         at += cfg.next_gap(&mut rng);
     }
-    out
 }
 
 /// The Section V workload: `n_flows` UDP flows of `packets_per_flow`
@@ -248,11 +259,25 @@ pub fn cross_sequenced_flows(
     group_size: usize,
     seed: u64,
 ) -> Vec<Departure> {
+    let mut out = Vec::new();
+    cross_sequenced_flows_into(cfg, n_flows, packets_per_flow, group_size, seed, &mut out);
+    out
+}
+
+/// [`cross_sequenced_flows`], appended to `out`.
+pub fn cross_sequenced_flows_into(
+    cfg: &PktgenConfig,
+    n_flows: usize,
+    packets_per_flow: usize,
+    group_size: usize,
+    seed: u64,
+    out: &mut Vec<Departure>,
+) {
     assert!(group_size > 0, "group size must be positive");
     let mut rng = SimRng::seed_from(seed);
     let template = udp_template(cfg);
     let mut at = cfg.start_at;
-    let mut out = Vec::with_capacity(n_flows * packets_per_flow);
+    out.reserve_exact(n_flows * packets_per_flow);
     let mut batch_start = 0;
     while batch_start < n_flows {
         let batch_end = (batch_start + group_size).min(n_flows);
@@ -269,7 +294,6 @@ pub fn cross_sequenced_flows(
         }
         batch_start = batch_end;
     }
-    out
 }
 
 /// The Section VI.B scenario: one TCP connection that handshakes, sends
@@ -285,12 +309,35 @@ pub fn tcp_with_idle_gap(
     second_burst: usize,
     seed: u64,
 ) -> Vec<Departure> {
-    let segment = tcp_segment_template(cfg);
-    tcp_connection(cfg, &segment, first_burst, idle_gap, second_burst, seed)
+    let mut out = Vec::new();
+    tcp_with_idle_gap_into(cfg, first_burst, idle_gap, second_burst, seed, &mut out);
+    out
 }
 
-/// [`tcp_with_idle_gap`] with its data segments stamped from `segment`,
-/// so that the connections of one mix share one filler.
+/// [`tcp_with_idle_gap`], appended to `out`.
+pub fn tcp_with_idle_gap_into(
+    cfg: &PktgenConfig,
+    first_burst: usize,
+    idle_gap: Nanos,
+    second_burst: usize,
+    seed: u64,
+    out: &mut Vec<Departure>,
+) {
+    let segment = tcp_segment_template(cfg);
+    out.reserve_exact(first_burst + second_burst + 2);
+    tcp_connection(
+        cfg,
+        &segment,
+        first_burst,
+        idle_gap,
+        second_burst,
+        seed,
+        out,
+    );
+}
+
+/// [`tcp_with_idle_gap_into`] with its data segments stamped from
+/// `segment`, so that the connections of one mix share one filler.
 fn tcp_connection(
     cfg: &PktgenConfig,
     segment: &Packet,
@@ -298,9 +345,9 @@ fn tcp_connection(
     idle_gap: Nanos,
     second_burst: usize,
     seed: u64,
-) -> Vec<Departure> {
+    out: &mut Vec<Departure>,
+) {
     let mut rng = SimRng::seed_from(seed);
-    let mut out = Vec::new();
     let mut at = cfg.start_at;
     let mut seq_in_flow = 0;
     let push = |at: Nanos, frame: &Packet, seq_in_flow: usize| Departure {
@@ -328,7 +375,6 @@ fn tcp_connection(
         seq_in_flow += 1;
         at += cfg.next_gap(&mut rng);
     }
-    out
 }
 
 /// A mixed workload: interleaves a Section IV-style UDP flood with
@@ -342,8 +388,23 @@ pub fn mixed_udp_tcp(
     segments_per_tcp: usize,
     seed: u64,
 ) -> Vec<Departure> {
-    let mut out = single_packet_flows(cfg, n_udp_flows, seed);
-    let n_udp = out.len();
+    let mut out = Vec::new();
+    mixed_udp_tcp_into(cfg, n_udp_flows, n_tcp, segments_per_tcp, seed, &mut out);
+    out
+}
+
+/// [`mixed_udp_tcp`], appended to `out`.
+pub fn mixed_udp_tcp_into(
+    cfg: &PktgenConfig,
+    n_udp_flows: usize,
+    n_tcp: usize,
+    segments_per_tcp: usize,
+    seed: u64,
+    out: &mut Vec<Departure>,
+) {
+    let start = out.len();
+    out.reserve_exact(n_udp_flows + n_tcp * (segments_per_tcp + 2));
+    single_packet_flows_into(cfg, n_udp_flows, seed, out);
     let mut rng = SimRng::seed_from(seed ^ 0x7cc);
     let segment = tcp_segment_template(cfg);
     for t in 0..n_tcp {
@@ -357,29 +418,30 @@ pub fn mixed_udp_tcp(
             rate: tcp_rate,
             ..*cfg
         };
-        let conn = tcp_connection(
+        let conn = out.len();
+        let seed = rng.next_u64();
+        tcp_connection(
             &tcp_cfg,
             &segment,
             segments_per_tcp,
             Nanos::ZERO,
             0,
-            rng.next_u64(),
+            seed,
+            out,
         );
-        out.extend(conn.into_iter().map(|mut d| {
-            d.flow_index = n_udp + t; // distinct flow numbering
-                                      // Give each connection its own ephemeral source port so the
-                                      // connections are distinct flows (and distinct packets on the
-                                      // measurement tap).
+        for d in &mut out[conn..] {
+            d.flow_index = n_udp_flows + t; // distinct flow numbering
+                                            // Give each connection its own ephemeral source port so the
+                                            // connections are distinct flows (and distinct packets on the
+                                            // measurement tap).
             if let Payload::Ipv4(ip) = &mut d.packet.payload {
                 if let Transport::Tcp(tcp, _) = &mut ip.transport {
                     tcp.src_port = 40_000 + t as u16;
                 }
             }
-            d
-        }));
+        }
     }
-    out.sort_by_key(|d| d.at);
-    out
+    out[start..].sort_by_key(|d| d.at);
 }
 
 /// `true` when every departure is in non-decreasing time order — every

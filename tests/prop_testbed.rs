@@ -1,7 +1,7 @@
 //! Property-based end-to-end tests: packet conservation, the invariants,
 //! determinism and the oracle's latency floor hold for arbitrary small
 //! workloads, rates and frame sizes under every buffer mechanism; and a
-//! run on a reused testbed is the run on a fresh one.
+//! run on a reused testbed and departure buffer is the run on fresh ones.
 
 use proptest::prelude::*;
 use sdn_buffer_lab::core::invariants::{Invariants, RecoveryKnobs};
@@ -10,7 +10,7 @@ use sdn_buffer_lab::core::validate::{Oracle, Scenario};
 use sdn_buffer_lab::core::PacketTrace;
 use sdn_buffer_lab::core::WorkloadKind;
 use sdn_buffer_lab::prelude::*;
-use sdn_buffer_lab::workload::PktgenConfig;
+use sdn_buffer_lab::workload::{Departure, PktgenConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -159,9 +159,15 @@ fn arb_spec() -> impl Strategy<Value = RunSpec> {
 /// and its packet log.
 type Observed = (RunResult, u64, Vec<PacketTrace>);
 
-/// Runs `spec` on `spent`'s testbed rebuilt for it, or a fresh one, as a
-/// sweep worker does, observed when `traced`; returns the testbed after.
-fn run_on(spent: Option<Testbed>, spec: &RunSpec, traced: bool) -> (Testbed, Observed) {
+/// What a sweep worker hands on from run to run: its last testbed, if it
+/// has run one, and its departure buffer.
+type Scratch = (Option<Testbed>, Vec<Departure>);
+
+/// Runs `spec` as a sweep worker does: on the spent testbed rebuilt for it,
+/// or a fresh one, with its workload generated into the spent departure
+/// buffer; observed when `traced`. Returns the two for the next run.
+fn run_on(scratch: Scratch, spec: &RunSpec, traced: bool) -> (Scratch, Observed) {
+    let (spent, mut departures) = scratch;
     let config = spec.config();
     let mut testbed_config = config.testbed;
     testbed_config.switch.buffer = config.buffer;
@@ -179,27 +185,30 @@ fn run_on(spent: Option<Testbed>, spec: &RunSpec, traced: bool) -> (Testbed, Obs
         frame_size: config.frame_size,
         ..PktgenConfig::default()
     };
-    let departures = config.workload.generate(&pktgen, config.seed);
+    config
+        .workload
+        .generate_into(&pktgen, config.seed, &mut departures);
     let result = testbed.run(&departures);
     let digest = events_digest(&sink.borrow_mut().take());
     let log = testbed.packet_log();
-    (testbed, (result, digest, log))
+    ((Some(testbed), departures), (result, digest, log))
 }
 
 proptest! {
-    /// Running B on the testbed A left behind measures, emits and logs
-    /// exactly what B does on a fresh testbed: `Testbed::reuse` keeps
-    /// storage, and no rule, record, counter, generation or sequence
-    /// number of A's.
+    /// Running B on the testbed and the departure buffer A left behind
+    /// measures, emits and logs exactly what B does on fresh ones:
+    /// `Testbed::reuse` keeps storage, and no rule, record, counter,
+    /// generation or sequence number of A's, and `generate_into` no
+    /// departure of A's.
     #[test]
     fn a_run_on_a_reused_testbed_is_the_run_on_a_fresh_one(
         a in arb_spec(),
         b in arb_spec(),
         a_traced in any::<bool>(),
     ) {
-        let (spent, _) = run_on(None, &a, a_traced);
-        let (_, fresh) = run_on(None, &b, true);
-        let (_, reused) = run_on(Some(spent), &b, true);
+        let (spent, _) = run_on(Scratch::default(), &a, a_traced);
+        let (_, fresh) = run_on(Scratch::default(), &b, true);
+        let (_, reused) = run_on(spent, &b, true);
         prop_assert!(fresh.0.packets_sent > 0);
         prop_assert_eq!(&reused.0, &fresh.0, "A: {}\nB: {}", a, b);
         prop_assert_eq!(reused.1, fresh.1, "A: {}\nB: {}", a, b);
