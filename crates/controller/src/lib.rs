@@ -55,4 +55,4 @@ mod stats;
 pub use config::{AdmissionPolicy, ControllerConfig, ForwardingMode};
 pub use controller::{Controller, ControllerOutput, SwitchFeatures};
 pub use headers::ParsedHeaders;
-pub use stats::{ControllerStats, EchoRtt};
+pub use stats::ControllerStats;

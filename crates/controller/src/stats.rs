@@ -1,48 +1,6 @@
 //! Controller-side measurement counters.
 
 use sdnbuf_metrics::{Counter, Histogram};
-use sdnbuf_sim::Nanos;
-
-/// Lazily allocated echo round-trip histogram. The ~15 KiB bucket array
-/// only exists once a sample lands, so controllers that never run
-/// keepalives (every default configuration) pay no allocation for it —
-/// neither at construction nor when run results clone the stats.
-#[derive(Clone, Debug, Default)]
-pub struct EchoRtt(Option<Box<Histogram>>);
-
-impl EchoRtt {
-    /// Record one round trip, allocating the histogram on first use.
-    pub fn record(&mut self, d: Nanos) {
-        self.0
-            .get_or_insert_with(|| Box::new(Histogram::new()))
-            .record(d);
-    }
-
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.0.as_ref().map_or(0, |h| h.count())
-    }
-
-    /// Upper bound of the bucket holding quantile `q` (zero when empty).
-    pub fn quantile(&self, q: f64) -> Nanos {
-        self.0.as_ref().map_or(Nanos::ZERO, |h| h.quantile(q))
-    }
-
-    /// `quantile` in fractional milliseconds.
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        self.0.as_ref().map_or(0.0, |h| h.quantile_ms(q))
-    }
-
-    /// Fold another echo-RTT record into this one. Allocates only when
-    /// the other side actually holds samples.
-    pub fn merge(&mut self, other: &EchoRtt) {
-        if let Some(theirs) = other.0.as_deref() {
-            self.0
-                .get_or_insert_with(|| Box::new(Histogram::new()))
-                .merge(theirs);
-        }
-    }
-}
 
 /// Running statistics kept by the controller model.
 #[derive(Clone, Debug, Default)]
@@ -70,7 +28,7 @@ pub struct ControllerStats {
     /// Round-trip time of the controller's own echo keepalives, from the
     /// `echo_request` leaving the controller to its `echo_reply` arriving
     /// back — the control channel's health signal.
-    pub echo_rtt: EchoRtt,
+    pub echo_rtt: Histogram,
 }
 
 #[cfg(test)]

@@ -3,10 +3,12 @@
 //! Simulation testing in the FoundationDB style: [`RunSpec::generate`]
 //! samples a randomized but fully determined scenario from a master seed —
 //! a buffer mechanism, a small cross-sequenced workload and a composable
-//! [`FaultPlan`] — and [`run_scenario`] executes it on a fresh
-//! [`crate::Testbed`], holding every event, as it is emitted, to the
-//! protocol invariants of [`crate::invariants`] and folding it into the
-//! stream digest.
+//! [`FaultPlan`] — and [`run_scenario`] executes it, holding every event,
+//! as it is emitted, to the protocol invariants of [`crate::invariants`]
+//! and folding it into the stream digest. A thread's scenarios share one
+//! [`crate::Testbed`]'s storage: each runs on the last one's testbed,
+//! rebuilt by [`crate::Testbed::reuse`], so it measures and emits what it
+//! would on a fresh one.
 //!
 //! A scenario is a [`RunSpec`], so it prints as the one-line spec that
 //! `sdnlab chaos --replay` parses back exactly: a failing run prints a
@@ -149,19 +151,18 @@ fn window_near_data_phase(rng: &mut SimRng, max_ms: u64) -> Window {
     Window::new(from, from + Nanos::from_millis(1 + rng.gen_range(max_ms)))
 }
 
-/// Runs `scenario` on a fresh testbed with the recording tracer attached
-/// and returns the measurements plus the full event stream, for callers
-/// that keep the stream (flight dumps, per-layer replays); [`run_scenario`]
-/// checks and digests the same stream without storing it.
+/// Runs `scenario` with the recording tracer attached, on the testbed this
+/// thread's last scenario left behind, and returns the measurements plus
+/// the full event stream, for callers that keep the stream (flight dumps,
+/// per-layer replays); [`run_scenario`] checks and digests the same stream
+/// without storing it.
 ///
 /// `sabotage` cripples parts of the mechanism on purpose — the
 /// intentionally broken variants the harness's self-test must catch via
 /// the eventual-delivery and buffer-expiry invariants.
 pub fn execute(scenario: &RunSpec, sabotage: Sabotage) -> (RunResult, Vec<Event>) {
     recorded(|tracer| {
-        scenario
-            .config()
-            .run(tracer, sabotage, &mut RunScratch::default())
+        RunScratch::on_this_thread(|scratch| scenario.config().run(tracer, sabotage, scratch))
     })
 }
 
@@ -200,9 +201,8 @@ pub fn run_scenario(scenario: &RunSpec, sabotage: Sabotage) -> ChaosReport {
         digest: EventDigest::default(),
     }));
     let tracer = Tracer::new(observer.clone());
-    let result = scenario
-        .config()
-        .run(tracer, sabotage, &mut RunScratch::default());
+    let result =
+        RunScratch::on_this_thread(|scratch| scenario.config().run(tracer, sabotage, scratch));
     let mut observer = observer.borrow_mut();
     ChaosReport {
         violations: observer.checker.finish(&result),
@@ -780,6 +780,60 @@ mod tests {
             Sabotage::no_epoch_guard(),
         );
         assert_eq!(a.digest, b.digest);
+    }
+
+    #[test]
+    fn a_scenario_after_another_on_one_thread_equals_it_on_a_fresh_thread() {
+        // The second scenario on a thread runs on the testbed and the
+        // departure buffer the first left behind; on a fresh thread it
+        // builds its own. Pairs mix the two generators and a mechanism
+        // sabotaged, and so left stranded, before or after an intact one.
+        let packet = BufferMode::PacketGranularity { capacity: 64 };
+        let flow_20ms = BufferMode::FlowGranularity {
+            capacity: 256,
+            timeout: Nanos::from_millis(20),
+        };
+        let pairs = [
+            (
+                crash_scenario(),
+                Sabotage::no_epoch_guard(),
+                RunSpec::generate(3, packet),
+                Sabotage::none(),
+            ),
+            (
+                RunSpec::generate_with_crashes(4, flow_mech()),
+                Sabotage::none(),
+                crash_scenario(),
+                Sabotage::no_epoch_guard(),
+            ),
+            (
+                RunSpec::generate(2, flow_20ms),
+                Sabotage::no_rerequest(),
+                RunSpec::generate_with_crashes(6, packet),
+                Sabotage::no_ttl_gc(),
+            ),
+        ];
+        // `b` on a thread of its own, after `first` if there is one.
+        let on_a_fresh_thread = |first: Option<(RunSpec, Sabotage)>, b: &RunSpec, sabotage| {
+            let b = b.clone();
+            std::thread::spawn(move || {
+                if let Some((a, a_sabotage)) = first {
+                    let report = run_scenario(&a, a_sabotage);
+                    let sabotaged = a_sabotage != Sabotage::none();
+                    assert_eq!(report.violations.is_empty(), !sabotaged, "{a}");
+                }
+                run_scenario(&b, sabotage)
+            })
+            .join()
+            .expect("the scenarios ran")
+        };
+        for (a, a_sabotage, b, b_sabotage) in pairs {
+            let reused = on_a_fresh_thread(Some((a, a_sabotage)), &b, b_sabotage);
+            let alone = on_a_fresh_thread(None, &b, b_sabotage);
+            assert_eq!(reused.digest, alone.digest, "{b}");
+            assert_eq!(reused.violations, alone.violations, "{b}");
+            assert_eq!(reused.result, alone.result, "{b}");
+        }
     }
 
     #[test]

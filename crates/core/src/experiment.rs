@@ -19,6 +19,7 @@ use sdnbuf_workload::{
     cross_sequenced_flows_into, mixed_udp_tcp_into, single_packet_flows_into,
     tcp_with_idle_gap_into, ArrivalProcess, Departure, PktgenConfig,
 };
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
@@ -336,9 +337,10 @@ impl ExperimentConfig {
     }
 }
 
-/// What a sweep worker hands on from run to run: the spent testbed and
-/// the departure buffer. A run keeps their storage and nothing else, so it
-/// measures what it does on fresh ones.
+/// What a sweep worker, or a thread running chaos scenarios, hands on
+/// from run to run: the spent testbed and the departure buffer. A run
+/// keeps their storage and nothing else, so it measures what it does on
+/// fresh ones.
 #[derive(Default)]
 pub(crate) struct RunScratch {
     testbed: Option<Testbed>,
@@ -346,11 +348,26 @@ pub(crate) struct RunScratch {
 }
 
 impl RunScratch {
+    /// Runs `f` on this thread's scratch: the one the last call on this
+    /// thread left behind, or a fresh one on the thread's first call. The
+    /// scratch is taken out for the call and put back after, so a run
+    /// nested in `f` gets a fresh one of its own.
+    pub(crate) fn on_this_thread<T>(f: impl FnOnce(&mut RunScratch) -> T) -> T {
+        thread_local! {
+            static SCRATCH: Cell<RunScratch> = Cell::default();
+        }
+        let mut scratch = SCRATCH.take();
+        let out = f(&mut scratch);
+        SCRATCH.set(scratch);
+        out
+    }
+
     /// Runs `config` with departures spaced by `arrival`, on the spent
     /// testbed rebuilt for it ([`Testbed::reuse`]) or, without one, a fresh
     /// one, with `tracer` attached and the buffer crippled as `sabotage`
     /// asks. The workload is generated into the departure buffer, and the
-    /// run's testbed is kept for the next.
+    /// run's testbed is kept for the next, with `tracer` detached: what
+    /// the next run keeps of this one is storage, not its sink.
     ///
     /// # Panics
     /// As [`Testbed::new`] does, when [`TestbedConfig::validate`] refuses
@@ -383,6 +400,7 @@ impl RunScratch {
             .workload
             .generate_into(&pktgen, config.seed, &mut self.departures);
         let mut result = testbed.run(&self.departures);
+        testbed.set_tracer(Tracer::off());
         result.sending_rate_mbps = config.sending_rate.as_mbps_f64();
         result
     }
@@ -841,6 +859,28 @@ mod tests {
     use sdnbuf_net::{FlowKey, Payload};
     use sdnbuf_sim::FaultPlan;
     use std::collections::HashSet;
+
+    #[test]
+    fn a_threads_scratch_keeps_no_sink_and_nests() {
+        let config = || ExperimentConfig {
+            workload: WorkloadKind::single_packet_flows(5),
+            ..ExperimentConfig::default()
+        };
+        let (tracer, sink) = Tracer::recording(0);
+        let (outer, inner) = RunScratch::on_this_thread(|scratch| {
+            let inner = RunScratch::on_this_thread(|nested| {
+                config().run(Tracer::off(), Sabotage::none(), nested)
+            });
+            (config().run(tracer, Sabotage::none(), scratch), inner)
+        });
+        assert_eq!(outer, inner);
+        assert!(!sink.borrow_mut().take().is_empty());
+        assert_eq!(
+            std::rc::Rc::strong_count(&sink),
+            1,
+            "the kept testbed holds the sink"
+        );
+    }
 
     #[test]
     fn paper_rate_grid_is_5_to_100() {

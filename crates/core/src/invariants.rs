@@ -80,7 +80,7 @@ pub struct RecoveryKnobs {
 }
 
 /// One invariant violation; `Display` writes `[<invariant>]: <detail>`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// Short stable invariant name (test assertions key on it).
     pub invariant: &'static str,

@@ -1,5 +1,5 @@
 //! Latency anatomy: folds the xid-linked event stream into per-flow-setup
-//! span trees and aggregates them into a fixed-memory [`LatencyReport`].
+//! span trees and aggregates them into a bounded-memory [`LatencyReport`].
 //!
 //! The paper reports flow-setup delay as one flat number per run. This
 //! module decomposes it: every reactive flow setup becomes a
@@ -532,7 +532,7 @@ pub fn build_spans(events: &[Event]) -> Vec<FlowSetupSpan> {
     closed
 }
 
-/// Fixed-memory aggregate of a run's (or a whole sweep's) flow-setup
+/// Bounded-memory aggregate of a run's (or a whole sweep's) flow-setup
 /// latency anatomy: one [`Histogram`] per critical-path phase, one for
 /// the end-to-end total, one for the off-path rule install, plus span
 /// outcome counts. Merging is per-histogram counter addition, so folding

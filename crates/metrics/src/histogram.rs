@@ -1,13 +1,15 @@
-//! Fixed-memory log-bucketed latency histogram.
+//! Log-bucketed latency histogram that holds only the buckets it touched.
 //!
 //! [`Histogram`] records nanosecond durations into log-linear buckets —
 //! every power of two is split into 32 linear sub-buckets — so quantile
 //! estimates carry a bounded *relative* error of at most 1/64 ≈ 1.6%
-//! (comfortably inside the 2.5% budget the latency reports quote) while
-//! the whole structure stays a fixed ~15 KiB regardless of how many
-//! samples it absorbs. This is the bounded replacement for unbounded
-//! `Vec<f64>` sample buffers on paths that see one sample per flow per
-//! phase across a whole sweep.
+//! (comfortably inside the 2.5% budget the latency reports quote). It
+//! stores the counts of the window of buckets from its lowest touched one
+//! to its highest, so its memory is at most 1 920 buckets however many
+//! samples it absorbs, an empty one allocates nothing, and recording
+//! allocates only when a sample widens the window. This is the bounded
+//! replacement for unbounded `Vec<f64>` sample buffers on paths that see
+//! one sample per flow per phase across a whole sweep.
 //!
 //! Merging is element-wise counter addition, so it is associative and
 //! commutative: parallel sweep workers can each fill a histogram and the
@@ -41,13 +43,20 @@ const SUB_BITS: u32 = 5;
 /// `(63 - 5 + 1) * 32 + 31 = 1919`.
 const BUCKETS: usize = 1920;
 
-/// A fixed-memory log-bucketed histogram of nanosecond durations.
+/// A log-bucketed histogram of nanosecond durations.
 ///
 /// See this module's source-level docs for the bucket scheme and error
 /// bound.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Histogram {
-    counts: Box<[u64; BUCKETS]>,
+    /// Bucket index of `counts[0]` (0 while empty).
+    lo: usize,
+    /// Counts of the buckets from `bucket_index(min_ns)` to
+    /// `bucket_index(max_ns)`, both included; empty while nothing is
+    /// recorded. Always exactly that window, so two histograms of the same
+    /// samples hold the same fields and the derived `PartialEq` compares
+    /// samples.
+    counts: Vec<u64>,
     count: u64,
     sum_ns: u128,
     min_ns: u64,
@@ -103,11 +112,12 @@ impl Histogram {
     /// width over the bucket's lower edge, `1 / (2 · 32)`.
     pub const RELATIVE_ERROR: f64 = 1.0 / (2 * SUB_BUCKETS) as f64;
 
-    /// Creates an empty histogram. Allocates its full fixed footprint
-    /// (~15 KiB) up front; recording never allocates.
+    /// Creates an empty histogram. Allocates nothing: the buckets grow
+    /// with the window the samples span, to at most 1 920 of them.
     pub fn new() -> Histogram {
         Histogram {
-            counts: Box::new([0u64; BUCKETS]),
+            lo: 0,
+            counts: Vec::new(),
             count: 0,
             sum_ns: 0,
             min_ns: u64::MAX,
@@ -132,11 +142,43 @@ impl Histogram {
     /// Records one duration given in raw nanoseconds.
     #[inline]
     pub fn record_ns(&mut self, ns: u64) {
-        self.counts[bucket_index(ns)] += 1;
+        let idx = bucket_index(ns);
+        if idx < self.lo || idx >= self.lo + self.counts.len() {
+            self.widen(idx, idx);
+        }
+        self.counts[idx - self.lo] += 1;
         self.count += 1;
         self.sum_ns += ns as u128;
         self.min_ns = self.min_ns.min(ns);
         self.max_ns = self.max_ns.max(ns);
+    }
+
+    /// Widens the window of buckets to take in `lo..=hi` as well, with
+    /// zeroed buckets in front and behind. When capacity grows it at
+    /// least doubles, up to the 1 920 buckets there are.
+    #[cold]
+    fn widen(&mut self, lo: usize, hi: usize) {
+        let (lo, hi, front) = match self.counts.len() {
+            0 => (lo, hi, 0),
+            len => {
+                let lo = lo.min(self.lo);
+                (lo, hi.max(self.lo + len - 1), self.lo - lo)
+            }
+        };
+        let len = hi - lo + 1;
+        if len > self.counts.capacity() {
+            let capacity = len.max(2 * self.counts.capacity()).min(BUCKETS);
+            self.counts.reserve_exact(capacity - self.counts.len());
+        }
+        self.counts.splice(0..0, std::iter::repeat(0).take(front));
+        self.counts.resize(len, 0);
+        self.lo = lo;
+    }
+
+    /// The touched buckets' `(index, count)` pairs in ascending index
+    /// order, empty ones between them included.
+    fn buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        (self.lo..).zip(self.counts.iter().copied())
     }
 
     /// Number of recorded samples.
@@ -191,7 +233,7 @@ impl Histogram {
             return self.max();
         }
         let mut seen = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
+        for (idx, c) in self.buckets() {
             seen += c;
             if seen >= rank {
                 let (lo, width) = bucket_range(idx);
@@ -207,11 +249,20 @@ impl Histogram {
         self.quantile(q).as_nanos() as f64 / 1e6
     }
 
-    /// Folds `other` into `self` by element-wise counter addition.
-    /// Associative and commutative, so any merge tree over the same
-    /// multiset of samples produces the same histogram.
+    /// Folds `other` into `self` by element-wise counter addition, the
+    /// window widened to take in `other`'s. Associative and commutative,
+    /// so any merge tree over the same multiset of samples produces the
+    /// same histogram.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+        if other.is_empty() {
+            return;
+        }
+        let (lo, hi) = (other.lo, other.lo + other.counts.len() - 1);
+        if lo < self.lo || hi >= self.lo + self.counts.len() {
+            self.widen(lo, hi);
+        }
+        let mine = &mut self.counts[lo - self.lo..=hi - self.lo];
+        for (a, b) in mine.iter_mut().zip(&other.counts) {
             *a += b;
         }
         self.count += other.count;
@@ -236,7 +287,7 @@ impl Histogram {
         w.key("p95_ms").fixed(self.quantile_ms(0.95), 6);
         w.key("p99_ms").fixed(self.quantile_ms(0.99), 6);
         w.key("buckets").begin_array();
-        for (idx, &c) in self.counts.iter().enumerate().filter(|(_, &c)| c > 0) {
+        for (idx, c) in self.buckets().filter(|&(_, c)| c > 0) {
             w.begin_array().u64(idx as u64).u64(c).end_array();
         }
         w.end_array().end_object();
@@ -246,6 +297,196 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The dense histogram the windowed one replaced, every bucket held
+    /// from the start: the reference it is checked against.
+    #[derive(PartialEq)]
+    struct Dense {
+        counts: Box<[u64; BUCKETS]>,
+        count: u64,
+        sum_ns: u128,
+        min_ns: u64,
+        max_ns: u64,
+    }
+
+    impl Dense {
+        fn new() -> Dense {
+            Dense {
+                counts: Box::new([0; BUCKETS]),
+                count: 0,
+                sum_ns: 0,
+                min_ns: u64::MAX,
+                max_ns: 0,
+            }
+        }
+
+        fn record_ns(&mut self, ns: u64) {
+            self.counts[bucket_index(ns)] += 1;
+            self.count += 1;
+            self.sum_ns += ns as u128;
+            self.min_ns = self.min_ns.min(ns);
+            self.max_ns = self.max_ns.max(ns);
+        }
+
+        fn merge(&mut self, other: &Dense) {
+            for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+                *a += b;
+            }
+            self.count += other.count;
+            self.sum_ns += other.sum_ns;
+            self.min_ns = self.min_ns.min(other.min_ns);
+            self.max_ns = self.max_ns.max(other.max_ns);
+        }
+
+        fn quantile(&self, q: f64) -> Nanos {
+            if self.count == 0 {
+                return Nanos::ZERO;
+            }
+            let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+            if rank == 1 {
+                return Nanos::from_nanos(self.min_ns);
+            }
+            if rank == self.count {
+                return Nanos::from_nanos(self.max_ns);
+            }
+            let mut seen = 0u64;
+            for (idx, &c) in self.counts.iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    let (lo, width) = bucket_range(idx);
+                    let mid = lo + width / 2;
+                    return Nanos::from_nanos(mid.clamp(self.min_ns, self.max_ns));
+                }
+            }
+            Nanos::from_nanos(self.max_ns)
+        }
+
+        fn write_json(&self, out: &mut String) {
+            let ms = |q| self.quantile(q).as_nanos() as f64 / 1e6;
+            let mean_ms = match self.count {
+                0 => 0.0,
+                n => self.sum_ns as f64 / n as f64 / 1e6,
+            };
+            let mut w = JsonWriter::new(out);
+            w.begin_object();
+            w.key("count").u64(self.count);
+            w.key("min_ns")
+                .u64(if self.count == 0 { 0 } else { self.min_ns });
+            w.key("max_ns").u64(self.max_ns);
+            w.key("mean_ms").fixed(mean_ms, 6);
+            w.key("p50_ms").fixed(ms(0.50), 6);
+            w.key("p95_ms").fixed(ms(0.95), 6);
+            w.key("p99_ms").fixed(ms(0.99), 6);
+            w.key("buckets").begin_array();
+            for (idx, &c) in self.counts.iter().enumerate().filter(|(_, &c)| c > 0) {
+                w.begin_array().u64(idx as u64).u64(c).end_array();
+            }
+            w.end_array().end_object();
+        }
+    }
+
+    /// A step of a differential run: one sample, or a merge of a
+    /// histogram of these samples (none: a merge of an empty one).
+    #[derive(Clone, Debug)]
+    enum Step {
+        Record(u64),
+        Merge(Vec<u64>),
+    }
+
+    fn sample() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            1u64..32,
+            32u64..4_096,
+            4_096u64..1 << 40,
+            any::<u64>(),
+            Just(u64::MAX),
+        ]
+    }
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        let step = prop_oneof![
+            3 => sample().prop_map(Step::Record),
+            1 => collection::vec(sample(), 0..6).prop_map(Step::Merge),
+        ];
+        collection::vec(step, 0..40)
+    }
+
+    /// `steps` applied to a fresh windowed histogram and a fresh reference.
+    fn both(steps: &[Step]) -> (Histogram, Dense) {
+        let (mut h, mut d) = (Histogram::new(), Dense::new());
+        for step in steps {
+            match step {
+                Step::Record(ns) => {
+                    h.record_ns(*ns);
+                    d.record_ns(*ns);
+                }
+                Step::Merge(samples) => {
+                    let (mut oh, mut od) = (Histogram::new(), Dense::new());
+                    for &ns in samples {
+                        oh.record_ns(ns);
+                        od.record_ns(ns);
+                    }
+                    h.merge(&oh);
+                    d.merge(&od);
+                }
+            }
+        }
+        (h, d)
+    }
+
+    fn agrees(h: &Histogram, d: &Dense) -> Result<(), TestCaseError> {
+        for q in [0.0, 0.01, 0.5, 0.95, 0.99, 1.0] {
+            prop_assert_eq!(h.quantile(q), d.quantile(q), "q = {}", q);
+        }
+        let (mut windowed, mut dense) = (String::new(), String::new());
+        h.write_json(&mut windowed);
+        d.write_json(&mut dense);
+        prop_assert_eq!(windowed, dense);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn windowed_histogram_equals_the_dense_reference(a in steps(), b in steps()) {
+            let (ha, da) = both(&a);
+            let (hb, db) = both(&b);
+            agrees(&ha, &da)?;
+            agrees(&hb, &db)?;
+            prop_assert_eq!(ha == hb, da == db);
+            // The same samples in reverse order, recorded one by one: the
+            // same histogram whichever side its window grew from.
+            let reversed: Vec<Step> = a
+                .iter()
+                .flat_map(|step| match step {
+                    Step::Record(ns) => vec![*ns],
+                    Step::Merge(samples) => samples.clone(),
+                })
+                .rev()
+                .map(Step::Record)
+                .collect();
+            let (hr, dr) = both(&reversed);
+            agrees(&hr, &dr)?;
+            prop_assert!(ha == hr && da == dr);
+        }
+    }
+
+    #[test]
+    fn an_empty_histogram_allocates_nothing_and_a_window_stays_tight() {
+        let mut h = Histogram::new();
+        assert_eq!(h.counts.capacity(), 0);
+        h.merge(&Histogram::new());
+        assert_eq!(h.counts.capacity(), 0);
+        h.record_ns(1_000);
+        h.record_ns(40);
+        h.record_ns(u64::MAX);
+        assert_eq!(h.lo, bucket_index(40));
+        assert_eq!(h.counts.len(), BUCKETS - bucket_index(40));
+        assert!(h.counts.capacity() <= BUCKETS);
+    }
 
     #[test]
     fn bucket_index_is_monotone_and_continuous() {

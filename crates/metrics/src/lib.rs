@@ -10,7 +10,7 @@
 //! * [`ByteMeter`] — byte/message volume on a link tap, with Mbps rates.
 //! * [`Gauge`] — a sampled occupancy value with time-weighted mean and max
 //!   (used for buffer utilization, Figs. 8 and 13).
-//! * [`Histogram`] — fixed-memory log-bucketed latency histogram with a
+//! * [`Histogram`] — bounded-memory log-bucketed latency histogram with a
 //!   bounded relative error and deterministic merge (used by the latency
 //!   anatomy reports, where per-phase sample vectors would be unbounded).
 //! * [`Summary`] — n/mean/std/min/max/percentiles of a sample set, the

@@ -324,28 +324,69 @@ fn a_keepalive_allocates_nothing() {
     );
 }
 
+/// The flow mechanism of `sdnlab chaos`'s sweep.
+const CHAOS_FLOW_256: BufferMode = BufferMode::FlowGranularity {
+    capacity: 256,
+    timeout: Nanos::from_millis(20),
+};
+
+/// What `run_scenario(after)` costs the heap on a thread of its own: its
+/// allocations and the bytes they asked for, once `first` (if any) has run
+/// on the same thread.
+fn chaos_scenario_cost(first: Option<RunSpec>, after: RunSpec) -> (u64, u64) {
+    std::thread::spawn(move || {
+        if let Some(first) = first {
+            run_scenario(&first, Sabotage::none());
+        }
+        let (allocations, bytes, report) =
+            allocations_and_bytes_in(|| run_scenario(&after, Sabotage::none()));
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        (allocations, bytes)
+    })
+    .join()
+    .unwrap()
+}
+
 #[test]
 fn one_chaos_scenario_allocates_about_sixty_times() {
-    let mech = BufferMode::FlowGranularity {
-        capacity: 256,
-        timeout: Nanos::from_millis(20),
-    };
-    let scenario = RunSpec::generate_with_crashes(1, mech);
-    let (allocations, report) = allocations_in(|| run_scenario(&scenario, Sabotage::none()));
-    assert!(report.violations.is_empty(), "{:?}", report.violations);
-    // 59 as this is written, the departures one of them: a scenario runs
-    // on a fresh testbed and departure buffer, and the buffer is reserved
-    // once, at the workload's size. It read 62 while a run's four delay
-    // sets were summarised in a vector each (+3), and 95 while the scenario's 23
-    // keepalives each allocated an echo payload (+23), the pools kept their
-    // free lists in a side `Vec` (+5), each `features_reply` formatted its
-    // port names (+2), the testbed copied the fault plan (+2) and the
-    // keepalives were pushed onto the far heap up front (+1). Earlier, at
-    // 106, a bucket per touched slot of the event queue's wheel (191 of
-    // them) and `Summary::of` collecting its samples up the doubling ladder
-    // (6) read 308, and the switch's occupancy timeline doubling its way up
-    // 111. The ceiling is the reading + 15 %.
-    assert!(allocations <= 67, "{allocations} allocations");
+    let (allocations, bytes) =
+        chaos_scenario_cost(None, RunSpec::generate_with_crashes(1, CHAOS_FLOW_256));
+    // A fresh thread's first scenario, which builds the thread's testbed
+    // and departure buffer: 59 allocations and 23 031 B as this is
+    // written, the departures one of them, reserved once at the
+    // workload's size. The echo round-trip histogram holds the few buckets
+    // its samples touch; while it boxed all 1 920 of them on the first
+    // sample the scenario asked for 38 351 B. It read 62 while a run's four
+    // delay sets were summarised in a vector each (+3), and 95 while the
+    // scenario's 23 keepalives each allocated an echo payload (+23), the
+    // pools kept their free lists in a side `Vec` (+5), each
+    // `features_reply` formatted its port names (+2), the testbed copied
+    // the fault plan (+2) and the keepalives were pushed onto the far heap
+    // up front (+1). Earlier, at 106, a bucket per touched slot of the
+    // event queue's wheel (191 of them) and `Summary::of` collecting its
+    // samples up the doubling ladder (6) read 308, and the switch's
+    // occupancy timeline doubling its way up 111. The ceiling is the
+    // reading + 15 %.
+    assert!(allocations <= 67, "{allocations} allocations, {bytes} B");
+}
+
+#[test]
+fn a_chaos_threads_next_scenario_reuses_its_testbed() {
+    // The second scenario on a thread runs on the testbed and departure
+    // buffer the first left behind (`Testbed::reuse`): what is left is a
+    // new switch and controller and the scenario's own tracing. As this is
+    // written it reads 41 allocations and 10 488 B. On a fresh testbed,
+    // as every scenario ran before, and with the echo histogram's 1 920
+    // buckets boxed on its first sample (15 360 B), the same scenario read
+    // 66 and 64 144 B. The ceilings are the reading + 15 %.
+    let (allocations, bytes) = chaos_scenario_cost(
+        Some(RunSpec::generate_with_crashes(1, CHAOS_FLOW_256)),
+        RunSpec::generate_with_crashes(2, CHAOS_FLOW_256),
+    );
+    assert!(
+        allocations <= 47 && bytes <= 12_061,
+        "{allocations} allocations, {bytes} B"
+    );
 }
 
 #[test]
