@@ -1,10 +1,12 @@
 //! The size-limited flow table.
 
 use crate::FlowRule;
+use sdnbuf_net::MacAddr;
 use sdnbuf_openflow::{msg::FlowRemovedReason, Match, MatchView};
-use sdnbuf_sim::{FastHashMap, Nanos};
+use sdnbuf_sim::{FxHasher, Nanos};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::hash::Hasher;
 
 /// What the table does when an insert arrives while full.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -78,13 +80,13 @@ pub struct FlowTable {
     rules: Vec<Option<FlowRule>>,
     /// Number of live (non-tombstone) rules.
     live: usize,
-    /// Index into `rules` of the first exact-match rule per concrete
+    /// Position in `rules` of the first exact-match rule per concrete
     /// field tuple. An exact rule matches a packet iff the packet's
     /// [`MatchView`] equals the rule's — so lookup is one hash probe
     /// instead of a scan. Single-slot on purpose: a second exact rule
     /// with the same fields (different priority) is legal but rare, and
     /// goes to `exact_dups` instead of allocating per-key buckets.
-    exact: FastHashMap<MatchView, usize>,
+    exact: ExactIndex,
     /// Exact rules whose field tuple already had an index entry; scanned
     /// like `wild` and empty in practice. Unordered.
     exact_dups: Vec<usize>,
@@ -127,13 +129,186 @@ fn exact_key(m: &Match) -> MatchView {
     }
 }
 
+/// 32 bits of an Fx hash of `key` packed into four words. The derived
+/// `Hash` would feed each `MacAddr` to the hasher as a byte slice; the
+/// index is probed by key and never iterated, so no outcome depends on
+/// which hash it uses.
+fn key_hash(key: &MatchView) -> u32 {
+    let mac = |m: MacAddr| {
+        let [a, b, c, d, e, f] = m.octets();
+        u64::from_le_bytes([a, b, c, d, e, f, 0, 0])
+    };
+    let mut h = FxHasher::default();
+    h.write_u64(mac(key.dl_src) | u64::from(key.in_port.0) << 48);
+    h.write_u64(mac(key.dl_dst) | u64::from(key.dl_type) << 48);
+    h.write_u64(u64::from(key.nw_src) | u64::from(key.nw_dst) << 32);
+    h.write_u64(
+        u64::from(key.nw_tos)
+            | u64::from(key.nw_proto) << 8
+            | u64::from(key.tp_src) << 16
+            | u64::from(key.tp_dst) << 32,
+    );
+    // The multiply leaves its best-mixed bits at the top.
+    (h.finish() >> 32) as u32
+}
+
+/// One slot of [`ExactIndex`]: a rule position and its key's hash.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Slot {
+    /// Position in `rules`, or [`Slot::EMPTY`]'s.
+    pos: u32,
+    /// [`key_hash`] of the rule's key; its low bits pick the home slot.
+    hash: u32,
+}
+
+impl Slot {
+    /// No rule: positions stay below `2 × MAX_CAPACITY + 9`, far from
+    /// `u32::MAX`.
+    const EMPTY: Slot = Slot {
+        pos: u32::MAX,
+        hash: 0,
+    };
+
+    fn is_empty(self) -> bool {
+        self.pos == Slot::EMPTY.pos
+    }
+}
+
+/// The exact-match index: an open-addressed table of rule positions,
+/// linear probing at load ≤ ½, deletion by backward shift (no tombstones
+/// of its own). A slot keeps its key's hash beside the position, so a
+/// probe reads a rule — to compare the key — only when the hashes agree:
+/// a miss reads none, short of a 32-bit hash collision.
+#[derive(Clone, Debug, Default)]
+struct ExactIndex {
+    /// Empty, or a power of two at least twice `len`.
+    slots: Vec<Slot>,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl ExactIndex {
+    /// Slots of the first table built.
+    const MIN_SLOTS: usize = 8;
+
+    /// Empties the index, keeping its slots.
+    fn clear(&mut self) {
+        self.slots.fill(Slot::EMPTY);
+        self.len = 0;
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    /// The position of the exact rule in `rules` whose key is `key`.
+    fn get(&self, key: &MatchView, rules: &[Option<FlowRule>]) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let hash = key_hash(key);
+        let mut i = hash as usize & self.mask();
+        loop {
+            let slot = self.slots[i];
+            if slot.is_empty() {
+                return None;
+            }
+            if slot.hash == hash {
+                let pos = slot.pos as usize;
+                let rule = rules[pos].as_ref().expect("indexed slot is live");
+                if exact_key(&rule.match_fields) == *key {
+                    return Some(pos);
+                }
+            }
+            i = (i + 1) & self.mask();
+        }
+    }
+
+    /// Indexes the rule at `pos` under `key`, which has no entry yet.
+    fn insert(&mut self, key: &MatchView, pos: usize) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        self.place(Slot {
+            pos: pos as u32,
+            hash: key_hash(key),
+        });
+        self.len += 1;
+    }
+
+    /// Puts `slot` at the first free slot from its home.
+    fn place(&mut self, slot: Slot) {
+        let mut i = slot.hash as usize & self.mask();
+        while !self.slots[i].is_empty() {
+            i = (i + 1) & self.mask();
+        }
+        self.slots[i] = slot;
+    }
+
+    /// Doubles the slots and re-places every entry by its stored hash,
+    /// reading no rule.
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(ExactIndex::MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![Slot::EMPTY; size]);
+        for slot in old.into_iter().filter(|s| !s.is_empty()) {
+            self.place(slot);
+        }
+    }
+
+    /// The slot holding position `pos`, whose key is `key`, if `pos` is
+    /// `key`'s entry. Compares positions only.
+    fn slot_of(&self, key: &MatchView, pos: usize) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut i = key_hash(key) as usize & self.mask();
+        while !self.slots[i].is_empty() {
+            if self.slots[i].pos as usize == pos {
+                return Some(i);
+            }
+            i = (i + 1) & self.mask();
+        }
+        None
+    }
+
+    /// Points the entry in slot `i` at `pos`, a rule with the same key.
+    fn repoint(&mut self, i: usize, pos: usize) {
+        self.slots[i].pos = pos as u32;
+    }
+
+    /// Empties slot `i` and shifts the rest of its cluster back over it,
+    /// so that every entry stays reachable from its home without a gap.
+    fn remove(&mut self, i: usize) {
+        let mask = self.mask();
+        let mut hole = i;
+        let mut j = (i + 1) & mask;
+        while !self.slots[j].is_empty() {
+            // An entry may fill the hole if the hole lies between its home
+            // and where it sits, counting around the end of the slots.
+            let home = self.slots[j].hash as usize & mask;
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[j];
+                hole = j;
+            }
+            j = (j + 1) & mask;
+        }
+        self.slots[hole] = Slot::EMPTY;
+        self.len -= 1;
+    }
+}
+
 impl FlowTable {
+    /// The largest capacity a table takes. A rule's position, tombstones
+    /// included, stays below `2 × capacity + 9`, and the exact index
+    /// holds positions in 4 bytes.
+    pub const MAX_CAPACITY: usize = (u32::MAX / 4) as usize;
+
     /// Creates an empty table holding at most `capacity` rules, rejecting
     /// inserts when full.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or above [`FlowTable::MAX_CAPACITY`].
     pub fn new(capacity: usize) -> FlowTable {
         FlowTable::with_eviction(capacity, EvictionPolicy::RejectNew)
     }
@@ -142,15 +317,20 @@ impl FlowTable {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or above [`FlowTable::MAX_CAPACITY`].
     pub fn with_eviction(capacity: usize, policy: EvictionPolicy) -> FlowTable {
         assert!(capacity > 0, "flow table capacity must be positive");
+        assert!(
+            capacity <= FlowTable::MAX_CAPACITY,
+            "flow table capacity {capacity} is above the {} its index addresses",
+            FlowTable::MAX_CAPACITY
+        );
         FlowTable {
             capacity,
             policy,
             rules: Vec::new(),
             live: 0,
-            exact: FastHashMap::default(),
+            exact: ExactIndex::default(),
             exact_dups: Vec::new(),
             wild: Vec::new(),
             deadlines: BinaryHeap::new(),
@@ -242,8 +422,7 @@ impl FlowTable {
         // of a wildcard rule only in the wild list.
         let duplicate = if rule.match_fields.is_exact() {
             self.exact
-                .get(&exact_key(&rule.match_fields))
-                .copied()
+                .get(&exact_key(&rule.match_fields), &self.rules)
                 .into_iter()
                 .chain(self.exact_dups.iter().copied())
                 .find(|&i| {
@@ -315,7 +494,7 @@ impl FlowTable {
         self.live -= 1;
         if rule.match_fields.is_exact() {
             let key = exact_key(&rule.match_fields);
-            if self.exact.get(&key) == Some(&idx) {
+            if let Some(slot) = self.exact.slot_of(&key, idx) {
                 // Promote a same-key duplicate into the primary slot, if
                 // one exists; otherwise clear the entry.
                 match self
@@ -325,11 +504,9 @@ impl FlowTable {
                 {
                     Some(j) => {
                         let d = self.exact_dups.swap_remove(j);
-                        self.exact.insert(key, d);
+                        self.exact.repoint(slot, d);
                     }
-                    None => {
-                        self.exact.remove(&key);
-                    }
+                    None => self.exact.remove(slot),
                 }
             } else {
                 let j = self
@@ -366,11 +543,10 @@ impl FlowTable {
     fn index_rule(&mut self, idx: usize) {
         self.push_deadline(idx);
         if self.rule(idx).match_fields.is_exact() {
-            match self.exact.entry(exact_key(&self.rule(idx).match_fields)) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(idx);
-                }
-                std::collections::hash_map::Entry::Occupied(_) => self.exact_dups.push(idx),
+            let key = exact_key(&self.rule(idx).match_fields);
+            match self.exact.get(&key, &self.rules) {
+                None => self.exact.insert(&key, idx),
+                Some(_) => self.exact_dups.push(idx),
             }
         } else {
             self.wild.push(idx);
@@ -468,7 +644,7 @@ impl FlowTable {
     /// broken by insertion order (smallest index). Exact candidates come
     /// from one hash probe; only wildcard rules are scanned.
     fn best_index(&self, now: Nanos, view: &MatchView) -> Option<usize> {
-        let exact = self.exact.get(view).copied();
+        let exact = self.exact.get(view, &self.rules);
         let mut best: Option<usize> = None;
         for i in exact
             .into_iter()
@@ -621,11 +797,23 @@ mod tests {
             spent.match_packet(Nanos::from_micros(1), &view, 100);
         }
         spent.insert(Nanos::ZERO, FlowRule::new(Match::any(), 1));
-        let capacities = (spent.rules.capacity(), spent.deadlines.capacity());
+        let capacities = (
+            spent.rules.capacity(),
+            spent.deadlines.capacity(),
+            spent.exact.slots.len(),
+        );
         let mut t = FlowTable::new(10);
         t.reclaim(spent);
-        assert_eq!((t.rules.capacity(), t.deadlines.capacity()), capacities);
-        assert!(t.rules.is_empty() && t.exact.is_empty() && t.wild.is_empty());
+        assert_eq!(
+            (
+                t.rules.capacity(),
+                t.deadlines.capacity(),
+                t.exact.slots.len()
+            ),
+            capacities
+        );
+        assert!(t.exact.slots.iter().all(|&s| s == Slot::EMPTY));
+        assert!(t.rules.is_empty() && t.exact.len == 0 && t.wild.is_empty());
         assert!(t.exact_dups.is_empty() && t.deadlines.is_empty() && t.due.is_empty());
         assert_eq!(
             (t.len(), t.capacity(), t.lookups(), t.hits()),
@@ -914,5 +1102,45 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_panics() {
         let _ = FlowTable::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "addresses")]
+    fn capacity_beyond_four_byte_positions_panics() {
+        let _ = FlowTable::new(FlowTable::MAX_CAPACITY + 1);
+    }
+
+    #[test]
+    fn index_slots_and_rules_keep_their_size() {
+        // The exact index holds at least two slots per rule, and the rule
+        // storage a rule per position: growing either grows the table's
+        // share of every run's peak live heap.
+        assert_eq!(std::mem::size_of::<Slot>(), 8);
+        assert_eq!(std::mem::size_of::<FlowRule>(), 128);
+        assert_eq!(std::mem::size_of::<Option<FlowRule>>(), 128);
+    }
+
+    #[test]
+    fn index_grows_at_half_load_and_shrinks_by_shifting_back() {
+        let mut t = FlowTable::new(1_000);
+        let views: Vec<_> = (0..600)
+            .map(|port| {
+                let (rule, view) = exact_rule(port, 1);
+                t.insert(Nanos::ZERO, rule);
+                assert!(2 * t.exact.len <= t.exact.slots.len());
+                view
+            })
+            .collect();
+        assert_eq!((t.exact.len, t.exact.slots.len()), (600, 2_048));
+        // Deleting every other rule leaves each survivor reachable.
+        for (port, view) in views.iter().enumerate().step_by(2) {
+            let (rule, _) = exact_rule(port as u16, 1);
+            assert_eq!(t.delete(&rule.match_fields, 1, true).len(), 1);
+            assert!(t.peek(view).is_none());
+        }
+        assert_eq!(t.exact.len, 300);
+        for (port, view) in views.iter().enumerate() {
+            assert_eq!(t.peek(view).is_some(), port % 2 == 1, "port {port}");
+        }
     }
 }

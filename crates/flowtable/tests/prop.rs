@@ -265,22 +265,32 @@ fn match_for(port: u16, wildcard: bool) -> Match {
     }
 }
 
-fn arb_index_op() -> impl Strategy<Value = IndexOp> {
+/// Operations on source ports `0..ports`.
+fn arb_index_op(ports: u16) -> impl Strategy<Value = IndexOp> {
     prop_oneof![
-        // Few ports and priorities, so same-match re-adds (with other
-        // timeouts, and effect times still in the future) are common.
-        6 => (0u16..12, any::<bool>(), 0u16..2, 0u64..6, 0u64..9, 0u64..300).prop_map(
+        6 => (0..ports, any::<bool>(), 0u16..2, 0u64..6, 0u64..9, 0u64..300).prop_map(
             |(port, wildcard, priority, idle_ds, hard_ds, delay_ms)| IndexOp::Insert {
                 port, wildcard, priority, idle_ds, hard_ds, delay_ms,
             }
         ),
-        6 => (0u16..12).prop_map(|port| IndexOp::Packet { port }),
+        6 => (0..ports).prop_map(|port| IndexOp::Packet { port }),
         3 => Just(IndexOp::Expire),
-        2 => (0u16..12, any::<bool>(), 0u16..2, any::<bool>()).prop_map(
+        2 => (0..ports, any::<bool>(), 0u16..2, any::<bool>()).prop_map(
             |(port, wildcard, priority, strict)| IndexOp::Delete { port, wildcard, priority, strict }
         ),
         1 => Just(IndexOp::DeleteAll),
     ]
+}
+
+/// A run of operations on `ports` source ports and a table capacity.
+fn arb_index_run(
+    ports: u16,
+    capacity: std::ops::Range<usize>,
+) -> impl Strategy<Value = (Vec<(IndexOp, u64)>, usize)> {
+    (
+        proptest::collection::vec((arb_index_op(ports), 0u64..30), 1..400),
+        capacity,
+    )
 }
 
 proptest! {
@@ -291,8 +301,14 @@ proptest! {
     /// value, on `next_expiry` after every call, and on the rules left.
     #[test]
     fn expiry_index_agrees_with_linear_scan(
-        ops in proptest::collection::vec((arb_index_op(), 0u64..30), 1..400),
-        capacity in 1usize..32,
+        (ops, capacity) in prop_oneof![
+            // Few ports and priorities, so same-match re-adds (with other
+            // timeouts, and effect times still in the future) are common.
+            arb_index_run(12, 1..32),
+            // Many, so the exact index grows, rehashes, wraps around its
+            // end and deletes inside clusters.
+            arb_index_run(600, 1..400),
+        ],
         lru in any::<bool>(),
     ) {
         let policy = if lru { EvictionPolicy::EvictLru } else { EvictionPolicy::RejectNew };

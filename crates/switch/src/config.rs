@@ -1,6 +1,6 @@
 //! Switch configuration and cost model.
 
-use sdnbuf_flowtable::EvictionPolicy;
+use sdnbuf_flowtable::{EvictionPolicy, FlowTable};
 use sdnbuf_sim::faults::{fmt_dur, parse_dur};
 use sdnbuf_sim::{BitRate, Nanos};
 use sdnbuf_switchbuf::RetryPolicy;
@@ -234,14 +234,61 @@ impl SwitchConfig {
 
     /// Checks the configuration for values that would panic or wedge the
     /// model at runtime.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), SwitchConfigError> {
         if self.cpu_cores == 0 {
-            return Err("switch needs at least one CPU core".to_owned());
+            return Err(SwitchConfigError::NoCpuCores);
         }
         if self.flow_table_capacity == 0 {
-            return Err("flow table capacity must be positive".to_owned());
+            return Err(SwitchConfigError::ZeroFlowTableCapacity);
         }
-        self.buffer.validate()
+        if self.flow_table_capacity > FlowTable::MAX_CAPACITY {
+            return Err(SwitchConfigError::FlowTableTooLarge(
+                self.flow_table_capacity,
+            ));
+        }
+        self.buffer.validate().map_err(SwitchConfigError::Buffer)
+    }
+}
+
+/// Why [`SwitchConfig::validate`] refused a configuration.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SwitchConfigError {
+    /// `cpu_cores` is zero.
+    NoCpuCores,
+    /// `flow_table_capacity` is zero.
+    ZeroFlowTableCapacity,
+    /// `flow_table_capacity` is above [`FlowTable::MAX_CAPACITY`], more
+    /// rules than the table's 4-byte positions address.
+    FlowTableTooLarge(
+        /// The capacity asked for.
+        usize,
+    ),
+    /// [`BufferChoice::validate`] refused the buffer.
+    Buffer(String),
+}
+
+impl fmt::Display for SwitchConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SwitchConfigError::NoCpuCores => write!(f, "switch needs at least one CPU core"),
+            SwitchConfigError::ZeroFlowTableCapacity => {
+                write!(f, "flow table capacity must be positive")
+            }
+            SwitchConfigError::FlowTableTooLarge(capacity) => write!(
+                f,
+                "flow table capacity {capacity} is above the maximum {}",
+                FlowTable::MAX_CAPACITY
+            ),
+            SwitchConfigError::Buffer(e) => f.write_str(e),
+        }
+    }
+}
+
+impl std::error::Error for SwitchConfigError {}
+
+impl From<SwitchConfigError> for String {
+    fn from(e: SwitchConfigError) -> String {
+        e.to_string()
     }
 }
 
@@ -307,6 +354,26 @@ mod tests {
             timeout: Nanos::from_millis(20),
         };
         assert!(c.validate().is_ok());
+        c.flow_table_capacity = 0;
+        assert_eq!(c.validate(), Err(SwitchConfigError::ZeroFlowTableCapacity));
+    }
+
+    #[test]
+    fn validate_refuses_a_flow_table_its_positions_cannot_address() {
+        let mut c = SwitchConfig {
+            flow_table_capacity: FlowTable::MAX_CAPACITY,
+            ..SwitchConfig::default()
+        };
+        assert_eq!(c.validate(), Ok(()));
+        c.flow_table_capacity += 1;
+        let e = c.validate().unwrap_err();
+        assert_eq!(
+            e,
+            SwitchConfigError::FlowTableTooLarge(FlowTable::MAX_CAPACITY + 1)
+        );
+        assert!(e.to_string().contains("above the maximum"), "{e}");
+        c.flow_table_capacity = usize::MAX;
+        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -53,7 +53,7 @@ mod session;
 mod stats;
 mod switch;
 
-pub use config::{BufferChoice, SwitchConfig};
+pub use config::{BufferChoice, SwitchConfig, SwitchConfigError};
 pub use stats::SwitchStats;
 pub use switch::{Switch, SwitchOutput};
 

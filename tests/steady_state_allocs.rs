@@ -222,12 +222,19 @@ fn one_more_packet_keeps_a_mark_not_a_timeline() {
 fn one_more_flow_keeps_its_rule_and_aggregate_not_an_occupancy_point() {
     // More flows instead of longer ones: what a flow keeps is its rule,
     // its 48-B aggregate and, in the flow-granularity buffer, its queue —
-    // 12.0 B per packet of twenty and 330.6 B per single-packet flow
-    // through the packet buffer as this is written. A flow-key map of each
-    // flow's controller round trip beside the aggregates, and a run's
-    // delay samples copied for sorting, made them 24.8 and 388.8; the
-    // switch's own occupancy timeline, 16 B per buffer operation that only
-    // an example read, 31.4 and 421.6 before that.
+    // 13.3 B per packet of twenty and 229.2 B per single-packet flow
+    // through the packet buffer as this is written. The flow table's
+    // exact index holding a copy of each rule's key (a hash map of 40-B
+    // buckets, where it now holds 8-B slots of positions) read 10.4 and
+    // 330.6: the twenty-packet reading is the higher one now because the
+    // index's power-of-two steps fall between the two runs it subtracts
+    // (4 096 slots at 2 000 flows, 8 192 at 4 000), where the map's
+    // 4 096 buckets served both and cancelled out; so that ceiling stays
+    // at 14 and the single-packet one is the reading + 5 %. A flow-key
+    // map of each flow's controller round trip beside the aggregates,
+    // and a run's delay samples copied for sorting, were +12.8 and +58.2
+    // on top of that map; the switch's own occupancy timeline, 16 B per
+    // buffer operation that only an example read, +6.6 and +32.8 more.
     let (_, twenty) = marginal_cost_per_packet(FLOW_256, 100, twenty_packet_flows);
     let packet_256 = BufferMode::PacketGranularity { capacity: 256 };
     let (_, single) = marginal_cost_per_packet(packet_256, 50, WorkloadKind::single_packet_flows);
@@ -236,7 +243,7 @@ fn one_more_flow_keeps_its_rule_and_aggregate_not_an_occupancy_point() {
         "flow-256@100 20-packet flows: {twenty} B of peak live heap per packet"
     );
     assert!(
-        single <= 345.0,
+        single <= 240.0,
         "buffer-256@50 single-packet flows: {single} B of peak live heap per packet"
     );
 }
@@ -245,20 +252,24 @@ fn one_more_flow_keeps_its_rule_and_aggregate_not_an_occupancy_point() {
 fn one_more_unbuffered_flow_keeps_no_identity_index() {
     // The cell that holds the Section IV workload's peak: no-buffer at
     // 100 Mbps, every packet its own flow, the peak reached while the
-    // run's summaries are built. 416.1 B per flow as this is written: a
+    // run's summaries are built. 309.9 B per flow as this is written: a
     // frame that comes back from the controller as bytes gets its record
-    // from the `packet_out` that carried them, and a queued event is 16 B
-    // (a 24-B event reads 420.2 B, and 422.2 B while egress frames carried
-    // a QoS queue tag; 32 B, while a never-formed batch of egress frames
-    // sat in the event enum, read 426.3 B). Indexing every departure by
-    // wire identity to find that record instead was 477.5 B; a map from
-    // flow key to controller round trip beside the aggregates added 51 B
-    // more (its buckets double from 4 096 to 8 192 over these 2 000 flows)
-    // and an 8-B mark 7 B: 535.7 B.
+    // from the `packet_out` that carried them, a queued event is 16 B, and
+    // the flow table's exact index holds 8-B slots of rule positions; the
+    // ceiling is that reading + 5 %. An index holding a copy of each
+    // rule's key (a hash map of 40-B buckets) read 415.1 B. Measured on
+    // top of that map: a 24-B event was +4.1 B, +6.1 B while egress frames
+    // carried a QoS queue tag, and 32 B, while a never-formed batch of
+    // egress frames sat in the event enum, +10.2 B
+    // (`testbed::tests::events_stay_two_words` pins the 16 B). Indexing
+    // every departure by wire identity to find that record instead was
+    // +61.4 B; a map from flow key to controller round trip beside the
+    // aggregates added 51 B more (its buckets double from 4 096 to 8 192
+    // over these 2 000 flows) and an 8-B mark 7 B: +119.6 B.
     let single = WorkloadKind::single_packet_flows;
     let (_, per_flow) = marginal_cost_per_packet(BufferMode::NoBuffer, 100, single);
     assert!(
-        per_flow <= 420.0,
+        per_flow <= 325.0,
         "no-buffer@100 single-packet flows: {per_flow} B of peak live heap per flow"
     );
 }
