@@ -43,6 +43,11 @@ pub enum ControllerOutput {
 /// The message handlers come as `*_into(.., out)`, which pushes the timed
 /// outputs onto the caller's `Vec` in emission order and never clears or
 /// reads it, and as a wrapper returning a fresh `Vec`.
+///
+/// `Controller::default()` is the unconfigured shell [`Controller::reset`]
+/// fills: its CPU has no core until then. Build a controller with
+/// [`Controller::new`].
+#[derive(Default)]
 pub struct Controller {
     config: ControllerConfig,
     cpu: CpuResource,
@@ -111,20 +116,49 @@ impl Controller {
     /// [`Controller::new`] with the validation error returned instead of
     /// panicking — the single validation path for controller construction.
     pub fn try_new(config: ControllerConfig) -> Result<Controller, String> {
+        let mut controller = Controller::default();
+        controller.reset(config)?;
+        Ok(controller)
+    }
+
+    /// Makes this the controller [`Controller::try_new`] builds from
+    /// `config`, keeping the storage of its CPU cores, MAC table, echo
+    /// map, admission backlog and echo-RTT buckets, and nothing else: no
+    /// learned location, sample, counter, xid, epoch or tracer carries
+    /// over. On `Err` — `config` does not validate — the controller is
+    /// left as it was.
+    pub fn reset(&mut self, config: ControllerConfig) -> Result<(), String> {
         config.validate()?;
-        Ok(Controller {
-            cpu: CpuResource::new(config.cpu_cores),
+        use std::mem::take;
+        let (mut cpu, mut mac_table, mut pending_echoes, mut backlog) = (
+            take(&mut self.cpu),
+            take(&mut self.mac_table),
+            take(&mut self.pending_echoes),
+            take(&mut self.backlog),
+        );
+        let mut echo_rtt = take(&mut self.stats.echo_rtt);
+        cpu.reset(config.cpu_cores);
+        mac_table.clear();
+        pending_echoes.clear();
+        backlog.clear();
+        echo_rtt.clear();
+        *self = Controller {
+            cpu,
             ingest: Bus::new(config.ingest_rate),
-            mac_table: FastHashMap::default(),
+            mac_table,
             next_xid: 0x8000_0000, // distinct from switch-allocated xids
             switch_features: None,
             epoch: 0,
-            pending_echoes: FastHashMap::default(),
-            backlog: VecDeque::new(),
-            stats: ControllerStats::default(),
+            pending_echoes,
+            backlog,
+            stats: ControllerStats {
+                echo_rtt,
+                ..ControllerStats::default()
+            },
             tracer: Tracer::off(),
             config,
-        })
+        };
+        Ok(())
     }
 
     /// Attaches an event tracer, propagating it to the ingest pipe so the
@@ -243,7 +277,7 @@ impl Controller {
     /// Copies another controller's learned forwarding knowledge into this
     /// one — the warm-standby snapshot sync at takeover time.
     pub fn sync_from(&mut self, other: &Controller) {
-        self.mac_table = other.mac_table.clone();
+        self.mac_table.clone_from(&other.mac_table);
     }
 
     /// Seeds the learning table (or records a learned location).
@@ -606,6 +640,69 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("CPU core"), "{err}");
+    }
+
+    /// What a controller answers to a short script of handshake, probes,
+    /// echoes and `packet_in`s, with everything it counted.
+    fn script(c: &mut Controller) -> String {
+        let mut outs = c.initiate_handshake(Nanos::ZERO, 128);
+        let pkt = PacketBuilder::udp().frame_size(1000).build();
+        for i in 0..4u32 {
+            let at = Nanos::from_millis(i.into());
+            outs.push(c.keepalive(at));
+            let ControllerOutput::ToSwitch { xid, .. } = outs[outs.len() - 1];
+            let reply = OfpMessage::EchoReply(Default::default());
+            c.handle_message_into(at + Nanos::from_micros(300), reply, xid, &mut outs);
+            let pin = pkt_in_for(pkt.wire(), BufferId::NO_BUFFER, 1000);
+            c.handle_message_into(at, pin, 40 + i, &mut outs);
+        }
+        format!(
+            "{outs:?} {:?} rtt {:?} {:?} epoch {} features {:?} h2 {:?} cpu {}",
+            c.stats(),
+            c.stats().echo_rtt.quantile(0.5),
+            c.stats().echo_rtt.mean_ms(),
+            c.epoch(),
+            c.switch_features(),
+            c.location_of(MacAddr::from_host_index(2)),
+            c.cpu_percent(Nanos::from_millis(10)),
+        )
+    }
+
+    #[test]
+    fn a_reset_controller_answers_as_a_fresh_one() {
+        let configs = [
+            ControllerConfig::default(),
+            ControllerConfig {
+                cpu_cores: 1,
+                admission: Some((AdmissionPolicy::default(), 2)),
+                ..ControllerConfig::default()
+            },
+        ];
+        let mut c = Controller::default();
+        for before in configs {
+            for after in configs {
+                c.reset(before).expect("a valid config");
+                c.learn(MacAddr::from_host_index(2), PortNo(2));
+                script(&mut c);
+                c.set_epoch(4);
+                c.set_xid_base(0xC000_0000);
+                c.keepalive(Nanos::from_millis(20));
+                c.reset(after).expect("a valid config");
+                let fresh = script(&mut Controller::new(after));
+                assert_eq!(script(&mut c), fresh, "{before:?} then {after:?}");
+            }
+        }
+        // A config that does not validate changes nothing.
+        let h2 = MacAddr::from_host_index(2);
+        c.learn(h2, PortNo(2));
+        let kept = format!("{:?} {:?}", c.stats(), c.config());
+        let zero_cores = ControllerConfig {
+            cpu_cores: 0,
+            ..ControllerConfig::default()
+        };
+        assert!(c.reset(zero_cores).is_err());
+        assert_eq!(format!("{:?} {:?}", c.stats(), c.config()), kept);
+        assert_eq!(c.location_of(h2), Some(PortNo(2)));
     }
 
     fn seeded() -> Controller {

@@ -6,8 +6,8 @@
 //! [`FaultPlan`] — and [`run_scenario`] executes it, holding every event,
 //! as it is emitted, to the protocol invariants of [`crate::invariants`]
 //! and folding it into the stream digest. A thread's scenarios share one
-//! [`crate::Testbed`]'s storage: each runs on the last one's testbed,
-//! rebuilt by [`crate::Testbed::reuse`], so it measures and emits what it
+//! [`crate::Testbed`]: each runs on the last one's testbed, reset in
+//! place by [`crate::Testbed::reset`], so it measures and emits what it
 //! would on a fresh one.
 //!
 //! A scenario is a [`RunSpec`], so it prints as the one-line spec that
@@ -833,6 +833,50 @@ mod tests {
             assert_eq!(reused.digest, alone.digest, "{b}");
             assert_eq!(reused.violations, alone.violations, "{b}");
             assert_eq!(reused.result, alone.result, "{b}");
+        }
+
+        // Every ordered pair of mechanism × crash plane: each reset keeps
+        // or swaps the mechanism, and drops, keeps or adds the standby.
+        let mechs = [
+            BufferMode::NoBuffer,
+            BufferMode::PacketGranularity { capacity: 256 },
+            flow_20ms,
+        ];
+        let planes = [
+            |s: &mut RunSpec| s.plan = FaultPlan::default(),
+            |_: &mut RunSpec| {},
+            |s: &mut RunSpec| {
+                s.standby = Some(StandbyKnobs {
+                    warm: true,
+                    takeover_delay: Nanos::from_millis(8),
+                })
+            },
+        ];
+        let scenarios: Vec<RunSpec> = mechs
+            .into_iter()
+            .flat_map(|mech| {
+                planes.map(|plane| {
+                    let mut s = RunSpec {
+                        mech,
+                        ..crash_scenario()
+                    };
+                    plane(&mut s);
+                    s
+                })
+            })
+            .collect();
+        let none = Sabotage::none();
+        for b in &scenarios {
+            let alone = on_a_fresh_thread(None, b, none);
+            for a in &scenarios {
+                let reused = on_a_fresh_thread(Some((a.clone(), none)), b, none);
+                let (reused_result, result) = (
+                    format!("{:?}", reused.result),
+                    format!("{:?}", alone.result),
+                );
+                assert_eq!(reused_result, result, "{a} then {b}");
+                assert_eq!(reused.digest, alone.digest, "{a} then {b}");
+            }
         }
     }
 

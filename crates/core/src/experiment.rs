@@ -5,8 +5,8 @@
 //! (serial) or [`RateSweep::run_with`] (parallel, via the
 //! [`crate::executor`] worker pool). Every (buffer, rate, repetition) run
 //! owns its seed and runs on a testbed that measures as a fresh one — a
-//! worker rebuilds its last run's [`Testbed`] for the next
-//! ([`Testbed::reuse`]) and generates each workload into its last run's
+//! worker resets its last run's [`Testbed`] for the next
+//! ([`Testbed::reset`]) and generates each workload into its last run's
 //! departure buffer, keeping only their storage — so the result is
 //! bit-identical under any worker count.
 
@@ -343,7 +343,7 @@ impl ExperimentConfig {
 /// fresh ones.
 #[derive(Default)]
 pub(crate) struct RunScratch {
-    testbed: Option<Testbed>,
+    testbed: Testbed,
     departures: Vec<Departure>,
 }
 
@@ -354,20 +354,20 @@ impl RunScratch {
     /// nested in `f` gets a fresh one of its own.
     pub(crate) fn on_this_thread<T>(f: impl FnOnce(&mut RunScratch) -> T) -> T {
         thread_local! {
-            static SCRATCH: Cell<RunScratch> = Cell::default();
+            static SCRATCH: Cell<Option<RunScratch>> = const { Cell::new(None) };
         }
-        let mut scratch = SCRATCH.take();
+        let mut scratch = SCRATCH.take().unwrap_or_default();
         let out = f(&mut scratch);
-        SCRATCH.set(scratch);
+        SCRATCH.set(Some(scratch));
         out
     }
 
     /// Runs `config` with departures spaced by `arrival`, on the spent
-    /// testbed rebuilt for it ([`Testbed::reuse`]) or, without one, a fresh
-    /// one, with `tracer` attached and the buffer crippled as `sabotage`
-    /// asks. The workload is generated into the departure buffer, and the
-    /// run's testbed is kept for the next, with `tracer` detached: what
-    /// the next run keeps of this one is storage, not its sink.
+    /// testbed reset for it ([`Testbed::reset`]), with `tracer` attached
+    /// and the buffer crippled as `sabotage` asks. The workload is
+    /// generated into the departure buffer, and the run's testbed is kept
+    /// for the next, with `tracer` detached: what the next run keeps of
+    /// this one is storage, not its sink.
     ///
     /// # Panics
     /// As [`Testbed::new`] does, when [`TestbedConfig::validate`] refuses
@@ -381,13 +381,10 @@ impl RunScratch {
     ) -> RunResult {
         let mut testbed_cfg = config.testbed;
         testbed_cfg.switch.buffer = config.buffer;
-        let testbed = match self.testbed.take() {
-            Some(spent) => spent.reuse(testbed_cfg),
-            None => Testbed::try_new(testbed_cfg),
-        };
-        let testbed = self
-            .testbed
-            .insert(testbed.unwrap_or_else(|e| panic!("invalid TestbedConfig: {e}")));
+        let testbed = &mut self.testbed;
+        if let Err(e) = testbed.reset(testbed_cfg) {
+            panic!("invalid TestbedConfig: {e}");
+        }
         testbed.switch_mut().sabotage_buffer(sabotage);
         testbed.set_tracer(tracer);
         let pktgen = PktgenConfig {

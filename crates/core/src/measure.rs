@@ -190,8 +190,10 @@ pub(crate) struct Measurement {
     /// its frame's record (see [`Measurement::record_of_drained`]). Left
     /// empty until one is sent.
     record_of: FastHashMap<PacketId, u32>,
-    /// The timelines, record by record, when the run is observed.
-    log: Option<Vec<PacketTrace>>,
+    /// The run is observed: it writes every packet's timeline to `log`.
+    observed: bool,
+    /// The timelines, record by record; empty unless `observed`.
+    log: Vec<PacketTrace>,
     packets_delivered: u64,
     last_delivery: Option<Nanos>,
 }
@@ -200,27 +202,32 @@ impl Measurement {
     /// Has the run write every packet's timeline beside its mark. Call
     /// before [`Measurement::begin`].
     pub(crate) fn keep_log(&mut self) {
-        self.log.get_or_insert_with(Vec::new);
+        self.observed = true;
     }
 
-    /// Takes over `spent`'s marks, flow aggregates and identity index,
-    /// emptied, if nothing was recorded here yet: what the next run's
-    /// measurement keeps of the last one's is capacity. Its totals and log
-    /// stay its own. The index is probed by key only, never iterated.
-    pub(crate) fn reclaim(&mut self, spent: Measurement) {
-        if !self.marks.is_empty() || !self.flows.is_empty() {
-            return;
-        }
+    /// Empties the measurement into a new, unobserved one that keeps the
+    /// storage of its marks, flow aggregates, identity index and log:
+    /// nothing recorded carries over. The index is probed by key only,
+    /// never iterated.
+    pub(crate) fn reset(&mut self) {
         let Measurement {
             mut marks,
             mut flows,
             mut record_of,
+            mut log,
             ..
-        } = spent;
+        } = std::mem::take(self);
         marks.clear();
         flows.clear();
         record_of.clear();
-        (self.marks, self.flows, self.record_of) = (marks, flows, record_of);
+        log.clear();
+        *self = Measurement {
+            marks,
+            flows,
+            record_of,
+            log,
+            ..Measurement::default()
+        };
     }
 
     /// How many records the run keeps, and how many wire identities are
@@ -233,7 +240,7 @@ impl Measurement {
     /// The timelines of an observed run by flow and position; empty
     /// otherwise.
     pub(crate) fn packet_log(&self) -> Vec<PacketTrace> {
-        let mut log = self.log.clone().unwrap_or_default();
+        let mut log = self.log.clone();
         log.sort_by_key(|t| (t.flow_index, t.seq_in_flow));
         log
     }
@@ -251,8 +258,8 @@ impl Measurement {
         let flows_hint = workload.last().map_or(0, |d| d.flow_index + 1);
         self.flows.resize(flows_hint, FlowAgg::default());
         self.marks.reserve(n);
-        if let Some(log) = &mut self.log {
-            log.reserve(n);
+        if self.observed {
+            self.log.reserve(n);
         }
         let mut ordered = true;
         let mut span: Option<(Nanos, Nanos)> = None;
@@ -271,9 +278,9 @@ impl Measurement {
             agg.first_claimed |= first;
             let bits = if first { FIRST } else { 0 };
             self.marks.push(Mark { bits });
-            if let Some(log) = &mut self.log {
+            if self.observed {
                 let (key, ident) = packet_id(&d.packet).unwrap_or((NO_KEY, 0));
-                log.push(PacketTrace {
+                self.log.push(PacketTrace {
                     flow: key,
                     ident,
                     flow_index: d.flow_index,
@@ -313,10 +320,10 @@ impl Measurement {
             pool.get(packet).and_then(packet_id),
             packet_id(&departure.packet)
         );
-        if let Some(log) = &mut self.log {
+        if self.observed {
             // First time only by the timeline's own account, not the
             // mark's: the log is what the marks are tested against.
-            stage.of(&mut log[record]).get_or_insert(now);
+            stage.of(&mut self.log[record]).get_or_insert(now);
         }
         let mark = &mut self.marks[record];
         if mark.bits & stage as u8 != 0 {
@@ -425,7 +432,8 @@ impl Measurement {
         let mut per_flow = vec![FlowAgg::default(); self.flows.len()];
         let mut delays = FlowDelays::default();
         let totals = &mut delays.totals;
-        for rec in self.log.as_ref().expect("an observed run") {
+        assert!(self.observed, "an observed run");
+        for rec in &self.log {
             let flow = &mut per_flow[rec.flow_index];
             flow.total += 1;
             if rec.delivered.is_some() {
@@ -520,8 +528,8 @@ mod tests {
 
         // The next run's measurement keeps none of it: a drained frame of
         // its own workload finds its own record.
-        let mut next = Measurement::default();
-        next.reclaim(m);
+        let mut next = m;
+        next.reset();
         assert_eq!(next.sizes(), (0, 0));
         assert!(next.flows.is_empty() && next.totals() == Totals::default());
         let others = sdnbuf_workload::single_packet_flows(&pktgen, 5, 9);

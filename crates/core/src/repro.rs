@@ -10,8 +10,8 @@
 //!
 //! Every artifact is byte-identical for any [`Parallelism`]: each run owns
 //! its seed and measures as on a fresh testbed (a worker's runs share one
-//! testbed's storage, [`crate::Testbed::reuse`], and one departure
-//! buffer), and results merge back in job order.
+//! testbed, reset in place by [`crate::Testbed::reset`], and one
+//! departure buffer), and results merge back in job order.
 
 use crate::experiment::RunScratch;
 use crate::{

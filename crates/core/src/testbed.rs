@@ -179,6 +179,7 @@ enum Event {
 /// One switch data port and the host behind it: the two unidirectional
 /// links and their trace labels. The port table is indexed by
 /// `PortNo - 1`.
+#[derive(Default)]
 struct DataPort {
     to_sw: Link,
     to_sw_label: &'static str,
@@ -188,8 +189,8 @@ struct DataPort {
 
 /// One direction of the control channel: the link and the capture tap on
 /// its sender's NIC. The wire table is indexed by [`ChannelDir`].
+#[derive(Default)]
 struct CtrlWire {
-    dir: ChannelDir,
     link: Link,
     meter: ByteMeter,
 }
@@ -206,11 +207,20 @@ struct CtrlSlot {
     /// Trace label of the slot.
     role: &'static str,
     /// Whether one of the slot's own crash windows covers an instant.
-    down: fn(&FaultState, Nanos) -> bool,
+    down: Down,
 }
+
+/// Whether one of a slot's own crash windows covers an instant.
+type Down = fn(&FaultState, Nanos) -> bool;
 
 const PRIMARY: usize = 0;
 const STANDBY: usize = 1;
+
+/// Each slot's trace label and own crash windows, by slot index.
+const SLOT_ROLES: [(&str, Down); 2] = [
+    ("primary", FaultState::primary_down),
+    ("standby", FaultState::standby_down),
+];
 
 /// The key past every event: what a drained cursor reads.
 const END: (Nanos, u64) = (Nanos::MAX, u64::MAX);
@@ -252,17 +262,16 @@ impl Probes {
     }
 }
 
-/// `v` without its elements, its storage kept.
-fn emptied<T>(mut v: Vec<T>) -> Vec<T> {
-    v.clear();
-    v
-}
-
 /// The assembled testbed of Fig. 1.
 ///
 /// Create one per run, feed it a workload with [`Testbed::run`], read the
-/// [`RunResult`]. For the next run, [`Testbed::reuse`] it: a testbed
-/// built anew that keeps this one's storage.
+/// [`RunResult`]. For the next run, [`Testbed::reset`] it: it becomes the
+/// testbed built anew, with this one's storage.
+///
+/// `Testbed::default()` is the unconfigured shell [`Testbed::reset`]
+/// fills: it has no controller until then. Build a testbed with
+/// [`Testbed::new`].
+#[derive(Default)]
 pub struct Testbed {
     /// The configuration the testbed was built from, less its fault plan,
     /// which `faults` owns.
@@ -336,57 +345,109 @@ impl Testbed {
 
     /// [`Testbed::new`] with the validation error returned instead of
     /// panicking — the single validation path for testbed construction.
-    pub fn try_new(mut config: TestbedConfig) -> Result<Testbed, String> {
+    pub fn try_new(config: TestbedConfig) -> Result<Testbed, String> {
+        let mut testbed = Testbed::default();
+        testbed.reset(config)?;
+        Ok(testbed)
+    }
+
+    /// Makes this the testbed [`Testbed::try_new`] builds from `config`,
+    /// keeping the storage of its switch ([`Switch::reset`]), controllers
+    /// ([`Controller::reset`]; a standby `config` drops is dropped), slot
+    /// table, pools, event queue, measurement tables and the handlers'
+    /// output buffers, each emptied. Nothing else carries over — no rule,
+    /// counter, generation, sequence number, high-water mark or tracer —
+    /// so a run on it measures exactly what the same run on a fresh
+    /// testbed does; it only allocates less, once the storage has grown
+    /// to the runs it serves. On `Err` — `config` does not validate — the
+    /// testbed is left as it was.
+    pub fn reset(&mut self, mut config: TestbedConfig) -> Result<(), String> {
         config.validate()?;
-        let faults = FaultState::new(std::mem::take(&mut config.faults));
+        use std::mem::take;
+        let (mut switch, mut slots, mut queue, mut pool, mut msgs) = (
+            take(&mut self.switch),
+            take(&mut self.slots),
+            take(&mut self.queue),
+            take(&mut self.pool),
+            take(&mut self.msgs),
+        );
+        let (mut switch_out, mut ctrl_out, mut measure) = (
+            take(&mut self.switch_out),
+            take(&mut self.ctrl_out),
+            take(&mut self.measure),
+        );
+        let (mut pkt_in_sent, mut controller_delays_ms) = (
+            take(&mut self.pkt_in_sent),
+            take(&mut self.controller_delays_ms),
+        );
+        // `validate` has checked the switch's and the controllers' configs.
+        let valid = "validated with the testbed";
+        switch.reset(config.switch).expect(valid);
+        let n_slots = 1 + usize::from(config.failover.standby);
+        slots.truncate(n_slots);
+        slots.reserve_exact(n_slots - slots.len());
+        for (i, (role, down)) in SLOT_ROLES.into_iter().take(n_slots).enumerate() {
+            let mut ctrl = slots
+                .get_mut(i)
+                .map(|slot| take(&mut slot.ctrl))
+                .unwrap_or_default();
+            ctrl.reset(config.controller).expect(valid);
+            if i == STANDBY {
+                // A disjoint xid range keeps the standby's messages
+                // distinguishable from stale primary traffic.
+                ctrl.set_xid_base(0xC000_0000);
+            }
+            let slot = CtrlSlot {
+                ctrl,
+                dead: false,
+                role,
+                down,
+            };
+            match slots.get_mut(i) {
+                Some(spent) => *spent = slot,
+                None => slots.push(slot),
+            }
+        }
+        queue.reset();
+        pool.reset();
+        msgs.reset();
+        switch_out.clear();
+        ctrl_out.clear();
+        measure.reset();
+        pkt_in_sent.clear();
+        controller_delays_ms.clear();
         let port = |to_sw_label, from_sw_label| DataPort {
             to_sw: Link::new(config.data_link),
             to_sw_label,
             from_sw: Link::new(config.data_link),
             from_sw_label,
         };
-        let wire = |dir| CtrlWire {
-            dir,
+        let wire = || CtrlWire {
             link: Link::new(config.control_link),
             meter: ByteMeter::new(),
         };
-        let slot = |role, down| CtrlSlot {
-            ctrl: Controller::new(config.controller),
-            dead: false,
-            role,
-            down,
-        };
-        let mut slots = Vec::with_capacity(1 + usize::from(config.failover.standby));
-        slots.push(slot("primary", FaultState::primary_down));
-        if config.failover.standby {
-            let mut standby = slot("standby", FaultState::standby_down);
-            // A disjoint xid range keeps the standby's messages
-            // distinguishable from stale primary traffic.
-            standby.ctrl.set_xid_base(0xC000_0000);
-            slots.push(standby);
-        }
-        Ok(Testbed {
-            switch: Switch::new(config.switch),
+        *self = Testbed {
+            switch,
             ports: [port("h1->sw", "sw->h1"), port("h2->sw", "sw->h2")],
-            ctrl: [wire(ChannelDir::ToController), wire(ChannelDir::ToSwitch)],
+            ctrl: [wire(), wire()],
             slots,
             serving: PRIMARY,
             ctrl_epoch: 0,
             ctrl_crashes: 0,
             failover_takeovers: 0,
-            queue: EventQueue::new(),
-            pool: PacketPool::new(),
-            msgs: Pool::new(),
-            switch_out: Vec::new(),
-            ctrl_out: Vec::new(),
+            queue,
+            pool,
+            msgs,
+            switch_out,
+            ctrl_out,
             ctrl_drops: 0,
             data_drops: 0,
-            faults,
+            faults: FaultState::new(take(&mut config.faults)),
             pressure_on: false,
             tracer: Tracer::off(),
-            measure: Measurement::default(),
-            pkt_in_sent: FastHashMap::default(),
-            controller_delays_ms: Vec::new(),
+            measure,
+            pkt_in_sent,
+            controller_delays_ms,
             pkt_in_count: 0,
             flow_mod_count: 0,
             pkt_out_count: 0,
@@ -394,30 +455,8 @@ impl Testbed {
             timer_armed: None,
             data_start: Nanos::ZERO,
             config,
-        })
-    }
-
-    /// A testbed built from `config` by [`Testbed::try_new`] that keeps
-    /// this spent one's storage: the flow table's, both pools', the event
-    /// queue's, the measurement tables' and the handlers' output buffers,
-    /// each emptied. Nothing else carries over — no rule, counter,
-    /// generation, sequence number or high-water mark — so a run on it
-    /// measures exactly what the same run on a fresh testbed does; it only
-    /// allocates less, once the storage has grown to the runs it serves.
-    pub fn reuse(self, config: TestbedConfig) -> Result<Testbed, String> {
-        let mut testbed = Testbed::try_new(config)?;
-        testbed.switch.reclaim(self.switch);
-        testbed.queue.reclaim(self.queue);
-        testbed.pool.reclaim(self.pool);
-        testbed.msgs.reclaim(self.msgs);
-        testbed.measure.reclaim(self.measure);
-        let mut pkt_in_sent = self.pkt_in_sent;
-        pkt_in_sent.clear();
-        testbed.pkt_in_sent = pkt_in_sent;
-        testbed.controller_delays_ms = emptied(self.controller_delays_ms);
-        testbed.switch_out = emptied(self.switch_out);
-        testbed.ctrl_out = emptied(self.ctrl_out);
-        Ok(testbed)
+        };
+        Ok(())
     }
 
     /// The switch model (for inspection after a run).
@@ -473,11 +512,9 @@ impl Testbed {
             port.to_sw.set_tracer(tracer.clone(), port.to_sw_label);
             port.from_sw.set_tracer(tracer.clone(), port.from_sw_label);
         }
-        for wire in &mut self.ctrl {
-            let label = match wire.dir {
-                ChannelDir::ToController => "sw->ctl",
-                ChannelDir::ToSwitch => "ctl->sw",
-            };
+        // The wire table is indexed by `ChannelDir`: to the controller,
+        // then to the switch.
+        for (wire, label) in self.ctrl.iter_mut().zip(["sw->ctl", "ctl->sw"]) {
             wire.link.set_tracer(tracer.clone(), label);
         }
         self.tracer = tracer;
@@ -797,7 +834,6 @@ impl Testbed {
             return;
         };
         let wire = &mut self.ctrl[dir as usize];
-        debug_assert_eq!(wire.dir, dir);
         if now >= self.data_start {
             // Metered before the fault plane, like a capture tap on the
             // sender's NIC: dropped messages were still sent.
@@ -1218,6 +1254,7 @@ impl Testbed {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use sdnbuf_openflow::BufferId;
     use sdnbuf_sim::{BitRate, SimRng, Window};
     use sdnbuf_switch::BufferChoice;
     use sdnbuf_workload::{
@@ -1868,34 +1905,143 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Everything a testbed's switch and controllers count, learn and
+    /// number, as text.
+    fn state(tb: &Testbed) -> String {
+        let sw = &tb.switch;
+        let mut state = format!(
+            "{:?} {:?} epoch {} rules {}/{}/{} occ {} mlen {} {} {} {:?}",
+            sw.stats(),
+            sw.buffer().stats(),
+            sw.session_epoch(),
+            sw.table().len(),
+            sw.table().lookups(),
+            sw.table().hits(),
+            sw.buffer().occupancy(),
+            sw.miss_send_len(),
+            sw.is_degraded(),
+            sw.is_ctrl_suspect(),
+            sw.next_timer(),
+        );
+        for slot in &tb.slots {
+            let c = &slot.ctrl;
+            state += &format!(
+                " | {} dead {} {:?} rtt {:?}/{} epoch {} {:?} {:?} cpu {}",
+                slot.role,
+                slot.dead,
+                c.stats(),
+                c.stats().echo_rtt.quantile(0.5),
+                c.stats().echo_rtt.mean_ms(),
+                c.epoch(),
+                c.switch_features(),
+                c.location_of(sdnbuf_net::MacAddr::from_host_index(2)),
+                c.cpu_percent(Nanos::from_secs(1)),
+            );
+        }
+        state + &format!(" | serving {} epoch {}", tb.serving, tb.ctrl_epoch)
+    }
+
+    /// The xid each controller mints next.
+    fn next_xids(tb: &mut Testbed) -> Vec<u32> {
+        let slots = tb.slots.iter_mut();
+        let probe = |slot: &mut CtrlSlot| match slot.ctrl.keepalive(Nanos::ZERO) {
+            ControllerOutput::ToSwitch { xid, .. } => xid,
+        };
+        slots.map(probe).collect()
+    }
+
+    /// What the switch sends for a miss of a flow no run has seen, once
+    /// it has heard from its controller.
+    fn next_packet_in(tb: &mut Testbed) -> String {
+        let mut pool = PacketPool::new();
+        let now = Nanos::from_secs(1);
+        let echo = OfpMessage::EchoRequest(Default::default());
+        tb.switch.handle_controller_msg(now, echo, 7, &mut pool);
+        let frame = pool.insert(PacketBuilder::udp().src_port(9_999).build());
+        let outputs = tb.switch.handle_frame(now, PortNo(1), frame, &mut pool);
+        format!("{outputs:?}")
+    }
+
     #[test]
     fn a_reused_testbed_reads_as_fresh_and_keeps_only_capacity() {
-        // A crashing, lossy run with a standby leaves every counter moved.
-        let mut config = crash_config("crash=55ms+30ms,c.loss=p:0.2,fseed=3");
-        config.failover.standby = true;
-        let mut spent = Testbed::new(config);
-        spent.run(&small_workload(40, 300));
-        assert_eq!(spent.slots.len(), 2);
-        assert!(spent.queue.peak_len() > 0 && spent.switch.table().lookups() > 0);
+        // A crashing, lossy run with a warm standby leaves every counter,
+        // xid, epoch and histogram moved.
+        let mut spent = crash_config("crash=55ms+30ms,c.loss=p:0.2,fseed=3");
+        spent.failover = FailoverConfig {
+            standby: true,
+            warm: true,
+            ..FailoverConfig::default()
+        };
+        let mut standby = spent.clone();
+        standby.switch.buffer = BufferChoice::FlowGranularity {
+            capacity: 64,
+            timeout: Nanos::from_millis(20),
+        };
+        standby.faults = FaultPlan::parse("crash=60ms+20ms").expect("valid plan");
+        let plain = TestbedConfig::with_buffer(BufferChoice::NoBuffer);
+        let mut tb = Testbed::new(spent.clone());
+        tb.run(&small_workload(40, 300));
+        assert!(tb.queue.peak_len() > 0 && tb.switch.table().lookups() > 0);
+        assert!(tb.slots[STANDBY].ctrl.stats().echo_rtt.count() > 0);
+        assert!(tb.switch.session_epoch() > 1 && tb.ctrl_epoch > 1);
+        let capacities = |tb: &Testbed| {
+            [
+                tb.slots.capacity(),
+                tb.switch_out.capacity(),
+                tb.ctrl_out.capacity(),
+                tb.pkt_in_sent.capacity(),
+                tb.controller_delays_ms.capacity(),
+            ]
+        };
+        let kept = capacities(&tb);
 
-        let config = TestbedConfig::with_buffer(BufferChoice::NoBuffer);
-        let mut tb = spent.reuse(config.clone()).expect("a valid config");
-        let fresh = Testbed::new(config);
-        assert_eq!(tb.pool.stats(), fresh.pool.stats());
-        assert_eq!(tb.msgs.stats(), fresh.msgs.stats());
-        assert_eq!((tb.pool.len(), tb.msgs.len()), (0, 0));
-        assert_eq!((tb.queue.len(), tb.queue.peak_len()), (0, 0));
-        assert_eq!(tb.queue.reserve_seqs(0), 0, "sequence numbers start over");
-        let table = tb.switch.table();
-        assert_eq!((table.len(), table.lookups(), table.hits()), (0, 0, 0));
-        assert_eq!(tb.measure.sizes(), (0, 0));
-        assert!(tb.pkt_in_sent.is_empty() && tb.controller_delays_ms.is_empty());
-        assert!(tb.switch_out.is_empty() && tb.ctrl_out.is_empty());
-        assert!(tb.slots.len() == 1 && !tb.faults.plan().has_crashes());
-        // And it runs as the fresh one does.
+        // Down to one controller and back to two, switching the mechanism
+        // or keeping it: each reset reads, numbers and runs as the fresh
+        // one.
         let workload = small_workload(60, 120);
-        let mut fresh = fresh;
-        assert_eq!(tb.run(&workload), fresh.run(&workload));
+        for config in [plain, standby.clone(), standby, spent.clone(), spent] {
+            tb.reset(config.clone()).expect("a valid config");
+            let mut fresh = Testbed::new(config.clone());
+            assert_eq!(state(&tb), state(&fresh), "{config:?}");
+            assert_eq!(tb.pool.stats(), fresh.pool.stats());
+            assert_eq!(tb.msgs.stats(), fresh.msgs.stats());
+            assert_eq!((tb.pool.len(), tb.msgs.len()), (0, 0));
+            assert_eq!((tb.queue.len(), tb.queue.peak_len()), (0, 0));
+            assert_eq!(tb.queue.reserve_seqs(0), 0, "sequence numbers start over");
+            assert_eq!(tb.measure.sizes(), (0, 0));
+            assert!(tb.pkt_in_sent.is_empty() && tb.controller_delays_ms.is_empty());
+            assert!(tb.switch_out.is_empty() && tb.ctrl_out.is_empty());
+            assert_eq!(tb.slots.len(), fresh.slots.len());
+            assert_eq!(tb.faults.plan(), fresh.faults.plan());
+            assert_eq!(tb.run(&workload), fresh.run(&workload), "{config:?}");
+            assert_eq!(state(&tb), state(&fresh), "{config:?}");
+            let xids = next_xids(&mut fresh);
+            assert_eq!(next_xids(&mut tb), xids);
+            if let [_, standby] = xids[..] {
+                assert!(standby > 0xC000_0000, "the standby's own range");
+            }
+            // The next buffer id, with the generation and epoch that
+            // never reach the wire, the results or the event stream.
+            let packet_in = next_packet_in(&mut fresh);
+            assert_eq!(next_packet_in(&mut tb), packet_in);
+            let buffered = config.switch.buffer != BufferChoice::NoBuffer;
+            let no_buffer = format!("{:?}", BufferId::NO_BUFFER);
+            assert!(packet_in.contains("PacketIn"), "{packet_in}");
+            assert_eq!(!packet_in.contains(&no_buffer), buffered, "{packet_in}");
+        }
+        let grown = capacities(&tb);
+        assert!(
+            grown.iter().zip(kept).all(|(&now, then)| now >= then),
+            "{grown:?} {kept:?}"
+        );
+        assert_eq!(tb.slots.len(), 2);
+
+        // A config that does not validate changes nothing.
+        let before = state(&tb);
+        let mut zero = TestbedConfig::default();
+        zero.controller.cpu_cores = 0;
+        assert!(tb.reset(zero).is_err());
+        assert_eq!(state(&tb), before);
     }
 
     /// A crash-plane testbed config: keepalives on (so the switch's

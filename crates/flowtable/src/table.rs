@@ -67,7 +67,10 @@ pub struct RemovedRule {
 /// assert!(matches!(outcome, InsertOutcome::Evicted(_)));
 /// assert_eq!(t.len(), 1);
 /// ```
-#[derive(Clone, Debug)]
+///
+/// `FlowTable::default()` holds no rule and has room for none: it is the
+/// shell [`FlowTable::reset`] sizes, and it rejects every insert until then.
+#[derive(Clone, Debug, Default)]
 pub struct FlowTable {
     capacity: usize,
     policy: EvictionPolicy,
@@ -370,16 +373,16 @@ impl FlowTable {
         self.hits
     }
 
-    /// Takes over `spent`'s rule storage, lookup and expiry indexes,
-    /// emptied, if this table holds no rule: what a table built for
-    /// the next run keeps of the last one's is capacity. Its rules,
-    /// deadlines and lookup counters stay its own, a fresh table's. The
-    /// exact index is probed by key only, never iterated, so its larger
-    /// capacity changes no outcome.
-    pub fn reclaim(&mut self, spent: FlowTable) {
-        if !self.rules.is_empty() {
-            return;
-        }
+    /// Empties the table into the one [`FlowTable::with_eviction`] builds
+    /// from `capacity` and `policy`, keeping the storage of its rules and
+    /// its lookup and expiry indexes: no rule, deadline or lookup counter
+    /// carries over. The exact index is probed by key only, never
+    /// iterated, so its larger capacity changes no outcome.
+    ///
+    /// # Panics
+    ///
+    /// As [`FlowTable::with_eviction`] does.
+    pub fn reset(&mut self, capacity: usize, policy: EvictionPolicy) {
         let FlowTable {
             mut rules,
             mut exact,
@@ -388,19 +391,22 @@ impl FlowTable {
             mut deadlines,
             mut due,
             ..
-        } = spent;
+        } = std::mem::take(self);
         rules.clear();
         exact.clear();
         exact_dups.clear();
         wild.clear();
         deadlines.clear();
         due.clear();
-        self.rules = rules;
-        self.exact = exact;
-        self.exact_dups = exact_dups;
-        self.wild = wild;
-        self.deadlines = deadlines;
-        self.due = due;
+        *self = FlowTable {
+            rules,
+            exact,
+            exact_dups,
+            wild,
+            deadlines,
+            due,
+            ..FlowTable::with_eviction(capacity, policy)
+        };
     }
 
     /// Iterates over installed rules in insertion order.
@@ -788,22 +794,21 @@ mod tests {
     }
 
     #[test]
-    fn a_reclaimed_table_keeps_capacity_and_nothing_else() {
-        let mut spent = FlowTable::new(200);
+    fn a_reset_table_keeps_capacity_and_nothing_else() {
+        let mut t = FlowTable::new(200);
         for port in 0..150 {
             let (mut rule, view) = exact_rule(port, 100);
             rule.idle_timeout = Nanos::from_secs(1);
-            spent.insert(Nanos::ZERO, rule);
-            spent.match_packet(Nanos::from_micros(1), &view, 100);
+            t.insert(Nanos::ZERO, rule);
+            t.match_packet(Nanos::from_micros(1), &view, 100);
         }
-        spent.insert(Nanos::ZERO, FlowRule::new(Match::any(), 1));
+        t.insert(Nanos::ZERO, FlowRule::new(Match::any(), 1));
         let capacities = (
-            spent.rules.capacity(),
-            spent.deadlines.capacity(),
-            spent.exact.slots.len(),
+            t.rules.capacity(),
+            t.deadlines.capacity(),
+            t.exact.slots.len(),
         );
-        let mut t = FlowTable::new(10);
-        t.reclaim(spent);
+        t.reset(10, EvictionPolicy::EvictLru);
         assert_eq!(
             (
                 t.rules.capacity(),
@@ -816,8 +821,8 @@ mod tests {
         assert!(t.rules.is_empty() && t.exact.len == 0 && t.wild.is_empty());
         assert!(t.exact_dups.is_empty() && t.deadlines.is_empty() && t.due.is_empty());
         assert_eq!(
-            (t.len(), t.capacity(), t.lookups(), t.hits()),
-            (0, 10, 0, 0)
+            (t.len(), t.capacity(), t.lookups(), t.hits(), t.policy),
+            (0, 10, 0, 0, EvictionPolicy::EvictLru)
         );
         assert_eq!(t.next_expiry(), None);
         let (rule, view) = exact_rule(3, 100);
@@ -827,9 +832,6 @@ mod tests {
         );
         assert_eq!(t.insert(Nanos::ZERO, rule), InsertOutcome::Installed);
         assert_eq!(t.peek(&view).map(|r| r.priority), Some(100));
-        // A table holding a rule keeps its own storage.
-        t.reclaim(FlowTable::new(10));
-        assert_eq!((t.len(), t.rules.capacity()), (1, capacities.0));
     }
 
     #[test]

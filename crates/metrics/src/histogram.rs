@@ -125,6 +125,17 @@ impl Histogram {
         }
     }
 
+    /// Forgets every sample, keeping the storage of the buckets: the
+    /// histogram reads as a new one and grows no bucket it had room for.
+    pub fn clear(&mut self) {
+        let mut counts = std::mem::take(&mut self.counts);
+        counts.clear();
+        *self = Histogram {
+            counts,
+            ..Histogram::new()
+        };
+    }
+
     /// Records one duration.
     #[inline]
     pub fn record(&mut self, d: Nanos) {
@@ -546,6 +557,26 @@ mod tests {
         assert!((h.mean_ms() - 5.0).abs() < 1e-12);
         assert_eq!(h.quantile(0.0), Nanos::from_millis(1));
         assert_eq!(h.quantile(1.0), Nanos::from_millis(9));
+    }
+
+    #[test]
+    fn a_cleared_histogram_equals_a_new_one_and_keeps_its_buckets() {
+        let mut h = Histogram::new();
+        for v in 1..2_000u64 {
+            h.record_ns(v * 7919);
+        }
+        let capacity = h.counts.capacity();
+        h.clear();
+        assert!(
+            h == Histogram::new(),
+            "no sample, extremum or window is kept"
+        );
+        assert_eq!(h.counts.capacity(), capacity);
+        h.record(Nanos::from_millis(2));
+        let mut fresh = Histogram::new();
+        fresh.record(Nanos::from_millis(2));
+        assert!(h == fresh);
+        assert_eq!(h.counts.capacity(), capacity, "no bucket grows back");
     }
 
     #[test]

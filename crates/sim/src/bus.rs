@@ -33,6 +33,14 @@ pub struct Bus {
     label: &'static str,
 }
 
+/// A bus of no throughput: the shell a component's `reset` replaces with
+/// its configured one. It moves nothing until then.
+impl Default for Bus {
+    fn default() -> Self {
+        Bus::new(BitRate::default())
+    }
+}
+
 impl Bus {
     /// Creates an idle bus with the given throughput.
     pub fn new(rate: BitRate) -> Self {

@@ -447,6 +447,13 @@ pub struct FaultState {
     nth_to_switch: u64,
 }
 
+/// The runtime of the empty plan: no fault ever fires.
+impl Default for FaultState {
+    fn default() -> Self {
+        FaultState::new(FaultPlan::default())
+    }
+}
+
 impl FaultState {
     /// Builds the runtime for a (validated) plan.
     pub fn new(plan: FaultPlan) -> FaultState {

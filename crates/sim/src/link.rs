@@ -83,6 +83,13 @@ pub struct Link {
     label: &'static str,
 }
 
+/// An idle [`LinkConfig::fast_ethernet`] link.
+impl Default for Link {
+    fn default() -> Self {
+        Link::new(LinkConfig::fast_ethernet())
+    }
+}
+
 impl Link {
     /// Creates an idle link.
     pub fn new(config: LinkConfig) -> Self {

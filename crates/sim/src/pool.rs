@@ -233,16 +233,16 @@ impl<T> Pool<T> {
         self.stats
     }
 
-    /// Takes over `spent`'s slot storage, emptied, if this pool has never
-    /// held a value: what a pool built for the next run keeps of the last
-    /// one's is capacity, not its values, generations or counters, so every
-    /// handle and statistic reads as a fresh pool's.
-    pub fn reclaim(&mut self, spent: Pool<T>) {
-        if self.slots.is_empty() {
-            let mut slots = spent.slots;
-            slots.clear();
-            self.slots = slots;
-        }
+    /// Empties the pool into a new one that keeps this one's slot
+    /// storage: not its values, generations or counters, so every handle
+    /// and statistic reads as a fresh pool's.
+    pub fn reset(&mut self) {
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.clear();
+        *self = Pool {
+            slots,
+            ..Pool::new()
+        };
     }
 }
 
@@ -417,25 +417,19 @@ mod tests {
     }
 
     #[test]
-    fn a_reclaimed_pool_keeps_capacity_and_nothing_else() {
-        let mut spent = Pool::new();
-        let handles: Vec<PoolHandle> = (0..100).map(|v| spent.insert(v)).collect();
-        for &h in &handles[..60] {
-            spent.release(h);
-        }
-        let capacity = spent.slots.capacity();
+    fn a_reset_pool_keeps_capacity_and_nothing_else() {
         let mut p = Pool::new();
-        p.reclaim(spent);
+        let handles: Vec<PoolHandle> = (0..100).map(|v| p.insert(v)).collect();
+        for &h in &handles[..60] {
+            p.release(h);
+        }
+        let capacity = p.slots.capacity();
+        p.reset();
         assert_eq!((p.slots.len(), p.slots.capacity()), (0, capacity));
-        assert_eq!((p.len(), p.stats()), (0, PoolStats::default()));
+        assert_eq!((p.len(), p.stats(), p.free), (0, PoolStats::default(), NIL));
         // The first handle is a fresh pool's, and no old handle reaches it.
         let h = p.insert(7);
         assert_eq!((h.slot, h.gen), (0, 1));
         assert_eq!(p.get(handles[60]), None);
-        // A pool that has held a value keeps its own storage.
-        let mut other = Pool::new();
-        other.insert(0);
-        p.reclaim(other);
-        assert_eq!((p.slots.capacity(), p.get(h)), (capacity, Some(&7)));
     }
 }

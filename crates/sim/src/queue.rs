@@ -378,19 +378,21 @@ impl<E> EventQueue<E> {
         self.wheel_len == 0 && self.far.is_empty()
     }
 
-    /// Takes over `spent`'s node arena and overflow heap, emptied, if this
-    /// queue holds neither a node nor an event: what a queue built for the
-    /// next run keeps of the last one's is capacity. Its sequence numbers,
-    /// cursor and [`Self::peak_len`] stay its own, a fresh queue's.
-    pub fn reclaim(&mut self, spent: EventQueue<E>) {
-        if self.nodes.is_empty() && self.far.is_empty() {
-            let EventQueue {
-                mut nodes, mut far, ..
-            } = spent;
-            nodes.clear();
-            far.clear();
-            (self.nodes, self.far) = (nodes, far);
-        }
+    /// Empties the queue into a new one that keeps this one's node arena
+    /// and overflow heap: its sequence numbers, cursor and
+    /// [`Self::peak_len`] start over, as a fresh queue's.
+    pub fn reset(&mut self) {
+        let (mut nodes, mut far) = (
+            std::mem::take(&mut self.nodes),
+            std::mem::take(&mut self.far),
+        );
+        nodes.clear();
+        far.clear();
+        *self = EventQueue {
+            nodes,
+            far,
+            ..EventQueue::new()
+        };
     }
 
     /// Removes all pending events. The arena and the overflow heap keep
@@ -667,18 +669,17 @@ mod tests {
     }
 
     #[test]
-    fn a_reclaimed_queue_keeps_capacity_not_its_sequence_or_peak() {
+    fn a_reset_queue_keeps_capacity_not_its_sequence_or_peak() {
         let far = (3 * SLOTS as u64) << TICK_SHIFT;
-        let mut spent = EventQueue::new();
-        for t in 0..40u64 {
-            spent.schedule(Nanos::from_nanos(t << TICK_SHIFT), t);
-        }
-        spent.schedule(Nanos::from_nanos(far), 99);
-        spent.reserve_seqs(1_000);
-        spent.pop();
-        let capacities = (spent.nodes.capacity(), spent.far.capacity());
         let mut q = EventQueue::new();
-        q.reclaim(spent);
+        for t in 0..40u64 {
+            q.schedule(Nanos::from_nanos(t << TICK_SHIFT), t);
+        }
+        q.schedule(Nanos::from_nanos(far), 99);
+        q.reserve_seqs(1_000);
+        q.pop();
+        let capacities = (q.nodes.capacity(), q.far.capacity());
+        q.reset();
         assert_eq!((q.nodes.capacity(), q.far.capacity()), capacities);
         assert_eq!(
             (q.nodes.len(), q.len(), q.peak_len(), q.free),

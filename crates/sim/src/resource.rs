@@ -53,7 +53,10 @@ impl Utilization {
 /// assert_eq!(b, Nanos::from_micros(10)); // core 1
 /// assert_eq!(c, Nanos::from_micros(20)); // waited for a core
 /// ```
-#[derive(Clone, Debug)]
+///
+/// `CpuResource::default()` has no core: it is the shell
+/// [`CpuResource::reset`] gives cores to, and it takes no job until then.
+#[derive(Clone, Debug, Default)]
 pub struct CpuResource {
     cores: Vec<Nanos>,
     utilization: Utilization,
@@ -67,12 +70,28 @@ impl CpuResource {
     ///
     /// Panics if `cores` is zero.
     pub fn new(cores: usize) -> Self {
+        let mut cpu = CpuResource::default();
+        cpu.reset(cores);
+        cpu
+    }
+
+    /// Makes this CPU the idle `cores`-core one [`CpuResource::new`]
+    /// builds, keeping the storage of its core vector and nothing else.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is zero.
+    pub fn reset(&mut self, cores: usize) {
         assert!(cores > 0, "a CPU needs at least one core");
-        CpuResource {
-            cores: vec![Nanos::ZERO; cores],
+        let mut free_at = std::mem::take(&mut self.cores);
+        free_at.clear();
+        free_at.reserve_exact(cores);
+        free_at.resize(cores, Nanos::ZERO);
+        *self = CpuResource {
+            cores: free_at,
             utilization: Utilization::default(),
             jobs: 0,
-        }
+        };
     }
 
     /// Submits a job of length `service` at time `now`; returns its absolute
@@ -197,6 +216,20 @@ mod tests {
             cpu.submit(Nanos::ZERO, Nanos::from_nanos(1));
         }
         assert_eq!(cpu.jobs_submitted(), 5);
+    }
+
+    #[test]
+    fn a_reset_cpu_is_a_new_one_with_the_storage_kept() {
+        let mut cpu = CpuResource::new(4);
+        cpu.submit(Nanos::ZERO, Nanos::from_micros(10));
+        let storage = cpu.cores.as_ptr();
+        cpu.reset(2);
+        assert_eq!((cpu.cores.as_ptr(), cpu.cores.len()), (storage, 2));
+        assert_eq!(
+            (cpu.jobs_submitted(), cpu.utilization()),
+            (0, Utilization::default())
+        );
+        assert_eq!(cpu.queue_delay(Nanos::ZERO), Nanos::ZERO);
     }
 
     #[test]

@@ -41,6 +41,17 @@ pub(crate) struct Session {
 }
 
 impl Session {
+    /// The unarmed session a new switch starts in, keeping the storage of
+    /// the re-announce queue.
+    pub(crate) fn reset(&mut self) {
+        let mut reconcile_queue = std::mem::take(&mut self.reconcile_queue);
+        reconcile_queue.clear();
+        *self = Session {
+            reconcile_queue,
+            ..Session::default()
+        };
+    }
+
     /// Arms the crash plane: the session starts at epoch 1.
     pub(crate) fn arm(&mut self) {
         self.epoch = 1;

@@ -128,6 +128,72 @@ fn shed(stats: &mut SwitchStats, packet: Option<PacketHandle>, out: &mut Vec<Swi
     out.push(SwitchOutput::Drop { packet });
 }
 
+/// The switch's buffer mechanism, the one [`BufferChoice`] names, held by
+/// value: a reset to the same kind keeps its storage, and a reset to
+/// another kind allocates no box. It reads as the `dyn BufferMechanism`
+/// it holds.
+enum Mechanism {
+    None(NoBuffer),
+    Packet(PacketGranularityBuffer),
+    Flow(FlowGranularityBuffer),
+}
+
+impl Default for Mechanism {
+    fn default() -> Self {
+        Mechanism::None(NoBuffer::new())
+    }
+}
+
+impl Mechanism {
+    /// The mechanism `config` configures, fresh.
+    fn new(config: &SwitchConfig) -> Mechanism {
+        match config.buffer {
+            BufferChoice::NoBuffer => Mechanism::None(NoBuffer::new()),
+            BufferChoice::PacketGranularity { capacity } => Mechanism::Packet(
+                PacketGranularityBuffer::with_free_lag(capacity, config.buffer_free_lag)
+                    .with_ttl(config.buffer_ttl),
+            ),
+            BufferChoice::FlowGranularity { capacity, timeout } => Mechanism::Flow(
+                FlowGranularityBuffer::new(capacity, timeout)
+                    .with_retry_policy(config.retry)
+                    .with_ttl(config.buffer_ttl),
+            ),
+        }
+    }
+
+    /// Makes this the fresh mechanism `config` configures: in place, with
+    /// its storage kept, when it is of that kind already.
+    fn reset(&mut self, config: &SwitchConfig) {
+        match (self, Mechanism::new(config)) {
+            (Mechanism::Packet(spent), Mechanism::Packet(fresh)) => spent.reset_to(fresh),
+            (Mechanism::Flow(spent), Mechanism::Flow(fresh)) => spent.reset_to(fresh),
+            (this, fresh) => *this = fresh,
+        }
+    }
+}
+
+impl std::ops::Deref for Mechanism {
+    type Target = dyn BufferMechanism;
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Mechanism::None(b) => b,
+            Mechanism::Packet(b) => b,
+            Mechanism::Flow(b) => b,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Mechanism {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        match self {
+            Mechanism::None(b) => b,
+            Mechanism::Packet(b) => b,
+            Mechanism::Flow(b) => b,
+        }
+    }
+}
+
 /// The Open vSwitch model: flow table, buffer mechanism, CPU, bus.
 ///
 /// See the crate docs for the timing model. All handlers take the current
@@ -137,11 +203,16 @@ fn shed(stats: &mut SwitchStats, packet: Option<PacketHandle>, out: &mut Vec<Swi
 /// the caller's `Vec` in emission order and never clears or reads it — the
 /// caller drains it, and one that keeps it across calls (the testbed does)
 /// pays for its storage once — and as a wrapper returning a fresh `Vec`.
+///
+/// `Switch::default()` is the unconfigured shell [`Switch::reset`] fills:
+/// its table holds no rule and its CPUs have no core until then. Build a
+/// switch with [`Switch::new`].
+#[derive(Default)]
 pub struct Switch {
     config: SwitchConfig,
     // Datapath.
     table: FlowTable,
-    buffer: Box<dyn BufferMechanism>,
+    buffer: Mechanism,
     cpu: CpuResource,
     bus: Bus,
     /// The serial rule-install pipeline (ofproto): one rule at a time.
@@ -191,36 +262,56 @@ impl Switch {
     /// [`Switch::new`] with the validation error returned instead of
     /// panicking — the single validation path for switch construction.
     pub fn try_new(config: SwitchConfig) -> Result<Switch, String> {
+        let mut switch = Switch::default();
+        switch.reset(config)?;
+        Ok(switch)
+    }
+
+    /// Makes this the switch [`Switch::try_new`] builds from `config`,
+    /// keeping the storage of its flow table, buffer mechanism (when
+    /// `config` names the same kind), CPU cores, handler buffers and
+    /// re-announce queue, and nothing else: no rule, buffered packet,
+    /// counter, xid, epoch or tracer carries over. On `Err` — `config`
+    /// does not validate — the switch is left as it was.
+    pub fn reset(&mut self, config: SwitchConfig) -> Result<(), String> {
         config.validate()?;
-        let buffer: Box<dyn BufferMechanism> = match config.buffer {
-            BufferChoice::NoBuffer => Box::new(NoBuffer::new()),
-            BufferChoice::PacketGranularity { capacity } => Box::new(
-                PacketGranularityBuffer::with_free_lag(capacity, config.buffer_free_lag)
-                    .with_ttl(config.buffer_ttl),
-            ),
-            BufferChoice::FlowGranularity { capacity, timeout } => Box::new(
-                FlowGranularityBuffer::new(capacity, timeout)
-                    .with_retry_policy(config.retry)
-                    .with_ttl(config.buffer_ttl),
-            ),
-        };
-        Ok(Switch {
-            table: FlowTable::with_eviction(config.flow_table_capacity, config.eviction),
+        use std::mem::take;
+        let (mut table, mut buffer, mut cpu, mut installer) = (
+            take(&mut self.table),
+            take(&mut self.buffer),
+            take(&mut self.cpu),
+            take(&mut self.installer),
+        );
+        let (mut released, mut expired, mut session) = (
+            take(&mut self.released),
+            take(&mut self.expired),
+            take(&mut self.session),
+        );
+        table.reset(config.flow_table_capacity, config.eviction);
+        buffer.reset(&config);
+        cpu.reset(config.cpu_cores);
+        installer.reset(1);
+        released.clear();
+        expired.clear();
+        session.reset();
+        *self = Switch {
+            table,
             buffer,
-            cpu: CpuResource::new(config.cpu_cores),
+            cpu,
             bus: Bus::new(config.bus_rate),
-            installer: CpuResource::new(1),
+            installer,
             next_xid: 1,
             miss_send_len: config.miss_send_len,
             stats: SwitchStats::default(),
             tracer: Tracer::off(),
-            released: Vec::new(),
-            expired: Vec::new(),
+            released,
+            expired,
             degraded: Degraded::new(config.degraded_threshold),
             liveness: Liveness::default(),
-            session: Session::default(),
+            session,
             config,
-        })
+        };
+        Ok(())
     }
 
     /// Whether the switch is currently in degraded mode (shedding fresh
@@ -273,17 +364,9 @@ impl Switch {
         &self.table
     }
 
-    /// Takes over the flow table's storage of a `spent` switch, emptied:
-    /// what a switch built for the next run keeps of the last one's is
-    /// capacity (see [`FlowTable::reclaim`]). The rest of `spent` is
-    /// dropped.
-    pub fn reclaim(&mut self, spent: Switch) {
-        self.table.reclaim(spent.table);
-    }
-
     /// The buffer mechanism (for inspection).
     pub fn buffer(&self) -> &dyn BufferMechanism {
-        self.buffer.as_ref()
+        &*self.buffer
     }
 
     /// Cripples the buffer mechanism as `sabotage` names (the chaos
@@ -889,6 +972,80 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("capacity"), "{err}");
+    }
+
+    /// What a switch answers to a short crash-plane script, with its
+    /// counters, xids and epoch, on a pool of its own.
+    fn script(sw: &mut Switch) -> String {
+        let mut pool = PacketPool::new();
+        sw.arm_crash_plane();
+        let mut outs = Vec::new();
+        for (i, at) in (0..6u16).zip((0..).map(Nanos::from_millis)) {
+            sw.handle_frame_into(at, PortNo(1), pool.insert(udp(i % 4)), &mut pool, &mut outs);
+        }
+        for (xid, msg) in [
+            (7, OfpMessage::Hello),
+            (9, OfpMessage::EchoRequest(Default::default())),
+            (11, OfpMessage::Hello),
+            (
+                12,
+                OfpMessage::SetConfig(msg::SwitchConfig {
+                    flags: 0,
+                    miss_send_len: 64,
+                }),
+            ),
+        ] {
+            let at = Nanos::from_millis(10);
+            sw.handle_controller_msg_into(at, msg, xid, &mut pool, &mut outs);
+        }
+        sw.announce_capabilities_into(Nanos::from_millis(11), &mut outs);
+        while let Some(at) = sw.next_timer().filter(|&t| t < Nanos::from_secs(1)) {
+            sw.on_timer_into(at, &mut pool, &mut outs);
+        }
+        let horizon = Nanos::from_secs(1);
+        format!(
+            "{outs:?} {:?} {:?} epoch {} rules {} cpu {} mlen {}",
+            sw.stats(),
+            sw.buffer().stats(),
+            sw.session_epoch(),
+            sw.table().len(),
+            sw.cpu_percent(horizon),
+            sw.miss_send_len()
+        )
+    }
+
+    #[test]
+    fn a_reset_switch_answers_as_a_fresh_one() {
+        let kinds = [
+            BufferChoice::NoBuffer,
+            BufferChoice::PacketGranularity { capacity: 4 },
+            BufferChoice::FlowGranularity {
+                capacity: 8,
+                timeout: Nanos::from_millis(20),
+            },
+        ];
+        let config = |buffer| SwitchConfig {
+            buffer,
+            buffer_ttl: Nanos::from_millis(300),
+            ..SwitchConfig::default()
+        };
+        let mut sw = Switch::default();
+        for before in kinds {
+            for after in kinds {
+                sw.reset(config(before)).expect("a valid config");
+                script(&mut sw);
+                sw.sabotage_buffer(Sabotage::no_rerequest());
+                sw.set_buffer_pressure(true);
+                sw.reset(config(after)).expect("a valid config");
+                let fresh = script(&mut Switch::new(config(after)));
+                assert_eq!(script(&mut sw), fresh, "{before:?} then {after:?}");
+            }
+        }
+        // A config that does not validate changes nothing.
+        let kept = format!("{:?} {:?}", sw, sw.stats());
+        let zero = BufferChoice::PacketGranularity { capacity: 0 };
+        assert!(sw.reset(config(zero)).is_err());
+        assert_eq!(format!("{:?} {:?}", sw, sw.stats()), kept);
     }
 
     fn flow_mod_for(pkt: &Packet, in_port: PortNo, out_port: PortNo) -> OfpMessage {

@@ -251,6 +251,29 @@ impl FlowGranularityBuffer {
         })
     }
 
+    /// Makes this buffer `fresh`, keeping the storage of its flow maps and
+    /// unit slab, emptied: no flow, unit, deadline, generation or counter
+    /// carries over. `fresh`'s own containers are dropped, so pass one
+    /// that holds nothing. The maps are never iterated in an order that
+    /// reaches an outcome (`reconcile_epoch` sorts the ids it lists), so
+    /// their larger capacity changes no run.
+    pub fn reset_to(&mut self, fresh: FlowGranularityBuffer) {
+        let (mut flows, mut slab, mut by_id) = (
+            std::mem::take(&mut self.flows),
+            std::mem::take(&mut self.units.slab),
+            std::mem::take(&mut self.by_id),
+        );
+        flows.clear();
+        slab.clear();
+        by_id.clear();
+        *self = FlowGranularityBuffer {
+            flows,
+            units: Units { slab, free: NIL },
+            by_id,
+            ..fresh
+        };
+    }
+
     /// Replaces the retry policy (builder-style).
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.policy = policy;
@@ -644,6 +667,65 @@ mod tests {
         }
         assert_eq!(b.occupancy(), 20);
         assert_eq!(b.flow_count(), 1);
+    }
+
+    #[test]
+    fn a_reset_buffer_acts_as_the_fresh_one_and_keeps_its_storage() {
+        let misses = |b: &mut FlowGranularityBuffer, pool: &mut PacketPool| {
+            let actions = (0..40u16)
+                .map(|i| {
+                    b.on_miss(
+                        Nanos::from_micros(i.into()),
+                        pool.insert(pkt(i % 7, 100)),
+                        PortNo(1),
+                        pool,
+                    )
+                })
+                .collect::<Vec<_>>();
+            // Debug shows the ids' generations and epochs, which `==`
+            // ignores.
+            format!("{actions:?}")
+        };
+        let mut pool = PacketPool::new();
+        let mut b = mk().with_ttl(Nanos::from_millis(5));
+        b.reconcile_epoch(Nanos::ZERO, 3);
+        b.set_pressure(true);
+        misses(&mut b, &mut pool);
+        b.set_pressure(false);
+        misses(&mut b, &mut pool);
+        b.sabotage(Sabotage::no_rerequest());
+        let capacities = (
+            b.flows.capacity(),
+            b.units.slab.capacity(),
+            b.by_id.capacity(),
+        );
+        b.reset_to(mk());
+        assert_eq!(
+            (
+                b.flows.capacity(),
+                b.units.slab.capacity(),
+                b.by_id.capacity()
+            ),
+            capacities
+        );
+        assert_eq!(
+            (b.occupancy(), b.flow_count(), b.next_timeout()),
+            (0, 0, None)
+        );
+        let mut fresh = mk();
+        assert_eq!(misses(&mut b, &mut pool), misses(&mut fresh, &mut pool));
+        assert_eq!(b.stats(), fresh.stats());
+        let due = Nanos::from_millis(60);
+        assert_eq!(b.next_timeout(), fresh.next_timeout());
+        let ids = |sweep: TimeoutSweep| {
+            let ids: Vec<BufferId> = sweep.rerequests.iter().map(|r| r.buffer_id).collect();
+            format!("{ids:?}")
+        };
+        assert_eq!(
+            ids(b.poll_timeouts(due, &pool)),
+            ids(fresh.poll_timeouts(due, &pool)),
+            "the sabotage and the TTL are the fresh buffer's"
+        );
     }
 
     #[test]

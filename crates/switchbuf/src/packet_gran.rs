@@ -116,6 +116,24 @@ impl PacketGranularityBuffer {
         self
     }
 
+    /// Makes this buffer `fresh`, keeping the storage of its unit map and
+    /// free-lag queue, emptied: no unit, id, generation or counter carries
+    /// over. `fresh`'s own containers are dropped, so pass one that holds
+    /// nothing.
+    pub fn reset_to(&mut self, fresh: PacketGranularityBuffer) {
+        let (mut units, mut pending_free) = (
+            std::mem::take(&mut self.units),
+            std::mem::take(&mut self.pending_free),
+        );
+        units.clear();
+        pending_free.clear();
+        *self = PacketGranularityBuffer {
+            units,
+            pending_free,
+            ..fresh
+        };
+    }
+
     fn reclaim(&mut self, now: Nanos) {
         while self.pending_free.front().is_some_and(|&t| t <= now) {
             self.pending_free.pop_front();
@@ -325,6 +343,36 @@ mod tests {
 
     fn pkt(src_port: u16) -> Packet {
         PacketBuilder::udp().src_port(src_port).build()
+    }
+
+    #[test]
+    fn a_reset_buffer_acts_as_the_fresh_one_and_keeps_its_storage() {
+        let misses = |b: &mut PacketGranularityBuffer, pool: &mut PacketPool| {
+            let actions: Vec<_> = (0..20u16)
+                .map(|i| b.on_miss(Nanos::ZERO, pool.insert(pkt(i)), PortNo(1), pool))
+                .collect();
+            // Debug shows the ids' generations and epochs, which `==`
+            // ignores.
+            format!("{actions:?}")
+        };
+        let fresh = || PacketGranularityBuffer::with_free_lag(16, Nanos::from_millis(1));
+        let mut pool = PacketPool::new();
+        let mut b = PacketGranularityBuffer::new(64).with_ttl(Nanos::from_millis(5));
+        b.reconcile_epoch(Nanos::ZERO, 2);
+        misses(&mut b, &mut pool);
+        let id = b.units.values().next().expect("a unit").buffer_id;
+        b.release(Nanos::ZERO, id);
+        b.set_pressure(true);
+        let capacities = (b.units.capacity(), b.pending_free.capacity());
+        b.reset_to(fresh());
+        assert_eq!((b.units.capacity(), b.pending_free.capacity()), capacities);
+        assert_eq!(
+            (b.occupancy(), b.capacity(), b.next_timeout()),
+            (0, 16, None)
+        );
+        let mut other = fresh();
+        assert_eq!(misses(&mut b, &mut pool), misses(&mut other, &mut pool));
+        assert_eq!(b.stats(), other.stats());
     }
 
     #[test]

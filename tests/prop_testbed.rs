@@ -159,23 +159,21 @@ fn arb_spec() -> impl Strategy<Value = RunSpec> {
 /// and its packet log.
 type Observed = (RunResult, u64, Vec<PacketTrace>);
 
-/// What a sweep worker hands on from run to run: its last testbed, if it
-/// has run one, and its departure buffer.
-type Scratch = (Option<Testbed>, Vec<Departure>);
+/// What a sweep worker hands on from run to run: its testbed, and its
+/// departure buffer.
+type Scratch = (Testbed, Vec<Departure>);
 
-/// Runs `spec` as a sweep worker does: on the spent testbed rebuilt for it,
-/// or a fresh one, with its workload generated into the spent departure
-/// buffer; observed when `traced`. Returns the two for the next run.
+/// Runs `spec` as a sweep worker does: on the spent testbed reset for it,
+/// with its workload generated into the spent departure buffer; observed
+/// when `traced`. Returns the two for the next run.
 fn run_on(scratch: Scratch, spec: &RunSpec, traced: bool) -> (Scratch, Observed) {
-    let (spent, mut departures) = scratch;
+    let (mut testbed, mut departures) = scratch;
     let config = spec.config();
     let mut testbed_config = config.testbed;
     testbed_config.switch.buffer = config.buffer;
-    let mut testbed = match spent {
-        Some(spent) => spent.reuse(testbed_config),
-        None => Testbed::try_new(testbed_config),
-    }
-    .expect("a generated spec is valid");
+    testbed
+        .reset(testbed_config)
+        .expect("a generated spec is valid");
     let (tracer, sink) = Tracer::recording(0);
     if traced {
         testbed.set_tracer(tracer);
@@ -191,13 +189,13 @@ fn run_on(scratch: Scratch, spec: &RunSpec, traced: bool) -> (Scratch, Observed)
     let result = testbed.run(&departures);
     let digest = events_digest(&sink.borrow_mut().take());
     let log = testbed.packet_log();
-    ((Some(testbed), departures), (result, digest, log))
+    ((testbed, departures), (result, digest, log))
 }
 
 proptest! {
     /// Running B on the testbed and the departure buffer A left behind
     /// measures, emits and logs exactly what B does on fresh ones:
-    /// `Testbed::reuse` keeps storage, and no rule, record, counter,
+    /// `Testbed::reset` keeps storage, and no rule, record, counter,
     /// generation or sequence number of A's, and `generate_into` no
     /// departure of A's.
     #[test]
