@@ -1038,7 +1038,7 @@ mod tests {
                 n_tables: 1,
                 capabilities: 0,
                 actions: 0,
-                ports: vec![],
+                ports: vec![].into(),
             }),
             1,
         );

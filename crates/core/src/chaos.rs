@@ -27,7 +27,7 @@ use sdnbuf_sim::{
 };
 use sdnbuf_switchbuf::RetryPolicy;
 pub use sdnbuf_switchbuf::Sabotage;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// A chaos scenario is a [`RunSpec`]: the name stays for the callers that
@@ -180,10 +180,49 @@ pub struct ChaosReport {
 
 /// The sink [`run_scenario`] attaches to its testbed: every event goes to
 /// the invariant checker and into the stream digest as it is emitted, and
-/// is kept nowhere.
+/// is kept nowhere. A thread's scenarios share one, reset in place.
 struct Observer {
     checker: Invariants,
     digest: EventDigest,
+}
+
+impl Observer {
+    /// A new observer for `scenario`.
+    fn new(scenario: &RunSpec) -> Observer {
+        Observer {
+            checker: Invariants::new(scenario.mech, &scenario.plan, scenario.recovery),
+            digest: EventDigest::default(),
+        }
+    }
+
+    /// Makes this the observer [`Observer::new`] builds for `scenario`,
+    /// keeping the checker's storage.
+    fn reset(&mut self, scenario: &RunSpec) {
+        self.checker
+            .reset(scenario.mech, &scenario.plan, scenario.recovery);
+        self.digest = EventDigest::default();
+    }
+
+    /// Runs `f` on this thread's observer, reset for `scenario`: the one
+    /// the last call on this thread left behind, or a new one on the
+    /// thread's first call. It is taken out for the call and put back
+    /// after, as [`RunScratch::on_this_thread`]'s scratch is, so a
+    /// scenario nested in `f` gets one of its own.
+    fn on_this_thread<T>(scenario: &RunSpec, f: impl FnOnce(&Rc<RefCell<Observer>>) -> T) -> T {
+        thread_local! {
+            static OBSERVER: Cell<Option<Rc<RefCell<Observer>>>> = const { Cell::new(None) };
+        }
+        let observer = match OBSERVER.take() {
+            Some(kept) => {
+                kept.borrow_mut().reset(scenario);
+                kept
+            }
+            None => Rc::new(RefCell::new(Observer::new(scenario))),
+        };
+        let out = f(&observer);
+        OBSERVER.set(Some(observer));
+        out
+    }
 }
 
 impl EventSink for Observer {
@@ -196,19 +235,17 @@ impl EventSink for Observer {
 /// Executes `scenario`, checking every invariant over its event stream and
 /// digesting it while it runs.
 pub fn run_scenario(scenario: &RunSpec, sabotage: Sabotage) -> ChaosReport {
-    let observer = Rc::new(RefCell::new(Observer {
-        checker: Invariants::new(scenario.mech, &scenario.plan, scenario.recovery),
-        digest: EventDigest::default(),
-    }));
-    let tracer = Tracer::new(observer.clone());
-    let result =
-        RunScratch::on_this_thread(|scratch| scenario.config().run(tracer, sabotage, scratch));
-    let mut observer = observer.borrow_mut();
-    ChaosReport {
-        violations: observer.checker.finish(&result),
-        digest: observer.digest.finish(),
-        result,
-    }
+    Observer::on_this_thread(scenario, |observer| {
+        let tracer = Tracer::new(observer.clone());
+        let result =
+            RunScratch::on_this_thread(|scratch| scenario.config().run(tracer, sabotage, scratch));
+        let mut observer = observer.borrow_mut();
+        ChaosReport {
+            violations: observer.checker.finish(&result),
+            digest: observer.digest.finish(),
+            result,
+        }
+    })
 }
 
 /// Greedily shrinks a failing scenario's fault plan: tries zeroing each
@@ -813,11 +850,12 @@ mod tests {
                 Sabotage::no_ttl_gc(),
             ),
         ];
-        // `b` on a thread of its own, after `first` if there is one.
-        let on_a_fresh_thread = |first: Option<(RunSpec, Sabotage)>, b: &RunSpec, sabotage| {
-            let b = b.clone();
+        // `b` on a thread of its own, after the scenarios `before`, each of
+        // which must be caught exactly when it is sabotaged.
+        let on_a_fresh_thread = |before: &[(RunSpec, Sabotage)], b: &RunSpec, sabotage| {
+            let (before, b) = (before.to_vec(), b.clone());
             std::thread::spawn(move || {
-                if let Some((a, a_sabotage)) = first {
+                for (a, a_sabotage) in before {
                     let report = run_scenario(&a, a_sabotage);
                     let sabotaged = a_sabotage != Sabotage::none();
                     assert_eq!(report.violations.is_empty(), !sabotaged, "{a}");
@@ -828,11 +866,49 @@ mod tests {
             .expect("the scenarios ran")
         };
         for (a, a_sabotage, b, b_sabotage) in pairs {
-            let reused = on_a_fresh_thread(Some((a, a_sabotage)), &b, b_sabotage);
-            let alone = on_a_fresh_thread(None, &b, b_sabotage);
+            let reused = on_a_fresh_thread(&[(a, a_sabotage)], &b, b_sabotage);
+            let alone = on_a_fresh_thread(&[], &b, b_sabotage);
             assert_eq!(reused.digest, alone.digest, "{b}");
             assert_eq!(reused.violations, alone.violations, "{b}");
             assert_eq!(reused.result, alone.result, "{b}");
+        }
+
+        // K, another kind, then K again: the switch keeps a buffer of each
+        // kind, so the last run finds the buffer the first one left idle —
+        // with every sabotage on, and holding the units its dead TTL
+        // collector stranded — and must see it as new. The plan exercises
+        // what each sabotage cripples: a TTL, lost requests and releases,
+        // and a crash.
+        let mut plan = crash_scenario().plan;
+        plan.to_controller.loss = LossModel::EveryNth(4);
+        plan.to_switch.loss = LossModel::EveryNth(3);
+        let scenario = |mech| RunSpec {
+            mech,
+            plan: plan.clone(),
+            recovery: RecoveryKnobs {
+                ttl: Nanos::from_millis(100),
+                ..RecoveryKnobs::default()
+            },
+            ..crash_scenario()
+        };
+        let every_sabotage = Sabotage {
+            disable_rerequest: true,
+            disable_ttl_gc: true,
+            broken_epoch: true,
+        };
+        let none = Sabotage::none();
+        let packet_256 = BufferMode::PacketGranularity { capacity: 256 };
+        for (k, other) in [(packet_256, flow_20ms), (flow_20ms, packet_256)] {
+            let before = [
+                (scenario(k), every_sabotage),
+                (RunSpec::generate(5, other), none),
+            ];
+            let reused = on_a_fresh_thread(&before, &scenario(k), none);
+            let alone = on_a_fresh_thread(&[], &scenario(k), none);
+            let label = format!("{:?} after {:?}", k, other);
+            assert_eq!(reused.digest, alone.digest, "{label}");
+            assert_eq!(reused.violations, alone.violations, "{label}");
+            assert_eq!(reused.result, alone.result, "{label}");
         }
 
         // Every ordered pair of mechanism × crash plane: each reset keeps
@@ -865,11 +941,10 @@ mod tests {
                 })
             })
             .collect();
-        let none = Sabotage::none();
         for b in &scenarios {
-            let alone = on_a_fresh_thread(None, b, none);
+            let alone = on_a_fresh_thread(&[], b, none);
             for a in &scenarios {
-                let reused = on_a_fresh_thread(Some((a.clone(), none)), b, none);
+                let reused = on_a_fresh_thread(&[(a.clone(), none)], b, none);
                 let (reused_result, result) = (
                     format!("{:?}", reused.result),
                     format!("{:?}", alone.result),

@@ -142,6 +142,7 @@ impl IdRecord {
 /// The invariants of the [module catalogue](self), checked as the stream
 /// goes by: [`Invariants::observe`] (or [`EventSink::emit`]) takes every
 /// event in emission order, [`Invariants::finish`] the run's measurements.
+#[derive(Debug)]
 pub struct Invariants {
     mech: BufferMode,
     capacity: usize,
@@ -198,6 +199,33 @@ impl Invariants {
             switch_epoch: 1,
             announced_epochs: Vec::new(),
         }
+    }
+
+    /// Makes this the checker [`Invariants::new`] builds from the same
+    /// arguments, keeping the storage of its id table, carrier set,
+    /// violation list and announced epochs, emptied: nothing the last run
+    /// observed carries over. Every walk over the kept tables is an
+    /// order-free fold or sorted before it reports, so their larger
+    /// capacity changes no report.
+    pub fn reset(&mut self, mech: BufferMode, plan: &FaultPlan, knobs: RecoveryKnobs) {
+        use std::mem::take;
+        let (mut ids, mut full_packet_msgs, mut violations, mut announced_epochs) = (
+            take(&mut self.ids),
+            take(&mut self.full_packet_msgs),
+            take(&mut self.violations),
+            take(&mut self.announced_epochs),
+        );
+        ids.clear();
+        full_packet_msgs.clear();
+        violations.clear();
+        announced_epochs.clear();
+        *self = Invariants {
+            ids,
+            full_packet_msgs,
+            violations,
+            announced_epochs,
+            ..Invariants::new(mech, plan, knobs)
+        };
     }
 
     fn fail(&mut self, invariant: &'static str, detail: String) {
@@ -991,6 +1019,69 @@ mod tests {
             Sabotage::no_ttl_gc(),
             Sabotage::no_epoch_guard(),
         ]
+    }
+
+    #[test]
+    fn a_reset_checker_reports_what_a_new_one_reports() {
+        let mechs = [
+            BufferMode::NoBuffer,
+            BufferMode::PacketGranularity { capacity: 4 },
+            BufferMode::FlowGranularity {
+                capacity: 256,
+                timeout: Nanos::from_millis(20),
+            },
+        ];
+        // Knobs and a mechanism the second runs did not have, so that
+        // their intact streams report too.
+        let strict = RecoveryKnobs {
+            retry: RetryPolicy::backoff(Nanos::from_millis(100), 1),
+            ttl: Nanos::from_millis(1),
+            degraded_threshold: 1,
+        };
+        let cramped = BufferMode::FlowGranularity {
+            capacity: 2,
+            timeout: Nanos::from_secs(1),
+        };
+        let every_sabotage = Sabotage {
+            disable_rerequest: true,
+            disable_ttl_gc: true,
+            broken_epoch: true,
+        };
+        let mut reported = 0;
+        for (i, (_, first)) in recovery_matrix().into_iter().enumerate() {
+            // A sabotaged run leaves ids held, carriers noted, epochs
+            // announced and — unless it was finished — violations behind.
+            let (result, events) = execute(&first, every_sabotage);
+            let finished = i % 2 == 0;
+            let (mech, knobs) = match finished {
+                true => (first.mech, first.recovery),
+                false => (cramped, strict),
+            };
+            let mut checker = Invariants::new(mech, &first.plan, knobs);
+            events.iter().for_each(|e| checker.observe(e));
+            if finished {
+                assert!(!checker.finish(&result).is_empty(), "{first} is caught");
+            } else {
+                assert!(!checker.violations.is_empty(), "{first} holds some");
+            }
+            let second = RunSpec::generate_with_crashes(i as u64, mechs[i % 3]);
+            let (result, events) = execute(&second, Sabotage::none());
+            for (mech, knobs) in [(second.mech, second.recovery), (cramped, strict)] {
+                checker.reset(mech, &second.plan, knobs);
+                let mut new = Invariants::new(mech, &second.plan, knobs);
+                // What no run's stream can tell apart — a carrier noted, an
+                // epoch announced, before the reset — still shows here.
+                assert_eq!(format!("{checker:?}"), format!("{new:?}"), "{first}");
+                for e in &events {
+                    checker.observe(e);
+                    new.observe(e);
+                }
+                let expected = new.finish(&result);
+                reported += expected.len();
+                assert_eq!(checker.finish(&result), expected, "{second} after {first}");
+            }
+        }
+        assert!(reported > 0, "the comparison saw violations");
     }
 
     #[test]

@@ -28,7 +28,7 @@ impl MacAddr {
 
     /// Derives a locally administered unicast address from a small host
     /// index — handy for generating distinct, valid host MACs in testbeds.
-    pub fn from_host_index(index: u32) -> Self {
+    pub const fn from_host_index(index: u32) -> Self {
         let b = index.to_be_bytes();
         // 0x02 = locally administered, unicast.
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])

@@ -219,8 +219,9 @@ pub struct FeaturesReply {
     pub capabilities: u32,
     /// Supported-actions bitmap.
     pub actions: u32,
-    /// Physical ports.
-    pub ports: Vec<PhyPort>,
+    /// Physical ports. A switch describes its ports from a table of its
+    /// own, borrowed; a decoded list is owned.
+    pub ports: Cow<'static, [PhyPort]>,
 }
 
 /// Switch configuration (`get_config_reply` / `set_config` body).
@@ -374,7 +375,7 @@ impl OfpMessage {
                 buf.extend_from_slice(&[0, 0, 0]); // pad
                 buf.extend_from_slice(&f.capabilities.to_be_bytes());
                 buf.extend_from_slice(&f.actions.to_be_bytes());
-                for p in &f.ports {
+                for p in f.ports.iter() {
                     encode_phy_port(&mut buf, p);
                 }
             }
@@ -464,7 +465,7 @@ impl OfpMessage {
                     n_tables: wire::get_u8(body, 12)?,
                     capabilities: wire::get_u32(body, 16)?,
                     actions: wire::get_u32(body, 20)?,
-                    ports,
+                    ports: ports.into(),
                 })
             }
             MsgType::GetConfigRequest => OfpMessage::GetConfigRequest,
@@ -677,7 +678,8 @@ mod tests {
                     hw_addr: MacAddr::from_host_index(2),
                     name: "eth2".into(),
                 },
-            ],
+            ]
+            .into(),
         });
         // ofp_switch_features is 32 bytes + 48 per port.
         assert_eq!(msg.wire_len(), 32 + 2 * 48);
@@ -696,7 +698,8 @@ mod tests {
                 port_no: PortNo(1),
                 hw_addr: MacAddr::ZERO,
                 name: "a-very-long-interface-name".into(),
-            }],
+            }]
+            .into(),
         });
         let (back, _) = OfpMessage::decode(&msg.encode(0)).unwrap();
         if let OfpMessage::FeaturesReply(f) = back {

@@ -86,7 +86,7 @@ impl Session {
     /// Queues the entries that survived a bump for paced re-announce,
     /// the first one [`RECONCILE_INTERVAL`] from `now`, behind whatever an
     /// earlier bump still has queued.
-    pub(crate) fn queue(&mut self, survivors: Vec<BufferId>, now: Nanos) {
+    pub(crate) fn queue(&mut self, survivors: &[BufferId], now: Nanos) {
         if !survivors.is_empty() {
             self.next_reconcile = Some(now + RECONCILE_INTERVAL);
             self.reconcile_queue.extend(survivors);
@@ -158,9 +158,9 @@ mod tests {
     fn survivors_are_re_announced_one_per_interval_in_order() {
         let mut s = Session::default();
         assert_eq!(s.next_timer(), None);
-        s.queue(Vec::new(), ms(5));
+        s.queue(&[], ms(5));
         assert_eq!(s.next_timer(), None, "nothing survived, nothing queued");
-        s.queue(ids(&[3, 8, 9]), ms(10));
+        s.queue(&ids(&[3, 8, 9]), ms(10));
         assert_eq!(RECONCILE_INTERVAL, ms(1));
         assert_eq!(s.next_timer(), Some(ms(11)));
         assert_eq!(s.pop_due(ms(10)), None, "slot not due");
@@ -185,9 +185,9 @@ mod tests {
     #[test]
     fn back_to_back_bumps_re_announce_the_undrained_tail_twice() {
         let mut s = Session::default();
-        s.queue(ids(&[3, 8, 9]), ms(10));
+        s.queue(&ids(&[3, 8, 9]), ms(10));
         assert_eq!(s.pop_due(ms(11)), Some(BufferId::new(3)));
-        s.queue(ids(&[3, 8, 9]), ms(11));
+        s.queue(&ids(&[3, 8, 9]), ms(11));
         assert_eq!(s.next_timer(), Some(ms(12)));
         let mut announced = Vec::new();
         while let Some(id) = s.pop_due(ms(100)) {

@@ -18,7 +18,7 @@ use sdnbuf_openflow::{
 use sdnbuf_sim::{Bus, CpuResource, EventKind, Nanos, Tracer};
 use sdnbuf_switchbuf::{
     BufferMechanism, BufferedPacket, FlowGranularityBuffer, GaveUpFlow, GiveUp, MissAction,
-    NoBuffer, PacketGranularityBuffer, PacketHandle, PacketPool, Rerequest, Sabotage,
+    NoBuffer, PacketGranularityBuffer, PacketHandle, PacketPool, Rerequest, Sabotage, TimeoutSweep,
 };
 
 /// Physical data ports: the two hosts of Fig. 1.
@@ -128,47 +128,51 @@ fn shed(stats: &mut SwitchStats, packet: Option<PacketHandle>, out: &mut Vec<Swi
     out.push(SwitchOutput::Drop { packet });
 }
 
-/// The switch's buffer mechanism, the one [`BufferChoice`] names, held by
-/// value: a reset to the same kind keeps its storage, and a reset to
-/// another kind allocates no box. It reads as the `dyn BufferMechanism`
-/// it holds.
-enum Mechanism {
-    None(NoBuffer),
-    Packet(PacketGranularityBuffer),
-    Flow(FlowGranularityBuffer),
+/// The switch's buffer mechanisms: one of each kind, held by value, and
+/// the kind [`BufferChoice`] names active. A reset makes the active one
+/// fresh and empties the other two, all in place, so whichever kind the
+/// next reset names finds its storage kept and nothing else: an idle
+/// buffer holds capacity only — no unit, pool handle, counter or
+/// sabotage. It reads as the `dyn BufferMechanism` that is active.
+struct Mechanism {
+    active: BufferChoice,
+    none: NoBuffer,
+    packet: PacketGranularityBuffer,
+    flow: FlowGranularityBuffer,
 }
 
 impl Default for Mechanism {
     fn default() -> Self {
-        Mechanism::None(NoBuffer::new())
+        Mechanism {
+            active: BufferChoice::NoBuffer,
+            none: NoBuffer::new(),
+            packet: PacketGranularityBuffer::default(),
+            flow: FlowGranularityBuffer::default(),
+        }
     }
 }
 
 impl Mechanism {
-    /// The mechanism `config` configures, fresh.
-    fn new(config: &SwitchConfig) -> Mechanism {
-        match config.buffer {
-            BufferChoice::NoBuffer => Mechanism::None(NoBuffer::new()),
-            BufferChoice::PacketGranularity { capacity } => Mechanism::Packet(
-                PacketGranularityBuffer::with_free_lag(capacity, config.buffer_free_lag)
-                    .with_ttl(config.buffer_ttl),
-            ),
-            BufferChoice::FlowGranularity { capacity, timeout } => Mechanism::Flow(
-                FlowGranularityBuffer::new(capacity, timeout)
-                    .with_retry_policy(config.retry)
-                    .with_ttl(config.buffer_ttl),
-            ),
-        }
-    }
-
-    /// Makes this the fresh mechanism `config` configures: in place, with
-    /// its storage kept, when it is of that kind already.
+    /// Makes the buffer `config` names active and fresh, and the other two
+    /// empty shells, each keeping its storage.
     fn reset(&mut self, config: &SwitchConfig) {
-        match (self, Mechanism::new(config)) {
-            (Mechanism::Packet(spent), Mechanism::Packet(fresh)) => spent.reset_to(fresh),
-            (Mechanism::Flow(spent), Mechanism::Flow(fresh)) => spent.reset_to(fresh),
-            (this, fresh) => *this = fresh,
+        let (mut packet, mut flow) = Default::default();
+        match config.buffer {
+            BufferChoice::NoBuffer => {}
+            BufferChoice::PacketGranularity { capacity } => {
+                packet = PacketGranularityBuffer::with_free_lag(capacity, config.buffer_free_lag)
+                    .with_ttl(config.buffer_ttl);
+            }
+            BufferChoice::FlowGranularity { capacity, timeout } => {
+                flow = FlowGranularityBuffer::new(capacity, timeout)
+                    .with_retry_policy(config.retry)
+                    .with_ttl(config.buffer_ttl);
+            }
         }
+        self.active = config.buffer;
+        self.none = NoBuffer::new();
+        self.packet.reset_to(packet);
+        self.flow.reset_to(flow);
     }
 }
 
@@ -176,20 +180,20 @@ impl std::ops::Deref for Mechanism {
     type Target = dyn BufferMechanism;
 
     fn deref(&self) -> &Self::Target {
-        match self {
-            Mechanism::None(b) => b,
-            Mechanism::Packet(b) => b,
-            Mechanism::Flow(b) => b,
+        match self.active {
+            BufferChoice::NoBuffer => &self.none,
+            BufferChoice::PacketGranularity { .. } => &self.packet,
+            BufferChoice::FlowGranularity { .. } => &self.flow,
         }
     }
 }
 
 impl std::ops::DerefMut for Mechanism {
     fn deref_mut(&mut self) -> &mut Self::Target {
-        match self {
-            Mechanism::None(b) => b,
-            Mechanism::Packet(b) => b,
-            Mechanism::Flow(b) => b,
+        match self.active {
+            BufferChoice::NoBuffer => &mut self.none,
+            BufferChoice::PacketGranularity { .. } => &mut self.packet,
+            BufferChoice::FlowGranularity { .. } => &mut self.flow,
         }
     }
 }
@@ -228,6 +232,10 @@ pub struct Switch {
     released: Vec<BufferedPacket>,
     /// The same for what a timer's expiry sweep takes out of the table.
     expired: Vec<RemovedRule>,
+    /// The same for what a timer's sweep takes out of the buffer.
+    sweep: TimeoutSweep,
+    /// The same for the buffer entries an epoch bump migrates.
+    survivors: Vec<BufferId>,
     // Planes: recovery, controller liveness, controller session. Each is
     // inert until armed (`degraded_threshold > 0`, `arm_crash_plane`), so
     // a switch without them behaves as the paper's.
@@ -268,11 +276,12 @@ impl Switch {
     }
 
     /// Makes this the switch [`Switch::try_new`] builds from `config`,
-    /// keeping the storage of its flow table, buffer mechanism (when
-    /// `config` names the same kind), CPU cores, handler buffers and
-    /// re-announce queue, and nothing else: no rule, buffered packet,
-    /// counter, xid, epoch or tracer carries over. On `Err` — `config`
-    /// does not validate — the switch is left as it was.
+    /// keeping the storage of its flow table, its buffer of every kind
+    /// (the one `config` names made fresh, the others emptied), CPU cores,
+    /// handler buffers and re-announce queue, and nothing else: no rule,
+    /// buffered packet, counter, xid, epoch, sabotage or tracer carries
+    /// over. On `Err` — `config` does not validate — the switch is left as
+    /// it was.
     pub fn reset(&mut self, config: SwitchConfig) -> Result<(), String> {
         config.validate()?;
         use std::mem::take;
@@ -282,9 +291,11 @@ impl Switch {
             take(&mut self.cpu),
             take(&mut self.installer),
         );
-        let (mut released, mut expired, mut session) = (
+        let (mut released, mut expired, mut sweep, mut survivors, mut session) = (
             take(&mut self.released),
             take(&mut self.expired),
+            take(&mut self.sweep),
+            take(&mut self.survivors),
             take(&mut self.session),
         );
         table.reset(config.flow_table_capacity, config.eviction);
@@ -293,6 +304,8 @@ impl Switch {
         installer.reset(1);
         released.clear();
         expired.clear();
+        sweep.clear();
+        survivors.clear();
         session.reset();
         *self = Switch {
             table,
@@ -306,6 +319,8 @@ impl Switch {
             tracer: Tracer::off(),
             released,
             expired,
+            sweep,
+            survivors,
             degraded: Degraded::new(config.degraded_threshold),
             liveness: Liveness::default(),
             session,
@@ -330,8 +345,10 @@ impl Switch {
     pub fn arm_crash_plane(&mut self) {
         self.session.arm();
         self.liveness.arm(self.config.liveness_timeout);
+        let epoch = self.session.epoch();
         self.buffer
-            .reconcile_epoch(Nanos::ZERO, self.session.epoch());
+            .reconcile_epoch_into(Nanos::ZERO, epoch, &mut self.survivors);
+        self.survivors.clear();
     }
 
     /// The current controller↔switch session epoch (`0` = crash plane
@@ -688,17 +705,19 @@ impl Switch {
     /// surviving buffer entries to it (resetting their retry budgets) and
     /// queues their paced re-announce.
     fn reconcile_buffer(&mut self, now: Nanos, from: u32, to: u32) {
-        let survivors = self.buffer.reconcile_epoch(now, to);
+        self.buffer
+            .reconcile_epoch_into(now, to, &mut self.survivors);
         self.stats.epoch_bumps.incr();
         self.tracer.emit(
             now,
             EventKind::EpochBump {
                 from,
                 to,
-                survivors: survivors.len(),
+                survivors: self.survivors.len(),
             },
         );
-        self.session.queue(survivors, now);
+        self.session.queue(&self.survivors, now);
+        self.survivors.clear();
     }
 
     fn handle_packet_out(
@@ -864,16 +883,17 @@ impl Switch {
             }
         }
         self.expired = expired;
-        let sweep = self.buffer.poll_timeouts(now, pool);
+        let mut sweep = std::mem::take(&mut self.sweep);
+        self.buffer.poll_timeouts_into(now, pool, &mut sweep);
         if !sweep.expired.is_empty() || !sweep.gave_up.is_empty() {
             self.touch_gauge(now);
         }
         // TTL-expired entries are dropped at the switch: the controller
         // never answered, and their units are already freed.
-        for bp in sweep.expired {
+        for bp in sweep.expired.drain(..) {
             shed(&mut self.stats, Some(bp.packet), outputs);
         }
-        for flow in sweep.gave_up {
+        for flow in sweep.gave_up.drain(..) {
             self.degraded.on_giveup();
             self.give_up(now, flow, pool, outputs);
         }
@@ -881,9 +901,10 @@ impl Switch {
             self.stats.degraded_entries.incr();
             self.tracer.emit(now, EventKind::DegradedEnter { giveups });
         }
-        for rerequest in sweep.rerequests {
+        for rerequest in sweep.rerequests.drain(..) {
             self.rerequest_into(now, rerequest, pool, outputs);
         }
+        self.sweep = sweep;
     }
 
     /// [`Switch::on_timer_into`] a fresh `Vec`.
@@ -1041,6 +1062,38 @@ mod tests {
                 assert_eq!(script(&mut sw), fresh, "{before:?} then {after:?}");
             }
         }
+        // K, the other kind, K: the last reset finds the buffer the first
+        // run left idle, and that run stranded its units in it, sabotaged.
+        // An idle buffer is an empty shell, and a reactivated one fresh.
+        let every_sabotage = Sabotage {
+            disable_rerequest: true,
+            disable_ttl_gc: true,
+            broken_epoch: true,
+        };
+        let (packet, flow) = (kinds[1], kinds[2]);
+        for (k, other) in [(flow, packet), (packet, flow)] {
+            sw.reset(config(k)).expect("a valid config");
+            sw.sabotage_buffer(every_sabotage);
+            script(&mut sw);
+            assert!(sw.buffer().occupancy() > 0, "{k:?} strands its units");
+            sw.reset(config(other)).expect("a valid config");
+            let (idle, shell) = match k {
+                BufferChoice::FlowGranularity { .. } => (
+                    format!("{:?}", sw.buffer.flow),
+                    format!("{:?}", FlowGranularityBuffer::default()),
+                ),
+                _ => (
+                    format!("{:?}", sw.buffer.packet),
+                    format!("{:?}", PacketGranularityBuffer::default()),
+                ),
+            };
+            assert_eq!(idle, shell, "{k:?} idle");
+            script(&mut sw);
+            sw.reset(config(k)).expect("a valid config");
+            let fresh = script(&mut Switch::new(config(k)));
+            assert_eq!(script(&mut sw), fresh, "{k:?} then {other:?} then {k:?}");
+        }
+
         // A config that does not validate changes nothing.
         let kept = format!("{:?} {:?}", sw, sw.stats());
         let zero = BufferChoice::PacketGranularity { capacity: 0 };

@@ -4,11 +4,22 @@
 
 use super::{Switch, SwitchOutput, COST_CONTROL_MISC, DATA_PORTS};
 use crate::BufferChoice;
+use sdnbuf_net::MacAddr;
 use sdnbuf_openflow::{msg, FlowBufferExt, OfpMessage, PortNo, SUPPORTED_ACTIONS};
 use sdnbuf_sim::Nanos;
+use std::borrow::Cow;
 
-/// What `features_reply` names the data ports, by `PortNo - 1`.
-const PORT_NAMES: [&str; DATA_PORTS as usize] = ["eth1", "eth2"];
+/// What `features_reply` says of the data ports: each one's number, a MAC
+/// of its own and its name.
+static PORTS: [msg::PhyPort; DATA_PORTS as usize] = [port(1, "eth1"), port(2, "eth2")];
+
+const fn port(p: u16, name: &'static str) -> msg::PhyPort {
+    msg::PhyPort {
+        port_no: PortNo(p),
+        hw_addr: MacAddr::from_host_index(0xff00 + p as u32),
+        name: Cow::Borrowed(name),
+    }
+}
 
 impl Switch {
     /// Answers a control message that costs one [`COST_CONTROL_MISC`] of CPU.
@@ -59,20 +70,13 @@ impl Switch {
             }
             OfpMessage::EchoRequest(data) => self.reply(now, xid, OfpMessage::EchoReply(data), out),
             OfpMessage::FeaturesRequest => {
-                let ports = (1..=DATA_PORTS)
-                    .map(|p| msg::PhyPort {
-                        port_no: PortNo(p),
-                        hw_addr: sdnbuf_net::MacAddr::from_host_index(0xff00 + u32::from(p)),
-                        name: PORT_NAMES[usize::from(p) - 1].into(),
-                    })
-                    .collect();
                 let features = msg::FeaturesReply {
                     datapath_id: 1,
                     n_buffers: self.buffer.capacity() as u32,
                     n_tables: 1,
                     capabilities: 0,
                     actions: SUPPORTED_ACTIONS,
-                    ports,
+                    ports: Cow::Borrowed(&PORTS),
                 };
                 self.reply(now, xid, OfpMessage::FeaturesReply(features), out)
             }

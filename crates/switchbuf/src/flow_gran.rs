@@ -33,6 +33,15 @@ struct Units {
     free: u32,
 }
 
+impl Default for Units {
+    fn default() -> Units {
+        Units {
+            slab: Vec::new(),
+            free: NIL,
+        }
+    }
+}
+
 impl Units {
     /// Appends `packet` to `q`'s FIFO in a free unit, or a new one.
     fn push_back(&mut self, q: &mut FlowQueue, packet: BufferedPacket) {
@@ -162,7 +171,11 @@ impl FlowQueue {
 /// Scheduling state lives in two ordered min-deadline indexes
 /// (`request_deadlines`, `expiry_deadlines`), so [`Self::next_timeout`] and
 /// a sweep with few due flows are `O(log n)` instead of a full scan.
-#[derive(Clone, Debug)]
+///
+/// `FlowGranularityBuffer::default()` is the unconfigured shell
+/// [`FlowGranularityBuffer::reset_to`] fills: it has no unit, so every
+/// miss falls back. Build a buffer with [`FlowGranularityBuffer::new`].
+#[derive(Clone, Debug, Default)]
 pub struct FlowGranularityBuffer {
     capacity: usize,
     timeout: Nanos,
@@ -180,6 +193,9 @@ pub struct FlowGranularityBuffer {
     /// configured. Per-flow queues are FIFO, so the front packet always
     /// expires first.
     expiry_deadlines: BTreeSet<(Nanos, FlowKey)>,
+    /// The flows a re-request sweep found due; empty between sweeps, kept
+    /// for its storage.
+    due: Vec<FlowKey>,
     total: usize,
     /// Monotonic allocation counter; each fresh flow announcement tags its
     /// buffer id with the next generation.
@@ -195,7 +211,7 @@ pub struct FlowGranularityBuffer {
     /// Chaos self-test: with `disable_rerequest` Algorithm 1 lines 12–13
     /// never fire, with `disable_ttl_gc` the TTL sweep never collects, and
     /// with `broken_epoch` dead-epoch releases keep draining and
-    /// [`Self::reconcile_epoch`] migrates nothing.
+    /// [`Self::reconcile_epoch_into`] migrates nothing.
     sabotage: Sabotage,
 }
 
@@ -231,45 +247,33 @@ impl FlowGranularityBuffer {
         Ok(FlowGranularityBuffer {
             capacity,
             timeout,
-            policy: RetryPolicy::Fixed,
-            ttl: None,
-            flows: FastHashMap::default(),
-            units: Units {
-                slab: Vec::new(),
-                free: NIL,
-            },
-            by_id: FastHashMap::default(),
-            request_deadlines: BTreeSet::new(),
-            expiry_deadlines: BTreeSet::new(),
-            total: 0,
-            alloc_seq: 0,
-            stats: BufferStats::default(),
-            tracer: Tracer::off(),
-            pressured: false,
-            epoch: 0,
-            sabotage: Sabotage::none(),
+            ..FlowGranularityBuffer::default()
         })
     }
 
-    /// Makes this buffer `fresh`, keeping the storage of its flow maps and
-    /// unit slab, emptied: no flow, unit, deadline, generation or counter
-    /// carries over. `fresh`'s own containers are dropped, so pass one
-    /// that holds nothing. The maps are never iterated in an order that
-    /// reaches an outcome (`reconcile_epoch` sorts the ids it lists), so
-    /// their larger capacity changes no run.
+    /// Makes this buffer `fresh`, keeping the storage of its flow maps,
+    /// unit slab and sweep list, emptied: no flow, unit, deadline,
+    /// generation, counter or sabotage carries over. `fresh`'s own
+    /// containers are dropped, so pass one that holds nothing. The maps
+    /// are never iterated in an order that reaches an outcome
+    /// (`reconcile_epoch_into` sorts the ids it lists), so their larger
+    /// capacity changes no run.
     pub fn reset_to(&mut self, fresh: FlowGranularityBuffer) {
-        let (mut flows, mut slab, mut by_id) = (
+        let (mut flows, mut slab, mut by_id, mut due) = (
             std::mem::take(&mut self.flows),
             std::mem::take(&mut self.units.slab),
             std::mem::take(&mut self.by_id),
+            std::mem::take(&mut self.due),
         );
         flows.clear();
         slab.clear();
         by_id.clear();
+        due.clear();
         *self = FlowGranularityBuffer {
             flows,
             units: Units { slab, free: NIL },
             by_id,
+            due,
             ..fresh
         };
     }
@@ -523,13 +527,12 @@ impl BufferMechanism for FlowGranularityBuffer {
         request.into_iter().chain(expiry).min()
     }
 
-    fn poll_timeouts(&mut self, now: Nanos, pool: &PacketPool) -> TimeoutSweep {
-        let mut sweep = TimeoutSweep::default();
-        self.sweep_expired(now, pool, &mut sweep);
+    fn poll_timeouts_into(&mut self, now: Nanos, pool: &PacketPool, sweep: &mut TimeoutSweep) {
+        self.sweep_expired(now, pool, sweep);
         if self.sabotage.disable_rerequest {
-            return sweep;
+            return;
         }
-        let mut due: Vec<FlowKey> = Vec::new();
+        let mut due = std::mem::take(&mut self.due);
         while let Some(&(t, key)) = self.request_deadlines.iter().next() {
             if t > now {
                 break;
@@ -540,7 +543,7 @@ impl BufferMechanism for FlowGranularityBuffer {
         // Deterministic order regardless of deadline ties — and the same
         // observable order as the historical full-scan implementation.
         due.sort_unstable();
-        for key in due {
+        for key in due.drain(..) {
             if self.policy.may_retry(self.flows[&key].retries) {
                 let rerequest = self.rerequest(key, now);
                 sweep.rerequests.push(rerequest);
@@ -565,7 +568,7 @@ impl BufferMechanism for FlowGranularityBuffer {
                 action: self.policy.give_up(),
             });
         }
-        sweep
+        self.due = due;
     }
 
     fn occupancy(&self) -> usize {
@@ -588,18 +591,20 @@ impl BufferMechanism for FlowGranularityBuffer {
         self.pressured = on;
     }
 
-    fn reconcile_epoch(&mut self, now: Nanos, epoch: u32) -> Vec<BufferId> {
+    fn reconcile_epoch_into(&mut self, now: Nanos, epoch: u32, survivors: &mut Vec<BufferId>) {
         self.epoch = epoch;
         if self.sabotage.broken_epoch {
             // Surviving flows keep their dead-epoch ids and the ordinary
             // lines-12–13 re-request loop keeps announcing them.
-            return Vec::new();
+            return;
         }
-        let mut raws: Vec<u32> = self.by_id.keys().copied().collect();
-        raws.sort_unstable();
-        let mut out = Vec::with_capacity(raws.len());
-        for raw in raws {
-            let key = self.by_id[&raw];
+        // The raw ids first, sorted, then each flow migrated in that
+        // order and its slot overwritten with the re-tagged id.
+        let start = survivors.len();
+        survivors.extend(self.by_id.keys().map(|&raw| BufferId::new(raw)));
+        survivors[start..].sort_unstable_by_key(|id| id.as_u32());
+        for slot in &mut survivors[start..] {
+            let key = self.by_id[&slot.as_u32()];
             let q = self.flows.get_mut(&key).expect("listed flow exists");
             q.buffer_id = q.buffer_id.with_epoch(epoch);
             let mut cur = q.head;
@@ -608,14 +613,13 @@ impl BufferMechanism for FlowGranularityBuffer {
                 unit.packet.buffer_id = unit.packet.buffer_id.with_epoch(epoch);
                 cur = unit.next;
             }
-            out.push(q.buffer_id);
+            *slot = q.buffer_id;
             // The restarted controller has never ignored these flows:
             // retry budgets reset and the re-request schedule restarts
             // from `now` (the paced re-announce itself is the switch's
             // job, via `rerequest_for`).
             self.arm_request(key, now, 0);
         }
-        out
     }
 
     fn rerequest_for(&self, buffer_id: BufferId) -> Option<Rerequest> {

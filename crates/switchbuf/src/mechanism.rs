@@ -245,11 +245,19 @@ pub trait BufferMechanism {
     /// mechanism never re-requests and has no TTL.
     fn next_timeout(&self) -> Option<Nanos>;
 
-    /// Sweeps every deadline due at or before `now`: collects the
-    /// re-requests (resetting their timers), garbage-collects TTL-expired
-    /// entries (the caller inherits their pool references), and removes
-    /// flows whose retry budget ran out.
-    fn poll_timeouts(&mut self, now: Nanos, pool: &PacketPool) -> TimeoutSweep;
+    /// Sweeps every deadline due at or before `now`: appends the
+    /// re-requests (resetting their timers), the TTL-expired entries it
+    /// garbage-collects (the caller inherits their pool references) and the
+    /// flows whose retry budget ran out to `sweep`. `sweep` is the caller's,
+    /// as `release_into`'s `out` is: whatever it already holds stays.
+    fn poll_timeouts_into(&mut self, now: Nanos, pool: &PacketPool, sweep: &mut TimeoutSweep);
+
+    /// [`BufferMechanism::poll_timeouts_into`] a fresh [`TimeoutSweep`].
+    fn poll_timeouts(&mut self, now: Nanos, pool: &PacketPool) -> TimeoutSweep {
+        let mut sweep = TimeoutSweep::default();
+        self.poll_timeouts_into(now, pool, &mut sweep);
+        sweep
+    }
 
     /// Buffer units currently in use.
     fn occupancy(&self) -> usize;
@@ -277,20 +285,26 @@ pub trait BufferMechanism {
     /// ([`BufferId::with_epoch`]) and releases minted under a *different*
     /// non-zero epoch are refused ([`Refusal::StaleEpoch`]); every
     /// surviving entry is re-tagged and its retry budget reset (the new
-    /// controller has never ignored it), and their ids come back in
-    /// ascending raw-id order so the switch can pace the re-announce
-    /// storm. Arming the crash plane is a reconcile to epoch `1` on the
-    /// still-empty buffer. Epoch `0` (the default) leaves the plane
+    /// controller has never ignored it), and their ids are appended to
+    /// `survivors` in ascending raw-id order so the switch can pace the
+    /// re-announce storm (`survivors` is the caller's: whatever it already
+    /// holds stays). Arming the crash plane is a reconcile to epoch `1` on
+    /// the still-empty buffer. Epoch `0` (the default) leaves the plane
     /// unarmed — no stamping, no refusal — so runs without crash faults
     /// are byte-identical to the pre-epoch behavior. Mechanisms without
-    /// buffer memory return nothing.
-    fn reconcile_epoch(&mut self, _now: Nanos, _epoch: u32) -> Vec<BufferId> {
-        Vec::new()
+    /// buffer memory append nothing.
+    fn reconcile_epoch_into(&mut self, _now: Nanos, _epoch: u32, _survivors: &mut Vec<BufferId>) {}
+
+    /// [`BufferMechanism::reconcile_epoch_into`] a fresh `Vec`.
+    fn reconcile_epoch(&mut self, now: Nanos, epoch: u32) -> Vec<BufferId> {
+        let mut survivors = Vec::new();
+        self.reconcile_epoch_into(now, epoch, &mut survivors);
+        survivors
     }
 
     /// A borrowed re-announce view of the flow filed under `buffer_id`,
     /// used by the switch's paced post-restart reconciliation (the entry
-    /// may have expired or drained since `reconcile_epoch` listed it —
+    /// may have expired or drained since `reconcile_epoch_into` listed it —
     /// `None` then, and the re-announce is simply skipped). Mechanisms
     /// without buffer memory return `None`.
     fn rerequest_for(&self, _buffer_id: BufferId) -> Option<Rerequest> {

@@ -69,9 +69,7 @@ impl BufferMechanism for NoBuffer {
         None
     }
 
-    fn poll_timeouts(&mut self, _now: Nanos, _pool: &PacketPool) -> TimeoutSweep {
-        TimeoutSweep::default()
-    }
+    fn poll_timeouts_into(&mut self, _now: Nanos, _pool: &PacketPool, _sweep: &mut TimeoutSweep) {}
 
     fn occupancy(&self) -> usize {
         0

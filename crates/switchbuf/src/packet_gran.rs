@@ -34,7 +34,11 @@ use std::collections::VecDeque;
 /// assert!(matches!(action, MissAction::SendBufferedPacketIn { .. }));
 /// assert_eq!(buf.occupancy(), 1);
 /// ```
-#[derive(Clone, Debug)]
+///
+/// `PacketGranularityBuffer::default()` is the unconfigured shell
+/// [`PacketGranularityBuffer::reset_to`] fills: it has no unit, so every
+/// miss falls back. Build a buffer with [`PacketGranularityBuffer::new`].
+#[derive(Clone, Debug, Default)]
 pub struct PacketGranularityBuffer {
     capacity: usize,
     /// The occupied units by buffer id. It starts empty and grows with
@@ -42,6 +46,9 @@ pub struct PacketGranularityBuffer {
     /// iteration order is read by order-free folds only (a `min`, or a
     /// collect that is then sorted), so how it grew changes no run.
     units: FastHashMap<u32, BufferedPacket>,
+    /// The `(buffered_at, id)` of each unit a TTL sweep collects; empty
+    /// between sweeps, kept for its storage.
+    due: Vec<(Nanos, u32)>,
     /// Units whose packet was released but whose slot is reclaimed lazily;
     /// each entry is the time the slot becomes available again.
     pending_free: VecDeque<Nanos>,
@@ -92,17 +99,8 @@ impl PacketGranularityBuffer {
         assert!(capacity > 0, "buffer capacity must be positive");
         PacketGranularityBuffer {
             capacity,
-            units: FastHashMap::default(),
-            pending_free: VecDeque::new(),
             free_lag,
-            next_id: 0,
-            ttl: None,
-            gen_seq: 0,
-            stats: BufferStats::default(),
-            tracer: Tracer::off(),
-            pressured: false,
-            epoch: 0,
-            sabotage: Sabotage::none(),
+            ..PacketGranularityBuffer::default()
         }
     }
 
@@ -116,19 +114,22 @@ impl PacketGranularityBuffer {
         self
     }
 
-    /// Makes this buffer `fresh`, keeping the storage of its unit map and
-    /// free-lag queue, emptied: no unit, id, generation or counter carries
-    /// over. `fresh`'s own containers are dropped, so pass one that holds
-    /// nothing.
+    /// Makes this buffer `fresh`, keeping the storage of its unit map,
+    /// sweep list and free-lag queue, emptied: no unit, id, generation,
+    /// counter or sabotage carries over. `fresh`'s own containers are
+    /// dropped, so pass one that holds nothing.
     pub fn reset_to(&mut self, fresh: PacketGranularityBuffer) {
-        let (mut units, mut pending_free) = (
+        let (mut units, mut due, mut pending_free) = (
             std::mem::take(&mut self.units),
+            std::mem::take(&mut self.due),
             std::mem::take(&mut self.pending_free),
         );
         units.clear();
+        due.clear();
         pending_free.clear();
         *self = PacketGranularityBuffer {
             units,
+            due,
             pending_free,
             ..fresh
         };
@@ -226,23 +227,23 @@ impl BufferMechanism for PacketGranularityBuffer {
         self.units.values().map(|p| p.buffered_at + ttl).min()
     }
 
-    fn poll_timeouts(&mut self, now: Nanos, pool: &PacketPool) -> TimeoutSweep {
-        let mut sweep = TimeoutSweep::default();
-        let Some(ttl) = self.ttl else { return sweep };
+    fn poll_timeouts_into(&mut self, now: Nanos, pool: &PacketPool, sweep: &mut TimeoutSweep) {
+        let Some(ttl) = self.ttl else { return };
         if self.sabotage.disable_ttl_gc {
-            return sweep;
+            return;
         }
         // Capacity is small (the paper evaluates 16 and 256), so an O(n)
         // collect sorted deterministically by (age, id) is fine here; the
         // flow-granularity mechanism keeps a real min-deadline index.
-        let mut due: Vec<u32> = self
-            .units
-            .iter()
-            .filter(|(_, p)| p.buffered_at + ttl <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        due.sort_unstable_by_key(|id| (self.units[id].buffered_at, *id));
-        for id in due {
+        let mut due = std::mem::take(&mut self.due);
+        due.extend(
+            self.units
+                .iter()
+                .filter(|(_, p)| p.buffered_at + ttl <= now)
+                .map(|(&id, p)| (p.buffered_at, id)),
+        );
+        due.sort_unstable();
+        for (_, id) in due.drain(..) {
             let p = self.units.remove(&id).expect("due unit exists");
             self.stats.expired += 1;
             self.stats.expired_bytes += pool.get(p.packet).map_or(0, |pk| pk.wire_len()) as u64;
@@ -255,7 +256,7 @@ impl BufferMechanism for PacketGranularityBuffer {
             );
             sweep.expired.push(p);
         }
-        sweep
+        self.due = due;
     }
 
     fn occupancy(&self) -> usize {
@@ -280,23 +281,22 @@ impl BufferMechanism for PacketGranularityBuffer {
         self.pressured = on;
     }
 
-    fn reconcile_epoch(&mut self, _now: Nanos, epoch: u32) -> Vec<BufferId> {
+    fn reconcile_epoch_into(&mut self, _now: Nanos, epoch: u32, survivors: &mut Vec<BufferId>) {
         self.epoch = epoch;
         if self.sabotage.broken_epoch {
-            return Vec::new();
+            return;
         }
         // Every occupied unit migrates: each holds exactly one packet the
         // restarted controller has never heard of, so each is re-announced
-        // (pacing is the switch's job).
-        let mut raws: Vec<u32> = self.units.keys().copied().collect();
-        raws.sort_unstable();
-        let mut out = Vec::with_capacity(raws.len());
-        for raw in raws {
-            let p = self.units.get_mut(&raw).expect("listed unit exists");
+        // (pacing is the switch's job). Each unit's re-tag touches only
+        // that unit, so the map's order reaches nothing: the list is
+        // sorted by raw id, which is unique, once all are in.
+        let start = survivors.len();
+        for p in self.units.values_mut() {
             p.buffer_id = p.buffer_id.with_epoch(epoch);
-            out.push(p.buffer_id);
+            survivors.push(p.buffer_id);
         }
-        out
+        survivors[start..].sort_unstable_by_key(|id| id.as_u32());
     }
 
     fn rerequest_for(&self, buffer_id: BufferId) -> Option<Rerequest> {

@@ -191,7 +191,7 @@ impl FromStr for RetryPolicy {
 }
 
 /// A flow whose retry budget ran out, removed from the buffer by
-/// [`crate::BufferMechanism::poll_timeouts`]. The switch executes the
+/// [`crate::BufferMechanism::poll_timeouts_into`]. The switch executes the
 /// give-up `action` on the drained `packets`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GaveUpFlow {
@@ -220,6 +220,13 @@ impl TimeoutSweep {
     /// `true` when the sweep found nothing to do.
     pub fn is_empty(&self) -> bool {
         self.rerequests.is_empty() && self.expired.is_empty() && self.gave_up.is_empty()
+    }
+
+    /// Empties all three lists, keeping their storage.
+    pub fn clear(&mut self) {
+        self.rerequests.clear();
+        self.expired.clear();
+        self.gave_up.clear();
     }
 }
 

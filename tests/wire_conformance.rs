@@ -276,7 +276,7 @@ mod wire_props {
                         n_tables: nt,
                         capabilities: cap,
                         actions: act,
-                        ports,
+                        ports: ports.into(),
                     })
                 }),
             Just(OfpMessage::GetConfigRequest),
@@ -431,7 +431,7 @@ mod wire_props {
                 n_tables: 2,
                 capabilities: 0x4f,
                 actions: SUPPORTED_ACTIONS,
-                ports: vec![port],
+                ports: vec![port].into(),
             }),
             OfpMessage::GetConfigRequest,
             OfpMessage::GetConfigReply(OfSwitchConfig {
