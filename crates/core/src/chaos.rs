@@ -162,7 +162,7 @@ fn window_near_data_phase(rng: &mut SimRng, max_ms: u64) -> Window {
 /// the eventual-delivery and buffer-expiry invariants.
 pub fn execute(scenario: &RunSpec, sabotage: Sabotage) -> (RunResult, Vec<Event>) {
     recorded(|tracer| {
-        RunScratch::on_this_thread(|scratch| scenario.config().run(tracer, sabotage, scratch))
+        RunScratch::on_this_thread(|scratch| scratch.run_spec(scenario, tracer, sabotage))
     })
 }
 
@@ -238,7 +238,7 @@ pub fn run_scenario(scenario: &RunSpec, sabotage: Sabotage) -> ChaosReport {
     Observer::on_this_thread(scenario, |observer| {
         let tracer = Tracer::new(observer.clone());
         let result =
-            RunScratch::on_this_thread(|scratch| scenario.config().run(tracer, sabotage, scratch));
+            RunScratch::on_this_thread(|scratch| scratch.run_spec(scenario, tracer, sabotage));
         let mut observer = observer.borrow_mut();
         ChaosReport {
             violations: observer.checker.finish(&result),
@@ -830,11 +830,26 @@ mod tests {
             capacity: 256,
             timeout: Nanos::from_millis(20),
         };
+        // A plan with more windows of every kind than the next one's: the
+        // next is assigned into the kept plan, and a window left over from
+        // this one would stall, flap, pressure or crash it.
+        let mut windows = crash_scenario();
+        let ms = |from, until| Window::new(Nanos::from_millis(from), Nanos::from_millis(until));
+        windows.plan.stalls.extend([ms(2, 4), ms(30, 32)]);
+        windows.plan.flaps.push(ms(10, 11));
+        windows.plan.pressure.push(ms(12, 14));
+        windows.plan.crashes.push(ms(100, 110));
         let pairs = [
             (
                 crash_scenario(),
                 Sabotage::no_epoch_guard(),
                 RunSpec::generate(3, packet),
+                Sabotage::none(),
+            ),
+            (
+                windows,
+                Sabotage::none(),
+                crash_scenario(),
                 Sabotage::none(),
             ),
             (

@@ -11,7 +11,7 @@
 //! bit-identical under any worker count.
 
 use crate::executor::{Executor, NullSink, Parallelism, Progress, ProgressSink};
-use crate::{BufferMode, Metric, RunResult, Testbed, TestbedConfig};
+use crate::{BufferMode, Metric, RunResult, RunSpec, Testbed, TestbedConfig};
 use sdnbuf_sim::faults::{fmt_dur, parse_dur};
 use sdnbuf_sim::{BitRate, Event, Nanos, Tracer};
 use sdnbuf_switchbuf::Sabotage;
@@ -338,13 +338,16 @@ impl ExperimentConfig {
 }
 
 /// What a sweep worker, or a thread running chaos scenarios, hands on
-/// from run to run: the spent testbed and the departure buffer. A run
-/// keeps their storage and nothing else, so it measures what it does on
-/// fresh ones.
+/// from run to run: the spent testbed, the departure buffer and the last
+/// run's configuration. A run keeps their storage and nothing else, so it
+/// measures what it does on fresh ones.
 #[derive(Default)]
 pub(crate) struct RunScratch {
     testbed: Testbed,
     departures: Vec<Departure>,
+    /// Kept for its fault plan's window lists, which a scenario's spec is
+    /// assigned into ([`RunSpec::config_into`]).
+    config: ExperimentConfig,
 }
 
 impl RunScratch {
@@ -374,15 +377,14 @@ impl RunScratch {
     /// the run's testbed.
     pub(crate) fn run(
         &mut self,
-        config: ExperimentConfig,
+        mut config: ExperimentConfig,
         arrival: ArrivalProcess,
         tracer: Tracer,
         sabotage: Sabotage,
     ) -> RunResult {
-        let mut testbed_cfg = config.testbed;
-        testbed_cfg.switch.buffer = config.buffer;
+        config.testbed.switch.buffer = config.buffer;
         let testbed = &mut self.testbed;
-        if let Err(e) = testbed.reset(testbed_cfg) {
+        if let Err(e) = testbed.reset(&config.testbed) {
             panic!("invalid TestbedConfig: {e}");
         }
         testbed.switch_mut().sabotage_buffer(sabotage);
@@ -399,7 +401,21 @@ impl RunScratch {
         let mut result = testbed.run(&self.departures);
         testbed.set_tracer(Tracer::off());
         result.sending_rate_mbps = config.sending_rate.as_mbps_f64();
+        self.config = config;
         result
+    }
+
+    /// [`RunScratch::run`] of `spec`'s configuration at CBR, assigned into
+    /// the one the last run left behind.
+    pub(crate) fn run_spec(
+        &mut self,
+        spec: &RunSpec,
+        tracer: Tracer,
+        sabotage: Sabotage,
+    ) -> RunResult {
+        let mut config = std::mem::take(&mut self.config);
+        spec.config_into(&mut config);
+        self.run(config, ArrivalProcess::Cbr, tracer, sabotage)
     }
 }
 

@@ -122,6 +122,21 @@ impl RunSpec {
     /// miss. Without crash windows the channel stays measurement-only, as
     /// in the paper.
     pub fn config(&self) -> ExperimentConfig {
+        self.config_with(self.plan.clone())
+    }
+
+    /// Makes `config` this spec's [`RunSpec::config`], the plan assigned
+    /// into the one `config` holds ([`FaultPlan::clone_from`]), so a kept
+    /// configuration's window lists keep their storage.
+    pub fn config_into(&self, config: &mut ExperimentConfig) {
+        let mut plan = std::mem::take(&mut config.testbed.faults);
+        plan.clone_from(&self.plan);
+        *config = self.config_with(plan);
+    }
+
+    /// [`RunSpec::config`] with `plan`, an equal of the spec's, as its
+    /// fault plan.
+    fn config_with(&self, plan: FaultPlan) -> ExperimentConfig {
         let mut testbed = TestbedConfig::default();
         testbed.switch.retry = self.recovery.retry;
         testbed.switch.buffer_ttl = self.recovery.ttl;
@@ -139,7 +154,7 @@ impl RunSpec {
         if let Some(timeout) = self.liveness.or(crashes.then(|| Nanos::from_millis(15))) {
             testbed.switch.liveness_timeout = timeout;
         }
-        testbed.faults = self.plan.clone();
+        testbed.faults = plan;
         ExperimentConfig {
             buffer: self.mech,
             workload: self.workload,

@@ -7,7 +7,7 @@ use crate::measure::{Delay, Measurement, PacketTrace, Scan, Stage};
 use crate::trace::MsgDesc;
 use crate::RunResult;
 use sdnbuf_controller::{Controller, ControllerConfig, ControllerOutput};
-use sdnbuf_metrics::ByteMeter;
+use sdnbuf_metrics::{ByteMeter, Histogram};
 use sdnbuf_net::PacketBuilder;
 use sdnbuf_openflow::{OfpMessage, PortNo};
 use sdnbuf_sim::{
@@ -283,6 +283,9 @@ pub struct Testbed {
     ctrl: [CtrlWire; 2],
     /// The controllers: primary, then the standby when configured.
     slots: Vec<CtrlSlot>,
+    /// The standby's controller while the run has none, kept for its
+    /// storage (its echo histogram's buckets, its tables).
+    spare: Controller,
     /// Which slot the switch's session is with.
     serving: usize,
     /// The controller-side session epoch (0 until the crash plane arms).
@@ -347,23 +350,31 @@ impl Testbed {
     /// panicking — the single validation path for testbed construction.
     pub fn try_new(config: TestbedConfig) -> Result<Testbed, String> {
         let mut testbed = Testbed::default();
-        testbed.reset(config)?;
+        testbed.reset(&config)?;
         Ok(testbed)
     }
 
     /// Makes this the testbed [`Testbed::try_new`] builds from `config`,
     /// keeping the storage of its switch ([`Switch::reset`]), controllers
-    /// ([`Controller::reset`]; a standby `config` drops is dropped), slot
-    /// table, pools, event queue, measurement tables and the handlers'
-    /// output buffers, each emptied. Nothing else carries over — no rule,
-    /// counter, generation, sequence number, high-water mark or tracer —
-    /// so a run on it measures exactly what the same run on a fresh
-    /// testbed does; it only allocates less, once the storage has grown
-    /// to the runs it serves. On `Err` — `config` does not validate — the
-    /// testbed is left as it was.
-    pub fn reset(&mut self, mut config: TestbedConfig) -> Result<(), String> {
+    /// ([`Controller::reset`]; a standby `config` drops is kept aside for
+    /// the next run that has one), slot table, pools, event queue,
+    /// measurement tables and the handlers' output buffers, each emptied;
+    /// `config`'s fault plan is assigned into the one it keeps
+    /// ([`FaultState::reset`]), window lists included. Nothing else
+    /// carries over — no rule, counter, generation, sequence number,
+    /// high-water mark or tracer — so a run on it measures exactly what
+    /// the same run on a fresh testbed does; it only allocates less, once
+    /// the storage has grown to the runs it serves. On `Err` — `config`
+    /// does not validate — the testbed is left as it was.
+    pub fn reset(&mut self, config: &TestbedConfig) -> Result<(), String> {
         config.validate()?;
         use std::mem::take;
+        let mut faults = take(&mut self.faults);
+        faults.reset(&config.faults);
+        let config = TestbedConfig {
+            faults: FaultPlan::default(),
+            ..*config
+        };
         let (mut switch, mut slots, mut queue, mut pool, mut msgs) = (
             take(&mut self.switch),
             take(&mut self.slots),
@@ -384,13 +395,16 @@ impl Testbed {
         let valid = "validated with the testbed";
         switch.reset(config.switch).expect(valid);
         let n_slots = 1 + usize::from(config.failover.standby);
-        slots.truncate(n_slots);
+        let mut spare = take(&mut self.spare);
+        if slots.len() > n_slots {
+            spare = slots.pop().expect("the standby slot").ctrl;
+        }
         slots.reserve_exact(n_slots - slots.len());
         for (i, (role, down)) in SLOT_ROLES.into_iter().take(n_slots).enumerate() {
-            let mut ctrl = slots
-                .get_mut(i)
-                .map(|slot| take(&mut slot.ctrl))
-                .unwrap_or_default();
+            let mut ctrl = match slots.get_mut(i) {
+                Some(slot) => take(&mut slot.ctrl),
+                None => take(&mut spare),
+            };
             ctrl.reset(config.controller).expect(valid);
             if i == STANDBY {
                 // A disjoint xid range keeps the standby's messages
@@ -431,6 +445,7 @@ impl Testbed {
             ports: [port("h1->sw", "sw->h1"), port("h2->sw", "sw->h2")],
             ctrl: [wire(), wire()],
             slots,
+            spare,
             serving: PRIMARY,
             ctrl_epoch: 0,
             ctrl_crashes: 0,
@@ -442,7 +457,7 @@ impl Testbed {
             ctrl_out,
             ctrl_drops: 0,
             data_drops: 0,
-            faults: FaultState::new(take(&mut config.faults)),
+            faults,
             pressure_on: false,
             tracer: Tracer::off(),
             measure,
@@ -1174,20 +1189,10 @@ impl Testbed {
             / active.as_secs_f64();
         let buf_stats = self.switch.buffer().stats();
         // Echo round trips and admission sheds from whichever controllers
-        // served the run: the primary's histogram read in place, a merged
-        // copy only when a standby served too.
-        let (primary, others) = self.slots.split_first().expect("the primary slot");
-        let merged;
-        let echo_rtt = if others.is_empty() {
-            &primary.ctrl.stats().echo_rtt
-        } else {
-            let mut all = primary.ctrl.stats().echo_rtt.clone();
-            for slot in others {
-                all.merge(&slot.ctrl.stats().echo_rtt);
-            }
-            merged = all;
-            &merged
-        };
+        // served the run, their histograms read together in place.
+        let primary = &self.slots[PRIMARY];
+        let echo_rtt = || self.slots.iter().map(|slot| &slot.ctrl.stats().echo_rtt);
+        let echo_rtt_ms = |q| Histogram::quantile_across(echo_rtt(), q).as_millis_f64();
         let admission_sheds: u64 = self
             .slots
             .iter()
@@ -1236,9 +1241,9 @@ impl Testbed {
             liveness_suspects: switch_stats.liveness_suspects.get(),
             suspect_sheds: switch_stats.suspect_sheds.get(),
             reconcile_rerequests: switch_stats.reconcile_rerequests.get(),
-            echo_rtt_p50_ms: echo_rtt.quantile_ms(0.50),
-            echo_rtt_p99_ms: echo_rtt.quantile_ms(0.99),
-            echo_rtt_samples: echo_rtt.count(),
+            echo_rtt_p50_ms: echo_rtt_ms(0.50),
+            echo_rtt_p99_ms: echo_rtt_ms(0.99),
+            echo_rtt_samples: echo_rtt().map(Histogram::count).sum(),
             packets_sent,
             packets_delivered: totals.packets_delivered,
             packets_dropped: self.data_drops,
@@ -2000,7 +2005,7 @@ mod tests {
         // one.
         let workload = small_workload(60, 120);
         for config in [plain, standby.clone(), standby, spent.clone(), spent] {
-            tb.reset(config.clone()).expect("a valid config");
+            tb.reset(&config).expect("a valid config");
             let mut fresh = Testbed::new(config.clone());
             assert_eq!(state(&tb), state(&fresh), "{config:?}");
             assert_eq!(tb.pool.stats(), fresh.pool.stats());
@@ -2040,7 +2045,7 @@ mod tests {
         let before = state(&tb);
         let mut zero = TestbedConfig::default();
         zero.controller.cpu_cores = 0;
-        assert!(tb.reset(zero).is_err());
+        assert!(tb.reset(&zero).is_err());
         assert_eq!(state(&tb), before);
     }
 

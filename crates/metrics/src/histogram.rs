@@ -231,28 +231,53 @@ impl Histogram {
     /// `[min, max]` so `quantile(0.0)` / `quantile(1.0)` are exact.
     /// Returns [`Nanos::ZERO`] when empty.
     pub fn quantile(&self, q: f64) -> Nanos {
-        if self.is_empty() {
+        Histogram::quantile_across([self], q)
+    }
+
+    /// [`Histogram::quantile`] of the samples of all of `histograms`
+    /// together — of their [`Histogram::merge`], read without building
+    /// it: the ranks count every histogram's samples, a bucket's count is
+    /// the sum of theirs, and the extrema are the overall ones.
+    pub fn quantile_across<'a, I>(histograms: I, q: f64) -> Nanos
+    where
+        I: IntoIterator<Item = &'a Histogram>,
+        I::IntoIter: Clone,
+    {
+        let all = histograms.into_iter().filter(|h| !h.is_empty());
+        let count: u64 = all.clone().map(|h| h.count).sum();
+        if count == 0 {
             return Nanos::ZERO;
         }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let min_ns = all.clone().map(|h| h.min_ns).min().unwrap_or(0);
+        let max_ns = all.clone().map(|h| h.max_ns).max().unwrap_or(0);
+        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         // Rank 1 is the smallest sample and rank n the largest — both are
         // tracked exactly, so the edge quantiles carry no bucket error.
         if rank == 1 {
-            return self.min();
+            return Nanos::from_nanos(min_ns);
         }
-        if rank == self.count {
-            return self.max();
+        if rank == count {
+            return Nanos::from_nanos(max_ns);
         }
+        let lo = all.clone().map(|h| h.lo).min().unwrap_or(0);
         let mut seen = 0u64;
-        for (idx, c) in self.buckets() {
-            seen += c;
+        for idx in lo..BUCKETS {
+            seen += all.clone().map(|h| h.count_at(idx)).sum::<u64>();
             if seen >= rank {
                 let (lo, width) = bucket_range(idx);
                 let mid = lo + width / 2;
-                return Nanos::from_nanos(mid.clamp(self.min_ns, self.max_ns));
+                return Nanos::from_nanos(mid.clamp(min_ns, max_ns));
             }
         }
-        self.max()
+        Nanos::from_nanos(max_ns)
+    }
+
+    /// The count of bucket `idx` (0 outside the window).
+    fn count_at(&self, idx: usize) -> u64 {
+        idx.checked_sub(self.lo)
+            .and_then(|i| self.counts.get(i))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Quantile expressed in milliseconds.
@@ -482,6 +507,30 @@ mod tests {
             let (hr, dr) = both(&reversed);
             agrees(&hr, &dr)?;
             prop_assert!(ha == hr && da == dr);
+        }
+
+        /// The quantiles across three histograms, one of them perhaps
+        /// empty, are those of the dense reference that merged them.
+        #[test]
+        fn quantiles_across_histograms_equal_the_merged_ones(
+            a in steps(),
+            b in steps(),
+            c in steps(),
+        ) {
+            let (parts, dense): (Vec<Histogram>, Vec<Dense>) =
+                [a, b, c].iter().map(|steps| both(steps)).unzip();
+            let mut merged = Dense::new();
+            for d in &dense {
+                merged.merge(d);
+            }
+            for q in [0.0, 0.01, 0.5, 0.95, 0.99, 1.0] {
+                prop_assert_eq!(
+                    Histogram::quantile_across(&parts, q),
+                    merged.quantile(q),
+                    "q = {}",
+                    q
+                );
+            }
         }
     }
 

@@ -213,6 +213,7 @@ pub const MIN_UDP_FRAME: usize = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEA
 /// Minimum TCP frame: Ethernet + IPv4 + TCP headers, no payload.
 pub const MIN_TCP_FRAME: usize = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN;
 
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Proto {
     Udp,
     Tcp(TcpFlags),
@@ -232,6 +233,7 @@ enum Proto {
 /// let syn = PacketBuilder::tcp().tcp_flags(TcpFlags::SYN).frame_size(54).build();
 /// assert_eq!(syn.wire_len(), 54); // minimum TCP frame
 /// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PacketBuilder {
     proto: Proto,
     src_mac: MacAddr,

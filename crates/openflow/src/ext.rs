@@ -13,6 +13,8 @@
 
 use crate::wire;
 use crate::OfpError;
+use std::borrow::Cow;
+use std::sync::{Mutex, PoisonError};
 
 /// Vendor/experimenter id used by this reproduction's extension messages.
 pub const FLOW_BUFFER_VENDOR_ID: u32 = 0x00C0_FFEE;
@@ -20,6 +22,10 @@ pub const FLOW_BUFFER_VENDOR_ID: u32 = 0x00C0_FFEE;
 const SUBTYPE_ANNOUNCE: u16 = 1;
 const SUBTYPE_CONFIGURE: u16 = 2;
 const PAYLOAD_LEN: usize = 12;
+
+/// How many distinct extension payloads [`FlowBufferExt::payload`] keeps
+/// for the life of the process (12 B each).
+const INTERNED_PAYLOADS: usize = 64;
 
 /// Payload of a flow-granularity-buffer vendor message.
 ///
@@ -57,29 +63,43 @@ pub enum FlowBufferExt {
 
 impl FlowBufferExt {
     /// Encodes the vendor-message payload (excluding the vendor id).
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(PAYLOAD_LEN);
-        match *self {
+    pub fn encode_payload(&self) -> [u8; PAYLOAD_LEN] {
+        let (subtype, word, timeout_ms) = match *self {
             FlowBufferExt::Announce {
                 capacity,
                 timeout_ms,
-            } => {
-                buf.extend_from_slice(&SUBTYPE_ANNOUNCE.to_be_bytes());
-                buf.extend_from_slice(&[0, 0]); // pad
-                buf.extend_from_slice(&capacity.to_be_bytes());
-                buf.extend_from_slice(&timeout_ms.to_be_bytes());
-            }
+            } => (SUBTYPE_ANNOUNCE, capacity, timeout_ms),
             FlowBufferExt::Configure {
                 enabled,
                 timeout_ms,
-            } => {
-                buf.extend_from_slice(&SUBTYPE_CONFIGURE.to_be_bytes());
-                buf.extend_from_slice(&[0, 0]); // pad
-                buf.extend_from_slice(&u32::from(enabled).to_be_bytes());
-                buf.extend_from_slice(&timeout_ms.to_be_bytes());
-            }
-        }
+            } => (SUBTYPE_CONFIGURE, u32::from(enabled), timeout_ms),
+        };
+        let mut buf = [0; PAYLOAD_LEN];
+        buf[..2].copy_from_slice(&subtype.to_be_bytes());
+        // Bytes 2..4 are padding.
+        buf[4..8].copy_from_slice(&word.to_be_bytes());
+        buf[8..].copy_from_slice(&timeout_ms.to_be_bytes());
         buf
+    }
+
+    /// The encoded payload, borrowed for the rest of the process: each
+    /// distinct extension is encoded into a payload of its own once, so
+    /// the announcement and the configuration every handshake of a run
+    /// carries allocate nothing after the first. Past 64 distinct ones, a
+    /// payload is owned instead.
+    pub fn payload(&self) -> Cow<'static, [u8]> {
+        static INTERNED: Mutex<Vec<&'static [u8; PAYLOAD_LEN]>> = Mutex::new(Vec::new());
+        let payload = self.encode_payload();
+        let mut interned = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&kept) = interned.iter().find(|&&kept| *kept == payload) {
+            return Cow::Borrowed(kept);
+        }
+        if interned.len() == INTERNED_PAYLOADS {
+            return Cow::Owned(payload.to_vec());
+        }
+        let kept: &'static [u8; PAYLOAD_LEN] = Box::leak(Box::new(payload));
+        interned.push(kept);
+        Cow::Borrowed(kept)
     }
 
     /// Decodes a vendor-message payload.
@@ -187,5 +207,26 @@ mod tests {
             FlowBufferExt::decode_payload(&p),
             Err(OfpError::BadVendorPayload)
         );
+    }
+
+    #[test]
+    fn a_payload_is_encoded_once_and_borrowed_after() {
+        let e = FlowBufferExt::Configure {
+            enabled: true,
+            timeout_ms: 0x5eed,
+        };
+        let (Cow::Borrowed(first), Cow::Borrowed(again)) = (e.payload(), e.payload()) else {
+            panic!("an extension among the first {INTERNED_PAYLOADS} is borrowed");
+        };
+        assert!(std::ptr::eq(first, again));
+        assert_eq!(first, e.encode_payload());
+        // Past the table's size a payload is owned, and still the same bytes.
+        for timeout_ms in 0..2 * INTERNED_PAYLOADS as u32 {
+            let e = FlowBufferExt::Announce {
+                capacity: 7,
+                timeout_ms,
+            };
+            assert_eq!(*e.payload(), e.encode_payload());
+        }
     }
 }

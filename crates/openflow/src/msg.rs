@@ -261,8 +261,9 @@ pub struct ErrorMsg {
 pub struct Vendor {
     /// Vendor id.
     pub vendor: u32,
-    /// Opaque vendor payload.
-    pub data: Vec<u8>,
+    /// Opaque vendor payload: an extension's own is borrowed
+    /// ([`FlowBufferExt::payload`]), a decoded payload owned.
+    pub data: Cow<'static, [u8]>,
 }
 
 /// Any OpenFlow 1.0 message this implementation speaks.
@@ -300,7 +301,7 @@ impl From<FlowBufferExt> for OfpMessage {
     fn from(ext: FlowBufferExt) -> Self {
         OfpMessage::Vendor(Vendor {
             vendor: FLOW_BUFFER_VENDOR_ID,
-            data: ext.encode_payload(),
+            data: ext.payload(),
         })
     }
 }
@@ -448,7 +449,7 @@ impl OfpMessage {
             MsgType::EchoReply => OfpMessage::EchoReply(body.to_vec().into()),
             MsgType::Vendor => OfpMessage::Vendor(Vendor {
                 vendor: wire::get_u32(body, 0)?,
-                data: body[4..].to_vec(),
+                data: body[4..].to_vec().into(),
             }),
             MsgType::FeaturesRequest => OfpMessage::FeaturesRequest,
             MsgType::FeaturesReply => {
@@ -655,7 +656,9 @@ mod tests {
                 capacity: 256,
                 timeout_ms: 50,
             }
-            .encode_payload(),
+            .encode_payload()
+            .to_vec()
+            .into(),
         }));
     }
 

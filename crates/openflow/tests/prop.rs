@@ -100,8 +100,10 @@ fn arb_message() -> impl Strategy<Value = OfpMessage> {
                 data: d
             }
         )),
-        (any::<u32>(), data.clone())
-            .prop_map(|(v, d)| OfpMessage::Vendor(Vendor { vendor: v, data: d })),
+        (any::<u32>(), data.clone()).prop_map(|(v, d)| OfpMessage::Vendor(Vendor {
+            vendor: v,
+            data: d.into(),
+        })),
         (
             arb_buffer_id(),
             any::<u16>(),

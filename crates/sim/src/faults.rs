@@ -140,7 +140,7 @@ impl Window {
 /// The default plan injects nothing and costs one branch per potential
 /// fault site. All randomized choices come from a dedicated [`SimRng`]
 /// stream seeded by [`FaultPlan::seed`], independent of the workload seed.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault RNG stream (probabilistic loss, jitter,
     /// duplication, reordering draws).
@@ -175,6 +175,44 @@ pub struct FaultPlan {
     /// failover made the standby active; it restarts (with another epoch
     /// bump) at the window's end.
     pub crashes_standby: Vec<Window>,
+}
+
+impl Clone for FaultPlan {
+    fn clone(&self) -> FaultPlan {
+        FaultPlan {
+            stalls: self.stalls.clone(),
+            flaps: self.flaps.clone(),
+            pressure: self.pressure.clone(),
+            crashes: self.crashes.clone(),
+            crashes_standby: self.crashes_standby.clone(),
+            ..*self
+        }
+    }
+
+    /// Field by field, so each window list is copied into `self`'s own
+    /// storage, which grows only past its capacity.
+    fn clone_from(&mut self, source: &FaultPlan) {
+        let FaultPlan {
+            seed,
+            active_from,
+            to_controller,
+            to_switch,
+            stalls,
+            flaps,
+            pressure,
+            crashes,
+            crashes_standby,
+        } = source;
+        self.seed = *seed;
+        self.active_from = *active_from;
+        self.to_controller = *to_controller;
+        self.to_switch = *to_switch;
+        self.stalls.clone_from(stalls);
+        self.flaps.clone_from(flaps);
+        self.pressure.clone_from(pressure);
+        self.crashes.clone_from(crashes);
+        self.crashes_standby.clone_from(crashes_standby);
+    }
 }
 
 impl FaultPlan {
@@ -466,6 +504,15 @@ impl FaultState {
         }
     }
 
+    /// Makes this the runtime [`FaultState::new`] builds for `plan`, its
+    /// copy of the plan assigned in place ([`FaultPlan::clone_from`]) so
+    /// that its window lists keep their storage.
+    pub fn reset(&mut self, plan: &FaultPlan) {
+        let mut kept = std::mem::take(&mut self.plan);
+        kept.clone_from(plan);
+        *self = FaultState::new(kept);
+    }
+
     /// The plan being executed.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
@@ -568,6 +615,29 @@ mod tests {
         assert!(plan.validate().is_ok());
         assert_eq!(plan.to_spec(), "");
         assert_eq!(FaultPlan::parse("").unwrap(), plan);
+    }
+
+    #[test]
+    fn a_reset_state_runs_the_assigned_plan_in_the_storage_it_kept() {
+        let wide = FaultPlan::parse(
+            "fseed=3,c.loss=nth:4,stall=1ms+1ms,stall=5ms+1ms,flap=2ms+1ms,\
+             press=3ms+1ms,crash=10ms+5ms,crash=20ms+5ms,crash_standby=30ms+1ms",
+        )
+        .unwrap();
+        let narrow = FaultPlan::parse("fseed=9,crash=7ms+1ms").unwrap();
+        let mut state = FaultState::new(wide.clone());
+        let kept = state.plan().crashes.as_ptr();
+        state.ctrl_effect(ms(0), ChannelDir::ToController);
+        state.reset(&narrow);
+        // The narrow plan, not a blend of the two, in the wide one's lists.
+        assert_eq!(state.plan(), &narrow);
+        assert_eq!(state.plan().crashes.as_ptr(), kept);
+        // And a fresh runtime: its draws restart from the new seed.
+        let mut fresh = FaultState::new(narrow);
+        for t in 0..8 {
+            let dir = ChannelDir::ToSwitch;
+            assert_eq!(state.ctrl_effect(ms(t), dir), fresh.ctrl_effect(ms(t), dir));
+        }
     }
 
     #[test]

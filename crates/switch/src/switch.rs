@@ -828,16 +828,14 @@ impl Switch {
     /// expiry, a buffer re-request/TTL deadline, a degraded-mode probe, a
     /// liveness deadline, or a paced reconciliation re-announce.
     pub fn next_timer(&self) -> Option<Nanos> {
-        [
-            self.table.next_expiry(),
-            self.buffer.next_timeout(),
-            self.degraded.next_timer(),
-            self.liveness.deadline(),
-            self.session.next_timer(),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
+        let min = |a: Option<Nanos>, b: Option<Nanos>| match (a, b) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        let timer = min(self.table.next_expiry(), self.buffer.next_timeout());
+        let timer = min(timer, self.degraded.next_timer());
+        let timer = min(timer, self.liveness.deadline());
+        min(timer, self.session.next_timer())
     }
 
     /// Runs everything due at `now`, pushing the timed effects onto

@@ -41,6 +41,7 @@
 
 use sdnbuf_net::{MacAddr, Packet, PacketBuilder, Payload, TcpFlags, Transport};
 use sdnbuf_sim::{BitRate, Nanos, SimRng};
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
 
 /// One scheduled packet departure from the source host.
@@ -162,8 +163,8 @@ impl PktgenConfig {
 /// A copy of `template` under another source address and IPv4
 /// identification — the per-packet serial number that lets the measurement
 /// tap tell a flow's packets apart, like a capture tool would. The copy
-/// shares the template's payload bytes: a generator call builds its filler
-/// once, so a departure costs a header, not a frame.
+/// shares the template's payload bytes: a thread builds each [`template`]'s
+/// filler once, so a departure costs a header, not a frame.
 fn stamped(template: &Packet, src_ip: Ipv4Addr, ident: u16) -> Packet {
     let mut packet = template.clone();
     if let Payload::Ipv4(ip) = &mut packet.payload {
@@ -186,31 +187,59 @@ fn forged_src_ip(i: usize) -> Ipv4Addr {
     )
 }
 
+/// How many templates a thread keeps: the three a TCP workload is
+/// stamped from and a UDP one beside them.
+const KEPT_TEMPLATES: usize = 4;
+
+/// `builder`'s frame: the one this thread built when it was last asked for
+/// the same builder, or a new one it keeps in place of its oldest. The
+/// templates a generator stamps its departures from repeat from call to
+/// call, so a warm thread's call builds none: a kept template is handed
+/// out as a clone, which shares its payload bytes.
+fn template(builder: PacketBuilder) -> Packet {
+    const NONE: Option<(PacketBuilder, Packet)> = None;
+    thread_local! {
+        static KEPT: RefCell<[Option<(PacketBuilder, Packet)>; KEPT_TEMPLATES]> =
+            const { RefCell::new([NONE; KEPT_TEMPLATES]) };
+    }
+    KEPT.with_borrow_mut(|kept| {
+        if let Some((_, packet)) = kept.iter().flatten().find(|(b, _)| *b == builder) {
+            return packet.clone();
+        }
+        let packet = builder.build();
+        kept.rotate_right(1);
+        kept[0] = Some((builder, packet.clone()));
+        packet
+    })
+}
+
 /// The frame every UDP flow's packets are [`stamped`] from.
 fn udp_template(cfg: &PktgenConfig) -> Packet {
-    PacketBuilder::udp()
-        .src_mac(cfg.src.mac)
-        .dst_mac(cfg.dst.mac)
-        .src_ip(cfg.src.ip)
-        .dst_ip(cfg.dst.ip)
-        .src_port(10_000)
-        .dst_port(9)
-        .frame_size(cfg.frame_size)
-        .build()
+    template(
+        PacketBuilder::udp()
+            .src_mac(cfg.src.mac)
+            .dst_mac(cfg.dst.mac)
+            .src_ip(cfg.src.ip)
+            .dst_ip(cfg.dst.ip)
+            .src_port(10_000)
+            .dst_port(9)
+            .frame_size(cfg.frame_size),
+    )
 }
 
 /// A TCP frame of `cfg`'s connection (port 40 000 to 80).
 fn tcp_frame(cfg: &PktgenConfig, flags: TcpFlags, size: usize) -> Packet {
-    PacketBuilder::tcp()
-        .src_mac(cfg.src.mac)
-        .dst_mac(cfg.dst.mac)
-        .src_ip(cfg.src.ip)
-        .dst_ip(cfg.dst.ip)
-        .src_port(40_000)
-        .dst_port(80)
-        .tcp_flags(flags)
-        .frame_size(size)
-        .build()
+    template(
+        PacketBuilder::tcp()
+            .src_mac(cfg.src.mac)
+            .dst_mac(cfg.dst.mac)
+            .src_ip(cfg.src.ip)
+            .dst_ip(cfg.dst.ip)
+            .src_port(40_000)
+            .dst_port(80)
+            .tcp_flags(flags)
+            .frame_size(size),
+    )
 }
 
 /// The frame every TCP data segment is [`stamped`] from.

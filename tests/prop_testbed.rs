@@ -172,7 +172,7 @@ fn run_on(scratch: Scratch, spec: &RunSpec, traced: bool) -> (Scratch, Observed)
     let mut testbed_config = config.testbed;
     testbed_config.switch.buffer = config.buffer;
     testbed
-        .reset(testbed_config)
+        .reset(&testbed_config)
         .expect("a generated spec is valid");
     let (tracer, sink) = Tracer::recording(0);
     if traced {

@@ -261,8 +261,10 @@ mod wire_props {
             )),
             data.clone().prop_map(|d| OfpMessage::EchoRequest(d.into())),
             data.clone().prop_map(|d| OfpMessage::EchoReply(d.into())),
-            (any::<u32>(), data.clone())
-                .prop_map(|(v, d)| OfpMessage::Vendor(Vendor { vendor: v, data: d })),
+            (any::<u32>(), data.clone()).prop_map(|(v, d)| OfpMessage::Vendor(Vendor {
+                vendor: v,
+                data: d.into(),
+            })),
             Just(OfpMessage::FeaturesRequest),
             (
                 (any::<u64>(), any::<u32>(), any::<u8>()),
@@ -422,7 +424,7 @@ mod wire_props {
             OfpMessage::EchoReply(vec![].into()),
             OfpMessage::Vendor(Vendor {
                 vendor: 0x2320,
-                data: vec![7; 12],
+                data: vec![7; 12].into(),
             }),
             OfpMessage::FeaturesRequest,
             OfpMessage::FeaturesReply(FeaturesReply {
