@@ -7,8 +7,9 @@
 //!   datapath CPU cost (this is a software switch, like the OVS the paper
 //!   measures, so data forwarding competes with control processing for the
 //!   same cores).
-//! * **Slow path** — table-miss packets go to the configured
-//!   [`BufferMechanism`]; generating a `packet_in` moves the packet (or
+//! * **Slow path** — table-miss packets go to the switch's buffer (a
+//!   [`BufferMechanism`], keyed per packet or per flow, or of capacity 0);
+//!   generating a `packet_in` moves the packet (or
 //!   only its header slice, when buffered) across the ASIC↔CPU bus and
 //!   then occupies the CPU proportionally to the bytes handled. This
 //!   size-dependent cost is the entire Section IV story: without buffering,

@@ -17,8 +17,8 @@ use sdnbuf_openflow::{
 };
 use sdnbuf_sim::{Bus, CpuResource, EventKind, Nanos, Tracer};
 use sdnbuf_switchbuf::{
-    BufferMechanism, BufferedPacket, FlowGranularityBuffer, GaveUpFlow, GiveUp, MissAction,
-    NoBuffer, PacketGranularityBuffer, PacketHandle, PacketPool, Rerequest, Sabotage, TimeoutSweep,
+    Buffer, BufferMechanism, BufferedPacket, GaveUpFlow, GiveUp, MissAction, PacketHandle,
+    PacketPool, Rerequest, Sabotage, TimeoutSweep,
 };
 
 /// Physical data ports: the two hosts of Fig. 1.
@@ -128,73 +128,16 @@ fn shed(stats: &mut SwitchStats, packet: Option<PacketHandle>, out: &mut Vec<Swi
     out.push(SwitchOutput::Drop { packet });
 }
 
-/// The switch's buffer mechanisms: one of each kind, held by value, and
-/// the kind [`BufferChoice`] names active. A reset makes the active one
-/// fresh and empties the other two, all in place, so whichever kind the
-/// next reset names finds its storage kept and nothing else: an idle
-/// buffer holds capacity only — no unit, pool handle, counter or
-/// sabotage. It reads as the `dyn BufferMechanism` that is active.
-struct Mechanism {
-    active: BufferChoice,
-    none: NoBuffer,
-    packet: PacketGranularityBuffer,
-    flow: FlowGranularityBuffer,
-}
-
-impl Default for Mechanism {
-    fn default() -> Self {
-        Mechanism {
-            active: BufferChoice::NoBuffer,
-            none: NoBuffer::new(),
-            packet: PacketGranularityBuffer::default(),
-            flow: FlowGranularityBuffer::default(),
+/// The buffer `config` names, fresh: per packet, per flow, or none.
+fn buffer_for(config: &SwitchConfig) -> Buffer {
+    match config.buffer {
+        BufferChoice::NoBuffer => Buffer::default(),
+        BufferChoice::PacketGranularity { capacity } => {
+            Buffer::per_packet(capacity, config.buffer_free_lag).with_ttl(config.buffer_ttl)
         }
-    }
-}
-
-impl Mechanism {
-    /// Makes the buffer `config` names active and fresh, and the other two
-    /// empty shells, each keeping its storage.
-    fn reset(&mut self, config: &SwitchConfig) {
-        let (mut packet, mut flow) = Default::default();
-        match config.buffer {
-            BufferChoice::NoBuffer => {}
-            BufferChoice::PacketGranularity { capacity } => {
-                packet = PacketGranularityBuffer::with_free_lag(capacity, config.buffer_free_lag)
-                    .with_ttl(config.buffer_ttl);
-            }
-            BufferChoice::FlowGranularity { capacity, timeout } => {
-                flow = FlowGranularityBuffer::new(capacity, timeout)
-                    .with_retry_policy(config.retry)
-                    .with_ttl(config.buffer_ttl);
-            }
-        }
-        self.active = config.buffer;
-        self.none = NoBuffer::new();
-        self.packet.reset_to(packet);
-        self.flow.reset_to(flow);
-    }
-}
-
-impl std::ops::Deref for Mechanism {
-    type Target = dyn BufferMechanism;
-
-    fn deref(&self) -> &Self::Target {
-        match self.active {
-            BufferChoice::NoBuffer => &self.none,
-            BufferChoice::PacketGranularity { .. } => &self.packet,
-            BufferChoice::FlowGranularity { .. } => &self.flow,
-        }
-    }
-}
-
-impl std::ops::DerefMut for Mechanism {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        match self.active {
-            BufferChoice::NoBuffer => &mut self.none,
-            BufferChoice::PacketGranularity { .. } => &mut self.packet,
-            BufferChoice::FlowGranularity { .. } => &mut self.flow,
-        }
+        BufferChoice::FlowGranularity { capacity, timeout } => Buffer::per_flow(capacity, timeout)
+            .with_retry_policy(config.retry)
+            .with_ttl(config.buffer_ttl),
     }
 }
 
@@ -216,7 +159,7 @@ pub struct Switch {
     config: SwitchConfig,
     // Datapath.
     table: FlowTable,
-    buffer: Mechanism,
+    buffer: Buffer,
     cpu: CpuResource,
     bus: Bus,
     /// The serial rule-install pipeline (ofproto): one rule at a time.
@@ -276,12 +219,11 @@ impl Switch {
     }
 
     /// Makes this the switch [`Switch::try_new`] builds from `config`,
-    /// keeping the storage of its flow table, its buffer of every kind
-    /// (the one `config` names made fresh, the others emptied), CPU cores,
-    /// handler buffers and re-announce queue, and nothing else: no rule,
-    /// buffered packet, counter, xid, epoch, sabotage or tracer carries
-    /// over. On `Err` — `config` does not validate — the switch is left as
-    /// it was.
+    /// keeping the storage of its flow table, buffer (whichever kind
+    /// either config names), CPU cores, handler buffers and re-announce
+    /// queue, and nothing else: no rule, buffered packet, counter, xid,
+    /// epoch, sabotage or tracer carries over. On `Err` — `config` does
+    /// not validate — the switch is left as it was.
     pub fn reset(&mut self, config: SwitchConfig) -> Result<(), String> {
         config.validate()?;
         use std::mem::take;
@@ -299,7 +241,7 @@ impl Switch {
             take(&mut self.session),
         );
         table.reset(config.flow_table_capacity, config.eviction);
-        buffer.reset(&config);
+        buffer.reset_to(buffer_for(&config));
         cpu.reset(config.cpu_cores);
         installer.reset(1);
         released.clear();
@@ -383,7 +325,7 @@ impl Switch {
 
     /// The buffer mechanism (for inspection).
     pub fn buffer(&self) -> &dyn BufferMechanism {
-        &*self.buffer
+        &self.buffer
     }
 
     /// Cripples the buffer mechanism as `sabotage` names (the chaos
@@ -1060,9 +1002,8 @@ mod tests {
                 assert_eq!(script(&mut sw), fresh, "{before:?} then {after:?}");
             }
         }
-        // K, the other kind, K: the last reset finds the buffer the first
-        // run left idle, and that run stranded its units in it, sabotaged.
-        // An idle buffer is an empty shell, and a reactivated one fresh.
+        // K, the other kind, K: the first run strands its units in the
+        // buffer, sabotaged, and each reset leaves it the fresh one.
         let every_sabotage = Sabotage {
             disable_rerequest: true,
             disable_ttl_gc: true,
@@ -1075,17 +1016,8 @@ mod tests {
             script(&mut sw);
             assert!(sw.buffer().occupancy() > 0, "{k:?} strands its units");
             sw.reset(config(other)).expect("a valid config");
-            let (idle, shell) = match k {
-                BufferChoice::FlowGranularity { .. } => (
-                    format!("{:?}", sw.buffer.flow),
-                    format!("{:?}", FlowGranularityBuffer::default()),
-                ),
-                _ => (
-                    format!("{:?}", sw.buffer.packet),
-                    format!("{:?}", PacketGranularityBuffer::default()),
-                ),
-            };
-            assert_eq!(idle, shell, "{k:?} idle");
+            let fresh = format!("{:?}", buffer_for(&config(other)));
+            assert_eq!(format!("{:?}", sw.buffer), fresh, "{k:?} then {other:?}");
             script(&mut sw);
             sw.reset(config(k)).expect("a valid config");
             let fresh = script(&mut Switch::new(config(k)));

@@ -7,6 +7,7 @@ use crate::BufferChoice;
 use sdnbuf_net::MacAddr;
 use sdnbuf_openflow::{msg, FlowBufferExt, OfpMessage, PortNo, SUPPORTED_ACTIONS};
 use sdnbuf_sim::Nanos;
+use sdnbuf_switchbuf::BufferMechanism;
 use std::borrow::Cow;
 
 /// What `features_reply` says of the data ports: each one's number, a MAC

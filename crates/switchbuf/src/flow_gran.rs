@@ -9,10 +9,7 @@ use sdnbuf_net::FlowKey;
 use sdnbuf_openflow::{BufferId, PortNo, Refusal};
 use sdnbuf_sim::hash::{fnv1a, FNV_OFFSET};
 use sdnbuf_sim::{EventKind, FastHashMap, Nanos, Tracer};
-use std::cmp::Reverse;
-#[cfg(test)]
 use std::collections::BTreeSet;
-use std::collections::BinaryHeap;
 
 /// Ends a flow's list of units and the free list.
 const NIL: u32 = u32::MAX;
@@ -106,113 +103,6 @@ impl Units {
     }
 }
 
-/// One kind of per-flow timer — the re-request or the TTL — as a lazy
-/// min-heap of `(deadline, flow)` entries. Arming a flow pushes its new
-/// deadline and leaves any older entry behind: an entry is live while its
-/// flow is buffered with exactly that deadline (`current(key) ==
-/// Some(at)`, where `current` reads the flow's state), and a stale one is
-/// dropped when it surfaces. Every `&mut` call ends with the top entry
-/// live, so [`Deadlines::first`] is exact and due flows pop in `(deadline,
-/// key)` order. Once stale entries outnumber the armed flows two to one,
-/// the heap keeps only its live entries.
-#[derive(Clone, Debug, Default)]
-struct Deadlines {
-    heap: BinaryHeap<Reverse<(Nanos, FlowKey)>>,
-    /// The ordered set this heap replaced, kept in step with it and
-    /// checked against it: one exact entry per armed flow.
-    #[cfg(test)]
-    reference: BTreeSet<(Nanos, FlowKey)>,
-}
-
-impl Deadlines {
-    /// Moves `key`'s deadline from `old` to `at`; `armed` flows have this
-    /// timer, and `current` gives each one's deadline.
-    fn arm(
-        &mut self,
-        key: FlowKey,
-        old: Option<Nanos>,
-        at: Nanos,
-        armed: usize,
-        current: impl Fn(&FlowKey) -> Option<Nanos>,
-    ) {
-        if old == Some(at) {
-            return;
-        }
-        #[cfg(test)]
-        {
-            self.reference.retain(|&(_, k)| k != key);
-            self.reference.insert((at, key));
-        }
-        self.heap.push(Reverse((at, key)));
-        if self.heap.len() > 3 * armed + 8 {
-            self.heap
-                .retain(|&Reverse((at, key))| current(&key) == Some(at));
-        }
-        self.settle(current);
-    }
-
-    /// Forgets `key`'s deadline; `current` no longer lists it.
-    fn disarm(&mut self, key: FlowKey, current: impl Fn(&FlowKey) -> Option<Nanos>) {
-        debug_assert_eq!(current(&key), None, "a disarmed flow has no deadline");
-        #[cfg(test)]
-        self.reference.retain(|&(_, k)| k != key);
-        self.settle(current);
-    }
-
-    /// Drops stale entries off the top until the top is live.
-    fn settle(&mut self, current: impl Fn(&FlowKey) -> Option<Nanos>) {
-        while let Some(&Reverse((at, key))) = self.heap.peek() {
-            if current(&key) == Some(at) {
-                break;
-            }
-            self.heap.pop();
-        }
-    }
-
-    /// The earliest armed deadline.
-    fn first(&self) -> Option<Nanos> {
-        self.heap.peek().map(|&Reverse((at, _))| at)
-    }
-
-    /// Takes the first flow due at or before `now` off the schedule, with
-    /// every copy of its entry; `current` still gives its deadline.
-    fn pop_due(
-        &mut self,
-        now: Nanos,
-        current: impl Fn(&FlowKey) -> Option<Nanos>,
-    ) -> Option<(Nanos, FlowKey)> {
-        let &Reverse(first) = self.heap.peek().filter(|top| top.0 .0 <= now)?;
-        while self.heap.peek() == Some(&Reverse(first)) {
-            self.heap.pop();
-        }
-        #[cfg(test)]
-        assert_eq!(self.reference.pop_first(), Some(first), "due order");
-        self.settle(current);
-        Some(first)
-    }
-
-    /// Forgets every deadline, keeping the heap's storage.
-    fn clear(&mut self) {
-        self.heap.clear();
-        #[cfg(test)]
-        self.reference.clear();
-    }
-}
-
-/// The re-request deadline of each buffered flow.
-fn request_due(flows: &FastHashMap<FlowKey, FlowQueue>) -> impl Fn(&FlowKey) -> Option<Nanos> + '_ {
-    move |key| flows.get(key).map(|q| q.next_due)
-}
-
-/// The TTL deadline of each buffered flow: its head-of-line packet's.
-fn expiry_due<'a>(
-    flows: &'a FastHashMap<FlowKey, FlowQueue>,
-    units: &'a Units,
-    ttl: Option<Nanos>,
-) -> impl Fn(&FlowKey) -> Option<Nanos> + 'a {
-    move |key| Some(units.front(flows.get(key)?)?.buffered_at + ttl?)
-}
-
 #[derive(Clone, Debug)]
 struct FlowQueue {
     buffer_id: BufferId,
@@ -278,10 +168,9 @@ impl FlowQueue {
 ///   fault-duplicated `packet_out` naming a recycled id is rejected as an
 ///   invalid release instead of draining the new occupant (ABA safety).
 ///
-/// Scheduling state lives in two lazy min-heaps of `(deadline, flow)`,
-/// one per timer kind (`request_deadlines`, `expiry_deadlines`): their
-/// tops are exact, so [`Self::next_timeout`] is a peek, and arming or
-/// sweeping a flow is `O(log n)` instead of a full scan.
+/// Scheduling state lives in two ordered min-deadline indexes
+/// (`request_deadlines`, `expiry_deadlines`), so [`Self::next_timeout`] and
+/// a sweep with few due flows are `O(log n)` instead of a full scan.
 ///
 /// `FlowGranularityBuffer::default()` is the unconfigured shell
 /// [`FlowGranularityBuffer::reset_to`] fills: it has no unit, so every
@@ -297,12 +186,13 @@ pub struct FlowGranularityBuffer {
     /// The units every flow's queue is threaded through.
     units: Units,
     by_id: FastHashMap<u32, FlowKey>,
-    /// Each buffered flow's `next_due` — the re-request / give-up
-    /// schedule.
-    request_deadlines: Deadlines,
-    /// Each buffered flow's front expiry when a TTL is configured.
-    /// Per-flow queues are FIFO, so the front packet always expires first.
-    expiry_deadlines: Deadlines,
+    /// One `(next_due, key)` entry per buffered flow — the re-request /
+    /// give-up schedule, ordered by deadline.
+    request_deadlines: BTreeSet<(Nanos, FlowKey)>,
+    /// One `(front_expiry, key)` entry per buffered flow when a TTL is
+    /// configured. Per-flow queues are FIFO, so the front packet always
+    /// expires first.
+    expiry_deadlines: BTreeSet<(Nanos, FlowKey)>,
     /// The flows a re-request sweep found due; empty between sweeps, kept
     /// for its storage.
     due: Vec<FlowKey>,
@@ -362,36 +252,27 @@ impl FlowGranularityBuffer {
     }
 
     /// Makes this buffer `fresh`, keeping the storage of its flow maps,
-    /// unit slab, deadline heaps and sweep list, emptied: no flow, unit,
-    /// deadline, generation, counter or sabotage carries over. `fresh`'s own
+    /// unit slab and sweep list, emptied: no flow, unit, deadline,
+    /// generation, counter or sabotage carries over. `fresh`'s own
     /// containers are dropped, so pass one that holds nothing. The maps
     /// are never iterated in an order that reaches an outcome
     /// (`reconcile_epoch_into` sorts the ids it lists), so their larger
     /// capacity changes no run.
     pub fn reset_to(&mut self, fresh: FlowGranularityBuffer) {
-        use std::mem::take;
         let (mut flows, mut slab, mut by_id, mut due) = (
-            take(&mut self.flows),
-            take(&mut self.units.slab),
-            take(&mut self.by_id),
-            take(&mut self.due),
-        );
-        let (mut request_deadlines, mut expiry_deadlines) = (
-            take(&mut self.request_deadlines),
-            take(&mut self.expiry_deadlines),
+            std::mem::take(&mut self.flows),
+            std::mem::take(&mut self.units.slab),
+            std::mem::take(&mut self.by_id),
+            std::mem::take(&mut self.due),
         );
         flows.clear();
         slab.clear();
         by_id.clear();
         due.clear();
-        request_deadlines.clear();
-        expiry_deadlines.clear();
         *self = FlowGranularityBuffer {
             flows,
             units: Units { slab, free: NIL },
             by_id,
-            request_deadlines,
-            expiry_deadlines,
             due,
             ..fresh
         };
@@ -451,11 +332,10 @@ impl FlowGranularityBuffer {
     fn arm_request(&mut self, key: FlowKey, now: Nanos, retries: u32) {
         let due = now + self.policy.interval_after(self.timeout, retries);
         let q = self.flows.get_mut(&key).expect("armed flow exists");
-        let old = std::mem::replace(&mut q.next_due, due);
+        self.request_deadlines.remove(&(q.next_due, key));
         q.retries = retries;
-        let armed = self.flows.len();
-        self.request_deadlines
-            .arm(key, Some(old), due, armed, request_due(&self.flows));
+        q.next_due = due;
+        self.request_deadlines.insert((due, key));
     }
 
     /// Counts and traces one more re-request for `key`'s flow, re-arms its
@@ -491,10 +371,11 @@ impl FlowGranularityBuffer {
         if self.sabotage.disable_ttl_gc {
             return;
         }
-        while let Some((_, key)) = self
-            .expiry_deadlines
-            .pop_due(now, expiry_due(&self.flows, &self.units, self.ttl))
-        {
+        while let Some(&(due, key)) = self.expiry_deadlines.iter().next() {
+            if due > now {
+                break;
+            }
+            self.expiry_deadlines.remove(&(due, key));
             let q = self
                 .flows
                 .get_mut(&key)
@@ -516,9 +397,7 @@ impl FlowGranularityBuffer {
             }
             // Per-flow queues are FIFO: the new front expires next.
             if let Some(front) = self.units.front(q) {
-                let (at, armed) = (front.buffered_at + ttl, self.flows.len());
-                let current = expiry_due(&self.flows, &self.units, self.ttl);
-                self.expiry_deadlines.arm(key, None, at, armed, current);
+                self.expiry_deadlines.insert((front.buffered_at + ttl, key));
             } else {
                 self.evict_flow(key, &mut Vec::new());
             }
@@ -531,10 +410,10 @@ impl FlowGranularityBuffer {
     fn evict_flow(&mut self, key: FlowKey, out: &mut Vec<BufferedPacket>) -> FlowQueue {
         let q = self.flows.remove(&key).expect("evicted flow exists");
         self.by_id.remove(&q.buffer_id.as_u32());
-        self.request_deadlines.disarm(key, request_due(&self.flows));
-        if self.ttl.is_some() {
-            let current = expiry_due(&self.flows, &self.units, self.ttl);
-            self.expiry_deadlines.disarm(key, current);
+        self.request_deadlines.remove(&(q.next_due, key));
+        if let (Some(ttl), Some(front)) = (self.ttl, self.units.front(&q)) {
+            self.expiry_deadlines
+                .remove(&(front.buffered_at + ttl, key));
         }
         self.total -= q.len as usize;
         self.units.drain_into(&q, out);
@@ -590,12 +469,7 @@ impl BufferMechanism for FlowGranularityBuffer {
                 self.by_id.insert(buffer_id.as_u32(), key);
                 self.arm_request(key, now, 0);
                 if let Some(ttl) = self.ttl {
-                    let (armed, current) = (
-                        self.flows.len(),
-                        expiry_due(&self.flows, &self.units, self.ttl),
-                    );
-                    self.expiry_deadlines
-                        .arm(key, None, now + ttl, armed, current);
+                    self.expiry_deadlines.insert((now + ttl, key));
                 }
                 (buffer_id, None)
             }
@@ -645,12 +519,12 @@ impl BufferMechanism for FlowGranularityBuffer {
     }
 
     fn next_timeout(&self) -> Option<Nanos> {
-        let request = (self.request_deadlines.first()).filter(|_| !self.sabotage.disable_rerequest);
-        let expiry = (self.expiry_deadlines.first()).filter(|_| !self.sabotage.disable_ttl_gc);
-        match (request, expiry) {
-            (Some(request), Some(expiry)) => Some(request.min(expiry)),
-            (request, expiry) => request.or(expiry),
-        }
+        let first = |index: &BTreeSet<(Nanos, FlowKey)>, off: bool| {
+            index.iter().next().filter(|_| !off).map(|&(t, _)| t)
+        };
+        let request = first(&self.request_deadlines, self.sabotage.disable_rerequest);
+        let expiry = first(&self.expiry_deadlines, self.sabotage.disable_ttl_gc);
+        request.into_iter().chain(expiry).min()
     }
 
     fn poll_timeouts_into(&mut self, now: Nanos, pool: &PacketPool, sweep: &mut TimeoutSweep) {
@@ -659,10 +533,11 @@ impl BufferMechanism for FlowGranularityBuffer {
             return;
         }
         let mut due = std::mem::take(&mut self.due);
-        while let Some((_, key)) = self
-            .request_deadlines
-            .pop_due(now, request_due(&self.flows))
-        {
+        while let Some(&(t, key)) = self.request_deadlines.iter().next() {
+            if t > now {
+                break;
+            }
+            self.request_deadlines.remove(&(t, key));
             due.push(key);
         }
         // Deterministic order regardless of deadline ties — and the same
@@ -761,7 +636,7 @@ impl BufferMechanism for FlowGranularityBuffer {
 mod tests {
     use super::*;
     use crate::GiveUp;
-    use proptest::prelude::*;
+    use crate::ReconcileEpoch;
     use sdnbuf_net::{MacAddr, Packet, PacketBuilder};
     use std::net::Ipv4Addr;
 
@@ -1646,113 +1521,5 @@ mod tests {
     #[should_panic(expected = "timeout")]
     fn zero_timeout_panics() {
         let _ = FlowGranularityBuffer::new(1, Nanos::ZERO);
-    }
-
-    /// One step of the deadline-index differential test.
-    #[derive(Clone, Debug)]
-    enum Step {
-        Miss { flow: u16 },
-        Release { nth: usize },
-        Advance { micros: u64 },
-        Poll,
-        Reconcile,
-        Sabotage { which: u8 },
-    }
-
-    fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
-        proptest::collection::vec(
-            prop_oneof![
-                5 => (0u16..6).prop_map(|flow| Step::Miss { flow }),
-                2 => (0usize..6).prop_map(|nth| Step::Release { nth }),
-                4 => (1u64..60_000).prop_map(|micros| Step::Advance { micros }),
-                3 => Just(Step::Poll),
-                1 => Just(Step::Reconcile),
-                1 => (0u8..4).prop_map(|which| Step::Sabotage { which }),
-            ],
-            1..200,
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The deadline heaps against the `BTreeSet` index they replaced,
-        /// which each `Deadlines` keeps in step under `cfg(test)`: misses,
-        /// releases (some at the instant a flow re-arms at its old
-        /// deadline), time, sweeps, epoch reconciles that move deadlines
-        /// earlier, and sabotage. After every step each heap's first
-        /// deadline is the set's, and every sweep pops its due flows in
-        /// the set's `(deadline, key)` order (`Deadlines::pop_due` asserts
-        /// it).
-        #[test]
-        fn deadline_heaps_agree_with_the_ordered_sets(
-            ttl_ms in 0u64..40,
-            budget in 0u32..4,
-            backoff in any::<bool>(),
-            steps in arb_steps(),
-        ) {
-            let policy = if backoff {
-                RetryPolicy::backoff(Nanos::from_millis(40), budget)
-            } else {
-                RetryPolicy::Fixed
-            };
-            let mut b = FlowGranularityBuffer::new(12, Nanos::from_millis(10))
-                .with_retry_policy(policy)
-                .with_ttl(Nanos::from_millis(ttl_ms));
-            let mut pool = PacketPool::new();
-            let (mut now, mut epoch, mut ids) = (Nanos::ZERO, 0, Vec::new());
-            for step in steps {
-                match step {
-                    Step::Miss { flow } => {
-                        let h = pool.insert(pkt(flow, 100));
-                        if let MissAction::SendBufferedPacketIn { buffer_id } =
-                            b.on_miss(now, h, PortNo(1), &pool)
-                        {
-                            ids.push(buffer_id);
-                        }
-                    }
-                    Step::Release { nth } if !ids.is_empty() => {
-                        let id = ids.remove(nth % ids.len());
-                        b.release_into(now, id, &mut Vec::new()).ok();
-                    }
-                    Step::Release { .. } => {}
-                    Step::Advance { micros } => now += Nanos::from_micros(micros),
-                    Step::Poll => {
-                        let sweep = b.poll_timeouts(now, &pool);
-                        ids.extend(sweep.rerequests.iter().map(|r| r.buffer_id));
-                    }
-                    Step::Reconcile => {
-                        epoch += 1;
-                        ids.extend(b.reconcile_epoch(now, epoch));
-                    }
-                    Step::Sabotage { which } => b.sabotage(match which {
-                        0 => Sabotage::none(),
-                        1 => Sabotage::no_rerequest(),
-                        2 => Sabotage::no_ttl_gc(),
-                        _ => Sabotage::no_epoch_guard(),
-                    }),
-                }
-                for index in [&b.request_deadlines, &b.expiry_deadlines] {
-                    let reference = index.reference.first().map(|&(at, _)| at);
-                    prop_assert_eq!(index.first(), reference, "after {:?}", step);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn superseded_deadlines_do_not_accumulate() {
-        let mut b = mk();
-        let mut pool = PacketPool::new();
-        b.on_miss(Nanos::ZERO, pool.insert(pkt(1, 100)), PortNo(1), &pool);
-        // Each reconcile re-arms the one flow and leaves its old entry.
-        for epoch in 1..1_000u32 {
-            b.reconcile_epoch(Nanos::from_micros(epoch.into()), epoch);
-            assert!(b.request_deadlines.heap.len() <= 3 + 8);
-        }
-        assert_eq!(
-            b.next_timeout(),
-            Some(Nanos::from_micros(999) + Nanos::from_millis(50))
-        );
     }
 }

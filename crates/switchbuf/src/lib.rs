@@ -1,39 +1,25 @@
-//! Switch packet-buffer mechanisms — the primary contribution of the paper.
+//! The switch packet buffer — the primary contribution of the paper.
 //!
 //! When a packet misses the flow table, the switch must ask the controller
 //! what to do. *How much* of the packet travels in that request, and *how
 //! many* requests a burst of misses generates, is decided by the buffer
-//! mechanism:
-//!
-//! * [`NoBuffer`] — OpenFlow's out-of-the-box behaviour: nothing is
-//!   buffered; every miss-match packet rides, in full, inside its
-//!   `packet_in`, and comes back in full inside the `packet_out`.
-//! * [`PacketGranularityBuffer`] — the default OpenFlow buffer the paper's
-//!   Section IV analyses: each miss-match packet is parked in a buffer unit
-//!   under its own `buffer_id`; the `packet_in` carries only the first
-//!   `miss_send_len` bytes. One `packet_out` releases exactly one packet.
-//!   When the buffer is exhausted the switch falls back to sending full
-//!   packets (the behaviour behind buffer-16's collapse above ~35 Mbps).
-//! * [`FlowGranularityBuffer`] — the paper's proposed mechanism
-//!   (Section V, Algorithms 1 and 2): all miss-match packets of one flow
-//!   share a single `buffer_id` derived from the 5-tuple; only the *first*
-//!   packet of the flow triggers a `packet_in`, subsequent packets are
-//!   buffered silently, and one `packet_out` drains the whole per-flow queue
-//!   in FIFO order. A re-request timeout (Algorithm 1, line 12) guards
-//!   against lost responses.
-//!
-//! All three implement [`BufferMechanism`], so the switch model is generic
-//! over them and every experiment differs in exactly one component.
+//! mechanism. The paper's mechanisms — no buffer, OpenFlow's per-packet
+//! buffer (Section IV) and the proposed per-flow buffer (Section V,
+//! Algorithms 1 and 2) — differ in one decision, the key a miss is parked
+//! under, so one [`Buffer`] implements them all. It implements
+//! [`BufferMechanism`], the interface the switch's slow path drives.
+//! [`NoBuffer`], [`PacketGranularityBuffer`] and [`FlowGranularityBuffer`]
+//! are the mechanisms' former constructors, kept for `benchmark/`.
 //!
 //! # Example
 //!
 //! ```
-//! use sdnbuf_switchbuf::{BufferMechanism, FlowGranularityBuffer, MissAction, PacketPool};
+//! use sdnbuf_switchbuf::{Buffer, BufferMechanism, MissAction, PacketPool};
 //! use sdnbuf_net::PacketBuilder;
 //! use sdnbuf_openflow::PortNo;
 //! use sdnbuf_sim::Nanos;
 //!
-//! let mut buf = FlowGranularityBuffer::new(256, Nanos::from_millis(50));
+//! let mut buf = Buffer::per_flow(256, Nanos::from_millis(50));
 //! let mut pool = PacketPool::new();
 //! let p1 = pool.insert(PacketBuilder::udp().src_port(7).build());
 //! let p2 = pool.insert(PacketBuilder::udp().src_port(7).frame_size(1400).build());
@@ -47,8 +33,8 @@
 //!
 //! // One packet_out drains the whole flow, in arrival order; the caller
 //! // inherits the released pool references.
-//! let released = buf.release(Nanos::from_millis(1), id);
-//! assert_eq!(released.len(), 2);
+//! let mut released = Vec::new();
+//! assert_eq!(buf.release_into(Nanos::from_millis(1), id, &mut released), Ok(2));
 //! assert_eq!(buf.occupancy(), 0);
 //! for bp in released {
 //!     pool.release(bp.packet);
@@ -59,18 +45,30 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod flow_gran;
+mod buffer;
 mod mechanism;
-mod none;
-mod packet_gran;
 mod retry;
 
-pub use flow_gran::FlowGranularityBuffer;
+// The mechanisms `Buffer` replaced, the references of its differential
+// test (`buffer/differential.rs`): `packet_gran.rs` and `none.rs` as they
+// were, `flow_gran.rs` as it was with `BTreeSet` deadlines, but for the
+// tests' `reconcile_epoch` import and the packet buffer's `pub(crate)` id
+// counter. Doc tests collect `none.rs` and `packet_gran.rs` too: their
+// examples run against the public constructors below, which build the
+// `Buffer` that replaced them.
+#[cfg(test)]
+mod flow_gran;
+#[cfg(any(test, doctest))]
+mod none;
+#[cfg(any(test, doctest))]
+mod packet_gran;
+
+pub use buffer::{Buffer, FlowGranularityBuffer, NoBuffer, PacketGranularityBuffer};
+#[cfg(test)]
+use mechanism::ReconcileEpoch;
 pub use mechanism::{
     BufferMechanism, BufferStats, BufferedPacket, MissAction, PacketHandle, PacketPool, Rerequest,
     Sabotage,
 };
-pub use none::NoBuffer;
-pub use packet_gran::PacketGranularityBuffer;
 pub use retry::{GaveUpFlow, GiveUp, RetryPolicy, TimeoutSweep};
 pub use sdnbuf_openflow::Refusal;

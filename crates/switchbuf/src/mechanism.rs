@@ -1,4 +1,5 @@
-//! The buffer-mechanism abstraction shared by all three mechanisms.
+//! The buffer-mechanism abstraction: the switch's [`crate::Buffer`] and
+//! the unit tests' reference mechanisms implement it.
 
 use crate::TimeoutSweep;
 use sdnbuf_net::Packet;
@@ -234,6 +235,8 @@ pub trait BufferMechanism {
     ) -> Result<usize, Refusal>;
 
     /// [`BufferMechanism::release_into`] a fresh `Vec`, empty on a refusal.
+    /// Kept only for `benchmark/`, which replays through it; everything
+    /// else passes its own list to `release_into`.
     fn release(&mut self, now: Nanos, buffer_id: BufferId) -> Vec<BufferedPacket> {
         let mut out = Vec::new();
         let _ = self.release_into(now, buffer_id, &mut out);
@@ -253,6 +256,8 @@ pub trait BufferMechanism {
     fn poll_timeouts_into(&mut self, now: Nanos, pool: &PacketPool, sweep: &mut TimeoutSweep);
 
     /// [`BufferMechanism::poll_timeouts_into`] a fresh [`TimeoutSweep`].
+    /// Kept only for `benchmark/`, which replays through it; everything
+    /// else passes its own sweep to `poll_timeouts_into`.
     fn poll_timeouts(&mut self, now: Nanos, pool: &PacketPool) -> TimeoutSweep {
         let mut sweep = TimeoutSweep::default();
         self.poll_timeouts_into(now, pool, &mut sweep);
@@ -295,13 +300,6 @@ pub trait BufferMechanism {
     /// buffer memory append nothing.
     fn reconcile_epoch_into(&mut self, _now: Nanos, _epoch: u32, _survivors: &mut Vec<BufferId>) {}
 
-    /// [`BufferMechanism::reconcile_epoch_into`] a fresh `Vec`.
-    fn reconcile_epoch(&mut self, now: Nanos, epoch: u32) -> Vec<BufferId> {
-        let mut survivors = Vec::new();
-        self.reconcile_epoch_into(now, epoch, &mut survivors);
-        survivors
-    }
-
     /// A borrowed re-announce view of the flow filed under `buffer_id`,
     /// used by the switch's paced post-restart reconciliation (the entry
     /// may have expired or drained since `reconcile_epoch_into` listed it —
@@ -316,6 +314,20 @@ pub trait BufferMechanism {
     /// with nothing to cripple ignore it.
     fn sabotage(&mut self, _sabotage: Sabotage) {}
 }
+
+/// [`BufferMechanism::reconcile_epoch_into`] a fresh `Vec`: the unit
+/// tests' shorthand.
+#[cfg(test)]
+pub(crate) trait ReconcileEpoch: BufferMechanism {
+    fn reconcile_epoch(&mut self, now: Nanos, epoch: u32) -> Vec<BufferId> {
+        let mut survivors = Vec::new();
+        self.reconcile_epoch_into(now, epoch, &mut survivors);
+        survivors
+    }
+}
+
+#[cfg(test)]
+impl<M: BufferMechanism + ?Sized> ReconcileEpoch for M {}
 
 #[cfg(test)]
 mod tests {

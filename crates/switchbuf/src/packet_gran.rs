@@ -53,7 +53,7 @@ pub struct PacketGranularityBuffer {
     /// each entry is the time the slot becomes available again.
     pending_free: VecDeque<Nanos>,
     free_lag: Nanos,
-    next_id: u32,
+    pub(crate) next_id: u32,
     /// Per-entry lifetime; `None` = entries never expire (the default).
     /// Closes the stranding leak: a unit whose `packet_out` is lost would
     /// otherwise stay occupied forever.
@@ -317,6 +317,7 @@ impl BufferMechanism for PacketGranularityBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReconcileEpoch;
     use sdnbuf_net::{Packet, PacketBuilder};
 
     #[test]

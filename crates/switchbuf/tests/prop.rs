@@ -1,14 +1,11 @@
-//! Property-based tests for the buffer mechanisms: packets are never lost
+//! Property-based tests for the buffer, per packet and per flow: packets are never lost
 //! or duplicated, occupancy stays bounded, and FIFO order holds per flow.
 
 use proptest::prelude::*;
 use sdnbuf_net::{FlowKey, PacketBuilder};
 use sdnbuf_openflow::{BufferId, PortNo};
 use sdnbuf_sim::Nanos;
-use sdnbuf_switchbuf::{
-    BufferMechanism, FlowGranularityBuffer, MissAction, PacketGranularityBuffer, PacketPool,
-    RetryPolicy, Sabotage,
-};
+use sdnbuf_switchbuf::{Buffer, BufferMechanism, MissAction, PacketPool, RetryPolicy, Sabotage};
 use std::collections::HashMap;
 
 #[derive(Clone, Debug)]
@@ -140,7 +137,7 @@ fn drive(mech: &mut dyn BufferMechanism, ops: &[Op]) -> (u64, u64, u64) {
 proptest! {
     #[test]
     fn packet_granularity_conserves_packets(ops in arb_ops(), cap in 1usize..32) {
-        let mut mech = PacketGranularityBuffer::new(cap);
+        let mut mech = Buffer::per_packet(cap, Nanos::ZERO);
         let (buffered, released, _) = drive(&mut mech, &ops);
         // Everything buffered is either released or still resident.
         prop_assert_eq!(buffered, released + mech.occupancy() as u64);
@@ -148,7 +145,7 @@ proptest! {
 
     #[test]
     fn flow_granularity_conserves_packets(ops in arb_ops(), cap in 1usize..32) {
-        let mut mech = FlowGranularityBuffer::new(cap, Nanos::from_millis(50));
+        let mut mech = Buffer::per_flow(cap, Nanos::from_millis(50));
         let (buffered, released, _) = drive(&mut mech, &ops);
         prop_assert_eq!(buffered, released + mech.occupancy() as u64);
     }
@@ -159,7 +156,7 @@ proptest! {
     ) {
         // All packets arrive within the timeout window: exactly one
         // packet_in per distinct flow.
-        let mut mech = FlowGranularityBuffer::new(1024, Nanos::from_secs(10));
+        let mut mech = Buffer::per_flow(1024, Nanos::from_secs(10));
         let mut pool = PacketPool::new();
         let mut requests: HashMap<u16, u32> = HashMap::new();
         let mut now = Nanos::ZERO;
@@ -183,7 +180,7 @@ proptest! {
     fn flow_granularity_release_preserves_fifo(
         sizes in proptest::collection::vec(64usize..1400, 2..30),
     ) {
-        let mut mech = FlowGranularityBuffer::new(1024, Nanos::from_secs(10));
+        let mut mech = Buffer::per_flow(1024, Nanos::from_secs(10));
         let mut pool = PacketPool::new();
         let mut id = None;
         for (i, size) in sizes.iter().enumerate() {
@@ -210,7 +207,7 @@ proptest! {
     fn packet_granularity_one_packet_per_release(
         flows in proptest::collection::vec(0u16..4, 1..40),
     ) {
-        let mut mech = PacketGranularityBuffer::new(1024);
+        let mut mech = Buffer::per_packet(1024, Nanos::ZERO);
         let mut pool = PacketPool::new();
         let mut ids = Vec::new();
         for (i, flow) in flows.iter().enumerate() {
@@ -243,7 +240,7 @@ proptest! {
         timeout_ms in 5u64..80,
     ) {
         let timeout = Nanos::from_millis(timeout_ms);
-        let mut mech = FlowGranularityBuffer::new(1024, timeout);
+        let mut mech = Buffer::per_flow(1024, timeout);
         let mut pool = PacketPool::new();
         let mut now = Nanos::ZERO;
         let mut outstanding: Vec<BufferId> = Vec::new();
@@ -324,7 +321,7 @@ proptest! {
     /// never re-announced on later misses.
     #[test]
     fn disabled_rerequest_stays_silent_forever(ops in arb_timed_ops()) {
-        let mut mech = FlowGranularityBuffer::new(1024, Nanos::from_millis(5));
+        let mut mech = Buffer::per_flow(1024, Nanos::from_millis(5));
         mech.sabotage(Sabotage::no_rerequest());
         let mut pool = PacketPool::new();
         let mut now = Nanos::ZERO;
@@ -418,7 +415,7 @@ proptest! {
     ) {
         let policy = RetryPolicy::backoff(Nanos::from_millis(40), budget);
         let mut mech =
-            FlowGranularityBuffer::new(1024, Nanos::from_millis(10)).with_retry_policy(policy);
+            Buffer::per_flow(1024, Nanos::from_millis(10)).with_retry_policy(policy);
         let mut pool = PacketPool::new();
         let mut now = Nanos::ZERO;
         let mut outstanding: Vec<BufferId> = Vec::new();
@@ -500,7 +497,7 @@ proptest! {
         let p1 = PacketBuilder::udp().src_port(3).frame_size(a).build();
         let p2 = PacketBuilder::udp().src_port(3).frame_size(b).build();
         prop_assert_eq!(FlowKey::of(&p1), FlowKey::of(&p2));
-        let mut mech = FlowGranularityBuffer::new(16, Nanos::from_secs(1));
+        let mut mech = Buffer::per_flow(16, Nanos::from_secs(1));
         let mut pool = PacketPool::new();
         let h1 = pool.insert(p1);
         let h2 = pool.insert(p2);
