@@ -7,9 +7,11 @@
 //! buffer (Section IV) and the proposed per-flow buffer (Section V,
 //! Algorithms 1 and 2) — differ in one decision, the key a miss is parked
 //! under, so one [`Buffer`] implements them all. It implements
-//! [`BufferMechanism`], the interface the switch's slow path drives.
-//! [`NoBuffer`], [`PacketGranularityBuffer`] and [`FlowGranularityBuffer`]
-//! are the mechanisms' former constructors, kept for `benchmark/`.
+//! [`BufferMechanism`], the interface the switch's slow path drives, and
+//! is held to a test-only executable spec of Algorithms 1 and 2
+//! (`buffer/spec.rs`). [`NoBuffer`], [`PacketGranularityBuffer`] and
+//! [`FlowGranularityBuffer`] are the mechanisms' former constructors, kept
+//! for `benchmark/`.
 //!
 //! # Example
 //!
@@ -49,23 +51,55 @@ mod buffer;
 mod mechanism;
 mod retry;
 
-// The mechanisms `Buffer` replaced, the references of its differential
-// test (`buffer/differential.rs`): `packet_gran.rs` and `none.rs` as they
-// were, `flow_gran.rs` as it was with `BTreeSet` deadlines, but for the
-// tests' `reconcile_epoch` import and the packet buffer's `pub(crate)` id
-// counter. Doc tests collect `none.rs` and `packet_gran.rs` too: their
-// examples run against the public constructors below, which build the
-// `Buffer` that replaced them.
+// Each mechanism's unit tests (`buffer/tests/`) run twice: in
+// `buffer::tests` against `Buffer`'s own constructors, and here, under the
+// module names they had beside the per-mechanism implementations `Buffer`
+// replaced, against the constructors kept for `benchmark/`.
 #[cfg(test)]
-mod flow_gran;
-#[cfg(any(test, doctest))]
-mod none;
-#[cfg(any(test, doctest))]
-mod packet_gran;
+#[path = "buffer/tests"]
+mod flow_gran {
+    use crate::{Buffer, FlowGranularityBuffer};
+    use sdnbuf_sim::Nanos;
+
+    fn flow_buffer(capacity: usize, timeout: Nanos) -> Buffer {
+        FlowGranularityBuffer::new(capacity, timeout)
+    }
+
+    #[allow(clippy::duplicate_mod)]
+    #[path = "per_flow.rs"]
+    mod tests;
+}
+
+#[cfg(test)]
+#[path = "buffer/tests"]
+mod packet_gran {
+    use crate::{Buffer, PacketGranularityBuffer};
+    use sdnbuf_sim::Nanos;
+
+    fn packet_buffer(capacity: usize, free_lag: Nanos) -> Buffer {
+        PacketGranularityBuffer::with_free_lag(capacity, free_lag)
+    }
+
+    #[allow(clippy::duplicate_mod)]
+    #[path = "per_packet.rs"]
+    mod tests;
+}
+
+#[cfg(test)]
+#[path = "buffer/tests"]
+mod none {
+    use crate::{Buffer, NoBuffer};
+
+    fn no_buffer() -> Buffer {
+        NoBuffer::new()
+    }
+
+    #[allow(clippy::duplicate_mod)]
+    #[path = "none.rs"]
+    mod tests;
+}
 
 pub use buffer::{Buffer, FlowGranularityBuffer, NoBuffer, PacketGranularityBuffer};
-#[cfg(test)]
-use mechanism::ReconcileEpoch;
 pub use mechanism::{
     BufferMechanism, BufferStats, BufferedPacket, MissAction, PacketHandle, PacketPool, Rerequest,
     Sabotage,

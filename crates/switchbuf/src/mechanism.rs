@@ -1,5 +1,5 @@
-//! The buffer-mechanism abstraction: the switch's [`crate::Buffer`] and
-//! the unit tests' reference mechanisms implement it.
+//! The buffer-mechanism abstraction, which the switch's [`crate::Buffer`]
+//! implements, and the types it speaks in.
 
 use crate::TimeoutSweep;
 use sdnbuf_net::Packet;
@@ -275,15 +275,14 @@ pub trait BufferMechanism {
 
     /// Attaches an event tracer. Mechanisms emit buffer-slot lifecycle
     /// events (`buffer_enqueue` / `buffer_rerequest` / `buffer_fallback`)
-    /// through it; the default implementation ignores the tracer, so
-    /// mechanisms with no buffer memory need not care.
-    fn set_tracer(&mut self, _tracer: Tracer) {}
+    /// through it; a mechanism with no buffer memory may ignore it.
+    fn set_tracer(&mut self, tracer: Tracer);
 
     /// Toggles buffer-capacity pressure (fault injection): while on, new
     /// misses must not claim buffer units and fall back to full-packet
     /// `packet_in`s, as if buffer memory were exhausted. Already-buffered
-    /// packets are unaffected. Mechanisms without buffer memory ignore it.
-    fn set_pressure(&mut self, _on: bool) {}
+    /// packets are unaffected.
+    fn set_pressure(&mut self, on: bool);
 
     /// Moves the mechanism to session `epoch` — the one way an epoch
     /// changes. Subsequently allocated ids are stamped with it
@@ -296,38 +295,19 @@ pub trait BufferMechanism {
     /// holds stays). Arming the crash plane is a reconcile to epoch `1` on
     /// the still-empty buffer. Epoch `0` (the default) leaves the plane
     /// unarmed — no stamping, no refusal — so runs without crash faults
-    /// are byte-identical to the pre-epoch behavior. Mechanisms without
-    /// buffer memory append nothing.
-    fn reconcile_epoch_into(&mut self, _now: Nanos, _epoch: u32, _survivors: &mut Vec<BufferId>) {}
+    /// are byte-identical to the pre-epoch behavior.
+    fn reconcile_epoch_into(&mut self, now: Nanos, epoch: u32, survivors: &mut Vec<BufferId>);
 
     /// A borrowed re-announce view of the flow filed under `buffer_id`,
     /// used by the switch's paced post-restart reconciliation (the entry
     /// may have expired or drained since `reconcile_epoch_into` listed it —
-    /// `None` then, and the re-announce is simply skipped). Mechanisms
-    /// without buffer memory return `None`.
-    fn rerequest_for(&self, _buffer_id: BufferId) -> Option<Rerequest> {
-        None
-    }
+    /// `None` then, and the re-announce is simply skipped).
+    fn rerequest_for(&self, buffer_id: BufferId) -> Option<Rerequest>;
 
     /// Cripples the parts of the mechanism `sabotage` names, replacing
-    /// whatever was crippled before (chaos self-test only). Mechanisms
-    /// with nothing to cripple ignore it.
-    fn sabotage(&mut self, _sabotage: Sabotage) {}
+    /// whatever was crippled before (chaos self-test only).
+    fn sabotage(&mut self, sabotage: Sabotage);
 }
-
-/// [`BufferMechanism::reconcile_epoch_into`] a fresh `Vec`: the unit
-/// tests' shorthand.
-#[cfg(test)]
-pub(crate) trait ReconcileEpoch: BufferMechanism {
-    fn reconcile_epoch(&mut self, now: Nanos, epoch: u32) -> Vec<BufferId> {
-        let mut survivors = Vec::new();
-        self.reconcile_epoch_into(now, epoch, &mut survivors);
-        survivors
-    }
-}
-
-#[cfg(test)]
-impl<M: BufferMechanism + ?Sized> ReconcileEpoch for M {}
 
 #[cfg(test)]
 mod tests {

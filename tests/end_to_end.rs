@@ -91,6 +91,77 @@ fn packet_granularity_sends_one_request_per_miss() {
     assert_eq!(r.packets_delivered, 400);
 }
 
+/// ROADMAP item 11's Laws 1 and 2 at run level. Where no flow has a
+/// second packet miss while its first is pending, Algorithms 1 and 2 are
+/// the per-packet buffer: on single-packet flows (Law 1), and on Section
+/// V's flows at rates where each flow's setup ends before its next packet
+/// arrives (Law 2). Every `RunResult` field agrees, but for those set
+/// aside below, each for its cause.
+#[test]
+fn flow_buffer_runs_as_the_packet_buffer_where_flows_do_not_overlap() {
+    let single = WK::single_packet_flows(1000);
+    let cells = [
+        (single, 10),
+        (single, 50),
+        (single, 100),
+        (WK::paper_section_v(), 20),
+        (WK::paper_section_v(), 45),
+    ];
+    for (workload, rate) in cells {
+        let cell = format!("{workload} at {rate} Mbps");
+        let per_packet = experiment(
+            BufferMode::PacketGranularity { capacity: 256 },
+            workload,
+            rate,
+            1,
+        );
+        let mut per_flow = experiment(
+            BufferMode::FlowGranularity {
+                capacity: 256,
+                timeout: Nanos::from_millis(50),
+            },
+            workload,
+            rate,
+            1,
+        );
+        // The warm-up's two gratuitous ARPs are non-IP: per flow they fall
+        // back to full-packet packet_ins, which both CPUs parse. Two
+        // frames move either CPU by under 1 %.
+        assert_eq!(
+            (per_packet.buffer_fallbacks, per_flow.buffer_fallbacks),
+            (0, 2),
+            "{cell}"
+        );
+        let near = |a: f64, b: f64| (a - b).abs() < 0.01 * b;
+        assert!(
+            near(
+                per_flow.controller_cpu_percent,
+                per_packet.controller_cpu_percent
+            ) && near(per_flow.switch_cpu_percent, per_packet.switch_cpu_percent),
+            "{cell}: {per_packet:?} {per_flow:?}"
+        );
+        per_flow.buffer_fallbacks = 0;
+        per_flow.controller_cpu_percent = per_packet.controller_cpu_percent;
+        per_flow.switch_cpu_percent = per_packet.switch_cpu_percent;
+        // Per packet, the 4-ms free lag keeps released units in occupancy.
+        assert!(
+            per_packet.buffer_mean_occupancy > per_flow.buffer_mean_occupancy
+                && per_packet.buffer_peak_occupancy >= per_flow.buffer_peak_occupancy,
+            "{cell}: {per_packet:?} {per_flow:?}"
+        );
+        per_flow.buffer_mean_occupancy = per_packet.buffer_mean_occupancy;
+        per_flow.buffer_peak_occupancy = per_packet.buffer_peak_occupancy;
+        // Per flow, re-request timers add switch events.
+        assert!(
+            per_flow.events_dispatched > per_packet.events_dispatched,
+            "{cell}"
+        );
+        per_flow.events_dispatched = per_packet.events_dispatched;
+        per_flow.label = per_packet.label.clone();
+        assert_eq!(per_flow, per_packet, "{cell}");
+    }
+}
+
 #[test]
 fn buffered_mechanisms_shrink_request_messages() {
     let nb = experiment(BufferMode::NoBuffer, WK::single_packet_flows(100), 30, 5);
