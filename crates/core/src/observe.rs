@@ -61,9 +61,11 @@ pub fn write_events_jsonl(events: &[Event], prefix: &str, w: &mut dyn Write) -> 
 
 /// A running 64-bit FNV-1a digest of the canonical JSONL rendering of an
 /// event stream — the bytes [`write_events_jsonl`] writes with an empty
-/// prefix. The renderer's output is folded into the hash as it is
-/// produced — its literals in one step each ([`Piece::fold`]), labels and
-/// digits byte by byte; the text itself never exists.
+/// prefix. The renderer's output ([`Event::write_json_line`]) is folded
+/// into the hash as it is produced: every literal byte, braces, quotes and
+/// the newline included, inside a piece folded in one step
+/// ([`Piece::fold`]); only a label's own bytes and a number's digits go
+/// byte by byte. The text itself never exists.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct EventDigest(u64);
 
@@ -77,10 +79,7 @@ impl EventDigest {
     /// Folds in one event's line.
     #[inline]
     pub(crate) fn observe(&mut self, event: &Event) {
-        static CLOSE: Piece = Piece::new("}\n");
-        self.text("{");
-        event.write_json_fields(self);
-        self.piece(&CLOSE);
+        event.write_json_line(self);
     }
 
     /// The digest of every line observed so far.
@@ -598,6 +597,31 @@ mod tests {
                 "{line}"
             );
             assert!(line.ends_with('}'), "{line}");
+        }
+    }
+
+    #[test]
+    fn the_digest_of_every_variant_at_the_edges_is_fnv1a_of_its_jsonl_line_from_every_low_byte() {
+        let mut upper = sdnbuf_sim::SimRng::seed_from(29);
+        let starts: Vec<u64> = (0..=0xFF)
+            .map(|low| (upper.next_u64() & !0xFF) | low)
+            .chain([0, FNV_OFFSET, u64::MAX])
+            .collect();
+        let events = sdnbuf_sim::events::edges::every_variant_at_the_edges();
+        let mut line = Vec::new();
+        for event in &events {
+            line.clear();
+            write_events_jsonl(std::slice::from_ref(event), "", &mut line).unwrap();
+            for &start in &starts {
+                let mut digest = EventDigest(start);
+                digest.observe(event);
+                assert_eq!(
+                    digest.finish(),
+                    fnv1a(start, &line),
+                    "{} from {start:#x}",
+                    String::from_utf8_lossy(&line)
+                );
+            }
         }
     }
 

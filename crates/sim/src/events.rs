@@ -348,99 +348,205 @@ macro_rules! piece {
     }};
 }
 
-/// `,"<name>":` for each field that follows another: one table per name,
-/// shared by every variant that has the field.
-#[allow(non_upper_case_globals)]
-mod key {
-    use super::Piece;
-
-    macro_rules! keys {
-        ($($name:ident)*) => {$(
-            pub(super) static $name: Piece =
-                Piece::new(concat!(",\"", stringify!($name), "\":"));
-        )*};
-    }
-
-    keys!(action arrive buffer_id buffered bytes current done drained effective_at epoch);
-    keys!(fresh label occupancy released role survivors sync table_size to xid);
+/// `<open><name><close>` for each `name`: one table per name, shared by
+/// every variant that has the field.
+macro_rules! keys {
+    ($open:literal, $close:literal: $($name:ident)*) => {$(
+        pub(super) static $name: $crate::Piece =
+            $crate::Piece::new(concat!($open, stringify!($name), $close));
+    )*};
 }
 
-/// `,"kind":"<kind>","<name>":` — the kind tag and the key of the variant's
-/// first field, as one literal piece.
+/// `,"<name>":`, the key of a number or a flag that follows another
+/// number.
+#[allow(non_upper_case_globals)]
+mod key {
+    keys!(",\"", "\":": arrive buffer_id buffered bytes current done drained effective_at);
+    keys!(",\"", "\":": epoch fresh occupancy released survivors table_size to);
+}
+
+/// `,"<name>":"`, the key of a label with the label's opening quote.
+#[allow(non_upper_case_globals)]
+mod label_key {
+    keys!(",\"", "\":\"": action label role sync);
+}
+
+/// `","<name>":`, the closing quote of a label with the key that follows
+/// it.
+#[allow(non_upper_case_globals)]
+mod after_label {
+    keys!("\",\"", "\":": arrive bytes occupancy);
+}
+
+/// `,"kind":"<kind>","<name>":` — the kind tag and the key of the
+/// variant's first field, as one literal piece; `then` follows the key
+/// (a label's opening quote, say).
 macro_rules! kind {
     ($kind:literal, $name:literal) => {
-        piece!(concat!(",\"kind\":\"", $kind, "\",\"", $name, "\":"))
+        kind!($kind, $name, "")
+    };
+    ($kind:literal, $name:literal, $then:literal) => {
+        piece!(concat!(",\"kind\":\"", $kind, "\",\"", $name, "\":", $then))
     };
 }
 
+/// A channel event's kind tag, its direction's label and the key of its
+/// `xid`, as one piece per direction.
+macro_rules! channel {
+    ($kind:literal, $dir:expr) => {
+        match $dir {
+            ChannelDir::ToController => kind!($kind, "dir", "\"to_controller\",\"xid\":"),
+            ChannelDir::ToSwitch => kind!($kind, "dir", "\"to_switch\",\"xid\":"),
+        }
+    };
+}
+
+/// The literal an event's last field leaves for the end of the rendering
+/// to write, so that it folds with whatever closes the line: nothing
+/// after a number, a label's closing quote, a flag's value.
+#[derive(Clone, Copy)]
+enum Tail {
+    Number,
+    Label,
+    True,
+    False,
+}
+
+/// What ends a rendering of bare fields, by [`Tail`]: the tail itself.
+static FIELDS_END: [Piece; 4] = [
+    Piece::new(""),
+    Piece::new("\""),
+    Piece::new("true"),
+    Piece::new("false"),
+];
+
+/// What ends a JSON Lines line, by [`Tail`]: the tail, `}` and the
+/// newline.
+static LINE_END: [Piece; 4] = [
+    Piece::new("}\n"),
+    Piece::new("\"}\n"),
+    Piece::new("true}\n"),
+    Piece::new("false}\n"),
+];
+
+/// `"00"` to `"99"`: [`num`] spells two digits a step.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
 /// `key` (a `"name":` piece) followed by `v` in decimal.
 #[inline]
-fn num<S: ByteSink + ?Sized>(out: &mut S, key: &'static Piece, v: u64) {
+fn num<S: ByteSink + ?Sized>(out: &mut S, key: &'static Piece, v: u64) -> Tail {
     out.piece(key);
-    // u64::MAX has 20 digits; filled from the least significant end.
+    // u64::MAX has 20 digits: ten pairs, filled from the least
+    // significant end until the rest is zero. A leading pair below 10
+    // spells a zero that is not written.
     let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    let mut rest = v;
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
+    let (mut start, mut rest) = (digits.len(), v);
+    for slot in digits.rchunks_exact_mut(2) {
+        let two = (rest % 100) as usize;
+        slot[0] = DIGIT_PAIRS[2 * two];
+        slot[1] = DIGIT_PAIRS[2 * two + 1];
+        start -= 2;
+        rest /= 100;
         if rest == 0 {
+            start += usize::from(two < 10);
             break;
         }
     }
-    out.ascii(&digits[at..]);
+    out.ascii(&digits[start..]);
+    Tail::Number
 }
 
-/// `key` followed by the label in quotes. Labels are identifiers chosen in
-/// this workspace's source (link names, message types), never input, so
-/// none needs escaping.
+/// `key` (a `"name":"` piece, with the opening quote) followed by the
+/// label. The closing quote is left to the piece that follows: an
+/// [`after_label`] key, or the end ([`Tail::Label`]). Labels are
+/// identifiers chosen in this workspace's source (link names, message
+/// types), never input, so none needs escaping.
 #[inline]
-fn label<S: ByteSink + ?Sized>(out: &mut S, key: &'static Piece, v: &'static str) {
+fn label<S: ByteSink + ?Sized>(out: &mut S, key: &'static Piece, v: &'static str) -> Tail {
     out.piece(key);
-    out.text("\"");
     out.text(v);
-    out.text("\"");
+    Tail::Label
 }
 
-/// `key` followed by `true` or `false`.
+/// `key`; its value, `true` or `false`, is left to the end. Every flag is
+/// its event's last field.
 #[inline]
-fn flag<S: ByteSink + ?Sized>(out: &mut S, key: &'static Piece, v: bool) {
+fn flag<S: ByteSink + ?Sized>(out: &mut S, key: &'static Piece, v: bool) -> Tail {
     out.piece(key);
-    out.piece(if v { piece!("true") } else { piece!("false") });
+    if v {
+        Tail::True
+    } else {
+        Tail::False
+    }
 }
 
 impl Event {
     /// Appends this event as a JSON fragment `"at":…,"kind":…,…` (no
     /// surrounding braces) with a stable field order, so renderings are
     /// byte-for-byte reproducible. Written by hand: the workspace has no
-    /// serialization dependency. This is the one renderer — JSONL lines,
-    /// the timeline's `args`, flight-recorder dumps and stream digests all
-    /// take their bytes here.
+    /// serialization dependency. This and [`Event::write_json_line`] are
+    /// the one renderer — JSONL lines, the timeline's `args`,
+    /// flight-recorder dumps and stream digests all take their bytes here.
     pub fn write_json_fields<S: ByteSink + ?Sized>(&self, out: &mut S) {
-        num(out, piece!("\"at\":"), self.at.as_nanos());
+        self.render(out, piece!("\"at\":"), &FIELDS_END);
+    }
+
+    /// Appends this event as a JSON Lines line, `{` + the fields of
+    /// [`Event::write_json_fields`] + `}\n`, with the braces folded into
+    /// the literals beside them: `{"at":` is one piece, and so is the
+    /// last field's tail with `}\n`.
+    pub fn write_json_line<S: ByteSink + ?Sized>(&self, out: &mut S) {
+        self.render(out, piece!("{\"at\":"), &LINE_END);
+    }
+
+    /// `at` after `open`, the kind and its fields, then the end `ends`
+    /// holds for the last field's [`Tail`].
+    #[inline]
+    fn render<S: ByteSink + ?Sized>(
+        &self,
+        out: &mut S,
+        open: &'static Piece,
+        ends: &'static [Piece; 4],
+    ) {
+        num(out, open, self.at.as_nanos());
+        let tail = self.write_kind(out);
+        out.piece(&ends[tail as usize]);
+    }
+
+    /// The kind tag and the fields, up to the last field's [`Tail`].
+    #[inline]
+    fn write_kind<S: ByteSink + ?Sized>(&self, out: &mut S) -> Tail {
         match self.kind {
             EventKind::LinkTx {
                 link,
                 bytes,
                 arrive,
             } => {
-                label(out, kind!("link_tx", "link"), link);
-                num(out, &key::bytes, bytes as u64);
-                num(out, &key::arrive, arrive.as_nanos());
+                label(out, kind!("link_tx", "link", "\""), link);
+                num(out, &after_label::bytes, bytes as u64);
+                num(out, &key::arrive, arrive.as_nanos())
             }
             EventKind::LinkDrop { link, bytes } => {
-                label(out, kind!("link_drop", "link"), link);
-                num(out, &key::bytes, bytes as u64);
+                label(out, kind!("link_drop", "link", "\""), link);
+                num(out, &after_label::bytes, bytes as u64)
             }
             EventKind::BusTransfer { bus, bytes, done } => {
-                label(out, kind!("bus_transfer", "bus"), bus);
-                num(out, &key::bytes, bytes as u64);
-                num(out, &key::done, done.as_nanos());
+                label(out, kind!("bus_transfer", "bus", "\""), bus);
+                num(out, &after_label::bytes, bytes as u64);
+                num(out, &key::done, done.as_nanos())
             }
             EventKind::TableMiss { in_port, bytes } => {
                 num(out, kind!("table_miss", "in_port"), in_port.into());
-                num(out, &key::bytes, bytes as u64);
+                num(out, &key::bytes, bytes as u64)
             }
             EventKind::PacketInSent {
                 xid,
@@ -449,7 +555,7 @@ impl Event {
             } => {
                 num(out, kind!("packet_in_sent", "xid"), xid.into());
                 num(out, &key::buffer_id, buffer_id.into());
-                num(out, &key::bytes, bytes as u64);
+                num(out, &key::bytes, bytes as u64)
             }
             EventKind::FlowRuleInstalled {
                 xid,
@@ -458,22 +564,18 @@ impl Event {
             } => {
                 num(out, kind!("flow_rule_installed", "xid"), xid.into());
                 num(out, &key::effective_at, effective_at.as_nanos());
-                num(out, &key::table_size, table_size as u64);
+                num(out, &key::table_size, table_size as u64)
             }
-            EventKind::FlowRuleEvicted { table_size } => {
-                num(
-                    out,
-                    kind!("flow_rule_evicted", "table_size"),
-                    table_size as u64,
-                );
-            }
-            EventKind::FlowRuleExpired { table_size } => {
-                num(
-                    out,
-                    kind!("flow_rule_expired", "table_size"),
-                    table_size as u64,
-                );
-            }
+            EventKind::FlowRuleEvicted { table_size } => num(
+                out,
+                kind!("flow_rule_evicted", "table_size"),
+                table_size as u64,
+            ),
+            EventKind::FlowRuleExpired { table_size } => num(
+                out,
+                kind!("flow_rule_expired", "table_size"),
+                table_size as u64,
+            ),
             EventKind::BufferEnqueue {
                 buffer_id,
                 occupancy,
@@ -481,7 +583,7 @@ impl Event {
             } => {
                 num(out, kind!("buffer_enqueue", "buffer_id"), buffer_id.into());
                 num(out, &key::occupancy, occupancy as u64);
-                flag(out, &key::fresh, fresh);
+                flag(out, &key::fresh, fresh)
             }
             EventKind::BufferDrain {
                 xid,
@@ -492,7 +594,7 @@ impl Event {
                 num(out, kind!("buffer_drain", "xid"), xid.into());
                 num(out, &key::buffer_id, buffer_id.into());
                 num(out, &key::released, released as u64);
-                num(out, &key::occupancy, occupancy as u64);
+                num(out, &key::occupancy, occupancy as u64)
             }
             EventKind::BufferRerequest {
                 buffer_id,
@@ -503,7 +605,7 @@ impl Event {
                     kind!("buffer_rerequest", "buffer_id"),
                     buffer_id.into(),
                 );
-                num(out, &key::occupancy, occupancy as u64);
+                num(out, &key::occupancy, occupancy as u64)
             }
             EventKind::BufferReconcile {
                 buffer_id,
@@ -514,17 +616,17 @@ impl Event {
                     kind!("buffer_reconcile", "buffer_id"),
                     buffer_id.into(),
                 );
-                num(out, &key::occupancy, occupancy as u64);
+                num(out, &key::occupancy, occupancy as u64)
             }
             EventKind::BufferFallback { occupancy } => {
-                num(out, kind!("buffer_fallback", "occupancy"), occupancy as u64);
+                num(out, kind!("buffer_fallback", "occupancy"), occupancy as u64)
             }
             EventKind::BufferExpire {
                 buffer_id,
                 occupancy,
             } => {
                 num(out, kind!("buffer_expire", "buffer_id"), buffer_id.into());
-                num(out, &key::occupancy, occupancy as u64);
+                num(out, &key::occupancy, occupancy as u64)
             }
             EventKind::BufferGiveUp {
                 buffer_id,
@@ -534,14 +636,14 @@ impl Event {
             } => {
                 num(out, kind!("buffer_give_up", "buffer_id"), buffer_id.into());
                 num(out, &key::drained, drained as u64);
-                label(out, &key::action, action);
-                num(out, &key::occupancy, occupancy as u64);
+                label(out, &label_key::action, action);
+                num(out, &after_label::occupancy, occupancy as u64)
             }
             EventKind::DegradedEnter { giveups } => {
-                num(out, kind!("degraded_enter", "giveups"), giveups.into());
+                num(out, kind!("degraded_enter", "giveups"), giveups.into())
             }
             EventKind::DegradedExit { suppressed } => {
-                num(out, kind!("degraded_exit", "suppressed"), suppressed);
+                num(out, kind!("degraded_exit", "suppressed"), suppressed)
             }
             EventKind::AdmissionShed {
                 xid,
@@ -550,7 +652,7 @@ impl Event {
             } => {
                 num(out, kind!("admission_shed", "xid"), xid.into());
                 num(out, &key::bytes, bytes as u64);
-                flag(out, &key::buffered, buffered);
+                flag(out, &key::buffered, buffered)
             }
             EventKind::PacketInReceived {
                 xid,
@@ -559,18 +661,16 @@ impl Event {
             } => {
                 num(out, kind!("packet_in_received", "xid"), xid.into());
                 num(out, &key::bytes, bytes as u64);
-                flag(out, &key::buffered, buffered);
+                flag(out, &key::buffered, buffered)
             }
             EventKind::Decision { xid, action } => {
                 num(out, kind!("decision", "xid"), xid.into());
-                label(out, &key::action, action);
+                label(out, &label_key::action, action)
             }
-            EventKind::FlowModSent { xid } => {
-                num(out, kind!("flow_mod_sent", "xid"), xid.into());
-            }
+            EventKind::FlowModSent { xid } => num(out, kind!("flow_mod_sent", "xid"), xid.into()),
             EventKind::PacketOutSent { xid, buffer_id } => {
                 num(out, kind!("packet_out_sent", "xid"), xid.into());
-                num(out, &key::buffer_id, buffer_id.into());
+                num(out, &key::buffer_id, buffer_id.into())
             }
             EventKind::CtrlMsg {
                 dir,
@@ -579,11 +679,10 @@ impl Event {
                 label: msg,
                 arrive,
             } => {
-                label(out, kind!("ctrl_msg", "dir"), dir.label());
-                num(out, &key::xid, xid.into());
+                num(out, channel!("ctrl_msg", dir), xid.into());
                 num(out, &key::bytes, bytes as u64);
-                label(out, &key::label, msg);
-                num(out, &key::arrive, arrive.as_nanos());
+                label(out, &label_key::label, msg);
+                num(out, &after_label::arrive, arrive.as_nanos())
             }
             EventKind::CtrlDrop {
                 dir,
@@ -591,22 +690,21 @@ impl Event {
                 bytes,
                 label: msg,
             } => {
-                label(out, kind!("ctrl_drop", "dir"), dir.label());
-                num(out, &key::xid, xid.into());
+                num(out, channel!("ctrl_drop", dir), xid.into());
                 num(out, &key::bytes, bytes as u64);
-                label(out, &key::label, msg);
+                label(out, &label_key::label, msg)
             }
             EventKind::CtrlCrash { epoch, role } => {
                 num(out, kind!("ctrl_crash", "epoch"), epoch.into());
-                label(out, &key::role, role);
+                label(out, &label_key::role, role)
             }
             EventKind::CtrlRestart { epoch, role } => {
                 num(out, kind!("ctrl_restart", "epoch"), epoch.into());
-                label(out, &key::role, role);
+                label(out, &label_key::role, role)
             }
             EventKind::FailoverTakeover { epoch, sync } => {
                 num(out, kind!("failover_takeover", "epoch"), epoch.into());
-                label(out, &key::sync, sync);
+                label(out, &label_key::sync, sync)
             }
             EventKind::EpochBump {
                 from,
@@ -615,7 +713,7 @@ impl Event {
             } => {
                 num(out, kind!("epoch_bump", "from"), from.into());
                 num(out, &key::to, to.into());
-                num(out, &key::survivors, survivors as u64);
+                num(out, &key::survivors, survivors as u64)
             }
             EventKind::StaleEpochReject {
                 xid,
@@ -626,7 +724,7 @@ impl Event {
                 num(out, kind!("stale_epoch_reject", "xid"), xid.into());
                 num(out, &key::buffer_id, buffer_id.into());
                 num(out, &key::epoch, epoch.into());
-                num(out, &key::current, current.into());
+                num(out, &key::current, current.into())
             }
         }
     }
@@ -640,6 +738,9 @@ impl Event {
         s
     }
 }
+
+#[doc(hidden)]
+pub mod edges;
 
 /// Receiver of structured events. Implementations decide what to keep.
 pub trait EventSink {
@@ -755,6 +856,7 @@ impl fmt::Debug for Tracer {
 
 #[cfg(test)]
 mod tests {
+    use super::edges::*;
     use super::*;
     use crate::hash::{fnv1a, FNV_OFFSET};
     use crate::SimRng;
@@ -1007,220 +1109,25 @@ mod tests {
         }
     }
 
-    /// How many [`EventKind`] variants there are. A new variant stops
-    /// `ordinal` compiling, and `every_variant_renders_like_the_reference`
-    /// fails until `kind_from` builds it too.
-    const VARIANTS: usize = 29;
-
-    fn ordinal(kind: &EventKind) -> usize {
-        match kind {
-            EventKind::LinkTx { .. } => 0,
-            EventKind::LinkDrop { .. } => 1,
-            EventKind::BusTransfer { .. } => 2,
-            EventKind::TableMiss { .. } => 3,
-            EventKind::PacketInSent { .. } => 4,
-            EventKind::FlowRuleInstalled { .. } => 5,
-            EventKind::FlowRuleEvicted { .. } => 6,
-            EventKind::FlowRuleExpired { .. } => 7,
-            EventKind::BufferEnqueue { .. } => 8,
-            EventKind::BufferDrain { .. } => 9,
-            EventKind::BufferRerequest { .. } => 10,
-            EventKind::BufferReconcile { .. } => 11,
-            EventKind::BufferFallback { .. } => 12,
-            EventKind::BufferExpire { .. } => 13,
-            EventKind::BufferGiveUp { .. } => 14,
-            EventKind::DegradedEnter { .. } => 15,
-            EventKind::DegradedExit { .. } => 16,
-            EventKind::AdmissionShed { .. } => 17,
-            EventKind::PacketInReceived { .. } => 18,
-            EventKind::Decision { .. } => 19,
-            EventKind::FlowModSent { .. } => 20,
-            EventKind::PacketOutSent { .. } => 21,
-            EventKind::CtrlMsg { .. } => 22,
-            EventKind::CtrlDrop { .. } => 23,
-            EventKind::CtrlCrash { .. } => 24,
-            EventKind::CtrlRestart { .. } => 25,
-            EventKind::FailoverTakeover { .. } => 26,
-            EventKind::EpochBump { .. } => 27,
-            EventKind::StaleEpochReject { .. } => 28,
-        }
-    }
-
-    /// The variant `ordinal` numbers `variant`, its numeric fields filled
-    /// from `v` in declaration order (each truncated to the field's width,
-    /// so `u64::MAX` reads as every type's maximum and `u32::MAX` as the
-    /// no-buffer sentinel), its flag, direction and label from the rest.
-    fn kind_from(
-        variant: usize,
-        v: [u64; 4],
-        flag: bool,
-        dir: ChannelDir,
-        label: &'static str,
-    ) -> EventKind {
-        let [a, b, c, d] = v;
-        match variant {
-            0 => EventKind::LinkTx {
-                link: label,
-                bytes: a as usize,
-                arrive: Nanos::from_nanos(b),
-            },
-            1 => EventKind::LinkDrop {
-                link: label,
-                bytes: a as usize,
-            },
-            2 => EventKind::BusTransfer {
-                bus: label,
-                bytes: a as usize,
-                done: Nanos::from_nanos(b),
-            },
-            3 => EventKind::TableMiss {
-                in_port: a as u16,
-                bytes: b as usize,
-            },
-            4 => EventKind::PacketInSent {
-                xid: a as u32,
-                buffer_id: b as u32,
-                bytes: c as usize,
-            },
-            5 => EventKind::FlowRuleInstalled {
-                xid: a as u32,
-                effective_at: Nanos::from_nanos(b),
-                table_size: c as usize,
-            },
-            6 => EventKind::FlowRuleEvicted {
-                table_size: a as usize,
-            },
-            7 => EventKind::FlowRuleExpired {
-                table_size: a as usize,
-            },
-            8 => EventKind::BufferEnqueue {
-                buffer_id: a as u32,
-                occupancy: b as usize,
-                fresh: flag,
-            },
-            9 => EventKind::BufferDrain {
-                xid: a as u32,
-                buffer_id: b as u32,
-                released: c as usize,
-                occupancy: d as usize,
-            },
-            10 => EventKind::BufferRerequest {
-                buffer_id: a as u32,
-                occupancy: b as usize,
-            },
-            11 => EventKind::BufferReconcile {
-                buffer_id: a as u32,
-                occupancy: b as usize,
-            },
-            12 => EventKind::BufferFallback {
-                occupancy: a as usize,
-            },
-            13 => EventKind::BufferExpire {
-                buffer_id: a as u32,
-                occupancy: b as usize,
-            },
-            14 => EventKind::BufferGiveUp {
-                buffer_id: a as u32,
-                drained: b as usize,
-                action: label,
-                occupancy: c as usize,
-            },
-            15 => EventKind::DegradedEnter { giveups: a as u32 },
-            16 => EventKind::DegradedExit { suppressed: a },
-            17 => EventKind::AdmissionShed {
-                xid: a as u32,
-                bytes: b as usize,
-                buffered: flag,
-            },
-            18 => EventKind::PacketInReceived {
-                xid: a as u32,
-                bytes: b as usize,
-                buffered: flag,
-            },
-            19 => EventKind::Decision {
-                xid: a as u32,
-                action: label,
-            },
-            20 => EventKind::FlowModSent { xid: a as u32 },
-            21 => EventKind::PacketOutSent {
-                xid: a as u32,
-                buffer_id: b as u32,
-            },
-            22 => EventKind::CtrlMsg {
-                dir,
-                xid: a as u32,
-                bytes: b as usize,
-                label,
-                arrive: Nanos::from_nanos(c),
-            },
-            23 => EventKind::CtrlDrop {
-                dir,
-                xid: a as u32,
-                bytes: b as usize,
-                label,
-            },
-            24 => EventKind::CtrlCrash {
-                epoch: a as u32,
-                role: label,
-            },
-            25 => EventKind::CtrlRestart {
-                epoch: a as u32,
-                role: label,
-            },
-            26 => EventKind::FailoverTakeover {
-                epoch: a as u32,
-                sync: label,
-            },
-            27 => EventKind::EpochBump {
-                from: a as u32,
-                to: b as u32,
-                survivors: c as usize,
-            },
-            28 => EventKind::StaleEpochReject {
-                xid: a as u32,
-                buffer_id: b as u32,
-                epoch: c as u32,
-                current: d as u32,
-            },
-            _ => panic!("no variant {variant}: raise VARIANTS and build it here"),
-        }
-    }
-
-    const LABELS: [&str; 4] = ["", "packet_in", "host1->switch", "warm"];
-    const DIRS: [ChannelDir; 2] = [ChannelDir::ToController, ChannelDir::ToSwitch];
-
-    /// Renders `e` both ways; `Err` carries the two texts when they differ.
+    /// Renders `e` as fields, as an object and as a line, against the
+    /// reference; `Err` carries the texts when they differ.
     fn against_reference(e: &Event) -> Result<(), String> {
         let mut expected = String::new();
         reference_json_fields(e, &mut expected);
         let mut got = String::new();
         e.write_json_fields(&mut got);
-        if got == expected && e.to_json() == format!("{{{expected}}}") {
+        let mut line = String::new();
+        e.write_json_line(&mut line);
+        if got == expected
+            && e.to_json() == format!("{{{expected}}}")
+            && line == format!("{{{expected}}}\n")
+        {
             Ok(())
         } else {
-            Err(format!("{e:?}\n     got {got}\nexpected {expected}"))
+            Err(format!(
+                "{e:?}\n     got {got}\n    line {line:?}\nexpected {expected}"
+            ))
         }
-    }
-
-    /// Every variant at every edge value, with both flags and directions.
-    fn every_variant_at_the_edges() -> Vec<Event> {
-        let edges = [0, 9, 10, u64::from(u32::MAX), u64::MAX];
-        let mut events = Vec::new();
-        for variant in 0..VARIANTS {
-            assert_eq!(
-                ordinal(&kind_from(variant, [0; 4], false, DIRS[0], "")),
-                variant
-            );
-            for value in edges {
-                for (i, dir) in DIRS.into_iter().enumerate() {
-                    events.push(Event {
-                        at: Nanos::from_nanos(value),
-                        kind: kind_from(variant, [value; 4], i == 0, dir, LABELS[variant % 4]),
-                    });
-                }
-            }
-        }
-        events
     }
 
     #[test]
@@ -1271,6 +1178,17 @@ mod tests {
     }
 
     #[test]
+    fn numbers_spell_as_fmt_with_every_digit_pair_leading_and_inside() {
+        static NO_KEY: Piece = Piece::new("");
+        let mut got = String::new();
+        for v in (0..10_000).chain((0..10_000).map(|v| u64::MAX - v)) {
+            got.clear();
+            num(&mut got, &NO_KEY, v);
+            assert_eq!(got, v.to_string());
+        }
+    }
+
+    #[test]
     fn the_empty_piece_folds_as_the_identity() {
         static EMPTY: Piece = Piece::new("");
         for h in [0, 1, 0xFF, 0x100, FNV_OFFSET, u64::MAX] {
@@ -1279,11 +1197,16 @@ mod tests {
         assert_eq!(EMPTY.text(), "");
     }
 
+    /// Any value, weighted towards where a decimal spelling can go wrong
+    /// (see [`edge_values`]).
     fn field_value() -> impl Strategy<Value = u64> {
         prop_oneof![
             Just(0u64),
             Just(u64::from(u32::MAX)),
             Just(u64::MAX),
+            99u64..102,
+            (1u32..20).prop_map(|k| 10u64.pow(k) - 1),
+            (1u32..20).prop_map(|k| 10u64.pow(k)),
             0u64..100_000,
             any::<u64>(),
         ]

@@ -117,15 +117,33 @@ impl Units {
     }
 }
 
-/// What a miss is parked under. Ordered, so that entries due at the same
-/// instant leave the deadline heaps in a fixed order: by raw id per
-/// packet, by 5-tuple per flow.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// What a miss is parked under.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Key {
     /// Per packet: the entry's own raw buffer id.
     Packet(u32),
     /// Per flow: the 5-tuple every miss of the flow shares.
     Flow(FlowKey),
+}
+
+/// An entry as the deadline heaps file it, ordered so that entries due at
+/// the same instant leave in a fixed order: per packet by allocation
+/// sequence (the generation tag), which is arrival order, not by raw id,
+/// which restarts when the id counter wraps; per flow by 5-tuple.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Due {
+    Packet { generation: u32, raw: u32 },
+    Flow(FlowKey),
+}
+
+impl Due {
+    /// The key the entry is filed under.
+    fn key(self) -> Key {
+        match self {
+            Due::Packet { raw, .. } => Key::Packet(raw),
+            Due::Flow(flow) => Key::Flow(flow),
+        }
+    }
 }
 
 /// The packets parked under one buffer id.
@@ -147,6 +165,17 @@ struct Entry {
 }
 
 impl Entry {
+    /// How the deadline heaps file this entry.
+    fn due(&self) -> Due {
+        match self.key {
+            Key::Packet(raw) => Due::Packet {
+                generation: self.buffer_id.generation(),
+                raw,
+            },
+            Key::Flow(flow) => Due::Flow(flow),
+        }
+    }
+
     /// The re-announce view: the entry's id over its head-of-line packet,
     /// which the entry keeps its pool reference to.
     fn announce(&self, units: &Units) -> Rerequest {
@@ -194,6 +223,15 @@ impl Entries {
         Some(&self.slab[self.position(key)? as usize])
     }
 
+    /// The live entry `due` names: per packet, of that generation too.
+    fn due(&self, due: Due) -> Option<&Entry> {
+        let q = self.get(&due.key())?;
+        match due {
+            Due::Packet { generation, .. } if q.buffer_id.generation() != generation => None,
+            _ => Some(q),
+        }
+    }
+
     /// Files `entry` under its raw id and key; returns its position.
     fn insert(&mut self, entry: Entry) -> u32 {
         let at = place(&mut self.slab, &mut self.free, entry, |freed| freed.head);
@@ -227,43 +265,43 @@ impl Entries {
 }
 
 /// One kind of timer, re-request or TTL, as a lazy min-heap of
-/// `(deadline, key)`. Arming pushes the new deadline and leaves the old
-/// behind: a heap entry is live while `current(key) == Some(at)`, and a
+/// `(deadline, due)`. Arming pushes the new deadline and leaves the old
+/// behind: a heap entry is live while `current(due) == Some(at)`, and a
 /// stale one is dropped when it surfaces. Every `&mut` call ends with a
-/// live top, so [`Deadlines::first`] is exact and due keys pop in
-/// `(deadline, key)` order. Once stale entries outnumber the armed keys
+/// live top, so [`Deadlines::first`] is exact and due entries pop in
+/// `(deadline, due)` order. Once stale entries outnumber the armed keys
 /// two to one, the heap keeps only its live ones.
 #[derive(Clone, Debug, Default)]
 struct Deadlines {
-    heap: BinaryHeap<Reverse<(Nanos, Key)>>,
+    heap: BinaryHeap<Reverse<(Nanos, Due)>>,
 }
 
 impl Deadlines {
-    /// Moves `key`'s deadline from `old` to `at`; `armed` keys have this
-    /// timer, and `current` gives each one's deadline.
+    /// Moves `due`'s deadline from `old` to `at`; `armed` entries have
+    /// this timer, and `current` gives each one's deadline.
     fn arm(
         &mut self,
-        key: Key,
+        due: Due,
         old: Option<Nanos>,
         at: Nanos,
         armed: usize,
-        current: impl Fn(&Key) -> Option<Nanos>,
+        current: impl Fn(Due) -> Option<Nanos>,
     ) {
         if old == Some(at) {
             return;
         }
-        self.heap.push(Reverse((at, key)));
+        self.heap.push(Reverse((at, due)));
         if self.heap.len() > 3 * armed + 8 {
             self.heap
-                .retain(|&Reverse((at, key))| current(&key) == Some(at));
+                .retain(|&Reverse((at, due))| current(due) == Some(at));
         }
         self.settle(current);
     }
 
     /// Drops stale entries off the top until the top is live.
-    fn settle(&mut self, current: impl Fn(&Key) -> Option<Nanos>) {
-        while let Some(&Reverse((at, key))) = self.heap.peek() {
-            if current(&key) == Some(at) {
+    fn settle(&mut self, current: impl Fn(Due) -> Option<Nanos>) {
+        while let Some(&Reverse((at, due))) = self.heap.peek() {
+            if current(due) == Some(at) {
                 break;
             }
             self.heap.pop();
@@ -275,9 +313,10 @@ impl Deadlines {
         self.heap.peek().map(|&Reverse((at, _))| at)
     }
 
-    /// Takes the first key due at or before `now` off the schedule, with
-    /// every copy of its entry; `current` still gives its deadline.
-    fn pop_due(&mut self, now: Nanos, current: impl Fn(&Key) -> Option<Nanos>) -> Option<Key> {
+    /// Takes the first entry due at or before `now` off the schedule,
+    /// with every copy of its heap entry; `current` still gives its
+    /// deadline.
+    fn pop_due(&mut self, now: Nanos, current: impl Fn(Due) -> Option<Nanos>) -> Option<Due> {
         let &Reverse(first) = self.heap.peek().filter(|top| top.0 .0 <= now)?;
         while self.heap.peek() == Some(&Reverse(first)) {
             self.heap.pop();
@@ -288,8 +327,8 @@ impl Deadlines {
 }
 
 /// The re-request deadline of each buffered entry.
-fn request_due(entries: &Entries) -> impl Fn(&Key) -> Option<Nanos> + '_ {
-    move |key| entries.get(key).map(|q| q.next_due)
+fn request_due(entries: &Entries) -> impl Fn(Due) -> Option<Nanos> + '_ {
+    move |due| entries.due(due).map(|q| q.next_due)
 }
 
 /// The TTL deadline of each buffered entry: its head-of-line packet's.
@@ -297,8 +336,8 @@ fn expiry_due<'a>(
     entries: &'a Entries,
     units: &'a Units,
     ttl: Option<Nanos>,
-) -> impl Fn(&Key) -> Option<Nanos> + 'a {
-    move |key| Some(units.front(entries.get(key)?)?.buffered_at + ttl?)
+) -> impl Fn(Due) -> Option<Nanos> + 'a {
+    move |due| Some(units.front(entries.due(due)?)?.buffered_at + ttl?)
 }
 
 /// How misses are keyed: the one decision the paper's mechanisms differ
@@ -523,7 +562,7 @@ impl Buffer {
         };
         let due = now + retry.interval_after(timeout, retries);
         let q = &mut self.entries.slab[at as usize];
-        let (key, old) = (q.key, std::mem::replace(&mut q.next_due, due));
+        let (key, old) = (q.due(), std::mem::replace(&mut q.next_due, due));
         q.retries = retries;
         let armed = self.entries.len;
         self.request_deadlines
@@ -557,21 +596,21 @@ impl Buffer {
     }
 
     /// Garbage-collects TTL-expired packets due at or before `now` into
-    /// `sweep.expired`, in `(deadline, key)` order.
+    /// `sweep.expired`, in `(deadline, due)` order.
     fn sweep_expired(&mut self, now: Nanos, pool: &PacketPool, sweep: &mut TimeoutSweep) {
         let Some(ttl) = self.ttl else { return };
         if self.sabotage.disable_ttl_gc {
             return;
         }
-        while let Some(key) = self
+        while let Some(due) = self
             .expiry_deadlines
             .pop_due(now, expiry_due(&self.entries, &self.units, self.ttl))
         {
-            let at =
-                (self.entries.position(&key)).expect("expiry index and entries stay consistent");
+            let at = (self.entries.position(&due.key()))
+                .expect("expiry index and entries stay consistent");
             let q = &mut self.entries.slab[at as usize];
-            let due = |p: &BufferedPacket| p.buffered_at + ttl <= now;
-            while let Some(p) = self.units.front(q).copied().filter(due) {
+            let expired = |p: &BufferedPacket| p.buffered_at + ttl <= now;
+            while let Some(p) = self.units.front(q).copied().filter(expired) {
                 self.units.pop_front(q);
                 self.total -= 1;
                 self.stats.expired += 1;
@@ -589,7 +628,7 @@ impl Buffer {
             if let Some(front) = self.units.front(q) {
                 let (at, armed) = (front.buffered_at + ttl, self.entries.len);
                 let current = expiry_due(&self.entries, &self.units, self.ttl);
-                self.expiry_deadlines.arm(key, None, at, armed, current);
+                self.expiry_deadlines.arm(due, None, at, armed, current);
             } else {
                 self.evict(at, &mut Vec::new());
             }
@@ -675,7 +714,7 @@ impl BufferMechanism for Buffer {
                         expiry_due(&self.entries, &self.units, self.ttl),
                     );
                     self.expiry_deadlines
-                        .arm(key, None, now + ttl, armed, current);
+                        .arm(q.due(), None, now + ttl, armed, current);
                 }
                 (at, buffer_id, None)
             }
@@ -763,7 +802,7 @@ impl BufferMechanism for Buffer {
             .request_deadlines
             .pop_due(now, request_due(&self.entries))
         {
-            let Key::Flow(flow) = key else {
+            let Due::Flow(flow) = key else {
                 unreachable!("only flows re-request")
             };
             due.push(flow);
@@ -971,6 +1010,13 @@ mod tests {
 
     fn no_buffer() -> Buffer {
         Buffer::default()
+    }
+
+    #[test]
+    fn a_deadline_stays_three_words() {
+        // Filing per-packet entries by generation and raw id fits in the
+        // niche of the 5-tuple: the heaps grow by no byte.
+        assert_eq!(std::mem::size_of::<Reverse<(Nanos, Due)>>(), 24);
     }
 
     #[test]

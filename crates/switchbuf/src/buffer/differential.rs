@@ -269,18 +269,10 @@ proptest! {
                         let want = spec.poll(now, &pool);
                         // An id that names no entry gets a key no entry has.
                         let key = |id| named(&names, id).unwrap_or(Key::Arrival(u64::MAX));
-                        let mut expired: Vec<_> = (got.expired.iter())
-                            .map(|p| (key(p.buffer_id), p.packet, p.buffered_at))
-                            .collect();
-                        if per_packet {
-                            // Per packet the buffer breaks a TTL tie by raw
-                            // id, which the spec abstracts: past the id
-                            // counter's wrap it is not arrival order.
-                            prop_assert!(expired.is_sorted_by_key(|e| e.2), "{}", at);
-                            expired.sort_by_key(|&(key, _, at)| (at, key));
-                        }
                         let got = Sweep {
-                            expired: (expired.into_iter()).map(|(key, p, _)| (key, p)).collect(),
+                            expired: (got.expired.iter())
+                                .map(|p| (key(p.buffer_id), p.packet))
+                                .collect(),
                             rerequests: (got.rerequests.iter())
                                 .map(|r| (key(r.buffer_id), r.packet))
                                 .collect(),
